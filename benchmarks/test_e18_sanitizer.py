@@ -78,8 +78,12 @@ class TestStructuralZeroCost:
         runner = ShardedEngineRunner(shards=2)
         assert not isinstance(runner._lock, TrackedLock)
         assert isinstance(runner._lock, type(threading.Lock()))
-        for worker in runner._workers:
-            assert worker.engine.sanitizer is None
+        runner.register_query(QUERY)
+        with runner:
+            assert runner._workers
+            for worker in runner._workers:
+                assert worker.shard.engine.sanitizer is None
+                assert worker.report.sanitizer_trips is None
 
 
 def test_e18_sanitizer_disabled(benchmark, stock_10k):

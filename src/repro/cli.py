@@ -1109,6 +1109,7 @@ def _stats_sharded(args: argparse.Namespace, out: TextIO):
 def _watch_replay(source, submit, events: Iterable[Event],
                   refresh: float, out: TextIO) -> None:
     """Render the live monitor while a producer thread replays the stream."""
+    import contextlib
     import threading
 
     from repro.runtime.monitor import Monitor
@@ -1130,6 +1131,10 @@ def _watch_replay(source, submit, events: Iterable[Event],
     thread = threading.Thread(target=produce, daemon=True)
     thread.start()
     while not done.wait(refresh):
+        # A fleet's counters are as fresh as its last barrier (a failed
+        # runner fails the producer's next submit, which ends this loop).
+        with contextlib.suppress(RuntimeError):
+            source.poll()
         monitor.run_live(iterations=1, out=out, clear=clear)
     thread.join()
     if failures:

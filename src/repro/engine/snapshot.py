@@ -31,6 +31,8 @@ from repro.engine.matcher import MatcherStats, PatternMatcher, _Partition, _Pend
 from repro.engine.nfa import PatternAutomaton
 from repro.engine.runs import Binding, Run
 from repro.events.event import Event
+from repro.ranking.emission import Emission, EmissionKind
+from repro.ranking.score import Scorer
 
 
 class SnapshotFormatError(ValueError):
@@ -155,6 +157,38 @@ def decode_match(state: Mapping[str, Any]) -> Match:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotFormatError(f"bad match record: {exc}") from exc
+
+
+def encode_emission(emission: Emission) -> dict[str, Any]:
+    """JSON-safe encoding of one emission (checkpoints and shard reports)."""
+    return {
+        "kind": emission.kind.value,
+        "ranking": [encode_match(m) for m in emission.ranking],
+        "at_seq": emission.at_seq,
+        "at_ts": emission.at_ts,
+        "epoch": emission.epoch,
+        "revision": emission.revision,
+        "entered": [encode_match(m) for m in emission.entered],
+        "exited": [encode_match(m) for m in emission.exited],
+    }
+
+
+def decode_emission(state: Mapping[str, Any], scorer: Scorer) -> Emission:
+    """Inverse of :func:`encode_emission`, re-scoring every match."""
+
+    def rescore(item: Mapping[str, Any]) -> Match:
+        return scorer.score(decode_match(item))
+
+    return Emission(
+        kind=EmissionKind(state["kind"]),
+        ranking=[rescore(item) for item in state["ranking"]],
+        at_seq=int(state["at_seq"]),
+        at_ts=float(state["at_ts"]),
+        epoch=state["epoch"],
+        revision=int(state["revision"]),
+        entered=[rescore(item) for item in state["entered"]],
+        exited=[rescore(item) for item in state["exited"]],
+    )
 
 
 # -- runs -------------------------------------------------------------------------

@@ -8,8 +8,9 @@ shared-index hit/miss split, and measured CPU time into a single
 comparable record, so ``cepr top`` can rank queries by what they actually
 cost and the future load-shedding controller can pick victims.
 
-Accounts are **views, not state**: :meth:`CostAccount.from_query` reads
-the live counters the engine already maintains, so there is nothing to
+Accounts are **views, not state**: :meth:`CostAccount.from_report` reads
+the counters a :class:`~repro.runtime.report.QueryReport` carries (the
+live ones, for a local query), so there is nothing to
 retire on ``unregister_query`` beyond the handles the engine already
 drops — a ghost query cannot linger in an account listing because the
 listing is rebuilt from ``engine.queries()`` on every call.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
-    from repro.runtime.query import RegisteredQuery
+    from repro.runtime.report import QueryReport
 
 
 @dataclass
@@ -80,16 +81,16 @@ class CostAccount:
     # -- construction ------------------------------------------------------------
 
     @classmethod
-    def from_query(cls, registered: "RegisteredQuery") -> "CostAccount":
-        """Build an account from one registered query's live counters."""
-        stats = registered.matcher.stats
-        metrics = registered.metrics
-        if registered.profile is not None:
-            cpu = registered.profile.total_seconds
+    def from_report(cls, report: "QueryReport") -> "CostAccount":
+        """Build an account from one query's (per-shard) report."""
+        stats = report.stats
+        metrics = report.metrics
+        if report.profile is not None:
+            cpu = report.profile.total_seconds
         else:
             cpu = metrics.latency.total
         return cls(
-            query=registered.name,
+            query=report.name,
             events_routed=metrics.events_routed,
             runs_created=stats.runs_created,
             runs_extended=stats.runs_extended,

@@ -4,15 +4,22 @@ and the live monitor.
 Execution backends live behind the unified Runner API: build any of
 embedded / threaded / sharded / process with
 :func:`~repro.runtime.runner.create_runner` and drive it through the
-:class:`~repro.runtime.runner.Runner` protocol.  Direct construction of
-the runner classes is deprecated (each constructor warns outside the
-factory)."""
+:class:`~repro.runtime.runner.Runner` protocol.  The queue-backed ones
+share their moving parts (:mod:`repro.runtime.shard`): one
+:class:`~repro.runtime.shard.WorkerLoop` — a bounded queue drained by the
+thread that owns the engine, whose only control operation is "run this
+callable on the owner thread, then acknowledge" — and, for the fleets,
+one :class:`~repro.runtime.shard.Shard` interface with a local (engine in
+this process) and a pipe (engine in a worker process) implementation.  A
+coordinator learns about a shard only from the
+:class:`~repro.runtime.report.ShardReport` it hands back at a barrier, so
+coordinator-side state is at least as fresh as the last barrier, for
+threads and processes alike."""
 
 from repro.runtime.concurrent import ThreadedEngineRunner
 from repro.runtime.engine import CEPREngine
 from repro.runtime.metrics import EngineMetrics, LatencyRecorder, QueryMetrics
 from repro.runtime.monitor import Monitor
-from repro.runtime.process import ProcessShardedRunner
 from repro.runtime.query import RegisteredQuery
 from repro.runtime.router import EventRouter
 from repro.runtime.runner import (
@@ -42,7 +49,6 @@ __all__ = [
     "LatencyRecorder",
     "Monitor",
     "PrintSink",
-    "ProcessShardedRunner",
     "QueryMetrics",
     "RegisteredQuery",
     "ResultSink",

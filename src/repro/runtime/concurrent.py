@@ -2,50 +2,50 @@
 
 ``CEPREngine`` is single-threaded by design (one event at a time through
 the operator chain).  :class:`ThreadedEngineRunner` puts that engine behind
-a bounded queue: producers call :meth:`submit` from any thread, a single
-consumer thread drains the queue into the engine in ``push_batch`` batches,
-and emissions fan out to a callback.  The bounded queue gives natural
-backpressure — a slow query slows producers instead of growing memory
-without bound.
+a :class:`~repro.runtime.shard.WorkerLoop`: producers call :meth:`submit`
+from any thread, the loop's consumer thread — the engine's owner — drains
+the queue into the engine in ``push_batch`` batches, and emissions fan out
+to a callback.  The bounded queue gives natural backpressure — a slow query
+slows producers instead of growing memory without bound.
 
-Beyond ingestion, the runner exposes the control surface the serving layer
-(:mod:`repro.serve`) needs to drive an engine it never touches directly:
+Everything else the runner does is "run this on the consumer thread,
+behind what is already queued" (:meth:`WorkerLoop.begin
+<repro.runtime.shard.WorkerLoop.begin>`):
 
-* :meth:`sync` — a read-your-writes barrier (returns once everything
-  submitted before it has been processed);
-* :meth:`advance_time` — heartbeat injection through the queue, so
+* :meth:`sync` — a read-your-writes barrier (an empty callable);
+* :meth:`advance_time`/:meth:`flush` — heartbeats and end-of-stream, so
   watermarks serialise with events;
+* :meth:`snapshot`/:meth:`restore` and
+  :meth:`subscribe`/:meth:`register_query`/:meth:`unregister_query` — the
+  engine's own methods, run by its owner;
 * :meth:`pause` — a context manager that parks the consumer at a safe
-  point and yields the engine for exclusive access (used by
-  :meth:`snapshot`/:meth:`restore` and dynamic query registration);
-* :meth:`subscribe`/:meth:`register_query`/:meth:`unregister_query` —
-  pause-protected passthroughs to the engine's subscription API.
+  point and yields the engine for exclusive access.
 
-Shutdown semantics are unchanged: :meth:`stop` processes everything
+A failure on the consumer thread latches: the loop keeps draining (and
+discarding) so producers and barriers never wedge, and every later
+``submit`` or barrier raises it.  :meth:`stop` processes everything
 already queued, flushes the engine, and joins the thread.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.events.event import Event
 from repro.language.ast_nodes import Query
-from repro.observability.pressure import PressureAssessor, PressureSample
 from repro.observability.registry import MetricsRegistry
 from repro.ranking.emission import Emission, EmissionKind
-from repro.runtime._construction import warn_direct_construction
 from repro.runtime.engine import CEPREngine
 from repro.runtime.query import RegisteredQuery
-from repro.runtime.shedding import ShedController, controller_to_dict
+from repro.runtime.shard import QueuedRunner, WorkerLoop
+from repro.runtime.shedding import ShedController, ShedStats, controller_to_dict
 from repro.runtime.sinks import SinkLike, Subscription
 from repro.sanitize.core import release_affinity
 
 
-class ThreadedEngineRunner:
+class ThreadedEngineRunner(QueuedRunner):
     """Runs a :class:`CEPREngine` on its own consumer thread.
 
     Parameters
@@ -85,53 +85,16 @@ class ThreadedEngineRunner:
         latency_target: float | None = None,
         shed_controller: ShedController | None = None,
     ) -> None:
-        warn_direct_construction(type(self).__name__)
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.engine = engine
         self.on_emission = on_emission
-        self.batch_size = batch_size
         self.max_queue = max_queue
-        self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
-        self._thread: threading.Thread | None = None
+        self.batch_size = batch_size
+        self._loop = WorkerLoop(self._consume_batch, max_queue, batch_size)
         self._started = False
-        self._stopped = threading.Event()
-        #: exception that killed the consumer thread, if any.
-        self.failure: BaseException | None = None
-        self.events_submitted = 0
-        self.events_processed = 0
-        #: deepest the ingest queue has ever been (pressure signal).
-        self.queue_high_water = 0
-        #: submit-side event-time watermark: highest event timestamp
-        #: accepted into the queue.  Compared against the engine's
-        #: processed watermark to measure ingest lag in event-time units.
-        self.last_submitted_ts: float | None = None
-        #: smoothed composite pressure with ok/overloaded hysteresis.
-        self.pressure_assessor = PressureAssessor()
-        #: optional ``() -> (depth, capacity)`` hook the serving layer
-        #: installs so default pressure readings include its fullest
-        #: subscriber outbound queue.
-        self.subscriber_pressure_provider: (
-            Callable[[], tuple[int, int]] | None
-        ) = None
-        if shed_controller is None:
-            shed_controller = ShedController(
-                policy=shed_policy,
-                **(
-                    {}
-                    if latency_target is None
-                    else {"latency_target": latency_target}
-                ),
-            )
-        #: load-shedding state machine (policy "off" is inert).
-        self.shed_controller = shed_controller
-        if shed_controller.policy != "off":
-            # Exact-mode elides run inside the dispatch loop; the checker
-            # hook re-derives every certificate when CEPRSan is armed.
-            engine.shed_controller = shed_controller
-            shed_controller.invariant_checker = getattr(
-                engine, "_invariants", None
-            )
+        self._stopped = False
+        self._init_queued(shed_policy, latency_target, shed_controller)
+        if self.shed_controller.policy != "off":
+            engine.attach_shed_controller(self.shed_controller)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -142,21 +105,18 @@ class ThreadedEngineRunner:
         # Sanitizer handoff: from here on the consumer thread owns the
         # engine (thread-affinity tracking re-claims on first mutation).
         release_affinity(self.engine)
-        self._thread = threading.Thread(target=self._consume, daemon=True)
-        self._thread.start()
+        self._loop.start()
         return self
 
     def stop(self, timeout: float | None = 30.0) -> None:
         """Drain the queue, flush the engine, and join the thread."""
-        if not self._started or self._stopped.is_set():
+        if not self._started or self._stopped:
             return
-        self._queue.put(("stop",))
-        assert self._thread is not None
-        self._thread.join(timeout=timeout)
-        if self._thread.is_alive():
+        self._stopped = True
+        self._loop.stop(final=lambda: self._fan_out(self.engine.flush()))
+        if not self._loop.join(timeout):
             raise TimeoutError("consumer thread did not drain in time")
-        if self.failure is not None:
-            raise RuntimeError("engine thread failed") from self.failure
+        self._check_failure()
 
     def close(self) -> None:
         """Terminal teardown: stop (draining and flushing), then close sinks."""
@@ -174,58 +134,34 @@ class ThreadedEngineRunner:
     def submit(self, event: Event, timeout: float | None = None) -> None:
         """Enqueue one event (blocks when the queue is full)."""
         self._ensure_running()
-        self._queue.put(("event", event), timeout=timeout)
+        self._loop.put(event, timeout)
         self.events_submitted += 1
-        if (
-            self.last_submitted_ts is None
-            or event.timestamp > self.last_submitted_ts
-        ):
-            self.last_submitted_ts = event.timestamp
-        depth = self._queue.qsize()
-        if depth > self.queue_high_water:
-            self.queue_high_water = depth
-
-    def submit_all(self, events) -> int:
-        count = 0
-        for event in events:
-            self.submit(event)
-            count += 1
-        return count
+        self._note_submitted(event.timestamp)
 
     @property
-    def backlog(self) -> int:
-        """Events queued but not yet processed (approximate)."""
-        return self._queue.qsize()
+    def failure(self) -> BaseException | None:
+        """Exception that failed the consumer thread, if any."""
+        return self._loop.failure
+
+    def _check_failure(self) -> None:
+        if self._loop.failure is not None:
+            raise RuntimeError("engine thread failed") from self._loop.failure
 
     def _ensure_running(self) -> None:
-        if self.failure is not None:
-            raise RuntimeError("engine thread failed") from self.failure
-        if not self._started or self._stopped.is_set():
+        self._check_failure()
+        if not self._started or self._stopped:
             raise RuntimeError("runner is stopped")
 
-    def _release_if_dead(self) -> None:
-        """Cover the put-after-death race.
-
-        ``_ensure_running`` then ``put`` is not atomic: the consumer may
-        fail and finish its terminal queue drain in between, leaving the
-        op we just queued with no one to service it.  When that happens
-        the drain below releases its waiters instead of letting the
-        caller block forever.
-        """
-        if self._stopped.is_set():
-            self._drain_queue()
-
-    def _drain_queue(self) -> None:
-        while True:
-            try:
-                leftover = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            for part in leftover[1:]:
-                if isinstance(part, threading.Event):
-                    part.set()
-
     # -- control barriers ----------------------------------------------------------
+
+    def _on_consumer(
+        self, fn: Callable[[CEPREngine], Any], timeout: float | None = None
+    ) -> Any:
+        """Run ``fn(engine)`` on the consumer thread, behind what is queued."""
+        self._ensure_running()
+        result = self._loop.call(lambda: fn(self.engine), timeout)
+        self._check_failure()
+        return result
 
     def sync(self, timeout: float | None = None) -> None:
         """Barrier: return once everything submitted before it is processed.
@@ -233,14 +169,12 @@ class ThreadedEngineRunner:
         Gives callers read-your-writes over engine results without
         stopping the runner (the serving layer's ``sync`` op maps here).
         """
-        self._ensure_running()
-        ack = threading.Event()
-        self._queue.put(("sync", ack))
-        self._release_if_dead()
-        if not ack.wait(timeout=timeout):
-            raise TimeoutError("sync barrier did not drain in time")
-        if self.failure is not None:
-            raise RuntimeError("engine thread failed") from self.failure
+        self._on_consumer(lambda engine: None, timeout)
+
+    def poll(self) -> list[Emission]:
+        """:meth:`sync`; emissions are delivered eagerly, so none are held."""
+        self.sync()
+        return []
 
     def advance_time(self, timestamp: float, timeout: float | None = None) -> None:
         """Inject a heartbeat, serialised behind already-queued events.
@@ -248,58 +182,47 @@ class ThreadedEngineRunner:
         Emissions it releases fan out to ``on_emission`` on the consumer
         thread, like every other emission.
         """
-        self._ensure_running()
-        ack = threading.Event()
-        self._queue.put(("advance", timestamp, ack))
-        self._release_if_dead()
-        if not ack.wait(timeout=timeout):
-            raise TimeoutError("advance barrier did not drain in time")
-        if self.failure is not None:
-            raise RuntimeError("engine thread failed") from self.failure
+        self._on_consumer(
+            lambda engine: self._fan_out(engine.advance_time(timestamp)), timeout
+        )
 
     def flush(self) -> None:
         """End-of-stream flush without stopping the runner.
 
-        Parks the consumer at a safe point, flushes the engine, and fans
-        the released emissions out to ``on_emission`` (on the calling
-        thread — same delivery point as the sharded runner's barriers).
-        Idempotent; :meth:`stop` still flushes for callers that never
-        call this.
+        Runs behind everything queued and fans the released emissions out
+        to ``on_emission``.  Idempotent; :meth:`stop` still flushes for
+        callers that never call this.
         """
-        if self._started and not self._stopped.is_set():
-            with self.pause() as engine:
-                self._fan_out(engine.flush())
-        else:
-            self._fan_out(self.engine.flush())
+        self._with_engine(lambda engine: self._fan_out(engine.flush()))
 
     @contextmanager
     def pause(self) -> Iterator[CEPREngine]:
         """Park the consumer at a safe point and yield the engine.
 
         While the ``with`` body runs, the consumer thread is blocked
-        between events, so the engine may be touched directly (snapshot,
-        restore, query registration).  Events submitted meanwhile queue up
-        and are processed after resume.
+        between events, so the engine may be touched directly.  Events
+        submitted meanwhile queue up and are processed after resume.
         """
         self._ensure_running()
-        entered = threading.Event()
         resume = threading.Event()
-        self._queue.put(("pause", entered, resume))
-        self._release_if_dead()
-        entered.wait()
+        # Affinity handoff both ways across the pause: the pausing thread
+        # owns the engine inside the with body, then ownership returns.
+        parked = self._loop.begin(
+            lambda: release_affinity(self.engine), hold=resume
+        )
         try:
-            if self.failure is not None:
-                raise RuntimeError("engine thread failed") from self.failure
+            parked.wait()
+            self._check_failure()
             yield self.engine
         finally:
+            release_affinity(self.engine)
             resume.set()
 
     # -- engine passthroughs ---------------------------------------------------------
 
-    def _with_engine(self, fn: Callable[[CEPREngine], object]) -> object:
-        if self._started and not self._stopped.is_set():
-            with self.pause() as engine:
-                return fn(engine)
+    def _with_engine(self, fn: Callable[[CEPREngine], Any]) -> Any:
+        if self._started and not self._stopped:
+            return self._on_consumer(fn)
         return fn(self.engine)
 
     def subscribe(
@@ -309,90 +232,56 @@ class ThreadedEngineRunner:
         kinds: EmissionKind | str | list | tuple | None = None,
     ) -> Subscription:
         """Attach a subscription to one query, safely while running."""
-        result = self._with_engine(
+        return self._with_engine(
             lambda engine: engine.subscribe(query_name, target, kinds=kinds)
         )
-        assert isinstance(result, Subscription)
-        return result
 
     def register_query(
         self, query: str | Query, name: str | None = None
     ) -> RegisteredQuery:
-        """Register a query, pausing the consumer if already running."""
-        result = self._with_engine(
+        """Register a query (on the consumer thread if already running)."""
+        return self._with_engine(
             lambda engine: engine.register_query(query, name=name)
         )
-        assert isinstance(result, RegisteredQuery)
-        return result
 
     def unregister_query(self, name: str) -> None:
-        """Remove a query, pausing the consumer if already running."""
+        """Remove a query (on the consumer thread if already running)."""
         self._with_engine(lambda engine: engine.unregister_query(name))
 
     # -- checkpointing ---------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Consistent engine snapshot taken at a pause point."""
-        with self.pause() as engine:
-            return engine.snapshot()
+        """Consistent engine snapshot, taken behind everything queued."""
+        return self._on_consumer(lambda engine: engine.snapshot())
 
     def restore(self, state: dict) -> None:
-        """Load a snapshot into the (paused) engine."""
-        with self.pause() as engine:
-            engine.restore(state)
+        """Load a snapshot into the engine, on its owner thread."""
+        self._on_consumer(lambda engine: engine.restore(state))
 
     # -- observability -------------------------------------------------------------
 
     @property
-    def ingest_lag_seconds(self) -> float:
-        """Event-time watermark skew: submitted minus processed watermark.
+    def events_processed(self) -> int:
+        """Events the consumer has drained from the queue."""
+        return self._loop.events_processed
 
-        Zero while the consumer keeps up (or before the first event);
-        grows in event-time units when a backlog builds.
-        """
-        submitted = self.last_submitted_ts
-        processed = self.engine.metrics.last_event_ts
-        if submitted is None or processed is None:
-            # Nothing submitted, or nothing processed yet — skew between
-            # the watermarks is not yet defined.
-            return 0.0
-        return max(0.0, submitted - processed)
+    @property
+    def backlog(self) -> int:
+        """Events queued but not yet processed (approximate)."""
+        return self._loop.backlog
 
-    def pressure_sample(
-        self, subscriber_depth: int = 0, subscriber_capacity: int = 0
-    ) -> PressureSample:
-        """Instantaneous pressure reading over this runner's queue.
+    @property
+    def queue_capacity(self) -> int:
+        return self.max_queue
 
-        The serving layer passes its fullest subscriber outbound queue so
-        the composite score sees client-side backpressure too — either
-        explicitly, or by installing :attr:`subscriber_pressure_provider`
-        (consulted when the arguments are left at their defaults) so the
-        registry's ``pressure`` gauge sees it on every export.
-        """
-        if (
-            not subscriber_capacity
-            and self.subscriber_pressure_provider is not None
-        ):
-            subscriber_depth, subscriber_capacity = (
-                self.subscriber_pressure_provider()
-            )
-        return PressureSample(
-            ingest_lag_seconds=self.ingest_lag_seconds,
-            queue_depth=self.backlog,
-            queue_capacity=self.max_queue,
-            queue_high_water=self.queue_high_water,
-            subscriber_depth=subscriber_depth,
-            subscriber_capacity=subscriber_capacity,
-        )
+    @property
+    def queue_high_water(self) -> int:
+        """Deepest the ingest queue has ever been (pressure signal)."""
+        return self._loop.queue_high_water
 
-    def pressure(
-        self, subscriber_depth: int = 0, subscriber_capacity: int = 0
-    ) -> PressureAssessor:
-        """Fold a fresh sample into the assessor and return it."""
-        self.pressure_assessor.observe(
-            self.pressure_sample(subscriber_depth, subscriber_capacity)
-        )
-        return self.pressure_assessor
+    @property
+    def last_processed_ts(self) -> float | None:
+        return self.engine.metrics.last_event_ts
 
     def cost_accounts(self):
         """Per-query cost accounts (snapshot; counters may still move)."""
@@ -419,74 +308,16 @@ class ThreadedEngineRunner:
     def metrics_registry(self) -> MetricsRegistry:
         """The engine's registry plus this runner's queue instruments."""
         registry = self.engine.metrics_registry()
-        registry.counter(
-            "runner_events_submitted_total",
-            "Events accepted into the ingest queue",
-            fn=lambda: self.events_submitted,
-        )
+        self._register_queue_instruments(registry)
         registry.counter(
             "runner_events_processed_total",
             "Events drained from the queue into the engine",
             fn=lambda: self.events_processed,
         )
-        registry.gauge(
-            "runner_backlog",
-            "Events queued, not yet processed",
-            fn=lambda: self.backlog,
-        )
-        registry.gauge(
-            "runner_queue_capacity",
-            "Bound of the ingest queue",
-            fn=lambda: self.max_queue,
-        )
-        registry.gauge(
-            "runner_queue_high_water",
-            "Deepest the ingest queue has ever been",
-            fn=lambda: self.queue_high_water,
-            agg="max",
-        )
-        registry.gauge(
-            "runner_ingest_lag_seconds",
-            "Event-time watermark skew between submit and processing",
-            fn=lambda: self.ingest_lag_seconds,
-            agg="max",
-        )
-        registry.gauge(
-            "pressure",
-            "Smoothed composite pressure score (0..1)",
-            fn=lambda: self.pressure().level,
-            agg="max",
-        )
-        controller = self.shed_controller
-        if controller.policy != "off":
-            registry.counter(
-                "shed_events_total",
-                "Events dropped/elided by the load-shedding controller",
-                fn=lambda: controller.stats.shed_events_total,
-            )
-            registry.counter(
-                "shed_safe_total",
-                "Sheds provably unable to change output (inert or certified)",
-                fn=lambda: controller.stats.shed_safe_total,
-            )
-            registry.gauge(
-                "shed_drop_rate",
-                "Current adaptive drop probability (0..1)",
-                fn=lambda: controller.drop_rate,
-                agg="max",
-            )
-            registry.gauge(
-                "shed_recall_estimate",
-                "Measured lower-bound recall of the shedded stream",
-                fn=lambda: controller.recall_estimate,
-            )
-            registry.gauge(
-                "shed_engaged",
-                "1 while the shedding controller is engaged",
-                fn=lambda: 1.0 if controller.engaged else 0.0,
-                agg="max",
-            )
         return registry
+
+    def shed_stats(self) -> ShedStats:
+        return self.shed_controller.stats
 
     def shed_stats_dict(self) -> dict | None:
         """JSON-safe shedding snapshot for STATS frames (None when off)."""
@@ -499,87 +330,24 @@ class ThreadedEngineRunner:
             for emission in emissions:
                 self.on_emission(emission)
 
-    def _consume(self) -> None:
-        pending_op: tuple | None = None
-        item: tuple | None = None
-        try:
-            while True:
-                item = pending_op if pending_op is not None else self._queue.get()
-                pending_op = None
-                kind = item[0]
-                if kind == "event":
-                    # Batched hot path: greedily drain queued events so the
-                    # engine amortises per-call overhead via push_batch.
-                    batch = [item[1]]
-                    while len(batch) < self.batch_size:
-                        try:
-                            nxt = self._queue.get_nowait()
-                        except queue.Empty:
-                            break
-                        if nxt[0] == "event":
-                            batch.append(nxt[1])
-                        else:
-                            pending_op = nxt
-                            break
-                    drained = len(batch)
-                    controller = self.shed_controller
-                    if controller.adaptive_active:
-                        # Lossy pre-engine drops: the seq hint places the
-                        # not-yet-sequenced events in the right count-window
-                        # epoch for the bound probes (advisory only).
-                        queries = self.engine.queries()
-                        seq_hint = self.engine.metrics.events_pushed
-                        batch = [
-                            event
-                            for event in batch
-                            if controller.admit(event, queries, seq_hint=seq_hint)
-                        ]
-                    if batch:
-                        emissions = self.engine.push_batch(batch)
-                        self._fan_out(emissions)
-                    self.events_processed += drained
-                    if controller.policy != "off":
-                        # Per-batch control tick, on the consumer thread —
-                        # the controller owns a private assessor, so this
-                        # never races the registry's pressure gauge.
-                        controller.control(
-                            self.pressure_sample(), self.ingest_lag_seconds
-                        )
-                    continue
-                if kind == "stop":
-                    break
-                if kind == "pause":
-                    # Affinity handoff both ways across the pause barrier:
-                    # the pausing thread owns the engine inside the with
-                    # body, then ownership returns here on resume.
-                    release_affinity(self.engine)
-                    item[1].set()  # caller owns the engine now
-                    item[2].wait()  # ...until it resumes us
-                    release_affinity(self.engine)
-                    continue
-                if kind == "sync":
-                    item[1].set()
-                    continue
-                if kind == "advance":
-                    self._fan_out(self.engine.advance_time(item[1]))
-                    item[2].set()
-                    continue
-                raise AssertionError(f"unknown control op {kind!r}")
-            final = self.engine.flush()
-            self._fan_out(final)
-        except BaseException as exc:  # surfaced to producers via .failure
-            self.failure = exc
-        finally:
-            self._stopped.set()
-            # Unblock producers stuck in a full-queue put and release any
-            # barrier waiters queued behind the stop sentinel (or a
-            # failure) — nothing may be left to wedge its caller forever.
-            # That includes ops already pulled OUT of the queue: the op
-            # being processed when the engine raised (`item`) and one the
-            # greedy batch drain set aside (`pending_op`).
-            for op in (item, pending_op):
-                if op is not None:
-                    for part in op[1:]:
-                        if isinstance(part, threading.Event):
-                            part.set()
-            self._drain_queue()
+    def _consume_batch(self, batch: list[Event]) -> None:
+        """One drained batch, on the consumer thread."""
+        controller = self.shed_controller
+        if controller.adaptive_active:
+            # Lossy pre-engine drops: the seq hint places the
+            # not-yet-sequenced events in the right count-window
+            # epoch for the bound probes (advisory only).
+            queries = self.engine.queries()
+            seq_hint = self.engine.metrics.events_pushed
+            batch = [
+                event
+                for event in batch
+                if controller.admit(event, queries, seq_hint=seq_hint)
+            ]
+        if batch:
+            self._fan_out(self.engine.push_batch(batch))
+        if controller.policy != "off":
+            # Per-batch control tick, on the consumer thread — the
+            # controller owns a private assessor, so this never races
+            # the registry's pressure gauge.
+            controller.control(self.pressure_sample(), self.ingest_lag_seconds)

@@ -19,7 +19,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.events.event import Event
 from repro.events.schema import SchemaRegistry
@@ -43,6 +43,9 @@ from repro.runtime.metrics import EngineMetrics
 from repro.runtime.query import RegisteredQuery
 from repro.runtime.router import EventRouter, SharedExecutionIndex
 from repro.runtime.sinks import SinkLike, Subscription
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.shedding import ShedController
 
 
 def snapshot_lateness(buffer: LatenessBuffer) -> dict:
@@ -205,9 +208,10 @@ class CEPREngine:
         #: the hot-path cost of the feature when off is one ``is None``
         #: check per dispatched event.
         self.shed_controller = None
-        #: CEPRSan reporter; None on plain engines (the common case) so
-        #: hot paths never even branch on it.
+        #: CEPRSan reporter and invariant checker; None on plain engines
+        #: (the common case) so hot paths never even branch on them.
         self.sanitizer = None
+        self._invariants = None
         if sanitize is None:
             from repro.sanitize.core import sanitizer_enabled
 
@@ -217,6 +221,15 @@ class CEPREngine:
 
             self.sanitizer = Sanitizer(scope="engine")
             self._invariants = attach_engine_sanitizer(self)
+
+    def attach_shed_controller(self, controller: ShedController) -> None:
+        """Let ``controller`` elide certified events inside the dispatch loop.
+
+        With CEPRSan armed the invariant checker re-derives every shed
+        certificate the controller acts on.
+        """
+        self.shed_controller = controller
+        controller.invariant_checker = self._invariants
 
     # -- registration -------------------------------------------------------------
 
@@ -598,7 +611,7 @@ class CEPREngine:
         from this view each refresh).
         """
         return {
-            name: CostAccount.from_query(registered)
+            name: registered.cost_account()
             for name, registered in self._queries.items()
         }
 

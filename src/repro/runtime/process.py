@@ -1,97 +1,60 @@
-"""Process-parallel sharded execution: true multi-core CEPR fleets.
+"""Pipe shards: a shard whose engine runs in a worker process.
 
 :class:`~repro.runtime.sharded.ShardedEngineRunner` buys ordering and
-merge determinism but not CPU parallelism — its shards are threads, so
-NFA transition work and interval scoring serialise on the GIL.  This
-module keeps the *entire* dispatch/merge layer (global sequence
-assignment, shardability placement, the deterministic merge stage,
-checkpoint coordination) and swaps only the execution substrate: each
-shard's :class:`~repro.runtime.engine.CEPREngine` runs in a **worker
-process**, fed over an OS pipe with the same length-prefixed JSON frame
-codec the serving layer speaks (:mod:`repro.serve.protocol`).
-
-Architecture
-------------
+merge determinism but, with :class:`~repro.runtime.shard.LocalShard`, not
+CPU parallelism — thread shards serialise on the GIL.  :class:`PipeShard`
+is the other implementation of the shard interface
+(:class:`~repro.runtime.shard.Shard`): the same coordinator, the same
+:class:`~repro.runtime.shard.WorkerLoop` per shard, but ``push_batch`` and
+the barrier calls travel as length-prefixed JSON frames
+(:mod:`repro.events.frames`) over an OS pipe to
+``python -m repro.runtime.process_worker`` — a fresh interpreter with its
+own GIL that hosts a ``LocalShard`` and answers ``report`` with that
+shard's :class:`~repro.runtime.report.ShardReport`, encoded.
 
 ::
 
-    submit() ──► dispatch (seq assign, hash) ──► per-shard queue
-                                                    │ consumer thread
-                                                    ▼
-                                  _ChildEngine (engine-shaped proxy)
-                                     │  one-way "events" frames
-                                     │  request/reply barriers
-                                     ▼ stdin/stdout pipes
-                              repro.runtime.process_worker (child)
-                                     │ CEPREngine + compiled edges
-                                     ▼
-                          barrier replies carry a *state mirror*
-                     (emission deltas, counters, open epochs, …)
+    owner thread ── "events" frames (one-way, one per batch) ──► worker
+                 ── advance / flush / report / snapshot / ... ──►   │
+                 ◄──────────── ack (+ encoded ShardReport) ─────────┘
 
-Each parent-side shard keeps the familiar bounded queue + consumer
-thread; the consumer batches events into one frame per ``push_batch``
-(amortising JSON cost) and round-trips barrier operations, applying the
-returned mirror to proxy objects shaped like
-:class:`~repro.runtime.query.RegisteredQuery`.  The merge stage then
-runs unchanged against those proxies, so merged output is byte-identical
-to the threaded runner — and therefore to a single engine.
+Consistency: exactly the shard contract — the coordinator knows what the
+last ``report()`` said.  Failure model: a dead or erroring worker raises
+:class:`WorkerProcessError` from the call that noticed, which latches as
+the shard's failure exactly where a local engine's exception would;
+recovery is the coordinator's ``restore`` (``respawn`` + replay the
+shard's snapshot), see ``docs/PROCESS_RUNNER.md``.
 
-Consistency model: mirrored state (metrics, matcher counters, emission
-deltas) is refreshed at **barrier points** (``sync``/``poll``/
-``advance_time``/``flush``/checkpoints).  Between barriers the proxies
-serve the last mirrored values — the same read discipline the merge
-stage already requires, now made explicit for introspection too.
-
-Failure model: a worker process dying surfaces as a latched shard
-failure on the next submit or barrier (exactly where a thread-shard
-failure would surface).  Recovery reuses the per-shard checkpoint
-machinery: :meth:`ProcessShardedRunner.restore` respawns dead workers,
-replays the engine snapshots into them, and re-seeds the merge stage —
-see ``docs/PROCESS_RUNNER.md`` for the full lifecycle.
-
-Load shedding is rejected at construction: adaptive admission reads
-engine state the parent only sees at barriers, so a process fleet cannot
-honour the controller's contract.
+Load shedding needs a live engine (``live_engine = False`` here), so the
+coordinator rejects it at construction for pipe shards.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Any, BinaryIO, Callable
+from typing import Any, BinaryIO, Mapping
 
-from repro.engine.matcher import MatcherStats
 from repro.engine.snapshot import SnapshotFormatError, encode_event
 from repro.events.event import Event
+from repro.events.frames import (
+    ConnectionClosed,
+    FrameError,
+    encode_frame,
+    read_frame_from,
+)
 from repro.events.jsonsafe import desanitize, sanitize
 from repro.events.schema import SchemaRegistry
 from repro.language.ast_nodes import Query
+from repro.language.parser import parse_query
 from repro.language.printer import format_query
 from repro.language.semantics import analyze
-from repro.observability.profiling import StageProfile
 from repro.observability.registry import MetricsRegistry
-from repro.ranking.emission import Emission
 from repro.ranking.score import Scorer
-from repro.runtime.metrics import EngineMetrics, LatencyRecorder, QueryMetrics
-from repro.runtime.sharded import (
-    ShardedEngineRunner,
-    _decode_emission,
-    _Worker,
-)
-from repro.runtime.shedding import ShedController
-from repro.runtime.sinks import CollectorSink
+from repro.runtime.report import ShardReport, decode_instruments, decode_report
 from repro.sanitize.locks import tracked_lock
-from repro.serve.protocol import (
-    _HEADER,
-    HEADER_BYTES,
-    ConnectionClosed,
-    FrameError,
-    decode_payload,
-    encode_frame,
-)
 
 #: Pipe frames carry engine snapshots, not client requests; the limit is
 #: a corruption guard, not a protocol negotiation.
@@ -102,46 +65,18 @@ class WorkerProcessError(RuntimeError):
     """A worker process died or reported an internal error."""
 
 
-# ---------------------------------------------------------------------------
-# pipe framing (shared with repro.runtime.process_worker)
-# ---------------------------------------------------------------------------
+# -- pipe framing (shared with repro.runtime.process_worker) -----------------------
 
 
 def read_pipe_frame(stream: BinaryIO) -> dict[str, Any]:
     """Read one length-prefixed JSON frame from a blocking pipe stream."""
-    header = _read_exactly(stream, HEADER_BYTES)
-    (length,) = _HEADER.unpack(header)
-    if length > PIPE_MAX_FRAME_BYTES:
-        raise FrameError(
-            "CEPR501",
-            f"pipe frame of {length} bytes exceeds the "
-            f"{PIPE_MAX_FRAME_BYTES}-byte limit",
-            fatal=True,
-        )
-    return decode_payload(_read_exactly(stream, length))
+    return read_frame_from(stream.read, PIPE_MAX_FRAME_BYTES)
 
 
 def write_pipe_frame(stream: BinaryIO, doc: dict[str, Any]) -> None:
     """Write one frame and flush (pipes buffer; barriers need delivery)."""
     stream.write(encode_frame(doc, max_frame_bytes=PIPE_MAX_FRAME_BYTES))
     stream.flush()
-
-
-def _read_exactly(stream: BinaryIO, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = stream.read(remaining)
-        if not chunk:
-            raise ConnectionClosed("worker pipe closed")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-# ---------------------------------------------------------------------------
-# state codecs (parent <-> worker mirrors)
-# ---------------------------------------------------------------------------
 
 
 def encode_registry(registry: SchemaRegistry | None) -> dict | None:
@@ -163,208 +98,59 @@ def encode_registry(registry: SchemaRegistry | None) -> dict | None:
     return spec
 
 
-def encode_recorder(recorder: LatencyRecorder) -> dict[str, Any]:
-    return {
-        "count": recorder.count,
-        "total": recorder.total,
-        "maximum": recorder.maximum,
-        "samples": list(recorder._samples),
-    }
+# -- the shard ------------------------------------------------------------------------
 
 
-def decode_recorder(state: dict[str, Any]) -> LatencyRecorder:
-    recorder = LatencyRecorder()
-    recorder.count = int(state["count"])
-    recorder.total = float(state["total"])
-    recorder.maximum = float(state["maximum"])
-    recorder._samples = [float(value) for value in state["samples"]]
-    return recorder
+class PipeShard:
+    """A shard served by one worker process over stdin/stdout pipes.
 
+    Same constructor as :class:`~repro.runtime.shard.LocalShard`.  Queries
+    travel as canonical CEPR-QL text (the printer/parser round-trip is
+    golden-tested), so the worker rebuilds the exact automaton analysed
+    here; this side keeps only each query's scorer, to re-score the
+    matches a report carries.
 
-def encode_matcher_stats(stats: MatcherStats) -> dict[str, int]:
-    return {
-        spec.name: getattr(stats, spec.name)
-        for spec in dataclasses.fields(MatcherStats)
-    }
-
-
-def decode_matcher_stats(state: dict[str, Any]) -> MatcherStats:
-    return MatcherStats(**{key: int(value) for key, value in state.items()})
-
-
-def encode_profile(profile: StageProfile | None) -> dict | None:
-    if profile is None:
-        return None
-    return {
-        name: {
-            "count": timer.count,
-            "total": timer.total,
-            "maximum": timer.maximum,
-        }
-        for name, timer in profile.timers()
-    }
-
-
-def decode_profile(state: dict | None) -> StageProfile | None:
-    if state is None:
-        return None
-    profile = StageProfile()
-    for name, timer in profile.timers():
-        row = state[name]
-        timer.count = int(row["count"])
-        timer.total = float(row["total"])
-        timer.maximum = float(row["maximum"])
-    return profile
-
-
-# ---------------------------------------------------------------------------
-# parent-side proxies
-# ---------------------------------------------------------------------------
-
-
-class _RankerMirror:
-    """Ranker-shaped view over barrier-mirrored worker state."""
-
-    __slots__ = ("_open_epochs", "scoring_errors")
-
-    def __init__(self) -> None:
-        self._open_epochs: tuple[int, ...] = ()
-        self.scoring_errors = 0
-
-    def open_epochs(self) -> tuple[int, ...]:
-        return self._open_epochs
-
-
-class _MatcherMirror:
-    """Matcher-shaped view (stats + live counts) over mirrored state."""
-
-    __slots__ = ("stats", "live_run_count", "pending_count")
-
-    def __init__(self) -> None:
-        self.stats = MatcherStats()
-        self.live_run_count = 0
-        self.pending_count = 0
-
-
-class _SanitizerMirror:
-    __slots__ = ("trips",)
-
-    def __init__(self) -> None:
-        self.trips: dict[str, int] = {}
-
-
-class _HandleProxy:
-    """RegisteredQuery-shaped handle for one (query, worker-process) pair.
-
-    Everything the merge stage, the fleet views, and the cost accounts
-    read off a shard handle — ``collector.emissions``, ``scorer``,
-    ``metrics``, ``matcher`` stats, ``ranker.open_epochs()``,
-    ``profile`` — is served from state mirrored at the last barrier.
+    One tracked lock guards the pipe: every write, and every write+read
+    request/reply pair, holds it — so frames from the owner thread and
+    from introspection (``registry``/``explain``) never interleave, and a
+    reply always answers the request just written.
     """
 
-    def __init__(self, child: "_ChildEngine", name: str, analyzed) -> None:
-        self._child = child
-        self.name = name
-        self.analyzed = analyzed
-        self.scorer = Scorer(analyzed.rank_keys)
-        self.collector = CollectorSink()
-        self.metrics = QueryMetrics()
-        self.matcher = _MatcherMirror()
-        self.ranker = _RankerMirror()
-        self.profile: StageProfile | None = None
-
-    def explain(self) -> str:
-        return self._child.explain_query(self.name)
-
-    def _apply(self, mirror: dict[str, Any]) -> None:
-        for item in mirror["emissions"]:
-            self.collector.emissions.append(_decode_emission(item, self.scorer))
-        counters = mirror["metrics"]
-        metrics = self.metrics
-        metrics.events_routed = int(counters["events_routed"])
-        metrics.matches = int(counters["matches"])
-        metrics.emissions = int(counters["emissions"])
-        metrics.revisions = int(counters["revisions"])
-        metrics.latency = decode_recorder(counters["latency"])
-        self.matcher.stats = decode_matcher_stats(mirror["stats"])
-        self.matcher.live_run_count = int(mirror["live_runs"])
-        self.matcher.pending_count = int(mirror["pending"])
-        self.ranker._open_epochs = tuple(
-            int(epoch) for epoch in mirror["open_epochs"]
-        )
-        self.ranker.scoring_errors = int(mirror["scoring_errors"])
-        self.profile = decode_profile(mirror["profile"])
-
-
-class _ChildEngine:
-    """Engine-shaped proxy that drives one worker process over pipes.
-
-    Implements the slice of the :class:`~repro.runtime.engine.CEPREngine`
-    surface the sharded runner touches: ``register_query`` (buffered
-    until :meth:`spawn`), ``push_batch`` (one-way frames), barrier ops
-    (request/reply, applying the returned mirror), ``snapshot``/
-    ``restore``, and the introspection hooks (``queries``, ``metrics``,
-    ``shared_stats``, ``sanitizer``, ``metrics_registry``).
-
-    One tracked lock guards the pipe: every write, and every
-    write+read request/reply pair, holds it — so frames from the
-    consumer thread and the barrier thread never interleave, and replies
-    always answer the request just written.
-    """
+    live_engine = False
 
     def __init__(
         self,
         registry: SchemaRegistry | None,
-        preassigned: bool,
-        config: dict[str, Any],
+        options: Mapping[str, Any],
+        queries: Mapping[str, str | Query],
     ) -> None:
-        self._registry = registry
-        self.preassigned = preassigned
-        self._config = config
-        self._queries: dict[str, _HandleProxy] = {}
-        self._texts: dict[str, str] = {}
-        self._proc: subprocess.Popen | None = None
+        asts = {
+            name: parse_query(query) if isinstance(query, str) else query
+            for name, query in queries.items()
+        }
+        self._scorers = {
+            name: Scorer(analyze(ast, registry).rank_keys)
+            for name, ast in asts.items()
+        }
+        self._init = {
+            "op": "init",
+            "options": dict(options),
+            "registry": encode_registry(registry),
+            "queries": {name: format_query(ast) for name, ast in asts.items()},
+        }
         self._lock = tracked_lock("process.pipe")
+        self._proc: subprocess.Popen | None = None
         self.pid: int | None = None
-        #: mirrored EngineMetrics view (events_pushed, event-time watermark).
-        self.metrics = EngineMetrics()
-        self._shared: dict[str, int] = {}
-        self._sanitizer_mirror: _SanitizerMirror | None = None
-        #: attribute parity with CEPREngine (the exact-shed wiring writes it);
-        #: the process runner rejects shedding so it stays None.
-        self.shed_controller = None
+        self.respawn()
 
-    # -- registration --------------------------------------------------------
-
-    def register_query(
-        self, query: Query, name: str | None = None
-    ) -> _HandleProxy:
-        if self._proc is not None:
-            raise RuntimeError("cannot register queries after spawn()")
-        resolved = name or query.name
-        if resolved is None:
-            raise ValueError("process shards require a resolved query name")
-        analyzed = analyze(query, self._registry)
-        proxy = _HandleProxy(self, resolved, analyzed)
-        self._queries[resolved] = proxy
-        # Queries travel as canonical CEPR-QL text (the printer/parser
-        # round-trip is golden-tested), so the child rebuilds the exact
-        # same automaton the parent analysed.
-        self._texts[resolved] = format_query(query)
-        return proxy
-
-    def queries(self) -> list[_HandleProxy]:
-        return list(self._queries.values())
-
-    # -- process lifecycle ---------------------------------------------------
+    # -- lifecycle -----------------------------------------------------------------
 
     def alive(self) -> bool:
         return self._proc is not None and self._proc.poll() is None
 
-    def spawn(self) -> None:
-        """Start the worker process and initialise its engine."""
-        if self._proc is not None:
-            raise RuntimeError("worker already spawned")
+    def respawn(self) -> None:
+        """Start a fresh worker (reaping the old one): same queries, no state."""
+        self.close(force=True)
         env = dict(os.environ)
         src_root = str(Path(__file__).resolve().parent.parent.parent)
         existing = env.get("PYTHONPATH")
@@ -378,28 +164,10 @@ class _ChildEngine:
             env=env,
         )
         self.pid = self._proc.pid
-        init = dict(self._config)
-        init["op"] = "init"
-        init["preassigned"] = self.preassigned
-        init["registry"] = encode_registry(self._registry)
-        init["queries"] = [
-            {"name": name, "text": text} for name, text in self._texts.items()
-        ]
-        self._request(init)
+        self._request(self._init)
 
-    def respawn(self) -> None:
-        """Replace a dead worker with a fresh one (same queries, empty state).
-
-        Proxy mirrors reset alongside: the caller restores a checkpoint
-        next, which re-mirrors authoritative state.
-        """
-        self.shutdown(force=True)
-        for proxy in self._queries.values():
-            proxy.collector.emissions.clear()
-        self.spawn()
-
-    def shutdown(self, force: bool = False) -> None:
-        """Reap the worker: graceful ``exit`` frame, else terminate."""
+    def close(self, force: bool = False) -> None:
+        """Reap the worker: graceful ``exit`` frame, or terminate (``force``)."""
         proc = self._proc
         if proc is None:
             return
@@ -425,7 +193,7 @@ class _ChildEngine:
             proc.kill()
             proc.wait(timeout=10.0)
 
-    # -- framing -------------------------------------------------------------
+    # -- framing -------------------------------------------------------------------
 
     def _require_proc(self) -> subprocess.Popen:
         proc = self._proc
@@ -449,28 +217,20 @@ class _ChildEngine:
                 ) from exc
         reply = desanitize(reply)
         if reply.get("op") == "error":
-            self._raise_worker_error(reply)
+            etype = reply.get("etype", "Exception")
+            detail = (
+                f"worker pid={self.pid}: {etype}: {reply.get('message', '')}\n"
+                f"{reply.get('traceback', '')}"
+            )
+            if etype == "SnapshotFormatError":
+                raise SnapshotFormatError(detail)
+            raise WorkerProcessError(detail)
         return reply
 
-    def _raise_worker_error(self, reply: dict[str, Any]) -> None:
-        etype = reply.get("etype", "Exception")
-        detail = (
-            f"worker pid={self.pid}: {etype}: {reply.get('message', '')}\n"
-            f"{reply.get('traceback', '')}"
-        )
-        if etype == "SnapshotFormatError":
-            raise SnapshotFormatError(detail)
-        raise WorkerProcessError(detail)
+    # -- the shard interface ----------------------------------------------------------
 
-    # -- hot path ------------------------------------------------------------
-
-    def push_batch(self, events: list[Event]) -> list[Emission]:
-        """Ship one batch as a single one-way frame (no reply).
-
-        Emissions surface at the next barrier via the mirror, so the
-        return value is always empty — the consumer thread ignores it,
-        like the threaded runner ignores the engine's.
-        """
+    def push_batch(self, events: list[Event]) -> None:
+        """Ship one batch as a single one-way frame (no reply)."""
         doc = {"op": "events", "events": [encode_event(e) for e in events]}
         with self._lock:
             proc = self._require_proc()
@@ -491,217 +251,25 @@ class _ChildEngine:
                     f"worker pid={self.pid} died mid-stream "
                     f"(exit code {proc.poll()!r})"
                 ) from exc
-        return []
 
-    def push(self, event: Event) -> list[Emission]:
-        return self.push_batch([event])
+    def advance_time(self, timestamp: float) -> None:
+        self._request({"op": "advance", "ts": timestamp})
 
-    # -- barriers ------------------------------------------------------------
+    def flush(self) -> None:
+        self._request({"op": "flush"})
 
-    def barrier_sync(self) -> None:
-        self._apply_mirror(self._request({"op": "sync"})["mirror"])
-
-    def advance_time(self, timestamp: float) -> list[Emission]:
-        reply = self._request({"op": "advance", "ts": timestamp})
-        self._apply_mirror(reply["mirror"])
-        return []
-
-    def flush(self) -> list[Emission]:
-        reply = self._request({"op": "flush"})
-        self._apply_mirror(reply["mirror"])
-        return []
-
-    def _apply_mirror(self, mirror: dict[str, Any]) -> None:
-        self.metrics.events_pushed = int(mirror["events_pushed"])
-        last_ts = mirror["last_event_ts"]
-        self.metrics.last_event_ts = None if last_ts is None else float(last_ts)
-        self._shared = {
-            key: int(value) for key, value in mirror["shared"].items()
-        }
-        trips = mirror["sanitizer"]
-        if trips is None:
-            self._sanitizer_mirror = None
-        else:
-            if self._sanitizer_mirror is None:
-                self._sanitizer_mirror = _SanitizerMirror()
-            self._sanitizer_mirror.trips = {
-                key: int(value) for key, value in trips.items()
-            }
-        for name, query_mirror in mirror["queries"].items():
-            self._queries[name]._apply(query_mirror)
-
-    # -- checkpointing -------------------------------------------------------
+    def report(self) -> ShardReport:
+        reply = self._request({"op": "report"})
+        return decode_report(reply["report"], self._scorers)
 
     def snapshot(self) -> dict:
         return self._request({"op": "snapshot"})["state"]
 
     def restore(self, state: dict) -> None:
-        reply = self._request({"op": "restore", "state": state})
-        # The worker cleared its collectors before restoring; drop the
-        # parent-side copies too so the merge stage re-seeds from the
-        # checkpoint's tails alone.
-        for proxy in self._queries.values():
-            proxy.collector.emissions.clear()
-        self._apply_mirror(reply["mirror"])
+        self._request({"op": "restore", "state": state})
 
-    # -- introspection -------------------------------------------------------
+    def registry(self) -> MetricsRegistry:
+        return decode_instruments(self._request({"op": "registry"})["instruments"])
 
-    @property
-    def sanitizer(self) -> _SanitizerMirror | None:
-        return self._sanitizer_mirror
-
-    def shared_stats(self) -> dict[str, int]:
-        return dict(self._shared)
-
-    def explain_query(self, name: str) -> str:
-        return str(self._request({"op": "explain", "query": name})["text"])
-
-    def metrics_registry(self) -> MetricsRegistry:
-        """Rebuild the worker engine's registry from shipped instrument state."""
-        reply = self._request({"op": "registry"})
-        registry = MetricsRegistry()
-        for item in reply["instruments"]:
-            labels = {
-                str(key): str(value) for key, value in item["labels"].items()
-            }
-            kind = item["kind"]
-            if kind == "counter":
-                registry.counter(item["name"], item["help"], **labels).override(
-                    float(item["value"])
-                )
-            elif kind == "gauge":
-                registry.gauge(
-                    item["name"], item["help"], agg=item["agg"], **labels
-                ).set(float(item["value"]))
-            else:
-                histogram = registry.histogram(
-                    item["name"], item["help"], **labels
-                )
-                histogram.recorder = decode_recorder(item["recorder"])
-        return registry
-
-
-# ---------------------------------------------------------------------------
-# runner
-# ---------------------------------------------------------------------------
-
-
-class _ProcessWorker(_Worker):
-    """One shard backed by a worker process (engine is a :class:`_ChildEngine`)."""
-
-    def start(self) -> None:
-        self.engine.spawn()
-        super().start()
-
-    def _sync_engine(self) -> None:
-        # Round-trip the barrier so the coordinator reads a fresh mirror.
-        self.engine.barrier_sync()
-
-    def close(self, force: bool = False) -> None:
-        self.engine.shutdown(force=force)
-
-
-class ProcessShardedRunner(ShardedEngineRunner):
-    """Partition-parallel fleet with one OS process per shard.
-
-    Same construction, lifecycle, placement rules, merge semantics, and
-    checkpoint format as :class:`~repro.runtime.sharded.
-    ShardedEngineRunner` — the differential suite asserts byte-identical
-    merged output — but each shard engine lives in its own interpreter,
-    so K shards use K cores.  See the module docstring for the transport
-    and the consistency/failure model.
-    """
-
-    def __init__(
-        self,
-        shards: int = 4,
-        registry: SchemaRegistry | None = None,
-        strict_schema: bool = False,
-        enable_pruning: bool = True,
-        strict_time: bool = False,
-        lenient_errors: bool = False,
-        max_lateness: float | None = None,
-        max_queue: int = 10_000,
-        batch_size: int = 256,
-        on_emission: Callable[[Emission], None] | None = None,
-        sanitize: bool | None = None,
-        shed_policy: str = "off",
-        latency_target: float | None = None,
-        shed_controller: ShedController | None = None,
-        compiled: bool = True,
-    ) -> None:
-        if shed_policy != "off" or shed_controller is not None:
-            raise ValueError(
-                "load shedding is not supported on the process runner: "
-                "adaptive admission reads engine state the parent only "
-                "mirrors at barriers (use the threaded sharded runner)"
-            )
-        super().__init__(
-            shards=shards,
-            registry=registry,
-            strict_schema=strict_schema,
-            enable_pruning=enable_pruning,
-            strict_time=strict_time,
-            lenient_errors=lenient_errors,
-            max_lateness=max_lateness,
-            max_queue=max_queue,
-            batch_size=batch_size,
-            on_emission=on_emission,
-            sanitize=sanitize,
-            compiled=compiled,
-        )
-
-    def _new_engine(self, preassigned: bool) -> _ChildEngine:
-        return _ChildEngine(
-            registry=self.registry,
-            preassigned=preassigned,
-            config={
-                "strict_schema": self.strict_schema,
-                "enable_pruning": self.enable_pruning,
-                "strict_time": False if preassigned else self.strict_time,
-                "lenient_errors": self.lenient_errors,
-                "max_lateness": None if preassigned else self.max_lateness,
-                "sanitize": self.sanitize,
-                "compiled": self.compiled,
-            },
-        )
-
-    def _make_worker(self, engine: _ChildEngine) -> _ProcessWorker:
-        return _ProcessWorker(engine, self.max_queue, self.batch_size)
-
-    def worker_pids(self) -> list[int | None]:
-        """Current worker-process pids, in deterministic worker order."""
-        return [worker.engine.pid for worker in self._workers]
-
-    def restore(self, state: dict) -> None:
-        """Restore a fleet checkpoint, respawning any dead workers first.
-
-        Extends the base restore with crash recovery: a worker whose
-        process died (latched shard failure) is replaced by a fresh
-        process before the snapshot replays into it, and stale events
-        queued behind the crash are discarded — they are part of the
-        checkpointed-or-lost past, and replaying them after the restored
-        cut would double-count.
-        """
-        for worker in self._workers:
-            if worker.engine.alive() and worker.failure is None:
-                continue
-            self._drain_stale_events(worker)
-            if not worker.engine.alive():
-                worker.engine.respawn()
-            worker.failure = None
-        super().restore(state)
-
-    @staticmethod
-    def _drain_stale_events(worker: _Worker) -> None:
-        import queue as queue_module
-
-        while True:
-            try:
-                item = worker.queue.get_nowait()
-            except queue_module.Empty:
-                return
-            if item[0] != "event":
-                # Preserve barrier/stop ops; their acks must still fire.
-                worker.queue.put(item)
-                return
+    def explain(self, query: str) -> str:
+        return str(self._request({"op": "explain", "query": query})["text"])

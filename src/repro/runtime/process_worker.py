@@ -1,31 +1,29 @@
-"""Worker-process entry point for :class:`~repro.runtime.process.ProcessShardedRunner`.
+"""Worker-process entry point for :class:`~repro.runtime.process.PipeShard`.
 
 Runs as ``python -m repro.runtime.process_worker`` with the parent on
-the other end of stdin/stdout.  The protocol is the pipe-frame codec
-from :mod:`repro.runtime.process`:
+the other end of stdin/stdout, hosting one
+:class:`~repro.runtime.shard.LocalShard` and translating pipe frames
+(:mod:`repro.runtime.process`) into calls on it:
 
 ``init``
-    Build the shard :class:`~repro.runtime.engine.CEPREngine` (schema
-    registry, sequencer mode, compiled edges) and register the queries
-    shipped as canonical CEPR-QL text.  Replies ``ready``.
+    Build the shard (schema registry, engine options, queries shipped as
+    canonical CEPR-QL text).  Replies ``ready``.
 ``events``
     One-way: decode and ``push_batch`` the batch.  Errors latch (like a
-    thread-shard failure) and surface in the next barrier reply.
-``sync`` / ``advance`` / ``flush``
-    Barrier request/reply.  Runs the operation, then replies with a
-    **state mirror**: per-query emission deltas (collectors drain into
-    the frame), counters, open epochs, profile — everything the parent's
-    proxies serve between barriers.
-``snapshot`` / ``restore``
-    Engine checkpointing.  ``restore`` clears collectors first (the
-    engine contract expects restore into empty collectors), clears any
-    latched failure, and replies with a fresh mirror.
+    local shard's event-path failure) and answer every later barrier.
+``advance`` / ``flush`` / ``report`` / ``snapshot``
+    Barrier request/reply.  ``report`` replies with the shard's
+    :class:`~repro.runtime.report.ShardReport`, encoded — the only state
+    the parent ever learns.
+``restore``
+    Load an engine snapshot (dropping un-reported emissions) and clear any
+    latched failure.
 ``registry`` / ``explain``
-    Introspection: shipped metrics-registry instrument states / one
+    Introspection: shipped metrics-registry instrument values / one
     query's plan rendering.
 ``exit``
-    Close the engine and leave; EOF on stdin does the same (a vanished
-    parent must not leave orphan workers grinding on).
+    Leave; EOF on stdin does the same (a vanished parent must not leave
+    orphan workers grinding on).
 
 Frames flagged ``"safe"`` passed through the non-finite-float sentinel
 encoding (:mod:`repro.events.jsonsafe`) and are desanitized on arrival;
@@ -45,96 +43,43 @@ import traceback
 from typing import Any, BinaryIO
 
 from repro.engine.snapshot import decode_event
+from repro.events.frames import ConnectionClosed
 from repro.events.jsonsafe import desanitize, sanitize
 from repro.events.schema import registry_from_dict
-from repro.events.time import PreassignedSequencer
-from repro.runtime.engine import CEPREngine
-from repro.runtime.process import (
-    encode_matcher_stats,
-    encode_profile,
-    encode_recorder,
-    read_pipe_frame,
-    write_pipe_frame,
-)
-from repro.runtime.sharded import _encode_emission
-from repro.serve.protocol import ConnectionClosed
+from repro.runtime.process import read_pipe_frame, write_pipe_frame
+from repro.runtime.report import encode_instruments, encode_report
+from repro.runtime.shard import LocalShard
 
 
-def _build_engine(doc: dict[str, Any]) -> CEPREngine:
-    registry_spec = doc["registry"]
-    max_lateness = doc["max_lateness"]
-    engine = CEPREngine(
-        registry=(
-            None if registry_spec is None else registry_from_dict(registry_spec)
-        ),
-        strict_schema=bool(doc["strict_schema"]),
-        enable_pruning=bool(doc["enable_pruning"]),
-        strict_time=bool(doc["strict_time"]),
-        lenient_errors=bool(doc["lenient_errors"]),
-        max_lateness=None if max_lateness is None else float(max_lateness),
-        sequencer=PreassignedSequencer() if doc["preassigned"] else None,
-        sanitize=doc["sanitize"],
-        compiled=bool(doc["compiled"]),
+def _build_shard(doc: dict[str, Any]) -> LocalShard:
+    spec = doc["registry"]
+    return LocalShard(
+        None if spec is None else registry_from_dict(spec),
+        doc["options"],
+        doc["queries"],
     )
-    for item in doc["queries"]:
-        engine.register_query(item["text"], name=item["name"])
-    return engine
 
 
-def _build_mirror(engine: CEPREngine) -> dict[str, Any]:
-    """Drain collectors and snapshot every counter the parent proxies serve."""
-    queries: dict[str, Any] = {}
-    for handle in engine.queries():
-        collector = handle.collector
-        if collector is not None:
-            delta = [_encode_emission(e) for e in collector.emissions]
-            collector.emissions.clear()
-        else:
-            delta = []
-        metrics = handle.metrics
-        queries[handle.name] = {
-            "emissions": delta,
-            "metrics": {
-                "events_routed": metrics.events_routed,
-                "matches": metrics.matches,
-                "emissions": metrics.emissions,
-                "revisions": metrics.revisions,
-                "latency": encode_recorder(metrics.latency),
-            },
-            "stats": encode_matcher_stats(handle.matcher.stats),
-            "live_runs": handle.matcher.live_run_count,
-            "pending": handle.matcher.pending_count,
-            "open_epochs": sorted(handle.ranker.open_epochs()),
-            "scoring_errors": handle.ranker.scoring_errors,
-            "profile": encode_profile(handle.profile),
-        }
-    sanitizer = engine.sanitizer
-    return {
-        "events_pushed": engine.metrics.events_pushed,
-        "last_event_ts": engine.metrics.last_event_ts,
-        "shared": engine.shared_stats(),
-        "sanitizer": None if sanitizer is None else dict(sanitizer.trips),
-        "queries": queries,
-    }
-
-
-def _encode_registry_instruments(engine: CEPREngine) -> list[dict[str, Any]]:
-    items: list[dict[str, Any]] = []
-    for instrument in engine.metrics_registry().instruments():
-        row: dict[str, Any] = {
-            "kind": instrument.kind,
-            "name": instrument.name,
-            "help": instrument.help,
-            "labels": dict(instrument.labels),
-        }
-        if instrument.kind == "histogram":
-            row["recorder"] = encode_recorder(instrument.recorder)
-        else:
-            row["value"] = instrument.value
-            if instrument.kind == "gauge":
-                row["agg"] = instrument.agg
-        items.append(row)
-    return items
+def _answer(shard: LocalShard, doc: dict[str, Any]) -> dict[str, Any]:
+    """Run one request against the shard; returns the ack's extra fields."""
+    op = doc["op"]
+    if op == "advance":
+        shard.advance_time(float(doc["ts"]))
+    elif op == "flush":
+        shard.flush()
+    elif op == "report":
+        return {"report": encode_report(shard.report())}
+    elif op == "snapshot":
+        return {"state": shard.snapshot()}
+    elif op == "restore":
+        shard.restore(doc["state"])
+    elif op == "registry":
+        return {"instruments": encode_instruments(shard.registry())}
+    elif op == "explain":
+        return {"text": shard.explain(doc["query"])}
+    else:
+        raise ValueError(f"unknown worker op {op!r}")
+    return {}
 
 
 def _error_reply(exc: BaseException) -> dict[str, Any]:
@@ -142,108 +87,55 @@ def _error_reply(exc: BaseException) -> dict[str, Any]:
         "op": "error",
         "etype": type(exc).__name__,
         "message": str(exc),
-        "traceback": traceback.format_exc(),
+        "traceback": "".join(traceback.format_exception(exc)),
     }
 
 
 def serve(frames_in: BinaryIO, frames_out: BinaryIO) -> int:
     """The worker loop; returns the process exit code."""
-    engine: CEPREngine | None = None
-    #: latched event-path failure, reported at the next barrier reply
-    #: (mirrors the thread-shard ``_Worker.failure`` discipline).
+    shard: LocalShard | None = None
+    #: latched event-path failure, answered to every barrier until a
+    #: ``restore`` (the local ``WorkerLoop.failure`` discipline).
     failure: BaseException | None = None
-
-    def reply(doc: dict[str, Any]) -> None:
-        write_pipe_frame(frames_out, sanitize(doc))
 
     while True:
         try:
             doc = read_pipe_frame(frames_in)
         except ConnectionClosed:
-            # Parent is gone: exit quietly rather than orphan-grind.
-            if engine is not None:
-                try:
-                    engine.close()
-                except Exception:
-                    pass
-            return 0
+            return 0  # parent is gone: exit quietly rather than orphan-grind
         if doc.get("safe"):
             doc = desanitize(doc)
         op = doc["op"]
+        if op == "exit":
+            return 0
+        if op == "events":
+            if shard is not None and failure is None:
+                try:
+                    shard.push_batch(
+                        [decode_event(state) for state in doc["events"]]
+                    )
+                except BaseException as exc:
+                    failure = exc
+            continue
         try:
             if op == "init":
-                engine = _build_engine(doc)
-                reply({"op": "ready", "pid": os.getpid()})
-            elif op == "events":
-                if engine is not None and failure is None:
-                    try:
-                        engine.push_batch(
-                            [decode_event(state) for state in doc["events"]]
-                        )
-                    except BaseException as exc:
-                        failure = exc
-            elif op in ("sync", "advance", "flush"):
-                assert engine is not None
-                if failure is None:
-                    try:
-                        if op == "advance":
-                            engine.advance_time(float(doc["ts"]))
-                        elif op == "flush":
-                            engine.flush()
-                    except BaseException as exc:
-                        failure = exc
-                if failure is not None:
-                    reply(_error_reply(failure))
-                else:
-                    reply({"op": "ack", "mirror": _build_mirror(engine)})
-            elif op == "snapshot":
-                assert engine is not None
-                if failure is not None:
-                    reply(_error_reply(failure))
-                else:
-                    reply({"op": "ack", "state": engine.snapshot()})
-            elif op == "restore":
-                assert engine is not None
-                for handle in engine.queries():
-                    if handle.collector is not None:
-                        handle.collector.emissions.clear()
-                engine.restore(doc["state"])
-                failure = None
-                reply({"op": "ack", "mirror": _build_mirror(engine)})
-            elif op == "registry":
-                assert engine is not None
-                reply(
-                    {
-                        "op": "ack",
-                        "instruments": _encode_registry_instruments(engine),
-                    }
-                )
-            elif op == "explain":
-                assert engine is not None
-                reply(
-                    {
-                        "op": "ack",
-                        "text": engine.query(doc["query"]).explain(),
-                    }
-                )
-            elif op == "exit":
-                if engine is not None:
-                    try:
-                        engine.close()
-                    except Exception:
-                        pass
-                return 0
+                shard = _build_shard(doc)
+                reply = {"op": "ready", "pid": os.getpid()}
             else:
-                reply({"op": "error", "etype": "ValueError",
-                       "message": f"unknown worker op {op!r}", "traceback": ""})
-        except BrokenPipeError:
-            return 1
+                assert shard is not None
+                barrier = op in ("advance", "flush", "report", "snapshot")
+                if barrier and failure is not None:
+                    reply = _error_reply(failure)
+                else:
+                    reply = {"op": "ack", **_answer(shard, doc)}
+                    if op == "restore":
+                        failure = None
         except BaseException as exc:
-            try:
-                reply(_error_reply(exc))
-            except Exception:
-                return 1
-    return 0  # pragma: no cover - loop only exits via return
+            reply = _error_reply(exc)
+        try:
+            write_pipe_frame(frames_out, sanitize(reply))
+        except Exception:
+            return 1
 
 
 def main() -> int:

@@ -3,17 +3,16 @@
 ``RegisteredQuery`` wires matcher → scorer → ranker → sinks for one query
 and is the handle the engine returns from ``register_query``.
 
-Result delivery is wired through the subscription API: ``subscribe``
-returns a detachable :class:`~repro.runtime.sinks.Subscription` (cancel it
-to stop delivery), ``remove_sink`` detaches any sink, and the legacy
-``add_sink`` survives as a deprecated shim.  Sinks with the optional
+Result delivery is wired through the subscription API it inherits from
+:class:`~repro.runtime.sinks.SinkOwner`: ``subscribe`` returns a detachable
+:class:`~repro.runtime.sinks.Subscription` (cancel it to stop delivery) and
+``remove_sink`` detaches any sink.  Sinks with the optional
 ``flush``/``close`` lifecycle get both propagated from the engine.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import TYPE_CHECKING
 
 from repro.engine.compiler import compile_automaton
@@ -34,14 +33,8 @@ from repro.ranking.pruning import ScoreBoundPruner
 from repro.ranking.ranker import Ranker
 from repro.ranking.score import Scorer
 from repro.runtime.metrics import QueryMetrics
-from repro.runtime.sinks import (
-    CollectorSink,
-    ResultSink,
-    SinkLike,
-    Subscription,
-    close_sink,
-    flush_sink,
-)
+from repro.runtime.report import QueryReport
+from repro.runtime.sinks import CollectorSink, ResultSink, SinkOwner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.observability.cost import CostAccount
@@ -62,7 +55,7 @@ SHED_PROTECTED = "protected"
 SHED_UNCERTIFIED = "uncertified"
 
 
-class RegisteredQuery:
+class RegisteredQuery(SinkOwner):
     """One live query inside a :class:`~repro.runtime.engine.CEPREngine`."""
 
     def __init__(
@@ -137,62 +130,6 @@ class RegisteredQuery:
             self.sinks.append(self.collector)
 
     # -- wiring -----------------------------------------------------------------
-
-    def subscribe(
-        self, target: SinkLike, kinds=None
-    ) -> Subscription:
-        """Attach a subscriber; returns a cancellable handle.
-
-        ``target`` is a callback ``(Emission) -> None`` or a sink object
-        (anything with ``accept``).  ``kinds`` optionally restricts
-        delivery to the given :class:`~repro.ranking.emission.EmissionKind`
-        values (enum members or their string values).  Cancel the returned
-        :class:`~repro.runtime.sinks.Subscription` to detach.
-        """
-        subscription = Subscription(self, target, kinds=kinds)
-        self.sinks.append(subscription)
-        return subscription
-
-    def remove_sink(self, sink: ResultSink) -> bool:
-        """Detach a sink (or subscription); returns whether it was attached.
-
-        Accepts the attached object itself (a raw sink from the deprecated
-        ``add_sink``, or a :class:`Subscription`) — or the target that a
-        :meth:`subscribe` call wrapped, in which case its subscription is
-        cancelled.
-        """
-        try:
-            self.sinks.remove(sink)
-        except ValueError:
-            for attached in self.sinks:
-                if isinstance(attached, Subscription) and attached.target is sink:
-                    return attached.cancel()
-            return False
-        if isinstance(sink, Subscription):
-            sink.active = False
-        return True
-
-    def add_sink(self, sink: ResultSink) -> "RegisteredQuery":
-        """Deprecated: use :meth:`subscribe` (which returns a cancellable
-        handle) instead.  Kept as a thin shim for older integrations."""
-        warnings.warn(
-            "RegisteredQuery.add_sink is deprecated; use "
-            "RegisteredQuery.subscribe(sink) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.sinks.append(sink)
-        return self
-
-    def flush_sinks(self) -> None:
-        """Propagate the optional ``flush`` lifecycle call to every sink."""
-        for sink in self.sinks:
-            flush_sink(sink)
-
-    def close_sinks(self) -> None:
-        """Propagate the optional ``close`` lifecycle call to every sink."""
-        for sink in self.sinks:
-            close_sink(sink)
 
     def set_tracer(self, tracer: Tracer | None) -> None:
         """Attach (or detach, with ``None``) a tracer to the whole chain."""
@@ -511,11 +448,35 @@ class RegisteredQuery:
         self.metrics.emissions = int(counters["emissions"])
         self.metrics.revisions = int(counters["revisions"])
 
+    def report(self, drain: bool = False) -> QueryReport:
+        """This query's :class:`~repro.runtime.report.QueryReport`.
+
+        Built over the live counters by reference.  ``drain`` also hands
+        over — and forgets — the emissions collected since the previous
+        drain (the shard protocol's delta).
+        """
+        emissions: list[Emission] = []
+        if drain and self.collector is not None:
+            emissions = self.collector.emissions
+            self.collector.emissions = []
+        return QueryReport(
+            name=self.name,
+            metrics=self.metrics,
+            stats=self.matcher.stats,
+            profile=self.profile,
+            emissions=emissions,
+            open_epochs=self.ranker.open_epochs(),
+            live_runs=self.matcher.live_run_count,
+            pending=self.matcher.pending_count,
+        )
+
     def cost_account(self) -> "CostAccount":
         """This query's live :class:`~repro.observability.cost.CostAccount`."""
         from repro.observability.cost import CostAccount
 
-        return CostAccount.from_query(self)
+        return CostAccount.from_report(
+            QueryReport(self.name, self.metrics, self.matcher.stats, self.profile)
+        )
 
     def explain(self) -> str:
         """Readable evaluation plan: stages, predicate placement, ranking.

@@ -9,20 +9,23 @@ for throughput differently:
     Zero moving parts; right for scripts, tests, and notebooks.
 ``threaded``
     :class:`~repro.runtime.concurrent.ThreadedEngineRunner` — one engine
-    behind a bounded queue on a consumer thread; producers get
-    backpressure, callers get barriers.
+    behind a :class:`~repro.runtime.shard.WorkerLoop` (bounded queue,
+    one consumer thread); producers get backpressure, callers get
+    barriers, emissions are delivered eagerly.
 ``sharded``
     :class:`~repro.runtime.sharded.ShardedEngineRunner` — a fleet of
-    engines on worker *threads*, partitioned by the analyzer's
-    shardability certificate, merged deterministically.
+    shards, each a local engine behind its own ``WorkerLoop``,
+    partitioned by the analyzer's shardability certificate and merged
+    deterministically from the shards' barrier-time reports.
 ``process``
-    :class:`~repro.runtime.process.ProcessShardedRunner` — the same
-    fleet on worker *processes* (own interpreter, own GIL), fed over
+    The same ``ShardedEngineRunner`` with
+    :class:`~repro.runtime.process.PipeShard` shards: each engine lives
+    in a worker *process* (own interpreter, own GIL), fed over
     length-prefixed pipe frames.
 
 They share one lifecycle — ``register_query`` / ``start`` / ``submit``
-/ barriers (``sync``/``advance_time``/``flush``) / ``snapshot`` /
-``restore`` / ``stop`` / ``close`` — captured by the :class:`Runner`
+/ barriers (``sync``/``poll``/``advance_time``/``flush``) / ``snapshot``
+/ ``restore`` / ``stop`` / ``close`` — captured by the :class:`Runner`
 protocol and exercised by the cross-backend conformance suite
 (``tests/runtime/test_runner_conformance.py``).
 
@@ -35,15 +38,14 @@ Construction goes through :func:`create_runner`::
         runner.submit_all(events)
         runner.flush()
 
-Direct construction of the runner classes still works but is
-deprecated (each constructor warns outside the factory); the factory is
-the supported path and the only place backend choice stays a config
-value instead of a code change.
+The runner classes can also be constructed directly; the factory is the
+place where backend choice stays a config value instead of a code change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -59,9 +61,10 @@ from repro.events.schema import SchemaRegistry
 from repro.language.ast_nodes import Query
 from repro.observability.registry import MetricsRegistry
 from repro.ranking.emission import Emission
-from repro.runtime._construction import factory_construction
 from repro.runtime.concurrent import ThreadedEngineRunner
 from repro.runtime.engine import CEPREngine
+from repro.runtime.process import PipeShard
+from repro.runtime.shard import LocalShard
 from repro.runtime.shedding import ShedController
 from repro.runtime.sharded import ShardedEngineRunner
 from repro.runtime.sinks import SinkLike, Subscription
@@ -99,6 +102,14 @@ class Runner(Protocol):
 
     def sync(self) -> None:
         """Read-your-writes barrier over everything submitted so far."""
+        ...
+
+    def poll(self) -> list[Emission]:
+        """:meth:`sync`, then release (and return) held emissions.
+
+        Backends that deliver eagerly (``embedded``, ``threaded``) hold
+        none and return ``[]``; the fleets release what is mergeable.
+        """
         ...
 
     def advance_time(self, timestamp: float) -> Any:
@@ -162,7 +173,7 @@ class RunnerConfig:
       (``threaded``/``sharded``/``process``); ignored by ``embedded``.
     * ``shed_policy``/``latency_target``/``shed_controller`` —
       ``threaded``/``sharded`` only.  ``embedded`` has no ingest queue
-      to shed and ``process`` workers only mirror engine state at
+      to shed and ``process`` shards only report engine state at
       barriers, so both reject a non-``"off"`` policy.
     * ``tracing`` — engine-level (``embedded``/``threaded``); the
       sharded/process merge stage cannot stitch cross-shard traces, so
@@ -252,6 +263,10 @@ class EmbeddedRunner:
 
     def sync(self) -> None:
         """No-op: a synchronous runner is always caught up."""
+
+    def poll(self) -> list[Emission]:
+        """No-op barrier: emissions fan out as they happen, none are held."""
+        return []
 
     def advance_time(self, timestamp: float) -> list[Emission]:
         """Heartbeat passthrough; emissions fan out and are returned."""
@@ -406,8 +421,11 @@ def _build_threaded(config: RunnerConfig) -> ThreadedEngineRunner:
     )
 
 
-def _sharded_kwargs(config: RunnerConfig) -> dict:
-    return dict(
+def _build_fleet(config: RunnerConfig, shard_type: type) -> ShardedEngineRunner:
+    _reject_tracing(config)
+    # The runner itself rejects shedding for shards without a live engine
+    # (PipeShard); pass it through so the error is its.
+    return ShardedEngineRunner(
         shards=config.shards,
         registry=config.registry,
         strict_schema=config.strict_schema,
@@ -419,41 +437,19 @@ def _sharded_kwargs(config: RunnerConfig) -> dict:
         batch_size=config.batch_size,
         on_emission=config.on_emission,
         sanitize=config.sanitize,
-        compiled=config.compiled,
-    )
-
-
-def _build_sharded(config: RunnerConfig) -> ShardedEngineRunner:
-    _reject_tracing(config)
-    return ShardedEngineRunner(
         shed_policy=config.shed_policy,
         latency_target=config.latency_target,
         shed_controller=config.shed_controller,
-        **_sharded_kwargs(config),
-    )
-
-
-def _build_process(config: RunnerConfig):
-    # Imported lazily: repro.runtime.process pulls in the serve-layer
-    # frame codec, whose package init imports the server, which imports
-    # this module — a cycle at import time, but not at call time.
-    from repro.runtime.process import ProcessShardedRunner
-
-    _reject_tracing(config)
-    # ProcessShardedRunner itself rejects shedding (worker engine state
-    # is only mirrored at barriers); pass through so the error is its.
-    return ProcessShardedRunner(
-        shed_policy=config.shed_policy,
-        shed_controller=config.shed_controller,
-        **_sharded_kwargs(config),
+        compiled=config.compiled,
+        shard_type=shard_type,
     )
 
 
 _BACKENDS: dict[str, Callable[[RunnerConfig], Any]] = {
     "embedded": _build_embedded,
     "threaded": _build_threaded,
-    "sharded": _build_sharded,
-    "process": _build_process,
+    "sharded": partial(_build_fleet, shard_type=LocalShard),
+    "process": partial(_build_fleet, shard_type=PipeShard),
 }
 
 
@@ -493,8 +489,7 @@ def create_runner(
             f"unknown runner backend {config.backend!r}; "
             f"expected one of {sorted(_BACKENDS)}"
         ) from None
-    with factory_construction():
-        runner = build(config)
+    runner = build(config)
     for name, query in _iter_program(program):
         runner.register_query(query, name=name)
     return runner

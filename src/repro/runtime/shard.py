@@ -1,0 +1,544 @@
+"""Shards and the loop that drives them.
+
+Everything that runs an engine behind a queue is built from two parts:
+
+* a **shard** — the narrow interface a coordinator drives (``push_batch``,
+  ``advance_time``, ``flush``, ``report``, ``snapshot``, ``restore``,
+  ``registry``, ``explain``, ``alive``/``pid``/``respawn``,
+  ``close(force)``).  :class:`LocalShard` wraps a
+  :class:`~repro.runtime.engine.CEPREngine` in this process;
+  :class:`~repro.runtime.process.PipeShard` speaks pipe frames to a
+  worker process, which itself hosts a :class:`LocalShard`.  The only way
+  a coordinator learns anything about a shard is the
+  :class:`~repro.runtime.report.ShardReport` its ``report()`` returns.
+* a :class:`WorkerLoop` — one bounded ingest queue drained by one
+  consumer thread, the *owner* of whatever it feeds.  Its only control
+  operation is "run this callable on the owner thread, then acknowledge"
+  (:meth:`WorkerLoop.begin`); barriers, heartbeats, flushes, snapshots,
+  restores and pauses are all callers of it.
+
+::
+
+    submit() ─► coordinator (seq, route) ─► WorkerLoop queue ─► owner thread
+                      ▲                                            │
+                      │ ShardReport at every barrier         shard.push_batch
+                      └────────────── shard.report() ◄────────────┘
+
+Failure model: an exception on the event path **latches** in
+:attr:`WorkerLoop.failure`; the consumer keeps draining (and discarding)
+so no producer wedges on a full queue, control callables are skipped but
+still acknowledged, and the owner of the loop re-raises at its next
+submit or barrier.
+"""
+
+from __future__ import annotations
+
+import os
+import queue
+import threading
+from typing import Any, Callable, Iterable, Mapping, Protocol
+
+from repro.events.event import Event
+from repro.events.schema import SchemaRegistry
+from repro.events.time import PreassignedSequencer
+from repro.language.ast_nodes import Query
+from repro.observability.pressure import PressureAssessor, PressureSample
+from repro.observability.registry import MetricsRegistry
+from repro.runtime.engine import CEPREngine
+from repro.runtime.query import RegisteredQuery
+from repro.runtime.report import ShardReport
+from repro.runtime.shedding import ShedController, ShedStats
+from repro.sanitize.core import release_affinity
+
+
+class Shard(Protocol):
+    """What a coordinator may ask of one shard.
+
+    Every method except ``registry``/``explain`` (read-only) and the
+    lifecycle trio is called on the shard's owner thread.
+    """
+
+    #: True when the engine lives in this process, which load shedding
+    #: needs (:meth:`LocalShard.attach_shed_controller`, ``shed_probes``).
+    live_engine: bool
+    #: process hosting the engine.
+    pid: int | None
+
+    def push_batch(self, events: list[Event]) -> None: ...
+
+    def advance_time(self, timestamp: float) -> None: ...
+
+    def flush(self) -> None: ...
+
+    def report(self) -> ShardReport:
+        """State as of now; emission deltas are handed over exactly once."""
+        ...
+
+    def snapshot(self) -> dict: ...
+
+    def restore(self, state: dict) -> None:
+        """Load an engine snapshot; un-reported emissions are dropped."""
+        ...
+
+    def registry(self) -> MetricsRegistry: ...
+
+    def explain(self, query: str) -> str: ...
+
+    def alive(self) -> bool: ...
+
+    def respawn(self) -> None:
+        """Replace the engine with a fresh one: same queries, empty state."""
+        ...
+
+    def close(self, force: bool = False) -> None:
+        """Release the engine (``force``: without waiting for it)."""
+        ...
+
+
+class LocalShard:
+    """A shard that is a :class:`CEPREngine` in this process.
+
+    ``options`` are :class:`CEPREngine` keyword arguments plus
+    ``preassigned`` (the coordinator stamps global sequence numbers);
+    ``queries`` maps names to CEPR-QL text or parsed ASTs.
+    """
+
+    live_engine = True
+
+    def __init__(
+        self,
+        registry: SchemaRegistry | None,
+        options: Mapping[str, Any],
+        queries: Mapping[str, str | Query],
+    ) -> None:
+        self._recipe = (registry, dict(options), dict(queries))
+        self.pid = os.getpid()
+        self.respawn()
+
+    def respawn(self) -> None:
+        registry, options, queries = self._recipe
+        options = dict(options)
+        preassigned = options.pop("preassigned")
+        self.engine = CEPREngine(
+            registry=registry,
+            sequencer=PreassignedSequencer() if preassigned else None,
+            **options,
+        )
+        for name, query in queries.items():
+            self.engine.register_query(query, name=name)
+        # Sanitizer handoff: whichever thread drives the fresh engine first
+        # (the shard's loop, not its builder) owns it from then on.
+        release_affinity(self.engine)
+        self._alive = True
+
+    def alive(self) -> bool:
+        return self._alive
+
+    def close(self, force: bool = False) -> None:
+        self._alive = False
+
+    def push_batch(self, events: list[Event]) -> None:
+        self.engine.push_batch(events)
+
+    def advance_time(self, timestamp: float) -> None:
+        self.engine.advance_time(timestamp)
+
+    def flush(self) -> None:
+        self.engine.flush()
+
+    def report(self) -> ShardReport:
+        engine = self.engine
+        sanitizer = engine.sanitizer
+        return ShardReport(
+            pid=self.pid,
+            engine=engine.metrics,
+            shared=engine.shared_stats(),
+            sanitizer_trips=None if sanitizer is None else sanitizer.trips,
+            queries={
+                handle.name: handle.report(drain=True)
+                for handle in engine.queries()
+            },
+        )
+
+    def snapshot(self) -> dict:
+        return self.engine.snapshot()
+
+    def restore(self, state: dict) -> None:
+        for handle in self.engine.queries():
+            if handle.collector is not None:
+                handle.collector.clear()
+        self.engine.restore(state)
+
+    def registry(self) -> MetricsRegistry:
+        return self.engine.metrics_registry()
+
+    def explain(self, query: str) -> str:
+        return self.engine.query(query).explain()
+
+    # -- load shedding (needs the live engine; pipe shards reject it) ---------------
+
+    def attach_shed_controller(self, controller: ShedController) -> None:
+        """Let ``controller`` elide certified events inside this engine."""
+        self.engine.attach_shed_controller(controller)
+
+    def shed_probes(self) -> list[RegisteredQuery]:
+        """Live query handles the adaptive sampler may probe (racy by design)."""
+        return self.engine.queries()
+
+
+# -- the worker loop ----------------------------------------------------------------
+
+
+def _noop() -> None:
+    return None
+
+
+class Call:
+    """One control operation: a callable bound for a loop's owner thread."""
+
+    __slots__ = ("fn", "hold", "last", "done", "result", "error")
+
+    def __init__(
+        self, fn: Callable[[], Any], hold: threading.Event | None, last: bool
+    ) -> None:
+        self.fn = fn
+        self.hold = hold
+        self.last = last
+        self.done = threading.Event()
+        self.result: Any = None
+        self.error: BaseException | None = None
+
+    def wait(self, timeout: float | None = None) -> Any:
+        """Block until acknowledged; returns (or re-raises) what ``fn`` did.
+
+        ``None`` when the callable was skipped — after a latched failure
+        or because the loop had already stopped; callers check for that.
+        """
+        if not self.done.wait(timeout):
+            raise TimeoutError("worker loop did not reach the barrier in time")
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+
+class WorkerLoop:
+    """One bounded ingest queue drained by one consumer (owner) thread.
+
+    ``consume(batch)`` receives greedily drained batches of at most
+    ``batch_size`` events; :meth:`begin` is the only control operation.
+    """
+
+    def __init__(
+        self,
+        consume: Callable[[list[Event]], None],
+        max_queue: int,
+        batch_size: int,
+    ) -> None:
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        self._consume = consume
+        self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
+        self.batch_size = batch_size
+        self._thread: threading.Thread | None = None
+        #: True once the owner thread has left the loop (nothing runs after).
+        self._closed = False
+        #: exception latched on the event path (or by a final callable).
+        self.failure: BaseException | None = None
+        self.events_processed = 0
+        #: deepest the ingest queue has been (post-enqueue depth).
+        self.queue_high_water = 0
+
+    def start(self) -> None:
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    @property
+    def backlog(self) -> int:
+        """Items queued, not yet processed (approximate)."""
+        return self._queue.qsize()
+
+    def put(self, event: Event, timeout: float | None = None) -> None:
+        """Enqueue one event (blocks when the queue is full).
+
+        After the owner has left the loop the event is dropped, exactly
+        like one queued behind the final operation.
+        """
+        if self._closed:
+            return
+        self._queue.put(event, timeout=timeout)
+        depth = self._queue.qsize()
+        if depth > self.queue_high_water:
+            self.queue_high_water = depth
+
+    def begin(
+        self,
+        fn: Callable[[], Any],
+        hold: threading.Event | None = None,
+        last: bool = False,
+    ) -> Call:
+        """Queue ``fn`` to run on the owner thread behind everything queued.
+
+        The loop acknowledges (:meth:`Call.wait` returns) once ``fn`` has
+        run — or been skipped because a failure is latched — and then, if
+        ``hold`` is given, parks until it is set.  ``last`` makes this the
+        loop's final operation.
+        """
+        call = Call(fn, hold, last)
+        if not self._closed:
+            self._queue.put(call)
+        if self._closed:
+            call.done.set()  # the owner left before (or while) we queued
+        return call
+
+    def call(self, fn: Callable[[], Any], timeout: float | None = None) -> Any:
+        return self.begin(fn).wait(timeout)
+
+    def drain(self, timeout: float | None = None) -> None:
+        """Return once everything queued before this call is processed."""
+        self.call(_noop, timeout)
+
+    def stop(self, final: Callable[[], Any] = _noop) -> None:
+        """Ask the owner to run ``final`` (unless failed) and leave the loop."""
+        self.begin(final, last=True)
+
+    def join(self, timeout: float | None = None) -> bool:
+        """Wait for the owner thread; False if it is still running."""
+        assert self._thread is not None
+        self._thread.join(timeout)
+        return not self._thread.is_alive()
+
+    def _run(self) -> None:
+        get, get_nowait, batch_size = (
+            self._queue.get,
+            self._queue.get_nowait,
+            self.batch_size,
+        )
+        carried: Call | None = None
+        while True:
+            item = carried if carried is not None else get()
+            carried = None
+            if type(item) is not Call:
+                # Batched hot path: greedily drain queued events so the
+                # consumer amortises per-call overhead.
+                batch = [item]
+                while len(batch) < batch_size:
+                    try:
+                        item = get_nowait()
+                    except queue.Empty:
+                        break
+                    if type(item) is Call:
+                        carried = item
+                        break
+                    batch.append(item)
+                if self.failure is None:
+                    try:
+                        self._consume(batch)
+                        self.events_processed += len(batch)
+                    except BaseException as exc:  # surfaced via .failure
+                        self.failure = exc
+                continue
+            # Control operations always acknowledge, even after a failure,
+            # so nobody can deadlock waiting on a dead engine.
+            if self.failure is None:
+                try:
+                    item.result = item.fn()
+                except BaseException as exc:
+                    item.error = exc
+            item.done.set()
+            if item.hold is not None:
+                item.hold.wait()
+            if item.last:
+                if self.failure is None:
+                    self.failure = item.error
+                break
+        self._closed = True
+        # Discard whatever queued behind the final operation so no producer
+        # stays wedged in a full-queue put and no caller waits forever.
+        while True:
+            try:
+                item = get_nowait()
+            except queue.Empty:
+                return
+            if type(item) is Call:
+                item.done.set()
+
+
+# -- what the queue-backed runners share --------------------------------------------
+
+
+class QueuedRunner:
+    """Base of the runners that ingest through :class:`WorkerLoop` queues.
+
+    Holds the submit side (``submit_all``, the accepted-event count and
+    event-time watermark), the pressure signals, the shedding controller
+    and the instruments over all of them.  Subclasses provide ``submit``,
+    ``last_processed_ts``, ``backlog``, ``queue_capacity``,
+    ``queue_high_water`` and ``shed_stats()``.
+    """
+
+    #: event-time watermark: highest timestamp any shard/engine processed.
+    last_processed_ts: float | None
+    backlog: int
+    queue_capacity: int
+    queue_high_water: int
+
+    def _init_queued(
+        self,
+        shed_policy: str,
+        latency_target: float | None,
+        shed_controller: ShedController | None,
+    ) -> None:
+        self.events_submitted = 0
+        #: submit-side event-time watermark: highest event timestamp
+        #: accepted.  Compared against the processed watermark to measure
+        #: ingest lag in event-time units.
+        self.last_submitted_ts: float | None = None
+        #: smoothed composite pressure with ok/overloaded hysteresis.
+        self.pressure_assessor = PressureAssessor()
+        #: optional ``() -> (depth, capacity)`` hook the serving layer
+        #: installs so default pressure readings include its fullest
+        #: subscriber outbound queue.
+        self.subscriber_pressure_provider: (
+            Callable[[], tuple[int, int]] | None
+        ) = None
+        if shed_controller is None:
+            shed_controller = ShedController(
+                policy=shed_policy,
+                **(
+                    {}
+                    if latency_target is None
+                    else {"latency_target": latency_target}
+                ),
+            )
+        #: load-shedding state machine (policy "off" is inert).
+        self.shed_controller = shed_controller
+
+    def submit(self, event: Event, timeout: float | None = None) -> None:
+        raise NotImplementedError
+
+    def submit_all(self, events: Iterable[Event]) -> int:
+        count = 0
+        for event in events:
+            self.submit(event)
+            count += 1
+        return count
+
+    def _note_submitted(self, timestamp: float) -> None:
+        if self.last_submitted_ts is None or timestamp > self.last_submitted_ts:
+            self.last_submitted_ts = timestamp
+
+    def shed_stats(self) -> ShedStats:
+        raise NotImplementedError
+
+    @property
+    def ingest_lag_seconds(self) -> float:
+        """Event-time skew between the submit and processing watermarks.
+
+        Zero while the consumer keeps up, and until both watermarks exist
+        (the skew between them is not yet defined); grows in event-time
+        units when a backlog builds.
+        """
+        submitted, processed = self.last_submitted_ts, self.last_processed_ts
+        if submitted is None or processed is None:
+            return 0.0
+        return max(0.0, submitted - processed)
+
+    def pressure_sample(
+        self, subscriber_depth: int = 0, subscriber_capacity: int = 0
+    ) -> PressureSample:
+        """Instantaneous pressure reading over this runner's queue(s).
+
+        The serving layer's subscriber backlog is folded in when passed
+        explicitly, or read from :attr:`subscriber_pressure_provider` when
+        the arguments are left at their defaults (so the registry's
+        ``pressure`` gauge sees it on every export).
+        """
+        if (
+            not subscriber_capacity
+            and self.subscriber_pressure_provider is not None
+        ):
+            subscriber_depth, subscriber_capacity = (
+                self.subscriber_pressure_provider()
+            )
+        return PressureSample(
+            ingest_lag_seconds=self.ingest_lag_seconds,
+            queue_depth=self.backlog,
+            queue_capacity=self.queue_capacity,
+            queue_high_water=self.queue_high_water,
+            subscriber_depth=subscriber_depth,
+            subscriber_capacity=subscriber_capacity,
+        )
+
+    def pressure(
+        self, subscriber_depth: int = 0, subscriber_capacity: int = 0
+    ) -> PressureAssessor:
+        """Fold a fresh sample into the assessor and return it."""
+        self.pressure_assessor.observe(
+            self.pressure_sample(subscriber_depth, subscriber_capacity)
+        )
+        return self.pressure_assessor
+
+    def _register_queue_instruments(self, registry: MetricsRegistry) -> None:
+        registry.counter(
+            "runner_events_submitted_total",
+            "Events accepted at the runner's front door",
+            fn=lambda: self.events_submitted,
+        )
+        registry.gauge(
+            "runner_backlog",
+            "Events queued, not yet processed",
+            fn=lambda: self.backlog,
+        )
+        registry.gauge(
+            "runner_queue_capacity",
+            "Combined bound of the ingest queue(s)",
+            fn=lambda: float(self.queue_capacity),
+        )
+        registry.gauge(
+            "runner_queue_high_water",
+            "Deepest any ingest queue has been",
+            fn=lambda: float(self.queue_high_water),
+            agg="max",
+        )
+        registry.gauge(
+            "runner_ingest_lag_seconds",
+            "Event-time skew between submit and processing watermarks",
+            fn=lambda: self.ingest_lag_seconds,
+            agg="max",
+        )
+        registry.gauge(
+            "pressure",
+            "Composite backpressure score in [0, 1] (smoothed)",
+            fn=lambda: self.pressure().level,
+            agg="max",
+        )
+        controller = self.shed_controller
+        if controller.policy == "off":
+            return
+        registry.counter(
+            "shed_events_total",
+            "Events dropped/elided by the load-shedding controller",
+            fn=lambda: self.shed_stats().shed_events_total,
+        )
+        registry.counter(
+            "shed_safe_total",
+            "Sheds provably unable to change output (inert or certified)",
+            fn=lambda: self.shed_stats().shed_safe_total,
+        )
+        registry.gauge(
+            "shed_drop_rate",
+            "Current adaptive drop probability (0..1)",
+            fn=lambda: controller.drop_rate,
+            agg="max",
+        )
+        registry.gauge(
+            "shed_recall_estimate",
+            "Measured lower-bound recall of the shedded stream",
+            fn=lambda: self.shed_stats().recall_estimate,
+        )
+        registry.gauge(
+            "shed_engaged",
+            "1 while the shedding controller is engaged",
+            fn=lambda: 1.0 if controller.engaged else 0.0,
+            agg="max",
+        )

@@ -8,11 +8,16 @@ number (count windows measure global arrival positions).
 
 * the runner assigns global sequence numbers once, at the dispatch point,
   then hashes each event's partition key across ``N`` worker shards;
-* each shard owns a private :class:`~repro.runtime.engine.CEPREngine`
-  (constructed with a :class:`~repro.events.time.PreassignedSequencer`)
-  driven on its own consumer thread behind a bounded queue — the same
-  backpressure discipline as
+* each shard (:class:`~repro.runtime.shard.Shard`: a local engine, or a
+  worker process behind a pipe) is fed by its own
+  :class:`~repro.runtime.shard.WorkerLoop` — bounded queue, one owner
+  thread — the same loop, hence the same backpressure discipline, as
   :class:`~repro.runtime.concurrent.ThreadedEngineRunner`;
+* at every barrier each shard hands back a
+  :class:`~repro.runtime.report.ShardReport`; that report is the **only**
+  thing this module knows about a shard — it never holds an engine, a
+  query handle, a ranker or a matcher, so a thread fleet and a process
+  fleet are the same coordinator with a different ``shard_type``;
 * a deterministic **ordered-merge stage** recombines per-shard emissions
   into the exact single-engine output: per-epoch top-k lists are k-way
   merged (:func:`~repro.ranking.topk.merge_rankings`) under a tie-break
@@ -45,9 +50,11 @@ Barrier semantics
 -----------------
 
 ``advance_time`` and ``flush`` are **barriers**: the runner drains every
-shard queue, broadcasts the operation to all shards, and then runs the
-merge stage.  Merged emissions are therefore released at barrier points
-(live deployments already call ``advance_time`` on a heartbeat).  A
+shard queue, broadcasts the operation to all shards, collects their
+reports, and then runs the merge stage.  Merged emissions are therefore
+released at barrier points (live deployments already call
+``advance_time`` on a heartbeat), and coordinator-side state is at least
+as fresh as the last barrier, for threads and processes alike.  A
 tumbling epoch is merged once no shard can still contribute to it —
 immediately for time windows closed by a heartbeat, at the next barrier
 after every shard moved past it for count windows, and at ``flush`` at the
@@ -64,19 +71,23 @@ reproduce.
 from __future__ import annotations
 
 import dataclasses
-import queue
-import threading
 import zlib
 from collections import deque
-from typing import Any, Callable, Iterable
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from repro.engine.match import Match
 from repro.engine.matcher import MatcherStats
 from repro.engine.partitioner import Partitioner
+from repro.engine.snapshot import (
+    SnapshotFormatError,
+    decode_emission,
+    encode_emission,
+)
 from repro.engine.windows import EpochTracker
 from repro.events.event import Event
 from repro.events.schema import SchemaRegistry
-from repro.events.time import LatenessBuffer, PreassignedSequencer, SequenceAssigner
+from repro.events.time import LatenessBuffer, SequenceAssigner
 from repro.language.analysis.shardability import (
     ShardabilityReport,
     certify_shardability,
@@ -87,27 +98,27 @@ from repro.language.parser import parse_query
 from repro.language.semantics import AnalyzedQuery, analyze
 from repro.observability.cost import CostAccount
 from repro.observability.log import get_logger
-from repro.observability.pressure import PressureAssessor, PressureSample, merge_samples
 from repro.observability.profiling import StageProfile
 from repro.observability.registry import MetricsRegistry, merge_registries
 from repro.ranking.emission import Emission, EmissionKind
 from repro.ranking.score import Scorer
 from repro.ranking.topk import merge_rankings
-from repro.runtime._construction import warn_direct_construction
-from repro.runtime.engine import CEPREngine, restore_lateness, snapshot_lateness
+from repro.runtime.engine import restore_lateness, snapshot_lateness
 from repro.runtime.metrics import EngineMetrics, QueryMetrics, aggregate_query_metrics
 from repro.runtime.query import RegisteredQuery
+from repro.runtime.report import QueryReport, ShardReport
+from repro.runtime.shard import LocalShard, QueuedRunner, Shard, WorkerLoop
 from repro.runtime.shedding import (
     ShedController,
     ShedStats,
     controller_to_dict,
     merge_shed_stats,
 )
-from repro.runtime.sinks import SinkLike, Subscription, close_sink, flush_sink
-from repro.sanitize.core import release_affinity
+from repro.runtime.sinks import CollectorSink, SinkLike, SinkOwner, Subscription
 from repro.sanitize.locks import register_lock_metrics, tracked_lock
 
 _INF = float("inf")
+_T = TypeVar("_T")
 
 
 def stable_shard(key: tuple[Any, ...], shards: int) -> int:
@@ -143,84 +154,34 @@ def aggregate_matcher_stats(parts: Iterable[MatcherStats]) -> MatcherStats:
     return total
 
 
-def _encode_emission(emission: Emission) -> dict:
-    """JSON-safe encoding of a shard-local emission (for checkpoints)."""
-    from repro.engine.snapshot import encode_match
-
-    return {
-        "kind": emission.kind.value,
-        "ranking": [encode_match(m) for m in emission.ranking],
-        "at_seq": emission.at_seq,
-        "at_ts": emission.at_ts,
-        "epoch": emission.epoch,
-        "revision": emission.revision,
-        "entered": [encode_match(m) for m in emission.entered],
-        "exited": [encode_match(m) for m in emission.exited],
-    }
-
-
-def _decode_emission(state: dict, scorer: Scorer) -> Emission:
-    """Inverse of :func:`_encode_emission`, re-scoring every match."""
-    from repro.engine.snapshot import decode_match
-
-    def rescore(item: dict) -> Match:
-        return scorer.score(decode_match(item))
-
-    return Emission(
-        kind=EmissionKind(state["kind"]),
-        ranking=[rescore(item) for item in state["ranking"]],
-        at_seq=int(state["at_seq"]),
-        at_ts=float(state["at_ts"]),
-        epoch=state["epoch"],
-        revision=int(state["revision"]),
-        entered=[rescore(item) for item in state["entered"]],
-        exited=[rescore(item) for item in state["exited"]],
-    )
-
-
-class _MergedResults:
-    """Collector-shaped view over a query's merged emissions."""
-
-    def __init__(self, emissions: list[Emission]) -> None:
-        self.emissions = emissions
-
-    def __len__(self) -> int:
-        return len(self.emissions)
-
-    def matches(self) -> list[Match]:
-        return [m for e in self.emissions for m in e.ranking]
-
-    def final_ranking(self) -> list[Match]:
-        return list(self.emissions[-1].ranking) if self.emissions else []
-
-
 class _FleetMatcherView:
-    """Matcher-shaped facade aggregating the per-shard matchers."""
+    """Matcher-shaped facade aggregating the per-shard query reports."""
 
-    def __init__(self, handles: list[RegisteredQuery]) -> None:
+    def __init__(self, handles: list[QueryReport]) -> None:
         self._handles = handles
 
     @property
     def stats(self) -> MatcherStats:
-        return aggregate_matcher_stats(h.matcher.stats for h in self._handles)
+        return aggregate_matcher_stats(h.stats for h in self._handles)
 
     @property
     def live_run_count(self) -> int:
-        return sum(h.matcher.live_run_count for h in self._handles)
+        return sum(h.live_runs for h in self._handles)
 
     @property
     def pending_count(self) -> int:
-        return sum(h.matcher.pending_count for h in self._handles)
+        return sum(h.pending for h in self._handles)
 
 
-class ShardedQuery:
+class ShardedQuery(SinkOwner):
     """Fleet-wide handle for one query registered on a sharded runner.
 
     Shaped like :class:`~repro.runtime.query.RegisteredQuery` where it
     matters (``results``/``matches``/``final_ranking``, ``metrics``,
     ``matcher`` stats, ``analyzed``), so the monitor and existing tooling
     work unchanged, but backed by the merge stage: ``results()`` returns
-    the deterministically merged emission stream.
+    the deterministically merged emission stream, and every counter is an
+    aggregate over the shards' last reports (:attr:`handles`).
     """
 
     def __init__(self, name: str, analyzed: AnalyzedQuery) -> None:
@@ -232,13 +193,18 @@ class ShardedQuery:
         self.solo_fallback = False
         #: "sharded-tumbling" | "sharded-passthrough" | "solo"; set at start.
         self.mode: str | None = None
-        self.handles: list[RegisteredQuery] = []
+        self._scorer = Scorer(analyzed.rank_keys)
+        self._workers: list[_Worker] = []
+        #: per shard: emissions reported but not merged yet (checkpointed).
+        self._tails: list[list[Emission]] = []
         #: Subscriptions/sinks fed the *merged* emission stream (delivered
-        #: on the barrier-calling thread, at merge release points).
+        #: on the barrier-calling thread, at merge release points).  While
+        #: the runner is live, subscribe through the runner — it takes the
+        #: dispatch lock around the sink-list mutation.
         self.sinks: list[Any] = []
-        self._cursors: list[int] = []
-        self._merged: list[Emission] = []
-        self.collector = _MergedResults(self._merged)
+        #: the merged emission stream, collector-shaped for the monitor.
+        self.collector = CollectorSink()
+        self._merged = self.collector.emissions
         self._revision = 0
         self._detections = 0
         # Global-stream bookkeeping maintained by the runner at dispatch.
@@ -254,13 +220,24 @@ class ShardedQuery:
 
     # -- wiring (runner internals) ------------------------------------------------
 
-    def _attach(self, mode: str, handles: list[RegisteredQuery]) -> None:
+    def _attach(self, mode: str, workers: list[_Worker]) -> None:
         self.mode = mode
-        self.handles = handles
-        self._cursors = [0] * len(handles)
+        self._workers = workers
+        self._tails = [[] for _ in workers]
         if mode == "sharded-tumbling":
             assert self.analyzed.window is not None
             self._tracker = EpochTracker(self.analyzed.window)
+
+    @property
+    def handles(self) -> list[QueryReport]:
+        """This query's part of each shard's last report, in shard order."""
+        return [worker.report.queries[self.name] for worker in self._workers]
+
+    def _collect(self) -> None:
+        """Take the emission deltas out of the shards' fresh reports."""
+        for tail, handle in zip(self._tails, self.handles):
+            tail.extend(handle.emissions)
+            handle.emissions.clear()
 
     def _observe_routed(self, event: Event) -> None:
         """Track the global stream point (called by the runner, pre-dispatch)."""
@@ -302,19 +279,9 @@ class ShardedQuery:
         The merged emission *history* is output, not state — it never
         influences future merges — and is not checkpointed (see
         docs/RECOVERY.md).  What must travel is everything that feeds the
-        next merge: shard-collector emissions not yet drained, epochs
-        drained but not yet closable, and the re-stamping counters.
+        next merge: reported emissions not yet drained, epochs drained but
+        not yet closable, and the re-stamping counters.
         """
-        tails = []
-        for shard, handle in enumerate(self.handles):
-            assert handle.collector is not None
-            emissions = handle.collector.emissions
-            tails.append(
-                [
-                    _encode_emission(emission)
-                    for emission in emissions[self._cursors[shard] :]
-                ]
-            )
         return {
             "mode": self.mode,
             "revision": self._revision,
@@ -326,23 +293,24 @@ class ShardedQuery:
             "advances": [list(advance) for advance in self._advances],
             "pending_epochs": {
                 str(epoch): [
-                    [shard, _encode_emission(emission)]
+                    [shard, encode_emission(emission)]
                     for shard, emission in parts
                 ]
                 for epoch, parts in self._pending_epochs.items()
             },
-            "shard_tails": tails,
+            "shard_tails": [
+                [encode_emission(emission) for emission in tail]
+                for tail in self._tails
+            ],
         }
 
     def _restore_merge_state(self, state: dict) -> None:
-        from repro.engine.snapshot import SnapshotFormatError
-
         if state["mode"] != self.mode:
             raise SnapshotFormatError(
                 f"query {self.name!r}: snapshot placement {state['mode']!r} "
                 f"does not match current placement {self.mode!r}"
             )
-        scorer = self.handles[0].scorer
+        scorer = self._scorer
         self._revision = int(state["revision"])
         self._detections = int(state["detections"])
         self.last_routed_seq = int(state["last_routed_seq"])
@@ -355,33 +323,28 @@ class ShardedQuery:
         )
         self._pending_epochs = {
             int(epoch): [
-                (int(shard), _decode_emission(item, scorer))
+                (int(shard), decode_emission(item, scorer))
                 for shard, item in parts
             ]
             for epoch, parts in state["pending_epochs"].items()
         }
-        # Shard engines were restored with empty collectors; re-seed them
-        # with the un-merged tails and point the cursors at their start.
-        self._cursors = [0] * len(self.handles)
-        for shard, tail in enumerate(state["shard_tails"]):
-            collector = self.handles[shard].collector
-            assert collector is not None
-            collector.emissions.clear()
-            for item in tail:
-                collector.emissions.append(_decode_emission(item, scorer))
+        # The shards were restored with nothing left to report; the
+        # un-merged tails come back from the checkpoint alone.
+        self._tails = [
+            [decode_emission(item, scorer) for item in tail]
+            for tail in state["shard_tails"]
+        ]
 
     # -- merge stage ---------------------------------------------------------------
 
     def _drain_shards(self) -> list[tuple[int, int, Emission]]:
         """New (shard, index, emission) triples since the last merge."""
         drained: list[tuple[int, int, Emission]] = []
-        for shard, handle in enumerate(self.handles):
-            assert handle.collector is not None
-            emissions = handle.collector.emissions
-            start = self._cursors[shard]
-            for index in range(start, len(emissions)):
-                drained.append((shard, index, emissions[index]))
-            self._cursors[shard] = len(emissions)
+        for shard, tail in enumerate(self._tails):
+            drained.extend(
+                (shard, index, emission) for index, emission in enumerate(tail)
+            )
+            tail.clear()
         return drained
 
     def _merge_ready(
@@ -414,7 +377,7 @@ class ShardedQuery:
         if point is None:
             # In-stream emissions carry the triggering event's global seq:
             # ordering by it reproduces the single-engine emission order
-            # (ties share one shard, where collector order is detection
+            # (ties share one shard, where report order is detection
             # order).
             drained.sort(key=lambda t: (t[2].at_seq, t[0], t[1]))
         else:
@@ -459,7 +422,7 @@ class ShardedQuery:
         else:
             min_open = min(
                 (
-                    min(handle.ranker.open_epochs(), default=_INF)
+                    min(handle.open_epochs, default=_INF)
                     for handle in self.handles
                 ),
                 default=_INF,
@@ -520,43 +483,6 @@ class ShardedQuery:
             revision=self._revision,
         )
 
-    # -- subscriptions -------------------------------------------------------------
-
-    def subscribe(
-        self,
-        target: SinkLike,
-        kinds: EmissionKind | str | Iterable[EmissionKind | str] | None = None,
-    ) -> Subscription:
-        """Subscribe to the merged emission stream of this query.
-
-        Same contract as ``RegisteredQuery.subscribe``, but delivery
-        happens at merge release points (barriers and mergeable in-stream
-        epochs), on the barrier-calling thread.  Use the runner's
-        :meth:`~ShardedEngineRunner.subscribe` when the runner is live —
-        it takes the dispatch lock around the sink-list mutation.
-        """
-        subscription = Subscription(self, target, kinds=kinds)
-        self.sinks.append(subscription)
-        return subscription
-
-    def remove_sink(self, sink: Any) -> bool:
-        """Detach a sink/subscription; returns ``False`` when absent."""
-        try:
-            self.sinks.remove(sink)
-        except ValueError:
-            return False
-        if isinstance(sink, Subscription):
-            sink.active = False
-        return True
-
-    def flush_sinks(self) -> None:
-        for sink in self.sinks:
-            flush_sink(sink)
-
-    def close_sinks(self) -> None:
-        for sink in self.sinks:
-            close_sink(sink)
-
     # -- results -------------------------------------------------------------------
 
     def results(self) -> list[Emission]:
@@ -564,10 +490,10 @@ class ShardedQuery:
         return list(self._merged)
 
     def matches(self) -> list[Match]:
-        return [m for e in self._merged for m in e.ranking]
+        return self.collector.matches()
 
     def final_ranking(self) -> list[Match]:
-        return list(self._merged[-1].ranking) if self._merged else []
+        return self.collector.final_ranking()
 
     # -- introspection ---------------------------------------------------------------
 
@@ -581,7 +507,7 @@ class ShardedQuery:
 
     @property
     def shards(self) -> int:
-        return len(self.handles)
+        return len(self._workers)
 
     @property
     def metrics(self) -> QueryMetrics:
@@ -613,109 +539,20 @@ class ShardedQuery:
     def cost_account(self) -> CostAccount:
         """Fleet-wide cost account (per-shard accounts merged)."""
         return CostAccount.merge(
-            CostAccount.from_query(handle) for handle in self.handles
+            CostAccount.from_report(handle) for handle in self.handles
         )
 
     def explain(self) -> str:
-        return self.handles[0].explain()
+        return self._workers[0].shard.explain(self.name)
 
 
 class _Worker:
-    """One shard: a private engine drained by a consumer thread."""
+    """One shard, the loop that owns it, and the last report it gave."""
 
-    def __init__(self, engine: CEPREngine, max_queue: int, batch_size: int) -> None:
-        self.engine = engine
-        self.queue: queue.Queue = queue.Queue(maxsize=max_queue)
-        self.batch_size = batch_size
-        self.thread: threading.Thread | None = None
-        self.failure: BaseException | None = None
-        self.events_processed = 0
-        #: deepest this shard's ingest queue has been (post-enqueue depth).
-        self.queue_high_water = 0
-
-    def start(self) -> None:
-        # Sanitizer handoff: queries were registered into this engine on
-        # the coordinating thread; the consumer thread owns it from here.
-        release_affinity(self.engine)
-        self.thread = threading.Thread(target=self._consume, daemon=True)
-        self.thread.start()
-
-    def put_event(self, event: Event, timeout: float | None = None) -> None:
-        self.queue.put(("event", event), timeout=timeout)
-        depth = self.queue.qsize()
-        if depth > self.queue_high_water:
-            self.queue_high_water = depth
-
-    def put_op(self, op: tuple) -> None:
-        self.queue.put(op)
-
-    def _sync_engine(self) -> None:
-        """Barrier-sync hook, run on the consumer thread at ``sync`` ops.
-
-        In-process shards have nothing to do — the drained queue IS the
-        barrier.  The process-backed runner overrides this to round-trip
-        the barrier to the worker process so the coordinator reads fresh
-        mirrored state (see :mod:`repro.runtime.process`).
-        """
-
-    def close(self, force: bool = False) -> None:
-        """Teardown hook, called after the consumer thread has joined.
-
-        In-process shards own no external resources.  The process-backed
-        runner overrides this to reap (or with ``force`` terminate) the
-        worker process.
-        """
-
-    def _consume(self) -> None:
-        pending_op: tuple | None = None
-        while True:
-            item = pending_op if pending_op is not None else self.queue.get()
-            pending_op = None
-            kind = item[0]
-            if kind == "event":
-                # Batched hot path: greedily drain queued events so the
-                # engine amortises per-call overhead via push_batch.
-                batch = [item[1]]
-                while len(batch) < self.batch_size:
-                    try:
-                        nxt = self.queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if nxt[0] == "event":
-                        batch.append(nxt[1])
-                    else:
-                        pending_op = nxt
-                        break
-                if self.failure is None:
-                    try:
-                        self.engine.push_batch(batch)
-                        self.events_processed += len(batch)
-                    except BaseException as exc:  # surfaced via .failure
-                        self.failure = exc
-                continue
-            if kind == "stop":
-                # Discard anything queued behind the sentinel so no
-                # producer is left wedged in a full-queue put.
-                while True:
-                    try:
-                        self.queue.get_nowait()
-                    except queue.Empty:
-                        break
-                item[1].set()
-                return
-            # Barrier ops always acknowledge, even after a failure, so the
-            # runner can never deadlock waiting on a dead shard.
-            if self.failure is None:
-                try:
-                    if kind == "sync":
-                        self._sync_engine()
-                    elif kind == "advance":
-                        self.engine.advance_time(item[1])
-                    else:  # "flush"
-                        self.engine.flush()
-                except BaseException as exc:
-                    self.failure = exc
-            item[-1].set()
+    def __init__(self, shard: Shard, max_queue: int, batch_size: int) -> None:
+        self.shard = shard
+        self.loop = WorkerLoop(shard.push_batch, max_queue, batch_size)
+        self.report: ShardReport = shard.report()
 
 
 class _Group:
@@ -729,7 +566,7 @@ class _Group:
         self.relevant_types: frozenset[str] = frozenset()
 
 
-class ShardedEngineRunner:
+class ShardedEngineRunner(QueuedRunner):
     """Partition-parallel engine fleet with a deterministic merge stage.
 
     Lifecycle mirrors :class:`~repro.runtime.concurrent.ThreadedEngineRunner`
@@ -745,7 +582,10 @@ class ShardedEngineRunner:
     the target shard is saturated — backpressure, not unbounded memory),
     and ``batch_size`` caps how many queued events a shard drains into one
     ``push_batch`` call.  ``on_emission`` receives every *merged* emission,
-    on the barrier-calling thread.
+    on the barrier-calling thread.  ``shard_type`` picks the shard
+    implementation: :class:`~repro.runtime.shard.LocalShard` (threads, the
+    default) or :class:`~repro.runtime.process.PipeShard` (one worker
+    process per shard — ``create_runner(backend="process")``).
     """
 
     def __init__(
@@ -765,11 +605,20 @@ class ShardedEngineRunner:
         latency_target: float | None = None,
         shed_controller: ShedController | None = None,
         compiled: bool = True,
+        shard_type: type[Shard] = LocalShard,
     ) -> None:
-        warn_direct_construction(type(self).__name__)
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
+        if not shard_type.live_engine and (
+            shed_policy != "off" or shed_controller is not None
+        ):
+            raise ValueError(
+                "load shedding is not supported on the process runner: "
+                "adaptive admission reads engine state the parent only "
+                "sees at barriers (use the threaded sharded runner)"
+            )
         self.shards = shards
+        self.shard_type = shard_type
         self.compiled = compiled
         self.registry = registry
         self.strict_schema = strict_schema
@@ -795,29 +644,9 @@ class ShardedEngineRunner:
             LatenessBuffer(max_lateness) if max_lateness is not None else None
         )
         self.metrics = EngineMetrics()
-        self.events_submitted = 0
-        #: event-time watermark of the stream accepted at dispatch.
-        self.last_submitted_ts: float | None = None
-        self.pressure_assessor = PressureAssessor()
-        #: optional ``() -> (depth, capacity)`` hook the serving layer
-        #: installs so default pressure readings include its fullest
-        #: subscriber outbound queue.
-        self.subscriber_pressure_provider: (
-            Callable[[], tuple[int, int]] | None
-        ) = None
-
-        if shed_controller is None:
-            shed_controller = ShedController(
-                policy=shed_policy,
-                **(
-                    {}
-                    if latency_target is None
-                    else {"latency_target": latency_target}
-                ),
-            )
-        #: dispatch-level shedding state machine: owns the overload
-        #: assessment and (in adaptive mode) the pre-dispatch sampler.
-        self.shed_controller = shed_controller
+        # The dispatch-level controller owns the overload assessment and
+        # (in adaptive mode) the pre-dispatch sampler.
+        self._init_queued(shed_policy, latency_target, shed_controller)
         #: per-worker exact-mode controllers (thread-local counters); the
         #: dispatch tick mirrors the engaged flag onto them.
         self._worker_controllers: list[ShedController] = []
@@ -864,22 +693,23 @@ class ShardedEngineRunner:
 
     # -- lifecycle ---------------------------------------------------------------------
 
-    def _new_engine(self, preassigned: bool) -> CEPREngine:
-        return CEPREngine(
-            registry=self.registry,
-            strict_schema=self.strict_schema,
-            enable_pruning=self.enable_pruning,
-            strict_time=False if preassigned else self.strict_time,
-            lenient_errors=self.lenient_errors,
-            max_lateness=None if preassigned else self.max_lateness,
-            sequencer=PreassignedSequencer() if preassigned else None,
-            sanitize=self.sanitize,
-            compiled=self.compiled,
-        )
-
-    def _make_worker(self, engine: CEPREngine) -> _Worker:
-        """Build one shard worker; the process runner overrides this."""
-        return _Worker(engine, self.max_queue, self.batch_size)
+    def _new_worker(self, preassigned: bool, views: list[ShardedQuery]) -> _Worker:
+        """Build one shard (engine options + its queries) and its loop."""
+        options = {
+            "preassigned": preassigned,
+            "strict_schema": self.strict_schema,
+            "enable_pruning": self.enable_pruning,
+            "strict_time": False if preassigned else self.strict_time,
+            "lenient_errors": self.lenient_errors,
+            "max_lateness": None if preassigned else self.max_lateness,
+            "sanitize": self.sanitize,
+            "compiled": self.compiled,
+        }
+        queries = {view.name: self._asts[view.name] for view in views}
+        shard = self.shard_type(self.registry, options, queries)
+        worker = _Worker(shard, self.max_queue, self.batch_size)
+        self._workers.append(worker)
+        return worker
 
     def start(self) -> "ShardedEngineRunner":
         if self._started:
@@ -921,58 +751,43 @@ class ShardedEngineRunner:
         self._preassign = bool(grouped)
 
         if solo:
-            engine = self._new_engine(preassigned=self._preassign)
-            worker = self._make_worker(engine)
-            self._solo_worker = worker
-            self._workers.append(worker)
+            self._solo_worker = self._new_worker(self._preassign, solo)
             types: set[str] = set()
             for view in solo:
-                handle = engine.register_query(self._asts[view.name], name=view.name)
-                view._attach("solo", [handle])
+                view._attach("solo", [self._solo_worker])
                 types |= view.relevant_types
             self._solo_types = frozenset(types)
 
         for attributes, members in grouped.items():
             workers = [
-                self._make_worker(self._new_engine(preassigned=True))
-                for _ in range(self.shards)
+                self._new_worker(True, members) for _ in range(self.shards)
             ]
             group = _Group(attributes, workers)
             types = set()
             for view in members:
-                handles = [
-                    worker.engine.register_query(
-                        self._asts[view.name], name=view.name
-                    )
-                    for worker in workers
-                ]
-                view._attach(view.shardability.mode, handles)
+                view._attach(view.shardability.mode, workers)
                 types |= view.relevant_types
                 for event_type in view.relevant_types:
                     self._type_watchers.setdefault(event_type, []).append(view)
             group.relevant_types = frozenset(types)
             self._groups.append(group)
-            self._workers.extend(workers)
 
         if self.shed_controller.policy == "exact":
             # Exact elides run inside each shard engine's dispatch loop on
-            # its own consumer thread; every worker gets a private
-            # controller (thread-local counters — merged for reporting)
-            # whose engaged flag the dispatch-level control tick mirrors.
+            # its own owner thread; every shard gets a private controller
+            # (thread-local counters — merged for reporting) whose engaged
+            # flag the dispatch-level control tick mirrors.
             for worker in self._workers:
                 controller = ShedController(
                     policy="exact",
                     latency_target=self.shed_controller.latency_target,
                     force=self.shed_controller.force,
                 )
-                worker.engine.shed_controller = controller
-                controller.invariant_checker = getattr(
-                    worker.engine, "_invariants", None
-                )
+                worker.shard.attach_shed_controller(controller)
                 self._worker_controllers.append(controller)
 
         for worker in self._workers:
-            worker.start()
+            worker.loop.start()
         return self
 
     def __enter__(self) -> "ShardedEngineRunner":
@@ -980,6 +795,22 @@ class ShardedEngineRunner:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+    def _halt(self, timeout: float | None, force: bool) -> bool:
+        """Stop every loop and reap every shard; False if a thread wedged.
+
+        A shard whose owner thread did not leave in time is closed with
+        ``force`` regardless, so no worker process outlives the runner.
+        """
+        self._stopped = True
+        for worker in self._workers:
+            worker.loop.stop()
+        drained = True
+        for worker in self._workers:
+            joined = worker.loop.join(timeout)
+            worker.shard.close(force=force or not joined)
+            drained = drained and joined
+        return drained
 
     def stop(self, timeout: float | None = 30.0) -> None:
         """Flush (if needed), stop every shard, and join the threads."""
@@ -989,19 +820,9 @@ class ShardedEngineRunner:
             if not self._flushed:
                 self.flush()
         finally:
-            self._stopped = True
-            acks = []
-            for worker in self._workers:
-                ack = threading.Event()
-                worker.put_op(("stop", ack))
-                acks.append(ack)
-            for worker in self._workers:
-                assert worker.thread is not None
-                worker.thread.join(timeout=timeout)
-                if worker.thread.is_alive():
-                    raise TimeoutError("shard thread did not drain in time")
-            for worker in self._workers:
-                worker.close()
+            drained = self._halt(timeout, force=False)
+        if not drained:
+            raise TimeoutError("shard thread did not drain in time")
         self._check_failures()
         for view in self._views.values():
             view.close_sinks()
@@ -1015,19 +836,16 @@ class ShardedEngineRunner:
 
         The fault-injection harness uses this to model a process dying
         mid-stream: no flush barrier, no final merge, buffered state
-        simply vanishes.  Worker threads are joined so repeated
-        kill/restore cycles in a test session don't leak threads.
+        simply vanishes.  Worker threads are joined (and worker processes
+        terminated) so repeated kill/restore cycles in a test session
+        don't leak either.
         """
-        if not self._started or self._stopped:
-            return
-        self._stopped = True
-        for worker in self._workers:
-            worker.put_op(("stop", threading.Event()))
-        for worker in self._workers:
-            assert worker.thread is not None
-            worker.thread.join(timeout=timeout)
-        for worker in self._workers:
-            worker.close(force=True)
+        if self._started and not self._stopped:
+            self._halt(timeout, force=True)
+
+    def worker_pids(self) -> list[int | None]:
+        """Pid hosting each shard's engine, in deterministic worker order."""
+        return [worker.shard.pid for worker in self._workers]
 
     # -- checkpointing ------------------------------------------------------------------
 
@@ -1035,19 +853,18 @@ class ShardedEngineRunner:
         """Coordinated JSON-safe snapshot of the whole fleet.
 
         Takes a barrier: drains every shard queue, then captures the
-        dispatch state (sequencer, lateness buffer), every shard engine's
-        snapshot (in the deterministic worker order fixed by
-        :meth:`start`), and each query's merge-stage state.  Consistency
-        holds because the runner's lock blocks submits for the duration
-        and the sync barrier empties all queues first.
+        dispatch state (sequencer, lateness buffer), every shard's engine
+        snapshot (taken on its owner thread, in the deterministic worker
+        order fixed by :meth:`start`), and each query's merge-stage state.
+        Consistency holds because the runner's lock blocks submits for
+        the duration and the barrier empties all queues first.
         """
         if not self._started:
             raise RuntimeError("runner not started")
         if self._stopped:
             raise RuntimeError("runner is stopped")
         with self._lock:
-            self._sync_all()
-            self._check_failures()
+            self._barrier()
             return {
                 "shards": self.shards,
                 "sequencer": self._sequencer.snapshot(),
@@ -1058,41 +875,29 @@ class ShardedEngineRunner:
                 ),
                 "events_submitted": self.events_submitted,
                 "events_pushed": self.metrics.events_pushed,
-                "engines": [
-                    self._engine_snapshot(worker) for worker in self._workers
-                ],
+                "engines": self._on_owners(
+                    [worker.shard.snapshot for worker in self._workers]
+                ),
                 "views": {
                     name: view._snapshot_merge_state()
                     for name, view in self._views.items()
                 },
             }
 
-    @staticmethod
-    def _engine_snapshot(worker: _Worker) -> dict:
-        """Snapshot one idle shard engine from the barrier thread.
-
-        The sync barrier guarantees the consumer thread is parked, which
-        makes this a synchronized handoff: affinity is released on both
-        sides so neither the barrier thread's access (the sanitized
-        snapshot self-check mutates state via a round-trip restore) nor
-        the consumer's next batch reads as a cross-thread race.
-        """
-        release_affinity(worker.engine)
-        try:
-            return worker.engine.snapshot()
-        finally:
-            release_affinity(worker.engine)
-
     def restore(self, state: dict) -> None:
-        """Load a :meth:`snapshot` into this freshly started runner.
+        """Load a :meth:`snapshot` into this runner.
 
         The runner must be configured identically to the one that took
         the snapshot — same ``shards``, same ``max_lateness`` setting, and
         the same queries registered under the same names — so its worker
         list lines up positionally with the snapshot's engine list.
-        """
-        from repro.engine.snapshot import SnapshotFormatError
 
+        Doubles as crash recovery: a shard that is dead or has a latched
+        failure is revived first (``respawn`` if needed, failure cleared),
+        and the stale events queued behind its crash are discarded — they
+        are part of the checkpointed-or-lost past, and replaying them
+        after the restored cut would double-count.
+        """
         if not self._started:
             raise RuntimeError("runner not started (call start() first)")
         if self._stopped or self._flushed:
@@ -1121,22 +926,28 @@ class ShardedEngineRunner:
                 f"engines, runner has {len(self._workers)} workers"
             )
         with self._lock:
-            # Workers are idle (nothing submitted yet on a fresh runner;
-            # the sync barrier guarantees it regardless), so restoring
-            # their engines from the barrier thread is race-free.
-            self._sync_all()
-            self._check_failures()
+            for worker in self._workers:
+                if worker.loop.failure is None and worker.shard.alive():
+                    continue
+                # A failed loop discards what it dequeues, so once it is
+                # drained nothing stale is left and its thread is idle.
+                worker.loop.drain()
+                if not worker.shard.alive():
+                    worker.shard.respawn()
+                worker.loop.failure = None
             self._sequencer.restore(state["sequencer"])
             if state["lateness"] is not None:
                 assert self._lateness is not None
                 restore_lateness(self._lateness, state["lateness"])
             self.events_submitted = int(state["events_submitted"])
             self.metrics.events_pushed = int(state["events_pushed"])
-            for worker, engine_state in zip(self._workers, engines):
-                # Same synchronized-handoff discipline as _engine_snapshot.
-                release_affinity(worker.engine)
-                worker.engine.restore(engine_state)
-                release_affinity(worker.engine)
+            self._on_owners(
+                [
+                    partial(worker.shard.restore, engine_state)
+                    for worker, engine_state in zip(self._workers, engines)
+                ]
+            )
+            self._barrier()
             for name, view_state in state["views"].items():
                 self._views[name]._restore_merge_state(view_state)
 
@@ -1159,21 +970,10 @@ class ShardedEngineRunner:
                 self._ingest(event, timeout)
             self.events_submitted += 1
 
-    def submit_all(self, events: Iterable[Event]) -> int:
-        count = 0
-        for event in events:
-            self.submit(event)
-            count += 1
-        return count
-
     def _ingest(self, event: Event, timeout: float | None = None) -> None:
         if self._preassign:
             self._sequencer.assign(event)
-        if (
-            self.last_submitted_ts is None
-            or event.timestamp > self.last_submitted_ts
-        ):
-            self.last_submitted_ts = event.timestamp
+        self._note_submitted(event.timestamp)
         controller = self.shed_controller
         if controller.policy != "off":
             if self._shed_dispatched % self._shed_tick_interval == 0:
@@ -1191,13 +991,18 @@ class ShardedEngineRunner:
             ):
                 return
         self.metrics.on_push(event.timestamp)
-        event_type = event.event_type
-        for view in self._type_watchers.get(event_type, ()):
+        for view in self._type_watchers.get(event.event_type, ()):
             view._observe_routed(event)
+        for worker in self._targets(event):
+            worker.loop.put(event, timeout)
+
+    def _targets(self, event: Event) -> Iterator[_Worker]:
+        """The workers ``event`` is dispatched to."""
+        event_type = event.event_type
         if self._solo_worker is not None and (
             not self._preassign or event_type in self._solo_types
         ):
-            self._solo_worker.put_event(event, timeout)
+            yield self._solo_worker
         for group in self._groups:
             if event_type not in group.relevant_types:
                 continue
@@ -1205,7 +1010,7 @@ class ShardedEngineRunner:
             # Key-less events cannot join any run; shard 0 still receives
             # them so the skip is counted once, like a single engine would.
             shard = 0 if key is None else stable_shard(key, len(group.workers))
-            group.workers[shard].put_event(event, timeout)
+            yield group.workers[shard]
 
     def _shed_control_tick(self) -> None:
         """Dispatch-level overload assessment, mirrored onto the workers.
@@ -1224,24 +1029,17 @@ class ShardedEngineRunner:
     def _shed_probes(self, event: Event) -> list[RegisteredQuery]:
         """Query handles ``event`` would reach (adaptive-mode probing).
 
-        The handles live on worker engines owned by consumer threads, so
-        the probes race those threads by construction;
+        Only local shards have them (shedding is rejected otherwise); they
+        belong to the shards' owner threads, so the probes race those
+        threads by construction;
         :meth:`~repro.runtime.shedding.ShedController.admit` demotes any
         probe failure to an uncertified verdict.
         """
-        probes: list[RegisteredQuery] = []
-        event_type = event.event_type
-        if self._solo_worker is not None and (
-            not self._preassign or event_type in self._solo_types
-        ):
-            probes.extend(self._solo_worker.engine.queries())
-        for group in self._groups:
-            if event_type not in group.relevant_types:
-                continue
-            key = group.partitioner.key_of(event)
-            shard = 0 if key is None else stable_shard(key, len(group.workers))
-            probes.extend(group.workers[shard].engine.queries())
-        return probes
+        return [
+            probe
+            for worker in self._targets(event)
+            for probe in worker.shard.shed_probes()
+        ]
 
     def shed_stats(self) -> ShedStats:
         """Fleet-wide shedding counters (dispatch + worker controllers)."""
@@ -1260,7 +1058,19 @@ class ShardedEngineRunner:
     @property
     def backlog(self) -> int:
         """Events queued across all shards, not yet processed (approximate)."""
-        return sum(worker.queue.qsize() for worker in self._workers)
+        return sum(worker.loop.backlog for worker in self._workers)
+
+    @property
+    def queue_capacity(self) -> int:
+        """Combined ingest-queue capacity across all shards."""
+        return self.max_queue * len(self._workers)
+
+    @property
+    def queue_high_water(self) -> int:
+        """Deepest any shard's ingest queue has been."""
+        return max(
+            (worker.loop.queue_high_water for worker in self._workers), default=0
+        )
 
     @property
     def events_pushed(self) -> int:
@@ -1273,107 +1083,64 @@ class ShardedEngineRunner:
 
     def _check_failures(self) -> None:
         for worker in self._workers:
-            if worker.failure is not None:
-                raise RuntimeError("shard thread failed") from worker.failure
+            if worker.loop.failure is not None:
+                raise RuntimeError("shard thread failed") from worker.loop.failure
 
     # -- pressure ----------------------------------------------------------------------
 
     @property
-    def ingest_lag_seconds(self) -> float:
-        """Event-time skew between the dispatch and processing watermarks.
-
-        ``0.0`` until both watermarks exist — before any event was
-        submitted, or before any shard processed one, the skew between
-        them is not yet defined.
-        """
-        submitted = self.last_submitted_ts
-        processed: float | None = None
-        for worker in self._workers:
-            mark = worker.engine.metrics.last_event_ts
-            if mark is not None and (processed is None or mark > processed):
-                processed = mark
-        if submitted is None or processed is None:
-            return 0.0
-        return max(0.0, submitted - processed)
-
-    def pressure_sample(
-        self, subscriber_depth: int = 0, subscriber_capacity: int = 0
-    ) -> PressureSample:
-        """One fleet-wide pressure reading (see :mod:`..observability.pressure`).
-
-        Per-shard queue samples merge first (depths and capacities sum,
-        high-water takes the fleet max), then the dispatch-level ingest
-        lag and the serving layer's subscriber backlog are folded in
-        (passed explicitly, or read from
-        :attr:`subscriber_pressure_provider` when left at the defaults).
-        """
-        if (
-            not subscriber_capacity
-            and self.subscriber_pressure_provider is not None
-        ):
-            subscriber_depth, subscriber_capacity = (
-                self.subscriber_pressure_provider()
-            )
-        merged = merge_samples(
-            PressureSample(
-                queue_depth=worker.queue.qsize(),
-                queue_capacity=self.max_queue,
-                queue_high_water=worker.queue_high_water,
-            )
-            for worker in self._workers
-        )
-        return PressureSample(
-            ingest_lag_seconds=self.ingest_lag_seconds,
-            queue_depth=merged.queue_depth,
-            queue_capacity=merged.queue_capacity,
-            queue_high_water=merged.queue_high_water,
-            subscriber_depth=subscriber_depth,
-            subscriber_capacity=subscriber_capacity,
-        )
-
-    def pressure(
-        self, subscriber_depth: int = 0, subscriber_capacity: int = 0
-    ) -> PressureAssessor:
-        """Feed the current sample to the assessor and return it."""
-        self.pressure_assessor.observe(
-            self.pressure_sample(subscriber_depth, subscriber_capacity)
-        )
-        return self.pressure_assessor
+    def last_processed_ts(self) -> float | None:
+        """Highest event timestamp any shard reports having processed."""
+        marks = [worker.report.engine.last_event_ts for worker in self._workers]
+        return max((mark for mark in marks if mark is not None), default=None)
 
     def cost_accounts(self) -> dict[str, CostAccount]:
         """Fleet-wide per-query cost accounts (shard accounts merged).
 
-        Views rebuilt from the live shard handles on every call — the
-        merged account's counters equal the single-engine account's for
-        any shardable workload (each event reaches exactly one shard,
-        which registers every query of its group).
+        Rebuilt from the shards' last reports on every call — the merged
+        account's counters equal the single-engine account's for any
+        shardable workload (each event reaches exactly one shard, which
+        registers every query of its group).
         """
-        return {
-            name: CostAccount.merge(
-                CostAccount.from_query(handle) for handle in view.handles
-            )
-            for name, view in self._views.items()
-        }
+        return {name: view.cost_account() for name, view in self._views.items()}
 
     # -- barriers ---------------------------------------------------------------------
 
-    def _sync_all(self) -> None:
-        acks = []
-        for worker in self._workers:
-            ack = threading.Event()
-            worker.put_op(("sync", ack))
-            acks.append(ack)
-        for ack in acks:
-            ack.wait()
+    def _on_owners(self, fns: list[Callable[[], _T]]) -> list[_T]:
+        """Run one callable per worker on its owner thread.
 
-    def _op_all(self, op_kind: str, *payload) -> None:
-        acks = []
-        for worker in self._workers:
-            ack = threading.Event()
-            worker.put_op((op_kind, *payload, ack))
-            acks.append(ack)
-        for ack in acks:
-            ack.wait()
+        All are queued before any is awaited, so the shards work in
+        parallel; a callable skipped by a failed loop yields ``None``.
+        """
+        calls = [worker.loop.begin(fn) for worker, fn in zip(self._workers, fns)]
+        return [call.wait() for call in calls]
+
+    def _barrier(self, op: Callable[[Shard], None] | None = None) -> None:
+        """Drain every queue, run ``op`` on every shard, collect the reports.
+
+        The only place the coordinator learns anything about its shards:
+        each owner thread runs ``op`` then ``report()``; the reports
+        replace the workers' last ones and the views take their emission
+        deltas.  An exception latches as that shard's failure; the
+        barrier still completes, then raises.
+        """
+
+        def step(worker: _Worker) -> ShardReport | None:
+            try:
+                if op is not None:
+                    op(worker.shard)
+                return worker.shard.report()
+            except BaseException as exc:
+                worker.loop.failure = exc
+                return None
+
+        fns = [partial(step, worker) for worker in self._workers]
+        for worker, report in zip(self._workers, self._on_owners(fns)):
+            if report is not None:
+                worker.report = report
+        for view in self._views.values():
+            view._collect()
+        self._check_failures()
 
     def _release(self, per_view: list[tuple[int, list[Emission]]]) -> list[Emission]:
         """Interleave per-view merged emissions into one global-order stream."""
@@ -1400,8 +1167,7 @@ class ShardedEngineRunner:
         if self._stopped or self._flushed:
             raise RuntimeError("runner is stopped")
         with self._lock:
-            self._sync_all()
-            self._check_failures()
+            self._barrier()
 
     def poll(self) -> list[Emission]:
         """Non-terminal merge barrier: release whatever is mergeable now.
@@ -1417,8 +1183,7 @@ class ShardedEngineRunner:
         if self._stopped or self._flushed:
             return []
         with self._lock:
-            self._sync_all()
-            self._check_failures()
+            self._barrier()
             per_view = [
                 (order, view._merge_ready())
                 for order, view in enumerate(self._views.values())
@@ -1453,8 +1218,7 @@ class ShardedEngineRunner:
         if self._stopped or self._flushed:
             raise RuntimeError("runner is stopped")
         with self._lock:
-            self._sync_all()
-            self._check_failures()
+            self._barrier()
             per_view: list[tuple[int, list[Emission]]] = []
             views = list(self._views.values())
             for order, view in enumerate(views):
@@ -1462,8 +1226,7 @@ class ShardedEngineRunner:
             for view in views:
                 if view.mode != "solo":
                     view._observe_advance(timestamp)
-            self._op_all("advance", timestamp)
-            self._check_failures()
+            self._barrier(lambda shard: shard.advance_time(timestamp))
             for order, view in enumerate(views):
                 point = (view.last_routed_seq, timestamp)
                 per_view.append((order, view._merge_ready(point=point)))
@@ -1480,14 +1243,12 @@ class ShardedEngineRunner:
             if self._lateness is not None:
                 for released in self._lateness.flush():
                     self._ingest(released)
-            self._sync_all()
-            self._check_failures()
+            self._barrier()
             per_view: list[tuple[int, list[Emission]]] = []
             views = list(self._views.values())
             for order, view in enumerate(views):
                 per_view.append((order, view._merge_ready()))
-            self._op_all("flush")
-            self._check_failures()
+            self._barrier(lambda shard: shard.flush())
             for order, view in enumerate(views):
                 point = (view.last_routed_seq, view.last_ts)
                 per_view.append(
@@ -1519,7 +1280,7 @@ class ShardedEngineRunner:
                     "peak_live_runs": stats.peak_live_runs,
                     "live_runs": view.matcher.live_run_count,
                     "partition_skips": stats.events_skipped_no_key,
-                    "shards": len(view.handles),
+                    "shards": view.shards,
                     "solo_fallback": 1.0 if view.solo_fallback else 0.0,
                 }
             )
@@ -1535,7 +1296,7 @@ class ShardedEngineRunner:
         """
         totals: dict[str, int] = {}
         for worker in self._workers:
-            for key, value in worker.engine.shared_stats().items():
+            for key, value in worker.report.shared.items():
                 if key in ("distinct_predicates", "prefix_entries"):
                     totals[key] = max(totals.get(key, 0), value)
                 else:
@@ -1546,12 +1307,12 @@ class ShardedEngineRunner:
         """Fleet-wide sanitizer trip counts by check (None when disabled)."""
         totals: dict[str, int] | None = None
         for worker in self._workers:
-            sanitizer = worker.engine.sanitizer
-            if sanitizer is None:
+            trips = worker.report.sanitizer_trips
+            if trips is None:
                 continue
             if totals is None:
                 totals = {}
-            for check, count in sanitizer.trips.items():
+            for check, count in trips.items():
                 totals[check] = totals.get(check, 0) + count
         return totals
 
@@ -1563,11 +1324,11 @@ class ShardedEngineRunner:
                 {
                     "shard": index,
                     "role": "solo" if worker is self._solo_worker else "sharded",
-                    "events_processed": worker.events_processed,
-                    "backlog": worker.queue.qsize(),
+                    "events_processed": worker.loop.events_processed,
+                    "backlog": worker.loop.backlog,
                     "live_runs": sum(
-                        handle.matcher.live_run_count
-                        for handle in worker.engine.queries()
+                        query.live_runs
+                        for query in worker.report.queries.values()
                     ),
                 }
             )
@@ -1591,7 +1352,7 @@ class ShardedEngineRunner:
         pool); build a fresh registry per export.
         """
         fleet = merge_registries(
-            [worker.engine.metrics_registry() for worker in self._workers]
+            [worker.shard.registry() for worker in self._workers]
         )
         for name, view in self._views.items():
             if view.mode == "solo":
@@ -1602,16 +1363,7 @@ class ShardedEngineRunner:
             fleet.counter("query_emissions_total", query=name).override(
                 view.metrics.emissions
             )
-        fleet.counter(
-            "runner_events_submitted_total",
-            "Events accepted at the dispatch point",
-            fn=lambda: self.events_submitted,
-        )
-        fleet.gauge(
-            "runner_backlog",
-            "Events queued across all shards, not yet processed",
-            fn=lambda: self.backlog,
-        )
+        self._register_queue_instruments(fleet)
         fleet.gauge(
             "runner_shards",
             "Worker threads in the fleet",
@@ -1622,67 +1374,11 @@ class ShardedEngineRunner:
             "Sliding-window dispatch rate (events/second)",
             fn=lambda: self.metrics.recent_throughput,
         )
-        fleet.gauge(
-            "runner_queue_capacity",
-            "Combined ingest-queue capacity across all shards",
-            fn=lambda: float(self.max_queue * len(self._workers)),
-        )
-        fleet.gauge(
-            "runner_queue_high_water",
-            "Deepest any shard's ingest queue has been",
-            fn=lambda: float(
-                max(
-                    (worker.queue_high_water for worker in self._workers),
-                    default=0,
-                )
-            ),
-            agg="max",
-        )
-        fleet.gauge(
-            "runner_ingest_lag_seconds",
-            "Event-time skew between dispatch and processing watermarks",
-            fn=lambda: self.ingest_lag_seconds,
-            agg="max",
-        )
-        fleet.gauge(
-            "pressure",
-            "Composite backpressure score in [0, 1] (smoothed)",
-            fn=lambda: self.pressure().level,
-            agg="max",
-        )
-        if self.shed_controller.policy != "off":
-            fleet.counter(
-                "shed_events_total",
-                "Events dropped/elided by the load-shedding controller",
-                fn=lambda: self.shed_stats().shed_events_total,
-            )
-            fleet.counter(
-                "shed_safe_total",
-                "Sheds provably unable to change output (inert or certified)",
-                fn=lambda: self.shed_stats().shed_safe_total,
-            )
-            fleet.gauge(
-                "shed_drop_rate",
-                "Current adaptive drop probability (0..1)",
-                fn=lambda: self.shed_controller.drop_rate,
-                agg="max",
-            )
-            fleet.gauge(
-                "shed_recall_estimate",
-                "Measured lower-bound recall of the shedded stream",
-                fn=lambda: self.shed_stats().recall_estimate,
-            )
-            fleet.gauge(
-                "shed_engaged",
-                "1 while the shedding controller is engaged",
-                fn=lambda: 1.0 if self.shed_controller.engaged else 0.0,
-                agg="max",
-            )
         for index, worker in enumerate(self._workers):
             fleet.counter(
                 "shard_events_processed_total",
                 "Events drained by each shard's consumer thread",
-                fn=lambda worker=worker: worker.events_processed,
+                fn=lambda worker=worker: worker.loop.events_processed,
                 shard=str(index),
             )
         register_lock_metrics(fleet, self._lock)

@@ -16,8 +16,7 @@ The first-class wiring surface is the **subscription API**::
 ``subscribe`` accepts a plain callback *or* a full sink object (anything
 with ``accept``); the returned :class:`Subscription` is itself a sink that
 filters by emission kind, counts deliveries, and forwards the lifecycle
-calls to the wrapped sink.  The older ``add_sink`` remains as a deprecated
-shim over ``subscribe``.
+calls to the wrapped sink.
 
 All built-in sinks share :class:`BaseSink`: subclasses implement
 ``_deliver`` and get the ``emissions_accepted`` counter and the default
@@ -178,6 +177,62 @@ class Subscription(BaseSink):
         if callable(remove):
             remove(self)
         return True
+
+
+class SinkOwner:
+    """The subscription API of a query handle, over its ``sinks`` list.
+
+    Shared by :class:`~repro.runtime.query.RegisteredQuery` (sinks fed
+    as the engine emits) and :class:`~repro.runtime.sharded.ShardedQuery`
+    (sinks fed the merged stream, at merge release points).
+    """
+
+    sinks: list
+
+    def subscribe(
+        self,
+        target: SinkLike,
+        kinds: EmissionKind | str | Iterable[EmissionKind | str] | None = None,
+    ) -> Subscription:
+        """Attach a subscriber; returns a cancellable handle.
+
+        ``target`` is a callback ``(Emission) -> None`` or a sink object
+        (anything with ``accept``).  ``kinds`` optionally restricts
+        delivery to the given :class:`~repro.ranking.emission.EmissionKind`
+        values (enum members or their string values).  Cancel the returned
+        :class:`Subscription` to detach.
+        """
+        subscription = Subscription(self, target, kinds=kinds)
+        self.sinks.append(subscription)
+        return subscription
+
+    def remove_sink(self, sink: ResultSink) -> bool:
+        """Detach a sink (or subscription); returns whether it was attached.
+
+        Accepts the attached :class:`Subscription` itself — or the target
+        that a :meth:`subscribe` call wrapped, in which case its
+        subscription is cancelled.
+        """
+        try:
+            self.sinks.remove(sink)
+        except ValueError:
+            for attached in self.sinks:
+                if isinstance(attached, Subscription) and attached.target is sink:
+                    return attached.cancel()
+            return False
+        if isinstance(sink, Subscription):
+            sink.active = False
+        return True
+
+    def flush_sinks(self) -> None:
+        """Propagate the optional ``flush`` lifecycle call to every sink."""
+        for sink in self.sinks:
+            flush_sink(sink)
+
+    def close_sinks(self) -> None:
+        """Propagate the optional ``close`` lifecycle call to every sink."""
+        for sink in self.sinks:
+            close_sink(sink)
 
 
 class CollectorSink(BaseSink):

@@ -17,10 +17,11 @@ MetricsRegistry`):
 
 Everything is **zero-cost when disabled**: instrumentation is attached
 only when ``CEPR_SANITIZE`` (or ``--sanitize``) is set, as instance-level
-wrappers and tracked locks that plain runs never construct.
+wrappers and tracked locks that plain runs never construct.  The
+watchdog is imported from :mod:`repro.sanitize.aio` directly (by the
+serving layer) so that the runtime never loads ``asyncio``.
 """
 
-from repro.sanitize.aio import LoopStallWatchdog
 from repro.sanitize.core import (
     ENV_VAR,
     Sanitizer,
@@ -47,7 +48,6 @@ __all__ = [
     "ENV_VAR",
     "InvariantChecker",
     "LockOrderGraph",
-    "LoopStallWatchdog",
     "Sanitizer",
     "SanitizerError",
     "ThreadAffinity",

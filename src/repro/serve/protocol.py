@@ -8,7 +8,7 @@ requests with asynchronously delivered ``emission`` frames.
 
 The full frame tables (ops, reply shapes, failure semantics) live in
 ``docs/SERVING.md``; this module is the single source of truth for the
-constants and the codec.
+constants (the codec itself is :mod:`repro.events.frames`).
 
 Trace context propagation (all additive, so the version stays 1):
 ``hello`` and ``push``/``push_batch`` frames may carry an optional
@@ -47,24 +47,29 @@ the server answers with a typed error frame and keeps reading.
 from __future__ import annotations
 
 import asyncio
-import json
 import socket
-import struct
 from typing import Any
+
+# The frame codec itself lives below the serving layer (the worker-process
+# pipes speak it too); re-exported here as part of the wire protocol.
+from repro.events.frames import (  # noqa: F401 - re-exports
+    DEFAULT_MAX_FRAME_BYTES,
+    E_FRAME_TOO_LARGE,
+    E_MALFORMED,
+    HEADER_BYTES,
+    ConnectionClosed,
+    FrameError,
+    decode_payload,
+    encode_frame,
+    frame_length,
+    read_frame_from,
+)
 
 #: Protocol version spoken by this build; HELLO must carry it verbatim.
 PROTOCOL_VERSION = 1
 
-#: Default cap on a single frame's JSON payload (bytes).
-DEFAULT_MAX_FRAME_BYTES = 4 * 1024 * 1024
+# -- error codes (CEPR500/501 come from the codec) ---------------------------
 
-_HEADER = struct.Struct(">I")
-HEADER_BYTES = _HEADER.size
-
-# -- error codes -------------------------------------------------------------
-
-E_MALFORMED = "CEPR500"
-E_FRAME_TOO_LARGE = "CEPR501"
 E_UNKNOWN_OP = "CEPR502"
 E_BAD_HELLO = "CEPR503"
 E_UNKNOWN_QUERY = "CEPR504"
@@ -94,59 +99,6 @@ REQUEST_OPS = frozenset(
         "bye",
     }
 )
-
-
-class FrameError(Exception):
-    """A frame that violates the protocol; ``code`` is a ``CEPR5xx``.
-
-    ``fatal`` marks violations after which the byte stream cannot be
-    trusted (oversized frames) — the connection must close.
-    """
-
-    def __init__(self, code: str, message: str, fatal: bool = False) -> None:
-        super().__init__(message)
-        self.code = code
-        self.fatal = fatal
-
-
-class ConnectionClosed(Exception):
-    """The peer closed the connection (possibly mid-frame)."""
-
-
-# -- encoding ----------------------------------------------------------------
-
-
-def encode_frame(
-    doc: dict[str, Any], max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-) -> bytes:
-    """Serialise one frame: length prefix + compact JSON payload."""
-    payload = json.dumps(
-        doc, separators=(",", ":"), ensure_ascii=False, allow_nan=False
-    ).encode("utf-8")
-    if len(payload) > max_frame_bytes:
-        raise FrameError(
-            E_FRAME_TOO_LARGE,
-            f"frame of {len(payload)} bytes exceeds the "
-            f"{max_frame_bytes}-byte limit",
-            fatal=True,
-        )
-    return _HEADER.pack(len(payload)) + payload
-
-
-def decode_payload(payload: bytes) -> dict[str, Any]:
-    """Parse and validate one frame payload (must be an object with op)."""
-    try:
-        doc = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameError(E_MALFORMED, f"frame is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FrameError(
-            E_MALFORMED, f"frame must be a JSON object, got {type(doc).__name__}"
-        )
-    op = doc.get("op")
-    if not isinstance(op, str) or not op:
-        raise FrameError(E_MALFORMED, "frame is missing its 'op' string")
-    return doc
 
 
 def error_frame(
@@ -188,14 +140,7 @@ async def read_frame(
         header = await reader.readexactly(HEADER_BYTES)
     except (asyncio.IncompleteReadError, ConnectionResetError) as exc:
         raise ConnectionClosed("peer closed the connection") from exc
-    (length,) = _HEADER.unpack(header)
-    if length > max_frame_bytes:
-        raise FrameError(
-            E_FRAME_TOO_LARGE,
-            f"declared frame length {length} exceeds the "
-            f"{max_frame_bytes}-byte limit",
-            fatal=True,
-        )
+    length = frame_length(header, max_frame_bytes)
     try:
         payload = await asyncio.wait_for(
             reader.readexactly(length), timeout=payload_timeout
@@ -214,28 +159,8 @@ async def read_frame(
 # -- blocking reading (client side) ------------------------------------------
 
 
-def _recv_exactly(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionClosed("server closed the connection")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 def read_frame_blocking(
     sock: socket.socket, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
 ) -> dict[str, Any]:
     """Read one frame from a blocking socket (client side)."""
-    (length,) = _HEADER.unpack(_recv_exactly(sock, HEADER_BYTES))
-    if length > max_frame_bytes:
-        raise FrameError(
-            E_FRAME_TOO_LARGE,
-            f"declared frame length {length} exceeds the "
-            f"{max_frame_bytes}-byte limit",
-            fatal=True,
-        )
-    return decode_payload(_recv_exactly(sock, length))
+    return read_frame_from(sock.recv, max_frame_bytes)

@@ -5,13 +5,14 @@ Threading model — three layers, one direction of blocking each:
 * **Event loop** (this module): frame parsing, connection state, fan-out
   queues.  Never calls the engine directly; every blocking runtime call
   goes through ``asyncio.to_thread``.
-* **Runner threads**: a :class:`~repro.runtime.concurrent.ThreadedEngineRunner`,
-  :class:`~repro.runtime.sharded.ShardedEngineRunner`, or
-  :class:`~repro.runtime.process.ProcessShardedRunner` (chosen by
-  ``runner_backend``, built via :func:`~repro.runtime.runner.create_runner`)
-  consumes submitted events and delivers emissions to the per-query
-  :class:`~repro.serve.subscriptions.QueryFeed` subscriptions, which
-  trampoline back onto the loop.
+* **Runner threads**: a :class:`~repro.runtime.concurrent.ThreadedEngineRunner`
+  or a :class:`~repro.runtime.sharded.ShardedEngineRunner` over thread or
+  process shards (chosen by ``runner_backend``, built via
+  :func:`~repro.runtime.runner.create_runner`, driven only through the
+  :class:`~repro.runtime.runner.Runner` protocol and the telemetry both
+  classes share) consumes submitted events and delivers emissions to the
+  per-query :class:`~repro.serve.subscriptions.QueryFeed` subscriptions,
+  which trampoline back onto the loop.
 * **Client connections**: each has a bounded outbound queue and a writer
   task.  Emission frames are offered without blocking (slow-consumer
   policy: drop-and-count or disconnect); acks/errors await queue space,
@@ -267,7 +268,7 @@ class CEPRServer:
         if runner_backend == "process" and shed_policy != "off":
             raise ValueError(
                 "load shedding is not supported on the process backend "
-                "(worker engine state is only mirrored at barriers)"
+                "(worker engine state is only reported at barriers)"
             )
         if shed_policy not in ("off", "exact", "adaptive"):
             raise ValueError(
@@ -457,9 +458,6 @@ class CEPRServer:
                 tracing=tracing,
             ),
         )
-        assert isinstance(
-            runner, (ThreadedEngineRunner, ShardedEngineRunner)
-        )
         self._runner = runner
         for name in self.queries:
             feed = QueryFeed(name, self._loop, self.stats)
@@ -503,9 +501,9 @@ class CEPRServer:
         )
 
     async def _poll_loop(self) -> None:
-        """Sharded mode: release mergeable emissions on a cadence."""
-        assert isinstance(self._runner, ShardedEngineRunner)
+        """Fleet backends: release mergeable emissions on a cadence."""
         runner = self._runner
+        assert runner is not None
         while not self._draining:
             await asyncio.sleep(self.poll_interval)
             if self._draining:
@@ -576,9 +574,6 @@ class CEPRServer:
         from repro.store.checkpoint import Position
 
         assert self._store is not None and self._runner is not None
-        if isinstance(self._runner, ThreadedEngineRunner):
-            with contextlib.suppress(RuntimeError):
-                self._runner.sync()
         state = self._runner.snapshot()
         last_seq = int(state["sequencer"]["next_seq"]) - 1
         self._store.save(
@@ -828,10 +823,7 @@ class CEPRServer:
         """Read-your-writes barrier; also releases mergeable sharded output."""
         self._require_live()
         assert self._runner is not None
-        if isinstance(self._runner, ShardedEngineRunner):
-            await asyncio.to_thread(self._runner.poll)
-        else:
-            await asyncio.to_thread(self._runner.sync)
+        await asyncio.to_thread(self._runner.poll)
         # Emission dispatches scheduled before the barrier's completion
         # callback have already run, so this ack trails them in order.
         await connection.send(
@@ -857,7 +849,7 @@ class CEPRServer:
         if name is not None and not isinstance(name, str):
             raise FrameError(E_INVALID_ARGUMENT, "'name' must be a string")
         runner = self._runner
-        assert isinstance(runner, ThreadedEngineRunner)
+        assert runner is not None
         try:
             handle = await asyncio.to_thread(
                 runner.register_query, text, name
@@ -890,9 +882,8 @@ class CEPRServer:
         feed = self._feeds.pop(name)
         feed.notify_unsubscribed("unregistered")
         feed.subscription = None  # engine close_sinks owns it now
-        runner = self._runner
-        assert isinstance(runner, ThreadedEngineRunner)
-        await asyncio.to_thread(runner.unregister_query, name)
+        assert self._runner is not None
+        await asyncio.to_thread(self._runner.unregister_query, name)
         await connection.send(ack_frame(frame, query=name))
         return False
 
@@ -1004,10 +995,10 @@ class CEPRServer:
     def _trace_blocking(self, name: str, index: int) -> dict[str, Any]:
         """Build one emission's provenance document (runner thread)."""
         runner = self._runner
-        assert isinstance(runner, ThreadedEngineRunner)
+        assert runner is not None
         with contextlib.suppress(RuntimeError):
             runner.sync()
-        engine = runner.engine
+        engine = runner.engine  # threaded backend only (gated in _op_trace)
         registered = engine.query(name)
         collector = registered.collector
         emissions = collector.emissions if collector is not None else []

@@ -205,7 +205,7 @@ class TestEndToEndShardSplit:
             runner.stop()
 
         merged = CostAccount.merge(
-            [h.cost_account() for h in view.handles]
+            [CostAccount.from_report(h) for h in view.handles]
         )
         assert merged.parts == shards
         assert merged.query == single.query

@@ -1,8 +1,8 @@
 """Process-fleet differential and fault-injection tests.
 
-:class:`~repro.runtime.process.ProcessShardedRunner` swaps the sharded
-runner's execution substrate (threads → worker processes over pipe
-frames) while keeping the dispatch/merge layer.  The contract is the
+:class:`~repro.runtime.process.PipeShard` swaps the sharded runner's
+execution substrate (threads → worker processes over pipe frames) while
+keeping the dispatch/merge layer.  The contract is the
 same exactness bar the thread fleet meets: merged output byte-identical
 to a single embedded engine — including after a worker process is
 SIGKILLed mid-stream and the fleet is restored from a checkpoint.
@@ -11,6 +11,7 @@ SIGKILLed mid-stream and the fleet is restored from a checkpoint.
 import json
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -146,6 +147,30 @@ class TestPlacement:
                 for _ in range(50):
                     os.kill(pid, 0)
                     time.sleep(0.02)
+
+
+    def test_stop_reaps_every_worker_even_when_a_shard_thread_is_wedged(self):
+        """Regression: ``stop()`` used to raise its TimeoutError from inside
+        the join loop, before any worker was closed and after ``_stopped``
+        had latched — so the processes were never reaped."""
+        runner = create_runner(TUMBLING, backend="process", shards=2)
+        runner.start()
+        pids = runner.worker_pids()
+        runner.submit_all(make_events(200))
+        runner.flush()
+        gate = threading.Event()
+        runner._workers[0].loop.begin(gate.wait)  # wedge one owner thread
+        try:
+            with pytest.raises(TimeoutError, match="did not drain"):
+                runner.stop(timeout=0.2)
+            for pid in pids:
+                with pytest.raises(ProcessLookupError):
+                    for _ in range(50):
+                        os.kill(pid, 0)
+                        time.sleep(0.02)
+        finally:
+            gate.set()
+        runner.stop()  # idempotent afterwards
 
 
 class TestCrashRecovery:

@@ -1,21 +1,23 @@
-"""Unified Runner API: factory, config, protocol, deprecation shims.
+"""Unified Runner API: factory, config, protocol, plain construction.
 
-``create_runner(program, config)`` is the one supported construction
-path for all four execution backends.  These tests pin the factory's
+``create_runner(program, config)`` is the construction path where
+backend choice is a config value.  These tests pin the factory's
 contract: program forms, override semantics, early backend/feature
-validation, protocol conformance by ``isinstance``, and the
-deprecation shims on the legacy constructors (which must stay silent
-when the factory itself builds them).
+validation, protocol conformance by ``isinstance``, and that building
+a runner class directly is plain construction (no warnings, same
+object the factory builds).
 """
 
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.language.parser import parse_query
 from repro.runtime import (
     EmbeddedRunner,
-    ProcessShardedRunner,
     Runner,
     RunnerConfig,
     ShardedEngineRunner,
@@ -23,6 +25,8 @@ from repro.runtime import (
     create_runner,
 )
 from repro.runtime.engine import CEPREngine
+from repro.runtime.process import PipeShard
+from repro.runtime.shard import LocalShard
 
 PROFITS = """
     NAME profits
@@ -48,7 +52,7 @@ BACKEND_TYPES = {
     "embedded": EmbeddedRunner,
     "threaded": ThreadedEngineRunner,
     "sharded": ShardedEngineRunner,
-    "process": ProcessShardedRunner,
+    "process": ShardedEngineRunner,
 }
 
 
@@ -61,6 +65,10 @@ class TestFactory:
     def test_each_backend_builds_its_class(self, backend):
         runner = create_runner(PROFITS, RunnerConfig(backend=backend))
         assert type(runner) is BACKEND_TYPES[backend]
+
+    def test_process_backend_is_the_sharded_runner_over_pipe_shards(self):
+        assert create_runner(PROFITS, backend="sharded").shard_type is LocalShard
+        assert create_runner(PROFITS, backend="process").shard_type is PipeShard
 
     @pytest.mark.parametrize("backend", sorted(BACKEND_TYPES))
     def test_every_backend_satisfies_the_protocol(self, backend):
@@ -143,18 +151,22 @@ class TestValidation:
             create_runner(PROFITS, backend="process", shed_policy="rank")
 
 
-class TestDeprecationShims:
-    def test_direct_threaded_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="ThreadedEngineRunner"):
-            ThreadedEngineRunner(CEPREngine())
+class TestDirectConstruction:
+    """Direct construction is plain construction: no deprecation plumbing."""
 
-    def test_direct_sharded_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="ShardedEngineRunner"):
-            ShardedEngineRunner(shards=2)
-
-    def test_direct_process_construction_warns_with_its_own_name(self):
-        with pytest.warns(DeprecationWarning, match="ProcessShardedRunner"):
-            ProcessShardedRunner(shards=2)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ThreadedEngineRunner(CEPREngine()),
+            lambda: ShardedEngineRunner(shards=2),
+            lambda: ShardedEngineRunner(shards=2, shard_type=PipeShard),
+        ],
+    )
+    def test_direct_construction_is_silent_and_a_runner(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runner = build()
+        assert isinstance(runner, Runner)
 
     @pytest.mark.parametrize("backend", sorted(BACKEND_TYPES))
     def test_factory_construction_is_silent(self, backend):
@@ -162,6 +174,62 @@ class TestDeprecationShims:
             warnings.simplefilter("error", DeprecationWarning)
             create_runner(PROFITS, RunnerConfig(backend=backend))
 
-    def test_warning_names_the_factory(self):
-        with pytest.warns(DeprecationWarning, match="create_runner"):
-            ShardedEngineRunner(shards=2)
+    def test_direct_pipe_fleet_rejects_shedding_like_the_factory(self):
+        with pytest.raises(ValueError, match="load shedding"):
+            ShardedEngineRunner(shards=2, shard_type=PipeShard, shed_policy="exact")
+
+
+class TestImportFootprint:
+    def test_runtime_imports_neither_asyncio_nor_the_server(self):
+        """The runtime (and every worker process, which imports the same
+        modules) sits below the serving layer: the frame codec it shares
+        with the server lives in ``repro.events.frames``."""
+        probe = (
+            "import sys\n"
+            "import repro.runtime, repro.runtime.process_worker\n"
+            "loaded = [m for m in ('asyncio', 'repro.serve.server', "
+            "'repro.serve') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            check=True,
+            env={"PYTHONPATH": str(src), "PATH": ""},
+        )
+
+
+class TestFleetCheckpointLayout:
+    """The on-disk contract of a fleet checkpoint: key names are frozen
+    (a checkpoint written before the shard interface existed restores)."""
+
+    @pytest.mark.parametrize("backend", ["sharded", "process"])
+    def test_snapshot_keys(self, backend):
+        runner = create_runner({"profits": PROFITS, "drops": DROPS}, backend=backend, shards=2)
+        with runner:
+            state = runner.snapshot()
+        assert set(state) == {
+            "shards",
+            "sequencer",
+            "lateness",
+            "events_submitted",
+            "events_pushed",
+            "engines",
+            "views",
+        }
+        assert len(state["engines"]) == len(runner.worker_pids())
+        assert all("queries" in engine for engine in state["engines"])
+        assert set(state["views"]) == {"profits", "drops"}
+        for view in state["views"].values():
+            assert set(view) == {
+                "mode",
+                "revision",
+                "detections",
+                "last_routed_seq",
+                "last_routed_ts",
+                "last_ts",
+                "runner_epoch",
+                "advances",
+                "pending_epochs",
+                "shard_tails",
+            }

@@ -9,7 +9,6 @@ from repro.runtime.sharded import ShardedEngineRunner
 from repro.runtime.sinks import (
     BaseSink,
     CallbackSink,
-    CollectorSink,
     JSONLSink,
     Subscription,
     normalize_kinds,
@@ -121,15 +120,6 @@ class TestSubscribe:
         engine = CEPREngine()
         with pytest.raises(KeyError):
             engine.subscribe("ghost", lambda e: None)
-
-    def test_add_sink_shim_warns_but_delivers(self):
-        engine = CEPREngine()
-        handle = engine.register_query(EVERY, collect_results=False)
-        sink = CollectorSink()
-        with pytest.deprecated_call():
-            handle.add_sink(sink)
-        engine.push(E("A", 1.0, x=1))
-        assert sink.emissions
 
 
 class TestSinkLifecycle:
@@ -268,28 +258,3 @@ class TestRunnerSubscriptions:
         finally:
             runner.stop()
         assert seen
-
-
-class TestRunnerFailureContainment:
-    def test_barrier_ops_do_not_wedge_after_consumer_death(self):
-        """Regression: ops queued after the terminal drain must not hang."""
-        engine = CEPREngine()
-        engine.register_query(
-            # RANK BY references an attribute the events won't carry, so
-            # scoring raises and kills the consumer thread mid-batch.
-            "PATTERN SEQ(A a) WITHIN 5 EVENTS RANK BY a.missing DESC LIMIT 1",
-            collect_results=False,
-        )
-        runner = ThreadedEngineRunner(engine).start()
-        with pytest.raises(RuntimeError):
-            for i in range(50):
-                runner.submit(E("A", float(i)))
-            runner.sync(timeout=10.0)
-        # Every later barrier must fail fast instead of blocking forever.
-        with pytest.raises(RuntimeError):
-            runner.sync(timeout=10.0)
-        with pytest.raises(RuntimeError):
-            runner.advance_time(99.0, timeout=10.0)
-        with pytest.raises(RuntimeError):
-            with runner.pause():
-                pass
