@@ -132,17 +132,10 @@ def run_cepr(
     events: list[Event],
     registry: SchemaRegistry | None = None,
     enable_pruning: bool = True,
-    compiled: bool = True,
 ) -> RunResult:
-    """Run one CEPR query over a copy of ``events`` and collect stats.
-
-    ``compiled=False`` keeps the per-predicate interpreter dispatch in
-    the matcher — the baseline of the E17 compiled-edges ablation.
-    """
+    """Run one CEPR query over a copy of ``events`` and collect stats."""
     stream = fresh_events(events)
-    engine = CEPREngine(
-        registry=registry, enable_pruning=enable_pruning, compiled=compiled
-    )
+    engine = CEPREngine(registry=registry, enable_pruning=enable_pruning)
     handle = engine.register_query(query, collect_results=False)
     started = time.perf_counter()
     engine.run(stream)
@@ -164,18 +157,14 @@ def run_observability(
     events: list[Event],
     registry: SchemaRegistry | None = None,
     tracing: bool = False,
-    enable_profiling: bool = True,
 ) -> RunResult:
-    """Run the full engine facade under a given observability configuration.
+    """Run the full engine facade, optionally with span tracing on.
 
-    ``enable_profiling=False`` is the bare baseline (single whole-pipeline
-    latency measurement); the default config adds per-stage timing; and
+    The default configuration times every event per stage;
     ``tracing=True`` additionally records a span per pipeline step.
     """
     stream = fresh_events(events)
-    engine = CEPREngine(
-        registry=registry, tracing=tracing, enable_profiling=enable_profiling
-    )
+    engine = CEPREngine(registry=registry, tracing=tracing)
     handle = engine.register_query(query, collect_results=False)
     started = time.perf_counter()
     engine.run(stream)
@@ -283,7 +272,6 @@ def run_cepr_sharded(
     enable_pruning: bool = True,
     batch_size: int = 256,
     backend: str = "sharded",
-    compiled: bool = True,
 ) -> RunResult:
     """Run one query through the sharded runtime and collect fleet stats.
 
@@ -301,7 +289,6 @@ def run_cepr_sharded(
             registry=registry,
             enable_pruning=enable_pruning,
             batch_size=batch_size,
-            compiled=compiled,
         )
     )
     view = runner.register_query(query)
@@ -313,16 +300,15 @@ def run_cepr_sharded(
     finally:
         runner.stop()
     elapsed = time.perf_counter() - started
-    stats = view.matcher.stats
-    metrics = view.metrics
+    stats = runner.stats_by_query()[view.name]
     return RunResult(
         seconds=elapsed,
         events=len(stream),
-        matches=metrics.matches,
-        emissions=metrics.emissions,
-        runs_created=stats.runs_created,
-        runs_pruned=stats.runs_pruned,
-        peak_live_runs=stats.peak_live_runs,
+        matches=stats["matches"],
+        emissions=stats["emissions"],
+        runs_created=stats["runs_created"],
+        runs_pruned=stats["runs_pruned"],
+        peak_live_runs=stats["peak_live_runs"],
         extra={
             "shards": shards,
             "final_ranking": [

@@ -327,22 +327,15 @@ def e16() -> None:
 
 
 def e17() -> None:
-    header("E17", "process fleets + compiled hot paths (stock, 10k events)")
+    header("E17", "process fleets (stock, 10k events)")
     from test_e17_process import PROCESS_SWEEP, QUERY
 
     from common import run_cepr_sharded
 
     events, registry = stock_stream(10_000)
-    interpreted = run_cepr(QUERY, events, registry, compiled=False)
     baseline = run_cepr(QUERY, events, registry)
     threaded = run_cepr_sharded(QUERY, events, 4, registry)
     row("configuration", "events/s", "matches", "emissions")
-    row(
-        "interpreted",
-        fmt(interpreted.events_per_second, 0),
-        interpreted.matches,
-        interpreted.emissions,
-    )
     row(
         "single engine",
         fmt(baseline.events_per_second, 0),

@@ -59,7 +59,7 @@ def run_with_policy(
     """Drive one burst through a runner configured with ``policy``."""
     stream = fresh_events(events)
     queue_capacity = max(64, len(stream) // factor)
-    engine = CEPREngine(registry=registry, enable_profiling=False)
+    engine = CEPREngine(registry=registry)
     handle = engine.register_query(QUERY, collect_results=collect)
     controller = None
     if policy != "off":

@@ -1,23 +1,14 @@
-"""E17 — Process-parallel fleets and compiled hot paths.
+"""E17 — Process-parallel fleets.
 
-Two measurements, one experiment:
-
-1. **Process sweep.** The same partitioned stock workload through
-   ``backend="process"`` at K ∈ {1, 2, 4} worker processes, against the
-   single-engine baseline and the K=4 *threaded* fleet.  Worker
-   processes own their interpreter (and GIL), so on a host with ≥ 4
-   cores the K=4 process fleet must clear **2.5×** the threaded fleet's
-   throughput.  On smaller hosts the sweep records the pipe-transport
-   overhead curve instead — the same host-capability discipline E12
-   uses — while the exactness assertions (identical matches, emissions,
-   run counts, final ranking at every K) hold unconditionally.
-
-2. **Compiled-edges ablation.** The single-core uplift of the fused
-   predicate/transition/score-bound closures (``compiled=True``, the
-   default everywhere) over per-predicate interpreter dispatch
-   (``compiled=False``).  Output is asserted identical; the gate only
-   requires compilation never be a pathological loss, the printed
-   uplift is the measured number EXPERIMENTS.md records.
+The same partitioned stock workload through ``backend="process"`` at
+K ∈ {1, 2, 4} worker processes, against the single-engine baseline and
+the K=4 *threaded* fleet.  Worker processes own their interpreter (and
+GIL), so on a host with ≥ 4 cores the K=4 process fleet must clear
+**2.5×** the threaded fleet's throughput.  On smaller hosts the sweep
+records the pipe-transport overhead curve instead — the same
+host-capability discipline E12 uses — while the exactness assertions
+(identical matches, emissions, run counts, final ranking at every K) hold
+unconditionally.
 """
 
 import os
@@ -81,23 +72,6 @@ def test_e17_process_sweep(stock_10k):
         assert rows[4].events_per_second > baseline.events_per_second / 20
 
 
-def test_e17_compiled_edges_uplift(stock_10k):
-    """Compiled closures vs interpreter dispatch, one engine, one core."""
-    events, registry = stock_10k
-    interpreted = run_cepr(QUERY, events, registry, compiled=False)
-    compiled = run_cepr(QUERY, events, registry, compiled=True)
-    _assert_identical(compiled, interpreted)
-
-    uplift = compiled.events_per_second / interpreted.events_per_second
-    print("\nE17 compiled-edges ablation (stock, 10k events):")
-    print(f"  interpreted: {interpreted.events_per_second:10.0f} ev/s")
-    print(f"  compiled:    {compiled.events_per_second:10.0f} ev/s")
-    print(f"  single-core uplift: {uplift:.2f}x")
-    # Identical output is asserted above; the perf gate only demands the
-    # compiled path never loses measurably to the interpreter.
-    assert uplift > 0.9
-
-
 def test_e17_process_byte_identical_under_batching(stock_10k):
     """Frame batching is a transport knob, never a semantics knob."""
     events, registry = stock_10k
@@ -120,12 +94,3 @@ def test_e17_4_processes(benchmark, stock_10k):
     )
     assert result.matches > 0
 
-
-def test_e17_compiled_single_engine(benchmark, stock_10k):
-    events, registry = stock_10k
-    result = benchmark.pedantic(
-        lambda: run_cepr(QUERY, events, registry, compiled=True),
-        rounds=3,
-        iterations=1,
-    )
-    assert result.matches > 0

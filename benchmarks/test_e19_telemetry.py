@@ -11,8 +11,8 @@ The second-generation telemetry layer makes three claims about cost:
 * **An armed flight recorder is cheap enough to leave on.** One compact
   ``json.dumps`` per emission plus a periodic engine snapshot.
 
-Two gates, both against the same bare pipeline (profiling off, recorder
-unarmed), measured with E13's interleaved min-of-N retry scheme:
+Two gates, both against the same bare pipeline (recorder unarmed, nothing
+polled), measured with an interleaved min-of-N retry scheme:
 
 * **disabled** — telemetry *surfaced but disarmed*: cost accounts and a
   pressure sample polled every 1000 events, recorder not installed.
@@ -53,9 +53,9 @@ def _disarm_recorder():
 
 
 def run_bare(events, registry):
-    """The baseline: profiling off, no recorder, nothing polled."""
+    """The baseline: no recorder, nothing polled."""
     stream = fresh_events(events)
-    engine = CEPREngine(registry=registry, enable_profiling=False)
+    engine = CEPREngine(registry=registry)
     handle = engine.register_query(QUERY, collect_results=False)
     started = time.perf_counter()
     engine.run(stream)
@@ -70,7 +70,7 @@ def run_polled(events, registry, armed=False, byte_budget=256 * 1024):
     if armed:
         install_flight_recorder(byte_budget=byte_budget)
     try:
-        engine = CEPREngine(registry=registry, enable_profiling=False)
+        engine = CEPREngine(registry=registry)
         handle = engine.register_query(QUERY, collect_results=False)
         assessor = PressureAssessor()
         started = time.perf_counter()
@@ -112,7 +112,13 @@ def test_e19_telemetry_enabled(benchmark, stock_10k):
 
 
 def _gate(events, registry, budget, **config):
-    """Interleaved min-of-N with retries (see E13 for the rationale)."""
+    """Interleaved min-of-N with retries.
+
+    Wall-clock noise on shared CI runners dwarfs a few-percent signal for
+    any single pair of runs, so each attempt takes the *minimum* of three
+    interleaved runs per configuration (the least-disturbed execution)
+    and the gate passes on the best attempt.
+    """
     best_ratio = float("inf")
     for _attempt in range(4):
         bare_runs, telemetry_runs = [], []

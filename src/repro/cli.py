@@ -812,13 +812,14 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
         close_sink(sink)
         raise
     engine.close()  # flush + sink flush/close through the engine
+    return _finish_run(engine, sink, store, args, out)
 
+
+def _finish_run(source, sink, store, args: argparse.Namespace, out: TextIO) -> int:
+    """`--stats` block and the empty-run notice, for an engine or a runner."""
     if args.stats:
-        _print_stats(engine.stats_by_query(), out, engine.shared_stats())
-        _print_sanitizer_stats(
-            None if engine.sanitizer is None else dict(engine.sanitizer.trips),
-            out,
-        )
+        _print_stats(source.stats_by_query(), out, source.shared_stats())
+        _print_sanitizer_stats(source.sanitizer_trips(), out)
         _print_checkpoint_stats(store, out)
     if sink.emissions_accepted == 0 and args.output == "text" and args.out is None:
         print("(no results)", file=out)
@@ -874,14 +875,7 @@ def _cmd_run_sharded(
     finally:
         runner.stop()  # no-op after kill()
         close_sink(sink)
-
-    if args.stats:
-        _print_stats(runner.stats_by_query(), out, runner.shared_stats())
-        _print_sanitizer_stats(runner.sanitizer_trips(), out)
-        _print_checkpoint_stats(store, out)
-    if sink.emissions_accepted == 0 and args.output == "text" and args.out is None:
-        print("(no results)", file=out)
-    return 0
+    return _finish_run(runner, sink, store, args, out)
 
 
 def _cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
@@ -1012,85 +1006,44 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
         raise ValueError("stats requires at least one query file")
     if args.shards < 1:
         raise ValueError(f"--shards must be >= 1, got {args.shards}")
-    if args.shards > 1:
-        registry = _stats_sharded(args, out)
-    else:
-        registry = _stats_single(args, out)
-    _export_registry(registry, args, out)
+    registry = _stats_replay(args, out)
+    _export_metrics(registry.to_prometheus(), registry.to_json(), args, out)
     return 0
 
 
 def _stats_remote(args: argparse.Namespace, out: TextIO) -> int:
-    import json
-
     from repro.serve.client import CEPRClient
 
     host, port = _parse_connect(args.connect)
     with CEPRClient(host=host, port=port) as client:
         doc = client.stats()
-    if args.prom:
-        out.write(doc["prom"])
-        return 0
-    if args.json:
-        print(json.dumps(doc["metrics"], indent=2), file=out)
-        return 0
-    metrics = doc["metrics"]
-    print(f"-- metrics ({metrics['namespace']}) --", file=out)
-    for sample in metrics["metrics"]:
-        labels = ",".join(
-            f"{key}={value}"
-            for key, value in sorted(sample.get("labels", {}).items())
-        )
-        series = f"{sample['name']}{{{labels}}}" if labels else sample["name"]
-        if sample["kind"] == "histogram":
-            quantiles = " ".join(
-                f"p{float(quantile) * 100:g}={value:g}"
-                for quantile, value in sorted(
-                    sample.get("quantiles", {}).items(),
-                    key=lambda kv: float(kv[0]),
-                )
-            )
-            detail = f"count={sample['count']} sum={sample['value']:g}"
-            print(f"  {series} {detail} {quantiles}".rstrip(), file=out)
-        else:
-            print(f"  {series} {sample['value']:g}", file=out)
+    _export_metrics(doc["prom"], doc["metrics"], args, out)
     return 0
 
 
-def _stats_single(args: argparse.Namespace, out: TextIO):
-    from repro.runtime.runner import RunnerConfig, create_runner
-
-    # Watch mode wants the threaded runner (the monitor header shows
-    # queue pressure alongside throughput); plain replay stays embedded.
-    backend = "threaded" if args.watch else "embedded"
-    runner = create_runner(config=RunnerConfig(backend=backend))
-    for path in args.query_files:
-        handle = runner.register_query(path.read_text(), name=path.stem)
-        _report_diagnostics(str(path), handle.diagnostics)
-    if args.watch:
-        runner.start()
-        try:
-            _watch_replay(runner, runner.submit, _load_events(args.events),
-                          args.refresh, out)
-        finally:
-            runner.stop()
-        _render_monitor_frame(runner, out)
-        return runner.metrics_registry()
-    runner.submit_all(_load_events(args.events))
-    runner.flush()
-    return runner.metrics_registry()
-
-
-def _stats_sharded(args: argparse.Namespace, out: TextIO):
+def _replay_runner(args: argparse.Namespace, backend: str):
+    """A runner over ``args.query_files`` (diagnostics reported), unstarted."""
     from repro.language.analysis import run_analysis
     from repro.runtime.runner import RunnerConfig, create_runner
 
     runner = create_runner(
-        config=RunnerConfig(backend="sharded", shards=args.shards)
+        config=RunnerConfig(backend=backend, shards=args.shards)
     )
     for path in args.query_files:
-        view = runner.register_query(path.read_text(), name=path.stem)
-        _report_diagnostics(str(path), run_analysis(view.analyzed))
+        handle = runner.register_query(path.read_text(), name=path.stem)
+        _report_diagnostics(str(path), run_analysis(handle.analyzed))
+    return runner
+
+
+def _stats_replay(args: argparse.Namespace, out: TextIO):
+    """Replay the events file; the registry as of the final flush."""
+    # Watch mode wants a queue-backed runner (the monitor header shows
+    # queue pressure alongside throughput); plain replay stays embedded.
+    if args.shards > 1:
+        backend = "sharded"
+    else:
+        backend = "threaded" if args.watch else "embedded"
+    runner = _replay_runner(args, backend)
     runner.start()
     try:
         if args.watch:
@@ -1148,30 +1101,35 @@ def _render_monitor_frame(source, out: TextIO) -> None:
     Monitor(source).run_live(iterations=1, out=out, clear=clear)
 
 
-def _export_registry(registry, args: argparse.Namespace, out: TextIO) -> None:
+def _export_metrics(
+    prom: str, doc: dict, args: argparse.Namespace, out: TextIO
+) -> None:
+    """A registry's export (local or over the wire) in the asked format."""
     import json
 
     if args.prom:
-        out.write(registry.to_prometheus())
+        out.write(prom)
         return
     if args.json:
-        print(json.dumps(registry.to_json(), indent=2), file=out)
+        print(json.dumps(doc, indent=2), file=out)
         return
-    print(f"-- metrics ({registry.namespace}) --", file=out)
-    for sample in registry.collect():
+    print(f"-- metrics ({doc['namespace']}) --", file=out)
+    for sample in doc["metrics"]:
         labels = ",".join(
-            f"{key}={value}" for key, value in sorted(sample.labels.items())
+            f"{key}={value}" for key, value in sorted(sample["labels"].items())
         )
-        series = f"{sample.name}{{{labels}}}" if labels else sample.name
-        if sample.kind == "histogram":
+        series = f"{sample['name']}{{{labels}}}" if labels else sample["name"]
+        if sample["kind"] == "histogram":
             quantiles = " ".join(
-                f"p{quantile * 100:g}={value:g}"
-                for quantile, value in sorted(sample.quantiles.items())
+                f"p{float(quantile) * 100:g}={value:g}"
+                for quantile, value in sorted(
+                    sample["quantiles"].items(), key=lambda kv: float(kv[0])
+                )
             )
-            detail = f"count={sample.count} sum={sample.value:g}"
+            detail = f"count={sample['count']} sum={sample['value']:g}"
             print(f"  {series} {detail} {quantiles}".rstrip(), file=out)
         else:
-            print(f"  {series} {sample.value:g}", file=out)
+            print(f"  {series} {sample['value']:g}", file=out)
 
 
 def _cmd_top(args: argparse.Namespace, out: TextIO) -> int:
@@ -1195,34 +1153,14 @@ def _cmd_top(args: argparse.Namespace, out: TextIO) -> int:
 
     from repro.observability.cost import rank_accounts
 
-    if args.shards > 1:
-        from repro.language.analysis import run_analysis
-        from repro.runtime.runner import RunnerConfig, create_runner
-
-        runner = create_runner(
-            config=RunnerConfig(backend="sharded", shards=args.shards)
-        )
-        for path in args.query_files:
-            view = runner.register_query(path.read_text(), name=path.stem)
-            _report_diagnostics(str(path), run_analysis(view.analyzed))
-        runner.start()
-        try:
-            runner.submit_all(_load_events(args.events))
-            runner.flush()
-        finally:
-            runner.stop()
-        accounts = rank_accounts(runner.cost_accounts().values())
-        pressure = runner.pressure().to_dict()
-    else:
-        engine = CEPREngine()
-        for path in args.query_files:
-            handle = engine.register_query(path.read_text(), name=path.stem)
-            _report_diagnostics(str(path), handle.diagnostics)
-        for event in _load_events(args.events):
-            engine.push(event)
-        engine.flush()
-        accounts = rank_accounts(engine.cost_accounts().values())
-        pressure = None
+    sharded = args.shards > 1
+    runner = _replay_runner(args, "sharded" if sharded else "embedded")
+    with runner:
+        runner.submit_all(_load_events(args.events))
+        runner.flush()
+    accounts = rank_accounts(runner.cost_accounts().values())
+    # A bare engine has no ingest queue, hence no pressure to report.
+    pressure = runner.pressure().to_dict() if sharded else None
 
     docs = [account.to_dict() for account in accounts]
     if args.json:

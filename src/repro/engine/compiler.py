@@ -7,9 +7,7 @@ evaluation, lenient error accounting — is fused into one closure built
 once per matcher.  The matcher then dispatches a single call per edge
 check instead of re-deciding the routing per predicate per event, and the
 :class:`~repro.language.expressions.EvalContext` is materialised at most
-once per edge check instead of once per predicate.  Semantics are
-byte-identical to the interpreted path (the differential suite flips
-``compiled`` and compares emissions and error counters).
+once per edge check instead of once per predicate.
 """
 
 from __future__ import annotations
@@ -161,13 +159,14 @@ def _fuse_guard(
 ) -> GuardCheck:
     """Fuse one edge's anchored-predicate loop into a single closure.
 
-    Mirrors ``PatternMatcher._spec_holds`` per spec, in order: a
-    fingerprinted (self-contained) predicate consulted for the event
-    currently being dispatched is answered from the engine's shared
-    per-event memo; everything else evaluates against one lazily built
-    run context.  Short-circuits on the first failing predicate, and a
-    lenient evaluation error charges ``stats.evaluation_errors`` exactly
-    as the interpreted path does.
+    Per spec, in order: a fingerprinted (self-contained) predicate
+    consulted for the event currently being dispatched is answered from
+    the engine's shared per-event memo — its value cannot depend on the
+    run, so one evaluation serves every run of every query; everything
+    else evaluates against one lazily built run context.  Short-circuits
+    on the first failing predicate; under the lenient policy an
+    evaluation error counts as a failed predicate and charges
+    ``stats.evaluation_errors``.
     """
     if not specs:
         return _always_true

@@ -46,9 +46,6 @@ from repro.engine.runs import Run, new_run
 from repro.engine.windows import EpochTracker
 from repro.events.event import Event
 from repro.language.ast_nodes import SelectionStrategy
-from repro.language.errors import EvaluationError
-from repro.language.expressions import EvalContext, Evaluator, evaluate_predicate
-from repro.language.semantics import NegationSpec, PredicateSpec
 from repro.observability.tracing import SpanKind, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -124,7 +121,6 @@ class PatternMatcher:
         lenient_errors: bool = False,
         track_aggregates: bool = True,
         shared: "SharedExecutionIndex | None" = None,
-        compiled: bool = True,
     ) -> None:
         self.automaton = automaton
         self.prune_hook = prune_hook
@@ -134,7 +130,7 @@ class PatternMatcher:
         #: dispatched are answered from its per-event memo (one evaluation
         #: per distinct predicate per event across all queries).
         self.shared = shared
-        #: When true, a predicate that raises :class:`EvaluationError`
+        #: When true, a predicate that raises ``EvaluationError``
         #: (missing attribute, type mismatch, division by zero on dirty
         #: data) counts as *failed* instead of crashing the engine; see
         #: ``stats.evaluation_errors``.
@@ -178,13 +174,8 @@ class PatternMatcher:
         self._live_runs_cached = 0
         self._pendings_cached = 0
         #: Fused per-edge closures (:func:`~repro.engine.compiler.
-        #: compile_edges`): one call per edge check instead of per-predicate
-        #: interpreter dispatch.  ``compiled=False`` keeps the interpreted
-        #: paths live for differential testing and ablation.
-        self.compiled = compiled
-        self._edges: CompiledEdges | None = (
-            compile_edges(self) if compiled else None
-        )
+        #: compile_edges`): one call per edge check, not one per predicate.
+        self._edges: CompiledEdges = compile_edges(self)
 
     # -- public API ------------------------------------------------------------
 
@@ -490,7 +481,7 @@ class PatternMatcher:
     def _pending_violated(self, pending: _Pending, event: Event) -> bool:
         return any(
             negation.element.event_type == event.event_type
-            and self._negation_predicates_pass(pending.run, negation, event)
+            and self._edges.negation[id(negation)](pending.run, event)
             for negation in self._trailing_negations
         )
 
@@ -511,7 +502,7 @@ class PatternMatcher:
             )
             if before_started:
                 continue
-            if not self._negation_predicates_pass(run, negation, event):
+            if not self._edges.negation[id(negation)](run, event):
                 continue
             # Guard violated.  If the element before the negation is an open
             # Kleene, a later take restarts the guard: trip, don't kill.
@@ -522,51 +513,6 @@ class PatternMatcher:
                 continue
             return None
         return run
-
-    def _negation_predicates_pass(
-        self, run: Run, negation: NegationSpec, event: Event
-    ) -> bool:
-        edges = self._edges
-        if edges is not None:
-            return edges.negation[id(negation)](run, event)
-        variable = negation.element.variable
-        return all(
-            self._spec_holds(predicate, run, variable, event)
-            for predicate in negation.predicates
-        )
-
-    def _spec_holds(
-        self, spec: PredicateSpec, run: Run, variable: str, event: Event
-    ) -> bool:
-        """Evaluate one anchored predicate against a candidate event.
-
-        Fingerprinted (self-contained) predicates consulted for the event
-        currently being dispatched are answered by the engine's shared
-        per-event memo — their value cannot depend on the run, so one
-        evaluation serves every run of every query.  Everything else goes
-        through the classic per-run context evaluation.
-        """
-        shared = self.shared
-        if (
-            shared is not None
-            and spec.fingerprint is not None
-            and shared.current_event is event
-        ):
-            return shared.predicate_holds(spec, self.stats, self.lenient_errors)
-        return self._predicate_holds(
-            spec.evaluator,
-            run.context(current_var=variable, current_event=event),
-        )
-
-    def _predicate_holds(self, evaluator: Evaluator, ctx: EvalContext) -> bool:
-        """Evaluate one predicate, applying the error policy."""
-        if not self.lenient_errors:
-            return evaluate_predicate(evaluator, ctx)
-        try:
-            return evaluate_predicate(evaluator, ctx)
-        except EvaluationError:
-            self.stats.evaluation_errors += 1
-            return False
 
     # -- phase 3: transitions ---------------------------------------------------------
 
@@ -619,7 +565,7 @@ class PatternMatcher:
         first = self.automaton.stages[0]
         if event.event_type != first.event_type:
             return
-        if not self._stage_accepts_new(first, event):
+        if not self._accepts_new_run(event):
             return
         run = new_run(self.automaton, event, key, self._tracked_attrs)
         self.stats.runs_created += 1
@@ -743,15 +689,8 @@ class PatternMatcher:
                 return None
             bound = run.extend_kleene(stage, event)
         else:
-            edges = self._edges
-            if edges is not None:
-                if not edges.bind[stage.index](run, event):
-                    return None
-            else:
-                variable = stage.variable.name
-                for predicate in stage.bind_predicates:
-                    if not self._spec_holds(predicate, run, variable, event):
-                        return None
+            if not self._edges.bind[stage.index](run, event):
+                return None
             bound = run.bind_singleton(stage, event)
         if self.tracer is not None:
             self.tracer.record(
@@ -766,46 +705,16 @@ class PatternMatcher:
         return bound
 
     def _kleene_accepts(self, run: Run, stage: Stage, event: Event) -> bool:
-        edges = self._edges
-        if edges is not None:
-            return edges.kleene[stage.index](run, event)
-        variable = stage.variable.name
-        return all(
-            self._spec_holds(predicate, run, variable, event)
-            for predicate in stage.incremental_predicates
-        )
+        return self._edges.kleene[stage.index](run, event)
 
-    def _stage_accepts_new(self, stage: Stage, event: Event) -> bool:
+    def _accepts_new_run(self, event: Event) -> bool:
         """Stage-0 predicate check against an empty run context."""
-        edges = self._edges
-        if edges is not None and stage.index == 0:
-            return edges.gate0(event)
-        shared = self.shared
-        if shared is not None and shared.current_event is event:
-            return shared.stage_gate(stage, self.stats, self.lenient_errors)
-        variable = stage.variable.name
-        predicates = (
-            stage.incremental_predicates if stage.is_kleene else stage.bind_predicates
-        )
-        return all(
-            self._predicate_holds(
-                predicate.evaluator,
-                EvalContext(bindings={}, current_var=variable, current_event=event),
-            )
-            for predicate in predicates
-        )
+        return self._edges.gate0(event)
 
     def _try_complete(self, run: Run, completed: list[Match]) -> bool:
         """Check completion predicates; emit the match or park it pending."""
-        edges = self._edges
-        if edges is not None:
-            if not edges.completion(run):
-                return False
-        else:
-            ctx = run.context()
-            for predicate in self.automaton.completion_predicates:
-                if not self._predicate_holds(predicate.evaluator, ctx):
-                    return False
+        if not self._edges.completion(run):
+            return False
         match = run.to_match(self._detection_counter, self.query_name)
         self._detection_counter += 1
         self.stats.matches_completed += 1

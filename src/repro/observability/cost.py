@@ -8,34 +8,30 @@ shared-index hit/miss split, and measured CPU time into a single
 comparable record, so ``cepr top`` can rank queries by what they actually
 cost and the future load-shedding controller can pick victims.
 
-Accounts are **views, not state**: :meth:`CostAccount.from_report` reads
-the counters a :class:`~repro.runtime.report.QueryReport` carries (the
-live ones, for a local query), so there is nothing to
-retire on ``unregister_query`` beyond the handles the engine already
-drops — a ghost query cannot linger in an account listing because the
-listing is rebuilt from ``engine.queries()`` on every call.
+Accounts are **views, not state**:
+:func:`~repro.observability.instruments.cost_accounts` builds them from a
+metrics registry on every call, so there is nothing to retire on
+``unregister_query`` beyond the series the engine already prunes — a ghost
+query cannot linger in an account listing.
 
-Merging is exact for every counter (:meth:`CostAccount.merge` sums), and
-for CPU time it sums measured seconds per shard — the property suite pins
-counter-exactness across shard splits at K ∈ {1, 2, 4, 8}.
+A fleet's accounts are the same function of the fleet's (absorbed)
+registry: every counter sums exactly and CPU time sums measured seconds
+per shard — the property suite pins counter-exactness across shard splits
+at K ∈ {1, 2, 4, 8}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Iterable
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
-    from repro.runtime.report import QueryReport
+from typing import Any, Iterable
 
 
 @dataclass
 class CostAccount:
     """Condensed cost record for one registered query.
 
-    ``cpu_seconds`` is the per-stage profile total when profiling is on
-    (the default), else the whole-pipeline latency total — both measure
-    time spent inside this query's operator chain.
+    ``cpu_seconds`` is the per-stage profile total: time spent inside this
+    query's operator chain.
     """
 
     query: str
@@ -77,62 +73,6 @@ class CostAccount:
         if not self.events_routed:
             return 0.0
         return self.cpu_seconds / self.events_routed * 1e6
-
-    # -- construction ------------------------------------------------------------
-
-    @classmethod
-    def from_report(cls, report: "QueryReport") -> "CostAccount":
-        """Build an account from one query's (per-shard) report."""
-        stats = report.stats
-        metrics = report.metrics
-        if report.profile is not None:
-            cpu = report.profile.total_seconds
-        else:
-            cpu = metrics.latency.total
-        return cls(
-            query=report.name,
-            events_routed=metrics.events_routed,
-            runs_created=stats.runs_created,
-            runs_extended=stats.runs_extended,
-            runs_killed=(
-                stats.runs_killed_strict
-                + stats.runs_killed_negation
-                + stats.runs_tripped
-                + stats.runs_expired
-            ),
-            runs_pruned=stats.runs_pruned,
-            shared_hits=stats.shared_hits,
-            shared_misses=stats.shared_misses,
-            matches=metrics.matches,
-            emissions=metrics.emissions,
-            evaluation_errors=stats.evaluation_errors,
-            cpu_seconds=cpu,
-        )
-
-    @classmethod
-    def merge(cls, parts: Iterable["CostAccount"]) -> "CostAccount":
-        """Fold shard-level accounts for one query into a fleet view.
-
-        Every counter sums exactly; ``cpu_seconds`` sums measured time
-        across shards.  All parts must describe the same query.
-        """
-        parts = list(parts)
-        if not parts:
-            raise ValueError("merge() needs at least one account")
-        names = {part.query for part in parts}
-        if len(names) != 1:
-            raise ValueError(f"merge() across different queries: {sorted(names)}")
-        total = cls(query=parts[0].query, parts=0)
-        for part in parts:
-            for spec in fields(cls):
-                if spec.name == "query":
-                    continue
-                setattr(
-                    total,
-                    spec.name,
-                    getattr(total, spec.name) + getattr(part, spec.name),
-                )
-        return total
 
     # -- rendering ---------------------------------------------------------------
 

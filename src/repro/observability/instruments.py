@@ -1,0 +1,562 @@
+"""The telemetry spine: what an engine counts, and every view of it.
+
+Counts stay where the hot path increments them — plain attributes on
+``QueryMetrics``, ``MatcherStats``, ``StageProfile``,
+``SharedExecutionIndex`` and ``EngineMetrics`` — and are *described once*,
+here: each :class:`Spec` names a series, says how to read it off its
+source object, and says how N shards' values combine (``agg``).
+:func:`register` turns the tables into callback-backed instruments of a
+:class:`~repro.observability.registry.MetricsRegistry`, which is the only
+form in which counters leave an engine; a fleet's telemetry is
+:meth:`~repro.observability.registry.MetricsRegistry.absorb` over its
+shards' registries and nothing else.
+
+Everything a caller reads — ``stats_by_query``, ``cost_accounts``,
+``profiles_by_query``, ``shared_stats``, ``sanitizer_trips`` — is a pure
+function *of a registry* (below), so an engine, a runner on any backend,
+the monitor, the CLI and the serve STATS frame all compute it the same
+way (:class:`TelemetryViews`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, fields
+from functools import partial
+from typing import Any, Callable
+
+from repro.observability.cost import CostAccount
+from repro.observability.profiling import StageProfile
+from repro.observability.registry import Instrument, MetricsRegistry
+
+
+@dataclass(frozen=True)
+class Spec:
+    """One exported series: its name, and how to read it off its source."""
+
+    name: str
+    help: str
+    #: ``(source) -> number`` (a ``LatencyRecorder`` for histograms).  Reads
+    #: go through the source on every collection — never through a captured
+    #: sub-object — because restores replace ``matcher.stats`` wholesale.
+    read: Callable[[Any], Any]
+    kind: str = "counter"
+    #: how shards' gauges combine; counters always sum, reservoirs pool.
+    agg: str = "sum"
+    #: engine attribute that must be set for the series to exist.
+    needs: str | None = None
+
+
+def _stat(name: str) -> Callable[[Any], int]:
+    """Reader of one ``MatcherStats`` field, through the query."""
+    return lambda query: getattr(query.matcher.stats, name)
+
+
+def _killed(query: Any) -> int:
+    stats = query.matcher.stats
+    return (
+        stats.runs_killed_strict
+        + stats.runs_killed_negation
+        + stats.runs_tripped
+        + stats.runs_expired
+    )
+
+
+def _errors(query: Any) -> int:
+    return (
+        query.matcher.stats.evaluation_errors
+        + query.ranker.scoring_errors
+        + query.yield_errors
+    )
+
+
+#: engine-wide series; source is the ``CEPREngine``.
+ENGINE: tuple[Spec, ...] = (
+    Spec(
+        "events_pushed_total",
+        "Events ingested by the engine",
+        lambda e: e.metrics.events_pushed,
+    ),
+    Spec(
+        "derived_events_total",
+        "YIELD-derived events fed back through the engine",
+        lambda e: e.derived_events,
+    ),
+    # events_pushed_total / ingest_span_seconds.  Shard rates do not add
+    # (a lightly loaded shard's span is short), so a fleet coordinator sets
+    # this from the absorbed totals instead of keeping the absorbed sum.
+    Spec(
+        "throughput_eps",
+        "Lifetime ingest rate (events/second)",
+        lambda e: e.metrics.throughput,
+        kind="gauge",
+    ),
+    Spec(
+        "ingest_span_seconds",
+        "Seconds between the first and the latest ingested event",
+        lambda e: e.metrics.elapsed,
+        kind="gauge",
+        agg="max",
+    ),
+    Spec(
+        "recent_throughput_eps",
+        "Sliding-window ingest rate (events/second)",
+        lambda e: e.metrics.recent_throughput,
+        kind="gauge",
+    ),
+    Spec(
+        "late_drops_total",
+        "Events dropped for violating the lateness bound",
+        lambda e: e.lateness_buffer.late_drops,
+        needs="lateness_buffer",
+    ),
+    # Structural gauges are per-shard replicas of one index: fleet = max.
+    Spec(
+        "shared_distinct_predicates",
+        "Distinct self-contained predicates in the shared index",
+        lambda e: e.shared.distinct_predicates,
+        kind="gauge",
+        agg="max",
+        needs="shared",
+    ),
+    Spec(
+        "shared_prefix_entries",
+        "Interned NFA prefix states across registered queries",
+        lambda e: e.shared.prefix_entries,
+        kind="gauge",
+        agg="max",
+        needs="shared",
+    ),
+    Spec(
+        "predicate_evals_saved_total",
+        "Predicate evaluations answered from the shared memo",
+        lambda e: e.shared.predicate_evals_saved,
+        needs="shared",
+    ),
+    Spec(
+        "predicate_evals_performed_total",
+        "Predicate evaluations performed through the shared index",
+        lambda e: e.shared.predicate_evals_performed,
+        needs="shared",
+    ),
+    Spec(
+        "prefix_states_shared_total",
+        "Compiled stages reused from the prefix intern pool",
+        lambda e: e.shared.prefix_states_shared,
+        needs="shared",
+    ),
+    Spec(
+        "events_gated_total",
+        "Routed (query, event) pairs skipped by the quiescent gate",
+        lambda e: e.shared.events_gated,
+        needs="shared",
+    ),
+    Spec(
+        "sanitizer_trips_total",
+        "Invariant violations detected by the sanitizer",
+        lambda e: e.sanitizer.total_trips,
+        needs="sanitizer",
+    ),
+    Spec(
+        "trace_spans_total",
+        "Spans recorded by the attached tracer",
+        lambda e: e.tracer.recorded,
+        needs="tracer",
+    ),
+    Spec(
+        "trace_spans_dropped_total",
+        "Spans evicted from the trace ring buffer",
+        lambda e: e.tracer.dropped,
+        needs="tracer",
+    ),
+)
+
+#: one series per engine-scope sanitizer check, labelled ``check``; source
+#: is ``(sanitizer, check)``.  The checks are enumerated (docs/SANITIZER.md)
+#: so a shard's registry is complete without re-registration.
+SANITIZER_CHECK = Spec(
+    "sanitizer_check_trips_total",
+    "Sanitizer trips by invariant check",
+    lambda source: source[0].trips[source[1]],
+)
+SANITIZER_CHECKS = (
+    "certified-shed",
+    "cross-thread-mutation",
+    "dangling-binding",
+    "matcher-activity-cache",
+    "ranking-order",
+    "run-monotonicity",
+    "score-bound",
+    "seq-monotonicity",
+    "shared-index-coherence",
+    "snapshot-roundtrip",
+)
+
+#: per-query series, labelled ``query``; source is the ``RegisteredQuery``.
+QUERY: tuple[Spec, ...] = (
+    Spec(
+        "query_events_routed_total",
+        "Events routed to this query's operator chain",
+        lambda q: q.metrics.events_routed,
+    ),
+    Spec(
+        "query_matches_total",
+        "Matches completed (and confirmed)",
+        lambda q: q.metrics.matches,
+    ),
+    Spec(
+        "query_emissions_total",
+        "Emissions released to sinks",
+        lambda q: q.metrics.emissions,
+    ),
+    Spec(
+        "query_revisions_total",
+        "Ranking revisions issued (the ranker's revision counter)",
+        lambda q: q.ranker.revision,
+    ),
+    Spec("runs_created_total", "Runs started at stage 0", _stat("runs_created")),
+    Spec(
+        "runs_extended_total",
+        "Run extensions (binds and Kleene takes)",
+        _stat("runs_extended"),
+    ),
+    Spec(
+        "runs_pruned_total",
+        "Partial runs cut by score-bound pruning",
+        _stat("runs_pruned"),
+    ),
+    Spec(
+        "runs_expired_total",
+        "Runs dropped by window or epoch expiry",
+        _stat("runs_expired"),
+    ),
+    Spec(
+        "runs_killed_total",
+        "Runs ended by strict contiguity, negation, trip or expiry",
+        _killed,
+    ),
+    Spec(
+        "partition_skips_total",
+        "Relevant events carrying no partition key",
+        _stat("events_skipped_no_key"),
+    ),
+    Spec(
+        "evaluation_errors_total",
+        "Predicate evaluations failed under the lenient policy",
+        _errors,
+    ),
+    Spec(
+        "shared_hits_total",
+        "Shared-index consultations answered from the per-event memo",
+        _stat("shared_hits"),
+    ),
+    Spec(
+        "shared_misses_total",
+        "Shared-index consultations that had to evaluate",
+        _stat("shared_misses"),
+    ),
+    Spec(
+        "query_cpu_seconds_total",
+        "CPU seconds spent inside this query's operator chain",
+        lambda q: q.profile.total_seconds,
+    ),
+    # The matcher's O(1) activity caches, not a recount over its partition
+    # table: exports read these from other threads than the engine's owner.
+    Spec(
+        "live_runs",
+        "Partial runs currently alive",
+        lambda q: q.matcher._live_runs_cached,
+        kind="gauge",
+    ),
+    Spec(
+        "pending_matches",
+        "Complete matches waiting out a trailing negation",
+        lambda q: q.matcher._pendings_cached,
+        kind="gauge",
+    ),
+    Spec(
+        "peak_live_runs",
+        "High-water mark of live partial runs",
+        _stat("peak_live_runs"),
+        kind="gauge",
+        agg="max",
+    ),
+    Spec(
+        "latency_seconds",
+        "Per-event pipeline latency",
+        lambda q: q.metrics.latency,
+        kind="histogram",
+    ),
+)
+
+#: per-stage series, labelled ``query`` + ``stage``; source is a ``StageTimer``.
+STAGE: tuple[Spec, ...] = (
+    Spec(
+        "stage_seconds_total",
+        "Wall time spent per pipeline stage",
+        lambda t: t.total,
+    ),
+    Spec("stage_events_total", "Events timed per pipeline stage", lambda t: t.count),
+    Spec(
+        "stage_max_seconds",
+        "Slowest single event per pipeline stage",
+        lambda t: t.maximum,
+        kind="gauge",
+        agg="max",
+    ),
+)
+
+#: per-sink series, labelled ``query`` + ``sink`` + ``slot``.
+SINK = Spec(
+    "sink_emissions_total",
+    "Emissions delivered to each sink",
+    lambda s: s.emissions_accepted,
+)
+
+#: fleet-only per-query gauges a sharded coordinator sets (not engine
+#: counts); source is the ``ShardedQuery``.
+QUERY_SHARDS = Spec(
+    "query_shards",
+    "Shard engines running this query",
+    lambda view: view.shards,
+    kind="gauge",
+)
+QUERY_SOLO_FALLBACK = Spec(
+    "query_solo_fallback",
+    "1 when a sharding request fell back to one engine",
+    lambda view: float(view.solo_fallback),
+    kind="gauge",
+)
+
+#: every table, with the labels its series carry.
+CATALOGUE: tuple[tuple[str, tuple[Spec, ...]], ...] = (
+    ("", ENGINE),
+    ("check", (SANITIZER_CHECK,)),
+    ("query", QUERY),
+    ("query, stage", STAGE),
+    ("query, sink, slot", (SINK,)),
+    ("query (fleets only)", (QUERY_SHARDS, QUERY_SOLO_FALLBACK)),
+)
+
+#: help text by series name: what a registry decoded off the wire is given.
+HELP = {spec.name: spec.help for _, specs in CATALOGUE for spec in specs}
+
+
+def catalogue_markdown() -> str:
+    """The metric catalogue table of docs/OBSERVABILITY.md (test-checked)."""
+    lines = [
+        "| series | kind | labels | fleet merge | meaning |",
+        "|---|---|---|---|---|",
+    ]
+    for labels, specs in CATALOGUE:
+        for spec in specs:
+            merge = {"counter": "sum", "histogram": "pool"}.get(spec.kind, spec.agg)
+            lines.append(
+                f"| `{spec.name}` | {spec.kind} | {labels} | {merge} | {spec.help} |"
+            )
+    return "\n".join(lines)
+
+
+# -- registration -------------------------------------------------------------------
+
+
+def bind(registry: MetricsRegistry, spec: Spec, source: Any, **labels: str) -> None:
+    """Get-or-create ``spec``'s instrument over ``source`` (idempotent)."""
+    if registry.get(spec.name, **labels) is not None:
+        return  # re-registration passes run per export: keep them cheap
+    if spec.kind == "histogram":
+        registry.histogram(spec.name, spec.help, recorder=spec.read(source), **labels)
+    elif spec.kind == "gauge":
+        registry.gauge(
+            spec.name, spec.help, fn=partial(spec.read, source), agg=spec.agg, **labels
+        )
+    else:
+        registry.counter(spec.name, spec.help, fn=partial(spec.read, source), **labels)
+
+
+def register_query(registry: MetricsRegistry, query: Any) -> None:
+    """(Re-)register one ``RegisteredQuery``'s series under its name."""
+    name = query.name
+    for spec in QUERY:
+        bind(registry, spec, query, query=name)
+    for stage, timer in query.profile.timers():
+        for spec in STAGE:
+            bind(registry, spec, timer, query=name, stage=stage)
+    for slot, sink in enumerate(query.sinks):
+        if hasattr(sink, "emissions_accepted"):
+            bind(
+                registry,
+                SINK,
+                sink,
+                query=name,
+                sink=type(sink).__name__,
+                slot=str(slot),
+            )
+
+
+def register(registry: MetricsRegistry, engine: Any) -> None:
+    """(Re-)register everything ``engine`` counts; idempotent.
+
+    Picks up queries and sinks added since the last pass and drops the
+    series of a detached component (a tracer switched off).
+    """
+    for spec in ENGINE:
+        if spec.needs is None or getattr(engine, spec.needs) is not None:
+            bind(registry, spec, engine)
+        elif registry.get(spec.name) is not None:
+            registry.prune(name=spec.name)
+    if engine.sanitizer is not None:
+        for check in SANITIZER_CHECKS:
+            bind(registry, SANITIZER_CHECK, (engine.sanitizer, check), check=check)
+    # Sinks churn (subscriptions attach and cancel), so their slot labels
+    # are rebuilt from scratch on every registration pass.
+    registry.prune(name=SINK.name)
+    for query in engine.queries():
+        register_query(registry, query)
+
+
+# -- views: pure functions of a registry --------------------------------------------
+#
+# One naming convention ties views to series: a view's key for a series is
+# the series name without its scope prefix (``query_``; ``shared_`` for the
+# engine-wide sharing gauges) and without the ``_total`` suffix.  So the
+# ``runs_pruned`` stats column and ``CostAccount.runs_pruned`` are
+# ``runs_pruned_total``, ``CostAccount.cpu_seconds`` is
+# ``query_cpu_seconds_total``, and no view keeps a second spelling table.
+
+
+def _key(name: str) -> str:
+    return name.removeprefix("query_").removesuffix("_total")
+
+
+def _by_query(registry: MetricsRegistry) -> dict[str, dict[Any, Instrument]]:
+    """Query-labelled instruments by query (first-registration order), under
+    their view key — ``(key, stage)`` for the per-stage series."""
+    grouped: dict[str, dict[Any, Instrument]] = {}
+    for instrument in registry:
+        labels = instrument.labels
+        if "query" in labels:
+            key: Any = _key(instrument.name)
+            if "stage" in labels:
+                key = (key, labels["stage"])
+            grouped.setdefault(labels["query"], {})[key] = instrument
+    return {
+        query: series
+        for query, series in grouped.items()
+        if "events_routed" in series  # an engine has reported on it
+    }
+
+
+#: ``stats_by_query`` count columns, in row order.  Rows carry the series
+#: that exist, so the last two appear exactly on fleets.
+_STATS_COLUMNS = (
+    "events_routed",
+    "matches",
+    "emissions",
+    "revisions",
+    "runs_created",
+    "runs_pruned",
+    "peak_live_runs",
+    "live_runs",
+    # Events that matched the query's types but carried no partition key:
+    # silently losing them would mask upstream data problems.
+    "partition_skips",
+    "shards",
+    "solo_fallback",
+)
+
+
+def stats_by_query(registry: MetricsRegistry) -> dict[str, dict[str, float]]:
+    """Per-query counter rows, for the monitor, the CLI and benchmarks."""
+    rows: dict[str, dict[str, float]] = {}
+    for query, series in _by_query(registry).items():
+        row: dict[str, float] = {
+            key: int(series[key].value) for key in _STATS_COLUMNS if key in series
+        }
+        latency = series["latency_seconds"]
+        mean = latency.sum / latency.count if latency.count else 0.0
+        row["latency_mean_us"] = mean * 1e6
+        row["latency_p50_us"] = latency.quantile(0.5) * 1e6
+        row["latency_p99_us"] = latency.quantile(0.99) * 1e6
+        rows[query] = row
+    return rows
+
+
+def cost_accounts(registry: MetricsRegistry) -> dict[str, CostAccount]:
+    """Per-query :class:`CostAccount` records, keyed by query name."""
+    accounts: dict[str, CostAccount] = {}
+    for query, series in _by_query(registry).items():
+        account = accounts[query] = CostAccount(query=query)
+        if "shards" in series:
+            account.parts = int(series["shards"].value)
+        for field in fields(account):
+            if field.name in series:
+                value = series[field.name].value
+                if field.name != "cpu_seconds":
+                    value = int(value)
+                setattr(account, field.name, value)
+    return accounts
+
+
+def profiles_by_query(registry: MetricsRegistry) -> dict[str, StageProfile]:
+    """Per-query match/rank/emit :class:`StageProfile`, keyed by query name."""
+    profiles: dict[str, StageProfile] = {}
+    for query, series in _by_query(registry).items():
+        profile = profiles[query] = StageProfile()
+        for stage, timer in profile.timers():
+            timer.count = int(series["stage_events", stage].value)
+            timer.total = series["stage_seconds", stage].value
+            timer.maximum = series["stage_max_seconds", stage].value
+    return profiles
+
+
+def shared_stats(registry: MetricsRegistry) -> dict[str, int]:
+    """Sharing counters (empty when shared execution is off)."""
+    return {
+        _key(spec.name).removeprefix("shared_"): int(instrument.value)
+        for spec in ENGINE
+        if spec.needs == "shared"
+        and (instrument := registry.get(spec.name)) is not None
+    }
+
+
+def sanitizer_trips(registry: MetricsRegistry) -> dict[str, int] | None:
+    """Sanitizer trip counts by check (``None`` when the sanitizer is off)."""
+    if registry.get("sanitizer_trips_total") is None:
+        return None
+    return {
+        instrument.labels["check"]: int(instrument.value)
+        for instrument in registry
+        if instrument.name == SANITIZER_CHECK.name and instrument.value
+    }
+
+
+class TelemetryViews:
+    """The five views, for anything with a ``metrics_registry()``.
+
+    Inherited by the engine and every runner, so each backend's method of
+    a given name is the same call on the same function.
+    """
+
+    def metrics_registry(self) -> MetricsRegistry:
+        raise NotImplementedError
+
+    def stats_by_query(self) -> dict[str, dict[str, float]]:
+        """Per-query counter rows (see :func:`stats_by_query`)."""
+        return stats_by_query(self.metrics_registry())
+
+    def cost_accounts(self) -> dict[str, CostAccount]:
+        """Per-query cost accounts, rebuilt from the registry on every call
+        (so an unregistered query can never linger here)."""
+        return cost_accounts(self.metrics_registry())
+
+    def profiles_by_query(self) -> dict[str, StageProfile]:
+        """Per-query stage profiles (value snapshots)."""
+        return profiles_by_query(self.metrics_registry())
+
+    def shared_stats(self) -> dict[str, int]:
+        """Sharing counters; empty with ``shared_execution=False``."""
+        return shared_stats(self.metrics_registry())
+
+    def sanitizer_trips(self) -> dict[str, int] | None:
+        """Sanitizer trips by check (``None`` when disabled)."""
+        return sanitizer_trips(self.metrics_registry())

@@ -5,14 +5,11 @@ Every ``push`` travels ``match → rank → emit`` inside
 the accounting for where that time goes.  A :class:`StageProfile` keeps
 one :class:`StageTimer` per stage — a three-float accumulator
 (count/total/max), deliberately cheaper than a reservoir because it is
-updated on *every* event even when tracing is off.  The monitor,
-``explain()``, and the metrics registry render it; the sharded runtime
-absorbs per-shard profiles into a fleet view.
-
-Profiling is on by default and costs two extra clock reads per event;
-construct the engine with ``enable_profiling=False`` (the observability
-benchmark's baseline) to fall back to the single whole-pipeline latency
-measurement.
+updated on *every* event even when tracing is off.  The live object
+belongs to its query; everyone else reads it through the metrics registry
+(``stage_seconds_total`` / ``stage_events_total`` / ``stage_max_seconds``),
+from which :func:`~repro.observability.instruments.profiles_by_query`
+rebuilds a profile — for one engine or, absorbed, for a fleet.
 """
 
 from __future__ import annotations
@@ -40,12 +37,6 @@ class StageTimer:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def absorb(self, other: "StageTimer") -> None:
-        self.count += other.count
-        self.total += other.total
-        if other.maximum > self.maximum:
-            self.maximum = other.maximum
-
     def snapshot(self) -> dict[str, float]:
         return {
             "count": self.count,
@@ -71,12 +62,6 @@ class StageProfile:
     @property
     def total_seconds(self) -> float:
         return self.match.total + self.rank.total + self.emit.total
-
-    def absorb(self, other: "StageProfile") -> None:
-        """Fold another profile in (fleet aggregation across shards)."""
-        self.match.absorb(other.match)
-        self.rank.absorb(other.rank)
-        self.emit.absorb(other.emit)
 
     def snapshot(self) -> dict[str, dict[str, float]]:
         return {name: timer.snapshot() for name, timer in self.timers()}

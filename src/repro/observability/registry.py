@@ -15,10 +15,11 @@ Instruments may be **owned** (the component calls ``inc``/``set``/
 hot path already maintains, so registration adds zero steady-state cost).
 Histograms can likewise *bridge* an existing ``LatencyRecorder``.
 
-Registries merge with the same ``absorb`` semantics as the fleet metrics:
-counters sum, gauges sum (or take ``max``, per instrument), histogram
-reservoirs pool — which is how :class:`~repro.runtime.sharded.
-ShardedEngineRunner` folds per-shard registries into one fleet view.
+Registries merge with :meth:`MetricsRegistry.absorb`: counters sum, gauges
+sum (or take ``max``, per instrument), histogram reservoirs pool.  That is
+the **only** way counts from several shards are ever combined — a fleet's
+telemetry is ``absorb`` over its shards' registries, and a registry crosses
+a process boundary as :meth:`MetricsRegistry.to_wire` rows.
 
 Exports are deterministic: instruments sort by name then labels, and
 :meth:`MetricsRegistry.to_prometheus` emits valid text exposition format
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     # runtime.metrics lives above this package in the import graph (the
@@ -302,6 +303,14 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._instruments)
 
+    def __iter__(self) -> Iterator[Instrument]:
+        """Instruments in registration order (exports sort: :meth:`instruments`)."""
+        return iter(self._instruments.values())
+
+    def get(self, name: str, **labels: str) -> Instrument | None:
+        """The instrument registered as ``(name, labels)``, if any."""
+        return self._instruments.get((name, _label_key(labels)))
+
     def instruments(self) -> list[Instrument]:
         """All instruments, sorted by name then labels."""
         return [self._instruments[slot] for slot in sorted(self._instruments)]
@@ -347,7 +356,7 @@ class MetricsRegistry:
         fleet registry built from per-shard registries is a plain value
         object.
         """
-        for instrument in other.instruments():
+        for instrument in other:
             if isinstance(instrument, Counter):
                 mine = self.counter(
                     instrument.name, instrument.help, **instrument.labels
@@ -369,6 +378,60 @@ class MetricsRegistry:
                     instrument.name, instrument.help, **instrument.labels
                 )
                 mine.recorder.absorb(instrument.recorder)
+
+    # -- wire codec ---------------------------------------------------------------
+
+    def to_wire(self) -> list[list[Any]]:
+        """Value snapshot for another process: one compact row per series.
+
+        Rows are ``[kind, name, labels, value]`` — ``kind`` is ``"c"``,
+        ``"g"`` (sum gauge), ``"m"`` (max gauge) or ``"h"``, whose value is
+        the reservoir ``[count, total, maximum, samples]``.  Help text
+        stays home; :meth:`from_wire` takes it from the receiver's
+        catalogue.  Values may be non-finite (frames are sanitized).
+        """
+        rows: list[list[Any]] = []
+        for instrument in self:
+            value: Any
+            if isinstance(instrument, Histogram):
+                recorder = instrument.recorder
+                kind = "h"
+                value = [
+                    recorder.count,
+                    recorder.total,
+                    recorder.maximum,
+                    list(recorder._samples),
+                ]
+            elif isinstance(instrument, Counter):
+                kind, value = "c", instrument.value
+            else:
+                kind = "m" if instrument.agg == "max" else "g"
+                value = instrument.value
+            rows.append([kind, instrument.name, instrument.labels, value])
+        return rows
+
+    @classmethod
+    def from_wire(
+        cls, rows: list[list[Any]], help: Mapping[str, str]
+    ) -> "MetricsRegistry":
+        """A registry of plain values from :meth:`to_wire` rows, in order;
+        ``help`` is the receiver's catalogue (series name -> help text)."""
+        registry = cls()
+        for kind, name, labels, value in rows:
+            text = help.get(name, "")
+            if kind == "c":
+                registry.counter(name, text, **labels).override(float(value))
+            elif kind == "h":
+                count, total, maximum, samples = value
+                recorder = registry.histogram(name, text, **labels).recorder
+                recorder.count = int(count)
+                recorder.total = float(total)
+                recorder.maximum = float(maximum)
+                recorder._samples = [float(sample) for sample in samples]
+            else:
+                agg = "max" if kind == "m" else "sum"
+                registry.gauge(name, text, agg=agg, **labels).set(float(value))
+        return registry
 
     # -- exporters --------------------------------------------------------------
 

@@ -64,7 +64,6 @@ class Ranker:
         #: Attached by the observability layer when tracing is enabled.
         self.tracer: Tracer | None = None
         self._revision = 0
-        self._emissions_count = 0
 
         self._tumbling = self.emit.kind is EmitKind.ON_WINDOW_CLOSE
         self._passthrough = (
@@ -93,8 +92,9 @@ class Ranker:
     # -- public API ---------------------------------------------------------------
 
     @property
-    def emissions_count(self) -> int:
-        return self._emissions_count
+    def revision(self) -> int:
+        """Revisions issued so far (the last emission's ``revision`` stamp)."""
+        return self._revision
 
     def inert_without_matches(self) -> bool:
         """True when observing a matchless event cannot change any output.
@@ -144,7 +144,6 @@ class Ranker:
         if self._passthrough:
             for match in matches:
                 self._revision += 1
-                self._emissions_count += 1
                 emissions.append(
                     Emission(
                         kind=EmissionKind.MATCH,
@@ -236,7 +235,6 @@ class Ranker:
         if self._passthrough:
             for match in matches:
                 self._revision += 1
-                self._emissions_count += 1
                 emissions.append(
                     Emission(
                         kind=EmissionKind.MATCH,
@@ -337,7 +335,6 @@ class Ranker:
 
         state: dict = {
             "revision": self._revision,
-            "emissions_count": self._emissions_count,
             "scoring_errors": self.scoring_errors,
         }
         if self._tumbling:
@@ -384,7 +381,6 @@ class Ranker:
             return self.scorer.score(decode_match(item))
 
         self._revision = int(state["revision"])
-        self._emissions_count = int(state["emissions_count"])
         self.scoring_errors = int(state["scoring_errors"])
         if self._tumbling:
             self._current_epoch = state["current_epoch"]
@@ -438,7 +434,6 @@ class Ranker:
     ) -> Emission:
         buffer = self._epoch_buffers.pop(epoch)
         self._revision += 1
-        self._emissions_count += 1
         return Emission(
             kind=EmissionKind.WINDOW_CLOSE,
             ranking=buffer.ranking(),
@@ -465,7 +460,6 @@ class Ranker:
                     continue
                 self._emitted_in_epoch += 1
             self._revision += 1
-            self._emissions_count += 1
             emissions.append(
                 Emission(
                     kind=EmissionKind.MATCH,
@@ -528,7 +522,6 @@ class Ranker:
         entered, exited = snapshot_delta(self._last_snapshot, ranking)
         self._last_snapshot = ranking
         self._revision += 1
-        self._emissions_count += 1
         return Emission(
             kind=kind,
             ranking=ranking,

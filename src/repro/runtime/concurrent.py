@@ -283,10 +283,6 @@ class ThreadedEngineRunner(QueuedRunner):
     def last_processed_ts(self) -> float | None:
         return self.engine.metrics.last_event_ts
 
-    def cost_accounts(self):
-        """Per-query cost accounts (snapshot; counters may still move)."""
-        return self.engine.cost_accounts()
-
     # Monitor passthroughs: a runner can stand in for its engine as a
     # monitor source, which is how `cepr stats --watch` surfaces queue
     # pressure (the bare engine has no ingest queue to be pressured).
@@ -296,10 +292,6 @@ class ThreadedEngineRunner(QueuedRunner):
 
     def queries(self):
         return self.engine.queries()
-
-    def stats_by_query(self):
-        """Per-query counter dict (passthrough to the engine)."""
-        return self.engine.stats_by_query()
 
     @property
     def metrics(self):

@@ -19,7 +19,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.events.event import Event
 from repro.events.schema import SchemaRegistry
@@ -28,9 +28,8 @@ from repro.language.ast_nodes import Query
 from repro.language.errors import CEPRSemanticError
 from repro.language.parser import parse_query
 from repro.language.semantics import analyze
-from repro.observability.cost import CostAccount
+from repro.observability import instruments
 from repro.observability.flightrec import current as flightrec_current
-from repro.observability.profiling import StageProfile
 from repro.observability.registry import MetricsRegistry
 from repro.observability.tracing import (
     EmissionTrace,
@@ -79,7 +78,7 @@ def restore_lateness(buffer: LatenessBuffer, state: dict) -> None:
     buffer.late_drops = int(state["late_drops"])
 
 
-class CEPREngine:
+class CEPREngine(instruments.TelemetryViews):
     """A multi-query complex-event-processing engine with ranking support.
 
     Parameters
@@ -124,10 +123,6 @@ class CEPREngine:
         (default) follows the module-level switch
         (:func:`~repro.observability.tracing.enable_tracing`) at
         construction time.  Flip at runtime with :meth:`set_tracing`.
-    enable_profiling:
-        Per-stage (match/rank/emit) wall-time accounting on every query
-        (two extra clock reads per event).  On by default; the
-        observability overhead benchmark's baseline turns it off.
     shared_execution:
         Cross-query sharing (on by default; see docs/SHARED_EXECUTION.md):
         distinct self-contained predicates are evaluated once per event no
@@ -144,13 +139,6 @@ class CEPREngine:
         (default) follows the ``CEPR_SANITIZE`` environment variable;
         the instrumentation is attached at construction only, so a plain
         engine carries zero sanitizer cost.
-    compiled:
-        Hot-path edge compilation (on by default): every NFA edge's
-        predicate chain — shared-memo routing, context construction,
-        evaluation, lenient error accounting — is fused into one closure
-        at query compile time, replacing per-predicate interpreter
-        dispatch.  Byte-identical output either way (the differential
-        suite flips it); ``False`` is the interpreted ablation baseline.
     """
 
     def __init__(
@@ -164,20 +152,13 @@ class CEPREngine:
         max_derivation_depth: int = 16,
         sequencer: SequenceAssigner | None = None,
         tracing: bool | None = None,
-        enable_profiling: bool = True,
         shared_execution: bool = True,
         sanitize: bool | None = None,
-        compiled: bool = True,
     ) -> None:
         self.registry = registry
         self.strict_schema = strict_schema
         self.enable_pruning = enable_pruning
         self.lenient_errors = lenient_errors
-        self.enable_profiling = enable_profiling
-        #: hot-path edge compilation (fused per-edge closures in the
-        #: matcher); ``False`` keeps the per-predicate interpreter paths —
-        #: the differential suites and the E17 ablation flip this.
-        self.compiled = compiled
         self.lateness_buffer = (
             LatenessBuffer(max_lateness) if max_lateness is not None else None
         )
@@ -257,9 +238,7 @@ class CEPREngine:
             enable_pruning=self.enable_pruning,
             collect_results=collect_results,
             lenient_errors=self.lenient_errors,
-            enable_profiling=self.enable_profiling,
             shared=self.shared,
-            compiled=self.compiled,
         )
         registered.set_tracer(self.tracer)
         self._queries[resolved_name] = registered
@@ -564,56 +543,11 @@ class CEPREngine:
         for name, query_state in snapshot_queries.items():
             self._queries[name].restore(query_state)
 
-    # -- introspection --------------------------------------------------------------
+    # -- observability ---------------------------------------------------------------
 
     @property
     def events_pushed(self) -> int:
         return self.metrics.events_pushed
-
-    def shared_stats(self) -> dict[str, int]:
-        """Sharing counters: distinct predicates, evaluations saved, etc.
-
-        Empty when the engine was built with ``shared_execution=False``.
-        Surfaced by ``cepr stats``, the serving layer's STATS frame, and
-        the multi-query benchmark.
-        """
-        return {} if self.shared is None else self.shared.counters()
-
-    def stats_by_query(self) -> dict[str, dict[str, float]]:
-        """Metrics snapshot per query, for the monitor and benchmarks."""
-        snapshot: dict[str, dict[str, float]] = {}
-        for name, registered in self._queries.items():
-            row = registered.metrics.snapshot()
-            matcher = registered.matcher.stats
-            row.update(
-                {
-                    "runs_created": matcher.runs_created,
-                    "runs_pruned": matcher.runs_pruned,
-                    "peak_live_runs": matcher.peak_live_runs,
-                    "live_runs": registered.matcher.live_run_count,
-                    # Events that matched the query's types but carried no
-                    # partition key: they are skipped, and silently losing
-                    # them would mask upstream data problems.
-                    "partition_skips": matcher.events_skipped_no_key,
-                }
-            )
-            snapshot[name] = row
-        return snapshot
-
-    # -- observability ---------------------------------------------------------------
-
-    def cost_accounts(self) -> dict[str, CostAccount]:
-        """Per-query cost accounts, keyed by query name.
-
-        Accounts are built from the live counters on every call — there is
-        no parallel state to retire on :meth:`unregister_query`, so a dead
-        query can never linger here (``cepr top`` rebuilds its ranking
-        from this view each refresh).
-        """
-        return {
-            name: registered.cost_account()
-            for name, registered in self._queries.items()
-        }
 
     def set_tracing(self, enabled: bool) -> Tracer | None:
         """Attach (``True``) or detach (``False``) span tracing at runtime.
@@ -626,12 +560,6 @@ class CEPREngine:
                 self.tracer = Tracer()
         else:
             self.tracer = None
-        if self._registry_view is not None:
-            # The live registry's trace instruments close over a specific
-            # tracer; drop them so the next registration pass re-binds the
-            # current one (or none).
-            self._registry_view.prune(name="trace_spans_total")
-            self._registry_view.prune(name="trace_spans_dropped_total")
         for registered in self._queries.values():
             registered.set_tracer(self.tracer)
         return self.tracer
@@ -656,235 +584,23 @@ class CEPREngine:
             query=query_name,
         )
 
-    def profiles_by_query(self) -> dict[str, StageProfile]:
-        """Per-query stage profiles (empty when profiling is disabled)."""
-        return {
-            name: registered.profile
-            for name, registered in self._queries.items()
-            if registered.profile is not None
-        }
-
     def metrics_registry(self) -> MetricsRegistry:
         """The engine's live, typed registry over its hot-path counters.
 
-        Instruments are callback-backed views of the counters the hot path
-        already maintains, so registration adds zero steady-state cost.
-        The registry is **owned by the engine and lives as long as it
-        does**: repeated calls return the same object, re-running the
-        idempotent registration pass so queries (and sinks) added since
-        the last call are picked up, and :meth:`unregister_query` prunes a
-        dead query's series — long-running deployments (the serving layer)
-        can export it repeatedly without accumulating stale entries.  The
-        sharded runtime still merges per-shard registries into a fresh
-        fleet view with
-        :meth:`~repro.observability.registry.MetricsRegistry.absorb`.
+        The only form in which counters leave the engine: every series is
+        a callback-backed view (declared once, in
+        :mod:`repro.observability.instruments`) of a counter the hot path
+        already maintains, and ``stats_by_query`` and the other telemetry
+        views are functions of it.  Owned by the engine: repeated calls
+        return the same object after an idempotent registration pass that
+        picks up new queries and sinks, and :meth:`unregister_query`
+        prunes a dead query's series, so a long-running deployment can
+        export it repeatedly without accumulating stale entries.
         """
-        registry = self._registry_view
-        if registry is None:
-            registry = self._registry_view = MetricsRegistry()
-        metrics = self.metrics
-        registry.counter(
-            "events_pushed_total",
-            "Events ingested by the engine",
-            fn=lambda: metrics.events_pushed,
-        )
-        registry.counter(
-            "derived_events_total",
-            "YIELD-derived events fed back through the engine",
-            fn=lambda: self.derived_events,
-        )
-        registry.gauge(
-            "throughput_eps",
-            "Lifetime ingest rate (events/second)",
-            fn=lambda: metrics.throughput,
-            agg="max",
-        )
-        registry.gauge(
-            "recent_throughput_eps",
-            "Sliding-window ingest rate (events/second)",
-            fn=lambda: metrics.recent_throughput,
-        )
-        if self.lateness_buffer is not None:
-            buffer = self.lateness_buffer
-            registry.counter(
-                "late_drops_total",
-                "Events dropped for violating the lateness bound",
-                fn=lambda: buffer.late_drops,
-            )
-        if self.shared is not None:
-            shared = self.shared
-            registry.gauge(
-                "shared_distinct_predicates",
-                "Distinct self-contained predicates in the shared index",
-                fn=lambda: shared.distinct_predicates,
-            )
-            registry.gauge(
-                "shared_prefix_entries",
-                "Interned NFA prefix states across registered queries",
-                fn=lambda: shared.prefix_entries,
-            )
-            registry.counter(
-                "predicate_evals_saved_total",
-                "Predicate evaluations answered from the shared memo",
-                fn=lambda: shared.predicate_evals_saved,
-            )
-            registry.counter(
-                "predicate_evals_performed_total",
-                "Predicate evaluations performed through the shared index",
-                fn=lambda: shared.predicate_evals_performed,
-            )
-            registry.counter(
-                "prefix_states_shared_total",
-                "Compiled stages reused from the prefix intern pool",
-                fn=lambda: shared.prefix_states_shared,
-            )
-            registry.counter(
-                "events_gated_total",
-                "Routed (query, event) pairs skipped by the quiescent gate",
-                fn=lambda: shared.events_gated,
-            )
-        if self.sanitizer is not None:
-            sanitizer = self.sanitizer
-            registry.counter(
-                "sanitizer_trips_total",
-                "Invariant violations detected by the sanitizer",
-                fn=lambda: sanitizer.total_trips,
-            )
-        if self.tracer is not None:
-            tracer = self.tracer
-            registry.counter(
-                "trace_spans_total",
-                "Spans recorded by the attached tracer",
-                fn=lambda: tracer.recorded,
-            )
-            registry.counter(
-                "trace_spans_dropped_total",
-                "Spans evicted from the trace ring buffer",
-                fn=lambda: tracer.dropped,
-            )
-        for name, registered in self._queries.items():
-            self._register_query_metrics(registry, name, registered)
-        return registry
-
-    @staticmethod
-    def _register_query_metrics(
-        registry: MetricsRegistry, name: str, registered: RegisteredQuery
-    ) -> None:
-        query_metrics = registered.metrics
-        stats = registered.matcher.stats
-        matcher = registered.matcher
-        counters: list[tuple[str, str, Callable[[], float]]] = [
-            (
-                "query_events_routed_total",
-                "Events routed to this query's operator chain",
-                lambda: query_metrics.events_routed,
-            ),
-            (
-                "query_matches_total",
-                "Matches completed (and confirmed)",
-                lambda: query_metrics.matches,
-            ),
-            (
-                "query_emissions_total",
-                "Emissions released to sinks",
-                lambda: query_metrics.emissions,
-            ),
-            (
-                "runs_created_total",
-                "Runs started at stage 0",
-                lambda: stats.runs_created,
-            ),
-            (
-                "runs_extended_total",
-                "Run extensions (binds and Kleene takes)",
-                lambda: stats.runs_extended,
-            ),
-            (
-                "runs_pruned_total",
-                "Partial runs cut by score-bound pruning",
-                lambda: stats.runs_pruned,
-            ),
-            (
-                "runs_expired_total",
-                "Runs dropped by window or epoch expiry",
-                lambda: stats.runs_expired,
-            ),
-            (
-                "partition_skips_total",
-                "Relevant events carrying no partition key",
-                lambda: stats.events_skipped_no_key,
-            ),
-            (
-                "evaluation_errors_total",
-                "Predicate evaluations failed under the lenient policy",
-                lambda: stats.evaluation_errors
-                + registered.ranker.scoring_errors
-                + registered.yield_errors,
-            ),
-            (
-                "shared_hits_total",
-                "Shared-index consultations answered from the per-event memo",
-                lambda: stats.shared_hits,
-            ),
-            (
-                "shared_misses_total",
-                "Shared-index consultations that had to evaluate",
-                lambda: stats.shared_misses,
-            ),
-            (
-                "query_cpu_seconds_total",
-                "CPU seconds spent inside this query's operator chain",
-                lambda: (
-                    registered.profile.total_seconds
-                    if registered.profile is not None
-                    else query_metrics.latency.total
-                ),
-            ),
-        ]
-        for metric_name, help_text, fn in counters:
-            registry.counter(metric_name, help_text, fn=fn, query=name)
-        registry.gauge(
-            "live_runs",
-            "Partial runs currently alive",
-            fn=lambda: matcher.live_run_count,
-            query=name,
-        )
-        registry.gauge(
-            "peak_live_runs",
-            "High-water mark of live partial runs",
-            fn=lambda: stats.peak_live_runs,
-            agg="max",
-            query=name,
-        )
-        registry.histogram(
-            "latency_seconds",
-            "Per-event pipeline latency",
-            recorder=query_metrics.latency,
-            query=name,
-        )
-        # Sinks churn (subscriptions attach and cancel), so their slot
-        # labels are rebuilt from scratch on every registration pass.
-        registry.prune(name="sink_emissions_total", query=name)
-        for index, sink in enumerate(registered.sinks):
-            if not hasattr(sink, "emissions_accepted"):
-                continue
-            registry.counter(
-                "sink_emissions_total",
-                "Emissions delivered to each sink",
-                fn=lambda sink=sink: sink.emissions_accepted,
-                query=name,
-                sink=type(sink).__name__,
-                slot=str(index),
-            )
-        if registered.profile is not None:
-            for stage, timer in registered.profile.timers():
-                registry.counter(
-                    "stage_seconds_total",
-                    "Wall time spent per pipeline stage",
-                    fn=lambda timer=timer: timer.total,
-                    query=name,
-                    stage=stage,
-                )
+        if self._registry_view is None:
+            self._registry_view = MetricsRegistry()
+        instruments.register(self._registry_view, self)
+        return self._registry_view
 
     def _next_auto_name(self) -> str:
         self._auto_name_counter += 1

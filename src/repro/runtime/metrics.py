@@ -104,41 +104,16 @@ class LatencyRecorder:
 
 @dataclass
 class QueryMetrics:
-    """Counters for one registered query."""
+    """Hot-path counters for one registered query.
+
+    Read through the metrics registry (``query_*_total``,
+    ``latency_seconds``); see :mod:`repro.observability.instruments`.
+    """
 
     events_routed: int = 0
     matches: int = 0
     emissions: int = 0
-    revisions: int = 0
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "events_routed": self.events_routed,
-            "matches": self.matches,
-            "emissions": self.emissions,
-            "revisions": self.revisions,
-            "latency_mean_us": self.latency.mean * 1e6,
-            "latency_p50_us": self.latency.percentile(50) * 1e6,
-            "latency_p99_us": self.latency.percentile(99) * 1e6,
-        }
-
-
-def aggregate_query_metrics(parts: "list[QueryMetrics]") -> "QueryMetrics":
-    """Combine per-shard :class:`QueryMetrics` into one fleet-wide view.
-
-    Counters sum; latency recorders are absorbed (see
-    :meth:`LatencyRecorder.absorb`), so means stay exact and percentiles
-    representative across the fleet.
-    """
-    total = QueryMetrics()
-    for part in parts:
-        total.events_routed += part.events_routed
-        total.matches += part.matches
-        total.emissions += part.emissions
-        total.revisions += part.revisions
-        total.latency.absorb(part.latency)
-    return total
 
 
 class EngineMetrics:

@@ -7,11 +7,12 @@ registered query (its text, metrics, stage-time breakdown, and current top
 results) and :meth:`Monitor.run_live` refreshes it on an interval while a
 stream is being replayed.
 
-The monitor is duck-typed over its source: a
-:class:`~repro.runtime.engine.CEPREngine` or a
-:class:`~repro.runtime.sharded.ShardedEngineRunner` both work (the runner's
-:class:`~repro.runtime.sharded.ShardedQuery` handles are shaped like
-registered queries, and its ``shard_stats()`` adds a per-shard block).
+The source is a :class:`~repro.runtime.engine.CEPREngine` or any runner:
+every counter shown comes from the source's ``metrics_registry()`` through
+the registry views (:mod:`repro.observability.instruments`), so a fleet
+renders exactly like one engine; query handles are only asked for their
+text and last emission, and a sharded runner's ``shard_stats()`` adds a
+per-shard block.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ import time as _time
 from typing import Any, Callable, TextIO
 
 from repro.language.printer import format_query
+from repro.observability.instruments import (
+    cost_accounts,
+    profiles_by_query,
+    stats_by_query,
+)
 from repro.ranking.emission import Emission
 
 _RULE = "=" * 72
@@ -68,13 +74,23 @@ class Monitor:
         shard_block = self._render_shards()
         if shard_block:
             lines.append(shard_block)
+        registry = self.engine.metrics_registry()
+        rows = stats_by_query(registry)
+        accounts = cost_accounts(registry)
+        profiles = profiles_by_query(registry)
         for registered in self.engine.queries():
-            lines.append(self._render_query(registered))
+            name = registered.name
+            pending = int(registry.get("pending_matches", query=name).value)
+            lines.append(
+                self._render_query(
+                    registered, rows[name], pending, accounts[name], profiles[name]
+                )
+            )
         return "\n".join(lines)
 
     def _header(self) -> str:
         metrics = self.engine.metrics
-        recent = getattr(metrics, "recent_throughput", 0.0)
+        recent = metrics.recent_throughput
         backlog = getattr(self.engine, "backlog", None)
         tail = f", {recent:,.0f} ev/s recent" if recent else ""
         if backlog:
@@ -114,39 +130,36 @@ class Monitor:
             )
         return "\n".join(lines)
 
-    def _render_query(self, registered: Any) -> str:
+    def _render_query(
+        self, registered: Any, row: dict, pending: int, account: Any, profile: Any
+    ) -> str:
         lines = [f"-- query {registered.name} " + "-" * max(0, 50 - len(registered.name))]
         for text_line in format_query(registered.analyzed.ast).splitlines():
             lines.append(f"   | {text_line}")
-        m = registered.metrics
-        s = registered.matcher.stats
         extras = []
-        if registered.matcher.pending_count:
-            extras.append(f"pending={registered.matcher.pending_count}")
+        if pending:
+            extras.append(f"pending={pending}")
         if registered.has_yield:
             extras.append(f"derived_type={registered.analyzed.yield_spec.event_type}")
-        if s.evaluation_errors:
-            extras.append(f"eval_errors={s.evaluation_errors}")
-        if s.events_skipped_no_key:
-            extras.append(f"partition_skips={s.events_skipped_no_key}")
-        shards = getattr(registered, "shards", None)
-        if shards is not None:
-            extras.append(f"shards={shards}")
-        if getattr(registered, "solo_fallback", False):
+        if account.evaluation_errors:
+            extras.append(f"eval_errors={account.evaluation_errors}")
+        if row["partition_skips"]:
+            extras.append(f"partition_skips={row['partition_skips']}")
+        if "shards" in row:
+            extras.append(f"shards={row['shards']}")
+        if row.get("solo_fallback"):
             extras.append("SOLO-FALLBACK")
         suffix = (" " + " ".join(extras)) if extras else ""
         lines.append(
-            f"   events={m.events_routed} matches={m.matches} "
-            f"emissions={m.emissions} live_runs={registered.matcher.live_run_count} "
-            f"pruned={s.runs_pruned} p99={m.latency.percentile(99) * 1e6:.0f}us"
+            f"   events={row['events_routed']} matches={row['matches']} "
+            f"emissions={row['emissions']} live_runs={row['live_runs']} "
+            f"pruned={row['runs_pruned']} p99={row['latency_p99_us']:.0f}us"
             f"{suffix}"
         )
-        profile = getattr(registered, "profile", None)
-        if profile is not None and profile.total_seconds > 0:
+        if profile.total_seconds > 0:
             lines.append(f"   stages: {profile.describe()}")
-        cost_account = getattr(registered, "cost_account", None)
-        if cost_account is not None and m.events_routed:
-            lines.append(f"   cost: {cost_account().describe()}")
+        if row["events_routed"]:
+            lines.append(f"   cost: {account.describe()}")
         lines.extend(self._render_ranking(registered))
         return "\n".join(lines)
 

@@ -51,9 +51,8 @@ from repro.language.ast_nodes import Query
 from repro.language.parser import parse_query
 from repro.language.printer import format_query
 from repro.language.semantics import analyze
-from repro.observability.registry import MetricsRegistry
 from repro.ranking.score import Scorer
-from repro.runtime.report import ShardReport, decode_instruments, decode_report
+from repro.runtime.report import ShardReport, decode_report
 from repro.sanitize.locks import tracked_lock
 
 #: Pipe frames carry engine snapshots, not client requests; the limit is
@@ -112,8 +111,8 @@ class PipeShard:
 
     One tracked lock guards the pipe: every write, and every write+read
     request/reply pair, holds it — so frames from the owner thread and
-    from introspection (``registry``/``explain``) never interleave, and a
-    reply always answers the request just written.
+    from introspection (``explain``) never interleave, and a reply always
+    answers the request just written.
     """
 
     live_engine = False
@@ -267,9 +266,6 @@ class PipeShard:
 
     def restore(self, state: dict) -> None:
         self._request({"op": "restore", "state": state})
-
-    def registry(self) -> MetricsRegistry:
-        return decode_instruments(self._request({"op": "registry"})["instruments"])
 
     def explain(self, query: str) -> str:
         return str(self._request({"op": "explain", "query": query})["text"])

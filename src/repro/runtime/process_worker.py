@@ -14,13 +14,13 @@ the other end of stdin/stdout, hosting one
 ``advance`` / ``flush`` / ``report`` / ``snapshot``
     Barrier request/reply.  ``report`` replies with the shard's
     :class:`~repro.runtime.report.ShardReport`, encoded — the only state
-    the parent ever learns.
+    the parent ever learns, telemetry included (the report's
+    ``instruments`` rows: values only, no help text, no re-registration).
 ``restore``
     Load an engine snapshot (dropping un-reported emissions) and clear any
     latched failure.
-``registry`` / ``explain``
-    Introspection: shipped metrics-registry instrument values / one
-    query's plan rendering.
+``explain``
+    Introspection: one query's plan rendering.
 ``exit``
     Leave; EOF on stdin does the same (a vanished parent must not leave
     orphan workers grinding on).
@@ -47,7 +47,7 @@ from repro.events.frames import ConnectionClosed
 from repro.events.jsonsafe import desanitize, sanitize
 from repro.events.schema import registry_from_dict
 from repro.runtime.process import read_pipe_frame, write_pipe_frame
-from repro.runtime.report import encode_instruments, encode_report
+from repro.runtime.report import encode_report
 from repro.runtime.shard import LocalShard
 
 
@@ -73,8 +73,6 @@ def _answer(shard: LocalShard, doc: dict[str, Any]) -> dict[str, Any]:
         return {"state": shard.snapshot()}
     elif op == "restore":
         shard.restore(doc["state"])
-    elif op == "registry":
-        return {"instruments": encode_instruments(shard.registry())}
     elif op == "explain":
         return {"text": shard.explain(doc["query"])}
     else:

@@ -26,7 +26,9 @@ from repro.language.ast_nodes import EmitKind
 from repro.language.errors import EvaluationError
 from repro.language.expressions import EvalContext
 from repro.language.semantics import AnalyzedQuery
+from repro.observability.instruments import cost_accounts, register_query
 from repro.observability.profiling import StageProfile
+from repro.observability.registry import MetricsRegistry
 from repro.observability.tracing import SpanKind, Tracer
 from repro.ranking.emission import Emission
 from repro.ranking.pruning import ScoreBoundPruner
@@ -37,7 +39,6 @@ from repro.runtime.report import QueryReport
 from repro.runtime.sinks import CollectorSink, ResultSink, SinkOwner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.observability.cost import CostAccount
     from repro.runtime.router import SharedExecutionIndex
     from repro.runtime.shedding import ShedController
 
@@ -66,10 +67,8 @@ class RegisteredQuery(SinkOwner):
         enable_pruning: bool = True,
         collect_results: bool = True,
         lenient_errors: bool = False,
-        enable_profiling: bool = True,
         clock=time.perf_counter,
         shared: "SharedExecutionIndex | None" = None,
-        compiled: bool = True,
     ) -> None:
         self.name = name
         self.analyzed = analyzed
@@ -86,11 +85,8 @@ class RegisteredQuery(SinkOwner):
         self.scorer = Scorer(analyzed.rank_keys)
         self.ranker = Ranker(analyzed, self.scorer, lenient_errors=lenient_errors)
         self.metrics = QueryMetrics()
-        #: per-stage wall-time breakdown (``None`` when profiling is off:
-        #: the observability benchmark's bare baseline).
-        self.profile: StageProfile | None = (
-            StageProfile() if enable_profiling else None
-        )
+        #: per-stage (match/rank/emit) wall-time breakdown.
+        self.profile = StageProfile()
         #: attached/detached by the engine via :meth:`set_tracer`.
         self.tracer: Tracer | None = None
         self._clock = clock
@@ -111,7 +107,6 @@ class RegisteredQuery(SinkOwner):
             query_name=name,
             lenient_errors=lenient_errors,
             shared=shared,
-            compiled=compiled,
         )
 
         self._lenient_errors = lenient_errors
@@ -229,7 +224,7 @@ class RegisteredQuery(SinkOwner):
             return SHED_SAFE, None
         if matcher._last_stage_index == 0:
             return SHED_UNCERTIFIED, None
-        if not matcher._stage_accepts_new(self._stage0, event):
+        if not matcher._accepts_new_run(event):
             return SHED_SAFE, None
         pruner = self.pruner
         if pruner is None:
@@ -281,10 +276,8 @@ class RegisteredQuery(SinkOwner):
     def process(self, event: Event) -> list[Emission]:
         """Feed one (already sequenced) event through the operator chain.
 
-        With profiling enabled (the default) the pipeline is timed per
-        stage — two extra clock reads per event; with it disabled only the
-        whole-pipeline latency is measured (the observability benchmark's
-        bare baseline).
+        The pipeline is timed per stage (match / rank / emit), four clock
+        reads per event; their sum is the whole-pipeline latency sample.
         """
         profile = self.profile
         tracer = self.tracer
@@ -293,14 +286,6 @@ class RegisteredQuery(SinkOwner):
         self._last_ts = event.timestamp
         if tracer is not None:
             tracer.record(_ROUTE, event.seq, event.timestamp, self.name)
-
-        if profile is None:
-            started = clock()
-            matches = self.matcher.process(event)
-            emissions = self.ranker.observe(event, matches)
-            self._account(event, matches, emissions, tracer)
-            self.metrics.latency.record(clock() - started)
-            return emissions
 
         started = clock()
         matches = self.matcher.process(event)
@@ -429,7 +414,6 @@ class RegisteredQuery(SinkOwner):
                 "events_routed": self.metrics.events_routed,
                 "matches": self.metrics.matches,
                 "emissions": self.metrics.emissions,
-                "revisions": self.metrics.revisions,
             },
         }
 
@@ -446,54 +430,39 @@ class RegisteredQuery(SinkOwner):
         self.metrics.events_routed = int(counters["events_routed"])
         self.metrics.matches = int(counters["matches"])
         self.metrics.emissions = int(counters["emissions"])
-        self.metrics.revisions = int(counters["revisions"])
 
-    def report(self, drain: bool = False) -> QueryReport:
+    def report(self) -> QueryReport:
         """This query's :class:`~repro.runtime.report.QueryReport`.
 
-        Built over the live counters by reference.  ``drain`` also hands
-        over — and forgets — the emissions collected since the previous
-        drain (the shard protocol's delta).
+        Merge-control state only (counters travel in the engine's metrics
+        registry): the open epochs, and the emissions collected since the
+        previous report — handed over and forgotten (the shard protocol's
+        delta).
         """
         emissions: list[Emission] = []
-        if drain and self.collector is not None:
+        if self.collector is not None:
             emissions = self.collector.emissions
             self.collector.emissions = []
-        return QueryReport(
-            name=self.name,
-            metrics=self.metrics,
-            stats=self.matcher.stats,
-            profile=self.profile,
-            emissions=emissions,
-            open_epochs=self.ranker.open_epochs(),
-            live_runs=self.matcher.live_run_count,
-            pending=self.matcher.pending_count,
-        )
-
-    def cost_account(self) -> "CostAccount":
-        """This query's live :class:`~repro.observability.cost.CostAccount`."""
-        from repro.observability.cost import CostAccount
-
-        return CostAccount.from_report(
-            QueryReport(self.name, self.metrics, self.matcher.stats, self.profile)
-        )
+        return QueryReport(emissions, self.ranker.open_epochs())
 
     def explain(self) -> str:
         """Readable evaluation plan: stages, predicate placement, ranking.
 
-        Once the query has processed events with profiling enabled, the
-        plan is annotated with the observed per-stage time split and the
-        condensed cost account (runs, prune ratio, shared hit/miss).
+        Once the query has processed events, the plan is annotated with
+        the observed per-stage time split and the condensed cost account
+        (runs, prune ratio, shared hit/miss).
         """
         from repro.engine.explain import explain
 
         text = explain(self.automaton, pruning_enabled=self.pruner is not None)
         if self.shared is not None:
             text += f"\n{self._sharing_block()}"
-        if self.profile is not None and self.profile.total_seconds > 0:
+        if self.profile.total_seconds > 0:
             text += f"\nstage profile: {self.profile.describe()}"
         if self.metrics.events_routed:
-            text += f"\ncost: {self.cost_account().describe()}"
+            registry = MetricsRegistry()
+            register_query(registry, self)
+            text += f"\ncost: {cost_accounts(registry)[self.name].describe()}"
         return text
 
     def _sharing_block(self) -> str:

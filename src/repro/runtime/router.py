@@ -115,17 +115,6 @@ class SharedExecutionIndex:
         entry = self._prefixes.get(key)
         return frozenset(entry.owners) if entry is not None else frozenset()
 
-    def counters(self) -> dict[str, int]:
-        """Snapshot of the sharing counters (``cepr stats``, benchmarks)."""
-        return {
-            "distinct_predicates": self.distinct_predicates,
-            "prefix_entries": self.prefix_entries,
-            "predicate_evals_saved": self.predicate_evals_saved,
-            "predicate_evals_performed": self.predicate_evals_performed,
-            "prefix_states_shared": self.prefix_states_shared,
-            "events_gated": self.events_gated,
-        }
-
     # -- registration lifecycle -------------------------------------------------
 
     def intern_stage(self, key: str, stage: "Stage") -> "Stage":

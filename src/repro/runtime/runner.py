@@ -59,6 +59,7 @@ from typing import (
 from repro.events.event import Event
 from repro.events.schema import SchemaRegistry
 from repro.language.ast_nodes import Query
+from repro.observability.instruments import TelemetryViews
 from repro.observability.registry import MetricsRegistry
 from repro.ranking.emission import Emission
 from repro.runtime.concurrent import ThreadedEngineRunner
@@ -200,11 +201,10 @@ class RunnerConfig:
     shed_policy: str = "off"
     latency_target: float | None = None
     shed_controller: ShedController | None = None
-    compiled: bool = True
     tracing: bool | None = None
 
 
-class EmbeddedRunner:
+class EmbeddedRunner(TelemetryViews):
     """Synchronous :class:`Runner` over one engine on the caller's thread.
 
     No queue, no threads: ``submit`` pushes straight into the engine and
@@ -324,17 +324,9 @@ class EmbeddedRunner:
         """The wrapped engine's :class:`~repro.runtime.metrics.EngineMetrics`."""
         return self.engine.metrics
 
-    def stats_by_query(self) -> dict:
-        """Per-query counter dict from the wrapped engine."""
-        return self.engine.stats_by_query()
-
     def metrics_registry(self) -> MetricsRegistry:
         """The wrapped engine's live metrics registry."""
         return self.engine.metrics_registry()
-
-    def cost_accounts(self) -> dict:
-        """Per-query cost accounting snapshot."""
-        return self.engine.cost_accounts()
 
     def _fan_out(self, emissions: list[Emission]) -> None:
         if self.on_emission is not None:
@@ -387,7 +379,6 @@ def _engine_from(config: RunnerConfig) -> CEPREngine:
         max_lateness=config.max_lateness,
         tracing=config.tracing,
         sanitize=config.sanitize,
-        compiled=config.compiled,
     )
 
 
@@ -440,7 +431,6 @@ def _build_fleet(config: RunnerConfig, shard_type: type) -> ShardedEngineRunner:
         shed_policy=config.shed_policy,
         latency_target=config.latency_target,
         shed_controller=config.shed_controller,
-        compiled=config.compiled,
         shard_type=shard_type,
     )
 

@@ -4,8 +4,8 @@ Everything that runs an engine behind a queue is built from two parts:
 
 * a **shard** — the narrow interface a coordinator drives (``push_batch``,
   ``advance_time``, ``flush``, ``report``, ``snapshot``, ``restore``,
-  ``registry``, ``explain``, ``alive``/``pid``/``respawn``,
-  ``close(force)``).  :class:`LocalShard` wraps a
+  ``explain``, ``alive``/``pid``/``respawn``, ``close(force)``).
+  :class:`LocalShard` wraps a
   :class:`~repro.runtime.engine.CEPREngine` in this process;
   :class:`~repro.runtime.process.PipeShard` speaks pipe frames to a
   worker process, which itself hosts a :class:`LocalShard`.  The only way
@@ -42,6 +42,7 @@ from repro.events.event import Event
 from repro.events.schema import SchemaRegistry
 from repro.events.time import PreassignedSequencer
 from repro.language.ast_nodes import Query
+from repro.observability.instruments import TelemetryViews
 from repro.observability.pressure import PressureAssessor, PressureSample
 from repro.observability.registry import MetricsRegistry
 from repro.runtime.engine import CEPREngine
@@ -54,8 +55,8 @@ from repro.sanitize.core import release_affinity
 class Shard(Protocol):
     """What a coordinator may ask of one shard.
 
-    Every method except ``registry``/``explain`` (read-only) and the
-    lifecycle trio is called on the shard's owner thread.
+    Every method except ``explain`` (read-only) and the lifecycle trio is
+    called on the shard's owner thread.
     """
 
     #: True when the engine lives in this process, which load shedding
@@ -79,8 +80,6 @@ class Shard(Protocol):
     def restore(self, state: dict) -> None:
         """Load an engine snapshot; un-reported emissions are dropped."""
         ...
-
-    def registry(self) -> MetricsRegistry: ...
 
     def explain(self, query: str) -> str: ...
 
@@ -126,6 +125,9 @@ class LocalShard:
         )
         for name, query in queries.items():
             self.engine.register_query(query, name=name)
+        # Registered once: a shard's queries and sinks never change, so
+        # every report hands over this same live registry.
+        self._instruments = self.engine.metrics_registry()
         # Sanitizer handoff: whichever thread drives the fresh engine first
         # (the shard's loop, not its builder) owns it from then on.
         release_affinity(self.engine)
@@ -147,16 +149,13 @@ class LocalShard:
         self.engine.flush()
 
     def report(self) -> ShardReport:
-        engine = self.engine
-        sanitizer = engine.sanitizer
         return ShardReport(
             pid=self.pid,
-            engine=engine.metrics,
-            shared=engine.shared_stats(),
-            sanitizer_trips=None if sanitizer is None else sanitizer.trips,
+            last_event_ts=self.engine.metrics.last_event_ts,
+            instruments=self._instruments,
             queries={
-                handle.name: handle.report(drain=True)
-                for handle in engine.queries()
+                handle.name: handle.report()
+                for handle in self.engine.queries()
             },
         )
 
@@ -168,9 +167,6 @@ class LocalShard:
             if handle.collector is not None:
                 handle.collector.clear()
         self.engine.restore(state)
-
-    def registry(self) -> MetricsRegistry:
-        return self.engine.metrics_registry()
 
     def explain(self, query: str) -> str:
         return self.engine.query(query).explain()
@@ -366,14 +362,15 @@ class WorkerLoop:
 # -- what the queue-backed runners share --------------------------------------------
 
 
-class QueuedRunner:
+class QueuedRunner(TelemetryViews):
     """Base of the runners that ingest through :class:`WorkerLoop` queues.
 
     Holds the submit side (``submit_all``, the accepted-event count and
     event-time watermark), the pressure signals, the shedding controller
     and the instruments over all of them.  Subclasses provide ``submit``,
     ``last_processed_ts``, ``backlog``, ``queue_capacity``,
-    ``queue_high_water`` and ``shed_stats()``.
+    ``queue_high_water``, ``shed_stats()`` and ``metrics_registry()`` (of
+    which the inherited telemetry views are functions).
     """
 
     #: event-time watermark: highest timestamp any shard/engine processed.

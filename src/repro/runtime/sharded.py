@@ -70,14 +70,12 @@ reproduce.
 
 from __future__ import annotations
 
-import dataclasses
 import zlib
 from collections import deque
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from repro.engine.match import Match
-from repro.engine.matcher import MatcherStats
 from repro.engine.partitioner import Partitioner
 from repro.engine.snapshot import (
     SnapshotFormatError,
@@ -96,15 +94,18 @@ from repro.language.ast_nodes import Query, WindowKind
 from repro.language.errors import CEPRSemanticError
 from repro.language.parser import parse_query
 from repro.language.semantics import AnalyzedQuery, analyze
-from repro.observability.cost import CostAccount
+from repro.observability.instruments import (
+    QUERY_SHARDS,
+    QUERY_SOLO_FALLBACK,
+    bind,
+)
 from repro.observability.log import get_logger
-from repro.observability.profiling import StageProfile
-from repro.observability.registry import MetricsRegistry, merge_registries
+from repro.observability.registry import MetricsRegistry
 from repro.ranking.emission import Emission, EmissionKind
 from repro.ranking.score import Scorer
 from repro.ranking.topk import merge_rankings
 from repro.runtime.engine import restore_lateness, snapshot_lateness
-from repro.runtime.metrics import EngineMetrics, QueryMetrics, aggregate_query_metrics
+from repro.runtime.metrics import EngineMetrics
 from repro.runtime.query import RegisteredQuery
 from repro.runtime.report import QueryReport, ShardReport
 from repro.runtime.shard import LocalShard, QueuedRunner, Shard, WorkerLoop
@@ -140,48 +141,14 @@ def stable_shard(key: tuple[Any, ...], shards: int) -> int:
 _log = get_logger(__name__)
 
 
-def aggregate_matcher_stats(parts: Iterable[MatcherStats]) -> MatcherStats:
-    """Sum matcher counters across shards (``peak_live_runs`` takes max)."""
-    total = MatcherStats()
-    for part in parts:
-        for spec in dataclasses.fields(MatcherStats):
-            current = getattr(total, spec.name)
-            value = getattr(part, spec.name)
-            if spec.name == "peak_live_runs":
-                setattr(total, spec.name, max(current, value))
-            else:
-                setattr(total, spec.name, current + value)
-    return total
-
-
-class _FleetMatcherView:
-    """Matcher-shaped facade aggregating the per-shard query reports."""
-
-    def __init__(self, handles: list[QueryReport]) -> None:
-        self._handles = handles
-
-    @property
-    def stats(self) -> MatcherStats:
-        return aggregate_matcher_stats(h.stats for h in self._handles)
-
-    @property
-    def live_run_count(self) -> int:
-        return sum(h.live_runs for h in self._handles)
-
-    @property
-    def pending_count(self) -> int:
-        return sum(h.pending for h in self._handles)
-
-
 class ShardedQuery(SinkOwner):
     """Fleet-wide handle for one query registered on a sharded runner.
 
     Shaped like :class:`~repro.runtime.query.RegisteredQuery` where it
-    matters (``results``/``matches``/``final_ranking``, ``metrics``,
-    ``matcher`` stats, ``analyzed``), so the monitor and existing tooling
-    work unchanged, but backed by the merge stage: ``results()`` returns
-    the deterministically merged emission stream, and every counter is an
-    aggregate over the shards' last reports (:attr:`handles`).
+    matters (``results``/``matches``/``final_ranking``, ``analyzed``, the
+    sink API), but backed by the merge stage: ``results()`` returns the
+    deterministically merged emission stream.  Counters are not here —
+    they are views of the runner's ``metrics_registry()``.
     """
 
     def __init__(self, name: str, analyzed: AnalyzedQuery) -> None:
@@ -509,39 +476,6 @@ class ShardedQuery(SinkOwner):
     def shards(self) -> int:
         return len(self._workers)
 
-    @property
-    def metrics(self) -> QueryMetrics:
-        """Fleet-wide metrics: per-shard counters summed, latency pooled."""
-        total = aggregate_query_metrics([h.metrics for h in self.handles])
-        if self.mode != "solo":
-            # Per-shard counters tally shard-local releases (each shard
-            # closes its own copy of every epoch); what the deployment
-            # observed is the merged stream.
-            total.emissions = len(self._merged)
-            total.revisions = self._revision
-        return total
-
-    @property
-    def matcher(self) -> _FleetMatcherView:
-        return _FleetMatcherView(self.handles)
-
-    @property
-    def profile(self) -> StageProfile | None:
-        """Fleet-wide stage profile (``None`` when profiling is off)."""
-        parts = [h.profile for h in self.handles if h.profile is not None]
-        if not parts:
-            return None
-        total = StageProfile()
-        for part in parts:
-            total.absorb(part)
-        return total
-
-    def cost_account(self) -> CostAccount:
-        """Fleet-wide cost account (per-shard accounts merged)."""
-        return CostAccount.merge(
-            CostAccount.from_report(handle) for handle in self.handles
-        )
-
     def explain(self) -> str:
         return self._workers[0].shard.explain(self.name)
 
@@ -604,7 +538,6 @@ class ShardedEngineRunner(QueuedRunner):
         shed_policy: str = "off",
         latency_target: float | None = None,
         shed_controller: ShedController | None = None,
-        compiled: bool = True,
         shard_type: type[Shard] = LocalShard,
     ) -> None:
         if shards < 1:
@@ -619,7 +552,6 @@ class ShardedEngineRunner(QueuedRunner):
             )
         self.shards = shards
         self.shard_type = shard_type
-        self.compiled = compiled
         self.registry = registry
         self.strict_schema = strict_schema
         self.enable_pruning = enable_pruning
@@ -703,7 +635,6 @@ class ShardedEngineRunner(QueuedRunner):
             "lenient_errors": self.lenient_errors,
             "max_lateness": None if preassigned else self.max_lateness,
             "sanitize": self.sanitize,
-            "compiled": self.compiled,
         }
         queries = {view.name: self._asts[view.name] for view in views}
         shard = self.shard_type(self.registry, options, queries)
@@ -1091,18 +1022,8 @@ class ShardedEngineRunner(QueuedRunner):
     @property
     def last_processed_ts(self) -> float | None:
         """Highest event timestamp any shard reports having processed."""
-        marks = [worker.report.engine.last_event_ts for worker in self._workers]
+        marks = [worker.report.last_event_ts for worker in self._workers]
         return max((mark for mark in marks if mark is not None), default=None)
-
-    def cost_accounts(self) -> dict[str, CostAccount]:
-        """Fleet-wide per-query cost accounts (shard accounts merged).
-
-        Rebuilt from the shards' last reports on every call — the merged
-        account's counters equal the single-engine account's for any
-        shardable workload (each event reaches exactly one shard, which
-        registers every query of its group).
-        """
-        return {name: view.cost_account() for name, view in self._views.items()}
 
     # -- barriers ---------------------------------------------------------------------
 
@@ -1267,55 +1188,6 @@ class ShardedEngineRunner(QueuedRunner):
     def queries(self) -> list[ShardedQuery]:
         return list(self._views.values())
 
-    def stats_by_query(self) -> dict[str, dict[str, float]]:
-        """Fleet-wide metrics per query, shaped like the engine's."""
-        snapshot: dict[str, dict[str, float]] = {}
-        for name, view in self._views.items():
-            row = view.metrics.snapshot()
-            stats = view.matcher.stats
-            row.update(
-                {
-                    "runs_created": stats.runs_created,
-                    "runs_pruned": stats.runs_pruned,
-                    "peak_live_runs": stats.peak_live_runs,
-                    "live_runs": view.matcher.live_run_count,
-                    "partition_skips": stats.events_skipped_no_key,
-                    "shards": view.shards,
-                    "solo_fallback": 1.0 if view.solo_fallback else 0.0,
-                }
-            )
-            snapshot[name] = row
-        return snapshot
-
-    def shared_stats(self) -> dict[str, int]:
-        """Fleet-wide sharing counters, shaped like the engine's.
-
-        Event-driven counters sum across shards; the structural gauges
-        (distinct predicates, prefix entries) are per-shard replicas of
-        the same index, so the fleet view takes their maximum.
-        """
-        totals: dict[str, int] = {}
-        for worker in self._workers:
-            for key, value in worker.report.shared.items():
-                if key in ("distinct_predicates", "prefix_entries"):
-                    totals[key] = max(totals.get(key, 0), value)
-                else:
-                    totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def sanitizer_trips(self) -> dict[str, int] | None:
-        """Fleet-wide sanitizer trip counts by check (None when disabled)."""
-        totals: dict[str, int] | None = None
-        for worker in self._workers:
-            trips = worker.report.sanitizer_trips
-            if trips is None:
-                continue
-            if totals is None:
-                totals = {}
-            for check, count in trips.items():
-                totals[check] = totals.get(check, 0) + count
-        return totals
-
     def shard_stats(self) -> list[dict[str, Any]]:
         """Per-worker view: events drained, backlog, live runs, role."""
         rows: list[dict[str, Any]] = []
@@ -1327,41 +1199,50 @@ class ShardedEngineRunner(QueuedRunner):
                     "events_processed": worker.loop.events_processed,
                     "backlog": worker.loop.backlog,
                     "live_runs": sum(
-                        query.live_runs
-                        for query in worker.report.queries.values()
+                        int(instrument.value)
+                        for instrument in worker.report.instruments
+                        if instrument.name == "live_runs"
                     ),
                 }
             )
         return rows
 
-    def profiles_by_query(self) -> dict[str, StageProfile]:
-        """Fleet-wide stage profiles per query (absorbed across shards)."""
-        profiles: dict[str, StageProfile] = {}
-        for name, view in self._views.items():
-            profile = view.profile
-            if profile is not None:
-                profiles[name] = profile
-        return profiles
-
     def metrics_registry(self) -> MetricsRegistry:
-        """One fleet registry: per-shard engine registries absorbed, plus
-        the runner's own dispatch/queue instruments.
+        """One fleet registry: the shards' last-reported registries
+        absorbed, plus the coordinator's own dispatch/queue instruments.
 
-        The absorbed series are value snapshots (counters sum across
-        shards, ``max`` gauges take the fleet peak, latency reservoirs
-        pool); build a fresh registry per export.
+        As fresh as the last barrier, and still answerable after
+        :meth:`stop` (the reports outlive the shards).  The absorbed
+        series are value snapshots (counters sum, ``max`` gauges take the
+        fleet peak, latency reservoirs pool); build a fresh registry per
+        export.  ``stats_by_query`` and the other views read this.
         """
-        fleet = merge_registries(
-            [worker.shard.registry() for worker in self._workers]
-        )
+        fleet = MetricsRegistry()
+        # Registered before absorbing, so per-query views list queries in
+        # registration order (a solo shard would otherwise lead).
+        for view in self._views.values():
+            bind(fleet, QUERY_SHARDS, view, query=view.name)
+            bind(fleet, QUERY_SOLO_FALLBACK, view, query=view.name)
+        for worker in self._workers:
+            fleet.absorb(worker.report.instruments)
+        span = fleet.get("ingest_span_seconds")
+        if span is not None and span.value > 0:
+            # The fleet's lifetime rate over the fleet's observed span (the
+            # busiest shard's); per-shard rates do not add.
+            fleet.gauge("throughput_eps").set(
+                fleet.get("events_pushed_total").value / span.value
+            )
         for name, view in self._views.items():
             if view.mode == "solo":
                 continue
             # Shard-local counters tally per-shard epoch releases; what the
-            # deployment observed is the merged emission stream (the same
-            # correction ShardedQuery.metrics applies).
+            # deployment observed is the merge stage's own count of the
+            # merged stream (the coordinator's counter, not a combination).
             fleet.counter("query_emissions_total", query=name).override(
-                view.metrics.emissions
+                len(view._merged)
+            )
+            fleet.counter("query_revisions_total", query=name).override(
+                view._revision
             )
         self._register_queue_instruments(fleet)
         fleet.gauge(

@@ -234,7 +234,7 @@ class InvariantChecker:
                 seq=event.seq,
             )
             return
-        if not matcher._stage_accepts_new(query._stage0, event):
+        if not matcher._accepts_new_run(event):
             return
         pruner = query.pruner
         if pruner is None:

@@ -14,6 +14,7 @@ from repro.events.event import Event
 from repro.events.schema import SchemaRegistry
 from repro.ranking.emission import Emission
 from repro.runtime.engine import CEPREngine
+from repro.runtime.runner import create_runner
 from repro.store.log import EventLog
 
 
@@ -82,50 +83,21 @@ class Backtester:
         name: str = "backtest",
     ) -> BacktestResult:
         """Evaluate ``query`` over ``[start_ts, end_ts)`` of the log."""
-        if self.shards > 1:
-            return self._run_sharded(query, start_ts, end_ts, name)
-        engine = CEPREngine(
-            registry=self.registry, enable_pruning=self.enable_pruning
-        )
-        handle = engine.register_query(query, name=name)
-        replayed = 0
-        for event in self.log.scan(start_ts, end_ts):
-            engine.push(event)
-            replayed += 1
-        engine.flush()
-        return BacktestResult(
-            query_name=name,
-            events_replayed=replayed,
-            emissions=handle.results(),
-            matches=handle.metrics.matches,
-        )
-
-    def _run_sharded(
-        self,
-        query: str,
-        start_ts: float | None,
-        end_ts: float | None,
-        name: str,
-    ) -> BacktestResult:
-        from repro.runtime.sharded import ShardedEngineRunner
-
-        runner = ShardedEngineRunner(
+        runner = create_runner(
+            {name: query},
+            backend="sharded" if self.shards > 1 else "embedded",
             shards=self.shards,
             registry=self.registry,
             enable_pruning=self.enable_pruning,
         )
-        view = runner.register_query(query, name=name)
-        runner.start()
-        try:
+        with runner:
             replayed = runner.submit_all(self.log.scan(start_ts, end_ts))
             runner.flush()
-        finally:
-            runner.stop()
         return BacktestResult(
             query_name=name,
             events_replayed=replayed,
-            emissions=view.results(),
-            matches=view.metrics.matches,
+            emissions=runner.query(name).results(),
+            matches=runner.stats_by_query()[name]["matches"],
         )
 
     def compare(

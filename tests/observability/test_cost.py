@@ -1,7 +1,8 @@
-"""Per-query cost accounting: CostAccount construction, merge, ranking.
+"""Per-query cost accounting: the registry view, ratios, ranking.
 
-The accounts are views over live counters, so the churn test at the
-bottom is the real contract: after registering and unregistering 100
+The accounts are views of the metrics registry
+(``repro.observability.instruments.cost_accounts``), so the churn test at
+the bottom is the real contract: after registering and unregistering 100
 queries, ``cepr top``'s data source must list exactly the survivors — a
 ghost query cannot linger because there is no parallel state to retire.
 """
@@ -9,6 +10,7 @@ ghost query cannot linger because there is no parallel state to retire.
 import pytest
 
 from repro.observability.cost import CostAccount, rank_accounts
+from repro.observability.instruments import cost_accounts
 from repro.runtime.engine import CEPREngine
 from repro.events.event import Event
 
@@ -33,7 +35,7 @@ def _stream(pairs: int = 10):
         yield Event("Sell", ts, symbol="A", price=11.0 + i)
 
 
-class TestFromQuery:
+class TestFromRegistry:
     def test_reads_live_counters(self):
         engine = CEPREngine()
         handle = engine.register_query(QUERY)
@@ -41,7 +43,8 @@ class TestFromQuery:
             engine.push(event)
         engine.flush()
 
-        account = handle.cost_account()
+        account = cost_accounts(engine.metrics_registry())["spread"]
+        assert account == engine.cost_accounts()["spread"]
         assert account.query == "spread"
         assert account.events_routed == 20
         assert account.runs_created > 0
@@ -50,14 +53,34 @@ class TestFromQuery:
         assert account.cpu_seconds > 0.0
         assert account.parts == 1
 
+    def test_counts_every_way_a_run_ends_and_every_error(self):
+        """``runs_killed`` and ``evaluation_errors`` have one definition,
+        the instrument table's (scoring and YIELD errors included)."""
+        engine = CEPREngine(lenient_errors=True)
+        handle = engine.register_query(QUERY)
+        for event in _stream():
+            engine.push(event)
+        engine.push(Event("Buy", 50.0, symbol="A", price=10.0))
+        engine.push(Event("Sell", 51.0, symbol="A"))  # no price: lenient error
+        engine.flush()
+        stats = handle.matcher.stats
+        account = engine.cost_accounts()["spread"]
+        assert account.runs_killed == (
+            stats.runs_killed_strict
+            + stats.runs_killed_negation
+            + stats.runs_tripped
+            + stats.runs_expired
+        )
+        assert account.evaluation_errors == stats.evaluation_errors > 0
+
     def test_account_is_a_view_not_a_snapshot(self):
         engine = CEPREngine()
-        handle = engine.register_query(QUERY)
-        before = handle.cost_account()
+        engine.register_query(QUERY)
+        before = engine.cost_accounts()["spread"]
         assert before.events_routed == 0
         for event in _stream():
             engine.push(event)
-        after = handle.cost_account()
+        after = engine.cost_accounts()["spread"]
         assert after.events_routed == 20
         # the first account was materialised before the stream: unchanged
         assert before.events_routed == 0
@@ -82,45 +105,6 @@ class TestFromQuery:
         assert account.hit_ratio == 0.0
         assert account.prune_ratio == 0.0
         assert account.cpu_per_event_us == 0.0
-
-
-class TestMerge:
-    def test_counters_sum_exactly(self):
-        parts = [
-            CostAccount(
-                query="q",
-                events_routed=3,
-                runs_created=2,
-                shared_hits=5,
-                shared_misses=1,
-                cpu_seconds=0.25,
-            ),
-            CostAccount(
-                query="q",
-                events_routed=7,
-                runs_created=1,
-                shared_hits=2,
-                shared_misses=4,
-                cpu_seconds=0.75,
-            ),
-        ]
-        total = CostAccount.merge(parts)
-        assert total.events_routed == 10
-        assert total.runs_created == 3
-        assert total.shared_hits == 7
-        assert total.shared_misses == 5
-        assert total.cpu_seconds == pytest.approx(1.0)
-        assert total.parts == 2
-
-    def test_merge_rejects_mixed_queries(self):
-        with pytest.raises(ValueError, match="different queries"):
-            CostAccount.merge(
-                [CostAccount(query="a"), CostAccount(query="b")]
-            )
-
-    def test_merge_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            CostAccount.merge([])
 
 
 class TestRanking:

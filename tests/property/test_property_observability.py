@@ -2,15 +2,15 @@
 
 Three layers:
 
-* Pure aggregation — :func:`aggregate_query_metrics` (and the
-  :class:`LatencyRecorder` absorb underneath it) over any K-way split of
-  the same observations equals the unsplit metrics: counters exactly,
+* Pure aggregation — :class:`LatencyRecorder` ``absorb`` (what
+  ``MetricsRegistry.absorb`` pools histograms with) over any K-way split
+  of the same observations equals the unsplit recorder: counts exactly,
   percentiles within float tolerance while the pooled reservoir is under
   capacity.
 * End-to-end — a :class:`ShardedEngineRunner` at K ∈ {1, 2, 4, 8} shards
-  reports the same per-query counters as a single :class:`CEPREngine` fed
-  the identical stream, and the shard-level :class:`CostAccount` records
-  merge to exactly the single-engine account.
+  reports, through the registry views (``stats_by_query`` /
+  ``cost_accounts``), the same per-query counters as a single
+  :class:`CEPREngine` fed the identical stream, counter for counter.
 * Telemetry primitives — :func:`merge_samples` preserves its documented
   sum/max semantics for any shard split, and the
   :class:`FlightRecorder` ring never exceeds its byte budget under
@@ -22,14 +22,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro import CEPREngine, Event
-from repro.observability.cost import CostAccount
 from repro.observability.flightrec import FlightRecorder
 from repro.observability.pressure import PressureSample, merge_samples
-from repro.runtime.metrics import (
-    LatencyRecorder,
-    QueryMetrics,
-    aggregate_query_metrics,
-)
+from repro.runtime.metrics import LatencyRecorder
 from repro.runtime.sharded import ShardedEngineRunner
 
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -75,34 +70,6 @@ class TestPureAggregation:
                 whole.percentile(q), rel=1e-12, abs=0.0
             )
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=50),  # events_routed
-                st.integers(min_value=0, max_value=20),  # matches
-                st.integers(min_value=0, max_value=10),  # emissions
-                st.integers(min_value=0, max_value=10),  # revisions
-            ),
-            min_size=0,
-            max_size=8,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_aggregate_query_metrics_sums_counters(self, parts_spec):
-        parts = []
-        for events_routed, matches, emissions, revisions in parts_spec:
-            part = QueryMetrics()
-            part.events_routed = events_routed
-            part.matches = matches
-            part.emissions = emissions
-            part.revisions = revisions
-            parts.append(part)
-        total = aggregate_query_metrics(parts)
-        assert total.events_routed == sum(p.events_routed for p in parts)
-        assert total.matches == sum(p.matches for p in parts)
-        assert total.emissions == sum(p.emissions for p in parts)
-        assert total.revisions == sum(p.revisions for p in parts)
-
 
 QUERY = """
 NAME spread
@@ -142,42 +109,63 @@ def build_stream(specs):
     return events
 
 
+def run_both(specs, shards):
+    """The same stream through one engine and a K-shard fleet."""
+    events = build_stream(specs)
+
+    engine = CEPREngine()
+    engine.register_query(QUERY)
+    for event in events:
+        engine.push(event)
+    engine.flush()
+
+    runner = ShardedEngineRunner(shards=shards)
+    runner.register_query(QUERY)
+    runner.start()
+    try:
+        for event in build_stream(specs):
+            runner.submit(event)
+        runner.flush()
+    finally:
+        runner.stop()
+    return engine, runner
+
+
+#: stats rows that are counts of what happened (not gauges of where a
+#: shard is, fleet-only columns, or wall-clock latencies).
+EXACT_STATS = (
+    "events_routed",
+    "matches",
+    "emissions",
+    "revisions",
+    "runs_created",
+    "runs_pruned",
+    "partition_skips",
+    "live_runs",
+)
+
+
 class TestEndToEndShardSplit:
     @given(specs=event_specs, shards=st.sampled_from(SHARD_COUNTS))
     @settings(max_examples=25, deadline=None)
     def test_sharded_counters_equal_single_engine(self, specs, shards):
-        events = build_stream(specs)
-
-        engine = CEPREngine()
-        handle = engine.register_query(QUERY)
-        for event in events:
-            engine.push(event)
-        engine.flush()
-
-        runner = ShardedEngineRunner(shards=shards)
-        view = runner.register_query(QUERY)
-        runner.start()
-        try:
-            for event in events:
-                runner.submit(event)
-            runner.flush()
-        finally:
-            runner.stop()
-
-        single = handle.metrics
-        fleet = aggregate_query_metrics([h.metrics for h in view.handles])
-        assert fleet.events_routed == single.events_routed
-        assert fleet.matches == single.matches
+        engine, runner = run_both(specs, shards)
+        single = engine.stats_by_query()["spread"]
+        fleet = runner.stats_by_query()["spread"]
+        for key in EXACT_STATS:
+            assert fleet[key] == single[key], key
         # fleet latency pools one sample per routed event across shards
-        assert fleet.latency.count == single.latency.count
-        # emission counts compare on the merged stream view
-        assert view.metrics.emissions == single.emissions
-        assert view.metrics.events_routed == single.events_routed
+        assert (
+            runner.metrics_registry().get("latency_seconds", query="spread").count
+            == engine.metrics_registry().get("latency_seconds", query="spread").count
+            == single["events_routed"]
+        )
+        assert fleet["shards"] == shards
 
     @given(specs=event_specs, shards=st.sampled_from(SHARD_COUNTS))
     @settings(max_examples=25, deadline=None)
     def test_cost_accounts_merge_to_single_engine_values(self, specs, shards):
-        """Shard cost accounts fold to the single-engine account exactly.
+        """The fleet cost account equals the single-engine account exactly.
 
         Every counter the account carries — routed events, run
         lifecycle, shared-index hit/miss, matches, errors — must sum
@@ -185,28 +173,9 @@ class TestEndToEndShardSplit:
         stream.  CPU time is measured, not counted, so it is the one
         field excluded from the exact comparison.
         """
-        events = build_stream(specs)
-
-        engine = CEPREngine()
-        handle = engine.register_query(QUERY)
-        for event in events:
-            engine.push(event)
-        engine.flush()
-        single = handle.cost_account()
-
-        runner = ShardedEngineRunner(shards=shards)
-        view = runner.register_query(QUERY)
-        runner.start()
-        try:
-            for event in events:
-                runner.submit(event)
-            runner.flush()
-        finally:
-            runner.stop()
-
-        merged = CostAccount.merge(
-            [CostAccount.from_report(h) for h in view.handles]
-        )
+        engine, runner = run_both(specs, shards)
+        single = engine.cost_accounts()["spread"]
+        merged = runner.cost_accounts()["spread"]
         assert merged.parts == shards
         assert merged.query == single.query
         assert merged.events_routed == single.events_routed
@@ -217,6 +186,7 @@ class TestEndToEndShardSplit:
         assert merged.shared_hits == single.shared_hits
         assert merged.shared_misses == single.shared_misses
         assert merged.matches == single.matches
+        assert merged.emissions == single.emissions
         assert merged.evaluation_errors == single.evaluation_errors
         # derived ratios follow from the counters, so they agree too
         assert merged.hit_ratio == pytest.approx(single.hit_ratio)

@@ -2,11 +2,14 @@
 
 ``decode_report(encode_report(r)) == r`` for arbitrary reports — through
 the real wire path (non-finite-float sentinels, JSON text, back) — with
-``inf``/``nan`` rank values, empty emission deltas and ``profile=None``
-all in the domain.  Reports hold live-object types without ``__eq__``
-and NaN never equals itself, so equality is taken on canonical JSON of
-the decoded report's own fields (including the re-scored matches), never
-by trusting the encoder twice.
+``inf``/``nan`` rank values and gauge values, empty emission deltas, an
+empty registry, ``agg="max"`` gauges and latency reservoirs all in the
+domain: the ``instruments`` field (the registry wire codec) is covered by
+the same property.  Reports hold live-object types without ``__eq__`` and
+NaN never equals itself, so equality is taken on canonical JSON of the
+decoded report's own fields (including the re-scored matches and every
+instrument's kind, help, merge rule and value), never by trusting the
+encoder twice.
 """
 
 import dataclasses
@@ -17,14 +20,13 @@ from hypothesis import strategies as st
 
 from repro import Event
 from repro.engine.match import Match
-from repro.engine.matcher import MatcherStats
 from repro.events.jsonsafe import desanitize, dumps, sanitize
 from repro.language.parser import parse_query
 from repro.language.semantics import analyze
-from repro.observability.profiling import StageProfile
+from repro.observability.instruments import HELP
+from repro.observability.registry import Counter, Histogram, MetricsRegistry
 from repro.ranking.emission import Emission, EmissionKind
 from repro.ranking.score import Scorer
-from repro.runtime.metrics import EngineMetrics, LatencyRecorder, QueryMetrics
 from repro.runtime.report import (
     QueryReport,
     ShardReport,
@@ -87,64 +89,59 @@ def emissions(draw):
     )
 
 
-@st.composite
-def recorders(draw):
-    recorder = LatencyRecorder()
-    for sample in draw(st.lists(seconds, max_size=5)):
-        recorder.record(sample)
-    return recorder
+label_values = st.text(max_size=4)
 
 
 @st.composite
-def profiles(draw):
-    profile = StageProfile()
-    for _name, timer in profile.timers():
-        for sample in draw(st.lists(seconds, max_size=3)):
-            timer.add(sample)
-    return profile
+def registries(draw):
+    """Arbitrary registries over the real catalogue's series names: owned
+    and callback-backed counters, sum and max gauges, reservoirs."""
+    registry = MetricsRegistry()
+    for name in draw(st.sets(st.sampled_from(sorted(HELP)), max_size=6)):
+        labels = draw(st.dictionaries(st.sampled_from(["query", "stage"]), label_values))
+        kind = draw(st.sampled_from(["counter", "callback", "sum", "max", "histogram"]))
+        if kind == "counter":
+            registry.counter(name, HELP[name], **labels).inc(draw(counts))
+        elif kind == "callback":
+            value = draw(counts)
+            registry.counter(name, HELP[name], fn=lambda value=value: value, **labels)
+        elif kind == "histogram":
+            histogram = registry.histogram(name, HELP[name], **labels)
+            for sample in draw(st.lists(seconds, max_size=5)):
+                histogram.observe(sample)
+        else:
+            registry.gauge(name, HELP[name], agg=kind, **labels).set(draw(values))
+    return registry
 
 
 @st.composite
-def query_reports(draw, name):
-    stats = MatcherStats(
-        **{spec.name: draw(counts) for spec in dataclasses.fields(MatcherStats)}
-    )
+def query_reports(draw):
     return QueryReport(
-        name=name,
-        metrics=QueryMetrics(
-            events_routed=draw(counts),
-            matches=draw(counts),
-            emissions=draw(counts),
-            revisions=draw(counts),
-            latency=draw(recorders()),
-        ),
-        stats=stats,
-        profile=draw(st.none() | profiles()),
         emissions=draw(st.lists(emissions(), max_size=3)),
         open_epochs=tuple(sorted(draw(st.sets(counts, max_size=4)))),
-        live_runs=draw(counts),
-        pending=draw(counts),
     )
 
 
 @st.composite
 def shard_reports(draw):
-    engine = EngineMetrics()
-    engine.events_pushed = draw(counts)
-    engine.last_event_ts = draw(st.none() | seconds)
     names = draw(st.sets(st.sampled_from(sorted(SCORERS)), max_size=2))
-    trip_counts = st.dictionaries(st.text(max_size=6), counts, max_size=3)
     return ShardReport(
         pid=draw(st.integers(min_value=1, max_value=2**22)),
-        engine=engine,
-        shared=draw(trip_counts),
-        sanitizer_trips=draw(st.none() | trip_counts),
-        queries={name: draw(query_reports(name)) for name in sorted(names)},
+        last_event_ts=draw(st.none() | seconds),
+        instruments=draw(registries()),
+        queries={name: draw(query_reports()) for name in sorted(names)},
     )
 
 
-def recorder_fields(recorder):
-    return [recorder.count, recorder.total, recorder.maximum, recorder._samples]
+def instrument_fields(instrument):
+    fields = [instrument.kind, instrument.name, instrument.help, instrument.labels]
+    if isinstance(instrument, Histogram):
+        recorder = instrument.recorder
+        return fields + [
+            recorder.count, recorder.total, recorder.maximum, recorder._samples
+        ]
+    agg = "sum" if isinstance(instrument, Counter) else instrument.agg
+    return fields + [agg, instrument.value]
 
 
 def match_fields(match):
@@ -163,18 +160,7 @@ def canonical(report: ShardReport) -> str:
     """Every field the report carries, read off the objects themselves."""
     queries = {}
     for name, query in report.queries.items():
-        assert query.name == name
-        metrics = dataclasses.asdict(query.metrics)
-        metrics["latency"] = recorder_fields(query.metrics.latency)
         queries[name] = {
-            "metrics": metrics,
-            "stats": dataclasses.asdict(query.stats),
-            "profile": None
-            if query.profile is None
-            else [
-                (stage, timer.count, timer.total, timer.maximum)
-                for stage, timer in query.profile.timers()
-            ],
             "emissions": [
                 {
                     "kind": e.kind.value,
@@ -186,15 +172,14 @@ def canonical(report: ShardReport) -> str:
                 for e in query.emissions
             ],
             "open_epochs": list(query.open_epochs),
-            "live": [query.live_runs, query.pending],
         }
     return dumps(
         sanitize(
             {
                 "pid": report.pid,
-                "engine": [report.engine.events_pushed, report.engine.last_event_ts],
-                "shared": report.shared,
-                "sanitizer": report.sanitizer_trips,
+                "last_event_ts": report.last_event_ts,
+                # registration order is part of the contract (view order)
+                "instruments": [instrument_fields(i) for i in report.instruments],
                 "queries": queries,
             }
         )
@@ -209,7 +194,7 @@ def test_decode_inverts_encode_through_the_wire(report):
     assert canonical(decoded) == canonical(report)
 
 
-def test_nonfinite_scores_empty_deltas_and_missing_profile_survive():
+def test_nonfinite_values_empty_deltas_and_an_empty_registry_survive():
     """The corners the issue names, pinned explicitly (not left to luck)."""
     event = Event("A", 1.0, x=float("inf"))
     event.seq = 0
@@ -229,11 +214,18 @@ def test_nonfinite_scores_empty_deltas_and_missing_profile_survive():
     emission = Emission(
         kind=EmissionKind.WINDOW_CLOSE, ranking=[match], at_seq=1, at_ts=2.0, epoch=0
     )
+    instruments = MetricsRegistry()
+    instruments.gauge("throughput_eps", HELP["throughput_eps"]).set(float("inf"))
+    instruments.gauge("peak_live_runs", HELP["peak_live_runs"], agg="max", query="q").set(
+        float("nan")
+    )
+    instruments.histogram("latency_seconds", HELP["latency_seconds"], query="q")
     report = ShardReport(
         pid=1,
+        instruments=instruments,
         queries={
-            "q": QueryReport(name="q", emissions=[emission], profile=None),
-            "other": QueryReport(name="other", emissions=[], profile=StageProfile()),
+            "q": QueryReport(emissions=[emission]),
+            "other": QueryReport(emissions=[]),
         },
     )
     wire = dumps(sanitize(encode_report(report)))
@@ -241,5 +233,12 @@ def test_nonfinite_scores_empty_deltas_and_missing_profile_survive():
     decoded = decode_report(desanitize(json.loads(wire)), SCORERS)
     assert canonical(decoded) == canonical(report)
     assert decoded.queries["q"].emissions[0].ranking[0].rank_values[0] == float("inf")
-    assert decoded.queries["q"].profile is None
     assert decoded.queries["other"].emissions == []
+    assert decoded.instruments.get("peak_live_runs", query="q").agg == "max"
+    assert decoded.instruments.get("latency_seconds", query="q").count == 0
+
+    bare = ShardReport(pid=2)  # nothing registered, nothing reported
+    decoded = decode_report(
+        desanitize(json.loads(dumps(sanitize(encode_report(bare))))), SCORERS
+    )
+    assert len(decoded.instruments) == 0 and decoded.queries == {}

@@ -1,6 +1,7 @@
 """Unit tests for metrics primitives."""
 
-from repro.runtime.metrics import EngineMetrics, LatencyRecorder, QueryMetrics
+from repro import CEPREngine, Event
+from repro.runtime.metrics import EngineMetrics, LatencyRecorder
 
 
 class TestLatencyRecorder:
@@ -130,15 +131,30 @@ class TestLatencyRecorder:
         assert 10 <= fast <= 40  # far above the ~0.5 an unbiased merge keeps
 
 
-class TestQueryMetrics:
-    def test_snapshot_keys(self):
-        metrics = QueryMetrics()
-        metrics.events_routed = 3
-        metrics.latency.record(0.001)
-        snapshot = metrics.snapshot()
-        assert snapshot["events_routed"] == 3
-        assert snapshot["latency_mean_us"] > 0
-        assert "latency_p99_us" in snapshot
+class TestStatsRows:
+    def test_stats_row_keys(self):
+        """``stats_by_query`` rows keep the keys ``QueryMetrics.snapshot``
+        and the engine used to assemble by hand (pinned: tools parse them)."""
+        engine = CEPREngine()
+        engine.register_query("NAME q PATTERN SEQ(A a) WITHIN 5 EVENTS")
+        engine.push(Event("A", 1.0))
+        row = engine.stats_by_query()["q"]
+        assert set(row) == {
+            "events_routed",
+            "matches",
+            "emissions",
+            "revisions",
+            "latency_mean_us",
+            "latency_p50_us",
+            "latency_p99_us",
+            "runs_created",
+            "runs_pruned",
+            "peak_live_runs",
+            "live_runs",
+            "partition_skips",
+        }
+        assert row["events_routed"] == 1
+        assert row["latency_mean_us"] > 0
 
 
 class TestEngineMetrics:

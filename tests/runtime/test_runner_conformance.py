@@ -167,20 +167,27 @@ class TestStatsShape:
 
         # Same shape (fleet backends may add fleet-only columns) ...
         assert set(expected) <= set(row)
-        # ... and identical core counters: every event routes exactly once.
-        for key in ("events_routed", "matches", "emissions"):
+        # ... and identical exact counters: every event routes exactly
+        # once, and a revision is a revision on every backend.
+        for key in (
+            "events_routed",
+            "matches",
+            "emissions",
+            "revisions",
+            "runs_created",
+            "runs_pruned",
+            "partition_skips",
+        ):
             assert row[key] == expected[key], key
+        assert row["revisions"] == row["emissions"] > 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_metrics_registry_has_instruments(self, backend):
         runner = make_runner(backend)
         with runner:
             runner.submit_all(make_events())
-            runner.sync()
-            # Read while live: the process fleet mirrors worker registries
-            # over a barrier, which needs the workers still running.
-            names = {sample.name for sample in runner.metrics_registry().collect()}
             runner.flush()
+        names = {sample.name for sample in runner.metrics_registry().collect()}
         assert "events_pushed_total" in names
         assert "latency_seconds" in names
 
@@ -191,6 +198,32 @@ class TestStatsShape:
             runner.submit_all(make_events())
             runner.flush()
         assert "best_trades" in runner.cost_accounts()
+
+
+class TestFreshnessAfterStop:
+    """One rule on every backend: telemetry answers "as of the last
+    barrier", and ``stop()``/``close()`` do not take the answer away."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_view_answers_after_stop_and_close(self, backend):
+        runner = make_runner(backend)
+        runner.start()
+        runner.submit_all(make_events())
+        runner.flush()
+        live = runner.stats_by_query()["best_trades"]
+        runner.stop()
+        for _ in ("stopped", "closed"):
+            registry = runner.metrics_registry()
+            assert registry.get("events_pushed_total").value == EVENTS
+            row = runner.stats_by_query()["best_trades"]
+            for key in ("events_routed", "matches", "emissions", "revisions"):
+                assert row[key] == live[key], key
+            account = runner.cost_accounts()["best_trades"]
+            assert account.events_routed == live["events_routed"]
+            assert runner.shared_stats()["events_gated"] >= 0
+            assert runner.profiles_by_query()["best_trades"].match.count > 0
+            assert runner.sanitizer_trips() in (None, {})
+            runner.close()
 
 
 class TestCheckpointLifecycle:

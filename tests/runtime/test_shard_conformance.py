@@ -30,7 +30,6 @@ OPTIONS = {
     "lenient_errors": False,
     "max_lateness": None,
     "sanitize": None,
-    "compiled": True,
 }
 
 QUERIES = {
@@ -65,18 +64,32 @@ def build(shard_type, queries=QUERIES):
     return shard_type(None, OPTIONS, queries)
 
 
+#: series that measure wall-clock time, not what happened.
+CLOCKED = {
+    "throughput_eps",
+    "ingest_span_seconds",
+    "recent_throughput_eps",
+    "query_cpu_seconds_total",
+    "stage_seconds_total",
+    "stage_max_seconds",
+}
+
+
 def comparable(report: ShardReport) -> dict:
     """A report minus what legitimately differs between two runs: the
     pid, and wall-clock measurements (latency values, stage seconds)."""
     doc = encode_report(report)
     del doc["pid"]
-    for query in doc["queries"].values():
-        query["metrics"]["latency"] = query["metrics"]["latency"]["count"]
-        if query["profile"] is not None:
-            query["profile"] = {
-                stage: timer[0] for stage, timer in query["profile"].items()
-            }
+    doc["instruments"] = {
+        (name, *sorted(labels.items())): value[0] if kind == "h" else value
+        for kind, name, labels, value in doc["instruments"]
+        if name not in CLOCKED
+    }
     return doc
+
+
+def pushed(doc: dict) -> int:
+    return doc["instruments"][("events_pushed_total",)]
 
 
 def drive(shard):
@@ -104,15 +117,16 @@ class TestReports:
         local, pipe = (drive(build(shard_type)) for shard_type in SHARD_TYPES)
         assert local == pipe
         first, after_batch, again, after_advance, final = local
-        assert first["events_pushed"] == 0
-        assert after_batch["events_pushed"] == 250
+        assert pushed(first) == 0
+        assert pushed(after_batch) == 250
         assert sum(
             len(q["emissions"]) for q in after_batch["queries"].values()
         ), "the script must emit for the comparison to bite"
         assert all(not q["emissions"] for q in again["queries"].values())
         assert again["queries"]["best"]["open_epochs"]
         assert final["queries"]["best"]["open_epochs"] == []
-        assert final["events_pushed"] == 600
+        assert pushed(final) == 600
+        assert final["instruments"][("latency_seconds", ("query", "best"))] == 600
 
     @pytest.mark.parametrize("shard_type", SHARD_TYPES)
     def test_report_names_the_hosting_process(self, shard_type):
@@ -129,8 +143,9 @@ class TestReports:
         shard = build(shard_type)
         try:
             shard.push_batch(stream(50))
-            names = {sample.name for sample in shard.registry().collect()}
-            assert "events_pushed_total" in names
+            instruments = shard.report().instruments
+            assert instruments.get("events_pushed_total").value == 50
+            assert instruments.get("events_pushed_total").help  # from the catalogue
             assert "Buy" in shard.explain("best")
         finally:
             shard.close()
@@ -162,7 +177,23 @@ class TestCheckpointing:
             assert got["queries"][name]["emissions"] == (
                 expected["queries"][name]["emissions"]
             )
-            assert got["queries"][name]["stats"] == expected["queries"][name]["stats"]
+        # What a snapshot carries (matcher stats, query counters, the
+        # ranker's revision) resumes; stage timers and sink tallies restart.
+        for series in (
+            "query_events_routed_total",
+            "query_matches_total",
+            "query_emissions_total",
+            "query_revisions_total",
+            "runs_created_total",
+            "runs_extended_total",
+            "runs_killed_total",
+            "runs_pruned_total",
+            "shared_hits_total",
+            "peak_live_runs",
+        ):
+            for name in QUERIES:
+                key = (series, ("query", name))
+                assert got["instruments"][key] == expected["instruments"][key], key
 
 
 class TestLifecycle:
@@ -184,7 +215,9 @@ class TestLifecycle:
         try:
             assert shard.alive()
             report = shard.report()
-            assert report.engine.events_pushed == 0, "respawn starts empty"
+            assert (
+                report.instruments.get("events_pushed_total").value == 0
+            ), "respawn starts empty"
             assert set(report.queries) == set(QUERIES), "...with the same queries"
             assert (shard.pid == first_pid) == shard.live_engine
         finally:

@@ -574,7 +574,7 @@ class TestRunnerIntegration:
         finally:
             runner.stop()
         assert controller.stats.shed_events_total > 0
-        routed = sum(h.metrics.events_routed for h in view.handles)
+        routed = runner.stats_by_query()[view.name]["events_routed"]
         assert routed == 1000 - controller.stats.shed_events_total
         prom = runner.metrics_registry().to_prometheus()
         assert "shed_events_total" in prom
