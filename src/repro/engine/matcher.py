@@ -90,10 +90,6 @@ class MatcherStats:
     shared_misses: int = 0
     peak_live_runs: int = 0
 
-    def observe_live_runs(self, count: int) -> None:
-        if count > self.peak_live_runs:
-            self.peak_live_runs = count
-
 
 @dataclass
 class _Pending:
@@ -168,9 +164,9 @@ class PatternMatcher:
             (i, n) for i, n in enumerate(automaton.negations) if not n.before_is_end
         )
         self._last_stage_index = len(automaton.stages) - 1
-        # O(1) activity caches for the shared-execution fast path: refreshed
-        # after every state-changing entry point, read by the engine's
-        # quiescence check before it decides to route an event here at all.
+        # O(1) activity caches for shared execution: kept current by every
+        # state-changing entry point, read by the residual skip check that
+        # decides whether the query may go dormant.
         self._live_runs_cached = 0
         self._pendings_cached = 0
         #: Fused per-edge closures (:func:`~repro.engine.compiler.
@@ -198,8 +194,13 @@ class PatternMatcher:
         """
         return self._live_runs_cached == 0 and self._pendings_cached == 0
 
-    def _refresh_activity(self) -> int:
-        """Recompute both activity caches; returns the live-run count."""
+    def _refresh_activity(self) -> None:
+        """Recount both activity caches over every partition.
+
+        For the entry points that touch all partitions (``advance_time``,
+        ``restore``); per event, :meth:`_note_activity` keeps the caches
+        current from the one partition the event touched.
+        """
         live = 0
         pendings = 0
         for partition in self._partitions.values():
@@ -207,7 +208,21 @@ class PatternMatcher:
             pendings += len(partition.pendings)
         self._live_runs_cached = live
         self._pendings_cached = pendings
-        return live
+
+    def _note_activity(
+        self, partition: _Partition, runs_before: int, pendings_before: int
+    ) -> None:
+        """Fold one partition's change into the activity caches (O(1)).
+
+        An event only ever touches its own partition, so the caches move
+        by that partition's before/after lengths; CEPRSan's
+        ``matcher-activity-cache`` check recounts and compares.
+        """
+        live = self._live_runs_cached + len(partition.runs) - runs_before
+        self._live_runs_cached = live
+        self._pendings_cached += len(partition.pendings) - pendings_before
+        if live > self.stats.peak_live_runs:
+            self.stats.peak_live_runs = live
 
     def process(self, event: Event) -> list[Match]:
         """Feed one event; returns the matches it completed (confirmed)."""
@@ -218,7 +233,11 @@ class PatternMatcher:
         if key is None:
             self.stats.events_skipped_no_key += 1
             return []
-        partition = self._partitions.setdefault(key, _Partition())
+        partition = self._partitions.get(key)
+        if partition is None:
+            partition = self._partitions[key] = _Partition()
+        runs_before = len(partition.runs)
+        pendings_before = len(partition.pendings)
 
         completed: list[Match] = []
         self._expire(partition, event, completed)
@@ -228,7 +247,7 @@ class PatternMatcher:
         # (its guard interval covers only the latter).
         self._transition(partition, event, key, completed)
         self._apply_negations(partition, event)
-        self.stats.observe_live_runs(self._refresh_activity())
+        self._note_activity(partition, runs_before, pendings_before)
         return completed
 
     def tick(self, event: Event) -> list[Match]:
@@ -252,9 +271,11 @@ class PatternMatcher:
         partition = self._partitions.get(key)
         if partition is None:
             return []
+        runs_before = len(partition.runs)
+        pendings_before = len(partition.pendings)
         completed: list[Match] = []
         self._expire(partition, event, completed)
-        self.stats.observe_live_runs(self._refresh_activity())
+        self._note_activity(partition, runs_before, pendings_before)
         return completed
 
     def event_touches_state(self, event: Event, key: tuple[Any, ...]) -> bool:

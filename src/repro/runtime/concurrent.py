@@ -298,8 +298,12 @@ class ThreadedEngineRunner(QueuedRunner):
         return self.engine.metrics
 
     def metrics_registry(self) -> MetricsRegistry:
-        """The engine's registry plus this runner's queue instruments."""
-        registry = self.engine.metrics_registry()
+        """The engine's registry plus this runner's queue instruments.
+
+        Read from any thread, so it must not settle dormant queries'
+        counters here: the consumer thread does, after every batch.
+        """
+        registry = self.engine._live_registry()
         self._register_queue_instruments(registry)
         registry.counter(
             "runner_events_processed_total",

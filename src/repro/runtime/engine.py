@@ -412,12 +412,16 @@ class CEPREngine(instruments.TelemetryViews):
                 for event in events:
                     registry.validate(event, strict=strict_schema)
                     extend(dispatch(event))
-            return emissions
-        for event in events:
-            if registry is not None:
-                registry.validate(event, strict=strict_schema)
-            for released in buffer.push(event):
-                extend(dispatch(released))
+        else:
+            for event in events:
+                if registry is not None:
+                    registry.validate(event, strict=strict_schema)
+                for released in buffer.push(event):
+                    extend(dispatch(released))
+        # Once per batch, not per event: the runners feed their engine in
+        # batches from its owner thread, so a dormant query's counters are
+        # never staler than one batch for a reader on another thread.
+        self._router.settle()
         return emissions
 
     def run(self, events: Iterable[Event], flush: bool = True) -> list[Emission]:
@@ -436,6 +440,7 @@ class CEPREngine(instruments.TelemetryViews):
         """
         if self._flushed:
             raise RuntimeError("engine already flushed; create a new engine")
+        self._router.settle()  # heartbeat emissions carry the last-seen seq
         emissions: list[Emission] = []
         derived: list[Event] = []
         for registered in self._queries.values():
@@ -460,6 +465,7 @@ class CEPREngine(instruments.TelemetryViews):
             for released in self.lateness_buffer.flush():
                 emissions.extend(self._dispatch(released))
         self._flushed = True
+        self._router.settle()
         for registered in self._queries.values():
             emissions.extend(registered.flush())
         for registered in self._queries.values():
@@ -493,6 +499,7 @@ class CEPREngine(instruments.TelemetryViews):
         position then continues the uninterrupted run exactly (see
         docs/RECOVERY.md).
         """
+        self._router.settle()
         state: dict = {
             "sequencer": self._sequencer.snapshot(),
             "derived_events": self.derived_events,
@@ -533,6 +540,9 @@ class CEPREngine(instruments.TelemetryViews):
                 "lateness-buffer configuration mismatch between snapshot "
                 "and engine (max_lateness must match)"
             )
+        # A sleeper may be handed live runs; settle first so its debt is not
+        # added on top of the restored counters.
+        self._router.wake_all()
         self._sequencer.restore(state["sequencer"])
         self.derived_events = int(state["derived_events"])
         self._flushed = bool(state["flushed"])
@@ -558,6 +568,7 @@ class CEPREngine(instruments.TelemetryViews):
         if enabled:
             if self.tracer is None:
                 self.tracer = Tracer()
+            self._router.wake_all()  # ROUTE spans are output: nobody sleeps
         else:
             self.tracer = None
         for registered in self._queries.values():
@@ -596,7 +607,17 @@ class CEPREngine(instruments.TelemetryViews):
         picks up new queries and sinks, and :meth:`unregister_query`
         prunes a dead query's series, so a long-running deployment can
         export it repeatedly without accumulating stale entries.
+
+        Dormant queries' counters are settled first, so a read between
+        two events equals what per-event bookkeeping would show; like
+        every engine method this belongs to the thread that owns the
+        engine (a runner on another thread reads :meth:`_live_registry`).
         """
+        self._router.settle()
+        return self._live_registry()
+
+    def _live_registry(self) -> MetricsRegistry:
+        """The registration pass of :meth:`metrics_registry`, nothing else."""
         if self._registry_view is None:
             self._registry_view = MetricsRegistry()
         instruments.register(self._registry_view, self)

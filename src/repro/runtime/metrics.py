@@ -11,6 +11,8 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
+from math import log
 
 
 class LatencyRecorder:
@@ -41,24 +43,50 @@ class LatencyRecorder:
             if index < self.capacity:
                 self._samples[index] = latency_seconds
 
-    def record_zero(self) -> None:
-        """Record a zero-latency sample (skips the ``total``/``maximum`` math).
+    def record_zeros(self, n: int = 1) -> None:
+        """Record ``n`` zero-latency samples (no ``total``/``maximum`` math).
 
-        The shared-execution skip path records one sample per elided
-        (query, event) pair to keep the sample-per-routed-event invariant.
-        Zeros get the same algorithm-R treatment as :meth:`record`: once
-        the reservoir is full they must keep displacing samples at the
-        standard ``capacity / count`` rate, or a quiescent-skip-heavy
-        workload inflates ``count`` while the reservoir stays frozen on
-        the non-zero latencies — biasing every percentile upward.
+        The shared-execution skip path owes one sample per elided
+        (query, event) pair to keep the sample-per-routed-event invariant,
+        and pays a dormant query's whole debt in one call.  Zeros get the
+        same algorithm-R treatment as :meth:`record`: free reservoir slots
+        are filled first, and once the reservoir is full they keep
+        displacing samples at the standard ``capacity / count`` rate — or
+        a skip-heavy workload would inflate ``count`` while the reservoir
+        stays frozen on the non-zero latencies, biasing every percentile
+        upward.
+
+        The bulk form skips the per-sample draw: ``n`` algorithm-R steps
+        from ``count`` make ``sum(capacity / (count + i))`` replacements
+        on average — ``capacity * log((count + n) / count)`` — each into a
+        uniformly random slot, so it makes that many (rounded up or down
+        at random), at the cost of the replacements rather than of ``n``.
         """
-        self.count += 1
-        if len(self._samples) < self.capacity:
-            self._samples.append(0.0)
-        else:
-            index = self._rng.randrange(self.count)
-            if index < self.capacity:
-                self._samples[index] = 0.0
+        samples = self._samples
+        capacity = self.capacity
+        free = capacity - len(samples)
+        if free > 0:
+            filled = min(free, n)
+            samples.extend([0.0] * filled)
+            self.count += filled
+            n -= filled
+            if not n:
+                return
+        before = self.count + 0.5  # midpoint: n == 1 gives capacity / (count + 1)
+        self.count += n
+        expected = capacity * log((before + n) / before)
+        replacements = int(expected)
+        if self._rng.random() < expected - replacements:
+            replacements += 1
+        # Uniform slot draws straight from the bit source (what ``randrange``
+        # does, minus its per-call overhead): redraw on overshoot.
+        getrandbits = self._rng.getrandbits
+        bits = (capacity - 1).bit_length()
+        for _ in repeat(None, replacements):
+            index = getrandbits(bits)
+            while index >= capacity:
+                index = getrandbits(bits)
+            samples[index] = 0.0
 
     @property
     def mean(self) -> float:
@@ -108,6 +136,9 @@ class QueryMetrics:
 
     Read through the metrics registry (``query_*_total``,
     ``latency_seconds``); see :mod:`repro.observability.instruments`.
+    ``events_routed`` and the latency count of a query the router has
+    asleep lag until the engine settles them, which every registry read
+    does first (docs/SHARED_EXECUTION.md).
     """
 
     events_routed: int = 0

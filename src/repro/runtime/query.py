@@ -13,7 +13,7 @@ Result delivery is wired through the subscription API it inherits from
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.engine.compiler import compile_automaton
 from repro.language.analysis import run_analysis
@@ -114,6 +114,10 @@ class RegisteredQuery(SinkOwner):
         # (query, event) pair, so even an attribute chain is measurable.
         self._stage0 = self.automaton.stages[0]
         self._stage0_type = self._stage0.event_type
+        #: set by a sharing :class:`~repro.runtime.router.EventRouter` for a
+        #: query that may sleep: called by :meth:`skip_if_inert` with this
+        #: query once it has proved itself inert.
+        self.on_inert: "Callable[[RegisteredQuery], None] | None" = None
         self._yielded_ids: set[int] = set()
         #: derived events whose YIELD assignments failed (lenient mode).
         self.yield_errors = 0
@@ -139,7 +143,7 @@ class RegisteredQuery(SinkOwner):
     # -- processing --------------------------------------------------------------
 
     def skip_if_inert(self, event: Event) -> bool:
-        """Shared-execution fast path: elide a provably no-op routed event.
+        """Shared-execution residual check: elide a provably no-op routed event.
 
         Returns True — after doing the minimal bookkeeping a full
         :meth:`process` call would have done — only when *every* link of
@@ -160,6 +164,10 @@ class RegisteredQuery(SinkOwner):
         routed/processed counters (plus one zero latency sample — the
         elided pipeline's cost is by construction indistinguishable from
         zero) keep ``cepr stats`` identical to independent execution.
+
+        A skipped query is also *demoted* (:attr:`on_inert`): the router
+        stops offering it events until its stage-0 gate opens, and books
+        the same bookkeeping in bulk for the events it sleeps through.
         """
         if self.tracer is not None:
             return False
@@ -175,13 +183,22 @@ class RegisteredQuery(SinkOwner):
             self._stage0, matcher.stats, matcher.lenient_errors
         ):
             return False
-        self._last_seq = event.seq
-        self._last_ts = event.timestamp
-        metrics = self.metrics
-        metrics.events_routed += 1
-        matcher.stats.events_processed += 1
-        metrics.latency.record_zero()
+        self.book_skipped(event)
+        if self.on_inert is not None:
+            self.on_inert(self)
         return True
+
+    def book_skipped(self, last: Event, count: int = 1) -> None:
+        """Bookkeeping for ``count`` elided events, ``last`` being the latest.
+
+        Called once per skipped pair by :meth:`skip_if_inert`, and in bulk
+        by the router for the events a dormant query slept through.
+        """
+        self._last_seq = last.seq
+        self._last_ts = last.timestamp
+        self.metrics.events_routed += count
+        self.matcher.stats.events_processed += count
+        self.metrics.latency.record_zeros(count)
 
     def shed_probe(
         self, event: Event, seq_hint: int | None = None

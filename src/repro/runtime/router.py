@@ -4,7 +4,9 @@ Two layers live here (see docs/SHARED_EXECUTION.md):
 
 * :class:`EventRouter` — the type-indexed dispatch table from events to
   queries, so pushing an event touches only interested queries instead of
-  broadcasting (the original lever behind the multi-query experiment E8).
+  broadcasting (the original lever behind the multi-query experiment E8)
+  — and, with sharing on, only the *affected* ones: inert queries sleep
+  behind their stage-0 gate and are handed an event only when it opens.
 * :class:`SharedExecutionIndex` — the cross-query sharing state that turns
   per-event serving cost from O(queries) toward O(distinct predicates):
 
@@ -79,10 +81,10 @@ class SharedExecutionIndex:
         self._memo: dict[str, tuple[bool, EvaluationError | None]] = {}
         self._gate_memo: dict[int, tuple[bool, int, EvaluationError | None]] = {}
         #: (stage id, stats id) pairs already charged a gate consultation
-        #: for the current event — the quiescent fast path and the matcher
-        #: may both consult the same gate for one event, but the per-query
-        #: cost account must see exactly one consultation either way (that
-        #: invariance is what keeps the accounts exact under sharding).
+        #: for the current event — the router, the residual skip check and
+        #: the matcher may all consult the same gate for one event, but the
+        #: per-query cost account must see exactly one consultation either
+        #: way (that invariance keeps the accounts exact under sharding).
         self._gate_charged: set[tuple[int, int]] = set()
         #: predicate evaluations answered from the per-event memo.
         self.predicate_evals_saved = 0
@@ -90,7 +92,8 @@ class SharedExecutionIndex:
         self.predicate_evals_performed = 0
         #: stage slots answered from the intern pool instead of compiled anew.
         self.prefix_states_shared = 0
-        #: routed (query, event) pairs skipped by the quiescent-gate fast path.
+        #: (query, event) pairs elided: skipped by the residual check, or
+        #: never offered because the query was dormant.
         self.events_gated = 0
 
     # -- introspection ----------------------------------------------------------
@@ -204,6 +207,23 @@ class SharedExecutionIndex:
     ) -> bool:
         """Can the current event bind ``stage`` as a fresh run's first element?
 
+        :meth:`gate_outcome` under the consulting query's error policy: a
+        strict query re-raises the gate's evaluation error, a lenient one
+        counts it and reads the gate as closed.
+        """
+        result, errors, error = self.gate_outcome(stage, stats)
+        if errors:
+            if not lenient:
+                assert error is not None
+                raise error
+            stats.evaluation_errors += errors
+        return result
+
+    def gate_outcome(
+        self, stage: "Stage", stats: "MatcherStats"
+    ) -> tuple[bool, int, EvaluationError | None]:
+        """``(verdict, errors, first error)`` of ``stage``'s gate for this event.
+
         Equivalent to evaluating the stage's entry predicates against an
         empty context, but memoized twice over: per stage object (shared
         prefixes answer in one dict hit for every query reusing the stage)
@@ -212,14 +232,14 @@ class SharedExecutionIndex:
         fingerprint disable the whole-stage memo but are still evaluated
         with identical semantics.
 
-        Per-query hit/miss charging is deduplicated per event: the
-        quiescent fast path and the matcher may both consult the same
-        gate for one event (the probe primes the memo, the matcher then
-        hits it), but quiescence is engine-local state — a sharded fleet
-        wakes per shard — so the double consult must count once.  Each
-        (stage, query) pair is charged exactly one consultation per
-        event regardless of which path asked first, which is what keeps
-        per-query cost accounts counter-exact across shard splits.
+        Per-query hit/miss charging is deduplicated per event: the router
+        (for a gate's first owner), the residual skip check and the
+        matcher may all consult the same gate for one event, but who is
+        awake is engine-local state — a sharded fleet wakes per shard —
+        so repeated consults must count once.  Each (stage, query) pair is
+        charged exactly one consultation per event regardless of which
+        path asked first, which is what keeps per-query cost accounts
+        counter-exact across shard splits.
         """
         key = id(stage)
         charge_key = (key, id(stats))
@@ -229,16 +249,8 @@ class SharedExecutionIndex:
             if charge_key not in self._gate_charged:
                 self._gate_charged.add(charge_key)
                 stats.shared_hits += 1
-            result, errors, error = cached
-            if errors:
-                if not lenient:
-                    raise error
-                stats.evaluation_errors += errors
-            return result
+            return cached
 
-        predicates = (
-            stage.incremental_predicates if stage.is_kleene else stage.bind_predicates
-        )
         # The evaluating consult is charged through _outcome below (one
         # miss or memo hit per fingerprinted predicate); mark the pair so
         # a second consult for the same event does not charge again.
@@ -247,7 +259,7 @@ class SharedExecutionIndex:
         errors = 0
         first_error: EvaluationError | None = None
         memoizable = True
-        for spec in predicates:
+        for spec in _gate_predicates(stage):
             if spec.fingerprint is None:
                 memoizable = False
                 value, error = self._evaluate(spec)
@@ -261,12 +273,10 @@ class SharedExecutionIndex:
             if not value:
                 result = False
                 break
+        outcome = (result, errors, first_error)
         if memoizable:
-            self._gate_memo[key] = (result, errors, first_error)
-        if first_error is not None and not lenient:
-            raise first_error
-        stats.evaluation_errors += errors
-        return result
+            self._gate_memo[key] = outcome
+        return outcome
 
     def _outcome(
         self, spec: "PredicateSpec", stats: "MatcherStats"
@@ -308,62 +318,306 @@ class SharedExecutionIndex:
             return False, error
 
 
+def _gate_predicates(stage: "Stage") -> "tuple[PredicateSpec, ...]":
+    """The predicates an event must pass to start a run at ``stage``."""
+    return stage.incremental_predicates if stage.is_kleene else stage.bind_predicates
+
+
 def _shareable_specs(automaton: "PatternAutomaton") -> Iterator["PredicateSpec"]:
     """Every fingerprinted predicate an automaton anchors anywhere."""
+    for _event_type, spec in _anchored_specs(automaton):
+        yield spec
+
+
+def _anchored_specs(
+    automaton: "PatternAutomaton",
+) -> Iterator[tuple[str, "PredicateSpec"]]:
+    """``(event type it is evaluated on, fingerprinted predicate)`` pairs."""
     for stage in automaton.stages:
-        for spec in stage.bind_predicates:
+        for spec in (*stage.bind_predicates, *stage.incremental_predicates):
             if spec.fingerprint is not None:
-                yield spec
-        for spec in stage.incremental_predicates:
-            if spec.fingerprint is not None:
-                yield spec
+                yield stage.event_type, spec
     for negation in automaton.negations:
         for spec in negation.predicates:
             if spec.fingerprint is not None:
-                yield spec
+                yield negation.element.event_type, spec
+
+
+class _WakeList:
+    """One interned stage-0 gate and the dormant queries it can wake."""
+
+    __slots__ = ("stage", "leader", "sleepers", "failed")
+
+    def __init__(self, stage: "Stage", leader: RegisteredQuery) -> None:
+        self.stage = stage
+        #: first-registered owner: the router evaluates the gate in its
+        #: name, so the evaluating consult is charged where independent
+        #: registration-order dispatch would charge it.
+        self.leader = leader
+        self.sleepers: list[RegisteredQuery] = []
+        #: events on which the gate was evaluated for sleepers and stayed
+        #: shut; a sleeper other than the leader owes one memo hit for each.
+        self.failed = 0
+
+
+class _TypeBucket:
+    """Who must see an event of one type."""
+
+    __slots__ = ("awake", "gates", "asleep", "events", "last_event")
+
+    def __init__(self) -> None:
+        #: registration order; replaced, never mutated in place, because a
+        #: dispatch loop may be iterating the list :meth:`route` returned.
+        self.awake: list[RegisteredQuery] = []
+        #: wake lists with sleepers whose stage 0 binds this type, in
+        #: leader registration order.
+        self.gates: list[_WakeList] = []
+        #: dormant queries interested in this type.
+        self.asleep = 0
+        #: events of this type that passed over at least one sleeper, and
+        #: the latest of them: what a sleeper is settled from.
+        self.events = 0
+        self.last_event: Event | None = None
+
+
+class _Dormancy:
+    """What a dormant query had seen when it fell asleep."""
+
+    __slots__ = ("gate", "failed_seen", "buckets", "events_seen")
+
+    def __init__(self, gate: _WakeList, buckets: list[_TypeBucket]) -> None:
+        self.gate = gate
+        self.failed_seen = gate.failed
+        self.buckets = buckets
+        self.events_seen = [bucket.events for bucket in buckets]
 
 
 class EventRouter:
-    """Type-indexed dispatch table from events to queries.
+    """Type-indexed dispatch table from events to the queries they concern.
 
     When constructed with a :class:`SharedExecutionIndex` (the default
-    inside :class:`~repro.runtime.engine.CEPREngine`), the router also
-    keeps the shared predicate/prefix entries in sync with query
-    registration and unregistration.
+    inside :class:`~repro.runtime.engine.CEPREngine`), the router keeps the
+    shared predicate/prefix entries in sync with registration, and
+    :meth:`route` is push-based: a query whose whole chain is inert sleeps
+    in the wake list of its stage-0 gate and is offered nothing until that
+    gate opens (docs/SHARED_EXECUTION.md, "Dormant and awake").  What the
+    per-pair skip used to book for a sleeper — routed/processed counts,
+    zero latency samples, memo hits, the last seen event — is owed instead
+    and paid by :meth:`settle`.  Without an index nobody sleeps and
+    :meth:`route` is the plain type bucket.
     """
 
     def __init__(self, shared: SharedExecutionIndex | None = None) -> None:
-        self._by_type: dict[str, list[RegisteredQuery]] = {}
+        self._buckets: dict[str, _TypeBucket] = {}
         self._queries: list[RegisteredQuery] = []
         self.shared = shared
+        #: registration order, the order :meth:`route` offers queries in.
+        self._rank: dict[RegisteredQuery, int] = {}
+        self._registered = 0
+        #: first-registered query to anchor a fingerprint on an event type:
+        #: in registration-order dispatch, the one charged its evaluation.
+        self._first_anchor: dict[tuple[str, str], RegisteredQuery] = {}
+        #: wake list per interned stage 0 whose owners may sleep.
+        self._gates: dict[int, _WakeList] = {}
+        self._dormant: dict[RegisteredQuery, _Dormancy] = {}
+        #: True while some sleeper may be owed counts.
+        self._unsettled = False
 
     def add(self, query: RegisteredQuery) -> None:
         self._queries.append(query)
+        self._rank[query] = self._registered
+        self._registered += 1
         for event_type in query.relevant_types:
-            self._by_type.setdefault(event_type, []).append(query)
+            bucket = self._buckets.get(event_type)
+            if bucket is None:
+                bucket = self._buckets[event_type] = _TypeBucket()
+            bucket.awake = bucket.awake + [query]
         if self.shared is not None:
             self.shared.add_query(query)
+            self._enlist(query)
+
+    def _enlist(self, query: RegisteredQuery) -> None:
+        """Let ``query`` sleep if the router can stand in for its gate consult.
+
+        The router evaluates a sleeping gate ahead of every awake query
+        and charges the gate's first-registered owner.  That is where
+        registration-order dispatch charges it only if nobody registered
+        earlier consults one of the gate's fingerprints on the same event
+        type, so a gate sleeps only when its first owner is also the first
+        anchor of every predicate in it.  Two more gates never sleep: an
+        unconditional one opens on every stage-0 event (its owners would
+        only churn), and one with an unfingerprinted predicate has no
+        whole-stage memo to share.
+        """
+        for event_type, spec in _anchored_specs(query.automaton):
+            self._first_anchor.setdefault((event_type, spec.fingerprint), query)  # type: ignore[arg-type]
+        stage = query.automaton.stages[0]
+        if id(stage) not in self._gates:
+            predicates = _gate_predicates(stage)
+            if not predicates or any(
+                spec.fingerprint is None
+                or self._first_anchor[stage.event_type, spec.fingerprint] is not query
+                for spec in predicates
+            ):
+                return
+            self._gates[id(stage)] = _WakeList(stage, query)
+        query.on_inert = self._sleep
 
     def remove(self, query: RegisteredQuery) -> None:
+        # Churn is rare: wake everybody instead of re-deriving, asleep, who
+        # leads which gate and what each sleeper owes under the old leader.
+        self.wake_all()
         self._queries.remove(query)
+        del self._rank[query]
+        query.on_inert = None
         for event_type in query.relevant_types:
-            bucket = self._by_type.get(event_type)
-            if bucket is not None and query in bucket:
-                bucket.remove(query)
-                if not bucket:
-                    del self._by_type[event_type]
+            bucket = self._buckets.get(event_type)
+            if bucket is not None and query in bucket.awake:
+                bucket.awake = [q for q in bucket.awake if q is not query]
+                if not bucket.awake:
+                    del self._buckets[event_type]
         if self.shared is not None:
             self.shared.remove_query(query)
+            self._first_anchor = {}
+            self._gates = {}
+            for remaining in self._queries:
+                remaining.on_inert = None
+                self._enlist(remaining)
 
     def route(self, event: Event) -> list[RegisteredQuery]:
-        """Queries interested in ``event``'s type (possibly empty)."""
-        return self._by_type.get(event.event_type, [])
+        """Queries that must process ``event``, in registration order.
+
+        Every awake query interested in the type, plus the sleepers whose
+        stage-0 gate ``event`` opens — O(awake + distinct gates), however
+        many queries are registered.  A bucket nobody sleeps in costs one
+        lookup.  Gates are evaluated through the shared per-event memo, so
+        ``begin_event(event)`` must have armed it.
+        """
+        bucket = self._buckets.get(event.event_type)
+        if bucket is None:
+            return []
+        if bucket.asleep:
+            self._rouse(bucket, event)
+        return bucket.awake
+
+    def _rouse(self, bucket: _TypeBucket, event: Event) -> None:
+        """Evaluate each sleeping gate once; wake behind those that open."""
+        shared = self.shared
+        assert shared is not None and shared.current_event is event, (
+            "route(event) reads the shared memo: begin_event(event) comes first"
+        )
+        opened: list[_WakeList] = []
+        dormant = self._dormant
+        for gate in bucket.gates:
+            leader = gate.leader
+            matcher = leader.matcher
+            leads_asleep = leader in dormant
+            if not leads_asleep and matcher._partitioner.key_of(event) is None:
+                # An awake leader drops a keyless event before consulting
+                # its gate, so the charge is not its to take: let the
+                # sleepers run their own skip checks on this one.
+                opened.append(gate)
+                continue
+            passed, errors, error = shared.gate_outcome(gate.stage, matcher.stats)
+            if passed:
+                opened.append(gate)
+                continue
+            sleepers = gate.sleepers
+            if errors:
+                # Every owner is charged a gate's evaluation error.  An awake
+                # leader books its own when its matcher consults the memo;
+                # the sleepers (rare path) are charged here and now.
+                if not matcher.lenient_errors:
+                    assert error is not None
+                    raise error
+                for sleeper in sleepers:
+                    sleeper.matcher.stats.evaluation_errors += errors
+            gate.failed += 1
+            # The memo hits the sleepers' own consults would have been.
+            shared.predicate_evals_saved += len(sleepers) - leads_asleep
+        for gate in opened:
+            self._wake(gate)
+        if bucket.asleep:
+            bucket.events += 1
+            bucket.last_event = event
+            shared.events_gated += bucket.asleep
+            self._unsettled = True
+
+    def _sleep(self, query: RegisteredQuery) -> None:
+        """Demote ``query`` (``RegisteredQuery.on_inert``): it just proved
+        itself inert and booked the current event itself."""
+        gate = self._gates[id(query.automaton.stages[0])]
+        buckets = [self._buckets[event_type] for event_type in query.relevant_types]
+        for bucket in buckets:
+            bucket.awake = [q for q in bucket.awake if q is not query]
+            bucket.asleep += 1
+        if not gate.sleepers:
+            gates = self._buckets[gate.stage.event_type].gates
+            gates.append(gate)
+            gates.sort(key=lambda g: self._rank[g.leader])
+        gate.sleepers.append(query)
+        self._dormant[query] = _Dormancy(gate, buckets)
+
+    def _wake(self, gate: _WakeList) -> None:
+        """Settle and re-admit every sleeper of ``gate``."""
+        sleepers, gate.sleepers = gate.sleepers, []
+        self._buckets[gate.stage.event_type].gates.remove(gate)
+        rank = self._rank.__getitem__
+        for query in sleepers:
+            dormancy = self._dormant.pop(query)
+            self._settle(query, dormancy)
+            for bucket in dormancy.buckets:
+                bucket.asleep -= 1
+                bucket.awake = sorted(bucket.awake + [query], key=rank)
+
+    def wake_all(self) -> None:
+        """Settle and re-admit every sleeper.
+
+        For operations that change what a query's inertness rests on
+        (restore, tracing on, registration churn); the inert ones go back
+        to sleep at their next residual skip check.
+        """
+        for gate in [gate for gate in self._gates.values() if gate.sleepers]:
+            self._wake(gate)
+
+    def settle(self) -> None:
+        """Pay every sleeper what it is owed; they stay asleep.
+
+        Call (on the engine's thread) before anything reads or replaces
+        per-query counters or the last-seen event: exports, snapshots,
+        heartbeats, end of stream.
+        """
+        if self._unsettled:
+            self._unsettled = False
+            for query, dormancy in self._dormant.items():
+                self._settle(query, dormancy)
+
+    def _settle(self, query: RegisteredQuery, dormancy: _Dormancy) -> None:
+        """Book what the per-pair skip would have for the events slept through."""
+        owed = 0
+        last: Event | None = None
+        seen = dormancy.events_seen
+        for index, bucket in enumerate(dormancy.buckets):
+            events = bucket.events
+            if events != seen[index]:
+                owed += events - seen[index]
+                seen[index] = events
+                latest = bucket.last_event
+                assert latest is not None
+                if last is None or latest.seq > last.seq:
+                    last = latest
+        if last is not None:
+            query.book_skipped(last, owed)
+        gate = dormancy.gate
+        if query is not gate.leader and gate.failed != dormancy.failed_seen:
+            query.matcher.stats.shared_hits += gate.failed - dormancy.failed_seen
+            dormancy.failed_seen = gate.failed
 
     def queries(self) -> list[RegisteredQuery]:
         return list(self._queries)
 
     def interested_types(self) -> frozenset[str]:
-        return frozenset(self._by_type)
+        return frozenset(self._buckets)
 
     def __len__(self) -> int:
         return len(self._queries)

@@ -32,6 +32,11 @@ Checks, by hook point:
     **shared-index-coherence** — the refcounted predicate/prefix index
     owns exactly the registered queries' entries after churn (leaked
     owners, empty-but-present entries, and missing claims all trip).
+``engine._dispatch`` (and registration)
+    **shared-index-coherence** — the router's dormant/awake bookkeeping
+    agrees with a recount: every sleeper is registered, untraced, inert
+    and in the wake list of its own stage-0 gate; every type bucket's
+    awake list and asleep count match registration order.
 ``engine.snapshot``
     **snapshot-roundtrip** — ``restore(snapshot())`` followed by a second
     ``snapshot()`` reproduces the first byte-for-byte.
@@ -365,6 +370,84 @@ class InvariantChecker:
                         query=name,
                         fingerprint=spec.fingerprint,
                     )
+        self.check_activation()
+
+    def check_activation(self) -> None:
+        """The router's dormant/awake bookkeeping against a recount.
+
+        A sleeper is offered no events, so everything its sleep rests on
+        must hold by construction: it is registered, untraced and inert
+        (recounted, not read from the caches), it sits in the wake list
+        of its own stage-0 gate, and every type bucket it listens on
+        counts it asleep and does not also list it awake.
+        """
+        engine = self.engine
+        router = engine._router
+        if router.shared is None:
+            return
+        registered = list(engine._queries.values())
+        dormant = router._dormant
+
+        def trip(message: str, **context) -> None:
+            self.san.trip("shared-index-coherence", message, **context)
+
+        for query, dormancy in dormant.items():
+            name = query.name
+            if engine._queries.get(name) is not query:
+                trip(f"dormant query {name!r} is not registered", query=name)
+                continue
+            matcher = query.matcher
+            if (
+                query.tracer is not None
+                or any(p.runs or p.pendings for p in matcher._partitions.values())
+                or not query.ranker.inert_without_matches()
+            ):
+                trip(
+                    f"query {name!r} sleeps but is not inert (traced, or "
+                    f"holding runs, pendings or ranker state): events that "
+                    f"concern it are not being offered",
+                    query=name,
+                )
+            gate = dormancy.gate
+            if gate.stage is not query.automaton.stages[0] or query not in gate.sleepers:
+                trip(
+                    f"dormant query {name!r} is not in its stage-0 gate's "
+                    f"wake list: nothing can wake it",
+                    query=name,
+                )
+        for event_type, bucket in router._buckets.items():
+            interested = [q for q in registered if event_type in q.relevant_types]
+            asleep = [q for q in interested if q in dormant]
+            awake = [q for q in interested if q not in dormant]
+            if bucket.awake != awake or bucket.asleep != len(asleep):
+                trip(
+                    f"type bucket {event_type!r} lists "
+                    f"{[q.name for q in bucket.awake]!r} awake and counts "
+                    f"{bucket.asleep} asleep; registration order says "
+                    f"{[q.name for q in awake]!r} and {len(asleep)}",
+                    event_type=event_type,
+                )
+            sleeping_gates = {
+                id(dormant[q].gate)
+                for q in asleep
+                if q.automaton.stages[0].event_type == event_type
+            }
+            if {id(gate) for gate in bucket.gates} != sleeping_gates:
+                trip(
+                    f"type bucket {event_type!r} evaluates "
+                    f"{len(bucket.gates)} gate(s) per event but "
+                    f"{len(sleeping_gates)} have sleepers",
+                    event_type=event_type,
+                )
+        for gate in router._gates.values():
+            owners = [q for q in registered if q.automaton.stages[0] is gate.stage]
+            if not owners or owners[0] is not gate.leader:
+                trip(
+                    f"gate on {gate.stage.event_type!r} is led by "
+                    f"{gate.leader.name!r}, not its first registered owner "
+                    f"— the evaluating consult is charged to the wrong query",
+                    leader=gate.leader.name,
+                )
 
 
 def instrument_query(checker: InvariantChecker, query: "RegisteredQuery") -> None:
@@ -426,7 +509,10 @@ def attach_engine_sanitizer(engine: "CEPREngine") -> InvariantChecker:
     def dispatch(event, depth: int = 0):
         if depth == 0:
             affinity.check("push")
-        return orig_dispatch(event, depth)
+        emissions = orig_dispatch(event, depth)
+        if depth == 0:
+            checker.check_activation()
+        return emissions
 
     engine._dispatch = dispatch  # type: ignore[method-assign]
 

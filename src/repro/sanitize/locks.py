@@ -171,7 +171,7 @@ class TrackedLock:
             if not acquired:
                 return False
         else:
-            self.wait_times.record_zero()
+            self.wait_times.record_zeros()
         self.acquisitions += 1
         held.append(self.name)
         return True

@@ -93,6 +93,37 @@ event_specs = st.lists(
 )
 
 
+#: Alert templates behind shared, selective stage-0 gates (the shape of the
+#: ledger's ``multi_query_64`` row): most queries sleep most of the time.
+ALERTS = {
+    f"alert{t}_{k}": template.format(k=k)
+    for t, template in enumerate(
+        (
+            "PATTERN SEQ(A a, B b) WHERE a.x > {k} AND a.k == b.k AND b.x > a.x "
+            "WITHIN 8 EVENTS PARTITION BY k RANK BY b.x - a.x DESC LIMIT 2 "
+            "EMIT ON WINDOW CLOSE",
+            "PATTERN SEQ(A a, A c) WHERE a.x > {k} AND c.x > {k} AND a.k == c.k "
+            "WITHIN 8 EVENTS PARTITION BY k RANK BY c.x DESC LIMIT 3 "
+            "EMIT ON WINDOW CLOSE",
+            "PATTERN SEQ(B a, NOT C n, A c) WHERE a.x > {k} AND a.k == c.k "
+            "WITHIN 8 EVENTS PARTITION BY k RANK BY a.x DESC LIMIT 1 "
+            "EMIT ON WINDOW CLOSE",
+        )
+    )
+    for k in (70, 85, 95)
+}
+
+alert_specs = st.lists(
+    st.tuples(
+        st.sampled_from("AABBC"),  # event type
+        st.integers(min_value=0, max_value=5),  # partition
+        st.integers(min_value=0, max_value=100),  # x
+    ),
+    min_size=0,
+    max_size=150,
+)
+
+
 def build_stream(specs):
     events = []
     ts = 0.0
@@ -191,6 +222,56 @@ class TestEndToEndShardSplit:
         # derived ratios follow from the counters, so they agree too
         assert merged.hit_ratio == pytest.approx(single.hit_ratio)
         assert merged.prune_ratio == pytest.approx(single.prune_ratio)
+
+    @given(specs=alert_specs, shards=st.sampled_from((1, 2, 4)))
+    @settings(max_examples=15, deadline=None)
+    def test_sleeping_queries_sum_to_single_engine_rows(self, specs, shards):
+        """Shard engines sleep and wake on their own; the sums do not move.
+
+        Most of the alert program is dormant most of the time, and which
+        queries are awake differs per shard (a run in one partition keeps
+        a query awake for its shard only), so every lazily settled
+        counter — routed events, latency counts, memo hits, errors — is
+        settled at different moments on each shard.  The fleet's rows and
+        cost accounts must still equal one engine's, query for query.
+        """
+        def stream():
+            return [
+                Event(kind, 0.5 * index, x=x, k=f"p{key}")
+                for index, (kind, key, x) in enumerate(specs)
+            ]
+
+        engine = CEPREngine()
+        for name, text in ALERTS.items():
+            engine.register_query(text, name=name)
+        for event in stream():
+            engine.push(event)
+        engine.flush()
+
+        runner = ShardedEngineRunner(shards=shards)
+        for name, text in ALERTS.items():
+            runner.register_query(text, name=name)
+        runner.start()
+        try:
+            for event in stream():
+                runner.submit(event)
+            runner.flush()
+        finally:
+            runner.stop()
+
+        single_rows, fleet_rows = engine.stats_by_query(), runner.stats_by_query()
+        single_costs, fleet_costs = engine.cost_accounts(), runner.cost_accounts()
+        for name in ALERTS:
+            for key in EXACT_STATS:
+                assert fleet_rows[name][key] == single_rows[name][key], (name, key)
+            single, merged = single_costs[name].to_dict(), fleet_costs[name].to_dict()
+            for key in single:
+                if "cpu" not in key and key != "parts":
+                    assert merged[key] == pytest.approx(single[key]), (name, key)
+            assert (
+                runner.metrics_registry().get("latency_seconds", query=name).count
+                == single_rows[name]["events_routed"]
+            )
 
 
 pressure_samples = st.builds(

@@ -1,5 +1,7 @@
 """Unit tests for metrics primitives."""
 
+import pytest
+
 from repro import CEPREngine, Event
 from repro.runtime.metrics import EngineMetrics, LatencyRecorder
 
@@ -59,29 +61,36 @@ class TestLatencyRecorder:
 
         assert fill() == fill()
 
-    def test_record_zero_counts_without_touching_total(self):
+    def test_record_zeros_counts_without_touching_total(self):
         recorder = LatencyRecorder()
         recorder.record(4.0)
-        recorder.record_zero()
+        recorder.record_zeros()
         assert recorder.count == 2
         assert recorder.total == 4.0
         assert recorder.maximum == 4.0
         assert recorder.mean == 2.0
         assert sorted(recorder._samples) == [0.0, 4.0]
 
-    def test_record_zero_displaces_at_reservoir_rate(self):
-        # Regression: record_zero used to bump `count` without entering
+    @pytest.mark.parametrize("bulk", [1, 9, 450])
+    def test_record_zero_displaces_at_reservoir_rate(self, bulk):
+        # Regression: zero samples used to bump `count` without entering
         # the algorithm-R replacement path, so once the reservoir was
         # full a skip-heavy stream left it frozen on the early non-zero
         # latencies and every percentile read high.  With the fix, a
         # stream that is 90% zeros converges the reservoir toward ~90%
-        # zeros, so the median reflects the skips.
+        # zeros, so the median reflects the skips — whether the zeros
+        # arrive one at a time or as a dormant query's settled debt.
         recorder = LatencyRecorder(capacity=100, seed=7)
+        owed = 0
         for i in range(2000):
             if i % 10 == 0:
                 recorder.record(1.0)
             else:
-                recorder.record_zero()
+                owed += 1
+            if owed >= bulk:
+                recorder.record_zeros(owed)
+                owed = 0
+        recorder.record_zeros(owed)
         zeros = sum(1 for s in recorder._samples if s == 0.0)
         # statistically ~90 of 100; a frozen reservoir would hold ~10
         assert zeros > 70
@@ -89,6 +98,39 @@ class TestLatencyRecorder:
         # exact aggregates are unaffected by sampling
         assert recorder.count == 2000
         assert recorder.total == 200.0
+
+    def test_record_zeros_fills_free_slots_first(self):
+        recorder = LatencyRecorder(capacity=8)
+        recorder.record(1.0)
+        recorder.record_zeros(5)
+        assert recorder._samples == [1.0] + [0.0] * 5
+        recorder.record_zeros(1000)
+        assert recorder.count == 1006
+        assert len(recorder._samples) == 8
+
+    def test_bulk_zeros_displace_the_same_share_as_single_ones(self):
+        # The bulk form skips ahead to the next displacement instead of
+        # drawing per sample; over many seeds the share of the reservoir
+        # it hands to the zeros must match the per-sample form's (both
+        # estimate owed / count = 0.8).
+        def zero_share(bulk: bool) -> float:
+            zeros = 0
+            for seed in range(40):
+                recorder = LatencyRecorder(capacity=50, seed=seed)
+                for _ in range(500):
+                    recorder.record(1.0)
+                if bulk:
+                    recorder.record_zeros(2000)
+                else:
+                    for _ in range(2000):
+                        recorder.record_zeros()
+                assert recorder.count == 2500
+                zeros += sum(1 for s in recorder._samples if s == 0.0)
+            return zeros / (40 * 50)
+
+        single, bulk = zero_share(bulk=False), zero_share(bulk=True)
+        assert abs(single - 0.8) < 0.05
+        assert abs(bulk - 0.8) < 0.05
 
     def test_absorb_merges_counts_and_pools_samples(self):
         left = LatencyRecorder(capacity=8)

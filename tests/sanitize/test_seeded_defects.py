@@ -127,6 +127,31 @@ class TestSharedIndexCoherence:
         assert engine.sanitizer.total_trips == 0
         assert engine.shared.is_empty()
 
+    def test_sleeper_holding_a_run_trips(self):
+        # Seeded defect: a query acquires a live run while the router has
+        # it asleep (a restore that forgot to wake it, say) — it is offered
+        # nothing, so the run would silently never extend.
+        engine = log_engine()
+        sleeper = engine.register_query(PAIR, name="sleeper")
+        donor = CEPREngine(sanitize=False)
+        donor.register_query(PAIR, name="sleeper")
+        donor.push(Event("A", 1.0, x=5))  # opens a run
+        engine.push(Event("A", 1.0, x=-1))  # gate shut: goes to sleep
+        assert list(engine._router._dormant) == [sleeper]
+        assert engine.sanitizer.total_trips == 0
+        sleeper.matcher.restore(donor.query("sleeper").matcher.snapshot())
+        engine.push(Event("A", 2.0, x=-1))
+        assert engine.sanitizer.trips["shared-index-coherence"] > 0
+
+    def test_sleeper_dropped_from_its_wake_list_trips(self):
+        engine = log_engine()
+        engine.register_query(PAIR, name="sleeper")
+        engine.push(Event("A", 1.0, x=-1))
+        (gate,) = engine._router._gates.values()
+        gate.sleepers.clear()  # seeded defect: nothing can wake it now
+        engine.push(Event("B", 2.0, x=1))
+        assert engine.sanitizer.trips["shared-index-coherence"] > 0
+
 
 class TestCrossThreadMutation:
     def test_unsynchronized_second_thread_trips(self):
@@ -195,12 +220,25 @@ class TestSeqMonotonicity:
 
 class TestMatcherActivityCache:
     def test_stale_cache_trips(self, monkeypatch):
-        # Seeded defect: the O(1) activity caches are never refreshed, so
+        # Seeded defect: the O(1) activity caches are never updated, so
         # the quiescent-skip gate would elide live work.
-        monkeypatch.setattr(PatternMatcher, "_refresh_activity", lambda self: 0)
+        monkeypatch.setattr(
+            PatternMatcher, "_note_activity", lambda self, *before: None
+        )
         engine = log_engine()
         engine.register_query(PAIR)
         engine.push(Event("A", 1.0, x=1))  # starts a live run; cache says 0
+        assert engine.sanitizer.trips["matcher-activity-cache"] > 0
+
+    def test_drifted_cache_never_heals(self):
+        # The caches move by per-partition deltas, so a wrong value stays
+        # wrong: the recount is the only thing that can tell.
+        engine = log_engine()
+        handle = engine.register_query(PAIR)
+        engine.push(Event("A", 1.0, x=1))
+        assert engine.sanitizer.trips["matcher-activity-cache"] == 0
+        handle.matcher._live_runs_cached += 1  # seeded drift
+        engine.push(Event("A", 2.0, x=2))
         assert engine.sanitizer.trips["matcher-activity-cache"] > 0
 
 
