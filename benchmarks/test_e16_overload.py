@@ -8,13 +8,10 @@ this *is* overload, with no wall-clock pacing to make CI flaky — so the
 queue saturates, the pressure assessor trips ``overloaded``, and the
 controller engages on real signals, not a forced flag.
 
-Three configurations over the same stream:
+Two configurations over the same stream:
 
 * **off** — the baseline: every event takes the full match path; the
   bounded queue pushes the overload back onto the producer.
-* **exact** — bound-certified elides only; output must stay
-  byte-identical to *off* (asserted here, forced engagement so the
-  differential does not depend on queue timing).
 * **adaptive** — rank-weighted sampling ahead of the engine; the gate is
   *graceful degradation*: the engine does materially less work, some
   ranked output still flows, and the controller reports a recall
@@ -48,24 +45,15 @@ OVERLOAD_FACTORS = (10, 100)
 MIN_WORK_REDUCTION = 0.10
 
 
-def run_with_policy(
-    events,
-    registry,
-    policy,
-    factor=10,
-    force=False,
-    collect=False,
-):
+def run_with_policy(events, registry, policy, factor=10):
     """Drive one burst through a runner configured with ``policy``."""
     stream = fresh_events(events)
     queue_capacity = max(64, len(stream) // factor)
     engine = CEPREngine(registry=registry)
-    handle = engine.register_query(QUERY, collect_results=collect)
+    handle = engine.register_query(QUERY, collect_results=False)
     controller = None
     if policy != "off":
-        controller = ShedController(
-            policy=policy, latency_target=0.05, force=force
-        )
+        controller = ShedController(policy=policy, latency_target=0.05)
     runner = ThreadedEngineRunner(
         engine,
         max_queue=queue_capacity,
@@ -88,7 +76,6 @@ def run_with_policy(
         "emissions": handle.metrics.emissions,
         "p99_us": handle.metrics.latency.percentile(99) * 1e6,
         "controller": controller,
-        "handle": handle,
     }
 
 
@@ -136,31 +123,3 @@ def test_e16_adaptive_engages_and_degrades_gracefully(
     # ...yet ranked output still flowed, with an honest recall estimate
     assert result["emissions"] > 0
     assert 0.0 <= controller.recall_estimate <= 1.0
-
-
-def test_e16_exact_shedding_is_byte_identical(overload_stream):
-    events, registry = overload_stream
-    baseline = run_with_policy(
-        events, registry, "off", collect=True
-    )
-    exact = run_with_policy(
-        events, registry, "exact", force=True, collect=True
-    )
-
-    def fingerprint(handle):
-        return [
-            (
-                e.kind.value,
-                e.at_seq,
-                e.epoch,
-                e.revision,
-                tuple((m.score, m.first_seq, m.last_seq) for m in e.ranking),
-            )
-            for e in handle.results()
-        ]
-
-    assert fingerprint(exact["handle"]) == fingerprint(baseline["handle"])
-    controller = exact["controller"]
-    assert controller.stats.shed_events_total > 0
-    assert controller.stats.shed_sampled_total == 0
-    assert controller.recall_estimate == 1.0

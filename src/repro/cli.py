@@ -290,10 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shed-policy",
-        choices=("off", "exact", "adaptive"),
+        choices=("off", "adaptive"),
         default="off",
         help="overload load-shedding policy (see docs/SHEDDING.md): "
-        "exact elides only bound-certified events (output unchanged), "
         "adaptive samples rank-weighted drops toward --latency-target "
         "(default: off)",
     )

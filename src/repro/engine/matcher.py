@@ -45,7 +45,7 @@ from repro.engine.partitioner import Partitioner
 from repro.engine.runs import Run, new_run
 from repro.engine.windows import EpochTracker
 from repro.events.event import Event
-from repro.language.ast_nodes import SelectionStrategy
+from repro.language.ast_nodes import SelectionStrategy, WindowKind
 from repro.observability.tracing import SpanKind, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -240,41 +240,14 @@ class PatternMatcher:
         pendings_before = len(partition.pendings)
 
         completed: list[Match] = []
-        self._expire(partition, event, completed)
+        epoch = self._epochs.epoch_of(event) if self._epochs is not None else None
+        self._expire(partition, event, epoch, completed)
         # Transitions run before negation kills so an event that both
         # matches a stage and a negated element can bind in the branches
         # that consume it, while still killing the branches that skip it
         # (its guard interval covers only the latter).
         self._transition(partition, event, key, completed)
         self._apply_negations(partition, event)
-        self._note_activity(partition, runs_before, pendings_before)
-        return completed
-
-    def tick(self, event: Event) -> list[Match]:
-        """Window bookkeeping for an event elided upstream (load shedding).
-
-        A bound-certified shed must still *age* the matcher: window-dead
-        and epoch-crossed runs are expired and trailing-negation pendings
-        whose guard passed are confirmed, exactly as the expiry phase of
-        :meth:`process` would have done — only the transition and negation
-        phases (which the shed certificate proves could not fire) are
-        skipped.  Counter bookkeeping mirrors :meth:`process` so stats stay
-        comparable with an unshedded run.  Returns confirmed matches.
-        """
-        if event.event_type not in self._relevant_types:
-            return []
-        self.stats.events_processed += 1
-        key = self._partitioner.key_of(event)
-        if key is None:
-            self.stats.events_skipped_no_key += 1
-            return []
-        partition = self._partitions.get(key)
-        if partition is None:
-            return []
-        runs_before = len(partition.runs)
-        pendings_before = len(partition.pendings)
-        completed: list[Match] = []
-        self._expire(partition, event, completed)
         self._note_activity(partition, runs_before, pendings_before)
         return completed
 
@@ -285,7 +258,8 @@ class PatternMatcher:
         event is bound into (or threatens) live partial-match state in its
         partition and must never be shed.  ``False`` means the event could
         at most start a *fresh* stage-0 run — window expiry aside (which
-        :meth:`tick` preserves), dropping it cannot disturb existing runs.
+        the partition's next event catches up on), dropping it cannot
+        disturb existing runs.
         Every test is conservative: type-level consumption is checked
         without evaluating predicates, so a protected verdict may be a
         false positive but a not-protected verdict is never a false
@@ -318,7 +292,7 @@ class PatternMatcher:
                 return True
         return False
 
-    def advance_time(self, timestamp: float) -> list[Match]:
+    def advance_time(self, timestamp: float, seq: int) -> list[Match]:
         """Heartbeat: stream time has reached ``timestamp`` with no event.
 
         Quiet streams must still expire time windows: runs whose time
@@ -326,29 +300,20 @@ class PatternMatcher:
         negation) whose guard window has passed are confirmed — without
         this, a match could stay pending forever on an idle partition.
         Count-based windows are untouched (arrival positions don't advance
-        without events).  Returns confirmed matches.
+        without events).  ``seq`` (the last event's) only stamps the kill
+        spans.  Returns confirmed matches.
         """
+        window = self.automaton.window
+        if window is None or window.kind is not WindowKind.TIME:
+            return []
+        # A heartbeat is an event of no type: it moves time, binds nothing.
+        now = Event("", timestamp)
+        now.seq = seq
         confirmed: list[Match] = []
         for partition in self._partitions.values():
-            survivors = []
-            for run in partition.runs:
-                end_ts = run.window_end_ts()
-                if end_ts is not None and timestamp > end_ts:
-                    self.stats.runs_expired += 1
-                else:
-                    survivors.append(run)
-            partition.runs = survivors
-
-            if partition.pendings:
-                still_pending = []
-                for pending in partition.pendings:
-                    end_ts = pending.run.window_end_ts()
-                    if end_ts is not None and timestamp > end_ts:
-                        self.stats.pending_confirmed += 1
-                        confirmed.append(pending.match)
-                    else:
-                        still_pending.append(pending)
-                partition.pendings = still_pending
+            # No epoch cut here: a tumbling run dies at its own window end
+            # or at the next event of a later epoch, as it always has.
+            self._expire(partition, now, None, confirmed)
         self._refresh_activity()
         return confirmed
 
@@ -392,11 +357,17 @@ class PatternMatcher:
     # -- phase 1: expiry ---------------------------------------------------------
 
     def _expire(
-        self, partition: _Partition, event: Event, completed: list[Match]
+        self,
+        partition: _Partition,
+        event: Event,
+        epoch: int | None,
+        completed: list[Match],
     ) -> None:
-        """Drop window-dead runs; confirm pendings whose guard expired."""
-        epoch = self._epochs.epoch_of(event) if self._epochs is not None else None
+        """Drop window-dead runs; confirm pendings whose guard expired.
 
+        ``epoch`` is the tumbling epoch the clock is in (``None``: no
+        epoch cut); runs and pendings born before it are dead too.
+        """
         survivors: list[Run] = []
         tracer = self.tracer
         for run in partition.runs:

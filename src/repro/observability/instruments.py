@@ -179,7 +179,6 @@ SANITIZER_CHECK = Spec(
     lambda source: source[0].trips[source[1]],
 )
 SANITIZER_CHECKS = (
-    "certified-shed",
     "cross-thread-mutation",
     "dangling-binding",
     "matcher-activity-cache",

@@ -27,7 +27,7 @@ previous epoch's scores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from repro.engine.runs import Run
 from repro.engine.windows import EpochTracker
@@ -40,7 +40,7 @@ from repro.ranking.keys import normalise_bound
 
 #: Supplies the k-th retained (normalised) sort key of one tumbling epoch,
 #: or ``None`` when that epoch's heap is absent or not yet full.
-BoundProvider = Callable[[int], tuple | None]
+BoundProvider = Callable[[int], tuple[Any, ...] | None]
 DomainLookup = Callable[[str, str], Domain | None]
 
 

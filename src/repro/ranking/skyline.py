@@ -17,7 +17,7 @@ as matches stream in.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.engine.match import Match
 from repro.language.ast_nodes import Direction
@@ -99,7 +99,7 @@ class SkylineSet:
     def __len__(self) -> int:
         return len(self._front)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Match]:
         return (match for match, _v in self._front)
 
     def insert(self, match: Match) -> bool:

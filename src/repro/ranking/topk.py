@@ -124,10 +124,10 @@ class SlidingRanking:
             else:
                 alive_from = len(self._live)
         else:
-            span = self.window.span
+            seconds = self.window.span
             alive_from = 0
             for alive_from, match in enumerate(self._live):  # noqa: B007
-                if now_ts - match.last_ts <= span:
+                if now_ts - match.last_ts <= seconds:
                     break
             else:
                 alive_from = len(self._live)

@@ -40,7 +40,7 @@ from repro.ranking.emission import Emission, EmissionKind
 from repro.runtime.engine import CEPREngine
 from repro.runtime.query import RegisteredQuery
 from repro.runtime.shard import QueuedRunner, WorkerLoop
-from repro.runtime.shedding import ShedController, ShedStats, controller_to_dict
+from repro.runtime.shedding import ShedController
 from repro.runtime.sinks import SinkLike, Subscription
 from repro.sanitize.core import release_affinity
 
@@ -63,9 +63,10 @@ class ThreadedEngineRunner(QueuedRunner):
         How many queued events the consumer greedily drains into one
         ``push_batch`` call (amortises per-push overhead under load).
     shed_policy:
-        ``"off"`` (default), ``"exact"``, or ``"adaptive"`` — see
-        :mod:`repro.runtime.shedding` and docs/SHEDDING.md.  Off attaches
-        nothing to the engine, so the hot path stays unchanged.
+        ``"off"`` (default) or ``"adaptive"`` — see
+        :mod:`repro.runtime.shedding` and docs/SHEDDING.md.  Drops happen
+        on the consumer thread ahead of the engine, whose hot path never
+        sees the controller.
     latency_target:
         Ingest-lag budget in seconds the shedding controller steers
         toward (only meaningful with a policy other than ``"off"``).
@@ -93,8 +94,6 @@ class ThreadedEngineRunner(QueuedRunner):
         self._started = False
         self._stopped = False
         self._init_queued(shed_policy, latency_target, shed_controller)
-        if self.shed_controller.policy != "off":
-            engine.attach_shed_controller(self.shed_controller)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -124,7 +123,7 @@ class ThreadedEngineRunner(QueuedRunner):
         self._fan_out(self.engine.close())
 
     def __enter__(self) -> "ThreadedEngineRunner":
-        return self.start()
+        return self.start() if not self._started else self
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
@@ -311,13 +310,6 @@ class ThreadedEngineRunner(QueuedRunner):
             fn=lambda: self.events_processed,
         )
         return registry
-
-    def shed_stats(self) -> ShedStats:
-        return self.shed_controller.stats
-
-    def shed_stats_dict(self) -> dict | None:
-        """JSON-safe shedding snapshot for STATS frames (None when off)."""
-        return controller_to_dict(self.shed_controller)
 
     # -- consuming ----------------------------------------------------------------
 

@@ -19,7 +19,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.events.event import Event
 from repro.events.schema import SchemaRegistry
@@ -42,9 +42,6 @@ from repro.runtime.metrics import EngineMetrics
 from repro.runtime.query import RegisteredQuery
 from repro.runtime.router import EventRouter, SharedExecutionIndex
 from repro.runtime.sinks import SinkLike, Subscription
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.shedding import ShedController
 
 
 def snapshot_lateness(buffer: LatenessBuffer) -> dict:
@@ -184,11 +181,6 @@ class CEPREngine(instruments.TelemetryViews):
         #: disabled hot-path cost is a single ``is None`` check per event.
         self._flightrec = flightrec_current()
         self._flightrec_clock = 0
-        #: load-shedding controller, attached by the threaded/sharded
-        #: runners (see repro.runtime.shedding); None on plain engines so
-        #: the hot-path cost of the feature when off is one ``is None``
-        #: check per dispatched event.
-        self.shed_controller = None
         #: CEPRSan reporter and invariant checker; None on plain engines
         #: (the common case) so hot paths never even branch on them.
         self.sanitizer = None
@@ -202,15 +194,6 @@ class CEPREngine(instruments.TelemetryViews):
 
             self.sanitizer = Sanitizer(scope="engine")
             self._invariants = attach_engine_sanitizer(self)
-
-    def attach_shed_controller(self, controller: ShedController) -> None:
-        """Let ``controller`` elide certified events inside the dispatch loop.
-
-        With CEPRSan armed the invariant checker re-derives every shed
-        certificate the controller acts on.
-        """
-        self.shed_controller = controller
-        controller.invariant_checker = self._invariants
 
     # -- registration -------------------------------------------------------------
 
@@ -316,25 +299,12 @@ class CEPREngine(instruments.TelemetryViews):
             # Arm the per-event memo: every routed query's predicate and
             # stage-gate checks for this event now share one evaluation.
             shared.begin_event(event)
-        controller = self.shed_controller
-        exact_shedding = controller is not None and controller.exact_active
         emissions: list[Emission] = []
         derived: list[Event] = []
         for registered in self._router.route(event):
             if shared is not None and registered.skip_if_inert(event):
                 shared.events_gated += 1
                 continue
-            if exact_shedding:
-                # Post-sequencing elide: the event keeps its place in the
-                # stream (seq numbers, epoch boundaries, emission stamps
-                # all unchanged) but skips the match path when a bound
-                # certificate proves the output cannot differ.
-                elided = registered.shed_if_certified(event, controller)
-                if elided is not None:
-                    emissions.extend(elided)
-                    if registered.has_yield and elided:
-                        derived.extend(registered.derive_events(elided))
-                    continue
             query_emissions = registered.process(event)
             emissions.extend(query_emissions)
             if registered.has_yield and query_emissions:

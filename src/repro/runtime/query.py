@@ -40,17 +40,16 @@ from repro.runtime.sinks import CollectorSink, ResultSink, SinkOwner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.runtime.router import SharedExecutionIndex
-    from repro.runtime.shedding import ShedController
 
 _ROUTE = SpanKind.ROUTE
 _EMIT = SpanKind.EMIT
 
 #: Shed-probe classifications (see docs/SHEDDING.md).  ``SHED_SAFE`` events
-#: are provably output-neutral to elide (inert for this query, or carrying a
+#: are provably output-neutral to drop (inert for this query, or carrying a
 #: score-bound certificate); ``SHED_PROTECTED`` events are bound into — or
 #: threaten — live partial-match state and must never be dropped;
 #: ``SHED_UNCERTIFIED`` events could matter but carry no proof either way,
-#: so only the lossy adaptive sampler may drop them.
+#: so the adaptive sampler drops them at a recall cost it reports.
 SHED_SAFE = "safe"
 SHED_PROTECTED = "protected"
 SHED_UNCERTIFIED = "uncertified"
@@ -207,8 +206,7 @@ class RegisteredQuery(SinkOwner):
 
         Returns ``(classification, headroom)``.  The ladder is strictly
         conservative — every ``SHED_SAFE`` verdict is backed by a proof
-        that dropping (exact mode: eliding) the event cannot change this
-        query's emissions:
+        that dropping the event cannot change this query's emissions:
 
         * type not relevant, or no partition key ⇒ the matcher ignores it;
         * :meth:`~repro.engine.matcher.PatternMatcher.event_touches_state`
@@ -254,42 +252,6 @@ class RegisteredQuery(SinkOwner):
             return SHED_SAFE, headroom
         return SHED_UNCERTIFIED, headroom
 
-    def shed_if_certified(
-        self, event: Event, controller: "ShedController"
-    ) -> list[Emission] | None:
-        """Exact-mode shed: elide the match path under a safety certificate.
-
-        Returns the emissions the elided event still produced (epoch
-        closes, pending-match confirmations) when :meth:`shed_probe` says
-        ``SHED_SAFE``, or ``None`` when the event must take the full
-        :meth:`process` path.  The elision preserves every piece of
-        observable output: windows still age and pendings still confirm
-        through :meth:`~repro.engine.matcher.PatternMatcher.tick`, the
-        ranker observes the event (so emission timing and revisions are
-        unchanged), and the routed/latency bookkeeping mirrors
-        :meth:`process`.  Tracing disables the path — spans are part of
-        the observable output.  Run-level matcher stats (runs created
-        then immediately pruned) are the only thing an elide skips.
-        """
-        if self.tracer is not None:
-            return None
-        classification, headroom = self.shed_probe(event)
-        if classification is not SHED_SAFE:
-            controller.note_exact_kept(classification)
-            return None
-        checker = controller.invariant_checker
-        if checker is not None:
-            checker.check_certified_shed(self, event)
-        started = self._clock()
-        self._last_seq = event.seq
-        self._last_ts = event.timestamp
-        completed = self.matcher.tick(event)
-        emissions = self.ranker.observe(event, completed)
-        self._account(event, completed, emissions, None)
-        self.metrics.latency.record(self._clock() - started)
-        controller.note_exact_shed(certified=headroom is not None)
-        return emissions
-
     def process(self, event: Event) -> list[Emission]:
         """Feed one (already sequenced) event through the operator chain.
 
@@ -297,19 +259,19 @@ class RegisteredQuery(SinkOwner):
         reads per event; their sum is the whole-pipeline latency sample.
         """
         profile = self.profile
-        tracer = self.tracer
         clock = self._clock
         self._last_seq = event.seq
         self._last_ts = event.timestamp
-        if tracer is not None:
-            tracer.record(_ROUTE, event.seq, event.timestamp, self.name)
+        if self.tracer is not None:
+            self.tracer.record(_ROUTE, event.seq, event.timestamp, self.name)
 
         started = clock()
         matches = self.matcher.process(event)
         after_match = clock()
         emissions = self.ranker.observe(event, matches)
         after_rank = clock()
-        self._account(event, matches, emissions, tracer)
+        self.metrics.events_routed += 1
+        self._deliver(matches, emissions, event.seq, event.timestamp)
         after_emit = clock()
         self.metrics.latency.record(after_emit - started)
         profile.match.add(after_match - started)
@@ -317,27 +279,17 @@ class RegisteredQuery(SinkOwner):
         profile.emit.add(after_emit - after_rank)
         return emissions
 
-    def _account(
-        self,
-        event: Event,
-        matches: list[Match],
-        emissions: list[Emission],
-        tracer: Tracer | None,
+    def _deliver(
+        self, matches: list[Match], emissions: list[Emission], seq: int, ts: float
     ) -> None:
-        """Shared bookkeeping + sink fan-out for :meth:`process`."""
-        self.metrics.events_routed += 1
+        """The tail of every step: count, then fan out to the sinks.
+
+        Records one EMIT span per emission, stamped with the step's clock
+        point.
+        """
         self.metrics.matches += len(matches)
         self.metrics.emissions += len(emissions)
-        self._fan_out(emissions, event.seq, event.timestamp, tracer)
-
-    def _fan_out(
-        self,
-        emissions: list[Emission],
-        seq: int,
-        ts: float,
-        tracer: Tracer | None,
-    ) -> None:
-        """Deliver emissions to the sinks, recording one EMIT span each."""
+        tracer = self.tracer
         for emission in emissions:
             if tracer is not None:
                 tracer.record(
@@ -354,12 +306,10 @@ class RegisteredQuery(SinkOwner):
 
     def advance_time(self, timestamp: float) -> list[Emission]:
         """Heartbeat: expire time windows and release due emissions."""
-        confirmed = self.matcher.advance_time(timestamp)
+        confirmed = self.matcher.advance_time(timestamp, self._last_seq)
         emissions = self.ranker.tick(confirmed, self._last_seq, timestamp)
         self._last_ts = max(self._last_ts, timestamp)
-        self.metrics.matches += len(confirmed)
-        self.metrics.emissions += len(emissions)
-        self._fan_out(emissions, self._last_seq, timestamp, self.tracer)
+        self._deliver(confirmed, emissions, self._last_seq, timestamp)
         return emissions
 
     def flush(self) -> list[Emission]:
@@ -371,9 +321,7 @@ class RegisteredQuery(SinkOwner):
         emissions = self.ranker.observe_final(
             final_matches, self._last_seq, self._last_ts
         )
-        self.metrics.matches += len(final_matches)
-        self.metrics.emissions += len(emissions)
-        self._fan_out(emissions, self._last_seq, self._last_ts, self.tracer)
+        self._deliver(final_matches, emissions, self._last_seq, self._last_ts)
         return emissions
 
     @property

@@ -60,7 +60,7 @@ class Shard(Protocol):
     """
 
     #: True when the engine lives in this process, which load shedding
-    #: needs (:meth:`LocalShard.attach_shed_controller`, ``shed_probes``).
+    #: needs (:meth:`LocalShard.shed_probes`).
     live_engine: bool
     #: process hosting the engine.
     pid: int | None
@@ -172,10 +172,6 @@ class LocalShard:
         return self.engine.query(query).explain()
 
     # -- load shedding (needs the live engine; pipe shards reject it) ---------------
-
-    def attach_shed_controller(self, controller: ShedController) -> None:
-        """Let ``controller`` elide certified events inside this engine."""
-        self.engine.attach_shed_controller(controller)
 
     def shed_probes(self) -> list[RegisteredQuery]:
         """Live query handles the adaptive sampler may probe (racy by design)."""
@@ -369,8 +365,8 @@ class QueuedRunner(TelemetryViews):
     event-time watermark), the pressure signals, the shedding controller
     and the instruments over all of them.  Subclasses provide ``submit``,
     ``last_processed_ts``, ``backlog``, ``queue_capacity``,
-    ``queue_high_water``, ``shed_stats()`` and ``metrics_registry()`` (of
-    which the inherited telemetry views are functions).
+    ``queue_high_water`` and ``metrics_registry()`` (of which the
+    inherited telemetry views are functions).
     """
 
     #: event-time watermark: highest timestamp any shard/engine processed.
@@ -425,7 +421,13 @@ class QueuedRunner(TelemetryViews):
             self.last_submitted_ts = timestamp
 
     def shed_stats(self) -> ShedStats:
-        raise NotImplementedError
+        """Shedding counters (drops happen here, ahead of every engine)."""
+        return self.shed_controller.stats
+
+    def shed_stats_dict(self) -> dict[str, Any] | None:
+        """JSON-safe shedding snapshot for STATS frames (None when off)."""
+        controller = self.shed_controller
+        return None if controller.policy == "off" else controller.to_dict()
 
     @property
     def ingest_lag_seconds(self) -> float:

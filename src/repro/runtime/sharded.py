@@ -109,12 +109,7 @@ from repro.runtime.metrics import EngineMetrics
 from repro.runtime.query import RegisteredQuery
 from repro.runtime.report import QueryReport, ShardReport
 from repro.runtime.shard import LocalShard, QueuedRunner, Shard, WorkerLoop
-from repro.runtime.shedding import (
-    ShedController,
-    ShedStats,
-    controller_to_dict,
-    merge_shed_stats,
-)
+from repro.runtime.shedding import ShedController
 from repro.runtime.sinks import CollectorSink, SinkLike, SinkOwner, Subscription
 from repro.sanitize.locks import register_lock_metrics, tracked_lock
 
@@ -576,12 +571,9 @@ class ShardedEngineRunner(QueuedRunner):
             LatenessBuffer(max_lateness) if max_lateness is not None else None
         )
         self.metrics = EngineMetrics()
-        # The dispatch-level controller owns the overload assessment and
-        # (in adaptive mode) the pre-dispatch sampler.
+        # The controller owns the overload assessment and the
+        # pre-dispatch sampler.
         self._init_queued(shed_policy, latency_target, shed_controller)
-        #: per-worker exact-mode controllers (thread-local counters); the
-        #: dispatch tick mirrors the engaged flag onto them.
-        self._worker_controllers: list[ShedController] = []
         #: dispatch events between shedding control ticks.
         self._shed_tick_interval = 64
         self._shed_dispatched = 0
@@ -702,20 +694,6 @@ class ShardedEngineRunner(QueuedRunner):
                     self._type_watchers.setdefault(event_type, []).append(view)
             group.relevant_types = frozenset(types)
             self._groups.append(group)
-
-        if self.shed_controller.policy == "exact":
-            # Exact elides run inside each shard engine's dispatch loop on
-            # its own owner thread; every shard gets a private controller
-            # (thread-local counters — merged for reporting) whose engaged
-            # flag the dispatch-level control tick mirrors.
-            for worker in self._workers:
-                controller = ShedController(
-                    policy="exact",
-                    latency_target=self.shed_controller.latency_target,
-                    force=self.shed_controller.force,
-                )
-                worker.shard.attach_shed_controller(controller)
-                self._worker_controllers.append(controller)
 
         for worker in self._workers:
             worker.loop.start()
@@ -908,13 +886,15 @@ class ShardedEngineRunner(QueuedRunner):
         controller = self.shed_controller
         if controller.policy != "off":
             if self._shed_dispatched % self._shed_tick_interval == 0:
-                self._shed_control_tick()
+                # Overload assessment over a fleet pressure sample, under
+                # the dispatch lock.
+                controller.control(
+                    self.pressure_sample(), self.ingest_lag_seconds
+                )
             self._shed_dispatched += 1
-            # Adaptive drops happen before dispatch bookkeeping: a dropped
-            # event never reaches a shard, never advances the merge
-            # trackers, and does not count as pushed.  (Exact-mode elides
-            # happen inside the shard engines instead — every event still
-            # dispatches, keeping sequence numbering byte-identical.)
+            # Drops happen before dispatch bookkeeping: a dropped event
+            # never reaches a shard, never advances the merge trackers,
+            # and does not count as pushed.
             if controller.adaptive_active and not controller.admit(
                 event,
                 self._shed_probes(event),
@@ -943,20 +923,6 @@ class ShardedEngineRunner(QueuedRunner):
             shard = 0 if key is None else stable_shard(key, len(group.workers))
             yield group.workers[shard]
 
-    def _shed_control_tick(self) -> None:
-        """Dispatch-level overload assessment, mirrored onto the workers.
-
-        Runs under the dispatch lock every ``_shed_tick_interval`` events:
-        folds a fleet pressure sample into the controller's private
-        assessor and copies the resulting engaged flag onto every
-        per-worker exact controller (a plain attribute write — worker
-        threads only read it).
-        """
-        controller = self.shed_controller
-        controller.control(self.pressure_sample(), self.ingest_lag_seconds)
-        for worker_controller in self._worker_controllers:
-            worker_controller.engaged = controller.engaged
-
     def _shed_probes(self, event: Event) -> list[RegisteredQuery]:
         """Query handles ``event`` would reach (adaptive-mode probing).
 
@@ -971,20 +937,6 @@ class ShardedEngineRunner(QueuedRunner):
             for worker in self._targets(event)
             for probe in worker.shard.shed_probes()
         ]
-
-    def shed_stats(self) -> ShedStats:
-        """Fleet-wide shedding counters (dispatch + worker controllers)."""
-        return merge_shed_stats(
-            [self.shed_controller.stats]
-            + [controller.stats for controller in self._worker_controllers]
-        )
-
-    def shed_stats_dict(self) -> dict | None:
-        """JSON-safe shedding snapshot for STATS frames (None when off)."""
-        return controller_to_dict(
-            self.shed_controller,
-            [controller.stats for controller in self._worker_controllers],
-        )
 
     @property
     def backlog(self) -> int:

@@ -5,25 +5,19 @@ pressure.PressureAssessor` enters ``overloaded``, or ingest lag exceeds
 the configured latency target — the runner engages a
 :class:`ShedController` that drops the events *least likely to matter*
 for the ranked output, instead of letting the bounded queues push the
-latency unboundedly up.  Two policies exist (``docs/SHEDDING.md``):
+latency unboundedly up (``docs/SHEDDING.md``).
 
-* **exact** — events are elided *inside* the engine, after sequencing,
-  and only under a safety certificate from
-  :meth:`~repro.runtime.query.RegisteredQuery.shed_probe`: the event is
-  provably inert for the query, or a score-bound headroom computation
-  (the same interval arithmetic the run pruner uses, against the current
-  k-th retained score) proves no run it could start can crack the top-k.
-  Output is **byte-identical** to the unshedded run — the differential
-  suite and a CEPRSan invariant enforce it — so exact shedding only
-  saves work, never recall.
-* **adaptive** — events are dropped *before* the engine, with a
-  rank-weighted probability adapted (AIMD) toward the latency target:
-  ``protected`` events (bound into live partial matches) are never
-  dropped, ``safe`` events are dropped preferentially, and
-  ``uncertified`` events are sampled — at a reduced rate when their
-  bound headroom shows they could still crack the top-k.  The measured
-  recall estimate (``1 - uncertified sheds / uncertified offered``)
-  quantifies what the approximation may have cost.
+Events are dropped *before* the engine, with a rank-weighted probability
+adapted (AIMD) toward the latency target.  Each is first classified by
+:meth:`~repro.runtime.query.RegisteredQuery.shed_probe`: ``protected``
+events (bound into live partial matches) are never dropped, ``safe``
+events (provably inert for the query, or starting a run whose score-bound
+headroom — the run pruner's own interval arithmetic against the current
+k-th retained score — proves it cannot crack the top-k) are dropped
+preferentially, and ``uncertified`` events are sampled — at a reduced
+rate when their bound headroom shows they could still crack the top-k.
+The measured recall estimate (``1 - uncertified sheds / uncertified
+offered``) quantifies what the approximation may have cost.
 
 The controller is deterministic for a fixed call sequence (private
 seeded RNG, no wall-clock reads of its own) and owns a **private**
@@ -36,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from typing import Any, Iterable
+from typing import Any
 
 from repro.events.event import Event
 from repro.observability.flightrec import current as flightrec_current
@@ -67,9 +61,9 @@ RISKY_DROP_FACTOR = 0.25
 
 @dataclass
 class ShedStats:
-    """Shedding counters (per controller; summed across a fleet)."""
+    """Shedding counters of one controller."""
 
-    #: events the engaged controller looked at (exact probes + samples).
+    #: events the engaged controller looked at.
     offered: int = 0
     #: events kept because they touch live partial-match state.
     protected_total: int = 0
@@ -83,18 +77,10 @@ class ShedStats:
     shed_events_total: int = 0
     #: sheds that provably cannot change output (inert or certified).
     shed_safe_total: int = 0
-    #: lossy sampled drops (adaptive policy only).
+    #: lossy sampled drops.
     shed_sampled_total: int = 0
     #: ok -> engaged transitions.
     engagements: int = 0
-
-    def absorb(self, other: "ShedStats") -> None:
-        for spec in fields(self):
-            setattr(
-                self,
-                spec.name,
-                getattr(self, spec.name) + getattr(other, spec.name),
-            )
 
     @property
     def recall_estimate(self) -> float:
@@ -114,23 +100,14 @@ class ShedStats:
         return doc
 
 
-def merge_shed_stats(parts: Iterable[ShedStats]) -> ShedStats:
-    """Sum per-controller counters into one fleet view."""
-    total = ShedStats()
-    for part in parts:
-        total.absorb(part)
-    return total
-
-
 class ShedController:
     """Overload state machine + rank-weighted drop policy.
 
     Parameters
     ----------
     policy:
-        ``"off"`` (never sheds; zero hot-path cost — the engine checks a
-        single ``is None``), ``"exact"`` (bound-certified elides only),
-        or ``"adaptive"`` (lossy rank-weighted sampling).
+        ``"off"`` (never sheds) or ``"adaptive"`` (lossy rank-weighted
+        sampling ahead of the engine).
     latency_target:
         Ingest-lag budget in seconds; lag above it counts as overload
         even while the composite pressure score is still below the
@@ -142,9 +119,8 @@ class ShedController:
         Seed of the private sampling RNG — decisions are deterministic
         for a fixed offered sequence.
     force:
-        Engage regardless of pressure.  The differential suites and the
-        overload benchmark use this to exercise shedding deterministically
-        on streams that never saturate a queue.
+        Engage regardless of pressure.  Tests use this to exercise
+        shedding deterministically on streams that never saturate a queue.
     """
 
     def __init__(
@@ -155,10 +131,8 @@ class ShedController:
         seed: int = 2016,
         force: bool = False,
     ) -> None:
-        if policy not in ("off", "exact", "adaptive"):
-            raise ValueError(
-                f"shed policy must be off|exact|adaptive, got {policy!r}"
-            )
+        if policy not in ("off", "adaptive"):
+            raise ValueError(f"shed policy must be off|adaptive, got {policy!r}")
         if latency_target <= 0:
             raise ValueError(
                 f"latency_target must be positive, got {latency_target}"
@@ -170,18 +144,11 @@ class ShedController:
         self.engaged = force
         self.drop_rate = 0.0
         self.stats = ShedStats()
-        #: CEPRSan hook: when armed, every exact-mode certified shed is
-        #: independently re-derived before the elide (see invariants.py).
-        self.invariant_checker = None
         self._rng = random.Random(seed)
         #: captured once, like the engine does — disabled cost is one check.
         self._flightrec = flightrec_current()
 
     # -- state machine -----------------------------------------------------------
-
-    @property
-    def exact_active(self) -> bool:
-        return self.policy == "exact" and self.engaged
 
     @property
     def adaptive_active(self) -> bool:
@@ -198,11 +165,9 @@ class ShedController:
     ) -> None:
         """One control tick: fold a pressure reading, adapt the policy.
 
-        AIMD on the adaptive drop rate: grow multiplicatively while the
-        deployment is overloaded or behind the latency target, halve when
-        it recovers, disengage once the rate decays away (exact mode
-        disengages directly on recovery — it has no rate to unwind, and
-        its sheds are free of recall cost anyway).
+        AIMD on the drop rate: grow multiplicatively while the deployment
+        is overloaded or behind the latency target, halve when it
+        recovers, disengage once the rate decays away.
         """
         if self.policy == "off":
             return
@@ -211,12 +176,9 @@ class ShedController:
         behind = self.assessor.overloaded or lag_seconds > self.latency_target
         if self.force or behind:
             self._engage()
-            if self.policy == "adaptive":
-                self.drop_rate = min(
-                    MAX_DROP_RATE, self.drop_rate * 1.5 + 0.05
-                )
+            self.drop_rate = min(MAX_DROP_RATE, self.drop_rate * 1.5 + 0.05)
             return
-        if self.policy == "adaptive" and self.drop_rate >= 0.01:
+        if self.drop_rate >= 0.01:
             self.drop_rate *= 0.5
             return
         self.drop_rate = 0.0
@@ -246,27 +208,7 @@ class ShedController:
                 recall_estimate=round(self.recall_estimate, 4),
             )
 
-    # -- exact-mode accounting (called from the engine dispatch loop) -----------
-
-    def note_exact_shed(self, certified: bool) -> None:
-        """One event elided under a safety certificate."""
-        stats = self.stats
-        stats.offered += 1
-        stats.shed_events_total += 1
-        stats.shed_safe_total += 1
-        if certified:
-            stats.certified_total += 1
-
-    def note_exact_kept(self, classification: str) -> None:
-        """One probed event that took the full match path."""
-        stats = self.stats
-        stats.offered += 1
-        if classification is SHED_PROTECTED:
-            stats.protected_total += 1
-        elif classification is SHED_UNCERTIFIED:
-            stats.uncertified_offered += 1
-
-    # -- adaptive-mode sampling (called from the runner's ingest path) ----------
+    # -- sampling (called from the runner's ingest path) ------------------------
 
     def admit(self, event: Event, probes, seq_hint: int | None = None) -> bool:
         """Adaptive drop decision: ``False`` means drop before the engine.
@@ -342,16 +284,3 @@ class ShedController:
             f"dropped={self.stats.shed_events_total} "
             f"recall~{self.recall_estimate:.2f}"
         )
-
-
-def controller_to_dict(
-    controller: "ShedController | None",
-    extra_stats: Iterable[ShedStats] = (),
-) -> dict[str, Any] | None:
-    """Fleet-aware STATS rendering: fold worker-controller counters in."""
-    if controller is None or controller.policy == "off":
-        return None
-    doc = controller.to_dict()
-    merged = merge_shed_stats([controller.stats, *extra_stats])
-    doc["stats"] = merged.to_dict()
-    return doc

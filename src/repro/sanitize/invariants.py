@@ -40,11 +40,6 @@ Checks, by hook point:
 ``engine.snapshot``
     **snapshot-roundtrip** — ``restore(snapshot())`` followed by a second
     ``snapshot()`` reproduces the first byte-for-byte.
-``ShedController`` (exact policy)
-    **certified-shed** — every bound-certified elide is re-derived from
-    the matcher and pruner state before it happens; a shed that could
-    change emissions (event consumable by live state, no usable score
-    bound, or non-positive headroom) trips.
 """
 
 from __future__ import annotations
@@ -53,7 +48,6 @@ import copy
 import math
 from typing import TYPE_CHECKING
 
-from repro.engine.runs import new_run
 from repro.language.ast_nodes import WindowKind
 from repro.language.intervals import IntervalEvaluator, PartialMatchView
 from repro.sanitize.core import Sanitizer, ThreadAffinity
@@ -194,78 +188,6 @@ class InvariantChecker:
                 lo=lo,
                 hi=hi,
                 detection_index=match.detection_index,
-            )
-
-    # -- load shedding -------------------------------------------------------------
-
-    def check_certified_shed(self, query: "RegisteredQuery", event) -> None:
-        """A safe-certified shed must be provably output-neutral.
-
-        Called by the shedding controller immediately before an exact-mode
-        elide.  Re-derives the safety conditions from the matcher and
-        pruner state without going through
-        :meth:`~repro.runtime.query.RegisteredQuery.shed_probe`'s ladder,
-        so a probe seeded (or regressed) into certifying consumable or
-        top-k-viable events trips here instead of silently changing
-        emissions.
-        """
-        matcher = query.matcher
-        if event.event_type not in matcher._relevant_types:
-            return
-        key = matcher._partitioner.key_of(event)
-        if key is None:
-            return
-        if matcher.event_touches_state(event, key):
-            self.san.trip(
-                "certified-shed",
-                f"query {query.name!r}: certified shed of event "
-                f"seq={event.seq} type={event.event_type!r} that live "
-                f"partial-match state of partition {key!r} can consume — "
-                f"eliding it can change emissions",
-                query=query.name,
-                seq=event.seq,
-                event_type=event.event_type,
-            )
-            return
-        if event.event_type != query._stage0_type:
-            return
-        if matcher._last_stage_index == 0:
-            self.san.trip(
-                "certified-shed",
-                f"query {query.name!r}: certified shed of event "
-                f"seq={event.seq} on a single-stage pattern — the event "
-                f"completes a detection instantly, the shed skips it",
-                query=query.name,
-                seq=event.seq,
-            )
-            return
-        if not matcher._accepts_new_run(event):
-            return
-        pruner = query.pruner
-        if pruner is None:
-            self.san.trip(
-                "certified-shed",
-                f"query {query.name!r}: certified shed of run-starting "
-                f"event seq={event.seq} on a query with no score-bound "
-                f"pruner — no certificate can exist",
-                query=query.name,
-                seq=event.seq,
-            )
-            return
-        candidate = new_run(
-            query.automaton, event, key, matcher._tracked_attrs
-        )
-        headroom = pruner.event_headroom(candidate, event)
-        if headroom is None or headroom <= 0:
-            self.san.trip(
-                "certified-shed",
-                f"query {query.name!r}: certified shed of run-starting "
-                f"event seq={event.seq} whose score-bound headroom is "
-                f"{headroom!r} — a completion could still crack the "
-                f"top-k, so the certificate is unsound",
-                query=query.name,
-                seq=event.seq,
-                headroom=headroom,
             )
 
     # -- matcher state ------------------------------------------------------------

@@ -220,8 +220,7 @@ class CEPRServer:
         Watchdog trips are always log-and-count (a stalled loop cannot
         usefully raise), surfaced as ``serve_sanitizer_trips_total``.
     shed_policy / latency_target:
-        Overload control (see docs/SHEDDING.md): ``"off"`` (default),
-        ``"exact"`` (bound-certified elides, byte-identical output), or
+        Overload control (see docs/SHEDDING.md): ``"off"`` (default) or
         ``"adaptive"`` (rank-weighted lossy sampling steered toward the
         ``latency_target`` ingest-lag budget, in seconds).  Shed counters
         surface in STATS frames and the Prometheus export.
@@ -270,9 +269,9 @@ class CEPRServer:
                 "load shedding is not supported on the process backend "
                 "(worker engine state is only reported at barriers)"
             )
-        if shed_policy not in ("off", "exact", "adaptive"):
+        if shed_policy not in ("off", "adaptive"):
             raise ValueError(
-                f"shed_policy must be off|exact|adaptive, got {shed_policy!r}"
+                f"shed_policy must be off|adaptive, got {shed_policy!r}"
             )
         if slow_consumer not in ("disconnect", "drop"):
             raise ValueError(

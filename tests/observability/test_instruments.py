@@ -47,7 +47,7 @@ EAGER = """
 SCENARIOS = {
     "embedded": dict(backend="embedded", max_lateness=0.0, sanitize=True, tracing=True),
     "threaded": dict(backend="threaded", shed_policy="adaptive"),
-    "sharded": dict(backend="sharded", shards=2, shed_policy="exact", sanitize=True),
+    "sharded": dict(backend="sharded", shards=2, shed_policy="adaptive", sanitize=True),
     "process": dict(backend="process", shards=2),
 }
 

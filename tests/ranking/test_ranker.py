@@ -164,6 +164,38 @@ class TestUnrankedPassthrough:
         # 2 epochs of 4 events, 1 match allowed per epoch
         assert len(emissions) == 2
 
+    @pytest.mark.parametrize(
+        "window, closer",
+        [
+            ("4 EVENTS", "event"),
+            ("4 EVENTS", "flush"),
+            ("4 SECONDS", "event"),
+            ("4 SECONDS", "heartbeat"),
+            ("4 SECONDS", "flush"),
+        ],
+    )
+    def test_limit_per_epoch_however_a_pending_match_is_confirmed(
+        self, window, closer
+    ):
+        # A trailing negation parks all three (a, b) matches until their
+        # window ends; whichever entry point ends it — the next event, a
+        # heartbeat or end of stream — LIMIT 1 lets one of them out.
+        engine = CEPREngine()
+        handle = engine.register_query(
+            f"PATTERN SEQ(A a, B b, NOT C c) WITHIN {window} "
+            "USING SKIP_TILL_ANY LIMIT 1 EMIT EAGER"
+        )
+        for event in [E("A", 1), E("B", 2), E("B", 3), E("B", 4)]:
+            engine.push(event)
+        assert handle.results() == []
+        if closer == "event":
+            engine.push(E("A", 9))
+        elif closer == "heartbeat":
+            engine.advance_time(9.0)
+        engine.flush()
+        assert handle.matcher.stats.pending_confirmed == 3
+        assert [e.kind for e in handle.results()] == [EmissionKind.MATCH]
+
     def test_unranked_window_close_collects_in_detection_order(self):
         handle = run(
             "PATTERN SEQ(A a) WITHIN 4 EVENTS EMIT ON WINDOW CLOSE",

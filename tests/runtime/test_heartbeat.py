@@ -3,6 +3,7 @@
 import pytest
 
 from repro import CEPREngine, EmissionKind, Event
+from repro.observability.tracing import SpanKind
 
 
 def E(t, ts, **attrs):
@@ -42,6 +43,24 @@ class TestPendingConfirmation:
         engine.push(E("B", 21.0))
         engine.flush()
         assert handle.matches() == []
+
+    def test_heartbeat_expiry_leaves_one_kill_span_per_run(self):
+        # A run that dies on a quiet stream is in the trace like one an
+        # event outlives: emission provenance tallies RUN_KILL spans.
+        engine = CEPREngine(tracing=True)
+        handle = engine.register_query(
+            "NAME q PATTERN SEQ(A a, B b) WITHIN 5 SECONDS USING SKIP_TILL_ANY"
+        )
+        engine.push(E("A", 1.0))
+        engine.push(E("A", 2.0))
+        engine.advance_time(20.0)
+        assert handle.matcher.stats.runs_expired == 2
+        kills = engine.tracer.spans(SpanKind.RUN_KILL, query="q")
+        assert [(s.seq, s.ts, s.detail["reason"]) for s in kills] == [
+            (1, 20.0, "expired"),
+            (1, 20.0, "expired"),
+        ]
+        assert engine.tracer.counts_by_kind("q")["run_kill"] == 2
 
     def test_count_windows_unaffected(self):
         engine = CEPREngine()

@@ -176,7 +176,7 @@ class TestDirectConstruction:
 
     def test_direct_pipe_fleet_rejects_shedding_like_the_factory(self):
         with pytest.raises(ValueError, match="load shedding"):
-            ShardedEngineRunner(shards=2, shard_type=PipeShard, shed_policy="exact")
+            ShardedEngineRunner(shards=2, shard_type=PipeShard, shed_policy="adaptive")
 
 
 class TestImportFootprint:

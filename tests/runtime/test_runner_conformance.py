@@ -10,9 +10,11 @@ differential suites use.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
+from repro import Event
 from repro.runtime import RunnerConfig, create_runner, emission_to_json
 from repro.runtime.sinks import CollectorSink
 from repro.workloads.stock import StockWorkload
@@ -41,6 +43,15 @@ PERIODIC = """
     LIMIT 3
     EMIT EVERY 25 EVENTS
 """
+
+#: unranked EMIT EAGER under a per-epoch LIMIT, one query per window kind.
+QUOTA = 2
+QUOTA_WINDOWS = {"by_count": (8, "EVENTS"), "by_time": (4, "SECONDS")}
+QUOTA_QUERIES = {
+    name: f"PATTERN SEQ(A a, B b, NOT C c) WITHIN {span} {unit} "
+    f"USING SKIP_TILL_ANY LIMIT {QUOTA} EMIT EAGER"
+    for name, (span, unit) in QUOTA_WINDOWS.items()
+}
 
 SHARDS = 2
 EVENTS = 1_200
@@ -94,6 +105,17 @@ class TestEmissionEquivalence:
         assert lines(sink.emissions) == reference
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    def test_with_block_after_explicit_start(self, backend, reference):
+        runner = make_runner(backend)
+        sink = CollectorSink()
+        runner.subscribe("best_trades", sink)
+        runner.start()
+        with runner:  # entering a started runner is a no-op, not an error
+            runner.submit_all(make_events())
+            runner.flush()
+        assert lines(sink.emissions) == reference
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_single_event_submit_byte_identical(self, backend, reference):
         runner = make_runner(backend)
         sink = CollectorSink()
@@ -123,6 +145,50 @@ class TestEmissionEquivalence:
             runner.submit_all(make_events())
             runner.flush()
         assert lines(received) == reference
+
+
+class TestPassThroughQuota:
+    """Unranked ``EMIT EAGER`` with ``LIMIT k`` lets k matches out per
+    epoch, whichever step confirms them: the trailing negation parks
+    every match until an event, a heartbeat or the flush ends its window."""
+
+    @staticmethod
+    def bursts(start, count):
+        """``count`` bursts of one A and four Bs, one second per event."""
+        return [
+            Event(kind, start + 5.0 * burst + offset)
+            for burst in range(count)
+            for offset, kind in enumerate("ABBBB")
+        ]
+
+    def run(self, backend):
+        runner = create_runner(
+            QUOTA_QUERIES, RunnerConfig(backend=backend, shards=SHARDS)
+        )
+        sinks = {name: CollectorSink() for name in QUOTA_QUERIES}
+        for name, sink in sinks.items():
+            runner.subscribe(name, sink)
+        with runner:
+            runner.submit_all(self.bursts(1.0, 3))
+            runner.advance_time(40.0)
+            runner.submit_all(self.bursts(41.0, 3))
+            runner.flush()
+        return {name: sink.emissions for name, sink in sinks.items()}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_at_most_k_matches_per_epoch_on_every_entry_point(self, backend):
+        emitted = self.run(backend)
+        for name, emissions in emitted.items():
+            assert emissions and {e.kind.value for e in emissions} == {"match"}
+            point = "at_seq" if name == "by_count" else "at_ts"
+            per_epoch = Counter(
+                getattr(e, point) // QUOTA_WINDOWS[name][0] for e in emissions
+            )
+            assert max(per_epoch.values()) <= QUOTA, (name, per_epoch)
+        if backend != "embedded":
+            assert {n: lines(e) for n, e in emitted.items()} == {
+                n: lines(e) for n, e in self.run("embedded").items()
+            }
 
 
 class TestSubscribeKinds:

@@ -1,14 +1,9 @@
-"""Load-shedding tests: controller state machine, probe ladder, and the
-exactness differential.
+"""Load-shedding tests: controller state machine, probe ladder, adaptive
+admission and the runner integration.
 
-The exact policy's contract is the strongest claim in the subsystem:
-with ``--shed-policy exact`` the emitted stream is **byte-identical** to
-the unshedded run — sheds only happen under a safety certificate
-(structural inertness or score-bound headroom against the current k-th
-retained score).  The differential tests here enforce it with strict
-fingerprints (including ``detection_index`` and ``revision``) across
-seeded workloads, and the seeded-defect test proves CEPRSan's
-``certified-shed`` invariant catches a probe that falsely certifies.
+That a ``SHED_SAFE`` verdict is sound — the claim ``shed_safe_total`` and
+``recall_estimate`` rest on — is checked against ``process`` itself in
+``tests/property/test_property_shedding.py``.
 """
 
 import pytest
@@ -16,23 +11,10 @@ import pytest
 from repro import CEPREngine, Event
 from repro.observability.pressure import PressureAssessor, PressureSample
 from repro.runtime.concurrent import ThreadedEngineRunner
-from repro.runtime.query import (
-    SHED_PROTECTED,
-    SHED_SAFE,
-    SHED_UNCERTIFIED,
-    RegisteredQuery,
-)
+from repro.runtime.query import SHED_PROTECTED, SHED_SAFE, SHED_UNCERTIFIED
 from repro.runtime.sharded import ShardedEngineRunner
-from repro.runtime.shedding import (
-    MAX_DROP_RATE,
-    ShedController,
-    ShedStats,
-    controller_to_dict,
-    merge_shed_stats,
-)
-from repro.workloads.clickstream import ClickstreamWorkload
+from repro.runtime.shedding import MAX_DROP_RATE, ShedController, ShedStats
 from repro.workloads.generic import GenericWorkload
-from repro.workloads.stock import StockWorkload
 
 GENERIC_QUERY = """
     NAME spread
@@ -44,121 +26,19 @@ GENERIC_QUERY = """
     EMIT ON WINDOW CLOSE
 """
 
-STOCK_QUERY = """
-    NAME rally
-    PATTERN SEQ(Buy b, Sell s)
-    WHERE b.symbol == s.symbol AND s.price > b.price
-    WITHIN 40 EVENTS
-    USING SKIP_TILL_ANY
-    PARTITION BY symbol
-    RANK BY s.price - b.price DESC
-    LIMIT 4
-    EMIT ON WINDOW CLOSE
-"""
 
-FUNNEL_QUERY = """
-    NAME funnel
-    PATTERN SEQ(AddToCart c, Purchase p)
-    WHERE c.user == p.user
-    WITHIN 60 EVENTS
-    USING SKIP_TILL_ANY
-    PARTITION BY user
-    RANK BY p.value DESC
-    LIMIT 1
-    EMIT ON WINDOW CLOSE
-"""
-
-
-def strict_match_fp(match):
-    bindings = tuple(
-        (
-            var,
-            (binding.seq,)
-            if isinstance(binding, Event)
-            else tuple(e.seq for e in binding),
-        )
-        for var, binding in match.bindings.items()
-    )
-    return (
-        bindings,
-        match.first_seq,
-        match.last_seq,
-        match.partition_key,
-        match.score,
-        match.rank_values,
-        match.detection_index,
-    )
-
-
-def strict_emission_fp(emission):
-    return (
-        emission.kind.value,
-        emission.at_seq,
-        round(emission.at_ts, 9),
-        emission.epoch,
-        emission.revision,
-        tuple(strict_match_fp(m) for m in emission.ranking),
-    )
-
-
-def strict_fingerprint(handle):
-    return [strict_emission_fp(e) for e in handle.results()]
-
-
-def loose_match_fp(match):
-    """Sharded comparisons re-stamp detection_index/revision (documented)."""
-    fp = strict_match_fp(match)
-    return fp[:-1]
-
-
-def loose_fingerprint(handle):
-    return [
-        (
-            e.kind.value,
-            e.at_seq,
-            round(e.at_ts, 9),
-            e.epoch,
-            tuple(loose_match_fp(m) for m in e.ranking),
-        )
-        for e in handle.results()
-    ]
-
-
-def forced_exact():
-    return ShedController(policy="exact", force=True)
-
-
-def run_engine(query, events, registry=None, controller=None):
-    engine = CEPREngine(registry=registry)
-    handle = engine.register_query(query)
-    if controller is not None:
-        engine.shed_controller = controller
-    for event in events:
-        engine.push(event)
-    engine.flush()
-    return engine, handle
+def forced_adaptive():
+    return ShedController(policy="adaptive", force=True)
 
 
 class TestShedStats:
-    def test_absorb_sums_fieldwise(self):
-        a = ShedStats(offered=3, shed_events_total=2, uncertified_offered=1)
-        b = ShedStats(offered=5, shed_events_total=1, uncertified_shed=1)
-        a.absorb(b)
-        assert a.offered == 8
-        assert a.shed_events_total == 3
-        assert a.uncertified_offered == 1
-        assert a.uncertified_shed == 1
-
     def test_recall_estimate(self):
         assert ShedStats().recall_estimate == 1.0
         stats = ShedStats(uncertified_offered=10, uncertified_shed=3)
         assert stats.recall_estimate == pytest.approx(0.7)
 
-    def test_merge_and_to_dict(self):
-        merged = merge_shed_stats(
-            [ShedStats(offered=1), ShedStats(offered=2, certified_total=2)]
-        )
-        doc = merged.to_dict()
+    def test_to_dict(self):
+        doc = ShedStats(offered=3, certified_total=2).to_dict()
         assert doc["offered"] == 3
         assert doc["certified_total"] == 2
         assert doc["recall_estimate"] == 1.0
@@ -168,27 +48,28 @@ class TestControllerStateMachine:
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="policy"):
             ShedController(policy="sometimes")
+        with pytest.raises(ValueError, match=r"off\|adaptive"):
+            ShedController(policy="exact")
         with pytest.raises(ValueError, match="latency_target"):
-            ShedController(policy="exact", latency_target=0.0)
+            ShedController(policy="adaptive", latency_target=0.0)
 
     def test_off_policy_is_inert(self):
         controller = ShedController(policy="off")
         controller.control(PressureSample(ingest_lag_seconds=100.0), 100.0)
         assert not controller.engaged
-        assert not controller.exact_active
         assert not controller.adaptive_active
         assert controller.admit(Event("A", 1.0), []) is True
 
     def test_force_engages_without_pressure(self):
-        controller = forced_exact()
+        controller = forced_adaptive()
         assert controller.engaged
-        assert controller.exact_active
+        assert controller.adaptive_active
         controller.control(PressureSample(), 0.0)
         assert controller.engaged  # force holds through recovery ticks
 
     def test_engages_on_overload_and_disengages_on_recovery(self):
         assessor = PressureAssessor(smoothing=1.0)
-        controller = ShedController(policy="exact", assessor=assessor)
+        controller = ShedController(policy="adaptive", assessor=assessor)
         assert not controller.engaged
         controller.control(0.9)
         assert controller.engaged
@@ -196,14 +77,17 @@ class TestControllerStateMachine:
         # hysteresis: mid-band pressure keeps it engaged
         controller.control(0.6)
         assert controller.engaged
-        controller.control(0.1)
+        # recovery unwinds the drop rate before letting go
+        for _ in range(5):
+            controller.control(0.1)
         assert not controller.engaged
 
     def test_lag_above_target_engages_even_when_pressure_is_low(self):
-        controller = ShedController(policy="exact", latency_target=0.5)
+        controller = ShedController(policy="adaptive", latency_target=0.5)
         controller.control(PressureSample(), lag_seconds=2.0)
         assert controller.engaged
-        controller.control(PressureSample(), lag_seconds=0.1)
+        for _ in range(5):
+            controller.control(PressureSample(), lag_seconds=0.1)
         assert not controller.engaged
 
     def test_adaptive_rate_aimd(self):
@@ -222,22 +106,13 @@ class TestControllerStateMachine:
         assert not controller.engaged
 
     def test_to_dict_and_describe(self):
-        controller = forced_exact()
+        controller = forced_adaptive()
         doc = controller.to_dict()
-        assert doc["policy"] == "exact"
+        assert doc["policy"] == "adaptive"
         assert doc["engaged"] is True
         assert doc["stats"]["shed_events_total"] == 0
         assert "pressure" in doc
-        assert controller.describe().startswith("shed[exact]=engaged")
-
-    def test_controller_to_dict_merges_worker_stats(self):
-        controller = forced_exact()
-        controller.stats.shed_events_total = 2
-        worker = ShedStats(shed_events_total=3, offered=3)
-        doc = controller_to_dict(controller, [worker])
-        assert doc["stats"]["shed_events_total"] == 5
-        assert controller_to_dict(ShedController(policy="off")) is None
-        assert controller_to_dict(None) is None
+        assert controller.describe().startswith("shed[adaptive]=engaged")
 
 
 class TestShedProbeLadder:
@@ -297,110 +172,6 @@ class TestShedProbeLadder:
         )
         assert classification is SHED_UNCERTIFIED
         assert headroom is not None
-
-
-class TestExactDifferential:
-    # expect_sheds is workload-dependent: the clickstream funnel keeps a
-    # live AddToCart run per user almost continuously (Purchases are
-    # protected, AddToCarts uncertified — value domain up to 500 can
-    # always crack a top-1), and without a registry no bound certifies —
-    # those streams legitimately shed nothing, which is itself the
-    # safety property at work.
-    CASES = [
-        pytest.param(
-            GenericWorkload,
-            {"seed": 5, "alphabet_size": 2},
-            GENERIC_QUERY,
-            2000,
-            True,
-            True,
-            id="generic-k1",
-        ),
-        pytest.param(
-            StockWorkload,
-            {"seed": 11},
-            STOCK_QUERY,
-            1500,
-            True,
-            False,
-            id="stock-k4",
-        ),
-        pytest.param(
-            ClickstreamWorkload,
-            {"seed": 3, "users": 12},
-            FUNNEL_QUERY,
-            1500,
-            True,
-            False,
-            id="clickstream-k1",
-        ),
-        pytest.param(
-            GenericWorkload,
-            {"seed": 9, "alphabet_size": 3},
-            GENERIC_QUERY,
-            1200,
-            False,
-            False,
-            id="generic-no-registry",
-        ),
-    ]
-
-    @pytest.mark.parametrize(
-        "workload_cls, kwargs, query, count, with_registry, expect_sheds",
-        CASES,
-    )
-    def test_forced_exact_shedding_is_byte_identical(
-        self, workload_cls, kwargs, query, count, with_registry, expect_sheds
-    ):
-        def events():
-            return list(workload_cls(**kwargs).events(count))
-
-        registry = (
-            workload_cls(**kwargs).registry() if with_registry else None
-        )
-        _, baseline = run_engine(query, events(), registry=registry)
-        controller = forced_exact()
-        _, shedded = run_engine(
-            query, events(), registry=registry, controller=controller
-        )
-        assert strict_fingerprint(shedded) == strict_fingerprint(baseline)
-        assert [strict_match_fp(m) for m in shedded.final_ranking()] == [
-            strict_match_fp(m) for m in baseline.final_ranking()
-        ]
-        # the controller did engage and at least looked at every event
-        assert controller.stats.offered > 0
-        if expect_sheds:
-            assert controller.stats.shed_events_total > 0
-        # exact mode never samples, so recall stays exactly 1.0
-        assert controller.stats.shed_sampled_total == 0
-        assert controller.recall_estimate == 1.0
-
-    def test_bound_certified_sheds_fire_with_domains(self):
-        # Tight schema domains are the precondition for score-bound
-        # certificates (same as pruning): the generic workload's declared
-        # value range makes many stage-0 events provably hopeless.
-        workload = GenericWorkload(seed=5, alphabet_size=2)
-        controller = forced_exact()
-        run_engine(
-            GENERIC_QUERY,
-            workload.events(2000),
-            registry=workload.registry(),
-            controller=controller,
-        )
-        assert controller.stats.certified_total > 0
-
-    def test_standby_controller_sheds_nothing(self):
-        # Without overload (and without force) exact mode never elides.
-        workload = GenericWorkload(seed=5, alphabet_size=2)
-        controller = ShedController(policy="exact")
-        _, handle = run_engine(
-            GENERIC_QUERY,
-            workload.events(500),
-            registry=workload.registry(),
-            controller=controller,
-        )
-        assert controller.stats.shed_events_total == 0
-        assert handle.metrics.events_routed == 500
 
 
 class TestAdaptiveAdmission:
@@ -487,7 +258,6 @@ class TestRunnerIntegration:
     def test_threaded_runner_off_policy_has_no_controller_overhead(self):
         engine = CEPREngine()
         runner = ThreadedEngineRunner(engine)
-        assert engine.shed_controller is None
         assert runner.shed_stats_dict() is None
         prom = runner.metrics_registry().to_prometheus()
         assert "shed_events_total" not in prom
@@ -521,40 +291,6 @@ class TestRunnerIntegration:
         assert "shed_events_total" in prom
         assert "shed_recall_estimate" in prom
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_sharded_exact_forced_is_identical_to_single_engine(
-        self, shards
-    ):
-        workload_kwargs = {"seed": 5, "alphabet_size": 2}
-
-        def events():
-            return list(GenericWorkload(**workload_kwargs).events(1200))
-
-        registry = GenericWorkload(**workload_kwargs).registry()
-        _, baseline = run_engine(GENERIC_QUERY, events(), registry=registry)
-
-        runner = ShardedEngineRunner(
-            shards=shards,
-            registry=registry,
-            shed_policy="exact",
-            shed_controller=forced_exact(),
-        )
-        view = runner.register_query(GENERIC_QUERY)
-        runner.start()
-        try:
-            for event in events():
-                runner.submit(event)
-            runner.flush()
-        finally:
-            runner.stop()
-
-        assert loose_fingerprint(view) == loose_fingerprint(baseline)
-        stats = runner.shed_stats()
-        assert stats.shed_events_total > 0
-        assert stats.shed_sampled_total == 0
-        doc = runner.shed_stats_dict()
-        assert doc["stats"]["shed_events_total"] == stats.shed_events_total
-
     def test_sharded_adaptive_drops_before_the_shards(self):
         workload = GenericWorkload(seed=5, alphabet_size=2)
         controller = ShedController(policy="adaptive", force=True)
@@ -578,40 +314,3 @@ class TestRunnerIntegration:
         assert routed == 1000 - controller.stats.shed_events_total
         prom = runner.metrics_registry().to_prometheus()
         assert "shed_events_total" in prom
-
-
-class TestSanitizerCatchesFalseCertificate:
-    def test_false_certificate_trips_certified_shed(self, monkeypatch):
-        # Seeded defect: the probe certifies every event as safe.  The
-        # CEPRSan certified-shed check re-derives safety independently
-        # before each elide and must trip on the first unsafe one.
-        monkeypatch.setattr(
-            RegisteredQuery,
-            "shed_probe",
-            lambda self, event, seq_hint=None: (SHED_SAFE, 1.0),
-        )
-        workload = GenericWorkload(seed=5, alphabet_size=2)
-        engine = CEPREngine(registry=workload.registry(), sanitize=True)
-        engine.sanitizer._mode = "log"
-        handle = engine.register_query(GENERIC_QUERY)
-        controller = forced_exact()
-        controller.invariant_checker = engine._invariants
-        engine.shed_controller = controller
-        for event in workload.events(300):
-            engine.push(event)
-        engine.flush()
-        assert engine.sanitizer.trips["certified-shed"] > 0
-
-    def test_clean_exact_run_never_trips(self):
-        workload = GenericWorkload(seed=5, alphabet_size=2)
-        engine = CEPREngine(registry=workload.registry(), sanitize=True)
-        engine.sanitizer._mode = "log"
-        engine.register_query(GENERIC_QUERY)
-        controller = forced_exact()
-        controller.invariant_checker = engine._invariants
-        engine.shed_controller = controller
-        for event in workload.events(1000):
-            engine.push(event)
-        engine.flush()
-        assert engine.sanitizer.trips["certified-shed"] == 0
-        assert controller.stats.certified_total > 0

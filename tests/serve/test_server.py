@@ -276,7 +276,7 @@ class TestRunnerBackendParity:
                 queries={},
                 shards=2,
                 runner_backend="process",
-                shed_policy="exact",
+                shed_policy="adaptive",
             )
 
 
