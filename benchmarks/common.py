@@ -124,6 +124,7 @@ def run_cepr_raw(
         runs_created=stats.runs_created,
         runs_pruned=stats.runs_pruned,
         peak_live_runs=stats.peak_live_runs,
+        extra={"completions_skipped": stats.completions_skipped},
     )
 
 

@@ -119,6 +119,20 @@ def e3() -> None:
         generic_rank_query(window=50, k=1), events, registry, enable_pruning=False
     )
     row("k=1, no prune", fmt(off.seconds * 1000), off.runs_created, 0, off.peak_live_runs)
+    print("  completing-edge cut (stock, 10k events, window 100, k=5):")
+    events, registry = stock_stream(10_000)
+    row("pruning", "time ms", "matches built", "skipped", "runs pruned")
+    for enable in (True, False):
+        result = run_cepr_raw(
+            stock_rank_query(window=100, k=5), events, registry, enable_pruning=enable
+        )
+        row(
+            "on" if enable else "off",
+            fmt(result.seconds * 1000),
+            result.matches,
+            result.extra["completions_skipped"],
+            result.runs_pruned,
+        )
 
 
 def e4() -> None:

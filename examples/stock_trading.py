@@ -3,9 +3,10 @@
 This mirrors the ICDE demo's finance scenario: a synthetic order stream
 (random-walk prices across six symbols) feeds two concurrent queries —
 
-* ``best_trades`` — Buy→Sell pairs per symbol ranked by profit; because the
-  workload declares price domains, CEPR's score-bound pruning kicks in and
-  the script reports how many partial runs it discarded.
+* ``best_trades`` — Buy→Sell pairs per symbol ranked by profit; once a
+  window's top 5 is full, CEPR skips every Sell completion strictly worse
+  than its 5th-best profit (the completing-edge cut), and the script
+  reports how many completions it skipped and partial runs it pruned.
 * ``momentum`` — runs of strictly increasing Sell prices per symbol, ranked
   by total climb, showing Kleene closure + iteration predicates + ranking.
 
@@ -77,6 +78,7 @@ def main(num_events: int = 20_000) -> None:
             f"matches={stats['matches']:.0f} "
             f"runs={stats['runs_created']:.0f} "
             f"pruned={stats['runs_pruned']:.0f} "
+            f"skipped={stats['completions_skipped']:.0f} "
             f"p99={stats['latency_p99_us']:.0f}us"
         )
     print(f"  throughput: {engine.metrics.throughput:,.0f} events/s")

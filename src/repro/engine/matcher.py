@@ -21,11 +21,15 @@ Patterns ending in a Kleene variable emit a match for **every prefix** of
 the closure that satisfies the predicates (the run stays live and keeps
 extending) — the all-runs semantics of SASE+'s NFA^b.
 
-Ranking integration: the optional ``prune_hook`` is called with every
-*partial* run the matcher is about to keep (newly created or extended).
-Returning ``True`` discards the run — this is where the ranking layer cuts
-runs whose score upper bound cannot reach the current top-k (see
-:mod:`repro.ranking.pruning`).
+Ranking integration happens at two points.  The optional ``prune_hook``
+is called with every *partial* run the matcher is about to keep (newly
+created or extended); returning ``True`` discards the run — this is where
+the ranking layer cuts runs whose score upper bound cannot reach the
+current top-k (see :mod:`repro.ranking.pruning`).  And once armed
+(:meth:`PatternMatcher.arm_completion_cut`), the *completing edge* is cut:
+a run whose completion by the current event would score strictly worse
+than the epoch's k-th retained key is left in place without binding,
+building or scoring the match (``SKIP_TILL_ANY`` keeps the run either way).
 
 Tumbling mode (``tumbling=True``, used by ``EMIT ON WINDOW CLOSE``): the
 stream is cut into epochs of the window span and runs are killed at epoch
@@ -49,6 +53,8 @@ from repro.language.ast_nodes import SelectionStrategy, WindowKind
 from repro.observability.tracing import SpanKind, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.language.semantics import CutKey
+    from repro.ranking.pruning import BoundProvider
     from repro.runtime.router import SharedExecutionIndex
 
 #: ``prune_hook(run, latest_event) -> True`` discards the partial run.
@@ -71,6 +77,9 @@ class MatcherStats:
     runs_created: int = 0
     runs_extended: int = 0
     runs_pruned: int = 0
+    #: (run, event) pairs the completing-edge cut skipped: the completion
+    #: would have scored strictly worse than its epoch's k-th retained key.
+    completions_skipped: int = 0
     runs_expired: int = 0
     runs_killed_strict: int = 0
     runs_killed_negation: int = 0
@@ -172,8 +181,33 @@ class PatternMatcher:
         #: Fused per-edge closures (:func:`~repro.engine.compiler.
         #: compile_edges`): one call per edge check, not one per predicate.
         self._edges: CompiledEdges = compile_edges(self)
+        #: The completing-edge cut (off until :meth:`arm_completion_cut`).
+        self._cut_key: CutKey | None = None
+        self._cut_kth: BoundProvider | None = None
+        self._cut_type = automaton.stages[-1].event_type
+        before_last = automaton.stages[-2] if len(automaton.stages) > 1 else None
+        #: an open Kleene stage right before the final one completes by
+        #: proceeding; its runs are skippable when this event cannot also
+        #: extend them (the types differ).
+        self._cut_proceeds = (
+            before_last is not None
+            and before_last.is_kleene
+            and before_last.event_type != self._cut_type
+        )
 
     # -- public API ------------------------------------------------------------
+
+    def arm_completion_cut(self, key: "CutKey", kth: "BoundProvider") -> None:
+        """Skip completions that cannot enter their epoch's top k.
+
+        ``key`` is the query's compiled normalised primary (see
+        :func:`~repro.language.semantics.completion_cut`, which also
+        decides where arming is exact) and ``kth`` the ranker's
+        :meth:`~repro.ranking.ranker.Ranker.kth_bound_for_epoch`.
+        """
+        assert self.tumbling, "the cut compares against tumbling epochs"
+        self._cut_key = key
+        self._cut_kth = kth
 
     @property
     def live_run_count(self) -> int:
@@ -246,7 +280,7 @@ class PatternMatcher:
         # matches a stage and a negated element can bind in the branches
         # that consume it, while still killing the branches that skip it
         # (its guard interval covers only the latter).
-        self._transition(partition, event, key, completed)
+        self._transition(partition, event, key, completed, epoch)
         self._apply_negations(partition, event)
         self._note_activity(partition, runs_before, pendings_before)
         return completed
@@ -514,12 +548,34 @@ class PatternMatcher:
         event: Event,
         key: tuple[Any, ...],
         completed: list[Match],
+        epoch: int | None,
     ) -> None:
         strategy = self.automaton.strategy
         next_runs: list[Run] = []
         tracer = self.tracer
+        cut_key = self._cut_key
+        theta = None
+        if cut_key is not None and event.event_type == self._cut_type:
+            assert epoch is not None
+            theta = self._cut_theta(epoch)
+        last = self._last_stage_index
+        proceeds = self._cut_proceeds
 
         for run in partition.runs:
+            if theta is not None and (
+                run.stage == last
+                or (proceeds and run.kleene_open and run.stage == last - 1)
+            ):
+                assert cut_key is not None
+                value = cut_key(run.bindings, event)
+                if value > theta:  # strictly worse: ties stay; NaN never skips
+                    self._skip_completion(run, event)
+                    next_runs.append(run)  # SKIP_TILL_ANY keeps it regardless
+                    continue
+                if value != value:
+                    # A NaN-keyed match may now enter the buffer ahead of
+                    # later candidates and break its ordering: stop cutting.
+                    theta = None
             options, consumed = self._options_for(run, event, completed)
             if not consumed:
                 if strategy is SelectionStrategy.STRICT:
@@ -728,6 +784,26 @@ class PatternMatcher:
             return True
         completed.append(match)
         return True
+
+    def _cut_theta(self, epoch: int) -> Any:
+        """θ: the epoch's k-th retained primary key, once its buffer is full.
+
+        Within a tumbling epoch θ only improves, and a completion lands in
+        the epoch of its completing event, so a candidate strictly worse
+        than θ now is rejected by the buffer when it would be inserted.
+        """
+        assert self._cut_kth is not None
+        kth = self._cut_kth(epoch)
+        if kth is None:
+            return None
+        theta = kth[0]
+        if isinstance(theta, bool) or not isinstance(theta, (int, float)):
+            return None
+        return theta if theta == theta else None  # a NaN θ never skips
+
+    def _skip_completion(self, run: Run, event: Event) -> None:
+        """Book one (run, event) pair the completing-edge cut skipped."""
+        self.stats.completions_skipped += 1
 
     def _keep_partial(self, run: Run, event: Event) -> bool:
         """Apply the prune hook to a partial run the matcher wants to keep."""

@@ -254,10 +254,14 @@ def encode_matcher(matcher: PatternMatcher) -> dict[str, Any]:
                 ],
             }
         )
+    stats = vars(matcher.stats).copy()
     return {
         "partitions": partitions,
         "detection_counter": matcher._detection_counter,
-        "stats": vars(matcher.stats).copy(),
+        # Kept beside ``stats`` rather than in it: a matcher whose stats
+        # lack the counter still loads this snapshot, and vice versa.
+        "completions_skipped": stats.pop("completions_skipped"),
+        "stats": stats,
     }
 
 
@@ -280,7 +284,10 @@ def restore_matcher(matcher: PatternMatcher, state: Mapping[str, Any]) -> None:
             partitions[tuple(item["key"])] = partition
         matcher._partitions = partitions
         matcher._detection_counter = int(state["detection_counter"])
-        matcher.stats = MatcherStats(**state["stats"])
+        matcher.stats = MatcherStats(
+            **state["stats"],
+            completions_skipped=int(state.get("completions_skipped", 0)),
+        )
         # The quiescent-skip gate reads the O(1) activity caches; leaving
         # them stale after a restore would let it elide events that should
         # extend the restored runs.

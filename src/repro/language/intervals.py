@@ -1,7 +1,8 @@
 """Interval arithmetic over CEPR-QL expressions.
 
 This is the analytical heart of score-bound pruning
-(:mod:`repro.ranking.pruning`): given a *partial* match — some pattern
+(:mod:`repro.ranking.pruning`) and of the static analyzer's
+satisfiability checks: given a *partial* match — some pattern
 variables bound to concrete events, others still open — we bound the value
 any *completion* of the match could give a scoring expression.  Bound
 variables contribute exact (degenerate) intervals; unbound variables
@@ -14,6 +15,11 @@ the expression's value for **every** possible completion, or ``None`` when
 no finite reasoning is possible (string values, undeclared domains,
 division by an interval containing zero, ...).  ``None`` simply disables
 pruning for that run — it is never wrong, only useless.
+
+:class:`IntervalEvaluator` is the reference: the pruner compiles one
+bound per run shape that reads leaves straight off a run (see
+:mod:`repro.ranking.pruning`) and shares everything past the leaves with
+it — the ``bound_*`` functions at the end of this module.
 
 Soundness assumptions (documented in DESIGN.md):
 
@@ -239,15 +245,10 @@ class IntervalEvaluator:
 
     # -- leaves --------------------------------------------------------------
 
-    def _numeric_exact(self, value: Any) -> Interval | None:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return None
-        return Interval.exact(float(value))
-
     def _bound_attr(self, expr: AttrRef) -> Interval | None:
         events = self.view.events_of(expr.var)
         if events and expr.var not in self.view.kleene_vars:
-            return self._numeric_exact(events[0].get(expr.attr))
+            return numeric_exact(events[0].get(expr.attr))
         if expr.var in self.view.kleene_vars:
             # Per-element reference outside an incremental predicate has no
             # single value; semantic analysis rejects it in rank keys.
@@ -258,39 +259,35 @@ class IntervalEvaluator:
         var = expr.var
         observed = self.view.events_of(var)
         is_open = var in self.view.open_vars
+        count = bound_count(len(observed), is_open, self.view.max_kleene_count)
         if expr.func in ("count", "len"):
-            return self._bound_count(len(observed), is_open)
+            return count
         assert expr.attr is not None
         values: list[float] = []
         for event in observed:
-            exact = self._numeric_exact(event.get(expr.attr))
+            exact = numeric_exact(event.get(expr.attr))
             if exact is None:
                 return None
             values.append(exact.lo)
+        summary: Observed | None = None
+        if values:
+            summary = (
+                len(values),
+                sum(values),
+                min(values),
+                max(values),
+                values[0],
+                values[-1],
+            )
         domain = self.view.attr_domain(var)(expr.attr)
-        return _bound_aggregate_values(
-            expr.func,
-            values,
-            domain,
-            is_open,
-            self._bound_count(len(observed), is_open),
-        )
-
-    def _bound_count(self, observed: int, is_open: bool) -> Interval:
-        if not is_open:
-            return Interval.exact(float(max(observed, 0)))
-        lo = float(max(observed, 1))  # Kleene-plus bindings are non-empty
-        cap = self.view.max_kleene_count
-        hi = float(cap) if cap is not None else _INF
-        return Interval(min(lo, hi) if hi < lo else lo, max(hi, lo))
+        return bound_aggregate(expr.func, summary, domain, is_open, count)
 
     # -- built-ins -----------------------------------------------------------
 
     def _bound_func(self, expr: FuncCall) -> Interval | None:
         name = expr.name
         if name == "duration":
-            hi = self.view.max_duration if self.view.max_duration is not None else _INF
-            return Interval(self.view.duration_so_far, max(hi, self.view.duration_so_far))
+            return bound_duration(self.view.duration_so_far, self.view.max_duration)
         if name in ("timestamp", "ts"):
             arg = expr.args[0]
             if not isinstance(arg, VarRef):
@@ -301,73 +298,108 @@ class IntervalEvaluator:
             if self.view.latest_timestamp is not None:
                 return Interval(self.view.latest_timestamp, _INF)
             return None
-        if name == "abs":
-            inner = self.bound(expr.args[0])
-            return inner.abs() if inner is not None else None
-        if name in ("round", "floor", "ceil", "sqrt", "log", "exp"):
-            inner = self.bound(expr.args[0])
-            if inner is None:
-                return None
-            fn = {
-                "round": lambda x: float(round(x)) if math.isfinite(x) else x,
-                "floor": lambda x: float(math.floor(x)) if math.isfinite(x) else x,
-                "ceil": lambda x: float(math.ceil(x)) if math.isfinite(x) else x,
-                "sqrt": math.sqrt,
-                "log": math.log,
-                "exp": _safe_exp,
-            }[name]
-            return inner.monotone_map(fn)
-        if name == "sign":
-            inner = self.bound(expr.args[0])
-            if inner is None:
-                return None
-            return Interval(
-                float((inner.lo > 0) - (inner.lo < 0)),
-                float((inner.hi > 0) - (inner.hi < 0)),
-            )
-        if name in ("min2", "max2"):
-            left = self.bound(expr.args[0])
-            right = self.bound(expr.args[1])
-            if left is None or right is None:
-                return None
-            if name == "min2":
-                return Interval(min(left.lo, right.lo), min(left.hi, right.hi))
-            return Interval(max(left.lo, right.lo), max(left.hi, right.hi))
-        return None
+        if name not in NUMERIC_FUNCTIONS:
+            return None
+        args = [bound for bound in map(self.bound, expr.args) if bound is not None]
+        if len(args) != len(expr.args):
+            return None
+        return bound_function(name, args)
 
     # -- operators -----------------------------------------------------------
 
     def _bound_binary(self, expr: Binary) -> Interval | None:
-        if expr.op in (
-            BinaryOp.AND,
-            BinaryOp.OR,
-            BinaryOp.EQ,
-            BinaryOp.NEQ,
-            BinaryOp.LT,
-            BinaryOp.LTE,
-            BinaryOp.GT,
-            BinaryOp.GTE,
-        ):
-            return None  # boolean-valued; scores are numeric
+        if expr.op not in ARITHMETIC:
+            return None  # boolean-valued (scores are numeric) or MOD
         left = self.bound(expr.left)
         right = self.bound(expr.right)
         if left is None or right is None:
             return None
-        if expr.op is BinaryOp.ADD:
-            return left + right
-        if expr.op is BinaryOp.SUB:
-            return left - right
-        if expr.op is BinaryOp.MUL:
-            return left * right
-        if expr.op is BinaryOp.DIV:
-            return left / right
-        return None  # MOD: no useful interval semantics
+        return bound_arithmetic(expr.op, left, right)
 
     def _bound_unary(self, expr: Unary) -> Interval | None:
         if expr.op is UnaryOp.NOT:
             return None
         inner = self.bound(expr.operand)
         return -inner if inner is not None else None
+
+
+# -- interval semantics shared with the compiled bounds ------------------------
+#
+# The evaluator above resolves leaves from a PartialMatchView; the compiled
+# per-shape bounds of repro.ranking.pruning resolve them from a run's
+# bindings and aggregate states.  Everything past the leaves is these
+# functions, so the two can differ only in what they know, never in how
+# they combine it.
+
+#: ``(count, total, minimum, maximum, first, last)`` of the values a
+#: variable has observed so far (only ever non-empty).
+Observed = tuple[int, float, float, float, float, float]
+
+#: binary operators with interval semantics (the rest are boolean or MOD).
+ARITHMETIC = frozenset({BinaryOp.ADD, BinaryOp.SUB, BinaryOp.MUL, BinaryOp.DIV})
+
+#: built-in functions bounded from their arguments' bounds alone.
+NUMERIC_FUNCTIONS = frozenset(
+    {"abs", "round", "floor", "ceil", "sqrt", "log", "exp", "sign", "min2", "max2"}
+)
+
+
+def numeric_exact(value: Any) -> Interval | None:
+    """The degenerate interval of a bound numeric value, else ``None``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return Interval.exact(float(value))
+
+
+def bound_arithmetic(op: BinaryOp, left: Interval, right: Interval) -> Interval | None:
+    """``left op right`` for one of :data:`ARITHMETIC`."""
+    if op is BinaryOp.ADD:
+        return left + right
+    if op is BinaryOp.SUB:
+        return left - right
+    if op is BinaryOp.MUL:
+        return left * right
+    return left / right
+
+
+def bound_function(name: str, args: Sequence[Interval]) -> Interval | None:
+    """One of :data:`NUMERIC_FUNCTIONS` over its arguments' bounds."""
+    inner = args[0]
+    if name == "abs":
+        return inner.abs()
+    if name == "sign":
+        return Interval(
+            float((inner.lo > 0) - (inner.lo < 0)),
+            float((inner.hi > 0) - (inner.hi < 0)),
+        )
+    if name == "min2":
+        return Interval(min(inner.lo, args[1].lo), min(inner.hi, args[1].hi))
+    if name == "max2":
+        return Interval(max(inner.lo, args[1].lo), max(inner.hi, args[1].hi))
+    fn = {
+        "round": lambda x: float(round(x)) if math.isfinite(x) else x,
+        "floor": lambda x: float(math.floor(x)) if math.isfinite(x) else x,
+        "ceil": lambda x: float(math.ceil(x)) if math.isfinite(x) else x,
+        "sqrt": math.sqrt,
+        "log": math.log,
+        "exp": _safe_exp,
+    }[name]
+    return inner.monotone_map(fn)
+
+
+def bound_duration(so_far: float, cap: float | None) -> Interval:
+    """``duration()`` of a run spanning ``so_far`` under a window cap."""
+    hi = cap if cap is not None else _INF
+    return Interval(so_far, max(hi, so_far))
+
+
+def bound_count(observed: int, is_open: bool, cap: int | None) -> Interval:
+    """``count(v)`` having seen ``observed`` elements, ``cap`` at most."""
+    if not is_open:
+        return Interval.exact(float(max(observed, 0)))
+    lo = float(max(observed, 1))  # Kleene-plus bindings are non-empty
+    hi = float(cap) if cap is not None else _INF
+    return Interval(min(lo, hi) if hi < lo else lo, max(hi, lo))
 
 
 def _safe_exp(x: float) -> float:
@@ -377,64 +409,50 @@ def _safe_exp(x: float) -> float:
         return _INF
 
 
-def _bound_aggregate_values(
+def bound_aggregate(
     func: str,
-    observed: list[float],
+    observed: Observed | None,
     domain: Interval | None,
     is_open: bool,
     count: Interval,
 ) -> Interval | None:
-    """Bound an aggregate given observed values and a domain for future ones."""
+    """Bound an aggregate given the observed values and a domain for future ones."""
     if not is_open:
-        if not observed:
+        if observed is None:
             return None
-        return _exact_aggregate(func, observed)
+        n, total, minimum, maximum, first, last = observed
+        exact = {
+            "sum": total,
+            "avg": total / n,
+            "min": minimum,
+            "max": maximum,
+            "first": first,
+            "last": last,
+        }.get(func)
+        return Interval.exact(exact) if exact is not None else None
 
     if func == "first":
-        if observed:
-            return Interval.exact(observed[0])
+        if observed is not None:
+            return Interval.exact(observed[4])
         return domain
     if func == "last":
         return domain  # future elements may replace the last
+    if domain is None:
+        return None
     if func == "min":
-        if domain is None:
-            return None
-        hi = min(observed) if observed else domain.hi
+        hi = observed[2] if observed is not None else domain.hi
         return Interval(min(domain.lo, hi), hi)
     if func == "max":
-        if domain is None:
-            return None
-        lo = max(observed) if observed else domain.lo
+        lo = observed[3] if observed is not None else domain.lo
         return Interval(lo, max(domain.hi, lo))
     if func == "avg":
-        if domain is None:
-            return None
-        hull = domain
-        for value in observed:
-            hull = hull.hull(Interval.exact(value))
-        return hull
+        if observed is None:
+            return domain
+        return Interval(min(domain.lo, observed[2]), max(domain.hi, observed[3]))
     if func == "sum":
-        if domain is None:
-            return None
-        partial = sum(observed)
-        remaining = count - Interval.exact(float(len(observed)))
+        n, partial = (observed[0], observed[1]) if observed is not None else (0, 0)
+        remaining = count - Interval.exact(float(n))
         remaining = Interval(max(remaining.lo, 0.0), max(remaining.hi, 0.0))
         future = remaining * domain
         return Interval.exact(partial) + future
-    return None
-
-
-def _exact_aggregate(func: str, values: list[float]) -> Interval | None:
-    if func == "sum":
-        return Interval.exact(sum(values))
-    if func == "avg":
-        return Interval.exact(sum(values) / len(values))
-    if func == "min":
-        return Interval.exact(min(values))
-    if func == "max":
-        return Interval.exact(max(values))
-    if func == "first":
-        return Interval.exact(values[0])
-    if func == "last":
-        return Interval.exact(values[-1])
     return None

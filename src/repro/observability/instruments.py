@@ -224,6 +224,11 @@ QUERY: tuple[Spec, ...] = (
         _stat("runs_pruned"),
     ),
     Spec(
+        "completions_skipped_total",
+        "Completions skipped as strictly worse than their epoch's k-th score",
+        _stat("completions_skipped"),
+    ),
+    Spec(
         "runs_expired_total",
         "Runs dropped by window or epoch expiry",
         _stat("runs_expired"),
@@ -454,6 +459,7 @@ _STATS_COLUMNS = (
     "revisions",
     "runs_created",
     "runs_pruned",
+    "completions_skipped",
     "peak_live_runs",
     "live_runs",
     # Events that matched the query's types but carried no partition key:

@@ -12,6 +12,18 @@ retained score.  Strictness keeps the optimisation exact: a run whose best
 possible primary key merely ties the k-th could still win on a secondary
 key or tie-breaking, so it is kept.
 
+The bound is compiled once per query, one closure per run *shape* — the
+``(stage, kleene_open)`` point a run is at fixes which variables are bound,
+which are open and which Kleene variable has observed elements — so an
+attempt reads the run's bindings and O(1) aggregate states directly: a
+bound singleton contributes its exact value, an open variable its schema
+domain, a Kleene aggregate its :class:`~repro.engine.aggregates.
+AggregateState` (counts capped by the window).  Past the leaves the
+closures apply the interval functions of :mod:`repro.language.intervals`,
+whose :class:`~repro.language.intervals.IntervalEvaluator` stays the
+reference: the compiled bound may be looser than it, never tighter
+(CEPRSan's ``score-bound`` check compares the two on every call).
+
 Soundness requires that the k-th score can only improve while the run is
 alive, which holds in tumbling mode (``EMIT ON WINDOW CLOSE``): matches
 only accumulate within an epoch, and runs never cross epoch boundaries.
@@ -26,15 +38,39 @@ previous epoch's scores.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.engine.nfa import PatternAutomaton
 from repro.engine.runs import Run
 from repro.engine.windows import EpochTracker
 from repro.events.event import Event
 from repro.events.schema import Domain, SchemaRegistry
-from repro.language.ast_nodes import Direction
-from repro.language.intervals import IntervalEvaluator
+from repro.language.ast_nodes import (
+    Aggregate,
+    AttrRef,
+    Binary,
+    Direction,
+    Expr,
+    FuncCall,
+    Literal,
+    Unary,
+    UnaryOp,
+    VarRef,
+    WindowKind,
+)
+from repro.language.intervals import (
+    ARITHMETIC,
+    NUMERIC_FUNCTIONS,
+    Interval,
+    bound_aggregate,
+    bound_arithmetic,
+    bound_count,
+    bound_duration,
+    bound_function,
+    numeric_exact,
+)
 from repro.language.semantics import AnalyzedQuery
 from repro.ranking.keys import normalise_bound
 
@@ -42,16 +78,24 @@ from repro.ranking.keys import normalise_bound
 #: or ``None`` when that epoch's heap is absent or not yet full.
 BoundProvider = Callable[[int], tuple[Any, ...] | None]
 DomainLookup = Callable[[str, str], Domain | None]
+#: one run shape's compiled bound: ``(run, latest_ts) -> Interval | None``.
+ShapeBound = Callable[[Run, float], Interval | None]
+
+_EPSILON = sys.float_info.epsilon
 
 
 @dataclass
 class PruningStats:
-    """Book-keeping for the pruning experiments (E3)."""
+    """Book-keeping for the pruning experiments (E3).
+
+    Every attempt lands in exactly one of the last four counters.
+    """
 
     attempts: int = 0
     pruned: int = 0
     no_bound_available: int = 0  # heap not full yet
-    unbounded_expression: int = 0  # interval evaluation returned None
+    unbounded_expression: int = 0  # no numeric bound: domain, string key, ...
+    kept: int = 0  # bounded, and the bound can still reach the top k
 
     @property
     def prune_rate(self) -> float:
@@ -64,7 +108,8 @@ class ScoreBoundPruner:
     def __init__(
         self,
         analyzed: AnalyzedQuery,
-        domain_of: DomainLookup,
+        automaton: PatternAutomaton,
+        registry: SchemaRegistry | None,
         bound_provider: BoundProvider,
     ) -> None:
         if not analyzed.rank_keys:
@@ -72,44 +117,30 @@ class ScoreBoundPruner:
         if analyzed.window is None:
             raise ValueError("score-bound pruning requires a WITHIN window")
         self.primary = analyzed.rank_keys[0]
-        self.domain_of = domain_of
+        self.domain_of: DomainLookup = (
+            registry.domain_of if registry is not None else lambda _t, _a: None
+        )
         self.bound_provider = bound_provider
         self.stats = PruningStats()
         # In tumbling mode runs never cross epoch boundaries, so a run
         # completes (if ever) in the epoch of its first event — that epoch's
         # heap is the only sound pruning reference.
         self._epochs = EpochTracker(analyzed.window)
-
-    @classmethod
-    def from_registry(
-        cls,
-        analyzed: AnalyzedQuery,
-        registry: SchemaRegistry | None,
-        bound_provider: BoundProvider,
-    ) -> "ScoreBoundPruner":
-        if registry is None:
-            domain_of: DomainLookup = lambda _t, _a: None
-        else:
-            domain_of = registry.domain_of
-        return cls(analyzed, domain_of, bound_provider)
+        self._optimistic_is_lo = self.primary.direction is Direction.ASC
+        self._bounds = _compile_shapes(self.primary.expr, automaton, registry)
 
     def __call__(self, run: Run, event: Event) -> bool:
         """``True`` ⇒ the matcher discards this partial run."""
-        self.stats.attempts += 1
+        stats = self.stats
+        stats.attempts += 1
         run_epoch = self._epochs.epoch_of_point(run.first_seq, run.first_ts)
-        status, headroom = self._headroom(run_epoch, run, event)
-        if status == "no_bound":
-            self.stats.no_bound_available += 1
+        headroom = self._headroom(run_epoch, run, event.timestamp)
+        if headroom is None:
             return False
-        if status == "unbounded":
-            self.stats.unbounded_expression += 1
-            return False
-        if status != "ok":
-            return False
-        assert headroom is not None
         if headroom > 0:
-            self.stats.pruned += 1
+            stats.pruned += 1
             return True
+        stats.kept += 1
         return False
 
     def event_headroom(
@@ -118,44 +149,242 @@ class ScoreBoundPruner:
         """Normalised slack between ``run``'s best possible primary key and
         the k-th retained key of the epoch ``event`` lands in.
 
-        The shedding controller calls this with a hypothetical stage-0 run
-        to certify dropping ``event``: a **positive** value proves no
-        completion of that run could strictly beat the current k-th (the
-        same strict comparison :meth:`__call__` uses, so ties that could
-        still win on secondary keys are never certified).  ``None`` means
-        no usable bound exists (heap not full, non-numeric primary, or an
-        unbounded expression) — the caller must keep the event.  ``seq``
-        overrides the event's own sequence number for count-window epoch
-        placement when the event has not been sequenced yet (the runner's
-        pre-ingest sampling path); certification there is advisory only.
+        The shedding controller's classifier calls this with a hypothetical
+        stage-0 run: a **positive** value proves no completion of that run
+        could strictly beat the current k-th (the same strict comparison
+        :meth:`__call__` uses, so ties that could still win on secondary
+        keys are never certified).  ``None`` means no usable bound exists
+        (heap not full, non-numeric primary, or an unbounded expression).
+        ``seq`` overrides the event's own sequence number for count-window
+        epoch placement when the event has not been sequenced yet.  Probes
+        count in no :class:`PruningStats` bucket.
         """
         point_seq = event.seq if seq is None else seq
         epoch = self._epochs.epoch_of_point(point_seq, event.timestamp)
-        status, headroom = self._headroom(epoch, run, event)
-        return headroom if status == "ok" else None
+        return self._headroom(epoch, run, event.timestamp, probe=True)
 
     def _headroom(
-        self, epoch: int, run: Run, event: Event
-    ) -> tuple[str, float | None]:
-        """Core bound evaluation: ``(status, best_possible - kth_primary)``.
+        self, epoch: int, run: Run, latest_ts: float, probe: bool = False
+    ) -> float | None:
+        """``best_possible - kth_primary``, or ``None`` with no usable bound.
 
         Normalised keys sort ascending-is-better, so a positive headroom
         means the run is strictly worse than the k-th retained score no
-        matter how it completes.
+        matter how it completes.  Outside a probe, a ``None`` answer is
+        booked here in the bucket that explains it.
         """
         kth = self.bound_provider(epoch)
         if kth is None:
-            return "no_bound", None
+            if not probe:
+                self.stats.no_bound_available += 1
+            return None
         kth_primary = kth[0]
-        if isinstance(kth_primary, bool) or not isinstance(kth_primary, (int, float)):
-            return "non_numeric", None  # string-keyed: no interval reasoning
+        best = None
+        if not isinstance(kth_primary, bool) and isinstance(kth_primary, (int, float)):
+            best = self._optimistic(run, latest_ts)
+        if best is None:  # string-keyed primary, or no finite reasoning
+            if not probe:
+                self.stats.unbounded_expression += 1
+            return None
+        return best - kth_primary
 
-        view = run.partial_view(self.domain_of, event.timestamp)
-        interval = IntervalEvaluator(view).bound(self.primary.expr)
+    def _optimistic(self, run: Run, latest_ts: float) -> float | None:
+        """The best normalised primary key any completion of ``run`` can
+        reach, from its shape's compiled bound (``None``: unbounded)."""
+        bound = self._bounds.get((run.stage, run.kleene_open))
+        interval = bound(run, latest_ts) if bound is not None else None
         if interval is None:
-            return "unbounded", None
-        optimistic_raw = (
-            interval.lo if self.primary.direction is Direction.ASC else interval.hi
-        )
-        best_possible = normalise_bound(optimistic_raw, self.primary.direction)
-        return "ok", best_possible - kth_primary
+            return None
+        raw = interval.lo if self._optimistic_is_lo else interval.hi
+        return normalise_bound(raw, self.primary.direction)
+
+
+# -- compilation --------------------------------------------------------------------
+
+
+def _compile_shapes(
+    expr: Expr, automaton: PatternAutomaton, registry: SchemaRegistry | None
+) -> dict[tuple[int, bool], ShapeBound | None]:
+    """One compiled bound per ``(stage, kleene_open)`` a kept run can be at."""
+    shapes: dict[tuple[int, bool], ShapeBound | None] = {}
+    for stage in automaton.stages:
+        for kleene_open in (False, True) if stage.is_kleene else (False,):
+            shape = _Shape(automaton, registry, stage.index, kleene_open)
+            shapes[stage.index, kleene_open] = shape.compile(expr)
+    return shapes
+
+
+def _constant(value: Interval | None) -> ShapeBound | None:
+    """A compile-time bound; ``None`` when it is unbounded (no closure)."""
+    if value is None:
+        return None
+    return lambda run, ts: value
+
+
+class _Shape:
+    """Everything known about a run at one ``(stage, kleene_open)`` point.
+
+    Mirrors ``Run.partial_view``: variables of earlier stages are bound,
+    the current stage's and later ones are open, and an open Kleene
+    current stage has observed elements.
+    """
+
+    def __init__(
+        self,
+        automaton: PatternAutomaton,
+        registry: SchemaRegistry | None,
+        stage: int,
+        kleene_open: bool,
+    ) -> None:
+        stages = automaton.stages
+        self.var_types = automaton.var_types
+        self.kleene_vars = automaton.kleene_vars
+        self.bound = {s.variable.name for s in stages[:stage]}
+        self.open = {s.variable.name for s in stages[stage:]}
+        self.observed = set(self.bound)
+        if kleene_open:
+            self.observed.add(stages[stage].variable.name)
+        window = automaton.window
+        count_window = window is not None and window.kind is WindowKind.COUNT
+        self.max_count = int(window.span) if window is not None and count_window else None
+        self.max_duration = window.span if window is not None and not count_window else None
+        self.registry = registry
+
+    def _domain(self, var: str, attr: str) -> Interval | None:
+        event_type = self.var_types.get(var)
+        if event_type is None or self.registry is None:
+            return None
+        domain = self.registry.domain_of(event_type, attr)
+        return Interval.from_domain(domain) if domain is not None else None
+
+    def _validated_numeric(self, var: str, attr: str) -> bool:
+        """Whether every observed element carries a numeric ``attr`` —
+        which the aggregate states assume, skipping anything else."""
+        schema = self.registry.get(self.var_types[var]) if self.registry else None
+        spec = schema.attribute(attr) if schema is not None else None
+        return spec is not None and spec.required and spec.dtype in ("int", "float")
+
+    def compile(self, expr: Expr) -> ShapeBound | None:
+        """The bound of ``expr`` over this shape's completions (``None``:
+        unbounded for every run of the shape)."""
+        if isinstance(expr, Literal):
+            return _constant(numeric_exact(expr.value))
+        if isinstance(expr, AttrRef):
+            return self._attr(expr.var, expr.attr)
+        if isinstance(expr, Aggregate):
+            return self._aggregate(expr)
+        if isinstance(expr, FuncCall):
+            return self._func(expr)
+        if isinstance(expr, Binary) and expr.op in ARITHMETIC:
+            left, right = self.compile(expr.left), self.compile(expr.right)
+            if left is None or right is None:
+                return None
+            op = expr.op
+
+            def arithmetic(run: Run, ts: float) -> Interval | None:
+                a = left(run, ts)
+                if a is None:
+                    return None
+                b = right(run, ts)
+                return bound_arithmetic(op, a, b) if b is not None else None
+
+            return arithmetic
+        if isinstance(expr, Unary) and expr.op is UnaryOp.NEG:
+            inner = self.compile(expr.operand)
+            if inner is None:
+                return None
+
+            def negated(run: Run, ts: float) -> Interval | None:
+                value = inner(run, ts)
+                return -value if value is not None else None
+
+            return negated
+        return None  # boolean-valued, MOD, prev(), bare variables
+
+    def _attr(self, var: str, attr: str) -> ShapeBound | None:
+        if var in self.kleene_vars:
+            return None  # per-element value: no single bound
+        if var not in self.bound:
+            return _constant(self._domain(var, attr))
+        return lambda run, ts: numeric_exact(run.bindings[var].get(attr))
+
+    def _aggregate(self, expr: Aggregate) -> ShapeBound | None:
+        var, func, attr = expr.var, expr.func, expr.attr
+        is_open = var in self.open
+        cap = self.max_count
+        if var not in self.observed:
+            count = bound_count(0, is_open, cap)
+            if func in ("count", "len"):
+                return _constant(count)
+            assert attr is not None
+            return _constant(
+                bound_aggregate(func, None, self._domain(var, attr), is_open, count)
+            )
+        if var not in self.kleene_vars:
+            return None  # an aggregate over a bound singleton: left unbounded
+        if func in ("count", "len"):
+            return lambda run, ts: bound_count(len(run.bindings[var]), is_open, cap)
+        assert attr is not None
+        if not self._validated_numeric(var, attr):
+            return None
+        domain = self._domain(var, attr)
+
+        def kleene(run: Run, ts: float) -> Interval | None:
+            state = run.agg_states.get(var)
+            if state is None:
+                return None  # not tracked (the aggregate ablation)
+            agg = state.attrs.get(attr)
+            if agg is None or agg.minimum is None:
+                return None
+            n = state.count
+            lo, hi = float(agg.minimum), float(agg.maximum)
+            first, last = float(agg.first), float(agg.last)
+            count = bound_count(n, is_open, cap)
+            if func not in ("sum", "avg"):
+                observed = (n, agg.total, lo, hi, first, last)
+                return bound_aggregate(func, observed, domain, is_open, count)
+            # The scorer's sum() may round the same values differently from
+            # this running total (compensated summation since Python 3.12):
+            # widen by a bound on that difference — looser, never tighter.
+            slack = (n + 1) * n * _EPSILON * max(abs(lo), abs(hi))
+            low, high = (
+                bound_aggregate(
+                    func, (n, agg.total + d, lo, hi, first, last), domain, is_open, count
+                )
+                for d in (-slack, slack)
+            )
+            if low is None or high is None:
+                return None
+            return Interval(low.lo, high.hi)
+
+        return kleene
+
+    def _func(self, expr: FuncCall) -> ShapeBound | None:
+        name = expr.name
+        if name == "duration":
+            cap = self.max_duration
+            return lambda run, ts: bound_duration(run.last_ts - run.first_ts, cap)
+        if name in ("timestamp", "ts"):
+            arg = expr.args[0]
+            if not isinstance(arg, VarRef):
+                return None
+            var = arg.var
+            if var in self.bound and var not in self.kleene_vars:
+                return lambda run, ts: Interval.exact(run.bindings[var].timestamp)
+            return lambda run, ts: Interval(ts, float("inf"))
+        if name not in NUMERIC_FUNCTIONS:
+            return None
+        compiled = [bound for bound in map(self.compile, expr.args) if bound is not None]
+        if len(compiled) != len(expr.args):
+            return None
+
+        def function(run: Run, ts: float) -> Interval | None:
+            values = []
+            for arg in compiled:
+                value = arg(run, ts)
+                if value is None:
+                    return None
+                values.append(value)
+            return bound_function(name, values)
+
+        return function

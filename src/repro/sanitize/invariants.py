@@ -23,6 +23,12 @@ Checks, by hook point:
     soundness property score-bound pruning rests on: an unsound interval
     evaluator prunes runs it should keep, and this catches it at the
     emission that escaped);
+``matcher.prune_hook`` / ``matcher._skip_completion``
+    **score-bound** — on every pruner call the compiled shape bound is no
+    tighter than ``IntervalEvaluator`` over the same run; every
+    completion the completing-edge cut skips, re-run through the
+    unskipped path (predicates, ``Match``, ``Scorer``), would have been
+    rejected by its epoch's ``EpochTopK``;
     **matcher-activity-cache** — the O(1) activity caches behind the
     quiescent-skip gate agree with a recount;
     **run-monotonicity** / **dangling-binding** — every live run's
@@ -48,8 +54,11 @@ import copy
 import math
 from typing import TYPE_CHECKING
 
-from repro.language.ast_nodes import WindowKind
+from repro.language.ast_nodes import Direction, WindowKind
+from repro.language.errors import EvaluationError
+from repro.language.expressions import evaluate_predicate
 from repro.language.intervals import IntervalEvaluator, PartialMatchView
+from repro.ranking.keys import normalise_bound
 from repro.sanitize.core import Sanitizer, ThreadAffinity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -188,6 +197,98 @@ class InvariantChecker:
                 lo=lo,
                 hi=hi,
                 detection_index=match.detection_index,
+            )
+
+    def check_compiled_bound(
+        self, query: "RegisteredQuery", run, latest_ts: float
+    ) -> None:
+        """The pruner's compiled bound is never tighter than the reference.
+
+        Re-derives the run's optimistic primary key with
+        :class:`IntervalEvaluator` over ``Run.partial_view`` and trips when
+        the compiled shape bound claims better than that (or claims a
+        bound where the reference has none): a tighter bound prunes runs
+        the reference would keep.
+        """
+        pruner = query.pruner
+        assert pruner is not None
+        compiled = pruner._optimistic(run, latest_ts)
+        if compiled is None:
+            return
+        view = run.partial_view(pruner.domain_of, latest_ts)
+        interval = IntervalEvaluator(view).bound(pruner.primary.expr)
+        direction = pruner.primary.direction
+        reference = None
+        if interval is not None:
+            raw = interval.lo if direction is Direction.ASC else interval.hi
+            reference = normalise_bound(raw, direction)
+        if reference is None or compiled > reference:
+            self.san.trip(
+                "score-bound",
+                f"query {query.name!r}: the compiled bound of a run at stage "
+                f"{run.stage} (kleene_open={run.kleene_open}) claims an "
+                f"optimistic key of {compiled!r}, tighter than the interval "
+                f"evaluator's {reference!r}: it may prune runs the reference "
+                f"keeps",
+                query=query.name,
+                stage=run.stage,
+                compiled=compiled,
+                reference=reference,
+            )
+
+    def check_skipped_completion(self, query: "RegisteredQuery", run, event) -> None:
+        """A skipped completion would not have been retained.
+
+        Re-runs the candidate through the unskipped path — the final
+        stage's bind predicates, the completion predicates, ``Match``,
+        ``Scorer`` — without touching any counter, and trips when the
+        epoch's buffer would have retained it (or when its evaluation
+        raises: the skip hid an error).
+        """
+        matcher = query.matcher
+        stage = matcher.automaton.stages[-1]
+        if run.blocked_by_trip(stage.index):
+            return  # a tripped negation guard forbids this completion anyway
+        target = run.close_kleene() if run.kleene_open else run
+        try:
+            ctx = target.context(current_var=stage.variable.name, current_event=event)
+            if not all(
+                evaluate_predicate(spec.evaluator, ctx)
+                for spec in stage.bind_predicates
+            ):
+                return
+            bound = target.bind_singleton(stage, event)
+            ctx = bound.context()
+            if not all(
+                evaluate_predicate(spec.evaluator, ctx)
+                for spec in matcher.automaton.completion_predicates
+            ):
+                return
+            match = query.scorer.score(
+                bound.to_match(matcher._detection_counter, query.name)
+            )
+        except EvaluationError as exc:
+            self.san.trip(
+                "score-bound",
+                f"query {query.name!r}: the completing-edge cut skipped a "
+                f"completion at seq={event.seq} whose evaluation raises ({exc})",
+                query=query.name,
+                seq=event.seq,
+            )
+            return
+        ranker = query.ranker
+        epoch = ranker._epoch_tracker.epoch_of_point(match.last_seq, match.last_ts)
+        buffer = ranker._epoch_buffers.get(epoch)
+        # EpochTopK.insert's own test: rejected only when full and not better.
+        if buffer is None or not buffer.is_full or not match.sort_key() >= buffer._keys[-1]:
+            self.san.trip(
+                "score-bound",
+                f"query {query.name!r}: the completing-edge cut skipped a "
+                f"completion at seq={event.seq} scoring {match.rank_values!r} "
+                f"that epoch {epoch}'s top-k would have retained",
+                query=query.name,
+                seq=event.seq,
+                epoch=epoch,
             )
 
     # -- matcher state ------------------------------------------------------------
@@ -401,6 +502,25 @@ def instrument_query(checker: InvariantChecker, query: "RegisteredQuery") -> Non
     query.process = process  # type: ignore[method-assign]
     query.advance_time = advance_time  # type: ignore[method-assign]
     query.flush = flush  # type: ignore[method-assign]
+
+    matcher = query.matcher
+    if query.pruner is not None:
+        prune_hook = matcher.prune_hook
+        assert prune_hook is not None
+
+        def checked_prune_hook(run, event):
+            checker.check_compiled_bound(query, run, event.timestamp)
+            return prune_hook(run, event)
+
+        matcher.prune_hook = checked_prune_hook
+    if matcher._cut_key is not None:
+        orig_skip = matcher._skip_completion
+
+        def skip_completion(run, event):
+            orig_skip(run, event)
+            checker.check_skipped_completion(query, run, event)
+
+        matcher._skip_completion = skip_completion  # type: ignore[method-assign]
 
 
 def attach_engine_sanitizer(engine: "CEPREngine") -> InvariantChecker:

@@ -91,6 +91,7 @@ class TestExportedSurface:
             "sanitizer_check_trips_total",
             "query_shards",
             "query_solo_fallback",
+            "completions_skipped_total",
         }
 
     def test_catalogue_in_the_docs_is_the_table(self):

@@ -4,19 +4,39 @@ The three headline guarantees:
 
 1. **Top-k prefix**: ``LIMIT k`` emits exactly the first k entries of the
    unlimited ranking.
-2. **Pruning exactness**: enabling score-bound pruning never changes any
-   emission.
+2. **Pruning exactness**: enabling score-bound pruning — the pruner and
+   the completing-edge cut — never changes any emission, byte for byte.
 3. **Baseline equivalence**: the integrated ranker and the
    match-then-rank baseline produce identical ordered answers.
+
+Plus the two facts the exactness of the epoch's k-th score rests on: the
+cut's compiled key is bit-equal to the scorer's normalised primary, and
+the pruner's compiled bound is never tighter than ``IntervalEvaluator``.
 """
 
+import math
+import struct
+
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 
 from repro import CEPREngine
 from repro.baselines.match_then_rank import MatchThenRankQuery
+from repro.engine.aggregates import tracked_attrs_by_var
+from repro.engine.compiler import compile_automaton
+from repro.engine.match import Match
+from repro.engine.runs import new_run
 from repro.events.event import Event
 from repro.events.schema import AttributeSpec, Domain, EventSchema, SchemaRegistry
+from repro.events.time import SequenceAssigner
+from repro.language.ast_nodes import Direction
+from repro.language.intervals import IntervalEvaluator
+from repro.language.parser import parse_query
+from repro.language.semantics import analyze, completion_cut
+from repro.ranking.keys import normalise_bound
+from repro.ranking.pruning import ScoreBoundPruner
+from repro.ranking.score import Scorer
+from repro.runtime.serialize import emission_to_line
 
 event_specs = st.lists(
     st.tuples(
@@ -148,3 +168,228 @@ class TestEagerConsistency:
         assert values == sorted(values, reverse=True)
         assert len(last) <= k
         del all_matches
+
+
+# -- the completing-edge cut on generated (query, stream) cases ---------------
+
+CUT_REGISTRY = SchemaRegistry(
+    [
+        EventSchema(
+            event_type,
+            (
+                AttributeSpec("value", "int", Domain(0, 5)),
+                AttributeSpec("g", "int"),
+            ),
+        )
+        for event_type in "ABC"
+    ]
+)
+
+CUT_PATTERNS = {
+    "pair": "SEQ(A a, B b)",
+    "singleton-middle": "SEQ(A a, C c, B b)",
+    "kleene-middle": "SEQ(A a, C cs+, B b)",
+    "guarded-kleene-middle": "SEQ(A a, C cs+, NOT A x, B b)",
+    "trailing-negation": "SEQ(A a, B b, NOT C n)",
+}
+CUT_KEYS = ("a.value - b.value", "2 * b.value - a.value", "b.value")
+EDGE_PREDICATES = ("", "WHERE b.value >= a.value - 1", "WHERE b.value != a.value")
+
+
+@st.composite
+def cut_cases(draw):
+    pattern = draw(st.sampled_from(sorted(CUT_PATTERNS)))
+    window = draw(st.sampled_from(["EVENTS", "SECONDS"]))
+    secondary = draw(st.sampled_from(["", ", a.value DESC", ", a.value ASC"]))
+    query = f"""
+        PATTERN {CUT_PATTERNS[pattern]}
+        {draw(st.sampled_from(EDGE_PREDICATES))}
+        WITHIN {draw(st.integers(min_value=4, max_value=16))} {window}
+        USING SKIP_TILL_ANY
+        {draw(st.sampled_from(["", "PARTITION BY g"]))}
+        RANK BY {draw(st.sampled_from(CUT_KEYS))}
+            {draw(st.sampled_from(["ASC", "DESC"]))}{secondary}
+        LIMIT {draw(st.sampled_from([1, 1, 2, 3]))}
+        EMIT ON WINDOW CLOSE
+    """
+    alphabet = draw(st.sampled_from(["ABC", "AABBC", "ABCCC"]))
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(alphabet),
+                st.integers(min_value=0, max_value=5),  # small: ties are common
+                st.integers(min_value=0, max_value=1),  # partition
+                st.integers(min_value=0, max_value=2),  # timestamp step
+            ),
+            min_size=10,
+            max_size=120,
+        )
+    )
+    return pattern, query, specs
+
+
+def cut_stream(specs):
+    events, ts = [], 0.0
+    for event_type, value, group, step in specs:
+        ts += step
+        events.append(Event(event_type, ts, value=value, g=group))
+    return events
+
+
+def engine_lines(query, specs, enable_pruning):
+    engine = CEPREngine(registry=CUT_REGISTRY, enable_pruning=enable_pruning)
+    handle = engine.register_query(query, name="cut")
+    engine.run(cut_stream(specs))
+    return [emission_to_line(e) for e in handle.results()], handle.matcher.stats
+
+
+def match_then_rank_lines(query, specs):
+    """The reference, fed the query's own types, globally sequenced."""
+    events = cut_stream(specs)
+    assigner = SequenceAssigner()
+    for event in events:
+        assigner.assign(event)
+    baseline = MatchThenRankQuery(query, CUT_REGISTRY, name="cut")
+    relevant = baseline.analyzed.relevant_types
+    baseline.run([e for e in events if e.event_type in relevant])
+    return [emission_to_line(e) for e in baseline.emissions]
+
+
+class TestCompletionCutExactness:
+    @given(cut_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_lines_equal_unpruned_and_match_then_rank(self, case):
+        pattern, query, specs = case
+        cut, cut_stats = engine_lines(query, specs, enable_pruning=True)
+        plain, plain_stats = engine_lines(query, specs, enable_pruning=False)
+        assert cut == plain
+        assert cut == match_then_rank_lines(query, specs)
+        assert cut_stats.matches_completed <= plain_stats.matches_completed
+        assert plain_stats.completions_skipped == 0
+        event(f"{pattern}: cut fired {cut_stats.completions_skipped > 0}")
+
+
+def bits(value):
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    return (type(value).__name__, value)
+
+
+KEY_REGISTRY = SchemaRegistry(
+    [EventSchema(t, (AttributeSpec("value", "float"),)) for t in "AB"]
+)
+COMPILED_KEYS = (
+    *CUT_KEYS,
+    "-(a.value + b.value) * 3",
+    "abs(a.value - b.value)",
+    "min2(a.value, b.value) + max2(a.value, 1.5)",
+    "b.value - -a.value",
+)
+numbers = st.one_of(
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestCompiledCutKey:
+    @given(
+        st.sampled_from(COMPILED_KEYS), st.sampled_from(["ASC", "DESC"]), numbers, numbers
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_key_is_bit_equal_to_the_scorers_normalised_primary(
+        self, key, direction, a_value, b_value
+    ):
+        text = (
+            f"PATTERN SEQ(A a, B b) WITHIN 5 EVENTS USING SKIP_TILL_ANY "
+            f"RANK BY {key} {direction} LIMIT 1 EMIT ON WINDOW CLOSE"
+        )
+        analyzed = analyze(parse_query(text), KEY_REGISTRY)
+        cut_key, status = completion_cut(analyzed, KEY_REGISTRY)
+        assert status == "active"
+        a, b = Event("A", 1.0, value=a_value), Event("B", 2.0, value=b_value)
+        match = Match(bindings={"a": a, "b": b}, first_seq=0, last_seq=1,
+                      first_ts=1.0, last_ts=2.0)
+        Scorer(analyzed.rank_keys).score(match)
+        assert bits(cut_key({"a": a}, b)) == bits(match.score[0])
+
+
+BOUND_REGISTRY = SchemaRegistry(
+    [
+        EventSchema(t, (AttributeSpec("value", "float", Domain(-50.0, 50.0)),))
+        for t in ("A", "K", "B", "D")
+    ]
+)
+BOUND_KEYS = (
+    "max(ks.value)",
+    "count(ks)",
+    "sum(ks.value) - a.value",
+    "avg(ks.value) + b.value",
+    "min(ks.value) * 2",
+    "first(ks.value)",
+    "last(ks.value) - d.value",
+    "duration()",
+    "b.value - a.value",
+    "abs(a.value - d.value)",
+    "min2(a.value, b.value)",
+    "max(b.value) + count(b)",
+    "ts(b) - ts(a)",
+)
+values = st.one_of(
+    st.floats(min_value=-50.0, max_value=50.0), st.integers(min_value=-50, max_value=50)
+)
+
+
+class TestCompiledBoundSoundness:
+    @given(
+        st.sampled_from(BOUND_KEYS),
+        st.sampled_from(["ASC", "DESC"]),
+        st.sampled_from(["EVENTS", "SECONDS"]),
+        values,
+        st.lists(values, min_size=1, max_size=6),
+        values,
+        st.floats(min_value=0.0, max_value=3.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_bound_is_never_tighter_than_the_reference(
+        self, key, direction, unit, a_value, k_values, b_value, step
+    ):
+        text = (
+            f"PATTERN SEQ(A a, K ks+, B b, D d) WITHIN 40 {unit} "
+            f"USING SKIP_TILL_ANY RANK BY {key} {direction} LIMIT 1 "
+            f"EMIT ON WINDOW CLOSE"
+        )
+        analyzed = analyze(parse_query(text), BOUND_REGISTRY)
+        automaton = compile_automaton(analyzed)
+        pruner = ScoreBoundPruner(analyzed, automaton, BOUND_REGISTRY, lambda e: None)
+        stages = automaton.stages
+        clock = iter(range(100))
+
+        def make(event_type, value):
+            index = next(clock)
+            made = Event(event_type, index * step, value=value)
+            made.seq = index
+            return made
+
+        tracked = tracked_attrs_by_var(automaton.needed_aggregates)
+        run = new_run(automaton, make("A", a_value), (), tracked)
+        runs = [run]
+        for value in k_values:
+            run = run.extend_kleene(stages[1], make("K", value))
+            runs.append(run)
+        runs.append(run.close_kleene().bind_singleton(stages[2], make("B", b_value)))
+        for run in runs:
+            latest = run.last_ts + step
+            compiled = pruner._optimistic(run, latest)
+            interval = IntervalEvaluator(
+                run.partial_view(BOUND_REGISTRY.domain_of, latest)
+            ).bound(analyzed.rank_keys[0].expr)
+            if compiled is None:
+                continue
+            assert interval is not None, (key, run.stage, run.kleene_open)
+            d = analyzed.rank_keys[0].direction
+            reference = normalise_bound(
+                interval.lo if d is Direction.ASC else interval.hi, d
+            )
+            assert compiled <= reference or math.isnan(reference), (
+                key, run.stage, run.kleene_open, compiled, reference
+            )

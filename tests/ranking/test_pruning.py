@@ -138,6 +138,63 @@ class TestEffectiveness:
         assert stats.attempts >= stats.pruned
 
 
+class TestAccounting:
+    """Every attempt lands in exactly one ``PruningStats`` bucket."""
+
+    @staticmethod
+    def buckets(stats):
+        return (
+            stats.pruned
+            + stats.no_bound_available
+            + stats.unbounded_expression
+            + stats.kept
+        )
+
+    def attempts_of(self, query, events, registry):
+        _, handle = run_with(query, events, registry, enable_pruning=True)
+        stats = handle.pruner.stats
+        assert stats.attempts > 0
+        assert stats.attempts == self.buckets(stats)
+        return stats
+
+    def generic(self):
+        workload = GenericWorkload(seed=5, alphabet_size=2)
+        return list(workload.events(1500)), workload.registry()
+
+    def test_numeric_key_with_domains(self):
+        events, registry = self.generic()
+        stats = self.attempts_of(GENERIC_QUERY, events, registry)
+        assert stats.pruned > 0 and stats.kept > 0 and stats.no_bound_available > 0
+
+    def test_string_keyed_primary(self):
+        query = """
+            PATTERN SEQ(A a, B b)
+            WITHIN 10 EVENTS
+            USING SKIP_TILL_ANY
+            RANK BY b.name ASC
+            LIMIT 1
+            EMIT ON WINDOW CLOSE
+        """
+        events = [
+            Event("AB"[i % 2], float(i), name=f"n{i % 7}") for i in range(200)
+        ]
+        stats = self.attempts_of(query, events, None)
+        assert stats.unbounded_expression > 0
+        assert stats.pruned == stats.kept == 0
+
+    def test_no_domain(self):
+        events, _ = self.generic()
+        stats = self.attempts_of(GENERIC_QUERY, events, None)
+        assert stats.unbounded_expression > 0
+        assert stats.pruned == stats.kept == 0
+
+    def test_no_bound(self):
+        events, registry = self.generic()
+        query = GENERIC_QUERY.replace("LIMIT 1", "LIMIT 1000")
+        stats = self.attempts_of(query, events, registry)
+        assert stats.attempts == stats.no_bound_available
+
+
 class TestPrunerGating:
     """Pruning only engages where it is sound (see DESIGN.md)."""
 

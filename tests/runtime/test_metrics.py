@@ -191,6 +191,7 @@ class TestStatsRows:
             "latency_p99_us",
             "runs_created",
             "runs_pruned",
+            "completions_skipped",
             "peak_live_runs",
             "live_runs",
             "partition_skips",

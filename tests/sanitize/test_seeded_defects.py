@@ -1,7 +1,8 @@
 """Detection power: every sanitizer check catches its seeded defect.
 
 Each test injects one representative bug of the class the check guards
-against — an unsound interval evaluator, a broken top-k insert, a
+against — an unsound interval evaluator, a completing-edge cut that
+skips ties, a compiled score bound one ulp too tight, a broken top-k insert, a
 refcount leak, a lock-order inversion, a cross-thread mutation, a lossy
 restore, a rewound sequencer, a stale activity cache, a blocked event
 loop — and asserts the corresponding trip fires.  Together with the
@@ -11,6 +12,8 @@ real defects without false positives.
 """
 
 import asyncio
+import math
+import random
 import threading
 import time
 
@@ -18,7 +21,9 @@ import pytest
 
 from repro import CEPREngine, Event
 from repro.engine.matcher import PatternMatcher
+from repro.events.schema import AttributeSpec, EventSchema, SchemaRegistry
 from repro.language.intervals import Interval, IntervalEvaluator
+from repro.ranking.pruning import ScoreBoundPruner
 from repro.ranking.topk import EpochTopK
 from repro.runtime.router import SharedExecutionIndex
 from repro.sanitize import Sanitizer, SanitizerError
@@ -54,6 +59,34 @@ PRUNED = """
 """
 
 
+class TIED:
+    """Small integer values: ties on the primary key are common, and the
+    secondary key decides between them."""
+
+    query = """
+        PATTERN SEQ(A a, B b)
+        WITHIN 12 EVENTS
+        USING SKIP_TILL_ANY
+        RANK BY b.value - a.value DESC, a.value DESC
+        LIMIT 2
+        EMIT ON WINDOW CLOSE
+    """
+    registry = SchemaRegistry(
+        [
+            EventSchema("A", (AttributeSpec("value", "int"),)),
+            EventSchema("B", (AttributeSpec("value", "int"),)),
+        ]
+    )
+
+    @staticmethod
+    def events():
+        rng = random.Random(4)
+        return [
+            Event(rng.choice("AB"), float(i), value=rng.randint(0, 4))
+            for i in range(300)
+        ]
+
+
 def log_engine(**kwargs):
     """A sanitized engine whose trips count instead of raising."""
     engine = CEPREngine(sanitize=True, **kwargs)
@@ -87,6 +120,48 @@ class TestScoreBound:
         engine.run(workload.events(400))
         engine.flush()
         assert engine.sanitizer.total_trips == 0
+
+    def test_cut_that_skips_ties_trips(self, monkeypatch):
+        # Seeded defect: the completing-edge cut compares with ``>=``.
+        # Lowering θ by one ulp makes ``value > θ`` exactly ``value >= θ``,
+        # so a completion tying the k-th primary is skipped — and with a
+        # better secondary key the epoch's top-k would have kept it.
+        cut_theta = PatternMatcher._cut_theta
+
+        def skips_ties(self, epoch):
+            theta = cut_theta(self, epoch)
+            return None if theta is None else math.nextafter(theta, -math.inf)
+
+        monkeypatch.setattr(PatternMatcher, "_cut_theta", skips_ties)
+        engine = log_engine(registry=TIED.registry)
+        handle = engine.register_query(TIED.query)
+        engine.run(TIED.events())
+        assert handle.matcher.stats.completions_skipped > 0
+        assert engine.sanitizer.trips["score-bound"] > 0
+
+    def test_strict_cut_is_quiet(self):
+        engine = log_engine(registry=TIED.registry)
+        handle = engine.register_query(TIED.query)
+        engine.run(TIED.events())
+        assert handle.matcher.stats.completions_skipped > 0
+        assert engine.sanitizer.total_trips == 0
+
+    def test_compiled_bound_one_ulp_too_tight_trips(self, monkeypatch):
+        # Seeded defect: the compiled shape bound claims an optimistic key
+        # one ulp worse than the interval evaluator's — it could prune a
+        # run whose completion ties the k-th score.
+        optimistic = ScoreBoundPruner._optimistic
+
+        def too_tight(self, run, latest_ts):
+            best = optimistic(self, run, latest_ts)
+            return None if best is None else math.nextafter(best, math.inf)
+
+        monkeypatch.setattr(ScoreBoundPruner, "_optimistic", too_tight)
+        workload = StockWorkload(seed=11)
+        engine = log_engine(registry=workload.registry())
+        engine.register_query(PRUNED)
+        engine.run(workload.events(400))
+        assert engine.sanitizer.trips["score-bound"] > 0
 
 
 class TestRankingOrder:
