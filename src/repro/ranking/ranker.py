@@ -321,6 +321,7 @@ class _TumblingRanker(Ranker):
                 str(epoch): {
                     "matches": [encode(m) for m in buffer.ranking()],
                     "discarded": buffer.discarded,
+                    "unordered": buffer.unordered,
                 }
                 for epoch, buffer in self._epoch_buffers.items()
             },
@@ -331,9 +332,13 @@ class _TumblingRanker(Ranker):
         self._epoch_buffers = {}
         for key, item in state["epochs"].items():
             # Stored best-first and within capacity, so re-inserting
-            # cannot evict; the discard count carries over verbatim.
+            # cannot evict; the discard count carries over verbatim, and so
+            # does whether a NaN key (maybe evicted since) voided θ — a
+            # snapshot written before the flag existed reads as ordered.
             self._absorb([rescore(encoded) for encoded in item["matches"]])
-            self._epoch_buffers[int(key)].discarded = int(item["discarded"])
+            buffer = self._epoch_buffers[int(key)]
+            buffer.discarded = int(item["discarded"])
+            buffer.unordered = buffer.unordered or bool(item.get("unordered", False))
 
 
 class _PassThroughRanker(Ranker):
