@@ -95,6 +95,7 @@ def _describe_ranking(analyzed: AnalyzedQuery, pruning_enabled: bool) -> list[st
     if analyzed.limit is not None:
         lines.append(f"  limit: top {analyzed.limit}")
     lines.append(f"  emit: {_describe_emit(analyzed)}")
+    lines.append(f"  ranking scope: {_describe_scope(analyzed)}")
     if analyzed.yield_spec is not None:
         assignments = ", ".join(
             f"{attr} = {format_expr(expr)}"
@@ -126,6 +127,19 @@ def _describe_sharding(analyzed: AnalyzedQuery) -> list[str]:
     lines = [f"  sharding: {described[0]}"]
     lines.extend(f"  {line}" for line in described[1:])
     return lines
+
+
+def _describe_scope(analyzed: AnalyzedQuery) -> str:
+    """The container the ranker holds matches in (``ranking/topk.py``)."""
+    emit = analyzed.emit
+    if emit.kind is EmitKind.ON_WINDOW_CLOSE:
+        return "a bounded top-k per tumbling epoch"
+    if emit.kind is EmitKind.EAGER and not analyzed.rank_keys:
+        return "none (pass-through)"
+    return (
+        "k-skyband of the live matches (a match leaves once k better ones "
+        "completed after it, or when the window passes it)"
+    )
 
 
 def _describe_emit(analyzed: AnalyzedQuery) -> str:

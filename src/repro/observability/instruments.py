@@ -285,6 +285,12 @@ QUERY: tuple[Spec, ...] = (
         agg="max",
     ),
     Spec(
+        "ranker_held_matches",
+        "Matches the ranker holds: open epochs' top-k buffers, or the sliding k-skyband",
+        lambda q: q.ranker.held_matches(),
+        kind="gauge",
+    ),
+    Spec(
         "latency_seconds",
         "Per-event pipeline latency",
         lambda q: q.metrics.latency,

@@ -11,7 +11,7 @@ from repro.ranking.keys import ReversedStr, normalise_bound, normalise_component
 from repro.ranking.pruning import PruningStats, ScoreBoundPruner
 from repro.ranking.ranker import Ranker
 from repro.ranking.score import Scorer
-from repro.ranking.skyline import SkylineSet, dominates, pareto_front
+from repro.ranking.skyline import dominates, pareto_front
 from repro.ranking.topk import EpochTopK, SlidingRanking
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "ReversedStr",
     "Scorer",
     "ScoreBoundPruner",
-    "SkylineSet",
     "SlidingRanking",
     "dominates",
     "normalise_bound",

@@ -16,9 +16,9 @@ scope is chosen once, when the ranker is constructed:
 * ``EMIT EAGER`` (unranked) → *pass-through*, classical CEP: each match is
   emitted the moment it is detected (respecting ``LIMIT`` per epoch).
 * ``EMIT EVERY n`` / ``EMIT EAGER`` (ranked) → *sliding*: a
-  :class:`~repro.ranking.topk.SlidingRanking` of live matches,
-  snapshotted every ``n`` events/seconds, or whenever the current top-k
-  changes (including by expiry).
+  :class:`~repro.ranking.topk.SlidingRanking`, the k-skyband of the live
+  matches, snapshotted every ``n`` events/seconds, or whenever the current
+  top-k changes (including by expiry).
 
 Unranked queries with ``ON WINDOW CLOSE``/``EVERY`` reuse the ranked
 machinery: their sort key degenerates to detection order, so ``LIMIT k``
@@ -185,6 +185,11 @@ class Ranker:
             rank_values=match.rank_values,
         )
 
+    def held_matches(self) -> int:
+        """Matches the scope holds now (the ``ranker_held_matches`` gauge);
+        the pass-through scope holds none."""
+        return 0
+
     def open_epochs(self) -> tuple[int, ...]:
         """Tumbling epochs still buffered (not yet released), ascending.
 
@@ -297,6 +302,10 @@ class _TumblingRanker(Ranker):
                 )
             )
         return emissions
+
+    def held_matches(self) -> int:
+        # A copy first: exports may read this off the engine's thread.
+        return sum(len(buffer) for buffer in tuple(self._epoch_buffers.values()))
 
     def open_epochs(self) -> tuple[int, ...]:
         return tuple(sorted(self._epoch_buffers))
@@ -420,6 +429,9 @@ class _SlidingRanker(Ranker):
         snapshot points."""
         return self._eager and not self._sliding and not self._last_snapshot
 
+    def held_matches(self) -> int:
+        return len(self._sliding)
+
     def _step(
         self, matches: Sequence[Match], seq: int, ts: float, events: int, final: bool
     ) -> list[Emission]:
@@ -482,19 +494,27 @@ class _SlidingRanker(Ranker):
         return True
 
     def _scope_state(self, encode: _Encode) -> dict[str, Any]:
+        held = self._sliding.held()
         return {
-            "live": [encode(m) for m in self._sliding],
+            "live": [encode(match) for match, _stamp in held],
+            "stamps": [stamp for _match, stamp in held],
             "expired": self._sliding.expired,
+            "dominated": self._sliding.dominated,
             "last_snapshot": [encode(m) for m in self._last_snapshot],
             "events_since_emit": self._events_since_emit,
             "last_emit_ts": self._last_emit_ts,
         }
 
     def _restore_scope(self, state: _State, rescore: _Rescore) -> None:
-        self._sliding = SlidingRanking(self.limit, self.window)
-        for encoded in state["live"]:
-            self._sliding.insert(rescore(encoded))
-        self._sliding.expired = int(state["expired"])
+        # A snapshot without stamps holds every live match (the format
+        # before the skyband): their running maximum is the stamp, exactly,
+        # because every match dropped before them had already expired.
+        sliding = self._sliding = SlidingRanking(self.limit, self.window)
+        live = state["live"]
+        for encoded, stamp in zip(live, state.get("stamps") or [None] * len(live)):
+            sliding.insert(rescore(encoded), stamp)
+        sliding.expired = int(state["expired"])
+        sliding.dominated = int(state.get("dominated", sliding.dominated))
         self._last_snapshot = [
             rescore(encoded) for encoded in state["last_snapshot"]
         ]

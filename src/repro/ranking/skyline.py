@@ -11,13 +11,12 @@ kind of future-work extension a ranking-CEP system grows into:
 
 Matches must already carry ``rank_values`` (the Scorer fills them); each
 ``RANK BY`` direction says which way is better for that criterion (``DESC``
-= larger is better).  :class:`SkylineSet` maintains the front incrementally
-as matches stream in.
+= larger is better).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.engine.match import Match
 from repro.language.ast_nodes import Direction
@@ -81,42 +80,3 @@ def pareto_front(
         front.append((match, vector))
     front.sort(key=lambda pair: pair[0].detection_index)
     return [match for match, _v in front]
-
-
-class SkylineSet:
-    """Incrementally maintained Pareto front of scored matches.
-
-    ``insert`` is O(front size); a dominated insert is rejected, a
-    dominating insert evicts what it dominates.
-    """
-
-    def __init__(self, keys: Sequence[CompiledRankKey | Direction]) -> None:
-        self.directions = _directions_of(keys)
-        self._front: list[tuple[Match, tuple[float, ...]]] = []
-        self.rejected = 0
-        self.evicted = 0
-
-    def __len__(self) -> int:
-        return len(self._front)
-
-    def __iter__(self) -> Iterator[Match]:
-        return (match for match, _v in self._front)
-
-    def insert(self, match: Match) -> bool:
-        """Add ``match``; returns ``True`` if it joins the front."""
-        vector = _oriented(match.rank_values, self.directions)
-        if any(dominates(other, vector) for _m, other in self._front):
-            self.rejected += 1
-            return False
-        survivors = [
-            (m, v) for m, v in self._front if not dominates(vector, v)
-        ]
-        self.evicted += len(self._front) - len(survivors)
-        survivors.append((match, vector))
-        self._front = survivors
-        return True
-
-    def front(self) -> list[Match]:
-        """Current front, in detection order."""
-        ordered = sorted(self._front, key=lambda pair: pair[0].detection_index)
-        return [match for match, _v in ordered]

@@ -23,6 +23,11 @@ Checks, by hook point:
     soundness property score-bound pruning rests on: an unsound interval
     evaluator prunes runs it should keep, and this catches it at the
     emission that escaped);
+``Ranker._step`` of a sliding scope (``EMIT EVERY`` / ranked ``EAGER``)
+    **ranking-order** — a shadow list of every live match, expired the way
+    the list-and-sort scope did (a prefix of the insertion order, by each
+    match's own completion point), agrees with the k-skyband after every
+    step: ``ranking()`` is ``sorted(shadow)[:k]`` while the keys are ordered;
 ``matcher.prune_hook`` / ``matcher._skip_completion``
     **score-bound** — on every pruner call the compiled shape bound is no
     tighter than ``IntervalEvaluator`` over the same run; every
@@ -54,6 +59,7 @@ import copy
 import math
 from typing import TYPE_CHECKING
 
+from repro.engine.match import Match
 from repro.language.ast_nodes import Direction, WindowKind
 from repro.language.errors import EvaluationError
 from repro.language.expressions import evaluate_predicate
@@ -134,6 +140,35 @@ class InvariantChecker:
             if query.pruner is not None:
                 for match in ranking:
                     self.check_score_bound(query, match)
+
+    def check_sliding(self, query: "RegisteredQuery", shadow: list) -> None:
+        """The k-skyband ranks what sorting every live match would.
+
+        ``shadow`` holds ``[match, point]`` for every live match in
+        insertion order.  Unordered keys (NaN, or a ``TypeError``) have no
+        sorted answer to compare with.
+        """
+        sliding = query.ranker._sliding
+        if sliding.unordered:
+            return
+        try:
+            expected = sorted((match for match, _point in shadow), key=Match.sort_key)
+        except TypeError:
+            return
+        if sliding.k is not None:
+            expected = expected[: sliding.k]
+        want = [match.detection_index for match in expected]
+        got = [match.detection_index for match in sliding.ranking()]
+        if got != want:
+            self.san.trip(
+                "ranking-order",
+                f"query {query.name!r}: the sliding scope ranks detections "
+                f"{got!r}, but sorting its {len(shadow)} live matches ranks "
+                f"{want!r} — the k-skyband lost or kept a match wrongly",
+                query=query.name,
+                got=got,
+                want=want,
+            )
 
     def check_score_bound(self, query: "RegisteredQuery", match) -> None:
         """An emitted score must lie inside its interval justification.
@@ -503,6 +538,9 @@ def instrument_query(checker: InvariantChecker, query: "RegisteredQuery") -> Non
     query.advance_time = advance_time  # type: ignore[method-assign]
     query.flush = flush  # type: ignore[method-assign]
 
+    if query.ranker.mode == "sliding":
+        instrument_sliding(checker, query)
+
     matcher = query.matcher
     if query.pruner is not None:
         prune_hook = matcher.prune_hook
@@ -521,6 +559,58 @@ def instrument_query(checker: InvariantChecker, query: "RegisteredQuery") -> Non
             checker.check_skipped_completion(query, run, event)
 
         matcher._skip_completion = skip_completion  # type: ignore[method-assign]
+
+
+def instrument_sliding(checker: InvariantChecker, query: "RegisteredQuery") -> None:
+    """Keep a shadow of every live match beside a sliding scope.
+
+    The shadow takes each step's matches and expires the way the
+    list-and-sort scope did: the prefix of the insertion order up to the
+    first match whose own completion point is still in the window.  A
+    restore reseeds it with the restored members, their stamps standing in
+    for the completion points (a stamp is when prefix expiry reached them).
+    """
+    ranker = query.ranker
+    window = ranker.window
+    by_time = window is not None and window.kind is WindowKind.TIME
+    shadow: list[list] = []
+
+    def live(point, now_seq, now_ts) -> bool:
+        assert window is not None
+        if by_time:
+            return now_ts - point <= window.span
+        return now_seq - point < int(window.span)
+
+    def watch_expiry() -> None:
+        sliding = ranker._sliding
+        orig_expire = sliding.expire
+
+        def expire(now_seq, now_ts):
+            if window is not None:
+                while shadow and not live(shadow[0][1], now_seq, now_ts):
+                    del shadow[0]
+            return orig_expire(now_seq, now_ts)
+
+        sliding.expire = expire  # type: ignore[method-assign]
+
+    orig_step = ranker._step
+
+    def step(matches, seq, ts, events, final):
+        emissions = orig_step(matches, seq, ts, events, final)
+        shadow.extend([m, m.last_ts if by_time else m.last_seq] for m in matches)
+        checker.check_sliding(query, shadow)
+        return emissions
+
+    orig_restore_scope = ranker._restore_scope
+
+    def restore_scope(state, rescore):
+        orig_restore_scope(state, rescore)
+        shadow[:] = [[match, stamp] for match, stamp in ranker._sliding.held()]
+        watch_expiry()
+
+    watch_expiry()
+    ranker._step = step  # type: ignore[method-assign]
+    ranker._restore_scope = restore_scope  # type: ignore[method-assign]
 
 
 def attach_engine_sanitizer(engine: "CEPREngine") -> InvariantChecker:

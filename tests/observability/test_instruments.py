@@ -92,6 +92,7 @@ class TestExportedSurface:
             "query_shards",
             "query_solo_fallback",
             "completions_skipped_total",
+            "ranker_held_matches",
         }
 
     def test_catalogue_in_the_docs_is_the_table(self):

@@ -8,7 +8,7 @@ from repro import CEPREngine, Event
 from repro.engine.match import Match
 from repro.language.ast_nodes import Direction
 from repro.language.errors import EvaluationError
-from repro.ranking.skyline import SkylineSet, dominates, pareto_front
+from repro.ranking.skyline import dominates, pareto_front
 
 DD = [Direction.DESC, Direction.DESC]
 
@@ -104,36 +104,6 @@ class TestParetoFront:
         assert 15.0 in profits       # best profit is always on the front
         assert 10.0 in profits       # best duration trade-off survives too
 
-
-class TestSkylineSet:
-    def test_incremental_matches_batch(self):
-        matches = [
-            make_match(0, 1.0, 9.0),
-            make_match(1, 5.0, 5.0),
-            make_match(2, 3.0, 3.0),
-            make_match(3, 9.0, 1.0),
-            make_match(4, 6.0, 6.0),
-        ]
-        skyline = SkylineSet(DD)
-        for match in matches:
-            skyline.insert(match)
-        assert [m.detection_index for m in skyline.front()] == [
-            m.detection_index for m in pareto_front(matches, DD)
-        ]
-
-    def test_dominating_insert_evicts(self):
-        skyline = SkylineSet(DD)
-        skyline.insert(make_match(0, 1.0, 1.0))
-        assert skyline.insert(make_match(1, 2.0, 2.0))
-        assert len(skyline) == 1
-        assert skyline.evicted == 1
-
-    def test_dominated_insert_rejected(self):
-        skyline = SkylineSet(DD)
-        skyline.insert(make_match(0, 5.0, 5.0))
-        assert not skyline.insert(make_match(1, 1.0, 1.0))
-        assert skyline.rejected == 1
-
     @given(
         st.lists(
             st.tuples(
@@ -146,10 +116,7 @@ class TestSkylineSet:
     @settings(max_examples=150, deadline=None)
     def test_front_invariants(self, vectors):
         matches = [make_match(i, float(a), float(b)) for i, (a, b) in enumerate(vectors)]
-        skyline = SkylineSet(DD)
-        for match in matches:
-            skyline.insert(match)
-        front = skyline.front()
+        front = pareto_front(matches, DD)
         front_vectors = [(m.rank_values[0], m.rank_values[1]) for m in front]
         # 1. mutually non-dominated
         for i, a in enumerate(front_vectors):
@@ -165,5 +132,4 @@ class TestSkylineSet:
             assert any(
                 dominates(fv, vector) or fv == vector for fv in front_vectors
             )
-        # 3. incremental equals batch
-        assert front_ids == {m.detection_index for m in pareto_front(matches, DD)}
+

@@ -142,6 +142,20 @@ class TestExplain:
         text = handle.explain()
         assert "window:   90 seconds" in text
         assert "snapshot every 10 seconds" in text
+        assert "ranking scope: k-skyband of the live matches" in text
+
+    def test_ranking_scope_per_policy(self):
+        scopes = {
+            "EMIT ON WINDOW CLOSE": "a bounded top-k per tumbling epoch",
+            "EMIT EAGER": "k-skyband",
+        }
+        for emit, scope in scopes.items():
+            handle = self.make_handle(
+                f"PATTERN SEQ(A a) WITHIN 5 EVENTS RANK BY a.x LIMIT 1 {emit}"
+            )
+            assert f"ranking scope: {scope}" in handle.explain()
+        handle = self.make_handle("PATTERN SEQ(A a) WITHIN 5 EVENTS EMIT EAGER")
+        assert "ranking scope: none (pass-through)" in handle.explain()
 
     def test_trailing_negation_described(self):
         handle = self.make_handle(

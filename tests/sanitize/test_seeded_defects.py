@@ -2,8 +2,9 @@
 
 Each test injects one representative bug of the class the check guards
 against — an unsound interval evaluator, a completing-edge cut that
-skips ties, a compiled score bound one ulp too tight, a broken top-k insert, a
-refcount leak, a lock-order inversion, a cross-thread mutation, a lossy
+skips ties, a compiled score bound one ulp too tight, a broken top-k insert,
+a sliding k-skyband that drops a match one dominator early or expires it
+by its own completion point, a refcount leak, a lock-order inversion, a cross-thread mutation, a lossy
 restore, a rewound sequencer, a stale activity cache, a blocked event
 loop — and asserts the corresponding trip fires.  Together with the
 clean-run zero-trip assertions (and the whole suite running under
@@ -24,7 +25,7 @@ from repro.engine.matcher import PatternMatcher
 from repro.events.schema import AttributeSpec, EventSchema, SchemaRegistry
 from repro.language.intervals import Interval, IntervalEvaluator
 from repro.ranking.pruning import ScoreBoundPruner
-from repro.ranking.topk import EpochTopK
+from repro.ranking.topk import EpochTopK, SlidingRanking
 from repro.runtime.router import SharedExecutionIndex
 from repro.sanitize import Sanitizer, SanitizerError
 from repro.sanitize.aio import LoopStallWatchdog
@@ -56,6 +57,18 @@ PRUNED = """
     RANK BY s.price - b.price DESC
     LIMIT 3
     EMIT ON WINDOW CLOSE
+"""
+
+
+SLIDING = """
+    PATTERN SEQ(Buy b, Sell s{negation})
+    WHERE b.symbol == s.symbol AND s.price > b.price
+    WITHIN 60 EVENTS
+    USING SKIP_TILL_ANY
+    PARTITION BY symbol
+    RANK BY s.price - b.price DESC
+    LIMIT 3
+    EMIT {emit}
 """
 
 
@@ -179,6 +192,39 @@ class TestRankingOrder:
         engine.run(stream(12))
         engine.flush()
         assert engine.sanitizer.trips["ranking-order"] > 0
+
+
+def sliding_trips(query):
+    """``ranking-order`` trips of one sliding query over a stock stream."""
+    workload = StockWorkload(seed=11)
+    engine = log_engine(registry=workload.registry())
+    engine.register_query(query)
+    engine.run(workload.events(1500))
+    return engine.sanitizer.trips["ranking-order"]
+
+
+class TestSlidingSkyband:
+    def test_dropping_at_k_minus_one_dominators_trips(self, monkeypatch):
+        # Seeded defect: a match leaves the band once k-1 better matches
+        # completed after it — one short of what keeps it out of the top k.
+        dominate = SlidingRanking._dominate
+        monkeypatch.setattr(
+            SlidingRanking, "_dominate", lambda self, index, k: dominate(self, index, k - 1)
+        )
+        assert sliding_trips(SLIDING.format(negation="", emit="EAGER")) > 0
+
+    def test_own_completion_point_as_stamp_trips(self, monkeypatch):
+        # Seeded defect: each match expires by its own completion point, not
+        # the running maximum.  A pending confirmed late then leaves before
+        # matches inserted ahead of it — only a trailing negation shows it.
+        monkeypatch.setattr(SlidingRanking, "_stamp", lambda self, point: point)
+        assert sliding_trips(SLIDING.format(negation="", emit="EAGER")) == 0
+        assert sliding_trips(SLIDING.format(negation=", NOT Buy n", emit="EAGER")) > 0
+
+    @pytest.mark.parametrize("emit", ["EAGER", "EVERY 5 EVENTS"])
+    @pytest.mark.parametrize("negation", ["", ", NOT Buy n"])
+    def test_skyband_is_quiet(self, negation, emit):
+        assert sliding_trips(SLIDING.format(negation=negation, emit=emit)) == 0
 
 
 class TestSharedIndexCoherence:
