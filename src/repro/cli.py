@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -761,6 +762,8 @@ def _make_run_sink(args: argparse.Namespace, out: TextIO):
 
 
 def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
+    from repro.runtime.sinks import close_sink
+
     if args.shards < 1:
         raise ValueError(f"--shards must be >= 1, got {args.shards}")
     if args.sanitize:
@@ -774,78 +777,17 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
             "--runner embedded is single-engine; drop --shards or choose "
             "--runner sharded/process"
         )
-    if backend in ("sharded", "process"):
-        return _cmd_run_sharded(args, out, backend)
-    from repro.runtime.sinks import close_sink
-
-    engine = CEPREngine(enable_pruning=not args.no_pruning)
-    sink = _make_run_sink(args, out)
-    for path in args.query_files:
-        handle = engine.register_query(
-            path.read_text(), name=path.stem, collect_results=False
-        )
-        _report_diagnostics(str(path), handle.diagnostics)
-        handle.subscribe(sink)
-
-    store = _checkpoint_store(args)
-    skip = _resume_consumed(store, args, engine.restore)
-
-    try:
-        consumed = 0
-        for event in _load_events(args.events):
-            consumed += 1
-            if consumed <= skip:
-                continue
-            engine.push(event)
-            _maybe_checkpoint(
-                store, args.checkpoint_every, consumed, event.timestamp,
-                engine.snapshot,
-            )
-    except BaseException:
-        # A failure mid-stream must behave like a crash: engine.close()
-        # would flush, emitting partial-window results the resumed run
-        # will produce again.  Close only the sink.
-        from repro.observability.flightrec import dump_if_armed
-
-        dump_if_armed("run-crash")
-        close_sink(sink)
-        raise
-    engine.close()  # flush + sink flush/close through the engine
-    return _finish_run(engine, sink, store, args, out)
-
-
-def _finish_run(source, sink, store, args: argparse.Namespace, out: TextIO) -> int:
-    """`--stats` block and the empty-run notice, for an engine or a runner."""
-    if args.stats:
-        _print_stats(source.stats_by_query(), out, source.shared_stats())
-        _print_sanitizer_stats(source.sanitizer_trips(), out)
-        _print_checkpoint_stats(store, out)
-    if sink.emissions_accepted == 0 and args.output == "text" and args.out is None:
-        print("(no results)", file=out)
-    return 0
-
-
-def _cmd_run_sharded(
-    args: argparse.Namespace, out: TextIO, backend: str = "sharded"
-) -> int:
-    from repro.language.analysis import run_analysis
-    from repro.runtime.runner import RunnerConfig, create_runner
-    from repro.runtime.sinks import close_sink
-
-    # The global on_emission hook (not per-view subscriptions) preserves
-    # the interleaved cross-query emission order of earlier releases.
-    sink = _make_run_sink(args, out)
-    runner = create_runner(
-        config=RunnerConfig(
-            backend=backend,
-            shards=args.shards,
-            enable_pruning=not args.no_pruning,
-            on_emission=sink.accept,
-        )
+    # The sink is the output: the engine keeps no emission history.
+    runner = _replay_runner(
+        args,
+        backend,
+        collect_results=False,
+        shards=args.shards,
+        enable_pruning=not args.no_pruning,
     )
-    for path in args.query_files:
-        view = runner.register_query(path.read_text(), name=path.stem)
-        _report_diagnostics(str(path), run_analysis(view.analyzed))
+    sink = _make_run_sink(args, out)
+    for handle in runner.queries():
+        runner.subscribe(handle.name, sink)
 
     store = _checkpoint_store(args)
     runner.start()
@@ -864,17 +806,23 @@ def _cmd_run_sharded(
         runner.flush()
     except BaseException:
         # A failure mid-stream must behave like a crash: stop() would
-        # flush, emitting partial-epoch results the resumed run will
-        # produce again.  Tear the fleet down without flushing instead.
+        # flush, emitting partial-window results the resumed run will
+        # produce again.  Tear the runner down without flushing instead.
         from repro.observability.flightrec import dump_if_armed
 
         dump_if_armed("run-crash")
         runner.kill()
         raise
     finally:
-        runner.stop()  # no-op after kill()
+        runner.stop()  # no-op after flush() or kill()
         close_sink(sink)
-    return _finish_run(runner, sink, store, args, out)
+    if args.stats:
+        _print_stats(runner.stats_by_query(), out, runner.shared_stats())
+        _print_sanitizer_stats(runner.sanitizer_trips(), out)
+        _print_checkpoint_stats(store, out)
+    if sink.emissions_accepted == 0 and args.output == "text" and args.out is None:
+        print("(no results)", file=out)
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
@@ -1020,16 +968,27 @@ def _stats_remote(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _replay_runner(args: argparse.Namespace, backend: str):
-    """A runner over ``args.query_files`` (diagnostics reported), unstarted."""
-    from repro.language.analysis import run_analysis
-    from repro.runtime.runner import RunnerConfig, create_runner
+def _replay_runner(
+    args: argparse.Namespace,
+    backend: str,
+    collect_results: bool = True,
+    **config,
+):
+    """A runner over ``args.query_files`` (diagnostics reported), unstarted.
 
-    runner = create_runner(
-        config=RunnerConfig(backend=backend, shards=args.shards)
-    )
+    ``config`` overrides :class:`~repro.runtime.runner.RunnerConfig`
+    fields.  ``collect_results=False`` keeps the embedded engine from
+    holding every emission (the fleets' merge stage keeps its own).
+    """
+    from repro.language.analysis import run_analysis
+    from repro.runtime.runner import create_runner
+
+    runner = create_runner(backend=backend, **config)
+    register = runner.register_query
+    if backend == "embedded":
+        register = partial(register, collect_results=collect_results)
     for path in args.query_files:
-        handle = runner.register_query(path.read_text(), name=path.stem)
+        handle = register(path.read_text(), name=path.stem)
         _report_diagnostics(str(path), run_analysis(handle.analyzed))
     return runner
 
@@ -1042,7 +1001,7 @@ def _stats_replay(args: argparse.Namespace, out: TextIO):
         backend = "sharded"
     else:
         backend = "threaded" if args.watch else "embedded"
-    runner = _replay_runner(args, backend)
+    runner = _replay_runner(args, backend, shards=args.shards)
     runner.start()
     try:
         if args.watch:
@@ -1153,7 +1112,9 @@ def _cmd_top(args: argparse.Namespace, out: TextIO) -> int:
     from repro.observability.cost import rank_accounts
 
     sharded = args.shards > 1
-    runner = _replay_runner(args, "sharded" if sharded else "embedded")
+    runner = _replay_runner(
+        args, "sharded" if sharded else "embedded", shards=args.shards
+    )
     with runner:
         runner.submit_all(_load_events(args.events))
         runner.flush()
@@ -1362,22 +1323,15 @@ def _cmd_trace(args: argparse.Namespace, out: TextIO) -> int:
         raise ValueError("trace requires query files (or --connect)")
     if args.events is None:
         raise ValueError("trace requires --events (or --connect)")
-    engine = CEPREngine(tracing=True)
-    names = set()
-    for path in args.query_files:
-        handle = engine.register_query(path.read_text(), name=path.stem)
-        _report_diagnostics(str(path), handle.diagnostics)
-        names.add(handle.name)
+    engine = _replay_runner(args, "embedded", tracing=True)
+    names = {handle.name for handle in engine.queries()}
     if args.query is not None and args.query not in names:
         raise ValueError(
             f"--query {args.query!r} does not name a registered query "
             f"(have: {', '.join(sorted(names))})"
         )
 
-    emissions: list[Emission] = []
-    for event in _load_events(args.events):
-        emissions.extend(engine.push(event))
-    emissions.extend(engine.flush())
+    emissions = engine.run(_load_events(args.events))
     if args.query is not None:
         emissions = [
             emission

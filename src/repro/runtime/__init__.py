@@ -22,12 +22,7 @@ from repro.runtime.metrics import EngineMetrics, LatencyRecorder, QueryMetrics
 from repro.runtime.monitor import Monitor
 from repro.runtime.query import RegisteredQuery
 from repro.runtime.router import EventRouter
-from repro.runtime.runner import (
-    EmbeddedRunner,
-    Runner,
-    RunnerConfig,
-    create_runner,
-)
+from repro.runtime.runner import Runner, RunnerConfig, create_runner
 from repro.runtime.serialize import emission_to_json, emission_to_line, match_to_json
 from repro.runtime.sharded import ShardedEngineRunner, ShardedQuery
 from repro.runtime.sinks import (
@@ -42,7 +37,6 @@ __all__ = [
     "CEPREngine",
     "CallbackSink",
     "CollectorSink",
-    "EmbeddedRunner",
     "EngineMetrics",
     "EventRouter",
     "JSONLSink",

@@ -4,9 +4,10 @@
 the operator chain).  :class:`ThreadedEngineRunner` puts that engine behind
 a :class:`~repro.runtime.shard.WorkerLoop`: producers call :meth:`submit`
 from any thread, the loop's consumer thread — the engine's owner — drains
-the queue into the engine in ``push_batch`` batches, and emissions fan out
-to a callback.  The bounded queue gives natural backpressure — a slow query
-slows producers instead of growing memory without bound.
+the queue into the engine in ``push_batch`` batches, and the engine feeds
+the query subscriptions on that thread.  The bounded queue gives natural
+backpressure — a slow query slows producers instead of growing memory
+without bound.
 
 Everything else the runner does is "run this on the consumer thread,
 behind what is already queued" (:meth:`WorkerLoop.begin
@@ -53,10 +54,8 @@ class ThreadedEngineRunner(QueuedRunner):
     engine:
         The engine to drive; after :meth:`start` it must only be touched
         through this runner (:meth:`pause` grants temporary exclusive
-        access when direct manipulation is unavoidable).
-    on_emission:
-        Optional callback invoked (on the consumer thread) for every
-        emission produced.
+        access when direct manipulation is unavoidable).  Its query
+        subscriptions are fed on the consumer thread.
     max_queue:
         Bound of the ingest queue; :meth:`submit` blocks when full.
     batch_size:
@@ -79,7 +78,6 @@ class ThreadedEngineRunner(QueuedRunner):
     def __init__(
         self,
         engine: CEPREngine,
-        on_emission: Callable[[Emission], None] | None = None,
         max_queue: int = 10_000,
         batch_size: int = 256,
         shed_policy: str = "off",
@@ -87,7 +85,6 @@ class ThreadedEngineRunner(QueuedRunner):
         shed_controller: ShedController | None = None,
     ) -> None:
         self.engine = engine
-        self.on_emission = on_emission
         self.max_queue = max_queue
         self.batch_size = batch_size
         self._loop = WorkerLoop(self._consume_batch, max_queue, batch_size)
@@ -112,7 +109,7 @@ class ThreadedEngineRunner(QueuedRunner):
         if not self._started or self._stopped:
             return
         self._stopped = True
-        self._loop.stop(final=lambda: self._fan_out(self.engine.flush()))
+        self._loop.stop(final=self.engine.flush)
         if not self._loop.join(timeout):
             raise TimeoutError("consumer thread did not drain in time")
         self._check_failure()
@@ -120,7 +117,7 @@ class ThreadedEngineRunner(QueuedRunner):
     def close(self) -> None:
         """Terminal teardown: stop (draining and flushing), then close sinks."""
         self.stop()
-        self._fan_out(self.engine.close())
+        self.engine.close()
 
     def __enter__(self) -> "ThreadedEngineRunner":
         return self.start() if not self._started else self
@@ -175,24 +172,26 @@ class ThreadedEngineRunner(QueuedRunner):
         self.sync()
         return []
 
-    def advance_time(self, timestamp: float, timeout: float | None = None) -> None:
+    def advance_time(
+        self, timestamp: float, timeout: float | None = None
+    ) -> list[Emission]:
         """Inject a heartbeat, serialised behind already-queued events.
 
-        Emissions it releases fan out to ``on_emission`` on the consumer
-        thread, like every other emission.
+        Subscriptions receive what it releases on the consumer thread,
+        like every other emission; the same emissions are returned.
         """
-        self._on_consumer(
-            lambda engine: self._fan_out(engine.advance_time(timestamp)), timeout
+        return self._on_consumer(
+            lambda engine: engine.advance_time(timestamp), timeout
         )
 
-    def flush(self) -> None:
+    def flush(self) -> list[Emission]:
         """End-of-stream flush without stopping the runner.
 
-        Runs behind everything queued and fans the released emissions out
-        to ``on_emission``.  Idempotent; :meth:`stop` still flushes for
-        callers that never call this.
+        Runs behind everything queued; returns the released emissions.
+        Idempotent; :meth:`stop` still flushes for callers that never
+        call this.
         """
-        self._with_engine(lambda engine: self._fan_out(engine.flush()))
+        return self._with_engine(lambda engine: engine.flush())
 
     @contextmanager
     def pause(self) -> Iterator[CEPREngine]:
@@ -313,11 +312,6 @@ class ThreadedEngineRunner(QueuedRunner):
 
     # -- consuming ----------------------------------------------------------------
 
-    def _fan_out(self, emissions: list[Emission]) -> None:
-        if self.on_emission is not None:
-            for emission in emissions:
-                self.on_emission(emission)
-
     def _consume_batch(self, batch: list[Event]) -> None:
         """One drained batch, on the consumer thread."""
         controller = self.shed_controller
@@ -333,7 +327,7 @@ class ThreadedEngineRunner(QueuedRunner):
                 if controller.admit(event, queries, seq_hint=seq_hint)
             ]
         if batch:
-            self._fan_out(self.engine.push_batch(batch))
+            self.engine.push_batch(batch)
         if controller.policy != "off":
             # Per-batch control tick, on the consumer thread — the
             # controller owns a private assessor, so this never races

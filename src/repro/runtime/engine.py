@@ -19,7 +19,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.events.event import Event
 from repro.events.schema import SchemaRegistry
@@ -456,6 +456,61 @@ class CEPREngine(instruments.TelemetryViews):
         for registered in self._queries.values():
             registered.close_sinks()
         return emissions
+
+    # -- runner lifecycle ------------------------------------------------------------
+    # The engine is the ``embedded`` backend of the Runner protocol
+    # (repro.runtime.runner): it runs on the caller's thread and delivers
+    # every emission to the subscriptions before a call returns, so the
+    # lifecycle is a thin layer over push/push_batch/flush.
+
+    @property
+    def engine(self) -> "CEPREngine":
+        """The engine itself: the perf ledger's layer probes read
+        ``runner.engine`` on the embedded backend, as on ``threaded``."""
+        return self
+
+    def start(self) -> "CEPREngine":
+        """No-op (nothing to spin up); returns self for chaining."""
+        return self
+
+    def stop(self, timeout: float | None = None) -> None:
+        """Flush (idempotent); ``timeout`` is accepted and unused."""
+        self.flush()
+
+    def kill(self) -> None:
+        """Crash teardown: drop buffered state, flush and close nothing."""
+        self._flushed = self._closed = True
+
+    def __enter__(self) -> "CEPREngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    def submit(self, event: Event, timeout: float | None = None) -> None:
+        """:meth:`push` one event; subscriptions receive its emissions."""
+        self.push(event)
+
+    def submit_all(self, events: Iterable[Event]) -> int:
+        """:meth:`push_batch` a stream; returns how many events it consumed
+        (not counting YIELD-derived ones, counting lateness-buffered ones)."""
+        consumed = 0
+
+        def counted() -> Iterator[Event]:
+            nonlocal consumed
+            for event in events:
+                consumed += 1
+                yield event
+
+        self.push_batch(counted())
+        return consumed
+
+    def sync(self) -> None:
+        """No-op: a synchronous engine is always caught up."""
+
+    def poll(self) -> list[Emission]:
+        """No-op barrier: emissions are delivered as they happen."""
+        return []
 
     # -- checkpointing ---------------------------------------------------------------
 

@@ -4,14 +4,15 @@ Four execution backends can run a CEPR program, each trading isolation
 for throughput differently:
 
 ``embedded``
-    :class:`EmbeddedRunner` — a synchronous wrapper over one
-    :class:`~repro.runtime.engine.CEPREngine` on the caller's thread.
-    Zero moving parts; right for scripts, tests, and notebooks.
+    The :class:`~repro.runtime.engine.CEPREngine` itself, on the
+    caller's thread: ``submit`` is ``push`` and emissions reach the
+    subscriptions before it returns.  Zero moving parts; right for
+    scripts, tests, and notebooks.
 ``threaded``
     :class:`~repro.runtime.concurrent.ThreadedEngineRunner` — one engine
     behind a :class:`~repro.runtime.shard.WorkerLoop` (bounded queue,
     one consumer thread); producers get backpressure, callers get
-    barriers, emissions are delivered eagerly.
+    barriers, subscriptions are fed eagerly on the consumer thread.
 ``sharded``
     :class:`~repro.runtime.sharded.ShardedEngineRunner` — a fleet of
     shards, each a local engine behind its own ``WorkerLoop``,
@@ -23,17 +24,22 @@ for throughput differently:
     in a worker *process* (own interpreter, own GIL), fed over
     length-prefixed pipe frames.
 
-They share one lifecycle — ``register_query`` / ``start`` / ``submit``
-/ barriers (``sync``/``poll``/``advance_time``/``flush``) / ``snapshot``
-/ ``restore`` / ``stop`` / ``close`` — captured by the :class:`Runner`
-protocol and exercised by the cross-backend conformance suite
-(``tests/runtime/test_runner_conformance.py``).
+They share one lifecycle — ``register_query`` / ``subscribe`` /
+``start`` / ``submit`` / barriers (``sync``/``poll``/``advance_time``/
+``flush``) / ``snapshot`` / ``restore`` / ``stop`` / ``close`` —
+captured by the :class:`Runner` protocol and exercised by the
+cross-backend conformance suite
+(``tests/runtime/test_runner_conformance.py``).  Emissions leave a
+runner one way: per-query subscriptions.  A sink subscribed to every
+query sees the single engine's cross-query interleaving on every
+backend; the barrier methods also return what they released.
 
 Construction goes through :func:`create_runner`::
 
     from repro.runtime import RunnerConfig, create_runner
 
     runner = create_runner(QUERY_TEXT, RunnerConfig(backend="sharded", shards=4))
+    runner.subscribe("best_trades", print)
     with runner:
         runner.submit_all(events)
         runner.flush()
@@ -59,7 +65,6 @@ from typing import (
 from repro.events.event import Event
 from repro.events.schema import SchemaRegistry
 from repro.language.ast_nodes import Query
-from repro.observability.instruments import TelemetryViews
 from repro.observability.registry import MetricsRegistry
 from repro.ranking.emission import Emission
 from repro.runtime.concurrent import ThreadedEngineRunner
@@ -98,7 +103,7 @@ class Runner(Protocol):
         ...
 
     def submit_all(self, events: Iterable[Event]) -> int:
-        """Ingest a stream; returns how many events were accepted."""
+        """Ingest a stream; returns how many events it consumed from it."""
         ...
 
     def sync(self) -> None:
@@ -113,12 +118,20 @@ class Runner(Protocol):
         """
         ...
 
-    def advance_time(self, timestamp: float) -> Any:
-        """Heartbeat: declare stream time has reached ``timestamp``."""
+    def advance_time(self, timestamp: float) -> list[Emission]:
+        """Heartbeat: declare stream time has reached ``timestamp``.
+
+        Returns the emissions this barrier released (also delivered to
+        the subscriptions).
+        """
         ...
 
-    def flush(self) -> Any:
-        """End of stream: release pending matches and held rankings."""
+    def flush(self) -> list[Emission]:
+        """End of stream: release pending matches and held rankings.
+
+        Returns the emissions released (also delivered to the
+        subscriptions); ``[]`` once already flushed.
+        """
         ...
 
     def subscribe(
@@ -180,10 +193,10 @@ class RunnerConfig:
       sharded/process merge stage cannot stitch cross-shard traces, so
       enabling it there raises.
 
-    ``on_emission`` receives every (merged) emission: synchronously on
-    the caller's thread for ``embedded``, on the consumer thread for
-    ``threaded``, and on the barrier-calling thread for
-    ``sharded``/``process``.
+    Emissions reach callers through per-query subscriptions
+    (``runner.subscribe``), fed synchronously on the caller's thread for
+    ``embedded``, on the consumer thread for ``threaded``, and on the
+    barrier-calling thread for ``sharded``/``process``.
     """
 
     backend: str = "embedded"
@@ -196,142 +209,11 @@ class RunnerConfig:
     max_lateness: float | None = None
     max_queue: int = 10_000
     batch_size: int = 256
-    on_emission: Callable[[Emission], None] | None = None
     sanitize: bool | None = None
     shed_policy: str = "off"
     latency_target: float | None = None
     shed_controller: ShedController | None = None
     tracing: bool | None = None
-
-
-class EmbeddedRunner(TelemetryViews):
-    """Synchronous :class:`Runner` over one engine on the caller's thread.
-
-    No queue, no threads: ``submit`` pushes straight into the engine and
-    emissions fan out before it returns, so ``sync`` is a no-op and
-    results are always current.  This is the embedded engine experience
-    (``CEPREngine`` + ``push``) behind the same lifecycle surface as the
-    concurrent backends — which is what lets one conformance suite, one
-    serving layer, and one CLI treat backend choice as configuration.
-    """
-
-    def __init__(
-        self,
-        engine: CEPREngine,
-        on_emission: Callable[[Emission], None] | None = None,
-    ) -> None:
-        self.engine = engine
-        self.on_emission = on_emission
-        self.events_submitted = 0
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def start(self) -> "EmbeddedRunner":
-        """No-op (nothing to spin up); returns self for chaining."""
-        return self
-
-    def stop(self, timeout: float | None = 30.0) -> None:
-        """Flush the engine (idempotent); ``timeout`` is accepted and unused."""
-        self._fan_out(self.engine.flush())
-
-    def close(self) -> None:
-        """Flush (if not yet flushed) and close sinks."""
-        self._fan_out(self.engine.close())
-
-    def __enter__(self) -> "EmbeddedRunner":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- ingestion ---------------------------------------------------------------
-
-    def submit(self, event: Event, timeout: float | None = None) -> None:
-        """Push one event through the engine synchronously."""
-        self._fan_out(self.engine.push(event))
-        self.events_submitted += 1
-
-    def submit_all(self, events: Iterable[Event]) -> int:
-        """Push a stream through the engine in one batch."""
-        count = self.engine.events_pushed
-        self._fan_out(self.engine.push_batch(events))
-        count = self.engine.events_pushed - count
-        self.events_submitted += count
-        return count
-
-    # -- barriers ----------------------------------------------------------------
-
-    def sync(self) -> None:
-        """No-op: a synchronous runner is always caught up."""
-
-    def poll(self) -> list[Emission]:
-        """No-op barrier: emissions fan out as they happen, none are held."""
-        return []
-
-    def advance_time(self, timestamp: float) -> list[Emission]:
-        """Heartbeat passthrough; emissions fan out and are returned."""
-        emissions = self.engine.advance_time(timestamp)
-        self._fan_out(emissions)
-        return emissions
-
-    def flush(self) -> list[Emission]:
-        """End-of-stream flush; emissions fan out and are returned."""
-        emissions = self.engine.flush()
-        self._fan_out(emissions)
-        return emissions
-
-    # -- queries -----------------------------------------------------------------
-
-    def subscribe(
-        self,
-        query_name: str,
-        target: SinkLike,
-        kinds: object = None,
-    ) -> Subscription:
-        """Attach a sink/callback to one query, filtered to ``kinds``."""
-        return self.engine.subscribe(query_name, target, kinds=kinds)
-
-    def register_query(self, query: str | Query, name: str | None = None):
-        """Register a query on the wrapped engine."""
-        return self.engine.register_query(query, name=name)
-
-    def unregister_query(self, name: str) -> None:
-        """Remove a query from the wrapped engine."""
-        self.engine.unregister_query(name)
-
-    def query(self, name: str):
-        """Look up a registered query handle by name."""
-        return self.engine.query(name)
-
-    def queries(self) -> list:
-        """All registered query handles."""
-        return self.engine.queries()
-
-    # -- checkpointing -----------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Engine snapshot (trivially consistent: nothing is in flight)."""
-        return self.engine.snapshot()
-
-    def restore(self, state: dict) -> None:
-        """Load a snapshot into the wrapped engine."""
-        self.engine.restore(state)
-
-    # -- observability -----------------------------------------------------------
-
-    @property
-    def metrics(self):
-        """The wrapped engine's :class:`~repro.runtime.metrics.EngineMetrics`."""
-        return self.engine.metrics
-
-    def metrics_registry(self) -> MetricsRegistry:
-        """The wrapped engine's live metrics registry."""
-        return self.engine.metrics_registry()
-
-    def _fan_out(self, emissions: list[Emission]) -> None:
-        if self.on_emission is not None:
-            for emission in emissions:
-                self.on_emission(emission)
 
 
 # -- factory ---------------------------------------------------------------------
@@ -391,19 +273,18 @@ def _reject_tracing(config: RunnerConfig) -> None:
         )
 
 
-def _build_embedded(config: RunnerConfig) -> EmbeddedRunner:
+def _build_embedded(config: RunnerConfig) -> CEPREngine:
     if config.shed_policy != "off" or config.shed_controller is not None:
         raise ValueError(
             "backend 'embedded' has no ingest queue to shed; "
             "use backend='threaded' for load shedding"
         )
-    return EmbeddedRunner(_engine_from(config), on_emission=config.on_emission)
+    return _engine_from(config)
 
 
 def _build_threaded(config: RunnerConfig) -> ThreadedEngineRunner:
     return ThreadedEngineRunner(
         _engine_from(config),
-        on_emission=config.on_emission,
         max_queue=config.max_queue,
         batch_size=config.batch_size,
         shed_policy=config.shed_policy,
@@ -426,7 +307,6 @@ def _build_fleet(config: RunnerConfig, shard_type: type) -> ShardedEngineRunner:
         max_lateness=config.max_lateness,
         max_queue=config.max_queue,
         batch_size=config.batch_size,
-        on_emission=config.on_emission,
         sanitize=config.sanitize,
         shed_policy=config.shed_policy,
         latency_target=config.latency_target,
@@ -453,7 +333,8 @@ def create_runner(
     ``program`` may be CEPR-QL text, a parsed ``Query`` AST, an iterable
     of either, a ``{name: query}`` mapping, or ``None`` (register later
     via ``runner.register_query``).  ``config`` defaults to
-    ``RunnerConfig()`` (embedded backend); keyword ``overrides`` are
+    ``RunnerConfig()`` (the embedded backend: the
+    :class:`~repro.runtime.engine.CEPREngine` itself); keyword ``overrides`` are
     applied on top with :func:`dataclasses.replace`, so the common cases
     stay one-liners::
 
@@ -462,8 +343,9 @@ def create_runner(
         create_runner(text, backend="process", shards=4)
         create_runner(text, RunnerConfig(backend="sharded"), shards=8)
 
-    The runner is returned **unstarted**: register any further queries,
-    then ``start()`` (or use it as a context manager).  Unknown backends
+    The runner is returned **unstarted**: register any further queries
+    and subscribe to the ones whose emissions you want, then ``start()``
+    (or use it as a context manager).  Unknown backends
     and backend/feature mismatches (shedding on ``embedded``/``process``,
     tracing on ``sharded``/``process``) raise ``ValueError`` here rather
     than failing later at runtime.

@@ -159,9 +159,9 @@ class ShardedQuery(SinkOwner):
         self._workers: list[_Worker] = []
         #: per shard: emissions reported but not merged yet (checkpointed).
         self._tails: list[list[Emission]] = []
-        #: Subscriptions/sinks fed the *merged* emission stream (delivered
-        #: on the barrier-calling thread, at merge release points).  While
-        #: the runner is live, subscribe through the runner — it takes the
+        #: Subscriptions/sinks fed the *merged* emission stream (by the
+        #: runner's release, on the barrier-calling thread).  While the
+        #: runner is live, subscribe through the runner — it takes the
         #: dispatch lock around the sink-list mutation.
         self.sinks: list[Any] = []
         #: the merged emission stream, collector-shaped for the monitor.
@@ -311,26 +311,30 @@ class ShardedQuery(SinkOwner):
 
     def _merge_ready(
         self, point: tuple[int, float] | None = None, final: bool = False
-    ) -> list[Emission]:
-        """Run the merge stage; returns newly released merged emissions.
+    ) -> tuple[list[Emission], list[Emission]]:
+        """Run the merge stage; returns the newly released merged emissions
+        as ``(stream, barrier)``.
 
-        ``point`` is the global ``(seq, ts)`` emission point for
-        barrier-produced output (heartbeat confirmations, flush releases);
-        ``final`` marks the flush barrier, after which every held epoch is
-        closable.
+        ``stream`` emissions have an event of the stream as their emission
+        point; ``barrier`` ones were produced by the barrier itself
+        (heartbeat confirmations and closes, flush releases) at ``point``,
+        the barrier's global ``(seq, ts)``.  Without a ``point`` only the
+        former release.  ``final`` marks the flush barrier, after which
+        every held epoch is closable.
         """
-        if self.mode == "solo":
-            released = [emission for _, _, emission in self._drain_shards()]
-        elif self.mode == "sharded-passthrough":
-            released = self._merge_passthrough(point)
+        if self.mode == "sharded-tumbling":
+            stream, barrier = self._merge_tumbling(point, final)
         else:
-            released = self._merge_tumbling(point, final)
-        self._merged.extend(released)
-        if released and self.sinks:
-            for emission in released:
-                for sink in list(self.sinks):
-                    sink.accept(emission)
-        return released
+            if self.mode == "solo":
+                released = [emission for _, _, emission in self._drain_shards()]
+            else:
+                released = self._merge_passthrough(point)
+            # A barrier pass runs right after a merge without one, so all
+            # it drains is what the barrier itself produced.
+            stream, barrier = (released, []) if point is None else ([], released)
+        self._merged.extend(stream)
+        self._merged.extend(barrier)
+        return stream, barrier
 
     def _merge_passthrough(self, point: tuple[int, float] | None) -> list[Emission]:
         drained = self._drain_shards()
@@ -369,14 +373,16 @@ class ShardedQuery(SinkOwner):
 
     def _merge_tumbling(
         self, point: tuple[int, float] | None, final: bool
-    ) -> list[Emission]:
+    ) -> tuple[list[Emission], list[Emission]]:
         for shard, _, emission in self._drain_shards():
             assert emission.epoch is not None
             self._pending_epochs.setdefault(emission.epoch, []).append(
                 (shard, emission)
             )
+        stream: list[Emission] = []
+        barrier: list[Emission] = []
         if not self._pending_epochs:
-            return []
+            return stream, barrier
         # An epoch is mergeable once no shard still buffers it (or anything
         # before it); epochs must release in ascending order.
         if final:
@@ -389,29 +395,27 @@ class ShardedQuery(SinkOwner):
                 ),
                 default=_INF,
             )
-        released: list[Emission] = []
         for epoch in sorted(self._pending_epochs):
             if epoch >= min_open:
                 break
-            close = self._close_point(epoch, point, final)
+            # The stream closed the epoch, or else the barrier does.
+            close, released = self._stream_close(epoch), stream
             if close is None:
-                break
+                if point is None:
+                    break
+                close, released = point, barrier
             released.append(
                 self._merge_epoch(epoch, self._pending_epochs.pop(epoch), close)
             )
-        return released
+        return stream, barrier
 
-    def _close_point(
-        self, epoch: int, point: tuple[int, float] | None, final: bool
-    ) -> tuple[int, float] | None:
-        """Global ``(seq, ts)`` at which ``epoch`` closed, if known yet."""
+    def _stream_close(self, epoch: int) -> tuple[int, float] | None:
+        """Global ``(seq, ts)`` at which the stream closed ``epoch``, if it has."""
         advances = self._advances
         while advances and advances[0][0] <= epoch:
             advances.popleft()  # useless for this and every later epoch
         if advances:
             return (advances[0][1], advances[0][2])
-        if final or point is not None:
-            return point if point is not None else None
         return None
 
     def _merge_epoch(
@@ -510,8 +514,8 @@ class ShardedEngineRunner(QueuedRunner):
     ``max_queue`` bounds each shard's ingest queue (``submit`` blocks when
     the target shard is saturated — backpressure, not unbounded memory),
     and ``batch_size`` caps how many queued events a shard drains into one
-    ``push_batch`` call.  ``on_emission`` receives every *merged* emission,
-    on the barrier-calling thread.  ``shard_type`` picks the shard
+    ``push_batch`` call.  Subscriptions receive the *merged* emissions on
+    the barrier-calling thread.  ``shard_type`` picks the shard
     implementation: :class:`~repro.runtime.shard.LocalShard` (threads, the
     default) or :class:`~repro.runtime.process.PipeShard` (one worker
     process per shard — ``create_runner(backend="process")``).
@@ -528,7 +532,6 @@ class ShardedEngineRunner(QueuedRunner):
         max_lateness: float | None = None,
         max_queue: int = 10_000,
         batch_size: int = 256,
-        on_emission: Callable[[Emission], None] | None = None,
         sanitize: bool | None = None,
         shed_policy: str = "off",
         latency_target: float | None = None,
@@ -555,7 +558,6 @@ class ShardedEngineRunner(QueuedRunner):
         self.max_lateness = max_lateness
         self.max_queue = max_queue
         self.batch_size = batch_size
-        self.on_emission = on_emission
         #: forwarded to every shard engine (None follows CEPR_SANITIZE).
         self.sanitize = sanitize
 
@@ -1015,19 +1017,58 @@ class ShardedEngineRunner(QueuedRunner):
             view._collect()
         self._check_failures()
 
-    def _release(self, per_view: list[tuple[int, list[Emission]]]) -> list[Emission]:
-        """Interleave per-view merged emissions into one global-order stream."""
-        tagged = [
-            (emission.at_seq, order, position, emission)
-            for order, emissions in per_view
-            for position, emission in enumerate(emissions)
+    def _release(
+        self, merged: list[tuple[list[Emission], list[Emission]]]
+    ) -> list[Emission]:
+        """Deliver merged output to the subscribers in one global order.
+
+        ``merged`` holds each view's ``(stream, barrier)`` output, in
+        registration order.  Stream emissions go first, by (global seq,
+        registration order, merge order), as a single engine emits them
+        event by event; barrier emissions follow view by view, as its
+        heartbeat and flush loops do.  Returns the ordered emissions.
+
+        Known gap: events a heartbeat derives through ``YIELD`` cascade
+        after every query's heartbeat output in a single engine, but
+        their emissions are delivered here with their own view's.
+        """
+        views = list(self._views.values())
+        tagged = sorted(
+            (
+                (emission.at_seq, order, position, emission)
+                for order, (stream, _) in enumerate(merged)
+                for position, emission in enumerate(stream)
+            ),
+            key=lambda t: t[:3],
+        )
+        ordered = [(views[order], emission) for _, order, _, emission in tagged]
+        ordered += [
+            (view, emission)
+            for view, (_, barrier) in zip(views, merged)
+            for emission in barrier
         ]
-        tagged.sort(key=lambda t: t[:3])
-        released = [emission for _, _, _, emission in tagged]
-        if self.on_emission is not None:
-            for emission in released:
-                self.on_emission(emission)
-        return released
+        for view, emission in ordered:
+            for sink in list(view.sinks):
+                sink.accept(emission)
+        return [emission for _, emission in ordered]
+
+    def _merge_barrier(
+        self,
+        op: Callable[[Shard], None],
+        point_of: Callable[[ShardedQuery], tuple[int, float]],
+        final: bool = False,
+    ) -> list[Emission]:
+        """Merge the stream so far, run ``op`` on every shard, merge at
+        each view's barrier point, then release it all in one order."""
+        self._barrier()
+        views = list(self._views.values())
+        merged = [view._merge_ready() for view in views]
+        self._barrier(op)
+        for view, (stream, barrier) in zip(views, merged):
+            late, produced = view._merge_ready(point=point_of(view), final=final)
+            stream += late
+            barrier += produced
+        return self._release(merged)
 
     def sync(self) -> None:
         """Barrier: return once every shard has drained its queue.
@@ -1057,11 +1098,9 @@ class ShardedEngineRunner(QueuedRunner):
             return []
         with self._lock:
             self._barrier()
-            per_view = [
-                (order, view._merge_ready())
-                for order, view in enumerate(self._views.values())
-            ]
-            return self._release(per_view)
+            return self._release(
+                [view._merge_ready() for view in self._views.values()]
+            )
 
     def subscribe(
         self,
@@ -1091,19 +1130,16 @@ class ShardedEngineRunner(QueuedRunner):
         if self._stopped or self._flushed:
             raise RuntimeError("runner is stopped")
         with self._lock:
-            self._barrier()
-            per_view: list[tuple[int, list[Emission]]] = []
-            views = list(self._views.values())
-            for order, view in enumerate(views):
-                per_view.append((order, view._merge_ready()))
-            for view in views:
+            # Epochs the heartbeat closes are barrier output, closed at its
+            # point; the views record it as an advance only afterwards.
+            released = self._merge_barrier(
+                lambda shard: shard.advance_time(timestamp),
+                lambda view: (view.last_routed_seq, timestamp),
+            )
+            for view in self._views.values():
                 if view.mode != "solo":
                     view._observe_advance(timestamp)
-            self._barrier(lambda shard: shard.advance_time(timestamp))
-            for order, view in enumerate(views):
-                point = (view.last_routed_seq, timestamp)
-                per_view.append((order, view._merge_ready(point=point)))
-            return self._release(per_view)
+            return released
 
     def flush(self) -> list[Emission]:
         """End-of-stream barrier: flush every shard and merge everything."""
@@ -1114,21 +1150,14 @@ class ShardedEngineRunner(QueuedRunner):
         with self._lock:
             self._flushed = True
             if self._lateness is not None:
-                for released in self._lateness.flush():
-                    self._ingest(released)
-            self._barrier()
-            per_view: list[tuple[int, list[Emission]]] = []
-            views = list(self._views.values())
-            for order, view in enumerate(views):
-                per_view.append((order, view._merge_ready()))
-            self._barrier(lambda shard: shard.flush())
-            for order, view in enumerate(views):
-                point = (view.last_routed_seq, view.last_ts)
-                per_view.append(
-                    (order, view._merge_ready(point=point, final=True))
-                )
-            released = self._release(per_view)
-            for view in views:
+                for event in self._lateness.flush():
+                    self._ingest(event)
+            released = self._merge_barrier(
+                lambda shard: shard.flush(),
+                lambda view: (view.last_routed_seq, view.last_ts),
+                final=True,
+            )
+            for view in self._views.values():
                 view.flush_sinks()
             return released
 

@@ -192,6 +192,36 @@ class TestRunSharded:
         assert code_one == 0 and code_four == 0
         assert out_four == out_one
 
+    def test_out_file_identical_on_every_run_backend(
+        self, partitioned_query_file, stock_log, tmp_path
+    ):
+        """One run loop for every backend: a two-query program (a sharded
+        tumbling query and a pass-through one) writes the same JSONL."""
+        passthrough = tmp_path / "rebounds.ceprql"
+        passthrough.write_text(
+            "PATTERN SEQ(Buy b, Sell s) "
+            "WHERE b.symbol == s.symbol AND s.price > b.price * 1.01 "
+            "WITHIN 30 EVENTS PARTITION BY symbol"
+        )
+        written = {}
+        for backend, shards in (("embedded", "1"), ("sharded", "2"), ("process", "2")):
+            out = tmp_path / f"{backend}.jsonl"
+            code, _ = run_cli(
+                "run", str(partitioned_query_file), str(passthrough),
+                "--events", str(stock_log), "--out", str(out),
+                "--runner", backend, "--shards", shards,
+            )
+            assert code == 0
+            written[backend] = out.read_bytes()
+        queries = {
+            match["query"]
+            for line in written["embedded"].splitlines()
+            for match in json.loads(line)["ranking"]
+        }
+        assert queries == {"partitioned", "rebounds"}
+        assert written["sharded"] == written["embedded"]
+        assert written["process"] == written["embedded"]
+
     def test_sharded_stats_report_fleet_totals(
         self, partitioned_query_file, stock_log
     ):

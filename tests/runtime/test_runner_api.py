@@ -17,7 +17,6 @@ import pytest
 
 from repro.language.parser import parse_query
 from repro.runtime import (
-    EmbeddedRunner,
     Runner,
     RunnerConfig,
     ShardedEngineRunner,
@@ -49,7 +48,7 @@ DROPS = """
 """
 
 BACKEND_TYPES = {
-    "embedded": EmbeddedRunner,
+    "embedded": CEPREngine,
     "threaded": ThreadedEngineRunner,
     "sharded": ShardedEngineRunner,
     "process": ShardedEngineRunner,
@@ -59,7 +58,8 @@ BACKEND_TYPES = {
 class TestFactory:
     def test_default_backend_is_embedded(self):
         runner = create_runner(PROFITS)
-        assert isinstance(runner, EmbeddedRunner)
+        assert isinstance(runner, Runner)
+        assert type(runner) is CEPREngine
 
     @pytest.mark.parametrize("backend", sorted(BACKEND_TYPES))
     def test_each_backend_builds_its_class(self, backend):

@@ -129,22 +129,152 @@ class TestEmissionEquivalence:
             runner.stop()
         assert lines(sink.emissions) == reference
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_on_emission_hook_sees_the_same_stream(self, backend, reference):
-        received = []
+    @staticmethod
+    def one_sink_on_every_query(backend):
         runner = create_runner(
-            TUMBLING,
+            {"best_trades": TUMBLING, "ticker": PERIODIC},
             RunnerConfig(
                 backend=backend,
                 shards=SHARDS,
                 registry=StockWorkload(seed=SEED).registry(),
-                on_emission=received.append,
             ),
         )
+        sink = CollectorSink()
+        for name in ("best_trades", "ticker"):
+            runner.subscribe(name, sink)
         with runner:
             runner.submit_all(make_events())
             runner.flush()
-        assert lines(received) == reference
+        return lines(sink.emissions)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_sink_on_every_query_sees_the_same_stream(self, backend):
+        """Subscriptions are the only way out, and one sink subscribed to
+        every query sees the single engine's cross-query interleaving."""
+        received = self.one_sink_on_every_query(backend)
+        assert len({json.loads(line)["kind"] for line in received}) >= 2
+        assert received == self.one_sink_on_every_query("embedded")
+
+
+class TestReleaseOrder:
+    """At a barrier, output the stream produced comes before what the
+    barrier itself produced, even when both share the barrier's seq; the
+    fleet once let a barrier emission land between two stream emissions
+    of the same seq."""
+
+    PROGRAM = {
+        # Trailing negation: runs solo on a fleet, confirms at heartbeats.
+        "confirmed": "PATTERN SEQ(A a, B b, NOT C c) WITHIN 5 SECONDS "
+        "USING SKIP_TILL_ANY PARTITION BY k EMIT EAGER",
+        # Sharded pass-through, emitting at the same seq as `confirmed`.
+        "arrivals": "PATTERN SEQ(A a) WITHIN 1 EVENTS PARTITION BY k",
+    }
+
+    @staticmethod
+    def stream():
+        return [
+            Event("A", 0.0, k=1),
+            Event("B", 1.0, k=1),
+            Event("B", 1.2, k=1),
+            Event("A", 9.0, k=3),
+            Event("B", 9.5, k=3),
+            Event("A", 10.0, k=1),
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_release_order_at_a_barrier(self, backend):
+        runner = create_runner(
+            self.PROGRAM, RunnerConfig(backend=backend, shards=SHARDS)
+        )
+        sink = CollectorSink()
+        for name in self.PROGRAM:
+            runner.subscribe(name, sink)
+        with runner:
+            runner.submit_all(self.stream())
+            runner.advance_time(30.0)
+            runner.flush()
+        points = [
+            (e.ranking[0].query_name, e.at_seq, e.at_ts, e.ranking[0].last_seq)
+            for e in sink.emissions
+        ]
+        assert points == [
+            ("arrivals", 0, 0.0, 0),
+            ("arrivals", 3, 9.0, 3),
+            ("confirmed", 5, 10.0, 1),
+            ("confirmed", 5, 10.0, 2),
+            ("arrivals", 5, 10.0, 5),
+            ("confirmed", 5, 30.0, 4),
+        ]
+
+
+class TestSubmitAllCount:
+    """``submit_all`` returns how many events it consumed: events a YIELD
+    derives or the lateness buffer still holds do not change it."""
+
+    YIELDING = {
+        "pairs": "PATTERN SEQ(A a, B b) WITHIN 4 EVENTS USING SKIP_TILL_ANY "
+        "YIELD Pair(x=a.x)",
+        "pair_runs": "PATTERN SEQ(Pair p, Pair q) WITHIN 6 EVENTS",
+    }
+    PAIRS = {"pairs": "PATTERN SEQ(A a, B b) WITHIN 4 EVENTS"}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "program, options",
+        [(YIELDING, {}), (PAIRS, {"max_lateness": 5.0})],
+        ids=["yield", "max_lateness"],
+    )
+    def test_count_is_the_callers_events(self, backend, program, options):
+        runner = create_runner(
+            program, RunnerConfig(backend=backend, shards=SHARDS, **options)
+        )
+        events = [Event("AB"[i % 2], float(i), x=i) for i in range(20)]
+        with runner:
+            assert runner.submit_all(events) == 20
+            runner.flush()
+
+
+class TestBarrierReturns:
+    """``advance_time`` and ``flush`` return what they released, which is
+    exactly what the subscriptions received during the call."""
+
+    QUERY = (
+        "PATTERN SEQ(A a, B b) WITHIN 5 SECONDS USING SKIP_TILL_ANY "
+        "PARTITION BY k RANK BY b.x - a.x DESC LIMIT 2 EMIT ON WINDOW CLOSE"
+    )
+
+    @staticmethod
+    def stream(start, count):
+        return [
+            Event("AB"[i % 2], start + i, k=(i // 2) % 3, x=(7 * i) % 11)
+            for i in range(count)
+        ]
+
+    def run(self, backend):
+        runner = create_runner(
+            {"best": self.QUERY}, RunnerConfig(backend=backend, shards=SHARDS)
+        )
+        sink = CollectorSink()
+        runner.subscribe("best", sink)
+        returned = []
+        with runner:
+            for start, count, barrier in (
+                (0.0, 13, lambda: runner.advance_time(20.0)),
+                (21.0, 3, runner.flush),
+            ):
+                runner.submit_all(self.stream(start, count))
+                runner.poll()
+                seen = len(sink.emissions)
+                released = barrier()
+                assert lines(released) == lines(sink.emissions[seen:])
+                returned.append(released)
+        return returned, lines(sink.emissions)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_heartbeat_and_flush_return_their_emissions(self, backend):
+        (heartbeat, final), delivered = self.run(backend)
+        assert heartbeat and final
+        assert delivered == self.run("embedded")[1]
 
 
 class TestPassThroughQuota:

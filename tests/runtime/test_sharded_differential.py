@@ -331,11 +331,12 @@ class TestFleetIntrospection:
 
         assert fleet_row["events_routed"] == handles[0].metrics.events_routed
 
-    def test_on_emission_sees_merged_stream_in_order(self):
+    def test_subscriber_sees_merged_stream_in_order(self):
         received = []
         make = lambda: StockWorkload(seed=31).events(800)
-        runner = ShardedEngineRunner(shards=4, on_emission=received.append)
+        runner = ShardedEngineRunner(shards=4)
         view = runner.register_query(COUNT_TUMBLING)
+        runner.subscribe(view.name, received.append)
         runner.start()
         drive(runner.submit, runner.advance_time, runner.flush, make())
         runner.stop()

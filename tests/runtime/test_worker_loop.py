@@ -246,23 +246,29 @@ class TestLifecycle:
         assert runner.events_processed == 2
         assert len(handle.matches()) == 1
 
-    def test_emission_callback_invoked_on_consumer(self):
-        received = []
+    def test_subscription_fed_on_consumer(self):
+        threads = []
         engine = CEPREngine()
-        engine.register_query("PATTERN SEQ(A a)")
-        with ThreadedEngineRunner(engine, on_emission=received.append) as runner:
+        engine.register_query("PATTERN SEQ(A a)", name="q")
+        runner = ThreadedEngineRunner(engine)
+        runner.subscribe("q", lambda emission: threads.append(threading.get_ident()))
+        with runner:
             runner.submit(E("A", 1))
             runner.submit(E("A", 2))
-        assert len(received) == 2
+        assert len(threads) == 2
+        assert threading.get_ident() not in threads
 
     def test_flush_emissions_delivered_at_stop(self):
         received = []
         engine = CEPREngine()
         engine.register_query(
             "PATTERN SEQ(A a) WITHIN 100 EVENTS RANK BY a.x DESC "
-            "EMIT ON WINDOW CLOSE"
+            "EMIT ON WINDOW CLOSE",
+            name="q",
         )
-        with ThreadedEngineRunner(engine, on_emission=received.append) as runner:
+        runner = ThreadedEngineRunner(engine)
+        runner.subscribe("q", received.append)
+        with runner:
             runner.submit(E("A", 1, x=1))
         assert len(received) == 1  # the epoch closed at flush
 
@@ -345,11 +351,10 @@ class TestConcurrency:
     def test_backlog_visible(self):
         gate = threading.Event()
         engine = CEPREngine()
-        engine.register_query("PATTERN SEQ(A a)")
-        runner = ThreadedEngineRunner(
-            engine, on_emission=lambda emission: gate.wait()
-        ).start()
-        runner.submit(E("A", 1))  # wedges the consumer inside on_emission
+        engine.register_query("PATTERN SEQ(A a)", name="q")
+        engine.subscribe("q", lambda emission: gate.wait())
+        runner = ThreadedEngineRunner(engine).start()
+        runner.submit(E("A", 1))  # wedges the consumer in the subscription
         wait_until(lambda: runner.backlog == 0)
         runner.submit(E("A", 2))
         assert runner.backlog == 1
@@ -420,13 +425,12 @@ class TestStress:
         memory without bound."""
         gate = threading.Event()
         engine = CEPREngine()
-        engine.register_query("PATTERN SEQ(A a)")
-        runner = ThreadedEngineRunner(
-            engine, on_emission=lambda emission: gate.wait(), max_queue=2
-        ).start()
+        engine.register_query("PATTERN SEQ(A a)", name="q")
+        engine.subscribe("q", lambda emission: gate.wait())
+        runner = ThreadedEngineRunner(engine, max_queue=2).start()
 
-        # First event wedges the consumer inside on_emission; the rest can
-        # only pile into the queue, which holds exactly max_queue of them.
+        # First event wedges the consumer inside the subscription; the rest
+        # can only pile into the queue, which holds exactly max_queue.
         runner.submit(E("A", 1))
         wait_until(lambda: runner.backlog == 0)  # consumer picked #1 up
         runner.submit(E("A", 2))
