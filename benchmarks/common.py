@@ -124,7 +124,10 @@ def run_cepr_raw(
         runs_created=stats.runs_created,
         runs_pruned=stats.runs_pruned,
         peak_live_runs=stats.peak_live_runs,
-        extra={"completions_skipped": stats.completions_skipped},
+        extra={
+            "completions_skipped": stats.completions_skipped,
+            "runs_dominated": stats.runs_dominated,
+        },
     )
 
 
@@ -399,6 +402,22 @@ def generic_rank_query(
         USING {strategy}
         RANK BY {variables[-1]}.value - {variables[0]}.value DESC
         {limit}
+        EMIT ON WINDOW CLOSE
+    """
+
+
+def kleene_skyband_query(window: int = 50, k: int = 5) -> str:
+    """E6's ranked query under ``SKIP_TILL_ANY`` and without ``prev()``,
+    thresholded low enough that a patient's spike runs overlap: every
+    subset of the spikes is a run unless run dominance drops it."""
+    return f"""
+        PATTERN SEQ(HeartRate onset, HeartRate spikes+)
+        WHERE onset.value > 75 AND spikes.value > 75
+        WITHIN {window} EVENTS
+        USING SKIP_TILL_ANY
+        PARTITION BY patient
+        RANK BY max(spikes.value) DESC, count(spikes) DESC
+        LIMIT {k}
         EMIT ON WINDOW CLOSE
     """
 

@@ -26,6 +26,7 @@ from common import (  # noqa: E402
     generic_rank_query,
     generic_stream,
     kleene_rank_query,
+    kleene_skyband_query,
     run_cepr,
     run_cepr_raw,
     run_match_then_rank,
@@ -186,6 +187,16 @@ def e6() -> None:
     for window in (25, 50, 100):
         ranked = run_cepr_raw(kleene_rank_query(window=window, k=5), events, registry)
         row(f"ranked w={window}", fmt(ranked.seconds * 1000), ranked.matches)
+    row("SKIP_TILL_ANY w=50", "time ms", "matches", "peak runs", "dominated")
+    for pruning in (False, True):
+        skyband = run_cepr_raw(kleene_skyband_query(), events, registry, pruning)
+        row(
+            f"  run dominance {'on' if pruning else 'off'}",
+            fmt(skyband.seconds * 1000),
+            skyband.matches,
+            skyband.peak_live_runs,
+            skyband.extra["runs_dominated"],
+        )
 
 
 def e7() -> None:

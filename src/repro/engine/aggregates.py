@@ -9,6 +9,13 @@ it to expression evaluation through ``EvalContext.agg_lookup``.
 
 States are immutable: ``accept`` returns a new state, so cloned runs share
 history for free (matching the engine's copy-on-extend run design).
+
+The cache only ever answers what the reference evaluator
+(:func:`repro.language.expressions.compile_expr` over the binding list)
+would compute: one element that lacks the attribute or holds a
+non-number makes that attribute *inexact*, and every lookup on it falls
+back to the reference — which raises, or computes, exactly as it would
+with tracking off.
 """
 
 from __future__ import annotations
@@ -24,29 +31,34 @@ from repro.language.ast_nodes import Aggregate, Expr, iter_subexpressions
 class AttrAggregates:
     """Running aggregates for one attribute of one Kleene variable."""
 
-    total: float = 0.0
+    #: starts at the int ``0`` like ``sum()``, so an int attribute sums to an int
+    total: float = 0
     minimum: float | None = None
     maximum: float | None = None
     first: Any = None
     last: Any = None
+    #: every element so far held a number; once not, nothing here is served
+    exact: bool = True
 
     def accept(self, value: Any) -> "AttrAggregates":
-        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not self.exact:
+            return self
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return INEXACT
+        # ``min``/``max`` keep the incumbent unless strictly beaten — the
+        # builtins' rule, which also places a NaN where they would.
+        minimum, maximum = self.minimum, self.maximum
         return AttrAggregates(
-            total=self.total + value if numeric else self.total,
-            minimum=(
-                value
-                if numeric and (self.minimum is None or value < self.minimum)
-                else self.minimum
-            ),
-            maximum=(
-                value
-                if numeric and (self.maximum is None or value > self.maximum)
-                else self.maximum
-            ),
-            first=value if self.first is None else self.first,
+            total=self.total + value,
+            minimum=value if minimum is None or value < minimum else minimum,
+            maximum=value if maximum is None or value > maximum else maximum,
+            first=value if self.last is None else self.first,
             last=value,
         )
+
+
+#: what an attribute's aggregates become once an element made them inexact.
+INEXACT = AttrAggregates(exact=False)
 
 
 @dataclass(frozen=True)
@@ -69,9 +81,12 @@ class AggregateState:
     def accept(self, event: Event) -> "AggregateState":
         """Return a new state including ``event``."""
         new_attrs = dict(self.attrs)
+        payload = event.payload
         for attr in self.tracked:
-            if attr in event.payload:
-                new_attrs[attr] = new_attrs[attr].accept(event.payload[attr])
+            # a missing attribute makes the reference raise: inexact
+            new_attrs[attr] = (
+                new_attrs[attr].accept(payload[attr]) if attr in payload else INEXACT
+            )
         return replace(self, count=self.count + 1, attrs=new_attrs)
 
     def lookup(self, func: str, attr: str | None) -> Any:
@@ -85,6 +100,8 @@ class AggregateState:
         if attr is None or attr not in self.attrs or self.count == 0:
             return None
         agg = self.attrs[attr]
+        if not agg.exact:
+            return None
         if func == "sum":
             return agg.total
         if func == "avg":

@@ -3,9 +3,10 @@
 ``explain(automaton)`` renders the compiled evaluation plan of a query as
 readable text: the stage chain with every pushed-down predicate at its
 evaluation point, negation guards, completion predicates, ranking keys,
-window/strategy/emission configuration, and where the epoch's k-th score
-acts: whether score-bound pruning is eligible and whether the
-completing-edge cut is active (or the first condition it fails).  Exposed
+window/strategy/emission configuration, and where ranking-aware execution
+acts: whether score-bound pruning is eligible, and whether the
+completing-edge cut and run dominance are active (or the first condition
+each fails).  Exposed
 as ``RegisteredQuery.explain()`` and used by the demo tooling —
 understanding *where* a predicate runs is the difference between a query
 that scales and one that does not.
@@ -23,12 +24,14 @@ def explain(
     automaton: PatternAutomaton,
     pruning_enabled: bool = False,
     cut_status: str | None = None,
+    dominance_status: str | None = None,
 ) -> str:
     """Render the evaluation plan of a compiled query.
 
-    ``cut_status`` is the completing-edge cut's verdict (``"active"`` or
-    the first condition that fails, see
-    :func:`~repro.language.semantics.completion_cut`).
+    ``cut_status`` and ``dominance_status`` are the completing-edge cut's
+    and run dominance's verdicts (``"active"`` or the first condition that
+    fails, see :func:`~repro.language.semantics.completion_cut` and
+    :func:`~repro.language.semantics.run_dominance`).
     """
     analyzed = automaton.analyzed
     lines: list[str] = ["evaluation plan:"]
@@ -72,6 +75,16 @@ def explain(
             if cut_status != "active":
                 cut_status = f"inactive ({cut_status})"
             lines.append(f"  completing-edge cut: {cut_status}")
+        if dominance_status is not None and analyzed.rank_keys:
+            if dominance_status == "active":
+                final = analyzed.positives[-1].name
+                dominance_status = (
+                    f"active (k-skyband over the runs of {final}+ per partition, "
+                    f"k={analyzed.limit})"
+                )
+            else:
+                dominance_status = f"inactive ({dominance_status})"
+            lines.append(f"  run dominance: {dominance_status}")
         lines.extend(_describe_sharding(analyzed))
     return "\n".join(lines)
 

@@ -21,7 +21,7 @@ Patterns ending in a Kleene variable emit a match for **every prefix** of
 the closure that satisfies the predicates (the run stays live and keeps
 extending) — the all-runs semantics of SASE+'s NFA^b.
 
-Ranking integration happens at two points.  The optional ``prune_hook``
+Ranking integration happens at three points.  The optional ``prune_hook``
 is called with every *partial* run the matcher is about to keep (newly
 created or extended); returning ``True`` discards the run — this is where
 the ranking layer cuts runs whose score upper bound cannot reach the
@@ -30,6 +30,9 @@ current top-k (see :mod:`repro.ranking.pruning`).  And once armed
 a run whose completion by the current event would score strictly worse
 than the epoch's k-th retained key is left in place without binding,
 building or scoring the match (``SKIP_TILL_ANY`` keeps the run either way).
+And where the final stage is a Kleene variable, the run list itself is
+cut (:meth:`PatternMatcher.arm_run_dominance`): after each event a
+partition keeps only the k-skyband of its trailing-Kleene runs.
 
 Tumbling mode (``tumbling=True``, used by ``EMIT ON WINDOW CLOSE``): the
 stream is cut into epochs of the window span and runs are killed at epoch
@@ -38,6 +41,7 @@ boundaries, so every match completes within the epoch that ranks it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
@@ -53,7 +57,7 @@ from repro.language.ast_nodes import SelectionStrategy, WindowKind
 from repro.observability.tracing import SpanKind, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.language.semantics import CutKey
+    from repro.language.semantics import CutKey, RunDominance
     from repro.ranking.pruning import BoundProvider
     from repro.runtime.router import SharedExecutionIndex
 
@@ -80,6 +84,9 @@ class MatcherStats:
     #: (run, event) pairs the completing-edge cut skipped: the completion
     #: would have scored strictly worse than its epoch's k-th retained key.
     completions_skipped: int = 0
+    #: trailing-Kleene runs dropped because k runs of their partition beat
+    #: them under every future (run dominance).
+    runs_dominated: int = 0
     runs_expired: int = 0
     runs_killed_strict: int = 0
     runs_killed_negation: int = 0
@@ -194,6 +201,9 @@ class PatternMatcher:
             and before_last.is_kleene
             and before_last.event_type != self._cut_type
         )
+        #: run dominance on the trailing Kleene stage (off until
+        #: :meth:`arm_run_dominance`).
+        self._dominance: RunDominance | None = None
 
     # -- public API ------------------------------------------------------------
 
@@ -208,6 +218,17 @@ class PatternMatcher:
         assert self.tumbling, "the cut compares against tumbling epochs"
         self._cut_key = key
         self._cut_kth = kth
+
+    def arm_run_dominance(self, dominance: "RunDominance") -> None:
+        """Drop trailing-Kleene runs that k others beat under every future.
+
+        ``dominance`` is :func:`~repro.language.semantics.run_dominance`'s
+        armed form, which also decides where this is exact.  Its
+        components read the trailing variable's ``AggregateState``, so
+        aggregates must be tracked.
+        """
+        assert self.tumbling, "a dominator must complete in its victim's epoch"
+        self._dominance = dominance
 
     @property
     def live_run_count(self) -> int:
@@ -600,7 +621,83 @@ class PatternMatcher:
                     next_runs.append(new_partial)
 
         self._create_run(event, key, next_runs, completed)
+        dominance = self._dominance
+        # Only a run this event added can make another dominated: the
+        # partition held a skyband already, and a run leaving adds no
+        # dominator to anyone.
+        if (
+            dominance is not None
+            and len(next_runs) > len(partition.runs)
+            and len(next_runs) > dominance.k
+        ):
+            next_runs = self._dominate(next_runs, event, dominance)
         partition.runs = next_runs
+
+    def _dominate(
+        self, runs: list[Run], event: Event, dominance: "RunDominance"
+    ) -> list[Run]:
+        """``runs`` less every final-stage run that k others dominate.
+
+        A run's vector holds one direction-normalised component per
+        ``RANK BY`` key (smaller is better), strict ones first.  ``q``
+        dominates ``p`` when it is no worse in every component and
+        differs — so is strictly better — in a strict one.  Lexicographic
+        order is a linear extension of that order, so every dominator of a
+        run sorts before it, and counting dominators among the runs kept so
+        far decides the k-skyband in one sweep (whatever dominates a
+        dropped dominator dominates its victims too, so every dropped run
+        has k kept dominators).  The survivors keep their list order.
+        """
+        k = dominance.k
+        strict = dominance.strict
+        components = dominance.components
+        last = self._last_stage_index
+        ranked: list[tuple[tuple[Any, ...], int]] = []
+        for index, run in enumerate(runs):
+            if run.stage == last:
+                vector = tuple([component(run) for component in components])
+                ranked.append((vector, index))
+        if len(ranked) <= k:
+            return runs
+        ranked.sort()
+        band: list[tuple[tuple[Any, ...], tuple[Any, ...]]] = []
+        doomed: list[int] = []
+        for vector, index in ranked:
+            head = vector[:strict]
+            beaten = 0
+            for other_head, other in band:
+                if other_head != head and all(map(operator.le, other, vector)):
+                    beaten += 1
+                    if beaten == k:
+                        break
+            if beaten == k:
+                doomed.append(index)
+            else:
+                band.append((head, vector))
+        if not doomed:
+            return runs
+        gone = set(doomed)
+        kept = [run for index, run in enumerate(runs) if index not in gone]
+        self._drop_dominated([runs[index] for index in doomed], kept, event)
+        return kept
+
+    def _drop_dominated(
+        self, dropped: list[Run], kept: list[Run], event: Event
+    ) -> None:
+        """Book the runs one dominance sweep dropped (``kept`` stay)."""
+        self.stats.runs_dominated += len(dropped)
+        tracer = self.tracer
+        if tracer is not None:
+            for run in dropped:
+                tracer.record(
+                    _RUN_KILL,
+                    event.seq,
+                    event.timestamp,
+                    self.query_name,
+                    partition=run.partition_key,
+                    reason="dominated",
+                    stage=run.stage,
+                )
 
     def _create_run(
         self,

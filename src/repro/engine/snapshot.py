@@ -99,6 +99,8 @@ def encode_agg_state(state: AggregateState) -> dict[str, Any]:
                 "max": agg.maximum,
                 "first": agg.first,
                 "last": agg.last,
+                # written only when set: a snapshot without it reads as exact
+                **({} if agg.exact else {"inexact": True}),
             }
             for attr, agg in state.attrs.items()
         },
@@ -114,6 +116,7 @@ def decode_agg_state(state: Mapping[str, Any]) -> AggregateState:
                 maximum=item["max"],
                 first=item["first"],
                 last=item["last"],
+                exact=not item.get("inexact", False),
             )
             for attr, item in state["attrs"].items()
         }
@@ -259,8 +262,9 @@ def encode_matcher(matcher: PatternMatcher) -> dict[str, Any]:
         "partitions": partitions,
         "detection_counter": matcher._detection_counter,
         # Kept beside ``stats`` rather than in it: a matcher whose stats
-        # lack the counter still loads this snapshot, and vice versa.
+        # lack these counters still loads this snapshot, and vice versa.
         "completions_skipped": stats.pop("completions_skipped"),
+        "runs_dominated": stats.pop("runs_dominated"),
         "stats": stats,
     }
 
@@ -287,6 +291,7 @@ def restore_matcher(matcher: PatternMatcher, state: Mapping[str, Any]) -> None:
         matcher.stats = MatcherStats(
             **state["stats"],
             completions_skipped=int(state.get("completions_skipped", 0)),
+            runs_dominated=int(state.get("runs_dominated", 0)),
         )
         # The quiescent-skip gate reads the O(1) activity caches; leaving
         # them stale after a restore would let it elide events that should

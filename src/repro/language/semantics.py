@@ -10,7 +10,9 @@ Turns a raw :class:`~repro.language.ast_nodes.Query` into an
   variable (*incremental* predicates), on candidate events of a negated
   variable, or at match completion;
 * validates and compiles ``RANK BY`` keys, and derives whether the primary
-  key can act as a completing-edge cut (:func:`completion_cut`);
+  key can act as a completing-edge cut (:func:`completion_cut`) and whether
+  runs of a trailing Kleene stage can be compared by dominance
+  (:func:`run_dominance`);
 * fills in defaults (selection strategy, emission policy) and enforces the
   clause interactions documented in DESIGN.md (e.g. ``RANK BY`` requires a
   ``WITHIN`` window that defines its ranking scope).
@@ -18,12 +20,13 @@ Turns a raw :class:`~repro.language.ast_nodes.Query` into an
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.events.event import Event
-from repro.events.schema import SchemaRegistry
+from repro.events.schema import AttributeSpec, SchemaRegistry
 from repro.language.ast_nodes import (
     Aggregate,
     AttrRef,
@@ -42,6 +45,7 @@ from repro.language.ast_nodes import (
     Unary,
     UnaryOp,
     VarRef,
+    WindowKind,
     WindowSpec,
     iter_subexpressions,
     referenced_variables,
@@ -50,6 +54,7 @@ from repro.language.ast_nodes import (
 from repro.language.errors import CEPRSemanticError
 from repro.language.expressions import Evaluator, compile_expr
 from repro.language.fingerprint import predicate_fingerprint
+from repro.language.intervals import IntervalEvaluator
 from repro.language.optimizer import optimize
 from repro.language.printer import format_expr
 
@@ -163,8 +168,9 @@ class AnalyzedQuery:
     def has_epoch_bound(self) -> bool:
         """Whether each tumbling epoch keeps a bounded top-k, so its k-th
         retained key θ exists: ``RANK BY``, ``LIMIT`` and ``EMIT ON WINDOW
-        CLOSE``.  The scope of score-bound pruning and of the
-        completing-edge cut (:func:`completion_cut`)."""
+        CLOSE``.  The scope of score-bound pruning, of the completing-edge
+        cut (:func:`completion_cut`) and of run dominance
+        (:func:`run_dominance`)."""
         return (
             bool(self.rank_keys)
             and self.limit is not None
@@ -574,11 +580,7 @@ def completion_cut(
             "possibly past their epoch's close"
         )
 
-    def declared(var: str, attr: str) -> str | None:
-        schema = registry.get(analyzed.variables[var].event_type) if registry else None
-        spec = schema.attribute(attr) if schema is not None else None
-        return spec.dtype if spec is not None and spec.required else None
-
+    declared = _required_attribute(analyzed, registry)
     primary, *secondary = analyzed.rank_keys
     # (where, expression, the value kinds it may have).  The scorer
     # evaluates every key of every match, so a secondary key that could
@@ -603,7 +605,23 @@ def completion_cut(
     return (lambda bindings, event: -raw(bindings, event)), "active"
 
 
-def _cut_kind(expr: Expr, declared: Callable[[str, str], str | None]) -> str:
+def _required_attribute(
+    analyzed: AnalyzedQuery, registry: SchemaRegistry | None
+) -> Callable[[str, str], AttributeSpec | None]:
+    """``declared(var, attr)``: the registry's declaration of ``var.attr``
+    when it is required — then every event a query reads carries a value
+    that passed it (ingested events at ``push``, YIELD-derived ones when
+    derived)."""
+
+    def declared(var: str, attr: str) -> AttributeSpec | None:
+        schema = registry.get(analyzed.variables[var].event_type) if registry else None
+        found = schema.attribute(attr) if schema is not None else None
+        return found if found is not None and found.required else None
+
+    return declared
+
+
+def _cut_kind(expr: Expr, declared: Callable[[str, str], AttributeSpec | None]) -> str:
     """``"number"``, ``"bool"`` or ``"str"``: the value kind of an
     expression the cut may skip without hiding an evaluation error.
 
@@ -618,7 +636,8 @@ def _cut_kind(expr: Expr, declared: Callable[[str, str], str | None]) -> str:
             return "bool"
         return "str" if isinstance(expr.value, str) else "number"
     if isinstance(expr, AttrRef):
-        dtype = declared(expr.var, expr.attr)
+        found = declared(expr.var, expr.attr)
+        dtype = found.dtype if found is not None else None
         if dtype in ("int", "float"):
             return "number"
         if dtype == "str":
@@ -676,6 +695,175 @@ def _cut_key(expr: Expr, final_var: str) -> CutKey:
     op = _CUT_ARITH[expr.op]
     left, right = _cut_key(expr.left, final_var), _cut_key(expr.right, final_var)
     return lambda bindings, event: op(left(bindings, event), right(bindings, event))
+
+
+#: ``component(run)``: one direction-normalised component (smaller is
+#: better) of a final-stage run's dominance vector.  ``run`` is the
+#: engine's run (``bindings``, ``agg_states``, ``first_ts``).
+Component = Callable[[Any], Any]
+
+
+@dataclass(frozen=True)
+class RunDominance:
+    """The armed form of :func:`run_dominance`: how to place a run of the
+    trailing Kleene stage against the others of its partition."""
+
+    #: the top-k size: a run is dropped once ``k`` others dominate it
+    k: int
+    #: strict components first (one per ``count(V)`` or singleton key),
+    #: then the rest (``max``/``min`` keys, and ``-first_ts`` under a time
+    #: window); see :attr:`strict`
+    components: tuple[Component, ...]
+    #: how many leading components keep a strict advantage under every
+    #: extension — a dominator must be strictly better in one of them
+    strict: int
+
+
+def run_dominance(
+    analyzed: AnalyzedQuery, registry: SchemaRegistry | None
+) -> tuple[RunDominance | None, str]:
+    """The runs of a trailing Kleene stage as comparable vectors, or why not.
+
+    Returns ``(dominance, "active")``, or ``(None, reason)`` naming the
+    first condition that fails.  Two runs parked on the trailing Kleene
+    stage V see the same future: V's element predicates read only the
+    element, so a later event extends both or neither, and each key of
+    the extended match moves monotonically in the run's current value.  A
+    run that ``k`` others beat under every future can never place, and
+    the matcher drops it (DESIGN.md, "Where dominance acts").  Every
+    condition below is what makes that exact.
+    """
+    if not analyzed.has_epoch_bound:
+        return None, "scope: needs RANK BY, LIMIT and EMIT ON WINDOW CLOSE"
+    if analyzed.strategy is not SelectionStrategy.SKIP_TILL_ANY:
+        return None, (
+            f"strategy: under {analyzed.strategy.value} a run that takes an "
+            f"event stops skipping it, so two runs' futures differ"
+        )
+    final = analyzed.positives[-1]
+    if not final.is_kleene:
+        return None, "final stage: needs a trailing Kleene stage"
+    for negation in analyzed.negations:
+        if negation.trailing:
+            return None, (
+                "final stage: a trailing negation holds completions pending, "
+                "possibly past their epoch's close"
+            )
+        if negation.before == final.position:
+            return None, (
+                f"final stage: NOT {negation.element.event_type} "
+                f"{negation.element.variable} kills runs awaiting "
+                f"{final.name}'s first element but not open ones"
+            )
+    if analyzed.completion_predicates:
+        return None, (
+            f"completion predicate: "
+            f"{format_expr(analyzed.completion_predicates[0].expr)} is "
+            f"evaluated per match, not per element"
+        )
+
+    declared = _required_attribute(analyzed, registry)
+    name = final.name
+    strict: list[Component] = []
+    loose: list[Component] = []
+    where = "element predicate"
+    try:
+        for predicate in analyzed.predicates_at[name]:
+            others = sorted(predicate.variables - {name})
+            if others:
+                raise _CutBlocked(
+                    f"element predicate: {format_expr(predicate.expr)} reads "
+                    f"{others[0]!r}, so runs may accept different events"
+                )
+            if _cut_kind(predicate.expr, declared) != "bool":
+                raise _CutShape(format_expr(predicate.expr))
+        where = "key"
+        # every variable ranges over its declared domain (imported here:
+        # the analysis package builds on this module)
+        from repro.language.analysis.satisfiability import _unbound_view
+
+        unbound = IntervalEvaluator(_unbound_view(analyzed, registry or SchemaRegistry()))
+        for key in analyzed.rank_keys:
+            component, is_strict = _dominance_component(key, name, declared, unbound)
+            (strict if is_strict else loose).append(component)
+    except _CutShape as shape:
+        return None, f"{where} shape: {shape} is outside what dominance compares"
+    except _CutBlocked as blocked:
+        return None, str(blocked)
+    if not strict:
+        return None, (
+            f"keys: none keeps a strict advantage under every extension "
+            f"(needs count({name}) or a key over earlier singletons)"
+        )
+    assert analyzed.window is not None and analyzed.limit is not None
+    if analyzed.window.kind is WindowKind.TIME:
+        # A dominator must outlive what it drops: a run born no earlier
+        # leaves its time window no earlier.
+        loose.append(lambda run: -run.first_ts)
+    return (
+        RunDominance(analyzed.limit, (*strict, *loose), len(strict)),
+        "active",
+    )
+
+
+def _dominance_component(
+    key: CompiledRankKey,
+    final_var: str,
+    declared: Callable[[str, str], AttributeSpec | None],
+    unbound: IntervalEvaluator,
+) -> tuple[Component, bool]:
+    """One ``RANK BY`` key as a run-vector component, and whether it is strict.
+
+    ``count(V)`` (strict: every extension adds the same number to both
+    runs), ``max(V.a)``/``min(V.a)`` (monotone but not strict: a shared
+    future element can erase the gap) with the aggregate's identity while
+    V is still empty, or a number over earlier singletons (a constant per
+    run, strict).  A key that could be NaN — and order the epoch's top-k
+    by arrival — is refused.  Raises :class:`_CutShape` /
+    :class:`_CutBlocked` otherwise.
+    """
+    expr = key.expr
+    sign = 1 if key.direction is Direction.ASC else -1
+    if isinstance(expr, Aggregate) and expr.var == final_var:
+        if expr.func in ("count", "len"):
+            return (lambda run: sign * run.agg_states[final_var].count), True
+        if expr.func in ("max", "min") and expr.attr is not None:
+            attr = expr.attr
+            found = declared(final_var, attr)
+            if found is None or found.dtype not in ("int", "float"):
+                raise _CutBlocked(
+                    f"undeclared attribute: {final_var}.{attr} is not a required "
+                    f"int or float attribute of the schema registry"
+                )
+            if found.dtype == "float" and found.domain is None:
+                raise _CutBlocked(
+                    f"NaN: {format_expr(expr)} reads a float with no declared "
+                    f"domain, and a NaN key makes the epoch's top-k order-dependent"
+                )
+            # the aggregate's identity while V awaits its first element
+            identity = -math.inf if expr.func == "max" else math.inf
+            read = operator.attrgetter("maximum" if expr.func == "max" else "minimum")
+
+            def extreme(run: Any) -> Any:
+                value = read(run.agg_states[final_var].attrs[attr])
+                return sign * (identity if value is None else value)
+
+            return extreme, False
+    if _cut_kind(expr, declared) != "number":
+        raise _CutShape(format_expr(expr))
+    # Every subexpression, not just the key: max2(min2(x * 1e308 * 10 -
+    # x * 1e308 * 10, 5), 0) is bounded by [0, 5] yet evaluates to NaN.
+    for node in iter_subexpressions(expr):
+        bound = unbound.bound(node)
+        if bound is None or not (math.isfinite(bound.lo) and math.isfinite(bound.hi)):
+            raise _CutBlocked(
+                f"NaN: {format_expr(node)} has no finite bound over declared "
+                f"domains, and a NaN key makes the epoch's top-k order-dependent"
+            )
+    # RANK BY reads a Kleene variable only through aggregates, so this is
+    # a number over the singletons bound before V: the event is never read.
+    raw = _cut_key(expr, final_var)
+    return (lambda run: sign * raw(run.bindings, None)), True
 
 
 def _validate_complete_match_expr(

@@ -229,6 +229,11 @@ QUERY: tuple[Spec, ...] = (
         _stat("completions_skipped"),
     ),
     Spec(
+        "runs_dominated_total",
+        "Trailing-Kleene runs dropped as beaten by k runs of their partition under every future",
+        _stat("runs_dominated"),
+    ),
+    Spec(
         "runs_expired_total",
         "Runs dropped by window or epoch expiry",
         _stat("runs_expired"),
@@ -466,6 +471,7 @@ _STATS_COLUMNS = (
     "runs_created",
     "runs_pruned",
     "completions_skipped",
+    "runs_dominated",
     "peak_live_runs",
     "live_runs",
     # Events that matched the query's types but carried no partition key:

@@ -340,14 +340,14 @@ class _TumblingRanker(Ranker):
         self._current_epoch = state["current_epoch"]
         self._epoch_buffers = {}
         for key, item in state["epochs"].items():
-            # Stored best-first and within capacity, so re-inserting
-            # cannot evict; the discard count carries over verbatim, and so
-            # does whether a NaN key (maybe evicted since) voided θ — a
-            # snapshot written before the flag existed reads as ordered.
-            self._absorb([rescore(encoded) for encoded in item["matches"]])
-            buffer = self._epoch_buffers[int(key)]
-            buffer.discarded = int(item["discarded"])
-            buffer.unordered = buffer.unordered or bool(item.get("unordered", False))
+            # The discard count carries over verbatim, and so does whether
+            # a NaN key (maybe evicted since) voided θ.
+            buffer = self._epoch_buffers[int(key)] = EpochTopK(self.limit)
+            buffer.restore(
+                [rescore(encoded) for encoded in item["matches"]],
+                int(item["discarded"]),
+                bool(item.get("unordered", False)),
+            )
 
 
 class _PassThroughRanker(Ranker):

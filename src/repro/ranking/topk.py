@@ -99,6 +99,16 @@ class EpochTopK:
         """Best-first snapshot."""
         return list(self._matches)
 
+    def restore(self, matches: list[Match], discarded: int, unordered: bool) -> None:
+        """Hold ``matches`` exactly as a checkpoint stored them (best-first,
+        within capacity).  Inserting them again would re-sort them, and keys
+        a NaN left unordered have no sorted place to return to."""
+        self._matches = list(matches)
+        self._keys = [match.sort_key() for match in self._matches]
+        self.discarded = discarded
+        # a snapshot written before the flag existed reads its held keys
+        self.unordered = unordered or any(key[0] != key[0] for key in self._keys)
+
 
 class SlidingRanking:
     """The live matches that can still reach the top k: a k-skyband.

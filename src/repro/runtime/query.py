@@ -25,7 +25,7 @@ from repro.events.schema import SchemaError, SchemaRegistry
 from repro.language.ast_nodes import EmitKind
 from repro.language.errors import EvaluationError
 from repro.language.expressions import EvalContext
-from repro.language.semantics import AnalyzedQuery, completion_cut
+from repro.language.semantics import AnalyzedQuery, completion_cut, run_dominance
 from repro.observability.instruments import cost_accounts, register_query
 from repro.observability.profiling import StageProfile
 from repro.observability.registry import MetricsRegistry
@@ -93,16 +93,19 @@ class RegisteredQuery(SinkOwner):
         self._last_ts = 0.0
         self._flushed = False
 
-        # The epoch's k-th retained key θ acts at two points, both switched
-        # by ``enable_pruning``: the pruner bounds every partial run the
-        # matcher keeps, and the completing-edge cut skips completions
-        # strictly worse than θ (where ``completion_cut`` proves it exact).
+        # Ranking-aware execution acts at three points, all switched by
+        # ``enable_pruning``: the pruner bounds every partial run the
+        # matcher keeps against the epoch's k-th retained key θ, the
+        # completing-edge cut skips completions strictly worse than θ, and
+        # run dominance drops trailing-Kleene runs k others beat under
+        # every future (each where ``semantics`` proves it exact).
         self.pruner: ScoreBoundPruner | None = None
-        cut_key = None
+        cut_key = dominance = None
         if not enable_pruning:
-            self.cut_status = "disabled by engine configuration"
+            self.cut_status = self.dominance_status = "disabled by engine configuration"
         else:
             cut_key, self.cut_status = completion_cut(analyzed, registry)
+            dominance, self.dominance_status = run_dominance(analyzed, registry)
             if analyzed.has_epoch_bound:
                 self.pruner = ScoreBoundPruner(
                     analyzed, self.automaton, registry, self.ranker.kth_bound_for_epoch
@@ -117,6 +120,8 @@ class RegisteredQuery(SinkOwner):
         )
         if cut_key is not None:
             self.matcher.arm_completion_cut(cut_key, self.ranker.kth_bound_for_epoch)
+        if dominance is not None:
+            self.matcher.arm_run_dominance(dominance)
 
         self._lenient_errors = lenient_errors
         self._registry = registry
@@ -443,6 +448,7 @@ class RegisteredQuery(SinkOwner):
             self.automaton,
             pruning_enabled=self.pruner is not None,
             cut_status=self.cut_status,
+            dominance_status=self.dominance_status,
         )
         if self.shared is not None:
             text += f"\n{self._sharing_block()}"

@@ -28,12 +28,14 @@ Checks, by hook point:
     the list-and-sort scope did (a prefix of the insertion order, by each
     match's own completion point), agrees with the k-skyband after every
     step: ``ranking()`` is ``sorted(shadow)[:k]`` while the keys are ordered;
-``matcher.prune_hook`` / ``matcher._skip_completion``
+``matcher.prune_hook`` / ``_skip_completion`` / ``_drop_dominated``
     **score-bound** — on every pruner call the compiled shape bound is no
     tighter than ``IntervalEvaluator`` over the same run; every
     completion the completing-edge cut skips, re-run through the
     unskipped path (predicates, ``Match``, ``Scorer``), would have been
-    rejected by its epoch's ``EpochTopK``;
+    rejected by its epoch's ``EpochTopK``; every run that run dominance
+    drops is strictly dominated by k kept runs, its vectors recomputed
+    from bindings by the reference aggregate evaluator;
     **matcher-activity-cache** — the O(1) activity caches behind the
     quiescent-skip gate agree with a recount;
     **run-monotonicity** / **dangling-binding** — every live run's
@@ -60,17 +62,21 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.engine.match import Match
-from repro.language.ast_nodes import Direction, WindowKind
+from repro.language.ast_nodes import Aggregate, Direction, WindowKind
 from repro.language.errors import EvaluationError
-from repro.language.expressions import evaluate_predicate
+from repro.language.expressions import EvalContext, evaluate_predicate
 from repro.language.intervals import IntervalEvaluator, PartialMatchView
-from repro.ranking.keys import normalise_bound
+from repro.ranking.keys import normalise_bound, normalise_component
 from repro.sanitize.core import Sanitizer, ThreadAffinity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ranking.emission import Emission
     from repro.runtime.engine import CEPREngine
     from repro.runtime.query import RegisteredQuery
+
+#: an aggregate over a still-empty trailing Kleene variable: its identity,
+#: so that extending by elements S gives the aggregate of S.
+_IDENTITY = {"count": 0, "len": 0, "max": -math.inf, "min": math.inf}
 
 
 class InvariantChecker:
@@ -326,6 +332,65 @@ class InvariantChecker:
                 epoch=epoch,
             )
 
+    def check_dominated(self, query: "RegisteredQuery", dropped, kept, event) -> None:
+        """Each run dominance dropped is strictly dominated by k kept runs.
+
+        Recomputes every vector from the run's bindings with the reference
+        aggregate evaluator — not ``AggregateState`` — and applies the rule
+        from the query text, not from the armed closures: no worse in every
+        key, strictly better in a ``count`` or singleton key (a ``max`` or
+        ``min`` lead can vanish under a shared future element), and under a
+        time window born no earlier.
+        """
+        analyzed = query.analyzed
+        final = analyzed.positives[-1].name
+        last = len(analyzed.positives) - 1
+        keys = analyzed.rank_keys
+        assert analyzed.window is not None and analyzed.limit is not None
+        by_time = analyzed.window.kind is WindowKind.TIME
+        on_final = [
+            isinstance(key.expr, Aggregate) and key.expr.var == final for key in keys
+        ]
+        strict = [
+            not (on and key.expr.func in ("max", "min"))  # type: ignore[attr-defined]
+            for on, key in zip(on_final, keys)
+        ]
+
+        def vector(run) -> list:
+            ctx = EvalContext(bindings=run.bindings)
+            values = []
+            for on, key in zip(on_final, keys):
+                if on and final not in run.bindings:  # awaiting V's first element
+                    value = _IDENTITY[key.expr.func]  # type: ignore[attr-defined]
+                else:
+                    value = key.evaluator(ctx)
+                values.append(normalise_component(value, key.direction))
+            return values
+
+        def dominates(q, p) -> bool:
+            (q_vector, q_run), (p_vector, p_run) = q, p
+            return (
+                all(a <= b for a, b in zip(q_vector, p_vector))
+                and any(s and a < b for s, a, b in zip(strict, q_vector, p_vector))
+                and (not by_time or q_run.first_ts >= p_run.first_ts)
+            )
+
+        rivals = [(vector(run), run) for run in kept if run.stage == last]
+        for run in dropped:
+            victim = (vector(run), run)
+            dominators = sum(1 for rival in rivals if dominates(rival, victim))
+            if dominators < analyzed.limit:
+                self.san.trip(
+                    "score-bound",
+                    f"query {query.name!r}: run dominance dropped a run of "
+                    f"{final} at seq={event.seq} (keys {victim[0]!r}) that only "
+                    f"{dominators} kept run(s) strictly dominate; it needs "
+                    f"k={analyzed.limit}",
+                    query=query.name,
+                    seq=event.seq,
+                    dominators=dominators,
+                )
+
     # -- matcher state ------------------------------------------------------------
 
     def check_matcher(self, query: "RegisteredQuery") -> None:
@@ -559,6 +624,14 @@ def instrument_query(checker: InvariantChecker, query: "RegisteredQuery") -> Non
             checker.check_skipped_completion(query, run, event)
 
         matcher._skip_completion = skip_completion  # type: ignore[method-assign]
+    if matcher._dominance is not None:
+        orig_drop = matcher._drop_dominated
+
+        def drop_dominated(dropped, kept, event):
+            orig_drop(dropped, kept, event)
+            checker.check_dominated(query, dropped, kept, event)
+
+        matcher._drop_dominated = drop_dominated  # type: ignore[method-assign]
 
 
 def instrument_sliding(checker: InvariantChecker, query: "RegisteredQuery") -> None:

@@ -1,13 +1,21 @@
 """Unit tests for incremental aggregate state."""
 
+import pytest
+
 from repro.engine.aggregates import (
     AggregateState,
     needed_aggregates,
     tracked_attrs_by_var,
 )
+from repro.engine.compiler import compile_automaton
+from repro.engine.matcher import PatternMatcher
 from repro.events.event import Event
+from repro.events.time import SequenceAssigner
+from repro.language.errors import EvaluationError
 from repro.language.parser import parse_query
 from repro.language.ast_nodes import split_conjuncts
+from repro.language.semantics import analyze
+from repro.runtime.serialize import match_to_json
 
 
 class TestAggregateState:
@@ -50,17 +58,79 @@ class TestAggregateState:
         assert base.lookup("max", "x") == 1.0
         assert extended.lookup("max", "x") == 100.0
 
-    def test_missing_attr_on_event_skipped(self):
-        state = AggregateState.for_attrs(["x"])
-        state = state.accept(Event("B", 0))  # no x
-        assert state.count == 1
-        assert state.lookup("sum", "x") == 0.0
+    def test_missing_attr_makes_the_attribute_inexact(self):
+        """The reference raises on the missing value: nothing is served."""
+        state = self.make_state(1.0).accept(Event("B", 1))  # no x
+        state = state.accept(Event("B", 2, x=5.0))
+        assert state.lookup("count", None) == 3
+        for func in ("sum", "avg", "min", "max", "first", "last"):
+            assert state.lookup(func, "x") is None
 
-    def test_non_numeric_values_tracked_for_first_last_only(self):
-        state = AggregateState.for_attrs(["x"])
-        state = state.accept(Event("B", 0, x="hello"))
-        assert state.lookup("first", "x") == "hello"
-        assert state.lookup("min", "x") is None
+    def test_non_numeric_value_makes_the_attribute_inexact(self):
+        for value in ("hello", True, None):
+            state = self.make_state(value, 5.0)
+            for func in ("sum", "avg", "min", "max", "first", "last"):
+                assert state.lookup(func, "x") is None
+
+    def test_int_sums_stay_ints_like_the_builtin(self):
+        assert self.make_state(1, 2).lookup("sum", "x") == 3
+        assert type(self.make_state(1, 2).lookup("sum", "x")) is int
+
+
+def matcher_outcome(text, events, track, lenient):
+    """Lines a matcher emits with tracking on or off, or what it raised."""
+    analyzed = analyze(parse_query(text))
+    matcher = PatternMatcher(
+        compile_automaton(analyzed), track_aggregates=track, lenient_errors=lenient
+    )
+    assigner = SequenceAssigner()
+    out = []
+    try:
+        for event in events():
+            assigner.assign(event)
+            out.extend(sorted(match_to_json(m).items()) for m in matcher.process(event))
+    except EvaluationError as exc:
+        return "raised", str(exc)
+    return out, matcher.stats.evaluation_errors
+
+
+class TestCacheAgreesWithTheReference:
+    """``track_aggregates`` is an optimisation: output, error counters and
+    the exception itself equal recomputing every aggregate from bindings."""
+
+    @staticmethod
+    def events():
+        return [Event("A", 0.0), Event("B", 1.0, y=1), Event("B", 2.0, x=5)]
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    @pytest.mark.parametrize(
+        "condition", ["sum(bs.x) > 0", "first(bs.x) > 0", "max(bs.x) > 0", "avg(bs.x) > 0"]
+    )
+    def test_an_element_without_the_attribute(self, condition, lenient):
+        text = (
+            f"PATTERN SEQ(A a, B bs+) WHERE {condition} "
+            f"WITHIN 10 EVENTS USING SKIP_TILL_NEXT"
+        )
+        tracked = matcher_outcome(text, self.events, True, lenient)
+        reference = matcher_outcome(text, self.events, False, lenient)
+        assert tracked == reference
+        if lenient:
+            assert tracked[0] == [] and tracked[1] > 0
+        else:
+            assert tracked[0] == "raised"
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_a_bool_element(self, lenient):
+        def events():
+            return [Event("A", 0.0), Event("B", 1.0, x=True), Event("B", 2.0, x=2)]
+
+        text = (
+            "PATTERN SEQ(A a, B bs+) WHERE sum(bs.x) > 2 "
+            "WITHIN 10 EVENTS USING SKIP_TILL_NEXT"
+        )
+        tracked = matcher_outcome(text, events, True, lenient)
+        assert tracked == matcher_outcome(text, events, False, lenient)
+        assert len(tracked[0]) == 1  # True + 2 == 3: the builtin's answer
 
 
 class TestNeededAggregates:

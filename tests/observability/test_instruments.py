@@ -93,6 +93,7 @@ class TestExportedSurface:
             "query_solo_fallback",
             "completions_skipped_total",
             "ranker_held_matches",
+            "runs_dominated_total",
         }
 
     def test_catalogue_in_the_docs_is_the_table(self):

@@ -171,9 +171,16 @@ EXACT_STATS = (
     "revisions",
     "runs_created",
     "runs_pruned",
+    "runs_dominated",
     "partition_skips",
     "live_runs",
 )
+
+#: counts that follow θ, the epoch's k-th score.  Each shard prunes against
+#: its own θ, never better than one engine's, so a fleet prunes no more runs
+#: and builds no fewer matches (DESIGN.md "Sharding"); a run one engine
+#: kills, the fleet has not pruned, so it kills it too.
+THETA_COUNTS = ("matches", "runs_pruned", "runs_killed", "prune_ratio")
 
 
 class TestEndToEndShardSplit:
@@ -233,7 +240,9 @@ class TestEndToEndShardSplit:
         a query awake for its shard only), so every lazily settled
         counter — routed events, latency counts, memo hits, errors — is
         settled at different moments on each shard.  The fleet's rows and
-        cost accounts must still equal one engine's, query for query.
+        cost accounts must still equal one engine's, query for query,
+        except the θ counts, which obey the documented inequality (a fleet
+        prunes fewer runs on B@p1 x=72, A@p1, B@p0 x=71 over two shards).
         """
         def stream():
             return [
@@ -263,11 +272,15 @@ class TestEndToEndShardSplit:
         single_costs, fleet_costs = engine.cost_accounts(), runner.cost_accounts()
         for name in ALERTS:
             for key in EXACT_STATS:
-                assert fleet_rows[name][key] == single_rows[name][key], (name, key)
+                if key not in THETA_COUNTS:
+                    assert fleet_rows[name][key] == single_rows[name][key], (name, key)
             single, merged = single_costs[name].to_dict(), fleet_costs[name].to_dict()
             for key in single:
-                if "cpu" not in key and key != "parts":
+                if "cpu" not in key and key != "parts" and key not in THETA_COUNTS:
                     assert merged[key] == pytest.approx(single[key]), (name, key)
+            assert merged["matches"] >= single["matches"], name
+            assert merged["runs_pruned"] <= single["runs_pruned"], name
+            assert merged["runs_killed"] >= single["runs_killed"], name
             assert (
                 runner.metrics_registry().get("latency_seconds", query=name).count
                 == single_rows[name]["events_routed"]

@@ -192,6 +192,7 @@ class TestStatsRows:
             "runs_created",
             "runs_pruned",
             "completions_skipped",
+            "runs_dominated",
             "peak_live_runs",
             "live_runs",
             "partition_skips",

@@ -4,15 +4,18 @@ Each test injects one representative bug of the class the check guards
 against — an unsound interval evaluator, a completing-edge cut that
 skips ties, a compiled score bound one ulp too tight, a broken top-k insert,
 a sliding k-skyband that drops a match one dominator early or expires it
-by its own completion point, a refcount leak, a lock-order inversion, a cross-thread mutation, a lossy
-restore, a rewound sequencer, a stale activity cache, a blocked event
-loop — and asserts the corresponding trip fires.  Together with the
+by its own completion point, run dominance that drops a run one dominator
+early or takes a ``max``-only lead for a strict one, a refcount leak, a
+lock-order inversion, a cross-thread mutation, a lossy restore, a rewound
+sequencer, a stale activity cache, a blocked event loop — and asserts the
+corresponding trip fires.  Together with the
 clean-run zero-trip assertions (and the whole suite running under
 ``CEPR_SANITIZE=1`` in CI), this is the evidence the sanitizer detects
 real defects without false positives.
 """
 
 import asyncio
+import dataclasses
 import math
 import random
 import threading
@@ -29,6 +32,7 @@ from repro.ranking.topk import EpochTopK, SlidingRanking
 from repro.runtime.router import SharedExecutionIndex
 from repro.sanitize import Sanitizer, SanitizerError
 from repro.sanitize.aio import LoopStallWatchdog
+from repro.workloads.sensor import VitalsWorkload
 from repro.workloads.stock import StockWorkload
 
 RANKED = """
@@ -225,6 +229,58 @@ class TestSlidingSkyband:
     @pytest.mark.parametrize("negation", ["", ", NOT Buy n"])
     def test_skyband_is_quiet(self, negation, emit):
         assert sliding_trips(SLIDING.format(negation=negation, emit=emit)) == 0
+
+
+DOMINANCE = """
+    PATTERN SEQ(HeartRate onset, HeartRate spikes+)
+    WHERE onset.value > 90 AND spikes.value > 90
+    WITHIN 40 EVENTS
+    USING SKIP_TILL_ANY
+    PARTITION BY patient
+    RANK BY max(spikes.value) DESC, count(spikes) DESC
+    LIMIT 2
+    EMIT ON WINDOW CLOSE
+"""
+
+
+def dominance_trips(monkeypatch=None, defect=None):
+    """(runs dropped, ``score-bound`` trips) of run dominance over vitals,
+    with ``defect`` rewriting the armed :class:`RunDominance` first."""
+    if defect is not None:
+        dominate = PatternMatcher._dominate
+        monkeypatch.setattr(
+            PatternMatcher,
+            "_dominate",
+            lambda self, runs, event, armed: dominate(self, runs, event, defect(armed)),
+        )
+    workload = VitalsWorkload(seed=11, anomaly_rate=0.2, episode_length=16, patients=4)
+    engine = log_engine(registry=workload.registry())
+    handle = engine.register_query(DOMINANCE)
+    engine.run(workload.events(1200))
+    return handle.matcher.stats.runs_dominated, engine.sanitizer.trips["score-bound"]
+
+
+class TestRunDominance:
+    def test_dropping_at_k_minus_one_dominators_trips(self, monkeypatch):
+        # Seeded defect: a run leaves once k-1 others dominate it — one
+        # short of what keeps every future of it out of the top k.
+        dropped, trips = dominance_trips(
+            monkeypatch, lambda armed: dataclasses.replace(armed, k=armed.k - 1)
+        )
+        assert dropped > 0 and trips > 0
+
+    def test_non_strict_dominance_on_a_max_only_tie_trips(self, monkeypatch):
+        # Seeded defect: every component counts as strict, so a run that
+        # ties on count(spikes) and leads only on max(spikes.value) — a lead
+        # one shared future spike erases — is taken for a dominator.
+        dropped, trips = dominance_trips(
+            monkeypatch, lambda armed: dataclasses.replace(armed, strict=len(armed.components))
+        )
+        assert dropped > 0 and trips > 0
+
+    def test_skyband_is_quiet(self):
+        dropped, trips = dominance_trips()
+        assert dropped > 0 and trips == 0
 
 
 class TestSharedIndexCoherence:
