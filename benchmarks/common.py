@@ -339,9 +339,10 @@ def run_multi_query(
     predicate index / prefix pool / quiescent gate off — the independent
     baseline of the shared-execution scaling curve.
 
-    ``extra`` carries the engine's sharing counters and the per-event cost
-    in microseconds, so the harness can print evaluations saved alongside
-    throughput.
+    ``extra`` carries the engine's sharing counters, the per-event cost
+    in microseconds, and the (query, event) pairs the engine processed —
+    routed minus the ones the sharing layer elided — so the harness can
+    print evaluations saved and work done alongside throughput.
     """
     stream = fresh_events(events)
     engine = CEPREngine(
@@ -353,6 +354,8 @@ def run_multi_query(
     started = time.perf_counter()
     engine.run(stream)
     elapsed = time.perf_counter() - started
+    counters = engine.shared_stats()
+    routed = sum(h.metrics.events_routed for h in handles)
     return RunResult(
         seconds=elapsed,
         events=len(stream),
@@ -361,7 +364,8 @@ def run_multi_query(
         runs_created=sum(h.matcher.stats.runs_created for h in handles),
         extra={
             "per_event_us": (elapsed / len(stream) * 1e6) if stream else 0.0,
-            **engine.shared_stats(),
+            "pairs_processed": routed - counters.get("events_gated", 0),
+            **counters,
         },
     )
 

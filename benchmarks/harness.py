@@ -38,7 +38,11 @@ from common import (  # noqa: E402
     vitals_stream,
 )
 from test_e7_emission import query_for as e7_query_for  # noqa: E402
-from test_e8_multiquery import disjoint_queries, overlapping_queries  # noqa: E402
+from test_e8_multiquery import (  # noqa: E402
+    disjoint_queries,
+    overlapping_queries,
+    template_queries,
+)
 from test_e9_domains import TRAFFIC_QUERY  # noqa: E402
 from test_e10_compile import CORPUS, compile_pipeline  # noqa: E402
 
@@ -241,6 +245,19 @@ def e8() -> None:
             fmt(routed.events_per_second, 0),
             fmt(broadcast.events_per_second, 0),
             fmt(overlapping.events_per_second, 0),
+        )
+
+    print("\n  shared vs independent, 4 stock alert templates (10k events):")
+    events, registry = stock_stream(10_000)
+    row("N queries", "shared ev/s", "indep. ev/s", "pairs/event")
+    for n in (1, 8, 64):
+        shared = run_multi_query(template_queries(n), events, registry)
+        independent = run_multi_query(template_queries(n), events, registry, shared=False)
+        row(
+            n,
+            fmt(shared.events_per_second, 0),
+            fmt(independent.events_per_second, 0),
+            fmt(shared.extra["pairs_processed"] / shared.events, 2),
         )
 
 

@@ -180,11 +180,15 @@ class PatternMatcher:
             (i, n) for i, n in enumerate(automaton.negations) if not n.before_is_end
         )
         self._last_stage_index = len(automaton.stages) - 1
-        # O(1) activity caches for shared execution: kept current by every
-        # state-changing entry point, read by the residual skip check that
-        # decides whether the query may go dormant.
+        # O(1) activity caches: kept current by every state-changing entry
+        # point (CEPRSan's ``matcher-activity-cache`` recounts them).
         self._live_runs_cached = 0
         self._pendings_cached = 0
+        #: set by a sharing router while the query is dormant: called with
+        #: ``(key, True)`` when a partition starts holding runs or pendings
+        #: and ``(key, False)`` when it stops (``_partitions`` holds exactly
+        #: the partitions with state, so these are its inserts and deletes).
+        self.on_partition: Callable[[tuple[Any, ...], bool], None] | None = None
         #: Fused per-edge closures (:func:`~repro.engine.compiler.
         #: compile_edges`): one call per edge check, not one per predicate.
         self._edges: CompiledEdges = compile_edges(self)
@@ -243,8 +247,8 @@ class PatternMatcher:
         """True when no partial run or pending match exists (O(1), cached).
 
         A quiescent matcher can only react to an event by *starting* a new
-        run; the engine's shared-execution fast path uses this to skip
-        dispatch entirely when the stage-0 gate fails (see
+        run.  The shared-execution skip check asks the same question of
+        the event's own partition (see
         :meth:`~repro.runtime.query.RegisteredQuery.skip_if_inert`).
         """
         return self._live_runs_cached == 0 and self._pendings_cached == 0
@@ -265,19 +269,41 @@ class PatternMatcher:
         self._pendings_cached = pendings
 
     def _note_activity(
-        self, partition: _Partition, runs_before: int, pendings_before: int
+        self,
+        key: tuple[Any, ...],
+        partition: _Partition,
+        runs_before: int,
+        pendings_before: int,
     ) -> None:
         """Fold one partition's change into the activity caches (O(1)).
 
         An event only ever touches its own partition, so the caches move
         by that partition's before/after lengths; CEPRSan's
-        ``matcher-activity-cache`` check recounts and compares.
+        ``matcher-activity-cache`` check recounts and compares.  A
+        partition left without runs or pendings is dropped.
         """
-        live = self._live_runs_cached + len(partition.runs) - runs_before
+        runs = len(partition.runs)
+        pendings = len(partition.pendings)
+        live = self._live_runs_cached + runs - runs_before
         self._live_runs_cached = live
-        self._pendings_cached += len(partition.pendings) - pendings_before
+        self._pendings_cached += pendings - pendings_before
         if live > self.stats.peak_live_runs:
             self.stats.peak_live_runs = live
+        held_before = runs_before or pendings_before
+        if not (runs or pendings):
+            del self._partitions[key]
+            if held_before and self.on_partition is not None:
+                self.on_partition(key, False)
+        elif not held_before and self.on_partition is not None:
+            self.on_partition(key, True)
+
+    def _drop_empty(self) -> None:
+        """Drop every partition left without runs or pendings."""
+        partitions = self._partitions
+        for key in [key for key, p in partitions.items() if not (p.runs or p.pendings)]:
+            del partitions[key]
+            if self.on_partition is not None:
+                self.on_partition(key, False)
 
     def process(self, event: Event) -> list[Match]:
         """Feed one event; returns the matches it completed (confirmed)."""
@@ -288,11 +314,15 @@ class PatternMatcher:
         if key is None:
             self.stats.events_skipped_no_key += 1
             return []
+        # Held in the table while the event runs (a pending parks itself
+        # there), dropped again by _note_activity if it stays empty.
         partition = self._partitions.get(key)
         if partition is None:
             partition = self._partitions[key] = _Partition()
-        runs_before = len(partition.runs)
-        pendings_before = len(partition.pendings)
+            runs_before = pendings_before = 0
+        else:
+            runs_before = len(partition.runs)
+            pendings_before = len(partition.pendings)
 
         completed: list[Match] = []
         epoch = self._epochs.epoch_of(event) if self._epochs is not None else None
@@ -303,7 +333,7 @@ class PatternMatcher:
         # (its guard interval covers only the latter).
         self._transition(partition, event, key, completed, epoch)
         self._apply_negations(partition, event)
-        self._note_activity(partition, runs_before, pendings_before)
+        self._note_activity(key, partition, runs_before, pendings_before)
         return completed
 
     def event_touches_state(self, event: Event, key: tuple[Any, ...]) -> bool:
@@ -321,7 +351,7 @@ class PatternMatcher:
         negative.
         """
         partition = self._partitions.get(key)
-        if partition is None or (not partition.runs and not partition.pendings):
+        if partition is None:
             return False
         if event.event_type in self._negation_types:
             # dropping a negated event could resurrect a doomed run/pending
@@ -369,6 +399,7 @@ class PatternMatcher:
             # No epoch cut here: a tumbling run dies at its own window end
             # or at the next event of a later epoch, as it always has.
             self._expire(partition, now, None, confirmed)
+        self._drop_empty()
         self._refresh_activity()
         return confirmed
 
@@ -385,6 +416,7 @@ class PatternMatcher:
                 confirmed.append(pending.match)
             partition.pendings.clear()
             partition.runs.clear()
+        self._drop_empty()
         self._live_runs_cached = 0
         self._pendings_cached = 0
         return confirmed

@@ -241,7 +241,10 @@ def decode_run(state: Mapping[str, Any], automaton: PatternAutomaton) -> Run:
 
 
 def encode_matcher(matcher: PatternMatcher) -> dict[str, Any]:
-    """Snapshot a matcher's mutable state (runs, pendings, counters)."""
+    """Snapshot a matcher's mutable state (runs, pendings, counters).
+
+    Only partitions holding runs or pendings exist, so only those travel.
+    """
     partitions = []
     for key, partition in matcher._partitions.items():
         partitions.append(
@@ -285,7 +288,10 @@ def restore_matcher(matcher: PatternMatcher, state: Mapping[str, Any]) -> None:
                     for pending in item["pendings"]
                 ],
             )
-            partitions[tuple(item["key"])] = partition
+            # Older snapshots also list partitions left empty; a matcher
+            # keeps only those holding runs or pendings.
+            if partition.runs or partition.pendings:
+                partitions[tuple(item["key"])] = partition
         matcher._partitions = partitions
         matcher._detection_counter = int(state["detection_counter"])
         matcher.stats = MatcherStats(

@@ -95,6 +95,10 @@ class Ranker:
         self.scoring_errors = 0
         #: Attached by the observability layer when tracing is enabled.
         self.tracer: Tracer | None = None
+        #: set by a sharing router while the query is dormant: called once
+        #: a step's matches leave the scope holding state (no longer
+        #: :meth:`inert_without_matches`), so it is offered every event.
+        self.on_busy: Callable[[], None] | None = None
         self._revision = 0
         self._init_scope()
 
@@ -117,9 +121,7 @@ class Ranker:
 
     def observe(self, event: Event, matches: Sequence[Match]) -> list[Emission]:
         """Process one event's completions; return triggered emissions."""
-        return self._step(
-            self._score_all(matches), event.seq, event.timestamp, 1, False
-        )
+        return self._advance(matches, event.seq, event.timestamp, 1, False)
 
     def tick(
         self, matches: Sequence[Match], seq: int, timestamp: float
@@ -131,13 +133,23 @@ class Ranker:
         time-periodic snapshots fire, sliding expiry by time runs);
         count-based scopes need events to advance.
         """
-        return self._step(self._score_all(matches), seq, timestamp, 0, False)
+        return self._advance(matches, seq, timestamp, 0, False)
 
     def observe_final(
         self, matches: Sequence[Match], last_seq: int, last_ts: float
     ) -> list[Emission]:
         """Absorb matches confirmed at stream end, then release all held."""
-        return self._step(self._score_all(matches), last_seq, last_ts, 0, True)
+        return self._advance(matches, last_seq, last_ts, 0, True)
+
+    def _advance(
+        self, matches: Sequence[Match], seq: int, ts: float, events: int, final: bool
+    ) -> list[Emission]:
+        """:meth:`_step` over the scored matches, then :attr:`on_busy` if
+        they left the scope holding state (only matches can)."""
+        emissions = self._step(self._score_all(matches), seq, ts, events, final)
+        if matches and self.on_busy is not None and not self.inert_without_matches():
+            self.on_busy()
+        return emissions
 
     def _step(
         self, matches: Sequence[Match], seq: int, ts: float, events: int, final: bool

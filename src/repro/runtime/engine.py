@@ -565,8 +565,9 @@ class CEPREngine(instruments.TelemetryViews):
                 "lateness-buffer configuration mismatch between snapshot "
                 "and engine (max_lateness must match)"
             )
-        # A sleeper may be handed live runs; settle first so its debt is not
-        # added on top of the restored counters.
+        # A dormant query may be handed runs in partitions it is not indexed
+        # under, or a ranker holding matches: wake everybody, settling first
+        # so no debt is added on top of the restored counters.
         self._router.wake_all()
         self._sequencer.restore(state["sequencer"])
         self.derived_events = int(state["derived_events"])
@@ -593,7 +594,7 @@ class CEPREngine(instruments.TelemetryViews):
         if enabled:
             if self.tracer is None:
                 self.tracer = Tracer()
-            self._router.wake_all()  # ROUTE spans are output: nobody sleeps
+            self._router.wake_all()  # ROUTE spans are output: nobody is dormant
         else:
             self.tracer = None
         for registered in self._queries.values():

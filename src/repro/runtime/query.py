@@ -130,8 +130,8 @@ class RegisteredQuery(SinkOwner):
         self._stage0 = self.automaton.stages[0]
         self._stage0_type = self._stage0.event_type
         #: set by a sharing :class:`~repro.runtime.router.EventRouter` for a
-        #: query that may sleep: called by :meth:`skip_if_inert` with this
-        #: query once it has proved itself inert.
+        #: query that may go dormant: called by :meth:`skip_if_inert` with
+        #: this query once it has proved itself inert for an event.
         self.on_inert: "Callable[[RegisteredQuery], None] | None" = None
         self._yielded_ids: set[int] = set()
         #: derived events whose YIELD assignments failed (lenient mode).
@@ -162,12 +162,14 @@ class RegisteredQuery(SinkOwner):
 
         Returns True — after doing the minimal bookkeeping a full
         :meth:`process` call would have done — only when *every* link of
-        the chain is provably inert for ``event``: the matcher holds no
-        partial runs or pending matches (so the event can at most start a
-        fresh run), the ranker would neither emit nor change state when
-        observed with zero matches, and the event cannot bind stage 0 —
-        either its type differs or the shared stage gate rejects it.
-        Tracing disables the path: spans are part of the observable output.
+        the chain is provably inert for ``event``: the ranker would
+        neither emit nor change state when observed with zero matches, and
+        the matcher would change nothing but counters — the event carries
+        no partition key (dropped, as :meth:`process` drops it, before any
+        predicate is consulted), or its partition holds no partial run or
+        pending match and the event cannot start one there (its type is
+        not stage 0's, or the shared stage gate rejects it).  Tracing
+        disables the path: spans are part of the observable output.
 
         The gate consultation charges any lenient evaluation errors to
         this query's matcher stats exactly as a full :meth:`process` would,
@@ -178,24 +180,28 @@ class RegisteredQuery(SinkOwner):
         timestamp feed ``flush`` emissions' ``at_seq``/``at_ts``, and the
         routed/processed counters (plus one zero latency sample — the
         elided pipeline's cost is by construction indistinguishable from
-        zero) keep ``cepr stats`` identical to independent execution.
+        zero, and a partition skip for a keyless event) keep ``cepr
+        stats`` identical to independent execution.
 
         A skipped query is also *demoted* (:attr:`on_inert`): the router
-        stops offering it events until its stage-0 gate opens, and books
-        the same bookkeeping in bulk for the events it sleeps through.
+        stops offering it events outside the partitions where it holds
+        state, unless they open its stage-0 gate, and books the same
+        bookkeeping in bulk for the events it is not offered.
         """
         if self.tracer is not None:
             return False
         shared = self.shared
         if shared is None or shared.current_event is not event:
             return False
-        matcher = self.matcher
-        if matcher._live_runs_cached or matcher._pendings_cached:
-            return False
         if not self.ranker.inert_without_matches():
             return False
-        if event.event_type == self._stage0_type and shared.stage_gate(
-            self._stage0, matcher.stats, matcher.lenient_errors
+        matcher = self.matcher
+        key = matcher._partitioner.key_of(event)
+        if key is None:
+            matcher.stats.events_skipped_no_key += 1
+        elif key in matcher._partitions or (
+            event.event_type == self._stage0_type
+            and shared.stage_gate(self._stage0, matcher.stats, matcher.lenient_errors)
         ):
             return False
         self.book_skipped(event)
@@ -207,7 +213,7 @@ class RegisteredQuery(SinkOwner):
         """Bookkeeping for ``count`` elided events, ``last`` being the latest.
 
         Called once per skipped pair by :meth:`skip_if_inert`, and in bulk
-        by the router for the events a dormant query slept through.
+        by the router for the events a dormant query was not offered.
         """
         self._last_seq = last.seq
         self._last_ts = last.timestamp

@@ -5,8 +5,9 @@ Two layers live here (see docs/SHARED_EXECUTION.md):
 * :class:`EventRouter` — the type-indexed dispatch table from events to
   queries, so pushing an event touches only interested queries instead of
   broadcasting (the original lever behind the multi-query experiment E8)
-  — and, with sharing on, only the *affected* ones: inert queries sleep
-  behind their stage-0 gate and are handed an event only when it opens.
+  — and, with sharing on, only the *affected* ones: an inert query goes
+  dormant and is handed only the events of partitions where it holds
+  state, or that open its stage-0 gate.
 * :class:`SharedExecutionIndex` — the cross-query sharing state that turns
   per-event serving cost from O(queries) toward O(distinct predicates):
 
@@ -32,7 +33,8 @@ Two layers live here (see docs/SHARED_EXECUTION.md):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from functools import partial
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.events.event import Event
 from repro.language.errors import EvaluationError
@@ -42,6 +44,7 @@ from repro.runtime.query import RegisteredQuery
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.matcher import MatcherStats
     from repro.engine.nfa import PatternAutomaton, Stage
+    from repro.engine.partitioner import Partitioner
     from repro.language.semantics import PredicateSpec
 
 
@@ -344,9 +347,9 @@ def _anchored_specs(
 
 
 class _WakeList:
-    """One interned stage-0 gate and the dormant queries it can wake."""
+    """One interned stage-0 gate and its dormant owners."""
 
-    __slots__ = ("stage", "leader", "sleepers", "failed")
+    __slots__ = ("stage", "leader", "dormant", "index", "failed", "shut")
 
     def __init__(self, stage: "Stage", leader: RegisteredQuery) -> None:
         self.stage = stage
@@ -354,42 +357,102 @@ class _WakeList:
         #: name, so the evaluating consult is charged where independent
         #: registration-order dispatch would charge it.
         self.leader = leader
-        self.sleepers: list[RegisteredQuery] = []
-        #: events on which the gate was evaluated for sleepers and stayed
-        #: shut; a sleeper other than the leader owes one memo hit for each.
+        #: the dormant owners (all share the leader's partitioner).
+        self.dormant: list[_Dormancy] = []
+        #: the stage-0 bucket's index for that partitioner, which reads the
+        #: key: a keyless event consults the gate for nobody.
+        self.index: _PartitionIndex | None = None
+        #: events on which the gate was evaluated for dormant owners and
+        #: stayed shut — each a memo hit for a non-leader owner's own
+        #: consult — and the latest of them.
         self.failed = 0
+        self.shut: Event | None = None
+
+
+class _PartitionIndex:
+    """A type bucket's dormant queries of one partitioner, by held partition."""
+
+    __slots__ = ("partitioner", "holders", "members", "keyless", "key")
+
+    def __init__(self, partitioner: "Partitioner") -> None:
+        self.partitioner = partitioner
+        #: partition key -> the members holding runs or pendings there.
+        self.holders: dict[tuple[Any, ...], list[_Dormancy]] = {}
+        self.members = 0
+        #: events of the bucket's type without this partitioner's key.
+        self.keyless = 0
+        #: the current event's key, read once for every member and gate.
+        self.key: tuple[Any, ...] | None = None
+
+    def admit(self, key: tuple[Any, ...], dormancy: "_Dormancy") -> None:
+        self.holders.setdefault(key, []).append(dormancy)
+
+    def release(self, key: tuple[Any, ...], dormancy: "_Dormancy") -> None:
+        holders = self.holders[key]
+        holders.remove(dormancy)
+        if not holders:
+            del self.holders[key]
 
 
 class _TypeBucket:
     """Who must see an event of one type."""
 
-    __slots__ = ("awake", "gates", "asleep", "events", "last_event")
+    __slots__ = ("awake", "indexes", "gates", "dormant", "events", "last_event")
 
     def __init__(self) -> None:
         #: registration order; replaced, never mutated in place, because a
         #: dispatch loop may be iterating the list :meth:`route` returned.
         self.awake: list[RegisteredQuery] = []
-        #: wake lists with sleepers whose stage 0 binds this type, in
+        #: the dormant queries interested in this type, one index per
+        #: distinct partitioner.
+        self.indexes: list[_PartitionIndex] = []
+        #: wake lists with dormant owners whose stage 0 binds this type, in
         #: leader registration order.
         self.gates: list[_WakeList] = []
         #: dormant queries interested in this type.
-        self.asleep = 0
-        #: events of this type that passed over at least one sleeper, and
-        #: the latest of them: what a sleeper is settled from.
+        self.dormant = 0
+        #: events of this type routed past dormant queries, and the latest
+        #: of them: what a dormant query is settled from.
         self.events = 0
         self.last_event: Event | None = None
 
+    def index_for(self, partitioner: "Partitioner") -> _PartitionIndex:
+        for index in self.indexes:
+            if index.partitioner.attributes == partitioner.attributes:
+                return index
+        index = _PartitionIndex(partitioner)
+        self.indexes = self.indexes + [index]
+        return index
+
 
 class _Dormancy:
-    """What a dormant query had seen when it fell asleep."""
+    """One dormant query, and what it had seen of its buckets' events.
 
-    __slots__ = ("gate", "failed_seen", "buckets", "events_seen")
+    ``events_seen`` counts the events it was offered, too, so the
+    difference to its buckets' counts is exactly what it was not.
+    """
 
-    def __init__(self, gate: _WakeList, buckets: list[_TypeBucket]) -> None:
+    __slots__ = (
+        "query", "gate", "buckets", "indexes",
+        "events_seen", "keyless_seen", "failed_seen",
+    )
+
+    def __init__(self, query: RegisteredQuery, gate: _WakeList) -> None:
+        self.query = query
         self.gate = gate
+        #: the buckets of its relevant types and its index in each.
+        self.buckets: list[_TypeBucket] = []
+        self.indexes: list[_PartitionIndex] = []
+        self.events_seen = self.keyless_seen = 0
         self.failed_seen = gate.failed
-        self.buckets = buckets
-        self.events_seen = [bucket.events for bucket in buckets]
+
+    def on_partition(self, key: tuple[Any, ...], held: bool) -> None:
+        """The matcher's ``on_partition``: keep every index current."""
+        for index in self.indexes:
+            if held:
+                index.admit(key, self)
+            else:
+                index.release(key, self)
 
 
 class EventRouter:
@@ -398,13 +461,20 @@ class EventRouter:
     When constructed with a :class:`SharedExecutionIndex` (the default
     inside :class:`~repro.runtime.engine.CEPREngine`), the router keeps the
     shared predicate/prefix entries in sync with registration, and
-    :meth:`route` is push-based: a query whose whole chain is inert sleeps
-    in the wake list of its stage-0 gate and is offered nothing until that
-    gate opens (docs/SHARED_EXECUTION.md, "Dormant and awake").  What the
-    per-pair skip used to book for a sleeper — routed/processed counts,
-    zero latency samples, memo hits, the last seen event — is owed instead
-    and paid by :meth:`settle`.  Without an index nobody sleeps and
-    :meth:`route` is the plain type bucket.
+    :meth:`route` is push-based: a query whose ranker is inert goes
+    dormant and is offered only the events of partitions where its matcher
+    holds runs or pendings, and those that open its stage-0 gate
+    (docs/SHARED_EXECUTION.md, "Dormant and awake").  What the per-pair
+    skip would have booked for the others — routed/processed counts, zero
+    latency samples, partition skips, memo hits, the last seen event — is
+    owed instead and paid by :meth:`settle`.  Without an index nobody is
+    dormant and :meth:`route` is the plain type bucket.
+
+    Every transition is driven from the per-event entry points: the skip
+    check demotes (``RegisteredQuery.on_inert``), the matcher reports a
+    partition gaining or losing state (``PatternMatcher.on_partition``),
+    and the ranker reports a step that left it holding matches
+    (``Ranker.on_busy``), which wakes the query for every event.
     """
 
     def __init__(self, shared: SharedExecutionIndex | None = None) -> None:
@@ -417,10 +487,10 @@ class EventRouter:
         #: first-registered query to anchor a fingerprint on an event type:
         #: in registration-order dispatch, the one charged its evaluation.
         self._first_anchor: dict[tuple[str, str], RegisteredQuery] = {}
-        #: wake list per interned stage 0 whose owners may sleep.
+        #: wake list per interned stage 0 whose owners may go dormant.
         self._gates: dict[int, _WakeList] = {}
         self._dormant: dict[RegisteredQuery, _Dormancy] = {}
-        #: True while some sleeper may be owed counts.
+        #: True while some dormant query may be owed counts.
         self._unsettled = False
 
     def add(self, query: RegisteredQuery) -> None:
@@ -437,22 +507,25 @@ class EventRouter:
             self._enlist(query)
 
     def _enlist(self, query: RegisteredQuery) -> None:
-        """Let ``query`` sleep if the router can stand in for its gate consult.
+        """Let ``query`` go dormant if the router can stand in for its gate
+        consult.
 
-        The router evaluates a sleeping gate ahead of every awake query
-        and charges the gate's first-registered owner.  That is where
+        The router evaluates a dormant owner's gate ahead of every awake
+        query and charges the gate's first-registered owner.  That is where
         registration-order dispatch charges it only if nobody registered
         earlier consults one of the gate's fingerprints on the same event
         type, so a gate sleeps only when its first owner is also the first
-        anchor of every predicate in it.  Two more gates never sleep: an
-        unconditional one opens on every stage-0 event (its owners would
-        only churn), and one with an unfingerprinted predicate has no
-        whole-stage memo to share.
+        anchor of every predicate in it — and only for owners keyed like
+        it, since an owner that drops the event for want of a key consults
+        nothing.  Two more gates never sleep: an unconditional one opens
+        on every stage-0 event (its owners would only churn), and one with
+        an unfingerprinted predicate has no whole-stage memo to share.
         """
         for event_type, spec in _anchored_specs(query.automaton):
             self._first_anchor.setdefault((event_type, spec.fingerprint), query)  # type: ignore[arg-type]
         stage = query.automaton.stages[0]
-        if id(stage) not in self._gates:
+        gate = self._gates.get(id(stage))
+        if gate is None:
             predicates = _gate_predicates(stage)
             if not predicates or any(
                 spec.fingerprint is None
@@ -460,12 +533,17 @@ class EventRouter:
                 for spec in predicates
             ):
                 return
-            self._gates[id(stage)] = _WakeList(stage, query)
+            gate = self._gates[id(stage)] = _WakeList(stage, query)
+        elif (
+            gate.leader.matcher._partitioner.attributes
+            != query.matcher._partitioner.attributes
+        ):
+            return
         query.on_inert = self._sleep
 
     def remove(self, query: RegisteredQuery) -> None:
-        # Churn is rare: wake everybody instead of re-deriving, asleep, who
-        # leads which gate and what each sleeper owes under the old leader.
+        # Churn is rare: wake everybody instead of re-deriving, dormant, who
+        # leads which gate and what each dormant query owes the old leader.
         self.wake_all()
         self._queries.remove(query)
         del self._rank[query]
@@ -487,101 +565,165 @@ class EventRouter:
     def route(self, event: Event) -> list[RegisteredQuery]:
         """Queries that must process ``event``, in registration order.
 
-        Every awake query interested in the type, plus the sleepers whose
-        stage-0 gate ``event`` opens — O(awake + distinct gates), however
-        many queries are registered.  A bucket nobody sleeps in costs one
+        Every awake query interested in the type, plus the dormant ones
+        holding state in the event's partition or whose stage-0 gate it
+        opens — O(awake + holders + distinct gates), however many queries
+        are registered.  A bucket without dormant queries costs one
         lookup.  Gates are evaluated through the shared per-event memo, so
         ``begin_event(event)`` must have armed it.
         """
         bucket = self._buckets.get(event.event_type)
         if bucket is None:
             return []
-        if bucket.asleep:
-            self._rouse(bucket, event)
+        if bucket.dormant:
+            return self._offer(bucket, event)
         return bucket.awake
 
-    def _rouse(self, bucket: _TypeBucket, event: Event) -> None:
-        """Evaluate each sleeping gate once; wake behind those that open."""
+    def _offer(self, bucket: _TypeBucket, event: Event) -> list[RegisteredQuery]:
+        """The awake queries plus the dormant ones ``event`` concerns.
+
+        Each partitioner's key is read once; a keyless event is dropped
+        for all its dormant queries before any gate is consulted, as each
+        would drop it.  Then each gate with dormant owners is evaluated
+        once, in its leader's name.
+        """
         shared = self.shared
         assert shared is not None and shared.current_event is event, (
             "route(event) reads the shared memo: begin_event(event) comes first"
         )
-        opened: list[_WakeList] = []
-        dormant = self._dormant
+        bucket.events += 1
+        bucket.last_event = event
+        self._unsettled = True
+        offered: list[_Dormancy] = []
+        for index in bucket.indexes:
+            key = index.key = index.partitioner.key_of(event)
+            if key is None:
+                index.keyless += 1
+                continue
+            holders = index.holders.get(key)
+            if holders:
+                offered += holders
+        held = len(offered)
+        saved = 0
         for gate in bucket.gates:
+            assert gate.index is not None
+            if gate.index.key is None:
+                continue
             leader = gate.leader
-            matcher = leader.matcher
-            leads_asleep = leader in dormant
-            if not leads_asleep and matcher._partitioner.key_of(event) is None:
-                # An awake leader drops a keyless event before consulting
-                # its gate, so the charge is not its to take: let the
-                # sleepers run their own skip checks on this one.
-                opened.append(gate)
-                continue
-            passed, errors, error = shared.gate_outcome(gate.stage, matcher.stats)
+            passed, errors, error = shared.gate_outcome(gate.stage, leader.matcher.stats)
             if passed:
-                opened.append(gate)
+                gate.shut = None
+                offered += gate.dormant
                 continue
-            sleepers = gate.sleepers
+            gate.shut = event
+            gate.failed += 1
+            leads_dormant = leader in self._dormant
+            # The memo hits the dormant owners' own consults would have been.
+            saved += len(gate.dormant) - leads_dormant
             if errors:
-                # Every owner is charged a gate's evaluation error.  An awake
-                # leader books its own when its matcher consults the memo;
-                # the sleepers (rare path) are charged here and now.
-                if not matcher.lenient_errors:
+                # Every owner is charged a gate's evaluation error.  Awake
+                # owners and dormant holders book their own when their
+                # matcher consults the memo; the rest (rare path) here.
+                if not leader.matcher.lenient_errors:
                     assert error is not None
                     raise error
-                for sleeper in sleepers:
-                    sleeper.matcher.stats.evaluation_errors += errors
-            gate.failed += 1
-            # The memo hits the sleepers' own consults would have been.
-            shared.predicate_evals_saved += len(sleepers) - leads_asleep
-        for gate in opened:
-            self._wake(gate)
-        if bucket.asleep:
-            bucket.events += 1
-            bucket.last_event = event
-            shared.events_gated += bucket.asleep
-            self._unsettled = True
+                holders = offered[:held]
+                for dormancy in gate.dormant:
+                    if dormancy not in holders:
+                        dormancy.query.matcher.stats.evaluation_errors += errors
+        if not offered:
+            shared.events_gated += bucket.dormant
+            shared.predicate_evals_saved += saved
+            return bucket.awake
+        if held and len(offered) > held:  # a holder whose gate opened
+            offered = list(dict.fromkeys(offered))
+        queries = list(bucket.awake)
+        for position, dormancy in enumerate(offered):
+            # Offered: it books this event itself, and a holder whose gate
+            # stayed shut consults it itself.
+            dormancy.events_seen += 1
+            gate = dormancy.gate
+            if position < held and gate.shut is event and dormancy.query is not gate.leader:
+                dormancy.failed_seen += 1
+                saved -= 1
+            queries.append(dormancy.query)
+        shared.events_gated += bucket.dormant - len(offered)
+        shared.predicate_evals_saved += saved
+        if len(queries) > 1:
+            queries.sort(key=self._rank.__getitem__)
+        return queries
 
     def _sleep(self, query: RegisteredQuery) -> None:
         """Demote ``query`` (``RegisteredQuery.on_inert``): it just proved
-        itself inert and booked the current event itself."""
-        gate = self._gates[id(query.automaton.stages[0])]
-        buckets = [self._buckets[event_type] for event_type in query.relevant_types]
-        for bucket in buckets:
-            bucket.awake = [q for q in bucket.awake if q is not query]
-            bucket.asleep += 1
-        if not gate.sleepers:
-            gates = self._buckets[gate.stage.event_type].gates
-            gates.append(gate)
-            gates.sort(key=lambda g: self._rank[g.leader])
-        gate.sleepers.append(query)
-        self._dormant[query] = _Dormancy(gate, buckets)
+        itself inert and booked the current event itself.
 
-    def _wake(self, gate: _WakeList) -> None:
-        """Settle and re-admit every sleeper of ``gate``."""
-        sleepers, gate.sleepers = gate.sleepers, []
-        self._buckets[gate.stage.event_type].gates.remove(gate)
+        From now on it is offered only the events of partitions where its
+        matcher holds state — indexed here, then kept current by the
+        matcher's ``on_partition`` — and those that open its gate, until
+        its ranker starts holding matches (``on_busy``).
+        """
+        gate = self._gates[id(query.automaton.stages[0])]
+        dormancy = _Dormancy(query, gate)
+        matcher = query.matcher
+        held = list(matcher._partitions)
+        for event_type in query.relevant_types:
+            bucket = self._buckets[event_type]
+            bucket.awake = [q for q in bucket.awake if q is not query]
+            bucket.dormant += 1
+            index = bucket.index_for(matcher._partitioner)
+            index.members += 1
+            for key in held:
+                index.admit(key, dormancy)
+            dormancy.buckets.append(bucket)
+            dormancy.indexes.append(index)
+            dormancy.events_seen += bucket.events
+            dormancy.keyless_seen += index.keyless
+        if not gate.dormant:
+            bucket = self._buckets[gate.stage.event_type]
+            gate.index = bucket.index_for(matcher._partitioner)
+            bucket.gates = sorted(bucket.gates + [gate], key=lambda g: self._rank[g.leader])
+        gate.dormant.append(dormancy)
+        matcher.on_partition = dormancy.on_partition
+        query.ranker.on_busy = partial(self._wake, query)
+        self._dormant[query] = dormancy
+
+    def _wake(self, query: RegisteredQuery) -> None:
+        """Settle ``query`` and offer it every event again."""
+        dormancy = self._dormant.pop(query)
+        self._settle(dormancy)
+        matcher = query.matcher
+        matcher.on_partition = None
+        query.ranker.on_busy = None
+        held = list(matcher._partitions)
         rank = self._rank.__getitem__
-        for query in sleepers:
-            dormancy = self._dormant.pop(query)
-            self._settle(query, dormancy)
-            for bucket in dormancy.buckets:
-                bucket.asleep -= 1
-                bucket.awake = sorted(bucket.awake + [query], key=rank)
+        for bucket, index in zip(dormancy.buckets, dormancy.indexes):
+            bucket.dormant -= 1
+            bucket.awake = sorted(bucket.awake + [query], key=rank)
+            for key in held:
+                index.release(key, dormancy)
+            index.members -= 1
+            if not index.members:
+                bucket.indexes = [i for i in bucket.indexes if i is not index]
+        gate = dormancy.gate
+        gate.dormant.remove(dormancy)
+        if not gate.dormant:
+            bucket = self._buckets[gate.stage.event_type]
+            bucket.gates = [g for g in bucket.gates if g is not gate]
 
     def wake_all(self) -> None:
-        """Settle and re-admit every sleeper.
+        """Settle every dormant query and offer it every event again.
 
-        For operations that change what a query's inertness rests on
-        (restore, tracing on, registration churn); the inert ones go back
-        to sleep at their next residual skip check.
+        For operations that change what a query's dormancy rests on
+        (restore, tracing on, registration churn); the inert ones go
+        dormant again at their next residual skip check.
         """
-        for gate in [gate for gate in self._gates.values() if gate.sleepers]:
-            self._wake(gate)
+        for query in list(self._dormant):
+            self._wake(query)
+        for bucket in self._buckets.values():
+            bucket.last_event = None  # a restore may rewind the stream
 
     def settle(self) -> None:
-        """Pay every sleeper what it is owed; they stay asleep.
+        """Pay every dormant query what it is owed; they stay dormant.
 
         Call (on the engine's thread) before anything reads or replaces
         per-query counters or the last-seen event: exports, snapshots,
@@ -589,28 +731,31 @@ class EventRouter:
         """
         if self._unsettled:
             self._unsettled = False
-            for query, dormancy in self._dormant.items():
-                self._settle(query, dormancy)
+            for dormancy in self._dormant.values():
+                self._settle(dormancy)
 
-    def _settle(self, query: RegisteredQuery, dormancy: _Dormancy) -> None:
-        """Book what the per-pair skip would have for the events slept through."""
-        owed = 0
+    def _settle(self, dormancy: _Dormancy) -> None:
+        """Book what the per-pair skip would have for the events not offered."""
+        query = dormancy.query
+        events = 0
         last: Event | None = None
-        seen = dormancy.events_seen
-        for index, bucket in enumerate(dormancy.buckets):
-            events = bucket.events
-            if events != seen[index]:
-                owed += events - seen[index]
-                seen[index] = events
-                latest = bucket.last_event
-                assert latest is not None
-                if last is None or latest.seq > last.seq:
-                    last = latest
-        if last is not None:
-            query.book_skipped(last, owed)
+        for bucket in dormancy.buckets:
+            events += bucket.events
+            latest = bucket.last_event
+            if latest is not None and (last is None or latest.seq > last.seq):
+                last = latest
+        if events != dormancy.events_seen:
+            assert last is not None
+            query.book_skipped(last, events - dormancy.events_seen)
+            dormancy.events_seen = events
+        keyless = sum(index.keyless for index in dormancy.indexes)
+        if keyless != dormancy.keyless_seen:
+            query.matcher.stats.events_skipped_no_key += keyless - dormancy.keyless_seen
+            dormancy.keyless_seen = keyless
         gate = dormancy.gate
-        if query is not gate.leader and gate.failed != dormancy.failed_seen:
-            query.matcher.stats.shared_hits += gate.failed - dormancy.failed_seen
+        if gate.failed != dormancy.failed_seen:
+            if query is not gate.leader:
+                query.matcher.stats.shared_hits += gate.failed - dormancy.failed_seen
             dormancy.failed_seen = gate.failed
 
     def queries(self) -> list[RegisteredQuery]:

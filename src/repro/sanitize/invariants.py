@@ -36,8 +36,8 @@ Checks, by hook point:
     rejected by its epoch's ``EpochTopK``; every run that run dominance
     drops is strictly dominated by k kept runs, its vectors recomputed
     from bindings by the reference aggregate evaluator;
-    **matcher-activity-cache** — the O(1) activity caches behind the
-    quiescent-skip gate agree with a recount;
+    **matcher-activity-cache** — the O(1) activity caches agree with a
+    recount, and no partition is kept without runs or pendings;
     **run-monotonicity** / **dangling-binding** — every live run's
     seq/ts span is ordered and its bindings name only automaton
     variables.
@@ -47,9 +47,11 @@ Checks, by hook point:
     owners, empty-but-present entries, and missing claims all trip).
 ``engine._dispatch`` (and registration)
     **shared-index-coherence** — the router's dormant/awake bookkeeping
-    agrees with a recount: every sleeper is registered, untraced, inert
-    and in the wake list of its own stage-0 gate; every type bucket's
-    awake list and asleep count match registration order.
+    agrees with a recount: every dormant query is registered, untraced,
+    its ranker inert, and in the wake list of its own stage-0 gate; every
+    type bucket's awake list and dormant count match registration order,
+    and its partition index lists each dormant query under exactly the
+    partitions its matcher holds runs or pendings in.
 ``engine.snapshot``
     **snapshot-roundtrip** — ``restore(snapshot())`` followed by a second
     ``snapshot()`` reproduces the first byte-for-byte.
@@ -397,9 +399,21 @@ class InvariantChecker:
         matcher = query.matcher
         live = 0
         pendings = 0
-        for partition in matcher._partitions.values():
+        empty = []
+        for key, partition in matcher._partitions.items():
             live += len(partition.runs)
             pendings += len(partition.pendings)
+            if not (partition.runs or partition.pendings):
+                empty.append(key)
+        if empty:
+            self.san.trip(
+                "matcher-activity-cache",
+                f"query {query.name!r} keeps {len(empty)} partition(s) with "
+                f"neither runs nor pendings (e.g. {empty[0]!r}): memory and "
+                f"checkpoints grow with every key ever seen",
+                query=query.name,
+                empty=len(empty),
+            )
         if (
             live != matcher._live_runs_cached
             or pendings != matcher._pendings_cached
@@ -498,11 +512,14 @@ class InvariantChecker:
     def check_activation(self) -> None:
         """The router's dormant/awake bookkeeping against a recount.
 
-        A sleeper is offered no events, so everything its sleep rests on
-        must hold by construction: it is registered, untraced and inert
-        (recounted, not read from the caches), it sits in the wake list
-        of its own stage-0 gate, and every type bucket it listens on
-        counts it asleep and does not also list it awake.
+        A dormant query is offered only the events of partitions it is
+        indexed under and those that open its gate, so everything that
+        rests on must hold by construction: it is registered, untraced and
+        its ranker inert, it sits in the wake list of its own stage-0
+        gate, every type bucket it listens on counts it dormant and does
+        not also list it awake, and each bucket's partition index holds
+        it under exactly the partitions its matcher holds runs or
+        pendings in (recounted from ``_partitions``).
         """
         engine = self.engine
         router = engine._router
@@ -519,34 +536,31 @@ class InvariantChecker:
             if engine._queries.get(name) is not query:
                 trip(f"dormant query {name!r} is not registered", query=name)
                 continue
-            matcher = query.matcher
-            if (
-                query.tracer is not None
-                or any(p.runs or p.pendings for p in matcher._partitions.values())
-                or not query.ranker.inert_without_matches()
-            ):
+            if query.tracer is not None or not query.ranker.inert_without_matches():
                 trip(
-                    f"query {name!r} sleeps but is not inert (traced, or "
-                    f"holding runs, pendings or ranker state): events that "
-                    f"concern it are not being offered",
+                    f"query {name!r} is dormant but traced or its ranker holds "
+                    f"state: events of other partitions are not being offered",
                     query=name,
                 )
             gate = dormancy.gate
-            if gate.stage is not query.automaton.stages[0] or query not in gate.sleepers:
+            if (
+                gate.stage is not query.automaton.stages[0]
+                or dormancy not in gate.dormant
+            ):
                 trip(
                     f"dormant query {name!r} is not in its stage-0 gate's "
-                    f"wake list: nothing can wake it",
+                    f"wake list: no event can open it",
                     query=name,
                 )
         for event_type, bucket in router._buckets.items():
             interested = [q for q in registered if event_type in q.relevant_types]
             asleep = [q for q in interested if q in dormant]
             awake = [q for q in interested if q not in dormant]
-            if bucket.awake != awake or bucket.asleep != len(asleep):
+            if bucket.awake != awake or bucket.dormant != len(asleep):
                 trip(
                     f"type bucket {event_type!r} lists "
                     f"{[q.name for q in bucket.awake]!r} awake and counts "
-                    f"{bucket.asleep} asleep; registration order says "
+                    f"{bucket.dormant} dormant; registration order says "
                     f"{[q.name for q in awake]!r} and {len(asleep)}",
                     event_type=event_type,
                 )
@@ -559,7 +573,29 @@ class InvariantChecker:
                 trip(
                     f"type bucket {event_type!r} evaluates "
                     f"{len(bucket.gates)} gate(s) per event but "
-                    f"{len(sleeping_gates)} have sleepers",
+                    f"{len(sleeping_gates)} have dormant owners",
+                    event_type=event_type,
+                )
+            indexed = {
+                (index.partitioner.attributes, key, dormancy.query.name)
+                for index in bucket.indexes
+                for key, holders in index.holders.items()
+                for dormancy in holders
+            }
+            held = {
+                (q.matcher._partitioner.attributes, key, q.name)
+                for q in asleep
+                for key, p in q.matcher._partitions.items()
+                if p.runs or p.pendings
+            }
+            if indexed != held:
+                missing = sorted(map(repr, held - indexed))
+                stale = sorted(map(repr, indexed - held))
+                trip(
+                    f"type bucket {event_type!r}: the partition index disagrees "
+                    f"with a recount of the dormant matchers' partitions "
+                    f"(not indexed: {missing}; indexed without state: {stale}) "
+                    f"— events of a partition holding runs are not offered",
                     event_type=event_type,
                 )
         for gate in router._gates.values():

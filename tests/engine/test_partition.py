@@ -1,6 +1,7 @@
 """PARTITION BY semantics."""
 
 from repro.events.event import Event
+from repro.events.time import SequenceAssigner
 
 from tests.engine.helpers import feed, make_matcher, pair_set, run_pattern
 
@@ -73,3 +74,53 @@ class TestPartitioning:
             ],
         )
         assert len(matches) == 1
+
+
+class TestPartitionLifetime:
+    """A partition exists exactly while it holds runs or pendings."""
+
+    QUERY = "PATTERN SEQ(A a, B b) WHERE a.x > 0 WITHIN 3 EVENTS PARTITION BY sym"
+
+    def test_keys_without_state_leave_nothing_behind(self):
+        matcher = make_matcher(self.QUERY)
+        # High-cardinality keys: every event in a partition of its own.
+        feed(matcher, [E("A" if i % 2 else "B", i, sym=f"k{i}", x=0) for i in range(200)],
+             flush=False)
+        assert matcher._partitions == {}
+        assert matcher.snapshot()["partitions"] == []
+
+    def test_partition_is_dropped_when_its_last_run_leaves(self):
+        matcher = make_matcher(self.QUERY)
+        assigner = SequenceAssigner()
+        held = []
+        for event in [
+            E("A", 1, sym="X", x=1),
+            E("A", 2, sym="Y", x=1),
+            E("B", 3, sym="X"),  # completes X's run, which is consumed
+            E("B", 4, sym="Z"),  # no run to join: Z never appears
+            E("B", 5, sym="Y"),  # Y's run is three events old: expired
+        ]:
+            assigner.assign(event)
+            matcher.process(event)
+            held.append(set(matcher._partitions))
+        assert held == [{("X",)}, {("X",), ("Y",)}, {("Y",)}, {("Y",)}, set()]
+
+    def test_heartbeat_expiry_drops_partitions(self):
+        matcher = make_matcher(
+            "PATTERN SEQ(A a, B b) WHERE a.x > 0 WITHIN 2 SECONDS PARTITION BY sym"
+        )
+        feed(matcher, [E("A", 1, sym="X", x=1), E("A", 5, sym="Y", x=1)], flush=False)
+        matcher.advance_time(4.0, seq=1)
+        assert set(matcher._partitions) == {("Y",)}
+
+    def test_older_snapshots_with_empty_partitions_restore(self):
+        source = make_matcher(self.QUERY)
+        feed(source, [E("A", 1, sym="X", x=1)], flush=False)
+        state = source.snapshot()
+        older = {**state, "partitions": [
+            {"key": ["gone"], "runs": [], "pendings": []}, *state["partitions"]
+        ]}
+        target = make_matcher(self.QUERY)
+        target.restore(older)
+        assert set(target._partitions) == {("X",)}
+        assert target.snapshot() == state

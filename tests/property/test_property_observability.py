@@ -123,6 +123,20 @@ alert_specs = st.lists(
     max_size=150,
 )
 
+#: the largest ``x`` each partition draws: every gate opens in p0 and p1,
+#: only the lowest (70) in p2, none in p3.
+PARTITION_CEILING = {"p0": 100, "p1": 100, "p2": 80, "p3": 60, None: 100}
+
+scoped_alert_specs = st.lists(
+    st.tuples(
+        st.sampled_from("AABBC"),  # event type
+        st.sampled_from(("p0", "p1", "p2", "p3", "p3", None)),  # None: keyless
+        st.integers(min_value=0, max_value=100),  # x, capped per partition
+    ),
+    min_size=0,
+    max_size=150,
+)
+
 
 def build_stream(specs):
     events = []
@@ -236,7 +250,7 @@ class TestEndToEndShardSplit:
         """Shard engines sleep and wake on their own; the sums do not move.
 
         Most of the alert program is dormant most of the time, and which
-        queries are awake differs per shard (a run in one partition keeps
+        queries are awake differs per shard (a ranker holding matches keeps
         a query awake for its shard only), so every lazily settled
         counter — routed events, latency counts, memo hits, errors — is
         settled at different moments on each shard.  The fleet's rows and
@@ -244,47 +258,75 @@ class TestEndToEndShardSplit:
         except the θ counts, which obey the documented inequality (a fleet
         prunes fewer runs on B@p1 x=72, A@p1, B@p0 x=71 over two shards).
         """
-        def stream():
-            return [
+        assert_alert_fleet_sums(
+            [
                 Event(kind, 0.5 * index, x=x, k=f"p{key}")
                 for index, (kind, key, x) in enumerate(specs)
-            ]
+            ],
+            shards,
+        )
 
-        engine = CEPREngine()
-        for name, text in ALERTS.items():
-            engine.register_query(text, name=name)
+    @given(specs=scoped_alert_specs, shards=st.sampled_from((1, 2, 4)))
+    @settings(max_examples=15, deadline=None)
+    def test_partition_scoped_queries_sum_to_single_engine_rows(self, specs, shards):
+        """The same sums where dormant queries hold runs in some partitions.
+
+        Gates open in p0 and p1 only (and the lowest in p2), so a query
+        holding runs there stays dormant for the rest, and keyless events
+        are partition skips for every query; a shard sees only its own
+        partitions' events and the keyless ones land on shard 0.
+        """
+        assert_alert_fleet_sums(
+            [
+                Event(kind, 0.5 * index, x=min(x, PARTITION_CEILING[key]),
+                      **({} if key is None else {"k": key}))
+                for index, (kind, key, x) in enumerate(specs)
+            ],
+            shards,
+        )
+
+
+def assert_alert_fleet_sums(events, shards):
+    """``ALERTS`` over ``events``: one engine and a ``shards``-way fleet agree."""
+
+    def stream():
+        return [Event(e.event_type, e.timestamp, **e.payload) for e in events]
+
+    engine = CEPREngine()
+    for name, text in ALERTS.items():
+        engine.register_query(text, name=name)
+    for event in stream():
+        engine.push(event)
+    engine.flush()
+
+    runner = ShardedEngineRunner(shards=shards)
+    for name, text in ALERTS.items():
+        runner.register_query(text, name=name)
+    runner.start()
+    try:
         for event in stream():
-            engine.push(event)
-        engine.flush()
+            runner.submit(event)
+        runner.flush()
+    finally:
+        runner.stop()
 
-        runner = ShardedEngineRunner(shards=shards)
-        for name, text in ALERTS.items():
-            runner.register_query(text, name=name)
-        runner.start()
-        try:
-            for event in stream():
-                runner.submit(event)
-            runner.flush()
-        finally:
-            runner.stop()
-
-        single_rows, fleet_rows = engine.stats_by_query(), runner.stats_by_query()
-        single_costs, fleet_costs = engine.cost_accounts(), runner.cost_accounts()
-        for name in ALERTS:
-            for key in EXACT_STATS:
-                if key not in THETA_COUNTS:
-                    assert fleet_rows[name][key] == single_rows[name][key], (name, key)
-            single, merged = single_costs[name].to_dict(), fleet_costs[name].to_dict()
-            for key in single:
-                if "cpu" not in key and key != "parts" and key not in THETA_COUNTS:
-                    assert merged[key] == pytest.approx(single[key]), (name, key)
-            assert merged["matches"] >= single["matches"], name
-            assert merged["runs_pruned"] <= single["runs_pruned"], name
-            assert merged["runs_killed"] >= single["runs_killed"], name
-            assert (
-                runner.metrics_registry().get("latency_seconds", query=name).count
-                == single_rows[name]["events_routed"]
-            )
+    single_rows, fleet_rows = engine.stats_by_query(), runner.stats_by_query()
+    single_costs, fleet_costs = engine.cost_accounts(), runner.cost_accounts()
+    for name in ALERTS:
+        for key in EXACT_STATS:
+            if key not in THETA_COUNTS:
+                assert fleet_rows[name][key] == single_rows[name][key], (name, key)
+        single, merged = single_costs[name].to_dict(), fleet_costs[name].to_dict()
+        for key in single:
+            if "cpu" not in key and key != "parts" and key not in THETA_COUNTS:
+                assert merged[key] == pytest.approx(single[key]), (name, key)
+        assert merged["matches"] >= single["matches"], name
+        assert merged["runs_pruned"] <= single["runs_pruned"], name
+        assert merged["runs_killed"] >= single["runs_killed"], name
+        assert (
+            runner.metrics_registry().get("latency_seconds", query=name).count
+            == single_rows[name]["events_routed"]
+        )
 
 
 pressure_samples = st.builds(

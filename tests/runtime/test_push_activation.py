@@ -1,13 +1,14 @@
 """Push-based activation: inert queries cost nothing per event.
 
-With shared execution on, a query whose whole chain is inert sleeps in
-the wake list of its stage-0 gate; the router evaluates each distinct
-gate once per event and offers the event only to awake queries and to the
-sleepers of a gate that opened (docs/SHARED_EXECUTION.md, "Dormant and
+With shared execution on, a query whose ranker is inert goes dormant: the
+router offers it only the events of partitions where its matcher holds
+runs or pendings, and those that open its stage-0 gate — evaluated once
+per distinct gate per event (docs/SHARED_EXECUTION.md, "Dormant and
 awake").  Two contracts are pinned here:
 
-* **work bound** — per-event work is O(awake + distinct gates), counted
-  as calls that reach a ``RegisteredQuery`` at all;
+* **work bound** — per-event work is O(awake + holders of the event's
+  partition + distinct gates), counted as calls that reach a
+  ``RegisteredQuery`` at all;
 * **laziness is invisible** — whatever sleeps, every read (stats rows,
   cost accounts, sharing counters, emissions, checkpoints) equals what
   per-event bookkeeping shows, at any point of any interleaving of the
@@ -69,7 +70,7 @@ class TestWorkBound:
         assert len(program) == 256
 
         # Everybody starts awake; one event that opens no gate sends all
-        # 256 to sleep (each is offered it once and proves itself inert).
+        # 256 dormant (each is offered it once and proves itself inert).
         engine.push(Event("A", 1.0, x=0, k="p"))
         assert len(touched) == 256
         assert len(engine._router._dormant) == 256
@@ -80,21 +81,51 @@ class TestWorkBound:
         assert touched == []
 
         engine.push(Event("A", 4.0, x=15, k="p"))  # opens `a.x > 10` only
-        woken = sorted(name for name in program if name.startswith("g10_"))
-        assert sorted(n for m, n in touched if m == "skip_if_inert") == woken
-        assert sorted(n for m, n in touched if m == "process") == woken
-        assert len(engine._router._dormant) == 192
+        opened = sorted(name for name in program if name.startswith("g10_"))
+        assert sorted(n for m, n in touched if m == "skip_if_inert") == opened
+        assert sorted(n for m, n in touched if m == "process") == opened
+        # They now hold a run in partition p, and stay dormant elsewhere.
+        assert len(engine._router._dormant) == 256
 
-        # Their runs keep the 64 awake for the B event; the rest sleep on.
+        # Their runs get them the B event of their partition; nobody else.
         touched.clear()
         engine.push(Event("B", 5.0, x=7, k="p"))
-        assert sorted(n for m, n in touched if m == "process") == woken
+        assert sorted(n for m, n in touched if m == "process") == opened
 
         # Reads settle: every query was routed all five events.
         rows = engine.stats_by_query()
         assert {row["events_routed"] for row in rows.values()} == {5}
         assert all(h.metrics.latency.count == 5 for h in engine.queries())
         assert engine.shared_stats()["events_gated"] == 256 + 2 * 256 + 192 + 192
+
+    def test_a_partition_nobody_holds_state_in_touches_no_query(self, touched):
+        # The per-partition bound: a run in one partition keeps its query
+        # dormant for every other partition.
+        engine = CEPREngine()
+        program = gated_program(16)
+        for name, text in program.items():
+            engine.register_query(text, name=name)
+        engine.push(Event("A", 1.0, x=0, k="p"))  # all 64 go dormant
+        engine.push(Event("A", 2.0, x=45, k="p"))  # every gate opens in p
+        assert all(h.matcher._partitions.keys() == {("p",)} for h in engine.queries())
+
+        touched.clear()
+        for index, key in enumerate("qrsqrs"):
+            engine.push(Event("B", 3.0 + index, x=99, k=key))
+            engine.push(Event("A", 3.5 + index, x=5, k=key))  # shuts every gate
+        engine.push(Event("A", 9.0, x=70))  # no key: no gate is read
+        engine.push(Event("A", 9.5, y=1))  # nor raises for want of x
+        assert touched == []
+        assert len(engine._router._dormant) == 64
+
+        # Back in p, exactly the holders are offered the event.
+        engine.push(Event("B", 10.0, x=99, k="p"))
+        assert sorted(n for m, n in touched if m == "process") == sorted(program)
+
+        rows = engine.stats_by_query()
+        assert {row["events_routed"] for row in rows.values()} == {17}
+        assert {row["partition_skips"] for row in rows.values()} == {2}
+        assert engine.shared_stats()["events_gated"] == 64 + 14 * 64
 
     def test_a_bucket_nobody_sleeps_in_is_the_plain_list(self):
         engine = CEPREngine()
@@ -165,6 +196,9 @@ assert len(PROGRAM) == 16
 #: cost-account fields only a sharing engine counts.
 SHARING_FIELDS = {"shared_hits", "shared_misses", "predicate_evals", "hit_ratio"}
 
+#: the largest ``x`` each partition key draws (gates open above 80..95).
+PARTITION_CEILING = {"p": 100, "q": 100, "r": 92, "s": 79}
+
 
 class Trio:
     """The same program in a lazy, an eager and an independent engine."""
@@ -216,10 +250,12 @@ class Trio:
                 for field in SHARING_FIELDS:
                     account.pop(field)
             view.pop("events_gated")
-            # A keyless event skipped before the matcher is not counted as
-            # a partition skip: eager skipping already behaved that way.
-            for row in view["rows"].values():
-                row.pop("partition_skips")
+            # A skipped pair leaves the ranker's clock where it was; the
+            # matchers must agree, down to which partitions they keep.
+            for state in view.pop("checkpoint").values():
+                view.setdefault("matchers", []).append(state["matcher"])
+                state["matcher"]["stats"].pop("shared_hits")
+                state["matcher"]["stats"].pop("shared_misses")
         assert lazy == independent
 
     def observe(self, mode: str) -> dict:
@@ -250,6 +286,7 @@ class Trio:
             "last_seen": {
                 name: state["last_seq"] for name, state in checkpoint.items()
             },
+            "checkpoint": checkpoint,
         }
 
 
@@ -263,15 +300,19 @@ def lifecycle(seed: int, steps: int) -> None:
         batch = []
         for _ in range(count):
             clock += rng.choice((0.25, 0.5, 1.0))
-            payload = {"x": rng.randint(0, 100), "k": rng.choice("pqr")}
-            # Dirty data, one defect per event (a keyless event is dropped
-            # before an independent matcher evaluates anything, while the
-            # skip check consults the gate first — eagerly or not).
+            # Four partitions, and queries hold runs in only some of them:
+            # every gate opens in p and q, the lower ones in r, none in s.
+            key = rng.choice("pqrs")
+            payload = {"x": rng.randint(0, PARTITION_CEILING[key]), "k": key}
+            # Dirty data (a keyless event is dropped before any gate is
+            # consulted, so it charges no evaluation error either).
             dirt = rng.random()
             if dirt < 0.04:
                 del payload["x"]  # lenient gate evaluation errors
             elif dirt < 0.07:
                 del payload["k"]  # no partition key
+            elif dirt < 0.09:
+                payload.clear()  # neither
             batch.append((rng.choice("AABBC"), clock, payload))
         return batch
 
@@ -312,18 +353,22 @@ class TestLifecycle:
 
     @pytest.mark.parametrize("seed", [2016, 7, 99])
     def test_long_streams_do_sleep_and_still_read_exactly(self, seed):
-        # The property above is vacuous if nobody ever sleeps: pin that
-        # this program, on this kind of stream, does.
+        # The property above is vacuous if nobody is ever dormant, or never
+        # while holding runs: pin that this program, on this kind of
+        # stream, is both.
         rng = random.Random(seed)
         engine = CEPREngine(lenient_errors=True)
         for name, text in PROGRAM.items():
             engine.register_query(text, name=name)
-        slept = 0
+        slept = holding = 0
         for index in range(300):
-            engine.push(
-                Event(rng.choice("AABBC"), index * 0.5, x=rng.randint(0, 100), k="p")
-            )
-            slept = max(slept, len(engine._router._dormant))
+            key = rng.choice("pqrs")
+            x = rng.randint(0, PARTITION_CEILING[key])
+            engine.push(Event(rng.choice("AABBC"), index * 0.5, x=x, k=key))
+            dormant = engine._router._dormant
+            slept = max(slept, len(dormant))
+            holding = max(holding, sum(1 for q in dormant if q.matcher._partitions))
         assert slept >= 8
+        assert holding >= 2
         assert engine.shared_stats()["events_gated"] > 0
         lifecycle(seed, steps=150)

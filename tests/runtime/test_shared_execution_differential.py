@@ -297,6 +297,47 @@ class TestWorkloadEquivalence:
 
         assert_equivalent(STOCK_VARIANTS, make, lenient_errors=True)
 
+    def test_keyless_events_count_alike(self):
+        """A keyless event is dropped before its gate is consulted, as an
+        independent matcher drops it: one partition skip, no evaluation
+        error, whether the query is awake, dormant or holding runs."""
+        query = (
+            "PATTERN SEQ(Buy b, Sell s) WHERE b.volume > 100 AND b.symbol == s.symbol "
+            "WITHIN 10 EVENTS PARTITION BY symbol RANK BY s.price DESC LIMIT 2 "
+            "EMIT ON WINDOW CLOSE"
+        )
+        events = [
+            ("Buy", {"symbol": "A", "volume": 50}),  # every copy goes dormant
+            ("Buy", {"volume": 500}),  # no key
+            ("Buy", {"price": 1.0}),  # no key, no volume
+            ("Buy", {"symbol": "A"}),  # no volume: a lenient gate error
+            ("Buy", {"symbol": "B", "volume": 500}),  # a run in B
+            ("Sell", {"price": 2.0}),  # no key
+            ("Buy", {}),
+            ("Sell", {"symbol": "B", "price": 3.0}),  # completes in B
+            ("Buy", {"volume": 1}),
+        ]
+        views = []
+        for shared in (True, False):
+            engine = CEPREngine(lenient_errors=True, shared_execution=shared)
+            for copy in range(3):
+                engine.register_query(query, name=f"q{copy}")
+            for index, (kind, payload) in enumerate(events):
+                engine.push(Event(kind, float(index), **payload))
+                rows = engine.stats_by_query()
+                costs = engine.cost_accounts()
+                views.append(
+                    (
+                        shared,
+                        {n: row["partition_skips"] for n, row in rows.items()},
+                        {n: account.evaluation_errors for n, account in costs.items()},
+                    )
+                )
+        shared_views = [view[1:] for view in views if view[0]]
+        independent_views = [view[1:] for view in views if not view[0]]
+        assert shared_views == independent_views
+        assert shared_views[-1] == ({f"q{c}": 5 for c in range(3)}, {f"q{c}": 1 for c in range(3)})
+
     def test_schema_registry_and_pruning(self):
         registry = StockWorkload(seed=13).registry()
         make = lambda: StockWorkload(seed=13).events(1000)

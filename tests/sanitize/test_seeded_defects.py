@@ -6,8 +6,10 @@ skips ties, a compiled score bound one ulp too tight, a broken top-k insert,
 a sliding k-skyband that drops a match one dominator early or expires it
 by its own completion point, run dominance that drops a run one dominator
 early or takes a ``max``-only lead for a strict one, a refcount leak, a
+restore that does not re-admit a dormant query to its partitions, a
 lock-order inversion, a cross-thread mutation, a lossy restore, a rewound
-sequencer, a stale activity cache, a blocked event loop — and asserts the
+sequencer, a stale activity cache, a partition kept after its last run
+left, a blocked event loop — and asserts the
 corresponding trip fires.  Together with the
 clean-run zero-trip assertions (and the whole suite running under
 ``CEPR_SANITIZE=1`` in CI), this is the evidence the sanitizer detects
@@ -29,7 +31,7 @@ from repro.events.schema import AttributeSpec, EventSchema, SchemaRegistry
 from repro.language.intervals import Interval, IntervalEvaluator
 from repro.ranking.pruning import ScoreBoundPruner
 from repro.ranking.topk import EpochTopK, SlidingRanking
-from repro.runtime.router import SharedExecutionIndex
+from repro.runtime.router import EventRouter, SharedExecutionIndex
 from repro.sanitize import Sanitizer, SanitizerError
 from repro.sanitize.aio import LoopStallWatchdog
 from repro.workloads.sensor import VitalsWorkload
@@ -47,6 +49,16 @@ PAIR = """
     PATTERN SEQ(A a, B b)
     WHERE a.x > 0
     WITHIN 10 EVENTS
+    RANK BY b.x DESC
+    LIMIT 3
+    EMIT ON WINDOW CLOSE
+"""
+
+KEYED_PAIR = """
+    PATTERN SEQ(A a, B b)
+    WHERE a.x > 0 AND a.k == b.k
+    WITHIN 10 EVENTS
+    PARTITION BY k
     RANK BY b.x DESC
     LIMIT 3
     EMIT ON WINDOW CLOSE
@@ -304,28 +316,45 @@ class TestSharedIndexCoherence:
         assert engine.sanitizer.total_trips == 0
         assert engine.shared.is_empty()
 
-    def test_sleeper_holding_a_run_trips(self):
-        # Seeded defect: a query acquires a live run while the router has
-        # it asleep (a restore that forgot to wake it, say) — it is offered
-        # nothing, so the run would silently never extend.
-        engine = log_engine()
-        sleeper = engine.register_query(PAIR, name="sleeper")
+    def test_restore_without_readmission_trips(self, monkeypatch):
+        # Seeded defect: a restore that forgets to wake the dormant queries
+        # hands one runs in partition p without indexing it there — events
+        # of p are not offered to it, so the runs would silently never
+        # extend.
+        monkeypatch.setattr(EventRouter, "wake_all", EventRouter.settle)
         donor = CEPREngine(sanitize=False)
-        donor.register_query(PAIR, name="sleeper")
-        donor.push(Event("A", 1.0, x=5))  # opens a run
-        engine.push(Event("A", 1.0, x=-1))  # gate shut: goes to sleep
-        assert list(engine._router._dormant) == [sleeper]
+        donor.register_query(KEYED_PAIR, name="q")
+        donor.push(Event("A", 1.0, x=5, k="p"))  # opens a run in p
+        engine = log_engine()
+        dormant = engine.register_query(KEYED_PAIR, name="q")
+        engine.push(Event("A", 1.0, x=-1, k="p"))  # gate shut: goes dormant
+        assert list(engine._router._dormant) == [dormant]
         assert engine.sanitizer.total_trips == 0
-        sleeper.matcher.restore(donor.query("sleeper").matcher.snapshot())
-        engine.push(Event("A", 2.0, x=-1))
+        engine.restore(donor.snapshot())
+        engine.push(Event("A", 2.0, x=-1, k="q"))
         assert engine.sanitizer.trips["shared-index-coherence"] > 0
+
+    def test_dormant_holders_are_quiet(self):
+        # A dormant query holding runs is legal while it is indexed under
+        # their partition; a completed match wakes it for every event.
+        engine = log_engine()
+        handle = engine.register_query(KEYED_PAIR, name="q")
+        engine.push(Event("A", 1.0, x=-1, k="p"))  # dormant
+        engine.push(Event("A", 2.0, x=5, k="q"))  # a run in q, still dormant
+        engine.push(Event("B", 3.0, x=1, k="r"))  # not offered
+        assert list(engine._router._dormant) == [handle]
+        engine.push(Event("B", 4.0, x=1, k="q"))  # completes: the ranker holds it
+        assert not engine._router._dormant
+        engine.push(Event("A", 5.0, x=-1, k="s"))  # proves itself inert again
+        engine.restore(engine.snapshot())
+        assert engine.sanitizer.total_trips == 0
 
     def test_sleeper_dropped_from_its_wake_list_trips(self):
         engine = log_engine()
         engine.register_query(PAIR, name="sleeper")
         engine.push(Event("A", 1.0, x=-1))
         (gate,) = engine._router._gates.values()
-        gate.sleepers.clear()  # seeded defect: nothing can wake it now
+        gate.dormant.clear()  # seeded defect: nothing can wake it now
         engine.push(Event("B", 2.0, x=1))
         assert engine.sanitizer.trips["shared-index-coherence"] > 0
 
@@ -416,6 +445,17 @@ class TestMatcherActivityCache:
         assert engine.sanitizer.trips["matcher-activity-cache"] == 0
         handle.matcher._live_runs_cached += 1  # seeded drift
         engine.push(Event("A", 2.0, x=2))
+        assert engine.sanitizer.trips["matcher-activity-cache"] > 0
+
+    def test_partition_kept_empty_trips(self, monkeypatch):
+        # Seeded defect: a partition its last run left is never dropped, so
+        # a high-cardinality key grows memory and checkpoints forever.
+        monkeypatch.setattr(PatternMatcher, "_drop_empty", lambda self: None)
+        engine = log_engine()
+        engine.register_query(PAIR.replace("WITHIN 10 EVENTS", "WITHIN 1 SECONDS"))
+        engine.push(Event("A", 1.0, x=1))  # a run...
+        engine.advance_time(5.0)  # ...that the heartbeat expires
+        engine.push(Event("B", 6.0, x=1))
         assert engine.sanitizer.trips["matcher-activity-cache"] > 0
 
 
