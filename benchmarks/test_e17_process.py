@@ -25,8 +25,12 @@ MIN_CORES_FOR_FLOOR = 4
 
 
 def _assert_identical(result, baseline):
+    """A fleet emits what one engine emits and creates the same runs.  It
+    builds at least as many matches: each shard cuts completions against
+    the k-th key of its own partitions, a weaker bound than the whole
+    stream's (DESIGN.md, "Sharding")."""
     assert result.events == baseline.events
-    assert result.matches == baseline.matches
+    assert result.matches >= baseline.matches
     assert result.emissions == baseline.emissions
     assert result.runs_created == baseline.runs_created
 
@@ -82,6 +86,7 @@ def test_e17_process_byte_identical_under_batching(stock_10k):
         QUERY, events, 2, registry, backend="process", batch_size=1024
     )
     _assert_identical(small, large)
+    assert small.matches == large.matches
     assert small.extra["final_ranking"] == large.extra["final_ranking"]
 
 

@@ -63,13 +63,7 @@ class MatchThenRankQuery:
     def process(self, event: Event) -> list[Emission]:
         self._last_seq = event.seq
         self._last_ts = event.timestamp
-        matches = self.matcher.process(event)
-        for match in matches:
-            self.scorer.score(match)
-            epoch = self._epochs.epoch_of_point(match.last_seq, match.last_ts)
-            self._buffers.setdefault(epoch, []).append(match)
-            self.matches_buffered += 1
-
+        self._buffer(self.matcher.process(event))
         event_epoch = self._epochs.epoch_of(event)
         out: list[Emission] = []
         for epoch in sorted(e for e in self._buffers if e < event_epoch):
@@ -78,18 +72,21 @@ class MatchThenRankQuery:
         return out
 
     def flush(self) -> list[Emission]:
-        final_matches = self.matcher.flush()
-        for match in final_matches:
-            self.scorer.score(match)
-            epoch = self._epochs.epoch_of_point(match.last_seq, match.last_ts)
-            self._buffers.setdefault(epoch, []).append(match)
-            self.matches_buffered += 1
+        self._buffer(self.matcher.flush())
         out = [
             self._close_epoch(epoch, self._last_seq, self._last_ts)
             for epoch in sorted(self._buffers)
         ]
         self.emissions.extend(out)
         return out
+
+    def _buffer(self, matches: list[Match]) -> None:
+        """Score each match and keep it in the buffer of its epoch."""
+        for match in matches:
+            self.scorer.score(match)
+            epoch = self._epochs.epoch_of_point(match.last_seq, match.last_ts)
+            self._buffers.setdefault(epoch, []).append(match)
+            self.matches_buffered += 1
 
     def run(self, events) -> list[Emission]:
         """Convenience: sequence, process, and flush a whole stream."""

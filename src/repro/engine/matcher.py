@@ -620,15 +620,12 @@ class PatternMatcher:
                 or (proceeds and run.kleene_open and run.stage == last - 1)
             ):
                 assert cut_key is not None
-                value = cut_key(run.bindings, event)
-                if value > theta:  # strictly worse: ties stay; NaN never skips
+                # Strictly worse: ties stay, and a NaN is completed for the
+                # scorer to report.
+                if cut_key(run.bindings, event) > theta:
                     self._skip_completion(run, event)
                     next_runs.append(run)  # SKIP_TILL_ANY keeps it regardless
                     continue
-                if value != value:
-                    # A NaN-keyed match may now enter the buffer ahead of
-                    # later candidates and break its ordering: stop cutting.
-                    theta = None
             options, consumed = self._options_for(run, event, completed)
             if not consumed:
                 if strategy is SelectionStrategy.STRICT:
@@ -678,7 +675,9 @@ class PatternMatcher:
         run sorts before it, and counting dominators among the runs kept so
         far decides the k-skyband in one sweep (whatever dominates a
         dropped dominator dominates its victims too, so every dropped run
-        has k kept dominators).  The survivors keep their list order.
+        has k kept dominators).  The survivors keep their list order.  A
+        run with a NaN component stays out of the sweep: every match it
+        completes is a scoring error, so it is kept and dominates nothing.
         """
         k = dominance.k
         strict = dominance.strict
@@ -688,7 +687,8 @@ class PatternMatcher:
         for index, run in enumerate(runs):
             if run.stage == last:
                 vector = tuple([component(run) for component in components])
-                ranked.append((vector, index))
+                if all(map(operator.eq, vector, vector)):  # NaN != NaN
+                    ranked.append((vector, index))
         if len(ranked) <= k:
             return runs
         ranked.sort()
@@ -923,12 +923,7 @@ class PatternMatcher:
         """
         assert self._cut_kth is not None
         kth = self._cut_kth(epoch)
-        if kth is None:
-            return None
-        theta = kth[0]
-        if isinstance(theta, bool) or not isinstance(theta, (int, float)):
-            return None
-        return theta if theta == theta else None  # a NaN θ never skips
+        return None if kth is None else kth[0]
 
     def _skip_completion(self, run: Run, event: Event) -> None:
         """Book one (run, event) pair the completing-edge cut skipped."""

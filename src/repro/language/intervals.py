@@ -14,7 +14,10 @@ with domain bounds on future elements.
 the expression's value for **every** possible completion, or ``None`` when
 no finite reasoning is possible (string values, undeclared domains,
 division by an interval containing zero, ...).  ``None`` simply disables
-pruning for that run — it is never wrong, only useless.
+pruning for that run — it is never wrong, only useless.  So is a value
+that may be NaN (a NaN leaf, ``inf - inf``, ``0 * inf``, ``inf / inf``):
+a NaN key is a scoring error, and ``min2``/``max2`` would clamp its
+interval into a finite one that lets the pruner drop the run and hide it.
 
 :class:`IntervalEvaluator` is the reference: the pruner compiles one
 bound per run shape that reads leaves straight off a run (see
@@ -346,20 +349,33 @@ NUMERIC_FUNCTIONS = frozenset(
 
 def numeric_exact(value: Any) -> Interval | None:
     """The degenerate interval of a bound numeric value, else ``None``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         return None
     return Interval.exact(float(value))
 
 
 def bound_arithmetic(op: BinaryOp, left: Interval, right: Interval) -> Interval | None:
-    """``left op right`` for one of :data:`ARITHMETIC`."""
+    """``left op right`` for one of :data:`ARITHMETIC`; ``None`` where the
+    operands may meet in a NaN (``inf - inf``, ``0 * inf``, ``inf / inf``)."""
     if op is BinaryOp.ADD:
+        if left.hi == _INF and right.lo == -_INF or left.lo == -_INF and right.hi == _INF:
+            return None
         return left + right
     if op is BinaryOp.SUB:
+        if left.hi == right.hi == _INF or left.lo == right.lo == -_INF:
+            return None
         return left - right
     if op is BinaryOp.MUL:
+        if left.lo <= 0 <= left.hi and _unbounded(right) or (
+            right.lo <= 0 <= right.hi and _unbounded(left)
+        ):
+            return None
         return left * right
-    return left / right
+    return None if _unbounded(left) and _unbounded(right) else left / right
+
+
+def _unbounded(interval: Interval) -> bool:
+    return interval.lo == -_INF or interval.hi == _INF
 
 
 def bound_function(name: str, args: Sequence[Interval]) -> Interval | None:
@@ -417,6 +433,8 @@ def bound_aggregate(
     count: Interval,
 ) -> Interval | None:
     """Bound an aggregate given the observed values and a domain for future ones."""
+    if observed is not None and observed[1] != observed[1]:
+        return None  # a NaN total: a NaN element, or inf - inf
     if not is_open:
         if observed is None:
             return None

@@ -131,9 +131,13 @@ class Lexer:
             elif char == "." and not seen_dot and self._peek(1) in _ASCII_DIGITS:
                 seen_dot = True
                 self._advance()
-            elif char in "eE" and self._peek(1) in _ASCII_DIGITS:
-                seen_dot = True  # exponent implies float
-                self._advance(2)
+            elif char in "eE" and (
+                self._peek(1) in _ASCII_DIGITS
+                or self._peek(1) in ("+", "-") and self._peek(2) in _ASCII_DIGITS
+            ):
+                # an exponent implies a float; ``repr`` writes 1e308 as 1e+308
+                seen_dot = True
+                self._advance(3 if self._peek(1) in ("+", "-") else 2)
                 while self.pos < len(self.text) and self.text[self.pos] in _ASCII_DIGITS:
                     self._advance()
                 break

@@ -54,7 +54,6 @@ from repro.language.ast_nodes import (
 from repro.language.errors import CEPRSemanticError
 from repro.language.expressions import Evaluator, compile_expr
 from repro.language.fingerprint import predicate_fingerprint
-from repro.language.intervals import IntervalEvaluator
 from repro.language.optimizer import optimize
 from repro.language.printer import format_expr
 
@@ -778,13 +777,8 @@ def run_dominance(
             if _cut_kind(predicate.expr, declared) != "bool":
                 raise _CutShape(format_expr(predicate.expr))
         where = "key"
-        # every variable ranges over its declared domain (imported here:
-        # the analysis package builds on this module)
-        from repro.language.analysis.satisfiability import _unbound_view
-
-        unbound = IntervalEvaluator(_unbound_view(analyzed, registry or SchemaRegistry()))
         for key in analyzed.rank_keys:
-            component, is_strict = _dominance_component(key, name, declared, unbound)
+            component, is_strict = _dominance_component(key, name, declared)
             (strict if is_strict else loose).append(component)
     except _CutShape as shape:
         return None, f"{where} shape: {shape} is outside what dominance compares"
@@ -810,7 +804,6 @@ def _dominance_component(
     key: CompiledRankKey,
     final_var: str,
     declared: Callable[[str, str], AttributeSpec | None],
-    unbound: IntervalEvaluator,
 ) -> tuple[Component, bool]:
     """One ``RANK BY`` key as a run-vector component, and whether it is strict.
 
@@ -818,8 +811,8 @@ def _dominance_component(
     runs), ``max(V.a)``/``min(V.a)`` (monotone but not strict: a shared
     future element can erase the gap) with the aggregate's identity while
     V is still empty, or a number over earlier singletons (a constant per
-    run, strict).  A key that could be NaN — and order the epoch's top-k
-    by arrival — is refused.  Raises :class:`_CutShape` /
+    run, strict; a run it makes NaN only completes scoring errors, and the
+    matcher keeps it out of the sweep).  Raises :class:`_CutShape` /
     :class:`_CutBlocked` otherwise.
     """
     expr = key.expr
@@ -836,9 +829,12 @@ def _dominance_component(
                     f"int or float attribute of the schema registry"
                 )
             if found.dtype == "float" and found.domain is None:
+                # A run awaiting V's first element holds the identity, not
+                # a NaN: dropped now, it could still take a NaN element, and
+                # the scoring errors of its matches would go unreported.
                 raise _CutBlocked(
                     f"NaN: {format_expr(expr)} reads a float with no declared "
-                    f"domain, and a NaN key makes the epoch's top-k order-dependent"
+                    f"domain, so a dropped run could hide a NaN key's scoring error"
                 )
             # the aggregate's identity while V awaits its first element
             identity = -math.inf if expr.func == "max" else math.inf
@@ -851,15 +847,6 @@ def _dominance_component(
             return extreme, False
     if _cut_kind(expr, declared) != "number":
         raise _CutShape(format_expr(expr))
-    # Every subexpression, not just the key: max2(min2(x * 1e308 * 10 -
-    # x * 1e308 * 10, 5), 0) is bounded by [0, 5] yet evaluates to NaN.
-    for node in iter_subexpressions(expr):
-        bound = unbound.bound(node)
-        if bound is None or not (math.isfinite(bound.lo) and math.isfinite(bound.hi)):
-            raise _CutBlocked(
-                f"NaN: {format_expr(node)} has no finite bound over declared "
-                f"domains, and a NaN key makes the epoch's top-k order-dependent"
-            )
     # RANK BY reads a Kleene variable only through aggregates, so this is
     # a number over the singletons bound before V: the event is never read.
     raw = _cut_key(expr, final_var)

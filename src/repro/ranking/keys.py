@@ -10,6 +10,8 @@ best match = minimum") every term is *normalised*:
 
 Ties across all terms break by detection order (appended by
 ``Match.sort_key``), making every ranking a deterministic total order.
+A value with no place in that order — NaN, or anything but a number or
+a string — is an :class:`~repro.language.errors.EvaluationError`.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ def normalise_component(value: Any, direction: Direction) -> Any:
     if isinstance(value, bool):
         value = int(value)
     if isinstance(value, (int, float)):
+        if value != value:
+            raise EvaluationError("RANK BY expressions must not produce NaN")
         return value if direction is Direction.ASC else -value
     if isinstance(value, str):
         return value if direction is Direction.ASC else ReversedStr(value)

@@ -165,6 +165,25 @@ class Ranker:
     def _init_scope(self) -> None:
         raise NotImplementedError
 
+    def _place(self, match: Match) -> None:
+        """Put one scored match into the scope (the scopes that hold any)."""
+        raise NotImplementedError
+
+    def _absorb(self, matches: Sequence[Match]) -> None:
+        """:meth:`_place` each match.  ``RANK BY`` is a total order, so a
+        key another held key cannot be compared with (a string against a
+        number, read from undeclared attributes) is a scoring error: raised
+        when strict, counted and the match dropped when lenient."""
+        for match in matches:
+            try:
+                self._place(match)
+            except TypeError as exc:
+                if not self.lenient_errors:
+                    raise EvaluationError(
+                        f"RANK BY keys of mixed kinds cannot be ranked: {exc}"
+                    ) from exc
+                self.scoring_errors += 1
+
     def _score_all(self, matches: Sequence[Match]) -> Sequence[Match]:
         """Score matches, applying the evaluation-error policy."""
         tracer = self.tracer
@@ -249,9 +268,13 @@ class Ranker:
             )
         self._revision = int(state["revision"])
         self.scoring_errors = int(state["scoring_errors"])
-        self._restore_scope(
-            state, lambda item: self.scorer.score(decode_match(item))
-        )
+        # Older checkpoints may hold a NaN key or keys of mixed kinds.
+        try:
+            self._restore_scope(
+                state, lambda item: self.scorer.score(decode_match(item))
+            )
+        except (EvaluationError, TypeError) as exc:
+            raise SnapshotFormatError(f"a held match cannot be ranked: {exc}") from exc
 
     def _scope_state(self, encode: _Encode) -> dict[str, Any]:
         raise NotImplementedError
@@ -276,16 +299,13 @@ class _TumblingRanker(Ranker):
         """Only with nothing buffered: a later epoch's event closes epochs."""
         return not self._epoch_buffers
 
-    def _absorb(self, matches: Sequence[Match]) -> None:
-        """Put each completed match into the buffer of its own epoch."""
-        buffers = self._epoch_buffers
-        epoch_of = self._epoch_tracker.epoch_of_point
-        for match in matches:
-            epoch = epoch_of(match.last_seq, match.last_ts)
-            buffer = buffers.get(epoch)
-            if buffer is None:
-                buffer = buffers[epoch] = EpochTopK(self.limit)
-            buffer.insert(match)
+    def _place(self, match: Match) -> None:
+        """Put a completed match into the buffer of its own epoch."""
+        epoch = self._epoch_tracker.epoch_of_point(match.last_seq, match.last_ts)
+        buffer = self._epoch_buffers.get(epoch)
+        if buffer is None:
+            buffer = self._epoch_buffers[epoch] = EpochTopK(self.limit)
+        buffer.insert(match)
 
     def _step(
         self, matches: Sequence[Match], seq: int, ts: float, events: int, final: bool
@@ -342,24 +362,27 @@ class _TumblingRanker(Ranker):
                 str(epoch): {
                     "matches": [encode(m) for m in buffer.ranking()],
                     "discarded": buffer.discarded,
-                    "unordered": buffer.unordered,
                 }
                 for epoch, buffer in self._epoch_buffers.items()
             },
         }
 
     def _restore_scope(self, state: _State, rescore: _Rescore) -> None:
+        from repro.engine.snapshot import SnapshotFormatError
+
         self._current_epoch = state["current_epoch"]
         self._epoch_buffers = {}
         for key, item in state["epochs"].items():
-            # The discard count carries over verbatim, and so does whether
-            # a NaN key (maybe evicted since) voided θ.
+            # An older format's one boolean: a NaN went through the epoch.
+            if any(flag is True for flag in item.values()):
+                raise SnapshotFormatError(
+                    f"epoch {key} took a NaN key, so its held matches may be "
+                    f"out of order"
+                )
             buffer = self._epoch_buffers[int(key)] = EpochTopK(self.limit)
-            buffer.restore(
-                [rescore(encoded) for encoded in item["matches"]],
-                int(item["discarded"]),
-                bool(item.get("unordered", False)),
-            )
+            for encoded in item["matches"]:
+                buffer.insert(rescore(encoded))
+            buffer.discarded = int(item["discarded"])
 
 
 class _PassThroughRanker(Ranker):
@@ -444,6 +467,9 @@ class _SlidingRanker(Ranker):
     def held_matches(self) -> int:
         return len(self._sliding)
 
+    def _place(self, match: Match) -> None:
+        self._sliding.insert(match)
+
     def _step(
         self, matches: Sequence[Match], seq: int, ts: float, events: int, final: bool
     ) -> list[Emission]:
@@ -451,8 +477,8 @@ class _SlidingRanker(Ranker):
         # A heartbeat moves the time axis only; the end of the stream, none.
         if events or (self._expires_by_time and not final):
             sliding.expire(seq, ts)
-        for match in matches:
-            sliding.insert(match)
+        if matches:
+            self._absorb(matches)
         if final:
             kind = EmissionKind.FINAL
             ranking = sliding.ranking()

@@ -52,10 +52,6 @@ class EpochTopK:
         self._matches: list[Match] = []
         #: matches rejected or evicted because the buffer was full.
         self.discarded = 0
-        #: a NaN primary key was inserted: NaN compares false both ways, so
-        #: the list is no longer totally ordered by primary and its last
-        #: key stops being a sound bound for ever (checkpoints carry it).
-        self.unordered = False
 
     def __len__(self) -> int:
         return len(self._matches)
@@ -71,18 +67,19 @@ class EpochTopK:
         """The current k-th (worst retained) sort key, when full.
 
         This is the bound θ that pruning and the completing-edge cut test
-        against: while the primary keys are totally ordered, a later
-        insert can only lower it.  ``None`` once a NaN primary went in.
+        against: a later insert can only lower it.
         """
-        if not self.is_full or not self._matches or self.unordered:
+        if not self.is_full or not self._matches:
             return None
         return self._keys[-1]
 
     def insert(self, match: Match) -> bool:
-        """Insert ``match``; returns ``True`` if it is retained."""
+        """Insert ``match``; returns ``True`` if it is retained.
+
+        A key that cannot be compared with a held one raises ``TypeError``
+        before anything changes.
+        """
         key = match.sort_key()
-        if key[0] != key[0]:
-            self.unordered = True
         if self.is_full and key >= self._keys[-1]:
             self.discarded += 1
             return False
@@ -98,16 +95,6 @@ class EpochTopK:
     def ranking(self) -> list[Match]:
         """Best-first snapshot."""
         return list(self._matches)
-
-    def restore(self, matches: list[Match], discarded: int, unordered: bool) -> None:
-        """Hold ``matches`` exactly as a checkpoint stored them (best-first,
-        within capacity).  Inserting them again would re-sort them, and keys
-        a NaN left unordered have no sorted place to return to."""
-        self._matches = list(matches)
-        self._keys = [match.sort_key() for match in self._matches]
-        self.discarded = discarded
-        # a snapshot written before the flag existed reads its held keys
-        self.unordered = unordered or any(key[0] != key[0] for key in self._keys)
 
 
 class SlidingRanking:
@@ -129,19 +116,13 @@ class SlidingRanking:
     band has all its dominators in the band too (a dropped match's
     dominators dominate everything it dominated), so the band alone
     restores exactly.
-
-    NaN compares false both ways and a ``TypeError`` means no order at all:
-    while any held key is *unordered* the scope drops nothing, holds its
-    members in insertion order and sorts them on :meth:`ranking`, and once
-    those keys expire it rebuilds the band from what it holds.
     """
 
     def __init__(self, k: int | None, window: WindowSpec | None) -> None:
         self.k = k
         self.window = window
         self._by_time = window is not None and window.kind is WindowKind.TIME
-        # One member per index of four parallel lists, ascending by sort key
-        # — or in insertion order while unordered, with no keys or counts.
+        # One member per index of four parallel lists, ascending by sort key.
         self._keys: list[tuple[Any, ...]] = []
         self._matches: list[Match] = []
         #: ``(stamp, ordinal)``: when the member leaves, and its insertion rank.
@@ -154,8 +135,6 @@ class SlidingRanking:
         #: no member's stamp is older than this (a lower bound: a dominated
         #: member may have held it), so expiry usually costs one comparison.
         self._oldest_stamp: float | None = None
-        #: ordinal of the newest member with an unordered key, while held.
-        self._unordered_through: int | None = None
         #: matches that left by expiry.
         self.expired = 0
         #: matches dropped because k better matches outlive them.
@@ -164,55 +143,31 @@ class SlidingRanking:
     def __len__(self) -> int:
         return len(self._matches)
 
-    @property
-    def unordered(self) -> bool:
-        """Whether a held key has no total order (NaN, or a ``TypeError``)."""
-        return self._unordered_through is not None
-
     def held(self) -> list[tuple[Match, float]]:
         """``(match, stamp)`` for every member, in insertion order."""
-        return [(self._matches[i], self._marks[i][0]) for i in self._insertion_order()]
-
-    def _insertion_order(self) -> list[int]:
         marks = self._marks
-        return sorted(range(len(marks)), key=lambda i: marks[i][1])
+        order = sorted(range(len(marks)), key=lambda i: marks[i][1])
+        return [(self._matches[i], marks[i][0]) for i in order]
 
     def insert(self, match: Match, stamp: float | None = None) -> None:
-        """Insert a completed match; ``stamp`` restores a checkpointed one."""
+        """Insert a completed match; ``stamp`` restores a checkpointed one.
+
+        A key that cannot be compared with a held one raises ``TypeError``
+        before anything changes.
+        """
+        key = match.sort_key()
+        index = bisect.bisect_left(self._keys, key)
         if stamp is None:
             stamp = match.last_ts if self._by_time else match.last_seq
         stamp = self._stamp(stamp)
         if self._oldest_stamp is None:
             self._oldest_stamp = stamp
-        mark = (stamp, next(self._ordinals))
-        key = match.sort_key()
-        ordered = True
-        for component in key:
-            if component != component:  # NaN
-                ordered = False
-                break
-        if self._unordered_through is None:
-            if ordered:
-                try:
-                    index = bisect.bisect_left(self._keys, key)
-                except TypeError:
-                    ordered = False
-                else:
-                    self._keys.insert(index, key)
-                    self._matches.insert(index, match)
-                    self._marks.insert(index, mark)
-                    self._beaten.insert(index, 0)
-                    if self.k is not None:
-                        self._dominate(index, self.k)
-                    return
-            order = self._insertion_order()
-            self._matches = [self._matches[i] for i in order]
-            self._marks = [self._marks[i] for i in order]
-            self._keys, self._beaten = [], []
-        if not ordered:
-            self._unordered_through = mark[1]
-        self._matches.append(match)
-        self._marks.append(mark)
+        self._keys.insert(index, key)
+        self._matches.insert(index, match)
+        self._marks.insert(index, (stamp, next(self._ordinals)))
+        self._beaten.insert(index, 0)
+        if self.k is not None:
+            self._dominate(index, self.k)
 
     def _stamp(self, point: float) -> float:
         """The expiry stamp of a match completing at ``point``: the running
@@ -262,26 +217,12 @@ class SlidingRanking:
         if not marks:
             # Everything inserted so far has left the window, and so have
             # its stamps: the next match is measured from its own point.
-            self._last_stamp = self._oldest_stamp = self._unordered_through = None
+            self._last_stamp = self._oldest_stamp = None
             return dropped
         self._oldest_stamp = min(stamp for stamp, _ordinal in marks)
-        through = self._unordered_through
-        if through is not None and marks[0][1] > through:
-            self._rebuild()
         return dropped
-
-    def _rebuild(self) -> None:
-        """The unordered keys have expired: re-insert what is held."""
-        held = self.held()
-        self._keys, self._matches, self._marks, self._beaten = [], [], [], []
-        self._last_stamp = self._oldest_stamp = self._unordered_through = None
-        for match, stamp in held:
-            self.insert(match, stamp)
 
     def ranking(self) -> list[Match]:
         """Best-first snapshot of the current top-k among live matches."""
         k = self.k
-        if self._unordered_through is not None:
-            ordered = sorted(self._matches, key=Match.sort_key)
-            return ordered if k is None else ordered[:k]
         return self._matches[:] if k is None else self._matches[:k]

@@ -577,7 +577,10 @@ class CEPREngine(instruments.TelemetryViews):
             assert self.lateness_buffer is not None
             restore_lateness(self.lateness_buffer, lateness_state)
         for name, query_state in snapshot_queries.items():
-            self._queries[name].restore(query_state)
+            try:
+                self._queries[name].restore(query_state)
+            except SnapshotFormatError as exc:
+                raise SnapshotFormatError(f"query {name!r}: {exc}") from exc
 
     # -- observability ---------------------------------------------------------------
 

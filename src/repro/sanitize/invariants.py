@@ -27,7 +27,7 @@ Checks, by hook point:
     **ranking-order** — a shadow list of every live match, expired the way
     the list-and-sort scope did (a prefix of the insertion order, by each
     match's own completion point), agrees with the k-skyband after every
-    step: ``ranking()`` is ``sorted(shadow)[:k]`` while the keys are ordered;
+    step: ``ranking()`` is ``sorted(shadow)[:k]``;
 ``matcher.prune_hook`` / ``_skip_completion`` / ``_drop_dominated``
     **score-bound** — on every pruner call the compiled shape bound is no
     tighter than ``IntervalEvaluator`` over the same run; every
@@ -68,7 +68,7 @@ from repro.language.ast_nodes import Aggregate, Direction, WindowKind
 from repro.language.errors import EvaluationError
 from repro.language.expressions import EvalContext, evaluate_predicate
 from repro.language.intervals import IntervalEvaluator, PartialMatchView
-from repro.ranking.keys import normalise_bound, normalise_component
+from repro.ranking.keys import normalise_bound
 from repro.sanitize.core import Sanitizer, ThreadAffinity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -130,13 +130,7 @@ class InvariantChecker:
                 )
             if len(ranking) > 1:
                 keys = [match.sort_key() for match in ranking]
-                try:
-                    disordered = any(
-                        keys[i] > keys[i + 1] for i in range(len(keys) - 1)
-                    )
-                except TypeError:  # heterogeneous keys: not comparable here
-                    disordered = False
-                if disordered:
+                if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
                     self.san.trip(
                         "ranking-order",
                         f"query {query.name!r} emitted an unsorted ranking "
@@ -153,16 +147,10 @@ class InvariantChecker:
         """The k-skyband ranks what sorting every live match would.
 
         ``shadow`` holds ``[match, point]`` for every live match in
-        insertion order.  Unordered keys (NaN, or a ``TypeError``) have no
-        sorted answer to compare with.
+        insertion order.
         """
         sliding = query.ranker._sliding
-        if sliding.unordered:
-            return
-        try:
-            expected = sorted((match for match, _point in shadow), key=Match.sort_key)
-        except TypeError:
-            return
+        expected = sorted((match for match, _point in shadow), key=Match.sort_key)
         if sliding.k is not None:
             expected = expected[: sliding.k]
         want = [match.detection_index for match in expected]
@@ -359,6 +347,8 @@ class InvariantChecker:
         ]
 
         def vector(run) -> list:
+            # Numbers only; a NaN compares false, so it neither dominates
+            # nor is dominated.
             ctx = EvalContext(bindings=run.bindings)
             values = []
             for on, key in zip(on_final, keys):
@@ -366,7 +356,7 @@ class InvariantChecker:
                     value = _IDENTITY[key.expr.func]  # type: ignore[attr-defined]
                 else:
                     value = key.evaluator(ctx)
-                values.append(normalise_component(value, key.direction))
+                values.append(value if key.direction is Direction.ASC else -value)
             return values
 
         def dominates(q, p) -> bool:
@@ -673,7 +663,7 @@ def instrument_query(checker: InvariantChecker, query: "RegisteredQuery") -> Non
 def instrument_sliding(checker: InvariantChecker, query: "RegisteredQuery") -> None:
     """Keep a shadow of every live match beside a sliding scope.
 
-    The shadow takes each step's matches and expires the way the
+    The shadow takes each match the scope accepts and expires the way the
     list-and-sort scope did: the prefix of the insertion order up to the
     first match whose own completion point is still in the window.  A
     restore reseeds it with the restored members, their stamps standing in
@@ -703,12 +693,16 @@ def instrument_sliding(checker: InvariantChecker, query: "RegisteredQuery") -> N
         sliding.expire = expire  # type: ignore[method-assign]
 
     orig_step = ranker._step
+    orig_place = ranker._place
 
     def step(matches, seq, ts, events, final):
         emissions = orig_step(matches, seq, ts, events, final)
-        shadow.extend([m, m.last_ts if by_time else m.last_seq] for m in matches)
         checker.check_sliding(query, shadow)
         return emissions
+
+    def place(match):
+        orig_place(match)  # a key the scope refused never reaches the shadow
+        shadow.append([match, match.last_ts if by_time else match.last_seq])
 
     orig_restore_scope = ranker._restore_scope
 
@@ -719,6 +713,7 @@ def instrument_sliding(checker: InvariantChecker, query: "RegisteredQuery") -> N
 
     watch_expiry()
     ranker._step = step  # type: ignore[method-assign]
+    ranker._place = place  # type: ignore[method-assign]
     ranker._restore_scope = restore_scope  # type: ignore[method-assign]
 
 

@@ -56,6 +56,12 @@ class TestNumbers:
         assert tokenize("1e3")[0].value == 1000.0
         assert tokenize("2.5e2")[0].value == 250.0
 
+    def test_signed_exponent(self):
+        """``repr`` writes 1e308 as 1e+308, and the printer uses ``repr``."""
+        assert tokenize("1e+308")[0].value == 1e308
+        assert tokenize("2.5E-3")[0].value == 0.0025
+        assert [t.value for t in tokenize("1e-x")[:3]] == [1, "e", "-"]
+
     def test_number_followed_by_dot_attr_is_not_float(self):
         # "b.price" after a number: "1.price" lexes as 1 . price
         tokens = tokenize("1.price")

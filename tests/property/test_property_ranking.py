@@ -31,6 +31,7 @@ from repro.events.event import Event
 from repro.events.schema import AttributeSpec, Domain, EventSchema, SchemaRegistry
 from repro.events.time import SequenceAssigner
 from repro.language.ast_nodes import Direction
+from repro.language.errors import EvaluationError
 from repro.language.intervals import IntervalEvaluator
 from repro.language.parser import parse_query
 from repro.language.semantics import analyze, completion_cut
@@ -237,20 +238,42 @@ def cut_stream(specs):
     return events
 
 
-def engine_lines(query, specs, enable_pruning, registry=CUT_REGISTRY, build=cut_stream):
-    engine = CEPREngine(registry=registry, enable_pruning=enable_pruning)
+def engine_lines(
+    query, specs, enable_pruning, registry=CUT_REGISTRY, build=cut_stream, lenient=False
+):
+    engine = CEPREngine(
+        registry=registry, enable_pruning=enable_pruning, lenient_errors=lenient
+    )
     handle = engine.register_query(query, name="cut")
     engine.run(build(specs))
     return [emission_to_line(e) for e in handle.results()], handle.matcher.stats
 
 
-def match_then_rank_lines(query, specs, registry=CUT_REGISTRY, build=cut_stream):
+class LenientMatchThenRank(MatchThenRankQuery):
+    """The baseline under the lenient policy: a match whose key fails to
+    score (a NaN) is counted and dropped."""
+
+    scoring_errors = 0
+
+    def _buffer(self, matches):
+        scored = []
+        for match in matches:
+            try:
+                scored.append(self.scorer.score(match))
+            except EvaluationError:
+                self.scoring_errors += 1
+        super()._buffer(scored)
+
+
+def match_then_rank_lines(
+    query, specs, registry=CUT_REGISTRY, build=cut_stream, baseline_type=MatchThenRankQuery
+):
     """The reference, fed the query's own types, globally sequenced."""
     events = build(specs)
     assigner = SequenceAssigner()
     for event in events:
         assigner.assign(event)
-    baseline = MatchThenRankQuery(query, registry, name="cut")
+    baseline = baseline_type(query, registry, name="cut")
     relevant = baseline.analyzed.relevant_types
     baseline.run([e for e in events if e.event_type in relevant])
     return [emission_to_line(e) for e in baseline.emissions]
@@ -294,8 +317,8 @@ KLEENE_PATTERNS = {
     "guarded-middle": ("SEQ(A a, NOT C n, C c, B bs+)", ("a.value",)),
     "kleene-head": ("SEQ(A as+, B bs+)", ()),
 }
-#: keys that keep no strict lead; ``max(bs.x)`` may be NaN, so it keeps
-#: dominance off — and the lines must still agree
+#: keys that keep no strict lead; ``max(bs.x)`` may be NaN — a scoring
+#: error, counted under the lenient policy — so it keeps dominance off
 LOOSE_KEYS = ("max(bs.value)", "min(bs.f)", "max(bs.x)")
 ELEMENT_PREDICATES = (
     "", "WHERE bs.value >= 1", "WHERE bs.x > 1.0", "WHERE bs.value != 3 AND bs.f < 1.5"
@@ -350,7 +373,9 @@ def dominance_stream(specs):
 
 
 def dominance_lines(query, specs, enable_pruning):
-    return engine_lines(query, specs, enable_pruning, DOMINANCE_REGISTRY, dominance_stream)
+    return engine_lines(
+        query, specs, enable_pruning, DOMINANCE_REGISTRY, dominance_stream, lenient=True
+    )
 
 
 class TestRunDominanceExactness:
@@ -361,10 +386,9 @@ class TestRunDominanceExactness:
         pruned, stats = dominance_lines(query, specs, enable_pruning=True)
         plain, plain_stats = dominance_lines(query, specs, enable_pruning=False)
         assert pruned == plain
-        if "bs.x)" not in query:  # NaN keys order the top-k by arrival
-            assert pruned == match_then_rank_lines(
-                query, specs, DOMINANCE_REGISTRY, dominance_stream
-            )
+        assert pruned == match_then_rank_lines(
+            query, specs, DOMINANCE_REGISTRY, dominance_stream, LenientMatchThenRank
+        )
         assert stats.matches_completed <= plain_stats.matches_completed
         assert plain_stats.runs_dominated == 0
         event(f"{pattern}: dominance fired {stats.runs_dominated > 0}")
@@ -378,13 +402,15 @@ class TestRunDominanceExactness:
         expected, _ = dominance_lines(query, specs, enable_pruning=True)
         events = dominance_stream(specs)
         cut = min(offset, len(events))
-        first = CEPREngine(registry=DOMINANCE_REGISTRY, enable_pruning=not parent_format)
+        first = CEPREngine(
+            registry=DOMINANCE_REGISTRY, enable_pruning=not parent_format, lenient_errors=True
+        )
         handle = first.register_query(query, name="cut")
         first.run(events[:cut], flush=False)
         state = first.snapshot()
         if parent_format:
             del state["queries"]["cut"]["matcher"]["runs_dominated"]
-        resumed = CEPREngine(registry=DOMINANCE_REGISTRY)
+        resumed = CEPREngine(registry=DOMINANCE_REGISTRY, lenient_errors=True)
         resumed_handle = resumed.register_query(query, name="cut")
         resumed.restore(state)
         resumed.run(events[cut:])
@@ -432,7 +458,12 @@ class TestCompiledCutKey:
         a, b = Event("A", 1.0, value=a_value), Event("B", 2.0, value=b_value)
         match = Match(bindings={"a": a, "b": b}, first_seq=0, last_seq=1,
                       first_ts=1.0, last_ts=2.0)
-        Scorer(analyzed.rank_keys).score(match)
+        try:
+            Scorer(analyzed.rank_keys).score(match)
+        except EvaluationError:  # a NaN key: the cut never skips it
+            value = cut_key({"a": a}, b)
+            assert value != value
+            return
         assert bits(cut_key({"a": a}, b)) == bits(match.score[0])
 
 

@@ -47,12 +47,14 @@ SCORERS = {"q": SCORER, "other": SCORER}
 counts = st.integers(min_value=0, max_value=10**9)
 seconds = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 values = st.floats(allow_nan=True, allow_infinity=True)
+#: a NaN RANK BY value is a scoring error, so no emitted match carries one
+rank_values = st.floats(allow_nan=False, allow_infinity=True)
 
 
 @st.composite
 def matches(draw):
     ts = draw(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
-    a = Event("A", ts, x=draw(values), tag=draw(st.text(max_size=4)))
+    a = Event("A", ts, x=draw(rank_values), tag=draw(st.text(max_size=4)))
     bs = tuple(
         Event("B", ts + index + 1, y=draw(values))
         for index in range(draw(st.integers(min_value=1, max_value=3)))

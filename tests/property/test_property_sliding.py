@@ -6,16 +6,13 @@ one list, expired as a prefix of the insertion order, sorted on every
 
 * random insert / expire / ``ranking()`` / checkpoint-restore sequences
   driven straight into the scope — completion points out of order (a
-  pending match confirmed late), tied scores, NaN keys, k in
-  {1, 2, 3, None}, count and time windows;
+  pending match confirmed late), tied scores, NaN values (a scoring
+  error: the match never reaches either scope), k in {1, 2, 3, None},
+  count and time windows — equal after every step;
 * whole queries with a trailing negation (so pendings confirm late) under
   ``EMIT EAGER`` and ``EMIT EVERY``, whose serialized emissions must equal
   a run with the oracle patched in — including a run resumed from a
   checkpoint written in the list-and-sort format.
-
-While a NaN key is held there is no sorted answer to agree with: the
-scope then drops nothing and sorts what it holds in insertion order, and
-agreement with the oracle resumes once the NaN has expired.
 """
 
 import json
@@ -29,6 +26,7 @@ from repro import CEPREngine, Event
 from repro.engine.match import Match
 from repro.events.jsonsafe import desanitize, dumps, sanitize
 from repro.language.ast_nodes import WindowKind, WindowSpec
+from repro.language.errors import EvaluationError
 from repro.language.parser import parse_query
 from repro.language.semantics import analyze
 from repro.ranking import ranker as ranker_module
@@ -166,10 +164,6 @@ def scope_cases(draw):
     return query, ops, detection
 
 
-def unordered(match):
-    return any(value != value for value in match.score)
-
-
 class TestSkybandAgainstListAndSort:
     @given(scope_cases())
     @settings(max_examples=400, deadline=None)
@@ -180,31 +174,29 @@ class TestSkybandAgainstListAndSort:
         ranker = Ranker(analyzed, scorer)
         oracle = ListAndSortRanking(analyzed.limit, analyzed.window)
         now_seq, now_ts = 0, 0.0
-        inserted = 0
-        unordered_since = None  # insert count when the scope went unordered
-        order = {}  # detection index -> insert count
+        inserted = drawn = 0
         for op in ops:
             if op[0] == "insert":
                 _, x, y, late_seq, late_ts = op
                 a = Event("A", max(0.0, now_ts - late_ts), x=x, y=y)
                 a.seq = max(0, now_seq - late_seq)
-                match = scorer.score(
-                    Match(
-                        bindings={"a": a},
-                        first_seq=a.seq,
-                        last_seq=a.seq,
-                        first_ts=a.timestamp,
-                        last_ts=a.timestamp,
-                        detection_index=detection[inserted],
-                        query_name="q",
-                    )
+                match = Match(
+                    bindings={"a": a},
+                    first_seq=a.seq,
+                    last_seq=a.seq,
+                    first_ts=a.timestamp,
+                    last_ts=a.timestamp,
+                    detection_index=detection[drawn],
+                    query_name="q",
                 )
-                order[match.detection_index] = inserted
-                was_unordered = ranker._sliding.unordered
+                drawn += 1
+                try:
+                    scorer.score(match)
+                except EvaluationError:
+                    event("NaN key: a scoring error")
+                    continue
                 ranker._sliding.insert(match)
                 oracle.insert(match)
-                if ranker._sliding.unordered and not was_unordered:
-                    unordered_since = inserted
                 inserted += 1
                 if late_seq or late_ts:
                     event("late insert")
@@ -225,23 +217,11 @@ class TestSkybandAgainstListAndSort:
             live = list(oracle)
             assert scope.expired + scope.dominated + len(scope) == inserted
             assert (len(scope) == 0) == (len(live) == 0)
-            assert scope.unordered == any(unordered(m) for m in live)
             # The band is the live list minus matches that can no longer place.
             assert ids(held) == [i for i in ids(live) if i in set(ids(held))]
             if scope.dominated:
                 event("dominated drops")
-            if not scope.unordered:
-                assert ids(scope.ranking()) == ids(oracle.ranking())
-                continue
-            event("unordered key held")
-            expected = sorted(held, key=Match.sort_key)
-            if analyzed.limit is not None:
-                expected = expected[: analyzed.limit]
-            assert ids(scope.ranking()) == ids(expected)
-            # Nothing is dropped while unordered.
-            assert all(
-                i in set(ids(held)) for i in ids(live) if order[i] >= unordered_since
-            )
+            assert ids(scope.ranking()) == ids(oracle.ranking())
 
     @pytest.mark.parametrize("unit", ["EVENTS", "SECONDS"])
     def test_stamp_is_the_running_maximum(self, unit):
@@ -260,25 +240,24 @@ class TestSkybandAgainstListAndSort:
         scope.expire(8, 8.5)
         assert len(scope) == 0 and scope.expired == 2
 
-    def test_incomparable_keys_sort_like_the_list(self):
-        """A ``TypeError`` on insert is an unordered key: the scope keeps
-        everything, and ``ranking()`` raises exactly when sorting does."""
-        scope = SlidingRanking(2, WindowSpec(WindowKind.COUNT, 5))
-        oracle = ListAndSortRanking(2, WindowSpec(WindowKind.COUNT, 5))
-        for index, score in enumerate([1.0, "b", 0.5]):
-            match = Match({}, index, index, 0.0, 0.0, (), index, (score,))
-            scope.insert(match)
-            oracle.insert(match)
-        assert scope.unordered and len(scope) == 3
-        with pytest.raises(TypeError):
-            oracle.ranking()
-        with pytest.raises(TypeError):
-            scope.ranking()
-        for now in (5, 6):  # the first match leaves, then the string key
-            scope.expire(now, 0.0)
-            oracle.expire(now, 0.0)
-        assert not scope.unordered
-        assert ids(scope.ranking()) == ids(oracle.ranking()) == [2]
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_incomparable_keys_are_a_scoring_error(self, lenient):
+        """A string key meeting a number key has no order: a typed error,
+        raised when strict; counted, and the incoming match dropped, when
+        lenient."""
+        engine = CEPREngine(lenient_errors=lenient)
+        handle = engine.register_query(
+            "PATTERN SEQ(A a) WITHIN 5 EVENTS RANK BY a.x ASC LIMIT 2 EMIT EAGER",
+            name="q",
+        )
+        events = [Event("A", float(i), x=x) for i, x in enumerate([1.0, "b", 0.5])]
+        if not lenient:
+            with pytest.raises(EvaluationError, match="mixed kinds"):
+                engine.run(events)
+            return
+        engine.run(events)
+        assert handle.ranker.scoring_errors == 1
+        assert [m.rank_values for m in handle.results()[-1].ranking] == [(0.5,), (1.0,)]
 
 
 # -- whole queries ------------------------------------------------------------------

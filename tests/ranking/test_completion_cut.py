@@ -38,6 +38,12 @@ REGISTRY = SchemaRegistry(
 )
 
 
+#: ``value`` is a float with no declared domain: NaN is a legal value.
+NAN_REGISTRY = SchemaRegistry(
+    [EventSchema(t, (AttributeSpec("value", "float"),)) for t in "AB"]
+)
+
+
 def stream(count=600, seed=3):
     rng = random.Random(seed)
     return [
@@ -121,13 +127,11 @@ class TestExactWhereItFires:
         assert cut == plain
         assert '"value": 2' in cut[0]  # (A 2, B 7) ties (A 0, B 5) and wins
 
-    def test_nan_keys_never_skip(self):
-        """NaN compares false both ways: once a NaN key entered the epoch's
-        buffer its order — and θ — mean nothing, and a NaN candidate may
-        join it ahead of later candidates of the same event."""
-        registry = SchemaRegistry(
-            [EventSchema(t, (AttributeSpec("value", "float"),)) for t in "AB"]
-        )
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_a_nan_key_is_a_scoring_error_and_theta_keeps_cutting(self, lenient):
+        """A NaN candidate is never skipped (``NaN > θ`` is false): it is
+        completed and the scorer reports it, raised or counted.  It never
+        enters the buffer, so θ stays a bound and the cut keeps firing."""
         nan = float("nan")
         values = [("A", 0.0), ("B", 5.0), ("A", nan), ("B", 3.0), ("A", 10.0),
                   ("B", 4.0), ("B", 9.0), ("A", 1.0), ("B", 2.0)]
@@ -139,10 +143,17 @@ class TestExactWhereItFires:
             PATTERN SEQ(A a, B b) WITHIN 100 EVENTS USING SKIP_TILL_ANY
             RANK BY b.value - a.value DESC LIMIT 2 EMIT ON WINDOW CLOSE
         """
-        cut, _, handle = run(text, events(), registry=registry)
-        plain, _, _ = run(text, events(), enable_pruning=False, registry=registry)
+        cut = outcome(text, events(), True, lenient, registry=NAN_REGISTRY)
+        plain = outcome(text, events(), False, lenient, registry=NAN_REGISTRY)
         assert cut == plain
-        assert handle.matcher.stats.completions_skipped == 0
+        if not lenient:
+            assert cut[:2] == ("EvaluationError", "RANK BY expressions must not produce NaN")
+            return
+        assert cut[1] == 4  # (A nan, B) for each of the four later Bs
+        engine = CEPREngine(registry=NAN_REGISTRY, lenient_errors=True)
+        handle = engine.register_query(text, name="q")
+        engine.run(events())
+        assert handle.matcher.stats.completions_skipped > 0
 
     def test_stock_query_builds_fewer_matches(self):
         workload = StockWorkload(seed=7)
@@ -365,14 +376,11 @@ class TestCheckpoint:
             assert skipped == total - (skipped_before if drop_counter else 0)
 
 
-    def test_a_nan_evicted_before_the_snapshot_still_voids_theta(self):
-        """A NaN primary voids θ for the rest of its epoch even once it is
-        evicted; the snapshot carries that, so the restored run skips
-        exactly what the uninterrupted one does."""
-        registry = SchemaRegistry(
-            [EventSchema(t, (AttributeSpec("value", "float"),)) for t in "AB"]
-        )
-        values = [("A", 0.0), ("B", float("nan")), ("B", 5.0),  # NaN in, then out
+    def test_theta_after_a_nan_key_resumes_identically(self):
+        """The NaN-keyed match never entered its epoch's buffer, so the
+        snapshot holds an ordinary one and the restored run cuts exactly as
+        the uninterrupted one does."""
+        values = [("A", 0.0), ("B", float("nan")), ("B", 5.0),
                   ("B", 1.0), ("A", 2.0), ("B", 3.0), ("B", 0.5)]
 
         def events():
@@ -385,30 +393,29 @@ class TestCheckpoint:
 
         def counters(engine):
             stats = engine.stats_by_query()["q"]
-            return stats["completions_skipped"], stats["matches"]
+            errors = engine.query("q").ranker.scoring_errors
+            return stats["completions_skipped"], stats["matches"], errors
 
-        expected, engine, _ = run(text, events(), registry=registry)
-        plain, _, _ = run(text, events(), enable_pruning=False, registry=registry)
-        assert expected == plain
-        assert counters(engine)[0] == 0
+        def start():
+            engine = CEPREngine(registry=NAN_REGISTRY, lenient_errors=True)
+            return engine, engine.register_query(text, name="q")
 
-        for drop_flag in (False, True):
-            first = CEPREngine(registry=registry)
-            handle = first.register_query(text, name="q")
-            first.run(events()[:3], flush=False)
-            state = first.snapshot()
-            before = [emission_to_line(e) for e in handle.results()]
-            if drop_flag:  # as a build without the flag wrote it
-                for item in state["queries"]["q"]["ranker"]["epochs"].values():
-                    assert item.pop("unordered") is True
-            resumed = CEPREngine(registry=registry)
-            resumed_handle = resumed.register_query(text, name="q")
-            resumed.restore(state)
-            resumed.run(events()[3:])
-            after = [emission_to_line(e) for e in resumed_handle.results()]
-            assert before + after == expected  # emissions never depend on θ
-            if not drop_flag:
-                assert counters(resumed) == counters(engine)
+        engine, handle = start()
+        engine.run(events())
+        expected = [emission_to_line(e) for e in handle.results()]
+        assert expected == outcome(text, events(), False, True, registry=NAN_REGISTRY)[0]
+        assert counters(engine)[0] > 0 and counters(engine)[2] == 1
+
+        first, handle = start()
+        first.run(events()[:3], flush=False)
+        state = first.snapshot()
+        assert "unordered" not in state["queries"]["q"]["ranker"]["epochs"]["0"]
+        resumed, resumed_handle = start()
+        resumed.restore(state)
+        resumed.run(events()[3:])
+        lines = [emission_to_line(e) for e in handle.results() + resumed_handle.results()]
+        assert lines == expected
+        assert counters(resumed) == counters(engine)
 
 
 class TestSharding:
