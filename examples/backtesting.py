@@ -15,6 +15,7 @@ import tempfile
 from pathlib import Path
 
 from repro import CEPREngine
+from repro.runtime import RunnerConfig
 from repro.store import Backtester, EventLog, RecordingTap
 from repro.workloads.stock import StockWorkload
 
@@ -62,7 +63,7 @@ def main(num_events: int = 20_000) -> None:
         # Phase 2: replay history against candidate formulations.
         log = EventLog(log_path)
         lo, hi = log.time_range
-        backtester = Backtester(log, registry)
+        backtester = Backtester(log, RunnerConfig(registry=registry))
         print(f"\nbacktesting {len(CANDIDATES)} candidates over t=[{lo:.0f}, {hi:.0f}]:")
         results = backtester.compare(CANDIDATES)
         for name, result in sorted(

@@ -140,34 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="result rendering (default: text)",
     )
     run.add_argument(
-        "--no-pruning",
-        action="store_true",
-        help="disable score-bound pruning (ablation)",
-    )
-    run.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="enable the CEPRSan invariant sanitizer "
-        "(equivalent to CEPR_SANITIZE=1; see docs/SANITIZER.md)",
-    )
-    run.add_argument(
         "--stats", action="store_true", help="print per-query statistics at the end"
     )
-    run.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run partitioned queries across N worker shards (default: 1)",
-    )
-    run.add_argument(
-        "--runner",
-        choices=("embedded", "sharded", "process"),
-        default=None,
-        help="execution backend (default: embedded, or sharded when "
-        "--shards > 1); process runs shards as worker processes "
-        "(see docs/PROCESS_RUNNER.md)",
-    )
+    _add_runner_flags(run)
     run.add_argument(
         "--out",
         type=Path,
@@ -218,22 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=7654,
         help="TCP port to listen on (0 picks a free port; default: 7654)",
     )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run partitioned queries across N worker shards (default: 1); "
-        "dynamic REGISTER requires --shards 1",
-    )
-    serve.add_argument(
-        "--runner",
-        choices=("threaded", "sharded", "process"),
-        default=None,
-        help="execution backend (default: threaded, or sharded when "
-        "--shards > 1); process runs shards as worker processes "
-        "(see docs/PROCESS_RUNNER.md)",
-    )
+    _add_runner_flags(serve)
     serve.add_argument(
         "--checkpoint-dir",
         type=Path,
@@ -306,12 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 1.0; only meaningful with --shed-policy)",
     )
     serve.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="enable the CEPRSan sanitizer and the event-loop watchdog "
-        "(equivalent to CEPR_SANITIZE=1; see docs/SANITIZER.md)",
-    )
-    serve.add_argument(
         "--tracing",
         action="store_true",
         help="enable span tracing on the engine so TRACE requests include "
@@ -333,13 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fetch metrics from a running `serve` instance instead of "
         "replaying (query files and --events are not needed)",
     )
-    stats.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="replay partitioned queries across N worker shards (default: 1)",
-    )
+    _add_runner_flags(stats)
     stats_format = stats.add_mutually_exclusive_group()
     stats_format.add_argument(
         "--prom",
@@ -378,13 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rank the live cost accounts of a running `serve` instance "
         "instead of replaying",
     )
-    top.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="replay partitioned queries across N worker shards (default: 1)",
-    )
+    _add_runner_flags(top)
     top.add_argument(
         "--json",
         action="store_true",
@@ -507,19 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     backtest.add_argument("--start", type=float, default=None, help="slice start ts")
     backtest.add_argument("--end", type=float, default=None, help="slice end ts")
-    backtest.add_argument("--no-pruning", action="store_true")
-    backtest.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="enable the CEPRSan invariant sanitizer during the replay",
-    )
-    backtest.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="replay partitioned queries across N worker shards (default: 1)",
-    )
+    _add_runner_flags(backtest)
 
     demo = commands.add_parser("demo", help="generate a synthetic workload")
     demo.add_argument("workload", choices=sorted(_WORKLOADS))
@@ -528,6 +458,40 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--out", required=True, type=Path)
 
     return parser
+
+
+def _add_runner_flags(command: argparse.ArgumentParser) -> None:
+    """The runner flags of every command that replays or serves a stream
+    (turned into one config by :func:`_runner_config`)."""
+    command.add_argument(
+        "--shards",
+        type=int,
+        default=1,
+        metavar="N",
+        help="run partitioned queries across N worker shards (default: 1); "
+        "serve's dynamic REGISTER needs one",
+    )
+    command.add_argument(
+        "--runner",
+        choices=("embedded", "threaded", "sharded", "process"),
+        default=None,
+        help="execution backend (default: embedded, or sharded when "
+        "--shards > 1; serve and stats --watch run one engine threaded); "
+        "process runs shards as worker processes "
+        "(see docs/PROCESS_RUNNER.md)",
+    )
+    command.add_argument(
+        "--no-pruning",
+        action="store_true",
+        help="disable score-bound pruning (ablation)",
+    )
+    command.add_argument(
+        "--sanitize",
+        action="store_true",
+        help="enable the CEPRSan invariant sanitizer, and under serve the "
+        "event-loop watchdog (equivalent to CEPR_SANITIZE=1; see "
+        "docs/SANITIZER.md)",
+    )
 
 
 def _add_flightrec_flags(command: argparse.ArgumentParser) -> None:
@@ -670,6 +634,19 @@ def _report_diagnostics(label: str, diagnostics) -> None:
         )
 
 
+def _read_queries(paths: list[Path]) -> dict[str, str]:
+    """``{file stem: query text}``, each file's lint findings reported."""
+    from repro.language.analysis import lint_text
+
+    queries: dict[str, str] = {}
+    for path in paths:
+        if path.stem in queries:
+            raise ValueError(f"duplicate query name {path.stem!r} ({path})")
+        queries[path.stem] = path.read_text()
+        _report_diagnostics(str(path), lint_text(queries[path.stem]))
+    return queries
+
+
 def _load_events(path: Path) -> Iterable[Event]:
     suffix = path.suffix.lower()
     if suffix in (".jsonl", ".ndjson"):
@@ -679,54 +656,29 @@ def _load_events(path: Path) -> Iterable[Event]:
     raise ValueError(f"unsupported event file {path}: expected .jsonl or .csv")
 
 
-def _checkpoint_store(args: argparse.Namespace):
-    """Validate the checkpoint flag combination; build the store (or None)."""
-    from repro.store.checkpoint import CheckpointStore
-
-    if args.checkpoint_every < 1:
-        raise ValueError(
-            f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
-        )
-    if args.checkpoint_dir is None:
-        if args.resume:
-            raise ValueError("--resume requires --checkpoint-dir")
-        return None
-    return CheckpointStore(args.checkpoint_dir)
-
-
-def _resume_consumed(store, args: argparse.Namespace, restore) -> int:
-    """Restore the latest checkpoint; returns the source prefix to skip."""
-    if store is None or not args.resume:
-        return 0
-    checkpoint = store.latest()
-    if checkpoint is None:
-        _log.warning(
-            "--resume: no valid checkpoint in %s, starting from the beginning",
-            store.directory,
-        )
-        return 0
-    restore(checkpoint.state)
-    _log.info(
-        "resumed from %s: skipping %d already-consumed event(s)",
-        checkpoint.path.name,
-        checkpoint.position.events_consumed,
+def _runner_config(args: argparse.Namespace, queue: bool = False, **fields):
+    """The shared runner flags (plus command-specific ``fields``) as one
+    resolved :class:`~repro.runtime.runner.RunnerConfig`; ``queue`` asks
+    for an ingest queue in front of a single engine."""
+    from repro.runtime.runner import (
+        RunnerConfig,
+        queue_backed,
+        reject_ignored_shards,
+        resolve,
     )
-    return checkpoint.position.events_consumed
 
+    if args.sanitize:
+        from repro.sanitize import enable_sanitizer
 
-def _maybe_checkpoint(store, every: int, consumed: int, last_ts: float,
-                      snapshot) -> None:
-    """Save a checkpoint if ``consumed`` sits on an ``every`` boundary."""
-    from repro.store.checkpoint import Position
-
-    if store is None or consumed % every:
-        return
-    state = snapshot()
-    last_seq = int(state["sequencer"]["next_seq"]) - 1
-    store.save(
-        state,
-        Position(events_consumed=consumed, last_seq=last_seq, last_ts=last_ts),
+        enable_sanitizer()
+    config = RunnerConfig(
+        backend=args.runner,
+        shards=args.shards,
+        enable_pruning=not args.no_pruning,
+        **fields,
     )
+    reject_ignored_shards(config)
+    return queue_backed(config) if queue else resolve(config)
 
 
 def _install_flightrec(args: argparse.Namespace) -> None:
@@ -743,6 +695,23 @@ def _install_flightrec(args: argparse.Namespace) -> None:
         byte_budget=args.flightrec_budget,
         directory=getattr(args, "checkpoint_dir", None),
     )
+
+
+def _require_replay_inputs(args: argparse.Namespace) -> None:
+    if args.events is None:
+        raise ValueError(
+            f"{args.command} requires --events (or --connect HOST:PORT)"
+        )
+    if not args.query_files:
+        raise ValueError(f"{args.command} requires at least one query file")
+
+
+def _reject_replay_inputs(args: argparse.Namespace) -> None:
+    if args.events is not None or args.query_files:
+        raise ValueError(
+            "--connect talks to a running server; "
+            "query files and --events do not apply"
+        )
 
 
 def _parse_connect(text: str) -> tuple[str, int]:
@@ -763,46 +732,29 @@ def _make_run_sink(args: argparse.Namespace, out: TextIO):
 
 def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
     from repro.runtime.sinks import close_sink
+    from repro.store.checkpoint import Recovery
 
-    if args.shards < 1:
-        raise ValueError(f"--shards must be >= 1, got {args.shards}")
-    if args.sanitize:
-        from repro.sanitize import enable_sanitizer
-
-        enable_sanitizer()
+    config = _runner_config(args)
+    recovery = Recovery(args.checkpoint_dir, args.checkpoint_every, args.resume)
     _install_flightrec(args)
-    backend = args.runner or ("embedded" if args.shards == 1 else "sharded")
-    if backend == "embedded" and args.shards > 1:
-        raise ValueError(
-            "--runner embedded is single-engine; drop --shards or choose "
-            "--runner sharded/process"
-        )
     # The sink is the output: the engine keeps no emission history.
-    runner = _replay_runner(
-        args,
-        backend,
-        collect_results=False,
-        shards=args.shards,
-        enable_pruning=not args.no_pruning,
-    )
+    runner = _replay_runner(args, config, collect_results=False)
     sink = _make_run_sink(args, out)
     for handle in runner.queries():
         runner.subscribe(handle.name, sink)
 
-    store = _checkpoint_store(args)
     runner.start()
     try:
-        skip = _resume_consumed(store, args, runner.restore)
+        position = recovery.restore(runner.restore)
+        skip = position.events_consumed if position is not None else 0
         consumed = 0
         for event in _load_events(args.events):
             consumed += 1
             if consumed <= skip:
                 continue
             runner.submit(event)
-            _maybe_checkpoint(
-                store, args.checkpoint_every, consumed, event.timestamp,
-                runner.snapshot,
-            )
+            if recovery.due(consumed - 1, consumed):
+                recovery.save(runner.snapshot(), consumed, event.timestamp)
         runner.flush()
     except BaseException:
         # A failure mid-stream must behave like a crash: stop() would
@@ -819,7 +771,7 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
     if args.stats:
         _print_stats(runner.stats_by_query(), out, runner.shared_stats())
         _print_sanitizer_stats(runner.sanitizer_trips(), out)
-        _print_checkpoint_stats(store, out)
+        _print_checkpoint_stats(recovery.store, out)
     if sink.emissions_accepted == 0 and args.output == "text" and args.out is None:
         print("(no results)", file=out)
     return 0
@@ -831,29 +783,21 @@ def _cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
     from repro.serve.protocol import DEFAULT_MAX_FRAME_BYTES
     from repro.serve.server import CEPRServer
 
-    from repro.language.analysis import lint_text
-
-    if args.sanitize:
-        from repro.sanitize import enable_sanitizer
-
-        enable_sanitizer()
+    config = _runner_config(
+        args,
+        queue=True,
+        tracing=args.tracing or None,
+        shed_policy=args.shed_policy,
+        latency_target=args.latency_target,
+    )
     _install_flightrec(args)
 
-    paths = list(args.query_files) + list(args.query_file or [])
-    queries: dict[str, str] = {}
-    for path in paths:
-        if path.stem in queries:
-            raise ValueError(f"duplicate query name {path.stem!r} ({path})")
-        text = path.read_text()
-        _report_diagnostics(str(path), lint_text(text))
-        queries[path.stem] = text
-
+    queries = _read_queries(list(args.query_files) + list(args.query_file or []))
     server = CEPRServer(
         queries,
+        runner=config,
         host=args.host,
         port=args.port,
-        shards=args.shards,
-        runner_backend=args.runner,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
@@ -866,16 +810,13 @@ def _cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
         outbound_queue=args.subscriber_queue,
         slow_consumer=args.slow_consumer,
         poll_interval=args.poll_interval,
-        tracing=args.tracing,
-        shed_policy=args.shed_policy,
-        latency_target=args.latency_target,
     )
 
     def on_ready(ready: CEPRServer) -> None:
         print(
             f"cepr serve: listening on {ready.host}:{ready.bound_port} "
-            f"({len(queries)} queries, runner={ready.runner_backend}, "
-            f"shards={args.shards})",
+            f"({len(queries)} queries, runner={ready.runner_config.backend}, "
+            f"shards={ready.runner_config.shards})",
             file=out,
         )
         out.flush()
@@ -941,19 +882,13 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
     if args.connect is not None:
         if args.watch:
             raise ValueError("--connect does not support --watch")
-        if args.events is not None or args.query_files:
-            raise ValueError(
-                "--connect fetches metrics from a running server; "
-                "query files and --events do not apply"
-            )
+        _reject_replay_inputs(args)
         return _stats_remote(args, out)
-    if args.events is None:
-        raise ValueError("stats requires --events (or --connect HOST:PORT)")
-    if not args.query_files:
-        raise ValueError("stats requires at least one query file")
-    if args.shards < 1:
-        raise ValueError(f"--shards must be >= 1, got {args.shards}")
-    registry = _stats_replay(args, out)
+    _require_replay_inputs(args)
+    # Watch mode wants a queue-backed runner (the monitor header shows
+    # queue pressure alongside throughput); plain replay stays embedded.
+    config = _runner_config(args, queue=args.watch)
+    registry = _stats_replay(args, config, out)
     _export_metrics(registry.to_prometheus(), registry.to_json(), args, out)
     return 0
 
@@ -969,23 +904,18 @@ def _stats_remote(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _replay_runner(
-    args: argparse.Namespace,
-    backend: str,
-    collect_results: bool = True,
-    **config,
+    args: argparse.Namespace, config, collect_results: bool = True
 ):
-    """A runner over ``args.query_files`` (diagnostics reported), unstarted.
-
-    ``config`` overrides :class:`~repro.runtime.runner.RunnerConfig`
-    fields.  ``collect_results=False`` keeps the embedded engine from
-    holding every emission (the fleets' merge stage keeps its own).
+    """A ``config`` runner over ``args.query_files`` (diagnostics
+    reported), unstarted.  ``collect_results=False`` keeps a bare engine
+    from holding every emission (the fleets' merge stage keeps its own).
     """
     from repro.language.analysis import run_analysis
     from repro.runtime.runner import create_runner
 
-    runner = create_runner(backend=backend, **config)
+    runner = create_runner(config=config)
     register = runner.register_query
-    if backend == "embedded":
+    if isinstance(runner, CEPREngine):
         register = partial(register, collect_results=collect_results)
     for path in args.query_files:
         handle = register(path.read_text(), name=path.stem)
@@ -993,15 +923,9 @@ def _replay_runner(
     return runner
 
 
-def _stats_replay(args: argparse.Namespace, out: TextIO):
+def _stats_replay(args: argparse.Namespace, config, out: TextIO):
     """Replay the events file; the registry as of the final flush."""
-    # Watch mode wants a queue-backed runner (the monitor header shows
-    # queue pressure alongside throughput); plain replay stays embedded.
-    if args.shards > 1:
-        backend = "sharded"
-    else:
-        backend = "threaded" if args.watch else "embedded"
-    runner = _replay_runner(args, backend, shards=args.shards)
+    runner = _replay_runner(args, config)
     runner.start()
     try:
         if args.watch:
@@ -1094,33 +1018,23 @@ def _cmd_top(args: argparse.Namespace, out: TextIO) -> int:
     import json
 
     if args.connect is not None:
-        if args.events is not None or args.query_files:
-            raise ValueError(
-                "--connect ranks a running server's accounts; "
-                "query files and --events do not apply"
-            )
+        _reject_replay_inputs(args)
         return _top_remote(args, out)
     if args.watch:
         raise ValueError("top --watch requires --connect")
-    if args.events is None:
-        raise ValueError("top requires --events (or --connect HOST:PORT)")
-    if not args.query_files:
-        raise ValueError("top requires at least one query file")
-    if args.shards < 1:
-        raise ValueError(f"--shards must be >= 1, got {args.shards}")
+    _require_replay_inputs(args)
 
     from repro.observability.cost import rank_accounts
 
-    sharded = args.shards > 1
-    runner = _replay_runner(
-        args, "sharded" if sharded else "embedded", shards=args.shards
-    )
+    runner = _replay_runner(args, _runner_config(args))
     with runner:
         runner.submit_all(_load_events(args.events))
         runner.flush()
     accounts = rank_accounts(runner.cost_accounts().values())
     # A bare engine has no ingest queue, hence no pressure to report.
-    pressure = runner.pressure().to_dict() if sharded else None
+    pressure = (
+        None if isinstance(runner, CEPREngine) else runner.pressure().to_dict()
+    )
 
     docs = [account.to_dict() for account in accounts]
     if args.json:
@@ -1319,11 +1233,10 @@ def _cmd_trace(args: argparse.Namespace, out: TextIO) -> int:
 
     if args.connect is not None:
         return _trace_remote(args, out)
-    if not args.query_files:
-        raise ValueError("trace requires query files (or --connect)")
-    if args.events is None:
-        raise ValueError("trace requires --events (or --connect)")
-    engine = _replay_runner(args, "embedded", tracing=True)
+    _require_replay_inputs(args)
+    from repro.runtime.runner import RunnerConfig
+
+    engine = _replay_runner(args, RunnerConfig(tracing=True))
     names = {handle.name for handle in engine.queries()}
     if args.query is not None and args.query not in names:
         raise ValueError(
@@ -1373,11 +1286,7 @@ def _trace_remote(args: argparse.Namespace, out: TextIO) -> int:
         raise ValueError("trace --connect requires --query NAME")
     if args.all:
         raise ValueError("trace --connect traces one emission (no --all)")
-    if args.query_files or args.events is not None:
-        raise ValueError(
-            "--connect traces a running server; "
-            "query files and --events do not apply"
-        )
+    _reject_replay_inputs(args)
     host, port = _parse_connect(args.connect)
     with CEPRClient(host=host, port=port) as client:
         doc = client.trace(args.query, emission=args.emission)
@@ -1408,31 +1317,18 @@ def _cmd_backtest(args: argparse.Namespace, out: TextIO) -> int:
     from repro.store.backtest import Backtester
     from repro.store.log import EventLog
 
-    if args.sanitize:
-        from repro.sanitize import enable_sanitizer
-
-        enable_sanitizer()
-
+    config = _runner_config(args)
     log = EventLog(args.log)
     if len(log) == 0:
-        print(f"error: event log {args.log} is empty", file=out)
-        return 1
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}", file=out)
-        return 1
-    backtester = Backtester(
-        log, enable_pruning=not args.no_pruning, shards=args.shards
+        raise ValueError(f"event log {args.log} is empty")
+    results = Backtester(log, config).compare(
+        _read_queries(args.query_files), start_ts=args.start, end_ts=args.end
     )
-    from repro.language.analysis import lint_text
-
-    queries = {}
-    for path in args.query_files:
-        text = path.read_text()
-        _report_diagnostics(str(path), lint_text(text))
-        queries[path.stem] = text
-    results = backtester.compare(queries, start_ts=args.start, end_ts=args.end)
     lo, hi = log.time_range
-    window = f"[{args.start if args.start is not None else lo:g}, "              f"{args.end if args.end is not None else hi:g})"
+    window = (
+        f"[{args.start if args.start is not None else lo:g}, "
+        f"{args.end if args.end is not None else hi:g})"
+    )
     print(f"backtest over {window} of {len(log)} recorded events:", file=out)
     for name, result in sorted(results.items(), key=lambda kv: -kv[1].matches):
         best = (

@@ -114,6 +114,13 @@ class ThreadedEngineRunner(QueuedRunner):
             raise TimeoutError("consumer thread did not drain in time")
         self._check_failure()
 
+    def kill(self, timeout: float | None = 5.0) -> None:
+        """Stop the consumer **without flushing** (crash teardown)."""
+        if self._started and not self._stopped:
+            self._stopped = True
+            self._loop.stop()
+            self._loop.join(timeout)
+
     def close(self) -> None:
         """Terminal teardown: stop (draining and flushing), then close sinks."""
         self.stop()

@@ -44,6 +44,12 @@ Construction goes through :func:`create_runner`::
         runner.submit_all(events)
         runner.flush()
 
+Without a ``backend`` the shard count chooses one:
+``RunnerConfig(shards=8)`` is an 8-shard ``sharded`` fleet, one shard
+the ``embedded`` engine.  :func:`resolve` holds that rule and every
+other backend×option rule; the CLI, the server and the backtester hand
+it one config each instead of deciding for themselves.
+
 The runner classes can also be constructed directly; the factory is the
 place where backend choice stays a config value instead of a code change.
 """
@@ -71,7 +77,6 @@ from repro.runtime.concurrent import ThreadedEngineRunner
 from repro.runtime.engine import CEPREngine
 from repro.runtime.process import PipeShard
 from repro.runtime.shard import LocalShard
-from repro.runtime.shedding import ShedController
 from repro.runtime.sharded import ShardedEngineRunner
 from repro.runtime.sinks import SinkLike, Subscription
 
@@ -180,18 +185,15 @@ class Runner(Protocol):
 class RunnerConfig:
     """Declarative construction recipe for :func:`create_runner`.
 
-    Field applicability by backend (everything else is shared):
+    ``backend`` and ``shards`` may be left ``None``; :func:`resolve`
+    settles them and enforces every backend×option rule (see there).
+    The other fields are shared, with two backend-specific meanings:
 
-    * ``shards`` — ``sharded``/``process`` only (worker count).
-    * ``max_queue``/``batch_size`` — queue-backed backends
-      (``threaded``/``sharded``/``process``); ignored by ``embedded``.
-    * ``shed_policy``/``latency_target``/``shed_controller`` —
-      ``threaded``/``sharded`` only.  ``embedded`` has no ingest queue
-      to shed and ``process`` shards only report engine state at
-      barriers, so both reject a non-``"off"`` policy.
-    * ``tracing`` — engine-level (``embedded``/``threaded``); the
-      sharded/process merge stage cannot stitch cross-shard traces, so
-      enabling it there raises.
+    * ``max_queue``/``batch_size`` bound the ingest queue of the
+      queue-backed backends (``threaded``/``sharded``/``process``);
+      ``embedded`` has none and ignores them.
+    * ``shed_policy``/``latency_target`` steer that queue's load
+      shedding (docs/SHEDDING.md).
 
     Emissions reach callers through per-query subscriptions
     (``runner.subscribe``), fed synchronously on the caller's thread for
@@ -199,8 +201,8 @@ class RunnerConfig:
     barrier-calling thread for ``sharded``/``process``.
     """
 
-    backend: str = "embedded"
-    shards: int = 4
+    backend: str | None = None
+    shards: int | None = None
     registry: SchemaRegistry | None = None
     strict_schema: bool = False
     enable_pruning: bool = True
@@ -212,8 +214,93 @@ class RunnerConfig:
     sanitize: bool | None = None
     shed_policy: str = "off"
     latency_target: float | None = None
-    shed_controller: ShedController | None = None
     tracing: bool | None = None
+
+
+#: Backends that run one engine, hence ignore ``shards``.
+_SINGLE_ENGINE = ("embedded", "threaded")
+#: Worker count of a fleet backend named without ``shards``.
+_DEFAULT_FLEET_SHARDS = 4
+
+
+def _backend_of(config: RunnerConfig) -> str:
+    if config.backend is not None:
+        return config.backend
+    if config.shards is not None and config.shards > 1:
+        return "sharded"
+    return "embedded"
+
+
+def resolve(config: RunnerConfig) -> RunnerConfig:
+    """``config`` with ``backend`` and ``shards`` settled and checked.
+
+    Every backend×option rule lives here (:func:`create_runner` applies
+    it; front ends call it to fail before doing any work):
+
+    * ``shards``, when given, is at least 1.
+    * Without ``backend``, one shard (or none given) is ``embedded`` and
+      more is ``sharded``.
+    * The single-engine backends (``embedded``/``threaded``) run one
+      shard whatever ``shards`` says, so one config can sweep all four
+      backends (:func:`reject_ignored_shards` is the strict variant for
+      user input); ``sharded``/``process`` default to 4 shards.
+    * ``embedded`` has no ingest queue to shed, so it rejects a
+      ``shed_policy`` other than ``"off"`` (``process`` does too: its
+      shards report engine state only at barriers — the fleet runner
+      enforces that for direct construction as well).
+    * Tracing is per-engine: the ``sharded``/``process`` merge stage
+      cannot stitch cross-shard traces, so they reject ``tracing=True``.
+
+    Idempotent: a resolved config resolves to an equal one.
+    """
+    if config.shards is not None and config.shards < 1:
+        raise ValueError(f"shards must be >= 1, got {config.shards}")
+    backend = _backend_of(config)
+    if backend not in _BACKENDS:
+        raise ValueError(
+            f"unknown runner backend {backend!r}; "
+            f"expected one of {sorted(_BACKENDS)}"
+        )
+    if backend in _SINGLE_ENGINE:
+        shards = 1
+    else:
+        shards = config.shards or _DEFAULT_FLEET_SHARDS
+    if backend == "embedded" and config.shed_policy != "off":
+        raise ValueError(
+            "backend 'embedded' has no ingest queue to shed; "
+            "use backend='threaded' for load shedding"
+        )
+    if config.tracing and backend not in _SINGLE_ENGINE:
+        raise ValueError(
+            f"backend {backend!r} does not support per-emission "
+            "tracing (the merge stage cannot stitch cross-shard traces); "
+            "use backend='embedded' or 'threaded'"
+        )
+    return replace(config, backend=backend, shards=shards)
+
+
+def queue_backed(config: RunnerConfig) -> RunnerConfig:
+    """:func:`resolve`, with the bare ``embedded`` engine upgraded to
+    ``threaded``: for front ends that need an ingest queue between their
+    producers and the engine (the server, the live monitor)."""
+    if _backend_of(config) == "embedded":
+        config = replace(config, backend="threaded")
+    return resolve(config)
+
+
+def reject_ignored_shards(config: RunnerConfig) -> None:
+    """Raise when ``config`` names a single-engine backend *and* more
+    than one shard.
+
+    :func:`resolve` ignores ``shards`` there; a front end that took both
+    values from a user calls this first, because for a user the pair is
+    a contradiction rather than a sweep.
+    """
+    if config.backend in _SINGLE_ENGINE and (config.shards or 1) > 1:
+        raise ValueError(
+            f"backend {config.backend!r} is single-engine; shards="
+            f"{config.shards} needs backend 'sharded' or 'process'"
+        )
 
 
 # -- factory ---------------------------------------------------------------------
@@ -264,24 +351,6 @@ def _engine_from(config: RunnerConfig) -> CEPREngine:
     )
 
 
-def _reject_tracing(config: RunnerConfig) -> None:
-    if config.tracing:
-        raise ValueError(
-            f"backend {config.backend!r} does not support per-emission "
-            "tracing (the merge stage cannot stitch cross-shard traces); "
-            "use backend='embedded' or 'threaded'"
-        )
-
-
-def _build_embedded(config: RunnerConfig) -> CEPREngine:
-    if config.shed_policy != "off" or config.shed_controller is not None:
-        raise ValueError(
-            "backend 'embedded' has no ingest queue to shed; "
-            "use backend='threaded' for load shedding"
-        )
-    return _engine_from(config)
-
-
 def _build_threaded(config: RunnerConfig) -> ThreadedEngineRunner:
     return ThreadedEngineRunner(
         _engine_from(config),
@@ -289,14 +358,10 @@ def _build_threaded(config: RunnerConfig) -> ThreadedEngineRunner:
         batch_size=config.batch_size,
         shed_policy=config.shed_policy,
         latency_target=config.latency_target,
-        shed_controller=config.shed_controller,
     )
 
 
 def _build_fleet(config: RunnerConfig, shard_type: type) -> ShardedEngineRunner:
-    _reject_tracing(config)
-    # The runner itself rejects shedding for shards without a live engine
-    # (PipeShard); pass it through so the error is its.
     return ShardedEngineRunner(
         shards=config.shards,
         registry=config.registry,
@@ -310,13 +375,12 @@ def _build_fleet(config: RunnerConfig, shard_type: type) -> ShardedEngineRunner:
         sanitize=config.sanitize,
         shed_policy=config.shed_policy,
         latency_target=config.latency_target,
-        shed_controller=config.shed_controller,
         shard_type=shard_type,
     )
 
 
 _BACKENDS: dict[str, Callable[[RunnerConfig], Any]] = {
-    "embedded": _build_embedded,
+    "embedded": _engine_from,
     "threaded": _build_threaded,
     "sharded": partial(_build_fleet, shard_type=LocalShard),
     "process": partial(_build_fleet, shard_type=PipeShard),
@@ -339,29 +403,19 @@ def create_runner(
     stay one-liners::
 
         create_runner(text)                                   # embedded
+        create_runner(text, shards=8)                         # sharded, 8
         create_runner(text, backend="threaded")
         create_runner(text, backend="process", shards=4)
         create_runner(text, RunnerConfig(backend="sharded"), shards=8)
 
     The runner is returned **unstarted**: register any further queries
     and subscribe to the ones whose emissions you want, then ``start()``
-    (or use it as a context manager).  Unknown backends
-    and backend/feature mismatches (shedding on ``embedded``/``process``,
-    tracing on ``sharded``/``process``) raise ``ValueError`` here rather
-    than failing later at runtime.
+    (or use it as a context manager).  The config goes through
+    :func:`resolve`, so unknown backends and backend/option mismatches
+    raise ``ValueError`` here rather than failing later at runtime.
     """
-    if config is None:
-        config = RunnerConfig()
-    if overrides:
-        config = replace(config, **overrides)
-    try:
-        build = _BACKENDS[config.backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown runner backend {config.backend!r}; "
-            f"expected one of {sorted(_BACKENDS)}"
-        ) from None
-    runner = build(config)
+    config = resolve(replace(config or RunnerConfig(), **overrides))
+    runner = _BACKENDS[config.backend](config)
     for name, query in _iter_program(program):
         runner.register_query(query, name=name)
     return runner

@@ -132,7 +132,7 @@ class ShedController:
         force: bool = False,
     ) -> None:
         if policy not in ("off", "adaptive"):
-            raise ValueError(f"shed policy must be off|adaptive, got {policy!r}")
+            raise ValueError(f"shed_policy must be off|adaptive, got {policy!r}")
         if latency_target <= 0:
             raise ValueError(
                 f"latency_target must be positive, got {latency_target}"

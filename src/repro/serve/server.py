@@ -7,7 +7,7 @@ Threading model — three layers, one direction of blocking each:
   goes through ``asyncio.to_thread``.
 * **Runner threads**: a :class:`~repro.runtime.concurrent.ThreadedEngineRunner`
   or a :class:`~repro.runtime.sharded.ShardedEngineRunner` over thread or
-  process shards (chosen by ``runner_backend``, built via
+  process shards (chosen by the ``runner`` config, built via
   :func:`~repro.runtime.runner.create_runner`, driven only through the
   :class:`~repro.runtime.runner.Runner` protocol and the telemetry both
   classes share) consumes submitted events and delivers emissions to the
@@ -42,11 +42,9 @@ from repro.observability.flightrec import current as flightrec_current
 from repro.observability.flightrec import dump_if_armed
 from repro.observability.log import get_logger
 from repro.observability.tracing import remote_contexts
-from repro.runtime.concurrent import ThreadedEngineRunner
 from repro.runtime.metrics import LatencyRecorder
-from repro.runtime.runner import RunnerConfig, create_runner
+from repro.runtime.runner import RunnerConfig, create_runner, queue_backed
 from repro.runtime.serialize import event_from_json
-from repro.runtime.sharded import ShardedEngineRunner
 from repro.serve.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -191,16 +189,19 @@ class CEPRServer:
     queries:
         ``{name: query_text}`` registered before the server starts
         (``threaded`` servers also accept REGISTER frames at runtime).
-    runner_backend:
-        Execution backend behind the frame protocol: ``"threaded"``
-        (one engine, dynamic queries), ``"sharded"`` (partition-parallel
-        worker threads), or ``"process"`` (worker processes fed over
-        pipe frames — see docs/PROCESS_RUNNER.md).  ``None`` infers from
-        ``shards``: 1 → threaded, >1 → sharded.  Sharded/process merged
-        emissions are released on a ``poll_interval`` cadence and at
-        barriers.
-    shards:
-        Worker count for the sharded/process backends.
+    runner:
+        The runtime behind the frame protocol, as one
+        :class:`~repro.runtime.runner.RunnerConfig` (default: one
+        engine).  It is resolved with
+        :func:`~repro.runtime.runner.queue_backed`: a single engine runs
+        ``threaded`` (dynamic REGISTER/UNREGISTER, TRACE), more shards a
+        ``sharded`` or ``process`` fleet whose merged emissions are
+        released on a ``poll_interval`` cadence and at barriers.  The
+        runner is built (unstarted) here, so an invalid combination
+        raises from the constructor.  ``sanitize`` also arms the serve
+        loop's blocking-call watchdog (trips are log-and-count,
+        surfaced as ``serve_sanitizer_trips_total``); ``shed_policy`` /
+        ``latency_target`` steer overload control (docs/SHEDDING.md).
     checkpoint_dir / checkpoint_every / resume:
         Crash-recovery wiring (see docs/RECOVERY.md): snapshot every N
         ingested events and at drain; ``resume`` restores the latest
@@ -213,27 +214,15 @@ class CEPRServer:
         subscriber falls behind: ``"disconnect"`` (default) or ``"drop"``
         (count and continue; clients detect gaps via the per-query
         ``seq`` stamp on emission frames).
-    sanitize:
-        Attach CEPRSan (``None`` follows ``CEPR_SANITIZE``; see
-        docs/SANITIZER.md): runtime engines carry the invariant
-        sanitizer and the serve loop runs the blocking-call watchdog.
-        Watchdog trips are always log-and-count (a stalled loop cannot
-        usefully raise), surfaced as ``serve_sanitizer_trips_total``.
-    shed_policy / latency_target:
-        Overload control (see docs/SHEDDING.md): ``"off"`` (default) or
-        ``"adaptive"`` (rank-weighted lossy sampling steered toward the
-        ``latency_target`` ingest-lag budget, in seconds).  Shed counters
-        surface in STATS frames and the Prometheus export.
     """
 
     def __init__(
         self,
         queries: dict[str, str] | None = None,
         *,
+        runner: RunnerConfig | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        shards: int = 1,
-        enable_pruning: bool = True,
         checkpoint_dir: str | Path | None = None,
         checkpoint_every: int = 1000,
         resume: bool = False,
@@ -242,74 +231,31 @@ class CEPRServer:
         outbound_queue: int = 256,
         slow_consumer: str = "disconnect",
         poll_interval: float = 0.05,
-        max_queue: int = 10_000,
-        batch_size: int = 256,
-        sanitize: bool | None = None,
-        tracing: bool = False,
-        shed_policy: str = "off",
-        latency_target: float | None = None,
-        runner_backend: str | None = None,
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if runner_backend is None:
-            runner_backend = "threaded" if shards == 1 else "sharded"
-        if runner_backend not in ("threaded", "sharded", "process"):
-            raise ValueError(
-                "runner_backend must be threaded|sharded|process, "
-                f"got {runner_backend!r}"
-            )
-        if runner_backend == "threaded" and shards > 1:
-            raise ValueError(
-                "the threaded backend is single-engine; use "
-                "runner_backend='sharded' or 'process' for shards > 1"
-            )
-        if runner_backend == "process" and shed_policy != "off":
-            raise ValueError(
-                "load shedding is not supported on the process backend "
-                "(worker engine state is only reported at barriers)"
-            )
-        if shed_policy not in ("off", "adaptive"):
-            raise ValueError(
-                f"shed_policy must be off|adaptive, got {shed_policy!r}"
-            )
+        from repro.store.checkpoint import Recovery
+
         if slow_consumer not in ("disconnect", "drop"):
             raise ValueError(
                 f"slow_consumer must be 'disconnect' or 'drop', "
                 f"got {slow_consumer!r}"
             )
-        if checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        if resume and checkpoint_dir is None:
-            raise ValueError("resume requires checkpoint_dir")
         self.queries = dict(queries or {})
         self.host = host
         self.port = port
-        self.runner_backend = runner_backend
-        self.shards = shards
-        self.enable_pruning = enable_pruning
+        #: the resolved runner recipe (backend and shards settled).
+        self.runner_config = queue_backed(runner or RunnerConfig())
+        self.recovery = Recovery(checkpoint_dir, checkpoint_every, resume)
         self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = checkpoint_every
-        self.resume = resume
         self.max_frame_bytes = max_frame_bytes
         self.read_timeout = read_timeout
         self.outbound_queue = outbound_queue
         self.slow_consumer = slow_consumer
         self.poll_interval = poll_interval
-        self.max_queue = max_queue
-        self.batch_size = batch_size
-        self.shed_policy = shed_policy
-        self.latency_target = latency_target
-        #: span tracing on the engine from the start (``trace`` op wants
-        #: run-lifecycle competition tallies; provenance works without).
-        self.tracing = tracing
+        sanitize = self.runner_config.sanitize
         if sanitize is None:
             from repro.sanitize.core import sanitizer_enabled
 
             sanitize = sanitizer_enabled()
-        self.sanitize = sanitize
         #: CEPRSan reporter for serving-layer checks (loop-stall watchdog).
         self.sanitizer = None
         self._watchdog = None
@@ -320,7 +266,7 @@ class CEPRServer:
 
         self.stats = ServeStats()
         self.bound_port: int | None = None
-        self._runner: ThreadedEngineRunner | ShardedEngineRunner | None = None
+        self._runner = create_runner(self.queries, self.runner_config)
         self._feeds: dict[str, QueryFeed] = {}
         self._connections: dict[int, _Connection] = {}
         self._next_cid = 0
@@ -331,7 +277,6 @@ class CEPRServer:
         self._drained: asyncio.Event | None = None
         self._draining = False
         self._ingest_lock: asyncio.Lock | None = None
-        self._store = None
         self._last_event_ts = 0.0
         self._ingest_latency = LatencyRecorder()
         self._handlers: dict[
@@ -350,6 +295,10 @@ class CEPRServer:
             "trace": self._op_trace,
             "bye": self._op_bye,
         }
+
+    @property
+    def _single_engine(self) -> bool:
+        return self.runner_config.backend == "threaded"
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -380,20 +329,19 @@ class CEPRServer:
                 installed.append(signal.SIGUSR2)
             except (NotImplementedError, RuntimeError, ValueError):
                 pass
-        if self.runner_backend != "threaded":
+        if not self._single_engine:
             self._poll_task = self._loop.create_task(self._poll_loop())
         if self.sanitizer is not None:
             from repro.sanitize.aio import LoopStallWatchdog
 
             self._watchdog = LoopStallWatchdog(self.sanitizer).start()
         _log.info(
-            "cepr serve listening on %s:%d (%d quer%s, %d shard%s)",
+            "cepr serve listening on %s:%d (%d quer%s, shards=%d)",
             self.host,
             self.bound_port,
             len(self._feeds),
             "y" if len(self._feeds) == 1 else "ies",
-            self.shards,
-            "" if self.shards == 1 else "s",
+            self.runner_config.shards,
         )
         if on_ready is not None:
             on_ready(self)
@@ -408,9 +356,8 @@ class CEPRServer:
                     self._loop.remove_signal_handler(signum)
             if self._tcp_server is not None:
                 self._tcp_server.close()
-            if self._runner is not None:
-                with contextlib.suppress(Exception):
-                    await asyncio.to_thread(self._runner.stop)
+            with contextlib.suppress(Exception):
+                await asyncio.to_thread(self._runner.stop)
 
     def request_drain(self) -> None:
         """Begin graceful drain (idempotent; loop thread only)."""
@@ -432,32 +379,7 @@ class CEPRServer:
 
     def _start_runtime(self) -> None:
         assert self._loop is not None
-        tracing: bool | None = None
-        if self.tracing:
-            if self.runner_backend == "threaded":
-                tracing = True
-            else:
-                _log.warning(
-                    "tracing requested on the %s backend; span tracing is "
-                    "per-engine and the trace op needs --runner threaded "
-                    "— ignoring",
-                    self.runner_backend,
-                )
-        runner = create_runner(
-            self.queries,
-            RunnerConfig(
-                backend=self.runner_backend,
-                shards=self.shards,
-                enable_pruning=self.enable_pruning,
-                max_queue=self.max_queue,
-                batch_size=self.batch_size,
-                sanitize=self.sanitize,
-                shed_policy=self.shed_policy,
-                latency_target=self.latency_target,
-                tracing=tracing,
-            ),
-        )
-        self._runner = runner
+        runner = self._runner
         for name in self.queries:
             feed = QueryFeed(name, self._loop, self.stats)
             # Unified attach: every backend exposes the Runner protocol's
@@ -470,39 +392,18 @@ class CEPRServer:
         # composite pressure score: the runner's own `pressure` gauge is
         # already registered (get-or-create registry), so instead of a
         # second gauge the runner consults this hook on every sample.
-        self._runner.subscriber_pressure_provider = lambda: (
+        runner.subscriber_pressure_provider = lambda: (
             self._max_outbox_depth(),
             self.outbound_queue,
         )
-        if self.checkpoint_dir is not None:
-            from repro.store.checkpoint import CheckpointStore
-
-            self._store = CheckpointStore(self.checkpoint_dir)
-            if self.resume:
-                self._restore_latest()
-
-    def _restore_latest(self) -> None:
-        assert self._store is not None and self._runner is not None
-        checkpoint = self._store.latest()
-        if checkpoint is None:
-            _log.warning(
-                "resume: no valid checkpoint in %s, starting fresh",
-                self._store.directory,
-            )
-            return
-        self._runner.restore(checkpoint.state)
-        self.stats.events_ingested = checkpoint.position.events_consumed
-        self._last_event_ts = checkpoint.position.last_ts
-        _log.info(
-            "resumed from %s (%d events already consumed)",
-            checkpoint.path.name,
-            checkpoint.position.events_consumed,
-        )
+        position = self.recovery.restore(runner.restore)
+        if position is not None:
+            self.stats.events_ingested = position.events_consumed
+            self._last_event_ts = position.last_ts
 
     async def _poll_loop(self) -> None:
         """Fleet backends: release mergeable emissions on a cadence."""
         runner = self._runner
-        assert runner is not None
         while not self._draining:
             await asyncio.sleep(self.poll_interval)
             if self._draining:
@@ -531,14 +432,13 @@ class CEPRServer:
                 # Checkpoint BEFORE the terminal flush: flushing emits
                 # partial-window results a restored run must produce
                 # again, so the snapshot captures the pre-flush state.
-                if self._store is not None:
+                if self.recovery.store is not None:
                     try:
                         await asyncio.to_thread(self._checkpoint_blocking)
                     except Exception:
                         _log.exception(
                             "drain checkpoint failed; continuing shutdown"
                         )
-                assert self._runner is not None
                 with contextlib.suppress(Exception):
                     await asyncio.to_thread(self._runner.stop)
             # Every emission scheduled by the final flush was queued on
@@ -570,18 +470,10 @@ class CEPRServer:
 
     def _checkpoint_blocking(self) -> None:
         """Sync the runtime and persist a snapshot (runner threads idle)."""
-        from repro.store.checkpoint import Position
-
-        assert self._store is not None and self._runner is not None
-        state = self._runner.snapshot()
-        last_seq = int(state["sequencer"]["next_seq"]) - 1
-        self._store.save(
-            state,
-            Position(
-                events_consumed=self.stats.events_ingested,
-                last_seq=last_seq,
-                last_ts=self._last_event_ts,
-            ),
+        self.recovery.save(
+            self._runner.snapshot(),
+            self.stats.events_ingested,
+            self._last_event_ts,
         )
         self.stats.checkpoints_saved += 1
 
@@ -668,7 +560,7 @@ class CEPRServer:
                 frame,
                 version=PROTOCOL_VERSION,
                 server="cepr",
-                shards=self.shards,
+                shards=self.runner_config.shards,
                 queries=sorted(self._feeds),
             )
         )
@@ -812,7 +704,7 @@ class CEPRServer:
             raise FrameError(
                 E_INVALID_ARGUMENT, "advance requires a numeric 't'"
             )
-        assert self._runner is not None and self._ingest_lock is not None
+        assert self._ingest_lock is not None
         async with self._ingest_lock:
             await asyncio.to_thread(self._runner.advance_time, float(timestamp))
         await connection.send(ack_frame(frame))
@@ -821,7 +713,6 @@ class CEPRServer:
     async def _op_sync(self, connection: _Connection, frame: dict) -> bool:
         """Read-your-writes barrier; also releases mergeable sharded output."""
         self._require_live()
-        assert self._runner is not None
         await asyncio.to_thread(self._runner.poll)
         # Emission dispatches scheduled before the barrier's completion
         # callback have already run, so this ack trails them in order.
@@ -832,7 +723,7 @@ class CEPRServer:
 
     async def _op_register(self, connection: _Connection, frame: dict) -> bool:
         self._require_live()
-        if self.runner_backend != "threaded":
+        if not self._single_engine:
             raise FrameError(
                 E_UNSUPPORTED,
                 "REGISTER is unsupported on a sharded fleet (placement is "
@@ -848,7 +739,6 @@ class CEPRServer:
         if name is not None and not isinstance(name, str):
             raise FrameError(E_INVALID_ARGUMENT, "'name' must be a string")
         runner = self._runner
-        assert runner is not None
         try:
             handle = await asyncio.to_thread(
                 runner.register_query, text, name
@@ -868,7 +758,7 @@ class CEPRServer:
 
     async def _op_unregister(self, connection: _Connection, frame: dict) -> bool:
         self._require_live()
-        if self.runner_backend != "threaded":
+        if not self._single_engine:
             raise FrameError(
                 E_UNSUPPORTED,
                 "UNREGISTER is unsupported on a sharded fleet",
@@ -881,7 +771,6 @@ class CEPRServer:
         feed = self._feeds.pop(name)
         feed.notify_unsubscribed("unregistered")
         feed.subscription = None  # engine close_sinks owns it now
-        assert self._runner is not None
         await asyncio.to_thread(self._runner.unregister_query, name)
         await connection.send(ack_frame(frame, query=name))
         return False
@@ -954,7 +843,6 @@ class CEPRServer:
         """Ranked cost accounts, pressure reading, shedding snapshot."""
         from repro.observability.cost import rank_accounts
 
-        assert self._runner is not None
         accounts = rank_accounts(self._runner.cost_accounts().values())
         assessor = self._runner.pressure()
         return {
@@ -971,7 +859,7 @@ class CEPRServer:
         }
 
     async def _op_trace(self, connection: _Connection, frame: dict) -> bool:
-        if self.runner_backend != "threaded":
+        if not self._single_engine:
             raise FrameError(
                 E_UNSUPPORTED,
                 "TRACE is unsupported on a sharded fleet (provenance is "
@@ -994,7 +882,6 @@ class CEPRServer:
     def _trace_blocking(self, name: str, index: int) -> dict[str, Any]:
         """Build one emission's provenance document (runner thread)."""
         runner = self._runner
-        assert runner is not None
         with contextlib.suppress(RuntimeError):
             runner.sync()
         engine = runner.engine  # threaded backend only (gated in _op_trace)
@@ -1028,14 +915,10 @@ class CEPRServer:
             await asyncio.to_thread(self._submit_blocking, events)
             before = self.stats.events_ingested
             self.stats.events_ingested += len(events)
-            if self._store is not None and (
-                before // self.checkpoint_every
-                != self.stats.events_ingested // self.checkpoint_every
-            ):
+            if self.recovery.due(before, self.stats.events_ingested):
                 await asyncio.to_thread(self._checkpoint_blocking)
 
     def _submit_blocking(self, events: list[Event]) -> None:
-        assert self._runner is not None
         started = time.perf_counter()
         for event in events:
             self._runner.submit(event)
@@ -1056,7 +939,6 @@ class CEPRServer:
 
     def metrics_registry(self):
         """The runtime's registry plus the serving layer's instruments."""
-        assert self._runner is not None
         registry = self._runner.metrics_registry()
         stats = self.stats
         registry.counter(

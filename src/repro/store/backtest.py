@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.events.event import Event
-from repro.events.schema import SchemaRegistry
 from repro.ranking.emission import Emission
 from repro.runtime.engine import CEPREngine
-from repro.runtime.runner import create_runner
+from repro.runtime.runner import RunnerConfig, create_runner, resolve
 from repro.store.log import EventLog
 
 
@@ -59,21 +58,11 @@ class BacktestResult:
 class Backtester:
     """Replays slices of an :class:`EventLog` against fresh engines."""
 
-    def __init__(
-        self,
-        log: EventLog,
-        registry: SchemaRegistry | None = None,
-        enable_pruning: bool = True,
-        shards: int = 1,
-    ) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
+    def __init__(self, log: EventLog, runner: RunnerConfig | None = None) -> None:
         self.log = log
-        self.registry = registry
-        self.enable_pruning = enable_pruning
-        #: replay partitioned queries across this many worker shards (the
-        #: sharded runtime's merge stage keeps results identical).
-        self.shards = shards
+        #: the runner every replay builds, resolved (so checked) up front;
+        #: a fleet's merge stage keeps results identical to one engine's.
+        self.config = resolve(runner or RunnerConfig())
 
     def run(
         self,
@@ -83,13 +72,7 @@ class Backtester:
         name: str = "backtest",
     ) -> BacktestResult:
         """Evaluate ``query`` over ``[start_ts, end_ts)`` of the log."""
-        runner = create_runner(
-            {name: query},
-            backend="sharded" if self.shards > 1 else "embedded",
-            shards=self.shards,
-            registry=self.registry,
-            enable_pruning=self.enable_pruning,
-        )
+        runner = create_runner({name: query}, self.config)
         with runner:
             replayed = runner.submit_all(self.log.scan(start_ts, end_ts))
             runner.flush()

@@ -38,9 +38,10 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.events.jsonsafe import desanitize, dumps, sanitize
+from repro.observability.log import get_logger
 from repro.runtime.metrics import LatencyRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,6 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CHECKPOINT_FORMAT = "cepr-checkpoint"
 #: current document version; readers reject versions they don't know.
 CHECKPOINT_VERSION = 1
+
+_log = get_logger(__name__)
 
 _PREFIX = "checkpoint-"
 _SUFFIX = ".json"
@@ -278,4 +281,67 @@ class CheckpointStore:
             "Latency of checkpoint saves",
             recorder=self.save_latency,
             store=store,
+        )
+
+
+class Recovery:
+    """Crash recovery for one front end: resume once, then save every N.
+
+    ``cepr run`` and ``cepr serve`` both drive their runner through this,
+    so the flag rules, the resume path and the :class:`Position` a save
+    records are written once.  ``directory=None`` disables checkpointing
+    (:attr:`store` is ``None`` and nothing is ever due).
+    """
+
+    def __init__(
+        self,
+        directory: str | Path | None,
+        every: int = 1000,
+        resume: bool = False,
+    ) -> None:
+        if every < 1:
+            raise ValueError(f"--checkpoint-every must be >= 1, got {every}")
+        if resume and directory is None:
+            raise ValueError("--resume requires --checkpoint-dir")
+        self.store = CheckpointStore(directory) if directory is not None else None
+        self.every = every
+        self.resume = resume
+
+    def restore(self, restore: Callable[[dict[str, Any]], None]) -> Position | None:
+        """When resuming, load the latest valid checkpoint via ``restore``.
+
+        Returns its position (the source prefix already consumed), or
+        ``None`` when the stream starts from the beginning.
+        """
+        if self.store is None or not self.resume:
+            return None
+        checkpoint = self.store.latest()
+        if checkpoint is None:
+            _log.warning(
+                "--resume: no valid checkpoint in %s, starting from the beginning",
+                self.store.directory,
+            )
+            return None
+        restore(checkpoint.state)
+        _log.info(
+            "resumed from %s: skipping %d already-consumed event(s)",
+            checkpoint.path.name,
+            checkpoint.position.events_consumed,
+        )
+        return checkpoint.position
+
+    def due(self, before: int, after: int) -> bool:
+        """Whether consuming events ``before`` -> ``after`` crossed a
+        save boundary (a multiple of ``every``)."""
+        return self.store is not None and before // self.every != after // self.every
+
+    def save(self, state: dict[str, Any], events_consumed: int, last_ts: float) -> Path:
+        """Persist a runner snapshot taken after ``events_consumed`` events."""
+        assert self.store is not None
+        last_seq = int(state["sequencer"]["next_seq"]) - 1
+        return self.store.save(
+            state,
+            Position(
+                events_consumed=events_consumed, last_seq=last_seq, last_ts=last_ts
+            ),
         )

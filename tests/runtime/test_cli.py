@@ -242,6 +242,66 @@ class TestRunSharded:
         assert "error:" in output
 
 
+def _replay_argv(command: str, query_file, events_file) -> list[str]:
+    """A minimal valid invocation of one runner-flag command."""
+    if command == "serve":
+        return ["serve", str(query_file), "--port", "0"]
+    source = "--log" if command == "backtest" else "--events"
+    return [command, str(query_file), source, str(events_file)]
+
+
+RUNNER_COMMANDS = ["run", "stats", "top", "backtest", "serve"]
+
+
+class TestRunnerFlags:
+    """``--shards``/``--runner``/``--no-pruning``/``--sanitize`` are one
+    flag group, turned into one runner config: every command that has
+    them rejects the same bad input with the same message."""
+
+    @pytest.mark.parametrize("command", RUNNER_COMMANDS)
+    def test_zero_shards_is_one_error(self, command, query_file, events_file):
+        code, output = run_cli(
+            *_replay_argv(command, query_file, events_file), "--shards", "0"
+        )
+        assert code == 1
+        assert output == "error: shards must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("command", RUNNER_COMMANDS)
+    @pytest.mark.parametrize("backend", ["embedded", "threaded"])
+    def test_single_engine_runner_with_shards_is_one_error(
+        self, command, backend, query_file, events_file
+    ):
+        code, output = run_cli(
+            *_replay_argv(command, query_file, events_file),
+            "--runner", backend, "--shards", "2",
+        )
+        assert code == 1
+        assert output == (
+            f"error: backend {backend!r} is single-engine; shards=2 needs "
+            "backend 'sharded' or 'process'\n"
+        )
+
+    def test_serve_tracing_on_a_fleet_exits_with_the_runner_error(
+        self, query_file
+    ):
+        code, output = run_cli(
+            "serve", str(query_file), "--port", "0", "--tracing", "--shards", "2"
+        )
+        assert code == 1
+        assert output.startswith("error: backend 'sharded' does not support")
+        assert "tracing" in output
+
+    @pytest.mark.parametrize("command", ["stats", "top", "backtest"])
+    def test_replay_commands_take_the_whole_group(
+        self, command, query_file, events_file
+    ):
+        code, _ = run_cli(
+            *_replay_argv(command, query_file, events_file),
+            "--runner", "process", "--shards", "2", "--no-pruning",
+        )
+        assert code == 0
+
+
 SCHEMA_JSON = """
 {
   "Buy":  {"symbol": "str", "price": {"dtype": "float", "domain": [0, 10000]}},

@@ -25,7 +25,10 @@ from repro.runtime import (
 )
 from repro.runtime.engine import CEPREngine
 from repro.runtime.process import PipeShard
+from repro.runtime.runner import queue_backed, reject_ignored_shards, resolve
+from repro.runtime.serialize import emission_to_line
 from repro.runtime.shard import LocalShard
+from repro.workloads.stock import StockWorkload
 
 PROFITS = """
     NAME profits
@@ -149,6 +152,109 @@ class TestValidation:
     def test_process_rejects_shedding(self):
         with pytest.raises(ValueError, match="load shedding"):
             create_runner(PROFITS, backend="process", shed_policy="rank")
+
+
+#: Every rule ``create_runner`` owns: config fields -> the resolved
+#: ``(backend, shards)``, or a ``ValueError`` matching the string.
+RULES = [
+    ({}, ("embedded", 1)),
+    ({"shards": 1}, ("embedded", 1)),
+    ({"shards": 8}, ("sharded", 8)),
+    ({"backend": "sharded"}, ("sharded", 4)),
+    ({"backend": "process"}, ("process", 4)),
+    ({"backend": "embedded", "shards": 2}, ("embedded", 1)),
+    ({"backend": "threaded", "shards": 2}, ("threaded", 1)),
+    ({"backend": "process", "shards": 2}, ("process", 2)),
+    ({"backend": "threaded", "shed_policy": "adaptive"}, ("threaded", 1)),
+    ({"backend": "threaded", "tracing": True}, ("threaded", 1)),
+    ({"shards": 0}, "shards must be >= 1"),
+    ({"backend": "sharded", "shards": -1}, "shards must be >= 1"),
+    ({"backend": "distributed"}, "unknown runner backend"),
+    ({"shed_policy": "adaptive"}, "no ingest queue to shed"),
+    ({"backend": "process", "shed_policy": "adaptive"}, "load shedding"),
+    ({"backend": "sharded", "tracing": True}, "tracing"),
+    ({"backend": "process", "tracing": True}, "tracing"),
+    ({"shards": 2, "tracing": True}, "tracing"),
+    ({"backend": "threaded", "shed_policy": "sometimes"}, "shed_policy must be"),
+]
+
+
+class TestRules:
+    @pytest.mark.parametrize("fields, expected", RULES, ids=repr)
+    def test_create_runner_enforces(self, fields, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                create_runner(PROFITS, **fields)
+            return
+        backend, shards = expected
+        config = resolve(RunnerConfig(**fields))
+        assert (config.backend, config.shards) == expected
+        assert resolve(config) == config, "resolution is idempotent"
+        runner = create_runner(PROFITS, **fields)
+        assert type(runner) is BACKEND_TYPES[backend]
+        if isinstance(runner, ShardedEngineRunner):
+            assert runner.shards == shards
+
+    def test_shards_without_backend_builds_a_fleet(self):
+        """``shards`` alone picks the fleet, and the fleet answers exactly
+        as one engine does."""
+        query = PROFITS.replace("EMIT ON", "PARTITION BY symbol EMIT ON")
+
+        def lines(runner) -> list[str]:
+            collected = []
+            runner.subscribe("profits", collected.append)
+            with runner:
+                runner.submit_all(StockWorkload(seed=5).events(1_500))
+                runner.flush()
+            return [emission_to_line(emission) for emission in collected]
+
+        fleet = create_runner(query, shards=8)
+        assert type(fleet) is ShardedEngineRunner
+        assert fleet.shards == 8 and fleet.shard_type is LocalShard
+        expected = lines(create_runner(query))
+        assert expected, "the workload must emit for the test to bite"
+        assert lines(fleet) == expected
+
+    @pytest.mark.parametrize(
+        "fields, backend",
+        [
+            ({}, "threaded"),
+            ({"backend": "embedded"}, "threaded"),
+            ({"shed_policy": "adaptive"}, "threaded"),
+            ({"shards": 2}, "sharded"),
+            ({"backend": "process"}, "process"),
+        ],
+    )
+    def test_queue_backed_upgrades_only_the_bare_engine(self, fields, backend):
+        assert queue_backed(RunnerConfig(**fields)).backend == backend
+
+    @pytest.mark.parametrize("backend", ["embedded", "threaded"])
+    def test_user_input_rejects_ignored_shards(self, backend):
+        with pytest.raises(ValueError, match="single-engine"):
+            reject_ignored_shards(RunnerConfig(backend=backend, shards=2))
+        reject_ignored_shards(RunnerConfig(backend=backend, shards=1))
+        reject_ignored_shards(RunnerConfig(backend="sharded", shards=2))
+
+
+class TestKill:
+    @pytest.mark.parametrize("backend", sorted(BACKEND_TYPES))
+    def test_kill_tears_down_without_flushing(self, backend):
+        """``cepr run``'s crash path, on every backend ``--runner`` picks:
+        held results vanish instead of being flushed out."""
+
+        def emitted(crash: bool) -> int:
+            runner = create_runner(PROFITS, backend=backend, shards=2)
+            seen = []
+            runner.subscribe("profits", seen.append)
+            runner.start()
+            runner.submit_all(StockWorkload(seed=5).events(30))
+            if crash:
+                runner.kill()
+            runner.stop()  # flushes, or a no-op after kill()
+            return len(seen)
+
+        assert emitted(crash=False) > 0, "a flush must emit for this to bite"
+        assert emitted(crash=True) == 0
 
 
 class TestDirectConstruction:

@@ -17,6 +17,7 @@ import pytest
 
 from repro.events.jsonsafe import dumps
 from repro.runtime.engine import CEPREngine
+from repro.runtime.runner import RunnerConfig
 from repro.runtime.serialize import emission_to_line
 from repro.serve.client import CEPRClient, CEPRServeError, ServerClosed
 from repro.serve.protocol import (
@@ -198,7 +199,7 @@ def _harness_for(backend: str, queries: dict[str, str]) -> ServerHarness:
     # backends get two shards so partition-parallel paths actually run.
     shards = 1 if backend == "threaded" else 2
     return ServerHarness(
-        queries=queries, shards=shards, runner_backend=backend
+        queries=queries, runner=RunnerConfig(backend=backend, shards=shards)
     )
 
 
@@ -267,17 +268,19 @@ class TestRunnerBackendParity:
         ]
 
     def test_invalid_backend_combinations_raise(self):
-        with pytest.raises(ValueError, match="single-engine"):
-            CEPRServer(queries={}, shards=2, runner_backend="threaded")
         with pytest.raises(ValueError, match="threaded|sharded|process"):
-            CEPRServer(queries={}, runner_backend="warp")
+            CEPRServer(queries={}, runner=RunnerConfig(backend="warp"))
         with pytest.raises(ValueError, match="load shedding"):
             CEPRServer(
                 queries={},
-                shards=2,
-                runner_backend="process",
-                shed_policy="adaptive",
+                runner=RunnerConfig(
+                    backend="process", shards=2, shed_policy="adaptive"
+                ),
             )
+
+    def test_tracing_on_a_fleet_raises_from_the_constructor(self):
+        with pytest.raises(ValueError, match="tracing"):
+            CEPRServer(queries={}, runner=RunnerConfig(shards=2, tracing=True))
 
 
 class TestSlowConsumer:
@@ -358,7 +361,9 @@ class TestTypedErrors:
 
     def test_register_on_sharded_fleet_is_cepr509(self):
         queries = {"abandonment": ABANDONMENT}
-        with ServerHarness(queries=queries, shards=2) as harness:
+        with ServerHarness(
+            queries=queries, runner=RunnerConfig(shards=2)
+        ) as harness:
             with CEPRClient(port=harness.port) as client:
                 with pytest.raises(CEPRServeError) as excinfo:
                     client.register(PROFIT, name="late")

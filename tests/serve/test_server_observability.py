@@ -17,6 +17,7 @@ from repro.observability.flightrec import (
     load_artifact,
     uninstall_flight_recorder,
 )
+from repro.runtime.runner import RunnerConfig
 from repro.serve.client import CEPRClient, CEPRServeError
 
 from .test_server import PROFIT, ServerHarness
@@ -45,7 +46,9 @@ def _paired_events(count: int = 5) -> list[Event]:
 
 class TestTracePropagation:
     def test_hello_context_reaches_emission_trace(self):
-        with ServerHarness(queries={"spread": SPREAD}, tracing=True) as harness:
+        with ServerHarness(
+            queries={"spread": SPREAD}, runner=RunnerConfig(tracing=True)
+        ) as harness:
             client = CEPRClient(
                 port=harness.port,
                 trace_context={"client": "pytest", "run": "r1"},
@@ -69,7 +72,9 @@ class TestTracePropagation:
             assert entry["type"] in ("Buy", "Sell")
 
     def test_per_push_context_overlays_hello(self):
-        with ServerHarness(queries={"spread": SPREAD}, tracing=True) as harness:
+        with ServerHarness(
+            queries={"spread": SPREAD}, runner=RunnerConfig(tracing=True)
+        ) as harness:
             client = CEPRClient(
                 port=harness.port,
                 trace_context={"client": "pytest", "stage": "hello"},
@@ -100,7 +105,9 @@ class TestTracePropagation:
             assert context["batch"] == "b7"
 
     def test_untraced_connection_still_traces_without_contexts(self):
-        with ServerHarness(queries={"spread": SPREAD}, tracing=True) as harness:
+        with ServerHarness(
+            queries={"spread": SPREAD}, runner=RunnerConfig(tracing=True)
+        ) as harness:
             client = CEPRClient(port=harness.port)
             try:
                 client.push_batch(_paired_events())
@@ -120,7 +127,9 @@ class TestTracePropagation:
 
 class TestTraceErrors:
     def test_unknown_query(self):
-        with ServerHarness(queries={"spread": SPREAD}, tracing=True) as harness:
+        with ServerHarness(
+            queries={"spread": SPREAD}, runner=RunnerConfig(tracing=True)
+        ) as harness:
             client = CEPRClient(port=harness.port)
             try:
                 with pytest.raises(CEPRServeError) as excinfo:
@@ -130,7 +139,9 @@ class TestTraceErrors:
                 client.close()
 
     def test_bad_emission_index(self):
-        with ServerHarness(queries={"spread": SPREAD}, tracing=True) as harness:
+        with ServerHarness(
+            queries={"spread": SPREAD}, runner=RunnerConfig(tracing=True)
+        ) as harness:
             client = CEPRClient(port=harness.port)
             try:
                 client.push_batch(_paired_events())
@@ -143,7 +154,9 @@ class TestTraceErrors:
                 client.close()
 
     def test_unsupported_when_sharded(self):
-        with ServerHarness(queries={"profits": PROFIT}, shards=2) as harness:
+        with ServerHarness(
+            queries={"profits": PROFIT}, runner=RunnerConfig(shards=2)
+        ) as harness:
             client = CEPRClient(port=harness.port)
             try:
                 with pytest.raises(CEPRServeError) as excinfo:
@@ -189,8 +202,7 @@ class TestStatsTelemetry:
     def test_stats_carries_shedding_snapshot(self):
         with ServerHarness(
             queries={"spread": SPREAD},
-            shed_policy="adaptive",
-            latency_target=0.5,
+            runner=RunnerConfig(shed_policy="adaptive", latency_target=0.5),
         ) as harness:
             client = CEPRClient(port=harness.port)
             try:
@@ -216,7 +228,7 @@ class TestStatsTelemetry:
         with pytest.raises(ValueError, match="shed_policy"):
             from repro.serve.server import CEPRServer
 
-            CEPRServer(shed_policy="sometimes")
+            CEPRServer(runner=RunnerConfig(shed_policy="sometimes"))
 
     def test_prom_export_has_subscriber_gauges(self):
         with ServerHarness(queries={"spread": SPREAD}) as harness:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import CEPREngine, Event
+from repro.runtime.runner import RunnerConfig
 from repro.store.backtest import Backtester, RecordingTap
 from repro.store.log import EventLog, LogCorruptError
 from repro.workloads.stock import StockWorkload
@@ -151,7 +152,7 @@ class TestBacktester:
 
     def test_backtest_equals_live_run(self, tmp_path):
         log, registry = self.record(tmp_path)
-        result = Backtester(log, registry).run(QUERY)
+        result = Backtester(log, RunnerConfig(registry=registry)).run(QUERY)
 
         workload = StockWorkload(seed=5)
         engine = CEPREngine(registry=registry)
@@ -171,13 +172,14 @@ class TestBacktester:
         log, registry = self.record(tmp_path)
         lo, hi = log.time_range
         mid = (lo + hi) / 2
-        first_half = Backtester(log, registry).run(QUERY, end_ts=mid)
-        second_half = Backtester(log, registry).run(QUERY, start_ts=mid)
+        backtester = Backtester(log, RunnerConfig(registry=registry))
+        first_half = backtester.run(QUERY, end_ts=mid)
+        second_half = backtester.run(QUERY, start_ts=mid)
         assert first_half.events_replayed + second_half.events_replayed == len(log)
 
     def test_compare_candidates(self, tmp_path):
         log, registry = self.record(tmp_path, count=800)
-        results = Backtester(log, registry).compare(
+        results = Backtester(log, RunnerConfig(registry=registry)).compare(
             {
                 "loose": QUERY,
                 "tight": QUERY.replace("s.price > b.price", "s.price > b.price * 1.01"),
@@ -188,6 +190,6 @@ class TestBacktester:
 
     def test_backtest_result_final_ranking(self, tmp_path):
         log, registry = self.record(tmp_path, count=500)
-        result = Backtester(log, registry).run(QUERY)
+        result = Backtester(log, RunnerConfig(registry=registry)).run(QUERY)
         if result.emissions:
             assert result.final_ranking == result.emissions[-1].ranking
