@@ -12,19 +12,18 @@ Ten commands:
 * ``serve`` — expose queries over TCP (``repro.serve``): clients push
   events and subscribe to ranked emissions through the frame protocol
   documented in docs/SERVING.md; SIGTERM drains gracefully.
-* ``stats`` — replay a stream and export the engine's metrics registry as
-  Prometheus text (``--prom``), JSON (``--json``), or a plain table;
-  ``--watch`` renders the live monitor (with the composite pressure
-  score) while the replay runs; ``--connect HOST:PORT`` fetches the
-  registry from a running ``serve`` instance instead of replaying.
+* ``stats`` — export the metrics registry as Prometheus text
+  (``--prom``), JSON (``--json``), or a plain table; ``--watch`` renders
+  the live monitor (with the composite pressure score) while the replay
+  runs.
 * ``top`` — per-query cost accounts ranked most-expensive-first (CPU,
-  routed events), from a replay or live from a running ``serve``
-  instance (``--connect``, optionally ``--watch``).
-* ``trace`` — replay a stream with span tracing enabled and print the full
-  provenance of an emission (events bound per variable, rank keys, and the
-  run-lifecycle competition that led to it); ``--connect`` asks a running
-  ``serve`` instance instead and includes the remote trace contexts
-  stamped by clients (docs/OBSERVABILITY.md).
+  routed events); ``--watch`` refreshes a remote ranking.
+* ``trace`` — the full provenance of an emission (events bound per
+  variable, rank keys, the run-lifecycle competition that led to it, the
+  trace contexts clients stamped on its events; docs/OBSERVABILITY.md).
+  ``stats``, ``top`` and ``trace`` each obtain one document — a replay
+  of the query files over ``--events``, or the reply of a running
+  ``serve`` instance (``--connect HOST:PORT``) — and render it one way.
 * ``flightrec`` — inspect black-box flight-recorder artifacts (``list``,
   ``show``) or signal a running ``serve --flightrec`` process to dump one
   on demand (``dump``).
@@ -50,6 +49,8 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import sys
 from functools import partial
 from pathlib import Path
@@ -58,7 +59,9 @@ from typing import Iterable, TextIO
 from repro.events.event import Event
 from repro.events.sources import CSVSource, JSONLSource, write_jsonl
 from repro.language.errors import CEPRError
+from repro.observability.instruments import stats_document
 from repro.observability.log import configure_logging, get_logger
+from repro.observability.tracing import trace_document
 from repro.ranking.emission import Emission
 from repro.runtime.engine import CEPREngine
 from repro.runtime.serialize import emission_to_line
@@ -564,8 +567,6 @@ def _cmd_validate(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace, out: TextIO) -> int:
-    import json
-
     from repro.events.schema import load_registry
     from repro.language.analysis import Severity, lint_text
 
@@ -695,30 +696,6 @@ def _install_flightrec(args: argparse.Namespace) -> None:
         byte_budget=args.flightrec_budget,
         directory=getattr(args, "checkpoint_dir", None),
     )
-
-
-def _require_replay_inputs(args: argparse.Namespace) -> None:
-    if args.events is None:
-        raise ValueError(
-            f"{args.command} requires --events (or --connect HOST:PORT)"
-        )
-    if not args.query_files:
-        raise ValueError(f"{args.command} requires at least one query file")
-
-
-def _reject_replay_inputs(args: argparse.Namespace) -> None:
-    if args.events is not None or args.query_files:
-        raise ValueError(
-            "--connect talks to a running server; "
-            "query files and --events do not apply"
-        )
-
-
-def _parse_connect(text: str) -> tuple[str, int]:
-    host, _, port_text = text.rpartition(":")
-    if not host or not port_text.isdigit():
-        raise ValueError(f"--connect expects HOST:PORT, got {text!r}")
-    return host, int(port_text)
 
 
 def _make_run_sink(args: argparse.Namespace, out: TextIO):
@@ -878,28 +855,44 @@ def _print_stats(
         )
 
 
-def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
-    if args.connect is not None:
-        if args.watch:
-            raise ValueError("--connect does not support --watch")
-        _reject_replay_inputs(args)
-        return _stats_remote(args, out)
-    _require_replay_inputs(args)
-    # Watch mode wants a queue-backed runner (the monitor header shows
-    # queue pressure alongside throughput); plain replay stays embedded.
-    config = _runner_config(args, queue=args.watch)
-    registry = _stats_replay(args, config, out)
-    _export_metrics(registry.to_prometheus(), registry.to_json(), args, out)
-    return 0
-
-
-def _stats_remote(args: argparse.Namespace, out: TextIO) -> int:
+@contextlib.contextmanager
+def _documents(args: argparse.Namespace, replay, ask):
+    """Yield ``fetch()``, the command's document: ``replay()`` over the
+    query files and ``--events``, or ``ask(client)`` of the ``--connect``
+    server (one connection for every fetch)."""
+    if args.connect is None:
+        if args.events is None:
+            raise ValueError(
+                f"{args.command} requires --events (or --connect HOST:PORT)"
+            )
+        if not args.query_files:
+            raise ValueError(f"{args.command} requires at least one query file")
+        yield replay
+        return
+    if args.events is not None or args.query_files:
+        raise ValueError(
+            "--connect talks to a running server; "
+            "query files and --events do not apply"
+        )
+    host, _, port = args.connect.rpartition(":")
+    if not host or not port.isdigit():
+        raise ValueError(f"--connect expects HOST:PORT, got {args.connect!r}")
     from repro.serve.client import CEPRClient
 
-    host, port = _parse_connect(args.connect)
-    with CEPRClient(host=host, port=port) as client:
-        doc = client.stats()
-    _export_metrics(doc["prom"], doc["metrics"], args, out)
+    with CEPRClient(host=host, port=int(port)) as client:
+        yield partial(ask, client)
+
+
+def _ask_stats(client) -> dict:
+    return client.stats()
+
+
+def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
+    if args.connect is not None and args.watch:
+        raise ValueError("--connect does not support --watch")
+    with _documents(args, partial(_stats_replay, args, out), _ask_stats) as fetch:
+        doc = fetch()
+    _export_metrics(doc, args, out)
     return 0
 
 
@@ -923,9 +916,12 @@ def _replay_runner(
     return runner
 
 
-def _stats_replay(args: argparse.Namespace, config, out: TextIO):
-    """Replay the events file; the registry as of the final flush."""
-    runner = _replay_runner(args, config)
+def _stats_replay(args: argparse.Namespace, out: TextIO) -> dict:
+    """Replay the events file; the STATS document as of the final flush
+    (``stats --watch`` renders the monitor meanwhile)."""
+    # Watch mode wants a queue-backed runner (the monitor header shows
+    # queue pressure alongside throughput); plain replay stays embedded.
+    runner = _replay_runner(args, _runner_config(args, queue=args.watch))
     runner.start()
     try:
         if args.watch:
@@ -938,13 +934,12 @@ def _stats_replay(args: argparse.Namespace, config, out: TextIO):
         runner.stop()
     if args.watch:
         _render_monitor_frame(runner, out)
-    return runner.metrics_registry()
+    return stats_document(runner)
 
 
 def _watch_replay(source, submit, events: Iterable[Event],
                   refresh: float, out: TextIO) -> None:
     """Render the live monitor while a producer thread replays the stream."""
-    import contextlib
     import threading
 
     from repro.runtime.monitor import Monitor
@@ -983,20 +978,17 @@ def _render_monitor_frame(source, out: TextIO) -> None:
     Monitor(source).run_live(iterations=1, out=out, clear=clear)
 
 
-def _export_metrics(
-    prom: str, doc: dict, args: argparse.Namespace, out: TextIO
-) -> None:
-    """A registry's export (local or over the wire) in the asked format."""
-    import json
-
+def _export_metrics(doc: dict, args: argparse.Namespace, out: TextIO) -> None:
+    """A STATS document's registry in the asked format."""
     if args.prom:
-        out.write(prom)
+        out.write(doc["prom"])
         return
+    metrics = doc["metrics"]
     if args.json:
-        print(json.dumps(doc, indent=2), file=out)
+        print(json.dumps(metrics, indent=2), file=out)
         return
-    print(f"-- metrics ({doc['namespace']}) --", file=out)
-    for sample in doc["metrics"]:
+    print(f"-- metrics ({metrics['namespace']}) --", file=out)
+    for sample in metrics["metrics"]:
         labels = ",".join(
             f"{key}={value}" for key, value in sorted(sample["labels"].items())
         )
@@ -1015,74 +1007,18 @@ def _export_metrics(
 
 
 def _cmd_top(args: argparse.Namespace, out: TextIO) -> int:
-    import json
-
-    if args.connect is not None:
-        _reject_replay_inputs(args)
-        return _top_remote(args, out)
-    if args.watch:
-        raise ValueError("top --watch requires --connect")
-    _require_replay_inputs(args)
-
-    from repro.observability.cost import rank_accounts
-
-    runner = _replay_runner(args, _runner_config(args))
-    with runner:
-        runner.submit_all(_load_events(args.events))
-        runner.flush()
-    accounts = rank_accounts(runner.cost_accounts().values())
-    # A bare engine has no ingest queue, hence no pressure to report.
-    pressure = (
-        None if isinstance(runner, CEPREngine) else runner.pressure().to_dict()
-    )
-
-    docs = [account.to_dict() for account in accounts]
-    if args.json:
-        print(
-            json.dumps(
-                {"cost_accounts": docs, "pressure": pressure}, indent=2
-            ),
-            file=out,
-        )
-        return 0
-    _render_top(docs, pressure, out)
-    return 0
-
-
-def _top_remote(args: argparse.Namespace, out: TextIO) -> int:
-    import json
     import time
 
-    from repro.serve.client import CEPRClient
-
-    host, port = _parse_connect(args.connect)
-    with CEPRClient(host=host, port=port) as client:
-        iteration = 0
+    if args.watch and args.connect is None:
+        raise ValueError("top --watch requires --connect")
+    with _documents(args, partial(_stats_replay, args, out), _ask_stats) as fetch:
+        refreshes = 0
         while True:
-            doc = client.stats()
-            if args.json:
-                print(
-                    json.dumps(
-                        {
-                            "cost_accounts": doc["cost_accounts"],
-                            "pressure": doc["pressure"],
-                            "shedding": doc.get("shedding"),
-                        },
-                        indent=2,
-                    ),
-                    file=out,
-                )
-            else:
-                _render_top(
-                    doc["cost_accounts"],
-                    doc["pressure"],
-                    out,
-                    shedding=doc.get("shedding"),
-                )
-            if not args.watch:
-                return 0
-            iteration += 1
-            if args.iterations is not None and iteration >= args.iterations:
+            _render_top(fetch(), args.json, out)
+            refreshes += 1
+            if not args.watch or (
+                args.iterations is not None and refreshes >= args.iterations
+            ):
                 return 0
             out.flush()
             try:
@@ -1091,13 +1027,15 @@ def _top_remote(args: argparse.Namespace, out: TextIO) -> int:
                 return 0
 
 
-def _render_top(
-    accounts: list[dict],
-    pressure: dict | None,
-    out: TextIO,
-    shedding: dict | None = None,
-) -> None:
-    """The ranked cost-account table (`cepr top`'s text mode)."""
+def _render_top(doc: dict, as_json: bool, out: TextIO) -> None:
+    """A STATS document's ranked cost accounts, as JSON or a table."""
+    if as_json:
+        view = {key: doc[key] for key in ("cost_accounts", "pressure", "shedding")}
+        print(json.dumps(view, indent=2), file=out)
+        return
+    accounts, pressure, shedding = (
+        doc["cost_accounts"], doc["pressure"], doc["shedding"]
+    )
     header = f"-- cepr top: {len(accounts)} quer(ies) by cost --"
     if pressure:
         header += (
@@ -1116,36 +1054,34 @@ def _render_top(
     if not accounts:
         print("  (no queries registered)", file=out)
         return
-    width = max(5, max(len(doc["query"]) for doc in accounts))
+    width = max(5, max(len(account["query"]) for account in accounts))
     print(
         f"  {'QUERY':<{width}} {'CPU(ms)':>9} {'us/ev':>8} {'EVENTS':>8} "
         f"{'RUNS +/~/-':>16} {'PRUNE%':>7} {'SHARED h/m':>12} {'HIT%':>5} "
         f"{'MATCH':>6}",
         file=out,
     )
-    for doc in accounts:
+    for account in accounts:
         runs = (
-            f"{doc['runs_created']}/{doc['runs_extended']}"
-            f"/{doc['runs_killed']}"
+            f"{account['runs_created']}/{account['runs_extended']}"
+            f"/{account['runs_killed']}"
         )
-        shared = f"{doc['shared_hits']}/{doc['shared_misses']}"
+        shared = f"{account['shared_hits']}/{account['shared_misses']}"
         print(
-            f"  {doc['query']:<{width}} "
-            f"{doc['cpu_seconds'] * 1e3:>9.2f} "
-            f"{doc['cpu_per_event_us']:>8.1f} "
-            f"{doc['events_routed']:>8} "
+            f"  {account['query']:<{width}} "
+            f"{account['cpu_seconds'] * 1e3:>9.2f} "
+            f"{account['cpu_per_event_us']:>8.1f} "
+            f"{account['events_routed']:>8} "
             f"{runs:>16} "
-            f"{doc['prune_ratio'] * 100:>6.0f}% "
+            f"{account['prune_ratio'] * 100:>6.0f}% "
             f"{shared:>12} "
-            f"{doc['hit_ratio'] * 100:>4.0f}% "
-            f"{doc['matches']:>6}",
+            f"{account['hit_ratio'] * 100:>4.0f}% "
+            f"{account['matches']:>6}",
             file=out,
         )
 
 
 def _cmd_flightrec(args: argparse.Namespace, out: TextIO) -> int:
-    import json
-
     from repro.observability.flightrec import list_artifacts
 
     if args.flightrec_command == "list":
@@ -1229,11 +1165,33 @@ def _cmd_flightrec(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace, out: TextIO) -> int:
-    import json
-
     if args.connect is not None:
-        return _trace_remote(args, out)
-    _require_replay_inputs(args)
+        if args.query is None:
+            raise ValueError("trace --connect requires --query NAME")
+        if args.all:
+            raise ValueError("trace --connect traces one emission (no --all)")
+
+    def ask(client) -> list[dict]:
+        return [client.trace(args.query, emission=args.emission)]
+
+    with _documents(args, partial(_trace_replay, args), ask) as fetch:
+        docs = fetch()
+    if not docs:
+        print("(no emissions to trace)", file=out)
+        return 1
+    if args.json:
+        print(json.dumps(docs, indent=2), file=out)
+        return 0
+    for position, doc in enumerate(docs):
+        if position:
+            print("", file=out)
+        _render_trace(doc, out)
+    return 0
+
+
+def _trace_replay(args: argparse.Namespace) -> list[dict]:
+    """Replay with span tracing on; the TRACE documents of the chosen
+    emission(s) (none when nothing was emitted)."""
     from repro.runtime.runner import RunnerConfig
 
     engine = _replay_runner(args, RunnerConfig(tracing=True))
@@ -1251,11 +1209,7 @@ def _cmd_trace(args: argparse.Namespace, out: TextIO) -> int:
             for emission in emissions
             if emission.ranking and emission.ranking[0].query_name == args.query
         ]
-    if not emissions:
-        print("(no emissions to trace)", file=out)
-        return 1
-
-    if args.all:
+    if not emissions or args.all:
         targets = emissions
     else:
         try:
@@ -1265,52 +1219,27 @@ def _cmd_trace(args: argparse.Namespace, out: TextIO) -> int:
                 f"--emission {args.emission} out of range: "
                 f"{len(emissions)} emission(s) were produced"
             ) from None
-
-    if args.json:
-        payload = [engine.trace(emission).to_dict() for emission in targets]
-        print(json.dumps(payload, indent=2), file=out)
-        return 0
-    for position, emission in enumerate(targets):
-        if position:
-            print("", file=out)
-        print(engine.trace(emission).describe(), file=out)
-    return 0
+    return [trace_document(engine, emission) for emission in targets]
 
 
-def _trace_remote(args: argparse.Namespace, out: TextIO) -> int:
-    import json
-
-    from repro.serve.client import CEPRClient
-
-    if args.query is None:
-        raise ValueError("trace --connect requires --query NAME")
-    if args.all:
-        raise ValueError("trace --connect traces one emission (no --all)")
-    _reject_replay_inputs(args)
-    host, port = _parse_connect(args.connect)
-    with CEPRClient(host=host, port=port) as client:
-        doc = client.trace(args.query, emission=args.emission)
-    if args.json:
-        print(json.dumps(doc, indent=2), file=out)
-        return 0
+def _render_trace(doc: dict, out: TextIO) -> None:
+    """One TRACE document: the provenance text, then the remote contexts."""
     print(doc["text"], file=out)
-    remote = doc.get("remote", [])
-    if remote:
-        print("remote contexts:", file=out)
-        for record in remote:
-            context = " ".join(
-                f"{key}={value}"
-                for key, value in sorted(record["context"].items())
-            )
-            print(
-                f"  #{record['position']} {record['variable']}: "
-                f"{record['type']} seq={record['seq']} t={record['ts']:g} "
-                f"{context}",
-                file=out,
-            )
-    else:
+    remote = doc["remote"]
+    if not remote:
         print("remote contexts: (none stamped)", file=out)
-    return 0
+        return
+    print("remote contexts:", file=out)
+    for record in remote:
+        context = " ".join(
+            f"{key}={value}" for key, value in sorted(record["context"].items())
+        )
+        print(
+            f"  #{record['position']} {record['variable']}: "
+            f"{record['type']} seq={record['seq']} t={record['ts']:g} "
+            f"{context}",
+            file=out,
+        )
 
 
 def _cmd_backtest(args: argparse.Namespace, out: TextIO) -> int:

@@ -22,10 +22,6 @@ class Partitioner:
     def __init__(self, attributes: tuple[str, ...]) -> None:
         self.attributes = attributes
 
-    @property
-    def is_partitioned(self) -> bool:
-        return bool(self.attributes)
-
     def key_of(self, event: Event) -> tuple[Any, ...] | None:
         """The event's partition key, or ``None`` if a key attribute is
         missing (such events cannot participate and are skipped)."""

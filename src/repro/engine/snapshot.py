@@ -23,7 +23,9 @@ deep-sanitises the full state tree once at save time
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from contextlib import contextmanager
+from functools import partial
+from typing import Any, Iterator, Mapping
 
 from repro.engine.aggregates import AggregateState, AttrAggregates
 from repro.engine.match import Match
@@ -31,12 +33,32 @@ from repro.engine.matcher import MatcherStats, PatternMatcher, _Partition, _Pend
 from repro.engine.nfa import PatternAutomaton
 from repro.engine.runs import Binding, Run
 from repro.events.event import Event
+from repro.language.errors import EvaluationError
 from repro.ranking.emission import Emission, EmissionKind
 from repro.ranking.score import Scorer
 
 
 class SnapshotFormatError(ValueError):
     """Raised when snapshot state does not decode to valid engine objects."""
+
+
+@contextmanager
+def restoring(section: str, *, outer: bool = False) -> Iterator[None]:
+    """Raise a malformed ``section``'s decoding error — a missing key, a
+    wrong type, a held match that no longer scores — as a
+    :class:`SnapshotFormatError` naming the section.  One already raised
+    as a ``SnapshotFormatError`` passes through, unless ``outer`` (a
+    query: its name leads every message about its state)."""
+    try:
+        yield
+    except SnapshotFormatError as exc:
+        if not outer:
+            raise
+        raise SnapshotFormatError(f"{section}: {exc}") from exc
+    except KeyError as exc:
+        raise SnapshotFormatError(f"{section}: missing key {exc}") from exc
+    except (TypeError, ValueError, EvaluationError) as exc:
+        raise SnapshotFormatError(f"{section}: {exc}") from exc
 
 
 # -- events -----------------------------------------------------------------------
@@ -176,21 +198,27 @@ def encode_emission(emission: Emission) -> dict[str, Any]:
     }
 
 
+def rescore(scorer: Scorer, item: Mapping[str, Any]) -> Match:
+    """Decode a held match and score it again; a key the ranking rules
+    refuse (an older checkpoint's NaN) makes the snapshot unusable."""
+    try:
+        return scorer.score(decode_match(item))
+    except EvaluationError as exc:
+        raise SnapshotFormatError(f"a held match cannot be ranked: {exc}") from exc
+
+
 def decode_emission(state: Mapping[str, Any], scorer: Scorer) -> Emission:
     """Inverse of :func:`encode_emission`, re-scoring every match."""
-
-    def rescore(item: Mapping[str, Any]) -> Match:
-        return scorer.score(decode_match(item))
-
+    score = partial(rescore, scorer)
     return Emission(
         kind=EmissionKind(state["kind"]),
-        ranking=[rescore(item) for item in state["ranking"]],
+        ranking=[score(item) for item in state["ranking"]],
         at_seq=int(state["at_seq"]),
         at_ts=float(state["at_ts"]),
         epoch=state["epoch"],
         revision=int(state["revision"]),
-        entered=[rescore(item) for item in state["entered"]],
-        exited=[rescore(item) for item in state["exited"]],
+        entered=[score(item) for item in state["entered"]],
+        exited=[score(item) for item in state["exited"]],
     )
 
 

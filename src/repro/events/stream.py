@@ -77,39 +77,6 @@ class EventStream:
         """Materialise the remaining events into a list."""
         return list(self._events)
 
-    def peekable(self) -> "PeekableStream":
-        """Wrap in a :class:`PeekableStream` supporting one-event lookahead."""
-        return PeekableStream(self._events)
-
-
-class PeekableStream:
-    """An event iterator with single-event lookahead, used by mergers."""
-
-    _SENTINEL = object()
-
-    def __init__(self, events: Iterable[Event]) -> None:
-        self._events = iter(events)
-        self._peeked: object = self._SENTINEL
-
-    def peek(self) -> Event | None:
-        """Return the next event without consuming it, or ``None`` at end."""
-        if self._peeked is self._SENTINEL:
-            try:
-                self._peeked = next(self._events)
-            except StopIteration:
-                return None
-        return self._peeked  # type: ignore[return-value]
-
-    def __iter__(self) -> Iterator[Event]:
-        return self
-
-    def __next__(self) -> Event:
-        if self._peeked is not self._SENTINEL:
-            event = self._peeked
-            self._peeked = self._SENTINEL
-            return event  # type: ignore[return-value]
-        return next(self._events)
-
 
 def merge_streams(streams: Sequence[Iterable[Event]]) -> EventStream:
     """Merge several timestamp-ordered streams into one ordered stream.

@@ -178,9 +178,12 @@ class SequenceAssigner:
 
     def restore(self, state: dict) -> None:
         """Load a :meth:`snapshot` (strictness stays as constructed)."""
-        self._next_seq = int(state["next_seq"])
-        self._last_timestamp = state["last_timestamp"]
-        self.out_of_order_count = int(state["out_of_order_count"])
+        from repro.engine.snapshot import restoring
+
+        with restoring("sequencer"):
+            self._next_seq = int(state["next_seq"])
+            self._last_timestamp = state["last_timestamp"]
+            self.out_of_order_count = int(state["out_of_order_count"])
 
 
 class PreassignedSequencer(SequenceAssigner):

@@ -1,13 +1,15 @@
-"""The telemetry spine: what an engine counts, and every view of it.
+"""The telemetry spine: every exported series, and every view of them.
 
 Counts stay where the hot path increments them — plain attributes on
 ``QueryMetrics``, ``MatcherStats``, ``StageProfile``,
-``SharedExecutionIndex`` and ``EngineMetrics`` — and are *described once*,
-here: each :class:`Spec` names a series, says how to read it off its
-source object, and says how N shards' values combine (``agg``).
-:func:`register` turns the tables into callback-backed instruments of a
-:class:`~repro.observability.registry.MetricsRegistry`, which is the only
-form in which counters leave an engine; a fleet's telemetry is
+``SharedExecutionIndex`` and ``EngineMetrics``, and on the runners, the
+server, checkpoint stores, event logs and tracked locks around an
+engine — and are *described once*, here: each :class:`Spec` names a
+series, says how to read it off its source object, and says how N
+shards' values combine (``agg``).  :func:`register` and
+:func:`bind_table` turn the tables into callback-backed instruments of
+a :class:`~repro.observability.registry.MetricsRegistry`, which is the
+only form in which counters leave a component; a fleet's telemetry is
 :meth:`~repro.observability.registry.MetricsRegistry.absorb` over its
 shards' registries and nothing else.
 
@@ -15,7 +17,8 @@ Everything a caller reads — ``stats_by_query``, ``cost_accounts``,
 ``profiles_by_query``, ``shared_stats``, ``sanitizer_trips`` — is a pure
 function *of a registry* (below), so an engine, a runner on any backend,
 the monitor, the CLI and the serve STATS frame all compute it the same
-way (:class:`TelemetryViews`).
+way (:class:`TelemetryViews`), and the STATS document itself is one
+function too (:func:`stats_document`).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, fields
 from functools import partial
 from typing import Any, Callable
 
-from repro.observability.cost import CostAccount
+from repro.observability.cost import CostAccount, rank_accounts
 from repro.observability.profiling import StageProfile
 from repro.observability.registry import Instrument, MetricsRegistry
 
@@ -42,7 +45,7 @@ class Spec:
     kind: str = "counter"
     #: how shards' gauges combine; counters always sum, reservoirs pool.
     agg: str = "sum"
-    #: engine attribute that must be set for the series to exist.
+    #: source attribute that must be set for the series to exist.
     needs: str | None = None
 
 
@@ -342,6 +345,298 @@ QUERY_SOLO_FALLBACK = Spec(
     kind="gauge",
 )
 
+#: a queue-backed runner's front door and pressure; source is the runner.
+RUNNER: tuple[Spec, ...] = (
+    Spec(
+        "runner_events_submitted_total",
+        "Events accepted at the runner's front door",
+        lambda r: r.events_submitted,
+    ),
+    Spec(
+        "runner_backlog",
+        "Events queued, not yet processed",
+        lambda r: r.backlog,
+        kind="gauge",
+    ),
+    Spec(
+        "runner_queue_capacity",
+        "Combined bound of the ingest queue(s)",
+        lambda r: r.queue_capacity,
+        kind="gauge",
+    ),
+    Spec(
+        "runner_queue_high_water",
+        "Deepest any ingest queue has been",
+        lambda r: r.queue_high_water,
+        kind="gauge",
+        agg="max",
+    ),
+    Spec(
+        "runner_ingest_lag_seconds",
+        "Event-time skew between submit and processing watermarks",
+        lambda r: r.ingest_lag_seconds,
+        kind="gauge",
+        agg="max",
+    ),
+    Spec(
+        "pressure",
+        "Composite backpressure score in [0, 1] (smoothed)",
+        lambda r: r.pressure().level,
+        kind="gauge",
+        agg="max",
+    ),
+)
+
+#: the load-shedding controller, when its policy is not "off"; source is
+#: the runner.
+SHED: tuple[Spec, ...] = (
+    Spec(
+        "shed_events_total",
+        "Events dropped/elided by the load-shedding controller",
+        lambda r: r.shed_stats().shed_events_total,
+    ),
+    Spec(
+        "shed_safe_total",
+        "Sheds provably unable to change output (inert or certified)",
+        lambda r: r.shed_stats().shed_safe_total,
+    ),
+    Spec(
+        "shed_drop_rate",
+        "Current adaptive drop probability (0..1)",
+        lambda r: r.shed_controller.drop_rate,
+        kind="gauge",
+        agg="max",
+    ),
+    Spec(
+        "shed_recall_estimate",
+        "Measured lower-bound recall of the shedded stream",
+        lambda r: r.shed_stats().recall_estimate,
+        kind="gauge",
+    ),
+    Spec(
+        "shed_engaged",
+        "1 while the shedding controller is engaged",
+        lambda r: r.shed_controller.engaged,
+        kind="gauge",
+        agg="max",
+    ),
+)
+
+#: the threaded runner's consumer; source is the runner.
+RUNNER_PROCESSED = Spec(
+    "runner_events_processed_total",
+    "Events drained from the queue into the engine",
+    lambda r: r.events_processed,
+)
+
+#: a fleet coordinator's own series; source is the ``ShardedEngineRunner``.
+FLEET: tuple[Spec, ...] = (
+    Spec(
+        "runner_shards",
+        "Worker threads in the fleet",
+        lambda f: len(f._workers),
+        kind="gauge",
+    ),
+    Spec(
+        "runner_recent_throughput_eps",
+        "Sliding-window dispatch rate (events/second)",
+        lambda f: f.metrics.recent_throughput,
+        kind="gauge",
+    ),
+)
+
+#: labelled ``shard``; source is the fleet's per-shard worker.
+SHARD = Spec(
+    "shard_events_processed_total",
+    "Events drained by each shard's consumer thread",
+    lambda worker: worker.loop.events_processed,
+)
+
+#: the serving layer; source is the ``CEPRServer``.
+SERVE: tuple[Spec, ...] = (
+    Spec(
+        "serve_connections_total",
+        "Client connections accepted since start",
+        lambda s: s.stats.connections_total,
+    ),
+    Spec(
+        "serve_connections_active",
+        "Client connections currently open",
+        lambda s: s.stats.connections_active,
+        kind="gauge",
+    ),
+    Spec(
+        "serve_frames_received_total",
+        "Well-formed request frames received",
+        lambda s: s.stats.frames_received,
+    ),
+    Spec(
+        "serve_frames_sent_total",
+        "Frames written to clients (acks, errors, emissions)",
+        lambda s: s.stats.frames_sent,
+    ),
+    Spec(
+        "serve_events_ingested_total",
+        "Events accepted over the wire into the runtime",
+        lambda s: s.stats.events_ingested,
+    ),
+    Spec(
+        "serve_emissions_fanned_out_total",
+        "Emission frames enqueued to subscribers",
+        lambda s: s.stats.emissions_fanned_out,
+    ),
+    Spec(
+        "serve_emissions_dropped_total",
+        "Emission frames dropped by the slow-consumer 'drop' policy",
+        lambda s: s.stats.emissions_dropped,
+    ),
+    Spec(
+        "serve_slow_consumer_disconnects_total",
+        "Connections closed by the slow-consumer 'disconnect' policy",
+        lambda s: s.stats.slow_consumer_disconnects,
+    ),
+    Spec(
+        "serve_protocol_errors_total",
+        "Frames rejected with a typed CEPR5xx error",
+        lambda s: s.stats.protocol_errors,
+    ),
+    Spec(
+        "serve_checkpoints_saved_total",
+        "Checkpoints persisted (periodic and drain-time)",
+        lambda s: s.stats.checkpoints_saved,
+    ),
+    Spec(
+        "serve_subscriptions_active",
+        "Live (connection, query) subscription pairs",
+        lambda s: sum(feed.subscriber_count for feed in s._feeds.values()),
+        kind="gauge",
+    ),
+    Spec(
+        "serve_draining",
+        "1 while the server is draining, else 0",
+        lambda s: s._draining,
+        kind="gauge",
+    ),
+    Spec(
+        "serve_subscriber_queue_depth",
+        "Deepest per-connection outbound queue right now",
+        lambda s: s._max_outbox_depth(),
+        kind="gauge",
+        agg="max",
+    ),
+    Spec(
+        "serve_subscriber_queue_high_water",
+        "Deepest any subscriber outbound queue has ever been",
+        lambda s: s.stats.subscriber_queue_high_water,
+        kind="gauge",
+        agg="max",
+    ),
+    Spec(
+        "serve_ingest_seconds",
+        "Wall time of each blocking submit batch",
+        lambda s: s._ingest_latency,
+        kind="histogram",
+    ),
+    Spec(
+        "serve_sanitizer_trips_total",
+        "Serving-layer sanitizer trips (loop-stall watchdog)",
+        lambda s: s.sanitizer.total_trips,
+        needs="sanitizer",
+    ),
+)
+
+#: labelled ``store`` (the directory name); source is a ``CheckpointStore``.
+CHECKPOINT: tuple[Spec, ...] = (
+    Spec("checkpoint_saves_total", "Checkpoints written", lambda c: c.saves),
+    Spec(
+        "checkpoint_loads_total",
+        "Checkpoints loaded for recovery",
+        lambda c: c.loads,
+    ),
+    Spec(
+        "checkpoint_invalid_skipped_total",
+        "Corrupt/unreadable checkpoint files skipped by recovery",
+        lambda c: c.invalid_skipped,
+    ),
+    Spec(
+        "checkpoint_pruned_total",
+        "Old checkpoints removed by retention",
+        lambda c: c.pruned,
+    ),
+    Spec(
+        "checkpoint_last_save_bytes",
+        "Size of the most recently written checkpoint",
+        lambda c: c.last_save_bytes,
+        kind="gauge",
+        agg="max",
+    ),
+    Spec(
+        "checkpoint_save_seconds",
+        "Latency of checkpoint saves",
+        lambda c: c.save_latency,
+        kind="histogram",
+    ),
+)
+
+#: labelled ``log`` (the file name); source is an ``EventLog``.
+STORE: tuple[Spec, ...] = (
+    Spec(
+        "store_events_appended_total",
+        "Events appended to the log this session",
+        lambda log: log.events_appended,
+    ),
+    Spec(
+        "store_events_read_total",
+        "Event records decoded by scans",
+        lambda log: log.events_read,
+    ),
+    Spec("store_scans_total", "Time-range scans started", lambda log: log.scans),
+    Spec(
+        "store_index_seeks_total",
+        "Scans that skipped ahead via the sparse time index",
+        lambda log: log.index_seeks,
+    ),
+    Spec(
+        "store_recovered_tail_bytes_total",
+        "Torn-tail bytes dropped when the log was opened",
+        lambda log: log.recovered_tail_bytes,
+    ),
+    Spec(
+        "store_events",
+        "Events in the log (including prior sessions)",
+        lambda log: log.count,
+        kind="gauge",
+        agg="max",
+    ),
+    Spec(
+        "store_size_bytes",
+        "On-disk size of the log",
+        lambda log: log.sync_size(),
+        kind="gauge",
+        agg="max",
+    ),
+)
+
+#: labelled ``lock`` (plus the caller's labels); source is a ``TrackedLock``.
+LOCK: tuple[Spec, ...] = (
+    Spec(
+        "lock_acquisitions_total",
+        "Tracked-lock acquisitions",
+        lambda lock: lock.acquisitions,
+    ),
+    Spec(
+        "lock_contended_total",
+        "Tracked-lock acquisitions that had to wait",
+        lambda lock: lock.contended,
+    ),
+    Spec(
+        "lock_wait_seconds",
+        "Wait time per tracked-lock acquisition (zero when uncontended)",
+        lambda lock: lock.wait_times,
+        kind="histogram",
+    ),
+)
+
 #: every table, with the labels its series carry.
 CATALOGUE: tuple[tuple[str, tuple[Spec, ...]], ...] = (
     ("", ENGINE),
@@ -350,6 +645,12 @@ CATALOGUE: tuple[tuple[str, tuple[Spec, ...]], ...] = (
     ("query, stage", STAGE),
     ("query, sink, slot", (SINK,)),
     ("query (fleets only)", (QUERY_SHARDS, QUERY_SOLO_FALLBACK)),
+    ("", (*RUNNER, *SHED, RUNNER_PROCESSED, *FLEET)),
+    ("shard", (SHARD,)),
+    ("", SERVE),
+    ("store", CHECKPOINT),
+    ("log", STORE),
+    ("lock", LOCK),
 )
 
 #: help text by series name: what a registry decoded off the wire is given.
@@ -386,6 +687,15 @@ def bind(registry: MetricsRegistry, spec: Spec, source: Any, **labels: str) -> N
         )
     else:
         registry.counter(spec.name, spec.help, fn=partial(spec.read, source), **labels)
+
+
+def bind_table(
+    registry: MetricsRegistry, specs: tuple[Spec, ...], source: Any, **labels: str
+) -> None:
+    """:func:`bind` every row of ``specs`` whose ``needs`` ``source`` has."""
+    for spec in specs:
+        if spec.needs is None or getattr(source, spec.needs) is not None:
+            bind(registry, spec, source, **labels)
 
 
 def register_query(registry: MetricsRegistry, query: Any) -> None:
@@ -544,6 +854,38 @@ def sanitizer_trips(registry: MetricsRegistry) -> dict[str, int] | None:
         instrument.labels["check"]: int(instrument.value)
         for instrument in registry
         if instrument.name == SANITIZER_CHECK.name and instrument.value
+    }
+
+
+def stats_document(
+    source: Any, registry: MetricsRegistry | None = None
+) -> dict[str, Any]:
+    """The STATS document of an engine or runner: ``registry`` (default:
+    the source's own) exported as ``metrics`` and ``prom``, its cost
+    accounts most-expensive-first, and — for a queue-backed runner; a
+    bare engine has no ingest queue — the ``pressure`` assessment and the
+    ``shedding`` snapshot.  ``cepr serve`` answers STATS with it (its
+    registry carries the serving layer's series too); ``cepr stats`` and
+    ``top`` render it, replayed or remote."""
+    if registry is None:
+        registry = source.metrics_registry()
+    pressure = shedding = None
+    if hasattr(source, "pressure"):
+        assessor = source.pressure()
+        pressure = {
+            **assessor.to_dict(),
+            # Normalise the sample's lag component against the assessor's
+            # actual budget, not the module default.
+            "sample": source.pressure_sample().to_dict(assessor.lag_budget),
+        }
+        shedding = source.shed_stats_dict()
+    accounts = rank_accounts(cost_accounts(registry).values())
+    return {
+        "metrics": registry.to_json(),
+        "prom": registry.to_prometheus(),
+        "cost_accounts": [account.to_dict() for account in accounts],
+        "pressure": pressure,
+        "shedding": shedding,
     }
 
 

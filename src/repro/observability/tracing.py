@@ -417,3 +417,19 @@ def remote_contexts(emission: "Emission") -> list[dict[str, Any]]:
                     }
                 )
     return records
+
+
+def trace_document(engine: Any, emission: "Emission") -> dict[str, Any]:
+    """One emission's TRACE document: its provenance (``to_dict``), the
+    client contexts stamped on its events (``remote``) and the rendered
+    provenance (``text``).  ``cepr serve`` answers TRACE with it and
+    ``cepr trace`` prints it, replayed or remote."""
+    import json
+
+    trace = engine.trace(emission)
+    doc = trace.to_dict()
+    doc["remote"] = remote_contexts(emission)
+    doc["text"] = trace.describe()
+    # Bindings and rank keys can hold arbitrary attribute values;
+    # degrade anything non-JSON to its repr rather than refusing.
+    return json.loads(json.dumps(doc, default=str))

@@ -33,6 +33,7 @@ and :meth:`Ranker.observe_final` (end of stream: everything held is due).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.engine.match import Match
@@ -259,22 +260,24 @@ class Ranker:
 
     def restore(self, state: _State) -> None:
         """Load a :meth:`snapshot` into this (freshly constructed) ranker."""
-        from repro.engine.snapshot import SnapshotFormatError, decode_match
+        from repro.engine.snapshot import SnapshotFormatError, rescore, restoring
 
-        if state.get("mode") != self.mode:
-            raise SnapshotFormatError(
-                f"ranker mode mismatch: snapshot is {state.get('mode')!r}, "
-                f"query needs {self.mode!r}"
-            )
-        self._revision = int(state["revision"])
-        self.scoring_errors = int(state["scoring_errors"])
-        # Older checkpoints may hold a NaN key or keys of mixed kinds.
-        try:
-            self._restore_scope(
-                state, lambda item: self.scorer.score(decode_match(item))
-            )
-        except (EvaluationError, TypeError) as exc:
-            raise SnapshotFormatError(f"a held match cannot be ranked: {exc}") from exc
+        with restoring("ranker"):
+            if state.get("mode") != self.mode:
+                raise SnapshotFormatError(
+                    f"ranker mode mismatch: snapshot is {state.get('mode')!r}, "
+                    f"query needs {self.mode!r}"
+                )
+            self._revision = int(state["revision"])
+            self.scoring_errors = int(state["scoring_errors"])
+            # Older checkpoints may hold a NaN key (refused by rescore) or
+            # keys of mixed kinds, which meet in a buffer's comparisons.
+            try:
+                self._restore_scope(state, partial(rescore, self.scorer))
+            except TypeError as exc:
+                raise SnapshotFormatError(
+                    f"a held match cannot be ranked: {exc}"
+                ) from exc
 
     def _scope_state(self, encode: _Encode) -> dict[str, Any]:
         raise NotImplementedError

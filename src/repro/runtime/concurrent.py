@@ -36,6 +36,7 @@ from typing import Any, Callable, Iterator
 
 from repro.events.event import Event
 from repro.language.ast_nodes import Query
+from repro.observability.instruments import RUNNER_PROCESSED, bind
 from repro.observability.registry import MetricsRegistry
 from repro.ranking.emission import Emission, EmissionKind
 from repro.runtime.engine import CEPREngine
@@ -310,11 +311,7 @@ class ThreadedEngineRunner(QueuedRunner):
         """
         registry = self.engine._live_registry()
         self._register_queue_instruments(registry)
-        registry.counter(
-            "runner_events_processed_total",
-            "Events drained from the queue into the engine",
-            fn=lambda: self.events_processed,
-        )
+        bind(registry, RUNNER_PROCESSED, self)
         return registry
 
     # -- consuming ----------------------------------------------------------------

@@ -62,17 +62,18 @@ def snapshot_lateness(buffer: LatenessBuffer) -> dict:
 
 def restore_lateness(buffer: LatenessBuffer, state: dict) -> None:
     """Load a :func:`snapshot_lateness` state into ``buffer``."""
-    from repro.engine.snapshot import decode_event
+    from repro.engine.snapshot import decode_event, restoring
 
-    buffer._heap = [
-        (float(ts), int(counter), decode_event(event))
-        for ts, counter, event in state["heap"]
-    ]
-    heapq.heapify(buffer._heap)
-    buffer._counter = int(state["counter"])
-    buffer._max_seen = float(state["max_seen"])
-    buffer._last_released = float(state["last_released"])
-    buffer.late_drops = int(state["late_drops"])
+    with restoring("lateness"):
+        buffer._heap = [
+            (float(ts), int(counter), decode_event(event))
+            for ts, counter, event in state["heap"]
+        ]
+        heapq.heapify(buffer._heap)
+        buffer._counter = int(state["counter"])
+        buffer._max_seen = float(state["max_seen"])
+        buffer._last_released = float(state["last_released"])
+        buffer.late_drops = int(state["late_drops"])
 
 
 class CEPREngine(instruments.TelemetryViews):
@@ -549,38 +550,37 @@ class CEPREngine(instruments.TelemetryViews):
         compiled automatons and scorers are rebuilt from query text; only
         mutable state travels through the snapshot).
         """
-        from repro.engine.snapshot import SnapshotFormatError
+        from repro.engine.snapshot import SnapshotFormatError, restoring
 
-        snapshot_queries = state["queries"]
-        missing = sorted(set(snapshot_queries) - set(self._queries))
-        extra = sorted(set(self._queries) - set(snapshot_queries))
-        if missing or extra:
-            raise SnapshotFormatError(
-                f"query set mismatch: snapshot has {sorted(snapshot_queries)}, "
-                f"engine has {sorted(self._queries)}"
-            )
-        lateness_state = state["lateness"]
-        if (lateness_state is None) != (self.lateness_buffer is None):
-            raise SnapshotFormatError(
-                "lateness-buffer configuration mismatch between snapshot "
-                "and engine (max_lateness must match)"
-            )
-        # A dormant query may be handed runs in partitions it is not indexed
-        # under, or a ranker holding matches: wake everybody, settling first
-        # so no debt is added on top of the restored counters.
-        self._router.wake_all()
-        self._sequencer.restore(state["sequencer"])
-        self.derived_events = int(state["derived_events"])
-        self._flushed = bool(state["flushed"])
-        self.metrics.events_pushed = int(state["events_pushed"])
-        if lateness_state is not None:
-            assert self.lateness_buffer is not None
-            restore_lateness(self.lateness_buffer, lateness_state)
-        for name, query_state in snapshot_queries.items():
-            try:
+        with restoring("engine"):
+            snapshot_queries = state["queries"]
+            missing = sorted(set(snapshot_queries) - set(self._queries))
+            extra = sorted(set(self._queries) - set(snapshot_queries))
+            if missing or extra:
+                raise SnapshotFormatError(
+                    f"query set mismatch: snapshot has "
+                    f"{sorted(snapshot_queries)}, engine has {sorted(self._queries)}"
+                )
+            lateness_state = state["lateness"]
+            if (lateness_state is None) != (self.lateness_buffer is None):
+                raise SnapshotFormatError(
+                    "lateness-buffer configuration mismatch between snapshot "
+                    "and engine (max_lateness must match)"
+                )
+            # A dormant query may be handed runs in partitions it is not
+            # indexed under, or a ranker holding matches: wake everybody,
+            # settling first so no debt is added on top of the restored
+            # counters.
+            self._router.wake_all()
+            self._sequencer.restore(state["sequencer"])
+            self.derived_events = int(state["derived_events"])
+            self._flushed = bool(state["flushed"])
+            self.metrics.events_pushed = int(state["events_pushed"])
+            if lateness_state is not None:
+                assert self.lateness_buffer is not None
+                restore_lateness(self.lateness_buffer, lateness_state)
+            for name, query_state in snapshot_queries.items():
                 self._queries[name].restore(query_state)
-            except SnapshotFormatError as exc:
-                raise SnapshotFormatError(f"query {name!r}: {exc}") from exc
 
     # -- observability ---------------------------------------------------------------
 

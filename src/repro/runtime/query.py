@@ -20,6 +20,7 @@ from repro.language.analysis import run_analysis
 from repro.engine.match import Match
 from repro.engine.matcher import PatternMatcher
 from repro.engine.runs import new_run
+from repro.engine.snapshot import restoring
 from repro.events.event import Event
 from repro.events.schema import SchemaError, SchemaRegistry
 from repro.language.ast_nodes import EmitKind
@@ -415,17 +416,18 @@ class RegisteredQuery(SinkOwner):
 
     def restore(self, state: dict) -> None:
         """Load a :meth:`snapshot` into this (freshly registered) query."""
-        self._last_seq = int(state["last_seq"])
-        self._last_ts = float(state["last_ts"])
-        self._flushed = bool(state["flushed"])
-        self._yielded_ids = set(state["yielded_ids"])
-        self.yield_errors = int(state["yield_errors"])
-        self.matcher.restore(state["matcher"])
-        self.ranker.restore(state["ranker"])
-        counters = state["metrics"]
-        self.metrics.events_routed = int(counters["events_routed"])
-        self.metrics.matches = int(counters["matches"])
-        self.metrics.emissions = int(counters["emissions"])
+        with restoring(f"query {self.name!r}", outer=True):
+            self._last_seq = int(state["last_seq"])
+            self._last_ts = float(state["last_ts"])
+            self._flushed = bool(state["flushed"])
+            self._yielded_ids = set(state["yielded_ids"])
+            self.yield_errors = int(state["yield_errors"])
+            self.matcher.restore(state["matcher"])
+            self.ranker.restore(state["ranker"])
+            counters = state["metrics"]
+            self.metrics.events_routed = int(counters["events_routed"])
+            self.metrics.matches = int(counters["matches"])
+            self.metrics.emissions = int(counters["emissions"])
 
     def report(self) -> QueryReport:
         """This query's :class:`~repro.runtime.report.QueryReport`.

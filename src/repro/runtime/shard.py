@@ -42,7 +42,7 @@ from repro.events.event import Event
 from repro.events.schema import SchemaRegistry
 from repro.events.time import PreassignedSequencer
 from repro.language.ast_nodes import Query
-from repro.observability.instruments import TelemetryViews
+from repro.observability.instruments import RUNNER, SHED, TelemetryViews, bind_table
 from repro.observability.pressure import PressureAssessor, PressureSample
 from repro.observability.registry import MetricsRegistry
 from repro.runtime.engine import CEPREngine
@@ -478,66 +478,6 @@ class QueuedRunner(TelemetryViews):
         return self.pressure_assessor
 
     def _register_queue_instruments(self, registry: MetricsRegistry) -> None:
-        registry.counter(
-            "runner_events_submitted_total",
-            "Events accepted at the runner's front door",
-            fn=lambda: self.events_submitted,
-        )
-        registry.gauge(
-            "runner_backlog",
-            "Events queued, not yet processed",
-            fn=lambda: self.backlog,
-        )
-        registry.gauge(
-            "runner_queue_capacity",
-            "Combined bound of the ingest queue(s)",
-            fn=lambda: float(self.queue_capacity),
-        )
-        registry.gauge(
-            "runner_queue_high_water",
-            "Deepest any ingest queue has been",
-            fn=lambda: float(self.queue_high_water),
-            agg="max",
-        )
-        registry.gauge(
-            "runner_ingest_lag_seconds",
-            "Event-time skew between submit and processing watermarks",
-            fn=lambda: self.ingest_lag_seconds,
-            agg="max",
-        )
-        registry.gauge(
-            "pressure",
-            "Composite backpressure score in [0, 1] (smoothed)",
-            fn=lambda: self.pressure().level,
-            agg="max",
-        )
-        controller = self.shed_controller
-        if controller.policy == "off":
-            return
-        registry.counter(
-            "shed_events_total",
-            "Events dropped/elided by the load-shedding controller",
-            fn=lambda: self.shed_stats().shed_events_total,
-        )
-        registry.counter(
-            "shed_safe_total",
-            "Sheds provably unable to change output (inert or certified)",
-            fn=lambda: self.shed_stats().shed_safe_total,
-        )
-        registry.gauge(
-            "shed_drop_rate",
-            "Current adaptive drop probability (0..1)",
-            fn=lambda: controller.drop_rate,
-            agg="max",
-        )
-        registry.gauge(
-            "shed_recall_estimate",
-            "Measured lower-bound recall of the shedded stream",
-            fn=lambda: self.shed_stats().recall_estimate,
-        )
-        registry.gauge(
-            "shed_engaged",
-            "1 while the shedding controller is engaged",
-            fn=lambda: 1.0 if controller.engaged else 0.0,
-            agg="max",
-        )
+        bind_table(registry, RUNNER, self)
+        if self.shed_controller.policy != "off":
+            bind_table(registry, SHED, self)

@@ -81,6 +81,7 @@ from repro.engine.snapshot import (
     SnapshotFormatError,
     decode_emission,
     encode_emission,
+    restoring,
 )
 from repro.engine.windows import EpochTracker
 from repro.events.event import Event
@@ -95,9 +96,12 @@ from repro.language.errors import CEPRSemanticError
 from repro.language.parser import parse_query
 from repro.language.semantics import AnalyzedQuery, analyze
 from repro.observability.instruments import (
+    FLEET,
     QUERY_SHARDS,
     QUERY_SOLO_FALLBACK,
+    SHARD,
     bind,
+    bind_table,
 )
 from repro.observability.log import get_logger
 from repro.observability.registry import MetricsRegistry
@@ -267,35 +271,36 @@ class ShardedQuery(SinkOwner):
         }
 
     def _restore_merge_state(self, state: dict) -> None:
-        if state["mode"] != self.mode:
-            raise SnapshotFormatError(
-                f"query {self.name!r}: snapshot placement {state['mode']!r} "
-                f"does not match current placement {self.mode!r}"
+        with restoring(f"query {self.name!r}", outer=True):
+            if state["mode"] != self.mode:
+                raise SnapshotFormatError(
+                    f"snapshot placement {state['mode']!r} "
+                    f"does not match current placement {self.mode!r}"
+                )
+            scorer = self._scorer
+            self._revision = int(state["revision"])
+            self._detections = int(state["detections"])
+            self.last_routed_seq = int(state["last_routed_seq"])
+            self.last_routed_ts = float(state["last_routed_ts"])
+            self.last_ts = float(state["last_ts"])
+            self._runner_epoch = state["runner_epoch"]
+            self._advances = deque(
+                (int(epoch), int(seq), float(ts))
+                for epoch, seq, ts in state["advances"]
             )
-        scorer = self._scorer
-        self._revision = int(state["revision"])
-        self._detections = int(state["detections"])
-        self.last_routed_seq = int(state["last_routed_seq"])
-        self.last_routed_ts = float(state["last_routed_ts"])
-        self.last_ts = float(state["last_ts"])
-        self._runner_epoch = state["runner_epoch"]
-        self._advances = deque(
-            (int(epoch), int(seq), float(ts))
-            for epoch, seq, ts in state["advances"]
-        )
-        self._pending_epochs = {
-            int(epoch): [
-                (int(shard), decode_emission(item, scorer))
-                for shard, item in parts
+            self._pending_epochs = {
+                int(epoch): [
+                    (int(shard), decode_emission(item, scorer))
+                    for shard, item in parts
+                ]
+                for epoch, parts in state["pending_epochs"].items()
+            }
+            # The shards were restored with nothing left to report; the
+            # un-merged tails come back from the checkpoint alone.
+            self._tails = [
+                [decode_emission(item, scorer) for item in tail]
+                for tail in state["shard_tails"]
             ]
-            for epoch, parts in state["pending_epochs"].items()
-        }
-        # The shards were restored with nothing left to report; the
-        # un-merged tails come back from the checkpoint alone.
-        self._tails = [
-            [decode_emission(item, scorer) for item in tail]
-            for tail in state["shard_tails"]
-        ]
 
     # -- merge stage ---------------------------------------------------------------
 
@@ -813,54 +818,55 @@ class ShardedEngineRunner(QueuedRunner):
             raise RuntimeError("runner not started (call start() first)")
         if self._stopped or self._flushed:
             raise RuntimeError("runner is stopped")
-        if int(state["shards"]) != self.shards:
-            raise SnapshotFormatError(
-                f"shard count mismatch: snapshot has {state['shards']}, "
-                f"runner has {self.shards}"
-            )
-        missing = sorted(set(state["views"]) - set(self._views))
-        extra = sorted(set(self._views) - set(state["views"]))
-        if missing or extra:
-            raise SnapshotFormatError(
-                f"query set mismatch: snapshot has {sorted(state['views'])}, "
-                f"runner has {sorted(self._views)}"
-            )
-        if (state["lateness"] is None) != (self._lateness is None):
-            raise SnapshotFormatError(
-                "lateness-buffer configuration mismatch between snapshot "
-                "and runner (max_lateness must match)"
-            )
-        engines = state["engines"]
-        if len(engines) != len(self._workers):
-            raise SnapshotFormatError(
-                f"worker count mismatch: snapshot has {len(engines)} "
-                f"engines, runner has {len(self._workers)} workers"
-            )
-        with self._lock:
-            for worker in self._workers:
-                if worker.loop.failure is None and worker.shard.alive():
-                    continue
-                # A failed loop discards what it dequeues, so once it is
-                # drained nothing stale is left and its thread is idle.
-                worker.loop.drain()
-                if not worker.shard.alive():
-                    worker.shard.respawn()
-                worker.loop.failure = None
-            self._sequencer.restore(state["sequencer"])
-            if state["lateness"] is not None:
-                assert self._lateness is not None
-                restore_lateness(self._lateness, state["lateness"])
-            self.events_submitted = int(state["events_submitted"])
-            self.metrics.events_pushed = int(state["events_pushed"])
-            self._on_owners(
-                [
-                    partial(worker.shard.restore, engine_state)
-                    for worker, engine_state in zip(self._workers, engines)
-                ]
-            )
-            self._barrier()
-            for name, view_state in state["views"].items():
-                self._views[name]._restore_merge_state(view_state)
+        with restoring("fleet"):
+            if int(state["shards"]) != self.shards:
+                raise SnapshotFormatError(
+                    f"shard count mismatch: snapshot has {state['shards']}, "
+                    f"runner has {self.shards}"
+                )
+            missing = sorted(set(state["views"]) - set(self._views))
+            extra = sorted(set(self._views) - set(state["views"]))
+            if missing or extra:
+                raise SnapshotFormatError(
+                    f"query set mismatch: snapshot has {sorted(state['views'])}, "
+                    f"runner has {sorted(self._views)}"
+                )
+            if (state["lateness"] is None) != (self._lateness is None):
+                raise SnapshotFormatError(
+                    "lateness-buffer configuration mismatch between snapshot "
+                    "and runner (max_lateness must match)"
+                )
+            engines = state["engines"]
+            if len(engines) != len(self._workers):
+                raise SnapshotFormatError(
+                    f"worker count mismatch: snapshot has {len(engines)} "
+                    f"engines, runner has {len(self._workers)} workers"
+                )
+            with self._lock:
+                for worker in self._workers:
+                    if worker.loop.failure is None and worker.shard.alive():
+                        continue
+                    # A failed loop discards what it dequeues, so once it is
+                    # drained nothing stale is left and its thread is idle.
+                    worker.loop.drain()
+                    if not worker.shard.alive():
+                        worker.shard.respawn()
+                    worker.loop.failure = None
+                self._sequencer.restore(state["sequencer"])
+                if state["lateness"] is not None:
+                    assert self._lateness is not None
+                    restore_lateness(self._lateness, state["lateness"])
+                self.events_submitted = int(state["events_submitted"])
+                self.metrics.events_pushed = int(state["events_pushed"])
+                self._on_owners(
+                    [
+                        partial(worker.shard.restore, engine_state)
+                        for worker, engine_state in zip(self._workers, engines)
+                    ]
+                )
+                self._barrier()
+                for name, view_state in state["views"].items():
+                    self._views[name]._restore_merge_state(view_state)
 
     # -- producing --------------------------------------------------------------------
 
@@ -1226,22 +1232,8 @@ class ShardedEngineRunner(QueuedRunner):
                 view._revision
             )
         self._register_queue_instruments(fleet)
-        fleet.gauge(
-            "runner_shards",
-            "Worker threads in the fleet",
-            fn=lambda: float(len(self._workers)),
-        )
-        fleet.gauge(
-            "runner_recent_throughput_eps",
-            "Sliding-window dispatch rate (events/second)",
-            fn=lambda: self.metrics.recent_throughput,
-        )
+        bind_table(fleet, FLEET, self)
         for index, worker in enumerate(self._workers):
-            fleet.counter(
-                "shard_events_processed_total",
-                "Events drained by each shard's consumer thread",
-                fn=lambda worker=worker: worker.loop.events_processed,
-                shard=str(index),
-            )
+            bind(fleet, SHARD, worker, shard=str(index))
         register_lock_metrics(fleet, self._lock)
         return fleet

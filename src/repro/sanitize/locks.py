@@ -26,6 +26,7 @@ import threading
 import time
 from typing import Iterable
 
+from repro.observability.instruments import LOCK, bind_table
 from repro.runtime.metrics import LatencyRecorder
 from repro.sanitize.core import Sanitizer, sanitizer_enabled
 
@@ -219,26 +220,5 @@ def register_lock_metrics(registry, lock, **labels) -> None:
     No-op for plain locks, so callers can pass whatever
     :func:`tracked_lock` returned without checking.
     """
-    if not isinstance(lock, TrackedLock):
-        return
-    registry.counter(
-        "lock_acquisitions_total",
-        "Tracked-lock acquisitions",
-        fn=lambda: lock.acquisitions,
-        lock=lock.name,
-        **labels,
-    )
-    registry.counter(
-        "lock_contended_total",
-        "Tracked-lock acquisitions that had to wait",
-        fn=lambda: lock.contended,
-        lock=lock.name,
-        **labels,
-    )
-    registry.histogram(
-        "lock_wait_seconds",
-        "Wait time per tracked-lock acquisition (zero when uncontended)",
-        recorder=lock.wait_times,
-        lock=lock.name,
-        **labels,
-    )
+    if isinstance(lock, TrackedLock):
+        bind_table(registry, LOCK, lock, lock=lock.name, **labels)

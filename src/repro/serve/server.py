@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import signal
 import time
 from pathlib import Path
@@ -40,8 +39,9 @@ from repro.events.event import Event
 from repro.language.errors import CEPRError
 from repro.observability.flightrec import current as flightrec_current
 from repro.observability.flightrec import dump_if_armed
+from repro.observability.instruments import SERVE, bind_table, stats_document
 from repro.observability.log import get_logger
-from repro.observability.tracing import remote_contexts
+from repro.observability.tracing import trace_document
 from repro.runtime.metrics import LatencyRecorder
 from repro.runtime.runner import RunnerConfig, create_runner, queue_backed
 from repro.runtime.serialize import event_from_json
@@ -827,36 +827,11 @@ class CEPRServer:
         return False
 
     async def _op_stats(self, connection: _Connection, frame: dict) -> bool:
-        registry = await asyncio.to_thread(self.metrics_registry)
-        telemetry = await asyncio.to_thread(self._telemetry_blocking)
-        await connection.send(
-            ack_frame(
-                frame,
-                metrics=registry.to_json(),
-                prom=registry.to_prometheus(),
-                **telemetry,
-            )
+        doc = await asyncio.to_thread(
+            lambda: stats_document(self._runner, self.metrics_registry())
         )
+        await connection.send(ack_frame(frame, **doc))
         return False
-
-    def _telemetry_blocking(self) -> dict[str, Any]:
-        """Ranked cost accounts, pressure reading, shedding snapshot."""
-        from repro.observability.cost import rank_accounts
-
-        accounts = rank_accounts(self._runner.cost_accounts().values())
-        assessor = self._runner.pressure()
-        return {
-            "cost_accounts": [account.to_dict() for account in accounts],
-            "pressure": {
-                **assessor.to_dict(),
-                # Normalise the sample's lag component against the
-                # assessor's actual budget, not the module default.
-                "sample": self._runner.pressure_sample().to_dict(
-                    assessor.lag_budget
-                ),
-            },
-            "shedding": self._runner.shed_stats_dict(),
-        }
 
     async def _op_trace(self, connection: _Connection, frame: dict) -> bool:
         if not self._single_engine:
@@ -885,23 +860,15 @@ class CEPRServer:
         with contextlib.suppress(RuntimeError):
             runner.sync()
         engine = runner.engine  # threaded backend only (gated in _op_trace)
-        registered = engine.query(name)
-        collector = registered.collector
+        collector = engine.query(name).collector
         emissions = collector.emissions if collector is not None else []
-        if not emissions or not -len(emissions) <= index < len(emissions):
+        if not -len(emissions) <= index < len(emissions):
             raise FrameError(
                 E_INVALID_ARGUMENT,
                 f"query {name!r} has {len(emissions)} emission(s); "
                 f"index {index} is out of range",
             )
-        emission = emissions[index]
-        trace = engine.trace(emission)
-        doc = trace.to_dict()
-        doc["remote"] = remote_contexts(emission)
-        doc["text"] = trace.describe()
-        # Bindings and rank keys can hold arbitrary attribute values;
-        # degrade anything non-JSON to its repr rather than refusing.
-        return json.loads(json.dumps(doc, default=str))
+        return trace_document(engine, emissions[index])
 
     async def _op_bye(self, connection: _Connection, frame: dict) -> bool:
         await connection.finish(ack_frame(frame))
@@ -938,93 +905,7 @@ class CEPRServer:
         return deepest
 
     def metrics_registry(self):
-        """The runtime's registry plus the serving layer's instruments."""
+        """The runtime's registry plus the serving layer's series."""
         registry = self._runner.metrics_registry()
-        stats = self.stats
-        registry.counter(
-            "serve_connections_total",
-            "Client connections accepted since start",
-            fn=lambda: stats.connections_total,
-        )
-        registry.gauge(
-            "serve_connections_active",
-            "Client connections currently open",
-            fn=lambda: stats.connections_active,
-        )
-        registry.counter(
-            "serve_frames_received_total",
-            "Well-formed request frames received",
-            fn=lambda: stats.frames_received,
-        )
-        registry.counter(
-            "serve_frames_sent_total",
-            "Frames written to clients (acks, errors, emissions)",
-            fn=lambda: stats.frames_sent,
-        )
-        registry.counter(
-            "serve_events_ingested_total",
-            "Events accepted over the wire into the runtime",
-            fn=lambda: stats.events_ingested,
-        )
-        registry.counter(
-            "serve_emissions_fanned_out_total",
-            "Emission frames enqueued to subscribers",
-            fn=lambda: stats.emissions_fanned_out,
-        )
-        registry.counter(
-            "serve_emissions_dropped_total",
-            "Emission frames dropped by the slow-consumer 'drop' policy",
-            fn=lambda: stats.emissions_dropped,
-        )
-        registry.counter(
-            "serve_slow_consumer_disconnects_total",
-            "Connections closed by the slow-consumer 'disconnect' policy",
-            fn=lambda: stats.slow_consumer_disconnects,
-        )
-        registry.counter(
-            "serve_protocol_errors_total",
-            "Frames rejected with a typed CEPR5xx error",
-            fn=lambda: stats.protocol_errors,
-        )
-        registry.counter(
-            "serve_checkpoints_saved_total",
-            "Checkpoints persisted (periodic and drain-time)",
-            fn=lambda: stats.checkpoints_saved,
-        )
-        registry.gauge(
-            "serve_subscriptions_active",
-            "Live (connection, query) subscription pairs",
-            fn=lambda: float(
-                sum(feed.subscriber_count for feed in self._feeds.values())
-            ),
-        )
-        registry.gauge(
-            "serve_draining",
-            "1 while the server is draining, else 0",
-            fn=lambda: 1.0 if self._draining else 0.0,
-        )
-        registry.gauge(
-            "serve_subscriber_queue_depth",
-            "Deepest per-connection outbound queue right now",
-            fn=lambda: float(self._max_outbox_depth()),
-            agg="max",
-        )
-        registry.gauge(
-            "serve_subscriber_queue_high_water",
-            "Deepest any subscriber outbound queue has ever been",
-            fn=lambda: float(stats.subscriber_queue_high_water),
-            agg="max",
-        )
-        registry.histogram(
-            "serve_ingest_seconds",
-            "Wall time of each blocking submit batch",
-            recorder=self._ingest_latency,
-        )
-        if self.sanitizer is not None:
-            sanitizer = self.sanitizer
-            registry.counter(
-                "serve_sanitizer_trips_total",
-                "Serving-layer sanitizer trips (loop-stall watchdog)",
-                fn=lambda: sanitizer.total_trips,
-            )
+        bind_table(registry, SERVE, self)
         return registry

@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.events.jsonsafe import desanitize, dumps, sanitize
+from repro.observability.instruments import CHECKPOINT, bind_table
 from repro.observability.log import get_logger
 from repro.runtime.metrics import LatencyRecorder
 
@@ -244,44 +245,7 @@ class CheckpointStore:
 
     def register_metrics(self, registry: "MetricsRegistry") -> None:
         """Register checkpoint counters/latency (labelled by directory)."""
-        store = self.directory.name
-        registry.counter(
-            "checkpoint_saves_total",
-            "Checkpoints written",
-            fn=lambda: self.saves,
-            store=store,
-        )
-        registry.counter(
-            "checkpoint_loads_total",
-            "Checkpoints loaded for recovery",
-            fn=lambda: self.loads,
-            store=store,
-        )
-        registry.counter(
-            "checkpoint_invalid_skipped_total",
-            "Corrupt/unreadable checkpoint files skipped by recovery",
-            fn=lambda: self.invalid_skipped,
-            store=store,
-        )
-        registry.counter(
-            "checkpoint_pruned_total",
-            "Old checkpoints removed by retention",
-            fn=lambda: self.pruned,
-            store=store,
-        )
-        registry.gauge(
-            "checkpoint_last_save_bytes",
-            "Size of the most recently written checkpoint",
-            fn=lambda: float(self.last_save_bytes),
-            agg="max",
-            store=store,
-        )
-        registry.histogram(
-            "checkpoint_save_seconds",
-            "Latency of checkpoint saves",
-            recorder=self.save_latency,
-            store=store,
-        )
+        bind_table(registry, CHECKPOINT, self, store=self.directory.name)
 
 
 class Recovery:

@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.events.event import Event
 from repro.events.jsonsafe import NONFINITE_KEY, dumps, scrub, unscrub
+from repro.observability.instruments import STORE, bind_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.registry import MetricsRegistry
@@ -321,48 +322,4 @@ class EventLog:
 
     def register_metrics(self, registry: "MetricsRegistry") -> None:
         """Register this log's I/O counters (labelled by file name)."""
-        log = self.path.name
-        registry.counter(
-            "store_events_appended_total",
-            "Events appended to the log this session",
-            fn=lambda: self.events_appended,
-            log=log,
-        )
-        registry.counter(
-            "store_events_read_total",
-            "Event records decoded by scans",
-            fn=lambda: self.events_read,
-            log=log,
-        )
-        registry.counter(
-            "store_scans_total",
-            "Time-range scans started",
-            fn=lambda: self.scans,
-            log=log,
-        )
-        registry.counter(
-            "store_index_seeks_total",
-            "Scans that skipped ahead via the sparse time index",
-            fn=lambda: self.index_seeks,
-            log=log,
-        )
-        registry.counter(
-            "store_recovered_tail_bytes_total",
-            "Torn-tail bytes dropped when the log was opened",
-            fn=lambda: self.recovered_tail_bytes,
-            log=log,
-        )
-        registry.gauge(
-            "store_events",
-            "Events in the log (including prior sessions)",
-            fn=lambda: self.count,
-            agg="max",
-            log=log,
-        )
-        registry.gauge(
-            "store_size_bytes",
-            "On-disk size of the log",
-            fn=lambda: float(self.sync_size()),
-            agg="max",
-            log=log,
-        )
+        bind_table(registry, STORE, self, log=self.path.name)

@@ -1,7 +1,7 @@
 """Unit tests for EventStream combinators and merging."""
 
 from repro.events.event import Event
-from repro.events.stream import EventStream, PeekableStream, merge_streams
+from repro.events.stream import EventStream, merge_streams
 
 
 def events(*pairs):
@@ -53,24 +53,6 @@ class TestEventStream:
         stream = EventStream(events(("A", 1), ("B", 2), ("A", 3), ("A", 4)))
         result = stream.of_type("A").take(2).collect()
         assert [e.timestamp for e in result] == [1, 3]
-
-
-class TestPeekableStream:
-    def test_peek_does_not_consume(self):
-        stream = PeekableStream(events(("A", 1), ("B", 2)))
-        assert stream.peek().event_type == "A"
-        assert stream.peek().event_type == "A"
-        assert next(stream).event_type == "A"
-        assert next(stream).event_type == "B"
-
-    def test_peek_at_end_returns_none(self):
-        stream = PeekableStream([])
-        assert stream.peek() is None
-
-    def test_iteration_after_peek(self):
-        stream = PeekableStream(events(("A", 1), ("B", 2)))
-        stream.peek()
-        assert [e.event_type for e in stream] == ["A", "B"]
 
 
 class TestMergeStreams:

@@ -7,9 +7,15 @@
   rendering, so the doc cannot drift;
 * counters that had several definitions have one: ``revisions`` is the
   ranker's counter, a fleet's ``throughput_eps`` is the fleet's rate;
-* every engine-scope sanitizer check the source can trip is in the table.
+* every engine-scope sanitizer check the source can trip is in the table;
+* every series anything exports — the four backends, a running server,
+  a checkpoint store, an event log — is a row of the table, and the
+  serve-side series keep the names, kinds, labels and help text they had
+  when each module declared its own (golden rows captured at 68f6840 by
+  running :func:`served_series` there).
 """
 
+import ast
 import json
 import re
 import time
@@ -19,11 +25,21 @@ import pytest
 
 from repro import CEPREngine, Event
 from repro.observability import instruments
+from repro.observability.registry import MetricsRegistry
 from repro.runtime import RunnerConfig, create_runner
+from repro.sanitize.core import disable_sanitizer, enable_sanitizer, sanitizer_mode
+from repro.serve.client import CEPRClient
+from repro.store.checkpoint import CheckpointStore, Position
+from repro.store.log import EventLog
 from repro.workloads.stock import StockWorkload
+
+from ..serve.test_server import ServerHarness
 
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = json.loads((Path(__file__).parent / "golden_series_0c137b9.json").read_text())
+GOLDEN_SERVED = json.loads(
+    (Path(__file__).parent / "golden_served_series_68f6840.json").read_text()
+)
 
 TUMBLING = """
     NAME best_trades
@@ -71,6 +87,54 @@ def exported_series(scenario):
     return rows
 
 
+#: the servers of :func:`served_series`: one engine, and a fleet that also
+#: exports the coordinator lock and the shedding controller.
+SERVERS = {
+    "threaded": RunnerConfig(sanitize=True),
+    "sharded": RunnerConfig(shards=2, shed_policy="adaptive", sanitize=True),
+}
+
+
+def _rows(registry):
+    return sorted(
+        [s.name, s.kind, sorted(map(list, s.labels.items())), s.help]
+        for s in registry.collect()
+    )
+
+
+def served_series(root):
+    """``[name, kind, sorted label items, help]`` of everything a running
+    server, a checkpoint store and an event log export."""
+    rows = {}
+    events = list(StockWorkload(seed=2016).events(200))
+    mode = sanitizer_mode()
+    enable_sanitizer()  # process-wide: the fleet's coordinator lock is tracked
+    try:
+        for name, config in SERVERS.items():
+            with ServerHarness(
+                queries={"best_trades": TUMBLING, "ticker": EAGER}, runner=config
+            ) as harness:
+                with CEPRClient(port=harness.port) as client:
+                    client.subscribe("ticker")
+                    client.push_batch(events)
+                    client.sync()
+                rows[name] = _rows(harness.server.metrics_registry())
+    finally:
+        if mode is None:
+            disable_sanitizer()
+        else:
+            enable_sanitizer(mode)
+    store = CheckpointStore(root / "checkpoints")
+    store.save({"n": 1}, Position(1, 0, 0.0))
+    log = EventLog(root / "events.jsonl")
+    log.append_all(events[:10])
+    for name, component in (("checkpoint", store), ("log", log)):
+        registry = MetricsRegistry()
+        component.register_metrics(registry)
+        rows[name] = _rows(registry)
+    return rows
+
+
 class TestExportedSurface:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_every_parent_series_is_still_exported(self, scenario):
@@ -81,7 +145,19 @@ class TestExportedSurface:
     def test_the_table_adds_exactly_the_listed_series(self):
         """Names the parent never exported, in any scenario (CHANGES.md)."""
         parent = {row[0] for rows in GOLDEN.values() for row in rows}
-        assert set(instruments.HELP) - parent == {
+        # exported outside any runner's registry, declared inline until
+        # the tables took them (GOLDEN_SERVED pins them unchanged)
+        inline = {
+            spec.name
+            for table in (
+                instruments.SERVE,
+                instruments.CHECKPOINT,
+                instruments.STORE,
+                instruments.LOCK,
+            )
+            for spec in table
+        }
+        assert set(instruments.HELP) - parent - inline == {
             "query_revisions_total",
             "ingest_span_seconds",
             "runs_killed_total",
@@ -95,6 +171,15 @@ class TestExportedSurface:
             "ranker_held_matches",
             "runs_dominated_total",
         }
+
+    def test_every_exported_series_is_in_the_catalogue(self, tmp_path):
+        catalogued = {spec.name for _, specs in instruments.CATALOGUE for spec in specs}
+        exported = {row[0] for scenario in SCENARIOS for row in exported_series(scenario)}
+        served = served_series(tmp_path)
+        exported |= {row[0] for rows in served.values() for row in rows}
+        assert not exported - catalogued
+        # the served rows keep their names, kinds, labels and help text
+        assert served == GOLDEN_SERVED
 
     def test_catalogue_in_the_docs_is_the_table(self):
         doc = (ROOT / "docs" / "OBSERVABILITY.md").read_text()
@@ -182,3 +267,22 @@ class TestOneDefinitionPerCounter:
         engine.restore(state)
         engine.push(Event("Buy", 2.0, symbol="A", price=2.0))
         assert registry.get("runs_created_total", query="best_trades").value == 2
+
+
+class TestOneDeclarationPerSeries:
+    def test_no_module_outside_observability_declares_a_series(self):
+        """Series are declared as catalogue rows only: a registry call
+        elsewhere may look up or override a series, never describe one."""
+        declared = []
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+            if path.parent.name == "observability":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("counter", "gauge", "histogram")
+                    and (len(node.args) > 1 or any(k.arg == "help" for k in node.keywords))
+                ):
+                    declared.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+        assert declared == []

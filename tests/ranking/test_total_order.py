@@ -284,3 +284,55 @@ class TestParentCheckpoints:
         after = [emission_to_line(e) for e in handle.results()]
         assert after
         assert [emission_to_line(e) for e in first_handle.results()] + after == doc["lines"]
+
+
+FLEET_QUERY = """
+    PATTERN SEQ(A a)
+    WITHIN 10 EVENTS
+    PARTITION BY g
+    RANK BY a.x DESC
+    LIMIT 2
+    EMIT ON WINDOW CLOSE
+"""
+
+
+class TestFleetCheckpoints:
+    """A fleet checkpoint holding a NaN-keyed match in an un-merged epoch
+    is refused like a single engine's: by name, not by a raw scoring
+    error."""
+
+    @staticmethod
+    def fleet():
+        return create_runner({"q": FLEET_QUERY}, RunnerConfig(backend="sharded", shards=2))
+
+    @pytest.mark.parametrize("where", ["pending_epochs", "shard_tails"])
+    def test_a_nan_key_in_an_unmerged_epoch_is_refused(self, where):
+        # s1 is seen only in epoch 0 and s0 goes on, so the shard holding
+        # s1 never closes epoch 0: its merge stays pending.
+        events = [
+            Event("A", float(i), g="s1" if i < 3 else "s0", x=float(i))
+            for i in range(14)
+        ]
+        runner = self.fleet()
+        with runner:
+            runner.submit_all(events)
+            runner.sync()
+            if where == "pending_epochs":
+                runner.poll()
+            state = runner.snapshot()
+        view = state["views"]["q"]
+        emissions = (
+            [emission for parts in view["pending_epochs"].values() for _, emission in parts]
+            if where == "pending_epochs"
+            else [emission for tail in view["shard_tails"] for emission in tail]
+        )
+        assert emissions and emissions[0]["ranking"]
+        emissions[0]["ranking"][0]["bindings"]["a"]["one"]["payload"]["x"] = math.nan
+
+        resumed = self.fleet()
+        with resumed:
+            with pytest.raises(
+                SnapshotFormatError,
+                match=f"^query 'q': a held match cannot be ranked: {NAN_ERROR}",
+            ):
+                resumed.restore(state)
