@@ -122,6 +122,14 @@ ENGINE: tuple[Spec, ...] = (
         needs="shared",
     ),
     Spec(
+        "shared_query_groups",
+        "Query groups: pipelines the router runs, one per query text up to NAME and LIMIT",
+        lambda e: len(e._router),
+        kind="gauge",
+        agg="max",
+        needs="shared",
+    ),
+    Spec(
         "shared_prefix_entries",
         "Interned NFA prefix states across registered queries",
         lambda e: e.shared.prefix_entries,
@@ -213,7 +221,7 @@ QUERY: tuple[Spec, ...] = (
     Spec(
         "query_revisions_total",
         "Ranking revisions issued (the ranker's revision counter)",
-        lambda q: q.ranker.revision,
+        lambda q: q.revision,
     ),
     Spec("runs_created_total", "Runs started at stage 0", _stat("runs_created")),
     Spec(

@@ -114,7 +114,7 @@ class InvariantChecker:
     def check_emissions(
         self, query: "RegisteredQuery", emissions: "list[Emission]"
     ) -> None:
-        limit = query.ranker.limit
+        limit = query.analyzed.limit
         for emission in emissions:
             ranking = emission.ranking
             if limit is not None and len(ranking) > limit:
@@ -484,7 +484,8 @@ class InvariantChecker:
                     key=key,
                     stale=sorted(stale),
                 )
-        for name, registered in engine._queries.items():
+        for registered in engine._router.queries():
+            name = registered.name
             for spec in _shareable_specs(registered.automaton):
                 owners = shared.predicate_owners(spec.fingerprint)
                 if name not in owners:
@@ -497,7 +498,53 @@ class InvariantChecker:
                         query=name,
                         fingerprint=spec.fingerprint,
                     )
+        self.check_groups()
         self.check_activation()
+
+    def check_groups(self) -> None:
+        """Query groups against the registry: the router runs exactly one
+        lead per group, the first of its members; every member is
+        registered and points at its lead; K covers every member's
+        ``LIMIT``; and no group outlives its last member."""
+        engine = self.engine
+        leads = engine._router.queries()
+
+        def trip(message: str, **context) -> None:
+            self.san.trip("shared-index-coherence", message, **context)
+
+        grouped = 0
+        for lead in leads:
+            members = lead.members
+            if not members or members[0] is not lead:
+                trip(
+                    f"query {lead.name!r} is routed but does not lead its group "
+                    f"(members={[m.name for m in members]!r}) — a group "
+                    f"outlived its last member",
+                    query=lead.name,
+                )
+            k = lead.ranker.limit
+            for member in members:
+                grouped += 1
+                if engine._queries.get(member.name) is not member or member.lead is not lead:
+                    trip(
+                        f"group led by {lead.name!r} lists {member.name!r}, "
+                        f"which is not a registered member of it",
+                        query=member.name,
+                    )
+                limit = member.analyzed.limit
+                if not (k is None or (limit is not None and k >= limit)):
+                    trip(
+                        f"group led by {lead.name!r} keeps a top-{k}, less "
+                        f"than member {member.name!r}'s LIMIT {limit}",
+                        query=member.name,
+                        k=k,
+                        limit=limit,
+                    )
+        if grouped != len(engine._queries):
+            trip(
+                f"{len(engine._queries)} queries are registered but the "
+                f"router's groups hold {grouped}",
+            )
 
     def check_activation(self) -> None:
         """The router's dormant/awake bookkeeping against a recount.
@@ -515,7 +562,7 @@ class InvariantChecker:
         router = engine._router
         if router.shared is None:
             return
-        registered = list(engine._queries.values())
+        registered = router.queries()  # the group leads, in router order
         dormant = router._dormant
 
         def trip(message: str, **context) -> None:
@@ -599,35 +646,28 @@ class InvariantChecker:
                 )
 
 
+def instrument_leads(checker: InvariantChecker, engine: "CEPREngine") -> None:
+    """Instrument every query group's lead and pipeline not yet instrumented
+    (after registration, unregistration and restore, which make leads and
+    build pipelines)."""
+    for lead in engine._router.queries():
+        instrument_query(checker, lead)
+
+
+def check_deliveries(checker: InvariantChecker, deliveries) -> None:
+    for member, emission in deliveries:
+        checker.check_emissions(member, [emission])
+
+
 def instrument_query(checker: InvariantChecker, query: "RegisteredQuery") -> None:
-    """Wrap one registered query's pipeline entry points with checks."""
-    orig_process = query.process
-    orig_advance = query.advance_time
-    orig_flush = query.flush
-
-    def process(event):
-        emissions = orig_process(event)
-        checker.check_matcher(query)
-        if emissions:
-            checker.check_emissions(query, emissions)
-        return emissions
-
-    def advance_time(timestamp):
-        emissions = orig_advance(timestamp)
-        checker.check_matcher(query)
-        if emissions:
-            checker.check_emissions(query, emissions)
-        return emissions
-
-    def flush():
-        emissions = orig_flush()
-        if emissions:
-            checker.check_emissions(query, emissions)
-        return emissions
-
-    query.process = process  # type: ignore[method-assign]
-    query.advance_time = advance_time  # type: ignore[method-assign]
-    query.flush = flush  # type: ignore[method-assign]
+    """Wrap one group lead's pipeline entry points with checks; idempotent,
+    per lead and per pipeline."""
+    if "process" not in vars(query):
+        _instrument_entry_points(checker, query)
+    matcher = query.matcher
+    if getattr(matcher, "_sanitized", False):
+        return
+    matcher._sanitized = True  # type: ignore[attr-defined]
 
     if query.ranker.mode == "sliding":
         instrument_sliding(checker, query)
@@ -658,6 +698,35 @@ def instrument_query(checker: InvariantChecker, query: "RegisteredQuery") -> Non
             checker.check_dominated(query, dropped, kept, event)
 
         matcher._drop_dominated = drop_dominated  # type: ignore[method-assign]
+
+
+def _instrument_entry_points(checker: InvariantChecker, query: "RegisteredQuery") -> None:
+    """Check the matcher after each step and every member emission a step
+    hands out."""
+    orig_process = query.process
+    orig_advance = query.advance_time
+    orig_flush = query.flush
+
+    def process(event):
+        deliveries = orig_process(event)
+        checker.check_matcher(query)
+        check_deliveries(checker, deliveries)
+        return deliveries
+
+    def advance_time(timestamp):
+        deliveries = orig_advance(timestamp)
+        checker.check_matcher(query)
+        check_deliveries(checker, deliveries)
+        return deliveries
+
+    def flush():
+        deliveries = orig_flush()
+        check_deliveries(checker, deliveries)
+        return deliveries
+
+    query.process = process  # type: ignore[method-assign]
+    query.advance_time = advance_time  # type: ignore[method-assign]
+    query.flush = flush  # type: ignore[method-assign]
 
 
 def instrument_sliding(checker: InvariantChecker, query: "RegisteredQuery") -> None:
@@ -773,7 +842,7 @@ def attach_engine_sanitizer(engine: "CEPREngine") -> InvariantChecker:
     def register_query(*args, **kwargs):
         affinity.check("register_query")
         registered = orig_register(*args, **kwargs)
-        instrument_query(checker, registered)
+        instrument_leads(checker, engine)
         checker.check_shared_index()
         return registered
 
@@ -784,6 +853,7 @@ def attach_engine_sanitizer(engine: "CEPREngine") -> InvariantChecker:
     def unregister_query(name):
         affinity.check("unregister_query")
         orig_unregister(name)
+        instrument_leads(checker, engine)
         checker.check_shared_index()
 
     engine.unregister_query = unregister_query  # type: ignore[method-assign]
@@ -813,6 +883,7 @@ def attach_engine_sanitizer(engine: "CEPREngine") -> InvariantChecker:
     def restore(state):
         affinity.check("restore")
         orig_restore(state)
+        instrument_leads(checker, engine)
         checker.rebaseline_seq()
 
     engine.restore = restore  # type: ignore[method-assign]
