@@ -58,6 +58,18 @@ class Match:
             1 if isinstance(b, Event) else len(b) for b in self.bindings.values()
         )
 
+    def for_query(self, name: str) -> "Match":
+        """This detection as query ``name`` reports it: a copy stamped
+        with that name (the members of a query group share detections).
+
+        A shallow field copy — ``dataclasses.replace`` re-runs
+        ``__init__`` and costs several times as much on the emit path.
+        """
+        clone = object.__new__(Match)
+        clone.__dict__.update(self.__dict__)
+        clone.query_name = name
+        return clone
+
     def sort_key(self) -> tuple[Any, ...]:
         """Total order used by rankers: score, then detection order."""
         if self.score is None:
