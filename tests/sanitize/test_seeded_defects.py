@@ -359,6 +359,53 @@ class TestSharedIndexCoherence:
         assert engine.sanitizer.trips["shared-index-coherence"] > 0
 
 
+class TestQueryGroupCoherence:
+    """A group's members are registered, its K covers their LIMITs, and
+    it goes with its last member."""
+
+    GROUPED = "PATTERN SEQ(A a, B b) WHERE a.x > 0 WITHIN 5 EVENTS RANK BY b.x DESC {} EMIT ON WINDOW CLOSE"
+
+    def test_a_group_outliving_its_last_member_trips(self, monkeypatch):
+        # Seeded defect: unregistering a lead hands over but keeps it routed.
+        monkeypatch.setattr(EventRouter, "replace", lambda self, old, new: None)
+        engine = log_engine()
+        engine.register_query(self.GROUPED.format("LIMIT 1"), name="first")
+        engine.register_query(self.GROUPED.format("LIMIT 2"), name="second")
+        engine.unregister_query("first")
+        assert engine.sanitizer.trips["shared-index-coherence"] > 0
+
+    def test_k_below_a_members_limit_trips(self, monkeypatch):
+        # Seeded defect: a wider joiner does not re-arm the pipeline.
+        from repro.runtime.query import RegisteredQuery
+
+        monkeypatch.setattr(
+            RegisteredQuery, "admit", lambda self, member: (
+                self.members.append(member), member._alias(self)
+            )
+        )
+        engine = log_engine()
+        engine.register_query(self.GROUPED.format("LIMIT 1"), name="narrow")
+        engine.register_query(self.GROUPED.format("LIMIT 3"), name="wide")
+        assert engine.sanitizer.trips["shared-index-coherence"] > 0
+
+    def test_groups_under_churn_are_quiet(self):
+        engine = log_engine()
+        for index, limit in enumerate(("LIMIT 2", "", "LIMIT 1", "LIMIT 3")):
+            engine.register_query(self.GROUPED.format(limit), name=f"q{index}")
+        assert len(engine._router) == 1
+        for index in range(30):
+            engine.push(Event("A" if index % 2 else "B", float(index), x=index % 7))
+            if index == 10:
+                engine.unregister_query("q0")
+            if index == 20:
+                engine.unregister_query("q1")
+        engine.restore(engine.snapshot())
+        for name in ("q2", "q3"):
+            engine.unregister_query(name)
+        assert engine.sanitizer.total_trips == 0
+        assert engine.shared.is_empty()
+
+
 class TestCrossThreadMutation:
     def test_unsynchronized_second_thread_trips(self):
         engine = log_engine()
