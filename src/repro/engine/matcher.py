@@ -54,7 +54,7 @@ from repro.engine.runs import Run, new_run
 from repro.engine.windows import EpochTracker
 from repro.events.event import Event
 from repro.language.ast_nodes import SelectionStrategy, WindowKind
-from repro.observability.tracing import SpanKind, Tracer
+from repro.observability.tracing import SpanKind, SpanRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.language.semantics import CutKey, RunDominance
@@ -151,7 +151,7 @@ class PatternMatcher:
         #: Attached by the observability layer when tracing is enabled;
         #: every hot-path record site guards on ``is not None`` so the
         #: disabled cost is one attribute load per site.
-        self.tracer: Tracer | None = None
+        self.tracer: SpanRecorder | None = None
         self.tumbling = tumbling
         if tumbling and automaton.window is None:
             raise ValueError("tumbling evaluation requires a WITHIN window")

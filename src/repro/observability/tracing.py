@@ -27,7 +27,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.language.semantics import AnalyzedQuery
@@ -112,6 +112,20 @@ class Span:
         if self.query:
             head += f" query={self.query}"
         return f"{head} {extras}".rstrip()
+
+
+class SpanRecorder(Protocol):
+    """Where a pipeline's matcher and ranker record spans: a
+    :class:`Tracer`, or a query group's per-member view of one."""
+
+    def record(
+        self,
+        kind: SpanKind,
+        seq: int,
+        ts: float,
+        query: str | None = None,
+        **detail: Any,
+    ) -> None: ...
 
 
 class Tracer:

@@ -42,7 +42,7 @@ from repro.events.event import Event
 from repro.language.ast_nodes import EmitKind, WindowKind
 from repro.language.errors import EvaluationError
 from repro.language.semantics import AnalyzedQuery
-from repro.observability.tracing import SpanKind, Tracer
+from repro.observability.tracing import SpanKind, SpanRecorder
 from repro.ranking.emission import Emission, EmissionKind, snapshot_delta
 from repro.ranking.score import Scorer
 from repro.ranking.topk import EpochTopK, SlidingRanking
@@ -95,7 +95,7 @@ class Ranker:
         self.lenient_errors = lenient_errors
         self.scoring_errors = 0
         #: Attached by the observability layer when tracing is enabled.
-        self.tracer: Tracer | None = None
+        self.tracer: SpanRecorder | None = None
         #: set by a sharing router while the query is dormant: called once
         #: a step's matches leave the scope holding state (no longer
         #: :meth:`inert_without_matches`), so it is offered every event.
@@ -206,7 +206,7 @@ class Ranker:
             kept.append(match)
         return kept
 
-    def _record_rank(self, tracer: Tracer, match: Match) -> None:
+    def _record_rank(self, tracer: SpanRecorder, match: Match) -> None:
         tracer.record(
             _RANK,
             match.last_seq,
