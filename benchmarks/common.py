@@ -335,9 +335,9 @@ def run_multi_query(
     sharing: every event is offered to every query (each still rejects
     irrelevant types itself).  This is the dispatch strategy a router-less
     engine would use, and the baseline the E8 experiment compares routing
-    against.  ``shared=False`` keeps the router but turns the shared
-    predicate index / prefix pool / quiescent gate off — the independent
-    baseline of the shared-execution scaling curve.
+    against.  ``shared=False`` keeps the router but turns shared
+    execution off (predicate index, gate memo, dormancy, query groups) —
+    the independent baseline of the shared-execution scaling curve.
 
     ``extra`` carries the engine's sharing counters, the per-event cost
     in microseconds, and the (query, event) pairs the engine processed —

@@ -849,7 +849,6 @@ def _print_stats(
         print(
             f"  shared: distinct_predicates={shared['distinct_predicates']} "
             f"evals_saved={shared['predicate_evals_saved']} "
-            f"prefix_states_shared={shared['prefix_states_shared']} "
             f"events_gated={shared['events_gated']}",
             file=out,
         )

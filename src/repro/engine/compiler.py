@@ -22,7 +22,6 @@ from repro.events.event import Event
 from repro.language.ast_nodes import Expr, split_conjuncts
 from repro.language.errors import EvaluationError
 from repro.language.expressions import EvalContext, evaluate_predicate
-from repro.language.fingerprint import canonical_expr
 from repro.language.semantics import AnalyzedQuery, PredicateSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -30,21 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.runtime.router import SharedExecutionIndex
 
 
-def compile_automaton(
-    analyzed: AnalyzedQuery,
-    shared: "SharedExecutionIndex | None" = None,
-) -> PatternAutomaton:
-    """Build the stage chain and predicate attachments for ``analyzed``.
-
-    With ``shared`` (the engine's :class:`~repro.runtime.router.
-    SharedExecutionIndex`), each stage is interned by its canonical chain
-    key: queries compiled from a common pattern head reuse the *same*
-    stage objects for the shared prefix and fork only at the first
-    divergent stage.  Reuse requires identical variable names, element
-    types, and canonical predicate chains — semantically equal automaton
-    prefixes — so a reused stage's compiled evaluators are sound for every
-    query that shares it.
-    """
+def compile_automaton(analyzed: AnalyzedQuery) -> PatternAutomaton:
+    """Build the stage chain and predicate attachments for ``analyzed``."""
     stages: list[Stage] = []
     for info in analyzed.positives:
         assigned = analyzed.predicates_at.get(info.name, [])
@@ -65,18 +51,6 @@ def compile_automaton(
             )
         )
 
-    prefix_keys: tuple[str, ...] = ()
-    if shared is not None:
-        keys: list[str] = []
-        chain = ""
-        interned: list[Stage] = []
-        for stage in stages:
-            chain = _stage_key(chain, stage)
-            interned.append(shared.intern_stage(chain, stage))
-            keys.append(chain)
-        stages = interned
-        prefix_keys = tuple(keys)
-
     exprs: list[Expr] = []
     exprs.extend(split_conjuncts(analyzed.ast.where))
     exprs.extend(key.expr for key in analyzed.rank_keys)
@@ -93,30 +67,7 @@ def compile_automaton(
         kleene_vars=analyzed.kleene_variable_names(),
         needed_aggregates=aggregates,
         analyzed=analyzed,
-        prefix_keys=prefix_keys,
     )
-
-
-def _stage_key(prefix: str, stage: Stage) -> str:
-    """Canonical chain key for ``stage`` appended to ``prefix``.
-
-    Captures everything stage reuse depends on: the whole prefix (chained
-    key), the variable's name (match bindings are keyed by it), element
-    type and Kleene-ness, and the ordered canonical forms of the attached
-    predicates (order preserved — evaluation order is observable through
-    the lenient-error counters).  Variable names of *earlier* stages are
-    pinned by the chained prefix, so predicates referencing them need no
-    renaming to compare canonically.
-    """
-    parts = [
-        prefix,
-        stage.variable.name,
-        stage.event_type,
-        "kleene" if stage.is_kleene else "single",
-        ";".join(canonical_expr(p.expr) for p in stage.bind_predicates),
-        ";".join(canonical_expr(p.expr) for p in stage.incremental_predicates),
-    ]
-    return "\x1f".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +193,9 @@ def _fuse_gate0(
     its event-level check.
     """
     variable = stage.variable.name
-    specs = (
-        stage.incremental_predicates if stage.is_kleene else stage.bind_predicates
-    )
     plan = tuple(
         (spec.event_check if shared is not None else None, spec.evaluator)
-        for spec in specs
+        for spec in stage.gate_predicates
     )
 
     def gate_local(event: Event) -> bool:
@@ -275,7 +223,7 @@ def _fuse_gate0(
         return gate_local
 
     def gate(event: Event) -> bool:
-        # Whole-stage memo: one verdict per (event, stage) across queries.
+        # Whole-gate memo: one verdict per (event, gate key) across queries.
         if shared.current_event is event:
             return shared.stage_gate(stage, matcher.stats, lenient)
         return gate_local(event)
@@ -310,12 +258,10 @@ def _fuse_completion(
 def compile_edges(matcher: "PatternMatcher") -> CompiledEdges:
     """Build the fused per-edge closure table for one matcher.
 
-    Built per matcher (not per shared stage) because the closures fold in
-    per-query state: the lenient-error policy, the stats object the error
-    counters charge, and the engine's shared index.  Stage objects shared
-    across queries via prefix interning keep identical predicate chains,
-    so each matcher fusing its own copy preserves the sharing semantics —
-    the shared routing happens inside the closures, per consultation.
+    Built per matcher because the closures fold in per-query state: the
+    lenient-error policy, the stats object the error counters charge, and
+    the engine's shared index.  The sharing itself happens inside the
+    closures, per consultation, through the index's per-event memos.
     """
     automaton = matcher.automaton
     shared = matcher.shared

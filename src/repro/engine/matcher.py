@@ -242,17 +242,6 @@ class PatternMatcher:
     def pending_count(self) -> int:
         return sum(len(p.pendings) for p in self._partitions.values())
 
-    @property
-    def quiescent(self) -> bool:
-        """True when no partial run or pending match exists (O(1), cached).
-
-        A quiescent matcher can only react to an event by *starting* a new
-        run.  The shared-execution skip check asks the same question of
-        the event's own partition (see
-        :meth:`~repro.runtime.query.RegisteredQuery.skip_if_inert`).
-        """
-        return self._live_runs_cached == 0 and self._pendings_cached == 0
-
     def _refresh_activity(self) -> None:
         """Recount both activity caches over every partition.
 

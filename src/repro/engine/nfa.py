@@ -39,6 +39,21 @@ class Stage:
     variable: VariableInfo
     bind_predicates: tuple[PredicateSpec, ...] = ()
     incremental_predicates: tuple[PredicateSpec, ...] = ()
+    #: What the stage's gate tests, by alpha-invariant fingerprint: the
+    #: event type joined with its gate predicates' fingerprints, in
+    #: evaluation order.  Equal keys mean equal verdicts (and errors) for
+    #: every event, whatever the binding names; ``None`` when a gate
+    #: predicate is unfingerprinted, which is then never memoised.
+    gate_key: str | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        key: str | None = self.event_type
+        for spec in self.gate_predicates:
+            if spec.fingerprint is None:
+                key = None
+                break
+            key += "\x1f" + spec.fingerprint
+        object.__setattr__(self, "gate_key", key)
 
     @property
     def event_type(self) -> str:
@@ -47,6 +62,11 @@ class Stage:
     @property
     def is_kleene(self) -> bool:
         return self.variable.is_kleene
+
+    @property
+    def gate_predicates(self) -> tuple[PredicateSpec, ...]:
+        """The predicates an event must pass to start a run here."""
+        return self.incremental_predicates if self.is_kleene else self.bind_predicates
 
 
 @dataclass(frozen=True)
@@ -66,13 +86,6 @@ class PatternAutomaton:
     #: aggregates any expression of the query needs, as (var, func, attr).
     needed_aggregates: frozenset[tuple[str, str, str | None]] = frozenset()
     analyzed: AnalyzedQuery | None = None
-    #: Canonical chain keys, one per stage, identifying this automaton's
-    #: prefix states in the engine's shared intern pool (see
-    #: :class:`~repro.runtime.router.SharedExecutionIndex`).  Key ``i``
-    #: covers stages ``0..i``, so equal keys mean equal pattern heads and
-    #: the stage objects themselves are shared by identity.  Empty when the
-    #: automaton was compiled outside a shared-execution engine.
-    prefix_keys: tuple[str, ...] = ()
 
     @property
     def accepting_index(self) -> int:

@@ -327,9 +327,8 @@ def restore_matcher(matcher: PatternMatcher, state: Mapping[str, Any]) -> None:
             completions_skipped=int(state.get("completions_skipped", 0)),
             runs_dominated=int(state.get("runs_dominated", 0)),
         )
-        # The quiescent-skip gate reads the O(1) activity caches; leaving
-        # them stale after a restore would let it elide events that should
-        # extend the restored runs.
+        # The O(1) activity caches feed ``live_runs``, ``pending_matches``
+        # and ``peak_live_runs``; recount them for the restored partitions.
         matcher._refresh_activity()
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotFormatError(f"bad matcher state: {exc}") from exc

@@ -130,14 +130,6 @@ ENGINE: tuple[Spec, ...] = (
         needs="shared",
     ),
     Spec(
-        "shared_prefix_entries",
-        "Interned NFA prefix states across registered queries",
-        lambda e: e.shared.prefix_entries,
-        kind="gauge",
-        agg="max",
-        needs="shared",
-    ),
-    Spec(
         "predicate_evals_saved_total",
         "Predicate evaluations answered from the shared memo",
         lambda e: e.shared.predicate_evals_saved,
@@ -147,12 +139,6 @@ ENGINE: tuple[Spec, ...] = (
         "predicate_evals_performed_total",
         "Predicate evaluations performed through the shared index",
         lambda e: e.shared.predicate_evals_performed,
-        needs="shared",
-    ),
-    Spec(
-        "prefix_states_shared_total",
-        "Compiled stages reused from the prefix intern pool",
-        lambda e: e.shared.prefix_states_shared,
         needs="shared",
     ),
     Spec(

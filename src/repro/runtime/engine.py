@@ -127,10 +127,10 @@ class CEPREngine(instruments.TelemetryViews):
         construction time.  Flip at runtime with :meth:`set_tracing`.
     shared_execution:
         Cross-query sharing (on by default; see docs/SHARED_EXECUTION.md):
-        distinct self-contained predicates are evaluated once per event no
-        matter how many queries anchor them, queries with a common pattern
-        head share NFA prefix states, and queries provably unaffected by
-        an event are skipped entirely.  Output is byte-identical either
+        distinct self-contained predicates and stage-0 gates are evaluated
+        once per event no matter how many queries consult them, queries
+        provably unaffected by an event are not offered it at all, and
+        queries equal but for ``NAME`` and ``LIMIT`` run as one pipeline.  Output is byte-identical either
         way — the differential suite enforces it — so turning this off is
         only interesting for benchmarks (the independent baseline).
     sanitize:
@@ -168,7 +168,7 @@ class CEPREngine(instruments.TelemetryViews):
         #: total derived (YIELD) events processed.
         self.derived_events = 0
         self._sequencer = sequencer or SequenceAssigner(strict=strict_time)
-        #: cross-query predicate index / prefix pool (None = independent).
+        #: cross-query predicate index and memos (None = independent).
         self.shared: SharedExecutionIndex | None = (
             SharedExecutionIndex() if shared_execution else None
         )

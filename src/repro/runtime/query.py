@@ -124,8 +124,8 @@ class RegisteredQuery(SinkOwner):
         self.name = name
         self.analyzed = analyzed
         #: the engine's cross-query sharing state (``None`` outside a
-        #: shared-execution engine); compilation interns prefix stages into
-        #: it and the matcher consults its per-event predicate memo.
+        #: shared-execution engine): the matcher consults its per-event
+        #: predicate and gate memos.
         self.shared = shared
         # Static analysis runs between semantic analysis and compilation;
         # findings never block registration (errors at this level mean "the
@@ -174,7 +174,7 @@ class RegisteredQuery(SinkOwner):
         self.lead = self
         #: the members, in registration order (meaningful on a lead).
         self.members: list[RegisteredQuery] = [self]
-        self.automaton = compile_automaton(self.analyzed, self.shared)
+        self.automaton = compile_automaton(self.analyzed)
         self.scorer = Scorer(self.analyzed.rank_keys)
         #: per-stage (match/rank/emit) wall-time breakdown.
         self.profile = StageProfile()
@@ -715,20 +715,18 @@ class RegisteredQuery(SinkOwner):
     def _sharing_block(self) -> str:
         """One-line sharing summary for :meth:`explain`.
 
-        Reports how deep the automaton's prefix head is co-owned with
-        other registered queries (chain keys are prefix-closed, so the
-        first privately-owned stage ends the shared head) and how many of
-        the query's predicates are served by cross-query index entries.
+        Reports how many registered pipelines share the query's stage-0
+        gate (by gate key, so renamed bindings count), how many of its
+        predicates are served by cross-query index entries, and its group.
         """
-        shared = self.shared
-        assert shared is not None
-        keys = self.automaton.prefix_keys
-        head = 0
-        for index, key in enumerate(keys):
-            if len(shared.prefix_owners(key)) > 1:
-                head = index + 1
-            else:
-                break
+        assert self.shared is not None
+        predicates, gates = self.shared.refcounts()
+        gate_key = self.automaton.stages[0].gate_key
+        gate = (
+            "stage-0 gate unshareable (unfingerprinted predicate)"
+            if gate_key is None
+            else f"stage-0 gate shared by {gates[gate_key]} pipeline(s)"
+        )
         specs = [
             spec
             for stage in self.automaton.stages
@@ -742,13 +740,12 @@ class RegisteredQuery(SinkOwner):
         cross_query = sum(
             1
             for spec in specs
-            if spec.fingerprint is not None
-            and len(shared.predicate_owners(spec.fingerprint)) > 1
+            if spec.fingerprint is not None and predicates[spec.fingerprint] > 1
         )
         lead = self.lead
         limit = lead.ranker.limit
         return (
-            f"sharing: prefix head co-owned for {head}/{len(keys)} stages; "
+            f"sharing: {gate}; "
             f"{cross_query}/{len(specs)} predicates served by cross-query "
             f"index entries; group of {len(lead.members)} with K = "
             f"{'none' if limit is None else limit}, widest member "

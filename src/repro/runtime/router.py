@@ -1,6 +1,6 @@
 """Event routing and shared multi-query execution state.
 
-Two layers live here (see docs/SHARED_EXECUTION.md):
+Two pieces live here (see docs/SHARED_EXECUTION.md):
 
 * :class:`EventRouter` — the type-indexed dispatch table from events to
   queries, so pushing an event touches only interested queries instead of
@@ -8,31 +8,27 @@ Two layers live here (see docs/SHARED_EXECUTION.md):
   — and, with sharing on, only the *affected* ones: an inert query goes
   dormant and is handed only the events of partitions where it holds
   state, or that open its stage-0 gate.
-* :class:`SharedExecutionIndex` — the cross-query sharing state that turns
-  per-event serving cost from O(queries) toward O(distinct predicates):
+* :class:`SharedExecutionIndex` — the shared predicate index that turns
+  per-event serving cost from O(queries) toward O(distinct predicates).
+  Predicates and stage-0 gates are identified by what they test: a
+  predicate by the alpha-invariant fingerprint computed in
+  :mod:`repro.language.fingerprint`, a gate by its
+  :attr:`~repro.engine.nfa.Stage.gate_key` (event type plus the
+  fingerprints of its predicates).  Per event, each distinct fingerprint
+  and each distinct gate is evaluated at most once and the outcome is
+  fanned out to every consulting query through a per-event memo.
 
-  - a **shared predicate index** keyed by the alpha-invariant fingerprints
-    computed in :mod:`repro.language.fingerprint`.  Every self-contained
-    predicate (value depends only on the candidate event) registered by
-    any query lands in one refcounted entry; per event, each distinct
-    fingerprint is evaluated at most once and the boolean result is fanned
-    out to every consulting query through a per-event memo.
-  - an **NFA prefix intern pool**: queries compiled from a common pattern
-    head reuse the same :class:`~repro.engine.nfa.Stage` objects for the
-    shared prefix and fork only at the first divergent stage, which also
-    lets the per-event *stage gate* (can this event start a run?) be
-    memoized per shared stage object instead of per query.
-
-  The router keeps both structures in sync with registration churn:
-  :meth:`EventRouter.add` claims entries for a query,
-  :meth:`EventRouter.remove` releases them and **fully prunes** entries
-  whose last referencing query unregistered, so a serving fleet with
-  register/unregister churn never accumulates stale index state.
+  The router keeps the index's per-pipeline refcounts in sync with
+  registration churn: :meth:`EventRouter.add` claims a pipeline's
+  fingerprints and gate key, :meth:`EventRouter.remove` releases them and
+  **fully prunes** those whose last pipeline unregistered, so a serving
+  fleet with register/unregister churn never accumulates stale index
+  state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
 from functools import partial
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
@@ -48,53 +44,35 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.language.semantics import PredicateSpec
 
 
-@dataclass
-class _PredicateEntry:
-    """One distinct predicate shared across registered queries."""
-
-    #: Representative spec whose compiled evaluator serves all queries with
-    #: this fingerprint (sound: equal fingerprints evaluate identically).
-    spec: "PredicateSpec"
-    owners: set[str] = field(default_factory=set)
-
-
-@dataclass
-class _PrefixEntry:
-    """One interned automaton prefix state (a stage at a chain position)."""
-
-    stage: "Stage"
-    owners: set[str] = field(default_factory=set)
-
-
 class SharedExecutionIndex:
-    """Cross-query predicate index, prefix intern pool, and per-event memo.
+    """Cross-query predicate refcounts and the per-event memos.
 
     One instance is owned by each engine's router.  The per-event memo is
     (re)armed by :meth:`begin_event` at the top of the engine's dispatch
     and consulted by the matchers of every routed query, so a predicate
-    fingerprint is evaluated at most once per event no matter how many
-    queries anchor it.
+    fingerprint, and a stage-0 gate, is evaluated at most once per event
+    no matter how many queries consult it.
     """
 
     def __init__(self) -> None:
-        self._predicates: dict[str, _PredicateEntry] = {}
-        self._prefixes: dict[str, _PrefixEntry] = {}
+        #: fingerprint -> pipelines anchoring it, and stage-0 gate key ->
+        #: pipelines whose stage 0 tests it (what :meth:`claims` counts).
+        self._predicates: Counter[str] = Counter()
+        self._gates: Counter[str] = Counter()
         #: event the memo tables below are valid for (identity-checked).
         self.current_event: Event | None = None
         self._memo: dict[str, tuple[bool, EvaluationError | None]] = {}
-        self._gate_memo: dict[int, tuple[bool, int, EvaluationError | None]] = {}
-        #: (stage id, stats id) pairs already charged a gate consultation
+        self._gate_memo: dict[str, tuple[bool, int, EvaluationError | None]] = {}
+        #: (gate key, stats id) pairs already charged a gate consultation
         #: for the current event — the router, the residual skip check and
         #: the matcher may all consult the same gate for one event, but the
         #: per-query cost account must see exactly one consultation either
         #: way (that invariance keeps the accounts exact under sharding).
-        self._gate_charged: set[tuple[int, int]] = set()
+        self._gate_charged: set[tuple[str, int]] = set()
         #: predicate evaluations answered from the per-event memo.
         self.predicate_evals_saved = 0
         #: predicate evaluations actually performed through the index.
         self.predicate_evals_performed = 0
-        #: stage slots answered from the intern pool instead of compiled anew.
-        self.prefix_states_shared = 0
         #: (query, event) pairs elided: skipped by the residual check, or
         #: never offered because the query was dormant.
         self.events_gated = 0
@@ -105,78 +83,46 @@ class SharedExecutionIndex:
     def distinct_predicates(self) -> int:
         return len(self._predicates)
 
-    @property
-    def prefix_entries(self) -> int:
-        return len(self._prefixes)
-
     def is_empty(self) -> bool:
-        """True when no query holds any index or prefix entry (churn test)."""
-        return not self._predicates and not self._prefixes
+        """True when no pipeline holds any refcount (churn test)."""
+        return not self._predicates and not self._gates
 
-    def predicate_owners(self, fingerprint: str) -> frozenset[str]:
-        entry = self._predicates.get(fingerprint)
-        return frozenset(entry.owners) if entry is not None else frozenset()
+    def refcounts(self) -> tuple[Counter[str], Counter[str]]:
+        """How many registered pipelines anchor each fingerprint, and test
+        each stage-0 gate key (what :meth:`claims` recounts)."""
+        return self._predicates, self._gates
 
-    def prefix_owners(self, key: str) -> frozenset[str]:
-        entry = self._prefixes.get(key)
-        return frozenset(entry.owners) if entry is not None else frozenset()
+    @staticmethod
+    def claims(queries: Iterable[RegisteredQuery]) -> tuple[Counter[str], Counter[str]]:
+        """The refcounts ``queries``' pipelines hold: each counts once per
+        distinct fingerprint it anchors, and once for its stage-0 gate key."""
+        predicates: Counter[str] = Counter()
+        gates: Counter[str] = Counter()
+        for query in queries:
+            automaton = query.automaton
+            predicates.update({fp for _type, fp in _anchored_specs(automaton)})
+            gate_key = automaton.stages[0].gate_key
+            if gate_key is not None:
+                gates[gate_key] += 1
+        return predicates, gates
 
     # -- registration lifecycle -------------------------------------------------
 
-    def intern_stage(self, key: str, stage: "Stage") -> "Stage":
-        """Return the canonical stage for ``key``, registering ``stage`` if new.
-
-        Called by the compiler while building an automaton inside an
-        engine that shares execution: equal keys mean the stages are
-        interchangeable (same variable name, element type, and canonical
-        predicate chain — and, through the chained key, an identical
-        prefix), so later queries reuse the first query's stage object.
-        """
-        entry = self._prefixes.get(key)
-        if entry is None:
-            self._prefixes[key] = _PrefixEntry(stage=stage)
-            return stage
-        self.prefix_states_shared += 1
-        return entry.stage
-
     def add_query(self, query: RegisteredQuery) -> None:
-        """Claim predicate and prefix entries for a newly routed query."""
-        name = query.name
-        for spec in _shareable_specs(query.automaton):
-            entry = self._predicates.get(spec.fingerprint)  # type: ignore[arg-type]
-            if entry is None:
-                self._predicates[spec.fingerprint] = _PredicateEntry(  # type: ignore[index]
-                    spec=spec, owners={name}
-                )
-            else:
-                entry.owners.add(name)
-        for key in query.automaton.prefix_keys:
-            entry = self._prefixes.get(key)
-            if entry is not None:
-                entry.owners.add(name)
+        """Claim refcounts for a newly routed pipeline."""
+        predicates, gates = self.claims([query])
+        self._predicates += predicates
+        self._gates += gates
 
     def remove_query(self, query: RegisteredQuery) -> None:
-        """Release a query's entries; prune those it referenced last.
+        """Release a pipeline's refcounts; prune those it held last.
 
         Without the pruning, a serving fleet with registration churn would
-        leak one index entry (and keep one compiled evaluator alive) per
-        distinct predicate ever registered.
+        leak one entry per distinct predicate ever registered.
         """
-        name = query.name
-        for spec in _shareable_specs(query.automaton):
-            entry = self._predicates.get(spec.fingerprint)  # type: ignore[arg-type]
-            if entry is None:
-                continue
-            entry.owners.discard(name)
-            if not entry.owners:
-                del self._predicates[spec.fingerprint]  # type: ignore[arg-type]
-        for key in query.automaton.prefix_keys:
-            entry = self._prefixes.get(key)
-            if entry is None:
-                continue
-            entry.owners.discard(name)
-            if not entry.owners:
-                del self._prefixes[key]
+        predicates, gates = self.claims([query])
+        self._predicates -= predicates
+        self._gates -= gates
 
     # -- per-event evaluation ---------------------------------------------------
 
@@ -227,59 +173,59 @@ class SharedExecutionIndex:
     ) -> tuple[bool, int, EvaluationError | None]:
         """``(verdict, errors, first error)`` of ``stage``'s gate for this event.
 
-        Equivalent to evaluating the stage's entry predicates against an
-        empty context, but memoized twice over: per stage object (shared
-        prefixes answer in one dict hit for every query reusing the stage)
-        and per predicate fingerprint (differently-grouped stages still
-        share individual predicate outcomes).  Predicates without a
-        fingerprint disable the whole-stage memo but are still evaluated
-        with identical semantics.
+        Equivalent to evaluating the stage's gate predicates against an
+        empty context, but memoized twice over: per gate key (every query
+        whose stage 0 tests the same thing answers in one dict hit,
+        whatever its binding names) and per predicate fingerprint
+        (differently-composed gates still share individual predicate
+        outcomes).  A gate with an unfingerprinted predicate has no key
+        and is evaluated on every consult, with identical semantics.
 
         Per-query hit/miss charging is deduplicated per event: the router
         (for a gate's first owner), the residual skip check and the
         matcher may all consult the same gate for one event, but who is
         awake is engine-local state — a sharded fleet wakes per shard —
-        so repeated consults must count once.  Each (stage, query) pair is
+        so repeated consults must count once.  Each (gate, query) pair is
         charged exactly one consultation per event regardless of which
         path asked first, which is what keeps per-query cost accounts
-        counter-exact across shard splits.
+        counter-exact across shard splits; a memo hit counts as a saved
+        evaluation only when it is charged, so a query re-reading its
+        own consult saves nothing.
         """
-        key = id(stage)
+        key = stage.gate_key
+        if key is None:
+            return self._evaluate_gate(stage, stats)
         charge_key = (key, id(stats))
         cached = self._gate_memo.get(key)
         if cached is not None:
-            self.predicate_evals_saved += 1
             if charge_key not in self._gate_charged:
                 self._gate_charged.add(charge_key)
                 stats.shared_hits += 1
+                self.predicate_evals_saved += 1
             return cached
-
-        # The evaluating consult is charged through _outcome below (one
-        # miss or memo hit per fingerprinted predicate); mark the pair so
-        # a second consult for the same event does not charge again.
+        # The evaluating consult is charged through _outcome (one miss or
+        # memo hit per predicate); mark the pair so a second consult for
+        # the same event does not charge again.
         self._gate_charged.add(charge_key)
-        result = True
-        errors = 0
-        first_error: EvaluationError | None = None
-        memoizable = True
-        for spec in _gate_predicates(stage):
+        outcome = self._gate_memo[key] = self._evaluate_gate(stage, stats)
+        return outcome
+
+    def _evaluate_gate(
+        self, stage: "Stage", stats: "MatcherStats"
+    ) -> tuple[bool, int, EvaluationError | None]:
+        """Evaluate ``stage``'s gate predicates in order, to the first that
+        fails or raises: a fingerprinted one through the per-predicate
+        memo, any other directly."""
+        for spec in stage.gate_predicates:
             if spec.fingerprint is None:
-                memoizable = False
                 value, error = self._evaluate(spec)
             else:
                 value, error = self._outcome(spec, stats)
             if error is not None:
-                first_error = error
-                errors += 1
-                result = False
-                break
+                return False, 1, error
             if not value:
-                result = False
-                break
-        outcome = (result, errors, first_error)
-        if memoizable:
-            self._gate_memo[key] = outcome
-        return outcome
+                return False, 0, None
+        return True, 0, None
 
     def _outcome(
         self, spec: "PredicateSpec", stats: "MatcherStats"
@@ -289,7 +235,8 @@ class SharedExecutionIndex:
         The hit/miss split is charged to the *consulting* query's stats —
         that per-query attribution is what the cost accounts read, so
         ``cepr top`` can show which queries ride the shared index and
-        which pay for it.
+        which pay for it.  A miss evaluates the consulting spec itself:
+        equal fingerprints evaluate identically, errors included.
         """
         fingerprint = spec.fingerprint
         assert fingerprint is not None
@@ -299,10 +246,7 @@ class SharedExecutionIndex:
             stats.shared_hits += 1
             return cached
         stats.shared_misses += 1
-        entry = self._predicates.get(fingerprint)
-        representative = entry.spec if entry is not None else spec
-        outcome = self._evaluate(representative)
-        self._memo[fingerprint] = outcome
+        outcome = self._memo[fingerprint] = self._evaluate(spec)
         return outcome
 
     def _evaluate(
@@ -327,33 +271,21 @@ class SharedExecutionIndex:
             return False, error
 
 
-def _gate_predicates(stage: "Stage") -> "tuple[PredicateSpec, ...]":
-    """The predicates an event must pass to start a run at ``stage``."""
-    return stage.incremental_predicates if stage.is_kleene else stage.bind_predicates
-
-
-def _shareable_specs(automaton: "PatternAutomaton") -> Iterator["PredicateSpec"]:
-    """Every fingerprinted predicate an automaton anchors anywhere."""
-    for _event_type, spec in _anchored_specs(automaton):
-        yield spec
-
-
-def _anchored_specs(
-    automaton: "PatternAutomaton",
-) -> Iterator[tuple[str, "PredicateSpec"]]:
-    """``(event type it is evaluated on, fingerprinted predicate)`` pairs."""
+def _anchored_specs(automaton: "PatternAutomaton") -> Iterator[tuple[str, str]]:
+    """``(event type it is evaluated on, fingerprint)`` of every
+    fingerprinted predicate an automaton anchors anywhere."""
     for stage in automaton.stages:
         for spec in (*stage.bind_predicates, *stage.incremental_predicates):
             if spec.fingerprint is not None:
-                yield stage.event_type, spec
+                yield stage.event_type, spec.fingerprint
     for negation in automaton.negations:
         for spec in negation.predicates:
             if spec.fingerprint is not None:
-                yield negation.element.event_type, spec
+                yield negation.element.event_type, spec.fingerprint
 
 
 class _WakeList:
-    """One interned stage-0 gate and its dormant owners."""
+    """One distinct stage-0 gate (by gate key) and its dormant owners."""
 
     __slots__ = ("stage", "leader", "dormant", "index", "failed", "shut")
 
@@ -466,7 +398,7 @@ class EventRouter:
 
     When constructed with a :class:`SharedExecutionIndex` (the default
     inside :class:`~repro.runtime.engine.CEPREngine`), the router keeps the
-    shared predicate/prefix entries in sync with registration, and
+    index's refcounts in sync with registration, and
     :meth:`route` is push-based: a query whose ranker is inert goes
     dormant and is offered only the events of partitions where its matcher
     holds runs or pendings, and those that open its stage-0 gate
@@ -493,8 +425,8 @@ class EventRouter:
         #: first-registered query to anchor a fingerprint on an event type:
         #: in registration-order dispatch, the one charged its evaluation.
         self._first_anchor: dict[tuple[str, str], RegisteredQuery] = {}
-        #: wake list per interned stage 0 whose owners may go dormant.
-        self._gates: dict[int, _WakeList] = {}
+        #: wake list per stage-0 gate key whose owners may go dormant.
+        self._gates: dict[str, _WakeList] = {}
         self._dormant: dict[RegisteredQuery, _Dormancy] = {}
         #: True while some dormant query may be owed counts.
         self._unsettled = False
@@ -527,19 +459,21 @@ class EventRouter:
         on every stage-0 event (its owners would only churn), and one with
         an unfingerprinted predicate has no whole-stage memo to share.
         """
-        for event_type, spec in _anchored_specs(query.automaton):
-            self._first_anchor.setdefault((event_type, spec.fingerprint), query)  # type: ignore[arg-type]
+        for anchor in _anchored_specs(query.automaton):
+            self._first_anchor.setdefault(anchor, query)
         stage = query.automaton.stages[0]
-        gate = self._gates.get(id(stage))
+        key = stage.gate_key
+        predicates = stage.gate_predicates
+        if key is None or not predicates:
+            return
+        gate = self._gates.get(key)
         if gate is None:
-            predicates = _gate_predicates(stage)
-            if not predicates or any(
-                spec.fingerprint is None
-                or self._first_anchor[stage.event_type, spec.fingerprint] is not query
+            if any(
+                self._first_anchor[stage.event_type, spec.fingerprint] is not query
                 for spec in predicates
             ):
                 return
-            gate = self._gates[id(stage)] = _WakeList(stage, query)
+            gate = self._gates[key] = _WakeList(stage, query)
         elif (
             gate.leader.matcher._partitioner.attributes
             != query.matcher._partitioner.attributes
@@ -688,7 +622,7 @@ class EventRouter:
         matcher's ``on_partition`` — and those that open its gate, until
         its ranker starts holding matches (``on_busy``).
         """
-        gate = self._gates[id(query.automaton.stages[0])]
+        gate = self._gates[query.automaton.stages[0].gate_key]
         dormancy = _Dormancy(query, gate)
         matcher = query.matcher
         held = list(matcher._partitions)

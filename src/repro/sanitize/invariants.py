@@ -42,9 +42,9 @@ Checks, by hook point:
     seq/ts span is ordered and its bindings name only automaton
     variables.
 ``engine.register_query`` / ``unregister_query``
-    **shared-index-coherence** — the refcounted predicate/prefix index
-    owns exactly the registered queries' entries after churn (leaked
-    owners, empty-but-present entries, and missing claims all trip).
+    **shared-index-coherence** — the shared index's predicate and gate
+    refcounts equal a recount over the routed pipelines after churn
+    (leaks, stale entries and over-eager prunes all trip).
 ``engine._dispatch`` (and registration)
     **shared-index-coherence** — the router's dormant/awake bookkeeping
     agrees with a recount: every dormant query is registered, untraced,
@@ -413,8 +413,8 @@ class InvariantChecker:
                 f"query {query.name!r}: activity caches "
                 f"(live={matcher._live_runs_cached}, "
                 f"pendings={matcher._pendings_cached}) disagree with a "
-                f"recount (live={live}, pendings={pendings}); the "
-                f"quiescent-skip gate would elide live work",
+                f"recount (live={live}, pendings={pendings}); "
+                f"live_runs, pending_matches and peak_live_runs read them",
                 query=query.name,
                 cached_live=matcher._live_runs_cached,
                 cached_pendings=matcher._pendings_cached,
@@ -448,56 +448,26 @@ class InvariantChecker:
     # -- shared execution index ----------------------------------------------------
 
     def check_shared_index(self) -> None:
-        """Refcount/ownership coherence of the cross-query sharing state."""
-        engine = self.engine
-        shared = engine.shared
+        """The index's refcounts against a recount over the routed pipelines."""
+        shared = self.engine.shared
         if shared is None:
             return
-        from repro.runtime.router import _shareable_specs
-
-        names = set(engine._queries)
-        for fingerprint, entry in shared._predicates.items():
-            if not entry.owners:
+        held = shared.refcounts()
+        recount = shared.claims(self.engine._router.queries())
+        for kind, counts, expected in zip(("predicate", "gate"), held, recount):
+            if counts != expected:
+                drift = sorted(
+                    key[:24] for key in counts | expected if counts[key] != expected[key]
+                )
                 self.san.trip(
                     "shared-index-coherence",
-                    f"predicate entry {fingerprint[:16]!r}… has no owners "
-                    f"but was not pruned",
-                    fingerprint=fingerprint,
+                    f"{kind} refcounts disagree with a recount over the "
+                    f"routed pipelines for {len(drift)} key(s) (e.g. "
+                    f"{drift[0]!r}…) — a refcount leak or an early prune "
+                    f"after UNREGISTER churn",
+                    kind=kind,
+                    drift=drift,
                 )
-            stale = entry.owners - names
-            if stale:
-                self.san.trip(
-                    "shared-index-coherence",
-                    f"predicate entry {fingerprint[:16]!r}… is owned by "
-                    f"unregistered quer(ies) {sorted(stale)!r} — refcount "
-                    f"leak after UNREGISTER churn",
-                    fingerprint=fingerprint,
-                    stale=sorted(stale),
-                )
-        for key, entry in shared._prefixes.items():
-            stale = entry.owners - names
-            if stale:
-                self.san.trip(
-                    "shared-index-coherence",
-                    f"prefix entry {key[:24]!r}… is owned by unregistered "
-                    f"quer(ies) {sorted(stale)!r}",
-                    key=key,
-                    stale=sorted(stale),
-                )
-        for registered in engine._router.queries():
-            name = registered.name
-            for spec in _shareable_specs(registered.automaton):
-                owners = shared.predicate_owners(spec.fingerprint)
-                if name not in owners:
-                    self.san.trip(
-                        "shared-index-coherence",
-                        f"query {name!r} anchors predicate "
-                        f"{spec.fingerprint[:16]!r}… but does not own its "
-                        f"index entry (owners={sorted(owners)!r}) — a "
-                        f"co-owner's UNREGISTER pruned it too eagerly",
-                        query=name,
-                        fingerprint=spec.fingerprint,
-                    )
         self.check_groups()
         self.check_activation()
 
@@ -581,7 +551,7 @@ class InvariantChecker:
                 )
             gate = dormancy.gate
             if (
-                gate.stage is not query.automaton.stages[0]
+                gate.stage.gate_key != query.automaton.stages[0].gate_key
                 or dormancy not in gate.dormant
             ):
                 trip(

@@ -33,24 +33,29 @@ from repro.runtime.serialize import emission_to_line
 GATES = (10, 20, 30, 40)
 
 
-def gated_program(per_gate: int, grouped: bool = False) -> dict[str, str]:
+def gated_program(
+    per_gate: int, grouped: bool = False, renamed: bool = False
+) -> dict[str, str]:
     """``per_gate`` queries behind each of four distinct stage-0 gates.
 
     Their rank keys differ (``b.x + i``), so each is a query group of its
     own and the router runs one pipeline per query; ``grouped`` drops the
     offset, and then the queries behind one gate differ only in ``LIMIT``
-    and run as one group.
+    and run as one group.  ``renamed`` binds every other query's variables
+    as ``x``/``y``: its gate tests what its neighbours' does under another
+    name, so it shares their gate key and wake list.
     """
-    return {
-        f"g{gate}_{i:02d}": (
-            f"PATTERN SEQ(A a, B b) WHERE a.x > {gate} AND a.k == b.k "
+
+    def text(gate: int, i: int) -> str:
+        a, b = ("x", "y") if renamed and i % 2 else ("a", "b")
+        return (
+            f"PATTERN SEQ(A {a}, B {b}) WHERE {a}.x > {gate} AND {a}.k == {b}.k "
             f"WITHIN 8 EVENTS PARTITION BY k "
-            f"RANK BY b.x{'' if grouped else f' + {i}'} DESC LIMIT {1 + i % 3} "
+            f"RANK BY {b}.x{'' if grouped else f' + {i}'} DESC LIMIT {1 + i % 3} "
             f"EMIT ON WINDOW CLOSE"
         )
-        for gate in GATES
-        for i in range(per_gate)
-    }
+
+    return {f"g{gate}_{i:02d}": text(gate, i) for gate in GATES for i in range(per_gate)}
 
 
 @pytest.fixture
@@ -69,9 +74,10 @@ def touched(monkeypatch):
 
 
 class TestWorkBound:
-    def test_only_the_owners_of_an_open_gate_are_touched(self, touched):
+    @pytest.mark.parametrize("renamed", [False, True], ids=["same-names", "renamed"])
+    def test_only_the_owners_of_an_open_gate_are_touched(self, touched, renamed):
         engine = CEPREngine()
-        program = gated_program(64)
+        program = gated_program(64, renamed=renamed)
         for name, text in program.items():
             engine.register_query(text, name=name)
         assert len(program) == 256
@@ -173,6 +179,23 @@ class TestWorkBound:
         engine.set_tracing(True)
         assert not engine._router._dormant
 
+    def test_a_query_re_reading_its_own_gate_saves_nothing(self):
+        """The residual check and the matcher both read a query's gate for
+        one event: that is one evaluation, and nothing is saved until a
+        second query consults the gate."""
+        engine = CEPREngine()
+        engine.register_query("PATTERN SEQ(A a, B b) WHERE a.x > 0 WITHIN 5 EVENTS", name="q")
+        for index in range(10):
+            engine.push(Event("A", float(index), x=index + 1))
+        assert engine.shared_stats()["predicate_evals_performed"] == 10
+        assert engine.shared_stats()["predicate_evals_saved"] == 0
+
+        engine.register_query("PATTERN SEQ(A x, B y) WHERE x.x > 0 WITHIN 4 EVENTS", name="r")
+        for index in range(10, 20):
+            engine.push(Event("A", float(index), x=index + 1))
+        assert engine.shared_stats()["predicate_evals_performed"] == 20
+        assert engine.shared_stats()["predicate_evals_saved"] == 10
+
 
 # -- (b) laziness is invisible --------------------------------------------------
 
@@ -221,8 +244,16 @@ PROGRAM = {
         for k in (80, 90, 95)
         for suffix, limit in (("top1", "LIMIT 1 "), ("all", ""))
     },
+    # The second template with renamed bindings: a group of its own, whose
+    # stage-0 gate shares ``t1_*``'s gate key and wake list.
+    **{
+        f"t1_{k}_renamed": "PATTERN SEQ(B u, A v) WHERE u.x > {k} AND u.k == v.k "
+        "WITHIN 6 EVENTS PARTITION BY k RANK BY u.x DESC LIMIT 2 "
+        "EMIT ON WINDOW CLOSE".format(k=k)
+        for k in (80, 90, 95)
+    },
 }
-assert len(PROGRAM) == 22
+assert len(PROGRAM) == 25
 
 #: The grouped queries: their matcher-side counters and state are their
 #: group's (docs/SHARED_EXECUTION.md, "Query groups"), so against the
@@ -407,6 +438,7 @@ class TestLifecycle:
             engine.register_query(text, name=name)
         assert len(engine._router) == len(PROGRAM) - 6  # the variants joined
         slept = holding = 0
+        renamed: set[str] = set()
         for index in range(300):
             key = rng.choice("pqrs")
             x = rng.randint(0, PARTITION_CEILING[key])
@@ -414,7 +446,9 @@ class TestLifecycle:
             dormant = engine._router._dormant
             slept = max(slept, len(dormant))
             holding = max(holding, sum(1 for q in dormant if q.matcher._partitions))
+            renamed |= {q.name for q in dormant if q.name.endswith("_renamed")}
         assert slept >= 8
         assert holding >= 2
+        assert renamed  # behind a gate another query leads
         assert engine.shared_stats()["events_gated"] > 0
         lifecycle(seed, steps=150)

@@ -1,10 +1,10 @@
 """Restore must refresh the matcher's activity caches.
 
-A restored engine with live partial runs but stale (zero) activity
-caches would report itself quiescent, and the stage-0 quiescent-skip
-gate would elide the very events that should extend those runs — a
-silent wrong-answer after recovery.  ``restore_matcher`` now recomputes
-the caches; these tests pin the behavior from both directions.
+The O(1) caches feed the ``live_runs`` and ``pending_matches`` gauges and
+the ``peak_live_runs`` high-water mark, and move by per-partition deltas
+from there on: stale (zero) caches after a restore would stay wrong for
+the rest of the stream.  ``restore_matcher`` recounts them; these tests
+pin that, and that a restored engine continues its runs.
 """
 
 from repro import CEPREngine, Event
@@ -26,7 +26,9 @@ def test_restored_engine_continues_live_runs():
     target = CEPREngine()
     handle = target.register_query(PAIR)
     target.restore(state)
-    assert not handle.matcher.quiescent  # caches see the live run
+    matcher = handle.matcher
+    caches = (matcher._live_runs_cached, matcher._pendings_cached)
+    assert caches == (matcher.live_run_count, matcher.pending_count) == (1, 0)
     target.push(Event("B", 2.0, x=7))  # only matches if not elided
     target.flush()
 

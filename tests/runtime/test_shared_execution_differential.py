@@ -263,10 +263,12 @@ class TestWorkloadEquivalence:
         engine, _ = assert_equivalent(STOCK_VARIANTS, make)
         counters = engine.shared_stats()
         # The family was built to share: the flipped/renamed/permuted
-        # variants must collapse onto common index entries and actually
-        # save evaluations at runtime.
+        # variants must collapse onto common index entries and stage-0
+        # gates, and actually save evaluations at runtime.
         assert counters["predicate_evals_saved"] > 0
-        assert counters["prefix_states_shared"] > 0
+        # All five pipelines gate on `b.price > 10`, the renamed one too.
+        gate_keys = [q.automaton.stages[0].gate_key for q in engine._router.queries()]
+        assert len(gate_keys) == 5 and len(set(gate_keys)) == 1
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_stock_with_heartbeats(self, seed):
@@ -407,13 +409,13 @@ class TestRegistrationChurn:
         engine, _ = self._drive_with_churn(True)
         shared = engine.shared
         assert shared is not None
-        # Four queries still registered; their entries must remain claimed.
+        # Four queries still registered; their entries must remain claimed,
+        # and the departed ones' released: the refcounts are exactly what
+        # the remaining pipelines claim.
         assert shared.distinct_predicates > 0
-        for name in ("surge_top3", "surge_renamed"):
-            for fp, entry in list(shared._predicates.items()):
-                assert name not in entry.owners, (name, fp)
-            for key, entry in list(shared._prefixes.items()):
-                assert name not in entry.owners, (name, key)
+        remaining = engine._router.queries()
+        assert {q.name for q in remaining}.isdisjoint({"surge_top3", "surge_renamed"})
+        assert shared.refcounts() == shared.claims(remaining)
 
 
 class TestCheckpointRestore:

@@ -474,7 +474,7 @@ class TestSeqMonotonicity:
 class TestMatcherActivityCache:
     def test_stale_cache_trips(self, monkeypatch):
         # Seeded defect: the O(1) activity caches are never updated, so
-        # the quiescent-skip gate would elide live work.
+        # live_runs, pending_matches and peak_live_runs read stale counts.
         monkeypatch.setattr(
             PatternMatcher, "_note_activity", lambda self, *before: None
         )
