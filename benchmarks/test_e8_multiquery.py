@@ -227,7 +227,6 @@ def test_e8_shared_speedup_gate(stock_serving_stream):
         assert handle.metrics.matches == k_member.metrics.matches, handle.name
 
     counters = shared_run.extra
-    assert counters["distinct_predicates"] > 0
     assert counters["predicate_evals_saved"] > 0
     assert counters["events_gated"] > 0
     # Same-template pipelines share their stage-0 gate: 16 pipelines over

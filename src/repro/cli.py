@@ -847,7 +847,7 @@ def _print_stats(
         )
     if shared:
         print(
-            f"  shared: distinct_predicates={shared['distinct_predicates']} "
+            f"  shared: query_groups={shared['query_groups']} "
             f"evals_saved={shared['predicate_evals_saved']} "
             f"events_gated={shared['events_gated']}",
             file=out,

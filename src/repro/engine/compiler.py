@@ -2,8 +2,8 @@
 
 Besides the stage-chain compiler, this module owns **hot-path edge
 compilation** (:func:`compile_edges`): for every NFA edge the per-spec
-interpreter loop — shared-memo routing, context construction, predicate
-evaluation, lenient error accounting — is fused into one closure built
+interpreter loop — event-level or context evaluation, context
+construction, lenient error accounting — is fused into one closure built
 once per matcher.  The matcher then dispatches a single call per edge
 check instead of re-deciding the routing per predicate per event, and the
 :class:`~repro.language.expressions.EvalContext` is materialised at most
@@ -105,24 +105,22 @@ def _fuse_guard(
     specs: Sequence[PredicateSpec],
     variable: str,
     matcher: "PatternMatcher",
-    shared: "SharedExecutionIndex | None",
+    event_level: bool,
     lenient: bool,
 ) -> GuardCheck:
     """Fuse one edge's anchored-predicate loop into a single closure.
 
-    Per spec, in order: a fingerprinted (self-contained) predicate
-    consulted for the event currently being dispatched is answered from
-    the engine's shared per-event memo — its value cannot depend on the
-    run, so one evaluation serves every run of every query; everything
-    else evaluates against one lazily built run context.  Short-circuits
-    on the first failing predicate; under the lenient policy an
-    evaluation error counts as a failed predicate and charges
-    ``stats.evaluation_errors``.
+    Per spec, in order: with ``event_level`` (shared execution on), a
+    fingerprinted (self-contained) predicate is its event-level check —
+    its value cannot depend on the run; everything else evaluates against
+    one lazily built run context.  Short-circuits on the first failing
+    predicate; under the lenient policy an evaluation error counts as a
+    failed predicate and charges ``stats.evaluation_errors``.
     """
     if not specs:
         return _always_true
 
-    if shared is None or all(spec.fingerprint is None for spec in specs):
+    if not event_level or all(spec.event_check is None for spec in specs):
         evaluators = tuple(spec.evaluator for spec in specs)
 
         def check_local(run: Run, event: Event) -> bool:
@@ -140,40 +138,26 @@ def _fuse_guard(
 
         return check_local
 
-    # (event-level check | None, spec, evaluator) per predicate, in order:
-    # every fingerprinted spec has an event-level check, no other has.
-    plan = tuple((spec.event_check, spec, spec.evaluator) for spec in specs)
+    # (event-level check | None, evaluator) per predicate, in order: every
+    # fingerprinted spec has an event-level check, no other has.
+    plan = tuple((spec.event_check, spec.evaluator) for spec in specs)
 
     def check(run: Run, event: Event) -> bool:
-        stats = matcher.stats
-        memo_live = shared.current_event is event
         ctx: EvalContext | None = None
-        for event_check, spec, evaluator in plan:
-            if event_check is not None:
-                # Self-contained: the memo's outcome for the event being
-                # dispatched, or the event-level check for any other.
-                if memo_live:
-                    if not shared.predicate_holds(spec, stats, lenient):
-                        return False
-                    continue
-                try:
+        for event_check, evaluator in plan:
+            try:
+                if event_check is not None:
                     if not event_check(event):
                         return False
-                except EvaluationError:
-                    if not lenient:
-                        raise
-                    stats.evaluation_errors += 1
-                    return False
-                continue
-            if ctx is None:
-                ctx = run.context(current_var=variable, current_event=event)
-            try:
+                    continue
+                if ctx is None:
+                    ctx = run.context(current_var=variable, current_event=event)
                 if not evaluate_predicate(evaluator, ctx):
                     return False
             except EvaluationError:
                 if not lenient:
                     raise
-                stats.evaluation_errors += 1
+                matcher.stats.evaluation_errors += 1
                 return False
         return True
 
@@ -260,16 +244,22 @@ def compile_edges(matcher: "PatternMatcher") -> CompiledEdges:
 
     Built per matcher because the closures fold in per-query state: the
     lenient-error policy, the stats object the error counters charge, and
-    the engine's shared index.  The sharing itself happens inside the
-    closures, per consultation, through the index's per-event memos.
+    the engine's shared index, whose per-event gate memo the stage-0 gate
+    consults.  With sharing off every predicate evaluates against its
+    context, the reference the differential suites compare against.
     """
     automaton = matcher.automaton
     shared = matcher.shared
+    event_level = shared is not None
     lenient = matcher.lenient_errors
     return CompiledEdges(
         bind=tuple(
             _fuse_guard(
-                stage.bind_predicates, stage.variable.name, matcher, shared, lenient
+                stage.bind_predicates,
+                stage.variable.name,
+                matcher,
+                event_level,
+                lenient,
             )
             for stage in automaton.stages
         ),
@@ -278,7 +268,7 @@ def compile_edges(matcher: "PatternMatcher") -> CompiledEdges:
                 stage.incremental_predicates,
                 stage.variable.name,
                 matcher,
-                shared,
+                event_level,
                 lenient,
             )
             for stage in automaton.stages
@@ -289,7 +279,7 @@ def compile_edges(matcher: "PatternMatcher") -> CompiledEdges:
                 negation.predicates,
                 negation.element.variable,
                 matcher,
-                shared,
+                event_level,
                 lenient,
             )
             for negation in automaton.negations

@@ -96,12 +96,11 @@ class MatcherStats:
     pending_confirmed: int = 0
     pending_killed: int = 0
     evaluation_errors: int = 0
-    #: shared-index consultations answered from the per-event memo /
-    #: actually evaluated, charged to this (consulting) query — the
-    #: hit/miss split the per-query cost account reports.  Whole-stage
-    #: gate memo hits charge at most once per (event, query, stage)
-    #: alongside the fingerprint-layer counts, which keeps the totals
-    #: exact under partition sharding.
+    #: stage-0 gate consultations answered from the shared per-event memo
+    #: / that evaluated the gate, charged to this (consulting) query — the
+    #: hit/miss split the per-query cost account reports.  One charge per
+    #: (event, query, gate), which keeps the totals exact under partition
+    #: sharding.
     shared_hits: int = 0
     shared_misses: int = 0
     peak_live_runs: int = 0
@@ -137,10 +136,11 @@ class PatternMatcher:
         self.automaton = automaton
         self.prune_hook = prune_hook
         self.query_name = query_name
-        #: Engine-level shared predicate index; when set, fingerprinted
-        #: predicates evaluated against the event currently being
-        #: dispatched are answered from its per-event memo (one evaluation
-        #: per distinct predicate per event across all queries).
+        #: Engine-level shared index; when set, the stage-0 gate of the
+        #: event currently being dispatched is answered from its per-event
+        #: memo (one evaluation per distinct gate per event across all
+        #: queries), and fingerprinted predicates evaluate on the event
+        #: alone.
         self.shared = shared
         #: When true, a predicate that raises ``EvaluationError``
         #: (missing attribute, type mismatch, division by zero on dirty

@@ -43,7 +43,7 @@ class Stage:
     #: event type joined with its gate predicates' fingerprints, in
     #: evaluation order.  Equal keys mean equal verdicts (and errors) for
     #: every event, whatever the binding names; ``None`` when a gate
-    #: predicate is unfingerprinted, which is then never memoised.
+    #: predicate is unfingerprinted, whose gate is then shared by nobody.
     gate_key: str | None = field(init=False)
 
     def __post_init__(self) -> None:

@@ -1,7 +1,7 @@
 """Structural canonicalization and fingerprinting of expressions.
 
 Shared multi-query execution (docs/SHARED_EXECUTION.md) needs to decide
-when two predicates from *different* queries are the same computation, so
+when two stage-0 gates from *different* queries are the same computation, so
 one evaluation per event can serve all of them.  Textual equality is too
 weak — per-user variants of a template rename bindings (``b.price > 10``
 vs ``x.price > 10``) and permute conjuncts — so equality is defined over a
@@ -10,7 +10,7 @@ vs ``x.price > 10``) and permute conjuncts — so equality is defined over a
 * the expression is run through the constant-folding optimizer first
   (idempotent for already-optimized predicate specs);
 * pattern-variable names are substituted through a caller-supplied
-  renaming (the predicate index renames the anchor variable to a fixed
+  renaming (semantic analysis renames the anchor variable to a fixed
   placeholder, making fingerprints alpha-invariant);
 * commutative boolean/equality structure is normalized: ``AND``/``OR``
   chains are flattened and their operands sorted, ``==``/``!=`` operands

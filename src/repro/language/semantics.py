@@ -93,14 +93,15 @@ class PredicateSpec:
     #: Alpha-invariant canonical fingerprint (see
     #: :mod:`repro.language.fingerprint`), set only when the predicate is
     #: *self-contained* — its value depends on nothing but the candidate
-    #: event bound to ``anchor_var``.  The shared predicate index keys on
-    #: this to evaluate each distinct predicate once per event across all
+    #: event bound to ``anchor_var``.  Stage-0 gate keys are built from
+    #: it, so equal gates share one evaluation per event across all
     #: registered queries; ``None`` predicates are never shared.
     fingerprint: str | None = None
     #: Set exactly when ``fingerprint`` is: the same predicate compiled
     #: against the candidate event alone (:func:`~repro.language.
-    #: expressions.compile_event_predicate`) — what the shared index and
-    #: stage gates evaluate, without building an evaluation context.
+    #: expressions.compile_event_predicate`) — what the shared gate memo
+    #: and, with sharing on, the edge guards evaluate, without building an
+    #: evaluation context.
     event_check: EventCheck | None = field(
         init=False, default=None, compare=False, repr=False
     )

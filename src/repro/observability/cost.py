@@ -53,12 +53,12 @@ class CostAccount:
 
     @property
     def predicate_evals(self) -> int:
-        """Shared-index consultations (hits + misses)."""
+        """Shared stage-0 gate consultations (hits + misses)."""
         return self.shared_hits + self.shared_misses
 
     @property
     def hit_ratio(self) -> float:
-        """Fraction of predicate consultations answered from the memo."""
+        """Fraction of gate consultations answered from the memo."""
         evals = self.predicate_evals
         return self.shared_hits / evals if evals else 0.0
 

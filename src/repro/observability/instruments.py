@@ -112,15 +112,7 @@ ENGINE: tuple[Spec, ...] = (
         lambda e: e.lateness_buffer.late_drops,
         needs="lateness_buffer",
     ),
-    # Structural gauges are per-shard replicas of one index: fleet = max.
-    Spec(
-        "shared_distinct_predicates",
-        "Distinct self-contained predicates in the shared index",
-        lambda e: e.shared.distinct_predicates,
-        kind="gauge",
-        agg="max",
-        needs="shared",
-    ),
+    # Structural gauge: every shard runs the same groups, so fleet = max.
     Spec(
         "shared_query_groups",
         "Query groups: pipelines the router runs, one per query text up to NAME and LIMIT",
@@ -131,19 +123,19 @@ ENGINE: tuple[Spec, ...] = (
     ),
     Spec(
         "predicate_evals_saved_total",
-        "Predicate evaluations answered from the shared memo",
+        "Stage-0 gate consultations answered from the shared per-event memo",
         lambda e: e.shared.predicate_evals_saved,
         needs="shared",
     ),
     Spec(
         "predicate_evals_performed_total",
-        "Predicate evaluations performed through the shared index",
+        "Stage-0 gate predicates evaluated on a shared memo miss",
         lambda e: e.shared.predicate_evals_performed,
         needs="shared",
     ),
     Spec(
         "events_gated_total",
-        "Routed (query, event) pairs skipped by the quiescent gate",
+        "Routed (query, event) pairs elided: skipped as inert, or not offered while dormant",
         lambda e: e.shared.events_gated,
         needs="shared",
     ),
@@ -252,12 +244,12 @@ QUERY: tuple[Spec, ...] = (
     ),
     Spec(
         "shared_hits_total",
-        "Shared-index consultations answered from the per-event memo",
+        "Stage-0 gate consultations answered from the shared per-event memo",
         _stat("shared_hits"),
     ),
     Spec(
         "shared_misses_total",
-        "Shared-index consultations that had to evaluate",
+        "Stage-0 gate consultations that evaluated the gate",
         _stat("shared_misses"),
     ),
     Spec(

@@ -168,7 +168,7 @@ class CEPREngine(instruments.TelemetryViews):
         #: total derived (YIELD) events processed.
         self.derived_events = 0
         self._sequencer = sequencer or SequenceAssigner(strict=strict_time)
-        #: cross-query predicate index and memos (None = independent).
+        #: cross-query gate refcounts and memo (None = independent).
         self.shared: SharedExecutionIndex | None = (
             SharedExecutionIndex() if shared_execution else None
         )
@@ -362,8 +362,8 @@ class CEPREngine(instruments.TelemetryViews):
         self.metrics.on_push(event.timestamp)
         shared = self.shared
         if shared is not None:
-            # Arm the per-event memo: every routed query's predicate and
-            # stage-gate checks for this event now share one evaluation.
+            # Arm the per-event memo: every routed query's stage-gate
+            # checks for this event now share one evaluation per gate.
             shared.begin_event(event)
         pending: list[Delivery] = []
         for registered in self._router.route(event):

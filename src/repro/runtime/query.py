@@ -125,7 +125,7 @@ class RegisteredQuery(SinkOwner):
         self.analyzed = analyzed
         #: the engine's cross-query sharing state (``None`` outside a
         #: shared-execution engine): the matcher consults its per-event
-        #: predicate and gate memos.
+        #: gate memo.
         self.shared = shared
         # Static analysis runs between semantic analysis and compilation;
         # findings never block registration (errors at this level mean "the
@@ -716,38 +716,19 @@ class RegisteredQuery(SinkOwner):
         """One-line sharing summary for :meth:`explain`.
 
         Reports how many registered pipelines share the query's stage-0
-        gate (by gate key, so renamed bindings count), how many of its
-        predicates are served by cross-query index entries, and its group.
+        gate (by gate key, so renamed bindings count), and its group.
         """
         assert self.shared is not None
-        predicates, gates = self.shared.refcounts()
         gate_key = self.automaton.stages[0].gate_key
         gate = (
             "stage-0 gate unshareable (unfingerprinted predicate)"
             if gate_key is None
-            else f"stage-0 gate shared by {gates[gate_key]} pipeline(s)"
-        )
-        specs = [
-            spec
-            for stage in self.automaton.stages
-            for spec in (*stage.bind_predicates, *stage.incremental_predicates)
-        ]
-        specs.extend(
-            spec
-            for negation in self.automaton.negations
-            for spec in negation.predicates
-        )
-        cross_query = sum(
-            1
-            for spec in specs
-            if spec.fingerprint is not None and predicates[spec.fingerprint] > 1
+            else f"stage-0 gate shared by {self.shared.refcounts()[gate_key]} pipeline(s)"
         )
         lead = self.lead
         limit = lead.ranker.limit
         return (
-            f"sharing: {gate}; "
-            f"{cross_query}/{len(specs)} predicates served by cross-query "
-            f"index entries; group of {len(lead.members)} with K = "
+            f"sharing: {gate}; group of {len(lead.members)} with K = "
             f"{'none' if limit is None else limit}, widest member "
             f"{lead.widest_member().name!r}"
         )

@@ -8,29 +8,27 @@ Two pieces live here (see docs/SHARED_EXECUTION.md):
   — and, with sharing on, only the *affected* ones: an inert query goes
   dormant and is handed only the events of partitions where it holds
   state, or that open its stage-0 gate.
-* :class:`SharedExecutionIndex` — the shared predicate index that turns
-  per-event serving cost from O(queries) toward O(distinct predicates).
-  Predicates and stage-0 gates are identified by what they test: a
-  predicate by the alpha-invariant fingerprint computed in
-  :mod:`repro.language.fingerprint`, a gate by its
+* :class:`SharedExecutionIndex` — the shared gate memo that turns
+  per-event gate cost from O(queries) toward O(distinct gates).  A
+  stage-0 gate is identified by what it tests, its
   :attr:`~repro.engine.nfa.Stage.gate_key` (event type plus the
-  fingerprints of its predicates).  Per event, each distinct fingerprint
-  and each distinct gate is evaluated at most once and the outcome is
-  fanned out to every consulting query through a per-event memo.
+  alpha-invariant fingerprints of its predicates, computed in
+  :mod:`repro.language.fingerprint`).  Per event, each distinct gate is
+  evaluated at most once and the verdict is fanned out to every
+  consulting query through a per-event memo.
 
-  The router keeps the index's per-pipeline refcounts in sync with
-  registration churn: :meth:`EventRouter.add` claims a pipeline's
-  fingerprints and gate key, :meth:`EventRouter.remove` releases them and
-  **fully prunes** those whose last pipeline unregistered, so a serving
-  fleet with register/unregister churn never accumulates stale index
-  state.
+  The router keeps the index's per-pipeline gate refcounts in sync with
+  registration churn: :meth:`EventRouter.add` claims a pipeline's gate
+  key, :meth:`EventRouter.remove` releases it and **fully prunes** keys
+  whose last pipeline unregistered, so a serving fleet with
+  register/unregister churn never accumulates stale index state.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.events.event import Event
 from repro.language.errors import EvaluationError
@@ -39,39 +37,39 @@ from repro.runtime.query import RegisteredQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.matcher import MatcherStats
-    from repro.engine.nfa import PatternAutomaton, Stage
+    from repro.engine.nfa import Stage
     from repro.engine.partitioner import Partitioner
-    from repro.language.semantics import PredicateSpec
 
 
 class SharedExecutionIndex:
-    """Cross-query predicate refcounts and the per-event memos.
+    """Stage-0 gate refcounts and the per-event gate memo.
 
-    One instance is owned by each engine's router.  The per-event memo is
-    (re)armed by :meth:`begin_event` at the top of the engine's dispatch
-    and consulted by the matchers of every routed query, so a predicate
-    fingerprint, and a stage-0 gate, is evaluated at most once per event
-    no matter how many queries consult it.
+    One instance is owned by each engine's router.  The memo is (re)armed
+    by :meth:`begin_event` at the top of the engine's dispatch and
+    consulted by the router and the matchers of every routed query, so a
+    stage-0 gate is evaluated at most once per event no matter how many
+    queries consult it.
     """
 
     def __init__(self) -> None:
-        #: fingerprint -> pipelines anchoring it, and stage-0 gate key ->
-        #: pipelines whose stage 0 tests it (what :meth:`claims` counts).
-        self._predicates: Counter[str] = Counter()
+        #: stage-0 gate key -> pipelines whose stage 0 tests it (what
+        #: :meth:`claims` counts).
         self._gates: Counter[str] = Counter()
         #: event the memo tables below are valid for (identity-checked).
         self.current_event: Event | None = None
-        self._memo: dict[str, tuple[bool, EvaluationError | None]] = {}
-        self._gate_memo: dict[str, tuple[bool, int, EvaluationError | None]] = {}
-        #: (gate key, stats id) pairs already charged a gate consultation
-        #: for the current event — the router, the residual skip check and
-        #: the matcher may all consult the same gate for one event, but the
+        #: gate verdicts for the current event, by gate key — or by stage
+        #: identity for a gate without one, which only its own pipeline
+        #: consults.
+        self._gate_memo: dict[str | int, tuple[bool, int, EvaluationError | None]] = {}
+        #: (gate, stats id) pairs already charged a gate consultation for
+        #: the current event — the router, the residual skip check and the
+        #: matcher may all consult the same gate for one event, but the
         #: per-query cost account must see exactly one consultation either
         #: way (that invariance keeps the accounts exact under sharding).
-        self._gate_charged: set[tuple[str, int]] = set()
-        #: predicate evaluations answered from the per-event memo.
+        self._gate_charged: set[tuple[str | int, int]] = set()
+        #: gate consultations answered from the per-event memo.
         self.predicate_evals_saved = 0
-        #: predicate evaluations actually performed through the index.
+        #: gate predicates evaluated on a memo miss.
         self.predicate_evals_performed = 0
         #: (query, event) pairs elided: skipped by the residual check, or
         #: never offered because the query was dormant.
@@ -79,77 +77,46 @@ class SharedExecutionIndex:
 
     # -- introspection ----------------------------------------------------------
 
-    @property
-    def distinct_predicates(self) -> int:
-        return len(self._predicates)
-
     def is_empty(self) -> bool:
         """True when no pipeline holds any refcount (churn test)."""
-        return not self._predicates and not self._gates
+        return not self._gates
 
-    def refcounts(self) -> tuple[Counter[str], Counter[str]]:
-        """How many registered pipelines anchor each fingerprint, and test
-        each stage-0 gate key (what :meth:`claims` recounts)."""
-        return self._predicates, self._gates
+    def refcounts(self) -> Counter[str]:
+        """How many registered pipelines test each stage-0 gate key (what
+        :meth:`claims` recounts)."""
+        return self._gates
 
     @staticmethod
-    def claims(queries: Iterable[RegisteredQuery]) -> tuple[Counter[str], Counter[str]]:
-        """The refcounts ``queries``' pipelines hold: each counts once per
-        distinct fingerprint it anchors, and once for its stage-0 gate key."""
-        predicates: Counter[str] = Counter()
-        gates: Counter[str] = Counter()
-        for query in queries:
-            automaton = query.automaton
-            predicates.update({fp for _type, fp in _anchored_specs(automaton)})
-            gate_key = automaton.stages[0].gate_key
-            if gate_key is not None:
-                gates[gate_key] += 1
-        return predicates, gates
+    def claims(queries: Iterable[RegisteredQuery]) -> Counter[str]:
+        """The refcounts ``queries``' pipelines hold: each counts once for
+        its stage-0 gate key."""
+        return Counter(
+            key
+            for query in queries
+            if (key := query.automaton.stages[0].gate_key) is not None
+        )
 
     # -- registration lifecycle -------------------------------------------------
 
     def add_query(self, query: RegisteredQuery) -> None:
-        """Claim refcounts for a newly routed pipeline."""
-        predicates, gates = self.claims([query])
-        self._predicates += predicates
-        self._gates += gates
+        """Claim a newly routed pipeline's refcount."""
+        self._gates += self.claims([query])
 
     def remove_query(self, query: RegisteredQuery) -> None:
-        """Release a pipeline's refcounts; prune those it held last.
+        """Release a pipeline's refcount; prune a key it held last.
 
         Without the pruning, a serving fleet with registration churn would
-        leak one entry per distinct predicate ever registered.
+        leak one entry per distinct gate ever registered.
         """
-        predicates, gates = self.claims([query])
-        self._predicates -= predicates
-        self._gates -= gates
+        self._gates -= self.claims([query])
 
     # -- per-event evaluation ---------------------------------------------------
 
     def begin_event(self, event: Event) -> None:
         """Arm the per-event memo for ``event`` (engine dispatch calls this)."""
         self.current_event = event
-        self._memo.clear()
         self._gate_memo.clear()
         self._gate_charged.clear()
-
-    def predicate_holds(
-        self, spec: "PredicateSpec", stats: "MatcherStats", lenient: bool
-    ) -> bool:
-        """Shared evaluation of one fingerprinted predicate for the current event.
-
-        The boolean (or the raised :class:`EvaluationError`) is computed
-        once per event per fingerprint; every consulting query applies its
-        own error policy to the memoized outcome, so per-query error
-        accounting matches independent execution.
-        """
-        result, error = self._outcome(spec, stats)
-        if error is not None:
-            if not lenient:
-                raise error
-            stats.evaluation_errors += 1
-            return False
-        return result
 
     def stage_gate(
         self, stage: "Stage", stats: "MatcherStats", lenient: bool
@@ -174,114 +141,64 @@ class SharedExecutionIndex:
         """``(verdict, errors, first error)`` of ``stage``'s gate for this event.
 
         Equivalent to evaluating the stage's gate predicates against an
-        empty context, but memoized twice over: per gate key (every query
-        whose stage 0 tests the same thing answers in one dict hit,
-        whatever its binding names) and per predicate fingerprint
-        (differently-composed gates still share individual predicate
-        outcomes).  A gate with an unfingerprinted predicate has no key
-        and is evaluated on every consult, with identical semantics.
+        empty context, but memoized per gate key: every query whose stage
+        0 tests the same thing answers in one dict hit, whatever its
+        binding names.  A gate with an unfingerprinted predicate has no
+        key and is memoized for its own stage only.
 
-        Per-query hit/miss charging is deduplicated per event: the router
-        (for a gate's first owner), the residual skip check and the
-        matcher may all consult the same gate for one event, but who is
-        awake is engine-local state — a sharded fleet wakes per shard —
-        so repeated consults must count once.  Each (gate, query) pair is
-        charged exactly one consultation per event regardless of which
-        path asked first, which is what keeps per-query cost accounts
-        counter-exact across shard splits; a memo hit counts as a saved
-        evaluation only when it is charged, so a query re-reading its
-        own consult saves nothing.
+        Per-query charging is deduplicated per event: the router (for a
+        gate's first owner), the residual skip check and the matcher may
+        all consult the same gate for one event, but who is awake is
+        engine-local state — a sharded fleet wakes per shard — so repeated
+        consults must count once.  Each (gate, query) pair is charged
+        exactly one consultation per event, a shared-index miss if it
+        evaluated the gate and a memo hit otherwise, regardless of which
+        path asked first; that is what keeps per-query cost accounts
+        counter-exact across shard splits.  Only a charged hit counts as a
+        saved evaluation, so a query re-reading its own consult saves
+        nothing.
         """
         key = stage.gate_key
         if key is None:
-            return self._evaluate_gate(stage, stats)
+            key = id(stage)
         charge_key = (key, id(stats))
         cached = self._gate_memo.get(key)
-        if cached is not None:
-            if charge_key not in self._gate_charged:
-                self._gate_charged.add(charge_key)
-                stats.shared_hits += 1
-                self.predicate_evals_saved += 1
-            return cached
-        # The evaluating consult is charged through _outcome (one miss or
-        # memo hit per predicate); mark the pair so a second consult for
-        # the same event does not charge again.
-        self._gate_charged.add(charge_key)
-        outcome = self._gate_memo[key] = self._evaluate_gate(stage, stats)
-        return outcome
+        if cached is None:
+            cached = self._gate_memo[key] = self._evaluate_gate(stage)
+            self._gate_charged.add(charge_key)
+            stats.shared_misses += 1
+        elif charge_key not in self._gate_charged:
+            self._gate_charged.add(charge_key)
+            stats.shared_hits += 1
+            self.predicate_evals_saved += 1
+        return cached
 
     def _evaluate_gate(
-        self, stage: "Stage", stats: "MatcherStats"
+        self, stage: "Stage"
     ) -> tuple[bool, int, EvaluationError | None]:
-        """Evaluate ``stage``'s gate predicates in order, to the first that
-        fails or raises: a fingerprinted one through the per-predicate
-        memo, any other directly."""
+        """Evaluate ``stage``'s gate predicates against the current event,
+        in order, to the first that fails or raises: a fingerprinted one
+        through its event-level check, any other — one that reads more
+        than the event, such as ``duration()`` or ``count(a)`` — against
+        an empty evaluation context, as the matcher's stage-0 gate does."""
+        event = self.current_event
+        assert event is not None
         for spec in stage.gate_predicates:
-            if spec.fingerprint is None:
-                value, error = self._evaluate(spec)
-            else:
-                value, error = self._outcome(spec, stats)
-            if error is not None:
+            self.predicate_evals_performed += 1
+            check = spec.event_check
+            try:
+                if check is not None:
+                    holds = check(event)
+                else:
+                    ctx = EvalContext(
+                        bindings={}, current_var=spec.anchor_var, current_event=event
+                    )
+                    holds = evaluate_predicate(spec.evaluator, ctx)
+            except EvaluationError as error:
                 return False, 1, error
-            if not value:
+            if not holds:
                 return False, 0, None
         return True, 0, None
-
-    def _outcome(
-        self, spec: "PredicateSpec", stats: "MatcherStats"
-    ) -> tuple[bool, EvaluationError | None]:
-        """Memoized raw outcome of one fingerprinted predicate.
-
-        The hit/miss split is charged to the *consulting* query's stats —
-        that per-query attribution is what the cost accounts read, so
-        ``cepr top`` can show which queries ride the shared index and
-        which pay for it.  A miss evaluates the consulting spec itself:
-        equal fingerprints evaluate identically, errors included.
-        """
-        fingerprint = spec.fingerprint
-        assert fingerprint is not None
-        cached = self._memo.get(fingerprint)
-        if cached is not None:
-            self.predicate_evals_saved += 1
-            stats.shared_hits += 1
-            return cached
-        stats.shared_misses += 1
-        outcome = self._memo[fingerprint] = self._evaluate(spec)
-        return outcome
-
-    def _evaluate(
-        self, spec: "PredicateSpec"
-    ) -> tuple[bool, EvaluationError | None]:
-        """Evaluate a stage-entry predicate against the current event: a
-        fingerprinted one through its event-level check, any other — one
-        that reads more than the event, such as ``duration()`` or
-        ``count(a)`` — against an empty evaluation context, as the
-        matcher's stage-0 gate does."""
-        self.predicate_evals_performed += 1
-        check, event = spec.event_check, self.current_event
-        assert event is not None
-        try:
-            if check is not None:
-                return check(event), None
-            ctx = EvalContext(
-                bindings={}, current_var=spec.anchor_var, current_event=event
-            )
-            return evaluate_predicate(spec.evaluator, ctx), None
-        except EvaluationError as error:
-            return False, error
-
-
-def _anchored_specs(automaton: "PatternAutomaton") -> Iterator[tuple[str, str]]:
-    """``(event type it is evaluated on, fingerprint)`` of every
-    fingerprinted predicate an automaton anchors anywhere."""
-    for stage in automaton.stages:
-        for spec in (*stage.bind_predicates, *stage.incremental_predicates):
-            if spec.fingerprint is not None:
-                yield stage.event_type, spec.fingerprint
-    for negation in automaton.negations:
-        for spec in negation.predicates:
-            if spec.fingerprint is not None:
-                yield negation.element.event_type, spec.fingerprint
 
 
 class _WakeList:
@@ -422,9 +339,6 @@ class EventRouter:
         #: registration order, the order :meth:`route` offers queries in.
         self._rank: dict[RegisteredQuery, int] = {}
         self._registered = 0
-        #: first-registered query to anchor a fingerprint on an event type:
-        #: in registration-order dispatch, the one charged its evaluation.
-        self._first_anchor: dict[tuple[str, str], RegisteredQuery] = {}
         #: wake list per stage-0 gate key whose owners may go dormant.
         self._gates: dict[str, _WakeList] = {}
         self._dormant: dict[RegisteredQuery, _Dormancy] = {}
@@ -449,30 +363,20 @@ class EventRouter:
         consult.
 
         The router evaluates a dormant owner's gate ahead of every awake
-        query and charges the gate's first-registered owner.  That is where
-        registration-order dispatch charges it only if nobody registered
-        earlier consults one of the gate's fingerprints on the same event
-        type, so a gate sleeps only when its first owner is also the first
-        anchor of every predicate in it — and only for owners keyed like
-        it, since an owner that drops the event for want of a key consults
-        nothing.  Two more gates never sleep: an unconditional one opens
-        on every stage-0 event (its owners would only churn), and one with
-        an unfingerprinted predicate has no whole-stage memo to share.
+        query and charges the gate's first-registered owner, its leader:
+        the query registration-order dispatch charges the evaluating
+        consult.  So a gate sleeps only for owners keyed like its leader,
+        since an owner that drops the event for want of a key consults
+        nothing.  Two gates never sleep: an unconditional one opens on
+        every stage-0 event (its owners would only churn), and one with an
+        unfingerprinted predicate has no gate key to share.
         """
-        for anchor in _anchored_specs(query.automaton):
-            self._first_anchor.setdefault(anchor, query)
         stage = query.automaton.stages[0]
         key = stage.gate_key
-        predicates = stage.gate_predicates
-        if key is None or not predicates:
+        if key is None or not stage.gate_predicates:
             return
         gate = self._gates.get(key)
         if gate is None:
-            if any(
-                self._first_anchor[stage.event_type, spec.fingerprint] is not query
-                for spec in predicates
-            ):
-                return
             gate = self._gates[key] = _WakeList(stage, query)
         elif (
             gate.leader.matcher._partitioner.attributes
@@ -516,7 +420,6 @@ class EventRouter:
 
     def _reenlist(self) -> None:
         """Re-derive who leads which gate, and who may go dormant."""
-        self._first_anchor = {}
         self._gates = {}
         for remaining in self._queries:
             remaining.on_inert = None

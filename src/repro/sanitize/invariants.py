@@ -42,8 +42,8 @@ Checks, by hook point:
     seq/ts span is ordered and its bindings name only automaton
     variables.
 ``engine.register_query`` / ``unregister_query``
-    **shared-index-coherence** — the shared index's predicate and gate
-    refcounts equal a recount over the routed pipelines after churn
+    **shared-index-coherence** — the shared index's gate refcounts
+    equal a recount over the routed pipelines after churn
     (leaks, stale entries and over-eager prunes all trip).
 ``engine._dispatch`` (and registration)
     **shared-index-coherence** — the router's dormant/awake bookkeeping
@@ -454,20 +454,17 @@ class InvariantChecker:
             return
         held = shared.refcounts()
         recount = shared.claims(self.engine._router.queries())
-        for kind, counts, expected in zip(("predicate", "gate"), held, recount):
-            if counts != expected:
-                drift = sorted(
-                    key[:24] for key in counts | expected if counts[key] != expected[key]
-                )
-                self.san.trip(
-                    "shared-index-coherence",
-                    f"{kind} refcounts disagree with a recount over the "
-                    f"routed pipelines for {len(drift)} key(s) (e.g. "
-                    f"{drift[0]!r}…) — a refcount leak or an early prune "
-                    f"after UNREGISTER churn",
-                    kind=kind,
-                    drift=drift,
-                )
+        if held != recount:
+            drift = sorted(
+                key[:24] for key in held | recount if held[key] != recount[key]
+            )
+            self.san.trip(
+                "shared-index-coherence",
+                f"gate refcounts disagree with a recount over the routed "
+                f"pipelines for {len(drift)} key(s) (e.g. {drift[0]!r}…) — "
+                f"a refcount leak or an early prune after UNREGISTER churn",
+                drift=drift,
+            )
         self.check_groups()
         self.check_activation()
 
@@ -606,7 +603,8 @@ class InvariantChecker:
                     event_type=event_type,
                 )
         for gate in router._gates.values():
-            owners = [q for q in registered if q.automaton.stages[0] is gate.stage]
+            key = gate.stage.gate_key
+            owners = [q for q in registered if q.automaton.stages[0].gate_key == key]
             if not owners or owners[0] is not gate.leader:
                 trip(
                     f"gate on {gate.stage.event_type!r} is led by "

@@ -10,9 +10,10 @@
 * every engine-scope sanitizer check the source can trip is in the table;
 * every series anything exports — the four backends, a running server,
   a checkpoint store, an event log — is a row of the table, and the
-  serve-side series keep the names, kinds, labels and help text they had
-  when each module declared its own (golden rows captured at 68f6840 by
-  running :func:`served_series` there).
+  serve-side series are exactly the dated golden's rows (captured on
+  2026-10-17 by running :func:`served_series`), which differ from the
+  rows each module declared when it had its own (captured at 68f6840)
+  only by the series listed as added, removed or reworded since.
 """
 
 import ast
@@ -38,13 +39,30 @@ from ..serve.test_server import ServerHarness
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = json.loads((Path(__file__).parent / "golden_series_0c137b9.json").read_text())
 GOLDEN_SERVED = json.loads(
+    (Path(__file__).parent / "golden_served_series_20261017.json").read_text()
+)
+GOLDEN_SERVED_68F6840 = json.loads(
     (Path(__file__).parent / "golden_served_series_68f6840.json").read_text()
 )
-#: series added to the catalogue after that golden was captured.
+#: series added to the catalogue after the 68f6840 golden was captured.
 ADDED_SINCE_SERVED_GOLDEN = {"shared_query_groups"}
-#: series both goldens hold that the catalogue has since dropped, with
-#: the mechanism they measured (NFA prefix interning).
-REMOVED_SINCE_GOLDEN = {"shared_prefix_entries", "prefix_states_shared_total"}
+#: series whose help text changed after the 68f6840 golden was captured:
+#: the shared index now memoises stage-0 gates only.
+REWORDED_SINCE_SERVED_GOLDEN = {
+    "predicate_evals_saved_total",
+    "predicate_evals_performed_total",
+    "events_gated_total",
+    "shared_hits_total",
+    "shared_misses_total",
+}
+#: series the parent-commit goldens hold that the catalogue has since
+#: dropped, with the mechanism they measured (NFA prefix interning, the
+#: per-fingerprint predicate memo).
+REMOVED_SINCE_GOLDEN = {
+    "shared_prefix_entries",
+    "prefix_states_shared_total",
+    "shared_distinct_predicates",
+}
 
 TUMBLING = """
     NAME best_trades
@@ -189,16 +207,35 @@ class TestExportedSurface:
         served = served_series(tmp_path)
         exported |= {row[0] for rows in served.values() for row in rows}
         assert not exported - catalogued
-        # the served rows keep their names, kinds, labels and help text;
-        # the only changes are the series listed as added or removed since
         assert not catalogued & REMOVED_SINCE_GOLDEN
-        assert {
-            source: [row for row in rows if row[0] not in ADDED_SINCE_SERVED_GOLDEN]
-            for source, rows in served.items()
-        } == {
-            source: [row for row in rows if row[0] not in REMOVED_SINCE_GOLDEN]
-            for source, rows in GOLDEN_SERVED.items()
+        assert served == GOLDEN_SERVED
+
+    def test_served_golden_changed_only_the_listed_series(self):
+        """The dated golden keeps the names, kinds, labels and help text
+        of the 68f6840 rows, but for the series listed as added, removed
+        or reworded since."""
+
+        def kept(golden, dropped):
+            return {
+                source: [
+                    row[:3] if row[0] in REWORDED_SINCE_SERVED_GOLDEN else row
+                    for row in rows
+                    if row[0] not in dropped
+                ]
+                for source, rows in golden.items()
+            }
+
+        assert kept(GOLDEN_SERVED, ADDED_SINCE_SERVED_GOLDEN) == kept(
+            GOLDEN_SERVED_68F6840, REMOVED_SINCE_GOLDEN
+        )
+        reworded = {
+            row[0]: row[3] for rows in GOLDEN_SERVED.values() for row in rows
         }
+        previous = {
+            row[0]: row[3] for rows in GOLDEN_SERVED_68F6840.values() for row in rows
+        }
+        for name in REWORDED_SINCE_SERVED_GOLDEN:
+            assert reworded[name] != previous[name], name
 
     def test_catalogue_in_the_docs_is_the_table(self):
         doc = (ROOT / "docs" / "OBSERVABILITY.md").read_text()

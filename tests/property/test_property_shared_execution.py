@@ -5,9 +5,9 @@ canonicalization must erase — renamed bindings, permuted conjuncts,
 flipped comparison operands — plus controlled constant tweaks that must
 NOT be erased.  Two properties hold for every generated family:
 
-(a) **dedupe**: the shared index holds exactly one predicate entry per
-    semantically distinct self-contained predicate (one per distinct
-    threshold constant), no matter how many spellings register it; and
+(a) **dedupe**: the shared index holds exactly one stage-0 gate entry
+    per semantically distinct gate (one per distinct threshold constant),
+    no matter how many spellings register it; and
 (b) **equivalence**: the shared engine's per-query emissions are
     identical — same order, same stream points, same rankings — to one
     independent engine per query.
@@ -107,10 +107,10 @@ class TestFingerprintDedupe:
         for index, (query, _threshold) in enumerate(family):
             engine.register_query(query, name=f"q{index}")
         assert engine.shared is not None
-        # The only self-contained predicate is the threshold comparison;
-        # the equality and cross-variable conjuncts cannot be shared.
+        # The stage-0 gate tests only the threshold comparison; the
+        # equality and cross-variable conjuncts join both variables.
         distinct = {threshold for _query, threshold in family}
-        assert engine.shared.distinct_predicates == len(distinct)
+        assert len(engine.shared.refcounts()) == len(distinct)
 
     @given(first=variants(), second=variants())
     @settings(max_examples=50, deadline=None)

@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from repro import CEPREngine, Event
 from repro.runtime.query import RegisteredQuery
 from repro.runtime.serialize import emission_to_line
+from repro.workloads.stock import StockWorkload
 
 # -- (a) the work bound ---------------------------------------------------------
 
@@ -195,6 +196,82 @@ class TestWorkBound:
             engine.push(Event("A", float(index), x=index + 1))
         assert engine.shared_stats()["predicate_evals_performed"] == 20
         assert engine.shared_stats()["predicate_evals_saved"] == 10
+
+    def test_a_keyless_gate_is_evaluated_once_per_event(self):
+        """A gate with an unfingerprinted predicate has no gate key, but the
+        residual check and the matcher still share one evaluation of it per
+        event: each gate predicate is evaluated once, and nothing is saved."""
+        engine = CEPREngine()
+        engine.register_query(
+            "PATTERN SEQ(A a) WHERE duration() < 50 AND a.x > 3 WITHIN 5 EVENTS",
+            name="d",
+        )
+        events = [Event("AB"[i % 3 == 2], float(i), x=i % 7) for i in range(90)]
+        engine.push_batch(events)
+        opened = sum(1 for e in events if e.event_type == "A")
+        assert opened == 60
+        # `duration() < 50` holds for every fresh run, so `a.x > 3` is read
+        # too: two predicates, once each, per A event.
+        assert engine.shared_stats()["predicate_evals_performed"] == 2 * opened
+        assert engine.shared_stats()["predicate_evals_saved"] == 0
+        account = engine.cost_accounts()["d"]
+        assert (account.shared_misses, account.shared_hits) == (opened, 0)
+
+    def test_a_gate_sleeps_whatever_registered_before_it(self, touched):
+        """A gate's leader is its first-registered owner, whoever anchors
+        the gate's predicates earlier: here ``c.volume > 990`` on a Buy is
+        a later stage of the first query and the gate of the second."""
+        program = {
+            "sell_buy": "PATTERN SEQ(Sell a, Buy c) "
+            "WHERE c.volume > 990 AND a.symbol == c.symbol",
+            "buy_sell": "PATTERN SEQ(Buy b, Sell s) "
+            "WHERE b.volume > 990 AND b.symbol == s.symbol",
+        }
+        tail = (
+            " WITHIN 20 EVENTS PARTITION BY symbol RANK BY {} DESC LIMIT 1 "
+            "EMIT ON WINDOW CLOSE"
+        )
+        ranks = {"sell_buy": "c.price - a.price", "buy_sell": "s.price - b.price"}
+        events = list(StockWorkload(seed=3).events(4000))
+        engines = {}
+        for shared in (False, True):
+            engine = engines[shared] = CEPREngine(shared_execution=shared)
+            for name, text in program.items():
+                engine.register_query(text + tail.format(ranks[name]), name=name)
+            touched.clear()
+            engine.push_batch(events)
+        # Offered: every pair the residual check saw.  Dormant, the second
+        # query sees only the Buys over 990 and its own partitions' events.
+        offered = [name for method, name in touched if method == "skip_if_inert"]
+        assert offered.count("buy_sell") < len(events) // 20
+        lazy, independent = engines[True], engines[False]
+        assert [q.name for q in lazy._router._dormant] == ["buy_sell"]
+        for engine in engines.values():
+            engine.flush()
+        for name in program:
+            assert [emission_to_line(e) for e in lazy.query(name).results()] == [
+                emission_to_line(e) for e in independent.query(name).results()
+            ], name
+        rows = {
+            engine: {
+                name: {k: v for k, v in row.items() if not k.startswith("latency_")}
+                for name, row in engines[engine].stats_by_query().items()
+            }
+            for engine in engines
+        }
+        assert rows[True] == rows[False]
+        costs = {
+            engine: {
+                name: {
+                    k: v
+                    for k, v in account.to_dict().items()
+                    if "cpu" not in k and k not in SHARING_FIELDS
+                }
+                for name, account in engines[engine].cost_accounts().items()
+            }
+            for engine in engines
+        }
+        assert costs[True] == costs[False]
 
 
 # -- (b) laziness is invisible --------------------------------------------------

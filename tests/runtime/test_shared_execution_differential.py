@@ -409,13 +409,17 @@ class TestRegistrationChurn:
         engine, _ = self._drive_with_churn(True)
         shared = engine.shared
         assert shared is not None
-        # Four queries still registered; their entries must remain claimed,
-        # and the departed ones' released: the refcounts are exactly what
-        # the remaining pipelines claim.
-        assert shared.distinct_predicates > 0
+        # Four queries still registered; their gate keys must remain
+        # claimed, and the departed ones' released: the refcounts are
+        # exactly what the remaining pipelines claim, and every wake list
+        # is led by a remaining pipeline.
+        assert shared.refcounts()
         remaining = engine._router.queries()
         assert {q.name for q in remaining}.isdisjoint({"surge_top3", "surge_renamed"})
         assert shared.refcounts() == shared.claims(remaining)
+        gates = engine._router._gates
+        assert gates.keys() == shared.refcounts().keys()
+        assert all(gate.leader in remaining for gate in gates.values())
 
 
 class TestCheckpointRestore:
@@ -491,9 +495,9 @@ class TestChurnRegression:
             handle = engine.register_query(self._variant(index))
             names.append(handle.name)
         assert engine.shared is not None
-        assert engine.shared.distinct_predicates > 0
-        # 100 queries, 10 distinct `b.price > k` predicates: dedupe works.
-        assert engine.shared.distinct_predicates <= 10
+        # 100 queries, 10 distinct `b.price > k` gates: dedupe works.
+        assert 0 < len(engine.shared.refcounts()) <= 10
+        assert engine._router._gates.keys() == engine.shared.refcounts().keys()
 
         # Interleave some traffic so the index is hot, then churn.
         for event in StockWorkload(seed=3).events(200):
@@ -508,6 +512,7 @@ class TestChurnRegression:
             engine.unregister_query(name)
 
         assert engine.shared.is_empty()
+        assert not engine._router._gates
         stale = [
             sample
             for sample in engine.metrics_registry().collect()
