@@ -301,31 +301,6 @@ def e10() -> None:
         row(size, fmt(count / elapsed, 0), fmt(elapsed / count * 1e6))
 
 
-def e12() -> None:
-    header("E12", "sharded partition-parallel execution (stock, 10k events)")
-    from test_e12_sharding import QUERY, SHARD_SWEEP
-
-    from common import run_cepr_sharded
-
-    events, registry = stock_stream(10_000)
-    baseline = run_cepr(QUERY, events, registry)
-    row("configuration", "events/s", "matches", "emissions")
-    row("single engine", fmt(baseline.events_per_second, 0), baseline.matches, baseline.emissions)
-    for shards in SHARD_SWEEP:
-        result = run_cepr_sharded(QUERY, events, shards, registry)
-        assert result.matches == baseline.matches  # merge-stage contract
-        row(
-            f"shards={shards}",
-            fmt(result.events_per_second, 0),
-            result.matches,
-            result.emissions,
-        )
-    print(
-        "  results identical at every shard count; speedup needs a"
-        " multi-core free-threaded host (threads share the GIL here)"
-    )
-
-
 def e16() -> None:
     header("E16", "overload: rank-aware load shedding (generic, 20k burst)")
     from test_e16_overload import OVERLOAD_FACTORS, run_with_policy
@@ -363,7 +338,7 @@ def e17() -> None:
 
     events, registry = stock_stream(10_000)
     baseline = run_cepr(QUERY, events, registry)
-    threaded = run_cepr_sharded(QUERY, events, 4, registry)
+    threaded = run_cepr_sharded(QUERY, events, 4, registry, threads=True)
     row("configuration", "events/s", "matches", "emissions")
     row(
         "single engine",
@@ -378,9 +353,7 @@ def e17() -> None:
         threaded.emissions,
     )
     for shards in PROCESS_SWEEP:
-        result = run_cepr_sharded(
-            QUERY, events, shards, registry, backend="process"
-        )
+        result = run_cepr_sharded(QUERY, events, shards, registry)
         assert result.matches == baseline.matches  # merge-stage contract
         row(
             f"processes={shards}",
@@ -397,7 +370,7 @@ def e17() -> None:
 EXPERIMENTS = {
     "E1": e1, "E2": e2, "E3": e3, "E4": e4, "E5": e5,
     "E6": e6, "E7": e7, "E8": e8, "E9": e9, "E10": e10, "E11": e11,
-    "E12": e12, "E16": e16, "E17": e17,
+    "E16": e16, "E17": e17,
 }
 
 

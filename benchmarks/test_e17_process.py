@@ -2,13 +2,13 @@
 
 The same partitioned stock workload through ``backend="process"`` at
 K ∈ {1, 2, 4} worker processes, against the single-engine baseline and
-the K=4 *threaded* fleet.  Worker processes own their interpreter (and
+a K=4 fleet of *threads* (the coordinator over the in-process
+``LocalShard`` double).  Worker processes own their interpreter (and
 GIL), so on a host with ≥ 4 cores the K=4 process fleet must clear
-**2.5×** the threaded fleet's throughput.  On smaller hosts the sweep
-records the pipe-transport overhead curve instead — the same
-host-capability discipline E12 uses — while the exactness assertions
-(identical matches, emissions, run counts, final ranking at every K) hold
-unconditionally.
+**2.5×** the thread fleet's throughput.  On smaller hosts the sweep
+records the pipe-transport overhead curve instead, while the exactness
+assertions (identical matches, emissions, run counts, final ranking at
+every K) hold unconditionally.
 """
 
 import os
@@ -39,14 +39,12 @@ def test_e17_process_sweep(stock_10k):
     """The harness row: throughput at each process count, results pinned."""
     events, registry = stock_10k
     baseline = run_cepr(QUERY, events, registry)
-    threaded = run_cepr_sharded(QUERY, events, 4, registry, backend="sharded")
+    threaded = run_cepr_sharded(QUERY, events, 4, registry, threads=True)
     _assert_identical(threaded, baseline)
 
     rows = {}
     for shards in PROCESS_SWEEP:
-        result = run_cepr_sharded(
-            QUERY, events, shards, registry, backend="process"
-        )
+        result = run_cepr_sharded(QUERY, events, shards, registry)
         _assert_identical(result, baseline)
         rows[shards] = result
     # Same top-k regardless of substrate or process count.
@@ -79,12 +77,8 @@ def test_e17_process_sweep(stock_10k):
 def test_e17_process_byte_identical_under_batching(stock_10k):
     """Frame batching is a transport knob, never a semantics knob."""
     events, registry = stock_10k
-    small = run_cepr_sharded(
-        QUERY, events, 2, registry, backend="process", batch_size=16
-    )
-    large = run_cepr_sharded(
-        QUERY, events, 2, registry, backend="process", batch_size=1024
-    )
+    small = run_cepr_sharded(QUERY, events, 2, registry, batch_size=16)
+    large = run_cepr_sharded(QUERY, events, 2, registry, batch_size=1024)
     _assert_identical(small, large)
     assert small.matches == large.matches
     assert small.extra["final_ranking"] == large.extra["final_ranking"]
@@ -93,7 +87,7 @@ def test_e17_process_byte_identical_under_batching(stock_10k):
 def test_e17_4_processes(benchmark, stock_10k):
     events, registry = stock_10k
     result = benchmark.pedantic(
-        lambda: run_cepr_sharded(QUERY, events, 4, registry, backend="process"),
+        lambda: run_cepr_sharded(QUERY, events, 4, registry),
         rounds=3,
         iterations=1,
     )

@@ -1,11 +1,11 @@
-"""One program, four execution backends, identical ranked output.
+"""One program, three execution backends, identical ranked output.
 
 The unified Runner API makes backend choice a configuration value: the
 same query and stream run on the caller's thread (``embedded``), behind
-a bounded queue (``threaded``), across partition-parallel worker threads
-(``sharded``), or across worker *processes* fed over pipe frames
-(``process``) — and the CEPR exactness contract guarantees the merged
-emissions are identical, byte for byte, on every backend.
+a bounded queue (``threaded``), or across partition-parallel worker
+*processes* fed over pipe frames (``process``) — and the CEPR exactness
+contract guarantees the merged emissions are identical, byte for byte,
+on every backend.
 
 Run with::
 
@@ -61,7 +61,7 @@ def main(num_events: int = 20_000) -> None:
     shards = 2
     reference: list | None = None
     print(f"running {num_events} events on every backend (shards={shards}):")
-    for backend in ("embedded", "threaded", "sharded", "process"):
+    for backend in ("embedded", "threaded", "process"):
         lines, elapsed = run_backend(backend, num_events, shards)
         if reference is None:
             reference = lines

@@ -471,14 +471,14 @@ def _add_runner_flags(command: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="run partitioned queries across N worker shards (default: 1); "
-        "serve's dynamic REGISTER needs one",
+        help="run partitioned queries across N worker processes "
+        "(default: 1); serve's dynamic REGISTER needs one",
     )
     command.add_argument(
         "--runner",
-        choices=("embedded", "threaded", "sharded", "process"),
+        choices=("embedded", "threaded", "process"),
         default=None,
-        help="execution backend (default: embedded, or sharded when "
+        help="execution backend (default: embedded, or process when "
         "--shards > 1; serve and stats --watch run one engine threaded); "
         "process runs shards as worker processes "
         "(see docs/PROCESS_RUNNER.md)",

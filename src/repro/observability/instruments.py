@@ -419,7 +419,7 @@ RUNNER_PROCESSED = Spec(
 FLEET: tuple[Spec, ...] = (
     Spec(
         "runner_shards",
-        "Worker threads in the fleet",
+        "Shards in the fleet, each an engine in its own worker process",
         lambda f: len(f._workers),
         kind="gauge",
     ),

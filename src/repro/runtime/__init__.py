@@ -2,19 +2,19 @@
 and the live monitor.
 
 Execution backends live behind the unified Runner API: build any of
-embedded / threaded / sharded / process with
+embedded / threaded / process with
 :func:`~repro.runtime.runner.create_runner` and drive it through the
 :class:`~repro.runtime.runner.Runner` protocol.  The queue-backed ones
 share their moving parts (:mod:`repro.runtime.shard`): one
 :class:`~repro.runtime.shard.WorkerLoop` — a bounded queue drained by the
 thread that owns the engine, whose only control operation is "run this
-callable on the owner thread, then acknowledge" — and, for the fleets,
-one :class:`~repro.runtime.shard.Shard` interface with a local (engine in
-this process) and a pipe (engine in a worker process) implementation.  A
-coordinator learns about a shard only from the
+callable on the owner thread, then acknowledge" — and, for the process
+fleet, one :class:`~repro.runtime.shard.Shard` interface with a pipe
+implementation (engine in a worker process) and a local one (engine in
+this process: what each worker hosts, and the in-process test double of
+the merge stage).  A coordinator learns about a shard only from the
 :class:`~repro.runtime.report.ShardReport` it hands back at a barrier, so
-coordinator-side state is at least as fresh as the last barrier, for
-threads and processes alike."""
+coordinator-side state is at least as fresh as the last barrier."""
 
 from repro.runtime.concurrent import ThreadedEngineRunner
 from repro.runtime.engine import CEPREngine

@@ -1,12 +1,11 @@
 """Pipe shards: a shard whose engine runs in a worker process.
 
 :class:`~repro.runtime.sharded.ShardedEngineRunner` buys ordering and
-merge determinism but, with :class:`~repro.runtime.shard.LocalShard`, not
-CPU parallelism — thread shards serialise on the GIL.  :class:`PipeShard`
-is the other implementation of the shard interface
-(:class:`~repro.runtime.shard.Shard`): the same coordinator, the same
-:class:`~repro.runtime.shard.WorkerLoop` per shard, but ``push_batch`` and
-the barrier calls travel as length-prefixed JSON frames
+merge determinism; :class:`PipeShard` buys it CPU parallelism, which
+engines sharing one interpreter's GIL cannot have.  It is the fleet's
+implementation of the shard interface (:class:`~repro.runtime.shard.Shard`):
+one :class:`~repro.runtime.shard.WorkerLoop` per shard, whose
+``push_batch`` and barrier calls travel as length-prefixed JSON frames
 (:mod:`repro.events.frames`) over an OS pipe to
 ``python -m repro.runtime.process_worker`` — a fresh interpreter with its
 own GIL that hosts a ``LocalShard`` and answers ``report`` with that
@@ -24,9 +23,6 @@ last ``report()`` said.  Failure model: a dead or erroring worker raises
 the shard's failure exactly where a local engine's exception would;
 recovery is the coordinator's ``restore`` (``respawn`` + replay the
 shard's snapshot), see ``docs/PROCESS_RUNNER.md``.
-
-Load shedding needs a live engine (``live_engine = False`` here), so the
-coordinator rejects it at construction for pipe shards.
 """
 
 from __future__ import annotations
@@ -114,8 +110,6 @@ class PipeShard:
     from introspection (``explain``) never interleave, and a reply always
     answers the request just written.
     """
-
-    live_engine = False
 
     def __init__(
         self,

@@ -1,6 +1,6 @@
 """Unified Runner API: one protocol, one config, one factory.
 
-Four execution backends can run a CEPR program, each trading isolation
+Three execution backends can run a CEPR program, each trading isolation
 for throughput differently:
 
 ``embedded``
@@ -13,16 +13,13 @@ for throughput differently:
     behind a :class:`~repro.runtime.shard.WorkerLoop` (bounded queue,
     one consumer thread); producers get backpressure, callers get
     barriers, subscriptions are fed eagerly on the consumer thread.
-``sharded``
-    :class:`~repro.runtime.sharded.ShardedEngineRunner` — a fleet of
-    shards, each a local engine behind its own ``WorkerLoop``,
-    partitioned by the analyzer's shardability certificate and merged
-    deterministically from the shards' barrier-time reports.
 ``process``
-    The same ``ShardedEngineRunner`` with
-    :class:`~repro.runtime.process.PipeShard` shards: each engine lives
-    in a worker *process* (own interpreter, own GIL), fed over
-    length-prefixed pipe frames.
+    :class:`~repro.runtime.sharded.ShardedEngineRunner` — a fleet of
+    :class:`~repro.runtime.process.PipeShard` shards, each an engine in
+    a worker *process* (own interpreter, own GIL) behind its own
+    ``WorkerLoop``, fed over length-prefixed pipe frames, partitioned by
+    the analyzer's shardability certificate and merged deterministically
+    from the shards' barrier-time reports.
 
 They share one lifecycle — ``register_query`` / ``subscribe`` /
 ``start`` / ``submit`` / barriers (``sync``/``poll``/``advance_time``/
@@ -38,14 +35,14 @@ Construction goes through :func:`create_runner`::
 
     from repro.runtime import RunnerConfig, create_runner
 
-    runner = create_runner(QUERY_TEXT, RunnerConfig(backend="sharded", shards=4))
+    runner = create_runner(QUERY_TEXT, RunnerConfig(backend="process", shards=4))
     runner.subscribe("best_trades", print)
     with runner:
         runner.submit_all(events)
         runner.flush()
 
 Without a ``backend`` the shard count chooses one:
-``RunnerConfig(shards=8)`` is an 8-shard ``sharded`` fleet, one shard
+``RunnerConfig(shards=8)`` is an 8-process fleet, one shard
 the ``embedded`` engine.  :func:`resolve` holds that rule and every
 other backend×option rule; the CLI, the server and the backtester hand
 it one config each instead of deciding for themselves.
@@ -57,7 +54,6 @@ place where backend choice stays a config value instead of a code change.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import (
     Any,
     Callable,
@@ -75,8 +71,6 @@ from repro.observability.registry import MetricsRegistry
 from repro.ranking.emission import Emission
 from repro.runtime.concurrent import ThreadedEngineRunner
 from repro.runtime.engine import CEPREngine
-from repro.runtime.process import PipeShard
-from repro.runtime.shard import LocalShard
 from repro.runtime.sharded import ShardedEngineRunner
 from repro.runtime.sinks import SinkLike, Subscription
 
@@ -190,15 +184,15 @@ class RunnerConfig:
     The other fields are shared, with two backend-specific meanings:
 
     * ``max_queue``/``batch_size`` bound the ingest queue of the
-      queue-backed backends (``threaded``/``sharded``/``process``);
-      ``embedded`` has none and ignores them.
-    * ``shed_policy``/``latency_target`` steer that queue's load
+      queue-backed backends (``threaded``/``process``); ``embedded``
+      has none and ignores them.
+    * ``shed_policy``/``latency_target`` steer ``threaded``'s load
       shedding (docs/SHEDDING.md).
 
     Emissions reach callers through per-query subscriptions
     (``runner.subscribe``), fed synchronously on the caller's thread for
     ``embedded``, on the consumer thread for ``threaded``, and on the
-    barrier-calling thread for ``sharded``/``process``.
+    barrier-calling thread for ``process``.
     """
 
     backend: str | None = None
@@ -227,7 +221,7 @@ def _backend_of(config: RunnerConfig) -> str:
     if config.backend is not None:
         return config.backend
     if config.shards is not None and config.shards > 1:
-        return "sharded"
+        return "process"
     return "embedded"
 
 
@@ -239,17 +233,16 @@ def resolve(config: RunnerConfig) -> RunnerConfig:
 
     * ``shards``, when given, is at least 1.
     * Without ``backend``, one shard (or none given) is ``embedded`` and
-      more is ``sharded``.
+      more is ``process``.
     * The single-engine backends (``embedded``/``threaded``) run one
-      shard whatever ``shards`` says, so one config can sweep all four
+      shard whatever ``shards`` says, so one config can sweep all three
       backends (:func:`reject_ignored_shards` is the strict variant for
-      user input); ``sharded``/``process`` default to 4 shards.
-    * ``embedded`` has no ingest queue to shed, so it rejects a
-      ``shed_policy`` other than ``"off"`` (``process`` does too: its
-      shards report engine state only at barriers — the fleet runner
-      enforces that for direct construction as well).
-    * Tracing is per-engine: the ``sharded``/``process`` merge stage
-      cannot stitch cross-shard traces, so they reject ``tracing=True``.
+      user input); ``process`` defaults to 4 shards.
+    * Only ``threaded`` sheds load: ``embedded`` has no ingest queue, and
+      ``process`` shards report engine state only at barriers, so both
+      reject a ``shed_policy`` other than ``"off"``.
+    * Tracing is per-engine: the ``process`` merge stage cannot stitch
+      cross-shard traces, so it rejects ``tracing=True``.
 
     Idempotent: a resolved config resolves to an equal one.
     """
@@ -265,9 +258,9 @@ def resolve(config: RunnerConfig) -> RunnerConfig:
         shards = 1
     else:
         shards = config.shards or _DEFAULT_FLEET_SHARDS
-    if backend == "embedded" and config.shed_policy != "off":
+    if backend != "threaded" and config.shed_policy != "off":
         raise ValueError(
-            "backend 'embedded' has no ingest queue to shed; "
+            f"backend {backend!r} does not shed load; "
             "use backend='threaded' for load shedding"
         )
     if config.tracing and backend not in _SINGLE_ENGINE:
@@ -299,7 +292,7 @@ def reject_ignored_shards(config: RunnerConfig) -> None:
     if config.backend in _SINGLE_ENGINE and (config.shards or 1) > 1:
         raise ValueError(
             f"backend {config.backend!r} is single-engine; shards="
-            f"{config.shards} needs backend 'sharded' or 'process'"
+            f"{config.shards} needs backend 'process'"
         )
 
 
@@ -361,7 +354,7 @@ def _build_threaded(config: RunnerConfig) -> ThreadedEngineRunner:
     )
 
 
-def _build_fleet(config: RunnerConfig, shard_type: type) -> ShardedEngineRunner:
+def _build_fleet(config: RunnerConfig) -> ShardedEngineRunner:
     return ShardedEngineRunner(
         shards=config.shards,
         registry=config.registry,
@@ -373,17 +366,13 @@ def _build_fleet(config: RunnerConfig, shard_type: type) -> ShardedEngineRunner:
         max_queue=config.max_queue,
         batch_size=config.batch_size,
         sanitize=config.sanitize,
-        shed_policy=config.shed_policy,
-        latency_target=config.latency_target,
-        shard_type=shard_type,
     )
 
 
 _BACKENDS: dict[str, Callable[[RunnerConfig], Any]] = {
     "embedded": _engine_from,
     "threaded": _build_threaded,
-    "sharded": partial(_build_fleet, shard_type=LocalShard),
-    "process": partial(_build_fleet, shard_type=PipeShard),
+    "process": _build_fleet,
 }
 
 
@@ -403,10 +392,10 @@ def create_runner(
     stay one-liners::
 
         create_runner(text)                                   # embedded
-        create_runner(text, shards=8)                         # sharded, 8
+        create_runner(text, shards=8)                         # process, 8
         create_runner(text, backend="threaded")
         create_runner(text, backend="process", shards=4)
-        create_runner(text, RunnerConfig(backend="sharded"), shards=8)
+        create_runner(text, RunnerConfig(backend="process"), shards=8)
 
     The runner is returned **unstarted**: register any further queries
     and subscribe to the ones whose emissions you want, then ``start()``

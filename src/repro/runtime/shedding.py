@@ -216,10 +216,9 @@ class ShedController:
         ``probes`` are the query handles the event would reach
         (anything with ``shed_probe``); the event's class is the *worst*
         across them — protected for any query protects it outright.
-        Sharded runners probe worker engines from the dispatch thread, so
-        a probe racing that worker's consumer may fail mid-read; any such
-        failure demotes the verdict to uncertified (shed reluctantly),
-        never to safe.
+        The threaded runner probes its engine on the consumer thread;
+        should a probe fail anyway, the failure demotes the verdict to
+        uncertified (shed reluctantly), never to safe.
         """
         if not self.adaptive_active:
             return True

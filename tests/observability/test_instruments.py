@@ -1,19 +1,24 @@
 """The instrument table: one description of what an engine counts.
 
 * every series the parent commit (0c137b9) exported is still exported,
-  under the same name, kind and labels, on all four backends (golden list
+  under the same name, kind and labels, on every backend (golden list
   captured from that commit by running :func:`exported_series` there);
+  what it exported from the since-deleted thread fleet (``sharded``) is
+  exported by a remaining backend;
 * the metric catalogue in ``docs/OBSERVABILITY.md`` is the table's own
   rendering, so the doc cannot drift;
 * counters that had several definitions have one: ``revisions`` is the
   ranker's counter, a fleet's ``throughput_eps`` is the fleet's rate;
 * every engine-scope sanitizer check the source can trip is in the table;
-* every series anything exports — the four backends, a running server,
+* every series anything exports — the three backends, a running server,
   a checkpoint store, an event log — is a row of the table, and the
   serve-side series are exactly the dated golden's rows (captured on
-  2026-10-17 by running :func:`served_series`), which differ from the
-  rows each module declared when it had its own (captured at 68f6840)
-  only by the series listed as added, removed or reworded since.
+  2026-10-17 by running :func:`served_series`).  Every row the parent
+  (ac29636) served, from its thread-fleet server too, is still served
+  by some server, unchanged but for the series reworded since; the
+  parent's rows in turn differ from the rows each module declared when
+  it had its own (captured at 68f6840) only by the series listed as
+  added, removed or reworded before it.
 """
 
 import ast
@@ -34,6 +39,7 @@ from repro.store.checkpoint import CheckpointStore, Position
 from repro.store.log import EventLog
 from repro.workloads.stock import StockWorkload
 
+from ..runtime.fleet import local_fleet
 from ..serve.test_server import ServerHarness
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -41,11 +47,17 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_series_0c137b9.json").read_
 GOLDEN_SERVED = json.loads(
     (Path(__file__).parent / "golden_served_series_20261017.json").read_text()
 )
+GOLDEN_SERVED_AC29636 = json.loads(
+    (Path(__file__).parent / "golden_served_series_ac29636.json").read_text()
+)
 GOLDEN_SERVED_68F6840 = json.loads(
     (Path(__file__).parent / "golden_served_series_68f6840.json").read_text()
 )
 #: series added to the catalogue after the 68f6840 golden was captured.
 ADDED_SINCE_SERVED_GOLDEN = {"shared_query_groups"}
+#: series whose help text changed after the ac29636 golden was captured:
+#: every fleet is worker processes.
+REWORDED_SINCE_PARENT_GOLDEN = {"runner_shards"}
 #: series whose help text changed after the 68f6840 golden was captured:
 #: the shared index now memoises stage-0 gates only.
 REWORDED_SINCE_SERVED_GOLDEN = {
@@ -86,8 +98,7 @@ EAGER = """
 SCENARIOS = {
     "embedded": dict(backend="embedded", max_lateness=0.0, sanitize=True, tracing=True),
     "threaded": dict(backend="threaded", shed_policy="adaptive"),
-    "sharded": dict(backend="sharded", shards=2, shed_policy="adaptive", sanitize=True),
-    "process": dict(backend="process", shards=2),
+    "process": dict(backend="process", shards=2, sanitize=True),
 }
 
 
@@ -110,11 +121,11 @@ def exported_series(scenario):
     return rows
 
 
-#: the servers of :func:`served_series`: one engine, and a fleet that also
-#: exports the coordinator lock and the shedding controller.
+#: the servers of :func:`served_series`: one engine that also exports the
+#: shedding controller, and a fleet that also exports the coordinator lock.
 SERVERS = {
-    "threaded": RunnerConfig(sanitize=True),
-    "sharded": RunnerConfig(shards=2, shed_policy="adaptive", sanitize=True),
+    "threaded": RunnerConfig(shed_policy="adaptive", sanitize=True),
+    "process": RunnerConfig(backend="process", shards=2, sanitize=True),
 }
 
 
@@ -210,10 +221,41 @@ class TestExportedSurface:
         assert not catalogued & REMOVED_SINCE_GOLDEN
         assert served == GOLDEN_SERVED
 
+    def test_the_deleted_backends_series_are_still_exported(self):
+        """Every series the parent's thread-fleet scenario exported, a
+        remaining scenario exports."""
+        now = [row for scenario in SCENARIOS for row in exported_series(scenario)]
+        missing = [
+            row
+            for row in GOLDEN["sharded"]
+            if row not in now and row[0] not in REMOVED_SINCE_GOLDEN
+        ]
+        assert not missing
+
+    def test_served_golden_serves_every_parent_row(self):
+        """Each row the parent served, from either server, some server
+        still serves with the same name, kind, labels and help, but for
+        the series reworded since."""
+
+        def rows(golden):
+            return {
+                json.dumps(row[:3] if row[0] in REWORDED_SINCE_PARENT_GOLDEN else row)
+                for source in golden.values()
+                for row in source
+            }
+
+        assert rows(GOLDEN_SERVED_AC29636) <= rows(GOLDEN_SERVED)
+        help_now = {row[0]: row[3] for rows in GOLDEN_SERVED.values() for row in rows}
+        help_then = {
+            row[0]: row[3] for rows in GOLDEN_SERVED_AC29636.values() for row in rows
+        }
+        for name in REWORDED_SINCE_PARENT_GOLDEN:
+            assert help_now[name] != help_then[name], name
+
     def test_served_golden_changed_only_the_listed_series(self):
-        """The dated golden keeps the names, kinds, labels and help text
-        of the 68f6840 rows, but for the series listed as added, removed
-        or reworded since."""
+        """The parent's golden keeps the names, kinds, labels and help
+        text of the 68f6840 rows, but for the series listed as added,
+        removed or reworded since."""
 
         def kept(golden, dropped):
             return {
@@ -225,11 +267,11 @@ class TestExportedSurface:
                 for source, rows in golden.items()
             }
 
-        assert kept(GOLDEN_SERVED, ADDED_SINCE_SERVED_GOLDEN) == kept(
+        assert kept(GOLDEN_SERVED_AC29636, ADDED_SINCE_SERVED_GOLDEN) == kept(
             GOLDEN_SERVED_68F6840, REMOVED_SINCE_GOLDEN
         )
         reworded = {
-            row[0]: row[3] for rows in GOLDEN_SERVED.values() for row in rows
+            row[0]: row[3] for rows in GOLDEN_SERVED_AC29636.values() for row in rows
         }
         previous = {
             row[0]: row[3] for rows in GOLDEN_SERVED_68F6840.values() for row in rows
@@ -302,8 +344,8 @@ class TestOneDefinitionPerCounter:
         shard's span lies inside the wall time around the run."""
         workload = StockWorkload(seed=2016)
         events = list(workload.events(6000))
-        runner = create_runner(
-            TUMBLING, backend="sharded", shards=4, registry=workload.registry()
+        runner = local_fleet(
+            {"best_trades": TUMBLING}, shards=4, registry=workload.registry()
         )
         runner.start()
         started = time.perf_counter()

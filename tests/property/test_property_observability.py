@@ -25,6 +25,7 @@ from repro import CEPREngine, Event
 from repro.observability.flightrec import FlightRecorder
 from repro.observability.pressure import PressureSample, merge_samples
 from repro.runtime.metrics import LatencyRecorder
+from repro.runtime.shard import LocalShard
 from repro.runtime.sharded import ShardedEngineRunner
 
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -164,7 +165,7 @@ def run_both(specs, shards):
         engine.push(event)
     engine.flush()
 
-    runner = ShardedEngineRunner(shards=shards)
+    runner = ShardedEngineRunner(shards=shards, shard_type=LocalShard)
     runner.register_query(QUERY)
     runner.start()
     try:
@@ -299,7 +300,7 @@ def assert_alert_fleet_sums(events, shards):
         engine.push(event)
     engine.flush()
 
-    runner = ShardedEngineRunner(shards=shards)
+    runner = ShardedEngineRunner(shards=shards, shard_type=LocalShard)
     for name, text in ALERTS.items():
         runner.register_query(text, name=name)
     runner.start()

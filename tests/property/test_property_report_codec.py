@@ -132,6 +132,7 @@ def shard_reports(draw):
         last_event_ts=draw(st.none() | seconds),
         instruments=draw(registries()),
         queries={name: draw(query_reports()) for name in sorted(names)},
+        barrier_order=draw(st.lists(st.sampled_from(sorted(SCORERS)), max_size=5)),
     )
 
 
@@ -183,6 +184,7 @@ def canonical(report: ShardReport) -> str:
                 # registration order is part of the contract (view order)
                 "instruments": [instrument_fields(i) for i in report.instruments],
                 "queries": queries,
+                "barrier_order": report.barrier_order,
             }
         )
     )

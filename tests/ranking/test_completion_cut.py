@@ -19,10 +19,10 @@ from repro.events.schema import AttributeSpec, Domain, EventSchema, SchemaRegist
 from repro.events.time import SequenceAssigner
 from repro.language.parser import parse_query
 from repro.language.semantics import analyze, completion_cut
-from repro.runtime import RunnerConfig, create_runner
 from repro.runtime.serialize import emission_to_line
 from repro.runtime.sinks import CollectorSink
 from repro.workloads.stock import StockWorkload
+from tests.runtime.fleet import local_fleet
 
 REGISTRY = SchemaRegistry(
     [
@@ -425,9 +425,7 @@ class TestSharding:
         better than the whole stream's, so it builds no fewer matches."""
         text = query("SEQ(A a, B b)", "30 EVENTS")
         expected, engine, _ = run(text, stream())
-        runner = create_runner(
-            {"q": text}, RunnerConfig(backend="sharded", shards=3, registry=REGISTRY)
-        )
+        runner = local_fleet({"q": text}, shards=3, registry=REGISTRY)
         sink = CollectorSink()
         runner.subscribe("q", sink)
         with runner:

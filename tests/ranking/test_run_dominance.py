@@ -18,9 +18,9 @@ from repro.events.schema import AttributeSpec, Domain, EventSchema, SchemaRegist
 from repro.events.time import SequenceAssigner
 from repro.language.parser import parse_query
 from repro.language.semantics import analyze, run_dominance
-from repro.runtime import RunnerConfig, create_runner
 from repro.runtime.serialize import emission_to_line
 from repro.runtime.sinks import CollectorSink
+from tests.runtime.fleet import local_fleet
 
 REGISTRY = SchemaRegistry(
     [
@@ -357,9 +357,7 @@ class TestSharding:
         on one shard: the fleet drops what one engine drops."""
         text = query(window="30 EVENTS")
         expected, engine, _ = run(text, stream())
-        runner = create_runner(
-            {"q": text}, RunnerConfig(backend="sharded", shards=2, registry=REGISTRY)
-        )
+        runner = local_fleet({"q": text}, shards=2, registry=REGISTRY)
         sink = CollectorSink()
         runner.subscribe("q", sink)
         with runner:

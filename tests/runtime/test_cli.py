@@ -204,7 +204,7 @@ class TestRunSharded:
             "WITHIN 30 EVENTS PARTITION BY symbol"
         )
         written = {}
-        for backend, shards in (("embedded", "1"), ("sharded", "2"), ("process", "2")):
+        for backend, shards in (("embedded", "1"), ("process", "2")):
             out = tmp_path / f"{backend}.jsonl"
             code, _ = run_cli(
                 "run", str(partitioned_query_file), str(passthrough),
@@ -219,7 +219,6 @@ class TestRunSharded:
             for match in json.loads(line)["ranking"]
         }
         assert queries == {"partitioned", "rebounds"}
-        assert written["sharded"] == written["embedded"]
         assert written["process"] == written["embedded"]
 
     def test_sharded_stats_report_fleet_totals(
@@ -278,7 +277,7 @@ class TestRunnerFlags:
         assert code == 1
         assert output == (
             f"error: backend {backend!r} is single-engine; shards=2 needs "
-            "backend 'sharded' or 'process'\n"
+            "backend 'process'\n"
         )
 
     def test_serve_tracing_on_a_fleet_exits_with_the_runner_error(
@@ -288,7 +287,7 @@ class TestRunnerFlags:
             "serve", str(query_file), "--port", "0", "--tracing", "--shards", "2"
         )
         assert code == 1
-        assert output.startswith("error: backend 'sharded' does not support")
+        assert output.startswith("error: backend 'process' does not support")
         assert "tracing" in output
 
     @pytest.mark.parametrize("command", ["stats", "top", "backtest"])

@@ -10,7 +10,7 @@ import pytest
 
 from repro import CEPREngine, Event
 from repro.engine.snapshot import SnapshotFormatError
-from repro.runtime import RunnerConfig, create_runner
+from tests.runtime.fleet import local_fleet
 
 QUERY = """
     PATTERN SEQ(A a)
@@ -95,7 +95,7 @@ class TestEngineRestore:
 
 
 def fleet():
-    return create_runner({"q": QUERY}, RunnerConfig(backend="sharded", shards=2))
+    return local_fleet({"q": QUERY}, shards=2)
 
 
 class TestFleetRestore:

@@ -1,11 +1,11 @@
 """Process-fleet differential and fault-injection tests.
 
-:class:`~repro.runtime.process.PipeShard` swaps the sharded runner's
-execution substrate (threads → worker processes over pipe frames) while
-keeping the dispatch/merge layer.  The contract is the
-same exactness bar the thread fleet meets: merged output byte-identical
-to a single embedded engine — including after a worker process is
-SIGKILLed mid-stream and the fleet is restored from a checkpoint.
+:class:`~repro.runtime.process.PipeShard` runs each shard of the fleet
+in a worker process fed over pipe frames, behind the same dispatch/merge
+layer as the in-process double.  The contract is the house exactness
+bar: merged output byte-identical to a single embedded engine —
+including after a worker process is SIGKILLed mid-stream and the fleet
+is restored from a checkpoint.
 """
 
 import json

@@ -31,6 +31,7 @@ from repro.runtime.serialize import emission_to_line
 from repro.workloads.clickstream import ClickstreamWorkload
 from repro.workloads.sensor import VitalsWorkload
 from repro.workloads.stock import StockWorkload
+from tests.runtime.fleet import local_fleet
 
 
 def match_fp(match):
@@ -820,8 +821,6 @@ class TestQueryGroups:
         assert not engine.tracer.spans(query="first")
 
     def test_two_shard_fleet(self):
-        from repro.runtime.runner import RunnerConfig, create_runner
-
         members = [(0, 0, 1), (0, 0, 3), (1, 0, 2), (1, 0, 1), (3, 1, 2)]
         program = group_program(members)
         events = group_events(17)
@@ -830,7 +829,7 @@ class TestQueryGroups:
             independent.push(event)
         independent.flush()
 
-        fleet = create_runner(program, RunnerConfig(backend="sharded", shards=2))
+        fleet = local_fleet(program, shards=2)
         received: dict[str, list[str]] = {name: [] for name in program}
         for name in program:
             fleet.subscribe(

@@ -12,7 +12,6 @@ from repro import CEPREngine, Event
 from repro.observability.pressure import PressureAssessor, PressureSample
 from repro.runtime.concurrent import ThreadedEngineRunner
 from repro.runtime.query import SHED_PROTECTED, SHED_SAFE, SHED_UNCERTIFIED
-from repro.runtime.sharded import ShardedEngineRunner
 from repro.runtime.shedding import MAX_DROP_RATE, ShedController, ShedStats
 from repro.workloads.generic import GenericWorkload
 
@@ -290,27 +289,3 @@ class TestRunnerIntegration:
         prom = runner.metrics_registry().to_prometheus()
         assert "shed_events_total" in prom
         assert "shed_recall_estimate" in prom
-
-    def test_sharded_adaptive_drops_before_the_shards(self):
-        workload = GenericWorkload(seed=5, alphabet_size=2)
-        controller = ShedController(policy="adaptive", force=True)
-        controller.drop_rate = 0.9
-        runner = ShardedEngineRunner(
-            shards=2,
-            registry=workload.registry(),
-            shed_policy="adaptive",
-            shed_controller=controller,
-        )
-        view = runner.register_query(GENERIC_QUERY)
-        runner.start()
-        try:
-            for event in workload.events(1000):
-                runner.submit(event)
-            runner.flush()
-        finally:
-            runner.stop()
-        assert controller.stats.shed_events_total > 0
-        routed = runner.stats_by_query()[view.name]["events_routed"]
-        assert routed == 1000 - controller.stats.shed_events_total
-        prom = runner.metrics_registry().to_prometheus()
-        assert "shed_events_total" in prom

@@ -6,6 +6,7 @@ from repro import CEPREngine, Event
 from repro.ranking.emission import Emission, EmissionKind
 from repro.runtime.monitor import Monitor
 from repro.runtime.router import EventRouter
+from repro.runtime.shard import LocalShard
 from repro.runtime.sinks import CallbackSink, CollectorSink, PrintSink
 
 
@@ -164,7 +165,7 @@ class TestMonitor:
     def test_render_sharded_runner_shows_shard_block(self):
         from repro.runtime.sharded import ShardedEngineRunner
 
-        runner = ShardedEngineRunner(shards=2)
+        runner = ShardedEngineRunner(shards=2, shard_type=LocalShard)
         runner.register_query(
             "NAME spread PATTERN SEQ(A a, B b) WITHIN 4 EVENTS "
             "PARTITION BY part RANK BY b.x DESC LIMIT 2 EMIT ON WINDOW CLOSE"
@@ -186,7 +187,7 @@ class TestMonitor:
     def test_render_solo_fallback_flagged(self):
         from repro.runtime.sharded import ShardedEngineRunner
 
-        runner = ShardedEngineRunner(shards=2)
+        runner = ShardedEngineRunner(shards=2, shard_type=LocalShard)
         runner.register_query(  # no PARTITION BY: must fall back to solo
             "NAME global PATTERN SEQ(A a, B b) WITHIN 4 EVENTS "
             "RANK BY b.x DESC LIMIT 2 EMIT ON WINDOW CLOSE"
@@ -247,7 +248,7 @@ class TestMonitorTelemetry:
     def test_sharded_runner_header_shows_pressure(self):
         from repro.runtime.sharded import ShardedEngineRunner
 
-        runner = ShardedEngineRunner(shards=2)
+        runner = ShardedEngineRunner(shards=2, shard_type=LocalShard)
         runner.register_query(
             "NAME spread PATTERN SEQ(A a, B b) WITHIN 4 EVENTS "
             "PARTITION BY part RANK BY b.x DESC LIMIT 2 EMIT ON WINDOW CLOSE"
