@@ -42,7 +42,7 @@ from repro.ranking.emission import Emission, EmissionKind
 from repro.runtime.engine import CEPREngine
 from repro.runtime.query import RegisteredQuery
 from repro.runtime.shard import QueuedRunner, WorkerLoop
-from repro.runtime.shedding import ShedController
+from repro.runtime.shedding import DEFAULT_LATENCY_TARGET_SECONDS, ShedController
 from repro.runtime.sinks import SinkLike, Subscription
 from repro.sanitize.core import release_affinity
 
@@ -91,7 +91,11 @@ class ThreadedEngineRunner(QueuedRunner):
         self._loop = WorkerLoop(self._consume_batch, max_queue, batch_size)
         self._started = False
         self._stopped = False
-        self._init_queued(shed_policy, latency_target, shed_controller)
+        if shed_controller is None:
+            if latency_target is None:
+                latency_target = DEFAULT_LATENCY_TARGET_SECONDS
+            shed_controller = ShedController(shed_policy, latency_target)
+        self._init_queued(shed_controller)
 
     # -- lifecycle ---------------------------------------------------------------
 
