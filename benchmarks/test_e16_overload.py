@@ -57,7 +57,6 @@ def run_with_policy(events, registry, policy, factor=10):
     runner = ThreadedEngineRunner(
         engine,
         max_queue=queue_capacity,
-        shed_policy=policy,
         shed_controller=controller,
     )
     runner.start()

@@ -22,11 +22,10 @@ import pytest
 from common import fresh_events, run_observability, stock_rank_query
 
 from repro import CEPREngine
-from repro.runtime.shard import LocalShard
-from repro.runtime.sharded import ShardedEngineRunner
 from repro.sanitize import disable_sanitizer, enable_sanitizer
 from repro.sanitize.core import refresh_from_env
 from repro.sanitize.locks import TrackedLock
+from tests.runtime.fleet import local_fleet
 
 QUERY = stock_rank_query(window=100, k=5)
 
@@ -76,7 +75,7 @@ class TestStructuralZeroCost:
 
     def test_disabled_sharded_runner_uses_plain_locks(self):
         disable_sanitizer()
-        runner = ShardedEngineRunner(shards=2, shard_type=LocalShard)
+        runner = local_fleet(shards=2)
         assert not isinstance(runner._lock, TrackedLock)
         assert isinstance(runner._lock, type(threading.Lock()))
         runner.register_query(QUERY)

@@ -57,6 +57,7 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 from repro.events.event import Event
+from repro.events.jsonsafe import dumps
 from repro.events.sources import CSVSource, JSONLSource, write_jsonl
 from repro.language.errors import CEPRError
 from repro.observability.instruments import stats_document
@@ -64,7 +65,7 @@ from repro.observability.log import configure_logging, get_logger
 from repro.observability.tracing import trace_document
 from repro.ranking.emission import Emission
 from repro.runtime.engine import CEPREngine
-from repro.runtime.serialize import emission_to_line
+from repro.runtime.serialize import emission_to_json
 from repro.workloads.clickstream import ClickstreamWorkload
 from repro.workloads.generic import GenericWorkload
 from repro.workloads.sensor import VitalsWorkload
@@ -661,7 +662,7 @@ def _runner_config(args: argparse.Namespace, queue: bool = False, **fields):
     """The shared runner flags (plus command-specific ``fields``) as one
     resolved :class:`~repro.runtime.runner.RunnerConfig`; ``queue`` asks
     for an ingest queue in front of a single engine."""
-    from repro.runtime.runner import (
+    from repro.runtime.config import (
         RunnerConfig,
         queue_backed,
         reject_ignored_shards,
@@ -698,27 +699,44 @@ def _install_flightrec(args: argparse.Namespace) -> None:
     )
 
 
-def _make_run_sink(args: argparse.Namespace, out: TextIO):
-    """The run commands' shared sink: JSONL file or stdout rendering."""
-    from repro.runtime.sinks import CallbackSink, JSONLSink
+class _RunOutput:
+    """``cepr run``'s output: one line per emission, naming the query it
+    was delivered to (also when its ranking is empty) — ``[query] ...``
+    as text, or the emission's JSON with a top-level ``"query"``
+    (``--output jsonl``, and the ``--out`` file, opened at its first line)."""
 
-    if args.out is not None:
-        return JSONLSink(args.out, mode="a" if args.resume else "w")
-    return CallbackSink(lambda emission: _render(emission, args.output, out))
+    def __init__(self, args: argparse.Namespace, out: TextIO) -> None:
+        self._args = args
+        self._out: TextIO | None = out if args.out is None else None
+        self.lines = 0
+
+    def write(self, query: str, emission: Emission) -> None:
+        args = self._args
+        if self._out is None:
+            self._out = open(args.out, "a" if args.resume else "w")
+        if args.out is None and args.output == "text":
+            line = f"[{query}] {emission.describe()}"
+        else:
+            line = dumps({"query": query, **emission_to_json(emission)})
+        print(line, file=self._out)
+        self.lines += 1
+
+    def close(self) -> None:
+        if self._args.out is not None and self._out is not None:
+            self._out.close()
 
 
 def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
-    from repro.runtime.sinks import close_sink
     from repro.store.checkpoint import Recovery
 
     config = _runner_config(args)
     recovery = Recovery(args.checkpoint_dir, args.checkpoint_every, args.resume)
     _install_flightrec(args)
-    # The sink is the output: the engine keeps no emission history.
+    # The output is the only sink: the engine keeps no emission history.
     runner = _replay_runner(args, config, collect_results=False)
-    sink = _make_run_sink(args, out)
+    output = _RunOutput(args, out)
     for handle in runner.queries():
-        runner.subscribe(handle.name, sink)
+        runner.subscribe(handle.name, partial(output.write, handle.name))
 
     runner.start()
     try:
@@ -744,12 +762,12 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
         raise
     finally:
         runner.stop()  # no-op after flush() or kill()
-        close_sink(sink)
+        output.close()
     if args.stats:
         _print_stats(runner.stats_by_query(), out, runner.shared_stats())
         _print_sanitizer_stats(runner.sanitizer_trips(), out)
         _print_checkpoint_stats(recovery.store, out)
-    if sink.emissions_accepted == 0 and args.output == "text" and args.out is None:
+    if output.lines == 0 and args.output == "text" and args.out is None:
         print("(no results)", file=out)
     return 0
 
@@ -1194,20 +1212,18 @@ def _trace_replay(args: argparse.Namespace) -> list[dict]:
     from repro.runtime.runner import RunnerConfig
 
     engine = _replay_runner(args, RunnerConfig(tracing=True))
-    names = {handle.name for handle in engine.queries()}
+    names = [handle.name for handle in engine.queries()]
     if args.query is not None and args.query not in names:
         raise ValueError(
             f"--query {args.query!r} does not name a registered query "
             f"(have: {', '.join(sorted(names))})"
         )
 
-    emissions = engine.run(_load_events(args.events))
-    if args.query is not None:
-        emissions = [
-            emission
-            for emission in emissions
-            if emission.ranking and emission.ranking[0].query_name == args.query
-        ]
+    emissions: list[tuple[str, Emission]] = []
+    for name in names:
+        if args.query in (None, name):
+            engine.subscribe(name, lambda e, name=name: emissions.append((name, e)))
+    engine.run(_load_events(args.events))
     if not emissions or args.all:
         targets = emissions
     else:
@@ -1218,7 +1234,7 @@ def _trace_replay(args: argparse.Namespace) -> list[dict]:
                 f"--emission {args.emission} out of range: "
                 f"{len(emissions)} emission(s) were produced"
             ) from None
-    return [trace_document(engine, emission) for emission in targets]
+    return [trace_document(engine, emission, name) for name, emission in targets]
 
 
 def _render_trace(doc: dict, out: TextIO) -> None:
@@ -1277,23 +1293,6 @@ def _cmd_demo(args: argparse.Namespace, out: TextIO) -> int:
     count = write_jsonl(args.out, workload.events(args.events))
     print(f"wrote {count} {args.workload} events to {args.out}", file=out)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# rendering
-# ---------------------------------------------------------------------------
-
-
-def _render(emission: Emission, mode: str, out: TextIO) -> None:
-    if mode == "text":
-        print(_prefix(emission) + emission.describe(), file=out)
-        return
-    print(emission_to_line(emission), file=out)
-
-
-def _prefix(emission: Emission) -> str:
-    query = emission.ranking[0].query_name if emission.ranking else None
-    return f"[{query}] " if query else ""
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -272,6 +272,24 @@ def registry_from_dict(spec: Mapping[str, Mapping[str, Any]]) -> SchemaRegistry:
     return SchemaRegistry(schemas)
 
 
+def encode_registry(registry: SchemaRegistry) -> dict[str, dict[str, Any]]:
+    """Inverse of :func:`registry_from_dict` (every declaration in its
+    object form)."""
+    spec: dict[str, dict[str, Any]] = {}
+    for schema in registry:
+        attrs: dict[str, Any] = {}
+        for attribute in schema.attributes:
+            decl: dict[str, Any] = {
+                "dtype": attribute.dtype,
+                "required": attribute.required,
+            }
+            if attribute.domain is not None:
+                decl["domain"] = [attribute.domain.lo, attribute.domain.hi]
+            attrs[attribute.name] = decl
+        spec[schema.event_type] = attrs
+    return spec
+
+
 def load_registry(path: Any) -> SchemaRegistry:
     """Load a :func:`registry_from_dict`-shaped JSON file."""
     import json

@@ -5,7 +5,8 @@ These sources adapt persisted event logs to :class:`~repro.events.stream.EventSt
 * :class:`CSVSource` — one event per row; a designated column gives the
   event type and another the timestamp, remaining columns become payload.
 * :class:`JSONLSource` — one JSON object per line with ``type``/``timestamp``
-  keys plus payload.
+  keys plus payload (:func:`event_to_line`, which :func:`write_jsonl` and
+  the :class:`~repro.store.log.EventLog` write too).
 * :class:`ReplaySource` — wraps another source and replays it against a
   clock (real or simulated), for live-demo scenarios.
 """
@@ -19,6 +20,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.events.event import Event
+from repro.events.jsonsafe import NONFINITE_KEY, dumps, scrub, unscrub
 from repro.events.stream import EventStream
 
 
@@ -96,11 +98,33 @@ class CSVSource:
         return EventStream(iter(self))
 
 
+def event_to_line(event: Event) -> str:
+    """One event as a strict-JSON line: ``type``, ``timestamp``, then the
+    payload, whose non-finite floats are written as ``null`` and named in
+    a ``"~nf"`` flag field (:mod:`repro.events.jsonsafe`)."""
+    clean, flags = scrub(event.payload)
+    record = {"type": event.event_type, "timestamp": event.timestamp, **clean}
+    if flags:
+        record[NONFINITE_KEY] = flags
+    return dumps(record)
+
+
+def event_from_line(line: str) -> Event:
+    """Inverse of :func:`event_to_line`.
+
+    Raises ``json.JSONDecodeError`` for a line that is not JSON and
+    ``KeyError`` for one without ``type`` or ``timestamp``.
+    """
+    record = json.loads(line)
+    unscrub(record, record.pop(NONFINITE_KEY, {}))
+    return Event(record.pop("type"), float(record.pop("timestamp")), **record)
+
+
 class JSONLSource:
     """Read events from a JSON-lines file.
 
     Each line must be an object with ``"type"`` and ``"timestamp"`` keys;
-    all remaining keys become the payload.
+    all remaining keys become the payload (see :func:`event_from_line`).
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -113,15 +137,12 @@ class JSONLSource:
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
+                    event = event_from_line(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{self.path}:{lineno}: invalid JSON: {exc}") from exc
-                try:
-                    event_type = record.pop("type")
-                    timestamp = float(record.pop("timestamp"))
                 except KeyError as exc:
                     raise ValueError(f"{self.path}:{lineno}: missing key {exc}") from None
-                yield Event(event_type, timestamp, **record)
+                yield event
 
     def stream(self) -> EventStream:
         return EventStream(iter(self))
@@ -132,9 +153,7 @@ def write_jsonl(path: str | Path, events: Iterable[Event]) -> int:
     count = 0
     with Path(path).open("w") as handle:
         for event in events:
-            record = {"type": event.event_type, "timestamp": event.timestamp}
-            record.update(event.payload)
-            handle.write(json.dumps(record) + "\n")
+            handle.write(event_to_line(event) + "\n")
             count += 1
     return count
 

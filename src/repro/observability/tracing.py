@@ -433,14 +433,14 @@ def remote_contexts(emission: "Emission") -> list[dict[str, Any]]:
     return records
 
 
-def trace_document(engine: Any, emission: "Emission") -> dict[str, Any]:
-    """One emission's TRACE document: its provenance (``to_dict``), the
-    client contexts stamped on its events (``remote``) and the rendered
-    provenance (``text``).  ``cepr serve`` answers TRACE with it and
-    ``cepr trace`` prints it, replayed or remote."""
+def trace_document(engine: Any, emission: "Emission", query: str) -> dict[str, Any]:
+    """One emission of ``query``: its TRACE document — its provenance
+    (``to_dict``), the client contexts stamped on its events (``remote``)
+    and the rendered provenance (``text``).  ``cepr serve`` answers TRACE
+    with it and ``cepr trace`` prints it, replayed or remote."""
     import json
 
-    trace = engine.trace(emission)
+    trace = engine.trace(emission, query)
     doc = trace.to_dict()
     doc["remote"] = remote_contexts(emission)
     doc["text"] = trace.describe()

@@ -42,7 +42,7 @@ from repro.ranking.emission import Emission, EmissionKind
 from repro.runtime.engine import CEPREngine
 from repro.runtime.query import RegisteredQuery
 from repro.runtime.shard import QueuedRunner, WorkerLoop
-from repro.runtime.shedding import DEFAULT_LATENCY_TARGET_SECONDS, ShedController
+from repro.runtime.shedding import ShedController
 from repro.runtime.sinks import SinkLike, Subscription
 from repro.sanitize.core import release_affinity
 
@@ -62,18 +62,11 @@ class ThreadedEngineRunner(QueuedRunner):
     batch_size:
         How many queued events the consumer greedily drains into one
         ``push_batch`` call (amortises per-push overhead under load).
-    shed_policy:
-        ``"off"`` (default) or ``"adaptive"`` — see
-        :mod:`repro.runtime.shedding` and docs/SHEDDING.md.  Drops happen
-        on the consumer thread ahead of the engine, whose hot path never
-        sees the controller.
-    latency_target:
-        Ingest-lag budget in seconds the shedding controller steers
-        toward (only meaningful with a policy other than ``"off"``).
     shed_controller:
-        Pre-built :class:`~repro.runtime.shedding.ShedController`
-        override (tests inject forced/engaged controllers); when given,
-        ``shed_policy``/``latency_target`` are ignored.
+        The :class:`~repro.runtime.shedding.ShedController` that decides
+        which events to drop (default: policy ``"off"``, inert) — see
+        docs/SHEDDING.md.  Drops happen on the consumer thread ahead of
+        the engine, whose hot path never sees the controller.
     """
 
     def __init__(
@@ -81,8 +74,6 @@ class ThreadedEngineRunner(QueuedRunner):
         engine: CEPREngine,
         max_queue: int = 10_000,
         batch_size: int = 256,
-        shed_policy: str = "off",
-        latency_target: float | None = None,
         shed_controller: ShedController | None = None,
     ) -> None:
         self.engine = engine
@@ -91,11 +82,9 @@ class ThreadedEngineRunner(QueuedRunner):
         self._loop = WorkerLoop(self._consume_batch, max_queue, batch_size)
         self._started = False
         self._stopped = False
-        if shed_controller is None:
-            if latency_target is None:
-                latency_target = DEFAULT_LATENCY_TARGET_SECONDS
-            shed_controller = ShedController(shed_policy, latency_target)
-        self._init_queued(shed_controller)
+        self._init_queued(
+            ShedController() if shed_controller is None else shed_controller
+        )
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -377,7 +377,7 @@ class CEPREngine(instruments.TelemetryViews):
         if pending:
             emissions = self._deliver(pending, depth)
         if self._flightrec is not None:
-            self._flightrec_tick(event, emissions)
+            self._flightrec_tick(event, pending)
         return emissions
 
     def _deliver(self, pending: list[Delivery], depth: int | None) -> list[Emission]:
@@ -396,7 +396,7 @@ class CEPREngine(instruments.TelemetryViews):
             emissions.extend(self._cascade(derived, depth or 0))
         return emissions
 
-    def _flightrec_tick(self, event: Event, emissions: list[Emission]) -> None:
+    def _flightrec_tick(self, event: Event, delivered: list[Delivery]) -> None:
         """Armed-recorder taps: coarse by design (budgeted overhead).
 
         Per event this is one counter increment; a frame is recorded only
@@ -407,10 +407,10 @@ class CEPREngine(instruments.TelemetryViews):
         recorder = self._flightrec
         assert recorder is not None
         self._flightrec_clock += 1
-        for emission in emissions:
+        for member, emission in delivered:
             recorder.record(
                 "emission",
-                query=emission.ranking[0].query_name if emission.ranking else None,
+                query=member.name,
                 emission_kind=emission.kind.value,
                 seq=emission.at_seq,
                 matches=len(emission.ranking),
@@ -716,16 +716,18 @@ class CEPREngine(instruments.TelemetryViews):
             registered.set_tracer(self.tracer)
         return self.tracer
 
-    def trace(self, emission: Emission) -> EmissionTrace:
+    def trace(self, emission: Emission, query: str | None = None) -> EmissionTrace:
         """Full provenance of one emission this engine produced.
 
+        ``query`` names the query it was delivered to; without it, the
+        query of the emission's first match (none for an empty ranking).
         Works without tracing enabled (match events and rank keys come from
         the emission itself), but the run-lifecycle competition tallies
         need the span history — enable tracing before the run for those.
         """
-        query_name = (
-            emission.ranking[0].query_name if emission.ranking else None
-        )
+        query_name = query
+        if query_name is None and emission.ranking:
+            query_name = emission.ranking[0].query_name
         registered = (
             self._queries.get(query_name) if query_name is not None else None
         )

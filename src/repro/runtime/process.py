@@ -42,12 +42,13 @@ from repro.events.frames import (
     read_frame_from,
 )
 from repro.events.jsonsafe import desanitize, sanitize
-from repro.events.schema import SchemaRegistry
+from repro.events.schema import encode_registry, registry_from_dict
 from repro.language.ast_nodes import Query
 from repro.language.parser import parse_query
 from repro.language.printer import format_query
 from repro.language.semantics import analyze
 from repro.ranking.score import Scorer
+from repro.runtime.config import RunnerConfig
 from repro.runtime.report import ShardReport, decode_report
 from repro.sanitize.locks import tracked_lock
 
@@ -74,23 +75,21 @@ def write_pipe_frame(stream: BinaryIO, doc: dict[str, Any]) -> None:
     stream.flush()
 
 
-def encode_registry(registry: SchemaRegistry | None) -> dict | None:
-    """Inverse of :func:`repro.events.schema.registry_from_dict`."""
-    if registry is None:
-        return None
-    spec: dict[str, dict[str, Any]] = {}
-    for schema in registry:
-        attrs: dict[str, Any] = {}
-        for attribute in schema.attributes:
-            decl: dict[str, Any] = {
-                "dtype": attribute.dtype,
-                "required": attribute.required,
-            }
-            if attribute.domain is not None:
-                decl["domain"] = [attribute.domain.lo, attribute.domain.hi]
-            attrs[attribute.name] = decl
-        spec[schema.event_type] = attrs
-    return spec
+def encode_config(config: RunnerConfig) -> dict[str, Any]:
+    """``config`` as a JSON document, the registry in its dict form."""
+    registry = config.registry
+    return dict(
+        vars(config),
+        registry=None if registry is None else encode_registry(registry),
+    )
+
+
+def decode_config(doc: Mapping[str, Any]) -> RunnerConfig:
+    """Inverse of :func:`encode_config`."""
+    spec = doc["registry"]
+    return RunnerConfig(
+        **dict(doc, registry=None if spec is None else registry_from_dict(spec))
+    )
 
 
 # -- the shard ------------------------------------------------------------------------
@@ -113,22 +112,22 @@ class PipeShard:
 
     def __init__(
         self,
-        registry: SchemaRegistry | None,
-        options: Mapping[str, Any],
+        config: RunnerConfig,
         queries: Mapping[str, str | Query],
+        preassigned: bool,
     ) -> None:
         asts = {
             name: parse_query(query) if isinstance(query, str) else query
             for name, query in queries.items()
         }
         self._scorers = {
-            name: Scorer(analyze(ast, registry).rank_keys)
+            name: Scorer(analyze(ast, config.registry).rank_keys)
             for name, ast in asts.items()
         }
         self._init = {
             "op": "init",
-            "options": dict(options),
-            "registry": encode_registry(registry),
+            "config": encode_config(config),
+            "preassigned": preassigned,
             "queries": {name: format_query(ast) for name, ast in asts.items()},
         }
         self._lock = tracked_lock("process.pipe")

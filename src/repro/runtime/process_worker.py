@@ -6,8 +6,10 @@ the other end of stdin/stdout, hosting one
 (:mod:`repro.runtime.process`) into calls on it:
 
 ``init``
-    Build the shard (schema registry, engine options, queries shipped as
-    canonical CEPR-QL text).  Replies ``ready``.
+    Build the shard (its :class:`~repro.runtime.config.RunnerConfig`
+    with the registry in dict form, whether the coordinator numbers its
+    events, and queries shipped as canonical CEPR-QL text).  Replies
+    ``ready``.
 ``events``
     One-way: decode and ``push_batch`` the batch.  Errors latch (like a
     local shard's event-path failure) and answer every later barrier.
@@ -45,19 +47,9 @@ from typing import Any, BinaryIO
 from repro.engine.snapshot import decode_event
 from repro.events.frames import ConnectionClosed
 from repro.events.jsonsafe import desanitize, sanitize
-from repro.events.schema import registry_from_dict
-from repro.runtime.process import read_pipe_frame, write_pipe_frame
+from repro.runtime.process import decode_config, read_pipe_frame, write_pipe_frame
 from repro.runtime.report import encode_report
 from repro.runtime.shard import LocalShard
-
-
-def _build_shard(doc: dict[str, Any]) -> LocalShard:
-    spec = doc["registry"]
-    return LocalShard(
-        None if spec is None else registry_from_dict(spec),
-        doc["options"],
-        doc["queries"],
-    )
 
 
 def _answer(shard: LocalShard, doc: dict[str, Any]) -> dict[str, Any]:
@@ -117,7 +109,9 @@ def serve(frames_in: BinaryIO, frames_out: BinaryIO) -> int:
             continue
         try:
             if op == "init":
-                shard = _build_shard(doc)
+                shard = LocalShard(
+                    decode_config(doc["config"]), doc["queries"], doc["preassigned"]
+                )
                 reply = {"op": "ready", "pid": os.getpid()}
             else:
                 assert shard is not None

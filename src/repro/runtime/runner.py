@@ -53,7 +53,7 @@ place where backend choice stays a config value instead of a code change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import (
     Any,
     Callable,
@@ -65,13 +65,13 @@ from typing import (
 )
 
 from repro.events.event import Event
-from repro.events.schema import SchemaRegistry
 from repro.language.ast_nodes import Query
 from repro.observability.registry import MetricsRegistry
 from repro.ranking.emission import Emission
 from repro.runtime.concurrent import ThreadedEngineRunner
-from repro.runtime.engine import CEPREngine
+from repro.runtime.config import RunnerConfig, build_engine, resolve
 from repro.runtime.sharded import ShardedEngineRunner
+from repro.runtime.shedding import DEFAULT_LATENCY_TARGET_SECONDS, ShedController
 from repro.runtime.sinks import SinkLike, Subscription
 
 
@@ -175,127 +175,6 @@ class Runner(Protocol):
         ...
 
 
-@dataclass
-class RunnerConfig:
-    """Declarative construction recipe for :func:`create_runner`.
-
-    ``backend`` and ``shards`` may be left ``None``; :func:`resolve`
-    settles them and enforces every backend×option rule (see there).
-    The other fields are shared, with two backend-specific meanings:
-
-    * ``max_queue``/``batch_size`` bound the ingest queue of the
-      queue-backed backends (``threaded``/``process``); ``embedded``
-      has none and ignores them.
-    * ``shed_policy``/``latency_target`` steer ``threaded``'s load
-      shedding (docs/SHEDDING.md).
-
-    Emissions reach callers through per-query subscriptions
-    (``runner.subscribe``), fed synchronously on the caller's thread for
-    ``embedded``, on the consumer thread for ``threaded``, and on the
-    barrier-calling thread for ``process``.
-    """
-
-    backend: str | None = None
-    shards: int | None = None
-    registry: SchemaRegistry | None = None
-    strict_schema: bool = False
-    enable_pruning: bool = True
-    strict_time: bool = False
-    lenient_errors: bool = False
-    max_lateness: float | None = None
-    max_queue: int = 10_000
-    batch_size: int = 256
-    sanitize: bool | None = None
-    shed_policy: str = "off"
-    latency_target: float | None = None
-    tracing: bool | None = None
-
-
-#: Backends that run one engine, hence ignore ``shards``.
-_SINGLE_ENGINE = ("embedded", "threaded")
-#: Worker count of a fleet backend named without ``shards``.
-_DEFAULT_FLEET_SHARDS = 4
-
-
-def _backend_of(config: RunnerConfig) -> str:
-    if config.backend is not None:
-        return config.backend
-    if config.shards is not None and config.shards > 1:
-        return "process"
-    return "embedded"
-
-
-def resolve(config: RunnerConfig) -> RunnerConfig:
-    """``config`` with ``backend`` and ``shards`` settled and checked.
-
-    Every backend×option rule lives here (:func:`create_runner` applies
-    it; front ends call it to fail before doing any work):
-
-    * ``shards``, when given, is at least 1.
-    * Without ``backend``, one shard (or none given) is ``embedded`` and
-      more is ``process``.
-    * The single-engine backends (``embedded``/``threaded``) run one
-      shard whatever ``shards`` says, so one config can sweep all three
-      backends (:func:`reject_ignored_shards` is the strict variant for
-      user input); ``process`` defaults to 4 shards.
-    * Only ``threaded`` sheds load: ``embedded`` has no ingest queue, and
-      ``process`` shards report engine state only at barriers, so both
-      reject a ``shed_policy`` other than ``"off"``.
-    * Tracing is per-engine: the ``process`` merge stage cannot stitch
-      cross-shard traces, so it rejects ``tracing=True``.
-
-    Idempotent: a resolved config resolves to an equal one.
-    """
-    if config.shards is not None and config.shards < 1:
-        raise ValueError(f"shards must be >= 1, got {config.shards}")
-    backend = _backend_of(config)
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown runner backend {backend!r}; "
-            f"expected one of {sorted(_BACKENDS)}"
-        )
-    if backend in _SINGLE_ENGINE:
-        shards = 1
-    else:
-        shards = config.shards or _DEFAULT_FLEET_SHARDS
-    if backend != "threaded" and config.shed_policy != "off":
-        raise ValueError(
-            f"backend {backend!r} does not shed load; "
-            "use backend='threaded' for load shedding"
-        )
-    if config.tracing and backend not in _SINGLE_ENGINE:
-        raise ValueError(
-            f"backend {backend!r} does not support per-emission "
-            "tracing (the merge stage cannot stitch cross-shard traces); "
-            "use backend='embedded' or 'threaded'"
-        )
-    return replace(config, backend=backend, shards=shards)
-
-
-def queue_backed(config: RunnerConfig) -> RunnerConfig:
-    """:func:`resolve`, with the bare ``embedded`` engine upgraded to
-    ``threaded``: for front ends that need an ingest queue between their
-    producers and the engine (the server, the live monitor)."""
-    if _backend_of(config) == "embedded":
-        config = replace(config, backend="threaded")
-    return resolve(config)
-
-
-def reject_ignored_shards(config: RunnerConfig) -> None:
-    """Raise when ``config`` names a single-engine backend *and* more
-    than one shard.
-
-    :func:`resolve` ignores ``shards`` there; a front end that took both
-    values from a user calls this first, because for a user the pair is
-    a contradiction rather than a sweep.
-    """
-    if config.backend in _SINGLE_ENGINE and (config.shards or 1) > 1:
-        raise ValueError(
-            f"backend {config.backend!r} is single-engine; shards="
-            f"{config.shards} needs backend 'process'"
-        )
-
-
 # -- factory ---------------------------------------------------------------------
 
 #: Program forms ``create_runner`` accepts (besides ``None``).
@@ -331,48 +210,24 @@ def _iter_program(
     )
 
 
-def _engine_from(config: RunnerConfig) -> CEPREngine:
-    return CEPREngine(
-        registry=config.registry,
-        strict_schema=config.strict_schema,
-        enable_pruning=config.enable_pruning,
-        strict_time=config.strict_time,
-        lenient_errors=config.lenient_errors,
-        max_lateness=config.max_lateness,
-        tracing=config.tracing,
-        sanitize=config.sanitize,
-    )
-
-
 def _build_threaded(config: RunnerConfig) -> ThreadedEngineRunner:
     return ThreadedEngineRunner(
-        _engine_from(config),
+        build_engine(config),
         max_queue=config.max_queue,
         batch_size=config.batch_size,
-        shed_policy=config.shed_policy,
-        latency_target=config.latency_target,
+        shed_controller=ShedController(
+            config.shed_policy,
+            DEFAULT_LATENCY_TARGET_SECONDS
+            if config.latency_target is None
+            else config.latency_target,
+        ),
     )
 
 
-def _build_fleet(config: RunnerConfig) -> ShardedEngineRunner:
-    return ShardedEngineRunner(
-        shards=config.shards,
-        registry=config.registry,
-        strict_schema=config.strict_schema,
-        enable_pruning=config.enable_pruning,
-        strict_time=config.strict_time,
-        lenient_errors=config.lenient_errors,
-        max_lateness=config.max_lateness,
-        max_queue=config.max_queue,
-        batch_size=config.batch_size,
-        sanitize=config.sanitize,
-    )
-
-
-_BACKENDS: dict[str, Callable[[RunnerConfig], Any]] = {
-    "embedded": _engine_from,
+_BUILDERS: dict[str, Callable[[RunnerConfig], Any]] = {
+    "embedded": build_engine,
     "threaded": _build_threaded,
-    "process": _build_fleet,
+    "process": ShardedEngineRunner,
 }
 
 
@@ -404,7 +259,7 @@ def create_runner(
     raise ``ValueError`` here rather than failing later at runtime.
     """
     config = resolve(replace(config or RunnerConfig(), **overrides))
-    runner = _BACKENDS[config.backend](config)
+    runner = _BUILDERS[config.backend](config)
     for name, query in _iter_program(program):
         runner.register_query(query, name=name)
     return runner

@@ -41,14 +41,13 @@ from functools import partial
 from typing import Any, Callable, Iterable, Mapping, Protocol
 
 from repro.events.event import Event
-from repro.events.schema import SchemaRegistry
 from repro.events.time import PreassignedSequencer
 from repro.language.ast_nodes import Query
 from repro.observability.instruments import RUNNER, SHED, TelemetryViews, bind_table
 from repro.observability.pressure import PressureAssessor, PressureSample
 from repro.observability.registry import MetricsRegistry
 from repro.ranking.emission import Emission
-from repro.runtime.engine import CEPREngine
+from repro.runtime.config import RunnerConfig, build_engine
 from repro.runtime.report import ShardReport
 from repro.runtime.shedding import ShedController, ShedStats
 from repro.sanitize.core import release_affinity
@@ -96,31 +95,27 @@ class Shard(Protocol):
 class LocalShard:
     """A shard that is a :class:`CEPREngine` in this process.
 
-    ``options`` are :class:`CEPREngine` keyword arguments plus
-    ``preassigned`` (the coordinator stamps global sequence numbers);
-    ``queries`` maps names to CEPR-QL text or parsed ASTs.  Each worker
-    process hosts one; a fleet of them in this process is the test double
-    of the merge stage.
+    The engine is built from ``config`` (a fleet shard's recipe); when
+    ``preassigned`` it keeps the global sequence numbers the coordinator
+    stamped instead of numbering events itself.  ``queries`` maps names
+    to CEPR-QL text or parsed ASTs.  Each worker process hosts one; a
+    fleet of them in this process is the test double of the merge stage.
     """
 
     def __init__(
         self,
-        registry: SchemaRegistry | None,
-        options: Mapping[str, Any],
+        config: RunnerConfig,
         queries: Mapping[str, str | Query],
+        preassigned: bool,
     ) -> None:
-        self._recipe = (registry, dict(options), dict(queries))
+        self._recipe = (config, dict(queries), preassigned)
         self.pid = os.getpid()
         self.respawn()
 
     def respawn(self) -> None:
-        registry, options, queries = self._recipe
-        options = dict(options)
-        preassigned = options.pop("preassigned")
-        self.engine = CEPREngine(
-            registry=registry,
-            sequencer=PreassignedSequencer() if preassigned else None,
-            **options,
+        config, queries, preassigned = self._recipe
+        self.engine = build_engine(
+            config, PreassignedSequencer() if preassigned else None
         )
         for name, query in queries.items():
             self.engine.register_query(query, name=name)

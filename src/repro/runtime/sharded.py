@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
+from dataclasses import replace
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
@@ -86,7 +87,6 @@ from repro.engine.snapshot import (
 )
 from repro.engine.windows import EpochTracker
 from repro.events.event import Event
-from repro.events.schema import SchemaRegistry
 from repro.events.time import LatenessBuffer, SequenceAssigner
 from repro.language.analysis.shardability import (
     ShardabilityReport,
@@ -109,6 +109,7 @@ from repro.observability.registry import MetricsRegistry
 from repro.ranking.emission import Emission, EmissionKind
 from repro.ranking.score import Scorer
 from repro.ranking.topk import merge_rankings
+from repro.runtime.config import RunnerConfig, resolve
 from repro.runtime.engine import restore_lateness, snapshot_lateness
 from repro.runtime.metrics import EngineMetrics
 from repro.runtime.report import QueryReport, ShardReport
@@ -130,6 +131,14 @@ def stable_shard(key: tuple[Any, ...], shards: int) -> int:
     per interpreter), which keeps per-shard statistics reproducible.
     """
     return zlib.crc32(repr(key).encode("utf-8", "backslashreplace")) % shards
+
+
+def shard_config(config: RunnerConfig) -> RunnerConfig:
+    """The recipe of a fleet's shard engines: ``config`` minus what the
+    coordinator does for every shard as it numbers events (time-order
+    checks, the lateness buffer) and minus tracing, which the merge
+    stage cannot stitch across shards."""
+    return replace(config, strict_time=False, max_lateness=None, tracing=False)
 
 
 # The shardability decision table lives in the static analyzer
@@ -515,13 +524,16 @@ class ShardedEngineRunner(QueuedRunner):
     identical to a single-engine run (see the module docstring for the
     exactness contract).
 
-    Parameters mirror :class:`~repro.runtime.engine.CEPREngine` where they
-    share names; ``shards`` is the worker count per partition group,
-    ``max_queue`` bounds each shard's ingest queue (``submit`` blocks when
-    the target shard is saturated — backpressure, not unbounded memory),
-    and ``batch_size`` caps how many queued events a shard drains into one
-    ``push_batch`` call.  Subscriptions receive the *merged* emissions on
-    the barrier-calling thread.  ``shard_type`` picks the shard
+    ``config`` is the fleet's recipe, held to :func:`resolve
+    <repro.runtime.config.resolve>`'s rules for ``backend="process"``:
+    ``shards`` is the worker count per partition group, ``max_queue``
+    bounds each shard's ingest queue (``submit`` blocks when the target
+    shard is saturated — backpressure, not unbounded memory), and
+    ``batch_size`` caps how many queued events a shard drains into one
+    ``push_batch`` call.  Each shard's engine is built from the same
+    recipe minus what the coordinator does for every shard (see
+    :func:`shard_config`).  Subscriptions receive the *merged* emissions
+    on the barrier-calling thread.  ``shard_type`` picks the shard
     implementation: :class:`~repro.runtime.process.PipeShard` (one worker
     process per shard, the default — ``create_runner(backend="process")``)
     or :class:`~repro.runtime.shard.LocalShard` (an engine in this
@@ -530,33 +542,10 @@ class ShardedEngineRunner(QueuedRunner):
     """
 
     def __init__(
-        self,
-        shards: int = 4,
-        registry: SchemaRegistry | None = None,
-        strict_schema: bool = False,
-        enable_pruning: bool = True,
-        strict_time: bool = False,
-        lenient_errors: bool = False,
-        max_lateness: float | None = None,
-        max_queue: int = 10_000,
-        batch_size: int = 256,
-        sanitize: bool | None = None,
-        shard_type: type[Shard] = PipeShard,
+        self, config: RunnerConfig, shard_type: type[Shard] = PipeShard
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
+        self.config = config = resolve(replace(config, backend="process"))
         self.shard_type = shard_type
-        self.registry = registry
-        self.strict_schema = strict_schema
-        self.enable_pruning = enable_pruning
-        self.strict_time = strict_time
-        self.lenient_errors = lenient_errors
-        self.max_lateness = max_lateness
-        self.max_queue = max_queue
-        self.batch_size = batch_size
-        #: forwarded to every shard engine (None follows CEPR_SANITIZE).
-        self.sanitize = sanitize
 
         self._views: dict[str, ShardedQuery] = {}
         self._asts: dict[str, Query] = {}
@@ -565,10 +554,9 @@ class ShardedEngineRunner(QueuedRunner):
         self._stopped = False
         self._flushed = False
         self._lock = tracked_lock("sharded.dispatch")
-        self._sequencer = SequenceAssigner(strict=strict_time)
-        self._lateness = (
-            LatenessBuffer(max_lateness) if max_lateness is not None else None
-        )
+        self._sequencer = SequenceAssigner(strict=config.strict_time)
+        lateness = config.max_lateness
+        self._lateness = None if lateness is None else LatenessBuffer(lateness)
         self.metrics = EngineMetrics()
         self._init_queued(ShedController())
 
@@ -578,8 +566,6 @@ class ShardedEngineRunner(QueuedRunner):
         self._solo_types: frozenset[str] = frozenset()
         #: event type -> sharded views whose global-stream point it advances
         self._type_watchers: dict[str, list[ShardedQuery]] = {}
-        #: True when the runner stamps global seqs (any sharded group exists)
-        self._preassign = False
 
     # -- registration -----------------------------------------------------------------
 
@@ -590,7 +576,7 @@ class ShardedEngineRunner(QueuedRunner):
         if self._started:
             raise RuntimeError("cannot register queries after start()")
         ast = parse_query(query) if isinstance(query, str) else query
-        analyzed = analyze(ast, self.registry)
+        analyzed = analyze(ast, self.config.registry)
         resolved = name or ast.name or self._next_auto_name()
         if resolved in self._views:
             raise CEPRSemanticError(
@@ -612,19 +598,10 @@ class ShardedEngineRunner(QueuedRunner):
     # -- lifecycle ---------------------------------------------------------------------
 
     def _new_worker(self, preassigned: bool, views: list[ShardedQuery]) -> _Worker:
-        """Build one shard (engine options + its queries) and its loop."""
-        options = {
-            "preassigned": preassigned,
-            "strict_schema": self.strict_schema,
-            "enable_pruning": self.enable_pruning,
-            "strict_time": False if preassigned else self.strict_time,
-            "lenient_errors": self.lenient_errors,
-            "max_lateness": None if preassigned else self.max_lateness,
-            "sanitize": self.sanitize,
-        }
+        """Build one shard (its engine recipe + its queries) and its loop."""
         queries = {view.name: self._asts[view.name] for view in views}
-        shard = self.shard_type(self.registry, options, queries)
-        worker = _Worker(shard, self.max_queue, self.batch_size)
+        shard = self.shard_type(shard_config(self.config), queries, preassigned)
+        worker = _Worker(shard, self.config.max_queue, self.config.batch_size)
         self._workers.append(worker)
         return worker
 
@@ -633,6 +610,7 @@ class ShardedEngineRunner(QueuedRunner):
             raise RuntimeError("runner already started")
         self._started = True
 
+        shards = self.config.shards
         views = list(self._views.values())
         # YIELD cascades derive events that must re-enter one global
         # engine (and consume global sequence numbers), so any YIELD pins
@@ -642,10 +620,10 @@ class ShardedEngineRunner(QueuedRunner):
         grouped: dict[tuple[str, ...], list[ShardedQuery]] = {}
         for view in views:
             report = view.shardability
-            if self.shards == 1 or any_yield or not report.shardable:
+            if shards == 1 or any_yield or not report.shardable:
                 solo.append(view)
                 # shards == 1 is not a downgrade — solo IS the request.
-                if self.shards > 1:
+                if shards > 1:
                     view.solo_fallback = True
                     if not report.shardable:
                         reasons = "; ".join(
@@ -660,15 +638,15 @@ class ShardedEngineRunner(QueuedRunner):
                         "query %r falls back to a solo engine despite "
                         "--shards %d (%s)",
                         view.name,
-                        self.shards,
+                        shards,
                         reasons,
                     )
             else:
                 grouped.setdefault(view.analyzed.partition_by, []).append(view)
-        self._preassign = bool(grouped)
-
         if solo:
-            self._solo_worker = self._new_worker(self._preassign, solo)
+            # Without a partitioned group the one engine numbers events
+            # itself, so YIELD-derived events take global numbers too.
+            self._solo_worker = self._new_worker(bool(grouped), solo)
             types: set[str] = set()
             for view in solo:
                 view._attach("solo", [self._solo_worker])
@@ -676,9 +654,7 @@ class ShardedEngineRunner(QueuedRunner):
             self._solo_types = frozenset(types)
 
         for attributes, members in grouped.items():
-            workers = [
-                self._new_worker(True, members) for _ in range(self.shards)
-            ]
+            workers = [self._new_worker(True, members) for _ in range(shards)]
             group = _Group(attributes, workers)
             types = set()
             for view in members:
@@ -769,7 +745,7 @@ class ShardedEngineRunner(QueuedRunner):
         with self._lock:
             self._barrier()
             return {
-                "shards": self.shards,
+                "shards": self.config.shards,
                 "sequencer": self._sequencer.snapshot(),
                 "lateness": (
                     None
@@ -806,10 +782,10 @@ class ShardedEngineRunner(QueuedRunner):
         if self._stopped or self._flushed:
             raise RuntimeError("runner is stopped")
         with restoring("fleet"):
-            if int(state["shards"]) != self.shards:
+            if int(state["shards"]) != self.config.shards:
                 raise SnapshotFormatError(
                     f"shard count mismatch: snapshot has {state['shards']}, "
-                    f"runner has {self.shards}"
+                    f"runner has {self.config.shards}"
                 )
             missing = sorted(set(state["views"]) - set(self._views))
             extra = sorted(set(self._views) - set(state["views"]))
@@ -864,8 +840,9 @@ class ShardedEngineRunner(QueuedRunner):
         if self._stopped or self._flushed:
             raise RuntimeError("runner is stopped")
         self._check_failures()
-        if self.registry is not None:
-            self.registry.validate(event, strict=self.strict_schema)
+        registry = self.config.registry
+        if registry is not None:
+            registry.validate(event, strict=self.config.strict_schema)
         with self._lock:
             if self._lateness is not None:
                 for released in self._lateness.push(event):
@@ -875,8 +852,9 @@ class ShardedEngineRunner(QueuedRunner):
             self.events_submitted += 1
 
     def _ingest(self, event: Event, timeout: float | None = None) -> None:
-        if self._preassign:
-            self._sequencer.assign(event)
+        # Numbering checks time order for every shard; an all-solo
+        # deployment's engine then renumbers (see start()).
+        self._sequencer.assign(event)
         self._note_submitted(event.timestamp)
         self.metrics.on_push(event.timestamp)
         for view in self._type_watchers.get(event.event_type, ()):
@@ -888,7 +866,7 @@ class ShardedEngineRunner(QueuedRunner):
         """The workers ``event`` is dispatched to."""
         event_type = event.event_type
         if self._solo_worker is not None and (
-            not self._preassign or event_type in self._solo_types
+            not self._groups or event_type in self._solo_types
         ):
             yield self._solo_worker
         for group in self._groups:
@@ -908,7 +886,7 @@ class ShardedEngineRunner(QueuedRunner):
     @property
     def queue_capacity(self) -> int:
         """Combined ingest-queue capacity across all shards."""
-        return self.max_queue * len(self._workers)
+        return self.config.max_queue * len(self._workers)
 
     @property
     def queue_high_water(self) -> int:
@@ -924,7 +902,7 @@ class ShardedEngineRunner(QueuedRunner):
     @property
     def effective_shards(self) -> int:
         """Shards actually running partitioned fleets (1 if none)."""
-        return self.shards if self._groups else 1
+        return self.config.shards if self._groups else 1
 
     def _check_failures(self) -> None:
         for worker in self._workers:

@@ -43,7 +43,8 @@ from repro.observability.instruments import SERVE, bind_table, stats_document
 from repro.observability.log import get_logger
 from repro.observability.tracing import trace_document
 from repro.runtime.metrics import LatencyRecorder
-from repro.runtime.runner import RunnerConfig, create_runner, queue_backed
+from repro.runtime.config import queue_backed
+from repro.runtime.runner import RunnerConfig, create_runner
 from repro.runtime.serialize import event_from_json
 from repro.serve.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -868,7 +869,7 @@ class CEPRServer:
                 f"query {name!r} has {len(emissions)} emission(s); "
                 f"index {index} is out of range",
             )
-        return trace_document(engine, emissions[index])
+        return trace_document(engine, emissions[index], name)
 
     async def _op_bye(self, connection: _Connection, frame: dict) -> bool:
         await connection.finish(ack_frame(frame))

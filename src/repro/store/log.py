@@ -37,13 +37,12 @@ timestamps that regress — is not a torn write and still raises
 from __future__ import annotations
 
 import bisect
-import json
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.events.event import Event
-from repro.events.jsonsafe import NONFINITE_KEY, dumps, scrub, unscrub
+from repro.events.sources import event_from_line, event_to_line
 from repro.observability.instruments import STORE, bind_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,26 +53,11 @@ class LogCorruptError(ValueError):
     """Raised when a log line cannot be decoded as an event."""
 
 
-def _encode(event: Event) -> str:
-    clean, flags = scrub(event.payload)
-    record = {"type": event.event_type, "timestamp": event.timestamp}
-    record.update(clean)
-    if flags:
-        record[NONFINITE_KEY] = flags
-    return dumps(record)
-
-
 def _decode(line: str, lineno: int, path: Path) -> Event:
     try:
-        record = json.loads(line)
-        flags = record.pop(NONFINITE_KEY, None)
-        if flags is not None:
-            unscrub(record, flags)
-        event_type = record.pop("type")
-        timestamp = float(record.pop("timestamp"))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        return event_from_line(line)
+    except (KeyError, TypeError, ValueError) as exc:
         raise LogCorruptError(f"{path}:{lineno}: bad event record: {exc}") from exc
-    return Event(event_type, timestamp, **record)
 
 
 class EventLog:
@@ -136,7 +120,7 @@ class EventLog:
             self._index_ts.append(event.timestamp)
             self._index_offset.append(self._append_handle.tell())
             self._index_lineno.append(self._line_count + 1)
-        self._append_handle.write(_encode(event) + "\n")
+        self._append_handle.write(event_to_line(event) + "\n")
         if self.first_timestamp is None:
             self.first_timestamp = event.timestamp
         self.last_timestamp = event.timestamp

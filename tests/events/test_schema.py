@@ -9,6 +9,8 @@ from repro.events.schema import (
     EventSchema,
     SchemaError,
     SchemaRegistry,
+    encode_registry,
+    registry_from_dict,
 )
 
 
@@ -145,3 +147,31 @@ class TestSchemaRegistry:
     def test_iteration(self):
         types = {schema.event_type for schema in self.make_registry()}
         assert types == {"A", "B"}
+
+
+class TestRegistryDictForm:
+    def test_encode_registry_round_trips(self):
+        registry = SchemaRegistry(
+            [
+                EventSchema(
+                    "Buy",
+                    (
+                        AttributeSpec("symbol", "str"),
+                        AttributeSpec("price", "float", Domain(0.5, 1e4)),
+                        AttributeSpec("volume", "int", Domain(1, 1000)),
+                        AttributeSpec("note", "str", required=False),
+                    ),
+                ),
+                EventSchema("Tick", (AttributeSpec("halted", "bool", required=False),)),
+                EventSchema("Empty", ()),
+            ]
+        )
+        spec = encode_registry(registry)
+        assert spec["Buy"]["price"] == {
+            "dtype": "float",
+            "required": True,
+            "domain": [0.5, 1e4],
+        }
+        assert spec["Buy"]["note"] == {"dtype": "str", "required": False}
+        assert list(registry_from_dict(spec)) == list(registry)
+        assert encode_registry(registry_from_dict(spec)) == spec

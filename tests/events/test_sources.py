@@ -1,9 +1,13 @@
 """Unit tests for CSV/JSONL sources and replay."""
 
+import json
+import math
+
 import pytest
 
 from repro.events.event import Event
 from repro.events.sources import CSVSource, JSONLSource, ReplaySource, write_jsonl
+from repro.store.log import EventLog
 
 
 class TestCSVSource:
@@ -76,6 +80,36 @@ class TestJSONLSource:
         path.write_text('{"timestamp": 1.0}\n')
         with pytest.raises(ValueError, match="missing key"):
             list(JSONLSource(path))
+
+
+def _refuse(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+def _write_log(path, events):
+    with EventLog(path) as log:
+        log.append_all(events)
+
+
+class TestNonFiniteRoundTrip:
+    """The ``cepr demo`` files and the event log write one line format,
+    which ``JSONLSource`` (``cepr run --events``) reads back exactly."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize(
+        "write", [write_jsonl, _write_log], ids=["write_jsonl", "EventLog"]
+    )
+    def test_written_lines_are_strict_json_and_read_back(self, tmp_path, value, write):
+        path = tmp_path / "events.jsonl"
+        write(path, [Event("S", 1.0, v=value, w=2)])
+        # a parser that refuses the NaN/Infinity tokens strict parsers reject
+        for line in path.read_text().splitlines():
+            json.loads(line, parse_constant=_refuse)
+        [event] = list(JSONLSource(path))
+        assert event.payload.keys() == {"v", "w"}
+        assert event["w"] == 2
+        restored = event["v"]
+        assert math.isnan(restored) if math.isnan(value) else restored == value
 
 
 class TestReplaySource:

@@ -25,8 +25,7 @@ from repro import CEPREngine, Event
 from repro.observability.flightrec import FlightRecorder
 from repro.observability.pressure import PressureSample, merge_samples
 from repro.runtime.metrics import LatencyRecorder
-from repro.runtime.shard import LocalShard
-from repro.runtime.sharded import ShardedEngineRunner
+from tests.runtime.fleet import local_fleet
 
 SHARD_COUNTS = (1, 2, 4, 8)
 
@@ -165,7 +164,7 @@ def run_both(specs, shards):
         engine.push(event)
     engine.flush()
 
-    runner = ShardedEngineRunner(shards=shards, shard_type=LocalShard)
+    runner = local_fleet(shards=shards)
     runner.register_query(QUERY)
     runner.start()
     try:
@@ -300,7 +299,7 @@ def assert_alert_fleet_sums(events, shards):
         engine.push(event)
     engine.flush()
 
-    runner = ShardedEngineRunner(shards=shards, shard_type=LocalShard)
+    runner = local_fleet(shards=shards)
     for name, text in ALERTS.items():
         runner.register_query(text, name=name)
     runner.start()

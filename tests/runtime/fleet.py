@@ -12,18 +12,18 @@ DOUBLE = "double"
 
 
 def local_fleet(
-    program: dict[str, str | Query], shards: int = 2, **config
+    program: dict[str, str | Query] | None = None, shards: int = 2, **config
 ) -> ShardedEngineRunner:
     """The process fleet's coordinator and merge stage over
-    :class:`LocalShard` engines in this process, with ``program``
-    registered; ``config`` are ``RunnerConfig`` fields."""
+    :class:`LocalShard` engines in this process, with ``program`` (if
+    any) registered; ``config`` are ``RunnerConfig`` fields."""
     return create_test_runner(
         program, RunnerConfig(backend=DOUBLE, shards=shards, **config)
     )
 
 
 def create_test_runner(
-    program: str | dict[str, str | Query], config: RunnerConfig
+    program: str | dict[str, str | Query] | None, config: RunnerConfig
 ) -> Runner:
     """:func:`create_runner`, but for ``backend=DOUBLE`` the double: the
     ``process`` backend's fleet, built by ``create_runner`` itself (so the

@@ -5,7 +5,13 @@ import json
 
 import pytest
 
+from repro import CEPREngine, Event
 from repro.cli import main
+from repro.events.sources import JSONLSource, write_jsonl
+from repro.observability.flightrec import (
+    install_flight_recorder,
+    uninstall_flight_recorder,
+)
 
 QUERY = """
 PATTERN SEQ(Buy b, Sell s)
@@ -427,3 +433,77 @@ class TestStartupDiagnostics:
         )
         assert code == 0
         assert capsys.readouterr().err == ""
+
+
+class TestEmptyRankingIsNamed:
+    """An emission whose ranking is empty still belongs to a query: the
+    name comes from the subscription, not from the ranking's first match."""
+
+    QA = "PATTERN SEQ(A a) WITHIN 3 EVENTS RANK BY a.x DESC LIMIT 2 EMIT EAGER"
+    QB = (
+        "PATTERN SEQ(A a) WHERE a.x > 100 WITHIN 3 EVENTS "
+        "RANK BY a.x DESC LIMIT 2 EMIT EAGER"
+    )
+
+    @pytest.fixture
+    def setup(self, tmp_path):
+        qa, qb = tmp_path / "qa.ceprql", tmp_path / "qb.ceprql"
+        qa.write_text(self.QA)
+        qb.write_text(self.QB)
+        xs = [5, None, 2, 3, 4, 200, 1, 1, 1, 1]
+        events = [
+            Event("B", float(t)) if x is None else Event("A", float(t), x=x)
+            for t, x in enumerate(xs)
+        ]
+        path = tmp_path / "events.jsonl"
+        write_jsonl(path, events)
+        return str(qa), str(qb), str(path)
+
+    def test_run_names_every_line(self, setup, tmp_path):
+        qa, qb, events = setup
+        code, text = run_cli("run", qa, qb, "--events", events)
+        assert code == 0
+        headers = [line for line in text.splitlines() if not line.startswith(" ")]
+        assert headers and all(h.startswith(("[qa] ", "[qb] ")) for h in headers)
+        assert "[qb] [eager rev=2 t=8]" in headers
+
+        out = tmp_path / "out.jsonl"
+        for argv in (("--output", "jsonl"), ("--out", str(out))):
+            code, stdout = run_cli("run", qa, qb, "--events", events, *argv)
+            assert code == 0
+            text = out.read_text() if "--out" in argv else stdout
+            records = [json.loads(line) for line in text.strip().splitlines()]
+            assert {record["query"] for record in records} == {"qa", "qb"}
+            emptied = [r for r in records if r["query"] == "qb" and not r["ranking"]]
+            assert [(r["kind"], r["revision"], r["at_ts"]) for r in emptied] == [
+                ("eager", 2, 8.0)
+            ]
+            for record in records:
+                for match in record["ranking"]:
+                    assert match["query"] == record["query"]
+
+    def test_trace_keeps_the_empty_emission(self, setup):
+        qa, qb, events = setup
+        code, output = run_cli(
+            "trace", qa, qb, "--events", events, "--query", "qb", "--all", "--json"
+        )
+        assert code == 0
+        docs = json.loads(output)
+        assert [doc["query"] for doc in docs] == ["qb", "qb"]
+        assert [len(doc["matches"]) for doc in docs] == [1, 0]
+
+    def test_flight_recorder_names_the_query(self, setup):
+        _, _, events = setup
+        recorder = install_flight_recorder()
+        try:
+            engine = CEPREngine()
+            engine.register_query(self.QA, name="qa")
+            engine.register_query(self.QB, name="qb")
+            engine.run(JSONLSource(events), flush=False)
+        finally:
+            uninstall_flight_recorder()
+        frames = [e for e in recorder.entries() if e["kind"] == "emission"]
+        assert frames and all(frame["query"] in ("qa", "qb") for frame in frames)
+        assert {"query": "qb", "matches": 0} in [
+            {"query": f["query"], "matches": f["matches"]} for f in frames
+        ]

@@ -19,12 +19,11 @@ import pytest
 from hypothesis import given, settings
 
 from repro import CEPREngine
-from repro.runtime.shard import LocalShard
-from repro.runtime.sharded import ShardedEngineRunner
 from repro.store.checkpoint import CheckpointStore, Position
 from repro.workloads.clickstream import ClickstreamWorkload
 from repro.workloads.sensor import VitalsWorkload
 from repro.workloads.stock import StockWorkload
+from tests.runtime.fleet import local_fleet
 from tests.runtime.test_sharded_differential import (
     COUNT_TUMBLING,
     PASSTHROUGH,
@@ -119,7 +118,7 @@ def crash_resume_sharded(workload_name, shards, cut, tmp_path, seed=11):
     _, queries = WORKLOADS[workload_name]
     events = make_events(workload_name, seed)
 
-    runner = ShardedEngineRunner(shards=shards, shard_type=LocalShard)
+    runner = local_fleet(shards=shards)
     views = [runner.register_query(q) for q in queries]
     runner.start()
     for event in events[:cut]:
@@ -129,7 +128,7 @@ def crash_resume_sharded(workload_name, shards, cut, tmp_path, seed=11):
     prefix = {v.name: [emission_fp(e) for e in v.results()] for v in views}
     runner.kill()
 
-    revived = ShardedEngineRunner(shards=shards, shard_type=LocalShard)
+    revived = local_fleet(shards=shards)
     views = [revived.register_query(q) for q in queries]
     revived.start()
     revived.restore(checkpoint.state)
@@ -166,13 +165,13 @@ class TestShardedRunner:
     def test_restore_rejects_mismatched_fleet(self, tmp_path):
         from repro.engine.snapshot import SnapshotFormatError
 
-        runner = ShardedEngineRunner(shards=2, shard_type=LocalShard)
+        runner = local_fleet(shards=2)
         runner.register_query(COUNT_TUMBLING)
         runner.start()
         state = runner.snapshot()
         runner.kill()
 
-        other = ShardedEngineRunner(shards=4, shard_type=LocalShard)
+        other = local_fleet(shards=4)
         other.register_query(COUNT_TUMBLING)
         other.start()
         try:

@@ -28,7 +28,7 @@ from repro.runtime import (
 )
 from repro.runtime.engine import CEPREngine
 from repro.runtime.process import PipeShard
-from repro.runtime.runner import queue_backed, reject_ignored_shards, resolve
+from repro.runtime.config import queue_backed, reject_ignored_shards, resolve
 from repro.runtime.serialize import emission_to_line
 from repro.runtime.shard import LocalShard
 from repro.workloads.stock import StockWorkload
@@ -74,7 +74,7 @@ class TestFactory:
 
     def test_process_backend_is_the_sharded_runner_over_pipe_shards(self):
         assert create_runner(PROFITS, backend="process").shard_type is PipeShard
-        assert ShardedEngineRunner().shard_type is PipeShard
+        assert ShardedEngineRunner(RunnerConfig()).shard_type is PipeShard
 
     @pytest.mark.parametrize("backend", sorted(BACKEND_TYPES))
     def test_every_backend_satisfies_the_protocol(self, backend):
@@ -125,12 +125,12 @@ class TestOverrides:
     def test_keyword_overrides_build_the_config(self):
         runner = create_runner(backend="process", shards=2)
         assert isinstance(runner, ShardedEngineRunner)
-        assert runner.shards == 2
+        assert runner.config.shards == 2
 
     def test_overrides_layer_on_top_of_config(self):
         config = RunnerConfig(backend="process", shards=4)
         runner = create_runner(config=config, shards=8)
-        assert runner.shards == 8
+        assert runner.config.shards == 8
         assert config.shards == 4, "the caller's config must not mutate"
 
     def test_unknown_override_raises_type_error(self):
@@ -203,7 +203,7 @@ class TestRules:
         runner = create_runner(PROFITS, **fields)
         assert type(runner) is BACKEND_TYPES[backend]
         if isinstance(runner, ShardedEngineRunner):
-            assert runner.shards == shards
+            assert runner.config.shards == shards
 
     def test_shards_without_backend_builds_a_fleet(self):
         """``shards`` alone picks the fleet, and the fleet answers exactly
@@ -220,7 +220,7 @@ class TestRules:
 
         fleet = create_runner(query, shards=2)
         assert type(fleet) is ShardedEngineRunner
-        assert fleet.shards == 2 and fleet.shard_type is PipeShard
+        assert fleet.config.shards == 2 and fleet.shard_type is PipeShard
         expected = lines(create_runner(query))
         assert expected, "the workload must emit for the test to bite"
         assert lines(fleet) == expected
@@ -277,8 +277,8 @@ class TestDirectConstruction:
         "build",
         [
             lambda: ThreadedEngineRunner(CEPREngine()),
-            lambda: ShardedEngineRunner(shards=2),
-            lambda: ShardedEngineRunner(shards=2, shard_type=LocalShard),
+            lambda: ShardedEngineRunner(RunnerConfig(shards=2)),
+            lambda: ShardedEngineRunner(RunnerConfig(shards=2), LocalShard),
         ],
     )
     def test_direct_construction_is_silent_and_a_runner(self, build):
@@ -288,10 +288,20 @@ class TestDirectConstruction:
         assert isinstance(runner, Runner)
 
     def test_direct_fleet_takes_no_shedding_options(self):
-        """Only ``threaded`` sheds; a fleet built directly has no knob."""
-        for option in ("shed_policy", "latency_target", "shed_controller"):
-            with pytest.raises(TypeError, match=option):
-                ShardedEngineRunner(shards=2, shard_type=LocalShard, **{option: None})
+        """Only ``threaded`` sheds: a fleet built directly refuses a
+        shedding config the way ``resolve`` does, and takes no controller."""
+        with pytest.raises(ValueError, match="does not shed load"):
+            ShardedEngineRunner(RunnerConfig(shed_policy="adaptive"), LocalShard)
+        with pytest.raises(TypeError, match="shed_controller"):
+            ShardedEngineRunner(RunnerConfig(), LocalShard, shed_controller=None)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [({"tracing": True}, "tracing"), ({"shards": 0}, "shards must be >= 1")],
+    )
+    def test_direct_fleet_is_held_to_the_process_rules(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ShardedEngineRunner(RunnerConfig(**fields), LocalShard)
 
     @pytest.mark.parametrize("backend", sorted(BACKEND_TYPES))
     def test_factory_construction_is_silent(self, backend):
@@ -392,7 +402,7 @@ class TestShardedFleetGolden:
             return collected
 
         expected = lines(create_runner(doc["program"]), events)
-        fleet = ShardedEngineRunner(shards=doc["shards"], shard_type=shard_type)
+        fleet = ShardedEngineRunner(RunnerConfig(shards=doc["shards"]), shard_type)
         for name, query in doc["program"].items():
             fleet.register_query(query, name=name)
         resumed = lines(fleet, events[doc["cut"] :], doc["snapshot"])

@@ -18,20 +18,13 @@ from repro.ranking.emission import Emission, EmissionKind
 from repro.runtime.process import PipeShard
 from repro.runtime.report import ShardReport, encode_report
 from repro.runtime.shard import LocalShard
-from repro.runtime.sharded import ShardedEngineRunner
+from repro.runtime.runner import RunnerConfig
+from repro.runtime.sharded import ShardedEngineRunner, shard_config
 from repro.workloads.stock import StockWorkload
 
 SHARD_TYPES = [LocalShard, PipeShard]
 
-OPTIONS = {
-    "preassigned": True,
-    "strict_schema": False,
-    "enable_pruning": True,
-    "strict_time": False,
-    "lenient_errors": False,
-    "max_lateness": None,
-    "sanitize": None,
-}
+CONFIG = shard_config(RunnerConfig())
 
 QUERIES = {
     "best": """
@@ -62,7 +55,7 @@ def stream(count=600):
 
 
 def build(shard_type, queries=QUERIES):
-    return shard_type(None, OPTIONS, queries)
+    return shard_type(CONFIG, queries, preassigned=True)
 
 
 #: series that measure wall-clock time, not what happened.
@@ -256,7 +249,7 @@ class TestFailureSurface:
         """Behind its loop, either shard fails the same way: the event
         path never raises into ``submit``'s caller mid-batch, the next
         barrier does, and ``restore`` revives the fleet."""
-        runner = ShardedEngineRunner(shards=2, shard_type=shard_type)
+        runner = ShardedEngineRunner(RunnerConfig(shards=2), shard_type)
         view = runner.register_query(POISON)
         runner.start()
         try:

@@ -16,10 +16,10 @@ of their raw values.
 import pytest
 
 from repro import CEPREngine, Event
-from repro.runtime.shard import LocalShard
-from repro.runtime.sharded import ShardedEngineRunner, stable_shard
+from repro.runtime.sharded import stable_shard
 from repro.workloads.generic import GenericWorkload
 from repro.workloads.stock import StockWorkload
+from tests.runtime.fleet import local_fleet
 
 SHARD_COUNTS = [1, 2, 4]
 
@@ -86,7 +86,7 @@ def run_single(queries, make_events, heartbeat_every=None, **engine_kwargs):
 
 
 def run_sharded(queries, make_events, shards, heartbeat_every=None, **runner_kwargs):
-    runner = ShardedEngineRunner(shards=shards, shard_type=LocalShard, **runner_kwargs)
+    runner = local_fleet(shards=shards, **runner_kwargs)
     views = [runner.register_query(q) for q in queries]
     runner.start()
     drive(runner.submit, runner.advance_time, runner.flush, make_events(), heartbeat_every)
@@ -243,7 +243,7 @@ class TestGenericWorkload:
 
 class TestPlacement:
     def test_unpartitioned_query_falls_back_to_one_shard(self):
-        runner = ShardedEngineRunner(shards=4, shard_type=LocalShard)
+        runner = local_fleet(shards=4)
         view = runner.register_query(SOLO_GLOBAL)
         runner.start()
         assert view.mode == "solo"
@@ -252,7 +252,7 @@ class TestPlacement:
         runner.stop()
 
     def test_yield_pins_all_queries_to_solo(self):
-        runner = ShardedEngineRunner(shards=4, shard_type=LocalShard)
+        runner = local_fleet(shards=4)
         yielding = runner.register_query(
             "PATTERN SEQ(Buy b, Sell s) WHERE b.symbol == s.symbol "
             "PARTITION BY symbol YIELD Pair(symbol=b.symbol)"
@@ -296,7 +296,7 @@ class TestPlacement:
         assert views[0].mode == "sharded-tumbling"
 
     def test_partitioned_tumbling_gets_full_fleet(self):
-        runner = ShardedEngineRunner(shards=4, shard_type=LocalShard)
+        runner = local_fleet(shards=4)
         view = runner.register_query(COUNT_TUMBLING)
         runner.start()
         assert view.mode == "sharded-tumbling"
@@ -335,7 +335,7 @@ class TestFleetIntrospection:
     def test_subscriber_sees_merged_stream_in_order(self):
         received = []
         make = lambda: StockWorkload(seed=31).events(800)
-        runner = ShardedEngineRunner(shards=4, shard_type=LocalShard)
+        runner = local_fleet(shards=4)
         view = runner.register_query(COUNT_TUMBLING)
         runner.subscribe(view.name, received.append)
         runner.start()

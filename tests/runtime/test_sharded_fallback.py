@@ -10,8 +10,7 @@ import logging
 
 import pytest
 
-from repro.runtime.shard import LocalShard
-from repro.runtime.sharded import ShardedEngineRunner
+from tests.runtime.fleet import local_fleet
 
 PARTITIONED_TUMBLING = (
     "NAME fleet PATTERN SEQ(Buy a, Sell b) WHERE a.symbol == b.symbol "
@@ -25,7 +24,7 @@ UNPARTITIONED = (
 
 class TestSoloFallback:
     def test_fallback_logs_blocker_and_counts(self, caplog):
-        runner = ShardedEngineRunner(shards=4, shard_type=LocalShard)
+        runner = local_fleet(shards=4)
         runner.register_query(UNPARTITIONED)
         with caplog.at_level(logging.WARNING, logger="repro.runtime.sharded"):
             runner.start()
@@ -39,7 +38,7 @@ class TestSoloFallback:
         assert runner.stats_by_query()["solo_q"]["solo_fallback"] == 1.0
 
     def test_shardable_query_does_not_warn(self, caplog):
-        runner = ShardedEngineRunner(shards=4, shard_type=LocalShard)
+        runner = local_fleet(shards=4)
         runner.register_query(PARTITIONED_TUMBLING)
         with caplog.at_level(logging.WARNING, logger="repro.runtime.sharded"):
             runner.start()
@@ -51,7 +50,7 @@ class TestSoloFallback:
     def test_single_shard_is_not_a_fallback(self, caplog):
         # shards=1 means the caller never asked for parallelism; running
         # solo is the plan, not a degradation.
-        runner = ShardedEngineRunner(shards=1, shard_type=LocalShard)
+        runner = local_fleet(shards=1)
         runner.register_query(UNPARTITIONED)
         with caplog.at_level(logging.WARNING, logger="repro.runtime.sharded"):
             runner.start()
@@ -61,7 +60,7 @@ class TestSoloFallback:
         assert runner.stats_by_query()["solo_q"]["solo_fallback"] == 0.0
 
     def test_yield_deployment_pin_reports_cepr405(self, caplog):
-        runner = ShardedEngineRunner(shards=4, shard_type=LocalShard)
+        runner = local_fleet(shards=4)
         runner.register_query(
             "NAME pair PATTERN SEQ(Buy b, Sell s) WHERE b.symbol == s.symbol "
             "PARTITION BY symbol YIELD Pair(symbol = b.symbol)"
@@ -81,7 +80,7 @@ class TestSoloFallback:
         assert stats["fleet"]["solo_fallback"] == 1.0
 
     def test_shardability_report_exposed_on_view(self):
-        runner = ShardedEngineRunner(shards=2, shard_type=LocalShard)
+        runner = local_fleet(shards=2)
         view = runner.register_query(UNPARTITIONED)
         assert not view.shardability.shardable
         assert [d.code for d in view.shardability.blockers] == ["CEPR401"]

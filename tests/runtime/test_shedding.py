@@ -267,9 +267,7 @@ class TestRunnerIntegration:
         controller.drop_rate = 0.9
         engine = CEPREngine(registry=workload.registry())
         handle = engine.register_query(GENERIC_QUERY)
-        runner = ThreadedEngineRunner(
-            engine, shed_policy="adaptive", shed_controller=controller
-        )
+        runner = ThreadedEngineRunner(engine, shed_controller=controller)
         runner.start()
         try:
             for event in workload.events(1000):

@@ -6,8 +6,8 @@ from repro import CEPREngine, Event
 from repro.ranking.emission import Emission, EmissionKind
 from repro.runtime.monitor import Monitor
 from repro.runtime.router import EventRouter
-from repro.runtime.shard import LocalShard
 from repro.runtime.sinks import CallbackSink, CollectorSink, PrintSink
+from tests.runtime.fleet import local_fleet
 
 
 def E(t, ts, **attrs):
@@ -163,9 +163,8 @@ class TestMonitor:
         assert "partition_skips=1" in text
 
     def test_render_sharded_runner_shows_shard_block(self):
-        from repro.runtime.sharded import ShardedEngineRunner
 
-        runner = ShardedEngineRunner(shards=2, shard_type=LocalShard)
+        runner = local_fleet(shards=2)
         runner.register_query(
             "NAME spread PATTERN SEQ(A a, B b) WITHIN 4 EVENTS "
             "PARTITION BY part RANK BY b.x DESC LIMIT 2 EMIT ON WINDOW CLOSE"
@@ -185,9 +184,8 @@ class TestMonitor:
         assert "shards=2" in text
 
     def test_render_solo_fallback_flagged(self):
-        from repro.runtime.sharded import ShardedEngineRunner
 
-        runner = ShardedEngineRunner(shards=2, shard_type=LocalShard)
+        runner = local_fleet(shards=2)
         runner.register_query(  # no PARTITION BY: must fall back to solo
             "NAME global PATTERN SEQ(A a, B b) WITHIN 4 EVENTS "
             "RANK BY b.x DESC LIMIT 2 EMIT ON WINDOW CLOSE"
@@ -246,9 +244,8 @@ class TestMonitorTelemetry:
         assert "[ok]" in text or "[overloaded]" in text
 
     def test_sharded_runner_header_shows_pressure(self):
-        from repro.runtime.sharded import ShardedEngineRunner
 
-        runner = ShardedEngineRunner(shards=2, shard_type=LocalShard)
+        runner = local_fleet(shards=2)
         runner.register_query(
             "NAME spread PATTERN SEQ(A a, B b) WITHIN 4 EVENTS "
             "PARTITION BY part RANK BY b.x DESC LIMIT 2 EMIT ON WINDOW CLOSE"

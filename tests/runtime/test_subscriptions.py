@@ -5,8 +5,6 @@ import pytest
 from repro import CEPREngine, Event
 from repro.ranking.emission import EmissionKind
 from repro.runtime.concurrent import ThreadedEngineRunner
-from repro.runtime.shard import LocalShard
-from repro.runtime.sharded import ShardedEngineRunner
 from repro.runtime.sinks import (
     BaseSink,
     CallbackSink,
@@ -14,6 +12,7 @@ from repro.runtime.sinks import (
     Subscription,
     normalize_kinds,
 )
+from tests.runtime.fleet import local_fleet
 
 EVERY = """
     PATTERN SEQ(A a)
@@ -227,7 +226,7 @@ class TestRunnerSubscriptions:
         assert len(seen) == 2  # stop() flushed: one FINAL emission more
 
     def test_sharded_view_subscribe(self):
-        runner = ShardedEngineRunner(shards=2, shard_type=LocalShard)
+        runner = local_fleet(shards=2)
         view = runner.register_query(PARTITIONED)
         seen = []
         view.subscribe(seen.append)
@@ -245,7 +244,7 @@ class TestRunnerSubscriptions:
         assert all(e.ranking for e in seen)
 
     def test_sharded_runner_subscribe_by_name(self):
-        runner = ShardedEngineRunner(shards=2, shard_type=LocalShard)
+        runner = local_fleet(shards=2)
         runner.register_query(PARTITIONED)
         seen = []
         runner.subscribe("per_symbol", seen.append)

@@ -18,9 +18,9 @@ import pytest
 
 from repro import CEPREngine, Event
 from repro.runtime.concurrent import ThreadedEngineRunner
-from repro.runtime.shard import LocalShard, WorkerLoop
-from repro.runtime.sharded import ShardedEngineRunner
+from repro.runtime.shard import WorkerLoop
 from repro.workloads.generic import GenericWorkload
+from tests.runtime.fleet import local_fleet
 
 
 def E(t, ts, **attrs):
@@ -455,7 +455,7 @@ def failed_threaded():
 
 
 def failed_sharded():
-    runner = ShardedEngineRunner(shards=2, shard_type=LocalShard)
+    runner = local_fleet(shards=2)
     runner.register_query(FAILING + " PARTITION BY k")
     return runner.start(), "shard thread failed"
 
@@ -516,7 +516,7 @@ class TestSharedLoopContract:
     def test_stop_drains_sharded_producers(self):
         """Producers racing submit against stop on a fleet: every submit
         either lands or raises the runner-stopped error; nobody hangs."""
-        runner = ShardedEngineRunner(shards=2, max_queue=16, shard_type=LocalShard)
+        runner = local_fleet(shards=2, max_queue=16)
         view = runner.register_query("PATTERN SEQ(A a) PARTITION BY k")
         runner.start()
         start_gate = threading.Event()
