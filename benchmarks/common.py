@@ -275,15 +275,16 @@ def run_cepr_sharded(
     registry: SchemaRegistry | None = None,
     enable_pruning: bool = True,
     batch_size: int = 256,
-    threads: bool = False,
+    in_process: bool = False,
 ) -> RunResult:
     """Run one query through a fleet and collect fleet stats.
 
     Timing covers submit-through-flush (the merge barrier included), so
     the recorded throughput is end-to-end, not just enqueue speed.  The
-    fleet is worker processes (``backend="process"``); ``threads`` runs
-    the same coordinator over the in-process ``LocalShard`` double
-    instead, whose engines share one GIL (E17's comparator).
+    fleet is worker processes (``backend="process"``); ``in_process``
+    runs the same coordinator over the in-process ``LocalShard`` double
+    instead, whose engines run one after another on the submitting
+    thread (E17's comparator).
     """
     from repro.runtime.runner import create_runner
     from repro.runtime.shard import LocalShard
@@ -296,7 +297,7 @@ def run_cepr_sharded(
         enable_pruning=enable_pruning,
         batch_size=batch_size,
     )
-    if threads:
+    if in_process:
         runner.shard_type = LocalShard
     view = runner.register_query(query)
     runner.start()

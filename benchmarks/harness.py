@@ -332,13 +332,13 @@ def e16() -> None:
 
 def e17() -> None:
     header("E17", "process fleets (stock, 10k events)")
-    from test_e17_process import PROCESS_SWEEP, QUERY
+    from test_e17_process import PROCESS_SWEEP, QUERY, _assert_identical
 
     from common import run_cepr_sharded
 
     events, registry = stock_stream(10_000)
     baseline = run_cepr(QUERY, events, registry)
-    threaded = run_cepr_sharded(QUERY, events, 4, registry, threads=True)
+    in_process = run_cepr_sharded(QUERY, events, 4, registry, in_process=True)
     row("configuration", "events/s", "matches", "emissions")
     row(
         "single engine",
@@ -347,14 +347,14 @@ def e17() -> None:
         baseline.emissions,
     )
     row(
-        "threads=4",
-        fmt(threaded.events_per_second, 0),
-        threaded.matches,
-        threaded.emissions,
+        "in-process=4",
+        fmt(in_process.events_per_second, 0),
+        in_process.matches,
+        in_process.emissions,
     )
     for shards in PROCESS_SWEEP:
         result = run_cepr_sharded(QUERY, events, shards, registry)
-        assert result.matches == baseline.matches  # merge-stage contract
+        _assert_identical(result, baseline)  # merge-stage contract
         row(
             f"processes={shards}",
             fmt(result.events_per_second, 0),

@@ -2,10 +2,11 @@
 
 The same partitioned stock workload through ``backend="process"`` at
 K ∈ {1, 2, 4} worker processes, against the single-engine baseline and
-a K=4 fleet of *threads* (the coordinator over the in-process
-``LocalShard`` double).  Worker processes own their interpreter (and
-GIL), so on a host with ≥ 4 cores the K=4 process fleet must clear
-**2.5×** the thread fleet's throughput.  On smaller hosts the sweep
+a K=4 *in-process* fleet (the coordinator over the ``LocalShard``
+double, whose four engines run one after another on the submitting
+thread).  Worker processes own their interpreter (and GIL), so on a
+host with ≥ 4 cores the K=4 process fleet must clear **2.5×** the
+in-process fleet's throughput.  On smaller hosts the sweep
 records the pipe-transport overhead curve instead, while the exactness
 assertions (identical matches, emissions, run counts, final ranking at
 every K) hold unconditionally.
@@ -18,7 +19,8 @@ from common import run_cepr, run_cepr_sharded, stock_rank_query
 PROCESS_SWEEP = (1, 2, 4)
 QUERY = stock_rank_query(window=100, k=5)
 
-#: Acceptance floor for K=4 processes over K=4 threads, multi-core hosts.
+#: Acceptance floor for K=4 processes over K=4 in-process shards,
+#: multi-core hosts.
 SPEEDUP_FLOOR = 2.5
 #: Cores needed before the floor is physically meaningful.
 MIN_CORES_FOR_FLOOR = 4
@@ -39,8 +41,8 @@ def test_e17_process_sweep(stock_10k):
     """The harness row: throughput at each process count, results pinned."""
     events, registry = stock_10k
     baseline = run_cepr(QUERY, events, registry)
-    threaded = run_cepr_sharded(QUERY, events, 4, registry, threads=True)
-    _assert_identical(threaded, baseline)
+    in_process = run_cepr_sharded(QUERY, events, 4, registry, in_process=True)
+    _assert_identical(in_process, baseline)
 
     rows = {}
     for shards in PROCESS_SWEEP:
@@ -49,24 +51,24 @@ def test_e17_process_sweep(stock_10k):
         rows[shards] = result
     # Same top-k regardless of substrate or process count.
     final_rankings = {tuple(r.extra["final_ranking"]) for r in rows.values()}
-    final_rankings.add(tuple(threaded.extra["final_ranking"]))
+    final_rankings.add(tuple(in_process.extra["final_ranking"]))
     assert len(final_rankings) == 1
 
-    speedup = rows[4].events_per_second / threaded.events_per_second
+    speedup = rows[4].events_per_second / in_process.events_per_second
     print("\nE17 process fleet (stock, 10k events, partitioned top-5):")
     print(f"  single-engine:    {baseline.events_per_second:10.0f} ev/s")
-    print(f"  threads=4:        {threaded.events_per_second:10.0f} ev/s")
+    print(f"  in-process=4:     {in_process.events_per_second:10.0f} ev/s")
     for shards, result in rows.items():
         print(f"  processes={shards}:      {result.events_per_second:10.0f} ev/s")
     print(
-        f"  K=4 process/thread speedup: {speedup:.2f}x "
+        f"  K=4 process/in-process speedup: {speedup:.2f}x "
         f"(host has {os.cpu_count()} cores)"
     )
     if (os.cpu_count() or 1) >= MIN_CORES_FOR_FLOOR:
         # The acceptance gate: real cores -> real parallel speedup.
         assert speedup >= SPEEDUP_FLOOR, (
             f"K=4 process fleet reached only {speedup:.2f}x of the "
-            f"threaded fleet (floor {SPEEDUP_FLOOR}x)"
+            f"in-process fleet (floor {SPEEDUP_FLOOR}x)"
         )
     else:
         # Single/dual-core host: processes time-slice one core and pay

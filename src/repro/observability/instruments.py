@@ -340,19 +340,19 @@ RUNNER: tuple[Spec, ...] = (
     ),
     Spec(
         "runner_backlog",
-        "Events queued, not yet processed",
+        "Events accepted, not yet handed to an engine (queued or in unsent chunks)",
         lambda r: r.backlog,
         kind="gauge",
     ),
     Spec(
         "runner_queue_capacity",
-        "Combined bound of the ingest queue(s)",
+        "Bound of the ingest queue (a fleet: batch_size per shard)",
         lambda r: r.queue_capacity,
         kind="gauge",
     ),
     Spec(
         "runner_queue_high_water",
-        "Deepest any ingest queue has been",
+        "Deepest the ingest queue, or largest any shard chunk, has been",
         lambda r: r.queue_high_water,
         kind="gauge",
         agg="max",
@@ -434,8 +434,8 @@ FLEET: tuple[Spec, ...] = (
 #: labelled ``shard``; source is the fleet's per-shard worker.
 SHARD = Spec(
     "shard_events_processed_total",
-    "Events drained by each shard's consumer thread",
-    lambda worker: worker.loop.events_processed,
+    "Events each shard's engine took in, as of its last report",
+    lambda worker: worker.events_processed,
 )
 
 #: the serving layer; source is the ``CEPRServer``.

@@ -109,11 +109,12 @@ class ThreadedEngineRunner(QueuedRunner):
         self._check_failure()
 
     def kill(self, timeout: float | None = 5.0) -> None:
-        """Stop the consumer **without flushing** (crash teardown)."""
+        """Stop the consumer and kill the engine **without flushing**."""
         if self._started and not self._stopped:
             self._stopped = True
             self._loop.stop()
             self._loop.join(timeout)
+            self.engine.kill()
 
     def close(self) -> None:
         """Terminal teardown: stop (draining and flushing), then close sinks."""
@@ -169,8 +170,10 @@ class ThreadedEngineRunner(QueuedRunner):
         self._on_consumer(lambda engine: None, timeout)
 
     def poll(self) -> list[Emission]:
-        """:meth:`sync`; emissions are delivered eagerly, so none are held."""
-        self.sync()
+        """:meth:`sync` while running; emissions are delivered eagerly,
+        so none are held."""
+        if not self._stopped:
+            self.sync()
         return []
 
     def advance_time(

@@ -20,9 +20,10 @@ class RunnerConfig:
     settles them and enforces every backend×option rule (see there).
     The other fields are shared, with two backend-specific meanings:
 
-    * ``max_queue``/``batch_size`` bound the ingest queue of the
-      queue-backed backends (``threaded``/``process``); ``embedded``
-      has none and ignores them.
+    * ``max_queue``/``batch_size`` bound ``threaded``'s ingest queue
+      and its ``push_batch`` batches; ``process`` sends ``batch_size``
+      events per pipe frame and ignores ``max_queue``, and ``embedded``
+      ignores both.
     * ``shed_policy``/``latency_target`` steer ``threaded``'s load
       shedding (docs/SHEDDING.md).
 

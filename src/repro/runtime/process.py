@@ -3,19 +3,20 @@
 :class:`~repro.runtime.sharded.ShardedEngineRunner` buys ordering and
 merge determinism; :class:`PipeShard` buys it CPU parallelism, which
 engines sharing one interpreter's GIL cannot have.  It is the fleet's
-implementation of the shard interface (:class:`~repro.runtime.shard.Shard`):
-one :class:`~repro.runtime.shard.WorkerLoop` per shard, whose
-``push_batch`` and barrier calls travel as length-prefixed JSON frames
-(:mod:`repro.events.frames`) over an OS pipe to
+implementation of the shard interface (:class:`~repro.runtime.shard.Shard`),
+whose ``push_batch`` and barrier calls travel as length-prefixed JSON
+frames (:mod:`repro.events.frames`) over an OS pipe to
 ``python -m repro.runtime.process_worker`` — a fresh interpreter with its
 own GIL that hosts a ``LocalShard`` and answers ``report`` with that
-shard's :class:`~repro.runtime.report.ShardReport`, encoded.
+shard's :class:`~repro.runtime.report.ShardReport`, encoded.  The
+coordinator writes them on the thread that calls it; a full pipe blocks
+that write, which is the fleet's backpressure.
 
 ::
 
-    owner thread ── "events" frames (one-way, one per batch) ──► worker
-                 ── advance / flush / report / snapshot / ... ──►   │
-                 ◄──────────── ack (+ encoded ShardReport) ─────────┘
+    coordinator ── "events" frames (one-way, one per chunk) ──► worker
+                ── advance / flush / report / snapshot / ... ──►   │
+                ◄──────────── ack (+ encoded ShardReport) ─────────┘
 
 Consistency: exactly the shard contract — the coordinator knows what the
 last ``report()`` said.  Failure model: a dead or erroring worker raises
@@ -105,7 +106,7 @@ class PipeShard:
     matches a report carries.
 
     One tracked lock guards the pipe: every write, and every write+read
-    request/reply pair, holds it — so frames from the owner thread and
+    request/reply pair, holds it — so frames from the coordinator and
     from introspection (``explain``) never interleave, and a reply always
     answers the request just written.
     """

@@ -85,7 +85,7 @@ def serve(frames_in: BinaryIO, frames_out: BinaryIO) -> int:
     """The worker loop; returns the process exit code."""
     shard: LocalShard | None = None
     #: latched event-path failure, answered to every barrier until a
-    #: ``restore`` (the local ``WorkerLoop.failure`` discipline).
+    #: ``restore`` (the coordinator's per-shard failure discipline).
     failure: BaseException | None = None
 
     while True:

@@ -16,8 +16,9 @@ for throughput differently:
 ``process``
     :class:`~repro.runtime.sharded.ShardedEngineRunner` — a fleet of
     :class:`~repro.runtime.process.PipeShard` shards, each an engine in
-    a worker *process* (own interpreter, own GIL) behind its own
-    ``WorkerLoop``, fed over length-prefixed pipe frames, partitioned by
+    a worker *process* (own interpreter, own GIL), fed one chunk per
+    length-prefixed pipe frame by a coordinator that runs on the
+    caller's thread, partitioned by
     the analyzer's shardability certificate and merged deterministically
     from the shards' barrier-time reports.
 

@@ -1,10 +1,9 @@
-"""Shards and the loop that drives them.
+"""Shards, and the loop behind the threaded runner.
 
-Everything that runs an engine behind a queue is built from two parts:
-
-* a **shard** — the narrow interface a coordinator drives (``push_batch``,
-  ``advance_time``, ``flush``, ``report``, ``snapshot``, ``restore``,
-  ``explain``, ``alive``/``pid``/``respawn``, ``close(force)``).
+* a **shard** — the narrow interface the fleet coordinator drives
+  (``push_batch``, ``advance_time``, ``flush``, ``report``, ``snapshot``,
+  ``restore``, ``explain``, ``alive``/``pid``/``respawn``,
+  ``close(force)``) on the caller's thread, having none of its own.
   :class:`LocalShard` wraps a
   :class:`~repro.runtime.engine.CEPREngine` in this process;
   :class:`~repro.runtime.process.PipeShard` speaks pipe frames to a
@@ -12,23 +11,17 @@ Everything that runs an engine behind a queue is built from two parts:
   a coordinator learns anything about a shard is the
   :class:`~repro.runtime.report.ShardReport` its ``report()`` returns.
 * a :class:`WorkerLoop` — one bounded ingest queue drained by one
-  consumer thread, the *owner* of whatever it feeds.  Its only control
-  operation is "run this callable on the owner thread, then acknowledge"
-  (:meth:`WorkerLoop.begin`); barriers, heartbeats, flushes, snapshots,
-  restores and pauses are all callers of it.
+  consumer thread, the *owner* of the
+  :class:`~repro.runtime.concurrent.ThreadedEngineRunner`'s engine.  Its
+  only control operation is "run this callable on the owner thread, then
+  acknowledge" (:meth:`WorkerLoop.begin`); barriers, heartbeats,
+  flushes, snapshots, restores and pauses are all callers of it.
 
-::
-
-    submit() ─► coordinator (seq, route) ─► WorkerLoop queue ─► owner thread
-                      ▲                                            │
-                      │ ShardReport at every barrier         shard.push_batch
-                      └────────────── shard.report() ◄────────────┘
-
-Failure model: an exception on the event path **latches** in
-:attr:`WorkerLoop.failure`; the consumer keeps draining (and discarding)
-so no producer wedges on a full queue, control callables are skipped but
-still acknowledged, and the owner of the loop re-raises at its next
-submit or barrier.
+Failure model: an exception on the event path **latches** — in
+:attr:`WorkerLoop.failure`, or on the fleet's shard — and its owner
+re-raises it at the next submit or barrier.  The loop keeps draining
+(and discarding) so no producer wedges on a full queue, and skips
+control callables but still acknowledges them.
 """
 
 from __future__ import annotations
@@ -56,8 +49,9 @@ from repro.sanitize.core import release_affinity
 class Shard(Protocol):
     """What a coordinator may ask of one shard.
 
-    Every method except ``explain`` (read-only) and the lifecycle trio is
-    called on the shard's owner thread.
+    Every method but ``explain`` (read-only) and ``close`` (teardown) is
+    called under the coordinator's dispatch lock, from whichever thread
+    holds it.
     """
 
     #: process hosting the engine.
@@ -122,9 +116,6 @@ class LocalShard:
         # Registered once: a shard's queries and sinks never change, so
         # every report hands over this same live registry.
         self._instruments = self.engine.metrics_registry()
-        # Sanitizer handoff: whichever thread drives the fresh engine first
-        # (the shard's loop, not its builder) owns it from then on.
-        release_affinity(self.engine)
         self._alive = True
         #: query names in the order the last barrier delivered to them.
         self._barrier_order: list[str] = []
@@ -135,7 +126,13 @@ class LocalShard:
     def close(self, force: bool = False) -> None:
         self._alive = False
 
+    def _handoff(self) -> None:
+        """Sanitizer handoff: the coordinator's dispatch lock serialises
+        shard calls, so whichever thread holds it may drive the engine."""
+        release_affinity(self.engine)
+
     def push_batch(self, events: list[Event]) -> None:
+        self._handoff()
         self.engine.push_batch(events)
 
     def advance_time(self, timestamp: float) -> None:
@@ -150,6 +147,7 @@ class LocalShard:
         emission it is (group members may be handed one shared object)."""
         handles = self.engine.queries()
         marks = [len(handle.collector.emissions) for handle in handles]
+        self._handoff()
         delivered = run()
         fresh = {
             handle.name: deque(handle.collector.emissions[mark:])
@@ -182,6 +180,7 @@ class LocalShard:
             if handle.collector is not None:
                 handle.collector.clear()
         self._barrier_order = []
+        self._handoff()
         self.engine.restore(state)
 
     def explain(self, query: str) -> str:
@@ -369,7 +368,9 @@ class WorkerLoop:
 
 
 class QueuedRunner(TelemetryViews):
-    """Base of the runners that ingest through :class:`WorkerLoop` queues.
+    """Base of the runners that hold events between ``submit`` and an
+    engine: the threaded runner's :class:`WorkerLoop` queue, the fleet's
+    unsent shard chunks.
 
     Holds the submit side (``submit_all``, the accepted-event count and
     event-time watermark), the pressure signals, the shedding controller

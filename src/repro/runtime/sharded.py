@@ -8,11 +8,9 @@ number (count windows measure global arrival positions).
 
 * the runner assigns global sequence numbers once, at the dispatch point,
   then hashes each event's partition key across ``N`` worker shards;
-* each shard (:class:`~repro.runtime.shard.Shard`: a worker process
-  behind a pipe, :class:`~repro.runtime.process.PipeShard`) is fed by its
-  own :class:`~repro.runtime.shard.WorkerLoop` — bounded queue, one owner
-  thread — the same loop, hence the same backpressure discipline, as
-  :class:`~repro.runtime.concurrent.ThreadedEngineRunner`;
+* the coordinator runs no thread: it appends each event to its shard's
+  chunk, and a full chunk leaves as one ``push_batch`` — one pipe frame
+  to a :class:`~repro.runtime.process.PipeShard`'s worker process;
 * at every barrier each shard hands back a
   :class:`~repro.runtime.report.ShardReport`; that report is the **only**
   thing this module knows about a shard — it never holds an engine, a
@@ -50,9 +48,10 @@ order (scores, bindings, rankings, and emission points are identical).
 Barrier semantics
 -----------------
 
-``advance_time`` and ``flush`` are **barriers**: the runner drains every
-shard queue, broadcasts the operation to all shards, collects their
-reports, and then runs the merge stage.  Merged emissions are therefore
+``advance_time`` and ``flush`` are **barriers**: the runner sends every
+unsent chunk, runs the operation on each shard in worker order, collects
+their reports, and then runs the merge stage.  An event waits in its
+chunk until the chunk fills or a barrier comes, and merged emissions are
 released at barrier points (live deployments already call
 ``advance_time`` on a heartbeat), and coordinator-side state is at least
 as fresh as the last barrier, whatever the shard type.  A
@@ -74,8 +73,7 @@ from __future__ import annotations
 import zlib
 from collections import deque
 from dataclasses import replace
-from functools import partial
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.engine.match import Match
 from repro.engine.partitioner import Partitioner
@@ -114,13 +112,12 @@ from repro.runtime.engine import restore_lateness, snapshot_lateness
 from repro.runtime.metrics import EngineMetrics
 from repro.runtime.report import QueryReport, ShardReport
 from repro.runtime.process import PipeShard
-from repro.runtime.shard import QueuedRunner, Shard, WorkerLoop
+from repro.runtime.shard import QueuedRunner, Shard
 from repro.runtime.shedding import ShedController
 from repro.runtime.sinks import CollectorSink, SinkLike, SinkOwner, Subscription
 from repro.sanitize.locks import register_lock_metrics, tracked_lock
 
 _INF = float("inf")
-_T = TypeVar("_T")
 
 
 def stable_shard(key: tuple[Any, ...], shards: int) -> int:
@@ -495,12 +492,36 @@ class ShardedQuery(SinkOwner):
 
 
 class _Worker:
-    """One shard, the loop that owns it, and the last report it gave."""
+    """One shard, its unsent chunk, its last report and its latched
+    failure: a shard call that raised, cleared only by ``restore``."""
 
-    def __init__(self, shard: Shard, max_queue: int, batch_size: int) -> None:
+    def __init__(self, shard: Shard) -> None:
         self.shard = shard
-        self.loop = WorkerLoop(shard.push_batch, max_queue, batch_size)
+        self.chunk: list[Event] = []
         self.report: ShardReport = shard.report()
+        self.failure: BaseException | None = None
+        self.chunk_high_water = 0
+
+    def call(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """``fn(*args)``, skipped after a failure; a raise latches."""
+        if self.failure is None:
+            try:
+                return fn(*args)
+            except BaseException as exc:
+                self.failure = exc
+        return None
+
+    @property
+    def events_processed(self) -> int:
+        """Events the shard's engine took in, as of its last report."""
+        return int(self.report.instruments.get("events_pushed_total").value)
+
+    def send(self) -> None:
+        """Ship the chunk as one ``push_batch``."""
+        chunk, self.chunk = self.chunk, []
+        if chunk:
+            self.chunk_high_water = max(self.chunk_high_water, len(chunk))
+            self.call(self.shard.push_batch, chunk)
 
 
 class _Group:
@@ -526,11 +547,10 @@ class ShardedEngineRunner(QueuedRunner):
 
     ``config`` is the fleet's recipe, held to :func:`resolve
     <repro.runtime.config.resolve>`'s rules for ``backend="process"``:
-    ``shards`` is the worker count per partition group, ``max_queue``
-    bounds each shard's ingest queue (``submit`` blocks when the target
-    shard is saturated — backpressure, not unbounded memory), and
-    ``batch_size`` caps how many queued events a shard drains into one
-    ``push_batch`` call.  Each shard's engine is built from the same
+    ``shards`` is the worker count per partition group and ``batch_size``
+    the events per ``push_batch`` (one pipe frame, whose blocking write
+    is the backpressure).  Shard calls run on the calling thread, under
+    the dispatch lock.  Each shard's engine is built from the same
     recipe minus what the coordinator does for every shard (see
     :func:`shard_config`).  Subscriptions receive the *merged* emissions
     on the barrier-calling thread.  ``shard_type`` picks the shard
@@ -598,10 +618,10 @@ class ShardedEngineRunner(QueuedRunner):
     # -- lifecycle ---------------------------------------------------------------------
 
     def _new_worker(self, preassigned: bool, views: list[ShardedQuery]) -> _Worker:
-        """Build one shard (its engine recipe + its queries) and its loop."""
+        """Build one shard: its engine recipe and its queries."""
         queries = {view.name: self._asts[view.name] for view in views}
         shard = self.shard_type(shard_config(self.config), queries, preassigned)
-        worker = _Worker(shard, self.config.max_queue, self.config.batch_size)
+        worker = _Worker(shard)
         self._workers.append(worker)
         return worker
 
@@ -664,9 +684,6 @@ class ShardedEngineRunner(QueuedRunner):
                     self._type_watchers.setdefault(event_type, []).append(view)
             group.relevant_types = frozenset(types)
             self._groups.append(group)
-
-        for worker in self._workers:
-            worker.loop.start()
         return self
 
     def __enter__(self) -> "ShardedEngineRunner":
@@ -675,33 +692,22 @@ class ShardedEngineRunner(QueuedRunner):
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def _halt(self, timeout: float | None, force: bool) -> bool:
-        """Stop every loop and reap every shard; False if a thread wedged.
-
-        A shard whose owner thread did not leave in time is closed with
-        ``force`` regardless, so no worker process outlives the runner.
-        """
+    def _halt(self, force: bool) -> None:
+        """Drop every unsent chunk and close every shard."""
         self._stopped = True
         for worker in self._workers:
-            worker.loop.stop()
-        drained = True
-        for worker in self._workers:
-            joined = worker.loop.join(timeout)
-            worker.shard.close(force=force or not joined)
-            drained = drained and joined
-        return drained
+            worker.chunk = []
+            worker.shard.close(force=force)
 
     def stop(self, timeout: float | None = 30.0) -> None:
-        """Flush (if needed), stop every shard, and join the threads."""
+        """Flush (if needed), then close every shard; ``timeout`` is unused."""
         if not self._started or self._stopped:
             return
         try:
             if not self._flushed:
                 self.flush()
         finally:
-            drained = self._halt(timeout, force=False)
-        if not drained:
-            raise TimeoutError("shard thread did not drain in time")
+            self._halt(force=False)
         self._check_failures()
         for view in self._views.values():
             view.close_sinks()
@@ -711,16 +717,16 @@ class ShardedEngineRunner(QueuedRunner):
         self.stop()
 
     def kill(self, timeout: float | None = 5.0) -> None:
-        """Stop every shard **without flushing** (crash simulation).
+        """Close every shard **without flushing** (crash simulation).
 
         The fault-injection harness uses this to model a process dying
-        mid-stream: no flush barrier, no final merge, buffered state
-        simply vanishes.  Worker threads are joined (and worker processes
-        terminated) so repeated kill/restore cycles in a test session
-        don't leak either.
+        mid-stream: no flush barrier, no final merge, unsent chunks and
+        buffered state simply vanish, and every later barrier releases
+        nothing.  Worker processes are terminated, so repeated
+        kill/restore cycles in a test session don't leak them.
         """
         if self._started and not self._stopped:
-            self._halt(timeout, force=True)
+            self._halt(force=True)
 
     def worker_pids(self) -> list[int | None]:
         """Pid hosting each shard's engine, in deterministic worker order."""
@@ -731,12 +737,12 @@ class ShardedEngineRunner(QueuedRunner):
     def snapshot(self) -> dict:
         """Coordinated JSON-safe snapshot of the whole fleet.
 
-        Takes a barrier: drains every shard queue, then captures the
+        Takes a barrier: sends every unsent chunk, then captures the
         dispatch state (sequencer, lateness buffer), every shard's engine
-        snapshot (taken on its owner thread, in the deterministic worker
-        order fixed by :meth:`start`), and each query's merge-stage state.
-        Consistency holds because the runner's lock blocks submits for
-        the duration and the barrier empties all queues first.
+        snapshot (in the deterministic worker order fixed by
+        :meth:`start`), and each query's merge-stage state.  Consistency
+        holds because the runner's lock blocks submits for the duration
+        and the barrier leaves no event unsent.
         """
         if not self._started:
             raise RuntimeError("runner not started")
@@ -754,9 +760,7 @@ class ShardedEngineRunner(QueuedRunner):
                 ),
                 "events_submitted": self.events_submitted,
                 "events_pushed": self.metrics.events_pushed,
-                "engines": self._on_owners(
-                    [worker.shard.snapshot for worker in self._workers]
-                ),
+                "engines": [worker.shard.snapshot() for worker in self._workers],
                 "views": {
                     name: view._snapshot_merge_state()
                     for name, view in self._views.items()
@@ -773,9 +777,9 @@ class ShardedEngineRunner(QueuedRunner):
 
         Doubles as crash recovery: a shard that is dead or has a latched
         failure is revived first (``respawn`` if needed, failure cleared),
-        and the stale events queued behind its crash are discarded — they
-        are part of the checkpointed-or-lost past, and replaying them
-        after the restored cut would double-count.
+        and every unsent chunk is discarded — those events are part of
+        the checkpointed-or-lost past, and replaying them after the
+        restored cut would double-count.
         """
         if not self._started:
             raise RuntimeError("runner not started (call start() first)")
@@ -807,26 +811,18 @@ class ShardedEngineRunner(QueuedRunner):
                 )
             with self._lock:
                 for worker in self._workers:
-                    if worker.loop.failure is None and worker.shard.alive():
-                        continue
-                    # A failed loop discards what it dequeues, so once it is
-                    # drained nothing stale is left and its thread is idle.
-                    worker.loop.drain()
+                    worker.chunk = []
                     if not worker.shard.alive():
                         worker.shard.respawn()
-                    worker.loop.failure = None
+                    worker.failure = None
                 self._sequencer.restore(state["sequencer"])
                 if state["lateness"] is not None:
                     assert self._lateness is not None
                     restore_lateness(self._lateness, state["lateness"])
                 self.events_submitted = int(state["events_submitted"])
                 self.metrics.events_pushed = int(state["events_pushed"])
-                self._on_owners(
-                    [
-                        partial(worker.shard.restore, engine_state)
-                        for worker, engine_state in zip(self._workers, engines)
-                    ]
-                )
+                for worker, engine_state in zip(self._workers, engines):
+                    worker.shard.restore(engine_state)
                 self._barrier()
                 for name, view_state in state["views"].items():
                     self._views[name]._restore_merge_state(view_state)
@@ -834,24 +830,22 @@ class ShardedEngineRunner(QueuedRunner):
     # -- producing --------------------------------------------------------------------
 
     def submit(self, event: Event, timeout: float | None = None) -> None:
-        """Ingest one event (blocks when the target shard's queue is full)."""
-        if not self._started:
-            raise RuntimeError("runner not started")
-        if self._stopped or self._flushed:
-            raise RuntimeError("runner is stopped")
-        self._check_failures()
+        """Ingest one event into its shard's chunk (a full chunk is sent
+        now, blocking on a full pipe); ``timeout`` is unused."""
         registry = self.config.registry
         if registry is not None:
             registry.validate(event, strict=self.config.strict_schema)
         with self._lock:
+            # Checked under the lock, so no submit lands after a flush.
+            self._ensure_live()
             if self._lateness is not None:
                 for released in self._lateness.push(event):
-                    self._ingest(released, timeout)
+                    self._ingest(released)
             else:
-                self._ingest(event, timeout)
+                self._ingest(event)
             self.events_submitted += 1
 
-    def _ingest(self, event: Event, timeout: float | None = None) -> None:
+    def _ingest(self, event: Event) -> None:
         # Numbering checks time order for every shard; an all-solo
         # deployment's engine then renumbers (see start()).
         self._sequencer.assign(event)
@@ -859,8 +853,12 @@ class ShardedEngineRunner(QueuedRunner):
         self.metrics.on_push(event.timestamp)
         for view in self._type_watchers.get(event.event_type, ()):
             view._observe_routed(event)
+        batch_size = self.config.batch_size
         for worker in self._targets(event):
-            worker.loop.put(event, timeout)
+            chunk = worker.chunk
+            chunk.append(event)
+            if len(chunk) >= batch_size:
+                worker.send()
 
     def _targets(self, event: Event) -> Iterator[_Worker]:
         """The workers ``event`` is dispatched to."""
@@ -880,19 +878,19 @@ class ShardedEngineRunner(QueuedRunner):
 
     @property
     def backlog(self) -> int:
-        """Events queued across all shards, not yet processed (approximate)."""
-        return sum(worker.loop.backlog for worker in self._workers)
+        """Events waiting in unsent chunks."""
+        return sum(len(worker.chunk) for worker in self._workers)
 
     @property
     def queue_capacity(self) -> int:
-        """Combined ingest-queue capacity across all shards."""
-        return self.config.max_queue * len(self._workers)
+        """Events the unsent chunks can hold: ``batch_size`` per shard."""
+        return self.config.batch_size * len(self._workers)
 
     @property
     def queue_high_water(self) -> int:
-        """Deepest any shard's ingest queue has been."""
+        """Largest chunk any shard has been sent."""
         return max(
-            (worker.loop.queue_high_water for worker in self._workers), default=0
+            (worker.chunk_high_water for worker in self._workers), default=0
         )
 
     @property
@@ -906,8 +904,15 @@ class ShardedEngineRunner(QueuedRunner):
 
     def _check_failures(self) -> None:
         for worker in self._workers:
-            if worker.loop.failure is not None:
-                raise RuntimeError("shard thread failed") from worker.loop.failure
+            if worker.failure is not None:
+                raise RuntimeError("shard failed") from worker.failure
+
+    def _ensure_live(self) -> None:
+        if not self._started:
+            raise RuntimeError("runner not started")
+        if self._stopped or self._flushed:
+            raise RuntimeError("runner is stopped")
+        self._check_failures()
 
     # -- pressure ----------------------------------------------------------------------
 
@@ -919,36 +924,21 @@ class ShardedEngineRunner(QueuedRunner):
 
     # -- barriers ---------------------------------------------------------------------
 
-    def _on_owners(self, fns: list[Callable[[], _T]]) -> list[_T]:
-        """Run one callable per worker on its owner thread.
-
-        All are queued before any is awaited, so the shards work in
-        parallel; a callable skipped by a failed loop yields ``None``.
-        """
-        calls = [worker.loop.begin(fn) for worker, fn in zip(self._workers, fns)]
-        return [call.wait() for call in calls]
-
     def _barrier(self, op: Callable[[Shard], None] | None = None) -> None:
-        """Drain every queue, run ``op`` on every shard, collect the reports.
+        """Send every chunk, run ``op`` on every shard, collect the reports.
 
-        The only place the coordinator learns anything about its shards:
-        each owner thread runs ``op`` then ``report()``; the reports
-        replace the workers' last ones and the views take their emission
-        deltas.  An exception latches as that shard's failure; the
-        barrier still completes, then raises.
+        The only place the coordinator learns anything about its shards.
+        Every chunk goes out first, so the worker processes catch up in
+        parallel; then each shard in turn runs ``op`` and ``report()``,
+        and the views take their emission deltas.  An exception latches
+        as that shard's failure; the barrier still completes, then raises.
         """
-
-        def step(worker: _Worker) -> ShardReport | None:
-            try:
-                if op is not None:
-                    op(worker.shard)
-                return worker.shard.report()
-            except BaseException as exc:
-                worker.loop.failure = exc
-                return None
-
-        fns = [partial(step, worker) for worker in self._workers]
-        for worker, report in zip(self._workers, self._on_owners(fns)):
+        for worker in self._workers:
+            worker.send()
+        for worker in self._workers:
+            if op is not None:
+                worker.call(op, worker.shard)
+            report = worker.call(worker.shard.report)
             if report is not None:
                 worker.report = report
         for view in self._views.values():
@@ -1018,32 +1008,29 @@ class ShardedEngineRunner(QueuedRunner):
         return self._release(merged)
 
     def sync(self) -> None:
-        """Barrier: return once every shard has drained its queue.
+        """Barrier: return once every shard has processed every event.
 
         Gives callers read-your-writes over shard-engine state without
         releasing merged emissions (use :meth:`poll` for that).
         """
-        if not self._started:
-            raise RuntimeError("runner not started")
-        if self._stopped or self._flushed:
-            raise RuntimeError("runner is stopped")
         with self._lock:
+            self._ensure_live()
             self._barrier()
 
     def poll(self) -> list[Emission]:
         """Non-terminal merge barrier: release whatever is mergeable now.
 
-        Drains every shard queue, runs the merge stage with no barrier
-        point (so only epochs every shard has moved past — and
-        pass-through emissions — release), and returns the newly merged
-        emissions.  The serving layer calls this on a cadence so
-        subscribers see merged output between heartbeats.
+        Sends every chunk, runs the merge stage with no barrier point (so
+        only epochs every shard has moved past — and pass-through
+        emissions — release), and returns the newly merged emissions.
+        The serving layer calls this on a cadence so subscribers see
+        merged output between heartbeats.
         """
         if not self._started:
             raise RuntimeError("runner not started")
-        if self._stopped or self._flushed:
-            return []
         with self._lock:
+            if self._stopped or self._flushed:
+                return []
             self._barrier()
             return self._release(
                 [view._merge_ready() for view in self._views.values()]
@@ -1072,11 +1059,8 @@ class ShardedEngineRunner(QueuedRunner):
         heartbeat-triggered output (closed time epochs, confirmed
         pendings) and in-stream output that became mergeable.
         """
-        if not self._started:
-            raise RuntimeError("runner not started")
-        if self._stopped or self._flushed:
-            raise RuntimeError("runner is stopped")
         with self._lock:
+            self._ensure_live()
             # Epochs the heartbeat closes are barrier output, closed at its
             # point; the views record it as an advance only afterwards.
             released = self._merge_barrier(
@@ -1089,12 +1073,15 @@ class ShardedEngineRunner(QueuedRunner):
             return released
 
     def flush(self) -> list[Emission]:
-        """End-of-stream barrier: flush every shard and merge everything."""
+        """End-of-stream barrier: flush every shard and merge everything.
+
+        ``[]`` once flushed, and after :meth:`kill`.
+        """
         if not self._started:
             raise RuntimeError("runner not started")
-        if self._flushed:
-            return []
         with self._lock:
+            if self._flushed or self._stopped:
+                return []
             self._flushed = True
             if self._lateness is not None:
                 for event in self._lateness.flush():
@@ -1117,15 +1104,15 @@ class ShardedEngineRunner(QueuedRunner):
         return list(self._views.values())
 
     def shard_stats(self) -> list[dict[str, Any]]:
-        """Per-worker view: events drained, backlog, live runs, role."""
+        """Per-worker view: events processed, unsent chunk, live runs, role."""
         rows: list[dict[str, Any]] = []
         for index, worker in enumerate(self._workers):
             rows.append(
                 {
                     "shard": index,
                     "role": "solo" if worker is self._solo_worker else "sharded",
-                    "events_processed": worker.loop.events_processed,
-                    "backlog": worker.loop.backlog,
+                    "events_processed": worker.events_processed,
+                    "backlog": len(worker.chunk),
                     "live_runs": sum(
                         int(instrument.value)
                         for instrument in worker.report.instruments

@@ -45,7 +45,7 @@ from ..serve.test_server import ServerHarness
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = json.loads((Path(__file__).parent / "golden_series_0c137b9.json").read_text())
 GOLDEN_SERVED = json.loads(
-    (Path(__file__).parent / "golden_served_series_20261017.json").read_text()
+    (Path(__file__).parent / "golden_served_series_20261018.json").read_text()
 )
 GOLDEN_SERVED_AC29636 = json.loads(
     (Path(__file__).parent / "golden_served_series_ac29636.json").read_text()
@@ -56,8 +56,15 @@ GOLDEN_SERVED_68F6840 = json.loads(
 #: series added to the catalogue after the 68f6840 golden was captured.
 ADDED_SINCE_SERVED_GOLDEN = {"shared_query_groups"}
 #: series whose help text changed after the ac29636 golden was captured:
-#: every fleet is worker processes.
-REWORDED_SINCE_PARENT_GOLDEN = {"runner_shards"}
+#: every fleet is worker processes, fed in chunks by a coordinator that
+#: runs no thread of its own.
+REWORDED_SINCE_PARENT_GOLDEN = {
+    "runner_shards",
+    "shard_events_processed_total",
+    "runner_backlog",
+    "runner_queue_capacity",
+    "runner_queue_high_water",
+}
 #: series whose help text changed after the 68f6840 golden was captured:
 #: the shared index now memoises stage-0 gates only.
 REWORDED_SINCE_SERVED_GOLDEN = {

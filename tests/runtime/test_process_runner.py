@@ -11,7 +11,6 @@ is restored from a checkpoint.
 import json
 import os
 import signal
-import threading
 import time
 
 import pytest
@@ -149,30 +148,6 @@ class TestPlacement:
                     time.sleep(0.02)
 
 
-    def test_stop_reaps_every_worker_even_when_a_shard_thread_is_wedged(self):
-        """Regression: ``stop()`` used to raise its TimeoutError from inside
-        the join loop, before any worker was closed and after ``_stopped``
-        had latched — so the processes were never reaped."""
-        runner = create_runner(TUMBLING, backend="process", shards=2)
-        runner.start()
-        pids = runner.worker_pids()
-        runner.submit_all(make_events(200))
-        runner.flush()
-        gate = threading.Event()
-        runner._workers[0].loop.begin(gate.wait)  # wedge one owner thread
-        try:
-            with pytest.raises(TimeoutError, match="did not drain"):
-                runner.stop(timeout=0.2)
-            for pid in pids:
-                with pytest.raises(ProcessLookupError):
-                    for _ in range(50):
-                        os.kill(pid, 0)
-                        time.sleep(0.02)
-        finally:
-            gate.set()
-        runner.stop()  # idempotent afterwards
-
-
 class TestCrashRecovery:
     def test_sigkill_restore_resumes_byte_identical(self):
         """Kill a worker mid-stream; restore must resume exactly.
@@ -199,7 +174,7 @@ class TestCrashRecovery:
 
             victim = runner.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
-            with pytest.raises(RuntimeError, match="shard thread failed"):
+            with pytest.raises(RuntimeError, match="shard failed"):
                 runner.submit_all(events[cut : cut + 200])
                 runner.sync()
 

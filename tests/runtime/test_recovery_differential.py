@@ -18,12 +18,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro import CEPREngine
+from repro import CEPREngine, Event
+from repro.runtime import RunnerConfig
+from repro.runtime.serialize import emission_to_line
 from repro.store.checkpoint import CheckpointStore, Position
 from repro.workloads.clickstream import ClickstreamWorkload
 from repro.workloads.sensor import VitalsWorkload
 from repro.workloads.stock import StockWorkload
-from tests.runtime.fleet import local_fleet
+from tests.runtime.fleet import DOUBLE, create_test_runner, local_fleet
 from tests.runtime.test_sharded_differential import (
     COUNT_TUMBLING,
     PASSTHROUGH,
@@ -200,3 +202,61 @@ class TestRandomBoundary:
         tmp_path = tmp_path_factory.mktemp("recovery")
         got = crash_resume_single("vitals", cut, tmp_path)
         assert got == baseline("vitals")
+
+
+#: Payload keys deliberately out of sorted order, so a sorted round trip
+#: would show in the printed bindings.
+UNSORTED = [
+    Event("A", 1.0, z=0, k=1, x=1),
+    Event("B", 2.0, zz=0, x=2, k=1),
+    Event("A", 3.0, z=1, k=2, x=3),
+    Event("B", 4.0, zz=1, x=5, k=2),
+    Event("A", 5.0, z=2, k=1, x=0),
+    Event("B", 6.0, zz=2, x=7, k=1),
+]
+ORDER_QUERY = (
+    "PATTERN SEQ(A a, B b) WHERE a.k == b.k PARTITION BY k "
+    "WITHIN 10 EVENTS RANK BY b.x DESC LIMIT 2 EMIT {}"
+)
+
+
+class TestPayloadAttributeOrder:
+    """A checkpoint that crossed :class:`CheckpointStore` restores event
+    payloads in their arrival key order: bindings print as in an
+    uninterrupted run."""
+
+    @staticmethod
+    def run(backend, emit, cut=None, tmp_path=None):
+        def runner():
+            built = create_test_runner(
+                {"q": ORDER_QUERY.format(emit)},
+                RunnerConfig(backend=backend, shards=2),
+            )
+            built.subscribe("q", lambda e: lines.append(emission_to_line(e)))
+            return built.start()
+
+        lines = []
+        events = [Event(e.event_type, e.timestamp, **e.payload) for e in UNSORTED]
+        first = runner()
+        if cut is not None:
+            first.submit_all(events[:cut])
+            first.sync()
+            state = checkpoint_round_trip(
+                tmp_path, first.snapshot(), cut, events[cut - 1].timestamp
+            ).state
+            first.kill()
+            first, events = runner(), events[cut:]
+            first.restore(state)
+        first.submit_all(events)
+        first.close()
+        return lines
+
+    # cut 3: the k=2 run is held in the matcher and the k=1 match in its
+    # epoch (or the eager ranking); cut 5: a run held behind two matches.
+    @pytest.mark.parametrize("cut", [3, 5])
+    @pytest.mark.parametrize("emit", ["ON WINDOW CLOSE", "EAGER"])
+    @pytest.mark.parametrize("backend", ["embedded", "threaded", "process", DOUBLE])
+    def test_bindings_print_in_arrival_key_order(self, backend, emit, cut, tmp_path):
+        resumed = self.run(backend, emit, cut, tmp_path)
+        assert resumed == self.run("embedded", emit)
+        assert resumed and all('"z": ' in line or '"zz": ' in line for line in resumed)

@@ -247,11 +247,12 @@ class TestRules:
 
 
 class TestKill:
+    @pytest.mark.parametrize("teardown", ["stop", "flush", "close", "poll"])
     @pytest.mark.parametrize("backend", [*sorted(BACKEND_TYPES), DOUBLE])
-    def test_kill_tears_down_without_flushing(self, backend):
+    def test_kill_tears_down_without_flushing(self, backend, teardown):
         """``cepr run``'s crash path, on every backend ``--runner`` picks
         and on the process fleet's in-process double: held results vanish
-        instead of being flushed out."""
+        instead of being flushed out, whichever teardown call follows."""
 
         def emitted(crash: bool) -> int:
             runner = create_test_runner(
@@ -263,7 +264,8 @@ class TestKill:
             runner.submit_all(StockWorkload(seed=5).events(30))
             if crash:
                 runner.kill()
-            runner.stop()  # flushes, or a no-op after kill()
+            getattr(runner, teardown)()
+            runner.close()  # flushes, or a no-op after kill()
             return len(seen)
 
         assert emitted(crash=False) > 0, "a flush must emit for this to bite"

@@ -8,6 +8,7 @@ runs against both.
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -246,9 +247,9 @@ POISON = "PATTERN SEQ(A a) WHERE a.x > 1 PARTITION BY k"
 class TestFailureSurface:
     @pytest.mark.parametrize("shard_type", SHARD_TYPES)
     def test_push_failure_latches_and_surfaces_at_the_next_barrier(self, shard_type):
-        """Behind its loop, either shard fails the same way: the event
-        path never raises into ``submit``'s caller mid-batch, the next
-        barrier does, and ``restore`` revives the fleet."""
+        """Either shard fails the same way: the event path never raises
+        into ``submit``'s caller mid-chunk, the next barrier does, and
+        ``restore`` revives the fleet."""
         runner = ShardedEngineRunner(RunnerConfig(shards=2), shard_type)
         view = runner.register_query(POISON)
         runner.start()
@@ -257,9 +258,9 @@ class TestFailureSurface:
             runner.sync()
             state = runner.snapshot()
             runner.submit(Event("A", 2.0, k="a"))  # missing x: strict mode raises
-            with pytest.raises(RuntimeError, match="shard thread failed"):
+            with pytest.raises(RuntimeError, match="shard failed"):
                 runner.sync()
-            with pytest.raises(RuntimeError, match="shard thread failed"):
+            with pytest.raises(RuntimeError, match="shard failed"):
                 runner.submit(Event("A", 3.0, x=5, k="a"))
             runner.restore(state)
             runner.submit(Event("A", 3.0, x=7, k="a"))
@@ -267,3 +268,24 @@ class TestFailureSurface:
         finally:
             runner.stop()
         assert [m.bindings["a"]["x"] for m in view.matches()] == [5, 7]
+
+
+class TestThreadFreeCoordinator:
+    @pytest.mark.parametrize("shard_type", SHARD_TYPES)
+    def test_the_fleet_starts_no_thread(self, shard_type):
+        """The coordinator calls its shards on the caller's thread: no
+        thread appears at ``start()``, at a barrier or at ``stop()``."""
+        runner = ShardedEngineRunner(RunnerConfig(shards=2), shard_type)
+        runner.register_query(QUERIES["best"], name="best")
+        before = set(threading.enumerate())
+        runner.start()
+        try:
+            assert not set(threading.enumerate()) - before
+            runner.submit_all(StockWorkload(seed=3).events(1_000))
+            runner.advance_time(1e9)
+            runner.sync()
+            assert not set(threading.enumerate()) - before
+        finally:
+            runner.stop()
+        assert not set(threading.enumerate()) - before
+        assert runner.query("best").results()

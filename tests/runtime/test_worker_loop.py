@@ -1,13 +1,13 @@
-"""The worker loop, and the two runners built on it.
+"""The worker loop, the threaded runner built on it, and the failure
+contract the fleet shares with that runner.
 
-Every queue-backed backend drains its ingest queue with the same
+:class:`ThreadedEngineRunner` drains its ingest queue with a
 :class:`~repro.runtime.shard.WorkerLoop`: one bounded queue, one owner
 thread, one control operation ("run this callable on the owner thread,
 then acknowledge").  The first half of this file tests the loop itself;
-the second half tests what :class:`ThreadedEngineRunner` and
-:class:`ShardedEngineRunner` promise *because* they share it — stop
-drains producers, barriers acknowledge after a failure, ``pause()``
-excludes the consumer.
+the second half tests what the threaded runner and the thread-free
+:class:`ShardedEngineRunner` both promise — stop drains producers,
+barriers fail fast after a failure, ``pause()`` excludes the consumer.
 """
 
 import queue as queue_module
@@ -457,11 +457,11 @@ def failed_threaded():
 def failed_sharded():
     runner = local_fleet(shards=2)
     runner.register_query(FAILING + " PARTITION BY k")
-    return runner.start(), "shard thread failed"
+    return runner.start(), "shard failed"
 
 
 class TestSharedLoopContract:
-    """What both runners promise because they drain with the same loop."""
+    """What both runners promise about failures and teardown."""
 
     @pytest.mark.parametrize("build", [failed_threaded, failed_sharded])
     def test_barriers_acknowledge_after_a_consumer_failure(self, build):
@@ -516,7 +516,7 @@ class TestSharedLoopContract:
     def test_stop_drains_sharded_producers(self):
         """Producers racing submit against stop on a fleet: every submit
         either lands or raises the runner-stopped error; nobody hangs."""
-        runner = local_fleet(shards=2, max_queue=16)
+        runner = local_fleet(shards=2, batch_size=16)
         view = runner.register_query("PATTERN SEQ(A a) PARTITION BY k")
         runner.start()
         start_gate = threading.Event()
