@@ -936,8 +936,9 @@ def _replay_runner(
 def _stats_replay(args: argparse.Namespace, out: TextIO) -> dict:
     """Replay the events file; the STATS document as of the final flush
     (``stats --watch`` renders the monitor meanwhile)."""
-    # Watch mode wants a queue-backed runner (the monitor header shows
-    # queue pressure alongside throughput); plain replay stays embedded.
+    # Watch mode runs a single engine as `threaded` (the monitor header
+    # shows its queue pressure alongside throughput; a fleet has none);
+    # plain replay stays embedded.
     runner = _replay_runner(args, _runner_config(args, queue=args.watch))
     runner.start()
     try:

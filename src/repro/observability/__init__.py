@@ -41,11 +41,7 @@ from repro.observability.flightrec import (
     uninstall_flight_recorder,
 )
 from repro.observability.log import configure_logging, get_logger
-from repro.observability.pressure import (
-    PressureAssessor,
-    PressureSample,
-    merge_samples,
-)
+from repro.observability.pressure import PressureAssessor, PressureSample
 from repro.observability.profiling import StageProfile, StageTimer
 from repro.observability.registry import (
     Counter,
@@ -87,7 +83,6 @@ __all__ = [
     "enable_tracing",
     "get_logger",
     "install_flight_recorder",
-    "merge_samples",
     "rank_accounts",
     "remote_contexts",
     "tracing_enabled",

@@ -331,28 +331,30 @@ QUERY_SOLO_FALLBACK = Spec(
     kind="gauge",
 )
 
-#: a queue-backed runner's front door and pressure; source is the runner.
-RUNNER: tuple[Spec, ...] = (
-    Spec(
-        "runner_events_submitted_total",
-        "Events accepted at the runner's front door",
-        lambda r: r.events_submitted,
-    ),
+#: every runner's front door; source is the runner.
+RUNNER_SUBMITTED = Spec(
+    "runner_events_submitted_total",
+    "Events accepted at the runner's front door",
+    lambda r: r.events_submitted,
+)
+
+#: the threaded runner's ingest queue and pressure; source is the runner.
+QUEUE: tuple[Spec, ...] = (
     Spec(
         "runner_backlog",
-        "Events accepted, not yet handed to an engine (queued or in unsent chunks)",
+        "Events queued, not yet drained into the engine",
         lambda r: r.backlog,
         kind="gauge",
     ),
     Spec(
         "runner_queue_capacity",
-        "Bound of the ingest queue (a fleet: batch_size per shard)",
+        "Bound of the ingest queue",
         lambda r: r.queue_capacity,
         kind="gauge",
     ),
     Spec(
         "runner_queue_high_water",
-        "Deepest the ingest queue, or largest any shard chunk, has been",
+        "Deepest the ingest queue has been",
         lambda r: r.queue_high_water,
         kind="gauge",
         agg="max",
@@ -631,7 +633,7 @@ CATALOGUE: tuple[tuple[str, tuple[Spec, ...]], ...] = (
     ("query, stage", STAGE),
     ("query, sink, slot", (SINK,)),
     ("query (fleets only)", (QUERY_SHARDS, QUERY_SOLO_FALLBACK)),
-    ("", (*RUNNER, *SHED, RUNNER_PROCESSED, *FLEET)),
+    ("", (RUNNER_SUBMITTED, *QUEUE, *SHED, RUNNER_PROCESSED, *FLEET)),
     ("shard", (SHARD,)),
     ("", SERVE),
     ("store", CHECKPOINT),
@@ -848,9 +850,9 @@ def stats_document(
 ) -> dict[str, Any]:
     """The STATS document of an engine or runner: ``registry`` (default:
     the source's own) exported as ``metrics`` and ``prom``, its cost
-    accounts most-expensive-first, and — for a queue-backed runner; a
-    bare engine has no ingest queue — the ``pressure`` assessment and the
-    ``shedding`` snapshot.  ``cepr serve`` answers STATS with it (its
+    accounts most-expensive-first, and — for the threaded runner; a bare
+    engine and a fleet have no ingest queue — the ``pressure`` assessment
+    and the ``shedding`` snapshot.  ``cepr serve`` answers STATS with it (its
     registry carries the serving layer's series too); ``cepr stats`` and
     ``top`` render it, replayed or remote."""
     if registry is None:

@@ -7,8 +7,9 @@ Three independent saturation signals feed one composite score:
   the queue drains as fast as it fills; grows in event-time units when a
   backlog builds.  Normalised against a lag budget (how much skew the
   operator tolerates).
-* **input-queue saturation** — the runner's bounded ingest queue, depth
-  over capacity.  1.0 means producers are blocking.
+* **input-queue saturation** — the threaded runner's bounded ingest
+  queue (the only one: a bare engine and a fleet have none), depth over
+  capacity.  1.0 means producers are blocking.
 * **subscriber saturation** — the fullest per-client outbound queue in
   the serving layer, depth over capacity.  1.0 means the slow-consumer
   policy is about to engage.
@@ -27,7 +28,7 @@ deterministic — the property suite drives it with synthetic samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterable
+from typing import Any
 
 #: default lag budget: event-time skew treated as full saturation.
 DEFAULT_LAG_BUDGET_SECONDS = 5.0
@@ -85,37 +86,6 @@ class PressureSample:
         }
         doc["score"] = round(self.score(lag_budget), 6)
         return doc
-
-
-def merge_samples(parts: Iterable[PressureSample]) -> PressureSample:
-    """Fold per-shard samples into one fleet sample.
-
-    Depths and capacities sum (the fleet's total buffering), high-water
-    and lag take the worst shard — a single lagging shard is fleet lag.
-    The subscriber pair travels together: taking ``max(depth)`` and
-    ``max(capacity)`` from *different* subscribers understates saturation
-    (a 9/10 outbox next to an empty 0/100 one would read 9/100 = 0.09),
-    so the merged sample carries the (depth, capacity) of the
-    worst-saturated subscriber, ties broken toward the deeper outbox.
-    """
-    parts = list(parts)
-    if not parts:
-        return PressureSample()
-    worst_subscriber = max(
-        parts,
-        key=lambda part: (
-            _saturation(part.subscriber_depth, part.subscriber_capacity),
-            part.subscriber_depth,
-        ),
-    )
-    return PressureSample(
-        ingest_lag_seconds=max(part.ingest_lag_seconds for part in parts),
-        queue_depth=sum(part.queue_depth for part in parts),
-        queue_capacity=sum(part.queue_capacity for part in parts),
-        queue_high_water=max(part.queue_high_water for part in parts),
-        subscriber_depth=worst_subscriber.subscriber_depth,
-        subscriber_capacity=worst_subscriber.subscriber_capacity,
-    )
 
 
 @dataclass

@@ -4,16 +4,17 @@ and the live monitor.
 Execution backends live behind the unified Runner API: build any of
 embedded / threaded / process with
 :func:`~repro.runtime.runner.create_runner` and drive it through the
-:class:`~repro.runtime.runner.Runner` protocol.  Their moving parts live
-in :mod:`repro.runtime.shard`: the threaded runner's
-:class:`~repro.runtime.shard.WorkerLoop` — a bounded queue drained by the
-thread that owns the engine, whose only control operation is "run this
-callable on the owner thread, then acknowledge" — and, for the process
-fleet, one :class:`~repro.runtime.shard.Shard` interface with a pipe
-implementation (engine in a worker process) and a local one (engine in
-this process: what each worker hosts, and the in-process test double of
-the merge stage), which the coordinator calls on the caller's thread
-without a thread of its own.  A coordinator learns about a shard only from the
+:class:`~repro.runtime.runner.Runner` protocol.  The threaded runner's
+:class:`~repro.runtime.concurrent.WorkerLoop` — a bounded queue drained by
+the thread that owns the engine, whose only control operation is "run
+this callable on the owner thread, then acknowledge" — is the runtime's
+only ingest queue, so only that runner reports pressure and sheds load.
+The process fleet has one :class:`~repro.runtime.shard.Shard` interface
+with a pipe implementation (engine in a worker process) and a local one
+(engine in this process: what each worker hosts, and the in-process test
+double of the merge stage), which the coordinator calls on the caller's
+thread without a thread or queue of its own; its backpressure is the
+blocking pipe write.  A coordinator learns about a shard only from the
 :class:`~repro.runtime.report.ShardReport` it hands back at a barrier, so
 coordinator-side state is at least as fresh as the last barrier."""
 

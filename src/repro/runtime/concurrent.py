@@ -2,16 +2,17 @@
 
 ``CEPREngine`` is single-threaded by design (one event at a time through
 the operator chain).  :class:`ThreadedEngineRunner` puts that engine behind
-a :class:`~repro.runtime.shard.WorkerLoop`: producers call :meth:`submit`
-from any thread, the loop's consumer thread — the engine's owner — drains
-the queue into the engine in ``push_batch`` batches, and the engine feeds
-the query subscriptions on that thread.  The bounded queue gives natural
-backpressure — a slow query slows producers instead of growing memory
-without bound.
+a :class:`WorkerLoop` — one bounded ingest queue drained by one consumer
+thread, the engine's owner: producers call :meth:`submit` from any
+thread, the consumer drains the queue into the engine in ``push_batch``
+batches, and the engine feeds the query subscriptions on that thread.
+The bounded queue gives natural backpressure — a slow query slows
+producers instead of growing memory without bound — and is the only
+ingest queue in the runtime, so this runner alone reports queue pressure
+and sheds load.
 
 Everything else the runner does is "run this on the consumer thread,
-behind what is already queued" (:meth:`WorkerLoop.begin
-<repro.runtime.shard.WorkerLoop.begin>`):
+behind what is already queued" (:meth:`WorkerLoop.begin`):
 
 * :meth:`sync` — a read-your-writes barrier (an empty callable);
 * :meth:`advance_time`/:meth:`flush` — heartbeats and end-of-stream, so
@@ -25,29 +26,216 @@ behind what is already queued" (:meth:`WorkerLoop.begin
 A failure on the consumer thread latches: the loop keeps draining (and
 discarding) so producers and barriers never wedge, and every later
 ``submit`` or barrier raises it.  :meth:`stop` processes everything
-already queued, flushes the engine, and joins the thread.
+already queued, flushes the engine, and joins the thread; after a
+failure it kills the engine instead, so no later ``flush`` or ``close``
+can drive it.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.events.event import Event
 from repro.language.ast_nodes import Query
-from repro.observability.instruments import RUNNER_PROCESSED, bind
+from repro.observability.instruments import (
+    QUEUE,
+    RUNNER_PROCESSED,
+    RUNNER_SUBMITTED,
+    SHED,
+    TelemetryViews,
+    bind,
+    bind_table,
+)
+from repro.observability.pressure import PressureAssessor, PressureSample
 from repro.observability.registry import MetricsRegistry
 from repro.ranking.emission import Emission, EmissionKind
 from repro.runtime.engine import CEPREngine
 from repro.runtime.query import RegisteredQuery
-from repro.runtime.shard import QueuedRunner, WorkerLoop
-from repro.runtime.shedding import ShedController
+from repro.runtime.shedding import ShedController, ShedStats
 from repro.runtime.sinks import SinkLike, Subscription
 from repro.sanitize.core import release_affinity
 
 
-class ThreadedEngineRunner(QueuedRunner):
+# -- the worker loop ----------------------------------------------------------------
+
+
+def _noop() -> None:
+    return None
+
+
+class Call:
+    """One control operation: a callable bound for a loop's owner thread."""
+
+    __slots__ = ("fn", "hold", "last", "done", "result", "error")
+
+    def __init__(
+        self, fn: Callable[[], Any], hold: threading.Event | None, last: bool
+    ) -> None:
+        self.fn = fn
+        self.hold = hold
+        self.last = last
+        self.done = threading.Event()
+        self.result: Any = None
+        self.error: BaseException | None = None
+
+    def wait(self, timeout: float | None = None) -> Any:
+        """Block until acknowledged; returns (or re-raises) what ``fn`` did.
+
+        ``None`` when the callable was skipped — after a latched failure
+        or because the loop had already stopped; callers check for that.
+        """
+        if not self.done.wait(timeout):
+            raise TimeoutError("worker loop did not reach the barrier in time")
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+
+class WorkerLoop:
+    """One bounded ingest queue drained by one consumer (owner) thread.
+
+    ``consume(batch)`` receives greedily drained batches of at most
+    ``batch_size`` events; :meth:`begin` is the only control operation.
+    """
+
+    def __init__(
+        self,
+        consume: Callable[[list[Event]], None],
+        max_queue: int,
+        batch_size: int,
+    ) -> None:
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        self._consume = consume
+        self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
+        self.batch_size = batch_size
+        self._thread: threading.Thread | None = None
+        #: True once the owner thread has left the loop (nothing runs after).
+        self._closed = False
+        #: exception latched on the event path (or by a final callable).
+        self.failure: BaseException | None = None
+        self.events_processed = 0
+        #: deepest the ingest queue has been (post-enqueue depth).
+        self.queue_high_water = 0
+
+    def start(self) -> None:
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    @property
+    def backlog(self) -> int:
+        """Items queued, not yet processed (approximate)."""
+        return self._queue.qsize()
+
+    def put(self, event: Event, timeout: float | None = None) -> None:
+        """Enqueue one event (blocks when the queue is full).
+
+        After the owner has left the loop the event is dropped, exactly
+        like one queued behind the final operation.
+        """
+        if self._closed:
+            return
+        self._queue.put(event, timeout=timeout)
+        depth = self._queue.qsize()
+        if depth > self.queue_high_water:
+            self.queue_high_water = depth
+
+    def begin(
+        self,
+        fn: Callable[[], Any],
+        hold: threading.Event | None = None,
+        last: bool = False,
+    ) -> Call:
+        """Queue ``fn`` to run on the owner thread behind everything queued.
+
+        The loop acknowledges (:meth:`Call.wait` returns) once ``fn`` has
+        run — or been skipped because a failure is latched — and then, if
+        ``hold`` is given, parks until it is set.  ``last`` makes this the
+        loop's final operation.
+        """
+        call = Call(fn, hold, last)
+        if not self._closed:
+            self._queue.put(call)
+        if self._closed:
+            call.done.set()  # the owner left before (or while) we queued
+        return call
+
+    def call(self, fn: Callable[[], Any], timeout: float | None = None) -> Any:
+        return self.begin(fn).wait(timeout)
+
+    def stop(self, final: Callable[[], Any] = _noop) -> None:
+        """Ask the owner to run ``final`` (unless failed) and leave the loop."""
+        self.begin(final, last=True)
+
+    def join(self, timeout: float | None = None) -> bool:
+        """Wait for the owner thread; False if it is still running."""
+        assert self._thread is not None
+        self._thread.join(timeout)
+        return not self._thread.is_alive()
+
+    def _run(self) -> None:
+        get, get_nowait, batch_size = (
+            self._queue.get,
+            self._queue.get_nowait,
+            self.batch_size,
+        )
+        carried: Call | None = None
+        while True:
+            item = carried if carried is not None else get()
+            carried = None
+            if type(item) is not Call:
+                # Batched hot path: greedily drain queued events so the
+                # consumer amortises per-call overhead.
+                batch = [item]
+                while len(batch) < batch_size:
+                    try:
+                        item = get_nowait()
+                    except queue.Empty:
+                        break
+                    if type(item) is Call:
+                        carried = item
+                        break
+                    batch.append(item)
+                if self.failure is None:
+                    try:
+                        self._consume(batch)
+                        self.events_processed += len(batch)
+                    except BaseException as exc:  # surfaced via .failure
+                        self.failure = exc
+                continue
+            # Control operations always acknowledge, even after a failure,
+            # so nobody can deadlock waiting on a dead engine.
+            if self.failure is None:
+                try:
+                    item.result = item.fn()
+                except BaseException as exc:
+                    item.error = exc
+            item.done.set()
+            if item.hold is not None:
+                item.hold.wait()
+            if item.last:
+                if self.failure is None:
+                    self.failure = item.error
+                break
+        self._closed = True
+        # Discard whatever queued behind the final operation so no producer
+        # stays wedged in a full-queue put and no caller waits forever.
+        while True:
+            try:
+                item = get_nowait()
+            except queue.Empty:
+                return
+            if type(item) is Call:
+                item.done.set()
+
+
+# -- the runner ----------------------------------------------------------------------
+
+
+class ThreadedEngineRunner(TelemetryViews):
     """Runs a :class:`CEPREngine` on its own consumer thread.
 
     Parameters
@@ -82,7 +270,21 @@ class ThreadedEngineRunner(QueuedRunner):
         self._loop = WorkerLoop(self._consume_batch, max_queue, batch_size)
         self._started = False
         self._stopped = False
-        self._init_queued(
+        self.events_submitted = 0
+        #: submit-side event-time watermark: highest event timestamp
+        #: accepted.  Compared against the processed watermark to measure
+        #: ingest lag in event-time units.
+        self.last_submitted_ts: float | None = None
+        #: smoothed composite pressure with ok/overloaded hysteresis.
+        self.pressure_assessor = PressureAssessor()
+        #: optional ``() -> (depth, capacity)`` hook the serving layer
+        #: installs so default pressure readings include its fullest
+        #: subscriber outbound queue.
+        self.subscriber_pressure_provider: (
+            Callable[[], tuple[int, int]] | None
+        ) = None
+        #: load-shedding state machine (policy "off" is inert).
+        self.shed_controller = (
             ShedController() if shed_controller is None else shed_controller
         )
 
@@ -106,6 +308,9 @@ class ThreadedEngineRunner(QueuedRunner):
         self._loop.stop(final=self.engine.flush)
         if not self._loop.join(timeout):
             raise TimeoutError("consumer thread did not drain in time")
+        if self._loop.failure is not None:
+            # A failed engine is dead: no later flush or close may drive it.
+            self.engine.kill()
         self._check_failure()
 
     def kill(self, timeout: float | None = 5.0) -> None:
@@ -134,7 +339,15 @@ class ThreadedEngineRunner(QueuedRunner):
         self._ensure_running()
         self._loop.put(event, timeout)
         self.events_submitted += 1
-        self._note_submitted(event.timestamp)
+        if self.last_submitted_ts is None or event.timestamp > self.last_submitted_ts:
+            self.last_submitted_ts = event.timestamp
+
+    def submit_all(self, events: Iterable[Event]) -> int:
+        count = 0
+        for event in events:
+            self.submit(event)
+            count += 1
+        return count
 
     @property
     def failure(self) -> BaseException | None:
@@ -282,8 +495,62 @@ class ThreadedEngineRunner(QueuedRunner):
         return self._loop.queue_high_water
 
     @property
-    def last_processed_ts(self) -> float | None:
-        return self.engine.metrics.last_event_ts
+    def ingest_lag_seconds(self) -> float:
+        """Event-time skew between the submit and processing watermarks.
+
+        Zero while the consumer keeps up, and until both watermarks exist
+        (the skew between them is not yet defined); grows in event-time
+        units when a backlog builds.
+        """
+        submitted = self.last_submitted_ts
+        processed = self.engine.metrics.last_event_ts
+        if submitted is None or processed is None:
+            return 0.0
+        return max(0.0, submitted - processed)
+
+    def pressure_sample(
+        self, subscriber_depth: int = 0, subscriber_capacity: int = 0
+    ) -> PressureSample:
+        """Instantaneous pressure reading over the ingest queue.
+
+        The serving layer's subscriber backlog is folded in when passed
+        explicitly, or read from :attr:`subscriber_pressure_provider` when
+        the arguments are left at their defaults (so the registry's
+        ``pressure`` gauge sees it on every export).
+        """
+        if (
+            not subscriber_capacity
+            and self.subscriber_pressure_provider is not None
+        ):
+            subscriber_depth, subscriber_capacity = (
+                self.subscriber_pressure_provider()
+            )
+        return PressureSample(
+            ingest_lag_seconds=self.ingest_lag_seconds,
+            queue_depth=self.backlog,
+            queue_capacity=self.queue_capacity,
+            queue_high_water=self.queue_high_water,
+            subscriber_depth=subscriber_depth,
+            subscriber_capacity=subscriber_capacity,
+        )
+
+    def pressure(
+        self, subscriber_depth: int = 0, subscriber_capacity: int = 0
+    ) -> PressureAssessor:
+        """Fold a fresh sample into the assessor and return it."""
+        self.pressure_assessor.observe(
+            self.pressure_sample(subscriber_depth, subscriber_capacity)
+        )
+        return self.pressure_assessor
+
+    def shed_stats(self) -> ShedStats:
+        """Shedding counters (drops happen here, ahead of the engine)."""
+        return self.shed_controller.stats
+
+    def shed_stats_dict(self) -> dict[str, Any] | None:
+        """JSON-safe shedding snapshot for STATS frames (None when off)."""
+        controller = self.shed_controller
+        return None if controller.policy == "off" else controller.to_dict()
 
     # Monitor passthroughs: a runner can stand in for its engine as a
     # monitor source, which is how `cepr stats --watch` surfaces queue
@@ -306,7 +573,10 @@ class ThreadedEngineRunner(QueuedRunner):
         counters here: the consumer thread does, after every batch.
         """
         registry = self.engine._live_registry()
-        self._register_queue_instruments(registry)
+        bind(registry, RUNNER_SUBMITTED, self)
+        bind_table(registry, QUEUE, self)
+        if self.shed_controller.policy != "off":
+            bind_table(registry, SHED, self)
         bind(registry, RUNNER_PROCESSED, self)
         return registry
 

@@ -21,9 +21,9 @@ class RunnerConfig:
     The other fields are shared, with two backend-specific meanings:
 
     * ``max_queue``/``batch_size`` bound ``threaded``'s ingest queue
-      and its ``push_batch`` batches; ``process`` sends ``batch_size``
-      events per pipe frame and ignores ``max_queue``, and ``embedded``
-      ignores both.
+      and its ``push_batch`` batches; ``process`` has no ingest queue —
+      it sends ``batch_size`` events per pipe frame and ignores
+      ``max_queue`` — and ``embedded`` ignores both.
     * ``shed_policy``/``latency_target`` steer ``threaded``'s load
       shedding (docs/SHEDDING.md).
 
@@ -79,9 +79,10 @@ def resolve(config: RunnerConfig) -> RunnerConfig:
       shard whatever ``shards`` says, so one config can sweep all three
       backends (:func:`reject_ignored_shards` is the strict variant for
       user input); ``process`` defaults to 4 shards.
-    * Only ``threaded`` sheds load: ``embedded`` has no ingest queue, and
-      ``process`` shards report engine state only at barriers, so both
-      reject a ``shed_policy`` other than ``"off"``.
+    * Only ``threaded`` sheds load: it has the one ingest queue, while
+      ``embedded`` and ``process`` have none (a fleet's backpressure is
+      the pipe write), so both reject a ``shed_policy`` other than
+      ``"off"``.
     * Tracing is per-engine: the ``process`` merge stage cannot stitch
       cross-shard traces, so it rejects ``tracing=True``.
 
@@ -115,8 +116,9 @@ def resolve(config: RunnerConfig) -> RunnerConfig:
 
 def queue_backed(config: RunnerConfig) -> RunnerConfig:
     """:func:`resolve`, with the bare ``embedded`` engine upgraded to
-    ``threaded``: for front ends that need an ingest queue between their
-    producers and the engine (the server, the live monitor)."""
+    ``threaded``: for front ends that need something between their
+    producers and the engine (the server, the live monitor) — an ingest
+    queue, or a fleet's pipes, which pass through unchanged."""
     if _backend_of(config) == "embedded":
         config = replace(config, backend="threaded")
     return resolve(config)

@@ -95,8 +95,8 @@ class Monitor:
         tail = f", {recent:,.0f} ev/s recent" if recent else ""
         if backlog:
             tail += f", backlog={backlog}"
-        # Runner sources (threaded/sharded) expose a pressure assessor;
-        # a bare engine has no ingest queue, hence no pressure to show.
+        # The threaded runner exposes a pressure assessor; a bare engine
+        # and a fleet have no ingest queue, hence no pressure to show.
         pressure = getattr(self.engine, "pressure", None)
         if pressure is not None:
             tail += f", {pressure().describe()}"

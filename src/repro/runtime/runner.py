@@ -10,9 +10,11 @@ for throughput differently:
     scripts, tests, and notebooks.
 ``threaded``
     :class:`~repro.runtime.concurrent.ThreadedEngineRunner` — one engine
-    behind a :class:`~repro.runtime.shard.WorkerLoop` (bounded queue,
-    one consumer thread); producers get backpressure, callers get
-    barriers, subscriptions are fed eagerly on the consumer thread.
+    behind a :class:`~repro.runtime.concurrent.WorkerLoop` (bounded
+    queue, one consumer thread); producers get backpressure, callers get
+    barriers, subscriptions are fed eagerly on the consumer thread.  The
+    only backend with an ingest queue, hence the only one that reports
+    queue pressure and sheds load.
 ``process``
     :class:`~repro.runtime.sharded.ShardedEngineRunner` — a fleet of
     :class:`~repro.runtime.process.PipeShard` shards, each an engine in
@@ -20,7 +22,8 @@ for throughput differently:
     length-prefixed pipe frame by a coordinator that runs on the
     caller's thread, partitioned by
     the analyzer's shardability certificate and merged deterministically
-    from the shards' barrier-time reports.
+    from the shards' barrier-time reports.  It has no ingest queue: a
+    full pipe blocks ``submit``.
 
 They share one lifecycle — ``register_query`` / ``subscribe`` /
 ``start`` / ``submit`` / barriers (``sync``/``poll``/``advance_time``/

@@ -98,7 +98,9 @@ from repro.observability.instruments import (
     FLEET,
     QUERY_SHARDS,
     QUERY_SOLO_FALLBACK,
+    RUNNER_SUBMITTED,
     SHARD,
+    TelemetryViews,
     bind,
     bind_table,
 )
@@ -112,8 +114,7 @@ from repro.runtime.engine import restore_lateness, snapshot_lateness
 from repro.runtime.metrics import EngineMetrics
 from repro.runtime.report import QueryReport, ShardReport
 from repro.runtime.process import PipeShard
-from repro.runtime.shard import QueuedRunner, Shard
-from repro.runtime.shedding import ShedController
+from repro.runtime.shard import Shard
 from repro.runtime.sinks import CollectorSink, SinkLike, SinkOwner, Subscription
 from repro.sanitize.locks import register_lock_metrics, tracked_lock
 
@@ -500,7 +501,6 @@ class _Worker:
         self.chunk: list[Event] = []
         self.report: ShardReport = shard.report()
         self.failure: BaseException | None = None
-        self.chunk_high_water = 0
 
     def call(self, fn: Callable[..., Any], *args: Any) -> Any:
         """``fn(*args)``, skipped after a failure; a raise latches."""
@@ -520,7 +520,6 @@ class _Worker:
         """Ship the chunk as one ``push_batch``."""
         chunk, self.chunk = self.chunk, []
         if chunk:
-            self.chunk_high_water = max(self.chunk_high_water, len(chunk))
             self.call(self.shard.push_batch, chunk)
 
 
@@ -535,7 +534,7 @@ class _Group:
         self.relevant_types: frozenset[str] = frozenset()
 
 
-class ShardedEngineRunner(QueuedRunner):
+class ShardedEngineRunner(TelemetryViews):
     """Partition-parallel engine fleet with a deterministic merge stage.
 
     Lifecycle mirrors :class:`~repro.runtime.concurrent.ThreadedEngineRunner`
@@ -558,7 +557,8 @@ class ShardedEngineRunner(QueuedRunner):
     process per shard, the default — ``create_runner(backend="process")``)
     or :class:`~repro.runtime.shard.LocalShard` (an engine in this
     process: the in-process test double of the merge stage).  A fleet
-    does not shed load; its shedding controller stays ``"off"``.
+    has no ingest queue — a full pipe blocks ``submit`` instead — so it
+    reports no pressure and sheds no load.
     """
 
     def __init__(
@@ -578,7 +578,7 @@ class ShardedEngineRunner(QueuedRunner):
         lateness = config.max_lateness
         self._lateness = None if lateness is None else LatenessBuffer(lateness)
         self.metrics = EngineMetrics()
-        self._init_queued(ShedController())
+        self.events_submitted = 0
 
         self._workers: list[_Worker] = []
         self._groups: list[_Group] = []
@@ -845,11 +845,17 @@ class ShardedEngineRunner(QueuedRunner):
                 self._ingest(event)
             self.events_submitted += 1
 
+    def submit_all(self, events: Iterable[Event]) -> int:
+        count = 0
+        for event in events:
+            self.submit(event)
+            count += 1
+        return count
+
     def _ingest(self, event: Event) -> None:
         # Numbering checks time order for every shard; an all-solo
         # deployment's engine then renumbers (see start()).
         self._sequencer.assign(event)
-        self._note_submitted(event.timestamp)
         self.metrics.on_push(event.timestamp)
         for view in self._type_watchers.get(event.event_type, ()):
             view._observe_routed(event)
@@ -877,23 +883,6 @@ class ShardedEngineRunner(QueuedRunner):
             yield group.workers[shard]
 
     @property
-    def backlog(self) -> int:
-        """Events waiting in unsent chunks."""
-        return sum(len(worker.chunk) for worker in self._workers)
-
-    @property
-    def queue_capacity(self) -> int:
-        """Events the unsent chunks can hold: ``batch_size`` per shard."""
-        return self.config.batch_size * len(self._workers)
-
-    @property
-    def queue_high_water(self) -> int:
-        """Largest chunk any shard has been sent."""
-        return max(
-            (worker.chunk_high_water for worker in self._workers), default=0
-        )
-
-    @property
     def events_pushed(self) -> int:
         return self.metrics.events_pushed
 
@@ -913,14 +902,6 @@ class ShardedEngineRunner(QueuedRunner):
         if self._stopped or self._flushed:
             raise RuntimeError("runner is stopped")
         self._check_failures()
-
-    # -- pressure ----------------------------------------------------------------------
-
-    @property
-    def last_processed_ts(self) -> float | None:
-        """Highest event timestamp any shard reports having processed."""
-        marks = [worker.report.last_event_ts for worker in self._workers]
-        return max((mark for mark in marks if mark is not None), default=None)
 
     # -- barriers ---------------------------------------------------------------------
 
@@ -1124,7 +1105,7 @@ class ShardedEngineRunner(QueuedRunner):
 
     def metrics_registry(self) -> MetricsRegistry:
         """One fleet registry: the shards' last-reported registries
-        absorbed, plus the coordinator's own dispatch/queue instruments.
+        absorbed, plus the coordinator's own dispatch instruments.
 
         As fresh as the last barrier, and still answerable after
         :meth:`stop` (the reports outlive the shards).  The absorbed
@@ -1159,7 +1140,7 @@ class ShardedEngineRunner(QueuedRunner):
             fleet.counter("query_revisions_total", query=name).override(
                 view._revision
             )
-        self._register_queue_instruments(fleet)
+        bind(fleet, RUNNER_SUBMITTED, self)
         bind_table(fleet, FLEET, self)
         for index, worker in enumerate(self._workers):
             bind(fleet, SHARD, worker, shard=str(index))

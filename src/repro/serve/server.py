@@ -389,14 +389,17 @@ class CEPRServer:
             feed.attach(lambda cb, name=name: runner.subscribe(name, cb))
             self._feeds[name] = feed
         runner.start()
-        # Fold the fullest subscriber outbound queue into the runner's
-        # composite pressure score: the runner's own `pressure` gauge is
-        # already registered (get-or-create registry), so instead of a
-        # second gauge the runner consults this hook on every sample.
-        runner.subscriber_pressure_provider = lambda: (
-            self._max_outbox_depth(),
-            self.outbound_queue,
-        )
+        if hasattr(runner, "pressure"):
+            # Fold the fullest subscriber outbound queue into the runner's
+            # composite pressure score: the runner's own `pressure` gauge
+            # is already registered (get-or-create registry), so instead of
+            # a second gauge the runner consults this hook on every sample.
+            # A fleet reports no pressure; subscriber saturation stays
+            # visible there through `serve_subscriber_queue_depth`.
+            runner.subscriber_pressure_provider = lambda: (
+                self._max_outbox_depth(),
+                self.outbound_queue,
+            )
         position = self.recovery.restore(runner.restore)
         if position is not None:
             self.stats.events_ingested = position.events_consumed

@@ -2,9 +2,11 @@
 
 * every series the parent commit (0c137b9) exported is still exported,
   under the same name, kind and labels, on every backend (golden list
-  captured from that commit by running :func:`exported_series` there);
-  what it exported from the since-deleted thread fleet (``sharded``) is
-  exported by a remaining backend;
+  captured from that commit by running :func:`exported_series` there),
+  but for the ingest-queue and pressure series a fleet no longer
+  exports (it has no ingest queue); what it exported from the
+  since-deleted thread fleet (``sharded``) is exported by a remaining
+  backend;
 * the metric catalogue in ``docs/OBSERVABILITY.md`` is the table's own
   rendering, so the doc cannot drift;
 * counters that had several definitions have one: ``revisions`` is the
@@ -13,12 +15,15 @@
 * every series anything exports — the three backends, a running server,
   a checkpoint store, an event log — is a row of the table, and the
   serve-side series are exactly the dated golden's rows (captured on
-  2026-10-17 by running :func:`served_series`).  Every row the parent
-  (ac29636) served, from its thread-fleet server too, is still served
-  by some server, unchanged but for the series reworded since; the
-  parent's rows in turn differ from the rows each module declared when
-  it had its own (captured at 68f6840) only by the series listed as
-  added, removed or reworded before it.
+  2026-10-18 by running :func:`served_series`, after the fleet lost its
+  ingest-queue series).  Every row the parent golden (20261018) served
+  is still served by some server, unchanged but for the queue series
+  reworded since, and the fleet server dropped exactly the queue
+  series; every row the golden before it (ac29636) served, from its
+  thread-fleet server too, the parent golden serves, but for the series
+  reworded in between; and those rows in turn differ from the rows each
+  module declared when it had its own (captured at 68f6840) only by the
+  series listed as added, removed or reworded before it.
 """
 
 import ast
@@ -45,6 +50,9 @@ from ..serve.test_server import ServerHarness
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = json.loads((Path(__file__).parent / "golden_series_0c137b9.json").read_text())
 GOLDEN_SERVED = json.loads(
+    (Path(__file__).parent / "golden_served_series_20261018b.json").read_text()
+)
+GOLDEN_SERVED_20261018 = json.loads(
     (Path(__file__).parent / "golden_served_series_20261018.json").read_text()
 )
 GOLDEN_SERVED_AC29636 = json.loads(
@@ -55,10 +63,29 @@ GOLDEN_SERVED_68F6840 = json.loads(
 )
 #: series added to the catalogue after the 68f6840 golden was captured.
 ADDED_SINCE_SERVED_GOLDEN = {"shared_query_groups"}
+#: the threaded runner's ingest-queue and pressure series: a fleet has no
+#: ingest queue (its backpressure is the blocking pipe write), so the
+#: ``process`` scenario and server export none of them since the 20261018
+#: golden; ``threaded`` exports them all.
+QUEUE_SERIES = {
+    "runner_backlog",
+    "runner_queue_capacity",
+    "runner_queue_high_water",
+    "runner_ingest_lag_seconds",
+    "pressure",
+}
+#: series whose help text changed after the 20261018 golden was captured:
+#: only the threaded runner has an ingest queue, so its wording no longer
+#: covers a fleet's chunks.
+REWORDED_SINCE_PARENT_GOLDEN = {
+    "runner_backlog",
+    "runner_queue_capacity",
+    "runner_queue_high_water",
+}
 #: series whose help text changed after the ac29636 golden was captured:
 #: every fleet is worker processes, fed in chunks by a coordinator that
 #: runs no thread of its own.
-REWORDED_SINCE_PARENT_GOLDEN = {
+REWORDED_SINCE_AC29636_GOLDEN = {
     "runner_shards",
     "shard_events_processed_total",
     "runner_backlog",
@@ -180,13 +207,22 @@ class TestExportedSurface:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_every_parent_series_is_still_exported(self, scenario):
         now = exported_series(scenario)
+        dropped = REMOVED_SINCE_GOLDEN | (
+            QUEUE_SERIES if scenario == "process" else set()
+        )
         missing = [
             row
             for row in GOLDEN[scenario]
-            if row not in now and row[0] not in REMOVED_SINCE_GOLDEN
+            if row not in now and row[0] not in dropped
         ]
         assert not missing
         assert not {row[0] for row in now} & REMOVED_SINCE_GOLDEN
+
+    def test_only_the_threaded_runner_exports_queue_series(self):
+        """A fleet has no ingest queue to report on; the threaded runner
+        exports every queue and pressure series."""
+        assert not {row[0] for row in exported_series("process")} & QUEUE_SERIES
+        assert QUEUE_SERIES <= {row[0] for row in exported_series("threaded")}
 
     def test_the_table_adds_exactly_the_listed_series(self):
         """Names the parent never exported, in any scenario (CHANGES.md)."""
@@ -239,25 +275,46 @@ class TestExportedSurface:
         ]
         assert not missing
 
-    def test_served_golden_serves_every_parent_row(self):
-        """Each row the parent served, from either server, some server
-        still serves with the same name, kind, labels and help, but for
-        the series reworded since."""
+    @staticmethod
+    def assert_serves_every_row_of(golden, earlier, reworded):
+        """Each row ``earlier`` served, from any server, some server in
+        ``golden`` serves with the same name, kind, labels and help, but
+        for the ``reworded`` series, whose help did change."""
 
-        def rows(golden):
+        def rows(served):
             return {
-                json.dumps(row[:3] if row[0] in REWORDED_SINCE_PARENT_GOLDEN else row)
-                for source in golden.values()
+                json.dumps(row[:3] if row[0] in reworded else row)
+                for source in served.values()
                 for row in source
             }
 
-        assert rows(GOLDEN_SERVED_AC29636) <= rows(GOLDEN_SERVED)
-        help_now = {row[0]: row[3] for rows in GOLDEN_SERVED.values() for row in rows}
-        help_then = {
-            row[0]: row[3] for rows in GOLDEN_SERVED_AC29636.values() for row in rows
-        }
-        for name in REWORDED_SINCE_PARENT_GOLDEN:
+        assert rows(earlier) <= rows(golden)
+        help_now = {row[0]: row[3] for rows in golden.values() for row in rows}
+        help_then = {row[0]: row[3] for rows in earlier.values() for row in rows}
+        for name in reworded:
             assert help_now[name] != help_then[name], name
+
+    def test_served_golden_serves_every_parent_row(self):
+        """Every row the parent golden served is still served, and the
+        fleet server dropped exactly the queue series."""
+        self.assert_serves_every_row_of(
+            GOLDEN_SERVED, GOLDEN_SERVED_20261018, REWORDED_SINCE_PARENT_GOLDEN
+        )
+        now, parent = (
+            {row[0] for row in golden["process"]}
+            for golden in (GOLDEN_SERVED, GOLDEN_SERVED_20261018)
+        )
+        assert parent - now == QUEUE_SERIES
+        assert now <= parent
+
+    def test_parent_golden_serves_every_ac29636_row(self):
+        """Every row the ac29636 golden served, from either server, the
+        parent golden serves, but for the series reworded in between."""
+        self.assert_serves_every_row_of(
+            GOLDEN_SERVED_20261018,
+            GOLDEN_SERVED_AC29636,
+            REWORDED_SINCE_AC29636_GOLDEN,
+        )
 
     def test_served_golden_changed_only_the_listed_series(self):
         """The parent's golden keeps the names, kinds, labels and help

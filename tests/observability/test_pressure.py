@@ -1,4 +1,4 @@
-"""Pressure signal unit tests: saturation math, merging, hysteresis.
+"""Pressure signal unit tests: saturation math and hysteresis.
 
 Everything here is pure — the runner/serve integration is exercised in
 the runtime and serve suites; this file pins the arithmetic the
@@ -12,7 +12,6 @@ from repro.observability.pressure import (
     DEFAULT_EXIT_THRESHOLD,
     PressureAssessor,
     PressureSample,
-    merge_samples,
 )
 
 
@@ -63,71 +62,6 @@ class TestSample:
         assert sample.to_dict(lag_budget=2.0)["score"] == pytest.approx(0.5)
         # default budget (5s) still applies when none is passed
         assert sample.to_dict()["components"]["lag"] == pytest.approx(0.2)
-
-
-class TestMergeSamples:
-    def test_sum_and_max_semantics(self):
-        merged = merge_samples(
-            [
-                PressureSample(
-                    ingest_lag_seconds=1.0,
-                    queue_depth=3,
-                    queue_capacity=10,
-                    queue_high_water=7,
-                    subscriber_depth=2,
-                    subscriber_capacity=8,
-                ),
-                PressureSample(
-                    ingest_lag_seconds=4.0,
-                    queue_depth=5,
-                    queue_capacity=10,
-                    queue_high_water=5,
-                    subscriber_depth=6,
-                    subscriber_capacity=8,
-                ),
-            ]
-        )
-        # depths/capacities sum (total fleet buffering)...
-        assert merged.queue_depth == 8
-        assert merged.queue_capacity == 20
-        # ...lag and high-water take the worst shard...
-        assert merged.ingest_lag_seconds == 4.0
-        assert merged.queue_high_water == 7
-        # ...and subscriber depth is the fullest outbox, not a sum
-        assert merged.subscriber_depth == 6
-        assert merged.subscriber_capacity == 8
-
-    def test_subscriber_pair_travels_together(self):
-        # Regression: the merge used to take max(depth) and max(capacity)
-        # independently, so a nearly-full small outbox next to an empty
-        # large one read as nearly idle (9/100 = 0.09 instead of 0.9).
-        merged = merge_samples(
-            [
-                PressureSample(subscriber_depth=9, subscriber_capacity=10),
-                PressureSample(subscriber_depth=0, subscriber_capacity=100),
-            ]
-        )
-        assert (merged.subscriber_depth, merged.subscriber_capacity) == (9, 10)
-        assert merged.components()["subscriber"] == pytest.approx(0.9)
-
-    def test_subscriber_saturation_ties_prefer_deeper_outbox(self):
-        merged = merge_samples(
-            [
-                PressureSample(subscriber_depth=5, subscriber_capacity=10),
-                PressureSample(subscriber_depth=50, subscriber_capacity=100),
-            ]
-        )
-        assert (merged.subscriber_depth, merged.subscriber_capacity) == (
-            50,
-            100,
-        )
-
-    def test_empty_merge_is_quiescent(self):
-        assert merge_samples([]) == PressureSample()
-
-    def test_single_sample_round_trips(self):
-        sample = PressureSample(queue_depth=4, queue_capacity=9)
-        assert merge_samples([sample]) == sample
 
 
 class TestAssessor:

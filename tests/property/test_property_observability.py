@@ -11,10 +11,9 @@ Three layers:
   reports, through the registry views (``stats_by_query`` /
   ``cost_accounts``), the same per-query counters as a single
   :class:`CEPREngine` fed the identical stream, counter for counter.
-* Telemetry primitives — :func:`merge_samples` preserves its documented
-  sum/max semantics for any shard split, and the
-  :class:`FlightRecorder` ring never exceeds its byte budget under
-  sustained load while keeping its counters consistent.
+* Telemetry primitives — the :class:`FlightRecorder` ring never exceeds
+  its byte budget under sustained load while keeping its counters
+  consistent.
 """
 
 import hypothesis.strategies as st
@@ -23,7 +22,6 @@ from hypothesis import given, settings
 
 from repro import CEPREngine, Event
 from repro.observability.flightrec import FlightRecorder
-from repro.observability.pressure import PressureSample, merge_samples
 from repro.runtime.metrics import LatencyRecorder
 from tests.runtime.fleet import local_fleet
 
@@ -327,58 +325,6 @@ def assert_alert_fleet_sums(events, shards):
             runner.metrics_registry().get("latency_seconds", query=name).count
             == single_rows[name]["events_routed"]
         )
-
-
-pressure_samples = st.builds(
-    PressureSample,
-    ingest_lag_seconds=st.floats(
-        min_value=0.0, max_value=60.0, allow_nan=False, allow_infinity=False
-    ),
-    queue_depth=st.integers(min_value=0, max_value=1000),
-    queue_capacity=st.integers(min_value=0, max_value=1000),
-    queue_high_water=st.integers(min_value=0, max_value=1000),
-    subscriber_depth=st.integers(min_value=0, max_value=1000),
-    subscriber_capacity=st.integers(min_value=0, max_value=1000),
-)
-
-
-class TestPressureMergeProperties:
-    @given(st.lists(pressure_samples, min_size=1, max_size=8))
-    @settings(max_examples=60, deadline=None)
-    def test_merge_semantics_fieldwise(self, parts):
-        merged = merge_samples(parts)
-        assert merged.ingest_lag_seconds == max(
-            p.ingest_lag_seconds for p in parts
-        )
-        assert merged.queue_depth == sum(p.queue_depth for p in parts)
-        assert merged.queue_capacity == sum(p.queue_capacity for p in parts)
-        assert merged.queue_high_water == max(p.queue_high_water for p in parts)
-        # The subscriber pair travels together: the merged sample carries
-        # the (depth, capacity) of the worst-saturated subscriber — taking
-        # max(depth) and max(capacity) from different subscribers would
-        # understate saturation (9/10 next to 0/100 reading as 9/100).
-        def saturation(depth, capacity):
-            if capacity <= 0:
-                return 0.0
-            return min(1.0, depth / capacity)
-
-        assert (merged.subscriber_depth, merged.subscriber_capacity) in {
-            (p.subscriber_depth, p.subscriber_capacity) for p in parts
-        }
-        assert saturation(
-            merged.subscriber_depth, merged.subscriber_capacity
-        ) == max(
-            saturation(p.subscriber_depth, p.subscriber_capacity)
-            for p in parts
-        )
-
-    @given(st.lists(pressure_samples, min_size=0, max_size=8))
-    @settings(max_examples=60, deadline=None)
-    def test_merged_score_stays_in_unit_interval(self, parts):
-        merged = merge_samples(parts)
-        assert 0.0 <= merged.score() <= 1.0
-        for value in merged.components().values():
-            assert 0.0 <= value <= 1.0
 
 
 class TestFlightRecorderBudgetProperties:

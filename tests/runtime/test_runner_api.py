@@ -19,6 +19,7 @@ import pytest
 from repro import Event
 from repro.events.jsonsafe import desanitize
 from repro.language.parser import parse_query
+from repro.observability.instruments import stats_document
 from repro.runtime import (
     Runner,
     RunnerConfig,
@@ -296,6 +297,30 @@ class TestDirectConstruction:
             ShardedEngineRunner(RunnerConfig(shed_policy="adaptive"), LocalShard)
         with pytest.raises(TypeError, match="shed_controller"):
             ShardedEngineRunner(RunnerConfig(), LocalShard, shed_controller=None)
+
+    @pytest.mark.parametrize("backend", ["process", DOUBLE])
+    def test_a_started_fleet_has_no_ingest_queue(self, backend):
+        """A fleet's backpressure is the pipe write: it holds no queue,
+        pressure or shedding surface, and reports none."""
+        workload = StockWorkload(seed=2016)
+        runner = create_test_runner(
+            PROFITS,
+            RunnerConfig(backend=backend, shards=2, registry=workload.registry()),
+        )
+        with runner:
+            runner.submit_all(workload.events(300))
+            runner.sync()
+            for name in (
+                "backlog",
+                "queue_capacity",
+                "queue_high_water",
+                "pressure",
+                "shed_controller",
+            ):
+                assert not hasattr(runner, name), name
+            doc = stats_document(runner)
+            assert doc["pressure"] is None and doc["shedding"] is None
+            assert runner.events_submitted == 300
 
     @pytest.mark.parametrize(
         "fields, message",

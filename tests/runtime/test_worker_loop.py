@@ -2,7 +2,7 @@
 contract the fleet shares with that runner.
 
 :class:`ThreadedEngineRunner` drains its ingest queue with a
-:class:`~repro.runtime.shard.WorkerLoop`: one bounded queue, one owner
+:class:`~repro.runtime.concurrent.WorkerLoop`: one bounded queue, one owner
 thread, one control operation ("run this callable on the owner thread,
 then acknowledge").  The first half of this file tests the loop itself;
 the second half tests what the threaded runner and the thread-free
@@ -17,10 +17,10 @@ import time
 import pytest
 
 from repro import CEPREngine, Event
-from repro.runtime.concurrent import ThreadedEngineRunner
-from repro.runtime.shard import WorkerLoop
+from repro.runtime import RunnerConfig
+from repro.runtime.concurrent import ThreadedEngineRunner, WorkerLoop
 from repro.workloads.generic import GenericWorkload
-from tests.runtime.fleet import local_fleet
+from tests.runtime.fleet import DOUBLE, create_test_runner, local_fleet
 
 
 def E(t, ts, **attrs):
@@ -71,7 +71,7 @@ class TestWorkerLoop:
         for item in range(10):
             loop.put(item)
         loop.start()
-        loop.drain(timeout=5.0)
+        loop.call(lambda: None, timeout=5.0)
         assert consume.seen == list(range(10))
         assert [len(batch) for batch in consume.batches] == [4, 4, 2]
         assert loop.events_processed == 10
@@ -89,7 +89,7 @@ class TestWorkerLoop:
         ident, seen_before = call.wait(5.0)
         assert seen_before == 6, "the call ran behind everything queued before it"
         assert ident != threading.get_ident()
-        loop.drain(5.0)
+        loop.call(lambda: None, 5.0)
         assert consume.threads == {ident}
         assert consume.seen[-1] == "after"
         loop.stop()
@@ -191,7 +191,7 @@ class TestWorkerLoop:
             for index in range(per_producer):
                 loop.put((worker, index), timeout=10.0)
                 if index % 50 == 49:
-                    loop.drain(timeout=10.0)
+                    loop.call(lambda: None, timeout=10.0)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -204,7 +204,7 @@ class TestWorkerLoop:
             for thread in threads:
                 thread.join(timeout=30.0)
                 assert not thread.is_alive()
-            loop.drain(timeout=10.0)
+            loop.call(lambda: None, timeout=10.0)
         finally:
             sys.setswitchinterval(interval)
         assert loop.events_processed == producers * per_producer
@@ -230,7 +230,7 @@ class TestWorkerLoop:
         time.sleep(0.05)
         assert consume.seen == ["before"], "a held owner consumes nothing"
         resume.set()
-        loop.drain(5.0)
+        loop.call(lambda: None, 5.0)
         assert consume.seen == ["before", "during"]
         loop.stop()
         assert loop.join(5.0)
@@ -484,6 +484,36 @@ class TestSharedLoopContract:
             runner.submit(E("A", 100.0, k=0))
         with pytest.raises(RuntimeError, match=message):
             runner.stop()
+
+    @pytest.mark.parametrize("teardown", ["flush", "close"])
+    @pytest.mark.parametrize("backend", ["threaded", "process", DOUBLE])
+    def test_teardown_after_a_failed_stop_delivers_nothing(self, backend, teardown):
+        """After a latched failure and the ``stop()`` that raises it, no
+        ``flush()`` or ``close()`` drives the engine: the held window of
+        the healthy query stays unreleased on every backend."""
+        runner = create_test_runner(
+            {
+                "good": "PATTERN SEQ(A a, B b) WHERE a.k == b.k PARTITION BY k "
+                "WITHIN 10 EVENTS RANK BY b.x DESC LIMIT 2 EMIT ON WINDOW CLOSE",
+                "bad": "PATTERN SEQ(C c) WITHIN 5 EVENTS PARTITION BY k "
+                "RANK BY c.missing DESC LIMIT 1",
+            },
+            RunnerConfig(backend=backend, shards=2),
+        )
+        delivered = []
+        runner.subscribe("good", delivered.append)
+        runner.start()
+        runner.submit(E("A", 1.0, k=1, x=1))
+        runner.submit(E("B", 2.0, k=1, x=2))
+        runner.sync()
+        runner.submit(E("C", 3.0, k=1))
+        with pytest.raises(RuntimeError, match="failed"):
+            runner.sync()
+        with pytest.raises(RuntimeError, match="failed"):
+            runner.stop()
+        assert not getattr(runner, teardown)()
+        runner.close()
+        assert delivered == []
 
     def test_threaded_pause_fails_fast_after_a_consumer_failure(self):
         runner, message = failed_threaded()
