@@ -41,6 +41,7 @@ boundaries, so every match completes within the epoch that ranks it.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator
@@ -61,8 +62,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.ranking.pruning import BoundProvider
     from repro.runtime.router import SharedExecutionIndex
 
-#: ``prune_hook(run, latest_event) -> True`` discards the partial run.
-PruneHook = Callable[[Run, Event], bool]
+#: ``prune_hook(run, latest_event, epoch) -> True`` discards the partial
+#: run; ``epoch`` is the tumbling epoch the matcher placed ``latest_event``
+#: in (``None`` outside tumbling mode).
+PruneHook = Callable[[Run, Event, "int | None"], bool]
 
 # Span kinds pre-bound so traced hot paths skip the enum attribute lookup.
 _RUN_CREATE = SpanKind.RUN_CREATE
@@ -156,6 +159,22 @@ class PatternMatcher:
         if tumbling and automaton.window is None:
             raise ValueError("tumbling evaluation requires a WITHIN window")
         self._epochs = EpochTracker(automaton.window) if tumbling else None
+        #: the tumbling epoch :meth:`process` placed its last event in
+        #: (``None`` outside tumbling mode, or for an event it ignored): the
+        #: ranker takes it from here instead of computing it again.
+        self.epoch: int | None = None
+        window = automaton.window
+        #: expiry bounds, decided once: a count window's span rounded up
+        #: (``seq - first_seq >= span`` for an integer difference) or a
+        #: time window's span.
+        self._count_span = (
+            math.ceil(window.span)
+            if window is not None and window.kind is WindowKind.COUNT
+            else None
+        )
+        self._time_span = (
+            window.span if window is not None and window.kind is WindowKind.TIME else None
+        )
         self._partitioner = Partitioner(automaton.partition_by)
         self._partitions: dict[tuple[Any, ...], _Partition] = {}
         # Incremental aggregate maintenance can be disabled for ablation:
@@ -297,12 +316,16 @@ class PatternMatcher:
     def process(self, event: Event) -> list[Match]:
         """Feed one event; returns the matches it completed (confirmed)."""
         if event.event_type not in self._relevant_types:
+            self.epoch = None
             return []
         self.stats.events_processed += 1
         key = self._partitioner.key_of(event)
         if key is None:
             self.stats.events_skipped_no_key += 1
+            self.epoch = None
             return []
+        epochs = self._epochs
+        epoch = self.epoch = epochs.epoch_of(event) if epochs is not None else None
         # Held in the table while the event runs (a pending parks itself
         # there), dropped again by _note_activity if it stays empty.
         partition = self._partitions.get(key)
@@ -314,14 +337,14 @@ class PatternMatcher:
             pendings_before = len(partition.pendings)
 
         completed: list[Match] = []
-        epoch = self._epochs.epoch_of(event) if self._epochs is not None else None
         self._expire(partition, event, epoch, completed)
         # Transitions run before negation kills so an event that both
         # matches a stage and a negated element can bind in the branches
         # that consume it, while still killing the branches that skip it
         # (its guard interval covers only the latter).
         self._transition(partition, event, key, completed, epoch)
-        self._apply_negations(partition, event)
+        if event.event_type in self._negation_types:
+            self._apply_negations(partition, event)
         self._note_activity(key, partition, runs_before, pendings_before)
         return completed
 
@@ -442,31 +465,48 @@ class PatternMatcher:
         """Drop window-dead runs; confirm pendings whose guard expired.
 
         ``epoch`` is the tumbling epoch the clock is in (``None``: no
-        epoch cut); runs and pendings born before it are dead too.
+        epoch cut); runs and pendings born before it are dead too.  The
+        bounds are computed once per event and each run's first point is
+        compared inline: a count window keeps runs from
+        ``seq - span + 1`` on (and from the epoch's first sequence
+        number); a time window kills a run when ``ts - first_ts > span``
+        or ``first_ts // span < epoch`` — the comparisons
+        :meth:`~repro.engine.runs.Run.window_excludes` and the epoch
+        tracker make, so every verdict is theirs.
         """
-        survivors: list[Run] = []
-        tracer = self.tracer
-        for run in partition.runs:
-            dead = run.window_excludes(event)
-            reason = "expired" if dead else "epoch"
-            if not dead and epoch is not None:
-                assert self._epochs is not None
-                dead = self._epochs.epoch_of_point(run.first_seq, run.first_ts) < epoch
-            if dead:
-                self.stats.runs_expired += 1
-                if tracer is not None:
-                    tracer.record(
-                        _RUN_KILL,
-                        event.seq,
-                        event.timestamp,
-                        self.query_name,
-                        partition=run.partition_key,
-                        reason=reason,
-                        stage=run.stage,
-                    )
+        runs = partition.runs
+        if runs:
+            if self.tracer is not None:
+                survivors = self._expire_traced(runs, event, epoch)
+            elif self._count_span is not None:
+                floor = event.seq - self._count_span + 1
+                if epoch is not None:
+                    assert self._epochs is not None
+                    start = epoch * self._epochs.span
+                    if start > floor:
+                        floor = start
+                survivors = [run for run in runs if run.first_seq >= floor]
+            elif self._time_span is not None:
+                ts = event.timestamp
+                span = self._time_span
+                if epoch is None:
+                    survivors = [run for run in runs if not ts - run.first_ts > span]
+                else:
+                    assert self._epochs is not None
+                    epoch_span = self._epochs.span
+                    survivors = [
+                        run
+                        for run in runs
+                        if not (
+                            ts - run.first_ts > span
+                            or run.first_ts // epoch_span < epoch
+                        )
+                    ]
             else:
-                survivors.append(run)
-        partition.runs = survivors
+                survivors = runs
+            if len(survivors) != len(runs):
+                self.stats.runs_expired += len(runs) - len(survivors)
+                partition.runs = survivors
 
         if partition.pendings:
             still_pending: list[_Pending] = []
@@ -477,6 +517,34 @@ class PatternMatcher:
                 else:
                     still_pending.append(pending)
             partition.pendings = still_pending
+
+    def _expire_traced(
+        self, runs: list[Run], event: Event, epoch: int | None
+    ) -> list[Run]:
+        """:meth:`_expire`'s run sweep with a RUN_KILL span per dead run,
+        which names why it died."""
+        survivors: list[Run] = []
+        tracer = self.tracer
+        assert tracer is not None
+        for run in runs:
+            dead = run.window_excludes(event)
+            reason = "expired" if dead else "epoch"
+            if not dead and epoch is not None:
+                assert self._epochs is not None
+                dead = self._epochs.epoch_of_point(run.first_seq, run.first_ts) < epoch
+            if dead:
+                tracer.record(
+                    _RUN_KILL,
+                    event.seq,
+                    event.timestamp,
+                    self.query_name,
+                    partition=run.partition_key,
+                    reason=reason,
+                    stage=run.stage,
+                )
+            else:
+                survivors.append(run)
+        return survivors
 
     def _pending_guard_expired(
         self, pending: _Pending, event: Event, epoch: int | None
@@ -491,10 +559,8 @@ class PatternMatcher:
     # -- phase 2: negations --------------------------------------------------------
 
     def _apply_negations(self, partition: _Partition, event: Event) -> None:
-        """Kill runs/pendings violated by a negated event."""
-        if event.event_type not in self._negation_types:
-            return
-
+        """Kill runs/pendings violated by a negated event (of a negated
+        type: the caller checks)."""
         # Trailing negations only ever threaten pending matches: their guard
         # opens at completion, which is exactly when a run becomes pending.
         tracer = self.tracer
@@ -635,10 +701,10 @@ class PatternMatcher:
             if strategy is SelectionStrategy.SKIP_TILL_ANY:
                 next_runs.append(run)  # the original skips the event
             for new_partial in options:
-                if self._keep_partial(new_partial, event):
+                if self._keep_partial(new_partial, event, epoch):
                     next_runs.append(new_partial)
 
-        self._create_run(event, key, next_runs, completed)
+        self._create_run(event, key, next_runs, completed, epoch)
         dominance = self._dominance
         # Only a run this event added can make another dominated: the
         # partition held a skyband already, and a run leaving adds no
@@ -726,6 +792,7 @@ class PatternMatcher:
         key: tuple[Any, ...],
         next_runs: list[Run],
         completed: list[Match],
+        epoch: int | None,
     ) -> None:
         """Start a fresh run if ``event`` can bind stage 0."""
         first = self.automaton.stages[0]
@@ -750,7 +817,7 @@ class PatternMatcher:
         if run.kleene_open and first.index == self._last_stage_index:
             # Single-element prefix of a pattern that is one Kleene stage.
             self._try_complete(run.close_kleene(), completed)
-        if self._keep_partial(run, event):
+        if self._keep_partial(run, event, epoch):
             next_runs.append(run)
 
     def _options_for(
@@ -918,11 +985,11 @@ class PatternMatcher:
         """Book one (run, event) pair the completing-edge cut skipped."""
         self.stats.completions_skipped += 1
 
-    def _keep_partial(self, run: Run, event: Event) -> bool:
+    def _keep_partial(self, run: Run, event: Event, epoch: int | None) -> bool:
         """Apply the prune hook to a partial run the matcher wants to keep."""
         if self.prune_hook is None:
             return True
-        if self.prune_hook(run, event):
+        if self.prune_hook(run, event, epoch):
             self.stats.runs_pruned += 1
             if self.tracer is not None:
                 self.tracer.record(

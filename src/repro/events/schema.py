@@ -15,6 +15,7 @@ untyped events — but they serve two purposes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.events.event import Event
@@ -25,6 +26,17 @@ _DTYPES: dict[str, tuple[type, ...]] = {
     "float": (int, float),
     "str": (str,),
     "bool": (bool,),
+}
+
+
+#: Exact types the compiled check accepts without a closer look, per
+#: dtype: ``type(value) in ...`` never admits ``bool`` as a number, nor a
+#: subclass (those take the :meth:`AttributeSpec.validate` path).
+_EXACT_TYPES: dict[str, frozenset[type]] = {
+    "int": frozenset({int}),
+    "float": frozenset({int, float}),
+    "str": frozenset({str}),
+    "bool": frozenset({bool}),
 }
 
 
@@ -108,6 +120,7 @@ class EventSchema:
     event_type: str
     attributes: tuple[AttributeSpec, ...] = ()
     _by_name: Mapping[str, AttributeSpec] = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
+    _checks: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         by_name: dict[str, AttributeSpec] = {}
@@ -118,6 +131,7 @@ class EventSchema:
                 )
             by_name[spec.name] = spec
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_checks", tuple(_compile_check(s) for s in self.attributes))
 
     @classmethod
     def build(cls, event_type: str, **attrs: str | tuple[str, Domain]) -> "EventSchema":
@@ -142,21 +156,48 @@ class EventSchema:
         return iter(self._by_name)
 
     def validate(self, event: Event) -> None:
-        """Raise :class:`SchemaError` if ``event`` violates this schema."""
+        """Raise :class:`SchemaError` if ``event`` violates this schema.
+
+        Reads the payload once, through the compiled checks: a value whose
+        exact type is accepted and that lies in the domain passes on the
+        spot; any other goes through :meth:`AttributeSpec.validate`, which
+        raises the error (or, for a subclass, accepts it).  A fast pass
+        implies a slow one, so the first error is the one the attribute
+        order gives.
+        """
         if event.event_type != self.event_type:
             raise SchemaError(
                 f"event type {event.event_type!r} does not match schema "
                 f"{self.event_type!r}"
             )
-        for spec in self.attributes:
-            if spec.name not in event.payload:
-                if spec.required:
+        payload = event.payload
+        for name, types, lo, hi, required, spec in self._checks:
+            if name not in payload:
+                if required:
                     raise SchemaError(
                         f"event {event.event_type!r} missing required attribute "
-                        f"{spec.name!r}"
+                        f"{name!r}"
                     )
                 continue
-            spec.validate(event.payload[spec.name])
+            value = payload[name]
+            if type(value) in types and (lo is None or lo <= value <= hi):
+                continue
+            spec.validate(value)
+
+
+def _compile_check(spec: AttributeSpec) -> tuple:
+    """``spec``'s entry in :attr:`EventSchema._checks`: ``(name, exact
+    types, lo, hi, required, spec)``, ``lo``/``hi`` ``None`` without a
+    domain.  An ``int`` between finite bounds has its ``float`` between
+    them too, and cannot overflow it; an infinite bound sends ints the
+    slow way."""
+    types = _EXACT_TYPES[spec.dtype]
+    domain = spec.domain
+    if domain is None:
+        return (spec.name, types, None, None, spec.required, spec)
+    if not (isfinite(domain.lo) and isfinite(domain.hi)):
+        types = types - {int}
+    return (spec.name, types, domain.lo, domain.hi, spec.required, spec)
 
 
 class SchemaRegistry:

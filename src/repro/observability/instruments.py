@@ -296,13 +296,17 @@ QUERY: tuple[Spec, ...] = (
 STAGE: tuple[Spec, ...] = (
     Spec(
         "stage_seconds_total",
-        "Wall time spent per pipeline stage",
+        "Wall time per pipeline stage, estimated from its timed events",
         lambda t: t.total,
     ),
-    Spec("stage_events_total", "Events timed per pipeline stage", lambda t: t.count),
+    Spec(
+        "stage_events_total",
+        "Events through each pipeline stage, timed or not",
+        lambda t: t.count,
+    ),
     Spec(
         "stage_max_seconds",
-        "Slowest single event per pipeline stage",
+        "Slowest timed event per pipeline stage",
         lambda t: t.maximum,
         kind="gauge",
         agg="max",

@@ -386,7 +386,7 @@ class MetricsRegistry:
 
         Rows are ``[kind, name, labels, value]`` — ``kind`` is ``"c"``,
         ``"g"`` (sum gauge), ``"m"`` (max gauge) or ``"h"``, whose value is
-        the reservoir ``[count, total, maximum, samples]``.  Help text
+        the reservoir ``[count, total, maximum, samples, zeros]``.  Help text
         stays home; :meth:`from_wire` takes it from the receiver's
         catalogue.  Values may be non-finite (frames are sanitized).
         """
@@ -401,6 +401,7 @@ class MetricsRegistry:
                     recorder.total,
                     recorder.maximum,
                     list(recorder._samples),
+                    recorder.zeros,
                 ]
             elif isinstance(instrument, Counter):
                 kind, value = "c", instrument.value
@@ -422,12 +423,15 @@ class MetricsRegistry:
             if kind == "c":
                 registry.counter(name, text, **labels).override(float(value))
             elif kind == "h":
-                count, total, maximum, samples = value
+                count, total, maximum, samples, zeros = value
                 recorder = registry.histogram(name, text, **labels).recorder
                 recorder.count = int(count)
                 recorder.total = float(total)
                 recorder.maximum = float(maximum)
                 recorder._samples = [float(sample) for sample in samples]
+                recorder.zeros = int(zeros)
+                # A decoded reservoir is a value: it stands for what it holds.
+                recorder._seen = len(recorder._samples)
             else:
                 agg = "max" if kind == "m" else "sum"
                 registry.gauge(name, text, agg=agg, **labels).set(float(value))

@@ -129,12 +129,24 @@ class ScoreBoundPruner:
         self._optimistic_is_lo = self.primary.direction is Direction.ASC
         self._bounds = _compile_shapes(self.primary.expr, automaton, registry)
 
-    def __call__(self, run: Run, event: Event) -> bool:
-        """``True`` ⇒ the matcher discards this partial run."""
+    def __call__(self, run: Run, event: Event, epoch: int | None = None) -> bool:
+        """``True`` ⇒ the matcher discards this partial run.
+
+        ``epoch`` is the one the matcher placed ``event`` in.  It is the
+        run's own whenever the run began no later than ``event``: the
+        matcher has just expired every run begun in an earlier epoch, and
+        epochs do not decrease along the axis.  A run begun later (an
+        out-of-order timestamp) has its epoch computed.
+        """
         stats = self.stats
         stats.attempts += 1
-        run_epoch = self._epochs.epoch_of_point(run.first_seq, run.first_ts)
-        headroom = self._headroom(run_epoch, run, event.timestamp)
+        if (
+            epoch is None
+            or run.first_seq > event.seq
+            or run.first_ts > event.timestamp
+        ):
+            epoch = self._epochs.epoch_of_point(run.first_seq, run.first_ts)
+        headroom = self._headroom(epoch, run, event.timestamp)
         if headroom is None:
             return False
         if headroom > 0:

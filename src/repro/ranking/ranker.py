@@ -120,9 +120,18 @@ class Ranker:
         """
         raise NotImplementedError
 
-    def observe(self, event: Event, matches: Sequence[Match]) -> list[Emission]:
-        """Process one event's completions; return triggered emissions."""
-        return self._advance(matches, event.seq, event.timestamp, 1, False)
+    def observe(
+        self, event: Event, matches: Sequence[Match], epoch: int | None = None
+    ) -> list[Emission]:
+        """Process one event's completions; return triggered emissions.
+
+        ``epoch`` is the tumbling epoch the matcher placed ``event`` in, if
+        it did (:attr:`~repro.engine.matcher.PatternMatcher.epoch`); the
+        tumbling scope computes it otherwise.
+        """
+        if not matches:  # nothing to score, nothing to make the scope busy
+            return self._step(matches, event.seq, event.timestamp, 1, False, epoch)
+        return self._advance(matches, event.seq, event.timestamp, 1, False, epoch)
 
     def tick(
         self, matches: Sequence[Match], seq: int, timestamp: float
@@ -143,23 +152,36 @@ class Ranker:
         return self._advance(matches, last_seq, last_ts, 0, True)
 
     def _advance(
-        self, matches: Sequence[Match], seq: int, ts: float, events: int, final: bool
+        self,
+        matches: Sequence[Match],
+        seq: int,
+        ts: float,
+        events: int,
+        final: bool,
+        epoch: int | None = None,
     ) -> list[Emission]:
         """:meth:`_step` over the scored matches, then :attr:`on_busy` if
         they left the scope holding state (only matches can)."""
-        emissions = self._step(self._score_all(matches), seq, ts, events, final)
+        emissions = self._step(self._score_all(matches), seq, ts, events, final, epoch)
         if matches and self.on_busy is not None and not self.inert_without_matches():
             self.on_busy()
         return emissions
 
     def _step(
-        self, matches: Sequence[Match], seq: int, ts: float, events: int, final: bool
+        self,
+        matches: Sequence[Match],
+        seq: int,
+        ts: float,
+        events: int,
+        final: bool,
+        epoch: int | None,
     ) -> list[Emission]:
         """Absorb ``matches``, move the clock to ``(seq, ts)``, release what is due.
 
         ``events`` is how far the count axis moved: 1 for an event, 0 for
         a heartbeat or the end of the stream, where ``seq`` is still the
         last event's.  ``final`` releases whatever the scope still holds.
+        ``epoch``, when known, is the tumbling epoch of ``(seq, ts)``.
         """
         raise NotImplementedError
 
@@ -295,6 +317,9 @@ class _TumblingRanker(Ranker):
         assert self.window is not None  # enforced by semantic analysis
         self._epoch_tracker = EpochTracker(self.window)
         self._epoch_buffers: dict[int, EpochTopK] = {}
+        #: the oldest buffered epoch (``None``: nothing buffered): no epoch
+        #: is due while the clock has not passed it.
+        self._oldest: int | None = None
         #: the epoch the clock is in; nothing reads it, checkpoints carry it.
         self._current_epoch: int | None = None
 
@@ -308,34 +333,49 @@ class _TumblingRanker(Ranker):
         buffer = self._epoch_buffers.get(epoch)
         if buffer is None:
             buffer = self._epoch_buffers[epoch] = EpochTopK(self.limit)
+            if self._oldest is None or epoch < self._oldest:
+                self._oldest = epoch
         buffer.insert(match)
 
     def _step(
-        self, matches: Sequence[Match], seq: int, ts: float, events: int, final: bool
+        self,
+        matches: Sequence[Match],
+        seq: int,
+        ts: float,
+        events: int,
+        final: bool,
+        epoch: int | None,
     ) -> list[Emission]:
         if matches:
             self._absorb(matches)
+        buffers = self._epoch_buffers
         if final:
-            due = sorted(self._epoch_buffers)
+            due = sorted(buffers)
         else:
             # On a heartbeat ``seq`` has not moved, so no count epoch is
             # behind the clock point: only time epochs close.
-            now = self._epoch_tracker.epoch_of_point(seq, ts)
-            due = sorted(e for e in self._epoch_buffers if e < now)
+            now = (
+                self._epoch_tracker.epoch_of_point(seq, ts) if epoch is None else epoch
+            )
             self._current_epoch = now
+            oldest = self._oldest
+            if oldest is None or oldest >= now:
+                return []
+            due = sorted(e for e in buffers if e < now)
         emissions = []
-        for epoch in due:
+        for closed in due:
             self._revision += 1
             emissions.append(
                 Emission(
                     kind=EmissionKind.WINDOW_CLOSE,
-                    ranking=self._epoch_buffers.pop(epoch).ranking(),
+                    ranking=buffers.pop(closed).ranking(),
                     at_seq=seq,
                     at_ts=ts,
-                    epoch=epoch,
+                    epoch=closed,
                     revision=self._revision,
                 )
             )
+        self._oldest = min(buffers) if buffers else None
         return emissions
 
     def held_matches(self) -> int:
@@ -386,6 +426,7 @@ class _TumblingRanker(Ranker):
             for encoded in item["matches"]:
                 buffer.insert(rescore(encoded))
             buffer.discarded = int(item["discarded"])
+        self._oldest = min(self._epoch_buffers) if self._epoch_buffers else None
 
 
 class _PassThroughRanker(Ranker):
@@ -407,7 +448,13 @@ class _PassThroughRanker(Ranker):
         return True
 
     def _step(
-        self, matches: Sequence[Match], seq: int, ts: float, events: int, final: bool
+        self,
+        matches: Sequence[Match],
+        seq: int,
+        ts: float,
+        events: int,
+        final: bool,
+        epoch: int | None,
     ) -> list[Emission]:
         tracker = self._limit_tracker
         if tracker is not None:
@@ -474,7 +521,13 @@ class _SlidingRanker(Ranker):
         self._sliding.insert(match)
 
     def _step(
-        self, matches: Sequence[Match], seq: int, ts: float, events: int, final: bool
+        self,
+        matches: Sequence[Match],
+        seq: int,
+        ts: float,
+        events: int,
+        final: bool,
+        epoch: int | None,
     ) -> list[Emission]:
         sliding = self._sliding
         # A heartbeat moves the time axis only; the end of the stream, none.

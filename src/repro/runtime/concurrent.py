@@ -170,6 +170,13 @@ class WorkerLoop:
         """Ask the owner to run ``final`` (unless failed) and leave the loop."""
         self.begin(final, last=True)
 
+    def fail(self, error: BaseException) -> None:
+        """Latch ``error`` from outside the owner (unless a failure is
+        latched already): the owner finishes what it is running and skips
+        everything after it."""
+        if self.failure is None:
+            self.failure = error
+
     def join(self, timeout: float | None = None) -> bool:
         """Wait for the owner thread; False if it is still running."""
         assert self._thread is not None
@@ -269,6 +276,9 @@ class ThreadedEngineRunner(TelemetryViews):
         self.batch_size = batch_size
         self._loop = WorkerLoop(self._consume_batch, max_queue, batch_size)
         self._started = False
+        #: the loop has been asked to leave (by :meth:`stop` or :meth:`kill`).
+        self._stopping = False
+        #: the consumer has left and the runner is torn down.
         self._stopped = False
         self.events_submitted = 0
         #: submit-side event-time watermark: highest event timestamp
@@ -301,13 +311,25 @@ class ThreadedEngineRunner(TelemetryViews):
         return self
 
     def stop(self, timeout: float | None = 30.0) -> None:
-        """Drain the queue, flush the engine, and join the thread."""
+        """Drain the queue, flush the engine, and join the thread.
+
+        A consumer still running after ``timeout`` is still inside the
+        engine: the runner is then *failed*, not stopped — every later
+        call raises, none drives the engine from the caller's thread, and
+        the consumer skips whatever is queued behind what it is running
+        (the flush included) — and :class:`TimeoutError` is raised.  A
+        later ``stop()`` joins the consumer and raises the failure.
+        """
         if not self._started or self._stopped:
             return
-        self._stopped = True
-        self._loop.stop(final=self.engine.flush)
+        if not self._stopping:
+            self._stopping = True
+            self._loop.stop(final=self.engine.flush)
         if not self._loop.join(timeout):
-            raise TimeoutError("consumer thread did not drain in time")
+            error = TimeoutError("consumer thread did not drain in time")
+            self._loop.fail(error)
+            raise error
+        self._stopped = True
         if self._loop.failure is not None:
             # A failed engine is dead: no later flush or close may drive it.
             self.engine.kill()
@@ -317,7 +339,9 @@ class ThreadedEngineRunner(TelemetryViews):
         """Stop the consumer and kill the engine **without flushing**."""
         if self._started and not self._stopped:
             self._stopped = True
-            self._loop.stop()
+            if not self._stopping:
+                self._stopping = True
+                self._loop.stop()
             self._loop.join(timeout)
             self.engine.kill()
 
@@ -360,7 +384,7 @@ class ThreadedEngineRunner(TelemetryViews):
 
     def _ensure_running(self) -> None:
         self._check_failure()
-        if not self._started or self._stopped:
+        if not self._started or self._stopping:
             raise RuntimeError("runner is stopped")
 
     # -- control barriers ----------------------------------------------------------
@@ -385,7 +409,7 @@ class ThreadedEngineRunner(TelemetryViews):
     def poll(self) -> list[Emission]:
         """:meth:`sync` while running; emissions are delivered eagerly,
         so none are held."""
-        if not self._stopped:
+        if not self._stopping:
             self.sync()
         return []
 
@@ -436,9 +460,16 @@ class ThreadedEngineRunner(TelemetryViews):
     # -- engine passthroughs ---------------------------------------------------------
 
     def _with_engine(self, fn: Callable[[CEPREngine], Any]) -> Any:
-        if self._started and not self._stopped:
-            return self._on_consumer(fn)
-        return fn(self.engine)
+        """Run ``fn(engine)`` on its owner: the consumer while it runs, the
+        caller before :meth:`start` and once the consumer has been joined.
+        In between — a stop under way, or one that timed out — the
+        consumer may be inside the engine, so nobody else may enter it."""
+        if not self._started or self._stopped:
+            return fn(self.engine)
+        if self._stopping:
+            self._check_failure()
+            raise RuntimeError("runner is stopping")
+        return self._on_consumer(fn)
 
     def subscribe(
         self,

@@ -350,16 +350,27 @@ class CEPREngine(instruments.TelemetryViews):
             raise RuntimeError("engine already flushed; create a new engine")
         if self.registry is not None:
             self.registry.validate(event, strict=self.strict_schema)
-        if self.lateness_buffer is None:
-            return self._dispatch(event)
-        emissions: list[Emission] = []
-        for released in self.lateness_buffer.push(event):
-            emissions.extend(self._dispatch(released))
-        return emissions
+        metrics = self.metrics
+        metrics.start()
+        pushed = metrics.events_pushed
+        try:
+            if self.lateness_buffer is None:
+                return self._dispatch(event)
+            emissions: list[Emission] = []
+            for released in self.lateness_buffer.push(event):
+                emissions.extend(self._dispatch(released))
+            return emissions
+        finally:
+            metrics.on_call(metrics.events_pushed - pushed)
 
     def _dispatch(self, event: Event, depth: int = 0) -> list[Emission]:
         self._sequencer.assign(event)
-        self.metrics.on_push(event.timestamp)
+        # Counted per event; the clock is read once per call (on_call).
+        metrics = self.metrics
+        metrics.events_pushed += 1
+        last_ts = metrics.last_event_ts
+        if last_ts is None or event.timestamp > last_ts:
+            metrics.last_event_ts = event.timestamp
         shared = self.shared
         if shared is not None:
             # Arm the per-event memo: every routed query's stage-gate
@@ -450,26 +461,32 @@ class CEPREngine(instruments.TelemetryViews):
         """
         if self._flushed:
             raise RuntimeError("engine already flushed; create a new engine")
+        metrics = self.metrics
+        metrics.start()
+        pushed = metrics.events_pushed
         emissions: list[Emission] = []
         extend = emissions.extend
         dispatch = self._dispatch
         registry = self.registry
         strict_schema = self.strict_schema
         buffer = self.lateness_buffer
-        if buffer is None:
-            if registry is None:
-                for event in events:
-                    extend(dispatch(event))
+        try:
+            if buffer is None:
+                if registry is None:
+                    for event in events:
+                        extend(dispatch(event))
+                else:
+                    for event in events:
+                        registry.validate(event, strict=strict_schema)
+                        extend(dispatch(event))
             else:
                 for event in events:
-                    registry.validate(event, strict=strict_schema)
-                    extend(dispatch(event))
-        else:
-            for event in events:
-                if registry is not None:
-                    registry.validate(event, strict=strict_schema)
-                for released in buffer.push(event):
-                    extend(dispatch(released))
+                    if registry is not None:
+                        registry.validate(event, strict=strict_schema)
+                    for released in buffer.push(event):
+                        extend(dispatch(released))
+        finally:
+            metrics.on_call(metrics.events_pushed - pushed)
         # Once per batch, not per event: the runners feed their engine in
         # batches from its owner thread, so a dormant query's counters are
         # never staler than one batch for a reader on another thread.
@@ -510,8 +527,11 @@ class CEPREngine(instruments.TelemetryViews):
             return []
         emissions: list[Emission] = []
         if self.lateness_buffer is not None:
+            metrics = self.metrics
+            pushed = metrics.events_pushed
             for released in self.lateness_buffer.flush():
                 emissions.extend(self._dispatch(released))
+            metrics.on_call(metrics.events_pushed - pushed)
         self._flushed = True
         self._router.settle()
         self._close_groups()

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
-from math import log
 
 
 class LatencyRecorder:
@@ -21,6 +20,12 @@ class LatencyRecorder:
     Uses Vitter's algorithm R with a private seeded RNG, so recordings are
     deterministic for a fixed call sequence and never disturb global
     :mod:`random` state.
+
+    ``count`` and ``maximum`` are exact over what was recorded, and so is
+    ``total`` unless a caller weights its samples (:meth:`record`).  Zero
+    observations are kept apart, as the count :attr:`zeros` beside the
+    reservoir: the percentiles merge them back in, at the reservoir's
+    scale.
     """
 
     def __init__(self, capacity: int = 4096, seed: int = 0) -> None:
@@ -28,65 +33,42 @@ class LatencyRecorder:
         self.count = 0
         self.total = 0.0
         self.maximum = 0.0
+        #: zero observations (:meth:`record_zeros`), not in the reservoir.
+        self.zeros = 0
         self._samples: list[float] = []
+        #: measured observations the reservoir is a sample of.
+        self._seen = 0
         self._rng = random.Random(seed)
 
-    def record(self, latency_seconds: float) -> None:
+    def record(self, latency_seconds: float, weight: int = 1) -> None:
+        """Record one measured observation.
+
+        Its value stands for ``weight`` observations in ``total``: itself
+        and ``weight - 1`` unmeasured ones before it, which the caller
+        counts in ``count`` as they happen (the sampled pipeline,
+        :meth:`~repro.runtime.query.RegisteredQuery.process`).
+        """
         self.count += 1
-        self.total += latency_seconds
+        self.total += latency_seconds * weight
         if latency_seconds > self.maximum:
             self.maximum = latency_seconds
+        self._seen += 1
         if len(self._samples) < self.capacity:
             self._samples.append(latency_seconds)
         else:
-            index = self._rng.randrange(self.count)
+            index = self._rng.randrange(self._seen)
             if index < self.capacity:
                 self._samples[index] = latency_seconds
 
     def record_zeros(self, n: int = 1) -> None:
-        """Record ``n`` zero-latency samples (no ``total``/``maximum`` math).
+        """Record ``n`` zero-latency observations, as a count: O(1).
 
         The shared-execution skip path owes one sample per elided
         (query, event) pair to keep the sample-per-routed-event invariant,
-        and pays a dormant query's whole debt in one call.  Zeros get the
-        same algorithm-R treatment as :meth:`record`: free reservoir slots
-        are filled first, and once the reservoir is full they keep
-        displacing samples at the standard ``capacity / count`` rate — or
-        a skip-heavy workload would inflate ``count`` while the reservoir
-        stays frozen on the non-zero latencies, biasing every percentile
-        upward.
-
-        The bulk form skips the per-sample draw: ``n`` algorithm-R steps
-        from ``count`` make ``sum(capacity / (count + i))`` replacements
-        on average — ``capacity * log((count + n) / count)`` — each into a
-        uniformly random slot, so it makes that many (rounded up or down
-        at random), at the cost of the replacements rather than of ``n``.
+        and pays a dormant query's whole debt in one call.
         """
-        samples = self._samples
-        capacity = self.capacity
-        free = capacity - len(samples)
-        if free > 0:
-            filled = min(free, n)
-            samples.extend([0.0] * filled)
-            self.count += filled
-            n -= filled
-            if not n:
-                return
-        before = self.count + 0.5  # midpoint: n == 1 gives capacity / (count + 1)
         self.count += n
-        expected = capacity * log((before + n) / before)
-        replacements = int(expected)
-        if self._rng.random() < expected - replacements:
-            replacements += 1
-        # Uniform slot draws straight from the bit source (what ``randrange``
-        # does, minus its per-call overhead): redraw on overshoot.
-        getrandbits = self._rng.getrandbits
-        bits = (capacity - 1).bit_length()
-        for _ in repeat(None, replacements):
-            index = getrandbits(bits)
-            while index >= capacity:
-                index = getrandbits(bits)
-            samples[index] = 0.0
+        self.zeros += n
 
     @property
     def mean(self) -> float:
@@ -100,28 +82,50 @@ class LatencyRecorder:
         understates tail percentiles on small samples — with 10 samples a
         rounded p99 lands on the 9th largest value, not between the two
         largest.
+
+        The zero count joins the sorted reservoir at the value 0: all of
+        it while the reservoir holds every measured observation, else
+        scaled by the share of them it holds.
         """
-        if not self._samples:
+        samples = self._samples
+        zeros = self.zeros
+        measured = self.count - zeros
+        if zeros and measured > len(samples):
+            zeros = round(zeros * len(samples) / measured)
+        size = len(samples) + zeros
+        if not size:
             return 0.0
-        ordered = sorted(self._samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        position = max(0.0, min(1.0, q / 100)) * (len(ordered) - 1)
+        ordered = sorted(samples)
+        below = bisect_left(ordered, 0.0) if zeros else 0
+
+        def at(index: int) -> float:
+            if index < below:
+                return ordered[index]
+            if index < below + zeros:
+                return 0.0
+            return ordered[index - zeros]
+
+        if size == 1:
+            return at(0)
+        position = max(0.0, min(1.0, q / 100)) * (size - 1)
         lower = int(position)
-        upper = min(lower + 1, len(ordered) - 1)
+        upper = min(lower + 1, size - 1)
         fraction = position - lower
-        return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
+        low = at(lower)
+        return low + (at(upper) - low) * fraction
 
     def absorb(self, other: "LatencyRecorder") -> None:
         """Fold another recorder's observations in (fleet aggregation).
 
-        Exact for count/total/maximum; the percentile reservoir is merged
-        by pooling both sample sets and subsampling back to capacity with
-        the private RNG, which keeps the estimate representative when the
-        pooled set overflows.
+        Exact for count/total/maximum and the zero count; the percentile
+        reservoir is merged by pooling both sample sets and subsampling
+        back to capacity with the private RNG, which keeps the estimate
+        representative when the pooled set overflows.
         """
         self.count += other.count
         self.total += other.total
+        self.zeros += other.zeros
+        self._seen += other._seen
         if other.maximum > self.maximum:
             self.maximum = other.maximum
         pooled = self._samples + other._samples
@@ -180,8 +184,10 @@ class EngineMetrics:
     **sliding-window** rate (:attr:`recent_throughput`, events over the
     trailing ``window_seconds``), so a live monitor on a long replay shows
     what the engine is doing *now* instead of a stale average.  The window
-    is kept as one-second count buckets in a deque — O(1) per push,
-    constant memory.
+    is kept as one-second count buckets in a deque — O(1) per call,
+    constant memory.  The owner counts every event into
+    :attr:`events_pushed` and :attr:`last_event_ts`; the clock is read once
+    per ``push``/``push_batch`` call (:meth:`start`, :meth:`on_call`).
     """
 
     def __init__(
@@ -202,22 +208,33 @@ class EngineMetrics:
         #: trailing one-second buckets: ``[second, events in that second]``.
         self._buckets: deque[list[float]] = deque()
 
-    def on_push(self, event_ts: float | None = None) -> None:
+    def start(self) -> None:
+        """Open the lifetime span now, unless it is open already: called
+        at the start of each ``push``/``push_batch`` call, so the span
+        covers the first call's events too."""
+        if self.started_at is None:
+            self.started_at = self._clock()
+
+    def on_call(self, events: int) -> None:
+        """Meter one ``push``/``push_batch`` call that took ``events`` events.
+
+        The caller counts each event into :attr:`events_pushed` and moves
+        :attr:`last_event_ts` as it goes; the clock is read here, once per
+        call, and the call's events land in the bucket of the second it
+        ended in.
+        """
+        if not events:
+            return
         now = self._clock()
         if self.started_at is None:
             self.started_at = now
         self.last_push_at = now
-        self.events_pushed += 1
-        if event_ts is not None and (
-            self.last_event_ts is None or event_ts > self.last_event_ts
-        ):
-            self.last_event_ts = event_ts
         second = int(now)
         buckets = self._buckets
         if buckets and buckets[-1][0] == second:
-            buckets[-1][1] += 1
+            buckets[-1][1] += events
         else:
-            buckets.append([second, 1])
+            buckets.append([second, events])
             horizon = second - self.window_seconds
             while buckets and buckets[0][0] <= horizon:
                 buckets.popleft()

@@ -30,7 +30,7 @@ from repro.language.expressions import EvalContext
 from repro.language.printer import format_query
 from repro.language.semantics import AnalyzedQuery, completion_cut, run_dominance
 from repro.observability.instruments import cost_accounts, register_query
-from repro.observability.profiling import StageProfile
+from repro.observability.profiling import STRIDE, StageProfile
 from repro.observability.registry import MetricsRegistry
 from repro.observability.tracing import SpanKind, Tracer
 from repro.ranking.emission import Emission
@@ -430,33 +430,57 @@ class RegisteredQuery(SinkOwner):
         """Feed one (already sequenced) event through the group's pipeline.
 
         Returns each member's emissions, undelivered: the engine hands
-        them to :meth:`deliver` in registration order across groups.  The
-        pipeline is timed per stage (match / rank / emit, the last being
-        the fan-out to members), four clock reads per event; their sum is
-        the whole-pipeline latency sample.
+        them to :meth:`deliver` in registration order across groups.
+
+        The pipeline is timed per stage — match, rank, emit (the fan-out
+        to members) — sparingly (:mod:`~repro.observability.profiling`):
+        the match stage of one pair in
+        :data:`~repro.observability.profiling.STRIDE`, the pipeline's
+        first always, whose whole duration is also the latency sample;
+        the rank stage of that pair and of every pair with matches to rank
+        or emissions to release; the emit stage of every pair with
+        emissions, as a pair without them has no fan-out.  Every pair is
+        counted.
         """
-        profile = self.profile
-        clock = self._clock
         self._last_seq = event.seq
         self._last_ts = event.timestamp
-        spans = self.matcher.tracer
+        matcher = self.matcher
+        spans = matcher.tracer
         if spans is not None:
             spans.record(_ROUTE, event.seq, event.timestamp)
-
-        started = clock()
-        matches = self.matcher.process(event)
-        after_match = clock()
-        emissions = self.ranker.observe(event, matches)
-        after_rank = clock()
+        profile = self.profile
         metrics = self.metrics
+        clock = self._clock
+        sampled = not profile.match.count % STRIDE
+        started = clock() if sampled else 0.0
+        matches = matcher.process(event)
+        before_rank = clock()
+        emissions = self.ranker.observe(event, matches, matcher.epoch)
+        after_rank = 0.0
+        if matches or emissions:
+            after_rank = clock()
+            profile.rank.add(after_rank - before_rank)
+        elif sampled:
+            after_rank = clock()
+            profile.rank.sample(after_rank - before_rank)
+        else:
+            profile.rank.count += 1
         metrics.events_routed += 1
         metrics.matches += len(matches)
-        out = self._fan_out(emissions) if emissions else []
-        after_emit = clock()
-        metrics.latency.record(after_emit - started)
-        profile.match.add(after_match - started)
-        profile.rank.add(after_rank - after_match)
-        profile.emit.add(after_emit - after_rank)
+        if emissions:
+            out = self._fan_out(emissions)
+            after_emit = clock()
+            profile.emit.add(after_emit - after_rank)
+        else:
+            out = []
+            after_emit = after_rank
+            profile.emit.count += 1
+        if sampled:
+            weight = profile.match.sample(before_rank - started)
+            metrics.latency.record(after_emit - started, weight)
+        else:
+            profile.match.count += 1
+            metrics.latency.count += 1
         return out
 
     def _step(self, matches: list[Match], emissions: list[Emission]) -> "list[Delivery]":
@@ -540,6 +564,7 @@ class RegisteredQuery(SinkOwner):
         if self._flushed:
             return []
         self._flushed = True
+        self.profile.settle()
         final_matches = self.matcher.flush()
         emissions = self.ranker.observe_final(
             final_matches, self._last_seq, self._last_ts

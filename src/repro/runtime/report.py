@@ -5,9 +5,8 @@ is the coordinator's whole view of that shard until the next one.  It
 carries merge-control state — the emissions each query released since the
 previous report (a **delta**, handed over once) and the last barrier's
 delivery order across queries, the epochs its rankers still hold open
-(the merge stage's release condition), the processed event-time
-watermark, the hosting pid — plus **one** telemetry field:
-``instruments``, the shard engine's metrics registry.
+(the merge stage's release condition), the hosting pid — plus **one**
+telemetry field: ``instruments``, the shard engine's metrics registry.
 A local shard hands over its live registry by reference; a pipe shard
 decodes value rows off a barrier reply frame.  Either way every fleet
 counter is ``absorb`` over the last reports' registries, as fresh as the
@@ -47,8 +46,6 @@ class ShardReport:
 
     #: process hosting the shard's engine.
     pid: int
-    #: processed event-time watermark (``None`` before the first event).
-    last_event_ts: float | None = None
     #: everything the shard's engine counts.
     instruments: MetricsRegistry = field(default_factory=MetricsRegistry)
     queries: dict[str, QueryReport] = field(default_factory=dict)
@@ -64,7 +61,6 @@ def encode_report(report: ShardReport) -> dict[str, Any]:
     """JSON-safe document for one report (floats may be non-finite)."""
     return {
         "pid": report.pid,
-        "last_event_ts": report.last_event_ts,
         "instruments": report.instruments.to_wire(),
         "queries": {
             name: {
@@ -81,10 +77,8 @@ def decode_report(
     doc: Mapping[str, Any], scorers: Mapping[str, Scorer]
 ) -> ShardReport:
     """Inverse of :func:`encode_report`; ``scorers`` re-score the matches."""
-    last_ts = doc["last_event_ts"]
     return ShardReport(
         pid=int(doc["pid"]),
-        last_event_ts=None if last_ts is None else float(last_ts),
         instruments=MetricsRegistry.from_wire(doc["instruments"], HELP),
         queries={
             name: QueryReport(

@@ -147,7 +147,6 @@ class LocalShard:
         barrier_order, self._barrier_order = self._barrier_order, []
         return ShardReport(
             pid=self.pid,
-            last_event_ts=self.engine.metrics.last_event_ts,
             instruments=self._instruments,
             queries={
                 handle.name: handle.report()

@@ -832,31 +832,44 @@ class ShardedEngineRunner(TelemetryViews):
     def submit(self, event: Event, timeout: float | None = None) -> None:
         """Ingest one event into its shard's chunk (a full chunk is sent
         now, blocking on a full pipe); ``timeout`` is unused."""
-        registry = self.config.registry
-        if registry is not None:
-            registry.validate(event, strict=self.config.strict_schema)
-        with self._lock:
-            # Checked under the lock, so no submit lands after a flush.
-            self._ensure_live()
-            if self._lateness is not None:
-                for released in self._lateness.push(event):
-                    self._ingest(released)
-            else:
-                self._ingest(event)
-            self.events_submitted += 1
+        self.submit_all((event,))
 
     def submit_all(self, events: Iterable[Event]) -> int:
+        """:meth:`submit` each event; the throughput clock is read once."""
+        registry = self.config.registry
+        strict_schema = self.config.strict_schema
+        metrics = self.metrics
+        metrics.start()
+        pushed = metrics.events_pushed
         count = 0
-        for event in events:
-            self.submit(event)
-            count += 1
+        try:
+            for event in events:
+                if registry is not None:
+                    registry.validate(event, strict=strict_schema)
+                with self._lock:
+                    # Checked under the lock, so no submit lands after a flush.
+                    self._ensure_live()
+                    if self._lateness is not None:
+                        for released in self._lateness.push(event):
+                            self._ingest(released)
+                    else:
+                        self._ingest(event)
+                    self.events_submitted += 1
+                count += 1
+        finally:
+            with self._lock:
+                metrics.on_call(metrics.events_pushed - pushed)
         return count
 
     def _ingest(self, event: Event) -> None:
         # Numbering checks time order for every shard; an all-solo
         # deployment's engine then renumbers (see start()).
         self._sequencer.assign(event)
-        self.metrics.on_push(event.timestamp)
+        metrics = self.metrics
+        metrics.events_pushed += 1
+        last_ts = metrics.last_event_ts
+        if last_ts is None or event.timestamp > last_ts:
+            metrics.last_event_ts = event.timestamp
         for view in self._type_watchers.get(event.event_type, ()):
             view._observe_routed(event)
         batch_size = self.config.batch_size
@@ -1065,8 +1078,10 @@ class ShardedEngineRunner(TelemetryViews):
                 return []
             self._flushed = True
             if self._lateness is not None:
+                pushed = self.metrics.events_pushed
                 for event in self._lateness.flush():
                     self._ingest(event)
+                self.metrics.on_call(self.metrics.events_pushed - pushed)
             released = self._merge_barrier(
                 lambda shard: shard.flush(),
                 lambda view: (view.last_routed_seq, view.last_ts),

@@ -645,9 +645,9 @@ def instrument_query(checker: InvariantChecker, query: "RegisteredQuery") -> Non
         prune_hook = matcher.prune_hook
         assert prune_hook is not None
 
-        def checked_prune_hook(run, event):
+        def checked_prune_hook(run, event, epoch=None):
             checker.check_compiled_bound(query, run, event.timestamp)
-            return prune_hook(run, event)
+            return prune_hook(run, event, epoch)
 
         matcher.prune_hook = checked_prune_hook
     if matcher._cut_key is not None:
@@ -732,8 +732,8 @@ def instrument_sliding(checker: InvariantChecker, query: "RegisteredQuery") -> N
     orig_step = ranker._step
     orig_place = ranker._place
 
-    def step(matches, seq, ts, events, final):
-        emissions = orig_step(matches, seq, ts, events, final)
+    def step(matches, seq, ts, events, final, epoch):
+        emissions = orig_step(matches, seq, ts, events, final, epoch)
         checker.check_sliding(query, shadow)
         return emissions
 

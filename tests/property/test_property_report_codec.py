@@ -111,6 +111,7 @@ def registries(draw):
             histogram = registry.histogram(name, HELP[name], **labels)
             for sample in draw(st.lists(seconds, max_size=5)):
                 histogram.observe(sample)
+            histogram.recorder.record_zeros(draw(st.integers(min_value=0, max_value=3)))
         else:
             registry.gauge(name, HELP[name], agg=kind, **labels).set(draw(values))
     return registry
@@ -129,7 +130,6 @@ def shard_reports(draw):
     names = draw(st.sets(st.sampled_from(sorted(SCORERS)), max_size=2))
     return ShardReport(
         pid=draw(st.integers(min_value=1, max_value=2**22)),
-        last_event_ts=draw(st.none() | seconds),
         instruments=draw(registries()),
         queries={name: draw(query_reports()) for name in sorted(names)},
         barrier_order=draw(st.lists(st.sampled_from(sorted(SCORERS)), max_size=5)),
@@ -141,7 +141,8 @@ def instrument_fields(instrument):
     if isinstance(instrument, Histogram):
         recorder = instrument.recorder
         return fields + [
-            recorder.count, recorder.total, recorder.maximum, recorder._samples
+            recorder.count, recorder.total, recorder.maximum, recorder._samples,
+            recorder.zeros,
         ]
     agg = "sum" if isinstance(instrument, Counter) else instrument.agg
     return fields + [agg, instrument.value]
@@ -180,7 +181,6 @@ def canonical(report: ShardReport) -> str:
         sanitize(
             {
                 "pid": report.pid,
-                "last_event_ts": report.last_event_ts,
                 # registration order is part of the contract (view order)
                 "instruments": [instrument_fields(i) for i in report.instruments],
                 "queries": queries,

@@ -69,17 +69,20 @@ class TestLatencyRecorder:
         assert recorder.total == 4.0
         assert recorder.maximum == 4.0
         assert recorder.mean == 2.0
-        assert sorted(recorder._samples) == [0.0, 4.0]
+        # the zero is a count beside the reservoir, merged into quantiles
+        assert recorder._samples == [4.0]
+        assert recorder.zeros == 1
+        assert recorder.percentile(0) == 0.0
+        assert recorder.percentile(50) == 2.0
+        assert recorder.percentile(100) == 4.0
 
     @pytest.mark.parametrize("bulk", [1, 9, 450])
     def test_record_zero_displaces_at_reservoir_rate(self, bulk):
-        # Regression: zero samples used to bump `count` without entering
-        # the algorithm-R replacement path, so once the reservoir was
-        # full a skip-heavy stream left it frozen on the early non-zero
-        # latencies and every percentile read high.  With the fix, a
-        # stream that is 90% zeros converges the reservoir toward ~90%
-        # zeros, so the median reflects the skips — whether the zeros
-        # arrive one at a time or as a dormant query's settled debt.
+        # Regression: zero samples used to bump `count` without reaching
+        # the percentiles, so a skip-heavy stream left them on the
+        # non-zero latencies and every percentile read high.  The zero
+        # count now joins the quantiles at the reservoir's scale, however
+        # the zeros arrive — one at a time or as a dormant query's debt.
         recorder = LatencyRecorder(capacity=100, seed=7)
         owed = 0
         for i in range(2000):
@@ -91,46 +94,48 @@ class TestLatencyRecorder:
                 recorder.record_zeros(owed)
                 owed = 0
         recorder.record_zeros(owed)
-        zeros = sum(1 for s in recorder._samples if s == 0.0)
-        # statistically ~90 of 100; a frozen reservoir would hold ~10
-        assert zeros > 70
+        # 100 samples stand for 200 measured observations: 1800 zeros
+        # weigh as 900 of them, 90% of the distribution
+        assert recorder.zeros == 1800
         assert recorder.percentile(50) == 0.0
+        assert recorder.percentile(89) == 0.0
+        assert recorder.percentile(91) == 1.0
         # exact aggregates are unaffected by sampling
         assert recorder.count == 2000
         assert recorder.total == 200.0
 
-    def test_record_zeros_fills_free_slots_first(self):
+    def test_record_zeros_leaves_the_reservoir_to_measured_samples(self):
         recorder = LatencyRecorder(capacity=8)
         recorder.record(1.0)
         recorder.record_zeros(5)
-        assert recorder._samples == [1.0] + [0.0] * 5
+        assert recorder._samples == [1.0]
         recorder.record_zeros(1000)
         assert recorder.count == 1006
-        assert len(recorder._samples) == 8
+        assert recorder.zeros == 1005
+        assert recorder._samples == [1.0]
+        assert recorder.percentile(99.9) == 0.0
+        assert recorder.percentile(100) == 1.0
 
-    def test_bulk_zeros_displace_the_same_share_as_single_ones(self):
-        # The bulk form skips ahead to the next displacement instead of
-        # drawing per sample; over many seeds the share of the reservoir
-        # it hands to the zeros must match the per-sample form's (both
-        # estimate owed / count = 0.8).
-        def zero_share(bulk: bool) -> float:
-            zeros = 0
-            for seed in range(40):
-                recorder = LatencyRecorder(capacity=50, seed=seed)
-                for _ in range(500):
-                    recorder.record(1.0)
-                if bulk:
-                    recorder.record_zeros(2000)
-                else:
-                    for _ in range(2000):
-                        recorder.record_zeros()
-                assert recorder.count == 2500
-                zeros += sum(1 for s in recorder._samples if s == 0.0)
-            return zeros / (40 * 50)
+    def test_bulk_zeros_equal_single_ones(self):
+        # Zeros are a count, so paying a debt in bulk is exactly paying it
+        # one sample at a time: O(1) either way, no approximation.
+        def filled(bulk: bool) -> LatencyRecorder:
+            recorder = LatencyRecorder(capacity=50, seed=3)
+            for _ in range(500):
+                recorder.record(1.0)
+            if bulk:
+                recorder.record_zeros(2000)
+            else:
+                for _ in range(2000):
+                    recorder.record_zeros()
+            return recorder
 
-        single, bulk = zero_share(bulk=False), zero_share(bulk=True)
-        assert abs(single - 0.8) < 0.05
-        assert abs(bulk - 0.8) < 0.05
+        single, bulk = filled(bulk=False), filled(bulk=True)
+        assert single.count == bulk.count == 2500
+        assert single.zeros == bulk.zeros == 2000
+        assert single._samples == bulk._samples
+        assert single.percentile(79) == bulk.percentile(79) == 0.0
+        assert single.percentile(81) == bulk.percentile(81) == 1.0
 
     def test_absorb_merges_counts_and_pools_samples(self):
         left = LatencyRecorder(capacity=8)
@@ -201,15 +206,21 @@ class TestStatsRows:
         assert row["latency_mean_us"] > 0
 
 
+def push(metrics: EngineMetrics, events: int = 1) -> None:
+    """What an engine call does: count each event, then meter the call."""
+    metrics.start()
+    metrics.events_pushed += events
+    metrics.on_call(events)
+
+
 class TestEngineMetrics:
     def test_throughput_with_fake_clock(self):
         times = iter([0.0, 1.0, 2.0])
         metrics = EngineMetrics(clock=lambda: next(times))
-        metrics.on_push()
-        metrics.on_push()
-        metrics.on_push()
+        push(metrics)  # the first call reads the clock at its start and its end
+        push(metrics)
         assert metrics.elapsed == 2.0
-        assert metrics.throughput == 1.5
+        assert metrics.throughput == 1.0
 
     def test_idle_engine(self):
         metrics = EngineMetrics()
@@ -224,7 +235,7 @@ class TestEngineMetrics:
         metrics = EngineMetrics(clock=lambda: now[0], window_seconds=10.0)
         for second in range(100):
             now[0] = float(second)
-            metrics.on_push()
+            push(metrics)
         # Trailing 10s hold seconds 90..99 -> 10 events over the window.
         assert metrics.recent_throughput == 1.0
         assert metrics.throughput == 100 / 99
@@ -237,18 +248,17 @@ class TestEngineMetrics:
         metrics = EngineMetrics(clock=lambda: now[0], window_seconds=10.0)
         for i in range(50):
             now[0] = i * 0.1
-            metrics.on_push()
+            push(metrics)
         for i in range(100):
             now[0] = 1000.0 + i * 0.01
-            metrics.on_push()
+            push(metrics)
         assert metrics.recent_throughput == 10.0  # 100 events / 10s window
         assert metrics.throughput < 0.2
 
     def test_recent_throughput_decays_when_idle(self):
         now = [0.0]
         metrics = EngineMetrics(clock=lambda: now[0], window_seconds=10.0)
-        for i in range(10):
-            metrics.on_push()
+        push(metrics, 10)  # one call of ten events
         assert metrics.recent_throughput > 0.0
         now[0] = 60.0  # stream went quiet; the burst ages out
         assert metrics.recent_throughput == 0.0
@@ -258,9 +268,9 @@ class TestEngineMetrics:
         # 1s span, not diluted across the (mostly empty) full window.
         now = [0.0]
         metrics = EngineMetrics(clock=lambda: now[0], window_seconds=10.0)
-        metrics.on_push()
+        push(metrics)
         now[0] = 1.0
-        metrics.on_push()
+        push(metrics)
         assert metrics.recent_throughput == 2.0
 
     def test_window_must_be_positive(self):

@@ -290,6 +290,56 @@ class TestLifecycle:
         runner.stop()
         runner.stop()
 
+    def test_a_stop_that_times_out_leaves_the_runner_failed(self):
+        """Regression: a ``stop()`` that timed out used to mark the runner
+        stopped while its consumer was still inside the engine, so a
+        ``flush()`` from another thread ran the engine there — two threads
+        in one engine, delivering the held window off the consumer."""
+        gate = threading.Event()
+        deliveries = []  # the thread each emission was delivered on
+        engine = CEPREngine()
+        engine.register_query(
+            "PATTERN SEQ(A a) WITHIN 2 EVENTS RANK BY a.x DESC EMIT ON WINDOW CLOSE",
+            name="q",
+        )
+
+        def wedge(emission):
+            deliveries.append(threading.get_ident())
+            if len(deliveries) == 1:
+                gate.wait(10.0)
+
+        runner = ThreadedEngineRunner(engine)
+        runner.subscribe("q", wedge)
+        runner.start()
+        for i in range(3):  # epoch 0 closes on the third event; epoch 1 is held
+            runner.submit(E("A", float(i), x=i))
+        wait_until(lambda: deliveries)
+        consumer = deliveries[0]
+        with pytest.raises(TimeoutError):
+            runner.stop(timeout=0.2)
+
+        outcome = []
+
+        def teardown():
+            try:
+                outcome.append(runner.flush())
+            except RuntimeError as exc:
+                outcome.append(exc)
+
+        second = threading.Thread(target=teardown)
+        second.start()
+        second.join(5.0)
+        assert deliveries == [consumer], "nothing delivered off the consumer"
+        assert isinstance(outcome[0], RuntimeError)
+        assert "engine thread failed" in str(outcome[0])
+        with pytest.raises(RuntimeError, match="engine thread failed"):
+            runner.submit(E("A", 9.0, x=9))
+        gate.set()
+        with pytest.raises(RuntimeError, match="engine thread failed"):
+            runner.stop(timeout=5.0)
+        assert runner._loop.join(0), "the consumer thread is joined"
+        assert deliveries == [consumer], "the failed runner flushed nothing"
+
 
 class TestConcurrency:
     def test_many_producers_one_engine(self):
