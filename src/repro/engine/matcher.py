@@ -337,15 +337,17 @@ class PatternMatcher:
             pendings_before = len(partition.pendings)
 
         completed: list[Match] = []
-        self._expire(partition, event, epoch, completed)
-        # Transitions run before negation kills so an event that both
-        # matches a stage and a negated element can bind in the branches
-        # that consume it, while still killing the branches that skip it
-        # (its guard interval covers only the latter).
-        self._transition(partition, event, key, completed, epoch)
-        if event.event_type in self._negation_types:
-            self._apply_negations(partition, event)
-        self._note_activity(key, partition, runs_before, pendings_before)
+        try:
+            self._expire(partition, event, epoch, completed)
+            # Transitions run before negation kills so an event that both
+            # matches a stage and a negated element can bind in the branches
+            # that consume it, while still killing the branches that skip it
+            # (its guard interval covers only the latter).
+            self._transition(partition, event, key, completed, epoch)
+            if event.event_type in self._negation_types:
+                self._apply_negations(partition, event)
+        finally:  # a strict evaluation error must not leave an empty partition
+            self._note_activity(key, partition, runs_before, pendings_before)
         return completed
 
     def event_touches_state(self, event: Event, key: tuple[Any, ...]) -> bool:

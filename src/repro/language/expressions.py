@@ -503,22 +503,31 @@ def _event_attr(attr: str) -> Callable[[Event], Any]:
     return read
 
 
-def _compare_attr_with_number(expr: Expr) -> EventCheck | None:
-    """``v.attr <op> number``: a numeric attribute value is compared
-    inline; anything else takes the general ordering path, which raises
-    what it always raises."""
-    if not (
+def attr_threshold(expr: Expr) -> tuple[str, BinaryOp, int | float] | None:
+    """``(attr, op, number)`` when ``expr`` is ``v.attr <op> number`` with
+    an ordering ``op`` and an ``int``/``float`` literal — the shape
+    :func:`compile_event_predicate` compares inline — else ``None``."""
+    if (
         isinstance(expr, Binary)
         and expr.op in _ORDERING
         and isinstance(expr.left, AttrRef)
         and isinstance(expr.right, Literal)
         and type(expr.right.value) in (int, float)
     ):
+        return expr.left.attr, expr.op, expr.right.value
+    return None
+
+
+def _compare_attr_with_number(expr: Expr) -> EventCheck | None:
+    """``v.attr <op> number``: a numeric attribute value is compared
+    inline; anything else takes the general ordering path, which raises
+    what it always raises."""
+    shape = attr_threshold(expr)
+    if shape is None:
         return None
-    name, bound, compare = expr.left.attr, expr.right.value, _ORDERING[expr.op]
-    general = _compile_ordering(
-        expr.op, _compile_on_event(expr.left), _compile_on_event(expr.right)
-    )
+    name, op, bound = shape
+    compare = _ORDERING[op]
+    general = _compile_ordering(op, _event_attr(name), lambda event: bound)
 
     def check(event: Event) -> bool:
         try:

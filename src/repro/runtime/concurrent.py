@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import queue
 import threading
+import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator
 
@@ -115,6 +116,9 @@ class WorkerLoop:
         self._thread: threading.Thread | None = None
         #: True once the owner thread has left the loop (nothing runs after).
         self._closed = False
+        #: set by a :meth:`stop` that could not queue its final operation:
+        #: the owner leaves before taking another item.
+        self._abandoned = False
         #: exception latched on the event path (or by a final callable).
         self.failure: BaseException | None = None
         self.events_processed = 0
@@ -148,17 +152,19 @@ class WorkerLoop:
         fn: Callable[[], Any],
         hold: threading.Event | None = None,
         last: bool = False,
+        timeout: float | None = None,
     ) -> Call:
         """Queue ``fn`` to run on the owner thread behind everything queued.
 
         The loop acknowledges (:meth:`Call.wait` returns) once ``fn`` has
         run — or been skipped because a failure is latched — and then, if
         ``hold`` is given, parks until it is set.  ``last`` makes this the
-        loop's final operation.
+        loop's final operation.  A queue still full after ``timeout``
+        raises :class:`queue.Full`, with nothing queued.
         """
         call = Call(fn, hold, last)
         if not self._closed:
-            self._queue.put(call)
+            self._queue.put(call, timeout=timeout)
         if self._closed:
             call.done.set()  # the owner left before (or while) we queued
         return call
@@ -166,9 +172,26 @@ class WorkerLoop:
     def call(self, fn: Callable[[], Any], timeout: float | None = None) -> Any:
         return self.begin(fn).wait(timeout)
 
-    def stop(self, final: Callable[[], Any] = _noop) -> None:
-        """Ask the owner to run ``final`` (unless failed) and leave the loop."""
-        self.begin(final, last=True)
+    def stop(
+        self, final: Callable[[], Any] = _noop, timeout: float | None = None
+    ) -> bool:
+        """Ask the owner to run ``final`` (unless failed) and leave the loop.
+
+        False when the queue stayed full for ``timeout``: the loop is then
+        failed, and its owner leaves at its next safe point without
+        running ``final`` (it is wedged, or there would have been room).
+        """
+        try:
+            self.begin(final, last=True, timeout=timeout)
+            return True
+        except queue.Full:
+            self.fail(TimeoutError("the ingest queue stayed full: not stopped in time"))
+            self._abandoned = True
+            try:  # wakes an owner that drained the queue meanwhile
+                self._queue.put_nowait(Call(_noop, None, True))
+            except queue.Full:
+                pass  # the owner sees the flag before its next item
+            return False
 
     def fail(self, error: BaseException) -> None:
         """Latch ``error`` from outside the owner (unless a failure is
@@ -191,6 +214,10 @@ class WorkerLoop:
         )
         carried: Call | None = None
         while True:
+            if self._abandoned:
+                if carried is not None:
+                    carried.done.set()
+                break
             item = carried if carried is not None else get()
             carried = None
             if type(item) is not Call:
@@ -237,6 +264,10 @@ class WorkerLoop:
                 return
             if type(item) is Call:
                 item.done.set()
+
+
+def _remaining(deadline: float | None) -> float | None:
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
 
 
 # -- the runner ----------------------------------------------------------------------
@@ -317,15 +348,18 @@ class ThreadedEngineRunner(TelemetryViews):
         engine: the runner is then *failed*, not stopped — every later
         call raises, none drives the engine from the caller's thread, and
         the consumer skips whatever is queued behind what it is running
-        (the flush included) — and :class:`TimeoutError` is raised.  A
-        later ``stop()`` joins the consumer and raises the failure.
+        (the flush included) — and :class:`TimeoutError` is raised; so is
+        it when a wedged consumer leaves the ingest queue too full to take
+        the flush in time.  A later ``stop()`` joins the consumer and
+        raises the failure.
         """
         if not self._started or self._stopped:
             return
+        deadline = None if timeout is None else time.monotonic() + timeout
         if not self._stopping:
             self._stopping = True
-            self._loop.stop(final=self.engine.flush)
-        if not self._loop.join(timeout):
+            self._loop.stop(final=self.engine.flush, timeout=timeout)
+        if not self._loop.join(_remaining(deadline)):
             error = TimeoutError("consumer thread did not drain in time")
             self._loop.fail(error)
             raise error
@@ -336,13 +370,16 @@ class ThreadedEngineRunner(TelemetryViews):
         self._check_failure()
 
     def kill(self, timeout: float | None = 5.0) -> None:
-        """Stop the consumer and kill the engine **without flushing**."""
+        """Stop the consumer and kill the engine **without flushing**;
+        returns within ``timeout`` even if the consumer is wedged with the
+        ingest queue full."""
         if self._started and not self._stopped:
             self._stopped = True
+            deadline = None if timeout is None else time.monotonic() + timeout
             if not self._stopping:
                 self._stopping = True
-                self._loop.stop()
-            self._loop.join(timeout)
+                self._loop.stop(timeout=timeout)
+            self._loop.join(_remaining(deadline))
             self.engine.kill()
 
     def close(self) -> None:

@@ -22,23 +22,33 @@ Two pieces live here (see docs/SHARED_EXECUTION.md):
   key, :meth:`EventRouter.remove` releases it and **fully prunes** keys
   whose last pipeline unregistered, so a serving fleet with
   register/unregister churn never accumulates stale index state.
+* :class:`_ThresholdIndex` — each type bucket's dormant gates of the
+  shape ``attr <op> number``, by attribute and sorted by threshold: one
+  read of the event's value and one ``bisect`` per (partitioner, op)
+  answer all of them, and the gates it shuts are booked in bulk.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import partial
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.events.event import Event
+from repro.language.ast_nodes import BinaryOp
 from repro.language.errors import EvaluationError
-from repro.language.expressions import EvalContext, evaluate_predicate
+from repro.language.expressions import EvalContext, attr_threshold, evaluate_predicate
 from repro.runtime.query import RegisteredQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.matcher import MatcherStats
     from repro.engine.nfa import Stage
     from repro.engine.partitioner import Partitioner
+
+
+#: a gate's memoized verdict on an event that shuts it without error.
+_SHUT: tuple[bool, int, EvaluationError | None] = (False, 0, None)
 
 
 class SharedExecutionIndex:
@@ -74,6 +84,10 @@ class SharedExecutionIndex:
         #: (query, event) pairs elided: skipped by the residual check, or
         #: never offered because the query was dormant.
         self.events_gated = 0
+        #: the router's wake lists by gate key: a memo miss first asks the
+        #: gate's threshold cut, which may already have shut it for this
+        #: event in its leader's name (set by :class:`EventRouter`).
+        self.wake_lists: dict[Any, _WakeList] = {}
 
     # -- introspection ----------------------------------------------------------
 
@@ -157,6 +171,10 @@ class SharedExecutionIndex:
         counter-exact across shard splits.  Only a charged hit counts as a
         saved evaluation, so a query re-reading its own consult saves
         nothing.
+
+        A gate the router's threshold index shut for this event was
+        evaluated there, in its leader's name: the memo is filled from the
+        index, and the consult charged as if the router had memoized it.
         """
         key = stage.gate_key
         if key is None:
@@ -164,14 +182,27 @@ class SharedExecutionIndex:
         charge_key = (key, id(stats))
         cached = self._gate_memo.get(key)
         if cached is None:
-            cached = self._gate_memo[key] = self._evaluate_gate(stage)
-            self._gate_charged.add(charge_key)
-            stats.shared_misses += 1
-        elif charge_key not in self._gate_charged:
+            gate = self.wake_lists.get(key)
+            if gate is not None and gate.shut_by_index(self.current_event):
+                self.remember_shut(key, gate.leader.matcher.stats)
+                cached = _SHUT
+            else:
+                cached = self._gate_memo[key] = self._evaluate_gate(stage)
+                self._gate_charged.add(charge_key)
+                stats.shared_misses += 1
+                return cached
+        if charge_key not in self._gate_charged:
             self._gate_charged.add(charge_key)
             stats.shared_hits += 1
             self.predicate_evals_saved += 1
         return cached
+
+    def remember_shut(self, key: str, leader: "MatcherStats") -> None:
+        """Memoize a gate the threshold index shut for the current event,
+        its evaluation charged to ``leader`` (unless memoized already)."""
+        if key not in self._gate_memo:
+            self._gate_memo[key] = _SHUT
+            self._gate_charged.add((key, id(leader)))
 
     def _evaluate_gate(
         self, stage: "Stage"
@@ -204,7 +235,7 @@ class SharedExecutionIndex:
 class _WakeList:
     """One distinct stage-0 gate (by gate key) and its dormant owners."""
 
-    __slots__ = ("stage", "leader", "dormant", "index", "failed", "shut")
+    __slots__ = ("stage", "leader", "dormant", "index", "failed", "shut", "cut", "rank")
 
     def __init__(self, stage: "Stage", leader: RegisteredQuery) -> None:
         self.stage = stage
@@ -219,9 +250,197 @@ class _WakeList:
         self.index: _PartitionIndex | None = None
         #: events on which the gate was evaluated for dormant owners and
         #: stayed shut — each a memo hit for a non-leader owner's own
-        #: consult — and the latest of them.
+        #: consult — and the latest of them the per-gate path shut (the
+        #: threshold index books its own in bulk: see :meth:`shut_on`).
         self.failed = 0
         self.shut: Event | None = None
+        #: the threshold cut holding this gate, and its place there
+        #: (``None`` when the index does not cover it).
+        self.cut: _Cut | None = None
+        self.rank = 0
+
+    def shut_by_index(self, event: Event | None) -> bool:
+        """Did the threshold index shut this gate for ``event``?"""
+        cut = self.cut
+        return cut is not None and cut.event is event and self.rank >= cut.position
+
+    def shut_on(self, event: Event) -> bool:
+        """Did ``event`` shut this gate, by the index or the per-gate path?"""
+        return self.shut is event or self.shut_by_index(event)
+
+
+#: per operator: whether a cut negates thresholds and values, so that the
+#: gates a value shuts are always a suffix of its ascending keys, and the
+#: bisect that finds where that suffix starts.  ``v > k`` is shut by
+#: ``k >= v``, ``v >= k`` by ``k > v``, ``v < k`` by ``-k >= -v`` and
+#: ``v <= k`` by ``-k > -v``.
+_CUTS: dict[BinaryOp, tuple[bool, Callable[..., int]]] = {
+    BinaryOp.GT: (False, bisect_left),
+    BinaryOp.GTE: (False, bisect_right),
+    BinaryOp.LT: (True, bisect_left),
+    BinaryOp.LTE: (True, bisect_right),
+}
+
+
+class _Cut:
+    """The gates of one (partitioner, attribute, operator), by threshold.
+
+    Per event, one ``bisect`` of the value into the sorted keys finds
+    ``position``: the gates from there on are shut.  Events are counted
+    per position (``hits``) and folded into each gate's ``failed`` and
+    its leader's misses at :meth:`_ThresholdIndex.fold` — a gate at rank
+    r was shut by every event cut at a position <= r.
+    """
+
+    __slots__ = (
+        "index", "negate", "bisect", "keys", "gates", "hits", "saved",
+        "event", "position",
+    )
+
+    def __init__(
+        self,
+        index: "_PartitionIndex",
+        op: BinaryOp,
+        entries: list[tuple[int | float, _WakeList, int]],
+    ) -> None:
+        """``entries``: (threshold, gate, the memo hits a shut saves)."""
+        self.index = index
+        self.negate, self.bisect = _CUTS[op]
+        if self.negate:
+            entries = [(-bound, gate, weight) for bound, gate, weight in entries]
+        entries.sort(key=lambda entry: entry[0])
+        self.keys = [key for key, _, _ in entries]
+        self.gates = [gate for _, gate, _ in entries]
+        self.hits = [0] * (len(entries) + 1)
+        #: ``saved[p]``: the memo hits dormant non-leader owners' own
+        #: consults would have been, summed over the gates from ``p`` on.
+        self.saved = [0] * (len(entries) + 1)
+        for rank in range(len(entries) - 1, -1, -1):
+            gate = self.gates[rank]
+            gate.cut, gate.rank = self, rank
+            self.saved[rank] = self.saved[rank + 1] + entries[rank][2]
+        #: the latest event cut, and where.
+        self.event: Event | None = None
+        self.position = 0
+
+
+class _ThresholdIndex:
+    """A type bucket's gates whose first predicate is ``attr <op> number``.
+
+    Derived from the bucket's wake lists and rebuilt whenever they or
+    their dormant owners change; never checkpointed.  :meth:`cut` reads
+    each indexed attribute of an event once, bisects it into every cut
+    and books what the shut gates' per-gate evaluation would have — in
+    O(cuts), not O(gates).  Other gates (:attr:`rest`), and every gate
+    of an attribute whose value is not a plain number (``bool``,
+    ``str``, missing, NaN), take the per-gate path, which raises what it
+    always raised.
+    """
+
+    __slots__ = ("attributes", "cuts", "rest", "lookups")
+
+    def __init__(self, gates: list[_WakeList], weights: list[int]) -> None:
+        # attribute -> (partition index, op) -> the entries of a cut
+        grouped: dict[str, dict[tuple[_PartitionIndex, BinaryOp], list]] = {}
+        #: gates the index does not cover, in the bucket's order.
+        self.rest: list[_WakeList] = []
+        for gate, weight in zip(gates, weights):
+            gate.cut = None
+            shape = attr_threshold(gate.stage.gate_predicates[0].expr)
+            if shape is None or shape[2] != shape[2]:  # a NaN bound orders nothing
+                self.rest.append(gate)
+                continue
+            attr, op, bound = shape
+            assert gate.index is not None
+            slices = grouped.setdefault(attr, {})
+            slices.setdefault((gate.index, op), []).append((bound, gate, weight))
+        self.attributes: list[tuple[str, list[_Cut]]] = []
+        self.cuts: list[_Cut] = []
+        for attr, slices in grouped.items():
+            cuts = [_Cut(index, op, entries) for (index, op), entries in slices.items()]
+            self.attributes.append((attr, cuts))
+            self.cuts += cuts
+        #: attribute values read (one per indexed attribute per event).
+        self.lookups = 0
+
+    def cut(self, event: Event, shared: SharedExecutionIndex) -> bool:
+        """Cut every indexed gate the event consults and book those it
+        shuts: one hit per cut for :meth:`fold`, one evaluated predicate
+        per gate, and the memo hits their dormant non-leader owners are
+        saved.  True when each one is shut, so that only :attr:`rest`
+        needs the per-gate path."""
+        payload = event.payload
+        every = True
+        for attr, cuts in self.attributes:
+            self.lookups += 1
+            value = payload.get(attr)
+            kind = type(value)
+            if (kind is not int and kind is not float) or value != value:
+                every = False
+                continue
+            for cut in cuts:
+                if cut.index.key is None:
+                    continue  # keyless: nobody consults these gates
+                cut.position = position = cut.bisect(
+                    cut.keys, -value if cut.negate else value
+                )
+                cut.event = event
+                cut.hits[position] += 1
+                shared.predicate_evals_performed += len(cut.gates) - position
+                shared.predicate_evals_saved += cut.saved[position]
+                if position:
+                    every = False
+        return every
+
+    def rewind(
+        self, raised: _WakeList, gates: list[_WakeList], event: Event,
+        shared: SharedExecutionIndex,
+    ) -> None:
+        """A strict gate error ends the event at ``raised``, as it ended
+        the per-gate path: take back what :meth:`cut` booked for ``event``
+        and book, one by one, only the gates it shut ahead of ``raised``
+        in the bucket (the per-gate path saved nothing either)."""
+        for cut in self.cuts:
+            if cut.event is event:
+                position = cut.position
+                cut.hits[position] -= 1
+                shared.predicate_evals_performed -= len(cut.gates) - position
+                shared.predicate_evals_saved -= cut.saved[position]
+        for gate in gates:
+            if gate is raised:
+                return
+            if gate.shut_by_index(event):
+                gate.failed += 1
+                gate.leader.matcher.stats.shared_misses += 1
+                shared.predicate_evals_performed += 1
+
+    def fold(self) -> None:
+        """Move the booked hits into each gate's ``failed`` count and its
+        leader's shared misses."""
+        for cut in self.cuts:
+            hits = cut.hits
+            if not any(hits):
+                continue
+            shut = 0
+            for rank, gate in enumerate(cut.gates):
+                shut += hits[rank]
+                if shut:
+                    gate.failed += shut
+                    gate.leader.matcher.stats.shared_misses += shut
+            cut.hits = [0] * len(hits)
+
+    def retire(self, shared: SharedExecutionIndex) -> None:
+        """Fold, and memoize the gates cut shut for the current event:
+        later consults of it must not find them unanswered."""
+        self.fold()
+        event = shared.current_event
+        for cut in self.cuts:
+            if cut.event is event and event is not None:
+                for gate in cut.gates[cut.position:]:
+                    assert gate.stage.gate_key is not None
+                    shared.remember_shut(gate.stage.gate_key, gate.leader.matcher.stats)
+            for gate in cut.gates:
+                gate.cut = None
 
 
 class _PartitionIndex:
@@ -252,7 +471,9 @@ class _PartitionIndex:
 class _TypeBucket:
     """Who must see an event of one type."""
 
-    __slots__ = ("awake", "indexes", "gates", "dormant", "events", "last_event")
+    __slots__ = (
+        "awake", "indexes", "gates", "thresholds", "dormant", "events", "last_event",
+    )
 
     def __init__(self) -> None:
         #: registration order; replaced, never mutated in place, because a
@@ -264,6 +485,8 @@ class _TypeBucket:
         #: wake lists with dormant owners whose stage 0 binds this type, in
         #: leader registration order.
         self.gates: list[_WakeList] = []
+        #: the threshold index over :attr:`gates` (derived state).
+        self.thresholds: _ThresholdIndex | None = None
         #: dormant queries interested in this type.
         self.dormant = 0
         #: events of this type routed past dormant queries, and the latest
@@ -344,6 +567,8 @@ class EventRouter:
         self._dormant: dict[RegisteredQuery, _Dormancy] = {}
         #: True while some dormant query may be owed counts.
         self._unsettled = False
+        if shared is not None:
+            shared.wake_lists = self._gates
 
     def add(self, query: RegisteredQuery) -> None:
         self._queries.append(query)
@@ -420,7 +645,7 @@ class EventRouter:
 
     def _reenlist(self) -> None:
         """Re-derive who leads which gate, and who may go dormant."""
-        self._gates = {}
+        self._gates.clear()
         for remaining in self._queries:
             remaining.on_inert = None
             self._enlist(remaining)
@@ -467,10 +692,14 @@ class EventRouter:
             if holders:
                 offered += holders
         held = len(offered)
+        gates = bucket.gates
+        thresholds = bucket.thresholds
+        if thresholds is not None and thresholds.cut(event, shared):
+            gates = thresholds.rest  # the index shut every gate it covers
         saved = 0
-        for gate in bucket.gates:
+        for gate in gates:
             assert gate.index is not None
-            if gate.index.key is None:
+            if gate.index.key is None or gate.shut_by_index(event):
                 continue
             leader = gate.leader
             passed, errors, error = shared.gate_outcome(gate.stage, leader.matcher.stats)
@@ -489,6 +718,8 @@ class EventRouter:
                 # matcher consults the memo; the rest (rare path) here.
                 if not leader.matcher.lenient_errors:
                     assert error is not None
+                    if thresholds is not None:
+                        thresholds.rewind(gate, bucket.gates, event, shared)
                     raise error
                 holders = offered[:held]
                 for dormancy in gate.dormant:
@@ -506,7 +737,11 @@ class EventRouter:
             # stayed shut consults it itself.
             dormancy.events_seen += 1
             gate = dormancy.gate
-            if position < held and gate.shut is event and dormancy.query is not gate.leader:
+            if (
+                position < held
+                and dormancy.query is not gate.leader
+                and gate.shut_on(event)
+            ):
                 dormancy.failed_seen += 1
                 saved -= 1
             queries.append(dormancy.query)
@@ -526,6 +761,9 @@ class EventRouter:
         its ranker starts holding matches (``on_busy``).
         """
         gate = self._gates[query.automaton.stages[0].gate_key]
+        gate_bucket = self._buckets[gate.stage.event_type]
+        if gate_bucket.thresholds is not None:
+            gate_bucket.thresholds.fold()  # the new dormancy starts from ``failed``
         dormancy = _Dormancy(query, gate)
         matcher = query.matcher
         held = list(matcher._partitions)
@@ -542,17 +780,23 @@ class EventRouter:
             dormancy.events_seen += bucket.events
             dormancy.keyless_seen += index.keyless
         if not gate.dormant:
-            bucket = self._buckets[gate.stage.event_type]
-            gate.index = bucket.index_for(matcher._partitioner)
-            bucket.gates = sorted(bucket.gates + [gate], key=lambda g: self._rank[g.leader])
+            gate.index = gate_bucket.index_for(matcher._partitioner)
+            gate_bucket.gates = sorted(
+                gate_bucket.gates + [gate], key=lambda g: self._rank[g.leader]
+            )
         gate.dormant.append(dormancy)
         matcher.on_partition = dormancy.on_partition
         query.ranker.on_busy = partial(self._wake, query)
         self._dormant[query] = dormancy
+        self._reindex(gate_bucket)
 
     def _wake(self, query: RegisteredQuery) -> None:
         """Settle ``query`` and offer it every event again."""
         dormancy = self._dormant.pop(query)
+        gate = dormancy.gate
+        gate_bucket = self._buckets[gate.stage.event_type]
+        if gate_bucket.thresholds is not None:
+            gate_bucket.thresholds.fold()
         self._settle(dormancy)
         matcher = query.matcher
         matcher.on_partition = None
@@ -567,11 +811,27 @@ class EventRouter:
             index.members -= 1
             if not index.members:
                 bucket.indexes = [i for i in bucket.indexes if i is not index]
-        gate = dormancy.gate
         gate.dormant.remove(dormancy)
         if not gate.dormant:
-            bucket = self._buckets[gate.stage.event_type]
-            bucket.gates = [g for g in bucket.gates if g is not gate]
+            gate_bucket.gates = [g for g in gate_bucket.gates if g is not gate]
+        self._reindex(gate_bucket)
+
+    def _reindex(self, bucket: _TypeBucket) -> None:
+        """Rebuild ``bucket``'s threshold index after its wake lists or
+        their dormant owners changed (what each shut gate saves)."""
+        shared = self.shared
+        assert shared is not None
+        if bucket.thresholds is not None:
+            bucket.thresholds.retire(shared)
+        dormant = self._dormant
+        bucket.thresholds = (
+            _ThresholdIndex(
+                bucket.gates,
+                [len(g.dormant) - (g.leader in dormant) for g in bucket.gates],
+            )
+            if bucket.gates
+            else None
+        )
 
     def wake_all(self) -> None:
         """Settle every dormant query and offer it every event again.
@@ -594,6 +854,9 @@ class EventRouter:
         """
         if self._unsettled:
             self._unsettled = False
+            for bucket in self._buckets.values():
+                if bucket.thresholds is not None:
+                    bucket.thresholds.fold()
             for dormancy in self._dormant.values():
                 self._settle(dormancy)
 

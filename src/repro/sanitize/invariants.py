@@ -51,7 +51,10 @@ Checks, by hook point:
     its ranker inert, and in the wake list of its own stage-0 gate; every
     type bucket's awake list and dormant count match registration order,
     and its partition index lists each dormant query under exactly the
-    partitions its matcher holds runs or pendings in.
+    partitions its matcher holds runs or pendings in; its threshold index
+    covers exactly its gates with dormant owners, and every verdict of
+    its latest cuts is re-derived by the per-gate evaluation of the
+    gate's first predicate.
 ``engine.snapshot``
     **snapshot-roundtrip** — ``restore(snapshot())`` followed by a second
     ``snapshot()`` reproduces the first byte-for-byte.
@@ -523,7 +526,8 @@ class InvariantChecker:
         gate, every type bucket it listens on counts it dormant and does
         not also list it awake, and each bucket's partition index holds
         it under exactly the partitions its matcher holds runs or
-        pendings in (recounted from ``_partitions``).
+        pendings in (recounted from ``_partitions``).  Each bucket's
+        threshold index is checked by :meth:`check_thresholds`.
         """
         engine = self.engine
         router = engine._router
@@ -580,6 +584,7 @@ class InvariantChecker:
                     f"{len(sleeping_gates)} have dormant owners",
                     event_type=event_type,
                 )
+            self.check_thresholds(event_type, bucket, trip)
             indexed = {
                 (index.partitioner.attributes, key, dormancy.query.name)
                 for index in bucket.indexes
@@ -612,6 +617,45 @@ class InvariantChecker:
                     f"— the evaluating consult is charged to the wrong query",
                     leader=gate.leader.name,
                 )
+
+    @staticmethod
+    def check_thresholds(event_type: str, bucket, trip) -> None:
+        """A type bucket's threshold index against its wake lists and the
+        per-gate evaluation: it covers exactly the bucket's gates, and each
+        cut's latest verdicts — shut from its position on, open before it —
+        are what each gate's first predicate says of that event."""
+        index = bucket.thresholds
+        covered = [] if index is None else [
+            gate for cut in index.cuts for gate in cut.gates
+        ] + index.rest
+        if sorted(map(id, covered)) != sorted(map(id, bucket.gates)):
+            trip(
+                f"type bucket {event_type!r}: the threshold index covers "
+                f"{len(covered)} gate(s) but {len(bucket.gates)} have dormant "
+                f"owners — an index not rebuilt after churn answers for gates "
+                f"that are gone",
+                event_type=event_type,
+            )
+            return
+        for cut in [] if index is None else index.cuts:
+            event = cut.event
+            if event is None:
+                continue
+            for rank, gate in enumerate(cut.gates):
+                check = gate.stage.gate_predicates[0].event_check
+                try:
+                    holds = check(event)
+                except EvaluationError as exc:
+                    holds = exc
+                if (rank >= cut.position) != (holds is False):
+                    trip(
+                        f"type bucket {event_type!r}: the threshold index "
+                        f"{'shut' if rank >= cut.position else 'opened'} gate "
+                        f"{gate.stage.gate_key!r} for event #{event.seq}, but "
+                        f"its first predicate gives {holds!r}",
+                        event_type=event_type,
+                        seq=event.seq,
+                    )
 
 
 def instrument_leads(checker: InvariantChecker, engine: "CEPREngine") -> None:

@@ -1,7 +1,10 @@
 """PARTITION BY semantics."""
 
+import pytest
+
 from repro.events.event import Event
 from repro.events.time import SequenceAssigner
+from repro.language.errors import EvaluationError
 
 from tests.engine.helpers import feed, make_matcher, pair_set, run_pattern
 
@@ -104,6 +107,13 @@ class TestPartitionLifetime:
             matcher.process(event)
             held.append(set(matcher._partitions))
         assert held == [{("X",)}, {("X",), ("Y",)}, {("Y",)}, {("Y",)}, set()]
+
+    def test_a_strict_gate_error_leaves_no_empty_partition(self):
+        matcher = make_matcher(self.QUERY)
+        with pytest.raises(EvaluationError):
+            feed(matcher, [E("A", 1, sym="X", x="one")], flush=False)
+        assert matcher._partitions == {}
+        assert matcher.live_run_count == 0
 
     def test_heartbeat_expiry_drops_partitions(self):
         matcher = make_matcher(

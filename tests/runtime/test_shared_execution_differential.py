@@ -597,7 +597,24 @@ def group_program(members):
 
 
 def group_events(seed, count=480):
-    return list(StockWorkload(seed=seed, rate=10.0).events(count))
+    """``count`` stock events, then a burst in which every template
+    matches at every threshold: whatever members are drawn, the program
+    emits."""
+    events = list(StockWorkload(seed=seed, rate=10.0).events(count))
+    volume = max(GROUP_THRESHOLDS) + 50
+    burst = (  # SEQ(Buy, Buy), SEQ(Buy, Sell), SEQ(Sell, Sell), SEQ(Sell, Buy)
+        ("Buy", 10.0, volume),
+        ("Buy", 10.0, volume),
+        ("Sell", 11.0, volume),
+        ("Sell", 12.0, volume + 10),
+        ("Buy", 9.0, volume),
+    )
+    start = events[-1].timestamp if events else 0.0
+    for offset, (kind, price, size) in enumerate(burst, 1):
+        events.append(
+            Event(kind, start + 0.01 * offset, symbol="BURST", price=price, volume=size)
+        )
+    return events
 
 
 def copies(events):

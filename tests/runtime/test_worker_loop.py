@@ -341,6 +341,67 @@ class TestLifecycle:
         assert deliveries == [consumer], "the failed runner flushed nothing"
 
 
+    @staticmethod
+    def wedged_with_a_full_queue():
+        """A runner whose consumer is stuck in a subscription and whose
+        ingest queue (``max_queue=2``) is full behind it."""
+        gate = threading.Event()
+        delivered = []
+        engine = CEPREngine()
+        engine.register_query(
+            "PATTERN SEQ(A a) WITHIN 2 EVENTS RANK BY a.x DESC EMIT ON WINDOW CLOSE",
+            name="q",
+        )
+
+        def wedge(emission):
+            delivered.append(emission)
+            gate.wait(10.0)
+
+        runner = ThreadedEngineRunner(engine, max_queue=2, batch_size=1)
+        runner.subscribe("q", wedge)
+        runner.start()
+        for i in range(3):  # epoch 0 closes on the third event
+            runner.submit(E("A", float(i), x=i))
+        wait_until(lambda: delivered)
+        for i in (3, 4):  # two more fill the queue
+            runner.submit(E("A", float(i), x=i))
+        assert runner.backlog == 2
+        return runner, gate
+
+    def test_kill_obeys_its_timeout_with_a_wedged_consumer_and_a_full_queue(self):
+        """Regression: ``kill`` queued its final operation with a blocking
+        put, so it returned only once the consumer made room."""
+        runner, gate = self.wedged_with_a_full_queue()
+        opener = threading.Timer(3.0, gate.set)  # bounds the old hang
+        opener.start()
+        started = time.monotonic()
+        try:
+            runner.kill(timeout=0.5)
+            elapsed = time.monotonic() - started
+        finally:
+            gate.set()
+            opener.cancel()
+        assert elapsed < 1.0
+        assert runner._loop.join(5.0), "the consumer leaves once unwedged"
+
+    def test_a_first_stop_obeys_its_timeout_with_a_full_queue(self):
+        runner, gate = self.wedged_with_a_full_queue()
+        opener = threading.Timer(3.0, gate.set)
+        opener.start()
+        started = time.monotonic()
+        try:
+            with pytest.raises(TimeoutError):
+                runner.stop(timeout=0.5)
+            elapsed = time.monotonic() - started
+        finally:
+            gate.set()
+            opener.cancel()
+        assert elapsed < 1.0
+        with pytest.raises(RuntimeError, match="engine thread failed"):
+            runner.stop(timeout=5.0)
+        assert runner._loop.join(0), "the consumer thread is joined"
+
+
 class TestConcurrency:
     def test_many_producers_one_engine(self):
         engine = CEPREngine()

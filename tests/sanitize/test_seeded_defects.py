@@ -7,6 +7,7 @@ a sliding k-skyband that drops a match one dominator early or expires it
 by its own completion point, run dominance that drops a run one dominator
 early or takes a ``max``-only lead for a strict one, a refcount leak, a
 restore that does not re-admit a dormant query to its partitions, a
+threshold index that reads ``>`` as ``>=`` or outlives an UNREGISTER, a
 lock-order inversion, a cross-thread mutation, a lossy restore, a rewound
 sequencer, a stale activity cache, a partition kept after its last run
 left, a blocked event loop — and asserts the
@@ -31,6 +32,8 @@ from repro.events.schema import AttributeSpec, EventSchema, SchemaRegistry
 from repro.language.intervals import Interval, IntervalEvaluator
 from repro.ranking.pruning import ScoreBoundPruner
 from repro.ranking.topk import EpochTopK, SlidingRanking
+from repro.language.ast_nodes import BinaryOp
+from repro.runtime import router as router_module
 from repro.runtime.router import EventRouter, SharedExecutionIndex
 from repro.sanitize import Sanitizer, SanitizerError
 from repro.sanitize.aio import LoopStallWatchdog
@@ -347,6 +350,49 @@ class TestSharedIndexCoherence:
         assert not engine._router._dormant
         engine.push(Event("A", 5.0, x=-1, k="s"))  # proves itself inert again
         engine.restore(engine.snapshot())
+        assert engine.sanitizer.total_trips == 0
+
+    def test_threshold_index_reading_gt_as_gte_trips(self, monkeypatch):
+        # Seeded defect: the threshold index cuts ``a.x > 0`` as if it were
+        # ``a.x >= 0``, so x == 0 reads as opening the gate.
+        cuts = router_module._CUTS
+        monkeypatch.setitem(cuts, BinaryOp.GT, cuts[BinaryOp.GTE])
+        engine = log_engine()
+        engine.register_query(PAIR, name="q")
+        engine.push(Event("A", 1.0, x=-1))  # gate shut: goes dormant
+        assert engine.sanitizer.total_trips == 0
+        engine.push(Event("A", 2.0, x=0))
+        assert engine.sanitizer.trips["shared-index-coherence"] > 0
+
+    def test_threshold_index_stale_after_unregister_trips(self, monkeypatch):
+        # Seeded defect: UNREGISTER leaves every type bucket's threshold
+        # index as it was, still answering for the departed gates.
+        remove = EventRouter.remove
+
+        def stale_remove(self, query):
+            kept = {name: bucket.thresholds for name, bucket in self._buckets.items()}
+            remove(self, query)
+            for name, thresholds in kept.items():
+                if name in self._buckets:
+                    self._buckets[name].thresholds = thresholds
+
+        monkeypatch.setattr(EventRouter, "remove", stale_remove)
+        engine = log_engine()
+        engine.register_query(PAIR, name="q1")
+        engine.register_query(PAIR.replace("a.x > 0", "a.x > 5"), name="q2")
+        engine.push(Event("A", 1.0, x=-1))  # both gates shut: both dormant
+        assert engine.sanitizer.total_trips == 0
+        engine.unregister_query("q1")
+        assert engine.sanitizer.trips["shared-index-coherence"] > 0
+
+    def test_threshold_index_at_its_boundaries_is_quiet(self):
+        engine = log_engine(lenient_errors=True)
+        for name, op in (("gt", ">"), ("ge", ">="), ("lt", "<"), ("le", "<=")):
+            engine.register_query(PAIR.replace("a.x > 0", f"a.x {op} 2"), name=name)
+        for ts, x in enumerate((9, 2, 2.0, 1.5, 3, -0.0, 2, True, "2", float("nan"))):
+            engine.push(Event("A", float(ts), x=x))
+        engine.unregister_query("gt")
+        engine.push(Event("A", 20.0, x=2))
         assert engine.sanitizer.total_trips == 0
 
     def test_sleeper_dropped_from_its_wake_list_trips(self):
