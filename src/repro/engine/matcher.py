@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.engine.aggregates import tracked_attrs_by_var
@@ -253,6 +253,14 @@ class PatternMatcher:
         assert self.tumbling, "a dominator must complete in its victim's epoch"
         self._dominance = dominance
 
+    def widen(self, kth: "BoundProvider", k: int) -> None:
+        """Point an armed cut at ``kth`` and armed dominance at ``k``: a
+        query group's K grew to ``k`` before this matcher saw an event."""
+        if self._cut_key is not None:
+            self._cut_kth = kth
+        if self._dominance is not None:
+            self._dominance = replace(self._dominance, k=k)
+
     @property
     def live_run_count(self) -> int:
         return sum(len(p.runs) for p in self._partitions.values())
@@ -319,7 +327,11 @@ class PatternMatcher:
             self.epoch = None
             return []
         self.stats.events_processed += 1
-        key = self._partitioner.key_of(event)
+        shared = self.shared
+        if shared is not None and shared.current_event is event:
+            key = shared.partition_key(self._partitioner)
+        else:
+            key = self._partitioner.key_of(event)
         if key is None:
             self.stats.events_skipped_no_key += 1
             self.epoch = None

@@ -89,6 +89,16 @@ _COMPARISON_OPS: dict[TokenType, BinaryOp] = {
     TokenType.GTE: BinaryOp.GTE,
 }
 
+_MULTIPLICATIVE_OPS: dict[TokenType, BinaryOp] = {
+    TokenType.STAR: BinaryOp.MUL,
+    TokenType.SLASH: BinaryOp.DIV,
+    TokenType.PERCENT: BinaryOp.MOD,
+}
+
+_KEYWORD = TokenType.KEYWORD
+_PLUS = TokenType.PLUS
+_MINUS = TokenType.MINUS
+
 _TIME_UNITS = frozenset(
     {
         "MILLISECOND", "MILLISECONDS", "MS",
@@ -104,18 +114,22 @@ class Parser:
     """Parses one CEPR-QL query string into a :class:`Query` AST."""
 
     def __init__(self, text: str) -> None:
+        #: ends in EOF, which :meth:`_advance` never moves past: the
+        #: current token is always ``tokens[pos]``.
         self.tokens = tokenize(text)
         self.pos = 0
 
     # -- token helpers -------------------------------------------------------
+    # The expression descent below reads ``tokens[pos]`` and steps ``pos``
+    # past a token it has just matched (never EOF) itself: it runs once per
+    # token of every predicate.
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def _peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
-        if token.type != TokenType.EOF:
+        if token.type is not TokenType.EOF:
             self.pos += 1
         return token
 
@@ -363,94 +377,83 @@ class Parser:
     # -- expressions ----------------------------------------------------------
 
     def _parse_expr(self) -> Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> Expr:
+        """``or_expr``."""
+        tokens = self.tokens
         left = self._parse_and()
-        while self._peek().is_keyword("OR"):
-            self._advance()
+        while (token := tokens[self.pos]).type is _KEYWORD and token.value == "OR":
+            self.pos += 1
             left = Binary(BinaryOp.OR, left, self._parse_and())
         return left
 
     def _parse_and(self) -> Expr:
+        tokens = self.tokens
         left = self._parse_not()
-        while self._peek().is_keyword("AND"):
-            self._advance()
+        while (token := tokens[self.pos]).type is _KEYWORD and token.value == "AND":
+            self.pos += 1
             left = Binary(BinaryOp.AND, left, self._parse_not())
         return left
 
     def _parse_not(self) -> Expr:
-        if self._peek().is_keyword("NOT"):
-            self._advance()
+        token = self.tokens[self.pos]
+        if token.type is _KEYWORD and token.value == "NOT":
+            self.pos += 1
             return Unary(UnaryOp.NOT, self._parse_not())
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> Expr:
         left = self._parse_additive()
-        op = _COMPARISON_OPS.get(self._peek().type)
+        op = _COMPARISON_OPS.get(self.tokens[self.pos].type)
         if op is None:
             return left
-        self._advance()
-        right = self._parse_additive()
-        return Binary(op, left, right)
+        self.pos += 1
+        return Binary(op, left, self._parse_additive())
 
     def _parse_additive(self) -> Expr:
+        tokens = self.tokens
         left = self._parse_multiplicative()
-        while self._peek().type in (TokenType.PLUS, TokenType.MINUS):
-            op = BinaryOp.ADD if self._advance().type == TokenType.PLUS else BinaryOp.SUB
+        while (token_type := tokens[self.pos].type) is _PLUS or token_type is _MINUS:
+            self.pos += 1
+            op = BinaryOp.ADD if token_type is _PLUS else BinaryOp.SUB
             left = Binary(op, left, self._parse_multiplicative())
         return left
 
     def _parse_multiplicative(self) -> Expr:
+        tokens = self.tokens
         left = self._parse_unary()
-        ops = {
-            TokenType.STAR: BinaryOp.MUL,
-            TokenType.SLASH: BinaryOp.DIV,
-            TokenType.PERCENT: BinaryOp.MOD,
-        }
-        while self._peek().type in ops:
-            op = ops[self._advance().type]
+        while (op := _MULTIPLICATIVE_OPS.get(tokens[self.pos].type)) is not None:
+            self.pos += 1
             left = Binary(op, left, self._parse_unary())
         return left
 
     def _parse_unary(self) -> Expr:
-        if self._peek().type == TokenType.MINUS:
-            self._advance()
+        token = self.tokens[self.pos]
+        if token.type is _MINUS:
+            self.pos += 1
             return Unary(UnaryOp.NEG, self._parse_unary())
-        return self._parse_primary()
-
-    def _parse_primary(self) -> Expr:
-        token = self._peek()
-        if token.type == TokenType.NUMBER:
-            self._advance()
+        token_type = token.type
+        if token_type is TokenType.IDENT:
+            return self._parse_name_or_call(token)
+        if token_type is TokenType.NUMBER or token_type is TokenType.STRING:
+            self.pos += 1
             return Literal(token.value)
-        if token.type == TokenType.STRING:
-            self._advance()
-            return Literal(token.value)
-        if token.is_keyword("TRUE"):
-            self._advance()
-            return Literal(True)
-        if token.is_keyword("FALSE"):
-            self._advance()
-            return Literal(False)
-        if token.type == TokenType.LPAREN:
-            self._advance()
+        if token_type is _KEYWORD and (token.value == "TRUE" or token.value == "FALSE"):
+            self.pos += 1
+            return Literal(token.value == "TRUE")
+        if token_type is TokenType.LPAREN:
+            self.pos += 1
             expr = self._parse_expr()
             self._expect(TokenType.RPAREN, "')'")
             return expr
-        if token.type == TokenType.IDENT:
-            return self._parse_name_or_call()
         raise self._error(f"expected an expression, found {token.value!r}")
 
-    def _parse_name_or_call(self) -> Expr:
-        name_token = self._advance()
+    def _parse_name_or_call(self, name_token: Token) -> Expr:
+        """``ident '(' args ')' | ident '.' ident | ident``; ``name_token``
+        is the current token."""
+        self.pos += 1
         name = name_token.value
-        if self._peek().type == TokenType.LPAREN:
+        token_type = self.tokens[self.pos].type
+        if token_type is TokenType.LPAREN:
             return self._parse_call(name, name_token)
-        if self._peek().type == TokenType.DOT:
-            self._advance()
-            attr = self._expect_attr_name()
-            return AttrRef(name, attr)
+        if token_type is TokenType.DOT:
+            self.pos += 1
+            return AttrRef(name, self._expect_attr_name())
         return VarRef(name)
 
     def _parse_call(self, name: str, name_token: Token) -> Expr:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
 
 from repro.events.event import Event
@@ -237,28 +237,8 @@ def analyze(query: Query, registry: SchemaRegistry | None = None) -> AnalyzedQue
     rank_keys = _compile_rank_keys(query, variables)
     yield_spec = _compile_yield(query, variables)
     window = query.window
-    emit = _default_emit(query)
-
-    if query.limit == 0:
-        # The parser accepts LIMIT 0 so the static analyzer can report it
-        # as CEPR303; the runtime must never see k=0 (an empty top-k has
-        # no kth bound and every emission would be empty).
-        raise CEPRSemanticError(
-            "LIMIT 0 keeps zero results; use a positive k or drop the "
-            "LIMIT clause"
-        )
-    if rank_keys and window is None:
-        raise CEPRSemanticError(
-            "RANK BY requires a WITHIN window: the window defines the scope "
-            "within which matches compete"
-        )
-    if emit.kind is EmitKind.ON_WINDOW_CLOSE and window is None:
-        raise CEPRSemanticError("EMIT ON WINDOW CLOSE requires a WITHIN window")
-    if query.limit is not None and not rank_keys:
-        # LIMIT without RANK BY keeps the first k matches in detection
-        # order — legal, but only meaningful with an emission scope.
-        if window is None:
-            raise CEPRSemanticError("LIMIT requires a WITHIN window")
+    emit = default_emit(query)
+    _check_limit(query.limit, bool(rank_keys), emit, window)
 
     analyzed = AnalyzedQuery(
         ast=query,
@@ -278,6 +258,53 @@ def analyze(query: Query, registry: SchemaRegistry | None = None) -> AnalyzedQue
         relevant_types=frozenset(e.event_type for e in query.pattern),
     )
     return analyzed
+
+
+def analyze_member(
+    lead: AnalyzedQuery, query: Query, registry: SchemaRegistry | None = None
+) -> AnalyzedQuery:
+    """:func:`analyze` for ``query``, which equals ``lead.ast`` but for
+    ``NAME`` and ``LIMIT``: ``lead`` with those two and the AST replaced.
+
+    Nothing else analysis derives reads ``NAME`` or ``LIMIT``, so only
+    what might raise differently is checked again, in :func:`analyze`'s
+    order: the schemas (the registry may have changed since ``lead``) and
+    the checks that read ``LIMIT``.  The result shares ``lead``'s
+    predicates, rank keys and variables, which nothing mutates.
+    """
+    if registry is not None:
+        _check_schemas(query, registry)
+    _check_limit(query.limit, lead.is_ranked, lead.emit, lead.window)
+    return replace(lead, ast=query, name=query.name, limit=query.limit)
+
+
+def _check_limit(
+    limit: int | None, ranked: bool, emit: EmitSpec, window: WindowSpec | None
+) -> None:
+    """The checks that read ``LIMIT`` (``LIMIT 0``, ``LIMIT`` without a
+    window), with the two window checks analysis raises between them.
+    One function, so a query group's member (:func:`analyze_member`)
+    raises exactly what its own analysis would."""
+    if limit == 0:
+        # The parser accepts LIMIT 0 so the static analyzer can report it
+        # as CEPR303; the runtime must never see k=0 (an empty top-k has
+        # no kth bound and every emission would be empty).
+        raise CEPRSemanticError(
+            "LIMIT 0 keeps zero results; use a positive k or drop the "
+            "LIMIT clause"
+        )
+    if ranked and window is None:
+        raise CEPRSemanticError(
+            "RANK BY requires a WITHIN window: the window defines the scope "
+            "within which matches compete"
+        )
+    if emit.kind is EmitKind.ON_WINDOW_CLOSE and window is None:
+        raise CEPRSemanticError("EMIT ON WINDOW CLOSE requires a WITHIN window")
+    if limit is not None and not ranked:
+        # LIMIT without RANK BY keeps the first k matches in detection
+        # order — legal, but only meaningful with an emission scope.
+        if window is None:
+            raise CEPRSemanticError("LIMIT requires a WITHIN window")
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +947,8 @@ def _compile_yield(
     return CompiledYield(query.yield_spec.event_type, tuple(compiled))
 
 
-def _default_emit(query: Query) -> EmitSpec:
+def default_emit(query: Query) -> EmitSpec:
+    """``query``'s ``EMIT`` clause, or the policy it defaults to."""
     if query.emit is not None:
         return query.emit
     if query.rank_by:

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class TokenType(Enum):
@@ -70,8 +69,7 @@ KEYWORDS: frozenset[str] = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position (1-based line/column).
 
     For ``KEYWORD`` tokens ``value`` is the upper-cased reserved word and
@@ -87,7 +85,7 @@ class Token:
 
     def is_keyword(self, word: str) -> bool:
         """Whether this token is the keyword ``word`` (case-insensitive)."""
-        return self.type == TokenType.KEYWORD and self.value == word.upper()
+        return self.type is TokenType.KEYWORD and self.value == word.upper()
 
     def __repr__(self) -> str:
         return f"Token({self.type.name}, {self.value!r}, {self.line}:{self.column})"

@@ -372,14 +372,23 @@ class ThreadedEngineRunner(TelemetryViews):
     def kill(self, timeout: float | None = 5.0) -> None:
         """Stop the consumer and kill the engine **without flushing**;
         returns within ``timeout`` even if the consumer is wedged with the
-        ingest queue full."""
+        ingest queue full.
+
+        The engine is killed only once the consumer has left it.  A
+        consumer still running after ``timeout`` leaves the runner failed,
+        as a :meth:`stop` that times out does (the consumer skips whatever
+        is queued behind what it is running); a later ``kill`` or ``stop``
+        joins it and kills the engine then.
+        """
         if self._started and not self._stopped:
-            self._stopped = True
             deadline = None if timeout is None else time.monotonic() + timeout
             if not self._stopping:
                 self._stopping = True
                 self._loop.stop(timeout=timeout)
-            self._loop.join(_remaining(deadline))
+            if not self._loop.join(_remaining(deadline)):
+                self._loop.fail(TimeoutError("consumer thread did not stop in time"))
+                return
+            self._stopped = True
             self.engine.kill()
 
     def close(self) -> None:

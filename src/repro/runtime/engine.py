@@ -27,7 +27,7 @@ from repro.events.time import LatenessBuffer, SequenceAssigner
 from repro.language.ast_nodes import Query
 from repro.language.errors import CEPRSemanticError
 from repro.language.parser import parse_query
-from repro.language.semantics import analyze
+from repro.language.semantics import analyze, analyze_member
 from repro.observability import instruments
 from repro.observability.flightrec import current as flightrec_current
 from repro.observability.registry import MetricsRegistry
@@ -225,23 +225,27 @@ class CEPREngine(instruments.TelemetryViews):
         With shared execution, a query equal to an earlier one but for
         ``NAME`` and ``LIMIT`` joins its group — one pipeline for both —
         if that group has not processed an event yet
-        (docs/SHARED_EXECUTION.md, "Query groups").
+        (docs/SHARED_EXECUTION.md, "Query groups"); it takes its lead's
+        analysis instead of running its own.
         """
         ast = parse_query(query) if isinstance(query, str) else query
-        analyzed = analyze(ast, self.registry)
-        resolved_name = name or ast.name or self._next_auto_name()
-        if resolved_name in self._queries:
-            raise CEPRSemanticError(f"a query named {resolved_name!r} is already registered")
-        grouping = self.shared is not None and groupable(analyzed)
+        grouping = self.shared is not None and groupable(ast)
         key = lead = None
         if grouping and (self._unkeyed is not None or self._open_groups):
             if self._unkeyed is not None:
-                self._open_groups[group_key(self._unkeyed.analyzed)] = self._unkeyed
+                self._open_groups[group_key(self._unkeyed.analyzed.ast)] = self._unkeyed
                 self._unkeyed = None
-            key = group_key(analyzed)
+            key = group_key(ast)
             lead = self._open_groups.get(key)
             if lead is not None and lead.metrics.events_routed:
                 lead = None  # it has processed an event: start a group of its own
+        if lead is None:
+            analyzed = analyze(ast, self.registry)
+        else:
+            analyzed = analyze_member(lead.analyzed, ast, self.registry)
+        resolved_name = name or ast.name or self._next_auto_name()
+        if resolved_name in self._queries:
+            raise CEPRSemanticError(f"a query named {resolved_name!r} is already registered")
         registered = RegisteredQuery(
             resolved_name,
             analyzed,

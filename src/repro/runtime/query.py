@@ -24,11 +24,16 @@ from repro.engine.runs import new_run
 from repro.engine.snapshot import restoring
 from repro.events.event import Event
 from repro.events.schema import SchemaError, SchemaRegistry
-from repro.language.ast_nodes import EmitKind
+from repro.language.ast_nodes import EmitKind, Query
 from repro.language.errors import EvaluationError
 from repro.language.expressions import EvalContext
 from repro.language.printer import format_query
-from repro.language.semantics import AnalyzedQuery, completion_cut, run_dominance
+from repro.language.semantics import (
+    AnalyzedQuery,
+    completion_cut,
+    default_emit,
+    run_dominance,
+)
 from repro.observability.instruments import cost_accounts, register_query
 from repro.observability.profiling import STRIDE, StageProfile
 from repro.observability.registry import MetricsRegistry
@@ -58,18 +63,19 @@ SHED_PROTECTED = "protected"
 SHED_UNCERTIFIED = "uncertified"
 
 
-def groupable(analyzed: AnalyzedQuery) -> bool:
+def groupable(query: Query) -> bool:
     """Only ``EMIT ON WINDOW CLOSE`` queries group: their top-k is a prefix
     of the top-K under one total order."""
-    return analyzed.emit.kind is EmitKind.ON_WINDOW_CLOSE
+    return default_emit(query).kind is EmitKind.ON_WINDOW_CLOSE
 
 
-def group_key(analyzed: AnalyzedQuery) -> str:
+def group_key(query: Query) -> str:
     """What a groupable query must share with another to run in its group:
     its canonical text (:mod:`~repro.language.printer`) without ``NAME``
     and ``LIMIT`` — syntactic on purpose, because match bindings are keyed
-    by variable name."""
-    return format_query(replace(analyzed.ast, name=None, limit=None))
+    by variable name.  Read off the AST, before analysis: a query that
+    joins a group takes its lead's (``semantics.analyze_member``)."""
+    return format_query(replace(query, name=None, limit=None))
 
 
 def _limit_covers(limit: int | None, other: int | None) -> bool:
@@ -244,14 +250,35 @@ class RegisteredQuery(SinkOwner):
     def admit(self, member: "RegisteredQuery") -> None:
         """Add ``member`` to this lead's group, before it has seen an event.
 
-        A wider ``LIMIT`` than the group's K re-arms the pipeline for it;
-        the automaton stays compiled once.
+        A wider ``LIMIT`` than the group's K widens the pipeline to it
+        (:meth:`_widen`); no ``LIMIT`` at all leaves no k-th key θ to act
+        on, so the pipeline is armed again without pruner, cut and
+        dominance.  The automaton stays compiled once.
         """
         self.members.append(member)
-        if _limit_covers(self.ranker.limit, member.analyzed.limit):
+        limit = member.analyzed.limit
+        if _limit_covers(self.ranker.limit, limit):
             member._alias(self)
-        else:
+        elif limit is None:
             self._arm(member.analyzed)
+        else:
+            self._widen(member.analyzed)
+
+    def _widen(self, analyzed: AnalyzedQuery) -> None:
+        """Rebuild what reads K for ``analyzed``'s wider ``LIMIT``: the
+        ranker, and the θ and k the pruner, the cut and dominance compare
+        against.  The matcher's compiled edges and the pruner's compiled
+        score bounds do not depend on K, and nothing has run on them yet.
+        """
+        self.ranker = Ranker(analyzed, self.scorer, lenient_errors=self._lenient_errors)
+        kth = self.ranker.kth_bound_for_epoch
+        if self.pruner is not None:
+            self.pruner.bound_provider = kth
+        assert analyzed.limit is not None
+        self.matcher.widen(kth, analyzed.limit)
+        self._wire_spans()
+        for member in self.members:
+            member._alias(self)
 
     def hand_over(self) -> "RegisteredQuery":
         """Leave this lead's group, making the next member its lead.
@@ -348,7 +375,7 @@ class RegisteredQuery(SinkOwner):
         if not self.ranker.inert_without_matches():
             return False
         matcher = self.matcher
-        key = matcher._partitioner.key_of(event)
+        key = shared.partition_key(matcher._partitioner)
         if key is None:
             matcher.stats.events_skipped_no_key += 1
         elif key in matcher._partitions or (

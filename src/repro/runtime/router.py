@@ -50,6 +50,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: a gate's memoized verdict on an event that shuts it without error.
 _SHUT: tuple[bool, int, EvaluationError | None] = (False, 0, None)
 
+#: a partition key not read yet for the current event (``None`` is a key:
+#: the event has no value for it).
+_UNREAD: Any = object()
+
 
 class SharedExecutionIndex:
     """Stage-0 gate refcounts and the per-event gate memo.
@@ -77,6 +81,10 @@ class SharedExecutionIndex:
         #: per-query cost account must see exactly one consultation either
         #: way (that invariance keeps the accounts exact under sharding).
         self._gate_charged: set[tuple[str | int, int]] = set()
+        #: the current event's partition keys, by partitioning attributes:
+        #: the router, the residual checks and the matchers of every query
+        #: partitioned alike share one read per event.
+        self._keys: dict[tuple[str, ...], tuple[Any, ...] | None] = {}
         #: gate consultations answered from the per-event memo.
         self.predicate_evals_saved = 0
         #: gate predicates evaluated on a memo miss.
@@ -131,6 +139,16 @@ class SharedExecutionIndex:
         self.current_event = event
         self._gate_memo.clear()
         self._gate_charged.clear()
+        self._keys.clear()
+
+    def partition_key(self, partitioner: "Partitioner") -> tuple[Any, ...] | None:
+        """The current event's key under ``partitioner``: read once per
+        event for every partitioner over the same attributes."""
+        attributes = partitioner.attributes
+        key = self._keys.get(attributes, _UNREAD)
+        if key is _UNREAD:
+            key = self._keys[attributes] = partitioner.key_of(self.current_event)
+        return key
 
     def stage_gate(
         self, stage: "Stage", stats: "MatcherStats", lenient: bool
@@ -684,7 +702,7 @@ class EventRouter:
         self._unsettled = True
         offered: list[_Dormancy] = []
         for index in bucket.indexes:
-            key = index.key = index.partitioner.key_of(event)
+            key = index.key = shared.partition_key(index.partitioner)
             if key is None:
                 index.keyless += 1
                 continue

@@ -30,6 +30,11 @@ if multiprocessing.get_start_method(allow_none=True) != "spawn":
 hypothesis.settings.register_profile(
     "ci", deadline=None, print_blob=True, derandomize=False
 )
+# The ci profile with a raised example count, for suites CI runs once
+# more by name (the lexer differential): ``--hypothesis-profile=ci-thorough``.
+hypothesis.settings.register_profile(
+    "ci-thorough", hypothesis.settings.get_profile("ci"), max_examples=2000
+)
 hypothesis.settings.load_profile(
     os.environ.get("HYPOTHESIS_PROFILE", "default")
 )

@@ -16,6 +16,7 @@ the pruner's compiled bound is never tighter than ``IntervalEvaluator``.
 """
 
 import math
+import re
 import struct
 
 import hypothesis.strategies as st
@@ -416,6 +417,53 @@ class TestRunDominanceExactness:
         resumed.run(events[cut:])
         after = resumed_handle.results()
         assert [emission_to_line(e) for e in handle.results() + after] == expected
+
+
+def group_lines(query, specs, registry, build, shared):
+    """The query at LIMIT 1, 2 and 3, registered in that order: with
+    sharing on they form one group whose K widens twice before any event."""
+    engine = CEPREngine(registry=registry, lenient_errors=True, shared_execution=shared)
+    handles = [
+        engine.register_query(re.sub(r"LIMIT \d+", f"LIMIT {k}", query), name=f"k{k}")
+        for k in (1, 2, 3)
+    ]
+    engine.run(build(specs))
+    return handles, [[emission_to_line(e) for e in h.results()] for h in handles]
+
+
+class TestWidenedGroups:
+    """A group whose K widens keeps its matcher and pruner and re-points
+    what reads K — the pruner's θ, the completing-edge cut's θ and run
+    dominance's k — at the widest member: every member's lines equal
+    independent execution."""
+
+    @given(cut_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_the_cut_acts_on_the_widest_members_theta(self, case):
+        _pattern, query, specs = case
+        handles, grouped = group_lines(query, specs, CUT_REGISTRY, cut_stream, True)
+        _, independent = group_lines(query, specs, CUT_REGISTRY, cut_stream, False)
+        assert grouped == independent
+        lead = handles[0]
+        assert all(h.matcher is lead.matcher for h in handles)
+        if lead.cut_status == "active":
+            assert lead.matcher._cut_kth == lead.ranker.kth_bound_for_epoch
+        event(f"cut {lead.cut_status == 'active'}")
+
+    @given(dominance_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_dominance_acts_on_the_widest_members_k(self, case):
+        _pattern, query, specs = case
+        build = dominance_stream
+        handles, grouped = group_lines(query, specs, DOMINANCE_REGISTRY, build, True)
+        _, independent = group_lines(query, specs, DOMINANCE_REGISTRY, build, False)
+        assert grouped == independent
+        lead = handles[0]
+        assert lead.pruner is None or lead.pruner.bound_provider == lead.ranker.kth_bound_for_epoch
+        dominance = lead.matcher._dominance
+        if dominance is not None:
+            assert dominance.k == 3
+        event(f"dominance {dominance is not None}")
 
 
 def bits(value):

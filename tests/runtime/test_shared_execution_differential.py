@@ -21,12 +21,23 @@ bookkeeping, so fingerprints include ``detection_index`` and
 ``revision`` and the serialized wire lines are compared verbatim.
 """
 
+from collections import Counter
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CEPREngine
+from repro.engine.partitioner import Partitioner
 from repro.events.event import Event
+from repro.events.schema import AttributeSpec, EventSchema, SchemaRegistry
+from repro.language.errors import CEPRSemanticError
+from repro.language.parser import parse_query
+from repro.language.printer import format_expr
+from repro.language.semantics import analyze
+from repro.runtime import engine as engine_module
+from repro.runtime import query as query_module
 from repro.runtime.serialize import emission_to_line
 from repro.workloads.clickstream import ClickstreamWorkload
 from repro.workloads.sensor import VitalsWorkload
@@ -596,12 +607,25 @@ def group_program(members):
     return program
 
 
-def group_events(seed, count=480):
+#: The ledger's ``multi_query_64`` program: the four templates at four
+#: volume thresholds, LIMIT 1..3 — 64 queries in 16 groups.
+ALERT_THRESHOLDS = (975, 985, 990, 995)
+
+
+def alert_program():
+    program = {}
+    for i in range(64):
+        template = GROUP_TEMPLATES[i % len(GROUP_TEMPLATES)]
+        k = ALERT_THRESHOLDS[(i // len(GROUP_TEMPLATES)) % len(ALERT_THRESHOLDS)]
+        program[f"alert{i:02d}"] = template.format(k=k, limit=f"LIMIT {1 + i % 3}")
+    return program
+
+
+def group_events(seed, count=480, volume=max(GROUP_THRESHOLDS) + 50):
     """``count`` stock events, then a burst in which every template
-    matches at every threshold: whatever members are drawn, the program
-    emits."""
+    matches at every threshold below ``volume``: whatever members are
+    drawn, the program emits."""
     events = list(StockWorkload(seed=seed, rate=10.0).events(count))
-    volume = max(GROUP_THRESHOLDS) + 50
     burst = (  # SEQ(Buy, Buy), SEQ(Buy, Sell), SEQ(Sell, Sell), SEQ(Sell, Buy)
         ("Buy", 10.0, volume),
         ("Buy", 10.0, volume),
@@ -858,6 +882,155 @@ class TestQueryGroups:
         expected = {name: lines for name, (lines, _rows) in independent.views().items()}
         assert any(expected.values())
         assert received == expected
+
+    def test_a_members_reused_analysis_equals_a_fresh_one(self):
+        """A member takes its lead's analysis with the AST, NAME and LIMIT
+        replaced; everything else must be what analysing it afresh gives."""
+        registry = SchemaRegistry()
+        engine = CEPREngine(registry=registry)
+        program = alert_program()
+        program["unlimited"] = program["alert00"].replace("LIMIT 1 ", "")
+        for name, text in program.items():
+            engine.register_query(text, name=name)
+
+        def view(analyzed):
+            return {
+                "predicates": {
+                    var: [format_expr(spec.expr) for spec in specs]
+                    for var, specs in analyzed.predicates_at.items()
+                },
+                "completion": [format_expr(s.expr) for s in analyzed.completion_predicates],
+                "rank_keys": [(format_expr(k.expr), k.direction) for k in analyzed.rank_keys],
+                "variables": analyzed.variables,
+                "negations": analyzed.negations,
+                "window": analyzed.window,
+                "strategy": analyzed.strategy,
+                "partition_by": analyzed.partition_by,
+                "emit": analyzed.emit,
+                "relevant_types": analyzed.relevant_types,
+                "limit": analyzed.limit,
+                "name": analyzed.name,
+                "ast": analyzed.ast,
+            }
+
+        members = 0
+        for name, text in program.items():
+            handle = engine.query(name)
+            reused = handle.analyzed
+            if handle.lead is not handle:
+                members += 1
+                assert reused.predicates_at is handle.lead.analyzed.predicates_at
+            assert view(reused) == view(analyze(parse_query(text), registry)), name
+        assert members == len(program) - 16
+
+    @pytest.mark.parametrize("earlier", [0, 3], ids=["second-query", "later"])
+    def test_a_limit_0_member_raises_what_its_own_analysis_raises(self, earlier):
+        """``earlier=0``: the member meets its lead on the path where only
+        one group is open and its key was never computed."""
+        engine = CEPREngine()
+        engine.register_query(group_text(1, 0, 2), name="lead")
+        for index in range(earlier):
+            engine.register_query(group_text(index % 4, 1, 1), name=f"other{index}")
+        text = group_text(1, 0, 0)
+        with pytest.raises(CEPRSemanticError) as fresh:
+            analyze(parse_query(text))
+        with pytest.raises(CEPRSemanticError) as member:
+            engine.register_query(text, name="zero")
+        assert str(member.value) == str(fresh.value)
+        assert "LIMIT 0" in str(member.value)
+        assert [h.name for h in engine.query("lead").members] == ["lead"]
+        joined = engine.register_query(group_text(1, 0, 3), name="three")
+        assert joined.lead is engine.query("lead")
+
+    def test_a_member_checks_the_registry_as_it_is_now(self):
+        """The registry may learn a schema between the lead and a member:
+        the member raises what analysing it then raises."""
+        registry = SchemaRegistry()
+        engine = CEPREngine(registry=registry)
+        engine.register_query(group_text(0, 0, 1), name="lead")
+        registry.register(EventSchema("Sell", (AttributeSpec("price", "float"),)))
+        text = group_text(0, 0, 2)
+        with pytest.raises(CEPRSemanticError) as fresh:
+            analyze(parse_query(text), registry)
+        with pytest.raises(CEPRSemanticError) as member:
+            engine.register_query(text, name="member")
+        assert str(member.value) == str(fresh.value)
+        assert "PARTITION BY attribute 'symbol'" in str(member.value)
+
+    def test_the_64_alert_program_analyses_and_compiles_once_per_group(self):
+        """Registration work is per group key (16), not per query (64): one
+        analysis, one automaton, one matcher and one pruner per group —
+        a member with a wider LIMIT rebuilds only the ranker — and every
+        emission stays byte-identical to independent execution."""
+        program = alert_program()
+        calls = Counter()
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return mock.patch.object(module, name, wrapper)
+
+        with (
+            counting(engine_module, "analyze"),
+            counting(query_module, "compile_automaton"),
+            counting(query_module, "PatternMatcher"),
+            counting(query_module, "ScoreBoundPruner"),
+            counting(query_module, "Ranker"),
+        ):
+            grouped = GroupRun(program, True)
+        leads = [h for h in grouped.engine.queries() if h.lead is h]
+        assert len(leads) == len(grouped.engine._router) == 16
+
+        def widenings(members):
+            """How often a member's LIMIT raised its group's K."""
+            count, widest = 0, members[0].analyzed.limit
+            for member in members[1:]:
+                if member.analyzed.limit > widest:
+                    count, widest = count + 1, member.analyzed.limit
+            return count
+
+        assert calls == {
+            "analyze": 16,
+            "compile_automaton": 16,
+            "PatternMatcher": 16,
+            "ScoreBoundPruner": 16,
+            "Ranker": 16 + sum(widenings(lead.members) for lead in leads),
+        }
+        independent = GroupRun(program, False)
+        for event in group_events(5, volume=1050):
+            for run in (grouped, independent):
+                run.push(Event(event.event_type, event.timestamp, **event.payload))
+        for run in (grouped, independent):
+            run.flush()
+        assert_same_output(grouped, independent)
+        assert sum(len(lines) for lines, _rows in grouped.views().values()) > 64
+
+    def test_the_64_alert_program_reads_each_partition_key_once_per_event(self):
+        """The router, the residual checks and the matchers share one read
+        of each event's key per partitioning (the program has one)."""
+        grouped = GroupRun(alert_program(), True)
+        events = [
+            Event(e.event_type, e.timestamp, **e.payload)
+            for e in group_events(5, volume=1050)
+        ]
+        reads = Counter()
+        key_of = Partitioner.key_of
+
+        def counting_key_of(partitioner, event):
+            reads[partitioner.attributes, id(event)] += 1
+            return key_of(partitioner, event)
+
+        with mock.patch.object(Partitioner, "key_of", counting_key_of):
+            for event in events:
+                grouped.push(event)
+        assert max(reads.values()) == 1
+        assert len(reads) == len(events)
+        grouped.flush()
+        assert any(lines for lines, _rows in grouped.views().values())
 
 
 class TestGroupTraces:

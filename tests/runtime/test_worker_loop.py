@@ -370,19 +370,36 @@ class TestLifecycle:
 
     def test_kill_obeys_its_timeout_with_a_wedged_consumer_and_a_full_queue(self):
         """Regression: ``kill`` queued its final operation with a blocking
-        put, so it returned only once the consumer made room."""
+        put, so it returned only once the consumer made room; and once it
+        did return in time, it killed the engine from the caller's thread
+        while the consumer was still inside it."""
         runner, gate = self.wedged_with_a_full_queue()
+        engine, consumer = runner.engine, runner._loop._thread
+        kills = []  # (on the consumer's thread, consumer still running)
+        engine_kill = engine.kill
+
+        def recording_kill():
+            kills.append((threading.current_thread() is consumer, consumer.is_alive()))
+            engine_kill()
+
+        engine.kill = recording_kill
         opener = threading.Timer(3.0, gate.set)  # bounds the old hang
         opener.start()
         started = time.monotonic()
         try:
             runner.kill(timeout=0.5)
             elapsed = time.monotonic() - started
+            killed_while_wedged = list(kills)
         finally:
             gate.set()
             opener.cancel()
         assert elapsed < 1.0
+        assert killed_while_wedged == [], "the engine was touched while the consumer ran"
+        assert not engine._flushed and not engine._closed
         assert runner._loop.join(5.0), "the consumer leaves once unwedged"
+        runner.kill(timeout=5.0)  # joins the consumer that left, then kills
+        assert kills == [(False, False)]
+        assert engine._flushed and engine._closed
 
     def test_a_first_stop_obeys_its_timeout_with_a_full_queue(self):
         runner, gate = self.wedged_with_a_full_queue()
