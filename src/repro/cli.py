@@ -749,7 +749,7 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
                 continue
             runner.submit(event)
             if recovery.due(consumed - 1, consumed):
-                recovery.save(runner.snapshot(), consumed, event.timestamp)
+                recovery.save(runner.snapshot(), consumed)
         runner.flush()
     except BaseException:
         # A failure mid-stream must behave like a crash: stop() would

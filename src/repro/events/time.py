@@ -1,17 +1,21 @@
-"""Stream-time utilities: sequence assignment and duration parsing.
+"""Stream-time utilities: admission, sequence assignment and durations.
 
 CEPR measures count-based windows in *sequence numbers* — the global arrival
 index assigned to each event at ingest — and time-based windows in event
-*timestamps*.  :class:`SequenceAssigner` stamps sequence numbers and
-enforces (or just observes) timestamp monotonicity.
+*timestamps*.  A runner's :class:`Ingress` decides which source events
+enter the stream and in what order (schema, time order, the lateness
+buffer); the dispatching engine's :class:`SequenceAssigner` numbers them.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.events.event import Event
+
+if TYPE_CHECKING:
+    from repro.events.schema import SchemaRegistry
 
 
 class OutOfOrderError(ValueError):
@@ -62,8 +66,8 @@ class LatenessBuffer:
     disorder is bounded — an event is never more than ``max_lateness``
     seconds of stream time late — buffering and releasing behind a
     *watermark* of ``max_seen_timestamp - max_lateness`` restores exact
-    timestamp order, at the cost of that much result latency.  The engine
-    wires this in front of matching when constructed with
+    timestamp order, at the cost of that much result latency.  A runner's
+    :class:`Ingress` wires this in front of numbering when built with
     ``max_lateness=...``; window semantics and pruning soundness (which
     assume non-decreasing timestamps) then hold on dirty feeds.
 
@@ -119,48 +123,23 @@ class LatenessBuffer:
 
 
 class SequenceAssigner:
-    """Assigns global sequence numbers and tracks stream time.
+    """Assigns global sequence numbers, from ``start``: the dispatcher's
+    counter, since a YIELD-derived event takes the next number on the
+    engine that derives it (which events arrive is the :class:`Ingress`'s
+    business)."""
 
-    Parameters
-    ----------
-    strict:
-        When true, an event whose timestamp regresses below the previous
-        event's timestamp raises :class:`OutOfOrderError`.  When false
-        (default) regressions are counted in :attr:`out_of_order_count` but
-        allowed through — matching semantics then follow arrival order.
-    start:
-        First sequence number to assign (default 0).
-    """
-
-    def __init__(self, strict: bool = False, start: int = 0) -> None:
-        self.strict = strict
+    def __init__(self, start: int = 0) -> None:
         self._next_seq = start
-        self._last_timestamp: float | None = None
-        #: Number of events observed with a regressing timestamp.
-        self.out_of_order_count = 0
 
     @property
     def next_seq(self) -> int:
         """Sequence number the next event will receive."""
         return self._next_seq
 
-    @property
-    def last_timestamp(self) -> float | None:
-        """Timestamp of the most recently assigned event, or ``None``."""
-        return self._last_timestamp
-
     def assign(self, event: Event) -> Event:
         """Stamp ``event`` with the next sequence number (mutates ``event``)."""
-        if self._last_timestamp is not None and event.timestamp < self._last_timestamp:
-            self.out_of_order_count += 1
-            if self.strict:
-                raise OutOfOrderError(
-                    f"event timestamp {event.timestamp} regresses below "
-                    f"{self._last_timestamp} (seq {self._next_seq})"
-                )
         event.seq = self._next_seq
         self._next_seq += 1
-        self._last_timestamp = event.timestamp
         return event
 
     def assign_all(self, events: Iterable[Event]) -> Iterator[Event]:
@@ -170,20 +149,14 @@ class SequenceAssigner:
 
     def snapshot(self) -> dict:
         """JSON-safe snapshot of the assignment position (for checkpoints)."""
-        return {
-            "next_seq": self._next_seq,
-            "last_timestamp": self._last_timestamp,
-            "out_of_order_count": self.out_of_order_count,
-        }
+        return {"next_seq": self._next_seq}
 
     def restore(self, state: dict) -> None:
-        """Load a :meth:`snapshot` (strictness stays as constructed)."""
+        """Load a :meth:`snapshot`."""
         from repro.engine.snapshot import restoring
 
         with restoring("sequencer"):
             self._next_seq = int(state["next_seq"])
-            self._last_timestamp = state["last_timestamp"]
-            self.out_of_order_count = int(state["out_of_order_count"])
 
 
 class PreassignedSequencer(SequenceAssigner):
@@ -194,7 +167,7 @@ class PreassignedSequencer(SequenceAssigner):
     shard sees only a subsequence of the stream, so re-numbering locally
     would corrupt count-window semantics (``WITHIN n EVENTS`` measures
     global arrival positions).  An engine constructed with this sequencer
-    keeps the incoming ``event.seq`` untouched and only tracks stream time.
+    keeps the incoming ``event.seq`` untouched.
     """
 
     def assign(self, event: Event) -> Event:
@@ -203,13 +176,139 @@ class PreassignedSequencer(SequenceAssigner):
                 "event reached a PreassignedSequencer without a sequence "
                 "number; the dispatching runner must stamp events first"
             )
-        if self._last_timestamp is not None and event.timestamp < self._last_timestamp:
-            self.out_of_order_count += 1
-            if self.strict:
-                raise OutOfOrderError(
-                    f"event timestamp {event.timestamp} regresses below "
-                    f"{self._last_timestamp} (seq {event.seq})"
-                )
         self._next_seq = event.seq + 1
-        self._last_timestamp = event.timestamp
         return event
+
+
+class Ingress:
+    """Admission: which source events enter the stream, and in what order
+    (DESIGN.md, "Admission").  Every runner runs exactly one, in ``submit``.
+
+    The schema check raises :class:`~repro.events.schema.SchemaError`;
+    then with ``max_lateness`` the :class:`LatenessBuffer` reorders;
+    without, a timestamp below the last admitted one raises
+    :class:`OutOfOrderError` under ``strict_time`` and is counted
+    otherwise.  A rejected event changes nothing.
+    """
+
+    def __init__(
+        self,
+        registry: "SchemaRegistry | None" = None,
+        strict_schema: bool = False,
+        strict_time: bool = False,
+        max_lateness: float | None = None,
+    ) -> None:
+        self.registry = registry
+        self.strict_schema = strict_schema
+        self.strict_time = strict_time
+        self.lateness = None if max_lateness is None else LatenessBuffer(max_lateness)
+        #: the last source event released for numbering: the submit-side
+        #: watermark, and what the time-order check compares against.
+        self.last_timestamp: float | None = None
+        self.out_of_order_count = 0
+        #: source events accepted (held or dropped by the buffer included).
+        self.events_admitted = 0
+
+    def admit(self, event: Event) -> list[Event]:
+        """Check one source event; return the events now due for
+        numbering, in order (none while the lateness buffer holds it)."""
+        if self.registry is not None:
+            self.registry.validate(event, strict=self.strict_schema)
+        if self.lateness is not None:
+            self.events_admitted += 1
+            return self._released(self.lateness.push(event))
+        timestamp, last = event.timestamp, self.last_timestamp
+        if last is not None and timestamp < last:
+            if self.strict_time:
+                raise OutOfOrderError(
+                    f"event timestamp {timestamp} regresses below {last}"
+                )
+            self.out_of_order_count += 1
+        self.last_timestamp = timestamp
+        self.events_admitted += 1
+        return [event]
+
+    def flush(self) -> list[Event]:
+        """End of stream: everything the lateness buffer still holds."""
+        return [] if self.lateness is None else self._released(self.lateness.flush())
+
+    def _released(self, events: list[Event]) -> list[Event]:
+        if events:
+            self.last_timestamp = events[-1].timestamp
+        return events
+
+    def mark(self) -> tuple[dict, dict | None]:
+        """The whole admission state, for :meth:`rewind`."""
+        buffer = self.lateness
+        held = None if buffer is None else dict(vars(buffer), _heap=list(buffer._heap))
+        return dict(vars(self)), held
+
+    def rewind(self, mark: tuple[dict, dict | None]) -> None:
+        """Return to a :meth:`mark`: as if nothing since was submitted."""
+        own, held = mark
+        vars(self).update(own)
+        if held is not None:
+            vars(self.lateness).update(held)
+
+    def snapshot(self) -> dict:
+        """This stage's sections of a checkpoint (for :func:`merge_admission`):
+        the ``sequencer`` section's time-order fields, and ``lateness``."""
+        from repro.engine.snapshot import encode_event
+
+        buffer = self.lateness
+        return {
+            "sequencer": {
+                "last_timestamp": self.last_timestamp,
+                "out_of_order_count": self.out_of_order_count,
+            },
+            "lateness": None
+            if buffer is None
+            else {
+                "heap": [[ts, n, encode_event(e)] for ts, n, e in buffer._heap],
+                "counter": buffer._counter,
+                "max_seen": buffer._max_seen,
+                "last_released": buffer._last_released,
+                "late_drops": buffer.late_drops,
+            },
+        }
+
+    def restore(self, state: dict) -> None:
+        """Load this stage's sections of an engine's or a fleet's
+        checkpoint; nothing changes unless all of them load."""
+        from repro.engine.snapshot import SnapshotFormatError, decode_event, restoring
+
+        held, order = state["lateness"], state["sequencer"]
+        if (held is None) != (self.lateness is None):
+            raise SnapshotFormatError(
+                "lateness-buffer configuration mismatch between snapshot "
+                "and runner (max_lateness must match)"
+            )
+        with restoring("sequencer"):
+            own = {
+                "last_timestamp": order["last_timestamp"],
+                "out_of_order_count": int(order["out_of_order_count"]),
+            }
+        buffer = None
+        if held is not None:
+            with restoring("lateness"):
+                heap = [
+                    (float(ts), int(n), decode_event(e)) for ts, n, e in held["heap"]
+                ]
+                heapq.heapify(heap)
+                buffer = {
+                    "_heap": heap,
+                    "_counter": int(held["counter"]),
+                    "_max_seen": float(held["max_seen"]),
+                    "_last_released": float(held["last_released"]),
+                    "late_drops": int(held["late_drops"]),
+                }
+        self.rewind((own, buffer))
+
+
+def merge_admission(state: dict, admission: dict) -> dict:
+    """``state``, a checkpoint without admission (an engine's behind a
+    runner), with ``admission`` (an :meth:`Ingress.snapshot`) written in:
+    the layout of an embedded engine's checkpoint."""
+    state["sequencer"] = {**state["sequencer"], **admission["sequencer"]}
+    state["lateness"] = admission["lateness"]
+    return state

@@ -106,12 +106,6 @@ ENGINE: tuple[Spec, ...] = (
         lambda e: e.metrics.recent_throughput,
         kind="gauge",
     ),
-    Spec(
-        "late_drops_total",
-        "Events dropped for violating the lateness bound",
-        lambda e: e.lateness_buffer.late_drops,
-        needs="lateness_buffer",
-    ),
     # Structural gauge: every shard runs the same groups, so fleet = max.
     Spec(
         "shared_query_groups",
@@ -156,6 +150,16 @@ ENGINE: tuple[Spec, ...] = (
         "Spans evicted from the trace ring buffer",
         lambda e: e.tracer.dropped,
         needs="tracer",
+    ),
+)
+
+#: every runner's admission stage; source is its ``Ingress``.
+INGRESS: tuple[Spec, ...] = (
+    Spec(
+        "late_drops_total",
+        "Events dropped for violating the lateness bound",
+        lambda i: i.lateness.late_drops,
+        needs="lateness",
     ),
 )
 
@@ -632,6 +636,7 @@ LOCK: tuple[Spec, ...] = (
 #: every table, with the labels its series carry.
 CATALOGUE: tuple[tuple[str, tuple[Spec, ...]], ...] = (
     ("", ENGINE),
+    ("", INGRESS),
     ("check", (SANITIZER_CHECK,)),
     ("query", QUERY),
     ("query, stage", STAGE),
@@ -721,6 +726,8 @@ def register(registry: MetricsRegistry, engine: Any) -> None:
             bind(registry, spec, engine)
         elif registry.get(spec.name) is not None:
             registry.prune(name=spec.name)
+    if engine.ingress is not None:
+        bind_table(registry, INGRESS, engine.ingress)
     if engine.sanitizer is not None:
         for check in SANITIZER_CHECKS:
             bind(registry, SANITIZER_CHECK, (engine.sanitizer, check), check=check)

@@ -2,8 +2,8 @@
 
 Three independent saturation signals feed one composite score:
 
-* **ingest lag** — event-time watermark skew: the highest event timestamp
-  *submitted* minus the highest event timestamp *processed*.  Zero when
+* **ingest lag** — event-time watermark skew: the timestamp of the last
+  event *admitted* minus that of the last event *drained*.  Zero when
   the queue drains as fast as it fills; grows in event-time units when a
   backlog builds.  Normalised against a lag budget (how much skew the
   operator tolerates).

@@ -4,8 +4,10 @@
 the operator chain).  :class:`ThreadedEngineRunner` puts that engine behind
 a :class:`WorkerLoop` — one bounded ingest queue drained by one consumer
 thread, the engine's owner: producers call :meth:`submit` from any
-thread, the consumer drains the queue into the engine in ``push_batch``
-batches, and the engine feeds the query subscriptions on that thread.
+thread, which admits each event (the runner's
+:class:`~repro.events.time.Ingress`) and queues what it releases; the
+consumer drains the queue into the engine in ``push_batch`` batches, and
+the engine feeds the query subscriptions on that thread.
 The bounded queue gives natural backpressure — a slow query slows
 producers instead of growing memory without bound — and is the only
 ingest queue in the runtime, so this runner alone reports queue pressure
@@ -40,8 +42,10 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.events.event import Event
+from repro.events.time import merge_admission
 from repro.language.ast_nodes import Query
 from repro.observability.instruments import (
+    INGRESS,
     QUEUE,
     RUNNER_PROCESSED,
     RUNNER_SUBMITTED,
@@ -58,6 +62,7 @@ from repro.runtime.query import RegisteredQuery
 from repro.runtime.shedding import ShedController, ShedStats
 from repro.runtime.sinks import SinkLike, Subscription
 from repro.sanitize.core import release_affinity
+from repro.sanitize.locks import tracked_lock
 
 
 # -- the worker loop ----------------------------------------------------------------
@@ -134,15 +139,16 @@ class WorkerLoop:
         """Items queued, not yet processed (approximate)."""
         return self._queue.qsize()
 
-    def put(self, event: Event, timeout: float | None = None) -> None:
-        """Enqueue one event (blocks when the queue is full).
+    def put(self, item: Any, timeout: float | None = None) -> None:
+        """Enqueue one event, or a list of events as one item (blocks
+        when the queue is full).
 
-        After the owner has left the loop the event is dropped, exactly
+        After the owner has left the loop the item is dropped, exactly
         like one queued behind the final operation.
         """
         if self._closed:
             return
-        self._queue.put(event, timeout=timeout)
+        self._queue.put(item, timeout=timeout)
         depth = self._queue.qsize()
         if depth > self.queue_high_water:
             self.queue_high_water = depth
@@ -223,7 +229,7 @@ class WorkerLoop:
             if type(item) is not Call:
                 # Batched hot path: greedily drain queued events so the
                 # consumer amortises per-call overhead.
-                batch = [item]
+                batch = item if type(item) is list else [item]
                 while len(batch) < batch_size:
                     try:
                         item = get_nowait()
@@ -232,7 +238,10 @@ class WorkerLoop:
                     if type(item) is Call:
                         carried = item
                         break
-                    batch.append(item)
+                    if type(item) is list:
+                        batch.extend(item)
+                    else:
+                        batch.append(item)
                 if self.failure is None:
                     try:
                         self._consume(batch)
@@ -282,7 +291,8 @@ class ThreadedEngineRunner(TelemetryViews):
         The engine to drive; after :meth:`start` it must only be touched
         through this runner (:meth:`pause` grants temporary exclusive
         access when direct manipulation is unavoidable).  Its query
-        subscriptions are fed on the consumer thread.
+        subscriptions are fed on the consumer thread.  The runner takes
+        over its ``ingress``.
     max_queue:
         Bound of the ingest queue; :meth:`submit` blocks when full.
     batch_size:
@@ -303,6 +313,9 @@ class ThreadedEngineRunner(TelemetryViews):
         shed_controller: ShedController | None = None,
     ) -> None:
         self.engine = engine
+        self.ingress, engine.ingress = engine.ingress, None
+        #: held while the ingress admits (or is read) and its output queued.
+        self._submit_lock = tracked_lock("threaded.submit")
         self.max_queue = max_queue
         self.batch_size = batch_size
         self._loop = WorkerLoop(self._consume_batch, max_queue, batch_size)
@@ -311,11 +324,8 @@ class ThreadedEngineRunner(TelemetryViews):
         self._stopping = False
         #: the consumer has left and the runner is torn down.
         self._stopped = False
-        self.events_submitted = 0
-        #: submit-side event-time watermark: highest event timestamp
-        #: accepted.  Compared against the processed watermark to measure
-        #: ingest lag in event-time units.
-        self.last_submitted_ts: float | None = None
+        #: the consumer's watermark: the last event it drained (ingest lag).
+        self._processed_ts: float | None = None
         #: smoothed composite pressure with ok/overloaded hysteresis.
         self.pressure_assessor = PressureAssessor()
         #: optional ``() -> (depth, capacity)`` hook the serving layer
@@ -355,15 +365,8 @@ class ThreadedEngineRunner(TelemetryViews):
         """
         if not self._started or self._stopped:
             return
-        deadline = None if timeout is None else time.monotonic() + timeout
-        if not self._stopping:
-            self._stopping = True
-            self._loop.stop(final=self.engine.flush, timeout=timeout)
-        if not self._loop.join(_remaining(deadline)):
-            error = TimeoutError("consumer thread did not drain in time")
-            self._loop.fail(error)
-            raise error
-        self._stopped = True
+        if not self._leave(timeout, flush=True):
+            raise TimeoutError("consumer thread did not drain in time")
         if self._loop.failure is not None:
             # A failed engine is dead: no later flush or close may drive it.
             self.engine.kill()
@@ -380,16 +383,28 @@ class ThreadedEngineRunner(TelemetryViews):
         is queued behind what it is running); a later ``kill`` or ``stop``
         joins it and kills the engine then.
         """
-        if self._started and not self._stopped:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            if not self._stopping:
-                self._stopping = True
-                self._loop.stop(timeout=timeout)
-            if not self._loop.join(_remaining(deadline)):
-                self._loop.fail(TimeoutError("consumer thread did not stop in time"))
-                return
-            self._stopped = True
+        if self._started and not self._stopped and self._leave(timeout, flush=False):
             self.engine.kill()
+
+    def _leave(self, timeout: float | None, flush: bool) -> bool:
+        """Ask the consumer to leave the loop, after the end of stream if
+        ``flush``, and join it; False, and the runner failed, while it
+        still runs after ``timeout``."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if not self._stopping:
+            self._stopping = True
+            final = self.engine.flush if flush else _noop
+            # A producer holds the lock while it waits on a full queue.
+            wait = -1 if timeout is None else timeout
+            if flush and self._submit_lock.acquire(timeout=wait):
+                final = self._final()
+                self._submit_lock.release()
+            self._loop.stop(final=final, timeout=_remaining(deadline))
+        if self._loop.join(_remaining(deadline)):
+            self._stopped = True
+            return True
+        self._loop.fail(TimeoutError("consumer thread did not stop in time"))
+        return False
 
     def close(self) -> None:
         """Terminal teardown: stop (draining and flushing), then close sinks."""
@@ -405,12 +420,25 @@ class ThreadedEngineRunner(TelemetryViews):
     # -- producing ----------------------------------------------------------------
 
     def submit(self, event: Event, timeout: float | None = None) -> None:
-        """Enqueue one event (blocks when the queue is full)."""
-        self._ensure_running()
-        self._loop.put(event, timeout)
-        self.events_submitted += 1
-        if self.last_submitted_ts is None or event.timestamp > self.last_submitted_ts:
-            self.last_submitted_ts = event.timestamp
+        """Admit one event and queue what the ingress releases (blocks
+        when the queue is full).  A rejected event raises here and the
+        runner carries on; so does a :class:`queue.Full` after
+        ``timeout``, with the ingress as if ``event`` never came."""
+        ingress = self.ingress
+        with self._submit_lock:
+            self._ensure_running()
+            mark = None if timeout is None else ingress.mark()
+            released = ingress.admit(event)
+            if released:
+                try:
+                    self._loop.put(released, timeout)
+                except queue.Full:
+                    ingress.rewind(mark)
+                    raise
+
+    @property
+    def events_submitted(self) -> int:
+        return self.ingress.events_admitted
 
     def submit_all(self, events: Iterable[Event]) -> int:
         count = 0
@@ -478,7 +506,23 @@ class ThreadedEngineRunner(TelemetryViews):
         Idempotent; :meth:`stop` still flushes for callers that never
         call this.
         """
-        return self._with_engine(lambda engine: engine.flush())
+        with self._submit_lock:
+            if not self._started or self._stopped:
+                return self._final()()
+            self._ensure_running()
+            call = self._loop.begin(self._final())
+        released = call.wait()
+        self._check_failure()
+        return released
+
+    def _final(self) -> Callable[[], list[Emission]]:
+        """End of stream for the engine's owner: what the ingress holds,
+        then the flush.  Call under the submit lock."""
+        held = self.ingress.flush()
+        engine = self.engine
+        if not held:
+            return engine.flush
+        return lambda: engine.push_batch(held) + engine.flush()
 
     @contextmanager
     def pause(self) -> Iterator[CEPREngine]:
@@ -543,12 +587,25 @@ class ThreadedEngineRunner(TelemetryViews):
     # -- checkpointing ---------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Consistent engine snapshot, taken behind everything queued."""
-        return self._on_consumer(lambda engine: engine.snapshot())
+        """Consistent snapshot, taken behind everything queued: the
+        engine's, and the ingress's at that queue position."""
+        self._ensure_running()
+        with self._submit_lock:
+            call = self._loop.begin(self.engine.snapshot)
+            admission = self.ingress.snapshot()
+        state = call.wait()
+        self._check_failure()
+        return merge_admission(state, admission)
 
     def restore(self, state: dict) -> None:
-        """Load a snapshot into the engine, on its owner thread."""
-        self._on_consumer(lambda engine: engine.restore(state))
+        """Load a snapshot into the engine, on its owner thread, and into
+        the ingress at that queue position."""
+        self._ensure_running()
+        with self._submit_lock:
+            self.ingress.restore(state)
+            call = self._loop.begin(lambda: self.engine.restore(state))
+        call.wait()
+        self._check_failure()
 
     # -- observability -------------------------------------------------------------
 
@@ -579,8 +636,7 @@ class ThreadedEngineRunner(TelemetryViews):
         (the skew between them is not yet defined); grows in event-time
         units when a backlog builds.
         """
-        submitted = self.last_submitted_ts
-        processed = self.engine.metrics.last_event_ts
+        submitted, processed = self.ingress.last_timestamp, self._processed_ts
         if submitted is None or processed is None:
             return 0.0
         return max(0.0, submitted - processed)
@@ -651,6 +707,7 @@ class ThreadedEngineRunner(TelemetryViews):
         """
         registry = self.engine._live_registry()
         bind(registry, RUNNER_SUBMITTED, self)
+        bind_table(registry, INGRESS, self.ingress)
         bind_table(registry, QUEUE, self)
         if self.shed_controller.policy != "off":
             bind_table(registry, SHED, self)
@@ -661,6 +718,7 @@ class ThreadedEngineRunner(TelemetryViews):
 
     def _consume_batch(self, batch: list[Event]) -> None:
         """One drained batch, on the consumer thread."""
+        self._processed_ts = batch[-1].timestamp
         controller = self.shed_controller
         if controller.adaptive_active:
             # Lossy pre-engine drops: the seq hint places the

@@ -1,5 +1,5 @@
 """The runner recipe: :class:`RunnerConfig`, its rules (:func:`resolve`)
-and the one engine it describes (:func:`build_engine`), below every
+and the engines it describes (:func:`build_engine`), below every
 backend; :mod:`repro.runtime.runner` re-exports them."""
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def resolve(config: RunnerConfig) -> RunnerConfig:
       the pipe write), so both reject a ``shed_policy`` other than
       ``"off"``.
     * Tracing is per-engine: the ``process`` merge stage cannot stitch
-      cross-shard traces, so it rejects ``tracing=True``.
+      cross-shard traces, so it rejects ``tracing=True`` (and resolves
+      ``None`` to ``False``).
 
     Idempotent: a resolved config resolves to an equal one.
     """
@@ -111,7 +112,8 @@ def resolve(config: RunnerConfig) -> RunnerConfig:
             "tracing (the merge stage cannot stitch cross-shard traces); "
             "use backend='embedded' or 'threaded'"
         )
-    return replace(config, backend=backend, shards=shards)
+    tracing = False if backend == "process" else config.tracing
+    return replace(config, backend=backend, shards=shards, tracing=tracing)
 
 
 def queue_backed(config: RunnerConfig) -> RunnerConfig:
@@ -140,11 +142,15 @@ def reject_ignored_shards(config: RunnerConfig) -> None:
 
 
 def build_engine(
-    config: RunnerConfig, sequencer: SequenceAssigner | None = None
+    config: RunnerConfig,
+    sequencer: SequenceAssigner | None = None,
+    admits: bool = True,
 ) -> CEPREngine:
-    """The engine ``config`` describes — embedded, threaded, or a fleet
-    shard's, whose ``sequencer`` may keep the coordinator's numbers."""
-    return CEPREngine(
+    """The engine ``config`` describes — embedded, threaded (whose runner
+    takes its ingress over), or without ``admits`` a fleet shard's, which
+    its coordinator admits events for and whose ``sequencer`` may keep
+    the coordinator's numbers."""
+    engine = CEPREngine(
         registry=config.registry,
         strict_schema=config.strict_schema,
         enable_pruning=config.enable_pruning,
@@ -155,3 +161,6 @@ def build_engine(
         tracing=config.tracing,
         sanitize=config.sanitize,
     )
+    if not admits:
+        engine.ingress = None
+    return engine

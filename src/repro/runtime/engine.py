@@ -18,12 +18,11 @@
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.events.event import Event
 from repro.events.schema import SchemaRegistry
-from repro.events.time import LatenessBuffer, SequenceAssigner
+from repro.events.time import Ingress, SequenceAssigner, merge_admission
 from repro.language.ast_nodes import Query
 from repro.language.errors import CEPRSemanticError
 from repro.language.parser import parse_query
@@ -44,38 +43,6 @@ from repro.runtime.router import EventRouter, SharedExecutionIndex
 from repro.runtime.sinks import SinkLike, Subscription
 
 
-def snapshot_lateness(buffer: LatenessBuffer) -> dict:
-    """JSON-safe snapshot of a lateness buffer (for checkpoints)."""
-    from repro.engine.snapshot import encode_event
-
-    return {
-        "heap": [
-            [ts, counter, encode_event(event)]
-            for ts, counter, event in buffer._heap
-        ],
-        "counter": buffer._counter,
-        "max_seen": buffer._max_seen,
-        "last_released": buffer._last_released,
-        "late_drops": buffer.late_drops,
-    }
-
-
-def restore_lateness(buffer: LatenessBuffer, state: dict) -> None:
-    """Load a :func:`snapshot_lateness` state into ``buffer``."""
-    from repro.engine.snapshot import decode_event, restoring
-
-    with restoring("lateness"):
-        buffer._heap = [
-            (float(ts), int(counter), decode_event(event))
-            for ts, counter, event in state["heap"]
-        ]
-        heapq.heapify(buffer._heap)
-        buffer._counter = int(state["counter"])
-        buffer._max_seen = float(state["max_seen"])
-        buffer._last_released = float(state["last_released"])
-        buffer.late_drops = int(state["late_drops"])
-
-
 def _seat(delivery: Delivery) -> int:
     return delivery[0].seat
 
@@ -91,6 +58,8 @@ class CEPREngine(instruments.TelemetryViews):
         score-bound pruning.
     strict_schema:
         When true, events whose type has no registered schema are rejected.
+        It, ``strict_time`` and ``max_lateness`` configure :attr:`ingress`
+        (DESIGN.md, "Admission"), which a runner takes over.
     enable_pruning:
         Master switch for score-bound pruning (per-query conditions still
         apply: ``RANK BY`` + ``LIMIT`` + tumbling emission).  The ablation
@@ -107,8 +76,8 @@ class CEPREngine(instruments.TelemetryViews):
         :class:`~repro.events.time.LatenessBuffer` with this bound (in
         stream-time seconds) before matching, so bounded out-of-order
         feeds are handled correctly at the cost of that much latency.
-        Events violating the bound are dropped (see
-        ``engine.lateness_buffer.late_drops``).
+        Events violating the bound are dropped and counted
+        (``late_drops_total``; ``engine.ingress.lateness.late_drops``).
     max_derivation_depth:
         Bound on YIELD cascades: an event derived from an event derived
         from ... more than this many levels deep raises (indirect feedback
@@ -158,16 +127,16 @@ class CEPREngine(instruments.TelemetryViews):
         sanitize: bool | None = None,
     ) -> None:
         self.registry = registry
-        self.strict_schema = strict_schema
         self.enable_pruning = enable_pruning
         self.lenient_errors = lenient_errors
-        self.lateness_buffer = (
-            LatenessBuffer(max_lateness) if max_lateness is not None else None
+        #: admits pushed events (None behind a runner: it admits them).
+        self.ingress: Ingress | None = Ingress(
+            registry, strict_schema, strict_time, max_lateness
         )
         self.max_derivation_depth = max_derivation_depth
         #: total derived (YIELD) events processed.
         self.derived_events = 0
-        self._sequencer = sequencer or SequenceAssigner(strict=strict_time)
+        self._sequencer = sequencer or SequenceAssigner()
         #: cross-query gate refcounts and memo (None = independent).
         self.shared: SharedExecutionIndex | None = (
             SharedExecutionIndex() if shared_execution else None
@@ -352,16 +321,13 @@ class CEPREngine(instruments.TelemetryViews):
         """
         if self._flushed:
             raise RuntimeError("engine already flushed; create a new engine")
-        if self.registry is not None:
-            self.registry.validate(event, strict=self.strict_schema)
+        admitted = [event] if self.ingress is None else self.ingress.admit(event)
         metrics = self.metrics
         metrics.start()
         pushed = metrics.events_pushed
         try:
-            if self.lateness_buffer is None:
-                return self._dispatch(event)
             emissions: list[Emission] = []
-            for released in self.lateness_buffer.push(event):
+            for released in admitted:
                 emissions.extend(self._dispatch(released))
             return emissions
         finally:
@@ -370,11 +336,7 @@ class CEPREngine(instruments.TelemetryViews):
     def _dispatch(self, event: Event, depth: int = 0) -> list[Emission]:
         self._sequencer.assign(event)
         # Counted per event; the clock is read once per call (on_call).
-        metrics = self.metrics
-        metrics.events_pushed += 1
-        last_ts = metrics.last_event_ts
-        if last_ts is None or event.timestamp > last_ts:
-            metrics.last_event_ts = event.timestamp
+        self.metrics.events_pushed += 1
         shared = self.shared
         if shared is not None:
             # Arm the per-event memo: every routed query's stage-gate
@@ -471,23 +433,15 @@ class CEPREngine(instruments.TelemetryViews):
         emissions: list[Emission] = []
         extend = emissions.extend
         dispatch = self._dispatch
-        registry = self.registry
-        strict_schema = self.strict_schema
-        buffer = self.lateness_buffer
+        ingress = self.ingress
         try:
-            if buffer is None:
-                if registry is None:
-                    for event in events:
-                        extend(dispatch(event))
-                else:
-                    for event in events:
-                        registry.validate(event, strict=strict_schema)
-                        extend(dispatch(event))
-            else:
+            if ingress is None:
                 for event in events:
-                    if registry is not None:
-                        registry.validate(event, strict=strict_schema)
-                    for released in buffer.push(event):
+                    extend(dispatch(event))
+            else:
+                admit = ingress.admit
+                for event in events:
+                    for released in admit(event):
                         extend(dispatch(released))
         finally:
             metrics.on_call(metrics.events_pushed - pushed)
@@ -530,12 +484,10 @@ class CEPREngine(instruments.TelemetryViews):
         if self._flushed:
             return []
         emissions: list[Emission] = []
-        if self.lateness_buffer is not None:
-            metrics = self.metrics
-            pushed = metrics.events_pushed
-            for released in self.lateness_buffer.flush():
-                emissions.extend(self._dispatch(released))
-            metrics.on_call(metrics.events_pushed - pushed)
+        pushed = self.metrics.events_pushed
+        for released in [] if self.ingress is None else self.ingress.flush():
+            emissions.extend(self._dispatch(released))
+        self.metrics.on_call(self.metrics.events_pushed - pushed)
         self._flushed = True
         self._router.settle()
         self._close_groups()
@@ -597,18 +549,12 @@ class CEPREngine(instruments.TelemetryViews):
         self.push(event)
 
     def submit_all(self, events: Iterable[Event]) -> int:
-        """:meth:`push_batch` a stream; returns how many events it consumed
-        (not counting YIELD-derived ones, counting lateness-buffered ones)."""
-        consumed = 0
-
-        def counted() -> Iterator[Event]:
-            nonlocal consumed
-            for event in events:
-                consumed += 1
-                yield event
-
-        self.push_batch(counted())
-        return consumed
+        """:meth:`push_batch` a stream; returns how many events its ingress
+        admitted (not counting YIELD-derived ones, counting held ones)."""
+        assert self.ingress is not None, "its runner feeds an engine behind it"
+        before = self.ingress.events_admitted
+        self.push_batch(events)
+        return self.ingress.events_admitted - before
 
     def sync(self) -> None:
         """No-op: a synchronous engine is always caught up."""
@@ -639,20 +585,19 @@ class CEPREngine(instruments.TelemetryViews):
                 name: registered.snapshot()
                 for name, registered in self._queries.items()
             },
+            "lateness": None,
         }
-        state["lateness"] = (
-            None
-            if self.lateness_buffer is None
-            else snapshot_lateness(self.lateness_buffer)
-        )
-        return state
+        if self.ingress is None:
+            return state  # its runner writes the admission sections
+        return merge_admission(state, self.ingress.snapshot())
 
     def restore(self, state: dict) -> None:
         """Load a :meth:`snapshot` into this freshly constructed engine.
 
         Every query named in the snapshot must already be registered (the
         compiled automatons and scorers are rebuilt from query text; only
-        mutable state travels through the snapshot).
+        mutable state travels through the snapshot).  An engine behind a
+        runner skips the admission sections, which its runner loads.
         """
         from repro.engine.snapshot import SnapshotFormatError, restoring
 
@@ -665,12 +610,8 @@ class CEPREngine(instruments.TelemetryViews):
                     f"query set mismatch: snapshot has "
                     f"{sorted(snapshot_queries)}, engine has {sorted(self._queries)}"
                 )
-            lateness_state = state["lateness"]
-            if (lateness_state is None) != (self.lateness_buffer is None):
-                raise SnapshotFormatError(
-                    "lateness-buffer configuration mismatch between snapshot "
-                    "and engine (max_lateness must match)"
-                )
+            if self.ingress is not None:
+                self.ingress.restore(state)
             # A dormant query may be handed runs in partitions it is not
             # indexed under, or a ranker holding matches: wake everybody,
             # settling first so no debt is added on top of the restored
@@ -680,9 +621,6 @@ class CEPREngine(instruments.TelemetryViews):
             self.derived_events = int(state["derived_events"])
             self._flushed = bool(state["flushed"])
             self.metrics.events_pushed = int(state["events_pushed"])
-            if lateness_state is not None:
-                assert self.lateness_buffer is not None
-                restore_lateness(self.lateness_buffer, lateness_state)
             self._close_groups()
             self._split_diverged_groups(snapshot_queries)
             for lead in self._router.queries():

@@ -186,8 +186,8 @@ class EngineMetrics:
     what the engine is doing *now* instead of a stale average.  The window
     is kept as one-second count buckets in a deque — O(1) per call,
     constant memory.  The owner counts every event into
-    :attr:`events_pushed` and :attr:`last_event_ts`; the clock is read once
-    per ``push``/``push_batch`` call (:meth:`start`, :meth:`on_call`).
+    :attr:`events_pushed`; the clock is read once per ``push``/``push_batch``
+    call (:meth:`start`, :meth:`on_call`).
     """
 
     def __init__(
@@ -200,11 +200,6 @@ class EngineMetrics:
         self.events_pushed = 0
         self.started_at: float | None = None
         self.last_push_at: float | None = None
-        #: event-time watermark: highest event timestamp processed so far
-        #: (``None`` until the first stamped push).  The pressure signals
-        #: compare it against the submit-side watermark to measure ingest
-        #: lag in event-time units.
-        self.last_event_ts: float | None = None
         #: trailing one-second buckets: ``[second, events in that second]``.
         self._buckets: deque[list[float]] = deque()
 
@@ -218,10 +213,9 @@ class EngineMetrics:
     def on_call(self, events: int) -> None:
         """Meter one ``push``/``push_batch`` call that took ``events`` events.
 
-        The caller counts each event into :attr:`events_pushed` and moves
-        :attr:`last_event_ts` as it goes; the clock is read here, once per
-        call, and the call's events land in the bucket of the second it
-        ended in.
+        The caller counts each event into :attr:`events_pushed` as it
+        goes; the clock is read here, once per call, and the call's events
+        land in the bucket of the second it ended in.
         """
         if not events:
             return

@@ -47,6 +47,7 @@ from repro.runtime.report import QueryReport
 from repro.runtime.sinks import CollectorSink, ResultSink, SinkOwner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.language.analysis.diagnostics import Diagnostic
     from repro.runtime.router import SharedExecutionIndex
 
 _ROUTE = SpanKind.ROUTE
@@ -133,15 +134,6 @@ class RegisteredQuery(SinkOwner):
         #: shared-execution engine): the matcher consults its per-event
         #: gate memo.
         self.shared = shared
-        # Static analysis runs between semantic analysis and compilation;
-        # findings never block registration (errors at this level mean "the
-        # query cannot do useful work", e.g. contradictory predicates, but
-        # running it is still well-defined).  The CLI surfaces them.  A
-        # window-close query's findings do not depend on NAME or LIMIT, so
-        # a group's members have its lead's.
-        self.diagnostics = (
-            run_analysis(analyzed, registry) if lead is None else list(lead.diagnostics)
-        )
         #: attached/detached by the engine via :meth:`set_tracer`.
         self.tracer: Tracer | None = None
         self._clock = clock
@@ -172,6 +164,13 @@ class RegisteredQuery(SinkOwner):
             self._lead_group()
         else:
             lead.admit(self)
+
+    @property
+    def diagnostics(self) -> list[Diagnostic]:
+        """The static analyzer's findings on this query, computed on read:
+        they never block registration, so registration does not pay for
+        them (``cepr run`` and ``cepr lint`` report them)."""
+        return run_analysis(self.analyzed, self._registry)
 
     # -- the group ----------------------------------------------------------------
 

@@ -73,7 +73,8 @@ class Shard(Protocol):
 class LocalShard:
     """A shard that is a :class:`CEPREngine` in this process.
 
-    The engine is built from ``config`` (a fleet shard's recipe); when
+    The engine is built from ``config`` (its fleet's recipe) without an
+    ingress — the coordinator admitted every event it is sent; when
     ``preassigned`` it keeps the global sequence numbers the coordinator
     stamped instead of numbering events itself.  ``queries`` maps names
     to CEPR-QL text or parsed ASTs.  Each worker process hosts one; a
@@ -93,7 +94,7 @@ class LocalShard:
     def respawn(self) -> None:
         config, queries, preassigned = self._recipe
         self.engine = build_engine(
-            config, PreassignedSequencer() if preassigned else None
+            config, PreassignedSequencer() if preassigned else None, admits=False
         )
         for name, query in queries.items():
             self.engine.register_query(query, name=name)

@@ -85,7 +85,7 @@ from repro.engine.snapshot import (
 )
 from repro.engine.windows import EpochTracker
 from repro.events.event import Event
-from repro.events.time import LatenessBuffer, SequenceAssigner
+from repro.events.time import Ingress, SequenceAssigner, merge_admission
 from repro.language.analysis.shardability import (
     ShardabilityReport,
     certify_shardability,
@@ -96,6 +96,7 @@ from repro.language.parser import parse_query
 from repro.language.semantics import AnalyzedQuery, analyze
 from repro.observability.instruments import (
     FLEET,
+    INGRESS,
     QUERY_SHARDS,
     QUERY_SOLO_FALLBACK,
     RUNNER_SUBMITTED,
@@ -110,7 +111,6 @@ from repro.ranking.emission import Emission, EmissionKind
 from repro.ranking.score import Scorer
 from repro.ranking.topk import merge_rankings
 from repro.runtime.config import RunnerConfig, resolve
-from repro.runtime.engine import restore_lateness, snapshot_lateness
 from repro.runtime.metrics import EngineMetrics
 from repro.runtime.report import QueryReport, ShardReport
 from repro.runtime.process import PipeShard
@@ -129,14 +129,6 @@ def stable_shard(key: tuple[Any, ...], shards: int) -> int:
     per interpreter), which keeps per-shard statistics reproducible.
     """
     return zlib.crc32(repr(key).encode("utf-8", "backslashreplace")) % shards
-
-
-def shard_config(config: RunnerConfig) -> RunnerConfig:
-    """The recipe of a fleet's shard engines: ``config`` minus what the
-    coordinator does for every shard as it numbers events (time-order
-    checks, the lateness buffer) and minus tracing, which the merge
-    stage cannot stitch across shards."""
-    return replace(config, strict_time=False, max_lateness=None, tracing=False)
 
 
 # The shardability decision table lives in the static analyzer
@@ -550,8 +542,8 @@ class ShardedEngineRunner(TelemetryViews):
     the events per ``push_batch`` (one pipe frame, whose blocking write
     is the backpressure).  Shard calls run on the calling thread, under
     the dispatch lock.  Each shard's engine is built from the same
-    recipe minus what the coordinator does for every shard (see
-    :func:`shard_config`).  Subscriptions receive the *merged* emissions
+    recipe, without the :attr:`ingress` that admits every event here.
+    Subscriptions receive the *merged* emissions
     on the barrier-calling thread.  ``shard_type`` picks the shard
     implementation: :class:`~repro.runtime.process.PipeShard` (one worker
     process per shard, the default — ``create_runner(backend="process")``)
@@ -574,11 +566,14 @@ class ShardedEngineRunner(TelemetryViews):
         self._stopped = False
         self._flushed = False
         self._lock = tracked_lock("sharded.dispatch")
-        self._sequencer = SequenceAssigner(strict=config.strict_time)
-        lateness = config.max_lateness
-        self._lateness = None if lateness is None else LatenessBuffer(lateness)
+        self.ingress = Ingress(
+            config.registry,
+            config.strict_schema,
+            config.strict_time,
+            config.max_lateness,
+        )
+        self._sequencer = SequenceAssigner()
         self.metrics = EngineMetrics()
-        self.events_submitted = 0
 
         self._workers: list[_Worker] = []
         self._groups: list[_Group] = []
@@ -620,7 +615,7 @@ class ShardedEngineRunner(TelemetryViews):
     def _new_worker(self, preassigned: bool, views: list[ShardedQuery]) -> _Worker:
         """Build one shard: its engine recipe and its queries."""
         queries = {view.name: self._asts[view.name] for view in views}
-        shard = self.shard_type(shard_config(self.config), queries, preassigned)
+        shard = self.shard_type(self.config, queries, preassigned)
         worker = _Worker(shard)
         self._workers.append(worker)
         return worker
@@ -738,7 +733,7 @@ class ShardedEngineRunner(TelemetryViews):
         """Coordinated JSON-safe snapshot of the whole fleet.
 
         Takes a barrier: sends every unsent chunk, then captures the
-        dispatch state (sequencer, lateness buffer), every shard's engine
+        dispatch state (ingress, sequencer), every shard's engine
         snapshot (in the deterministic worker order fixed by
         :meth:`start`), and each query's merge-stage state.  Consistency
         holds because the runner's lock blocks submits for the duration
@@ -750,15 +745,10 @@ class ShardedEngineRunner(TelemetryViews):
             raise RuntimeError("runner is stopped")
         with self._lock:
             self._barrier()
-            return {
+            state = {
                 "shards": self.config.shards,
                 "sequencer": self._sequencer.snapshot(),
-                "lateness": (
-                    None
-                    if self._lateness is None
-                    else snapshot_lateness(self._lateness)
-                ),
-                "events_submitted": self.events_submitted,
+                "events_submitted": self.ingress.events_admitted,
                 "events_pushed": self.metrics.events_pushed,
                 "engines": [worker.shard.snapshot() for worker in self._workers],
                 "views": {
@@ -766,6 +756,7 @@ class ShardedEngineRunner(TelemetryViews):
                     for name, view in self._views.items()
                 },
             }
+            return merge_admission(state, self.ingress.snapshot())
 
     def restore(self, state: dict) -> None:
         """Load a :meth:`snapshot` into this runner.
@@ -798,11 +789,6 @@ class ShardedEngineRunner(TelemetryViews):
                     f"query set mismatch: snapshot has {sorted(state['views'])}, "
                     f"runner has {sorted(self._views)}"
                 )
-            if (state["lateness"] is None) != (self._lateness is None):
-                raise SnapshotFormatError(
-                    "lateness-buffer configuration mismatch between snapshot "
-                    "and runner (max_lateness must match)"
-                )
             engines = state["engines"]
             if len(engines) != len(self._workers):
                 raise SnapshotFormatError(
@@ -810,16 +796,14 @@ class ShardedEngineRunner(TelemetryViews):
                     f"engines, runner has {len(self._workers)} workers"
                 )
             with self._lock:
+                self.ingress.restore(state)
+                self.ingress.events_admitted = int(state["events_submitted"])
                 for worker in self._workers:
                     worker.chunk = []
                     if not worker.shard.alive():
                         worker.shard.respawn()
                     worker.failure = None
                 self._sequencer.restore(state["sequencer"])
-                if state["lateness"] is not None:
-                    assert self._lateness is not None
-                    restore_lateness(self._lateness, state["lateness"])
-                self.events_submitted = int(state["events_submitted"])
                 self.metrics.events_pushed = int(state["events_pushed"])
                 for worker, engine_state in zip(self._workers, engines):
                     worker.shard.restore(engine_state)
@@ -835,26 +819,20 @@ class ShardedEngineRunner(TelemetryViews):
         self.submit_all((event,))
 
     def submit_all(self, events: Iterable[Event]) -> int:
-        """:meth:`submit` each event; the throughput clock is read once."""
-        registry = self.config.registry
-        strict_schema = self.config.strict_schema
+        """:meth:`submit` each event, admitted (:attr:`ingress`) before it
+        is numbered; the throughput clock is read once."""
+        admit = self.ingress.admit
         metrics = self.metrics
         metrics.start()
         pushed = metrics.events_pushed
         count = 0
         try:
             for event in events:
-                if registry is not None:
-                    registry.validate(event, strict=strict_schema)
                 with self._lock:
                     # Checked under the lock, so no submit lands after a flush.
                     self._ensure_live()
-                    if self._lateness is not None:
-                        for released in self._lateness.push(event):
-                            self._ingest(released)
-                    else:
-                        self._ingest(event)
-                    self.events_submitted += 1
+                    for released in admit(event):
+                        self._ingest(released)
                 count += 1
         finally:
             with self._lock:
@@ -862,14 +840,9 @@ class ShardedEngineRunner(TelemetryViews):
         return count
 
     def _ingest(self, event: Event) -> None:
-        # Numbering checks time order for every shard; an all-solo
-        # deployment's engine then renumbers (see start()).
+        # An all-solo deployment's engine renumbers (see start()).
         self._sequencer.assign(event)
-        metrics = self.metrics
-        metrics.events_pushed += 1
-        last_ts = metrics.last_event_ts
-        if last_ts is None or event.timestamp > last_ts:
-            metrics.last_event_ts = event.timestamp
+        self.metrics.events_pushed += 1
         for view in self._type_watchers.get(event.event_type, ()):
             view._observe_routed(event)
         batch_size = self.config.batch_size
@@ -898,6 +871,10 @@ class ShardedEngineRunner(TelemetryViews):
     @property
     def events_pushed(self) -> int:
         return self.metrics.events_pushed
+
+    @property
+    def events_submitted(self) -> int:
+        return self.ingress.events_admitted
 
     @property
     def effective_shards(self) -> int:
@@ -1077,11 +1054,10 @@ class ShardedEngineRunner(TelemetryViews):
             if self._flushed or self._stopped:
                 return []
             self._flushed = True
-            if self._lateness is not None:
-                pushed = self.metrics.events_pushed
-                for event in self._lateness.flush():
-                    self._ingest(event)
-                self.metrics.on_call(self.metrics.events_pushed - pushed)
+            pushed = self.metrics.events_pushed
+            for event in self.ingress.flush():
+                self._ingest(event)
+            self.metrics.on_call(self.metrics.events_pushed - pushed)
             released = self._merge_barrier(
                 lambda shard: shard.flush(),
                 lambda view: (view.last_routed_seq, view.last_ts),
@@ -1156,6 +1132,7 @@ class ShardedEngineRunner(TelemetryViews):
                 view._revision
             )
         bind(fleet, RUNNER_SUBMITTED, self)
+        bind_table(fleet, INGRESS, self.ingress)
         bind_table(fleet, FLEET, self)
         for index, worker in enumerate(self._workers):
             bind(fleet, SHARD, worker, shard=str(index))

@@ -278,7 +278,6 @@ class CEPRServer:
         self._drained: asyncio.Event | None = None
         self._draining = False
         self._ingest_lock: asyncio.Lock | None = None
-        self._last_event_ts = 0.0
         self._ingest_latency = LatencyRecorder()
         self._handlers: dict[
             str, Callable[[_Connection, dict], Awaitable[bool]]
@@ -403,7 +402,6 @@ class CEPRServer:
         position = self.recovery.restore(runner.restore)
         if position is not None:
             self.stats.events_ingested = position.events_consumed
-            self._last_event_ts = position.last_ts
 
     async def _poll_loop(self) -> None:
         """Fleet backends: release mergeable emissions on a cadence."""
@@ -474,11 +472,7 @@ class CEPRServer:
 
     def _checkpoint_blocking(self) -> None:
         """Sync the runtime and persist a snapshot (runner threads idle)."""
-        self.recovery.save(
-            self._runner.snapshot(),
-            self.stats.events_ingested,
-            self._last_event_ts,
-        )
+        self.recovery.save(self._runner.snapshot(), self.stats.events_ingested)
         self.stats.checkpoints_saved += 1
 
     # -- connection handling ---------------------------------------------------
@@ -893,8 +887,6 @@ class CEPRServer:
         started = time.perf_counter()
         for event in events:
             self._runner.submit(event)
-            if event.timestamp > self._last_event_ts:
-                self._last_event_ts = event.timestamp
         self._ingest_latency.record(time.perf_counter() - started)
 
     # -- observability ----------------------------------------------------------

@@ -299,13 +299,16 @@ class Recovery:
         save boundary (a multiple of ``every``)."""
         return self.store is not None and before // self.every != after // self.every
 
-    def save(self, state: dict[str, Any], events_consumed: int, last_ts: float) -> Path:
-        """Persist a runner snapshot taken after ``events_consumed`` events."""
+    def save(self, state: dict[str, Any], events_consumed: int) -> Path:
+        """Persist a runner snapshot taken after ``events_consumed`` events,
+        at the position its ``sequencer`` section records."""
         assert self.store is not None
-        last_seq = int(state["sequencer"]["next_seq"]) - 1
+        sequencer = state["sequencer"]
         return self.store.save(
             state,
             Position(
-                events_consumed=events_consumed, last_seq=last_seq, last_ts=last_ts
+                events_consumed=events_consumed,
+                last_seq=int(sequencer["next_seq"]) - 1,
+                last_ts=sequencer["last_timestamp"] or 0.0,
             ),
         )

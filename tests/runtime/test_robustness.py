@@ -147,4 +147,4 @@ class TestEngineWithLateness:
         engine.push(E("A", 10.0))   # releases t=1
         engine.push(E("A", 12.0))   # releases t=10
         engine.push(E("A", 2.0))    # older than last release: must drop
-        assert engine.lateness_buffer.late_drops == 1
+        assert engine.ingress.lateness.late_drops == 1

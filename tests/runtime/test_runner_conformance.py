@@ -13,12 +13,16 @@ differential suites use.
 
 import json
 from collections import Counter
+from unittest import mock
 
 import pytest
 
 from repro import Event
+from repro.events.schema import EventSchema, SchemaError, SchemaRegistry
+from repro.events.time import OutOfOrderError
 from repro.runtime import RunnerConfig, create_runner, emission_to_json
 from repro.runtime.sinks import CollectorSink
+from repro.sanitize.invariants import InvariantChecker
 from repro.workloads.stock import StockWorkload
 from tests.runtime.fleet import DOUBLE, create_test_runner
 
@@ -529,3 +533,239 @@ class TestCheckpointLifecycle:
         finally:
             runner.stop()
         json.dumps(state)  # must not raise
+
+
+class TestIngressConformance:
+    """Admission is one stage, run once per backend at ``submit``: every
+    backend rejects the same events with the same exception, drops the
+    same late events, and emits the same output.  An event the ingress
+    rejects raises from ``submit`` and the runner carries on."""
+
+    PROGRAM = {
+        "spread": "PATTERN SEQ(A a, B b) WHERE b.v > a.v WITHIN 8 EVENTS "
+        "USING SKIP_TILL_ANY PARTITION BY k RANK BY b.v - a.v DESC LIMIT 2 "
+        "EMIT ON WINDOW CLOSE",
+        "arrivals": "PATTERN SEQ(A a) WITHIN 1 EVENTS PARTITION BY k",
+    }
+    #: YIELD pins a fleet to its solo engine; ``big`` reads derived events.
+    CASCADE = {
+        "best": "PATTERN SEQ(A a) WITHIN 10 SECONDS PARTITION BY k "
+        "RANK BY a.v DESC LIMIT 1 EMIT ON WINDOW CLOSE YIELD Big(k = a.k, v = a.v)",
+        "big": "PATTERN SEQ(Big g)",
+    }
+
+    @staticmethod
+    def registry():
+        return SchemaRegistry(
+            [EventSchema.build(kind, k="int", v="float") for kind in ("A", "B")]
+        )
+
+    @staticmethod
+    def stream(count=40):
+        return [
+            Event("AB"[i % 2], i / 2, k=i % 3, v=float((7 * i) % 11))
+            for i in range(count)
+        ]
+
+    @classmethod
+    def case(cls, name):
+        """``(events, config options)`` of one admission case."""
+        events = cls.stream()
+        if name in ("strict_out_of_order", "lenient_out_of_order"):
+            events.insert(10, Event("A", 3.0, k=1, v=9.0))  # after t=4.5
+            return events, {"strict_time": name.startswith("strict")}
+        if name == "schema":
+            events.insert(10, Event("B", 5.0, k=1, v="bad"))
+            return events, {}
+        if name == "lateness":
+            events.insert(10, Event("A", 4.0, k=2, v=8.0))  # within 1.0
+            events.insert(20, Event("B", 2.0, k=2, v=10.0))  # beyond it
+            return events, {"max_lateness": 1.0}
+        assert name == "duplicates"
+        return [
+            Event("AB"[i % 2], float(i // 4), k=i % 3, v=float(i % 5))
+            for i in range(40)
+        ], {"strict_time": True}
+
+    def run(self, backend, program, events, registry=None, **options):
+        runner = create_test_runner(
+            program,
+            RunnerConfig(
+                backend=backend,
+                shards=SHARDS,
+                registry=self.registry() if registry is None else registry,
+                **options,
+            ),
+        )
+        sink = CollectorSink()
+        for name in program:
+            runner.subscribe(name, sink)
+        rejected = []
+        with runner:
+            for event in events:
+                try:
+                    runner.submit(event)
+                except (SchemaError, OutOfOrderError) as exc:
+                    rejected.append((type(exc).__name__, str(exc)))
+            runner.sync()
+            runner.flush()
+            late = runner.metrics_registry().get("late_drops_total")
+        return lines(sink.emissions), rejected, None if late is None else late.value
+
+    CASES = [
+        "strict_out_of_order",
+        "lenient_out_of_order",
+        "schema",
+        "lateness",
+        "duplicates",
+    ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("name", CASES)
+    def test_every_backend_admits_alike(self, name, backend):
+        events, options = self.case(name)
+        emitted, rejected, late = self.run(backend, self.PROGRAM, events, **options)
+        expected = self.run("embedded", self.PROGRAM, *self.case(name)[:1], **options)
+        assert emitted, "the case must emit for the comparison to bite"
+        assert (emitted, rejected, late) == expected
+        if name == "strict_out_of_order":
+            assert rejected == [
+                ("OutOfOrderError", "event timestamp 3.0 regresses below 4.5")
+            ]
+        elif name == "schema":
+            assert [kind for kind, _ in rejected] == ["SchemaError"]
+        else:
+            assert rejected == []
+        assert late == (1 if name == "lateness" else None)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_derived_events_skip_the_time_order_check(self, backend):
+        """A heartbeat's YIELD derives an event stamped at the heartbeat;
+        source events after it are checked against source events only."""
+        events = [Event("A", float(t), k=t % 2, v=float(t)) for t in range(5)]
+        later = [Event("A", float(t), k=t % 2, v=float(t)) for t in range(6, 9)]
+
+        def output(backend):
+            runner = create_test_runner(
+                self.CASCADE,
+                RunnerConfig(backend=backend, shards=SHARDS, strict_time=True),
+            )
+            sink = CollectorSink()
+            for name in self.CASCADE:
+                runner.subscribe(name, sink)
+            with runner:
+                runner.submit_all(events)
+                runner.advance_time(25.0)
+                runner.submit_all(later)
+                runner.flush()
+            return lines(sink.emissions)
+
+        emitted = output(backend)
+        assert any('"Big"' in line for line in emitted)
+        assert emitted == output("embedded")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_checkpoint_with_held_events_resumes_the_run(self, backend):
+        events, options = self.case("lateness")
+        cut = 15
+        reference, _, late = self.run("embedded", self.PROGRAM, events, **options)
+        config = RunnerConfig(
+            backend=backend, shards=SHARDS, registry=self.registry(), **options
+        )
+
+        first = create_test_runner(self.PROGRAM, config)
+        sink = CollectorSink()
+        for name in self.PROGRAM:
+            first.subscribe(name, sink)
+        first.start()
+        first.submit_all(events[:cut])
+        first.sync()
+        state = json.loads(json.dumps(first.snapshot()))
+        first.kill()
+        assert state["lateness"]["heap"], "the buffer must hold events at the cut"
+
+        second = create_test_runner(self.PROGRAM, config)
+        for name in self.PROGRAM:
+            second.subscribe(name, sink)
+        second.start()
+        try:
+            second.restore(state)
+            second.submit_all(events[cut:])
+            second.flush()
+            resumed_late = second.metrics_registry().get("late_drops_total").value
+        finally:
+            second.stop()
+        assert lines(sink.emissions) == reference
+        assert resumed_late == late == 1
+
+    @pytest.mark.parametrize(
+        "first, second", [("threaded", "embedded"), ("embedded", "threaded")]
+    )
+    def test_single_engine_checkpoints_interchange(self, first, second):
+        """A threaded runner's checkpoint has the embedded engine's layout:
+        each restores the other's, lateness buffer and all."""
+        events, options = self.case("lateness")
+        reference, _, _ = self.run("embedded", self.PROGRAM, events, **options)
+        config = RunnerConfig(registry=self.registry(), **options)
+        sink = CollectorSink()
+        runners = []
+        for backend in (first, second):
+            runner = create_runner(self.PROGRAM, config, backend=backend)
+            for name in self.PROGRAM:
+                runner.subscribe(name, sink)
+            runners.append(runner.start())
+        runners[0].submit_all(events[:15])
+        runners[0].sync()
+        state = runners[0].snapshot()
+        runners[0].kill()
+        assert state["lateness"]["heap"] and set(state["sequencer"]) == {
+            "next_seq",
+            "last_timestamp",
+            "out_of_order_count",
+        }
+        runners[1].restore(state)
+        runners[1].submit_all(events[15:])
+        runners[1].stop()
+        assert lines(sink.emissions) == reference
+
+    @pytest.mark.parametrize("backend", ["embedded", "threaded", DOUBLE])
+    def test_the_sanitizer_sees_every_numbered_event(self, backend):
+        """The seq-monotonicity check wraps the engines' numbering, which
+        stayed behind the ingress: it sees every source event the buffer
+        releases and every derived one (in this process: not ``process``)."""
+        events = [Event("A", t / 2, k=t % 2, v=float(t % 7)) for t in range(12)]
+        events.insert(6, Event("A", 1.8, k=0, v=6.0))  # within the bound
+        check = InvariantChecker.check_seq
+        with mock.patch.object(
+            InvariantChecker, "check_seq", autospec=True, side_effect=check
+        ) as checked:
+            runner = create_test_runner(
+                self.CASCADE,
+                RunnerConfig(
+                    backend=backend, shards=SHARDS, max_lateness=1.0, sanitize=True
+                ),
+            )
+            with runner:
+                runner.submit_all(events)
+                runner.advance_time(25.0)
+                runner.flush()
+                registry = runner.metrics_registry()
+        assert registry.get("derived_events_total").value > 0
+        assert checked.call_count == registry.get("events_pushed_total").value
+        assert registry.get("sanitizer_trips_total").value == 0
+
+    def test_the_double_validates_each_source_event_once(self):
+        """Work bound: the coordinator's schema check is the only one."""
+        registry = self.registry()
+        calls = []
+        check = registry.validate
+
+        def validate(event, strict=False):
+            calls.append(event)
+            return check(event, strict=strict)
+
+        registry.validate = validate
+        events = self.stream()
+        self.run(DOUBLE, self.PROGRAM, events, registry=registry)
+        assert len(calls) == len(events)
+        assert {id(event) for event in calls} == {id(event) for event in events}

@@ -1,11 +1,15 @@
-"""The runner recipe is one recipe: every engine a backend builds carries
-the ``RunnerConfig`` it was given.
+"""The runner recipe is one recipe: every engine a backend builds, and
+every backend's admission stage, carry the ``RunnerConfig`` it was given.
 
 ``embedded``, ``threaded`` and every shard engine of the process fleet's
 in-process double are built from the same config; a fleet's shards
-differ from it only in what the coordinator does for all of them
-(:data:`FLEET_FIXED`).  Worker-process shards build the same engine from
-the same config shipped over the pipe.
+differ from it only in what its merge stage cannot do
+(:data:`FLEET_FIXED`).  Admission (:data:`ADMISSION`) is the runner's:
+each backend runs exactly one :class:`~repro.events.time.Ingress`
+holding the recipe's schema, time-order and lateness settings, and an
+engine behind a runner — the threaded consumer's, every shard's — runs
+none.  Worker-process shards build the same engine from the same config
+shipped over the pipe.
 """
 
 from dataclasses import fields
@@ -41,29 +45,34 @@ PROGRAM = {
 REGISTRY = StockWorkload().registry()
 
 
-def _lateness(engine):
-    buffer = engine.lateness_buffer
+def _lateness(ingress):
+    buffer = ingress.lateness
     return None if buffer is None else buffer.max_lateness
 
 
 #: engine-level field -> (recipe value, what an engine built from it
 #: shows, how to read that off the engine).  ``tracing`` is left to the
-#: process-wide switch, which tests turn on.
+#: process-wide switch, which tests turn on.  The registry is also the
+#: analyzer's (attribute domains drive pruning), so every engine holds it.
 CASES = {
     "registry": (REGISTRY, REGISTRY, lambda engine: engine.registry),
-    "strict_schema": (True, True, lambda engine: engine.strict_schema),
     "enable_pruning": (False, False, lambda engine: engine.enable_pruning),
-    "strict_time": (True, True, lambda engine: engine._sequencer.strict),
     "lenient_errors": (True, True, lambda engine: engine.lenient_errors),
-    "max_lateness": (2.5, 2.5, _lateness),
     "sanitize": (True, True, lambda engine: engine.sanitizer is not None),
     "tracing": (None, True, lambda engine: engine.tracer is not None),
 }
 
+#: admission field -> (recipe value, how to read it off an ``Ingress``).
+ADMISSION = {
+    "registry": (REGISTRY, lambda ingress: ingress.registry),
+    "strict_schema": (True, lambda ingress: ingress.strict_schema),
+    "strict_time": (True, lambda ingress: ingress.strict_time),
+    "max_lateness": (2.5, _lateness),
+}
+
 #: What a fleet fixes for its shard engines whatever the recipe says:
-#: the coordinator checks time order and buffers late events before it
-#: dispatches, and the merge stage cannot stitch cross-shard traces.
-FLEET_FIXED = {"strict_time": False, "max_lateness": None, "tracing": False}
+#: the merge stage cannot stitch cross-shard traces.
+FLEET_FIXED = {"tracing": False}
 
 #: ``RunnerConfig`` fields that steer a runner, not its engines.
 RUNNER_LEVEL = {
@@ -85,7 +94,7 @@ def process_wide_tracing():
 
 def test_every_engine_level_field_has_a_case():
     names = {field.name for field in fields(RunnerConfig)}
-    assert set(CASES) == names - RUNNER_LEVEL
+    assert set(CASES) | set(ADMISSION) == names - RUNNER_LEVEL
     assert set(FLEET_FIXED) <= set(CASES)
 
 
@@ -108,3 +117,26 @@ class TestRecipe:
         assert [read(engine) for engine in engines] == [
             FLEET_FIXED.get(field, shows)
         ] * len(engines)
+
+
+@pytest.mark.parametrize("field", sorted(ADMISSION))
+class TestAdmission:
+    def test_every_backends_ingress_holds_it(self, field):
+        value, read = ADMISSION[field]
+        config = RunnerConfig(shards=2, **{field: value})
+        runners = [
+            create_runner(PROGRAM, config, backend=backend)
+            for backend in ("embedded", "threaded", "process")
+        ]
+        runners.append(local_fleet(PROGRAM, shards=2, **{field: value}))
+        assert [read(runner.ingress) for runner in runners] == [value] * 4
+
+    def test_no_engine_behind_a_runner_admits(self, field):
+        value, _ = ADMISSION[field]
+        config = RunnerConfig(backend="threaded", **{field: value})
+        threaded = create_runner(PROGRAM, config)
+        fleet = local_fleet(PROGRAM, shards=2, **{field: value})
+        with fleet:
+            engines = [worker.shard.engine for worker in fleet._workers]
+        assert len(engines) == 3, "two partitioned shards and the solo engine"
+        assert [engine.ingress for engine in [threaded.engine, *engines]] == [None] * 4

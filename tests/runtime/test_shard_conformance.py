@@ -19,13 +19,14 @@ from repro.ranking.emission import Emission, EmissionKind
 from repro.runtime.process import PipeShard
 from repro.runtime.report import ShardReport, encode_report
 from repro.runtime.shard import LocalShard
-from repro.runtime.runner import RunnerConfig
-from repro.runtime.sharded import ShardedEngineRunner, shard_config
+from repro.runtime.runner import RunnerConfig, resolve
+from repro.runtime.sharded import ShardedEngineRunner
 from repro.workloads.stock import StockWorkload
 
 SHARD_TYPES = [LocalShard, PipeShard]
 
-CONFIG = shard_config(RunnerConfig())
+#: a fleet's recipe, as its coordinator hands it to every shard.
+CONFIG = resolve(RunnerConfig(backend="process"))
 
 QUERIES = {
     "best": """

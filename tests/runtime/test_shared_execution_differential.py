@@ -32,6 +32,7 @@ from repro import CEPREngine
 from repro.engine.partitioner import Partitioner
 from repro.events.event import Event
 from repro.events.schema import AttributeSpec, EventSchema, SchemaRegistry
+from repro.language.analysis import run_analysis
 from repro.language.errors import CEPRSemanticError
 from repro.language.parser import parse_query
 from repro.language.printer import format_expr
@@ -1031,6 +1032,21 @@ class TestQueryGroups:
         assert len(reads) == len(events)
         grouped.flush()
         assert any(lines for lines, _rows in grouped.views().values())
+
+    def test_the_64_alert_program_runs_no_static_analysis_at_registration(self):
+        """Registration does not pay for the analyzer's findings: a
+        handle computes its ``diagnostics`` when they are read, lead or
+        member, equal to a fresh analysis of its own query."""
+        registry = StockWorkload().registry()
+        with mock.patch.object(
+            query_module, "run_analysis", wraps=query_module.run_analysis
+        ) as analysis:
+            grouped = GroupRun(alert_program(), True, registry=registry)
+        assert analysis.call_count == 0
+        handles = grouped.engine.queries()
+        assert any(handle.lead is not handle for handle in handles)
+        for handle in handles:
+            assert handle.diagnostics == run_analysis(handle.analyzed, registry)
 
 
 class TestGroupTraces:

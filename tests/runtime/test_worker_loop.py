@@ -11,6 +11,7 @@ barriers fail fast after a failure, ``pause()`` excludes the consumer.
 """
 
 import queue as queue_module
+import sys
 import threading
 import time
 
@@ -569,6 +570,77 @@ class TestStress:
         gate.set()  # unwedge; everything drains
         runner.stop()
         assert runner.events_processed == 3
+
+    def test_a_submit_that_times_out_admits_nothing(self):
+        """A ``submit(timeout)`` that raises ``queue.Full`` leaves the
+        ingress as if the event had never come: not held, not counted,
+        and the same event submitted later is admitted as usual."""
+        gate = threading.Event()
+        engine = CEPREngine(max_lateness=0.0)
+        engine.register_query("PATTERN SEQ(A a)", name="q")
+        engine.subscribe("q", lambda emission: gate.wait())
+        runner = ThreadedEngineRunner(engine, max_queue=1).start()
+        runner.submit(E("A", 1))  # released at once, wedges the consumer
+        wait_until(lambda: runner.backlog == 0)
+        runner.submit(E("A", 2))
+        before = runner.ingress.snapshot(), runner.events_submitted
+        with pytest.raises(queue_module.Full):
+            runner.submit(E("A", 3), timeout=0.2)
+        assert (runner.ingress.snapshot(), runner.events_submitted) == before
+        gate.set()
+        runner.submit(E("A", 3))
+        runner.stop()
+        assert [m.last_ts for m in engine.query("q").matches()] == [1, 2, 3]
+
+    @pytest.mark.parametrize("max_lateness", [None, 0.0])
+    def test_racing_producers_share_one_ingress(self, max_lateness):
+        """Eight producers race on the runner's ingress with a short
+        switch interval: no admission is lost or doubled, with or without
+        a lateness buffer."""
+        engine = CEPREngine(max_lateness=max_lateness)
+        handle = engine.register_query("PATTERN SEQ(A a)")
+        runner = ThreadedEngineRunner(engine, max_queue=64).start()
+        producers, each = 8, 1000
+
+        def produce(offset):
+            for i in range(each):
+                runner.submit(E("A", 1.0 if max_lateness is not None else float(i)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=produce, args=(n,)) for n in range(producers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        runner.stop()
+        assert runner.events_submitted == producers * each
+        assert engine.metrics.events_pushed == len(handle.matches()) == producers * each
+        if max_lateness is not None:
+            assert runner.ingress.lateness.late_drops == 0
+
+    def test_ingest_lag_is_the_skew_between_submit_and_drain(self):
+        gate = threading.Event()
+        engine = CEPREngine()
+        engine.register_query("PATTERN SEQ(A a)", name="q")
+        engine.subscribe("q", lambda emission: gate.wait())
+        runner = ThreadedEngineRunner(engine).start()
+        assert runner.ingest_lag_seconds == 0.0
+        runner.submit(E("A", 1))  # the consumer drains it, then wedges
+        wait_until(lambda: runner.backlog == 0)
+        runner.submit(E("A", 5))
+        runner.submit(E("A", 9))
+        assert runner.ingest_lag_seconds == 8.0
+        gate.set()
+        runner.sync()
+        assert runner.ingest_lag_seconds == 0.0
+        runner.stop()
 
 
 FAILING = "PATTERN SEQ(A a) WITHIN 5 EVENTS RANK BY a.missing DESC LIMIT 1"
