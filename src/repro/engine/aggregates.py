@@ -7,8 +7,10 @@ lifetime.  :class:`AggregateState` maintains count/sum/min/max/first/last
 per referenced attribute in O(1) per accepted element, and the run exposes
 it to expression evaluation through ``EvalContext.agg_lookup``.
 
-States are immutable: ``accept`` returns a new state, so cloned runs share
-history for free (matching the engine's copy-on-extend run design).
+States are immutable tuples (:class:`~typing.NamedTuple`): ``accept``
+returns a new state, built positionally with ``tuple.__new__`` like the
+runs that hold it, so cloned runs share history for free (matching the
+engine's copy-on-extend run design).
 
 The cache only ever answers what the reference evaluator
 (:func:`repro.language.expressions.compile_expr` over the binding list)
@@ -20,15 +22,16 @@ with tracking off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from repro.events.event import Event
 from repro.language.ast_nodes import Aggregate, Expr, iter_subexpressions
 
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class AttrAggregates:
+
+class AttrAggregates(NamedTuple):
     """Running aggregates for one attribute of one Kleene variable."""
 
     #: starts at the int ``0`` like ``sum()``, so an int attribute sums to an int
@@ -40,7 +43,7 @@ class AttrAggregates:
     #: every element so far held a number; once not, nothing here is served
     exact: bool = True
 
-    def accept(self, value: Any) -> "AttrAggregates":
+    def accept(self, value: Any) -> AttrAggregates:
         if not self.exact:
             return self
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -48,46 +51,53 @@ class AttrAggregates:
         # ``min``/``max`` keep the incumbent unless strictly beaten — the
         # builtins' rule, which also places a NaN where they would.
         minimum, maximum = self.minimum, self.maximum
-        return AttrAggregates(
-            total=self.total + value,
-            minimum=value if minimum is None or value < minimum else minimum,
-            maximum=value if maximum is None or value > maximum else maximum,
-            first=value if self.last is None else self.first,
-            last=value,
+        return _new(
+            AttrAggregates,
+            (
+                self.total + value,
+                value if minimum is None or value < minimum else minimum,
+                value if maximum is None or value > maximum else maximum,
+                value if self.last is None else self.first,
+                value,
+                True,
+            ),
         )
 
 
 #: what an attribute's aggregates become once an element made them inexact.
 INEXACT = AttrAggregates(exact=False)
+#: an attribute's aggregates before its first element.
+_UNSEEN = AttrAggregates()
 
 
-@dataclass(frozen=True)
-class AggregateState:
+class AggregateState(NamedTuple):
     """All running aggregates for one Kleene variable of one run."""
 
-    count: int = 0
-    attrs: Mapping[str, AttrAggregates] = None  # type: ignore[assignment]
+    count: int = 0  # type: ignore[assignment]  # shadows tuple.count
+    attrs: Mapping[str, AttrAggregates] = MappingProxyType({})
     tracked: frozenset[str] = frozenset()
 
-    def __post_init__(self) -> None:
-        if self.attrs is None:
-            object.__setattr__(self, "attrs", {})
-
     @classmethod
-    def for_attrs(cls, attrs: Iterable[str]) -> "AggregateState":
+    def for_attrs(cls, attrs: Iterable[str]) -> AggregateState:
         tracked = frozenset(attrs)
-        return cls(count=0, attrs={a: AttrAggregates() for a in tracked}, tracked=tracked)
+        return _new(cls, (0, {a: _UNSEEN for a in tracked}, tracked))
 
-    def accept(self, event: Event) -> "AggregateState":
+    def accept(self, event: Event) -> AggregateState:
         """Return a new state including ``event``."""
-        new_attrs = dict(self.attrs)
-        payload = event.payload
-        for attr in self.tracked:
-            # a missing attribute makes the reference raise: inexact
-            new_attrs[attr] = (
-                new_attrs[attr].accept(payload[attr]) if attr in payload else INEXACT
-            )
-        return replace(self, count=self.count + 1, attrs=new_attrs)
+        tracked = self.tracked
+        attrs = self.attrs
+        if tracked:
+            new_attrs = dict(attrs)
+            payload = event.payload
+            for attr in tracked:
+                # a missing attribute makes the reference raise: inexact
+                new_attrs[attr] = (
+                    new_attrs[attr].accept(payload[attr])
+                    if attr in payload
+                    else INEXACT
+                )
+            attrs = new_attrs
+        return _new(AggregateState, (self.count + 1, attrs, tracked))
 
     def lookup(self, func: str, attr: str | None) -> Any:
         """Serve one aggregate value, or ``None`` when unavailable.

@@ -10,7 +10,7 @@ from repro.events.event import Event
 Binding = Event | tuple[Event, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class Match:
     """One complete pattern match.
 
@@ -62,13 +62,22 @@ class Match:
         """This detection as query ``name`` reports it: a copy stamped
         with that name (the members of a query group share detections).
 
-        A shallow field copy — ``dataclasses.replace`` re-runs
-        ``__init__`` and costs several times as much on the emit path.
+        A shallow copy of every slot, passed positionally:
+        ``dataclasses.replace`` costs several times as much on the emit
+        path.
         """
-        clone = object.__new__(Match)
-        clone.__dict__.update(self.__dict__)
-        clone.query_name = name
-        return clone
+        return Match(
+            self.bindings,
+            self.first_seq,
+            self.last_seq,
+            self.first_ts,
+            self.last_ts,
+            self.partition_key,
+            self.detection_index,
+            self.score,
+            name,
+            self.rank_values,
+        )
 
     def sort_key(self) -> tuple[Any, ...]:
         """Total order used by rankers: score, then detection order."""

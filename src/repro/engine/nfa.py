@@ -39,6 +39,15 @@ class Stage:
     variable: VariableInfo
     bind_predicates: tuple[PredicateSpec, ...] = ()
     incremental_predicates: tuple[PredicateSpec, ...] = ()
+    #: The variable's event type and Kleene flag, and the predicates an
+    #: event must pass to start a run here (``incremental_predicates`` for
+    #: a Kleene stage, ``bind_predicates`` otherwise): derived once, read
+    #: as plain fields on the matcher's hot path.
+    event_type: str = field(init=False, repr=False, compare=False)
+    is_kleene: bool = field(init=False, repr=False, compare=False)
+    gate_predicates: tuple[PredicateSpec, ...] = field(
+        init=False, repr=False, compare=False
+    )
     #: What the stage's gate tests, by alpha-invariant fingerprint: the
     #: event type joined with its gate predicates' fingerprints, in
     #: evaluation order.  Equal keys mean equal verdicts (and errors) for
@@ -47,26 +56,20 @@ class Stage:
     gate_key: str | None = field(init=False)
 
     def __post_init__(self) -> None:
-        key: str | None = self.event_type
-        for spec in self.gate_predicates:
+        event_type = self.variable.event_type
+        is_kleene = self.variable.is_kleene
+        gate = self.incremental_predicates if is_kleene else self.bind_predicates
+        key: str | None = event_type
+        for spec in gate:
             if spec.fingerprint is None:
                 key = None
                 break
             key += "\x1f" + spec.fingerprint
-        object.__setattr__(self, "gate_key", key)
-
-    @property
-    def event_type(self) -> str:
-        return self.variable.event_type
-
-    @property
-    def is_kleene(self) -> bool:
-        return self.variable.is_kleene
-
-    @property
-    def gate_predicates(self) -> tuple[PredicateSpec, ...]:
-        """The predicates an event must pass to start a run here."""
-        return self.incremental_predicates if self.is_kleene else self.bind_predicates
+        set_field = object.__setattr__
+        set_field(self, "event_type", event_type)
+        set_field(self, "is_kleene", is_kleene)
+        set_field(self, "gate_predicates", gate)
+        set_field(self, "gate_key", key)
 
 
 @dataclass(frozen=True)

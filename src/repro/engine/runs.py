@@ -1,17 +1,21 @@
 """Partial-match runs.
 
 A :class:`Run` is one partial match of the automaton: a prefix of stages
-bound to concrete events.  Runs are **immutable** — extending one returns a
-new object sharing the old bindings — so the branching strategies
-(``SKIP_TILL_ANY`` clones, Kleene take/proceed splits) share structure
-instead of deep-copying, and a pruned or killed run simply drops out of the
-partition's run list.
+bound to concrete events.  Runs are **immutable tuples** — extending one
+returns a new record sharing the old bindings — so the branching
+strategies (``SKIP_TILL_ANY`` clones, Kleene take/proceed splits) share
+structure instead of deep-copying, and a pruned or killed run simply drops
+out of the partition's run list.
+
+``Run`` is a :class:`~typing.NamedTuple`: the extensions below build it
+positionally with ``tuple.__new__``, so no Python-level constructor runs
+per extension, the hottest allocation in the engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.engine.aggregates import AggregateState
 from repro.engine.match import Match
@@ -24,9 +28,14 @@ from repro.language.intervals import PartialMatchView
 
 Binding = Event | tuple[Event, ...]
 
+#: the aggregate states of a run that tracks none: one read-only mapping,
+#: shared by every such run.
+NO_AGGREGATES: Mapping[str, AggregateState] = MappingProxyType({})
 
-@dataclass(frozen=True)
-class Run:
+_new = tuple.__new__
+
+
+class Run(NamedTuple):
     """One partial match (immutable; see module docstring)."""
 
     automaton: PatternAutomaton
@@ -44,7 +53,7 @@ class Run:
     #: least one element (and may accept more).
     kleene_open: bool = False
     #: Running aggregates per Kleene variable.
-    agg_states: Mapping[str, AggregateState] = field(default_factory=dict)
+    agg_states: Mapping[str, AggregateState] = NO_AGGREGATES
     #: Indices (into ``automaton.negations``) of negations provisionally
     #: violated while their preceding Kleene variable was still open; the
     #: trip clears if that variable later accepts a newer element, and
@@ -81,12 +90,7 @@ class Run:
         self, current_var: str | None = None, current_event: Event | None = None
     ) -> EvalContext:
         """Build an :class:`EvalContext` over this run's bindings."""
-        return EvalContext(
-            bindings=self.bindings,
-            current_var=current_var,
-            current_event=current_event,
-            agg_lookup=self._agg_lookup,
-        )
+        return EvalContext(self.bindings, current_var, current_event, self._agg_lookup)
 
     def _agg_lookup(self, var: str, func: str, attr: str | None) -> Any:
         state = self.agg_states.get(var)
@@ -94,29 +98,30 @@ class Run:
             return None
         return state.lookup(func, attr)
 
-    # -- extension (all return fresh Run objects) -------------------------------
+    # -- extension (all return fresh Run records) -------------------------------
 
-    def bind_singleton(self, stage: Stage, event: Event) -> "Run":
+    def bind_singleton(self, stage: Stage, event: Event) -> Run:
         """Bind ``event`` to a singleton stage and move past it."""
         bindings = dict(self.bindings)
         bindings[stage.variable.name] = event
-        # Direct construction instead of dataclasses.replace: this is the
-        # hottest allocation in the engine (one per extension).
-        return Run(
-            automaton=self.automaton,
-            stage=stage.index + 1,
-            bindings=bindings,
-            first_seq=self.first_seq,
-            last_seq=event.seq,
-            first_ts=self.first_ts,
-            last_ts=event.timestamp,
-            partition_key=self.partition_key,
-            kleene_open=False,
-            agg_states=self.agg_states,
-            trips=self.trips,
+        return _new(
+            Run,
+            (
+                self.automaton,
+                stage.index + 1,
+                bindings,
+                self.first_seq,
+                event.seq,
+                self.first_ts,
+                event.timestamp,
+                self.partition_key,
+                False,
+                self.agg_states,
+                self.trips,
+            ),
         )
 
-    def extend_kleene(self, stage: Stage, event: Event) -> "Run":
+    def extend_kleene(self, stage: Stage, event: Event) -> Run:
         """Accept one more element into the current Kleene stage.
 
         Also clears any negation trips whose guard restarts when the Kleene
@@ -128,10 +133,10 @@ class Run:
         assert isinstance(current, tuple)
         bindings[name] = current + (event,)
 
-        agg_states = dict(self.agg_states)
+        agg_states = self.agg_states
         state = agg_states.get(name)
         if state is not None:
-            agg_states[name] = state.accept(event)
+            agg_states = {**agg_states, name: state.accept(event)}
 
         trips = self.trips
         if trips:
@@ -143,58 +148,53 @@ class Run:
             if cleared:
                 trips = trips - cleared
 
-        return Run(
-            automaton=self.automaton,
-            stage=self.stage,
-            bindings=bindings,
-            first_seq=self.first_seq,
-            last_seq=event.seq,
-            first_ts=self.first_ts,
-            last_ts=event.timestamp,
-            partition_key=self.partition_key,
-            kleene_open=True,
-            agg_states=agg_states,
-            trips=trips,
+        return _new(
+            Run,
+            (
+                self.automaton,
+                self.stage,
+                bindings,
+                self.first_seq,
+                event.seq,
+                self.first_ts,
+                event.timestamp,
+                self.partition_key,
+                True,
+                agg_states,
+                trips,
+            ),
         )
 
-    def close_kleene(self) -> "Run":
+    def close_kleene(self) -> Run:
         """Move past an open Kleene stage without consuming an event."""
         assert self.kleene_open
-        return Run(
-            automaton=self.automaton,
-            stage=self.stage + 1,
-            bindings=self.bindings,
-            first_seq=self.first_seq,
-            last_seq=self.last_seq,
-            first_ts=self.first_ts,
-            last_ts=self.last_ts,
-            partition_key=self.partition_key,
-            kleene_open=False,
-            agg_states=self.agg_states,
-            trips=self.trips,
+        return _new(
+            Run,
+            (
+                self.automaton,
+                self.stage + 1,
+                self.bindings,
+                self.first_seq,
+                self.last_seq,
+                self.first_ts,
+                self.last_ts,
+                self.partition_key,
+                False,
+                self.agg_states,
+                self.trips,
+            ),
         )
 
-    def tripped(self, negation_index: int) -> "Run":
-        return Run(
-            automaton=self.automaton,
-            stage=self.stage,
-            bindings=self.bindings,
-            first_seq=self.first_seq,
-            last_seq=self.last_seq,
-            first_ts=self.first_ts,
-            last_ts=self.last_ts,
-            partition_key=self.partition_key,
-            kleene_open=self.kleene_open,
-            agg_states=self.agg_states,
-            trips=self.trips | {negation_index},
-        )
+    def tripped(self, negation_index: int) -> Run:
+        return self._replace(trips=self.trips | {negation_index})
 
     def blocked_by_trip(self, closing_stage_index: int) -> bool:
         """Whether a pending trip forbids binding stage ``closing_stage_index``."""
-        return any(
-            self.automaton.negations[i].before == closing_stage_index
-            for i in self.trips
-        )
+        trips = self.trips
+        if not trips:
+            return False
+        negations = self.automaton.negations
+        return any(negations[i].before == closing_stage_index for i in trips)
 
     # -- views -------------------------------------------------------------------
 
@@ -208,14 +208,15 @@ class Run:
     def to_match(self, detection_index: int, query_name: str | None = None) -> Match:
         """Snapshot this (complete) run as a :class:`Match`."""
         return Match(
-            bindings=dict(self.bindings),
-            first_seq=self.first_seq,
-            last_seq=self.last_seq,
-            first_ts=self.first_ts,
-            last_ts=self.last_ts,
-            partition_key=self.partition_key,
-            detection_index=detection_index,
-            query_name=query_name,
+            dict(self.bindings),
+            self.first_seq,
+            self.last_seq,
+            self.first_ts,
+            self.last_ts,
+            self.partition_key,
+            detection_index,
+            None,
+            query_name,
         )
 
     def partial_view(
@@ -266,35 +267,31 @@ def new_run(
     """
     stage = automaton.stages[0]
     name = stage.variable.name
-    agg_states: dict[str, AggregateState] = {}
-    for var, attrs in tracked_attrs.items():
-        agg_states[var] = AggregateState.for_attrs(attrs)
-
-    if stage.is_kleene:
-        if name in agg_states:
-            agg_states[name] = agg_states[name].accept(first_event)
-        bindings: dict[str, Binding] = {name: (first_event,)}
-        return Run(
-            automaton=automaton,
-            stage=0,
-            bindings=bindings,
-            first_seq=first_event.seq,
-            last_seq=first_event.seq,
-            first_ts=first_event.timestamp,
-            last_ts=first_event.timestamp,
-            partition_key=partition_key,
-            kleene_open=True,
-            agg_states=agg_states,
-        )
-    return Run(
-        automaton=automaton,
-        stage=1,
-        bindings={name: first_event},
-        first_seq=first_event.seq,
-        last_seq=first_event.seq,
-        first_ts=first_event.timestamp,
-        last_ts=first_event.timestamp,
-        partition_key=partition_key,
-        kleene_open=False,
-        agg_states=agg_states,
+    kleene = stage.is_kleene
+    agg_states: Mapping[str, AggregateState] = NO_AGGREGATES
+    if tracked_attrs:
+        states = {
+            var: AggregateState.for_attrs(attrs)
+            for var, attrs in tracked_attrs.items()
+        }
+        if kleene and name in states:
+            states[name] = states[name].accept(first_event)
+        agg_states = states
+    seq = first_event.seq
+    ts = first_event.timestamp
+    return _new(
+        Run,
+        (
+            automaton,
+            0 if kleene else 1,
+            {name: (first_event,) if kleene else first_event},
+            seq,
+            seq,
+            ts,
+            ts,
+            partition_key,
+            kleene,
+            agg_states,
+            frozenset(),
+        ),
     )

@@ -58,7 +58,7 @@ class VacuousPredicate(Exception):
     """
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalContext:
     """Everything a compiled expression needs to evaluate.
 

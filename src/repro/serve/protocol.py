@@ -31,7 +31,7 @@ convention (``CEPR4xx`` covers shardability) to the serving layer:
 ``CEPR503``   bad handshake (missing HELLO or version mismatch)
 ``CEPR504``   unknown query name
 ``CEPR505``   query rejected (parse/analysis error; message has why)
-``CEPR506``   invalid event document
+``CEPR506``   invalid event document, or an event the ingress rejects
 ``CEPR507``   invalid argument (bad kinds filter, bad field type)
 ``CEPR508``   server is draining; mutation refused
 ``CEPR509``   op unsupported in this server mode (e.g. REGISTER on

@@ -36,6 +36,8 @@ from pathlib import Path
 from typing import Any, Awaitable, Callable
 
 from repro.events.event import Event
+from repro.events.schema import SchemaError
+from repro.events.time import OutOfOrderError
 from repro.language.errors import CEPRError
 from repro.observability.flightrec import current as flightrec_current
 from repro.observability.flightrec import dump_if_armed
@@ -672,7 +674,9 @@ class CEPRServer:
         event = self._decode_event(frame.get("event"))
         if trace is not None:
             event.trace = trace
-        await self._ingest([event])
+        _, rejection = await self._ingest([event])
+        if rejection is not None:
+            raise FrameError(E_INVALID_EVENT, f"event rejected: {rejection}")
         await connection.send(ack_frame(frame, accepted=1))
         return False
 
@@ -689,7 +693,13 @@ class CEPRServer:
             for event in events:
                 event.trace = trace
         if events:
-            await self._ingest(events)
+            admitted, rejection = await self._ingest(events)
+            if rejection is not None:
+                raise FrameError(
+                    E_INVALID_EVENT,
+                    f"event {admitted} of the batch rejected: {rejection}; "
+                    f"the {admitted} event(s) before it were admitted",
+                )
         await connection.send(ack_frame(frame, accepted=len(events)))
         return False
 
@@ -874,20 +884,34 @@ class CEPRServer:
 
     # -- ingest ---------------------------------------------------------------
 
-    async def _ingest(self, events: list[Event]) -> None:
+    async def _ingest(self, events: list[Event]) -> tuple[int, ValueError | None]:
+        """Submit ``events`` in order: how many the runner admitted, and
+        the error its ingress rejected the next one with (``None`` when
+        it admitted all).  The events before a rejected one stay admitted;
+        the runner carries on."""
         assert self._ingest_lock is not None
         async with self._ingest_lock:
-            await asyncio.to_thread(self._submit_blocking, events)
+            admitted, rejection = await asyncio.to_thread(
+                self._submit_blocking, events
+            )
             before = self.stats.events_ingested
-            self.stats.events_ingested += len(events)
+            self.stats.events_ingested += admitted
             if self.recovery.due(before, self.stats.events_ingested):
                 await asyncio.to_thread(self._checkpoint_blocking)
+        return admitted, rejection
 
-    def _submit_blocking(self, events: list[Event]) -> None:
+    def _submit_blocking(self, events: list[Event]) -> tuple[int, ValueError | None]:
         started = time.perf_counter()
-        for event in events:
-            self._runner.submit(event)
+        admitted = 0
+        rejection: ValueError | None = None
+        try:
+            for event in events:
+                self._runner.submit(event)
+                admitted += 1
+        except (SchemaError, OutOfOrderError) as exc:
+            rejection = exc
         self._ingest_latency.record(time.perf_counter() - started)
+        return admitted, rejection
 
     # -- observability ----------------------------------------------------------
 

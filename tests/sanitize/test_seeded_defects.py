@@ -566,8 +566,11 @@ class TestRunInvariants:
         engine = log_engine()
         handle = engine.register_query(PAIR)
         engine.push(Event("A", 1.0, x=1))
-        run = next(iter(handle.matcher.iter_runs()))
-        object.__setattr__(run, "first_seq", run.last_seq + 5)
+        # Runs are immutable records: seed the corrupt copy back into
+        # the partition's run list in place of the original.
+        runs = next(iter(handle.matcher._partitions.values())).runs
+        run = runs[0]
+        runs[0] = run._replace(first_seq=run.last_seq + 5)
         engine.push(Event("A", 2.0, x=2))
         assert engine.sanitizer.trips["run-monotonicity"] > 0
 

@@ -16,7 +16,14 @@ from dataclasses import replace
 
 import pytest
 
+from repro.events.event import Event
 from repro.events.jsonsafe import dumps
+from repro.events.schema import EventSchema, SchemaRegistry
+from repro.observability.flightrec import (
+    install_flight_recorder,
+    list_artifacts,
+    uninstall_flight_recorder,
+)
 from repro.runtime.engine import CEPREngine
 from repro.runtime.runner import RunnerConfig
 from repro.runtime.serialize import emission_to_line
@@ -447,6 +454,84 @@ class TestTypedErrors:
                 assert reply["op"] == "error" and reply["code"] == "CEPR503"
             finally:
                 sock.close()
+
+
+class TestRejectedEvents:
+    """An event the runner's ingress rejects is the client's error: the
+    server answers ``CEPR506``, keeps the connection and dumps nothing."""
+
+    PROGRAM = {"pairs": "PATTERN SEQ(A a, B b) WITHIN 8 EVENTS PARTITION BY k"}
+    CASES = {
+        "strict_time": (
+            {"strict_time": True},
+            [Event("A", 2.0, k=1, v=1.0)],
+            Event("A", 1.0, k=1, v=1.0),
+            "regresses",
+        ),
+        "strict_schema": (
+            {
+                "strict_schema": True,
+                "registry": SchemaRegistry(
+                    [EventSchema.build(kind, k="int", v="float") for kind in "AB"]
+                ),
+            },
+            [Event("A", 1.0, k=1, v=1.0)],
+            Event("B", 2.0, k=1, v="bad"),
+            "expected float",
+        ),
+    }
+
+    @pytest.fixture(autouse=True)
+    def _recorder(self, tmp_path):
+        install_flight_recorder(byte_budget=64 * 1024, directory=tmp_path)
+        yield tmp_path
+        uninstall_flight_recorder()
+
+    def _harness(self, backend, case):
+        options = self.CASES[case][0]
+        shards = 1 if backend == "threaded" else 2
+        return ServerHarness(
+            queries=self.PROGRAM,
+            runner=RunnerConfig(backend=backend, shards=shards, **options),
+        )
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("backend", ["threaded", "process"])
+    def test_push_is_cepr506_and_the_connection_carries_on(
+        self, backend, case, _recorder
+    ):
+        _, before, rejected, reason = self.CASES[case]
+        with self._harness(backend, case) as harness:
+            with CEPRClient(port=harness.port) as client:
+                for event in before:
+                    client.push(event)
+                with pytest.raises(CEPRServeError) as excinfo:
+                    client.push(rejected)
+                assert excinfo.value.code == "CEPR506"
+                assert reason in str(excinfo.value)
+                client.push(Event("B", 3.0, k=1, v=2.0))  # same connection
+                assert client.sync() == len(before) + 1
+            # before the drain, which dumps an armed recorder by design
+            assert list_artifacts(_recorder) == []
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("backend", ["threaded", "process"])
+    def test_batch_names_the_rejected_event_and_keeps_those_before_it(
+        self, backend, case, _recorder
+    ):
+        _, before, rejected, _ = self.CASES[case]
+        batch = [*before, Event("A", 2.5, k=2, v=1.0), rejected]
+        with self._harness(backend, case) as harness:
+            with CEPRClient(port=harness.port) as client:
+                with pytest.raises(CEPRServeError) as excinfo:
+                    client.push_batch(batch)
+                assert excinfo.value.code == "CEPR506"
+                message = str(excinfo.value)
+                assert f"event {len(batch) - 1} of the batch" in message
+                assert f"the {len(batch) - 1} event(s) before it" in message
+                assert client.push_batch([Event("B", 3.0, k=1, v=2.0)]) == 1
+                assert client.sync() == len(batch)
+            assert list_artifacts(_recorder) == []
 
 
 class TestDrainSemantics:
