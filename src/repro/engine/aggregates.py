@@ -12,16 +12,18 @@ returns a new state, built positionally with ``tuple.__new__`` like the
 runs that hold it, so cloned runs share history for free (matching the
 engine's copy-on-extend run design).
 
-The cache only ever answers what the reference evaluator
-(:func:`repro.language.expressions.compile_expr` over the binding list)
-would compute: one element that lacks the attribute or holds a
-non-number makes that attribute *inexact*, and every lookup on it falls
-back to the reference — which raises, or computes, exactly as it would
-with tracking off.
+A lookup serves only the reference evaluator's value
+(:func:`repro.language.expressions.compile_expr` over the binding list),
+bit for bit; otherwise it declines, and the evaluator falls back to the
+reference — which raises, or computes, exactly as with tracking off.  An
+element that lacks the attribute or holds a non-number makes that
+attribute *inexact*; a float ``sum``/``avg`` is declined where ``sum()``
+compensates (Neumaier, since CPython 3.12) and a running total does not.
 """
 
 from __future__ import annotations
 
+import sys
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -29,6 +31,9 @@ from repro.events.event import Event
 from repro.language.ast_nodes import Aggregate, Expr, iter_subexpressions
 
 _new = tuple.__new__
+
+#: whether ``sum()`` adds floats one by one, as the running total does
+_RUNNING_FLOAT_SUM = sys.version_info < (3, 12)
 
 
 class AttrAggregates(NamedTuple):
@@ -112,10 +117,11 @@ class AggregateState(NamedTuple):
         agg = self.attrs[attr]
         if not agg.exact:
             return None
-        if func == "sum":
-            return agg.total
-        if func == "avg":
-            return agg.total / self.count
+        if func in ("sum", "avg"):
+            total = agg.total
+            if isinstance(total, float) and not _RUNNING_FLOAT_SUM:
+                return None
+            return total if func == "sum" else total / self.count
         if func == "min":
             return agg.minimum
         if func == "max":

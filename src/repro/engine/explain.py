@@ -4,9 +4,9 @@
 readable text: the stage chain with every pushed-down predicate at its
 evaluation point, negation guards, completion predicates, ranking keys,
 window/strategy/emission configuration, and where ranking-aware execution
-acts: whether score-bound pruning is eligible, and whether the
-completing-edge cut and run dominance are active (or the first condition
-each fails).  Exposed
+acts: whether score-bound pruning is eligible and at which run shapes its
+optimum is fixed, and whether the completing-edge cut and run dominance
+are active (or the first condition each fails).  Exposed
 as ``RegisteredQuery.explain()`` and used by the demo tooling —
 understanding *where* a predicate runs is the difference between a query
 that scales and one that does not.
@@ -25,13 +25,15 @@ def explain(
     pruning_enabled: bool = False,
     cut_status: str | None = None,
     dominance_status: str | None = None,
+    fixed_shapes: frozenset[tuple[int, bool]] = frozenset(),
 ) -> str:
     """Render the evaluation plan of a compiled query.
 
     ``cut_status`` and ``dominance_status`` are the completing-edge cut's
     and run dominance's verdicts (``"active"`` or the first condition that
     fails, see :func:`~repro.language.semantics.completion_cut` and
-    :func:`~repro.language.semantics.run_dominance`).
+    :func:`~repro.language.semantics.run_dominance`); ``fixed_shapes``
+    are the pruner's fixed-optimum ones.
     """
     analyzed = automaton.analyzed
     lines: list[str] = ["evaluation plan:"]
@@ -75,6 +77,12 @@ def explain(
             if cut_status != "active":
                 cut_status = f"inactive ({cut_status})"
             lines.append(f"  completing-edge cut: {cut_status}")
+        if fixed_shapes:
+            shapes = ", ".join(
+                f"[{i}] {automaton.stages[i].variable.name} {'open' if o else 'awaiting'}"
+                for i, o in sorted(fixed_shapes)
+            )
+            lines.append(f"  fixed optimum, never offered to the pruner: {shapes}")
         if dominance_status is not None and analyzed.rank_keys:
             if dominance_status == "active":
                 final = analyzed.positives[-1].name

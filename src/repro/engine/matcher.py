@@ -23,16 +23,18 @@ extending) — the all-runs semantics of SASE+'s NFA^b.
 
 Ranking integration happens at three points.  The optional ``prune_hook``
 is called with every *partial* run the matcher is about to keep (newly
-created or extended); returning ``True`` discards the run — this is where
-the ranking layer cuts runs whose score upper bound cannot reach the
-current top-k (see :mod:`repro.ranking.pruning`).  And once armed
+created or extended, unless at one of its ``fixed_shapes``); returning
+``True`` discards the run — this is where the ranking layer cuts runs
+whose score upper bound cannot reach the current top-k (see
+:mod:`repro.ranking.pruning`).  And once armed
 (:meth:`PatternMatcher.arm_completion_cut`), the *completing edge* is cut:
 a run whose completion by the current event would score strictly worse
 than the epoch's k-th retained key is left in place without binding,
-building or scoring the match (``SKIP_TILL_ANY`` keeps the run either way).
-And where the final stage is a Kleene variable, the run list itself is
-cut (:meth:`PatternMatcher.arm_run_dominance`): after each event a
-partition keeps only the k-skyband of its trailing-Kleene runs.
+building or scoring the match (``SKIP_TILL_ANY`` keeps the run either way);
+a trailing Kleene stage still takes the element, but does not build the
+prefix match.  And where the final stage is a Kleene variable, the run
+list itself is cut (:meth:`PatternMatcher.arm_run_dominance`): after each
+event a partition keeps only the k-skyband of its trailing-Kleene runs.
 
 Tumbling mode (``tumbling=True``, used by ``EMIT ON WINDOW CLOSE``): the
 stream is cut into epochs of the window span and runs are killed at epoch
@@ -215,6 +217,10 @@ class PatternMatcher:
         self._cut_key: CutKey | None = None
         self._cut_kth: BoundProvider | None = None
         self._cut_type = automaton.stages[-1].event_type
+        #: a trailing Kleene stage is cut where a take completes a prefix,
+        #: against θ as :meth:`_transition` read it for this event
+        self._cut_kleene = automaton.stages[-1].is_kleene
+        self._theta: Any = None
         before_last = automaton.stages[-2] if len(automaton.stages) > 1 else None
         #: an open Kleene stage right before the final one completes by
         #: proceeding; its runs are skippable when this event cannot also
@@ -227,6 +233,9 @@ class PatternMatcher:
         #: run dominance on the trailing Kleene stage (off until
         #: :meth:`arm_run_dominance`).
         self._dominance: RunDominance | None = None
+        #: shapes whose runs ``prune_hook`` could only keep (see
+        #: :attr:`~repro.ranking.pruning.ScoreBoundPruner.fixed_shapes`)
+        self.fixed_shapes: frozenset[tuple[int, bool]] = frozenset()
 
     # -- public API ------------------------------------------------------------
 
@@ -236,7 +245,8 @@ class PatternMatcher:
         ``key`` is the query's compiled normalised primary (see
         :func:`~repro.language.semantics.completion_cut`, which also
         decides where arming is exact) and ``kth`` the ranker's
-        :meth:`~repro.ranking.ranker.Ranker.kth_bound_for_epoch`.
+        :meth:`~repro.ranking.ranker.Ranker.kth_bound_for_epoch`.  A key
+        may read aggregate registers, so aggregates must be tracked.
         """
         assert self.tumbling, "the cut compares against tumbling epochs"
         self._cut_key = key
@@ -680,6 +690,8 @@ class PatternMatcher:
         if cut_key is not None and event.event_type == self._cut_type:
             assert epoch is not None
             theta = self._cut_theta(epoch)
+            if self._cut_kleene:  # a skip here would lose the extension
+                self._theta, theta = theta, None
         last = self._last_stage_index
         proceeds = self._cut_proceeds
 
@@ -691,7 +703,7 @@ class PatternMatcher:
                 assert cut_key is not None
                 # Strictly worse: ties stay, and a NaN is completed for the
                 # scorer to report.
-                if cut_key(run.bindings, event) > theta:
+                if cut_key(run, event) > theta:
                     self._skip_completion(run, event)
                     next_runs.append(run)  # SKIP_TILL_ANY keeps it regardless
                     continue
@@ -852,8 +864,8 @@ class PatternMatcher:
 
         if run.kleene_open:
             # (a) take: extend the open Kleene variable.
-            if event.event_type == stage.event_type and self._kleene_accepts(
-                run, stage, event
+            if event.event_type == stage.event_type and self._edges.kleene[stage.index](
+                run, event
             ):
                 extended = run.extend_kleene(stage, event)
                 self.stats.runs_extended += 1
@@ -871,7 +883,7 @@ class PatternMatcher:
                 if run.stage == self._last_stage_index:
                     # Trailing Kleene: every accepted prefix is a candidate
                     # match; the run stays live to keep extending.
-                    self._try_complete(extended.close_kleene(), completed)
+                    self._complete_prefix(extended, event, completed)
                 options.append(extended)
             # (b) proceed: close the Kleene and bind the next stage.
             next_index = run.stage + 1
@@ -926,13 +938,13 @@ class PatternMatcher:
             )
         if run.kleene_open and stage.index == self._last_stage_index:
             # First element of a trailing Kleene: candidate prefix match.
-            self._try_complete(run.close_kleene(), completed)
+            self._complete_prefix(run, event, completed)
         options.append(run)
 
     def _try_bind_stage(self, run: Run, stage: Stage, event: Event) -> Run | None:
         """Bind ``event`` to ``stage`` (singleton bind or Kleene element)."""
         if stage.is_kleene:
-            if not self._kleene_accepts(run, stage, event):
+            if not self._edges.kleene[stage.index](run, event):
                 return None
             bound = run.extend_kleene(stage, event)
         else:
@@ -950,9 +962,6 @@ class PatternMatcher:
                 variable=stage.variable.name,
             )
         return bound
-
-    def _kleene_accepts(self, run: Run, stage: Stage, event: Event) -> bool:
-        return self._edges.kleene[stage.index](run, event)
 
     def _accepts_new_run(self, event: Event) -> bool:
         """Stage-0 predicate check against an empty run context."""
@@ -984,6 +993,15 @@ class PatternMatcher:
         completed.append(match)
         return True
 
+    def _complete_prefix(self, run: Run, event: Event, completed: list[Match]) -> None:
+        """Complete the prefix of ``run``, whose trailing Kleene stage took
+        ``event``, unless the cut reads a primary strictly worse than θ."""
+        theta = self._theta
+        if theta is not None and self._cut_key is not None and self._cut_key(run, event) > theta:
+            self._skip_completion(run, event)
+        else:
+            self._try_complete(run.close_kleene(), completed)
+
     def _cut_theta(self, epoch: int) -> Any:
         """θ: the epoch's k-th retained primary key, once its buffer is full.
 
@@ -1002,6 +1020,9 @@ class PatternMatcher:
     def _keep_partial(self, run: Run, event: Event, epoch: int | None) -> bool:
         """Apply the prune hook to a partial run the matcher wants to keep."""
         if self.prune_hook is None:
+            return True
+        fixed = self.fixed_shapes
+        if fixed and (run.stage, run.kleene_open) in fixed:
             return True
         if self.prune_hook(run, event, epoch):
             self.stats.runs_pruned += 1

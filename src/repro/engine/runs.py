@@ -71,19 +71,6 @@ class Run(NamedTuple):
             return event.seq - self.first_seq >= window.span
         return event.timestamp - self.first_ts > window.span
 
-    def window_end_seq(self) -> int | None:
-        """Last sequence number a count window allows, inclusive."""
-        window = self.automaton.window
-        if window is None or window.kind is not WindowKind.COUNT:
-            return None
-        return self.first_seq + int(window.span) - 1
-
-    def window_end_ts(self) -> float | None:
-        window = self.automaton.window
-        if window is None or window.kind is not WindowKind.TIME:
-            return None
-        return self.first_ts + window.span
-
     # -- evaluation context ----------------------------------------------------
 
     def context(
@@ -217,6 +204,8 @@ class Run(NamedTuple):
             detection_index,
             None,
             query_name,
+            (),
+            self.agg_states or None,
         )
 
     def partial_view(

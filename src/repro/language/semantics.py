@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.events.event import Event
 from repro.events.schema import AttributeSpec, SchemaRegistry
@@ -573,10 +573,14 @@ def _compile_rank_keys(
     return keys
 
 
-#: ``key(bindings, event)``: the normalised primary ``RANK BY`` value of
-#: the match ``event`` completes from a run holding ``bindings`` — the
-#: scorer's own float operations, in the scorer's order.
-CutKey = Callable[[Mapping[str, Any], Event], Any]
+#: ``key(run, event)``: the normalised primary ``RANK BY`` value of the
+#: match ``event`` completes from ``run`` (a trailing Kleene ``run`` has
+#: taken ``event``) — the scorer's own float operations, in its order.
+CutKey = Callable[[Any, Event], Any]
+#: ``read(held)``: an aggregate from the registers (``agg_states``) of a
+#: run or match; ``None`` while its variable is empty.
+Register = Callable[[Any], Any]
+_REGISTER_FIELDS = {"max": "maximum", "min": "minimum", "first": "first", "last": "last"}
 
 _CUT_ARITH = {
     BinaryOp.ADD: operator.add,
@@ -601,11 +605,12 @@ def completion_cut(
     """The primary key compiled as a completing-edge cut, or why it is not.
 
     Returns ``(key, "active")``, or ``(None, reason)`` naming the first
-    condition that fails.  The matcher skips a run whose completion by the
-    current event would score strictly worse than the epoch's k-th
-    retained key (DESIGN.md, "Where θ acts").  That is exact only where a
-    skip cannot change what the ranker keeps and cannot hide work that
-    could raise or count an error — hence every condition here.
+    condition that fails.  The matcher skips a completion that would
+    score strictly worse than the epoch's k-th retained key (DESIGN.md,
+    "Where θ acts"); a trailing Kleene stage still takes the element.
+    That is exact only where a skip cannot change what the ranker keeps
+    and cannot hide work that could raise or count an error — hence every
+    condition here.
     """
     if not analyzed.has_epoch_bound:
         return None, "scope: needs RANK BY, LIMIT and EMIT ON WINDOW CLOSE"
@@ -615,71 +620,107 @@ def completion_cut(
             f"or kills its run, so every completing edge must be evaluated"
         )
     final = analyzed.positives[-1]
-    if final.is_kleene or len(analyzed.positives) < 2:
-        return None, "final stage: needs a singleton final stage after another stage"
+    if len(analyzed.positives) < 2:
+        return None, "final stage: needs a final stage after another stage"
     if any(negation.trailing for negation in analyzed.negations):
         return None, (
             "final stage: a trailing negation holds completions pending, "
             "possibly past their epoch's close"
         )
 
-    declared = _required_attribute(analyzed, registry)
+    reads = _Reads(analyzed, registry)
     primary, *secondary = analyzed.rank_keys
     # (where, expression, the value kinds it may have).  The scorer
     # evaluates every key of every match, so a secondary key that could
-    # raise blocks the cut just as the primary would.
+    # raise blocks the cut just as the primary would.  A trailing Kleene
+    # stage still takes the element, so its element predicates still run.
     checks = [("key", primary.expr, ("number",))]
     for key in secondary:
         checks.append(("secondary key", key.expr, ("number", "str", "bool")))
-    for spec in (*analyzed.predicates_at[final.name], *analyzed.completion_predicates):
+    edge = () if final.is_kleene else analyzed.predicates_at[final.name]
+    for spec in (*edge, *analyzed.completion_predicates):
         checks.append(("edge predicate", spec.expr, ("bool",)))
     for where, expr, kinds in checks:
         try:
-            kind = _cut_kind(expr, declared)
+            kind = _cut_kind(expr, reads)
         except _CutShape as shape:
             return None, f"{where} shape: {shape} is not compiled into the cut"
         except _CutBlocked as blocked:
             return None, str(blocked)
         if kind not in kinds:
             return None, f"{where} shape: {format_expr(expr)} is not a {kinds[0]}"
-    raw = _cut_key(primary.expr, final.name)
+        if where == "secondary key" and not _nan_free(expr, reads):
+            return None, f"{where} shape: {format_expr(expr)} may be NaN"
+    raw = _cut_key(primary.expr, final.name, reads)
     if primary.direction is Direction.ASC:
         return raw, "active"
-    return (lambda bindings, event: -raw(bindings, event)), "active"
+    return (lambda run, event: -raw(run, event)), "active"
 
 
-def _required_attribute(
+def rank_registers(
     analyzed: AnalyzedQuery, registry: SchemaRegistry | None
-) -> Callable[[str, str], AttributeSpec | None]:
-    """``declared(var, attr)``: the registry's declaration of ``var.attr``
-    when it is required — then every event a query reads carries a value
-    that passed it (ingested events at ``push``, YIELD-derived ones when
-    derived)."""
+) -> tuple[Register | None, ...]:
+    """Per ``RANK BY`` key, its reader from the completing run's aggregate
+    registers, or ``None`` where the scorer evaluates the bindings: a bare
+    ``count``/``len`` of a Kleene variable, or its ``max``/``min``/
+    ``first``/``last`` of a required number, which the registers hold
+    exactly — the reference evaluator's value bit for bit."""
+    reads = _Reads(analyzed, registry)
+    return tuple(
+        reads.register(key.expr) if isinstance(key.expr, Aggregate) else None
+        for key in analyzed.rank_keys
+    )
 
-    def declared(var: str, attr: str) -> AttributeSpec | None:
-        schema = registry.get(analyzed.variables[var].event_type) if registry else None
+
+class _Reads:
+    """What a compiled rank value may read without hiding an error; an
+    aggregate of ``open_var``, which may still grow, only if asked."""
+
+    def __init__(
+        self, analyzed: AnalyzedQuery, registry: SchemaRegistry | None, open_var: str = ""
+    ) -> None:
+        self.variables, self.registry, self.open_var = analyzed.variables, registry, open_var
+
+    def declared(self, var: str, attr: str) -> AttributeSpec | None:
+        """The registry's declaration of ``var.attr`` when it is required —
+        then every event a query reads carries a value that passed it
+        (ingested events at ``push``, YIELD-derived ones when derived)."""
+        registry = self.registry
+        schema = registry.get(self.variables[var].event_type) if registry is not None else None
         found = schema.attribute(attr) if schema is not None else None
         return found if found is not None and found.required else None
 
-    return declared
+    def register(self, expr: Aggregate, grows: bool = False) -> Register | None:
+        var, attr = expr.var, expr.attr
+        if not self.variables[var].is_kleene or (var == self.open_var and not grows):
+            return None
+        if expr.func in ("count", "len"):
+            return lambda held: held.agg_states[var].count
+        field = _REGISTER_FIELDS.get(expr.func)
+        found = self.declared(var, attr) if attr is not None else None
+        numeric = found is not None and found.dtype in ("int", "float")
+        if field is None or attr is None or not numeric:
+            return None  # a bool or str element leaves the register inexact
+        read = operator.attrgetter(field)
+        return lambda held: read(held.agg_states[var].attrs[attr])
 
 
-def _cut_kind(expr: Expr, declared: Callable[[str, str], AttributeSpec | None]) -> str:
+def _cut_kind(expr: Expr, reads: _Reads) -> str:
     """``"number"``, ``"bool"`` or ``"str"``: the value kind of an
     expression the cut may skip without hiding an evaluation error.
 
     Only ``+ - *``, unary ``-``, literals, comparisons, ``== !=``,
-    ``AND OR NOT``, ``abs``, ``min2`` and ``max2`` qualify, over attributes
-    the registry declares required and numeric — or ``str``, which only
-    ``==``/``!=`` may read.  Raises :class:`_CutShape` or
-    :class:`_CutBlocked` otherwise.
+    ``AND OR NOT``, ``abs``, ``min2``, ``max2`` and the aggregates the
+    registers serve qualify, over attributes the registry declares
+    required and numeric — or ``str``, which only ``==``/``!=`` may read.
+    Raises :class:`_CutShape` or :class:`_CutBlocked` otherwise.
     """
     if isinstance(expr, Literal):
         if isinstance(expr.value, bool):
             return "bool"
         return "str" if isinstance(expr.value, str) else "number"
     if isinstance(expr, AttrRef):
-        found = declared(expr.var, expr.attr)
+        found = reads.declared(expr.var, expr.attr)
         dtype = found.dtype if found is not None else None
         if dtype in ("int", "float"):
             return "number"
@@ -689,16 +730,18 @@ def _cut_kind(expr: Expr, declared: Callable[[str, str], AttributeSpec | None]) 
             f"undeclared attribute: {expr.var}.{expr.attr} is not a required "
             f"int, float or str attribute of the schema registry"
         )
+    if isinstance(expr, Aggregate) and reads.register(expr) is not None:
+        return "number"
     kinds: list[str] = []
     want = "number"
     result = "number"
     if isinstance(expr, Unary):
-        kinds = [_cut_kind(expr.operand, declared)]
+        kinds = [_cut_kind(expr.operand, reads)]
         want = result = "number" if expr.op is UnaryOp.NEG else "bool"
     elif isinstance(expr, FuncCall) and expr.name in _CUT_FUNCS:
-        kinds = [_cut_kind(arg, declared) for arg in expr.args]
+        kinds = [_cut_kind(arg, reads) for arg in expr.args]
     elif isinstance(expr, Binary) and expr.op not in (BinaryOp.DIV, BinaryOp.MOD):
-        kinds = [_cut_kind(expr.left, declared), _cut_kind(expr.right, declared)]
+        kinds = [_cut_kind(expr.left, reads), _cut_kind(expr.right, reads)]
         if expr.op in (BinaryOp.EQ, BinaryOp.NEQ):
             return "bool"  # ``==`` compares any two values without raising
         if expr.op in (BinaryOp.AND, BinaryOp.OR):
@@ -710,34 +753,54 @@ def _cut_kind(expr: Expr, declared: Callable[[str, str], AttributeSpec | None]) 
     raise _CutShape(format_expr(expr))
 
 
-def _cut_key(expr: Expr, final_var: str) -> CutKey:
+def _nan_free(expr: Expr, reads: _Reads) -> bool:
+    """Whether a key the cut never evaluates cannot be NaN, a scoring error
+    a skip would hide: it reads floats only with a domain, and no ``+ - *``."""
+    nodes = list(iter_subexpressions(expr))
+    arithmetic = any(isinstance(node, Binary) and node.op in _CUT_ARITH for node in nodes)
+    for node in nodes:
+        if isinstance(node, Literal) and isinstance(node.value, float) and arithmetic:
+            return False
+        if isinstance(node, (AttrRef, Aggregate)) and node.attr is not None:
+            spec = reads.declared(node.var, node.attr)
+            if spec is not None and spec.dtype == "float" and (arithmetic or spec.domain is None):
+                return False
+    return True
+
+
+def _cut_key(expr: Expr, final_var: str, reads: _Reads) -> CutKey:
     """Compose closures for a numeric expression :func:`_cut_kind` accepted.
 
     The completing variable reads the event itself, every earlier one the
-    run's bindings; no source is generated, nothing is ``compile()``-d.
+    run's bindings, an aggregate its registers; no source is generated,
+    nothing is ``compile()``-d.
     """
     if isinstance(expr, Literal):
         value = expr.value
-        return lambda bindings, event: value
+        return lambda run, event: value
     if isinstance(expr, AttrRef):
         var, attr = expr.var, expr.attr
         if var == final_var:
-            return lambda bindings, event: event.payload[attr]
-        return lambda bindings, event: bindings[var].payload[attr]
+            return lambda run, event: event.payload[attr]
+        return lambda run, event: run.bindings[var].payload[attr]
+    if isinstance(expr, Aggregate):
+        read = reads.register(expr)
+        assert read is not None
+        return lambda run, event: read(run)
     if isinstance(expr, Unary):
-        inner = _cut_key(expr.operand, final_var)
-        return lambda bindings, event: -inner(bindings, event)
+        inner = _cut_key(expr.operand, final_var, reads)
+        return lambda run, event: -inner(run, event)
     if isinstance(expr, FuncCall):
         fn, arity = _CUT_FUNCS[expr.name]
-        first = _cut_key(expr.args[0], final_var)
+        first = _cut_key(expr.args[0], final_var, reads)
         if arity == 1:
-            return lambda bindings, event: fn(first(bindings, event))
-        second = _cut_key(expr.args[1], final_var)
-        return lambda bindings, event: fn(first(bindings, event), second(bindings, event))
+            return lambda run, event: fn(first(run, event))
+        second = _cut_key(expr.args[1], final_var, reads)
+        return lambda run, event: fn(first(run, event), second(run, event))
     assert isinstance(expr, Binary)
     op = _CUT_ARITH[expr.op]
-    left, right = _cut_key(expr.left, final_var), _cut_key(expr.right, final_var)
-    return lambda bindings, event: op(left(bindings, event), right(bindings, event))
+    left, right = (_cut_key(side, final_var, reads) for side in (expr.left, expr.right))
+    return lambda run, event: op(left(run, event), right(run, event))
 
 
 #: ``component(run)``: one direction-normalised component (smaller is
@@ -805,8 +868,8 @@ def run_dominance(
             f"evaluated per match, not per element"
         )
 
-    declared = _required_attribute(analyzed, registry)
     name = final.name
+    reads = _Reads(analyzed, registry, name)
     strict: list[Component] = []
     loose: list[Component] = []
     where = "element predicate"
@@ -818,11 +881,11 @@ def run_dominance(
                     f"element predicate: {format_expr(predicate.expr)} reads "
                     f"{others[0]!r}, so runs may accept different events"
                 )
-            if _cut_kind(predicate.expr, declared) != "bool":
+            if _cut_kind(predicate.expr, reads) != "bool":
                 raise _CutShape(format_expr(predicate.expr))
         where = "key"
         for key in analyzed.rank_keys:
-            component, is_strict = _dominance_component(key, name, declared)
+            component, is_strict = _dominance_component(key, name, reads)
             (strict if is_strict else loose).append(component)
     except _CutShape as shape:
         return None, f"{where} shape: {shape} is outside what dominance compares"
@@ -845,56 +908,57 @@ def run_dominance(
 
 
 def _dominance_component(
-    key: CompiledRankKey,
-    final_var: str,
-    declared: Callable[[str, str], AttributeSpec | None],
+    key: CompiledRankKey, final_var: str, reads: _Reads
 ) -> tuple[Component, bool]:
     """One ``RANK BY`` key as a run-vector component, and whether it is strict.
 
     ``count(V)`` (strict: every extension adds the same number to both
     runs), ``max(V.a)``/``min(V.a)`` (monotone but not strict: a shared
     future element can erase the gap) with the aggregate's identity while
-    V is still empty, or a number over earlier singletons (a constant per
-    run, strict; a run it makes NaN only completes scoring errors, and the
-    matcher keeps it out of the sweep).  Raises :class:`_CutShape` /
-    :class:`_CutBlocked` otherwise.
+    V is still empty — both read from the run's registers — or a number
+    over what is bound before V (a constant per run, strict; a run it
+    makes NaN only completes scoring errors, and the matcher keeps it out
+    of the sweep).  Raises :class:`_CutShape` / :class:`_CutBlocked`
+    otherwise.
     """
     expr = key.expr
     sign = 1 if key.direction is Direction.ASC else -1
     if isinstance(expr, Aggregate) and expr.var == final_var:
+        read = reads.register(expr, grows=True)
         if expr.func in ("count", "len"):
-            return (lambda run: sign * run.agg_states[final_var].count), True
-        if expr.func in ("max", "min") and expr.attr is not None:
-            attr = expr.attr
-            found = declared(final_var, attr)
-            if found is None or found.dtype not in ("int", "float"):
-                raise _CutBlocked(
-                    f"undeclared attribute: {final_var}.{attr} is not a required "
-                    f"int or float attribute of the schema registry"
-                )
-            if found.dtype == "float" and found.domain is None:
-                # A run awaiting V's first element holds the identity, not
-                # a NaN: dropped now, it could still take a NaN element, and
-                # the scoring errors of its matches would go unreported.
-                raise _CutBlocked(
-                    f"NaN: {format_expr(expr)} reads a float with no declared "
-                    f"domain, so a dropped run could hide a NaN key's scoring error"
-                )
-            # the aggregate's identity while V awaits its first element
-            identity = -math.inf if expr.func == "max" else math.inf
-            read = operator.attrgetter("maximum" if expr.func == "max" else "minimum")
+            assert read is not None
+            return (lambda run: sign * read(run)), True
+        if expr.func not in ("max", "min"):
+            raise _CutShape(format_expr(expr))
+        if read is None:
+            raise _CutBlocked(
+                f"undeclared attribute: {final_var}.{expr.attr} is not a required "
+                f"int or float attribute of the schema registry"
+            )
+        assert expr.attr is not None
+        found = reads.declared(final_var, expr.attr)
+        if found is not None and found.dtype == "float" and found.domain is None:
+            # A run awaiting V's first element holds the identity, not
+            # a NaN: dropped now, it could still take a NaN element, and
+            # the scoring errors of its matches would go unreported.
+            raise _CutBlocked(
+                f"NaN: {format_expr(expr)} reads a float with no declared "
+                f"domain, so a dropped run could hide a NaN key's scoring error"
+            )
+        # the aggregate's identity while V awaits its first element
+        identity = -math.inf if expr.func == "max" else math.inf
 
-            def extreme(run: Any) -> Any:
-                value = read(run.agg_states[final_var].attrs[attr])
-                return sign * (identity if value is None else value)
+        def extreme(run: Any) -> Any:
+            value = read(run)
+            return sign * (identity if value is None else value)
 
-            return extreme, False
-    if _cut_kind(expr, declared) != "number":
+        return extreme, False
+    if _cut_kind(expr, reads) != "number":
         raise _CutShape(format_expr(expr))
     # RANK BY reads a Kleene variable only through aggregates, so this is
-    # a number over the singletons bound before V: the event is never read.
-    raw = _cut_key(expr, final_var)
-    return (lambda run: sign * raw(run.bindings, None)), True
+    # a number over what is bound before V: the event is never read.
+    raw = _cut_key(expr, final_var, reads)
+    return (lambda run: sign * raw(run, None)), True
 
 
 def _validate_complete_match_expr(

@@ -24,6 +24,12 @@ whose :class:`~repro.language.intervals.IntervalEvaluator` stays the
 reference: the compiled bound may be looser than it, never tighter
 (CEPRSan's ``score-bound`` check compares the two on every call).
 
+A shape whose optimistic end is one value for every run (literals and
+domains only, or an open ``max(V.a) DESC`` / ``min(V.a) ASC``) never
+prunes: every match of a ``SEQ`` passes through it, so no real θ is
+better.  The matcher does not offer its runs (:attr:`ScoreBoundPruner.
+fixed_shapes`).
+
 Soundness requires that the k-th score can only improve while the run is
 alive, which holds in tumbling mode (``EMIT ON WINDOW CLOSE``): matches
 only accumulate within an epoch, and runs never cross epoch boundaries.
@@ -59,6 +65,7 @@ from repro.language.ast_nodes import (
     UnaryOp,
     VarRef,
     WindowKind,
+    iter_subexpressions,
 )
 from repro.language.intervals import (
     ARITHMETIC,
@@ -71,7 +78,7 @@ from repro.language.intervals import (
     bound_function,
     numeric_exact,
 )
-from repro.language.semantics import AnalyzedQuery
+from repro.language.semantics import AnalyzedQuery, CompiledRankKey
 from repro.ranking.keys import normalise_bound
 
 #: Supplies the k-th retained (normalised) sort key of one tumbling epoch,
@@ -127,7 +134,7 @@ class ScoreBoundPruner:
         # heap is the only sound pruning reference.
         self._epochs = EpochTracker(analyzed.window)
         self._optimistic_is_lo = self.primary.direction is Direction.ASC
-        self._bounds = _compile_shapes(self.primary.expr, automaton, registry)
+        self._bounds, self.fixed_shapes = _compile_shapes(self.primary, automaton, registry)
 
     def __call__(self, run: Run, event: Event, epoch: int | None = None) -> bool:
         """``True`` ⇒ the matcher discards this partial run.
@@ -215,15 +222,21 @@ class ScoreBoundPruner:
 
 
 def _compile_shapes(
-    expr: Expr, automaton: PatternAutomaton, registry: SchemaRegistry | None
-) -> dict[tuple[int, bool], ShapeBound | None]:
-    """One compiled bound per ``(stage, kleene_open)`` a kept run can be at."""
+    primary: CompiledRankKey, automaton: PatternAutomaton, registry: SchemaRegistry | None
+) -> tuple[dict[tuple[int, bool], ShapeBound | None], frozenset[tuple[int, bool]]]:
+    """One compiled bound per ``(stage, kleene_open)`` a kept run can be at,
+    and the shapes whose optimistic end is fixed."""
+    expr, hi = primary.expr, primary.direction is Direction.DESC
     shapes: dict[tuple[int, bool], ShapeBound | None] = {}
+    fixed: set[tuple[int, bool]] = set()
     for stage in automaton.stages:
         for kleene_open in (False, True) if stage.is_kleene else (False,):
             shape = _Shape(automaton, registry, stage.index, kleene_open)
-            shapes[stage.index, kleene_open] = shape.compile(expr)
-    return shapes
+            bound = shapes[stage.index, kleene_open] = shape.compile(expr)
+            # no run is kept awaiting stage 0
+            if bound is not None and (stage.index or kleene_open) and shape.fixed(expr, hi):
+                fixed.add((stage.index, kleene_open))
+    return shapes, frozenset(fixed)
 
 
 def _constant(value: Interval | None) -> ShapeBound | None:
@@ -275,6 +288,23 @@ class _Shape:
         schema = self.registry.get(self.var_types[var]) if self.registry else None
         spec = schema.attribute(attr) if schema is not None else None
         return spec is not None and spec.required and spec.dtype in ("int", "float")
+
+    def fixed(self, expr: Expr, hi: bool) -> bool:
+        """Whether the ``hi`` (else ``lo``) end of ``expr``'s bound is one
+        value for every run at this shape."""
+        if isinstance(expr, Aggregate) and expr.var in self.open and expr.var in self.observed:
+            # an open max's hi (min's lo) is its validated domain's
+            return (
+                expr.func == ("max" if hi else "min")
+                and self._validated_numeric(expr.var, expr.attr or "")
+                and self._domain(expr.var, expr.attr or "") is not None
+            )
+        return not any(  # else: constant, when no leaf reads the run
+            isinstance(node, FuncCall) and node.name in ("duration", "timestamp", "ts")
+            or isinstance(node, AttrRef) and node.var in self.bound
+            or isinstance(node, Aggregate) and node.var in self.observed
+            for node in iter_subexpressions(expr)
+        )
 
     def compile(self, expr: Expr) -> ShapeBound | None:
         """The bound of ``expr`` over this shape's completions (``None``:

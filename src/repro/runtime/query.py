@@ -32,6 +32,7 @@ from repro.language.semantics import (
     AnalyzedQuery,
     completion_cut,
     default_emit,
+    rank_registers,
     run_dominance,
 )
 from repro.observability.instruments import cost_accounts, register_query
@@ -180,7 +181,8 @@ class RegisteredQuery(SinkOwner):
         #: the members, in registration order (meaningful on a lead).
         self.members: list[RegisteredQuery] = [self]
         self.automaton = compile_automaton(self.analyzed)
-        self.scorer = Scorer(self.analyzed.rank_keys)
+        registers = rank_registers(self.analyzed, self._registry)
+        self.scorer = Scorer(self.analyzed.rank_keys, registers)
         #: per-stage (match/rank/emit) wall-time breakdown.
         self.profile = StageProfile()
         self._last_seq = -1
@@ -220,6 +222,8 @@ class RegisteredQuery(SinkOwner):
             lenient_errors=lenient_errors,
             shared=self.shared,
         )
+        if self.pruner is not None:
+            self.matcher.fixed_shapes = self.pruner.fixed_shapes
         if cut_key is not None:
             self.matcher.arm_completion_cut(cut_key, self.ranker.kth_bound_for_epoch)
         if dominance is not None:
@@ -752,6 +756,7 @@ class RegisteredQuery(SinkOwner):
             pruning_enabled=self.pruner is not None,
             cut_status=self.cut_status,
             dominance_status=self.dominance_status,
+            fixed_shapes=self.matcher.fixed_shapes,
         )
         if self.shared is not None:
             text += f"\n{self._sharing_block()}"

@@ -28,11 +28,13 @@ Checks, by hook point:
     the list-and-sort scope did (a prefix of the insertion order, by each
     match's own completion point), agrees with the k-skyband after every
     step: ``ranking()`` is ``sorted(shadow)[:k]``;
-``matcher.prune_hook`` / ``_skip_completion`` / ``_drop_dominated``
-    **score-bound** — on every pruner call the compiled shape bound is no
-    tighter than ``IntervalEvaluator`` over the same run; every
-    completion the completing-edge cut skips, re-run through the
-    unskipped path (predicates, ``Match``, ``Scorer``), would have been
+``matcher._keep_partial`` / ``_skip_completion`` / ``_drop_dominated``
+    **score-bound** — for every partial run kept, the compiled shape bound
+    is no tighter than ``IntervalEvaluator`` over the same run (and at a
+    fixed-optimum shape, which the pruner is not asked about, the pruner
+    would keep it); every completion the completing-edge cut skips,
+    re-run through the unskipped path (predicates, ``Match``, ``Scorer``
+    over the bindings), would have been
     rejected by its epoch's ``EpochTopK``; every run that run dominance
     drops is strictly dominated by k kept runs, its vectors recomputed
     from bindings by the reference aggregate evaluator;
@@ -67,10 +69,11 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.engine.match import Match
+from repro.engine.runs import Run
 from repro.language.ast_nodes import Aggregate, Direction, WindowKind
 from repro.language.errors import EvaluationError
 from repro.language.expressions import EvalContext, evaluate_predicate
-from repro.language.intervals import IntervalEvaluator, PartialMatchView
+from repro.language.intervals import IntervalEvaluator
 from repro.ranking.keys import normalise_bound
 from repro.sanitize.core import Sanitizer, ThreadAffinity
 
@@ -187,25 +190,11 @@ class InvariantChecker:
         if isinstance(actual, bool) or not isinstance(actual, (int, float)):
             return  # string-keyed primary: no interval reasoning
         automaton = query.automaton
-        window = automaton.window
-        max_count: int | None = None
-        max_duration: float | None = None
-        if window is not None:
-            if window.kind is WindowKind.COUNT:
-                max_count = int(window.span)
-            else:
-                max_duration = window.span
-        view = PartialMatchView(
-            bindings=match.bindings,
-            var_types=automaton.var_types,
-            kleene_vars=automaton.kleene_vars,
-            open_vars=frozenset(),
-            domain_of=pruner.domain_of,
-            max_kleene_count=max_count,
-            duration_so_far=match.last_ts - match.first_ts,
-            max_duration=max_duration,
-            latest_timestamp=match.last_ts,
+        complete = Run(  # the match as a run past its last stage: nothing open
+            automaton, len(automaton.stages), match.bindings, match.first_seq,
+            match.last_seq, match.first_ts, match.last_ts,
         )
+        view = complete.partial_view(pruner.domain_of, match.last_ts)
         interval = IntervalEvaluator(view).bound(pruner.primary.expr)
         if interval is None:
             return
@@ -242,7 +231,8 @@ class InvariantChecker:
         :class:`IntervalEvaluator` over ``Run.partial_view`` and trips when
         the compiled shape bound claims better than that (or claims a
         bound where the reference has none): a tighter bound prunes runs
-        the reference would keep.
+        the reference would keep.  At a fixed-optimum shape, whose runs the
+        matcher keeps unasked, the pruner must keep the run too.
         """
         pruner = query.pruner
         assert pruner is not None
@@ -269,38 +259,51 @@ class InvariantChecker:
                 compiled=compiled,
                 reference=reference,
             )
+        if (run.stage, run.kleene_open) in query.matcher.fixed_shapes:
+            epoch = pruner._epochs.epoch_of_point(run.first_seq, run.first_ts)
+            headroom = pruner._headroom(epoch, run, latest_ts, probe=True)
+            if headroom is not None and headroom > 0:
+                self.san.trip(
+                    "score-bound",
+                    f"query {query.name!r}: the pruner would drop a run kept "
+                    f"unasked at fixed-optimum shape ({run.stage}, {run.kleene_open})",
+                    query=query.name,
+                    headroom=headroom,
+                )
 
     def check_skipped_completion(self, query: "RegisteredQuery", run, event) -> None:
         """A skipped completion would not have been retained.
 
-        Re-runs the candidate through the unskipped path — the final
-        stage's bind predicates, the completion predicates, ``Match``,
-        ``Scorer`` — without touching any counter, and trips when the
-        epoch's buffer would have retained it (or when its evaluation
-        raises: the skip hid an error).
+        Re-runs the candidate through the unskipped path — a singleton
+        final stage's bind predicates (a trailing Kleene ``run`` took
+        ``event`` already), the completion predicates, ``Match``,
+        ``Scorer`` over the bindings — without touching any counter, and
+        trips when the epoch's buffer would have retained it (or when its
+        evaluation raises: the skip hid an error).
         """
         matcher = query.matcher
         stage = matcher.automaton.stages[-1]
-        if run.blocked_by_trip(stage.index):
+        if not stage.is_kleene and run.blocked_by_trip(stage.index):
             return  # a tripped negation guard forbids this completion anyway
-        target = run.close_kleene() if run.kleene_open else run
+        bound = run.close_kleene() if run.kleene_open else run
         try:
-            ctx = target.context(current_var=stage.variable.name, current_event=event)
-            if not all(
-                evaluate_predicate(spec.evaluator, ctx)
-                for spec in stage.bind_predicates
-            ):
-                return
-            bound = target.bind_singleton(stage, event)
-            ctx = bound.context()
+            if not stage.is_kleene:
+                ctx = bound.context(current_var=stage.variable.name, current_event=event)
+                if not all(
+                    evaluate_predicate(spec.evaluator, ctx)
+                    for spec in stage.bind_predicates
+                ):
+                    return
+                bound = bound.bind_singleton(stage, event)
+            ctx = EvalContext(bindings=bound.bindings)
             if not all(
                 evaluate_predicate(spec.evaluator, ctx)
                 for spec in matcher.automaton.completion_predicates
             ):
                 return
-            match = query.scorer.score(
-                bound.to_match(matcher._detection_counter, query.name)
-            )
+            match = bound.to_match(matcher._detection_counter, query.name)
+            match.agg_states = None  # the reference reads the bindings
+            query.scorer.score(match)
         except EvaluationError as exc:
             self.san.trip(
                 "score-bound",
@@ -686,14 +689,13 @@ def instrument_query(checker: InvariantChecker, query: "RegisteredQuery") -> Non
 
     matcher = query.matcher
     if query.pruner is not None:
-        prune_hook = matcher.prune_hook
-        assert prune_hook is not None
+        keep_partial = matcher._keep_partial
 
-        def checked_prune_hook(run, event, epoch=None):
+        def checked_keep_partial(run, event, epoch):
             checker.check_compiled_bound(query, run, event.timestamp)
-            return prune_hook(run, event, epoch)
+            return keep_partial(run, event, epoch)
 
-        matcher.prune_hook = checked_prune_hook
+        matcher._keep_partial = checked_keep_partial  # type: ignore[method-assign]
     if matcher._cut_key is not None:
         orig_skip = matcher._skip_completion
 

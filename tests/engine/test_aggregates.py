@@ -1,6 +1,11 @@
 """Unit tests for incremental aggregate state."""
 
+import struct
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.aggregates import (
     AggregateState,
@@ -16,6 +21,13 @@ from repro.language.parser import parse_query
 from repro.language.ast_nodes import split_conjuncts
 from repro.language.semantics import analyze
 from repro.runtime.serialize import match_to_json
+
+
+def bits(value):
+    """``value`` down to its type and bits (``-0.0`` is not ``0.0``)."""
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    return (type(value).__name__, value)
 
 
 class TestAggregateState:
@@ -35,9 +47,38 @@ class TestAggregateState:
         assert self.make_state(1).lookup("len", None) == 1
 
     def test_sum_avg(self):
-        state = self.make_state(1.0, 2.0, 3.0)
-        assert state.lookup("sum", "x") == 6.0
+        state = self.make_state(1, 2, 3)
+        assert state.lookup("sum", "x") == 6
         assert state.lookup("avg", "x") == 2.0
+
+    def test_float_sum_is_served_only_where_it_is_the_builtins(self):
+        """``sum([0.1, 0.2, 0.3])`` is ``0.6`` where ``sum()`` compensates
+        (CPython 3.12 on) and ``0.6000000000000001`` where it does not, as
+        the running total is: served there, declined here."""
+        values = [0.1, 0.2, 0.3]
+        state = self.make_state(*values)
+        served = state.lookup("sum", "x")
+        assert served is None or bits(served) == bits(sum(values))
+        assert (served is None) is (sys.version_info >= (3, 12))
+        average = state.lookup("avg", "x")
+        assert average is None or bits(average) == bits(sum(values) / len(values))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-(2**62), max_value=2**62),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sum_and_avg_are_the_builtins_bit_for_bit(self, values):
+        state = self.make_state(*values)
+        for func, reference in (("sum", sum), ("avg", lambda v: sum(v) / len(v))):
+            served = state.lookup(func, "x")
+            assert served is None or bits(served) == bits(reference(values)), func
 
     def test_min_max(self):
         state = self.make_state(5.0, 1.0, 3.0)

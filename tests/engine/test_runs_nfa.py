@@ -98,16 +98,14 @@ class TestRunLifecycle:
 
     def test_window_bounds(self):
         _automaton, run = self.make_run()
-        assert run.window_end_seq() == 9  # first_seq 0 + span 10 - 1
-        assert run.window_end_ts() is None
-        assert not run.window_excludes(seq_event("B", 9))
+        assert not run.window_excludes(seq_event("B", 9))  # first_seq 0 + span 10 - 1
         assert run.window_excludes(seq_event("B", 10))
 
     def test_time_window_bounds(self):
         automaton = automaton_for("PATTERN SEQ(A a, B b) WITHIN 5 SECONDS")
         run = new_run(automaton, seq_event("A", 0, ts=2.0), (), {})
-        assert run.window_end_seq() is None
-        assert run.window_end_ts() == 7.0
+        assert not run.window_excludes(seq_event("B", 99, ts=7.0))  # first_ts 2 + span 5
+        assert run.window_excludes(seq_event("B", 1, ts=7.5))
 
     def test_to_match_snapshot(self):
         automaton, run = self.make_run("PATTERN SEQ(A a, B b)")

@@ -18,6 +18,7 @@ the pruner's compiled bound is never tighter than ``IntervalEvaluator``.
 import math
 import re
 import struct
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 from hypothesis import event, given, settings
@@ -194,23 +195,29 @@ CUT_PATTERNS = {
     "kleene-middle": "SEQ(A a, C cs+, B b)",
     "guarded-kleene-middle": "SEQ(A a, C cs+, NOT A x, B b)",
     "trailing-negation": "SEQ(A a, B b, NOT C n)",
+    # the cut reads a trailing Kleene stage's primary from its registers
+    "trailing-kleene": "SEQ(A a, B bs+)",
+    "singleton-trailing-kleene": "SEQ(A a, C c, B bs+)",
 }
 CUT_KEYS = ("a.value - b.value", "2 * b.value - a.value", "b.value")
+KLEENE_CUT_KEYS = ("count(bs)", "max(bs.value)", "min(bs.value)")
 EDGE_PREDICATES = ("", "WHERE b.value >= a.value - 1", "WHERE b.value != a.value")
 
 
 @st.composite
 def cut_cases(draw):
     pattern = draw(st.sampled_from(sorted(CUT_PATTERNS)))
+    kleene = "bs+" in CUT_PATTERNS[pattern]
     window = draw(st.sampled_from(["EVENTS", "SECONDS"]))
     secondary = draw(st.sampled_from(["", ", a.value DESC", ", a.value ASC"]))
+    edge = draw(st.sampled_from(EDGE_PREDICATES))
     query = f"""
         PATTERN {CUT_PATTERNS[pattern]}
-        {draw(st.sampled_from(EDGE_PREDICATES))}
+        {edge.replace("b.value", "bs.value") if kleene else edge}
         WITHIN {draw(st.integers(min_value=4, max_value=16))} {window}
         USING SKIP_TILL_ANY
         {draw(st.sampled_from(["", "PARTITION BY g"]))}
-        RANK BY {draw(st.sampled_from(CUT_KEYS))}
+        RANK BY {draw(st.sampled_from(KLEENE_CUT_KEYS if kleene else CUT_KEYS))}
             {draw(st.sampled_from(["ASC", "DESC"]))}{secondary}
         LIMIT {draw(st.sampled_from([1, 1, 2, 3]))}
         EMIT ON WINDOW CLOSE
@@ -504,15 +511,16 @@ class TestCompiledCutKey:
         cut_key, status = completion_cut(analyzed, KEY_REGISTRY)
         assert status == "active"
         a, b = Event("A", 1.0, value=a_value), Event("B", 2.0, value=b_value)
+        run = SimpleNamespace(bindings={"a": a})  # what the cut reads of a run
         match = Match(bindings={"a": a, "b": b}, first_seq=0, last_seq=1,
                       first_ts=1.0, last_ts=2.0)
         try:
             Scorer(analyzed.rank_keys).score(match)
         except EvaluationError:  # a NaN key: the cut never skips it
-            value = cut_key({"a": a}, b)
+            value = cut_key(run, b)
             assert value != value
             return
-        assert bits(cut_key({"a": a}, b)) == bits(match.score[0])
+        assert bits(cut_key(run, b)) == bits(match.score[0])
 
 
 BOUND_REGISTRY = SchemaRegistry(

@@ -181,6 +181,36 @@ class TestExactWhereItFires:
         assert stats.peak_live_runs == plain_stats.peak_live_runs
 
 
+class TestTrailingKleene:
+    """The prefix completions of a trailing Kleene stage are cut from the
+    run's registers; the extension itself is still built and kept."""
+
+    @pytest.mark.parametrize("pattern", ["SEQ(A a, B bs+)", "SEQ(A a, C c, B bs+)"])
+    @pytest.mark.parametrize(
+        "keys, pruned",
+        [
+            ("max(bs.value) DESC", False),
+            ("min(bs.value) ASC, first(bs.value) DESC", False),
+            ("last(bs.value) - a.value DESC", True),
+        ],
+    )
+    def test_skips_and_emits_the_same_lines(self, pattern, keys, pruned):
+        text = kleene_query(keys).replace("SEQ(A a, B bs+)", pattern)
+        cut, _, handle = run(text, stream())
+        plain, _, reference = run(text, stream(), enable_pruning=False)
+        assert cut == plain == match_then_rank(text, stream())
+        stats, plain_stats = handle.matcher.stats, reference.matcher.stats
+        assert handle.cut_status == "active"
+        assert handle.dominance_status != "active"
+        assert stats.completions_skipped > 0
+        assert (stats.runs_pruned > 0) is pruned
+        if not pruned:  # every run is as without the cut, and each skip is a match
+            assert stats.runs_extended == plain_stats.runs_extended
+            assert stats.matches_completed + stats.completions_skipped == (
+                plain_stats.matches_completed
+            )
+
+
 def outcome(text, events, enable_pruning, lenient, registry=REGISTRY, extra=()):
     """What a run shows: its lines and error counters, or what it raised."""
     engine = CEPREngine(
@@ -219,6 +249,34 @@ class TestNoHiddenErrors:
             assert cut[0] == "EvaluationError"
 
     @pytest.mark.parametrize("lenient", [False, True])
+    def test_a_secondary_key_that_may_be_nan_disarms_the_cut(self, lenient):
+        """A skipped match's secondary key is never evaluated, so one that
+        may be NaN — a float without a declared domain — would hide its
+        scoring error."""
+        values = [("A", 0.0), ("B", 5.0), ("A", 1.0), ("B", 9.0), ("A", float("nan")),
+                  ("B", 1.0)]
+
+        def events():
+            return [Event(t, float(i), value=v) for i, (t, v) in enumerate(values)]
+
+        text = """
+            PATTERN SEQ(A a, B b) WITHIN 100 EVENTS USING SKIP_TILL_ANY
+            RANK BY b.value DESC, a.value DESC LIMIT 1 EMIT ON WINDOW CLOSE
+        """
+        assert status(text, NAN_REGISTRY) == "secondary key shape: a.value may be NaN"
+        cut = outcome(text, events(), True, lenient, registry=NAN_REGISTRY)
+        assert cut == outcome(text, events(), False, lenient, registry=NAN_REGISTRY)
+        if lenient:
+            assert cut[1] == 1  # (A nan, B 1) is a scoring error, not a skip
+        domained = SchemaRegistry(
+            [EventSchema(t, (AttributeSpec("value", "float", Domain(0, 9)),)) for t in "AB"]
+        )
+        assert status(text, domained) == "active"
+        assert status(text.replace("a.value DESC", "a.value + 1 DESC"), domained) == (
+            "secondary key shape: a.value + 1 may be NaN"
+        )
+
+    @pytest.mark.parametrize("lenient", [False, True])
     @pytest.mark.parametrize(
         "assignments",
         ["g = c.g", "value = c.value + 0.5, g = c.g", 'value = "x", g = c.g'],
@@ -249,6 +307,21 @@ def status(text, registry=REGISTRY):
     return completion_cut(analyze(parse_query(text), registry), registry)[1]
 
 
+def kleene_query(keys):
+    """:func:`query` with a trailing Kleene stage ranked by ``keys``."""
+    return query("SEQ(A a, B bs+)").replace("WHERE b.value != a.value", "").replace(
+        "b.value - a.value DESC, a.value DESC", keys
+    )
+
+
+FLOAT_REGISTRY = SchemaRegistry(
+    [
+        EventSchema(t, (AttributeSpec("value", "float", Domain(0, 9)), AttributeSpec("g", "int")))
+        for t in "ABC"
+    ]
+)
+
+
 class TestConditions:
     @pytest.mark.parametrize(
         "old, new, reason",
@@ -275,19 +348,40 @@ class TestConditions:
         else:
             assert verdict.startswith(reason), verdict
 
-    def test_needs_a_singleton_final_stage(self):
-        text = query("SEQ(A a, B bs+)").replace(
-            "WHERE b.value != a.value", ""
-        ).replace("b.value - a.value DESC, ", "count(bs) DESC, ")
-        assert status(text).startswith("final stage:")
-        assert status("PATTERN SEQ(A a) WITHIN 5 EVENTS USING SKIP_TILL_ANY "
-                      "RANK BY a.value LIMIT 1").startswith("final stage:")
-
-    def test_aggregates_are_not_compiled(self):
-        text = query("SEQ(A a, C cs+, B b)").replace(
-            "b.value - a.value DESC", "b.value - max(cs.value) DESC"
+    def test_needs_a_stage_before_the_final_one_and_no_trailing_negation(self):
+        kleene = kleene_query("count(bs) DESC, a.value DESC")
+        assert status(kleene) == "active"
+        assert status(kleene.replace("B bs+)", "B bs+, NOT C n)")).startswith(
+            "final stage: a trailing negation"
         )
-        assert status(text).startswith("key shape: max(cs.value)")
+        for pattern, key in (("A a", "a.value"), ("B bs+", "count(bs)")):
+            text = (f"PATTERN SEQ({pattern}) WITHIN 5 EVENTS USING SKIP_TILL_ANY "
+                    f"RANK BY {key} LIMIT 1")
+            assert status(text).startswith("final stage:")
+
+    @pytest.mark.parametrize("func", ["sum", "avg"])
+    def test_sum_and_avg_primaries_are_not_compiled(self, func):
+        """The registers serve count, max, min, first and last; a float
+        running total need not be what ``sum()`` computes."""
+        for text in (
+            kleene_query(f"{func}(bs.value) DESC"),
+            query("SEQ(A a, C cs+, B b)").replace(
+                "b.value - a.value DESC", f"b.value - {func}(cs.value) DESC"
+            ),
+        ):
+            verdict = status(text, registry=FLOAT_REGISTRY)
+            assert verdict.startswith("key shape:") and f"{func}(" in verdict, verdict
+
+    def test_register_aggregates_are_compiled(self):
+        for text in (
+            kleene_query("max(bs.value) ASC, count(bs) DESC"),
+            kleene_query("min(bs.value) - a.value DESC, last(bs.value) DESC"),
+            query("SEQ(A a, C cs+, B b)").replace(
+                "b.value - a.value DESC", "b.value - max(cs.value) DESC"
+            ),
+        ):
+            assert status(text) == "active", text
+            assert status(text, registry=FLOAT_REGISTRY) == "active", text
 
     def test_every_read_attribute_must_be_declared(self):
         assert status(query(), registry=None).startswith("undeclared attribute: b.value")

@@ -1,0 +1,187 @@
+"""One rank state per run: the scorer, the cut and the bound read a
+trailing-Kleene run's aggregate registers, not its binding list.
+
+Pinned on the ledger's dense Kleene query (``kleene_dense``: every spike
+of a patient extends every open run under ``SKIP_TILL_ANY``) over the
+same 4,800-event vitals pool.
+"""
+
+import dataclasses
+
+from repro import CEPREngine, Event
+from repro.events.schema import AttributeSpec, EventSchema, SchemaRegistry
+from repro.language.expressions import EvalContext
+from repro.language.parser import parse_query
+from repro.language.semantics import analyze, rank_registers
+from repro.ranking.score import Scorer
+from repro.runtime.serialize import emission_to_line
+from repro.workloads.sensor import VitalsWorkload
+from repro.workloads.stock import StockWorkload
+
+KLEENE_QUERY = """
+    PATTERN SEQ(HeartRate onset, HeartRate spikes+)
+    WHERE onset.value > 90 AND spikes.value > 90
+    WITHIN 80 EVENTS
+    USING SKIP_TILL_ANY
+    PARTITION BY patient
+    RANK BY max(spikes.value) DESC, count(spikes) DESC
+    LIMIT 5
+    EMIT ON WINDOW CLOSE
+"""
+
+STOCK_QUERY = """
+    PATTERN SEQ(Buy b, Sell s)
+    WHERE b.symbol == s.symbol AND s.price > b.price
+    WITHIN 100 EVENTS
+    USING SKIP_TILL_ANY
+    PARTITION BY symbol
+    RANK BY s.price - b.price DESC
+    LIMIT 5
+    EMIT ON WINDOW CLOSE
+"""
+
+
+def vitals(count=4_800):
+    workload = VitalsWorkload(seed=2016, anomaly_rate=0.2, episode_length=16, patients=4)
+    return list(workload.events(count)), workload.registry()
+
+
+def lines(handle):
+    return [emission_to_line(e) for e in handle.results()]
+
+
+def unpruned_lines(events):
+    engine = CEPREngine(registry=vitals(0)[1], enable_pruning=False)
+    handle = engine.register_query(KLEENE_QUERY, name="spikes")
+    engine.run(events)
+    return lines(handle)
+
+
+class TestKleeneDense:
+    def test_one_pass_reads_registers_and_never_asks_the_hook(self, monkeypatch):
+        events, registry = vitals()
+        engine = CEPREngine(registry=registry)
+        handle = engine.register_query(KLEENE_QUERY, name="spikes")
+        assert handle.cut_status == "active"
+        assert handle.matcher.fixed_shapes == {(1, False), (1, True)}
+
+        reads = []
+        events_of = EvalContext.events_of
+        monkeypatch.setattr(
+            EvalContext, "events_of", lambda ctx, var: reads.append(var) or events_of(ctx, var)
+        )
+        score = handle.scorer.score
+        per_match = []
+
+        def counted(match):
+            if match.agg_states is None:  # the sanitizer's reference rescoring
+                return score(match)
+            before = len(reads)
+            scored = score(match)
+            per_match.append(len(reads) - before)
+            return scored
+
+        handle.scorer.score = counted
+        hook = handle.matcher.prune_hook
+        offered = []
+        handle.matcher.prune_hook = lambda *args: offered.append(args) or hook(*args)
+        engine.run(events)
+
+        stats = handle.matcher.stats
+        assert len(per_match) == stats.matches_completed > 0
+        assert sum(per_match) == 0  # no Kleene binding list was read
+        assert offered == [] and handle.pruner.stats.attempts == 0
+        assert stats.matches_completed <= 3_000
+        assert stats.completions_skipped > 0
+        assert lines(handle) == unpruned_lines(vitals()[0])
+
+    def test_restore_mid_epoch_rescores_held_matches_from_bindings(self):
+        """Registers are never checkpointed: the held matches a restore
+        brings back are scored from their bindings, and the resumed run
+        ends byte-identical to the uninterrupted one."""
+        events, registry = vitals(1_200)
+        expected = unpruned_lines(vitals(1_200)[0])
+        cut = 80 * 7 + 40  # mid-epoch, after θ exists and the cut has fired
+
+        first = CEPREngine(registry=registry)
+        handle = first.register_query(KLEENE_QUERY, name="spikes")
+        first.run(events[:cut], flush=False)
+        assert handle.matcher.stats.completions_skipped > 0
+        state = first.snapshot()
+
+        resumed = CEPREngine(registry=registry)
+        resumed_handle = resumed.register_query(KLEENE_QUERY, name="spikes")
+        resumed.restore(state)
+        held = [
+            match
+            for buffer in resumed_handle.ranker._epoch_buffers.values()
+            for match in buffer._matches
+        ]
+        assert held and all(match.agg_states is None for match in held)
+        resumed.run(vitals(1_200)[0][cut:])
+        assert lines(handle) + lines(resumed_handle) == expected
+
+
+def registers_of(keys, dtype="int"):
+    schemas = [
+        EventSchema(t, (AttributeSpec("v", dtype), AttributeSpec("n", "float", required=False)))
+        for t in "AB"
+    ]
+    registry = SchemaRegistry(schemas)
+    text = (f"PATTERN SEQ(A a, B bs+) WITHIN 9 EVENTS USING SKIP_TILL_ANY "
+            f"RANK BY {keys} LIMIT 1 EMIT ON WINDOW CLOSE")
+    return rank_registers(analyze(parse_query(text), registry), registry)
+
+
+class TestRankRegisters:
+    """Which keys the registers serve: exactly where the register equals
+    the reference evaluator over the bindings."""
+
+    def test_served_keys(self):
+        keys = "count(bs), len(bs), max(bs.v), min(bs.v), first(bs.v), last(bs.v)"
+        assert all(read is not None for read in registers_of(keys))
+        assert all(read is not None for read in registers_of(keys, "float"))
+
+    def test_keys_left_to_the_bindings(self):
+        keys = "sum(bs.v), avg(bs.v), max(bs.n), count(a), a.v, max(bs.v) + 1"
+        assert registers_of(keys) == (None,) * 6
+        # a bool element is not a number to the registers
+        assert registers_of("max(bs.v)", "bool") == (None,)
+
+    def test_reads_are_the_reference_values(self):
+        events = [Event("B", float(i), v=v) for i, v in enumerate([3, 7, 7.0, -1, 2])]
+        engine = CEPREngine(
+            registry=SchemaRegistry(
+                [EventSchema(t, (AttributeSpec("v", "float"),)) for t in "AB"]
+            )
+        )
+        handle = engine.register_query(
+            "PATTERN SEQ(A a, B bs+) WITHIN 9 EVENTS USING SKIP_TILL_ANY "
+            "RANK BY max(bs.v) DESC, min(bs.v), first(bs.v), last(bs.v), count(bs) "
+            "LIMIT 40 EMIT ON WINDOW CLOSE",
+            name="q",
+        )
+        read = []
+        score = handle.scorer.score
+        handle.scorer.score = lambda match: read.append(match.agg_states) or score(match)
+        engine.run([Event("A", -1.0, v=0)] + events)
+        ranking = handle.results()[0].ranking
+        assert len(read) == 2**5 - 1  # SKIP_TILL_ANY: every subset of the five
+        assert all(registers is not None for registers in read)
+        # read once, then dropped: a held match pins no register
+        assert ranking and all(match.agg_states is None for match in ranking)
+        reference = Scorer(handle.analyzed.rank_keys)
+        for match in ranking:
+            rescored = reference.score(dataclasses.replace(match))
+            assert [(type(v), v) for v in rescored.rank_values] == [
+                (type(v), v) for v in match.rank_values
+            ]
+
+
+def test_a_query_without_register_keys_scores_as_before():
+    """No key of the stock query reads a Kleene aggregate: its scorer has
+    no register path at all."""
+    engine = CEPREngine(registry=StockWorkload(seed=1).registry())
+    handle = engine.register_query(STOCK_QUERY)
+    assert handle.scorer._reads is None
+    assert handle.matcher.fixed_shapes == frozenset()

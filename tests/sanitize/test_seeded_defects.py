@@ -2,7 +2,9 @@
 
 Each test injects one representative bug of the class the check guards
 against — an unsound interval evaluator, a completing-edge cut that
-skips ties, a compiled score bound one ulp too tight, a broken top-k insert,
+skips ties (on a singleton or a trailing Kleene final stage), a compiled
+score bound one ulp too tight, a fixed-optimum claim on a shape whose
+optimum moves, a broken top-k insert,
 a sliding k-skyband that drops a match one dominator early or expires it
 by its own completion point, run dominance that drops a run one dominator
 early or takes a ``max``-only lead for a strict one, a refcount leak, a
@@ -30,7 +32,7 @@ from repro import CEPREngine, Event
 from repro.engine.matcher import PatternMatcher
 from repro.events.schema import AttributeSpec, EventSchema, SchemaRegistry
 from repro.language.intervals import Interval, IntervalEvaluator
-from repro.ranking.pruning import ScoreBoundPruner
+from repro.ranking.pruning import ScoreBoundPruner, _Shape
 from repro.ranking.topk import EpochTopK, SlidingRanking
 from repro.language.ast_nodes import BinaryOp
 from repro.runtime import router as router_module
@@ -103,6 +105,14 @@ class TIED:
         LIMIT 2
         EMIT ON WINDOW CLOSE
     """
+    kleene = """
+        PATTERN SEQ(A a, B bs+)
+        WITHIN 12 EVENTS
+        USING SKIP_TILL_ANY
+        RANK BY max(bs.value) DESC, a.value DESC
+        LIMIT 2
+        EMIT ON WINDOW CLOSE
+    """
     registry = SchemaRegistry(
         [
             EventSchema("A", (AttributeSpec("value", "int"),)),
@@ -117,6 +127,18 @@ class TIED:
             Event(rng.choice("AB"), float(i), value=rng.randint(0, 4))
             for i in range(300)
         ]
+
+
+def fixed_optimum_trips(key):
+    """The handle and ``score-bound`` trips of a trailing-Kleene query
+    ranked by ``key`` over vitals."""
+    workload = VitalsWorkload(seed=11, anomaly_rate=0.2, episode_length=16, patients=4)
+    engine = log_engine(registry=workload.registry())
+    handle = engine.register_query(
+        DOMINANCE.replace("max(spikes.value) DESC, count(spikes) DESC", key)
+    )
+    engine.run(workload.events(1200))
+    return handle, engine.sanitizer.trips["score-bound"]
 
 
 def log_engine(**kwargs):
@@ -177,6 +199,54 @@ class TestScoreBound:
         engine.run(TIED.events())
         assert handle.matcher.stats.completions_skipped > 0
         assert engine.sanitizer.total_trips == 0
+
+    def test_kleene_cut_that_skips_ties_trips(self, monkeypatch):
+        # Seeded defect: the same ``>=`` on a trailing Kleene stage, whose
+        # prefix completions are cut from the run's registers: a prefix
+        # tying the k-th max is skipped, though a better secondary key
+        # would have kept it.
+        cut_theta = PatternMatcher._cut_theta
+
+        def skips_ties(self, epoch):
+            theta = cut_theta(self, epoch)
+            return None if theta is None else math.nextafter(theta, -math.inf)
+
+        monkeypatch.setattr(PatternMatcher, "_cut_theta", skips_ties)
+        engine = log_engine(registry=TIED.registry)
+        handle = engine.register_query(TIED.kleene)
+        engine.run(TIED.events())
+        assert handle.matcher.stats.completions_skipped > 0
+        assert engine.sanitizer.trips["score-bound"] > 0
+
+    def test_strict_kleene_cut_is_quiet(self):
+        engine = log_engine(registry=TIED.registry)
+        handle = engine.register_query(TIED.kleene)
+        engine.run(TIED.events())
+        assert handle.matcher.stats.completions_skipped > 0
+        assert engine.sanitizer.total_trips == 0
+
+    def test_fixed_optimum_claim_on_max_asc_trips(self, monkeypatch):
+        # Seeded defect: an open max(V.a) counts as fixed at either end.
+        # Under ASC its optimistic end is the run's own maximum, so the
+        # matcher stops offering runs the pruner would drop.
+        fixed = _Shape.fixed
+        monkeypatch.setattr(
+            _Shape, "fixed", lambda self, expr, hi: fixed(self, expr, hi) or fixed(self, expr, not hi)
+        )
+        handle, trips = fixed_optimum_trips("max(spikes.value) ASC")
+        assert (1, True) in handle.matcher.fixed_shapes
+        assert handle.pruner.stats.attempts == 0 and trips > 0
+
+    @pytest.mark.parametrize(
+        "key, shapes",
+        [("max(spikes.value) DESC", {(1, False), (1, True)}),
+         ("min(spikes.value) ASC", {(1, False), (1, True)}),
+         ("max(spikes.value) ASC", {(1, False)})],
+    )
+    def test_fixed_optimum_is_quiet(self, key, shapes):
+        handle, trips = fixed_optimum_trips(key)
+        assert handle.matcher.fixed_shapes == shapes
+        assert trips == 0
 
     def test_compiled_bound_one_ulp_too_tight_trips(self, monkeypatch):
         # Seeded defect: the compiled shape bound claims an optimistic key
