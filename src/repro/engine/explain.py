@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.engine.nfa import PatternAutomaton
 from repro.language.ast_nodes import EmitKind, WindowKind
 from repro.language.printer import format_expr
-from repro.language.semantics import AnalyzedQuery
+from repro.language.semantics import AnalyzedQuery, RunDominance
 
 
 def explain(
@@ -26,14 +26,15 @@ def explain(
     cut_status: str | None = None,
     dominance_status: str | None = None,
     fixed_shapes: frozenset[tuple[int, bool]] = frozenset(),
+    dominance: RunDominance | None = None,
 ) -> str:
     """Render the evaluation plan of a compiled query.
 
     ``cut_status`` and ``dominance_status`` are the completing-edge cut's
     and run dominance's verdicts (``"active"`` or the first condition that
     fails, see :func:`~repro.language.semantics.completion_cut` and
-    :func:`~repro.language.semantics.run_dominance`); ``fixed_shapes``
-    are the pruner's fixed-optimum ones.
+    :func:`~repro.language.semantics.run_dominance`), ``dominance`` its
+    armed form; ``fixed_shapes`` are the pruner's fixed-optimum ones.
     """
     analyzed = automaton.analyzed
     lines: list[str] = ["evaluation plan:"]
@@ -88,13 +89,26 @@ def explain(
                 final = analyzed.positives[-1].name
                 dominance_status = (
                     f"active (k-skyband over the runs of {final}+ per partition, "
-                    f"k={analyzed.limit})"
+                    f"k={analyzed.limit}{_describe_vector(dominance)})"
                 )
             else:
                 dominance_status = f"inactive ({dominance_status})"
             lines.append(f"  run dominance: {dominance_status}")
         lines.extend(_describe_sharding(analyzed))
     return "\n".join(lines)
+
+
+def _describe_vector(dominance: RunDominance | None) -> str:
+    """``; vector (...); NaN test ...``: the components in order, the
+    strict ones marked, and whether the sweep tests for NaN."""
+    if dominance is None:
+        return ""
+    components = ", ".join(
+        f"{label} strict" if i < dominance.strict else label
+        for i, label in enumerate(dominance.components)
+    )
+    nan_test = "armed" if dominance.nan_test else "off"
+    return f"; vector ({components}); NaN test {nan_test}"
 
 
 def _describe_window(automaton: PatternAutomaton) -> str:

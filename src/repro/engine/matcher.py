@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
@@ -68,6 +69,73 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: run; ``epoch`` is the tumbling epoch the matcher placed ``latest_event``
 #: in (``None`` outside tumbling mode).
 PruneHook = Callable[[Run, Event, "int | None"], bool]
+
+
+def dominated(
+    vectors: list[tuple[Any, ...]], k: int, strict: int, nan_test: bool
+) -> list[int]:
+    """The positions in ``vectors`` of those that ``k`` others dominate.
+
+    A vector holds one direction-normalised component per ``RANK BY`` key
+    (smaller is better), the ``strict`` ones first.  ``q`` dominates ``p``
+    when it is no worse in every component and differs — so is strictly
+    better — in a strict one: it has another *head* ``q[:strict]``.
+    Lexicographic order is a linear extension of that order, so every
+    dominator of a vector sorts before it, and counting dominators among
+    the vectors kept so far decides the k-skyband in one sweep (whatever
+    dominates a dropped dominator dominates its victims too, so every
+    dropped vector has k kept dominators).
+
+    The sweep walks the sorted vectors in head groups, which never
+    dominate within themselves.  Every vector of an earlier group is no
+    worse in the first component, so ``bisect_right`` over the sorted
+    second components of the vectors kept in earlier groups counts the
+    dominators of a vector of one or two components exactly, and bounds
+    them from above for a wider one, whose componentwise count runs only
+    when that bound reaches ``k``.  With ``nan_test``, a vector with a NaN
+    component stays out of the sweep: every match its run completes is a
+    scoring error, so it is kept and dominates nothing.
+    """
+    if nan_test:  # NaN != NaN; tuple ``==`` would call a NaN equal to itself
+        order = [
+            i for i, vector in enumerate(vectors) if all(map(operator.eq, vector, vector))
+        ]
+    else:
+        order = list(range(len(vectors)))
+    if len(order) <= k:
+        return []
+    order.sort(key=vectors.__getitem__)
+    width = len(vectors[order[0]])
+    at = 1 if width > 1 else 0  # the component bisected: the second, if any
+    seconds: list[Any] = []  # sorted: component ``at`` of the kept earlier groups
+    band: list[tuple[Any, ...]] = []  # the kept vectors of earlier groups
+    group: list[tuple[Any, ...]] = []  # the kept vectors of this group
+    head: Any = None  # the group's strict components (one is not a tuple)
+    doomed: list[int] = []
+    for index in order:
+        vector = vectors[index]
+        own = vector[0] if strict == 1 else vector[:strict]
+        if own != head:  # NaN-free here, so ``!=`` is exact
+            head = own
+            for kept in group:
+                insort(seconds, kept[at])
+            band += group
+            group = []
+        # fewer than k kept in earlier groups: nothing to count yet
+        beaten = bisect_right(seconds, vector[at]) if len(seconds) >= k else 0
+        if width > 2 and beaten >= k:
+            beaten = 0
+            for other in band:
+                if all(map(operator.le, other, vector)):
+                    beaten += 1
+                    if beaten == k:
+                        break
+        if beaten >= k:
+            doomed.append(index)
+        else:
+            group.append(vector)
+    return doomed
+
 
 # Span kinds pre-bound so traced hot paths skip the enum attribute lookup.
 _RUN_CREATE = SpanKind.RUN_CREATE
@@ -232,7 +300,7 @@ class PatternMatcher:
         )
         #: run dominance on the trailing Kleene stage (off until
         #: :meth:`arm_run_dominance`).
-        self._dominance: RunDominance | None = None
+        self.dominance: RunDominance | None = None
         #: shapes whose runs ``prune_hook`` could only keep (see
         #: :attr:`~repro.ranking.pruning.ScoreBoundPruner.fixed_shapes`)
         self.fixed_shapes: frozenset[tuple[int, bool]] = frozenset()
@@ -256,20 +324,20 @@ class PatternMatcher:
         """Drop trailing-Kleene runs that k others beat under every future.
 
         ``dominance`` is :func:`~repro.language.semantics.run_dominance`'s
-        armed form, which also decides where this is exact.  Its
-        components read the trailing variable's ``AggregateState``, so
-        aggregates must be tracked.
+        armed form, which also decides where this is exact.  Its vector
+        reads the trailing variable's ``AggregateState``, so aggregates
+        must be tracked.
         """
         assert self.tumbling, "a dominator must complete in its victim's epoch"
-        self._dominance = dominance
+        self.dominance = dominance
 
     def widen(self, kth: "BoundProvider", k: int) -> None:
         """Point an armed cut at ``kth`` and armed dominance at ``k``: a
         query group's K grew to ``k`` before this matcher saw an event."""
         if self._cut_key is not None:
             self._cut_kth = kth
-        if self._dominance is not None:
-            self._dominance = replace(self._dominance, k=k)
+        if self.dominance is not None:
+            self.dominance = replace(self.dominance, k=k)
 
     @property
     def live_run_count(self) -> int:
@@ -731,7 +799,7 @@ class PatternMatcher:
                     next_runs.append(new_partial)
 
         self._create_run(event, key, next_runs, completed, epoch)
-        dominance = self._dominance
+        dominance = self.dominance
         # Only a run this event added can make another dominated: the
         # partition held a skyband already, and a run leaving adds no
         # dominator to anyone.
@@ -746,52 +814,22 @@ class PatternMatcher:
     def _dominate(
         self, runs: list[Run], event: Event, dominance: "RunDominance"
     ) -> list[Run]:
-        """``runs`` less every final-stage run that k others dominate.
-
-        A run's vector holds one direction-normalised component per
-        ``RANK BY`` key (smaller is better), strict ones first.  ``q``
-        dominates ``p`` when it is no worse in every component and
-        differs — so is strictly better — in a strict one.  Lexicographic
-        order is a linear extension of that order, so every dominator of a
-        run sorts before it, and counting dominators among the runs kept so
-        far decides the k-skyband in one sweep (whatever dominates a
-        dropped dominator dominates its victims too, so every dropped run
-        has k kept dominators).  The survivors keep their list order.  A
-        run with a NaN component stays out of the sweep: every match it
-        completes is a scoring error, so it is kept and dominates nothing.
-        """
-        k = dominance.k
-        strict = dominance.strict
-        components = dominance.components
+        """``runs`` less every final-stage run that k others dominate
+        (:func:`dominated`); the survivors keep their list order."""
         last = self._last_stage_index
-        ranked: list[tuple[tuple[Any, ...], int]] = []
-        for index, run in enumerate(runs):
-            if run.stage == last:
-                vector = tuple([component(run) for component in components])
-                if all(map(operator.eq, vector, vector)):  # NaN != NaN
-                    ranked.append((vector, index))
-        if len(ranked) <= k:
+        where = [index for index, run in enumerate(runs) if run.stage == last]
+        k = dominance.k
+        if len(where) <= k:
             return runs
-        ranked.sort()
-        band: list[tuple[tuple[Any, ...], tuple[Any, ...]]] = []
-        doomed: list[int] = []
-        for vector, index in ranked:
-            head = vector[:strict]
-            beaten = 0
-            for other_head, other in band:
-                if other_head != head and all(map(operator.le, other, vector)):
-                    beaten += 1
-                    if beaten == k:
-                        break
-            if beaten == k:
-                doomed.append(index)
-            else:
-                band.append((head, vector))
+        vector = dominance.vector
+        vectors = [vector(runs[index]) for index in where]
+        doomed = dominated(vectors, k, dominance.strict, dominance.nan_test)
         if not doomed:
             return runs
-        gone = set(doomed)
+        dropped = [where[position] for position in doomed]
+        gone = set(dropped)
         kept = [run for index, run in enumerate(runs) if index not in gone]
-        self._drop_dominated([runs[index] for index in doomed], kept, event)
+        self._drop_dominated([runs[index] for index in dropped], kept, event)
         return kept
 
     def _drop_dominated(

@@ -599,9 +599,7 @@ class _CutShape(_CutBlocked):
     """An operation the cut does not compile (the message is its text)."""
 
 
-def completion_cut(
-    analyzed: AnalyzedQuery, registry: SchemaRegistry | None
-) -> tuple[CutKey | None, str]:
+def completion_cut(analyzed: AnalyzedQuery, reads: Reads) -> tuple[CutKey | None, str]:
     """The primary key compiled as a completing-edge cut, or why it is not.
 
     Returns ``(key, "active")``, or ``(None, reason)`` naming the first
@@ -628,7 +626,6 @@ def completion_cut(
             "possibly past their epoch's close"
         )
 
-    reads = _Reads(analyzed, registry)
     primary, *secondary = analyzed.rank_keys
     # (where, expression, the value kinds it may have).  The scorer
     # evaluates every key of every match, so a secondary key that could
@@ -657,42 +654,45 @@ def completion_cut(
     return (lambda run, event: -raw(run, event)), "active"
 
 
-def rank_registers(
-    analyzed: AnalyzedQuery, registry: SchemaRegistry | None
-) -> tuple[Register | None, ...]:
+def rank_registers(analyzed: AnalyzedQuery, reads: Reads) -> tuple[Register | None, ...]:
     """Per ``RANK BY`` key, its reader from the completing run's aggregate
     registers, or ``None`` where the scorer evaluates the bindings: a bare
     ``count``/``len`` of a Kleene variable, or its ``max``/``min``/
     ``first``/``last`` of a required number, which the registers hold
     exactly — the reference evaluator's value bit for bit."""
-    reads = _Reads(analyzed, registry)
     return tuple(
         reads.register(key.expr) if isinstance(key.expr, Aggregate) else None
         for key in analyzed.rank_keys
     )
 
 
-class _Reads:
-    """What a compiled rank value may read without hiding an error; an
-    aggregate of ``open_var``, which may still grow, only if asked."""
+class Reads:
+    """What a compiled rank value may read without hiding an error.
 
-    def __init__(
-        self, analyzed: AnalyzedQuery, registry: SchemaRegistry | None, open_var: str = ""
-    ) -> None:
-        self.variables, self.registry, self.open_var = analyzed.variables, registry, open_var
+    One per registered query: the scorer's registers, the completing-edge
+    cut, run dominance and the pruner's shapes all look the schema
+    registry's declarations up through it.
+    """
+
+    def __init__(self, analyzed: AnalyzedQuery, registry: SchemaRegistry | None) -> None:
+        self.variables, self.registry = analyzed.variables, registry
+
+    def attribute(self, var: str, attr: str) -> AttributeSpec | None:
+        """The registry's declaration of ``var.attr``, required or not."""
+        info, registry = self.variables.get(var), self.registry
+        schema = registry.get(info.event_type) if info and registry is not None else None
+        return schema.attribute(attr) if schema is not None else None
 
     def declared(self, var: str, attr: str) -> AttributeSpec | None:
         """The registry's declaration of ``var.attr`` when it is required —
         then every event a query reads carries a value that passed it
         (ingested events at ``push``, YIELD-derived ones when derived)."""
-        registry = self.registry
-        schema = registry.get(self.variables[var].event_type) if registry is not None else None
-        found = schema.attribute(attr) if schema is not None else None
+        found = self.attribute(var, attr)
         return found if found is not None and found.required else None
 
-    def register(self, expr: Aggregate, grows: bool = False) -> Register | None:
+    def register(self, expr: Aggregate) -> Register | None:
         var, attr = expr.var, expr.attr
-        if not self.variables[var].is_kleene or (var == self.open_var and not grows):
+        if not self.variables[var].is_kleene:
             return None
         if expr.func in ("count", "len"):
             return lambda held: held.agg_states[var].count
@@ -705,7 +705,7 @@ class _Reads:
         return lambda held: read(held.agg_states[var].attrs[attr])
 
 
-def _cut_kind(expr: Expr, reads: _Reads) -> str:
+def _cut_kind(expr: Expr, reads: Reads, open_var: str = "") -> str:
     """``"number"``, ``"bool"`` or ``"str"``: the value kind of an
     expression the cut may skip without hiding an evaluation error.
 
@@ -713,6 +713,7 @@ def _cut_kind(expr: Expr, reads: _Reads) -> str:
     ``AND OR NOT``, ``abs``, ``min2``, ``max2`` and the aggregates the
     registers serve qualify, over attributes the registry declares
     required and numeric — or ``str``, which only ``==``/``!=`` may read.
+    An aggregate of ``open_var``, which may still grow, does not.
     Raises :class:`_CutShape` or :class:`_CutBlocked` otherwise.
     """
     if isinstance(expr, Literal):
@@ -730,18 +731,22 @@ def _cut_kind(expr: Expr, reads: _Reads) -> str:
             f"undeclared attribute: {expr.var}.{expr.attr} is not a required "
             f"int, float or str attribute of the schema registry"
         )
-    if isinstance(expr, Aggregate) and reads.register(expr) is not None:
+    if (
+        isinstance(expr, Aggregate)
+        and expr.var != open_var
+        and reads.register(expr) is not None
+    ):
         return "number"
     kinds: list[str] = []
     want = "number"
     result = "number"
     if isinstance(expr, Unary):
-        kinds = [_cut_kind(expr.operand, reads)]
+        kinds = [_cut_kind(expr.operand, reads, open_var)]
         want = result = "number" if expr.op is UnaryOp.NEG else "bool"
     elif isinstance(expr, FuncCall) and expr.name in _CUT_FUNCS:
-        kinds = [_cut_kind(arg, reads) for arg in expr.args]
+        kinds = [_cut_kind(arg, reads, open_var) for arg in expr.args]
     elif isinstance(expr, Binary) and expr.op not in (BinaryOp.DIV, BinaryOp.MOD):
-        kinds = [_cut_kind(expr.left, reads), _cut_kind(expr.right, reads)]
+        kinds = [_cut_kind(side, reads, open_var) for side in (expr.left, expr.right)]
         if expr.op in (BinaryOp.EQ, BinaryOp.NEQ):
             return "bool"  # ``==`` compares any two values without raising
         if expr.op in (BinaryOp.AND, BinaryOp.OR):
@@ -753,7 +758,7 @@ def _cut_kind(expr: Expr, reads: _Reads) -> str:
     raise _CutShape(format_expr(expr))
 
 
-def _nan_free(expr: Expr, reads: _Reads) -> bool:
+def _nan_free(expr: Expr, reads: Reads) -> bool:
     """Whether a key the cut never evaluates cannot be NaN, a scoring error
     a skip would hide: it reads floats only with a domain, and no ``+ - *``."""
     nodes = list(iter_subexpressions(expr))
@@ -768,12 +773,14 @@ def _nan_free(expr: Expr, reads: _Reads) -> bool:
     return True
 
 
-def _cut_key(expr: Expr, final_var: str, reads: _Reads) -> CutKey:
+def _cut_key(expr: Expr, final_var: str, reads: Reads) -> CutKey:
     """Compose closures for a numeric expression :func:`_cut_kind` accepted.
 
     The completing variable reads the event itself, every earlier one the
-    run's bindings, an aggregate its registers; no source is generated,
-    nothing is ``compile()``-d.
+    run's bindings, an aggregate its registers.  No source is generated,
+    nothing is ``compile()``-d — here or in the dominance vector reader: a
+    compiled function costs about 38 µs of registration each, which is
+    about a tenth of ``kleene_dense``'s ``setup_s``.
     """
     if isinstance(expr, Literal):
         value = expr.value
@@ -803,10 +810,24 @@ def _cut_key(expr: Expr, final_var: str, reads: _Reads) -> CutKey:
     return lambda run, event: op(left(run, event), right(run, event))
 
 
-#: ``component(run)``: one direction-normalised component (smaller is
-#: better) of a final-stage run's dominance vector.  ``run`` is the
-#: engine's run (``bindings``, ``agg_states``, ``first_ts``).
-Component = Callable[[Any], Any]
+#: ``vector(run)``: a final-stage run's direction-normalised components
+#: (smaller is better), strict ones first.  ``run`` is the engine's run
+#: (``bindings``, ``agg_states``, ``first_ts``).
+Vector = Callable[[Any], tuple[Any, ...]]
+#: ``part(state, run)``: one component, from the trailing variable's
+#: ``AggregateState`` ``state`` or from ``run`` itself.
+_Part = Callable[[Any, Any], Any]
+
+
+@dataclass(frozen=True)
+class _Component:
+    """One key's place in the vector: its reader, whether it is strict,
+    whether it can never be NaN, and how ``explain()`` names it."""
+
+    part: _Part
+    strict: bool
+    nan_free: bool
+    label: str
 
 
 @dataclass(frozen=True)
@@ -816,18 +837,18 @@ class RunDominance:
 
     #: the top-k size: a run is dropped once ``k`` others dominate it
     k: int
-    #: strict components first (one per ``count(V)`` or singleton key),
-    #: then the rest (``max``/``min`` keys, and ``-first_ts`` under a time
-    #: window); see :attr:`strict`
-    components: tuple[Component, ...]
+    #: reads a run's whole vector with one ``agg_states`` lookup
+    vector: Vector
     #: how many leading components keep a strict advantage under every
     #: extension — a dominator must be strictly better in one of them
     strict: int
+    #: the components in vector order, as ``explain()`` prints them
+    components: tuple[str, ...]
+    #: whether a component may be NaN, so the sweep must test for it
+    nan_test: bool
 
 
-def run_dominance(
-    analyzed: AnalyzedQuery, registry: SchemaRegistry | None
-) -> tuple[RunDominance | None, str]:
+def run_dominance(analyzed: AnalyzedQuery, reads: Reads) -> tuple[RunDominance | None, str]:
     """The runs of a trailing Kleene stage as comparable vectors, or why not.
 
     Returns ``(dominance, "active")``, or ``(None, reason)`` naming the
@@ -869,9 +890,8 @@ def run_dominance(
         )
 
     name = final.name
-    reads = _Reads(analyzed, registry, name)
-    strict: list[Component] = []
-    loose: list[Component] = []
+    strict: list[_Component] = []
+    loose: list[_Component] = []
     where = "element predicate"
     try:
         for predicate in analyzed.predicates_at[name]:
@@ -881,12 +901,12 @@ def run_dominance(
                     f"element predicate: {format_expr(predicate.expr)} reads "
                     f"{others[0]!r}, so runs may accept different events"
                 )
-            if _cut_kind(predicate.expr, reads) != "bool":
+            if _cut_kind(predicate.expr, reads, name) != "bool":
                 raise _CutShape(format_expr(predicate.expr))
         where = "key"
         for key in analyzed.rank_keys:
-            component, is_strict = _dominance_component(key, name, reads)
-            (strict if is_strict else loose).append(component)
+            component = _dominance_component(key, name, reads)
+            (strict if component.strict else loose).append(component)
     except _CutShape as shape:
         return None, f"{where} shape: {shape} is outside what dominance compares"
     except _CutBlocked as blocked:
@@ -899,18 +919,46 @@ def run_dominance(
     assert analyzed.window is not None and analyzed.limit is not None
     if analyzed.window.kind is WindowKind.TIME:
         # A dominator must outlive what it drops: a run born no earlier
-        # leaves its time window no earlier.
-        loose.append(lambda run: -run.first_ts)
+        # leaves its time window no earlier.  Never NaN: an event stamped
+        # NaN has no tumbling epoch, so the matcher refuses it.
+        born = _Component(lambda state, run: -run.first_ts, False, True, "-first_ts")
+        loose.append(born)
+    components = (*strict, *loose)
     return (
-        RunDominance(analyzed.limit, (*strict, *loose), len(strict)),
+        RunDominance(
+            analyzed.limit,
+            _vector(name, tuple(c.part for c in components)),
+            len(strict),
+            tuple(c.label for c in components),
+            not all(c.nan_free for c in components),
+        ),
         "active",
     )
 
 
+def _vector(var: str, parts: tuple[_Part, ...]) -> Vector:
+    """``vector(run)`` over ``parts``: ``agg_states[var]`` is read once
+    (absent where no key aggregates ``var``, so nothing tracks it)."""
+    if len(parts) == 2:  # the usual shape: a count and an extreme
+        first, second = parts
+
+        def pair(run: Any) -> tuple[Any, ...]:
+            state = run.agg_states.get(var)
+            return (first(state, run), second(state, run))
+
+        return pair
+
+    def vector(run: Any) -> tuple[Any, ...]:
+        state = run.agg_states.get(var)
+        return tuple([part(state, run) for part in parts])
+
+    return vector
+
+
 def _dominance_component(
-    key: CompiledRankKey, final_var: str, reads: _Reads
-) -> tuple[Component, bool]:
-    """One ``RANK BY`` key as a run-vector component, and whether it is strict.
+    key: CompiledRankKey, final_var: str, reads: Reads
+) -> _Component:
+    """One ``RANK BY`` key as a run-vector component.
 
     ``count(V)`` (strict: every extension adds the same number to both
     runs), ``max(V.a)``/``min(V.a)`` (monotone but not strict: a shared
@@ -922,43 +970,50 @@ def _dominance_component(
     otherwise.
     """
     expr = key.expr
-    sign = 1 if key.direction is Direction.ASC else -1
+    desc = key.direction is Direction.DESC
+    sign = -1 if desc else 1
+    text = format_expr(expr)
+    label = (f"-({text})" if " " in text else f"-{text}") if desc else text
     if isinstance(expr, Aggregate) and expr.var == final_var:
-        read = reads.register(expr, grows=True)
+        attr = expr.attr
         if expr.func in ("count", "len"):
-            assert read is not None
-            return (lambda run: sign * read(run)), True
+            if desc:
+                return _Component(lambda state, run: -state.count, True, True, label)
+            return _Component(lambda state, run: state.count, True, True, label)
         if expr.func not in ("max", "min"):
-            raise _CutShape(format_expr(expr))
-        if read is None:
+            raise _CutShape(text)
+        if reads.register(expr) is None:
             raise _CutBlocked(
-                f"undeclared attribute: {final_var}.{expr.attr} is not a required "
+                f"undeclared attribute: {final_var}.{attr} is not a required "
                 f"int or float attribute of the schema registry"
             )
-        assert expr.attr is not None
-        found = reads.declared(final_var, expr.attr)
+        assert attr is not None
+        found = reads.declared(final_var, attr)
         if found is not None and found.dtype == "float" and found.domain is None:
             # A run awaiting V's first element holds the identity, not
             # a NaN: dropped now, it could still take a NaN element, and
             # the scoring errors of its matches would go unreported.
             raise _CutBlocked(
-                f"NaN: {format_expr(expr)} reads a float with no declared "
+                f"NaN: {text} reads a float with no declared "
                 f"domain, so a dropped run could hide a NaN key's scoring error"
             )
         # the aggregate's identity while V awaits its first element
-        identity = -math.inf if expr.func == "max" else math.inf
+        empty = sign * (-math.inf if expr.func == "max" else math.inf)
+        read = operator.attrgetter(_REGISTER_FIELDS[expr.func])
 
-        def extreme(run: Any) -> Any:
-            value = read(run)
-            return sign * (identity if value is None else value)
+        def extreme(state: Any, run: Any) -> Any:
+            value = read(state.attrs[attr])
+            return empty if value is None else sign * value
 
-        return extreme, False
-    if _cut_kind(expr, reads) != "number":
-        raise _CutShape(format_expr(expr))
+        return _Component(extreme, False, True, label)
+    if _cut_kind(expr, reads, final_var) != "number":
+        raise _CutShape(text)
     # RANK BY reads a Kleene variable only through aggregates, so this is
     # a number over what is bound before V: the event is never read.
     raw = _cut_key(expr, final_var, reads)
-    return (lambda run: sign * raw(run, None)), True
+    return _Component(
+        lambda state, run: sign * raw(run, None), True, _nan_free(expr, reads), label
+    )
 
 
 def _validate_complete_match_expr(

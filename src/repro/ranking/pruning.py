@@ -52,7 +52,7 @@ from repro.engine.nfa import PatternAutomaton
 from repro.engine.runs import Run
 from repro.engine.windows import EpochTracker
 from repro.events.event import Event
-from repro.events.schema import Domain, SchemaRegistry
+from repro.events.schema import Domain
 from repro.language.ast_nodes import (
     Aggregate,
     AttrRef,
@@ -78,7 +78,7 @@ from repro.language.intervals import (
     bound_function,
     numeric_exact,
 )
-from repro.language.semantics import AnalyzedQuery, CompiledRankKey
+from repro.language.semantics import AnalyzedQuery, CompiledRankKey, Reads
 from repro.ranking.keys import normalise_bound
 
 #: Supplies the k-th retained (normalised) sort key of one tumbling epoch,
@@ -116,7 +116,7 @@ class ScoreBoundPruner:
         self,
         analyzed: AnalyzedQuery,
         automaton: PatternAutomaton,
-        registry: SchemaRegistry | None,
+        reads: Reads,
         bound_provider: BoundProvider,
     ) -> None:
         if not analyzed.rank_keys:
@@ -124,6 +124,7 @@ class ScoreBoundPruner:
         if analyzed.window is None:
             raise ValueError("score-bound pruning requires a WITHIN window")
         self.primary = analyzed.rank_keys[0]
+        registry = reads.registry
         self.domain_of: DomainLookup = (
             registry.domain_of if registry is not None else lambda _t, _a: None
         )
@@ -134,7 +135,7 @@ class ScoreBoundPruner:
         # heap is the only sound pruning reference.
         self._epochs = EpochTracker(analyzed.window)
         self._optimistic_is_lo = self.primary.direction is Direction.ASC
-        self._bounds, self.fixed_shapes = _compile_shapes(self.primary, automaton, registry)
+        self._bounds, self.fixed_shapes = _compile_shapes(self.primary, automaton, reads)
 
     def __call__(self, run: Run, event: Event, epoch: int | None = None) -> bool:
         """``True`` ⇒ the matcher discards this partial run.
@@ -222,7 +223,7 @@ class ScoreBoundPruner:
 
 
 def _compile_shapes(
-    primary: CompiledRankKey, automaton: PatternAutomaton, registry: SchemaRegistry | None
+    primary: CompiledRankKey, automaton: PatternAutomaton, reads: Reads
 ) -> tuple[dict[tuple[int, bool], ShapeBound | None], frozenset[tuple[int, bool]]]:
     """One compiled bound per ``(stage, kleene_open)`` a kept run can be at,
     and the shapes whose optimistic end is fixed."""
@@ -231,7 +232,7 @@ def _compile_shapes(
     fixed: set[tuple[int, bool]] = set()
     for stage in automaton.stages:
         for kleene_open in (False, True) if stage.is_kleene else (False,):
-            shape = _Shape(automaton, registry, stage.index, kleene_open)
+            shape = _Shape(automaton, reads, stage.index, kleene_open)
             bound = shapes[stage.index, kleene_open] = shape.compile(expr)
             # no run is kept awaiting stage 0
             if bound is not None and (stage.index or kleene_open) and shape.fixed(expr, hi):
@@ -257,12 +258,11 @@ class _Shape:
     def __init__(
         self,
         automaton: PatternAutomaton,
-        registry: SchemaRegistry | None,
+        reads: Reads,
         stage: int,
         kleene_open: bool,
     ) -> None:
         stages = automaton.stages
-        self.var_types = automaton.var_types
         self.kleene_vars = automaton.kleene_vars
         self.bound = {s.variable.name for s in stages[:stage]}
         self.open = {s.variable.name for s in stages[stage:]}
@@ -273,21 +273,18 @@ class _Shape:
         count_window = window is not None and window.kind is WindowKind.COUNT
         self.max_count = int(window.span) if window is not None and count_window else None
         self.max_duration = window.span if window is not None and not count_window else None
-        self.registry = registry
+        self.reads = reads
 
     def _domain(self, var: str, attr: str) -> Interval | None:
-        event_type = self.var_types.get(var)
-        if event_type is None or self.registry is None:
-            return None
-        domain = self.registry.domain_of(event_type, attr)
+        spec = self.reads.attribute(var, attr)
+        domain = spec.domain if spec is not None else None
         return Interval.from_domain(domain) if domain is not None else None
 
     def _validated_numeric(self, var: str, attr: str) -> bool:
         """Whether every observed element carries a numeric ``attr`` —
         which the aggregate states assume, skipping anything else."""
-        schema = self.registry.get(self.var_types[var]) if self.registry else None
-        spec = schema.attribute(attr) if schema is not None else None
-        return spec is not None and spec.required and spec.dtype in ("int", "float")
+        spec = self.reads.declared(var, attr)
+        return spec is not None and spec.dtype in ("int", "float")
 
     def fixed(self, expr: Expr, hi: bool) -> bool:
         """Whether the ``hi`` (else ``lo``) end of ``expr``'s bound is one

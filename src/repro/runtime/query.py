@@ -30,6 +30,7 @@ from repro.language.expressions import EvalContext
 from repro.language.printer import format_query
 from repro.language.semantics import (
     AnalyzedQuery,
+    Reads,
     completion_cut,
     default_emit,
     rank_registers,
@@ -181,7 +182,9 @@ class RegisteredQuery(SinkOwner):
         #: the members, in registration order (meaningful on a lead).
         self.members: list[RegisteredQuery] = [self]
         self.automaton = compile_automaton(self.analyzed)
-        registers = rank_registers(self.analyzed, self._registry)
+        # what the registers, the cut, dominance and the pruner may read
+        self._reads = Reads(self.analyzed, self._registry)
+        registers = rank_registers(self.analyzed, self._reads)
         self.scorer = Scorer(self.analyzed.rank_keys, registers)
         #: per-stage (match/rank/emit) wall-time breakdown.
         self.profile = StageProfile()
@@ -193,7 +196,7 @@ class RegisteredQuery(SinkOwner):
     def _arm(self, analyzed: AnalyzedQuery) -> None:
         """Build the ranker, pruner and matcher over the compiled automaton
         for ``analyzed``'s ``LIMIT`` (the group's K)."""
-        registry = self._registry
+        reads = self._reads
         lenient_errors = self._lenient_errors
         self.ranker = Ranker(analyzed, self.scorer, lenient_errors=lenient_errors)
         # Ranking-aware execution acts at three points, all switched by
@@ -208,11 +211,11 @@ class RegisteredQuery(SinkOwner):
         if not self._enable_pruning:
             self.cut_status = self.dominance_status = "disabled by engine configuration"
         else:
-            cut_key, self.cut_status = completion_cut(analyzed, registry)
-            dominance, self.dominance_status = run_dominance(analyzed, registry)
+            cut_key, self.cut_status = completion_cut(analyzed, reads)
+            dominance, self.dominance_status = run_dominance(analyzed, reads)
             if analyzed.has_epoch_bound:
                 self.pruner = ScoreBoundPruner(
-                    analyzed, self.automaton, registry, self.ranker.kth_bound_for_epoch
+                    analyzed, self.automaton, reads, self.ranker.kth_bound_for_epoch
                 )
         self.matcher = PatternMatcher(
             self.automaton,
@@ -756,6 +759,7 @@ class RegisteredQuery(SinkOwner):
             pruning_enabled=self.pruner is not None,
             cut_status=self.cut_status,
             dominance_status=self.dominance_status,
+            dominance=self.matcher.dominance,
             fixed_shapes=self.matcher.fixed_shapes,
         )
         if self.shared is not None:

@@ -704,7 +704,7 @@ def instrument_query(checker: InvariantChecker, query: "RegisteredQuery") -> Non
             checker.check_skipped_completion(query, run, event)
 
         matcher._skip_completion = skip_completion  # type: ignore[method-assign]
-    if matcher._dominance is not None:
+    if matcher.dominance is not None:
         orig_drop = matcher._drop_dominated
 
         def drop_dominated(dropped, kept, event):

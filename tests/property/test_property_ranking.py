@@ -36,7 +36,7 @@ from repro.language.ast_nodes import Direction
 from repro.language.errors import EvaluationError
 from repro.language.intervals import IntervalEvaluator
 from repro.language.parser import parse_query
-from repro.language.semantics import analyze, completion_cut
+from repro.language.semantics import Reads, analyze, completion_cut
 from repro.ranking.keys import normalise_bound
 from repro.ranking.pruning import ScoreBoundPruner
 from repro.ranking.score import Scorer
@@ -467,7 +467,7 @@ class TestWidenedGroups:
         assert grouped == independent
         lead = handles[0]
         assert lead.pruner is None or lead.pruner.bound_provider == lead.ranker.kth_bound_for_epoch
-        dominance = lead.matcher._dominance
+        dominance = lead.matcher.dominance
         if dominance is not None:
             assert dominance.k == 3
         event(f"dominance {dominance is not None}")
@@ -508,7 +508,7 @@ class TestCompiledCutKey:
             f"RANK BY {key} {direction} LIMIT 1 EMIT ON WINDOW CLOSE"
         )
         analyzed = analyze(parse_query(text), KEY_REGISTRY)
-        cut_key, status = completion_cut(analyzed, KEY_REGISTRY)
+        cut_key, status = completion_cut(analyzed, Reads(analyzed, KEY_REGISTRY))
         assert status == "active"
         a, b = Event("A", 1.0, value=a_value), Event("B", 2.0, value=b_value)
         run = SimpleNamespace(bindings={"a": a})  # what the cut reads of a run
@@ -570,7 +570,8 @@ class TestCompiledBoundSoundness:
         )
         analyzed = analyze(parse_query(text), BOUND_REGISTRY)
         automaton = compile_automaton(analyzed)
-        pruner = ScoreBoundPruner(analyzed, automaton, BOUND_REGISTRY, lambda e: None)
+        reads = Reads(analyzed, BOUND_REGISTRY)
+        pruner = ScoreBoundPruner(analyzed, automaton, reads, lambda e: None)
         stages = automaton.stages
         clock = iter(range(100))
 

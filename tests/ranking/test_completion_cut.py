@@ -18,7 +18,7 @@ from repro.baselines.match_then_rank import MatchThenRankQuery
 from repro.events.schema import AttributeSpec, Domain, EventSchema, SchemaRegistry
 from repro.events.time import SequenceAssigner
 from repro.language.parser import parse_query
-from repro.language.semantics import analyze, completion_cut
+from repro.language.semantics import Reads, analyze, completion_cut
 from repro.runtime.serialize import emission_to_line
 from repro.runtime.sinks import CollectorSink
 from repro.workloads.stock import StockWorkload
@@ -304,7 +304,8 @@ class TestNoHiddenErrors:
 
 
 def status(text, registry=REGISTRY):
-    return completion_cut(analyze(parse_query(text), registry), registry)[1]
+    analyzed = analyze(parse_query(text), registry)
+    return completion_cut(analyzed, Reads(analyzed, registry))[1]
 
 
 def kleene_query(keys):

@@ -7,12 +7,15 @@ same 4,800-event vitals pool.
 """
 
 import dataclasses
+import random
+
+import pytest
 
 from repro import CEPREngine, Event
 from repro.events.schema import AttributeSpec, EventSchema, SchemaRegistry
 from repro.language.expressions import EvalContext
 from repro.language.parser import parse_query
-from repro.language.semantics import analyze, rank_registers
+from repro.language.semantics import Reads, analyze, rank_registers
 from repro.ranking.score import Scorer
 from repro.runtime.serialize import emission_to_line
 from repro.workloads.sensor import VitalsWorkload
@@ -44,6 +47,19 @@ STOCK_QUERY = """
 def vitals(count=4_800):
     workload = VitalsWorkload(seed=2016, anomaly_rate=0.2, episode_length=16, patients=4)
     return list(workload.events(count)), workload.registry()
+
+
+def shuffled_windows(events, seed, window=80):
+    """``events`` with their whole ``window``-event epochs in the order
+    ``seed`` chooses, the timestamps left where they were — the ledger's
+    ``--seed``: the inputs differ, the work is the same."""
+    epochs = [events[i : i + window] for i in range(0, len(events), window)]
+    random.Random(seed).shuffle(epochs)
+    shuffled = (event for epoch in epochs for event in epoch)
+    return [
+        Event(event.event_type, stamp.timestamp, **event.payload)
+        for stamp, event in zip(events, shuffled)
+    ]
 
 
 def lines(handle):
@@ -95,6 +111,33 @@ class TestKleeneDense:
         assert stats.completions_skipped > 0
         assert lines(handle) == unpruned_lines(vitals()[0])
 
+    @pytest.mark.parametrize("seed", [2016, 7])
+    def test_work_counts_per_pass_are_pinned(self, seed):
+        """What one pass drops and builds.  CEPRSan proves each drop and
+        skip sound, so a dominance sweep that drops too few runs (or a cut
+        that skips too few completions) passes every other check; it moves
+        these counts."""
+        events, registry = vitals()
+        engine = CEPREngine(registry=registry)
+        handle = engine.register_query(KLEENE_QUERY, name="spikes")
+        engine.run(shuffled_windows(events, seed))
+        stats = handle.matcher.stats
+        assert (stats.runs_dominated, stats.matches_completed) == (3_924, 2_077)
+
+    def test_one_registration_reads_the_registry_through_one_reads(self, monkeypatch):
+        """The scorer's registers, the cut, dominance and every pruner
+        shape share the declarations one :class:`Reads` looks up."""
+        built = []
+        init = Reads.__init__
+        monkeypatch.setattr(
+            Reads, "__init__", lambda self, *args: built.append(self) or init(self, *args)
+        )
+        engine = CEPREngine(registry=vitals(0)[1])
+        handle = engine.register_query(KLEENE_QUERY, name="spikes")
+        assert handle.cut_status == handle.dominance_status == "active"
+        assert handle.pruner is not None and handle.scorer._reads is not None
+        assert len(built) == 1
+
     def test_restore_mid_epoch_rescores_held_matches_from_bindings(self):
         """Registers are never checkpointed: the held matches a restore
         brings back are scored from their bindings, and the resumed run
@@ -130,7 +173,8 @@ def registers_of(keys, dtype="int"):
     registry = SchemaRegistry(schemas)
     text = (f"PATTERN SEQ(A a, B bs+) WITHIN 9 EVENTS USING SKIP_TILL_ANY "
             f"RANK BY {keys} LIMIT 1 EMIT ON WINDOW CLOSE")
-    return rank_registers(analyze(parse_query(text), registry), registry)
+    analyzed = analyze(parse_query(text), registry)
+    return rank_registers(analyzed, Reads(analyzed, registry))
 
 
 class TestRankRegisters:

@@ -8,16 +8,20 @@ generated queries; these cases pin the drop on each shape it covers, the
 conditions it refuses, checkpoints and sharding.
 """
 
+import math
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro import CEPREngine, Event
 from repro.baselines.match_then_rank import MatchThenRankQuery
+from repro.engine.matcher import dominated
 from repro.events.schema import AttributeSpec, Domain, EventSchema, SchemaRegistry
 from repro.events.time import SequenceAssigner
 from repro.language.parser import parse_query
-from repro.language.semantics import analyze, run_dominance
+from repro.language.semantics import Reads, analyze, run_dominance
 from repro.runtime.serialize import emission_to_line
 from repro.runtime.sinks import CollectorSink
 from tests.runtime.fleet import local_fleet
@@ -92,7 +96,8 @@ def match_then_rank(text, events):
 
 
 def status(text, registry=REGISTRY):
-    return run_dominance(analyze(parse_query(text), registry), registry)[1]
+    analyzed = analyze(parse_query(text), registry)
+    return run_dominance(analyzed, Reads(analyzed, registry))[1]
 
 
 class TestExactWhereItActs:
@@ -158,6 +163,70 @@ class TestExactWhereItActs:
         steps = [("A", 0), ("B", 5), ("A", 1)]
         assert self.drops(steps, window="100 EVENTS") == (2, 1)
         assert self.drops(steps, window="100 SECONDS") == (1, 2)
+
+
+#: one NaN object, shared by every vector that holds it: tuple ``==``
+#: calls two such vectors equal, and each equal to itself
+SHARED_NAN = float("nan")
+COMPONENTS = st.sampled_from([0, 1, 1.0, 2, 2.5, 3, -math.inf, math.inf])
+
+
+def is_nan_free(vector):
+    return all(value == value for value in vector)
+
+
+def brute_force_skyband(vectors, k, strict):
+    """The positions of the vectors k others dominate, by definition: no
+    worse in every component, another head (so strictly better in a strict
+    one); a vector with a NaN component dominates nothing and stays."""
+    clean = [vector for vector in vectors if is_nan_free(vector)]
+
+    def dominates(q, p):
+        return q[:strict] != p[:strict] and all(a <= b for a, b in zip(q, p))
+
+    return [
+        i
+        for i, p in enumerate(vectors)
+        if is_nan_free(p) and sum(dominates(q, p) for q in clean) >= k
+    ]
+
+
+@st.composite
+def skyband_cases(draw):
+    """(vectors, k, strict): 1–4 components, small values so that heads
+    and second components tie, ±inf identities and NaN, one NaN object
+    shared by two vectors among them."""
+    width = draw(st.integers(1, 4))
+    vectors = draw(st.lists(st.tuples(*[COMPONENTS] * width), max_size=16))
+    for _ in range(draw(st.integers(0, 3)) if vectors else 0):
+        i = draw(st.integers(0, len(vectors) - 1))
+        j = draw(st.integers(0, width - 1))
+        nan = draw(st.sampled_from([SHARED_NAN, "fresh"]))
+        nan = float("nan") if nan == "fresh" else nan
+        vectors[i] = vectors[i][:j] + (nan,) + vectors[i][j + 1 :]
+    return vectors, draw(st.integers(1, 6)), draw(st.integers(1, width))
+
+
+class TestSweep:
+    """:func:`dominated` is the k-skyband by definition: one sort, head
+    groups, ``bisect_right`` counting and the componentwise count only
+    where that count is a bound."""
+
+    @given(skyband_cases())
+    @settings(max_examples=1000, deadline=None)
+    # tuple ``==`` calls the two NaN vectors equal: (0, 0) would drop both
+    @example(([(SHARED_NAN, 3), (SHARED_NAN, 3), (0, 0), (1, 1)], 1, 1))
+    # (0, 1) dominates (1, 1): a tie in the bisected component is no worse
+    @example(([(1, 1), (0, 1), (1, 1), (2, 0)], 1, 1))
+    # (0, 0) leads (0, 1) only where one shared future element can erase it
+    @example(([(0, 1), (0, 0), (1, 2)], 1, 1))
+    @example(([(0, 1), (0, 0), (1, 2)], 1, 2))
+    def test_equals_the_brute_force_skyband(self, case):
+        vectors, k, strict = case
+        expected = brute_force_skyband(vectors, k, strict)
+        assert sorted(dominated(vectors, k, strict, nan_test=True)) == expected
+        if all(map(is_nan_free, vectors)):
+            assert sorted(dominated(vectors, k, strict, nan_test=False)) == expected
 
 
 class TestConditions:
@@ -291,9 +360,24 @@ class TestExplain:
 
     def test_active(self):
         assert (
-            "run dominance: active (k-skyband over the runs of bs+ per partition, k=2)"
-            in self.explain(query())
+            "run dominance: active (k-skyband over the runs of bs+ per partition, k=2; "
+            "vector (-count(bs) strict, -max(bs.value)); NaN test off)"
+        ) in self.explain(query())
+
+    def test_lists_the_vector_in_order_and_arms_the_nan_test_where_needed(self):
+        """Strict components come first, in key order; a time window adds
+        the birth time; only a key that may be NaN arms the NaN test."""
+        text = self.explain(
+            query(keys="min(bs.value) ASC, a.x DESC, count(bs) ASC", window="12 SECONDS")
         )
+        assert (
+            "vector (-a.x strict, count(bs) strict, min(bs.value), -first_ts); "
+            "NaN test armed)"
+        ) in text
+        text = self.explain(query(keys="a.value - 2 * a.value DESC, count(bs) DESC"))
+        assert (
+            "vector (-(a.value - 2 * a.value) strict, -count(bs) strict); NaN test off)"
+        ) in text
 
     def test_names_the_blocker(self):
         text = self.explain(query(keys="max(bs.value) DESC"))

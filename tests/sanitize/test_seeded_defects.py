@@ -22,6 +22,7 @@ real defects without false positives.
 import asyncio
 import dataclasses
 import math
+import operator
 import random
 import threading
 import time
@@ -29,6 +30,7 @@ import time
 import pytest
 
 from repro import CEPREngine, Event
+from repro.engine import matcher as matcher_module
 from repro.engine.matcher import PatternMatcher
 from repro.events.schema import AttributeSpec, EventSchema, SchemaRegistry
 from repro.language.intervals import Interval, IntervalEvaluator
@@ -362,6 +364,26 @@ class TestRunDominance:
             monkeypatch, lambda armed: dataclasses.replace(armed, strict=len(armed.components))
         )
         assert dropped > 0 and trips > 0
+
+    def test_counting_runs_of_the_same_head_trips(self, monkeypatch):
+        # Seeded defect: the sweep counts every kept run no worse in every
+        # component, its own head group included — so a run that ties on
+        # count(spikes) and leads at most on max(spikes.value), or ties
+        # outright, is taken for a dominator and too many runs go.
+        def counts_same_head(vectors, k, strict, nan_test):
+            kept, doomed = [], []
+            for index in sorted(range(len(vectors)), key=vectors.__getitem__):
+                vector = vectors[index]
+                if sum(all(map(operator.le, other, vector)) for other in kept) >= k:
+                    doomed.append(index)
+                else:
+                    kept.append(vector)
+            return doomed
+
+        clean_dropped, _ = dominance_trips()
+        monkeypatch.setattr(matcher_module, "dominated", counts_same_head)
+        dropped, trips = dominance_trips()
+        assert dropped > clean_dropped and trips > 0
 
     def test_skyband_is_quiet(self):
         dropped, trips = dominance_trips()
