@@ -3,11 +3,13 @@
 ``explain(automaton)`` renders the compiled evaluation plan of a query as
 readable text: the stage chain with every pushed-down predicate at its
 evaluation point, negation guards, completion predicates, ranking keys,
-window/strategy/emission configuration, and where ranking-aware execution
-acts: whether score-bound pruning is eligible and at which run shapes its
-optimum is fixed, and whether the completing-edge cut and run dominance
-are active (or the first condition each fails).  Exposed
-as ``RegisteredQuery.explain()`` and used by the demo tooling —
+window/strategy/emission configuration, whether each WHERE conjunct and
+``RANK BY`` key reads the run directly (or why the context evaluator
+reads it), and where ranking-aware execution acts: whether score-bound
+pruning is eligible and at which run shapes its optimum is fixed, and
+whether the completing-edge cut and run dominance are active (or the
+first condition each fails).  Exposed as ``RegisteredQuery.explain()``
+and used by the demo tooling —
 understanding *where* a predicate runs is the difference between a query
 that scales and one that does not.
 """
@@ -15,9 +17,9 @@ that scales and one that does not.
 from __future__ import annotations
 
 from repro.engine.nfa import PatternAutomaton
-from repro.language.ast_nodes import EmitKind, WindowKind
+from repro.language.ast_nodes import EmitKind, Expr, WindowKind
 from repro.language.printer import format_expr
-from repro.language.semantics import AnalyzedQuery, RunDominance
+from repro.language.semantics import AnalyzedQuery, Readers, RunDominance
 
 
 def explain(
@@ -27,6 +29,7 @@ def explain(
     dominance_status: str | None = None,
     fixed_shapes: frozenset[tuple[int, bool]] = frozenset(),
     dominance: RunDominance | None = None,
+    readers: Readers | None = None,
 ) -> str:
     """Render the evaluation plan of a compiled query.
 
@@ -34,9 +37,15 @@ def explain(
     and run dominance's verdicts (``"active"`` or the first condition that
     fails, see :func:`~repro.language.semantics.completion_cut` and
     :func:`~repro.language.semantics.run_dominance`), ``dominance`` its
-    armed form; ``fixed_shapes`` are the pruner's fixed-optimum ones.
+    armed form; ``fixed_shapes`` are the pruner's fixed-optimum ones;
+    ``readers`` the query's :func:`~repro.language.semantics.run_readers`.
     """
     analyzed = automaton.analyzed
+
+    def how(expr: Expr) -> str:
+        read, why = (readers or {}).get(id(expr), (None, ""))
+        return f"  [{why if read else f'context evaluator: {why}'}]" if why else ""
+
     lines: list[str] = ["evaluation plan:"]
 
     lines.append(f"  strategy: {automaton.strategy.value}")
@@ -51,9 +60,9 @@ def explain(
             f"    [{stage.index}] {stage.event_type} {stage.variable.name} ({kind})"
         )
         for predicate in stage.bind_predicates:
-            lines.append(f"          on bind: {format_expr(predicate.expr)}")
+            lines.append(f"          on bind: {format_expr(predicate.expr)}{how(predicate.expr)}")
         for predicate in stage.incremental_predicates:
-            lines.append(f"          per element: {format_expr(predicate.expr)}")
+            lines.append(f"          per element: {format_expr(predicate.expr)}{how(predicate.expr)}")
 
     for negation in automaton.negations:
         element = negation.element
@@ -67,13 +76,19 @@ def explain(
             f"after stage {negation.after}, {guard}"
         )
         for predicate in negation.predicates:
-            lines.append(f"          kills when: {format_expr(predicate.expr)}")
+            lines.append(f"          kills when: {format_expr(predicate.expr)}{how(predicate.expr)}")
 
     for predicate in automaton.completion_predicates:
-        lines.append(f"  at completion: {format_expr(predicate.expr)}")
+        lines.append(f"  at completion: {format_expr(predicate.expr)}{how(predicate.expr)}")
 
     if analyzed is not None:
-        lines.extend(_describe_ranking(analyzed, pruning_enabled))
+        ranking = _describe_ranking(analyzed, pruning_enabled)
+        if readers is not None:  # under the ``rank by:`` line
+            ranking[1:1] = [
+                f"          key {index}: {format_expr(key.expr)}{how(key.expr)}"
+                for index, key in enumerate(analyzed.rank_keys, 1)
+            ]
+        lines.extend(ranking)
         if cut_status is not None and analyzed.rank_keys:
             if cut_status != "active":
                 cut_status = f"inactive ({cut_status})"

@@ -34,8 +34,9 @@ class Match:
     #: Values of the RANK BY expressions in user order/direction (for
     #: display; ``score`` is the normalised comparator form).
     rank_values: tuple[Any, ...] = field(default_factory=tuple)
-    #: The completing run's aggregate registers, which the scorer reads;
-    #: derived, never encoded (``None``: score from the bindings).
+    #: The completing run's aggregate registers, which the scorer's
+    #: readers read; derived, never encoded (``None``, as on a decoded
+    #: match: score from the bindings).
     agg_states: Mapping[str, Any] | None = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, var: str) -> Binding:

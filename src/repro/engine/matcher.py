@@ -61,7 +61,7 @@ from repro.language.ast_nodes import SelectionStrategy, WindowKind
 from repro.observability.tracing import SpanKind, SpanRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.language.semantics import CutKey, RunDominance
+    from repro.language.semantics import CutKey, Readers, RunDominance
     from repro.ranking.pruning import BoundProvider
     from repro.runtime.router import SharedExecutionIndex
 
@@ -205,8 +205,13 @@ class PatternMatcher:
         lenient_errors: bool = False,
         track_aggregates: bool = True,
         shared: "SharedExecutionIndex | None" = None,
+        readers: "Readers | None" = None,
     ) -> None:
         self.automaton = automaton
+        #: the total predicates' run readers (:func:`~repro.language.
+        #: semantics.run_readers`): they read the aggregate registers, so
+        #: aggregates must be tracked.
+        self.readers: Readers = readers if readers is not None else {}
         self.prune_hook = prune_hook
         self.query_name = query_name
         #: Engine-level shared index; when set, the stage-0 gate of the

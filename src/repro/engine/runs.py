@@ -205,7 +205,7 @@ class Run(NamedTuple):
             None,
             query_name,
             (),
-            self.agg_states or None,
+            self.agg_states,
         )
 
     def partial_view(

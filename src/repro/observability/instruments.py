@@ -177,6 +177,7 @@ SANITIZER_CHECKS = (
     "matcher-activity-cache",
     "ranking-order",
     "run-monotonicity",
+    "run-reader",
     "score-bound",
     "seq-monotonicity",
     "shared-index-coherence",

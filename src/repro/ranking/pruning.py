@@ -14,11 +14,12 @@ key or tie-breaking, so it is kept.
 
 The bound is compiled once per query, one closure per run *shape* — the
 ``(stage, kleene_open)`` point a run is at fixes which variables are bound,
-which are open and which Kleene variable has observed elements — so an
-attempt reads the run's bindings and O(1) aggregate states directly: a
-bound singleton contributes its exact value, an open variable its schema
-domain, a Kleene aggregate its :class:`~repro.engine.aggregates.
-AggregateState` (counts capped by the window).  Past the leaves the
+which are open and which Kleene variable has observed elements — when a
+run at that shape is first offered, so an attempt reads the run's
+bindings and O(1) aggregate states directly: a bound singleton
+contributes its exact value, an open variable its schema domain, a Kleene
+aggregate its :class:`~repro.engine.aggregates.AggregateState` (counts
+capped by the window).  Past the leaves the
 closures apply the interval functions of :mod:`repro.language.intervals`,
 whose :class:`~repro.language.intervals.IntervalEvaluator` stays the
 reference: the compiled bound may be looser than it, never tighter
@@ -28,7 +29,8 @@ A shape whose optimistic end is one value for every run (literals and
 domains only, or an open ``max(V.a) DESC`` / ``min(V.a) ASC``) never
 prunes: every match of a ``SEQ`` passes through it, so no real θ is
 better.  The matcher does not offer its runs (:attr:`ScoreBoundPruner.
-fixed_shapes`).
+fixed_shapes`), so its bound is compiled only if a shed probe or CEPRSan
+asks.
 
 Soundness requires that the k-th score can only improve while the run is
 alive, which holds in tumbling mode (``EMIT ON WINDOW CLOSE``): matches
@@ -135,7 +137,10 @@ class ScoreBoundPruner:
         # heap is the only sound pruning reference.
         self._epochs = EpochTracker(analyzed.window)
         self._optimistic_is_lo = self.primary.direction is Direction.ASC
-        self._bounds, self.fixed_shapes = _compile_shapes(self.primary, automaton, reads)
+        self._automaton, self._reads = automaton, reads
+        #: per shape, its bound once compiled (``None``: unbounded)
+        self._bounds: dict[tuple[int, bool], ShapeBound | None] = {}
+        self.fixed_shapes = _fixed_shapes(self.primary, automaton, reads)
 
     def __call__(self, run: Run, event: Event, epoch: int | None = None) -> bool:
         """``True`` ⇒ the matcher discards this partial run.
@@ -211,7 +216,12 @@ class ScoreBoundPruner:
     def _optimistic(self, run: Run, latest_ts: float) -> float | None:
         """The best normalised primary key any completion of ``run`` can
         reach, from its shape's compiled bound (``None``: unbounded)."""
-        bound = self._bounds.get((run.stage, run.kleene_open))
+        shape = (run.stage, run.kleene_open)
+        try:
+            bound = self._bounds[shape]
+        except KeyError:
+            compiled = _Shape(self._automaton, self._reads, *shape).compile(self.primary.expr)
+            bound = self._bounds[shape] = compiled
         interval = bound(run, latest_ts) if bound is not None else None
         if interval is None:
             return None
@@ -222,22 +232,19 @@ class ScoreBoundPruner:
 # -- compilation --------------------------------------------------------------------
 
 
-def _compile_shapes(
+def _fixed_shapes(
     primary: CompiledRankKey, automaton: PatternAutomaton, reads: Reads
-) -> tuple[dict[tuple[int, bool], ShapeBound | None], frozenset[tuple[int, bool]]]:
-    """One compiled bound per ``(stage, kleene_open)`` a kept run can be at,
-    and the shapes whose optimistic end is fixed."""
+) -> frozenset[tuple[int, bool]]:
+    """The ``(stage, kleene_open)`` shapes a kept run can be at whose
+    optimistic end is fixed (no run is kept awaiting stage 0)."""
     expr, hi = primary.expr, primary.direction is Direction.DESC
-    shapes: dict[tuple[int, bool], ShapeBound | None] = {}
-    fixed: set[tuple[int, bool]] = set()
-    for stage in automaton.stages:
-        for kleene_open in (False, True) if stage.is_kleene else (False,):
-            shape = _Shape(automaton, reads, stage.index, kleene_open)
-            bound = shapes[stage.index, kleene_open] = shape.compile(expr)
-            # no run is kept awaiting stage 0
-            if bound is not None and (stage.index or kleene_open) and shape.fixed(expr, hi):
-                fixed.add((stage.index, kleene_open))
-    return shapes, frozenset(fixed)
+    return frozenset(
+        (stage.index, kleene_open)
+        for stage in automaton.stages
+        for kleene_open in ((False, True) if stage.is_kleene else (False,))
+        if (stage.index or kleene_open)
+        and _Shape(automaton, reads, stage.index, kleene_open).fixed(expr, hi)
+    )
 
 
 def _constant(value: Interval | None) -> ShapeBound | None:
@@ -287,8 +294,8 @@ class _Shape:
         return spec is not None and spec.dtype in ("int", "float")
 
     def fixed(self, expr: Expr, hi: bool) -> bool:
-        """Whether the ``hi`` (else ``lo``) end of ``expr``'s bound is one
-        value for every run at this shape."""
+        """Whether ``expr`` has a bound at this shape whose ``hi`` (else
+        ``lo``) end is one value for every run."""
         if isinstance(expr, Aggregate) and expr.var in self.open and expr.var in self.observed:
             # an open max's hi (min's lo) is its validated domain's
             return (
@@ -296,12 +303,12 @@ class _Shape:
                 and self._validated_numeric(expr.var, expr.attr or "")
                 and self._domain(expr.var, expr.attr or "") is not None
             )
-        return not any(  # else: constant, when no leaf reads the run
+        return not any(  # else: constant, when no leaf reads the run, and bounded
             isinstance(node, FuncCall) and node.name in ("duration", "timestamp", "ts")
             or isinstance(node, AttrRef) and node.var in self.bound
             or isinstance(node, Aggregate) and node.var in self.observed
             for node in iter_subexpressions(expr)
-        )
+        ) and self.compile(expr) is not None
 
     def compile(self, expr: Expr) -> ShapeBound | None:
         """The bound of ``expr`` over this shape's completions (``None``:

@@ -8,7 +8,7 @@ from typing import Any, Sequence
 from repro.engine.match import Match
 from repro.language.errors import EvaluationError
 from repro.language.expressions import EvalContext, Evaluator
-from repro.language.semantics import CompiledRankKey, Register
+from repro.language.semantics import CompiledRankKey, Reader, Readers
 from repro.ranking.keys import normalise_component
 
 
@@ -19,22 +19,27 @@ class Scorer:
     and ``match.score`` (normalised comparator tuple: smaller = better) and
     returns the match for chaining.
 
-    A match carrying its run's registers (``agg_states``) is scored from
-    them for each key ``registers`` (:func:`~repro.language.semantics.
-    rank_registers`) serves, from its bindings for the rest and whenever
-    it carries none (restored or decoded).
+    A match the engine built (it carries its run's registers,
+    ``agg_states``) is scored by each key's run reader (:func:`~repro.
+    language.semantics.run_readers`) where the key is total, from its
+    bindings for the rest — and wholly from its bindings when a reader
+    finds an attribute absent or ill-typed.  A match decoded from a
+    checkpoint or a frame carries none, and every key is evaluated over
+    its bindings: nothing proves its payloads passed the registry.
     """
 
-    def __init__(
-        self, rank_keys: Sequence[CompiledRankKey], registers: Sequence[Register | None] = ()
-    ) -> None:
+    def __init__(self, rank_keys: Sequence[CompiledRankKey], readers: Readers | None = None) -> None:
         self.rank_keys = tuple(rank_keys)
-        self._evaluators = tuple(key.evaluator for key in self.rank_keys)
-        #: per key, its value off a match that carries registers, decided
-        #: here once (``None``: no key is served from them)
-        reads = [read or partial(_from_bindings, key.evaluator)
-                 for key, read in zip(self.rank_keys, registers)]
-        self._reads = tuple(reads) if any(registers) else None
+        self._evaluators: tuple[Reader, ...] = tuple(
+            partial(_on_context, key.evaluator) for key in self.rank_keys
+        )
+        verdicts = readers or {}
+        found = [verdicts.get(id(key.expr), (None,))[0] for key in self.rank_keys]
+        #: per key, its value off a match the engine built, decided here
+        #: once (``None``: no key is total)
+        reads: list[Reader] = [read or partial(_from_bindings, key.evaluator)
+                               for key, read in zip(self.rank_keys, found)]
+        self._reads: tuple[Reader, ...] | None = tuple(reads) if any(found) else None
 
     @property
     def is_ranked(self) -> bool:
@@ -45,15 +50,19 @@ class Scorer:
             match.score = ()
             match.rank_values = ()
             return match
-        source: Any = match
-        getters = self._reads
-        if getters is None or match.agg_states is None:
-            source, getters = EvalContext(bindings=match.bindings), self._evaluators
+        if self._reads is not None and match.agg_states is not None:
+            try:
+                return self._score(match, self._reads, match)
+            except LookupError:  # an attribute absent or ill-typed: as if unread
+                pass
+        return self._score(match, self._evaluators, EvalContext(bindings=match.bindings))
+
+    def _score(self, match: Match, getters: tuple[Reader, ...], source: Any) -> Match:
         raw = []
         normalised = []
         for key, get in zip(self.rank_keys, getters):
             try:
-                value = get(source)
+                value = get(source, None)
             except EvaluationError as exc:
                 raise EvaluationError(
                     f"failed to evaluate RANK BY key over a match: {exc}"
@@ -65,5 +74,9 @@ class Scorer:
         return match
 
 
-def _from_bindings(evaluator: Evaluator, match: Match) -> Any:
+def _on_context(evaluator: Evaluator, ctx: EvalContext, event: None) -> Any:
+    return evaluator(ctx)
+
+
+def _from_bindings(evaluator: Evaluator, match: Match, event: None) -> Any:
     return evaluator(EvalContext(bindings=match.bindings))

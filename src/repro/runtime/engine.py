@@ -21,8 +21,14 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.events.event import Event
-from repro.events.schema import SchemaRegistry
-from repro.events.time import Ingress, SequenceAssigner, merge_admission
+from repro.events.schema import SchemaError, SchemaRegistry
+from repro.events.time import (
+    Ingress,
+    OutOfOrderError,
+    SequenceAssigner,
+    merge_admission,
+    rejected,
+)
 from repro.language.ast_nodes import Query
 from repro.language.errors import CEPRSemanticError
 from repro.language.parser import parse_query
@@ -550,10 +556,16 @@ class CEPREngine(instruments.TelemetryViews):
 
     def submit_all(self, events: Iterable[Event]) -> int:
         """:meth:`push_batch` a stream; returns how many events its ingress
-        admitted (not counting YIELD-derived ones, counting held ones)."""
+        admitted (not counting YIELD-derived ones, counting held ones).  A
+        rejected event raises, with the events before it admitted
+        (:func:`~repro.events.time.rejected`)."""
         assert self.ingress is not None, "its runner feeds an engine behind it"
         before = self.ingress.events_admitted
-        self.push_batch(events)
+        try:
+            self.push_batch(events)
+        except (SchemaError, OutOfOrderError) as exc:
+            rejected(exc, self.ingress.events_admitted - before)
+            raise
         return self.ingress.events_admitted - before
 
     def sync(self) -> None:

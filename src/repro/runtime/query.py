@@ -33,8 +33,8 @@ from repro.language.semantics import (
     Reads,
     completion_cut,
     default_emit,
-    rank_registers,
     run_dominance,
+    run_readers,
 )
 from repro.observability.instruments import cost_accounts, register_query
 from repro.observability.profiling import STRIDE, StageProfile
@@ -182,10 +182,10 @@ class RegisteredQuery(SinkOwner):
         #: the members, in registration order (meaningful on a lead).
         self.members: list[RegisteredQuery] = [self]
         self.automaton = compile_automaton(self.analyzed)
-        # what the registers, the cut, dominance and the pruner may read
+        # what the readers, the cut, dominance and the pruner may read
         self._reads = Reads(self.analyzed, self._registry)
-        registers = rank_registers(self.analyzed, self._reads)
-        self.scorer = Scorer(self.analyzed.rank_keys, registers)
+        self.readers = run_readers(self.analyzed, self._reads)
+        self.scorer = Scorer(self.analyzed.rank_keys, self.readers)
         #: per-stage (match/rank/emit) wall-time breakdown.
         self.profile = StageProfile()
         self._last_seq = -1
@@ -224,6 +224,7 @@ class RegisteredQuery(SinkOwner):
             query_name=self.name,
             lenient_errors=lenient_errors,
             shared=self.shared,
+            readers=self.readers,
         )
         if self.pruner is not None:
             self.matcher.fixed_shapes = self.pruner.fixed_shapes
@@ -245,7 +246,7 @@ class RegisteredQuery(SinkOwner):
         if lead is self:
             return
         for attr in (
-            "automaton", "scorer", "ranker", "pruner", "cut_status",
+            "automaton", "readers", "scorer", "ranker", "pruner", "cut_status",
             "dominance_status", "matcher", "profile", "_stage0", "_stage0_type",
         ):
             setattr(self, attr, getattr(lead, attr))
@@ -761,6 +762,7 @@ class RegisteredQuery(SinkOwner):
             dominance_status=self.dominance_status,
             dominance=self.matcher.dominance,
             fixed_shapes=self.matcher.fixed_shapes,
+            readers=self.readers,
         )
         if self.shared is not None:
             text += f"\n{self._sharing_block()}"

@@ -106,7 +106,11 @@ class Runner(Protocol):
         ...
 
     def submit_all(self, events: Iterable[Event]) -> int:
-        """Ingest a stream; returns how many events it consumed from it."""
+        """Ingest a stream; returns how many events it consumed from it.
+
+        An event the ingress rejects raises, with the events before it
+        admitted; the error's ``admitted`` counts them
+        (:func:`~repro.events.time.rejected`)."""
         ...
 
     def sync(self) -> None:

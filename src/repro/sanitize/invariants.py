@@ -28,6 +28,10 @@ Checks, by hook point:
     the list-and-sort scope did (a prefix of the insertion order, by each
     match's own completion point), agrees with the k-skyband after every
     step: ``ranking()`` is ``sorted(shadow)[:k]``;
+every run reader of a guard or the scorer (``RegisteredQuery.readers``)
+    **run-reader** — each value read off a run or match equals, type,
+    sign and NaN included, what the context evaluator computes over the
+    same bindings and candidate, which must not raise;
 ``matcher._keep_partial`` / ``_skip_completion`` / ``_drop_dominated``
     **score-bound** — for every partial run kept, the compiled shape bound
     is no tighter than ``IntervalEvaluator`` over the same run (and at a
@@ -66,14 +70,18 @@ from __future__ import annotations
 
 import copy
 import math
+from functools import partial
 from typing import TYPE_CHECKING
 
+from repro.engine.compiler import compile_edges
 from repro.engine.match import Match
 from repro.engine.runs import Run
 from repro.language.ast_nodes import Aggregate, Direction, WindowKind
 from repro.language.errors import EvaluationError
-from repro.language.expressions import EvalContext, evaluate_predicate
+from repro.language.expressions import EvalContext, VacuousPredicate, evaluate_predicate
 from repro.language.intervals import IntervalEvaluator
+from repro.language.printer import format_expr
+from repro.language.semantics import reader_sites
 from repro.ranking.keys import normalise_bound
 from repro.sanitize.core import Sanitizer, ThreadAffinity
 
@@ -270,6 +278,25 @@ class InvariantChecker:
                     query=query.name,
                     headroom=headroom,
                 )
+
+    def check_reader(self, query, read, expr, evaluator, current, held, event):
+        """Read ``expr`` off ``held`` and ``event``, and check the value is
+        the context evaluator's over the same bindings (no registers)."""
+        value = read(held, event)
+        try:
+            reference = evaluator(EvalContext(held.bindings, current, event))
+        except (EvaluationError, VacuousPredicate) as exc:
+            reference = exc
+        if type(value) is not type(reference) or (
+            value.hex() != reference.hex() if type(value) is float else value != reference
+        ):
+            self.san.trip(
+                "run-reader",
+                f"query {query.name!r}: the run reader of {format_expr(expr)} "
+                f"read {value!r}, the context evaluator gives {reference!r}",
+                query=query.name,
+            )
+        return value
 
     def check_skipped_completion(self, query: "RegisteredQuery", run, event) -> None:
         """A skipped completion would not have been retained.
@@ -688,6 +715,7 @@ def instrument_query(checker: InvariantChecker, query: "RegisteredQuery") -> Non
         instrument_sliding(checker, query)
 
     matcher = query.matcher
+    audit_readers(checker, query)
     if query.pruner is not None:
         keep_partial = matcher._keep_partial
 
@@ -712,6 +740,26 @@ def instrument_query(checker: InvariantChecker, query: "RegisteredQuery") -> Non
             checker.check_dominated(query, dropped, kept, event)
 
         matcher._drop_dominated = drop_dominated  # type: ignore[method-assign]
+
+
+def audit_readers(checker: InvariantChecker, query: "RegisteredQuery") -> None:
+    """Re-derive every value a guard or the scorer reads off a run: wrap
+    each run reader, then rebuild the matcher's guards and the scorer's
+    reads over the wrapped ones (the cut's reads are re-run by
+    :meth:`~InvariantChecker.check_skipped_completion`)."""
+    analyzed, readers = query.automaton.analyzed, query.readers
+    assert analyzed is not None
+    for expr, evaluator, current, _kinds in reader_sites(analyzed):
+        read, why = readers[id(expr)]
+        if read is not None:
+            audit = partial(checker.check_reader, query, read, expr, evaluator, current)
+            readers[id(expr)] = (audit, why)
+    query.matcher._edges = compile_edges(query.matcher)
+    scorer = query.scorer
+    if scorer._reads is not None:
+        scorer._reads = tuple(
+            readers[id(key.expr)][0] or get for key, get in zip(scorer.rank_keys, scorer._reads)
+        )
 
 
 def _instrument_entry_points(checker: InvariantChecker, query: "RegisteredQuery") -> None:

@@ -902,14 +902,11 @@ class CEPRServer:
 
     def _submit_blocking(self, events: list[Event]) -> tuple[int, ValueError | None]:
         started = time.perf_counter()
-        admitted = 0
         rejection: ValueError | None = None
         try:
-            for event in events:
-                self._runner.submit(event)
-                admitted += 1
+            admitted = self._runner.submit_all(events)
         except (SchemaError, OutOfOrderError) as exc:
-            rejection = exc
+            admitted, rejection = exc.admitted, exc  # type: ignore[attr-defined]
         self._ingest_latency.record(time.perf_counter() - started)
         return admitted, rejection
 

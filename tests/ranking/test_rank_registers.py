@@ -15,7 +15,7 @@ from repro import CEPREngine, Event
 from repro.events.schema import AttributeSpec, EventSchema, SchemaRegistry
 from repro.language.expressions import EvalContext
 from repro.language.parser import parse_query
-from repro.language.semantics import Reads, analyze, rank_registers
+from repro.language.semantics import Reads, analyze, run_readers
 from repro.ranking.score import Scorer
 from repro.runtime.serialize import emission_to_line
 from repro.workloads.sensor import VitalsWorkload
@@ -74,7 +74,7 @@ def unpruned_lines(events):
 
 
 class TestKleeneDense:
-    def test_one_pass_reads_registers_and_never_asks_the_hook(self, monkeypatch):
+    def test_one_pass_reads_registers_and_never_asks_the_hook(self, monkeypatch, auditing):
         events, registry = vitals()
         engine = CEPREngine(registry=registry)
         handle = engine.register_query(KLEENE_QUERY, name="spikes")
@@ -83,9 +83,13 @@ class TestKleeneDense:
 
         reads = []
         events_of = EvalContext.events_of
-        monkeypatch.setattr(
-            EvalContext, "events_of", lambda ctx, var: reads.append(var) or events_of(ctx, var)
-        )
+
+        def counted_events_of(ctx, var):
+            if not auditing:
+                reads.append(var)
+            return events_of(ctx, var)
+
+        monkeypatch.setattr(EvalContext, "events_of", counted_events_of)
         score = handle.scorer.score
         per_match = []
 
@@ -110,6 +114,16 @@ class TestKleeneDense:
         assert stats.matches_completed <= 3_000
         assert stats.completions_skipped > 0
         assert lines(handle) == unpruned_lines(vitals()[0])
+
+    def test_the_pruner_compiles_no_bound_the_matcher_never_asks_for(self):
+        """Both shapes a run is kept at are fixed-optimum, and no run is
+        kept awaiting stage 0: a pass compiles no shape bound at all."""
+        events, registry = vitals()
+        engine = CEPREngine(registry=registry, sanitize=False)
+        handle = engine.register_query(KLEENE_QUERY, name="spikes")
+        engine.run(events)
+        assert handle.pruner.stats.attempts == 0
+        assert handle.pruner._bounds == {}
 
     @pytest.mark.parametrize("seed", [2016, 7])
     def test_work_counts_per_pass_are_pinned(self, seed):
@@ -174,7 +188,8 @@ def registers_of(keys, dtype="int"):
     text = (f"PATTERN SEQ(A a, B bs+) WITHIN 9 EVENTS USING SKIP_TILL_ANY "
             f"RANK BY {keys} LIMIT 1 EMIT ON WINDOW CLOSE")
     analyzed = analyze(parse_query(text), registry)
-    return rank_registers(analyzed, Reads(analyzed, registry))
+    readers = run_readers(analyzed, Reads(analyzed, registry))
+    return tuple(readers[id(key.expr)][0] for key in analyzed.rank_keys)
 
 
 class TestRankRegisters:
@@ -187,8 +202,11 @@ class TestRankRegisters:
         assert all(read is not None for read in registers_of(keys, "float"))
 
     def test_keys_left_to_the_bindings(self):
-        keys = "sum(bs.v), avg(bs.v), max(bs.n), count(a), a.v, max(bs.v) + 1"
-        assert registers_of(keys) == (None,) * 6
+        keys = "sum(bs.v), avg(bs.v), max(bs.n), count(a), max(bs.n) + 1"
+        assert registers_of(keys) == (None,) * 5
+        # a total key reads the run directly, an aggregate through its
+        # register, an attribute not declared required unless it is absent
+        assert None not in registers_of("a.v, max(bs.v) + 1, a.n")
         # a bool element is not a number to the registers
         assert registers_of("max(bs.v)", "bool") == (None,)
 
@@ -222,10 +240,10 @@ class TestRankRegisters:
             ]
 
 
-def test_a_query_without_register_keys_scores_as_before():
-    """No key of the stock query reads a Kleene aggregate: its scorer has
-    no register path at all."""
+def test_a_query_without_register_keys_reads_its_bindings_directly():
+    """No key of the stock query reads a Kleene aggregate, but its one key
+    is total: the scorer reads the bindings without a context."""
     engine = CEPREngine(registry=StockWorkload(seed=1).registry())
     handle = engine.register_query(STOCK_QUERY)
-    assert handle.scorer._reads is None
+    assert handle.scorer._reads is not None
     assert handle.matcher.fixed_shapes == frozenset()

@@ -960,7 +960,8 @@ class TestQueryGroups:
 
     def test_the_64_alert_program_analyses_and_compiles_once_per_group(self):
         """Registration work is per group key (16), not per query (64): one
-        analysis, one automaton, one matcher and one pruner per group —
+        analysis, one automaton, one set of run readers, one matcher and
+        one pruner per group —
         a member with a wider LIMIT rebuilds only the ranker — and every
         emission stays byte-identical to independent execution."""
         program = alert_program()
@@ -978,6 +979,7 @@ class TestQueryGroups:
         with (
             counting(engine_module, "analyze"),
             counting(query_module, "compile_automaton"),
+            counting(query_module, "run_readers"),
             counting(query_module, "PatternMatcher"),
             counting(query_module, "ScoreBoundPruner"),
             counting(query_module, "Ranker"),
@@ -997,6 +999,7 @@ class TestQueryGroups:
         assert calls == {
             "analyze": 16,
             "compile_automaton": 16,
+            "run_readers": 16,
             "PatternMatcher": 16,
             "ScoreBoundPruner": 16,
             "Ranker": 16 + sum(widenings(lead.members) for lead in leads),

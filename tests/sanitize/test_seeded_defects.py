@@ -10,7 +10,8 @@ by its own completion point, run dominance that drops a run one dominator
 early or takes a ``max``-only lead for a strict one, a refcount leak, a
 restore that does not re-admit a dormant query to its partitions, a
 threshold index that reads ``>`` as ``>=`` or outlives an UNREGISTER, a
-lock-order inversion, a cross-thread mutation, a lossy restore, a rewound
+run reader that swaps the operands of ``>`` or reads a bound variable off
+the candidate event, a lock-order inversion, a cross-thread mutation, a lossy restore, a rewound
 sequencer, a stale activity cache, a partition kept after its last run
 left, a blocked event loop — and asserts the
 corresponding trip fires.  Together with the
@@ -33,10 +34,11 @@ from repro import CEPREngine, Event
 from repro.engine import matcher as matcher_module
 from repro.engine.matcher import PatternMatcher
 from repro.events.schema import AttributeSpec, EventSchema, SchemaRegistry
+from repro.language import semantics
 from repro.language.intervals import Interval, IntervalEvaluator
 from repro.ranking.pruning import ScoreBoundPruner, _Shape
 from repro.ranking.topk import EpochTopK, SlidingRanking
-from repro.language.ast_nodes import BinaryOp
+from repro.language.ast_nodes import AttrRef, BinaryOp
 from repro.runtime import router as router_module
 from repro.runtime.router import EventRouter, SharedExecutionIndex
 from repro.sanitize import Sanitizer, SanitizerError
@@ -388,6 +390,47 @@ class TestRunDominance:
     def test_skyband_is_quiet(self):
         dropped, trips = dominance_trips()
         assert dropped > 0 and trips == 0
+
+
+def reader_trips(query=PRUNED):
+    """``run-reader`` trips of the stock query over 400 events."""
+    workload = StockWorkload(seed=11)
+    engine = log_engine(registry=workload.registry())
+    engine.register_query(query)
+    engine.run(workload.events(400))
+    return engine.sanitizer.trips["run-reader"]
+
+
+class TestRunReader:
+    def test_guard_reader_swapping_the_operands_of_gt_trips(self, monkeypatch):
+        # Seeded defect: the reader compiler reads ``x > y`` as ``y > x``,
+        # so the guard ``s.price > b.price`` binds the sells it should not.
+        monkeypatch.setitem(semantics._READ_OPS, BinaryOp.GT, operator.lt)
+        assert reader_trips() > 0
+
+    def test_reader_reading_the_candidate_for_a_bound_variable_trips(self, monkeypatch):
+        # Seeded defect: a join's right-hand side is read off the candidate
+        # event, not the run's binding — ``s.price > b.price`` compares the
+        # sell with itself.
+        fuse = semantics._fuse_attr
+
+        def reads_the_candidate(op, left, right, current, accepts):
+            if left.var == current and isinstance(right, AttrRef):
+                attr, other = left.attr, right.attr
+                return lambda held, event: op(event.payload[attr], event.payload[other])
+            return fuse(op, left, right, current, accepts)
+
+        monkeypatch.setattr(semantics, "_fuse_attr", reads_the_candidate)
+        assert reader_trips() > 0
+
+    def test_score_reader_on_an_eager_query_trips(self, monkeypatch):
+        # Seeded defect: the scorer's reader adds where the key subtracts.
+        monkeypatch.setitem(semantics._READ_OPS, BinaryOp.SUB, operator.add)
+        assert reader_trips(PRUNED.replace("ON WINDOW CLOSE", "EAGER")) > 0
+
+    def test_readers_are_quiet(self):
+        assert reader_trips() == 0
+        assert reader_trips(PRUNED.replace("ON WINDOW CLOSE", "EAGER")) == 0
 
 
 class TestSharedIndexCoherence:
