@@ -18,7 +18,9 @@ bit for bit; otherwise it declines, and the evaluator falls back to the
 reference — which raises, or computes, exactly as with tracking off.  An
 element that lacks the attribute or holds a non-number makes that
 attribute *inexact*; a float ``sum``/``avg`` is declined where ``sum()``
-compensates (Neumaier, since CPython 3.12) and a running total does not.
+compensates (Neumaier, since CPython 3.12) and a running total does not,
+or is NaN (whose payload is the adder's choice), or overflowed a float
+(``None``; ``min``/``max``/``first``/``last`` are still served).
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ _RUNNING_FLOAT_SUM = sys.version_info < (3, 12)
 class AttrAggregates(NamedTuple):
     """Running aggregates for one attribute of one Kleene variable."""
 
-    #: starts at the int ``0`` like ``sum()``, so an int attribute sums to an int
-    total: float = 0
+    #: starts at the int ``0`` like ``sum()``, so an int attribute sums to an
+    #: int; ``None`` once the sum overflowed a float
+    total: float | None = 0
     minimum: float | None = None
     maximum: float | None = None
     first: Any = None
@@ -56,10 +59,16 @@ class AttrAggregates(NamedTuple):
         # ``min``/``max`` keep the incumbent unless strictly beaten — the
         # builtins' rule, which also places a NaN where they would.
         minimum, maximum = self.minimum, self.maximum
+        total = self.total
+        if total is not None:
+            try:
+                total += value
+            except OverflowError:  # an int past a float's range
+                total = None
         return _new(
             AttrAggregates,
             (
-                self.total + value,
+                total,
                 value if minimum is None or value < minimum else minimum,
                 value if maximum is None or value > maximum else maximum,
                 value if self.last is None else self.first,
@@ -119,9 +128,16 @@ class AggregateState(NamedTuple):
             return None
         if func in ("sum", "avg"):
             total = agg.total
-            if isinstance(total, float) and not _RUNNING_FLOAT_SUM:
+            if total is None or isinstance(total, float) and (
+                total != total or not _RUNNING_FLOAT_SUM
+            ):
                 return None
-            return total if func == "sum" else total / self.count
+            if func == "sum":
+                return total
+            try:
+                return total / self.count
+            except OverflowError:  # an int sum past a float's range
+                return None
         if func == "min":
             return agg.minimum
         if func == "max":

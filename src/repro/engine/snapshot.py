@@ -16,9 +16,8 @@ Two deliberate asymmetries keep the format small and stable:
   compiled from the query text, which the restoring process already has;
   :func:`decode_run` re-attaches the live compiled automaton.
 
-Non-finite floats are *not* handled here — the checkpoint store
-deep-sanitises the full state tree once at save time
-(:mod:`repro.events.jsonsafe`).
+Non-finite floats are *not* handled here — checkpoint files and pipe
+frames encode the state with :func:`repro.events.jsonsafe.encode_state`.
 """
 
 from __future__ import annotations

@@ -6,13 +6,17 @@ Two transports speak it: the TCP wire protocol
 (:mod:`repro.serve.protocol`, which adds the op tables and the asyncio
 and socket readers) and the worker-process pipes
 (:mod:`repro.runtime.process`).  The codec lives below both so the
-runtime never imports the serving layer.
+runtime never imports the serving layer.  TCP frames are strict JSON;
+the pipes pass :func:`~repro.events.jsonsafe.encode_state` and
+:func:`~repro.events.jsonsafe.decode_state` as ``encode``/``decode``, so
+engine state with non-finite floats crosses them.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from functools import partial
 from typing import Any, Callable
 
 #: Default cap on a single frame's JSON payload (bytes).
@@ -42,13 +46,17 @@ class ConnectionClosed(Exception):
     """The peer closed the connection (possibly mid-frame)."""
 
 
+#: the TCP frames' JSON: compact, and refusing non-finite floats.
+_strict = partial(json.dumps, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+
+
 def encode_frame(
-    doc: dict[str, Any], max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
+    doc: dict[str, Any],
+    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+    encode: Callable[[Any], str] = _strict,
 ) -> bytes:
     """Serialise one frame: length prefix + compact JSON payload."""
-    payload = json.dumps(
-        doc, separators=(",", ":"), ensure_ascii=False, allow_nan=False
-    ).encode("utf-8")
+    payload = encode(doc).encode("utf-8")
     if len(payload) > max_frame_bytes:
         raise FrameError(
             E_FRAME_TOO_LARGE,
@@ -75,6 +83,7 @@ def frame_length(header: bytes, max_frame_bytes: int) -> int:
 def read_frame_from(
     read: Callable[[int], bytes],
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+    decode: Callable[[str], Any] = json.loads,
 ) -> dict[str, Any]:
     """Read one frame through a blocking ``read(n) -> bytes`` (socket
     ``recv`` or pipe ``read``); an empty read is the peer closing."""
@@ -90,14 +99,16 @@ def read_frame_from(
         return b"".join(chunks)
 
     return decode_payload(
-        exactly(frame_length(exactly(HEADER_BYTES), max_frame_bytes))
+        exactly(frame_length(exactly(HEADER_BYTES), max_frame_bytes)), decode
     )
 
 
-def decode_payload(payload: bytes) -> dict[str, Any]:
+def decode_payload(
+    payload: bytes, decode: Callable[[str], Any] = json.loads
+) -> dict[str, Any]:
     """Parse and validate one frame payload (must be an object with op)."""
     try:
-        doc = json.loads(payload.decode("utf-8"))
+        doc = decode(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FrameError(E_MALFORMED, f"frame is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -3,18 +3,21 @@
 Python's ``json.dumps`` default emits ``NaN``/``Infinity``/``-Infinity``
 tokens, which are *not* JSON: ``JSON.parse``, jq, and most non-Python
 consumers reject the whole line.  Every serialisation boundary in CEPR
-(the event log, emission JSONL output, checkpoint files) therefore
-encodes with ``allow_nan=False`` and an explicit policy for non-finite
-floats:
+therefore encodes with ``allow_nan=False`` and an explicit policy for
+non-finite floats, decided here and nowhere else:
 
-* **Flat payloads** (event attributes): a non-finite value is written as
-  ``null`` and its kind recorded in a ``"~nf"`` flag field mapping the
-  attribute name to ``"nan"``/``"inf"``/``"-inf"``; :func:`unscrub`
-  reverses it on decode.  ``~`` cannot start a CEPR-QL identifier, so the
-  flag field can never collide with a real attribute.
-* **Nested structures** (checkpoint state, rank values): a non-finite
-  float is replaced by the sentinel object ``{"~nf": kind}``;
-  :func:`desanitize` restores it.
+* **Flat payloads** (the event log, emission JSONL, the TCP wire): a
+  non-finite value is written as ``null`` and its kind recorded in a
+  ``"~nf"`` flag field mapping the attribute name to
+  ``"nan"``/``"inf"``/``"-inf"`` (:func:`scrub`, :func:`unscrub`).  ``~``
+  cannot start a CEPR-QL identifier, so the flag field can never collide
+  with a real attribute.
+* **Nested state** (checkpoint files, worker pipe frames): a non-finite
+  float becomes the sentinel object ``{"~nf": kind}``.
+  :func:`encode_state` encodes strictly and copies the state through
+  :func:`sanitize` only when that refuses a non-finite float;
+  :func:`decode_state` walks it back only when the text holds the
+  sentinel key.
 
 Either way the emitted bytes are valid JSON everywhere and the original
 values round-trip exactly.
@@ -28,6 +31,8 @@ from typing import Any
 
 #: Flag field carrying non-finite attribute kinds alongside a payload.
 NONFINITE_KEY = "~nf"
+#: the sentinel key as it appears in encoded text
+_SENTINEL = json.dumps(NONFINITE_KEY)
 
 _KIND_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 
@@ -41,30 +46,24 @@ def classify(value: Any) -> str | None:
     return None
 
 
-def scrub(payload: dict[str, Any]) -> tuple[dict[str, Any], dict[str, str]]:
-    """Split a flat payload into a JSON-safe dict plus non-finite flags.
-
-    Returns ``(clean, flags)`` where every non-finite float value in
-    ``payload`` appears as ``None`` in ``clean`` and as ``attr -> kind``
-    in ``flags``.  When ``flags`` is empty the payload was already safe.
-    """
-    flags: dict[str, str] = {}
-    clean: dict[str, Any] = {}
-    for attr, value in payload.items():
-        kind = classify(value)
-        if kind is None:
-            clean[attr] = value
-        else:
-            clean[attr] = None
-            flags[attr] = kind
-    return clean, flags
+def scrub(payload: dict[str, Any]) -> dict[str, Any]:
+    """A flat payload that serialises strictly: ``payload`` itself when it
+    holds no non-finite float, else a copy with each one as ``None`` and a
+    trailing ``"~nf"`` flag field mapping its attribute to its kind."""
+    flags = {attr: kind for attr, value in payload.items() if (kind := classify(value))}
+    if not flags:
+        return payload
+    clean = {attr: None if attr in flags else value for attr, value in payload.items()}
+    clean[NONFINITE_KEY] = flags
+    return clean
 
 
-def unscrub(payload: dict[str, Any], flags: dict[str, str]) -> dict[str, Any]:
-    """Restore non-finite values recorded by :func:`scrub` (in place)."""
-    for attr, kind in flags.items():
-        payload[attr] = _KIND_VALUES[kind]
-    return payload
+def unscrub(record: dict[str, Any]) -> dict[str, Any]:
+    """Inverse of :func:`scrub`, in place: pops the flag field and restores
+    the non-finite values it names."""
+    for attr, kind in record.pop(NONFINITE_KEY, {}).items():
+        record[attr] = _KIND_VALUES[kind]
+    return record
 
 
 def sanitize(obj: Any) -> Any:
@@ -95,11 +94,24 @@ def desanitize(obj: Any) -> Any:
     return obj
 
 
-def dumps(obj: Any) -> str:
-    """``json.dumps`` that refuses to emit invalid NaN/Infinity tokens.
+def encode_state(obj: Any, **json_kwargs: Any) -> str:
+    """Nested ``obj`` as compact strict JSON (``json_kwargs`` go to
+    ``json.dumps``); only a state the strict encoder refuses is copied
+    through :func:`sanitize` and encoded again."""
+    json_kwargs.setdefault("separators", (",", ":"))
+    try:
+        return json.dumps(obj, allow_nan=False, **json_kwargs)
+    except ValueError:
+        return json.dumps(sanitize(obj), allow_nan=False, **json_kwargs)
 
-    Raises :class:`ValueError` on a non-finite float that escaped the
-    scrub/sanitize policy — corrupting the output stream silently would
-    be strictly worse.
-    """
+
+def decode_state(text: str) -> Any:
+    """Inverse of :func:`encode_state`."""
+    obj = json.loads(text)
+    return desanitize(obj) if _SENTINEL in text else obj
+
+
+def dumps(obj: Any) -> str:
+    """``json.dumps`` that refuses to emit invalid NaN/Infinity tokens:
+    corrupting the output stream silently would be strictly worse."""
     return json.dumps(obj, allow_nan=False)

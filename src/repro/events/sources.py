@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.events.event import Event
-from repro.events.jsonsafe import NONFINITE_KEY, dumps, scrub, unscrub
+from repro.events.jsonsafe import dumps, scrub, unscrub
 from repro.events.stream import EventStream
 
 
@@ -102,11 +102,9 @@ def event_to_line(event: Event) -> str:
     """One event as a strict-JSON line: ``type``, ``timestamp``, then the
     payload, whose non-finite floats are written as ``null`` and named in
     a ``"~nf"`` flag field (:mod:`repro.events.jsonsafe`)."""
-    clean, flags = scrub(event.payload)
-    record = {"type": event.event_type, "timestamp": event.timestamp, **clean}
-    if flags:
-        record[NONFINITE_KEY] = flags
-    return dumps(record)
+    return dumps(
+        {"type": event.event_type, "timestamp": event.timestamp, **scrub(event.payload)}
+    )
 
 
 def event_from_line(line: str) -> Event:
@@ -115,8 +113,7 @@ def event_from_line(line: str) -> Event:
     Raises ``json.JSONDecodeError`` for a line that is not JSON and
     ``KeyError`` for one without ``type`` or ``timestamp``.
     """
-    record = json.loads(line)
-    unscrub(record, record.pop(NONFINITE_KEY, {}))
+    record = unscrub(json.loads(line))
     return Event(record.pop("type"), float(record.pop("timestamp")), **record)
 
 

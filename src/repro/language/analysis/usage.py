@@ -30,6 +30,7 @@ from repro.language.ast_nodes import (
     Query,
     SelectionStrategy,
     WindowKind,
+    query_expressions,
     referenced_variables,
     split_conjuncts,
 )
@@ -72,16 +73,8 @@ def check_usage(analyzed: AnalyzedQuery) -> list[Diagnostic]:
     return diagnostics
 
 
-def _query_expressions(query: Query) -> list[Expr]:
-    exprs: list[Expr] = list(split_conjuncts(query.where))
-    exprs.extend(key.expr for key in query.rank_by)
-    if query.yield_spec is not None:
-        exprs.extend(expr for _attr, expr in query.yield_spec.assignments)
-    return exprs
-
-
 def _check_unused_variables(analyzed: AnalyzedQuery) -> list[Diagnostic]:
-    exprs = _query_expressions(analyzed.ast)
+    exprs = query_expressions(analyzed.ast)
     if not exprs:
         return []  # a bare structural pattern references nothing by design
     used: set[str] = set()

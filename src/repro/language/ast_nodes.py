@@ -297,6 +297,15 @@ def referenced_variables(expr: Expr) -> frozenset[str]:
     return frozenset(names)
 
 
+def query_expressions(query: Query) -> list[Expr]:
+    """The ``WHERE`` conjuncts, ``RANK BY`` keys and ``YIELD`` assignments."""
+    exprs: list[Expr] = list(split_conjuncts(query.where))
+    exprs.extend(key.expr for key in query.rank_by)
+    if query.yield_spec is not None:
+        exprs.extend(expr for _attr, expr in query.yield_spec.assignments)
+    return exprs
+
+
 def split_conjuncts(expr: Expr | None) -> list[Expr]:
     """Split a boolean expression at top-level ``AND`` into conjuncts."""
     if expr is None:

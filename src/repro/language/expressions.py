@@ -232,10 +232,12 @@ def _compile_aggregate(expr: Aggregate) -> Evaluator:
             return len(events)
         assert attr is not None
         values = _aggregate_values(events, attr)
-        if func == "sum":
-            return sum(values)
-        if func == "avg":
-            return sum(values) / len(values)
+        if func in ("sum", "avg"):
+            try:
+                total = sum(values)
+                return total if func == "sum" else total / len(values)
+            except OverflowError as exc:  # an int past a float's range
+                raise EvaluationError(f"{func}({var}.{attr}): {exc}") from None
         if func == "min":
             return min(values)
         if func == "max":

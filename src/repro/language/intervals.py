@@ -351,7 +351,10 @@ def numeric_exact(value: Any) -> Interval | None:
     """The degenerate interval of a bound numeric value, else ``None``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         return None
-    return Interval.exact(float(value))
+    try:
+        return Interval.exact(float(value))
+    except OverflowError:  # an int past a float's range
+        return None
 
 
 def bound_arithmetic(op: BinaryOp, left: Interval, right: Interval) -> Interval | None:

@@ -37,6 +37,8 @@ from collections import deque
 from pathlib import Path
 from typing import Any
 
+from repro.events.jsonsafe import decode_state, encode_state
+
 #: artifact format version (bump on incompatible schema changes).
 ARTIFACT_VERSION = 1
 
@@ -85,7 +87,7 @@ class FlightRecorder:
         entry: dict[str, Any] = {"ts": round(time.time(), 6), "kind": kind}
         entry.update(data)
         try:
-            encoded = json.dumps(entry, separators=(",", ":"), default=str)
+            encoded = encode_state(entry, default=str)
         except (TypeError, ValueError):
             encoded = json.dumps(
                 {"ts": entry["ts"], "kind": kind, "encode_error": True},
@@ -120,7 +122,7 @@ class FlightRecorder:
         """Decode and return the retained entries, oldest first."""
         with self._lock:
             snapshot = list(self._entries)
-        return [json.loads(entry) for entry in snapshot]
+        return [decode_state(entry) for entry in snapshot]
 
     # -- dumping -----------------------------------------------------------------
 
@@ -229,7 +231,7 @@ def list_artifacts(directory: str | os.PathLike) -> list[Path]:
 
 def load_artifact(path: str | os.PathLike) -> dict[str, Any]:
     """Parse one artifact; raises ``ValueError`` on schema mismatch."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = decode_state(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ValueError(f"{path}: not a flight-recorder artifact")
     if doc.get("version") != ARTIFACT_VERSION:

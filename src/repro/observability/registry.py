@@ -388,7 +388,7 @@ class MetricsRegistry:
         ``"g"`` (sum gauge), ``"m"`` (max gauge) or ``"h"``, whose value is
         the reservoir ``[count, total, maximum, samples, zeros]``.  Help text
         stays home; :meth:`from_wire` takes it from the receiver's
-        catalogue.  Values may be non-finite (frames are sanitized).
+        catalogue.  Values may be non-finite (pipe frames carry them).
         """
         rows: list[list[Any]] = []
         for instrument in self:

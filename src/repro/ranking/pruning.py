@@ -380,11 +380,14 @@ class _Shape:
             if state is None:
                 return None  # not tracked (the aggregate ablation)
             agg = state.attrs.get(attr)
-            if agg is None or agg.minimum is None:
-                return None
+            if agg is None or agg.minimum is None or agg.total is None:
+                return None  # no element yet, or an int past a float's range
             n = state.count
-            lo, hi = float(agg.minimum), float(agg.maximum)
-            first, last = float(agg.first), float(agg.last)
+            try:
+                lo, hi = float(agg.minimum), float(agg.maximum)
+                first, last = float(agg.first), float(agg.last)
+            except OverflowError:
+                return None
             count = bound_count(n, is_open, cap)
             if func not in ("sum", "avg"):
                 observed = (n, agg.total, lo, hi, first, last)

@@ -152,11 +152,8 @@ class CEPREngine(instruments.TelemetryViews):
         #: registrations so far (each query's ``seat``).
         self._seats = 0
         #: group key -> the lead of the latest group with that key, which
-        #: queries may join until it processes an event.  While only one
-        #: group is open its key is not computed (``_unkeyed``): a
-        #: one-query program never pays for the canonical text.
-        self._open_groups: dict[str, RegisteredQuery] = {}
-        self._unkeyed: RegisteredQuery | None = None
+        #: queries may join until it processes an event.
+        self._open_groups: dict[tuple, RegisteredQuery] = {}
         self.metrics = EngineMetrics()
         want_tracing = tracing_enabled() if tracing is None else tracing
         self.tracer: Tracer | None = Tracer() if want_tracing else None
@@ -206,10 +203,7 @@ class CEPREngine(instruments.TelemetryViews):
         ast = parse_query(query) if isinstance(query, str) else query
         grouping = self.shared is not None and groupable(ast)
         key = lead = None
-        if grouping and (self._unkeyed is not None or self._open_groups):
-            if self._unkeyed is not None:
-                self._open_groups[group_key(self._unkeyed.analyzed.ast)] = self._unkeyed
-                self._unkeyed = None
+        if grouping:
             key = group_key(ast)
             lead = self._open_groups.get(key)
             if lead is not None and lead.metrics.events_routed:
@@ -239,8 +233,6 @@ class CEPREngine(instruments.TelemetryViews):
             self._router.add(registered)
             if key is not None:
                 self._open_groups[key] = registered
-            elif grouping:
-                self._unkeyed = registered
         if self._flightrec is not None:
             self._flightrec.record("register", query=resolved_name)
         return registered
@@ -281,8 +273,6 @@ class CEPREngine(instruments.TelemetryViews):
     def _forget_open(self, lead: RegisteredQuery, heir: RegisteredQuery | None) -> None:
         """A group lead left: its open-group entry names ``heir`` (or
         nothing)."""
-        if self._unkeyed is lead:
-            self._unkeyed = heir
         for key, open_lead in list(self._open_groups.items()):
             if open_lead is lead:
                 if heir is None:
@@ -294,7 +284,6 @@ class CEPREngine(instruments.TelemetryViews):
         """Heartbeats, the flush and a restore move pipelines: no group
         formed so far may be joined."""
         self._open_groups.clear()
-        self._unkeyed = None
 
     def subscribe(
         self, query_name: str, target: SinkLike, kinds=None

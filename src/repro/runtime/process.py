@@ -42,7 +42,7 @@ from repro.events.frames import (
     encode_frame,
     read_frame_from,
 )
-from repro.events.jsonsafe import desanitize, sanitize
+from repro.events.jsonsafe import decode_state, encode_state
 from repro.events.schema import encode_registry, registry_from_dict
 from repro.language.ast_nodes import Query
 from repro.language.parser import parse_query
@@ -67,12 +67,12 @@ class WorkerProcessError(RuntimeError):
 
 def read_pipe_frame(stream: BinaryIO) -> dict[str, Any]:
     """Read one length-prefixed JSON frame from a blocking pipe stream."""
-    return read_frame_from(stream.read, PIPE_MAX_FRAME_BYTES)
+    return read_frame_from(stream.read, PIPE_MAX_FRAME_BYTES, decode_state)
 
 
 def write_pipe_frame(stream: BinaryIO, doc: dict[str, Any]) -> None:
     """Write one frame and flush (pipes buffer; barriers need delivery)."""
-    stream.write(encode_frame(doc, max_frame_bytes=PIPE_MAX_FRAME_BYTES))
+    stream.write(encode_frame(doc, PIPE_MAX_FRAME_BYTES, encode_state))
     stream.flush()
 
 
@@ -194,21 +194,19 @@ class PipeShard:
             raise WorkerProcessError("worker process is not running")
         return proc
 
-    def _request(self, doc: dict[str, Any]) -> dict[str, Any]:
-        """One sanitized request/reply round-trip under the pipe lock."""
+    def _request(self, doc: dict[str, Any], one_way: bool = False) -> dict[str, Any]:
+        """One request/reply round-trip under the pipe lock (``one_way``:
+        the ``events`` frame, which the worker does not answer)."""
         with self._lock:
             proc = self._require_proc()
-            payload = sanitize(doc)
-            payload["safe"] = True
             try:
-                write_pipe_frame(proc.stdin, payload)
-                reply = read_pipe_frame(proc.stdout)
+                write_pipe_frame(proc.stdin, doc)
+                reply = {} if one_way else read_pipe_frame(proc.stdout)
             except (OSError, ValueError, ConnectionClosed) as exc:
                 raise WorkerProcessError(
-                    f"worker pid={self.pid} died mid-request "
+                    f"worker pid={self.pid} died mid-{doc['op']} "
                     f"(exit code {proc.poll()!r})"
                 ) from exc
-        reply = desanitize(reply)
         if reply.get("op") == "error":
             etype = reply.get("etype", "Exception")
             detail = (
@@ -224,26 +222,9 @@ class PipeShard:
 
     def push_batch(self, events: list[Event]) -> None:
         """Ship one batch as a single one-way frame (no reply)."""
-        doc = {"op": "events", "events": [encode_event(e) for e in events]}
-        with self._lock:
-            proc = self._require_proc()
-            try:
-                frame = encode_frame(doc, max_frame_bytes=PIPE_MAX_FRAME_BYTES)
-            except ValueError:
-                # Non-finite floats in some payload: fall back to the
-                # sentinel encoding; the worker desanitizes on arrival.
-                frame = encode_frame(
-                    {"op": "events", "safe": True, "events": sanitize(doc["events"])},
-                    max_frame_bytes=PIPE_MAX_FRAME_BYTES,
-                )
-            try:
-                proc.stdin.write(frame)
-                proc.stdin.flush()
-            except (OSError, ValueError) as exc:
-                raise WorkerProcessError(
-                    f"worker pid={self.pid} died mid-stream "
-                    f"(exit code {proc.poll()!r})"
-                ) from exc
+        self._request(
+            {"op": "events", "events": [encode_event(e) for e in events]}, one_way=True
+        )
 
     def advance_time(self, timestamp: float) -> None:
         self._request({"op": "advance", "ts": timestamp})

@@ -27,9 +27,8 @@ the other end of stdin/stdout, hosting one
     Leave; EOF on stdin does the same (a vanished parent must not leave
     orphan workers grinding on).
 
-Frames flagged ``"safe"`` passed through the non-finite-float sentinel
-encoding (:mod:`repro.events.jsonsafe`) and are desanitized on arrival;
-every reply is sanitized, since engine state may carry ``inf``/``nan``.
+Frames in both directions carry the ``inf``/``nan`` engine state may
+hold (``read_pipe_frame``/``write_pipe_frame``, :mod:`repro.events.jsonsafe`).
 
 File descriptor hygiene: the frame stream is a private ``dup`` of fd 1
 taken at startup, after which fd 1 is redirected onto stderr — so any
@@ -46,7 +45,6 @@ from typing import Any, BinaryIO
 
 from repro.engine.snapshot import decode_event
 from repro.events.frames import ConnectionClosed
-from repro.events.jsonsafe import desanitize, sanitize
 from repro.runtime.process import decode_config, read_pipe_frame, write_pipe_frame
 from repro.runtime.report import encode_report
 from repro.runtime.shard import LocalShard
@@ -93,8 +91,6 @@ def serve(frames_in: BinaryIO, frames_out: BinaryIO) -> int:
             doc = read_pipe_frame(frames_in)
         except ConnectionClosed:
             return 0  # parent is gone: exit quietly rather than orphan-grind
-        if doc.get("safe"):
-            doc = desanitize(doc)
         op = doc["op"]
         if op == "exit":
             return 0
@@ -125,7 +121,7 @@ def serve(frames_in: BinaryIO, frames_out: BinaryIO) -> int:
         except BaseException as exc:
             reply = _error_reply(exc)
         try:
-            write_pipe_frame(frames_out, sanitize(reply))
+            write_pipe_frame(frames_out, reply)
         except Exception:
             return 1
 

@@ -24,10 +24,15 @@ from repro.engine.runs import new_run
 from repro.engine.snapshot import restoring
 from repro.events.event import Event
 from repro.events.schema import SchemaError, SchemaRegistry
-from repro.language.ast_nodes import EmitKind, Query
+from repro.language.ast_nodes import (
+    EmitKind,
+    Literal,
+    Query,
+    iter_subexpressions,
+    query_expressions,
+)
 from repro.language.errors import EvaluationError
 from repro.language.expressions import EvalContext
-from repro.language.printer import format_query
 from repro.language.semantics import (
     AnalyzedQuery,
     Reads,
@@ -72,13 +77,19 @@ def groupable(query: Query) -> bool:
     return default_emit(query).kind is EmitKind.ON_WINDOW_CLOSE
 
 
-def group_key(query: Query) -> str:
+def group_key(query: Query) -> tuple:
     """What a groupable query must share with another to run in its group:
-    its canonical text (:mod:`~repro.language.printer`) without ``NAME``
-    and ``LIMIT`` — syntactic on purpose, because match bindings are keyed
-    by variable name.  Read off the AST, before analysis: a query that
-    joins a group takes its lead's (``semantics.analyze_member``)."""
-    return format_query(replace(query, name=None, limit=None))
+    its AST without ``NAME`` and ``LIMIT`` (syntactic: match bindings are
+    keyed by variable name), its literals also by type and ``repr``, since
+    ``1 == 1.0 == True`` and ``0.0 == -0.0`` print differently.  Read off
+    the AST, before analysis (a member takes its lead's)."""
+    literals = tuple(
+        (type(node.value), repr(node.value))
+        for expr in query_expressions(query)
+        for node in iter_subexpressions(expr)
+        if isinstance(node, Literal)
+    )
+    return replace(query, name=None, limit=None), literals
 
 
 def _limit_covers(limit: int | None, other: int | None) -> bool:

@@ -23,25 +23,18 @@ from typing import Any
 
 from repro.engine.match import Match
 from repro.events.event import Event
-from repro.events.jsonsafe import NONFINITE_KEY, classify, dumps, scrub, unscrub
+from repro.events.jsonsafe import NONFINITE_KEY, dumps, scrub, unscrub
 from repro.ranking.emission import Emission
 
 
 def event_to_json(event: Event) -> dict[str, Any]:
     """One event as a JSON-compatible dict (type + timestamp + payload)."""
-    payload, flags = scrub(event.payload)
-    doc = {"type": event.event_type, "t": event.timestamp, **payload}
-    if flags:
-        doc[NONFINITE_KEY] = flags
-    return doc
+    return {"type": event.event_type, "t": event.timestamp, **scrub(event.payload)}
 
 
 def event_from_json(doc: dict[str, Any]) -> Event:
     """Inverse of :func:`event_to_json` (non-finite flags restored)."""
-    payload = {
-        k: v for k, v in doc.items() if k not in ("type", "t", NONFINITE_KEY)
-    }
-    unscrub(payload, doc.get(NONFINITE_KEY, {}))
+    payload = unscrub({k: v for k, v in doc.items() if k not in ("type", "t")})
     return Event(doc["type"], doc["t"], **payload)
 
 
@@ -53,18 +46,11 @@ def match_to_json(match: Match) -> dict[str, Any]:
             bindings[var] = event_to_json(binding)
         else:
             bindings[var] = [event_to_json(e) for e in binding]
-    rank_values: list[Any] = []
-    rank_flags: dict[str, str] = {}
-    for index, value in enumerate(match.rank_values):
-        kind = classify(value)
-        if kind is not None:
-            rank_flags[str(index)] = kind
-            rank_values.append(None)
-        else:
-            rank_values.append(value)
+    ranks = scrub({str(index): value for index, value in enumerate(match.rank_values)})
+    rank_flags = ranks.pop(NONFINITE_KEY, None)
     doc = {
         "query": match.query_name,
-        "rank_values": rank_values,
+        "rank_values": list(ranks.values()),
         "first_ts": match.first_ts,
         "last_ts": match.last_ts,
         "bindings": bindings,
@@ -95,15 +81,12 @@ def emission_from_line(line: str) -> dict[str, Any]:
     rank values and payload attributes flagged by the encoder."""
     doc = json.loads(line)
     for match_doc in doc.get("ranking", []):
-        rank_flags = match_doc.pop(NONFINITE_KEY, {})
         values = match_doc.get("rank_values", [])
-        unscrub_values = {int(i): kind for i, kind in rank_flags.items()}
-        for index, kind in unscrub_values.items():
-            restored: dict[str, Any] = {"v": None}
-            unscrub(restored, {"v": kind})
-            values[index] = restored["v"]
+        flags = match_doc.pop(NONFINITE_KEY, {})
+        for index, value in unscrub({NONFINITE_KEY: flags}).items():
+            values[int(index)] = value
         for binding in match_doc.get("bindings", {}).values():
             event_docs = binding if isinstance(binding, list) else [binding]
             for event_doc in event_docs:
-                unscrub(event_doc, event_doc.pop(NONFINITE_KEY, {}))
+                unscrub(event_doc)
     return doc

@@ -32,15 +32,14 @@ of preventing it.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.events.jsonsafe import desanitize, dumps, sanitize
+from repro.events.jsonsafe import decode_state, encode_state
 from repro.observability.instruments import CHECKPOINT, bind_table
 from repro.observability.log import get_logger
 from repro.runtime.metrics import LatencyRecorder
@@ -77,13 +76,6 @@ class Position:
     last_seq: int
     last_ts: float
 
-    def as_json(self) -> dict[str, Any]:
-        return {
-            "events_consumed": self.events_consumed,
-            "last_seq": self.last_seq,
-            "last_ts": self.last_ts,
-        }
-
     @classmethod
     def from_json(cls, state: dict[str, Any]) -> "Position":
         return cls(
@@ -109,7 +101,7 @@ def _checksum(canonical: str) -> int:
 def _canonical(state: Any) -> str:
     # Key order is canonicalised so the checksum is a function of the
     # state's *content*, not of dict construction order.
-    return json.dumps(state, allow_nan=False, sort_keys=True, separators=(",", ":"))
+    return encode_state(state, sort_keys=True)
 
 
 class CheckpointStore:
@@ -144,24 +136,25 @@ class CheckpointStore:
     def save(self, state: dict[str, Any], position: Position) -> Path:
         """Atomically persist ``state`` at ``position``; returns the path.
 
-        ``state`` is deep-sanitised (non-finite floats become sentinel
-        objects, tuples become lists), so engine snapshots can be passed
-        as-is.
+        The checksum covers the canonical (key-sorted) encoding, so it is
+        a function of the state's content; the document keeps the state's
+        own key order, which restore relies on (a restored event's payload
+        prints in arrival order).  Non-finite floats travel as
+        :func:`~repro.events.jsonsafe.encode_state` writes them, so engine
+        snapshots can be passed as-is.
         """
         if position.events_consumed < 0:
             raise CheckpointError(
                 f"events_consumed must be >= 0, got {position.events_consumed}"
             )
         started = time.perf_counter()
-        safe_state = sanitize(state)
-        canonical = _canonical(safe_state)
-        document = dumps(
+        document = encode_state(
             {
                 "format": CHECKPOINT_FORMAT,
                 "version": CHECKPOINT_VERSION,
-                "position": position.as_json(),
-                "checksum": _checksum(canonical),
-                "state": safe_state,
+                "position": asdict(position),
+                "checksum": _checksum(_canonical(state)),
+                "state": state,
             }
         )
         final = self.directory / (
@@ -226,20 +219,18 @@ class CheckpointStore:
 
     def _load(self, path: Path) -> Checkpoint | None:
         try:
-            document = json.loads(path.read_text())
+            document = decode_state(path.read_text())
             if document.get("format") != CHECKPOINT_FORMAT:
                 return None
             if document.get("version") != CHECKPOINT_VERSION:
                 return None
-            safe_state = document["state"]
-            if _checksum(_canonical(safe_state)) != int(document["checksum"]):
+            state = document["state"]
+            if _checksum(_canonical(state)) != int(document["checksum"]):
                 return None
             position = Position.from_json(document["position"])
         except (OSError, ValueError, KeyError, TypeError):
             return None
-        return Checkpoint(
-            path=path, position=position, state=desanitize(safe_state)
-        )
+        return Checkpoint(path=path, position=position, state=state)
 
     # -- observability ------------------------------------------------------------
 

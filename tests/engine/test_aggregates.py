@@ -1,10 +1,11 @@
 """Unit tests for incremental aggregate state."""
 
+import math
 import struct
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.aggregates import (
@@ -15,12 +16,18 @@ from repro.engine.aggregates import (
 from repro.engine.compiler import compile_automaton
 from repro.engine.matcher import PatternMatcher
 from repro.events.event import Event
+from repro.events.schema import AttributeSpec, EventSchema, SchemaRegistry
+from repro.runtime.engine import CEPREngine
 from repro.events.time import SequenceAssigner
 from repro.language.errors import EvaluationError
 from repro.language.parser import parse_query
 from repro.language.ast_nodes import split_conjuncts
 from repro.language.semantics import analyze
 from repro.runtime.serialize import match_to_json
+
+
+#: a quiet NaN whose payload is not the default one
+PAYLOAD_NAN = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000001))[0]
 
 
 def bits(value):
@@ -74,6 +81,7 @@ class TestAggregateState:
         )
     )
     @settings(max_examples=300, deadline=None)
+    @example([PAYLOAD_NAN, -math.nan])
     def test_sum_and_avg_are_the_builtins_bit_for_bit(self, values):
         state = self.make_state(*values)
         for func, reference in (("sum", sum), ("avg", lambda v: sum(v) / len(v))):
@@ -104,6 +112,7 @@ class TestAggregateState:
         state = self.make_state(1.0).accept(Event("B", 1))  # no x
         state = state.accept(Event("B", 2, x=5.0))
         assert state.lookup("count", None) == 3
+        assert self.make_state(2**1100, 1).lookup("avg", "x") is None  # int / int
         for func in ("sum", "avg", "min", "max", "first", "last"):
             assert state.lookup(func, "x") is None
 
@@ -172,6 +181,49 @@ class TestCacheAgreesWithTheReference:
         tracked = matcher_outcome(text, events, True, lenient)
         assert tracked == matcher_outcome(text, events, False, lenient)
         assert len(tracked[0]) == 1  # True + 2 == 3: the builtin's answer
+
+
+class TestIntPastAFloatsRange:
+    """An int the ``float`` type admits but a float cannot hold, next to
+    floats: ``max`` is served, ``sum`` is an evaluation error on every
+    path (tracked or not, with or without a registry), which the lenient
+    policy counts."""
+
+    VALUES = (1.0, 2**1100, 0.5)
+    REGISTRY = SchemaRegistry(
+        [EventSchema(t, (AttributeSpec("v", "float"),)) for t in "AB"]
+    )
+
+    def events(self, values):
+        return [Event("A", 0.0, v=0.0)] + [
+            Event("B", float(i), v=v) for i, v in enumerate(values, 1)
+        ]
+
+    def run(self, key, registry, lenient, values=VALUES):
+        text = (
+            "PATTERN SEQ(A a, B bs+) WITHIN 10 EVENTS USING SKIP_TILL_NEXT "
+            f"RANK BY {key} DESC LIMIT 2 EMIT ON WINDOW CLOSE"
+        )
+        engine = CEPREngine(registry=registry, lenient_errors=lenient)
+        handle = engine.register_query(text, name="q")
+        engine.run(self.events(values))
+        return [m.rank_values for e in handle.results() for m in e.ranking], handle
+
+    @pytest.mark.parametrize("values", [VALUES, (1, 2**1100, 3)])
+    @pytest.mark.parametrize("registry", [None, REGISTRY])
+    def test_max_is_served(self, registry, values):
+        """Also when every value is an int (the total stays exact), which
+        the pruner's float bound cannot hold."""
+        ranked, _ = self.run("max(bs.v)", registry, lenient=False, values=values)
+        assert ranked[0] == (2**1100,)
+
+    @pytest.mark.parametrize("registry", [None, REGISTRY])
+    def test_sum_is_an_evaluation_error(self, registry):
+        with pytest.raises(EvaluationError, match="sum"):
+            self.run("sum(bs.v)", registry, lenient=False)
+        ranked, handle = self.run("sum(bs.v)", registry, lenient=True)
+        assert handle.ranker.scoring_errors > 0
+        assert all(values[0] < 2.0 for values in ranked)  # only the sums before 2**1100
 
 
 class TestNeededAggregates:

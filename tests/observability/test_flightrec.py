@@ -8,6 +8,7 @@ invariant both records an entry and dumps an artifact.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -104,6 +105,18 @@ class TestArtifacts:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
         assert doc["entries"][0]["seq"] == 7
+
+    def test_non_finite_values_stay_strict_json_and_load_back(self, tmp_path):
+        recorder = FlightRecorder(byte_budget=1024)
+        recorder.record("push", price=math.nan, bound=-math.inf)
+        path = recorder.dump("nonfinite", directory=tmp_path)
+        json.loads(
+            path.read_text(encoding="utf-8"),
+            parse_constant=lambda name: pytest.fail(f"non-strict JSON literal {name!r}"),
+        )
+        entry = load_artifact(path)["entries"][0]
+        assert math.isnan(entry["price"]) and entry["bound"] == -math.inf
+        assert math.isnan(recorder.entries()[0]["price"])
 
     def test_list_artifacts_sorted(self, tmp_path):
         recorder = FlightRecorder(byte_budget=1024)

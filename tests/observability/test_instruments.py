@@ -1,30 +1,22 @@
 """The instrument table: one description of what an engine counts.
 
-* every series the parent commit (0c137b9) exported is still exported,
-  under the same name, kind and labels, on every backend (golden list
-  captured from that commit by running :func:`exported_series` there),
-  but for the ingest-queue and pressure series a fleet no longer
-  exports (it has no ingest queue); what it exported from the
-  since-deleted thread fleet (``sharded``) is exported by a remaining
-  backend;
+* every series a runner exports (``exported`` in ``golden_series.json``,
+  per backend, with its kind and labels) is still exported, and every
+  series a running server, a checkpoint store and an event log export is
+  exactly the golden's ``served`` rows, help text included;
+* every series any golden ever held is still exported, or it is listed as
+  removed: ``series_changes.json`` is an append-only table of every
+  series added, removed or reworded since the first goldens (0c137b9 for
+  runners, 68f6840 for servers), each with its reason, and replaying it
+  gives exactly the series the golden holds.  When the exported surface
+  changes, regenerate the golden and append the rows that explain it;
 * the metric catalogue in ``docs/OBSERVABILITY.md`` is the table's own
   rendering, so the doc cannot drift;
 * counters that had several definitions have one: ``revisions`` is the
   ranker's counter, a fleet's ``throughput_eps`` is the fleet's rate;
 * every engine-scope sanitizer check the source can trip is in the table;
 * every series anything exports — the three backends, a running server,
-  a checkpoint store, an event log — is a row of the table, and the
-  serve-side series are exactly the dated golden's rows (captured on
-  2026-10-18 by running :func:`served_series`, after the fleet lost its
-  ingest-queue series) plus the rows listed as added since.  Every row
-  the parent golden (20261018) served is still served by some server,
-  unchanged but for the queue series
-  reworded since, and the fleet server dropped exactly the queue
-  series; every row the golden before it (ac29636) served, from its
-  thread-fleet server too, the parent golden serves, but for the series
-  reworded in between; and those rows in turn differ from the rows each
-  module declared when it had its own (captured at 68f6840) only by the
-  series listed as added, removed or reworded before it.
+  a checkpoint store, an event log — is a row of the table.
 """
 
 import ast
@@ -49,92 +41,22 @@ from ..runtime.fleet import local_fleet
 from ..serve.test_server import ServerHarness
 
 ROOT = Path(__file__).resolve().parents[2]
-GOLDEN = json.loads((Path(__file__).parent / "golden_series_0c137b9.json").read_text())
-GOLDEN_SERVED_20261018C = json.loads(
-    (Path(__file__).parent / "golden_served_series_20261018c.json").read_text()
-)
-GOLDEN_SERVED_20261018B = json.loads(
-    (Path(__file__).parent / "golden_served_series_20261018b.json").read_text()
-)
-GOLDEN_SERVED_20261018 = json.loads(
-    (Path(__file__).parent / "golden_served_series_20261018.json").read_text()
-)
-GOLDEN_SERVED_AC29636 = json.loads(
-    (Path(__file__).parent / "golden_served_series_ac29636.json").read_text()
-)
-GOLDEN_SERVED_68F6840 = json.loads(
-    (Path(__file__).parent / "golden_served_series_68f6840.json").read_text()
-)
-#: series added to the catalogue after the 68f6840 golden was captured.
-ADDED_SINCE_SERVED_GOLDEN = {"shared_query_groups"}
+#: what runners export and servers serve, as of the newest change to either
+GOLDEN = json.loads((Path(__file__).parent / "golden_series.json").read_text())
+#: every series added, removed or reworded since the first goldens
+CHANGES = json.loads((Path(__file__).parent / "series_changes.json").read_text())
+#: series the catalogue has dropped: no source exports them any more
+REMOVED = {
+    row["series"] for row in CHANGES if row["change"] == "removed" and "source" not in row
+}
 #: the threaded runner's ingest-queue and pressure series: a fleet has no
 #: ingest queue (its backpressure is the blocking pipe write), so the
-#: ``process`` scenario and server export none of them since the 20261018
-#: golden; ``threaded`` exports them all.
+#: ``process`` scenario and server export none of them; ``threaded``
+#: exports them all.
 QUEUE_SERIES = {
-    "runner_backlog",
-    "runner_queue_capacity",
-    "runner_queue_high_water",
-    "runner_ingest_lag_seconds",
-    "pressure",
-}
-#: rows each server has added since the 20261018c golden was captured:
-#: the sanitizer's re-derivation of every value a run reader reads.
-ADDED_SINCE_PARENT_GOLDEN = [
-    ["sanitizer_check_trips_total", "counter", [["check", "run-reader"]],
-     "Sanitizer trips by invariant check"],
-]
-#: what :func:`served_series` serves: the 20261018c golden plus the rows
-#: added since, on each server.
-GOLDEN_SERVED = {
-    source: sorted(rows + ADDED_SINCE_PARENT_GOLDEN)
-    if source in ("threaded", "process")
-    else rows
-    for source, rows in GOLDEN_SERVED_20261018C.items()
-}
-#: series whose help text changed after the 20261018b golden was captured:
-#: the stage profile counts every event but times one in sixteen (and the
-#: few with matches or emissions), so its total is an estimate and its
-#: maximum is over the timed events.
-REWORDED_SINCE_PARENT_GOLDEN = {
-    "stage_seconds_total",
-    "stage_events_total",
-    "stage_max_seconds",
-}
-#: series whose help text changed after the 20261018 golden was captured:
-#: only the threaded runner has an ingest queue, so its wording no longer
-#: covers a fleet's chunks.
-REWORDED_SINCE_20261018_GOLDEN = {
-    "runner_backlog",
-    "runner_queue_capacity",
-    "runner_queue_high_water",
-}
-#: series whose help text changed after the ac29636 golden was captured:
-#: every fleet is worker processes, fed in chunks by a coordinator that
-#: runs no thread of its own.
-REWORDED_SINCE_AC29636_GOLDEN = {
-    "runner_shards",
-    "shard_events_processed_total",
-    "runner_backlog",
-    "runner_queue_capacity",
-    "runner_queue_high_water",
-}
-#: series whose help text changed after the 68f6840 golden was captured:
-#: the shared index now memoises stage-0 gates only.
-REWORDED_SINCE_SERVED_GOLDEN = {
-    "predicate_evals_saved_total",
-    "predicate_evals_performed_total",
-    "events_gated_total",
-    "shared_hits_total",
-    "shared_misses_total",
-}
-#: series the parent-commit goldens hold that the catalogue has since
-#: dropped, with the mechanism they measured (NFA prefix interning, the
-#: per-fingerprint predicate memo).
-REMOVED_SINCE_GOLDEN = {
-    "shared_prefix_entries",
-    "prefix_states_shared_total",
-    "shared_distinct_predicates",
+    row["series"]
+    for row in CHANGES
+    if row["change"] == "removed" and row.get("source") == "process"
 }
 
 TUMBLING = """
@@ -232,30 +154,34 @@ def served_series(root):
 
 class TestExportedSurface:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_every_parent_series_is_still_exported(self, scenario):
+    def test_every_golden_series_is_still_exported(self, scenario):
         now = exported_series(scenario)
-        dropped = REMOVED_SINCE_GOLDEN | (
-            QUEUE_SERIES if scenario == "process" else set()
-        )
-        missing = [
-            row
-            for row in GOLDEN[scenario]
-            if row not in now and row[0] not in dropped
-        ]
+        missing = [row for row in GOLDEN["exported"][scenario] if row not in now]
         assert not missing
-        assert not {row[0] for row in now} & REMOVED_SINCE_GOLDEN
+        assert not {row[0] for row in now} & REMOVED
 
     def test_only_the_threaded_runner_exports_queue_series(self):
         """A fleet has no ingest queue to report on; the threaded runner
         exports every queue and pressure series."""
+        assert QUEUE_SERIES == {
+            "runner_backlog",
+            "runner_queue_capacity",
+            "runner_queue_high_water",
+            "runner_ingest_lag_seconds",
+            "pressure",
+        }
         assert not {row[0] for row in exported_series("process")} & QUEUE_SERIES
         assert QUEUE_SERIES <= {row[0] for row in exported_series("threaded")}
 
     def test_the_table_adds_exactly_the_listed_series(self):
-        """Names the parent never exported, in any scenario (CHANGES.md)."""
-        parent = {row[0] for rows in GOLDEN.values() for row in rows}
+        """Names no runner exported when the first golden was captured."""
+        parent = {
+            row["series"]
+            for row in CHANGES
+            if row["change"] == "added" and row["golden"] == "0c137b9"
+        }
         # exported outside any runner's registry, declared inline until
-        # the tables took them (GOLDEN_SERVED pins them unchanged)
+        # the tables took them (the golden's served rows pin them)
         inline = {
             spec.name
             for table in (
@@ -288,103 +214,39 @@ class TestExportedSurface:
         served = served_series(tmp_path)
         exported |= {row[0] for rows in served.values() for row in rows}
         assert not exported - catalogued
-        assert not catalogued & REMOVED_SINCE_GOLDEN
-        assert served == GOLDEN_SERVED
+        assert not catalogued & REMOVED
+        assert served == GOLDEN["served"]
 
-    def test_the_deleted_backends_series_are_still_exported(self):
-        """Every series the parent's thread-fleet scenario exported, a
-        remaining scenario exports."""
-        now = [row for scenario in SCENARIOS for row in exported_series(scenario)]
-        missing = [
-            row
-            for row in GOLDEN["sharded"]
-            if row not in now and row[0] not in REMOVED_SINCE_GOLDEN
-        ]
-        assert not missing
-
-    @staticmethod
-    def assert_serves_every_row_of(golden, earlier, reworded):
-        """Each row ``earlier`` served, from any server, some server in
-        ``golden`` serves with the same name, kind, labels and help, but
-        for the ``reworded`` series, whose help did change."""
-
-        def rows(served):
-            return {
-                json.dumps(row[:3] if row[0] in reworded else row)
-                for source in served.values()
-                for row in source
-            }
-
-        assert rows(earlier) <= rows(golden)
-        help_now = {row[0]: row[3] for rows in golden.values() for row in rows}
-        help_then = {row[0]: row[3] for rows in earlier.values() for row in rows}
-        for name in reworded:
-            assert help_now[name] != help_then[name], name
-
-    def test_served_golden_serves_every_parent_row(self):
-        """Every row the 20261018b golden served is still served, with the
-        same series and only the stage series' help reworded."""
-        self.assert_serves_every_row_of(
-            GOLDEN_SERVED_20261018C, GOLDEN_SERVED_20261018B, REWORDED_SINCE_PARENT_GOLDEN
+    def test_every_series_ever_exported_is_exported_or_removed(self):
+        """Replaying the change table (added, then removed) gives exactly
+        the series the golden holds, so no series leaves the golden
+        without a row saying why."""
+        assert all(
+            row["change"] in ("added", "removed", "reworded") and row["reason"]
+            for row in CHANGES
         )
-        assert {
-            source: [row[:3] for row in rows]
-            for source, rows in GOLDEN_SERVED_20261018C.items()
-        } == {
-            source: [row[:3] for row in rows]
-            for source, rows in GOLDEN_SERVED_20261018B.items()
+        live = set()
+        for row in CHANGES:
+            if row["change"] == "added":
+                live.add(row["series"])
+            elif row["change"] == "removed" and "source" not in row:
+                live.discard(row["series"])
+        golden = {
+            row[0]
+            for section in GOLDEN.values()
+            for rows in section.values()
+            for row in rows
         }
+        assert live == golden
+        assert not REMOVED & golden
 
-    def test_parent_golden_serves_every_20261018_row(self):
-        """Every row the 20261018 golden served, the parent golden serves,
-        and the fleet server dropped exactly the queue series."""
-        self.assert_serves_every_row_of(
-            GOLDEN_SERVED_20261018B,
-            GOLDEN_SERVED_20261018,
-            REWORDED_SINCE_20261018_GOLDEN,
-        )
-        now, parent = (
-            {row[0] for row in golden["process"]}
-            for golden in (GOLDEN_SERVED_20261018B, GOLDEN_SERVED_20261018)
-        )
-        assert parent - now == QUEUE_SERIES
-        assert now <= parent
-
-    def test_parent_golden_serves_every_ac29636_row(self):
-        """Every row the ac29636 golden served, from either server, the
-        parent golden serves, but for the series reworded in between."""
-        self.assert_serves_every_row_of(
-            GOLDEN_SERVED_20261018,
-            GOLDEN_SERVED_AC29636,
-            REWORDED_SINCE_AC29636_GOLDEN,
-        )
-
-    def test_served_golden_changed_only_the_listed_series(self):
-        """The parent's golden keeps the names, kinds, labels and help
-        text of the 68f6840 rows, but for the series listed as added,
-        removed or reworded since."""
-
-        def kept(golden, dropped):
-            return {
-                source: [
-                    row[:3] if row[0] in REWORDED_SINCE_SERVED_GOLDEN else row
-                    for row in rows
-                    if row[0] not in dropped
-                ]
-                for source, rows in golden.items()
-            }
-
-        assert kept(GOLDEN_SERVED_AC29636, ADDED_SINCE_SERVED_GOLDEN) == kept(
-            GOLDEN_SERVED_68F6840, REMOVED_SINCE_GOLDEN
-        )
-        reworded = {
-            row[0]: row[3] for rows in GOLDEN_SERVED_AC29636.values() for row in rows
-        }
-        previous = {
-            row[0]: row[3] for rows in GOLDEN_SERVED_68F6840.values() for row in rows
-        }
-        for name in REWORDED_SINCE_SERVED_GOLDEN:
-            assert reworded[name] != previous[name], name
+    def test_each_reworded_series_changed_its_help(self):
+        help_now = {row[0]: row[3] for rows in GOLDEN["served"].values() for row in rows}
+        reworded = [row for row in CHANGES if row["change"] == "reworded"]
+        assert reworded
+        for row in reworded:
+            assert row["series"] in help_now
+            assert row["was"] != help_now[row["series"]], row["series"]
 
     def test_catalogue_in_the_docs_is_the_table(self):
         doc = (ROOT / "docs" / "OBSERVABILITY.md").read_text()

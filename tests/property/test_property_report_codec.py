@@ -13,14 +13,13 @@ encoder twice.
 """
 
 import dataclasses
-import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Event
 from repro.engine.match import Match
-from repro.events.jsonsafe import desanitize, dumps, sanitize
+from repro.events.jsonsafe import decode_state, dumps, encode_state, sanitize
 from repro.language.parser import parse_query
 from repro.language.semantics import analyze
 from repro.observability.instruments import HELP
@@ -193,8 +192,8 @@ def canonical(report: ShardReport) -> str:
 @given(report=shard_reports())
 @settings(max_examples=60, deadline=None)
 def test_decode_inverts_encode_through_the_wire(report):
-    wire = dumps(sanitize(encode_report(report)))  # what a pipe frame carries
-    decoded = decode_report(desanitize(json.loads(wire)), SCORERS)
+    wire = encode_state(encode_report(report))  # what a pipe frame carries
+    decoded = decode_report(decode_state(wire), SCORERS)
     assert canonical(decoded) == canonical(report)
 
 
@@ -232,9 +231,9 @@ def test_nonfinite_values_empty_deltas_and_an_empty_registry_survive():
             "other": QueryReport(emissions=[]),
         },
     )
-    wire = dumps(sanitize(encode_report(report)))
+    wire = encode_state(encode_report(report))
     assert "Infinity" not in wire and "NaN" not in wire, "frames stay strict JSON"
-    decoded = decode_report(desanitize(json.loads(wire)), SCORERS)
+    decoded = decode_report(decode_state(wire), SCORERS)
     assert canonical(decoded) == canonical(report)
     assert decoded.queries["q"].emissions[0].ranking[0].rank_values[0] == float("inf")
     assert decoded.queries["other"].emissions == []
@@ -242,7 +241,5 @@ def test_nonfinite_values_empty_deltas_and_an_empty_registry_survive():
     assert decoded.instruments.get("latency_seconds", query="q").count == 0
 
     bare = ShardReport(pid=2)  # nothing registered, nothing reported
-    decoded = decode_report(
-        desanitize(json.loads(dumps(sanitize(encode_report(bare))))), SCORERS
-    )
+    decoded = decode_report(decode_state(encode_state(encode_report(bare))), SCORERS)
     assert len(decoded.instruments) == 0 and decoded.queries == {}

@@ -15,7 +15,6 @@ one list, expired as a prefix of the insertion order, sorted on every
   checkpoint written in the list-and-sort format.
 """
 
-import json
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -24,7 +23,7 @@ from hypothesis import event, given, settings
 
 from repro import CEPREngine, Event
 from repro.engine.match import Match
-from repro.events.jsonsafe import desanitize, dumps, sanitize
+from repro.events.jsonsafe import decode_state, encode_state
 from repro.language.ast_nodes import WindowKind, WindowSpec
 from repro.language.errors import EvaluationError
 from repro.language.parser import parse_query
@@ -111,12 +110,12 @@ def ids(matches):
 
 def canonical(state):
     """A state as a checkpoint file holds it (NaN never equals itself)."""
-    return dumps(sanitize(state))
+    return encode_state(state)
 
 
 def through_json(state):
     """What a checkpoint file gives back."""
-    return desanitize(json.loads(canonical(state)))
+    return decode_state(canonical(state))
 
 
 # -- the scope alone ------------------------------------------------------------

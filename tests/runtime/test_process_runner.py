@@ -9,13 +9,18 @@ is restored from a checkpoint.
 """
 
 import json
+import math
 import os
+import random
 import signal
 import time
 
 import pytest
 
+from repro.events.event import Event
+from repro.events.schema import AttributeSpec, EventSchema, SchemaRegistry
 from repro.runtime import RunnerConfig, create_runner, emission_to_json
+from repro.runtime.serialize import emission_to_line
 from repro.runtime.sinks import CollectorSink
 from repro.workloads.stock import StockWorkload
 
@@ -107,6 +112,82 @@ class TestProcessDifferential:
             create_runner(query, backend="process", shards=2), "best_trades"
         )
         assert fleet == embedded
+
+
+NONFINITE = """
+    NAME extremes
+    PATTERN SEQ(A a, B bs+)
+    WHERE bs.v > -10
+    WITHIN 12 EVENTS
+    USING SKIP_TILL_NEXT
+    PARTITION BY g
+    RANK BY max(bs.v) DESC, count(bs) DESC
+    LIMIT 3
+    EMIT ON WINDOW CLOSE
+"""
+NONFINITE_REGISTRY = SchemaRegistry(
+    [
+        EventSchema(t, (AttributeSpec("v", "float"), AttributeSpec("g", "int")))
+        for t in "AB"
+    ]
+)
+
+
+def nonfinite_events(count=240, seed=5):
+    """NaN and ±inf payloads: ``a.v`` binds all of them, and ``max(bs.v)``
+    (which a NaN or ``-inf`` element does not extend) holds ``inf``."""
+    rng = random.Random(seed)
+    values = [1.0, 2.5, -4.0, math.inf, -math.inf, math.nan]
+    return [
+        Event(rng.choice("AB"), float(i), v=rng.choice(values), g=rng.randint(0, 2))
+        for i in range(count)
+    ]
+
+
+class TestNonFiniteStateOverThePipe:
+    """Pipe frames carry non-finite payloads, registers and snapshots in
+    both directions: a fleet emits the embedded engine's lines, also after
+    a snapshot taken through the pipe is restored into a fresh fleet."""
+
+    @staticmethod
+    def drive(backend, events, cut=None):
+        config = RunnerConfig(backend=backend, shards=2, registry=NONFINITE_REGISTRY)
+        runner = create_runner(NONFINITE, config)
+        sink = CollectorSink()
+        runner.subscribe("extremes", sink)
+        runner.start()
+        runner.submit_all(events[:cut])
+        runner.sync()
+        state = runner.snapshot()
+        if cut is None:
+            runner.stop()
+        else:
+            runner.kill()  # a crash: no flush
+        return [emission_to_line(e) for e in sink.emissions], state
+
+    def test_process_emits_the_embedded_lines(self):
+        events = nonfinite_events()
+        embedded, _ = self.drive("embedded", events)
+        assert any("~nf" in line for line in embedded), "no non-finite rank value"
+        assert self.drive("process", events)[0] == embedded
+
+    def test_a_snapshot_with_inf_registers_restores_through_the_pipe(self):
+        events = nonfinite_events()
+        reference, _ = self.drive("embedded", events)
+        cut = len(events) // 2
+        prefix, state = self.drive("process", events, cut)
+        assert "inf" in repr(state)
+        second = create_runner(
+            NONFINITE,
+            RunnerConfig(backend="process", shards=2, registry=NONFINITE_REGISTRY),
+        )
+        sink = CollectorSink()
+        second.subscribe("extremes", sink)
+        with second:
+            second.restore(state)
+            second.submit_all(events[cut:])
+            second.flush()
+        assert prefix + [emission_to_line(e) for e in sink.emissions] == reference
 
 
 class TestPlacement:

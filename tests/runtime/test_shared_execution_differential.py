@@ -22,6 +22,7 @@ bookkeeping, so fingerprints include ``detection_index`` and
 """
 
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -33,9 +34,21 @@ from repro.engine.partitioner import Partitioner
 from repro.events.event import Event
 from repro.events.schema import AttributeSpec, EventSchema, SchemaRegistry
 from repro.language.analysis import run_analysis
+from repro.language.ast_nodes import (
+    AttrRef,
+    Binary,
+    BinaryOp,
+    EmitKind,
+    EmitSpec,
+    Literal,
+    PatternElement,
+    Query,
+    WindowKind,
+    WindowSpec,
+)
 from repro.language.errors import CEPRSemanticError
 from repro.language.parser import parse_query
-from repro.language.printer import format_expr
+from repro.language.printer import format_expr, format_query
 from repro.language.semantics import analyze
 from repro.runtime import engine as engine_module
 from repro.runtime import query as query_module
@@ -43,6 +56,7 @@ from repro.runtime.serialize import emission_to_line
 from repro.workloads.clickstream import ClickstreamWorkload
 from repro.workloads.sensor import VitalsWorkload
 from repro.workloads.stock import StockWorkload
+from tests.property.test_property_language import queries
 from tests.runtime.fleet import local_fleet
 
 
@@ -1050,6 +1064,57 @@ class TestQueryGroups:
         assert any(handle.lead is not handle for handle in handles)
         for handle in handles:
             assert handle.diagnostics == run_analysis(handle.analyzed, registry)
+
+
+#: literals that compare equal across types (``1 == 1.0 == True``,
+#: ``0.0 == -0.0``) but print differently
+TWIN_LITERALS = [1, 1.0, True, 0, 0.0, -0.0, False, "1"]
+
+
+class TestGroupKey:
+    """``group_key`` is read off the AST with no print, and agrees with
+    the canonical text it replaced: two queries share a key iff their
+    texts without ``NAME``/``LIMIT`` are equal."""
+
+    @staticmethod
+    def canonical(query):
+        return format_query(replace(query, name=None, limit=None))
+
+    def assert_agrees(self, first, second):
+        same_key = query_module.group_key(first) == query_module.group_key(second)
+        assert same_key is (self.canonical(first) == self.canonical(second))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_keys_agree_with_canonical_texts(self, data):
+        first = parse_query(format_query(data.draw(queries())))
+        second = data.draw(
+            st.one_of(
+                queries(),
+                st.builds(
+                    lambda name, limit: replace(first, name=name, limit=limit),
+                    st.one_of(st.none(), st.just("other")),
+                    st.one_of(st.none(), st.integers(1, 9)),
+                ),
+            )
+        )
+        self.assert_agrees(first, parse_query(format_query(second)))
+
+    @given(st.sampled_from(TWIN_LITERALS), st.sampled_from(TWIN_LITERALS))
+    def test_equal_literals_of_other_types_never_collide(self, left, right):
+        def query(value):
+            where = Binary(BinaryOp.EQ, AttrRef("b", "price"), Literal(value))
+            return Query(
+                pattern=(PatternElement("Buy", "b"),),
+                where=where,
+                window=WindowSpec(WindowKind.COUNT, 10.0),
+                emit=EmitSpec(EmitKind.ON_WINDOW_CLOSE),
+            )
+
+        self.assert_agrees(query(left), query(right))
+        assert (
+            query_module.group_key(query(left)) == query_module.group_key(query(right))
+        ) is (type(left) is type(right) and repr(left) == repr(right))
 
 
 class TestGroupTraces:

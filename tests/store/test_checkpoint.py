@@ -2,9 +2,12 @@
 
 import json
 import math
+import zlib
+from unittest import mock
 
 import pytest
 
+from repro.events import jsonsafe
 from repro.store.checkpoint import (
     CheckpointError,
     CheckpointStore,
@@ -55,6 +58,34 @@ class TestSaveAndLoad:
                 f"non-strict JSON literal {name!r} on disk"
             ),
         )
+
+    def test_state_is_written_in_its_own_key_order_under_a_canonical_checksum(
+        self, tmp_path
+    ):
+        """The document holds the state as encoded once, in its own key
+        order (a restored payload prints in arrival order); the checksum is
+        the CRC of its canonical, key-sorted encoding, the rule every
+        reader of this format verifies."""
+        store = CheckpointStore(tmp_path)
+        state = {"z": {"price": 1.5, "symbol": "X"}, "a": [math.inf, 2]}
+        path = store.save(state, Position(1, 0, 0.0))
+        document = json.loads(path.read_text())
+        assert list(document["state"]) == ["z", "a"]
+        assert list(document["state"]["z"]) == ["price", "symbol"]
+        canonical = json.dumps(
+            document["state"], allow_nan=False, sort_keys=True, separators=(",", ":")
+        )
+        assert document["checksum"] == zlib.crc32(canonical.encode("utf-8"))
+        assert list(store.latest().state["z"]) == ["price", "symbol"]
+
+    def test_a_finite_state_is_never_copied(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        with mock.patch.object(jsonsafe, "sanitize", wraps=jsonsafe.sanitize) as walk:
+            store.save({"x": [1.0, 2]}, Position(1, 0, 0.0))
+            assert not walk.called
+            store.save({"x": [math.nan, 2]}, Position(2, 1, 0.0))
+            assert walk.called
+        assert math.isnan(store.latest().state["x"][0])
 
     def test_negative_position_rejected(self, tmp_path):
         store = CheckpointStore(tmp_path)
