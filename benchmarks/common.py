@@ -148,8 +148,8 @@ def run_cepr(
     return RunResult(
         seconds=elapsed,
         events=len(stream),
-        matches=handle.metrics.matches,
-        emissions=handle.metrics.emissions,
+        matches=handle.pipeline.metrics.matches,
+        emissions=handle.emissions,
         runs_created=stats.runs_created,
         runs_pruned=stats.runs_pruned,
         peak_live_runs=stats.peak_live_runs,
@@ -176,8 +176,8 @@ def run_observability(
     return RunResult(
         seconds=elapsed,
         events=len(stream),
-        matches=handle.metrics.matches,
-        emissions=handle.metrics.emissions,
+        matches=handle.pipeline.metrics.matches,
+        emissions=handle.emissions,
     )
 
 
@@ -224,8 +224,8 @@ def run_checkpointed(
     return RunResult(
         seconds=elapsed,
         events=len(stream),
-        matches=handle.metrics.matches,
-        emissions=handle.metrics.emissions,
+        matches=handle.pipeline.metrics.matches,
+        emissions=handle.emissions,
         extra={"checkpoints": store.saves if store is not None else 0},
     )
 
@@ -356,7 +356,8 @@ def run_multi_query(
     )
     handles = [engine.register_query(q, collect_results=False) for q in queries]
     if broadcast:
-        engine._router.route = lambda _event: handles  # type: ignore[method-assign]
+        pipelines = engine.pipelines()
+        engine._router.route = lambda _event: pipelines  # type: ignore[method-assign]
     started = time.perf_counter()
     engine.run(stream)
     elapsed = time.perf_counter() - started
@@ -364,14 +365,14 @@ def run_multi_query(
     return RunResult(
         seconds=elapsed,
         events=len(stream),
-        matches=sum(h.metrics.matches for h in handles),
-        emissions=sum(h.metrics.emissions for h in handles),
+        matches=sum(h.pipeline.metrics.matches for h in handles),
+        emissions=sum(h.emissions for h in handles),
         runs_created=sum(h.matcher.stats.runs_created for h in handles),
         extra={
             "per_event_us": (elapsed / len(stream) * 1e6) if stream else 0.0,
             # One match-stage sample per processed pair; the members of a
             # query group share their pipeline's profile.
-            "pairs_processed": sum(h.profile.match.count for h in handles),
+            "pairs_processed": sum(h.pipeline.profile.match.count for h in handles),
             **counters,
         },
     )

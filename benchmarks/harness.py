@@ -221,7 +221,7 @@ def e7() -> None:
         row(
             policy,
             fmt(elapsed * 1000),
-            handle.metrics.emissions,
+            handle.emissions,
             first_emission_seq if first_emission_seq is not None else "flush",
         )
 

@@ -50,7 +50,7 @@ def run_flat(events, registry):
     handle = engine.register_query(FLAT, collect_results=False)
     started = time.perf_counter()
     engine.run(fresh_events(events))
-    return time.perf_counter() - started, handle.metrics.matches
+    return time.perf_counter() - started, handle.pipeline.metrics.matches
 
 
 def run_hierarchy(events, registry):
@@ -59,7 +59,7 @@ def run_hierarchy(events, registry):
     level2 = engine.register_query(LEVEL_2, collect_results=False)
     started = time.perf_counter()
     engine.run(fresh_events(events))
-    return time.perf_counter() - started, level2.metrics.matches
+    return time.perf_counter() - started, level2.pipeline.metrics.matches
 
 
 def test_e11_flat(benchmark, stock_10k):

@@ -49,8 +49,8 @@ def run_embedded(query: str, events, registry=None) -> RunResult:
     return RunResult(
         seconds=elapsed,
         events=len(stream),
-        matches=handle.metrics.matches,
-        emissions=handle.metrics.emissions,
+        matches=handle.pipeline.metrics.matches,
+        emissions=handle.emissions,
     )
 
 

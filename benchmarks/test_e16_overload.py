@@ -71,9 +71,9 @@ def run_with_policy(events, registry, policy, factor=10):
         "seconds": elapsed,
         "events": len(stream),
         "events_per_second": len(stream) / elapsed if elapsed > 0 else 0.0,
-        "routed": handle.metrics.events_routed,
-        "emissions": handle.metrics.emissions,
-        "p99_us": handle.metrics.latency.percentile(99) * 1e6,
+        "routed": handle.pipeline.metrics.events_routed,
+        "emissions": handle.emissions,
+        "p99_us": handle.pipeline.metrics.latency.percentile(99) * 1e6,
         "controller": controller,
     }
 

@@ -223,8 +223,8 @@ def test_e8_shared_speedup_gate(stock_serving_stream):
     assert shared_run.emissions == independent_run.emissions
     grouped, independent = group_pair(queries, events, registry)
     for handle in grouped.queries():
-        k_member = independent.query(handle.lead.widest_member().name)
-        assert handle.metrics.matches == k_member.metrics.matches, handle.name
+        k_member = independent.query(handle.pipeline.widest_member().name)
+        assert handle.pipeline.metrics.matches == k_member.pipeline.metrics.matches, handle.name
 
     counters = shared_run.extra
     assert counters["predicate_evals_saved"] > 0

@@ -57,7 +57,7 @@ def main(num_events: int = 20_000) -> None:
             tap.run(workload.events(num_events))
         print(
             f"live run: {num_events} events processed and recorded, "
-            f"{live.metrics.matches} matches"
+            f"{live.pipeline.metrics.matches} matches"
         )
 
         # Phase 2: replay history against candidate formulations.

@@ -48,7 +48,7 @@ def main(num_events: int = 20_000) -> None:
     engine.run(workload.events(num_events))
 
     print(
-        f"level 1: {level1.metrics.matches} round-trips detected over "
+        f"level 1: {level1.pipeline.metrics.matches} round-trips detected over "
         f"{num_events} raw events → {engine.derived_events} Trade events derived"
     )
 

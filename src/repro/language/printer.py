@@ -143,7 +143,7 @@ def _format_window_amount(kind: WindowKind, span: float) -> str:
         return f"{int(span)} EVENTS"
     if span == int(span):
         return f"{int(span)} SECONDS"
-    return f"{span:g} SECONDS"
+    return f"{span!r} SECONDS"  # every digit: the span parses back exactly
 
 
 def format_query(query: Query) -> str:

@@ -260,21 +260,22 @@ def analyze(query: Query, registry: SchemaRegistry | None = None) -> AnalyzedQue
 
 
 def analyze_member(
-    lead: AnalyzedQuery, query: Query, registry: SchemaRegistry | None = None
+    group: AnalyzedQuery, query: Query, registry: SchemaRegistry | None = None
 ) -> AnalyzedQuery:
-    """:func:`analyze` for ``query``, which equals ``lead.ast`` but for
-    ``NAME`` and ``LIMIT``: ``lead`` with those two and the AST replaced.
+    """:func:`analyze` for ``query``, which equals ``group.ast`` (a query
+    group's analysis) but for ``NAME`` and ``LIMIT``: ``group`` with those
+    two and the AST replaced.
 
     Nothing else analysis derives reads ``NAME`` or ``LIMIT``, so only
     what might raise differently is checked again, in :func:`analyze`'s
-    order: the schemas (the registry may have changed since ``lead``) and
-    the checks that read ``LIMIT``.  The result shares ``lead``'s
+    order: the schemas (the registry may have changed since ``group``) and
+    the checks that read ``LIMIT``.  The result shares ``group``'s
     predicates, rank keys and variables, which nothing mutates.
     """
     if registry is not None:
         _check_schemas(query, registry)
-    _check_limit(query.limit, lead.is_ranked, lead.emit, lead.window)
-    return replace(lead, ast=query, name=query.name, limit=query.limit)
+    _check_limit(query.limit, group.is_ranked, group.emit, group.window)
+    return replace(group, ast=query, name=query.name, limit=query.limit)
 
 
 def _check_limit(

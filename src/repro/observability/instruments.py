@@ -50,12 +50,12 @@ class Spec:
 
 
 def _stat(name: str) -> Callable[[Any], int]:
-    """Reader of one ``MatcherStats`` field, through the query."""
-    return lambda query: getattr(query.matcher.stats, name)
+    """Reader of one ``MatcherStats`` field, through the query's pipeline."""
+    return lambda query: getattr(query.pipeline.matcher.stats, name)
 
 
 def _killed(query: Any) -> int:
-    stats = query.matcher.stats
+    stats = query.pipeline.matcher.stats
     return (
         stats.runs_killed_strict
         + stats.runs_killed_negation
@@ -66,8 +66,8 @@ def _killed(query: Any) -> int:
 
 def _errors(query: Any) -> int:
     return (
-        query.matcher.stats.evaluation_errors
-        + query.ranker.scoring_errors
+        query.pipeline.matcher.stats.evaluation_errors
+        + query.pipeline.ranker.scoring_errors
         + query.yield_errors
     )
 
@@ -184,22 +184,23 @@ SANITIZER_CHECKS = (
     "snapshot-roundtrip",
 )
 
-#: per-query series, labelled ``query``; source is the ``RegisteredQuery``.
+#: per-query series, labelled ``query``; source is the ``RegisteredQuery``:
+#: its own emissions and revisions, the rest its group's pipeline's.
 QUERY: tuple[Spec, ...] = (
     Spec(
         "query_events_routed_total",
         "Events routed to this query's operator chain",
-        lambda q: q.metrics.events_routed,
+        lambda q: q.pipeline.metrics.events_routed,
     ),
     Spec(
         "query_matches_total",
         "Matches completed (and confirmed)",
-        lambda q: q.metrics.matches,
+        lambda q: q.pipeline.metrics.matches,
     ),
     Spec(
         "query_emissions_total",
         "Emissions released to sinks",
-        lambda q: q.metrics.emissions,
+        lambda q: q.emissions,
     ),
     Spec(
         "query_revisions_total",
@@ -260,20 +261,20 @@ QUERY: tuple[Spec, ...] = (
     Spec(
         "query_cpu_seconds_total",
         "CPU seconds spent inside this query's operator chain",
-        lambda q: q.profile.total_seconds,
+        lambda q: q.pipeline.profile.total_seconds,
     ),
     # The matcher's O(1) activity caches, not a recount over its partition
     # table: exports read these from other threads than the engine's owner.
     Spec(
         "live_runs",
         "Partial runs currently alive",
-        lambda q: q.matcher._live_runs_cached,
+        lambda q: q.pipeline.matcher._live_runs_cached,
         kind="gauge",
     ),
     Spec(
         "pending_matches",
         "Complete matches waiting out a trailing negation",
-        lambda q: q.matcher._pendings_cached,
+        lambda q: q.pipeline.matcher._pendings_cached,
         kind="gauge",
     ),
     Spec(
@@ -286,13 +287,13 @@ QUERY: tuple[Spec, ...] = (
     Spec(
         "ranker_held_matches",
         "Matches the ranker holds: open epochs' top-k buffers, or the sliding k-skyband",
-        lambda q: q.ranker.held_matches(),
+        lambda q: q.pipeline.ranker.held_matches(),
         kind="gauge",
     ),
     Spec(
         "latency_seconds",
         "Per-event pipeline latency",
-        lambda q: q.metrics.latency,
+        lambda q: q.pipeline.metrics.latency,
         kind="histogram",
     ),
 )
@@ -701,7 +702,7 @@ def register_query(registry: MetricsRegistry, query: Any) -> None:
     name = query.name
     for spec in QUERY:
         bind(registry, spec, query, query=name)
-    for stage, timer in query.profile.timers():
+    for stage, timer in query.pipeline.profile.timers():
         for spec in STAGE:
             bind(registry, spec, timer, query=name, stage=stage)
     for slot, sink in enumerate(query.sinks):

@@ -1,7 +1,7 @@
 """Per-query per-stage wall-time profiling.
 
 Every ``push`` travels ``match → rank → emit`` inside
-:meth:`~repro.runtime.query.RegisteredQuery.process`; this module holds
+:meth:`~repro.runtime.query.Pipeline.process`; this module holds
 the accounting for where that time goes.  A :class:`StageProfile` keeps
 one :class:`StageTimer` per stage — a count/total/max accumulator,
 deliberately cheaper than a reservoir.

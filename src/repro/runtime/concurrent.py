@@ -760,12 +760,12 @@ class ThreadedEngineRunner(TelemetryViews):
             # Lossy pre-engine drops: the seq hint places the
             # not-yet-sequenced events in the right count-window
             # epoch for the bound probes (advisory only).
-            queries = self.engine.queries()
+            pipelines = self.engine.pipelines()
             seq_hint = self.engine.metrics.events_pushed
             batch = [
                 event
                 for event in batch
-                if controller.admit(event, queries, seq_hint=seq_hint)
+                if controller.admit(event, pipelines, seq_hint=seq_hint)
             ]
         if batch:
             self.engine.push_batch(batch)

@@ -44,7 +44,7 @@ from repro.observability.tracing import (
 )
 from repro.ranking.emission import Emission
 from repro.runtime.metrics import EngineMetrics
-from repro.runtime.query import Delivery, RegisteredQuery, group_key, groupable
+from repro.runtime.query import Delivery, Pipeline, RegisteredQuery, group_key, groupable
 from repro.runtime.router import EventRouter, SharedExecutionIndex
 from repro.runtime.sinks import SinkLike, Subscription
 
@@ -151,9 +151,9 @@ class CEPREngine(instruments.TelemetryViews):
         self._queries: dict[str, RegisteredQuery] = {}
         #: registrations so far (each query's ``seat``).
         self._seats = 0
-        #: group key -> the lead of the latest group with that key, which
-        #: queries may join until it processes an event.
-        self._open_groups: dict[tuple, RegisteredQuery] = {}
+        #: group key -> the pipeline of the latest group with that key,
+        #: which queries may join until it processes an event.
+        self._open_groups: dict[tuple, Pipeline] = {}
         self.metrics = EngineMetrics()
         want_tracing = tracing_enabled() if tracing is None else tracing
         self.tracer: Tracer | None = Tracer() if want_tracing else None
@@ -197,21 +197,21 @@ class CEPREngine(instruments.TelemetryViews):
         With shared execution, a query equal to an earlier one but for
         ``NAME`` and ``LIMIT`` joins its group — one pipeline for both —
         if that group has not processed an event yet
-        (docs/SHARED_EXECUTION.md, "Query groups"); it takes its lead's
+        (docs/SHARED_EXECUTION.md, "Query groups"); it takes its group's
         analysis instead of running its own.
         """
         ast = parse_query(query) if isinstance(query, str) else query
         grouping = self.shared is not None and groupable(ast)
-        key = lead = None
+        key = pipeline = None
         if grouping:
             key = group_key(ast)
-            lead = self._open_groups.get(key)
-            if lead is not None and lead.metrics.events_routed:
-                lead = None  # it has processed an event: start a group of its own
-        if lead is None:
+            pipeline = self._open_groups.get(key)
+            if pipeline is not None and pipeline.metrics.events_routed:
+                pipeline = None  # it has processed an event: start a group of its own
+        if pipeline is None:
             analyzed = analyze(ast, self.registry)
         else:
-            analyzed = analyze_member(lead.analyzed, ast, self.registry)
+            analyzed = analyze_member(pipeline.analyzed, ast, self.registry)
         resolved_name = name or ast.name or self._next_auto_name()
         if resolved_name in self._queries:
             raise CEPRSemanticError(f"a query named {resolved_name!r} is already registered")
@@ -223,16 +223,16 @@ class CEPREngine(instruments.TelemetryViews):
             collect_results=collect_results,
             lenient_errors=self.lenient_errors,
             shared=self.shared,
-            lead=lead,
+            pipeline=pipeline,
         )
-        registered.set_tracer(self.tracer)
+        registered.tracer = self.tracer
         registered.seat = self._seats
         self._seats += 1
         self._queries[resolved_name] = registered
-        if lead is None:
-            self._router.add(registered)
+        if pipeline is None:
+            self._route(registered.pipeline)
             if key is not None:
-                self._open_groups[key] = registered
+                self._open_groups[key] = registered.pipeline
         if self._flightrec is not None:
             self._flightrec.record("register", query=resolved_name)
         return registered
@@ -245,40 +245,28 @@ class CEPREngine(instruments.TelemetryViews):
         are pruned from the engine's live metrics registry — otherwise
         ``cepr stats`` (and the serving layer's STATS frame) would keep
         reporting the dead query, and re-registering the same name would
-        collide with the stale callback instruments.  A group whose lead
-        leaves carries on under its next member, with the same K.
+        collide with the stale callback instruments.  A group carries on
+        with its other members, with the same K.
         """
         registered = self._queries.pop(name, None)
         if registered is None:
             raise KeyError(f"no query named {name!r}")
-        lead = registered.lead
-        if lead is not registered:
-            registered.leave()
-        elif len(lead.members) == 1:
-            self._router.remove(lead)
-            self._forget_open(lead, None)
-        else:
-            self._router.wake_all()  # settle what a dormant lead is owed first
-            heir = lead.hand_over()
-            self._router.replace(lead, heir)
-            self._forget_open(lead, heir)
-        registered.set_tracer(None)
+        pipeline = registered.pipeline
+        pipeline.remove(registered)
+        if not pipeline.members:
+            self._router.remove(pipeline)
+            self._open_groups = {
+                key: open_pipeline
+                for key, open_pipeline in self._open_groups.items()
+                if open_pipeline is not pipeline
+            }
+        registered.tracer = None
         registered.flush_sinks()
         registered.close_sinks()
         if self._registry_view is not None:
             self._registry_view.prune(query=name)
         if self._flightrec is not None:
             self._flightrec.record("unregister", query=name)
-
-    def _forget_open(self, lead: RegisteredQuery, heir: RegisteredQuery | None) -> None:
-        """A group lead left: its open-group entry names ``heir`` (or
-        nothing)."""
-        for key, open_lead in list(self._open_groups.items()):
-            if open_lead is lead:
-                if heir is None:
-                    del self._open_groups[key]
-                else:
-                    self._open_groups[key] = heir
 
     def _close_groups(self) -> None:
         """Heartbeats, the flush and a restore move pipelines: no group
@@ -304,6 +292,11 @@ class CEPREngine(instruments.TelemetryViews):
 
     def queries(self) -> list[RegisteredQuery]:
         return list(self._queries.values())
+
+    def pipelines(self) -> list[Pipeline]:
+        """The query groups' pipelines, in the order the router offers
+        events to them."""
+        return self._router.queries()
 
     # -- ingestion -----------------------------------------------------------------
 
@@ -465,8 +458,8 @@ class CEPREngine(instruments.TelemetryViews):
         self._router.settle()  # heartbeat emissions carry the last-seen seq
         self._close_groups()
         pending: list[Delivery] = []
-        for lead in self._router.queries():
-            pending.extend(lead.advance_time(timestamp))
+        for pipeline in self._router.queries():
+            pending.extend(pipeline.advance_time(timestamp))
         return self._deliver(pending, 0)
 
     def flush(self) -> list[Emission]:
@@ -487,8 +480,8 @@ class CEPREngine(instruments.TelemetryViews):
         self._router.settle()
         self._close_groups()
         pending: list[Delivery] = []
-        for lead in self._router.queries():
-            pending.extend(lead.flush())
+        for pipeline in self._router.queries():
+            pending.extend(pipeline.flush())
         emissions.extend(self._deliver(pending, None))
         for registered in self._queries.values():
             registered.flush_sinks()
@@ -624,38 +617,46 @@ class CEPREngine(instruments.TelemetryViews):
             self.metrics.events_pushed = int(state["events_pushed"])
             self._close_groups()
             self._split_diverged_groups(snapshot_queries)
-            for lead in self._router.queries():
-                widest = lead.widest_member()
-                lead.restore_pipeline(snapshot_queries[widest.name], widest.name)
+            for pipeline in self._router.queries():
+                widest = pipeline.widest_member()
+                pipeline.restore(snapshot_queries[widest.name], widest.name)
             for name, query_state in snapshot_queries.items():
                 self._queries[name].restore(query_state)
 
     def _split_diverged_groups(self, sections: dict) -> None:
         """Members whose sections saw a different number of events do not
         share a history (one registered later in the snapshotted engine):
-        each such set of members leaves its group for one of its own, with
-        a pipeline compiled for it, before the groups are restored."""
+        each such set of members but the first member's leaves its group for
+        one of its own, on a pipeline compiled for it, before the groups are
+        restored."""
         from repro.engine.snapshot import restoring
 
-        for lead in self._router.queries():
-            if len(lead.members) == 1:
+        for pipeline in self._router.queries():
+            if len(pipeline.members) == 1:
                 continue
             histories: dict[int, list[RegisteredQuery]] = {}
-            for member in lead.members:
+            for member in pipeline.members:
                 with restoring(f"query {member.name!r}", outer=True):
                     routed = int(sections[member.name]["metrics"]["events_routed"])
                 histories.setdefault(routed, []).append(member)
             if len(histories) == 1:
                 continue
-            lead.members[:] = histories.pop(
-                int(sections[lead.name]["metrics"]["events_routed"])
+            pipeline.members[:] = histories.pop(
+                int(sections[pipeline.name]["metrics"]["events_routed"])
             )
-            for members in histories.values():
-                head = members[0]
-                head.start_own_group()
-                for member in members[1:]:
-                    head.admit(member)
-                self._router.add(head)
+            for head, *rest in histories.values():
+                split = Pipeline(
+                    head, self.registry, self.enable_pruning, self.lenient_errors,
+                    shared=self.shared,
+                )
+                for member in rest:
+                    split.admit(member)
+                self._route(split)
+
+    def _route(self, pipeline: Pipeline) -> None:
+        """Route a new group's pipeline, traced as the engine is."""
+        pipeline.set_tracer(self.tracer)
+        self._router.add(pipeline)
 
     # -- observability ---------------------------------------------------------------
 
@@ -676,7 +677,9 @@ class CEPREngine(instruments.TelemetryViews):
         else:
             self.tracer = None
         for registered in self._queries.values():
-            registered.set_tracer(self.tracer)
+            registered.tracer = self.tracer
+        for pipeline in self._router.queries():
+            pipeline.set_tracer(self.tracer)
         return self.tracer
 
     def trace(self, emission: Emission, query: str | None = None) -> EmissionTrace:

@@ -46,7 +46,7 @@ class LatencyRecorder:
         Its value stands for ``weight`` observations in ``total``: itself
         and ``weight - 1`` unmeasured ones before it, which the caller
         counts in ``count`` as they happen (the sampled pipeline,
-        :meth:`~repro.runtime.query.RegisteredQuery.process`).
+        :meth:`~repro.runtime.query.Pipeline.process`).
         """
         self.count += 1
         self.total += latency_seconds * weight
@@ -136,44 +136,21 @@ class LatencyRecorder:
 
 @dataclass
 class QueryMetrics:
-    """Hot-path counters for one registered query.
+    """Hot-path counters for one query group's pipeline.
 
     Read through the metrics registry (``query_*_total``,
-    ``latency_seconds``); see :mod:`repro.observability.instruments`.
-    ``events_routed`` and the latency count of a query the router has
-    asleep lag until the engine settles them, which every registry read
-    does first (docs/SHARED_EXECUTION.md).
+    ``latency_seconds``) under every member's name; see
+    :mod:`repro.observability.instruments`.  ``emissions`` counts what the
+    ranker released, before the fan-out: each member counts its own
+    deliveries.  ``events_routed`` and the latency count of a pipeline the
+    router has asleep lag until the engine settles them, which every
+    registry read does first (docs/SHARED_EXECUTION.md).
     """
 
     events_routed: int = 0
     matches: int = 0
     emissions: int = 0
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
-
-
-class MemberMetrics:
-    """A query-group member's counters (docs/SHARED_EXECUTION.md, "Query
-    groups"): ``emissions`` its own, the rest read through to its group's
-    pipeline.  Routed events are every member's alike, because members
-    join a group only before it has seen an event."""
-
-    __slots__ = ("pipeline", "emissions")
-
-    def __init__(self, pipeline: QueryMetrics, emissions: int = 0) -> None:
-        self.pipeline = pipeline
-        self.emissions = emissions
-
-    @property
-    def events_routed(self) -> int:
-        return self.pipeline.events_routed
-
-    @property
-    def matches(self) -> int:
-        return self.pipeline.matches
-
-    @property
-    def latency(self) -> LatencyRecorder:
-        return self.pipeline.latency
 
 
 class EngineMetrics:

@@ -1,7 +1,9 @@
-"""A registered query: the per-query operator chain.
+"""A query group's operator chain and the registered queries that view it.
 
-``RegisteredQuery`` wires matcher → scorer → ranker → sinks for one query
-and is the handle the engine returns from ``register_query``.
+``Pipeline`` wires matcher → scorer → ranker for one query group and fans
+its emissions out to the group's members; ``RegisteredQuery`` is one
+member — its name, sinks and revision — and the handle the engine returns
+from ``register_query``.
 
 Result delivery is wired through the subscription API it inherits from
 :class:`~repro.runtime.sinks.SinkOwner`: ``subscribe`` returns a detachable
@@ -49,7 +51,7 @@ from repro.ranking.emission import Emission
 from repro.ranking.pruning import ScoreBoundPruner
 from repro.ranking.ranker import Ranker
 from repro.ranking.score import Scorer
-from repro.runtime.metrics import MemberMetrics, QueryMetrics
+from repro.runtime.metrics import QueryMetrics
 from repro.runtime.report import QueryReport
 from repro.runtime.sinks import CollectorSink, ResultSink, SinkOwner
 
@@ -82,7 +84,7 @@ def group_key(query: Query) -> tuple:
     its AST without ``NAME`` and ``LIMIT`` (syntactic: match bindings are
     keyed by variable name), its literals also by type and ``repr``, since
     ``1 == 1.0 == True`` and ``0.0 == -0.0`` print differently.  Read off
-    the AST, before analysis (a member takes its lead's)."""
+    the AST, before analysis (a member takes its group's)."""
     literals = tuple(
         (type(node.value), repr(node.value))
         for expr in query_expressions(query)
@@ -97,52 +99,30 @@ def _limit_covers(limit: int | None, other: int | None) -> bool:
     return limit is None or (other is not None and limit >= other)
 
 
-class _MemberSpans:
-    """A group pipeline's view of the tracer: each span is recorded once
-    per member, under the member's name, so every member's span history
-    is the one it would record running alone."""
+class Pipeline:
+    """One query group's operator chain: matcher → scorer → ranker, fanned
+    out to its members (docs/SHARED_EXECUTION.md, "Query groups").
 
-    __slots__ = ("tracer", "members")
-
-    def __init__(self, tracer: Tracer, members: "list[RegisteredQuery]") -> None:
-        self.tracer = tracer
-        self.members = members
-
-    def record(
-        self, kind: SpanKind, seq: int, ts: float, query: str | None = None, **detail
-    ) -> None:
-        for member in self.members:
-            self.tracer.record(kind, seq, ts, member.name, **detail)
-
-
-class RegisteredQuery(SinkOwner):
-    """One live query inside a :class:`~repro.runtime.engine.CEPREngine`.
-
-    Each query belongs to a **group** (docs/SHARED_EXECUTION.md, "Query
-    groups"): queries equal but for ``NAME`` and ``LIMIT`` run as one
-    pipeline — one matcher, one ranker — whose ``LIMIT`` is the group's
-    largest, K, and each member emits the first k rows of every group
-    emission.  The group's *lead* (:attr:`lead`) is the member the router
-    offers events to; the other members alias its pipeline (automaton,
-    matcher, ranker, pruner, profile, latency) and keep their own name,
-    sinks, revision and counters.  A query nobody joined is a group of
-    one, its own lead.
+    Queries equal but for ``NAME`` and ``LIMIT`` run as one pipeline whose
+    ``LIMIT`` is the group's largest, K; each member emits the first k rows
+    of every group emission.  A query nobody joined is a group of one.
+    The router offers events to pipelines; members are views of one —
+    their own name, sinks, revision and emission count — and no member
+    owns it: it lives while it has members.
     """
 
     def __init__(
         self,
-        name: str,
-        analyzed: AnalyzedQuery,
+        first: "RegisteredQuery",
         registry: SchemaRegistry | None = None,
         enable_pruning: bool = True,
-        collect_results: bool = True,
         lenient_errors: bool = False,
         clock=time.perf_counter,
         shared: "SharedExecutionIndex | None" = None,
-        lead: "RegisteredQuery | None" = None,
     ) -> None:
-        self.name = name
-        self.analyzed = analyzed
+        #: the members, in registration order; the first names the matches.
+        self.members: list[RegisteredQuery] = [first]
+        first.pipeline = self
         #: the engine's cross-query sharing state (``None`` outside a
         #: shared-execution engine): the matcher consults its per-event
         #: gate memo.
@@ -150,63 +130,53 @@ class RegisteredQuery(SinkOwner):
         #: attached/detached by the engine via :meth:`set_tracer`.
         self.tracer: Tracer | None = None
         self._clock = clock
-        self._registry = registry
         self._enable_pruning = enable_pruning
         self._lenient_errors = lenient_errors
-        #: revisions issued to this member (its emissions' ``revision``).
-        self.revision = 0
-        #: engine registration order: member emissions of one step are
-        #: delivered in it, across groups.
-        self.seat = 0
         #: set by a sharing :class:`~repro.runtime.router.EventRouter` for a
-        #: query that may go dormant: called by :meth:`skip_if_inert` with
-        #: this query once it has proved itself inert for an event.
-        self.on_inert: "Callable[[RegisteredQuery], None] | None" = None
-        self._yielded_ids: set[int] = set()
-        #: derived events whose YIELD assignments failed (lenient mode).
-        self.yield_errors = 0
-
-        self.sinks: list[ResultSink] = []
-        self.collector: CollectorSink | None = None
-        if collect_results:
-            self.collector = CollectorSink()
-            self.sinks.append(self.collector)
-
+        #: pipeline that may go dormant: called by :meth:`skip_if_inert`
+        #: with this pipeline once it has proved itself inert for an event.
+        self.on_inert: "Callable[[Pipeline], None] | None" = None
+        #: routed events, matches and latency (``emissions``: what the
+        #: ranker released, before the fan-out to members).
         self.metrics = QueryMetrics()
-        if lead is None:
-            self._lead_group()
-        else:
-            lead.admit(self)
-
-    @property
-    def diagnostics(self) -> list[Diagnostic]:
-        """The static analyzer's findings on this query, computed on read:
-        they never block registration, so registration does not pay for
-        them (``cepr run`` and ``cepr lint`` report them)."""
-        return run_analysis(self.analyzed, self._registry)
-
-    # -- the group ----------------------------------------------------------------
-
-    def _lead_group(self) -> None:
-        """Compile this query's pipeline and lead a group of its own."""
-        self.lead = self
-        #: the members, in registration order (meaningful on a lead).
-        self.members: list[RegisteredQuery] = [self]
-        self.automaton = compile_automaton(self.analyzed)
+        analyzed = first.analyzed
+        self.automaton = compile_automaton(analyzed)
         # what the readers, the cut, dominance and the pruner may read
-        self._reads = Reads(self.analyzed, self._registry)
-        self.readers = run_readers(self.analyzed, self._reads)
-        self.scorer = Scorer(self.analyzed.rank_keys, self.readers)
+        self._reads = Reads(analyzed, registry)
+        self.readers = run_readers(analyzed, self._reads)
+        self.scorer = Scorer(analyzed.rank_keys, self.readers)
         #: per-stage (match/rank/emit) wall-time breakdown.
         self.profile = StageProfile()
         self._last_seq = -1
         self._last_ts = 0.0
         self._flushed = False
-        self._arm(self.analyzed)
+        self._arm(analyzed)
+
+    @property
+    def name(self) -> str:
+        """The name the matcher stamps matches with: the first member's."""
+        return self.matcher.query_name
+
+    @property
+    def relevant_types(self) -> frozenset[str]:
+        return self.analyzed.relevant_types
+
+    @property
+    def sinks(self) -> list[ResultSink]:
+        """A group of one's sinks, its member's: where a driver that runs
+        the matcher and ranker itself, as the perf ledger's
+        ``StagedEngine`` does, delivers (the fan-out of a group of one
+        passes every emission through)."""
+        (member,) = self.members
+        return member.sinks
+
+    # -- the group ----------------------------------------------------------------
 
     def _arm(self, analyzed: AnalyzedQuery) -> None:
         """Build the ranker, pruner and matcher over the compiled automaton
         for ``analyzed``'s ``LIMIT`` (the group's K)."""
+        #: the analysis the pipeline is armed for: its ``LIMIT`` is K.
+        self.analyzed = analyzed
         reads = self._reads
         lenient_errors = self._lenient_errors
         self.ranker = Ranker(analyzed, self.scorer, lenient_errors=lenient_errors)
@@ -232,7 +202,7 @@ class RegisteredQuery(SinkOwner):
             self.automaton,
             prune_hook=self.pruner,
             tumbling=analyzed.emit.kind is EmitKind.ON_WINDOW_CLOSE,
-            query_name=self.name,
+            query_name=self.members[0].name,
             lenient_errors=lenient_errors,
             shared=self.shared,
             readers=self.readers,
@@ -245,28 +215,12 @@ class RegisteredQuery(SinkOwner):
             self.matcher.arm_run_dominance(dominance)
         self._wire_spans()
         # Hoisted for the per-event skip check — it runs for every routed
-        # (query, event) pair, so even an attribute chain is measurable.
+        # (pipeline, event) pair, so even an attribute chain is measurable.
         self._stage0 = self.automaton.stages[0]
         self._stage0_type = self._stage0.event_type
-        for member in self.members:
-            member._alias(self)
-
-    def _alias(self, lead: "RegisteredQuery") -> None:
-        """Run on ``lead``'s pipeline (a no-op for the lead itself)."""
-        self.lead = lead
-        if lead is self:
-            return
-        for attr in (
-            "automaton", "readers", "scorer", "ranker", "pruner", "cut_status",
-            "dominance_status", "matcher", "profile", "_stage0", "_stage0_type",
-        ):
-            setattr(self, attr, getattr(lead, attr))
-        # Emissions are this member's own; routed events, matches and the
-        # latency reservoir are its pipeline's.
-        self.metrics = MemberMetrics(lead.metrics, self.metrics.emissions)
 
     def admit(self, member: "RegisteredQuery") -> None:
-        """Add ``member`` to this lead's group, before it has seen an event.
+        """Add ``member`` to this group, before it has seen an event.
 
         A wider ``LIMIT`` than the group's K widens the pipeline to it
         (:meth:`_widen`); no ``LIMIT`` at all leaves no k-th key θ to act
@@ -274,10 +228,11 @@ class RegisteredQuery(SinkOwner):
         dominance.  The automaton stays compiled once.
         """
         self.members.append(member)
+        member.pipeline = self
         limit = member.analyzed.limit
         if _limit_covers(self.ranker.limit, limit):
-            member._alias(self)
-        elif limit is None:
+            return
+        if limit is None:
             self._arm(member.analyzed)
         else:
             self._widen(member.analyzed)
@@ -288,6 +243,7 @@ class RegisteredQuery(SinkOwner):
         against.  The matcher's compiled edges and the pruner's compiled
         score bounds do not depend on K, and nothing has run on them yet.
         """
+        self.analyzed = analyzed
         self.ranker = Ranker(analyzed, self.scorer, lenient_errors=self._lenient_errors)
         kth = self.ranker.kth_bound_for_epoch
         if self.pruner is not None:
@@ -295,62 +251,45 @@ class RegisteredQuery(SinkOwner):
         assert analyzed.limit is not None
         self.matcher.widen(kth, analyzed.limit)
         self._wire_spans()
-        for member in self.members:
-            member._alias(self)
 
-    def hand_over(self) -> "RegisteredQuery":
-        """Leave this lead's group, making the next member its lead.
+    def remove(self, member: "RegisteredQuery") -> None:
+        """Let ``member`` leave the group.  The pipeline and its K stay as
+        they are (a top-K holds every smaller top-k); the next member, if
+        any, names the matches from now on."""
+        self.members.remove(member)
+        if self.members:
+            self.matcher.query_name = self.members[0].name
 
-        The pipeline and its K stay as they are (a top-K holds every
-        smaller top-k); returns the new lead.
-        """
-        heir = self.members[1]
-        del self.members[0]
-        heir.members = self.members
-        pipeline, own = self.metrics, heir.metrics.emissions
-        self.metrics = QueryMetrics(
-            pipeline.events_routed, pipeline.matches, pipeline.emissions
-        )
-        heir.metrics = pipeline
-        pipeline.emissions = own
-        heir._last_seq = self._last_seq
-        heir._last_ts = self._last_ts
-        heir._flushed = self._flushed
-        self.matcher.query_name = heir.name
-        for member in heir.members:
-            member.lead = heir
-        # No longer a lead: detaching this handle's tracer must leave the
-        # pipeline's alone.
-        self.lead = heir
-        self.members = [self]
-        return heir
-
-    def leave(self) -> None:
-        """Leave a group this query does not lead."""
-        self.lead.members.remove(self)
-
-    def start_own_group(self) -> None:
-        """Lead a group of one on a pipeline compiled for this query (its
-        old group has already let it go)."""
-        self.metrics = QueryMetrics(emissions=self.metrics.emissions)
-        self._lead_group()
+    def widest_member(self) -> "RegisteredQuery":
+        """The first member whose ``LIMIT`` covers every other member's:
+        whose section a restore loads the group from."""
+        widest = self.members[0]
+        for member in self.members[1:]:
+            if not _limit_covers(widest.analyzed.limit, member.analyzed.limit):
+                widest = member
+        return widest
 
     # -- wiring -----------------------------------------------------------------
 
     def set_tracer(self, tracer: Tracer | None) -> None:
-        """Attach (or detach, with ``None``) a tracer: EMIT spans for this
-        member, and on a lead the whole pipeline's, for every member."""
+        """Attach (or detach, with ``None``) a tracer: the pipeline's spans,
+        for every member."""
         self.tracer = tracer
-        if self.lead is self:
-            self._wire_spans()
+        self._wire_spans()
 
     def _wire_spans(self) -> None:
-        spans = None if self.tracer is None else _MemberSpans(self.tracer, self.members)
-        self.matcher.tracer = self.ranker.tracer = spans
+        self.matcher.tracer = self.ranker.tracer = None if self.tracer is None else self
 
-    @property
-    def relevant_types(self) -> frozenset[str]:
-        return self.analyzed.relevant_types
+    def record(
+        self, kind: SpanKind, seq: int, ts: float, query: str | None = None, **detail
+    ) -> None:
+        """The matcher's and the ranker's span recorder: each span once per
+        member, under the member's name, so every member's span history is
+        the one it would record running alone."""
+        tracer = self.tracer
+        assert tracer is not None
+        for member in self.members:
+            tracer.record(kind, seq, ts, member.name, **detail)
 
     # -- processing --------------------------------------------------------------
 
@@ -369,8 +308,9 @@ class RegisteredQuery(SinkOwner):
         disables the path: spans are part of the observable output.
 
         The gate consultation charges any lenient evaluation errors to
-        this query's matcher stats exactly as a full :meth:`process` would,
-        so error accounting stays identical to independent execution.
+        this pipeline's matcher stats exactly as a full :meth:`process`
+        would, so error accounting stays identical to independent
+        execution.
 
         The elision bookkeeping mirrors every piece of :meth:`process`
         state that later output depends on: the last-seen sequence and
@@ -380,9 +320,9 @@ class RegisteredQuery(SinkOwner):
         zero, and a partition skip for a keyless event) keep ``cepr
         stats`` identical to independent execution.
 
-        A skipped query is also *demoted* (:attr:`on_inert`): the router
-        stops offering it events outside the partitions where it holds
-        state, unless they open its stage-0 gate, and books the same
+        A skipped pipeline is also *demoted* (:attr:`on_inert`): the
+        router stops offering it events outside the partitions where it
+        holds state, unless they open its stage-0 gate, and books the same
         bookkeeping in bulk for the events it is not offered.
         """
         if self.tracer is not None:
@@ -410,7 +350,7 @@ class RegisteredQuery(SinkOwner):
         """Bookkeeping for ``count`` elided events, ``last`` being the latest.
 
         Called once per skipped pair by :meth:`skip_if_inert`, and in bulk
-        by the router for the events a dormant query was not offered.
+        by the router for the events a dormant pipeline was not offered.
         """
         self._last_seq = last.seq
         self._last_ts = last.timestamp
@@ -425,7 +365,7 @@ class RegisteredQuery(SinkOwner):
 
         Returns ``(classification, headroom)``.  The ladder is strictly
         conservative — every ``SHED_SAFE`` verdict is backed by a proof
-        that dropping the event cannot change this query's emissions:
+        that dropping the event cannot change this group's emissions:
 
         * type not relevant, or no partition key ⇒ the matcher ignores it;
         * :meth:`~repro.engine.matcher.PatternMatcher.event_touches_state`
@@ -475,7 +415,8 @@ class RegisteredQuery(SinkOwner):
         """Feed one (already sequenced) event through the group's pipeline.
 
         Returns each member's emissions, undelivered: the engine hands
-        them to :meth:`deliver` in registration order across groups.
+        them to :meth:`RegisteredQuery.deliver` in registration order
+        across groups.
 
         The pipeline is timed per stage — match, rank, emit (the fan-out
         to members) — sparingly (:mod:`~repro.observability.profiling`):
@@ -489,10 +430,9 @@ class RegisteredQuery(SinkOwner):
         """
         self._last_seq = event.seq
         self._last_ts = event.timestamp
+        if self.tracer is not None:
+            self.record(_ROUTE, event.seq, event.timestamp)
         matcher = self.matcher
-        spans = matcher.tracer
-        if spans is not None:
-            spans.record(_ROUTE, event.seq, event.timestamp)
         profile = self.profile
         metrics = self.metrics
         clock = self._clock
@@ -541,6 +481,7 @@ class RegisteredQuery(SinkOwner):
         object passes through when it already is exactly that (always, in
         a group of one).
         """
+        self.metrics.emissions += len(emissions)
         out: list[Delivery] = []
         for member in self.members:
             limit = member.analyzed.limit
@@ -577,26 +518,6 @@ class RegisteredQuery(SinkOwner):
                 )
         return out
 
-    def deliver(self, emission: Emission) -> None:
-        """Hand one of this member's emissions to its sinks.
-
-        Records an EMIT span at the emission's stream point.
-        """
-        self.metrics.emissions += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.record(
-                _EMIT,
-                emission.at_seq,
-                emission.at_ts,
-                self.name,
-                emission_kind=emission.kind.value,
-                revision=emission.revision,
-                matches=len(emission.ranking),
-            )
-        for sink in self.sinks:
-            sink.accept(emission)
-
     def advance_time(self, timestamp: float) -> "list[Delivery]":
         """Heartbeat: expire time windows and release due emissions."""
         confirmed = self.matcher.advance_time(timestamp, self._last_seq)
@@ -615,6 +536,122 @@ class RegisteredQuery(SinkOwner):
             final_matches, self._last_seq, self._last_ts
         )
         return self._step(final_matches, emissions)
+
+    # -- checkpointing -------------------------------------------------------------
+
+    def restore(self, state: dict, source: str) -> None:
+        """Load the pipeline — runs, held matches, routed events and
+        matches — from member ``source``'s section ``state``."""
+        with restoring(f"query {source!r}", outer=True):
+            self._last_seq = int(state["last_seq"])
+            self._last_ts = float(state["last_ts"])
+            self._flushed = bool(state["flushed"])
+            self.matcher.restore(state["matcher"])
+            self.ranker.restore(state["ranker"])
+            counters = state["metrics"]
+            self.metrics.events_routed = int(counters["events_routed"])
+            self.metrics.matches = int(counters["matches"])
+
+
+class RegisteredQuery(SinkOwner):
+    """One live query inside a :class:`~repro.runtime.engine.CEPREngine`:
+    a member view of its group's :class:`Pipeline`.
+
+    A member keeps its own name, analysis, sinks, revision, emission
+    count, YIELD bookkeeping and tracer; everything the pipeline runs is
+    :attr:`pipeline`'s.  ``pipeline`` is the group to join; without one
+    the query starts a group of one, built from the other arguments.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        analyzed: AnalyzedQuery,
+        registry: SchemaRegistry | None = None,
+        enable_pruning: bool = True,
+        collect_results: bool = True,
+        lenient_errors: bool = False,
+        clock=time.perf_counter,
+        shared: "SharedExecutionIndex | None" = None,
+        pipeline: Pipeline | None = None,
+    ) -> None:
+        self.name = name
+        self.analyzed = analyzed
+        #: the engine's tracer, for this member's EMIT spans (the
+        #: pipeline's own are :meth:`Pipeline.set_tracer`'s).
+        self.tracer: Tracer | None = None
+        self._registry = registry
+        self._lenient_errors = lenient_errors
+        #: revisions issued to this member (its emissions' ``revision``).
+        self.revision = 0
+        #: emissions delivered to this member's sinks.
+        self.emissions = 0
+        #: engine registration order: member emissions of one step are
+        #: delivered in it, across groups.
+        self.seat = 0
+        self._yielded_ids: set[int] = set()
+        #: derived events whose YIELD assignments failed (lenient mode).
+        self.yield_errors = 0
+
+        self.sinks: list[ResultSink] = []
+        self.collector: CollectorSink | None = None
+        if collect_results:
+            self.collector = CollectorSink()
+            self.sinks.append(self.collector)
+
+        #: the group's pipeline, which joining it sets.
+        self.pipeline: Pipeline
+        if pipeline is None:
+            Pipeline(self, registry, enable_pruning, lenient_errors, clock, shared)
+        else:
+            pipeline.admit(self)
+
+    @property
+    def diagnostics(self) -> list[Diagnostic]:
+        """The static analyzer's findings on this query, computed on read:
+        they never block registration, so registration does not pay for
+        them (``cepr run`` and ``cepr lint`` report them)."""
+        return run_analysis(self.analyzed, self._registry)
+
+    # Read-only views of the group's pipeline parts.
+
+    @property
+    def matcher(self) -> PatternMatcher:
+        return self.pipeline.matcher
+
+    @property
+    def ranker(self) -> Ranker:
+        return self.pipeline.ranker
+
+    @property
+    def pruner(self) -> ScoreBoundPruner | None:
+        return self.pipeline.pruner
+
+    @property
+    def relevant_types(self) -> frozenset[str]:
+        return self.analyzed.relevant_types
+
+    # -- delivery ----------------------------------------------------------------
+
+    def deliver(self, emission: Emission) -> None:
+        """Hand one of this member's emissions to its sinks.
+
+        Records an EMIT span at the emission's stream point.
+        """
+        self.emissions += 1
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.record(
+                _EMIT,
+                emission.at_seq,
+                emission.at_ts,
+                self.name,
+                emission_kind=emission.kind.value,
+                revision=emission.revision,
+                matches=len(emission.ranking),
+            )
+        for sink in self.sinks:
+            sink.accept(emission)
 
     @property
     def has_yield(self) -> bool:
@@ -668,15 +705,15 @@ class RegisteredQuery(SinkOwner):
         Collected emission *history* and latency reservoirs are not state —
         they never influence future output — and are excluded.
 
-        A member of a group writes the group's pipeline as if it were its
-        own: the matcher's runs (kept under θ_K, a superset of what θ_k
-        keeps), each open epoch's first k held matches, its own revision
-        and counters, every held match stamped with its own name — so a
-        query with this member's text can resume from it alone.
+        A member writes its group's pipeline as if it were its own: the
+        matcher's runs (kept under θ_K, a superset of what θ_k keeps), each
+        open epoch's first k held matches, its own revision and counters,
+        every held match stamped with its own name — so a query with this
+        member's text can resume from it alone.
         """
-        lead = self.lead
-        matcher = lead.matcher.snapshot()
-        ranker = lead.ranker.snapshot()
+        pipeline = self.pipeline
+        matcher = pipeline.matcher.snapshot()
+        ranker = pipeline.ranker.snapshot()
         ranker["revision"] = self.revision
         limit = self.analyzed.limit
         name = self.name
@@ -692,17 +729,17 @@ class RegisteredQuery(SinkOwner):
         for match in held:
             match["query_name"] = name
         return {
-            "last_seq": lead._last_seq,
-            "last_ts": lead._last_ts,
-            "flushed": lead._flushed,
+            "last_seq": pipeline._last_seq,
+            "last_ts": pipeline._last_ts,
+            "flushed": pipeline._flushed,
             "yielded_ids": sorted(self._yielded_ids),
             "yield_errors": self.yield_errors,
             "matcher": matcher,
             "ranker": ranker,
             "metrics": {
-                "events_routed": self.metrics.events_routed,
-                "matches": self.metrics.matches,
-                "emissions": self.metrics.emissions,
+                "events_routed": pipeline.metrics.events_routed,
+                "matches": pipeline.metrics.matches,
+                "emissions": self.emissions,
             },
         }
 
@@ -710,38 +747,15 @@ class RegisteredQuery(SinkOwner):
         """Load a :meth:`snapshot` into this (freshly registered) query.
 
         The member's own state: emissions, revision, YIELD bookkeeping.
-        A lead also loads the group's pipeline — runs, held matches, routed
-        events and matches — from the section of the member whose
-        ``LIMIT`` is the group's largest, through :meth:`restore_pipeline`;
+        The group's pipeline is loaded by :meth:`Pipeline.restore`, from
+        the section of the member whose ``LIMIT`` is the group's largest;
         the engine picks that section.
         """
         with restoring(f"query {self.name!r}", outer=True):
             self._yielded_ids = set(state["yielded_ids"])
             self.yield_errors = int(state["yield_errors"])
             self.revision = int(state["ranker"]["revision"])
-            self.metrics.emissions = int(state["metrics"]["emissions"])
-
-    def restore_pipeline(self, state: dict, source: str) -> None:
-        """Load the group's pipeline (a lead's) from member ``source``'s
-        section ``state``."""
-        with restoring(f"query {source!r}", outer=True):
-            self._last_seq = int(state["last_seq"])
-            self._last_ts = float(state["last_ts"])
-            self._flushed = bool(state["flushed"])
-            self.matcher.restore(state["matcher"])
-            self.ranker.restore(state["ranker"])
-            counters = state["metrics"]
-            self.metrics.events_routed = int(counters["events_routed"])
-            self.metrics.matches = int(counters["matches"])
-
-    def widest_member(self) -> "RegisteredQuery":
-        """The first member (of a lead's group) whose ``LIMIT`` covers
-        every other member's: whose section a restore loads the group from."""
-        widest = self.members[0]
-        for member in self.members[1:]:
-            if not _limit_covers(widest.analyzed.limit, member.analyzed.limit):
-                widest = member
-        return widest
+            self.emissions = int(state["metrics"]["emissions"])
 
     def report(self) -> QueryReport:
         """This query's :class:`~repro.runtime.report.QueryReport`.
@@ -755,7 +769,7 @@ class RegisteredQuery(SinkOwner):
         if self.collector is not None:
             emissions = self.collector.emissions
             self.collector.emissions = []
-        return QueryReport(emissions, self.ranker.open_epochs())
+        return QueryReport(emissions, self.pipeline.ranker.open_epochs())
 
     def explain(self) -> str:
         """Readable evaluation plan: stages, predicate placement, ranking.
@@ -766,20 +780,21 @@ class RegisteredQuery(SinkOwner):
         """
         from repro.engine.explain import explain
 
+        pipeline = self.pipeline
         text = explain(
-            self.automaton,
-            pruning_enabled=self.pruner is not None,
-            cut_status=self.cut_status,
-            dominance_status=self.dominance_status,
-            dominance=self.matcher.dominance,
-            fixed_shapes=self.matcher.fixed_shapes,
-            readers=self.readers,
+            pipeline.automaton,
+            pruning_enabled=pipeline.pruner is not None,
+            cut_status=pipeline.cut_status,
+            dominance_status=pipeline.dominance_status,
+            dominance=pipeline.matcher.dominance,
+            fixed_shapes=pipeline.matcher.fixed_shapes,
+            readers=pipeline.readers,
         )
-        if self.shared is not None:
+        if pipeline.shared is not None:
             text += f"\n{self._sharing_block()}"
-        if self.profile.total_seconds > 0:
-            text += f"\nstage profile: {self.profile.describe()}"
-        if self.metrics.events_routed:
+        if pipeline.profile.total_seconds > 0:
+            text += f"\nstage profile: {pipeline.profile.describe()}"
+        if pipeline.metrics.events_routed:
             registry = MetricsRegistry()
             register_query(registry, self)
             text += f"\ncost: {cost_accounts(registry)[self.name].describe()}"
@@ -791,19 +806,19 @@ class RegisteredQuery(SinkOwner):
         Reports how many registered pipelines share the query's stage-0
         gate (by gate key, so renamed bindings count), and its group.
         """
-        assert self.shared is not None
-        gate_key = self.automaton.stages[0].gate_key
+        pipeline = self.pipeline
+        assert pipeline.shared is not None
+        gate_key = pipeline.automaton.stages[0].gate_key
         gate = (
             "stage-0 gate unshareable (unfingerprinted predicate)"
             if gate_key is None
-            else f"stage-0 gate shared by {self.shared.refcounts()[gate_key]} pipeline(s)"
+            else f"stage-0 gate shared by {pipeline.shared.refcounts()[gate_key]} pipeline(s)"
         )
-        lead = self.lead
-        limit = lead.ranker.limit
+        limit = pipeline.ranker.limit
         return (
-            f"sharing: {gate}; group of {len(lead.members)} with K = "
+            f"sharing: {gate}; group of {len(pipeline.members)} with K = "
             f"{'none' if limit is None else limit}, widest member "
-            f"{lead.widest_member().name!r}"
+            f"{pipeline.widest_member().name!r}"
         )
 
     # -- results ------------------------------------------------------------------

@@ -39,7 +39,7 @@ from repro.events.event import Event
 from repro.language.ast_nodes import BinaryOp
 from repro.language.errors import EvaluationError
 from repro.language.expressions import EvalContext, attr_threshold, evaluate_predicate
-from repro.runtime.query import RegisteredQuery
+from repro.runtime.query import Pipeline, RegisteredQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.matcher import MatcherStats
@@ -109,7 +109,7 @@ class SharedExecutionIndex:
         return self._gates
 
     @staticmethod
-    def claims(queries: Iterable[RegisteredQuery]) -> Counter[str]:
+    def claims(queries: Iterable[Pipeline]) -> Counter[str]:
         """The refcounts ``queries``' pipelines hold: each counts once for
         its stage-0 gate key."""
         return Counter(
@@ -120,11 +120,11 @@ class SharedExecutionIndex:
 
     # -- registration lifecycle -------------------------------------------------
 
-    def add_query(self, query: RegisteredQuery) -> None:
+    def add_query(self, query: Pipeline) -> None:
         """Claim a newly routed pipeline's refcount."""
         self._gates += self.claims([query])
 
-    def remove_query(self, query: RegisteredQuery) -> None:
+    def remove_query(self, query: Pipeline) -> None:
         """Release a pipeline's refcount; prune a key it held last.
 
         Without the pruning, a serving fleet with registration churn would
@@ -255,7 +255,7 @@ class _WakeList:
 
     __slots__ = ("stage", "leader", "dormant", "index", "failed", "shut", "cut", "rank")
 
-    def __init__(self, stage: "Stage", leader: RegisteredQuery) -> None:
+    def __init__(self, stage: "Stage", leader: Pipeline) -> None:
         self.stage = stage
         #: first-registered owner: the router evaluates the gate in its
         #: name, so the evaluating consult is charged where independent
@@ -496,7 +496,7 @@ class _TypeBucket:
     def __init__(self) -> None:
         #: registration order; replaced, never mutated in place, because a
         #: dispatch loop may be iterating the list :meth:`route` returned.
-        self.awake: list[RegisteredQuery] = []
+        self.awake: list[Pipeline] = []
         #: the dormant queries interested in this type, one index per
         #: distinct partitioner.
         self.indexes: list[_PartitionIndex] = []
@@ -533,7 +533,7 @@ class _Dormancy:
         "events_seen", "keyless_seen", "failed_seen",
     )
 
-    def __init__(self, query: RegisteredQuery, gate: _WakeList) -> None:
+    def __init__(self, query: Pipeline, gate: _WakeList) -> None:
         self.query = query
         self.gate = gate
         #: the buckets of its relevant types and its index in each.
@@ -554,6 +554,10 @@ class _Dormancy:
 class EventRouter:
     """Type-indexed dispatch table from events to the queries they concern.
 
+    What it routes is a query group's :class:`~repro.runtime.query.Pipeline`
+    — "a query" here — which fans its emissions out to the group's members;
+    the engine drops a pipeline when its last member leaves.
+
     When constructed with a :class:`SharedExecutionIndex` (the default
     inside :class:`~repro.runtime.engine.CEPREngine`), the router keeps the
     index's refcounts in sync with registration, and
@@ -567,7 +571,7 @@ class EventRouter:
     dormant and :meth:`route` is the plain type bucket.
 
     Every transition is driven from the per-event entry points: the skip
-    check demotes (``RegisteredQuery.on_inert``), the matcher reports a
+    check demotes (``Pipeline.on_inert``), the matcher reports a
     partition gaining or losing state (``PatternMatcher.on_partition``),
     and the ranker reports a step that left it holding matches
     (``Ranker.on_busy``), which wakes the query for every event.
@@ -575,20 +579,24 @@ class EventRouter:
 
     def __init__(self, shared: SharedExecutionIndex | None = None) -> None:
         self._buckets: dict[str, _TypeBucket] = {}
-        self._queries: list[RegisteredQuery] = []
+        self._queries: list[Pipeline] = []
         self.shared = shared
         #: registration order, the order :meth:`route` offers queries in.
-        self._rank: dict[RegisteredQuery, int] = {}
+        self._rank: dict[Pipeline, int] = {}
         self._registered = 0
         #: wake list per stage-0 gate key whose owners may go dormant.
         self._gates: dict[str, _WakeList] = {}
-        self._dormant: dict[RegisteredQuery, _Dormancy] = {}
+        self._dormant: dict[Pipeline, _Dormancy] = {}
         #: True while some dormant query may be owed counts.
         self._unsettled = False
         if shared is not None:
             shared.wake_lists = self._gates
 
-    def add(self, query: RegisteredQuery) -> None:
+    def add(self, query: Pipeline | RegisteredQuery) -> None:
+        """Route a pipeline; a registered query stands for its own (the
+        perf ledger's ``StagedEngine`` adds those)."""
+        if isinstance(query, RegisteredQuery):
+            query = query.pipeline
         self._queries.append(query)
         self._rank[query] = self._registered
         self._registered += 1
@@ -601,7 +609,7 @@ class EventRouter:
             self.shared.add_query(query)
             self._enlist(query)
 
-    def _enlist(self, query: RegisteredQuery) -> None:
+    def _enlist(self, query: Pipeline) -> None:
         """Let ``query`` go dormant if the router can stand in for its gate
         consult.
 
@@ -628,7 +636,7 @@ class EventRouter:
             return
         query.on_inert = self._sleep
 
-    def remove(self, query: RegisteredQuery) -> None:
+    def remove(self, query: Pipeline) -> None:
         # Churn is rare: wake everybody instead of re-deriving, dormant, who
         # leads which gate and what each dormant query owes the old leader.
         self.wake_all()
@@ -645,22 +653,6 @@ class EventRouter:
             self.shared.remove_query(query)
             self._reenlist()
 
-    def replace(self, old: RegisteredQuery, new: RegisteredQuery) -> None:
-        """Put ``new`` in ``old``'s place: same position in the order, same
-        buckets and index entries.  For a query group whose lead leaves —
-        ``new``, the next member, runs the same pipeline."""
-        self.wake_all()
-        self._queries[self._queries.index(old)] = new
-        self._rank[new] = self._rank.pop(old)
-        old.on_inert = None
-        for bucket in self._buckets.values():
-            if old in bucket.awake:
-                bucket.awake = [new if q is old else q for q in bucket.awake]
-        if self.shared is not None:
-            self.shared.add_query(new)  # first: nothing is pruned in between
-            self.shared.remove_query(old)
-            self._reenlist()
-
     def _reenlist(self) -> None:
         """Re-derive who leads which gate, and who may go dormant."""
         self._gates.clear()
@@ -668,7 +660,7 @@ class EventRouter:
             remaining.on_inert = None
             self._enlist(remaining)
 
-    def route(self, event: Event) -> list[RegisteredQuery]:
+    def route(self, event: Event) -> list[Pipeline]:
         """Queries that must process ``event``, in registration order.
 
         Every awake query interested in the type, plus the dormant ones
@@ -685,7 +677,7 @@ class EventRouter:
             return self._offer(bucket, event)
         return bucket.awake
 
-    def _offer(self, bucket: _TypeBucket, event: Event) -> list[RegisteredQuery]:
+    def _offer(self, bucket: _TypeBucket, event: Event) -> list[Pipeline]:
         """The awake queries plus the dormant ones ``event`` concerns.
 
         Each partitioner's key is read once; a keyless event is dropped
@@ -769,8 +761,8 @@ class EventRouter:
             queries.sort(key=self._rank.__getitem__)
         return queries
 
-    def _sleep(self, query: RegisteredQuery) -> None:
-        """Demote ``query`` (``RegisteredQuery.on_inert``): it just proved
+    def _sleep(self, query: Pipeline) -> None:
+        """Demote ``query`` (``Pipeline.on_inert``): it just proved
         itself inert and booked the current event itself.
 
         From now on it is offered only the events of partitions where its
@@ -808,7 +800,7 @@ class EventRouter:
         self._dormant[query] = dormancy
         self._reindex(gate_bucket)
 
-    def _wake(self, query: RegisteredQuery) -> None:
+    def _wake(self, query: Pipeline) -> None:
         """Settle ``query`` and offer it every event again."""
         dormancy = self._dormant.pop(query)
         gate = dormancy.gate
@@ -902,7 +894,7 @@ class EventRouter:
                 query.matcher.stats.shared_hits += gate.failed - dormancy.failed_seen
             dormancy.failed_seen = gate.failed
 
-    def queries(self) -> list[RegisteredQuery]:
+    def queries(self) -> list[Pipeline]:
         return list(self._queries)
 
     def interested_types(self) -> frozenset[str]:
@@ -911,5 +903,5 @@ class EventRouter:
     def __len__(self) -> int:
         return len(self._queries)
 
-    def __iter__(self) -> Iterable[RegisteredQuery]:
+    def __iter__(self) -> Iterable[Pipeline]:
         return iter(self._queries)

@@ -9,7 +9,7 @@ latency unboundedly up (``docs/SHEDDING.md``).
 
 Events are dropped *before* the engine, with a rank-weighted probability
 adapted (AIMD) toward the latency target.  Each is first classified by
-:meth:`~repro.runtime.query.RegisteredQuery.shed_probe`: ``protected``
+:meth:`~repro.runtime.query.Pipeline.shed_probe`: ``protected``
 events (bound into live partial matches) are never dropped, ``safe``
 events (provably inert for the query, or starting a run whose score-bound
 headroom — the run pruner's own interval arithmetic against the current
@@ -213,7 +213,7 @@ class ShedController:
     def admit(self, event: Event, probes, seq_hint: int | None = None) -> bool:
         """Adaptive drop decision: ``False`` means drop before the engine.
 
-        ``probes`` are the query handles the event would reach
+        ``probes`` are the query pipelines the event would reach
         (anything with ``shed_probe``); the event's class is the *worst*
         across them — protected for any query protects it outright.
         The threaded runner probes its engine on the consumer thread;

@@ -15,7 +15,7 @@ Checks, by hook point:
 ``engine._dispatch`` / ``advance_time`` / ``flush`` / registration
     **cross-thread-mutation** — see
     :class:`~repro.sanitize.core.ThreadAffinity`.
-``RegisteredQuery.process`` / ``advance_time`` / ``flush``
+``Pipeline.process`` / ``advance_time`` / ``flush``
     **ranking-order** — every emitted ranking is sorted by
     ``Match.sort_key`` and respects LIMIT;
     **score-bound** — every emitted score of a pruner-bearing query lies
@@ -28,7 +28,7 @@ Checks, by hook point:
     the list-and-sort scope did (a prefix of the insertion order, by each
     match's own completion point), agrees with the k-skyband after every
     step: ``ranking()`` is ``sorted(shadow)[:k]``;
-every run reader of a guard or the scorer (``RegisteredQuery.readers``)
+every run reader of a guard or the scorer (``Pipeline.readers``)
     **run-reader** — each value read off a run or match equals, type,
     sign and NaN included, what the context evaluator computes over the
     same bindings and candidate, which must not raise;
@@ -88,7 +88,7 @@ from repro.sanitize.core import Sanitizer, ThreadAffinity
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ranking.emission import Emission
     from repro.runtime.engine import CEPREngine
-    from repro.runtime.query import RegisteredQuery
+    from repro.runtime.query import Pipeline, RegisteredQuery
 
 #: an aggregate over a still-empty trailing Kleene variable: its identity,
 #: so that extending by elements S gives the aggregate of S.
@@ -153,11 +153,11 @@ class InvariantChecker:
                         query=query.name,
                         seq=emission.at_seq,
                     )
-            if query.pruner is not None:
+            if query.pipeline.pruner is not None:
                 for match in ranking:
                     self.check_score_bound(query, match)
 
-    def check_sliding(self, query: "RegisteredQuery", shadow: list) -> None:
+    def check_sliding(self, query: "Pipeline", shadow: list) -> None:
         """The k-skyband ranks what sorting every live match would.
 
         ``shadow`` holds ``[match, point]`` for every live match in
@@ -190,14 +190,14 @@ class InvariantChecker:
         match *is* a completion with no open variables, so the same
         evaluator must bracket the actual primary rank value.
         """
-        pruner = query.pruner
+        pruner = query.pipeline.pruner
         assert pruner is not None
         if not match.rank_values:
             return
         actual = match.rank_values[0]
         if isinstance(actual, bool) or not isinstance(actual, (int, float)):
             return  # string-keyed primary: no interval reasoning
-        automaton = query.automaton
+        automaton = query.pipeline.automaton
         complete = Run(  # the match as a run past its last stage: nothing open
             automaton, len(automaton.stages), match.bindings, match.first_seq,
             match.last_seq, match.first_ts, match.last_ts,
@@ -231,7 +231,7 @@ class InvariantChecker:
             )
 
     def check_compiled_bound(
-        self, query: "RegisteredQuery", run, latest_ts: float
+        self, query: "Pipeline", run, latest_ts: float
     ) -> None:
         """The pruner's compiled bound is never tighter than the reference.
 
@@ -298,7 +298,7 @@ class InvariantChecker:
             )
         return value
 
-    def check_skipped_completion(self, query: "RegisteredQuery", run, event) -> None:
+    def check_skipped_completion(self, query: "Pipeline", run, event) -> None:
         """A skipped completion would not have been retained.
 
         Re-runs the candidate through the unskipped path — a singleton
@@ -355,7 +355,7 @@ class InvariantChecker:
                 epoch=epoch,
             )
 
-    def check_dominated(self, query: "RegisteredQuery", dropped, kept, event) -> None:
+    def check_dominated(self, query: "Pipeline", dropped, kept, event) -> None:
         """Each run dominance dropped is strictly dominated by k kept runs.
 
         Recomputes every vector from the run's bindings with the reference
@@ -418,7 +418,7 @@ class InvariantChecker:
 
     # -- matcher state ------------------------------------------------------------
 
-    def check_matcher(self, query: "RegisteredQuery") -> None:
+    def check_matcher(self, query: "Pipeline") -> None:
         matcher = query.matcher
         live = 0
         pendings = 0
@@ -502,40 +502,40 @@ class InvariantChecker:
         self.check_activation()
 
     def check_groups(self) -> None:
-        """Query groups against the registry: the router runs exactly one
-        lead per group, the first of its members; every member is
-        registered and points at its lead; K covers every member's
-        ``LIMIT``; and no group outlives its last member."""
+        """Query groups against the registry: every routed pipeline has
+        members, each registered and viewing it; K covers every member's
+        ``LIMIT``; and every registered query is a member of one."""
         engine = self.engine
-        leads = engine._router.queries()
 
         def trip(message: str, **context) -> None:
             self.san.trip("shared-index-coherence", message, **context)
 
         grouped = 0
-        for lead in leads:
-            members = lead.members
-            if not members or members[0] is not lead:
+        for pipeline in engine._router.queries():
+            members = pipeline.members
+            if not members:
                 trip(
-                    f"query {lead.name!r} is routed but does not lead its group "
-                    f"(members={[m.name for m in members]!r}) — a group "
-                    f"outlived its last member",
-                    query=lead.name,
+                    f"a pipeline last named {pipeline.name!r} is routed without "
+                    f"members — a group outlived its last member",
+                    query=pipeline.name,
                 )
-            k = lead.ranker.limit
+            k = pipeline.ranker.limit
             for member in members:
                 grouped += 1
-                if engine._queries.get(member.name) is not member or member.lead is not lead:
+                if (
+                    engine._queries.get(member.name) is not member
+                    or member.pipeline is not pipeline
+                ):
                     trip(
-                        f"group led by {lead.name!r} lists {member.name!r}, "
-                        f"which is not a registered member of it",
+                        f"group {pipeline.name!r} lists {member.name!r}, which "
+                        f"is not a registered member of it",
                         query=member.name,
                     )
                 limit = member.analyzed.limit
                 if not (k is None or (limit is not None and k >= limit)):
                     trip(
-                        f"group led by {lead.name!r} keeps a top-{k}, less "
-                        f"than member {member.name!r}'s LIMIT {limit}",
+                        f"group {pipeline.name!r} keeps a top-{k}, less than "
+                        f"member {member.name!r}'s LIMIT {limit}",
                         query=member.name,
                         k=k,
                         limit=limit,
@@ -563,7 +563,7 @@ class InvariantChecker:
         router = engine._router
         if router.shared is None:
             return
-        registered = router.queries()  # the group leads, in router order
+        registered = router.queries()  # the group pipelines, in router order
         dormant = router._dormant
 
         def trip(message: str, **context) -> None:
@@ -571,7 +571,7 @@ class InvariantChecker:
 
         for query, dormancy in dormant.items():
             name = query.name
-            if engine._queries.get(name) is not query:
+            if query not in registered or not query.members:
                 trip(f"dormant query {name!r} is not registered", query=name)
                 continue
             if query.tracer is not None or not query.ranker.inert_without_matches():
@@ -688,12 +688,11 @@ class InvariantChecker:
                     )
 
 
-def instrument_leads(checker: InvariantChecker, engine: "CEPREngine") -> None:
-    """Instrument every query group's lead and pipeline not yet instrumented
-    (after registration, unregistration and restore, which make leads and
-    build pipelines)."""
-    for lead in engine._router.queries():
-        instrument_query(checker, lead)
+def instrument_pipelines(checker: InvariantChecker, engine: "CEPREngine") -> None:
+    """Instrument every routed pipeline not yet instrumented (after
+    registration and restore, which build pipelines)."""
+    for pipeline in engine._router.queries():
+        instrument_pipeline(checker, pipeline)
 
 
 def check_deliveries(checker: InvariantChecker, deliveries) -> None:
@@ -701,9 +700,9 @@ def check_deliveries(checker: InvariantChecker, deliveries) -> None:
         checker.check_emissions(member, [emission])
 
 
-def instrument_query(checker: InvariantChecker, query: "RegisteredQuery") -> None:
-    """Wrap one group lead's pipeline entry points with checks; idempotent,
-    per lead and per pipeline."""
+def instrument_pipeline(checker: InvariantChecker, query: "Pipeline") -> None:
+    """Wrap one pipeline's entry points with checks; idempotent, per
+    pipeline and per matcher (a wider joiner arms a new one)."""
     if "process" not in vars(query):
         _instrument_entry_points(checker, query)
     matcher = query.matcher
@@ -742,7 +741,7 @@ def instrument_query(checker: InvariantChecker, query: "RegisteredQuery") -> Non
         matcher._drop_dominated = drop_dominated  # type: ignore[method-assign]
 
 
-def audit_readers(checker: InvariantChecker, query: "RegisteredQuery") -> None:
+def audit_readers(checker: InvariantChecker, query: "Pipeline") -> None:
     """Re-derive every value a guard or the scorer reads off a run: wrap
     each run reader, then rebuild the matcher's guards and the scorer's
     reads over the wrapped ones (the cut's reads are re-run by
@@ -762,7 +761,7 @@ def audit_readers(checker: InvariantChecker, query: "RegisteredQuery") -> None:
         )
 
 
-def _instrument_entry_points(checker: InvariantChecker, query: "RegisteredQuery") -> None:
+def _instrument_entry_points(checker: InvariantChecker, query: "Pipeline") -> None:
     """Check the matcher after each step and every member emission a step
     hands out."""
     orig_process = query.process
@@ -791,7 +790,7 @@ def _instrument_entry_points(checker: InvariantChecker, query: "RegisteredQuery"
     query.flush = flush  # type: ignore[method-assign]
 
 
-def instrument_sliding(checker: InvariantChecker, query: "RegisteredQuery") -> None:
+def instrument_sliding(checker: InvariantChecker, query: "Pipeline") -> None:
     """Keep a shadow of every live match beside a sliding scope.
 
     The shadow takes each match the scope accepts and expires the way the
@@ -904,7 +903,7 @@ def attach_engine_sanitizer(engine: "CEPREngine") -> InvariantChecker:
     def register_query(*args, **kwargs):
         affinity.check("register_query")
         registered = orig_register(*args, **kwargs)
-        instrument_leads(checker, engine)
+        instrument_pipelines(checker, engine)
         checker.check_shared_index()
         return registered
 
@@ -915,7 +914,6 @@ def attach_engine_sanitizer(engine: "CEPREngine") -> InvariantChecker:
     def unregister_query(name):
         affinity.check("unregister_query")
         orig_unregister(name)
-        instrument_leads(checker, engine)
         checker.check_shared_index()
 
     engine.unregister_query = unregister_query  # type: ignore[method-assign]
@@ -945,7 +943,7 @@ def attach_engine_sanitizer(engine: "CEPREngine") -> InvariantChecker:
     def restore(state):
         affinity.check("restore")
         orig_restore(state)
-        instrument_leads(checker, engine)
+        instrument_pipelines(checker, engine)
         checker.rebaseline_seq()
 
     engine.restore = restore  # type: ignore[method-assign]

@@ -81,7 +81,7 @@ class TestGeneratedStream:
             engine = CEPREngine(registry=workload.registry())
             handle = engine.register_query(ABANDONMENT)
             engine.run(workload.events(8_000))
-            return handle.metrics.matches
+            return handle.pipeline.metrics.matches
 
         # rate 0 still yields some pendings confirmed before the purchase
         # lands?  No: the purchase must land within the window; with gap≈6

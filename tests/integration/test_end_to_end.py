@@ -162,10 +162,10 @@ class TestMultiQueryDeployment:
             """
         )
         engine.run(stock.events(4000))
-        assert trades.metrics.events_routed > 0
-        assert spikes.metrics.events_routed > 0
+        assert trades.pipeline.metrics.events_routed > 0
+        assert spikes.pipeline.metrics.events_routed > 0
         # Buy events must not reach the spikes query
-        assert spikes.metrics.events_routed < trades.metrics.events_routed
+        assert spikes.pipeline.metrics.events_routed < trades.pipeline.metrics.events_routed
 
     def test_independent_results_per_query(self):
         engine = CEPREngine()

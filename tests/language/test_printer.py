@@ -27,6 +27,9 @@ ROUND_TRIP_QUERIES = [
     "PATTERN SEQ(A a) EMIT EVERY 10 EVENTS",
     "PATTERN SEQ(A a) EMIT EVERY 5 SECONDS",
     "PATTERN SEQ(A a) EMIT EAGER",
+    "PATTERN SEQ(A a) WITHIN 2.1234567 SECONDS",
+    "PATTERN SEQ(A a) WITHIN 123456789.5 SECONDS",
+    "PATTERN SEQ(A a) EMIT EVERY 2.1234567 SECONDS",
     "PATTERN SEQ(A a) WHERE abs(a.x - 1) > 0.5",
     "PATTERN SEQ(A a) WHERE duration() < 5 AND timestamp(a) > 0",
     "PATTERN SEQ(A a) WHERE -a.x < 0",

@@ -48,8 +48,8 @@ class TestFromRegistry:
         assert account.query == "spread"
         assert account.events_routed == 20
         assert account.runs_created > 0
-        assert account.matches == handle.metrics.matches
-        assert account.emissions == handle.metrics.emissions
+        assert account.matches == handle.pipeline.metrics.matches
+        assert account.emissions == handle.emissions
         assert account.cpu_seconds > 0.0
         assert account.parts == 1
 

@@ -73,12 +73,12 @@ class TestEngineWiring:
 
     def test_profile_is_always_on_and_exported(self):
         engine, handle = self.run()
-        assert handle.profile.match.count == 2  # one sample per event
-        assert handle.profile.total_seconds > 0
+        assert handle.pipeline.profile.match.count == 2  # one sample per event
+        assert handle.pipeline.profile.total_seconds > 0
         # the engine's view is rebuilt from the registry: equal values
         (name, profile), = engine.profiles_by_query().items()
         assert name == "spread"
-        assert profile.snapshot() == handle.profile.snapshot()
+        assert profile.snapshot() == handle.pipeline.profile.snapshot()
 
     def test_explain_includes_stage_profile(self):
         _, handle = self.run()

@@ -8,6 +8,8 @@ from repro.language.ast_nodes import (
     Binary,
     BinaryOp,
     Direction,
+    EmitKind,
+    EmitSpec,
     Expr,
     FuncCall,
     Literal,
@@ -107,14 +109,26 @@ def queries() -> st.SearchStrategy[Query]:
             for event_type, var, kleene in items
         )
     )
+    # Time spans print with every digit: a rounded one would parse back
+    # to a window the printed query never had.
+    seconds = st.one_of(
+        st.integers(min_value=1, max_value=86400).map(float),
+        st.floats(min_value=0.001, max_value=1e9, allow_nan=False),
+    )
     windows = st.one_of(
         st.none(),
         st.integers(min_value=1, max_value=1000).map(
             lambda n: WindowSpec(WindowKind.COUNT, float(n))
         ),
-        st.integers(min_value=1, max_value=86400).map(
-            lambda n: WindowSpec(WindowKind.TIME, float(n))
+        seconds.map(lambda span: WindowSpec(WindowKind.TIME, span)),
+    )
+    emits = st.one_of(
+        st.none(),
+        st.sampled_from([EmitSpec(EmitKind.ON_WINDOW_CLOSE), EmitSpec(EmitKind.EAGER)]),
+        st.integers(min_value=1, max_value=1000).map(
+            lambda n: EmitSpec(EmitKind.EVERY, float(n), WindowKind.COUNT)
         ),
+        seconds.map(lambda span: EmitSpec(EmitKind.EVERY, span, WindowKind.TIME)),
     )
     rank_keys = st.lists(
         st.tuples(expressions(), st.sampled_from(list(Direction))).map(
@@ -145,6 +159,7 @@ def queries() -> st.SearchStrategy[Query]:
         partition_by=st.lists(identifiers, max_size=2, unique=True).map(tuple),
         rank_by=rank_keys,
         limit=st.one_of(st.none(), st.integers(min_value=1, max_value=100)),
+        emit=emits,
         name=st.one_of(st.none(), identifiers),
         yield_spec=yield_specs,
     )

@@ -451,11 +451,11 @@ class TestWidenedGroups:
         handles, grouped = group_lines(query, specs, CUT_REGISTRY, cut_stream, True)
         _, independent = group_lines(query, specs, CUT_REGISTRY, cut_stream, False)
         assert grouped == independent
-        lead = handles[0]
-        assert all(h.matcher is lead.matcher for h in handles)
-        if lead.cut_status == "active":
-            assert lead.matcher._cut_kth == lead.ranker.kth_bound_for_epoch
-        event(f"cut {lead.cut_status == 'active'}")
+        pipeline = handles[0].pipeline
+        assert all(h.pipeline is pipeline for h in handles)
+        if pipeline.cut_status == "active":
+            assert pipeline.matcher._cut_kth == pipeline.ranker.kth_bound_for_epoch
+        event(f"cut {pipeline.cut_status == 'active'}")
 
     @given(dominance_cases())
     @settings(max_examples=60, deadline=None)
@@ -465,9 +465,12 @@ class TestWidenedGroups:
         handles, grouped = group_lines(query, specs, DOMINANCE_REGISTRY, build, True)
         _, independent = group_lines(query, specs, DOMINANCE_REGISTRY, build, False)
         assert grouped == independent
-        lead = handles[0]
-        assert lead.pruner is None or lead.pruner.bound_provider == lead.ranker.kth_bound_for_epoch
-        dominance = lead.matcher.dominance
+        pipeline = handles[0].pipeline
+        assert (
+            pipeline.pruner is None
+            or pipeline.pruner.bound_provider == pipeline.ranker.kth_bound_for_epoch
+        )
+        dominance = pipeline.matcher.dominance
         if dominance is not None:
             assert dominance.k == 3
         event(f"dominance {dominance is not None}")

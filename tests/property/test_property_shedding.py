@@ -99,7 +99,7 @@ def process_checking_safe_verdicts(query, events, registry=None):
     stats = handle.matcher.stats
     safe = certified = 0
     for event in events:
-        verdict, headroom = handle.shed_probe(
+        verdict, headroom = handle.pipeline.shed_probe(
             event, seq_hint=engine.metrics.events_pushed
         )
         before = {name: getattr(stats, name) for name in OUTPUT_BEARING}

@@ -112,7 +112,7 @@ class TestExactWhereItFires:
         cut, _, handle = run(text, stream())
         plain, _, _ = run(text, stream(), enable_pruning=False)
         assert cut == plain == match_then_rank(text, stream())
-        assert handle.cut_status == "active"
+        assert handle.pipeline.cut_status == "active"
         assert handle.matcher.stats.completions_skipped == 0
 
     def test_a_tie_with_a_better_secondary_key_is_kept(self):
@@ -200,8 +200,8 @@ class TestTrailingKleene:
         plain, _, reference = run(text, stream(), enable_pruning=False)
         assert cut == plain == match_then_rank(text, stream())
         stats, plain_stats = handle.matcher.stats, reference.matcher.stats
-        assert handle.cut_status == "active"
-        assert handle.dominance_status != "active"
+        assert handle.pipeline.cut_status == "active"
+        assert handle.pipeline.dominance_status != "active"
         assert stats.completions_skipped > 0
         assert (stats.runs_pruned > 0) is pruned
         if not pruned:  # every run is as without the cut, and each skip is a match

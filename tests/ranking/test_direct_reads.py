@@ -68,8 +68,8 @@ class TestStockServe:
 
     def test_every_conjunct_and_key_reads_the_run(self, registered):
         handle, _ = run(registered=registered)
-        assert all(read is not None for read, _how in handle.readers.values())
-        assert len(handle.readers) == 3  # two conjuncts at s, one key
+        assert all(read is not None for read, _how in handle.pipeline.readers.values())
+        assert len(handle.pipeline.readers) == 3  # two conjuncts at s, one key
         text = handle.explain()
         assert text.count("[reads the run]") == (3 if registered else 0)
         assert text.count("[reads the run unless ") == (0 if registered else 3)

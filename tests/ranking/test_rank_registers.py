@@ -78,7 +78,7 @@ class TestKleeneDense:
         events, registry = vitals()
         engine = CEPREngine(registry=registry)
         handle = engine.register_query(KLEENE_QUERY, name="spikes")
-        assert handle.cut_status == "active"
+        assert handle.pipeline.cut_status == "active"
         assert handle.matcher.fixed_shapes == {(1, False), (1, True)}
 
         reads = []
@@ -90,7 +90,7 @@ class TestKleeneDense:
             return events_of(ctx, var)
 
         monkeypatch.setattr(EvalContext, "events_of", counted_events_of)
-        score = handle.scorer.score
+        score = handle.pipeline.scorer.score
         per_match = []
 
         def counted(match):
@@ -101,7 +101,7 @@ class TestKleeneDense:
             per_match.append(len(reads) - before)
             return scored
 
-        handle.scorer.score = counted
+        handle.pipeline.scorer.score = counted
         hook = handle.matcher.prune_hook
         offered = []
         handle.matcher.prune_hook = lambda *args: offered.append(args) or hook(*args)
@@ -148,8 +148,8 @@ class TestKleeneDense:
         )
         engine = CEPREngine(registry=vitals(0)[1])
         handle = engine.register_query(KLEENE_QUERY, name="spikes")
-        assert handle.cut_status == handle.dominance_status == "active"
-        assert handle.pruner is not None and handle.scorer._reads is not None
+        assert handle.pipeline.cut_status == handle.pipeline.dominance_status == "active"
+        assert handle.pruner is not None and handle.pipeline.scorer._reads is not None
         assert len(built) == 1
 
     def test_restore_mid_epoch_rescores_held_matches_from_bindings(self):
@@ -224,8 +224,8 @@ class TestRankRegisters:
             name="q",
         )
         read = []
-        score = handle.scorer.score
-        handle.scorer.score = lambda match: read.append(match.agg_states) or score(match)
+        score = handle.pipeline.scorer.score
+        handle.pipeline.scorer.score = lambda match: read.append(match.agg_states) or score(match)
         engine.run([Event("A", -1.0, v=0)] + events)
         ranking = handle.results()[0].ranking
         assert len(read) == 2**5 - 1  # SKIP_TILL_ANY: every subset of the five
@@ -245,5 +245,5 @@ def test_a_query_without_register_keys_reads_its_bindings_directly():
     is total: the scorer reads the bindings without a context."""
     engine = CEPREngine(registry=StockWorkload(seed=1).registry())
     handle = engine.register_query(STOCK_QUERY)
-    assert handle.scorer._reads is not None
+    assert handle.pipeline.scorer._reads is not None
     assert handle.matcher.fixed_shapes == frozenset()

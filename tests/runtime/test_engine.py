@@ -62,20 +62,20 @@ class TestRouting:
         qa = engine.register_query("PATTERN SEQ(A a)")
         qb = engine.register_query("PATTERN SEQ(B b)")
         engine.push(E("A", 1))
-        assert qa.metrics.events_routed == 1
-        assert qb.metrics.events_routed == 0
+        assert qa.pipeline.metrics.events_routed == 1
+        assert qb.pipeline.metrics.events_routed == 0
 
     def test_negation_types_are_routed(self, engine):
         q = engine.register_query("PATTERN SEQ(A a, NOT C c, B b)")
         engine.push(E("C", 1))
-        assert q.metrics.events_routed == 1
+        assert q.pipeline.metrics.events_routed == 1
 
     def test_shared_types_fan_out(self, engine):
         q1 = engine.register_query("PATTERN SEQ(A a)")
         q2 = engine.register_query("PATTERN SEQ(A a, B b)")
         engine.push(E("A", 1))
-        assert q1.metrics.events_routed == 1
-        assert q2.metrics.events_routed == 1
+        assert q1.pipeline.metrics.events_routed == 1
+        assert q2.pipeline.metrics.events_routed == 1
 
     def test_push_returns_emissions_across_queries(self, engine):
         engine.register_query("PATTERN SEQ(A a)")
@@ -154,14 +154,14 @@ class TestMetrics:
     def test_latency_recorded(self, engine):
         handle = engine.register_query("PATTERN SEQ(A a)")
         engine.push(E("A", 1))
-        assert handle.metrics.latency.count == 1
-        assert handle.metrics.latency.mean > 0
+        assert handle.pipeline.metrics.latency.count == 1
+        assert handle.pipeline.metrics.latency.mean > 0
 
     def test_run_convenience(self, engine):
         handle = engine.register_query("PATTERN SEQ(A a)")
         emissions = engine.run([E("A", 1), E("A", 2)])
         assert len(emissions) == 2
-        assert handle.metrics.matches == 2
+        assert handle.pipeline.metrics.matches == 2
 
 
 class TestResultAccess:

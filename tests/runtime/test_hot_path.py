@@ -226,9 +226,9 @@ def test_the_first_pair_is_sampled_and_one_in_stride_after_it():
     engine = CEPREngine()
     # only A events: no pair has matches to rank or emissions to fan out
     handle = engine.register_query("PATTERN SEQ(A a, B b) WITHIN 3 EVENTS", name="q")
-    handle._clock = StepClock()
+    handle.pipeline._clock = StepClock()
     engine.push(Event("A", 0.0))
-    profile, latency = handle.profile, handle.metrics.latency
+    profile, latency = handle.pipeline.profile, handle.pipeline.metrics.latency
     # three reads one second apart: one second to match, one to rank; a
     # pair without emissions has no fan-out to time
     assert (profile.match.count, profile.match.total, profile.match.maximum) == (1, 1.0, 1.0)
@@ -244,12 +244,12 @@ def test_the_first_pair_is_sampled_and_one_in_stride_after_it():
         assert timer.total == 1.0 + 2 * STRIDE
         assert timer.maximum == 1.0
     assert (profile.emit.count, profile.emit.total) == (pairs, 0.0)
-    assert latency.count == handle.metrics.events_routed == pairs
+    assert latency.count == handle.pipeline.metrics.events_routed == pairs
     assert latency.total == 2.0 * (1 + 2 * STRIDE)
     assert latency._samples == [2.0, 2.0, 2.0]
     assert latency.percentile(50) == 2.0
     # a sampled pair reads the clock three times, any other pair once
-    assert handle._clock.now == 3 * 3 + (pairs - 3)
+    assert handle.pipeline._clock.now == 3 * 3 + (pairs - 3)
     engine.flush()  # the pairs after the last sample count at its duration
     assert profile.match.total == profile.rank.total == float(pairs)
 
@@ -260,11 +260,11 @@ def test_pairs_with_work_time_their_rank_and_emit_stages():
     they carry most of those stages' time."""
     engine = CEPREngine()
     handle = engine.register_query("PATTERN SEQ(A a, B b) WITHIN 3 EVENTS", name="q")
-    handle._clock = StepClock()
+    handle.pipeline._clock = StepClock()
     engine.push(Event("A", 0.0))  # pair 0: sampled
     engine.push(Event("B", 1.0))  # pair 1: a match, eagerly emitted
-    profile = handle.profile
-    assert handle._clock.now == 3 + 3  # before and after the rank stage, after emit
+    profile = handle.pipeline.profile
+    assert handle.pipeline._clock.now == 3 + 3  # before and after the rank stage, after emit
     assert (profile.match.count, profile.match.total) == (2, 1.0)
     assert (profile.rank.count, profile.rank.total) == (2, 2.0)
     assert (profile.emit.count, profile.emit.total) == (2, 1.0)
@@ -274,7 +274,7 @@ def test_pairs_with_work_time_their_rank_and_emit_stages():
     assert (profile.match.count, profile.match.total) == (STRIDE + 1, 1.0 + STRIDE)
     assert (profile.rank.count, profile.rank.total) == (STRIDE + 1, 2.0 + STRIDE - 1)
     assert (profile.emit.count, profile.emit.total) == (STRIDE + 1, 1.0)
-    assert handle.metrics.latency.count == STRIDE + 1
+    assert handle.pipeline.metrics.latency.count == STRIDE + 1
 
 
 def test_counts_stay_exact_with_dormant_and_elided_pairs():
@@ -297,9 +297,9 @@ def test_counts_stay_exact_with_dormant_and_elided_pairs():
     elided = 0
     for handle in engine.queries():
         routed = rows[handle.name]["events_routed"]
-        latency = handle.metrics.latency
-        assert latency.count == routed == handle.metrics.events_routed
-        assert handle.profile.match.count == routed - latency.zeros
+        latency = handle.pipeline.metrics.latency
+        assert latency.count == routed == handle.pipeline.metrics.events_routed
+        assert handle.pipeline.profile.match.count == routed - latency.zeros
         elided += latency.zeros
     assert elided > 0, "the program must exercise the skip path"
 

@@ -7,13 +7,13 @@ per distinct gate per event (docs/SHARED_EXECUTION.md, "Dormant and
 awake").  Two contracts are pinned here:
 
 * **work bound** — per-event work is O(awake + holders of the event's
-  partition + distinct gates), counted as calls that reach a
-  ``RegisteredQuery`` at all;
+  partition + distinct gates), counted as calls that reach a query's
+  ``Pipeline`` at all;
 * **laziness is invisible** — whatever sleeps, every read (stats rows,
   cost accounts, sharing counters, emissions, checkpoints) equals what
   per-event bookkeeping shows, at any point of any interleaving of the
   engine's entry points.  The eager oracle is the same engine with
-  ``on_inert`` cleared on every query (nobody is ever demoted, so every
+  ``on_inert`` cleared on every pipeline (nobody is ever demoted, so every
   routed pair runs the residual skip check, as before push-based
   activation); the independent oracle is ``shared_execution=False``.
 """
@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import CEPREngine, Event
-from repro.runtime.query import RegisteredQuery
+from repro.runtime.query import Pipeline
 from repro.runtime.serialize import emission_to_line
 from repro.workloads.stock import StockWorkload
 
@@ -61,16 +61,17 @@ def gated_program(
 
 @pytest.fixture
 def touched(monkeypatch):
-    """Names of the queries whose ``skip_if_inert`` / ``process`` ran."""
+    """Names of the pipelines whose ``skip_if_inert`` / ``process`` ran
+    (a pipeline's name is its first member's)."""
     calls: list[tuple[str, str]] = []
     for method in ("skip_if_inert", "process"):
-        original = getattr(RegisteredQuery, method)
+        original = getattr(Pipeline, method)
 
         def counted(self, event, _original=original, _method=method):
             calls.append((_method, self.name))
             return _original(self, event)
 
-        monkeypatch.setattr(RegisteredQuery, method, counted)
+        monkeypatch.setattr(Pipeline, method, counted)
     return calls
 
 
@@ -109,7 +110,7 @@ class TestWorkBound:
         # Reads settle: every query was routed all five events.
         rows = engine.stats_by_query()
         assert {row["events_routed"] for row in rows.values()} == {5}
-        assert all(h.metrics.latency.count == 5 for h in engine.queries())
+        assert all(h.pipeline.metrics.latency.count == 5 for h in engine.queries())
         assert engine.shared_stats()["events_gated"] == 256 + 2 * 256 + 192 + 192
 
     def test_a_group_is_touched_once(self, touched):
@@ -364,7 +365,7 @@ class Trio:
         for mode, engine in self.engines.items():
             handle = engine.register_query(text, name=name)
             if mode == "eager":
-                handle.on_inert = None
+                handle.pipeline.on_inert = None
 
     def apply(self, op) -> None:
         for mode, engine in self.engines.items():
@@ -383,7 +384,7 @@ class Trio:
             for handle in engine.queries():  # current registration order
                 twin = fresh.register_query(PROGRAM[handle.name], name=handle.name)
                 if mode == "eager":
-                    twin.on_inert = None
+                    twin.pipeline.on_inert = None
             fresh.restore(state)
             self.engines[mode] = fresh
 

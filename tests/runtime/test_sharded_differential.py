@@ -330,7 +330,7 @@ class TestFleetIntrospection:
         assert fleet_row["shards"] == 4
         assert runner.events_pushed == engine.events_pushed
 
-        assert fleet_row["events_routed"] == handles[0].metrics.events_routed
+        assert fleet_row["events_routed"] == handles[0].pipeline.metrics.events_routed
 
     def test_subscriber_sees_merged_stream_in_order(self):
         received = []

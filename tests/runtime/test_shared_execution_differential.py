@@ -151,7 +151,7 @@ def assert_equivalent(queries, make_events, heartbeat_every=None, **kwargs):
         ], name
         # Sharing must not change what each query *saw* either.
         assert (
-            shared_h.metrics.events_routed == together_h.metrics.events_routed
+            shared_h.pipeline.metrics.events_routed == together_h.pipeline.metrics.events_routed
         ), name
         assert (
             shared_h.matcher.stats.evaluation_errors
@@ -734,11 +734,47 @@ class TestQueryGroups:
     member's emissions, their bookkeeping and the order ``push()``
     returns them in equal ``shared_execution=False``."""
 
-    @given(members=group_members, seed=st.integers(0, 50), beats=st.booleans())
+    @given(
+        members=group_members,
+        seed=st.integers(0, 50),
+        beats=st.booleans(),
+        data=st.data(),
+    )
     @settings(max_examples=12, deadline=None)
-    def test_limit_mixes_match_independent(self, members, seed, beats):
+    def test_limit_mixes_match_independent(self, members, seed, beats, data):
+        """Members also leave mid-stream, in a drawn order at drawn
+        offsets: the first member and the widest (the LIMIT-less one)
+        always, and any other members but one."""
+        program = group_program(members)
+        events = group_events(seed)
+        others = [name for name in program if name not in ("m0", "unlimited")]
+        chosen = data.draw(
+            st.lists(st.sampled_from(others), unique=True, max_size=len(others) - 1)
+        )
+        leaving = data.draw(st.permutations(["m0", "unlimited", *chosen]))
+        offsets = sorted(
+            data.draw(
+                st.lists(
+                    st.integers(1, len(events) - 1),
+                    min_size=len(leaving),
+                    max_size=len(leaving),
+                )
+            )
+        )
+        schedule: dict[int, list[str]] = {}
+        for offset, name in zip(offsets, leaving):
+            schedule.setdefault(offset, []).append(name)
+
+        def leave(names):
+            def hook(run):
+                for name in names:
+                    run.engine.unregister_query(name)
+
+            return hook
+
+        hooks = {offset: leave(names) for offset, names in schedule.items()}
         grouped, independent = drive_pair(
-            group_program(members), group_events(seed), 37 if beats else None
+            program, events, 37 if beats else None, hooks=hooks
         )
         assert_same_output(grouped, independent)
         assert any(call for call in independent.calls), "a program that emits"
@@ -856,7 +892,7 @@ class TestQueryGroups:
         grouped, independent = drive_pair(program, group_events(8), hooks=hooks)
         assert_same_output(grouped, independent)
         assert "m1" not in grouped.views()
-        # m3 led its group: the next member carries on, counters included.
+        # m3 was its group's first: the others carry on, counters included.
         got, want = grouped.engine.stats_by_query(), independent.engine.stats_by_query()
         for name, row in got.items():
             for key in ("events_routed", "partition_skips", "emissions", "revisions"):
@@ -868,11 +904,14 @@ class TestQueryGroups:
             engine.register_query(group_text(0, 0, limit), name=name)
         engine.unregister_query("first")
         survivor = engine.query("second")
-        assert survivor.lead is survivor
+        assert survivor.pipeline.members == [survivor]
+        # The matcher names matches after the survivor, so a group of one
+        # passes every emission through (no re-stamped copies).
+        assert survivor.pipeline.name == "second"
         for event in group_events(3, 120):
             engine.push(event)
         counts = engine.tracer.counts_by_kind("second")
-        assert counts["route"] == survivor.metrics.events_routed
+        assert counts["route"] == survivor.pipeline.metrics.events_routed
         assert counts["run_create"] > 0
         assert not engine.tracer.spans(query="first")
 
@@ -932,9 +971,9 @@ class TestQueryGroups:
         for name, text in program.items():
             handle = engine.query(name)
             reused = handle.analyzed
-            if handle.lead is not handle:
+            if handle.pipeline.members[0] is not handle:
                 members += 1
-                assert reused.predicates_at is handle.lead.analyzed.predicates_at
+                assert reused.predicates_at is handle.pipeline.analyzed.predicates_at
             assert view(reused) == view(analyze(parse_query(text), registry)), name
         assert members == len(program) - 16
 
@@ -953,9 +992,9 @@ class TestQueryGroups:
             engine.register_query(text, name="zero")
         assert str(member.value) == str(fresh.value)
         assert "LIMIT 0" in str(member.value)
-        assert [h.name for h in engine.query("lead").members] == ["lead"]
+        assert [h.name for h in engine.query("lead").pipeline.members] == ["lead"]
         joined = engine.register_query(group_text(1, 0, 3), name="three")
-        assert joined.lead is engine.query("lead")
+        assert joined.pipeline is engine.query("lead").pipeline
 
     def test_a_member_checks_the_registry_as_it_is_now(self):
         """The registry may learn a schema between the lead and a member:
@@ -999,8 +1038,8 @@ class TestQueryGroups:
             counting(query_module, "Ranker"),
         ):
             grouped = GroupRun(program, True)
-        leads = [h for h in grouped.engine.queries() if h.lead is h]
-        assert len(leads) == len(grouped.engine._router) == 16
+        pipelines = grouped.engine.pipelines()
+        assert len(pipelines) == 16
 
         def widenings(members):
             """How often a member's LIMIT raised its group's K."""
@@ -1016,7 +1055,7 @@ class TestQueryGroups:
             "run_readers": 16,
             "PatternMatcher": 16,
             "ScoreBoundPruner": 16,
-            "Ranker": 16 + sum(widenings(lead.members) for lead in leads),
+            "Ranker": 16 + sum(widenings(p.members) for p in pipelines),
         }
         independent = GroupRun(program, False)
         for event in group_events(5, volume=1050):
@@ -1061,7 +1100,7 @@ class TestQueryGroups:
             grouped = GroupRun(alert_program(), True, registry=registry)
         assert analysis.call_count == 0
         handles = grouped.engine.queries()
-        assert any(handle.lead is not handle for handle in handles)
+        assert any(handle.pipeline.members[0] is not handle for handle in handles)
         for handle in handles:
             assert handle.diagnostics == run_analysis(handle.analyzed, registry)
 
@@ -1121,14 +1160,14 @@ class TestGroupTraces:
     """A member's spans are recorded under its own name: ROUTE and EMIT
     spans are its own, run-lifecycle, MATCH and RANK spans its group's —
     those its K member records running alone — so ``engine.trace()`` of a
-    member that does not lead its group is as complete as independently."""
+    member that is not its group's first is as complete as independently."""
 
     MEMBERS = [(0, 0, 2), (0, 0, 3), (3, 0, 1), (3, 0, 1), (1, 1, 2)]
     OWN = ("route", "emit")
 
     def test_member_traces_match_independent(self):
         program = group_program(self.MEMBERS)
-        # The first lead leaves mid-stream: its heir keeps recording.
+        # The first member leaves mid-stream: the others keep recording.
         hooks = {120: lambda run: run.engine.unregister_query("m0")}
         grouped, independent = drive_pair(
             program, group_events(11, 240), hooks=hooks, tracing=True
@@ -1144,11 +1183,11 @@ class TestGroupTraces:
 
         followers = competitions = 0
         for handle in engine.queries():
-            followers += handle.lead is not handle
+            followers += handle.pipeline.members[0] is not handle
             mine, own = traces(engine, handle.name), traces(reference, handle.name)
-            k_runs = traces(reference, handle.lead.widest_member().name)
+            k_runs = traces(reference, handle.pipeline.widest_member().name)
             assert len(mine) == len(own) == len(k_runs)
-            if handle.analyzed.limit == handle.lead.ranker.limit:
+            if handle.analyzed.limit == handle.pipeline.ranker.limit:
                 assert mine == own, handle.name
             for got, want, k_run in zip(mine, own, k_runs):
                 assert set(got["span_counts"]) == set(k_run["span_counts"])
@@ -1196,7 +1235,7 @@ class TestGroupCounterContract:
                 assert row[key] == want[name][key], (name, key)
             handle, twin = grouped.engine.query(name), independent.engine.query(name)
             assert handle.matcher.stats.events_processed == twin.matcher.stats.events_processed
-            assert handle.metrics.latency.count == row["events_routed"]
+            assert handle.pipeline.metrics.latency.count == row["events_routed"]
             assert [emission_to_line(e) for e in handle.results()] == [
                 emission_to_line(e) for e in twin.results()
             ]
@@ -1207,7 +1246,7 @@ class TestGroupCounterContract:
         assert len(engine._router) < len(engine.queries())
         got, want = engine.stats_by_query(), independent.engine.stats_by_query()
         for handle in engine.queries():
-            k_member = handle.lead.widest_member().name
+            k_member = handle.pipeline.widest_member().name
             for key in self.MATCHER:
                 assert got[handle.name][key] == want[k_member][key], (handle.name, key)
             assert (
@@ -1224,7 +1263,7 @@ class TestGroupCounterContract:
             twin = independent.engine.query(handle.name)
             got = [m.detection_index for e in handle.results() for m in e.ranking]
             want = [m.detection_index for e in twin.results() for m in e.ranking]
-            if handle.analyzed.limit == handle.lead.ranker.limit:
+            if handle.analyzed.limit == handle.pipeline.ranker.limit:
                 assert fingerprint(handle) == fingerprint(twin), handle.name
             else:
                 assert sorted(range(len(got)), key=got.__getitem__) == sorted(

@@ -121,7 +121,7 @@ class TestShedProbeLadder:
         self.handle = self.engine.register_query(GENERIC_QUERY)
 
     def test_irrelevant_type_is_safe(self):
-        classification, headroom = self.handle.shed_probe(
+        classification, headroom = self.handle.pipeline.shed_probe(
             Event("Zz", 1.0, value=1.0, group=0)
         )
         assert classification is SHED_SAFE
@@ -129,14 +129,14 @@ class TestShedProbeLadder:
 
     def test_non_initial_type_is_safe_when_no_state(self):
         # B can only extend an existing run; with none live it is inert
-        classification, _ = self.handle.shed_probe(
+        classification, _ = self.handle.pipeline.shed_probe(
             Event("B", 1.0, value=1.0, group=0)
         )
         assert classification is SHED_SAFE
 
     def test_live_partial_run_protects_consumable_event(self):
         self.engine.push(Event("A", 1.0, value=1.0, group=0))
-        classification, _ = self.handle.shed_probe(
+        classification, _ = self.handle.pipeline.shed_probe(
             Event("B", 2.0, value=50.0, group=0)
         )
         assert classification is SHED_PROTECTED
@@ -144,7 +144,7 @@ class TestShedProbeLadder:
     def test_stage0_without_pruner_is_uncertified(self):
         engine = CEPREngine(enable_pruning=False)
         handle = engine.register_query(GENERIC_QUERY)
-        classification, headroom = handle.shed_probe(
+        classification, headroom = handle.pipeline.shed_probe(
             Event("A", 1.0, value=1.0, group=0)
         )
         assert classification is SHED_UNCERTIFIED
@@ -160,13 +160,13 @@ class TestShedProbeLadder:
         self.engine.push(Event("B", 2.0, value=50.0, group=0))  # kth = 50
         at = self.engine.metrics.events_pushed
         # ceiling of A(99) is 100 - 99 = 1 < 50: provably hopeless
-        classification, headroom = self.handle.shed_probe(
+        classification, headroom = self.handle.pipeline.shed_probe(
             Event("A", 3.0, value=99.0, group=0), seq_hint=at
         )
         assert classification is SHED_SAFE
         assert headroom is not None and headroom > 0
         # ceiling of A(10) is 90 > 50: could dethrone the champion
-        classification, headroom = self.handle.shed_probe(
+        classification, headroom = self.handle.pipeline.shed_probe(
             Event("A", 3.5, value=10.0, group=0), seq_hint=at
         )
         assert classification is SHED_UNCERTIFIED
@@ -276,9 +276,9 @@ class TestRunnerIntegration:
             runner.stop()  # drains the queue and flushes the engine
         assert controller.stats.shed_events_total > 0
         # dropped events never reached the engine
-        assert handle.metrics.events_routed < 1000
+        assert handle.pipeline.metrics.events_routed < 1000
         assert (
-            handle.metrics.events_routed
+            handle.pipeline.metrics.events_routed
             == 1000 - controller.stats.shed_events_total
         )
         doc = runner.shed_stats_dict()

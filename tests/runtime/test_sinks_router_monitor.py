@@ -51,10 +51,11 @@ class TestSinks:
 
 class TestRouter:
     def make_queries(self):
+        """Two queries' pipelines: what a router routes."""
         engine = CEPREngine()
         qa = engine.register_query("PATTERN SEQ(A a)", name="qa")
         qab = engine.register_query("PATTERN SEQ(A a, B b)", name="qab")
-        return qa, qab
+        return qa.pipeline, qab.pipeline
 
     def test_route_by_type(self):
         qa, qab = self.make_queries()

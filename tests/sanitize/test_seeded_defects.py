@@ -441,8 +441,9 @@ class TestSharedIndexCoherence:
         )
         engine = log_engine()
         engine.register_query(PAIR, name="q1")
-        engine.register_query(PAIR, name="q2")
+        engine.register_query(PAIR, name="q2")  # joins q1's group
         engine.unregister_query("q1")
+        engine.unregister_query("q2")  # the group's pipeline leaves the router
         assert engine.sanitizer.trips["shared-index-coherence"] > 0
 
     def test_clean_churn_is_quiet(self):
@@ -466,7 +467,7 @@ class TestSharedIndexCoherence:
         engine = log_engine()
         dormant = engine.register_query(KEYED_PAIR, name="q")
         engine.push(Event("A", 1.0, x=-1, k="p"))  # gate shut: goes dormant
-        assert list(engine._router._dormant) == [dormant]
+        assert list(engine._router._dormant) == [dormant.pipeline]
         assert engine.sanitizer.total_trips == 0
         engine.restore(donor.snapshot())
         engine.push(Event("A", 2.0, x=-1, k="q"))
@@ -480,7 +481,7 @@ class TestSharedIndexCoherence:
         engine.push(Event("A", 1.0, x=-1, k="p"))  # dormant
         engine.push(Event("A", 2.0, x=5, k="q"))  # a run in q, still dormant
         engine.push(Event("B", 3.0, x=1, k="r"))  # not offered
-        assert list(engine._router._dormant) == [handle]
+        assert list(engine._router._dormant) == [handle.pipeline]
         engine.push(Event("B", 4.0, x=1, k="q"))  # completes: the ranker holds it
         assert not engine._router._dormant
         engine.push(Event("A", 5.0, x=-1, k="s"))  # proves itself inert again
@@ -547,23 +548,21 @@ class TestQueryGroupCoherence:
     GROUPED = "PATTERN SEQ(A a, B b) WHERE a.x > 0 WITHIN 5 EVENTS RANK BY b.x DESC {} EMIT ON WINDOW CLOSE"
 
     def test_a_group_outliving_its_last_member_trips(self, monkeypatch):
-        # Seeded defect: unregistering a lead hands over but keeps it routed.
-        monkeypatch.setattr(EventRouter, "replace", lambda self, old, new: None)
+        # Seeded defect: a pipeline stays routed after its last member leaves.
+        monkeypatch.setattr(EventRouter, "remove", lambda self, pipeline: None)
         engine = log_engine()
         engine.register_query(self.GROUPED.format("LIMIT 1"), name="first")
         engine.register_query(self.GROUPED.format("LIMIT 2"), name="second")
         engine.unregister_query("first")
+        assert engine.sanitizer.total_trips == 0
+        engine.unregister_query("second")
         assert engine.sanitizer.trips["shared-index-coherence"] > 0
 
     def test_k_below_a_members_limit_trips(self, monkeypatch):
-        # Seeded defect: a wider joiner does not re-arm the pipeline.
-        from repro.runtime.query import RegisteredQuery
+        # Seeded defect: a wider joiner does not widen the pipeline.
+        from repro.runtime.query import Pipeline
 
-        monkeypatch.setattr(
-            RegisteredQuery, "admit", lambda self, member: (
-                self.members.append(member), member._alias(self)
-            )
-        )
+        monkeypatch.setattr(Pipeline, "_widen", lambda self, analyzed: None)
         engine = log_engine()
         engine.register_query(self.GROUPED.format("LIMIT 1"), name="narrow")
         engine.register_query(self.GROUPED.format("LIMIT 3"), name="wide")

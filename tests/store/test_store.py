@@ -140,7 +140,7 @@ class TestRecordingTap:
         tap = RecordingTap(engine, log)
         tap.run(workload.events(500))
         assert len(log) == 500
-        assert handle.metrics.events_routed == 500
+        assert handle.pipeline.metrics.events_routed == 500
 
 
 class TestBacktester:
@@ -166,7 +166,7 @@ class TestBacktester:
             ]
 
         assert fp(result.emissions) == fp(handle.results())
-        assert result.matches == handle.metrics.matches
+        assert result.matches == handle.pipeline.metrics.matches
 
     def test_time_sliced_backtest(self, tmp_path):
         log, registry = self.record(tmp_path)
